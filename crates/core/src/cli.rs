@@ -28,11 +28,11 @@
 //! mid-attempt is replaced and the attempt retried. Results are
 //! bit-identical across backends.
 //!
-//! `--sched pipelined` switches the simulated timeline to event-driven
-//! execution: the shuffle streams map outputs as they commit and idle
-//! fast slots steal straggling tasks, shrinking wave makespans on skewed
-//! clusters. The default is the paper's per-wave barrier. Outputs are
-//! bit-identical across scheduling modes.
+//! `--sched pipelined` prices the simulated timeline event-driven: each
+//! map task's shuffle chunk is charged from its commit and idle fast
+//! slots steal straggling tasks, shrinking wave makespans on skewed
+//! clusters. The default is the paper's per-wave barrier. The flag
+//! selects pricing only; outputs are bit-identical either way.
 //!
 //! Matrices use the text format of the paper's `a.txt` (a `rows cols`
 //! header line, then whitespace-separated values; see

@@ -14,9 +14,8 @@ use mrinv_matrix::{Matrix, Permutation};
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
 use crate::request::LuFactors;
-use crate::service::{
-    read_frame, write_frame, WireOp, WireRequest, WireResponse, TAG_REQUEST, TAG_RESPONSE,
-};
+use crate::service::{WireOp, WireRequest, WireResponse, TAG_REQUEST, TAG_RESPONSE};
+use mrinv_mapreduce::wire::{read_frame, write_frame};
 
 /// What the server sent back for one request.
 #[derive(Debug, Clone)]

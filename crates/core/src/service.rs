@@ -3,9 +3,9 @@
 //! A long-running daemon that accepts concurrent [`crate::Request`]-shaped
 //! work over TCP — `invert(A)`, `lu(A)`, `solve(A, b…)` — from many
 //! tenants against one shared [`Cluster`], backed by one shared
-//! [`FactorCache`]. The wire protocol reuses the worker backend's frame
-//! format (`u32` little-endian length, one tag byte, bincode body; see
-//! [`crate::exec_registry`]'s TCP backend), with two tags:
+//! [`FactorCache`]. The wire protocol is the worker backend's frame codec
+//! ([`mrinv_mapreduce::wire`]: `u32` little-endian length, one tag byte,
+//! bincode body), with two tags:
 //!
 //! | dir | tag | frame      | body                     |
 //! |-----|-----|------------|--------------------------|
@@ -38,7 +38,6 @@
 //! whole batch from a single factorization + substitution pass.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,6 +46,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use mrinv_mapreduce::obs::Labels;
+use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_mapreduce::Cluster;
 use mrinv_matrix::io::{decode_binary, encode_binary};
 use mrinv_matrix::Matrix;
@@ -59,33 +59,6 @@ use crate::request::{CacheStatus, Op, Outcome, Request};
 
 pub(crate) const TAG_REQUEST: u8 = 1;
 pub(crate) const TAG_RESPONSE: u8 = 2;
-
-/// Writes one `len ∥ tag ∥ body` frame.
-pub(crate) fn write_frame(stream: &mut TcpStream, tag: u8, body: &[u8]) -> std::io::Result<()> {
-    let len = (body.len() + 1) as u32;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(&[tag])?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-/// Reads one frame, returning `(tag, body)`.
-pub(crate) fn read_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "zero-length frame",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    let tag = body[0];
-    body.drain(..1);
-    Ok((tag, body))
-}
 
 /// The operation field of a [`WireRequest`] (unit variants only — the
 /// vendored codec's enum support).
@@ -321,9 +294,12 @@ struct Shared {
     queues: Mutex<Queues>,
     work: Condvar,
     shutdown: AtomicBool,
-    /// Live client sockets, shut down (not just dropped) on server
-    /// shutdown so blocked handler reads wake immediately.
-    conns: Mutex<Vec<TcpStream>>,
+    /// One entry per connection whose handler has not been reaped: the
+    /// handler thread and a clone of its socket, shut down (not just
+    /// dropped) on server shutdown so a blocked handler read wakes
+    /// immediately. The accept loop reaps finished entries, so this holds
+    /// O(live connections), not one entry per client ever seen.
+    conns: Mutex<Vec<(JoinHandle<()>, Option<TcpStream>)>>,
     served: AtomicU64,
 }
 
@@ -364,7 +340,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     executor: Option<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
@@ -385,23 +360,19 @@ impl ServerHandle {
             conns: Mutex::new(Vec::new()),
             served: AtomicU64::new(0),
         });
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
         let executor = {
             let shared = shared.clone();
             std::thread::spawn(move || executor_loop(&shared))
         };
         let accept = {
             let shared = shared.clone();
-            let handlers = handlers.clone();
-            std::thread::spawn(move || accept_loop(&listener, &shared, &handlers))
+            std::thread::spawn(move || accept_loop(&listener, &shared))
         };
         Ok(ServerHandle {
             addr,
             shared,
             accept: Some(accept),
             executor: Some(executor),
-            handlers,
         })
     }
 
@@ -425,23 +396,26 @@ impl ServerHandle {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop with a throwaway connection.
+        // Unblock the accept loop with a throwaway connection, and wait
+        // for it: once it is gone no connection can be added behind us.
         let _ = TcpStream::connect(self.addr);
-        // Wake blocked handler reads.
-        for conn in self.shared.conns.lock().expect("conns lock").iter() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        // Wake the executor so it drains and exits.
-        self.shared.work.notify_all();
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
+        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns lock"));
+        // Wake blocked handler reads.
+        for (_, socket) in &conns {
+            if let Some(socket) = socket {
+                let _ = socket.shutdown(Shutdown::Both);
+            }
+        }
+        // Wake the executor so it drains and exits.
+        self.shared.work.notify_all();
         if let Some(t) = self.executor.take() {
             let _ = t.join();
         }
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handlers lock"));
-        for t in handlers {
-            let _ = t.join();
+        for (handler, _) in conns {
+            let _ = handler.join();
         }
     }
 }
@@ -452,11 +426,7 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
@@ -473,12 +443,10 @@ fn accept_loop(
             return;
         }
         let _ = stream.set_nodelay(true);
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("conns lock").push(clone);
-        }
-        let shared = shared.clone();
-        let handle = std::thread::spawn(move || {
-            let mut stream = stream;
+        let socket = stream.try_clone().ok();
+        let handler_shared = shared.clone();
+        let handler = std::thread::spawn(move || {
+            let (mut stream, shared) = (stream, handler_shared);
             // A panicking handler must not leak its socket: catch the
             // unwind and shut the stream down either way, so the client
             // sees EOF instead of a wedged connection, and the listener
@@ -487,7 +455,18 @@ fn accept_loop(
             let _ = stream.shutdown(Shutdown::Both);
             drop(result);
         });
-        handlers.lock().expect("handlers lock").push(handle);
+        // Reap the connections that ended since the last accept: join the
+        // finished handler (it never blocks) and drop its socket clone.
+        let mut conns = shared.conns.lock().expect("conns lock");
+        let (done, live) = std::mem::take(&mut *conns)
+            .into_iter()
+            .partition(|(handler, _)| handler.is_finished());
+        *conns = live;
+        conns.push((handler, socket));
+        drop(conns);
+        for (handler, _) in done {
+            let _ = handler.join();
+        }
     }
 }
 
@@ -736,6 +715,37 @@ mod tests {
         let rest: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|j| j.id).collect();
         assert_eq!(rest.len(), 2);
         assert!(rest.contains(&3) && rest.contains(&4));
+    }
+
+    #[test]
+    fn connection_bookkeeping_is_bounded_by_live_connections() {
+        use std::io::Read;
+        let cluster = Arc::new(Cluster::medium(1));
+        let server = ServerHandle::start(cluster, ServiceConfig::default()).unwrap();
+        // One whole connection lifetime: a frame with an unknown tag makes
+        // the handler hang up, and reading to EOF waits for that.
+        let cycle = || {
+            let mut client = TcpStream::connect(server.addr()).unwrap();
+            write_frame(&mut client, 0xFF, &[]).unwrap();
+            assert_eq!(client.read_to_end(&mut Vec::new()).unwrap(), 0);
+        };
+        let tracked = || server.shared.conns.lock().unwrap().len();
+        for _ in 0..200 {
+            cycle();
+        }
+        // Each accept reaps the handlers that have finished. A handler
+        // thread exits just *after* its client sees EOF, so keep cycling
+        // until the last few are reaped too.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while tracked() > 2 {
+            let now = std::time::Instant::now();
+            assert!(
+                now < deadline,
+                "{} entries for 0 live connections",
+                tracked()
+            );
+            cycle();
+        }
     }
 
     #[test]

@@ -10,21 +10,24 @@ use crate::simtime::CostModel;
 use crate::tracelog::TraceLog;
 
 /// How a job's waves are priced onto the simulated cluster clock.
+///
+/// The mode moves *time*, never data: every job runs the same bodies
+/// through the same shuffle under either value, and the runner reads the
+/// mode at exactly two pricing rules — the backup policy of a wave plan
+/// and the shuffle charge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulingMode {
     /// Strict barriers (the default, bit-identical reproduction of the
-    /// paper's Hadoop runs): the shuffle starts when the *last* mapper
-    /// commits, every reducer waits for the whole shuffle, and placement
-    /// follows [`crate::scheduler::plan_wave`] exactly.
+    /// paper's Hadoop runs): the whole shuffle is charged after the *last*
+    /// mapper commits, and a wave's straggler gets at most one speculative
+    /// backup ([`crate::scheduler::plan_wave`]).
     #[default]
     Barrier,
-    /// Event-driven execution ([`crate::scheduler::plan_pipelined`]):
-    /// each map task's shuffle chunk begins transferring the moment that
-    /// task commits (overlapping the rest of the map wave), reducers are
-    /// admitted as soon as their inputs finish streaming, and idle slots
-    /// steal straggling in-flight tasks (backup copies) instead of
-    /// honoring the up-front placement. Data outputs stay bit-identical
-    /// to barrier mode; only the simulated timeline changes.
+    /// Event-driven pricing: each map task's shuffle chunk is charged from
+    /// the moment that task commits, overlapping the rest of the map wave
+    /// ([`crate::scheduler::stream_shuffle_finish`]), and idle slots keep
+    /// stealing straggling in-flight tasks until no backup copy helps
+    /// ([`crate::scheduler::steal_backups`]).
     Pipelined,
 }
 
@@ -69,10 +72,9 @@ pub struct ClusterConfig {
     pub retry_backoff_base_secs: f64,
     /// Upper bound on the timeout-retry backoff delay, seconds.
     pub retry_backoff_cap_secs: f64,
-    /// Barrier-per-wave (default) or pipelined, work-stealing execution.
-    /// Excluded from config fingerprints: both modes produce bit-identical
-    /// data, so a checkpoint written under one mode resumes under the
-    /// other.
+    /// Barrier-per-wave (default) or pipelined, work-stealing pricing.
+    /// Excluded from config fingerprints: the mode never touches data, so
+    /// a checkpoint written under one mode resumes under the other.
     pub scheduling: SchedulingMode,
     /// Pricing of compute, disk, network, and job launches.
     pub cost: CostModel,

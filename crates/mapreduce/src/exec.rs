@@ -73,27 +73,6 @@ pub struct WireTaskResult {
     pub payload: Value,
 }
 
-/// One task's retry chain resolving — the completion *event* pipelined
-/// execution is driven by. The runner emits one per task, in real
-/// completion order (out of order across tasks: whichever rayon worker
-/// finishes its chain first reports first), as soon as the task's last
-/// attempt returns from the backend. Under pipelined scheduling the map
-/// wave's events feed the incremental shuffle
-/// ([`crate::shuffle::IncrementalShuffle`]) so per-reducer merging starts
-/// at the first commit instead of after the wave barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitEvent {
-    /// Which wave the task belongs to.
-    pub phase: Phase,
-    /// Task index within the wave.
-    pub task: usize,
-    /// Body attempts the task consumed (≥ 1).
-    pub attempts: u32,
-    /// True when the chain ended in success (a commit); false when the
-    /// attempt budget was exhausted.
-    pub ok: bool,
-}
-
 /// Decodes a remote result payload into the erased payload a wave
 /// expects (see [`TaskCall::decode`]).
 pub type DecodePayloadFn<'a> = &'a (dyn Fn(&Value) -> Result<ErasedPayload> + Sync);

@@ -11,8 +11,8 @@
 //!
 //! # Wire format
 //!
-//! Frames are `u32` little-endian length, then one tag byte, then the
-//! body. Control structures (descriptors, results, errors, string lists)
+//! Frames are [`crate::wire`]'s: `u32` little-endian length, then one tag
+//! byte, then the body. Control structures (descriptors, results, errors, string lists)
 //! are bincode; DFS file contents ride as raw bytes (bit-exact, no value
 //! tree in the middle).
 //!
@@ -35,7 +35,6 @@
 //! worker chosen by `node % workers`. The pool respawns one worker when
 //! the last one dies, so a run can always make progress.
 
-use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Condvar, Mutex};
@@ -47,6 +46,7 @@ use super::{ErasedPayload, ExecBackend, TaskCall, TaskDescriptor, TaskRegistry, 
 use crate::dfs::{Dfs, DfsAccess};
 use crate::error::{MrError, Result};
 use crate::job::TaskStats;
+use crate::wire::{read_frame, write_frame};
 use std::sync::Arc;
 
 const TAG_RUN: u8 = 0;
@@ -63,31 +63,6 @@ const OP_LIST: u8 = 3;
 
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
-
-fn write_frame(stream: &mut TcpStream, tag: u8, body: &[u8]) -> std::io::Result<()> {
-    let len = (body.len() + 1) as u32;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(&[tag])?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "zero-length frame",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    let tag = body[0];
-    body.drain(..1);
-    Ok((tag, body))
-}
 
 /// Configuration for [`TcpWorkers::spawn`].
 #[derive(Debug, Clone)]
@@ -521,9 +496,9 @@ impl RemoteDfs {
         body.extend_from_slice(path.as_bytes());
         body.extend_from_slice(data);
         let mut stream = self.stream.lock().expect("stream lock");
-        write_frame(&mut stream, TAG_DFS_REQ, &body)
+        write_frame(&mut *stream, TAG_DFS_REQ, &body)
             .map_err(|e| MrError::Other(format!("worker lost driver connection: {e}")))?;
-        let (tag, resp) = read_frame(&mut stream)
+        let (tag, resp) = read_frame(&mut *stream)
             .map_err(|e| MrError::Other(format!("worker lost driver connection: {e}")))?;
         if tag != TAG_DFS_RESP {
             return Err(MrError::Other(format!("expected DfsResp, got tag {tag}")));
@@ -591,7 +566,7 @@ pub fn worker_serve(addr: &str, worker_id: usize, registry: &TaskRegistry) -> Re
     loop {
         let (tag, body) = {
             let mut s = remote.stream.lock().expect("stream lock");
-            match read_frame(&mut s) {
+            match read_frame(&mut *s) {
                 Ok(frame) => frame,
                 // EOF/reset: the driver went away; exit quietly.
                 Err(_) => return Ok(()),
@@ -622,7 +597,7 @@ pub fn worker_serve(addr: &str, worker_id: usize, registry: &TaskRegistry) -> Re
                     }
                 }
                 let mut s = remote.stream.lock().expect("stream lock");
-                write_frame(&mut s, TAG_DONE, &frame).map_err(|e| net_err("send done", &e))?;
+                write_frame(&mut *s, TAG_DONE, &frame).map_err(|e| net_err("send done", &e))?;
             }
             TAG_SHUTDOWN => return Ok(()),
             other => {

@@ -10,7 +10,8 @@
 //! * [`job`] — the programming model: [`job::Mapper`] / [`job::Reducer`]
 //!   traits whose tasks communicate *only* through the DFS and the shuffle,
 //!   exactly the constraint that drives the paper's algorithm design;
-//! * [`runner`] — executes a job: map wave → shuffle → reduce wave. Tasks
+//! * [`runner`] — executes a job: map wave → shuffle → reduce wave, one
+//!   engine for every job (map-only is its zero-reducer case). Tasks
 //!   run for real (in parallel via rayon), are assigned to *virtual
 //!   cluster nodes*, and the per-wave makespan is computed by a
 //!   list scheduler;
@@ -27,6 +28,8 @@
 //!   [`exec::tcp::TcpWorkers`] ships bincode task descriptors to real
 //!   worker *processes* over TCP and serves their DFS traffic from the
 //!   driver;
+//! * [`wire`] — the one length-prefixed frame codec every socket speaks
+//!   (worker backend, service, client);
 //! * [`fault::FaultPlan`] — deterministic task-failure injection plus the
 //!   Hadoop retry policy, reproducing the Section 7.4 failure-recovery
 //!   experiment;
@@ -69,19 +72,20 @@ pub mod scheduler;
 pub mod shuffle;
 pub mod simtime;
 pub mod tracelog;
+pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig, SchedulingMode};
 pub use dfs::Dfs;
 pub use driver::{Fingerprint, ManifestRecord, PipelineDriver, RunId, RunReport};
 pub use error::{MrError, Result};
 pub use exec::tcp::{worker_serve, TcpWorkers, TcpWorkersConfig};
-pub use exec::{CommitEvent, ExecBackend, InProcess, TaskDescriptor, TaskRegistry};
+pub use exec::{ExecBackend, InProcess, TaskDescriptor, TaskRegistry};
 pub use fault::{FailureCause, FaultPlan, Phase};
 pub use job::{JobSpec, MapContext, Mapper, ReduceContext, Reducer, ShuffleSize, TaskStats};
 pub use metrics::MetricsSnapshot;
 pub use obs::{CostAudit, Labels, ObsSnapshot, Registry};
 pub use runner::{run_job, run_map_only, JobReport};
-pub use shuffle::{IncrementalShuffle, ReducerInput};
+pub use shuffle::ReducerInput;
 pub use simtime::CostModel;
 pub use tracelog::{
     chrome_trace_json, PipelineAnalytics, TaskEvent, TraceLog, TracePhase, WaveAnalytics,

@@ -1,4 +1,10 @@
-//! Job execution: map wave → shuffle → reduce wave.
+//! Job execution: launch → map wave → shuffle → reduce wave.
+//!
+//! Every job is one round through one private engine ([`run_job`] and
+//! [`run_map_only`] are its two entry points); a map-only job is the
+//! zero-reducer case of the same round — no partitioning, no shuffle, no
+//! reduce wave. [`SchedulingMode`] never touches data: it selects between
+//! two pricing rules, at the backup policy and at the shuffle charge.
 //!
 //! Tasks execute for real, in parallel, through rayon; the *simulated*
 //! duration of each wave comes from replaying the measured per-task work
@@ -26,10 +32,10 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::cluster::{Cluster, SchedulingMode};
+use crate::cluster::{Cluster, ClusterConfig, SchedulingMode};
 use crate::error::{MrError, Result};
 use crate::exec::{
-    CommitEvent, ErasedPayload, JobCodec, RawMapPayload, RawReducePayload, TaskCall, TaskDescriptor,
+    ErasedPayload, JobCodec, RawMapPayload, RawReducePayload, TaskCall, TaskDescriptor,
 };
 use crate::fault::{FailureCause, Phase};
 use crate::job::{JobSpec, KvSizing, MapContext, Mapper, ReduceContext, Reducer, TaskStats};
@@ -38,7 +44,7 @@ use crate::scheduler::{
     plan_wave, steal_backups, stream_shuffle_finish, AttemptOutcome, PlannedTask, WaveFaults,
     WavePlan,
 };
-use crate::shuffle::{parallel_shuffle, partition_pairs, IncrementalShuffle, ReducerInput};
+use crate::shuffle::{parallel_shuffle, partition_pairs, ReducerInput};
 use crate::tracelog::{TaskEvent, TracePhase};
 
 /// Accounting for one executed job.
@@ -146,19 +152,8 @@ fn record_wave_obs(cluster: &Cluster, job: &str, phase: Phase, plan: &WavePlan) 
             if let Some(n) = node_attempts.get_mut(a.node) {
                 *n += 1;
             }
-            let kind = match &a.outcome {
-                AttemptOutcome::Success | AttemptOutcome::BodyFailed => None,
-                AttemptOutcome::NodeLost(n) => Some(FailureCause::NodeLost(*n).kind_label()),
-                AttemptOutcome::OutputLost(n) => Some(FailureCause::OutputLost(*n).kind_label()),
-                AttemptOutcome::TimedOut { limit_secs } => Some(
-                    FailureCause::TimedOut {
-                        limit_secs: *limit_secs,
-                    }
-                    .kind_label(),
-                ),
-            };
-            if let Some(kind) = kind {
-                *sim_failures.entry(kind).or_default() += 1;
+            if let Some(cause) = sim_failure(&a.outcome) {
+                *sim_failures.entry(cause.kind_label()).or_default() += 1;
             }
         }
     }
@@ -325,31 +320,27 @@ fn fire_due_deaths(cluster: &Cluster) {
 
 /// Builds the planner's task descriptions for one wave: each executed
 /// attempt priced at nominal speed, with the successful attempt's recorded
-/// DFS reads resolved to surviving replica locations (locality input).
-fn planned_wave_tasks(
+/// DFS reads (`reads` extracts them from the payload) resolved to
+/// surviving replica locations (locality input).
+fn planned_wave_tasks<T>(
     cluster: &Cluster,
-    stats_lists: &[Vec<TaskStats>],
-    succeeded: &[bool],
-    reads: Option<&[Vec<(String, u64)>]>,
+    runs: &[TaskRun<T>],
+    reads: impl Fn(&T) -> &[(String, u64)],
 ) -> Vec<PlannedTask> {
     let cost = &cluster.config.cost;
-    stats_lists
-        .iter()
-        .enumerate()
-        .map(|(task, stats)| {
-            let ok = succeeded[task];
-            let split = if ok { stats.len() - 1 } else { stats.len() };
+    runs.iter()
+        .map(|run| {
+            let stats = &run.attempt_stats;
+            let split = stats.len() - usize::from(run.payload.is_some());
             PlannedTask {
                 failed_secs: stats[..split].iter().map(|s| cost.task_secs(s)).collect(),
-                success_secs: if ok {
-                    cost.task_secs(&stats[split])
-                } else {
-                    0.0
-                },
-                reads: reads
-                    .and_then(|r| r.get(task))
-                    .map(|list| {
-                        list.iter()
+                success_secs: stats.get(split).map_or(0.0, |s| cost.task_secs(s)),
+                reads: run
+                    .payload
+                    .as_ref()
+                    .map(|payload| {
+                        reads(payload)
+                            .iter()
                             .map(|(path, bytes)| (*bytes, cluster.dfs.locations(path)))
                             .collect()
                     })
@@ -405,34 +396,78 @@ fn plan_with_faults(
     plan
 }
 
-/// Simulation-level failures in a plan — attempts lost to node deaths,
-/// lost map outputs, or timeouts (body-level failures are counted by
-/// [`run_with_retries`] as they happen).
+/// Seconds the shuffle adds after the map wave ends. Barrier: the whole
+/// shuffle is priced after the last mapper commits. Pipelined: each task's
+/// chunk streams through the same aggregate bandwidth starting at that
+/// task's commit, so only the tail that could not overlap map compute is
+/// charged (≥ 0 and ≤ the barrier charge by construction).
+fn shuffle_charge(
+    cfg: &ClusterConfig,
+    map_plan: &WavePlan,
+    per_task_bytes: &[u64],
+    launch_end: f64,
+) -> f64 {
+    if cfg.scheduling == SchedulingMode::Pipelined {
+        let aggregate_bw = cfg.cost.net_bw * cfg.nodes.max(1) as f64;
+        let done_rel = stream_shuffle_finish(map_plan, per_task_bytes, aggregate_bw);
+        let map_end = launch_end + map_plan.makespan_secs;
+        launch_end + done_rel - map_end
+    } else {
+        cfg.cost
+            .shuffle_secs(per_task_bytes.iter().sum(), cfg.nodes)
+    }
+}
+
+/// Settles one executed wave: plans it against the fault state, counts the
+/// plan's simulation-level failures, and totals the work its lost attempts
+/// burned. `lose_completed_outputs` is true only for a map wave feeding a
+/// shuffle — its outputs are node-local (Hadoop), so a node dying before
+/// the shuffle takes its completed tasks' outputs with it; reduce outputs
+/// and map-only side files are replicated DFS writes.
+fn settle_wave<T>(
+    cluster: &Cluster,
+    runs: &[TaskRun<T>],
+    reads: impl Fn(&T) -> &[(String, u64)],
+    wave_start_secs: f64,
+    lose_completed_outputs: bool,
+) -> (WavePlan, TaskStats) {
+    let tasks = planned_wave_tasks(cluster, runs, reads);
+    let plan = plan_with_faults(cluster, &tasks, wave_start_secs, lose_completed_outputs);
+    cluster.metrics.record_failures(sim_level_failures(&plan));
+    let lost = lost_stats_of(&plan, runs);
+    (plan, lost)
+}
+
+/// The simulation-level failure a planned attempt ended in, if any: a node
+/// death, a lost map output, or a timeout (body-level failures are counted
+/// and labeled by [`run_with_retries`] as they happen).
+fn sim_failure(outcome: &AttemptOutcome) -> Option<FailureCause> {
+    match *outcome {
+        AttemptOutcome::Success | AttemptOutcome::BodyFailed => None,
+        AttemptOutcome::NodeLost(n) => Some(FailureCause::NodeLost(n)),
+        AttemptOutcome::OutputLost(n) => Some(FailureCause::OutputLost(n)),
+        AttemptOutcome::TimedOut { limit_secs } => Some(FailureCause::TimedOut { limit_secs }),
+    }
+}
+
+/// Simulation-level failures in a plan.
 fn sim_level_failures(plan: &WavePlan) -> u64 {
-    plan.attempts
-        .iter()
-        .flatten()
-        .filter(|a| {
-            matches!(
-                a.outcome,
-                AttemptOutcome::NodeLost(_)
-                    | AttemptOutcome::OutputLost(_)
-                    | AttemptOutcome::TimedOut { .. }
-            )
-        })
+    let attempts = plan.attempts.iter().flatten();
+    attempts
+        .filter(|a| sim_failure(&a.outcome).is_some())
         .count() as u64
 }
 
 /// Measured work of every non-successful planned attempt (each one re-ran
 /// or discarded its chain entry's body).
-fn lost_stats_of(plan: &WavePlan, stats_lists: &[Vec<TaskStats>]) -> TaskStats {
+fn lost_stats_of<T>(plan: &WavePlan, runs: &[TaskRun<T>]) -> TaskStats {
     let mut lost = TaskStats::default();
     for (task, list) in plan.attempts.iter().enumerate() {
         for a in list {
             if a.outcome == AttemptOutcome::Success {
                 continue;
             }
-            if let Some(stats) = stats_lists[task].get(a.chain) {
+            if let Some(stats) = runs[task].attempt_stats.get(a.chain) {
                 lost = lost.merge(stats);
             }
         }
@@ -452,33 +487,24 @@ fn first_failed_task(plan: &WavePlan) -> Option<usize> {
 /// interval, its remote-read bytes, and its failure cause (body failures
 /// keep their recorded label; node losses, lost outputs, and timeouts get
 /// [`FailureCause`] labels).
-#[allow(clippy::too_many_arguments)]
-fn trace_plan(
+fn trace_plan<T>(
     cluster: &Cluster,
     job: &str,
     job_seq: u64,
     phase: TracePhase,
-    stats_lists: &[Vec<TaskStats>],
-    failure_lists: &[Vec<Option<String>>],
+    runs: &[TaskRun<T>],
     plan: &WavePlan,
     base_secs: f64,
 ) {
     let cost = &cluster.config.cost;
     let mut events = Vec::new();
     for (task, attempts) in plan.attempts.iter().enumerate() {
+        let run = &runs[task];
         for (attempt_no, a) in attempts.iter().enumerate() {
-            let stats = stats_lists[task].get(a.chain).copied().unwrap_or_default();
+            let stats = run.attempt_stats.get(a.chain).copied().unwrap_or_default();
             let failure = match &a.outcome {
-                AttemptOutcome::Success => None,
-                AttemptOutcome::BodyFailed => failure_lists[task].get(a.chain).cloned().flatten(),
-                AttemptOutcome::NodeLost(n) => Some(FailureCause::NodeLost(*n).label()),
-                AttemptOutcome::OutputLost(n) => Some(FailureCause::OutputLost(*n).label()),
-                AttemptOutcome::TimedOut { limit_secs } => Some(
-                    FailureCause::TimedOut {
-                        limit_secs: *limit_secs,
-                    }
-                    .label(),
-                ),
+                AttemptOutcome::BodyFailed => run.attempt_failures.get(a.chain).cloned().flatten(),
+                outcome => sim_failure(outcome).map(|cause| cause.label()),
             };
             let (cpu_sim, io_sim) = cost.task_secs_split(&stats);
             events.push(TaskEvent {
@@ -603,19 +629,12 @@ fn remote_codec<'c, K, V>(
 /// `post` applies the driver-side tail (combiner, partitioning) inside
 /// the retry closure, so the stats an injected fault discards include the
 /// tail's mutations exactly as the pre-backend inline path produced them.
-///
-/// `on_commit` fires once per task, from the rayon worker that ran it,
-/// the moment its retry chain resolves — i.e. in *real completion order*,
-/// not task order. Pipelined scheduling hangs the incremental shuffle off
-/// these events; barrier waves pass `None` and pay no overhead.
-#[allow(clippy::too_many_arguments)]
 fn run_wave<T, L, P>(
     cluster: &Cluster,
     job: &str,
     phase: Phase,
     num_tasks: usize,
     remote: Option<RemoteWave<'_>>,
-    on_commit: Option<&(dyn Fn(&CommitEvent) + Sync)>,
     local: L,
     post: P,
 ) -> Result<Vec<TaskRun<T>>>
@@ -643,7 +662,7 @@ where
                 None => None,
             };
             let local_thunk = || local(idx);
-            let run = run_with_retries(cluster, job, phase, idx, || {
+            run_with_retries(cluster, job, phase, idx, || {
                 let call = TaskCall {
                     descriptor: descriptor.clone(),
                     local: &local_thunk,
@@ -672,16 +691,7 @@ where
                 };
                 let payload = post(idx, erased, &mut stats)?;
                 Ok((payload, stats))
-            })?;
-            if let Some(cb) = on_commit {
-                cb(&CommitEvent {
-                    phase,
-                    task: idx,
-                    attempts: run.attempt_stats.len().max(1) as u32,
-                    ok: run.payload.is_some(),
-                });
-            }
-            Ok(run)
+            })
         })
         .collect()
 }
@@ -693,6 +703,285 @@ fn payload_type_error(job: &str) -> MrError {
     MrError::InvalidJob(format!(
         "job {job:?}: task payload type does not match the wave (mismatched remote family)"
     ))
+}
+
+/// A successful map attempt's payload: one bucket of pairs per reduce
+/// partition (none for a map-only job), the task's user counters, and its
+/// recorded DFS reads (locality input for the planner).
+type MapPayload<K, V> = (
+    Vec<Vec<(K, V)>>,
+    std::collections::BTreeMap<String, u64>,
+    Vec<(String, u64)>,
+);
+
+/// The single exit of every job that got past its map wave's execution,
+/// failed or not: charges the clock for the phases that ran, records their
+/// wave and job series, traces them, and fires the deaths the advanced
+/// clock has passed. `reduce` carries `(shuffle_secs, shuffle_bytes, runs,
+/// plan)` when the job has reducers and its map wave completed. Returns
+/// the job's simulated seconds.
+fn finish_job<A, B>(
+    cluster: &Cluster,
+    job: &str,
+    job_seq: u64,
+    job_t0: f64,
+    (map_runs, map_plan): (&[TaskRun<A>], &WavePlan),
+    reduce: Option<(f64, u64, &[TaskRun<B>], &WavePlan)>,
+) -> f64 {
+    let launch_secs = cluster.config.cost.job_launch_secs;
+    let mut sim_secs = launch_secs + map_plan.makespan_secs;
+    if let Some((shuffle_secs, _, _, plan)) = reduce {
+        sim_secs = sim_secs + shuffle_secs + plan.makespan_secs;
+    }
+    cluster.metrics.add_sim_secs(sim_secs);
+    record_wave_obs(cluster, job, Phase::Map, map_plan);
+    if let Some((_, _, _, plan)) = reduce {
+        record_wave_obs(cluster, job, Phase::Reduce, plan);
+    }
+    record_job_obs(cluster, job, sim_secs, reduce.map_or(0, |r| r.1));
+    if cluster.trace.is_enabled() {
+        // Jobs run one after another: `job_t0`, the cluster clock at
+        // entry, is the offset of every event of this job.
+        let span = |phase, start, end, bytes| {
+            trace_span(cluster, job, job_seq, phase, start, end, bytes);
+        };
+        let launch_end = job_t0 + launch_secs;
+        span(TracePhase::Launch, job_t0, launch_end, 0);
+        trace_plan(
+            cluster,
+            job,
+            job_seq,
+            TracePhase::Map,
+            map_runs,
+            map_plan,
+            launch_end,
+        );
+        if let Some((shuffle_secs, shuffle_bytes, runs, plan)) = reduce {
+            let map_end = launch_end + map_plan.makespan_secs;
+            let shuffle_end = map_end + shuffle_secs;
+            span(TracePhase::Shuffle, map_end, shuffle_end, shuffle_bytes);
+            trace_plan(
+                cluster,
+                job,
+                job_seq,
+                TracePhase::Reduce,
+                runs,
+                plan,
+                shuffle_end,
+            );
+        }
+    }
+    fire_due_deaths(cluster);
+    sim_secs
+}
+
+/// The one job engine. Runs the map wave; with `reducers > 0` also
+/// combines/partitions each task's pairs, shuffles, and hands the sorted
+/// partitions to `reduce_wave` (which runs the reduce bodies through
+/// [`run_wave`]). With zero reducers emitted pairs are discarded and
+/// `reduce_wave` is never called.
+#[allow(clippy::type_complexity)]
+fn run_engine<M, O, F>(
+    cluster: &Cluster,
+    spec: &JobSpec<M::Key, M::Value>,
+    mapper: &M,
+    inputs: &[M::Input],
+    reducers: usize,
+    reduce_wave: F,
+) -> Result<(Vec<(M::Key, O)>, JobReport)>
+where
+    M: Mapper,
+    F: FnOnce(
+        Option<&JobCodec>,
+        &[ReducerInput<M::Key, M::Value>],
+    ) -> Result<Vec<TaskRun<RawReducePayload<M::Key, O>>>>,
+{
+    // Deaths scheduled before this job's start take effect now, so the map
+    // wave sees the dead node's replicas as lost.
+    fire_due_deaths(cluster);
+    let job_seq = cluster.metrics.record_job();
+    let job_t0 = cluster.sim_secs();
+    let num_tasks = inputs.len();
+    let cfg = &cluster.config;
+    let task_failed = |phase: Phase, task: usize| MrError::TaskFailed {
+        job: spec.name.clone(),
+        phase,
+        task,
+        attempts: cfg.max_task_attempts.max(1),
+    };
+
+    // ---- Map wave -------------------------------------------------------
+    // Each map task returns its output already split into one bucket per
+    // reduce partition, so the post-wave shuffle merges buckets instead of
+    // routing individual pairs.
+    let codec = remote_codec(cluster, spec)?;
+    let map_encode = |idx: usize| -> Result<Value> {
+        let c = codec.expect("encode runs only when a codec is present");
+        (c.encode_map)(mapper, &inputs[idx])
+    };
+    let map_remote = codec.map(|c| RemoteWave {
+        family: spec.remote_family().unwrap_or_default(),
+        kv: spec.kv_sizing,
+        encode: &map_encode,
+        decode: c.decode_map,
+    });
+    let map_local = |idx: usize| -> Result<(ErasedPayload, TaskStats)> {
+        let mut ctx = MapContext::new(cluster.dfs.clone(), idx, num_tasks, spec.kv_size);
+        let start = std::time::Instant::now();
+        mapper.map(&inputs[idx], &mut ctx)?;
+        let reads = ctx.take_reads();
+        let (pairs, stats, counters) = ctx.finish(start.elapsed());
+        let payload: RawMapPayload<M::Key, M::Value> = (pairs, counters, reads);
+        Ok((Box::new(payload) as ErasedPayload, stats))
+    };
+    let map_post = |_idx: usize,
+                    erased: ErasedPayload,
+                    stats: &mut TaskStats|
+     -> Result<MapPayload<M::Key, M::Value>> {
+        let (mut pairs, counters, reads) = *erased
+            .downcast::<RawMapPayload<M::Key, M::Value>>()
+            .map_err(|_| payload_type_error(&spec.name))?;
+        if reducers == 0 {
+            // The mappers did all the work through DFS side files.
+            return Ok((Vec::new(), counters, reads));
+        }
+        // Map-side combine (Hadoop combiner): pre-aggregate this
+        // task's output per key, shrinking the shuffle.
+        // `emitted_pairs` keeps the pre-combine count; the combine
+        // counters record the shrink, and the shuffled bytes are
+        // re-priced exactly from the surviving pairs (a count
+        // ratio would misprice variable-size values).
+        if let Some(combine) = spec.combiner {
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            stats.combine_input_pairs = pairs.len() as u64;
+            let (keys, values): (Vec<M::Key>, Vec<M::Value>) = pairs.into_iter().unzip();
+            let mut combined = Vec::new();
+            let mut combined_bytes = 0u64;
+            let mut i = 0;
+            while i < keys.len() {
+                let mut j = i + 1;
+                while j < keys.len() && keys[j] == keys[i] {
+                    j += 1;
+                }
+                let merged = combine(&keys[i], &values[i..j]);
+                combined_bytes += (spec.kv_size)(&keys[i], &merged);
+                combined.push((keys[i].clone(), merged));
+                i = j;
+            }
+            stats.combine_output_pairs = combined.len() as u64;
+            stats.shuffle_bytes = combined_bytes;
+            pairs = combined;
+        }
+        let buckets = partition_pairs(pairs, spec.partitioner, reducers);
+        Ok((buckets, counters, reads))
+    };
+    let mut map_runs = run_wave(
+        cluster,
+        &spec.name,
+        Phase::Map,
+        num_tasks,
+        map_remote,
+        map_local,
+        map_post,
+    )?;
+    let launch_end = job_t0 + cfg.cost.job_launch_secs;
+    let (map_plan, mut lost_stats) = settle_wave(
+        cluster,
+        &map_runs,
+        |payload| payload.2.as_slice(),
+        launch_end,
+        reducers > 0,
+    );
+    let mut report = JobReport {
+        name: spec.name.clone(),
+        job_seq,
+        map_tasks: num_tasks,
+        reduce_tasks: reducers,
+        failures: map_plan.extra_attempts(),
+        map_wave_secs: map_plan.makespan_secs,
+        ..JobReport::default()
+    };
+    let map_failed = first_failed_task(&map_plan);
+    if map_failed.is_some() || reducers == 0 {
+        // No shuffle or reduce wave will run: the job ends here. A failed
+        // map wave still charges and traces what ran before the job fails
+        // with the Hadoop diagnostics.
+        let reduce = None::<(f64, u64, &[TaskRun<RawReducePayload<M::Key, O>>], &WavePlan)>;
+        let map = (&map_runs[..], &map_plan);
+        report.sim_secs = finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
+    }
+    if let Some(task) = map_failed {
+        return Err(task_failed(Phase::Map, task));
+    }
+    cluster.metrics.record_map_tasks(num_tasks as u64);
+    cluster.metrics.record_map_locality(
+        map_plan.data_local_tasks as u64,
+        (num_tasks - map_plan.data_local_tasks) as u64,
+        map_plan.remote_read_bytes,
+    );
+    let mut stats = TaskStats::default();
+    let mut user_counters: std::collections::BTreeMap<String, u64> = Default::default();
+    let mut per_task_shuffle = Vec::with_capacity(num_tasks);
+    let mut task_buckets = Vec::with_capacity(num_tasks);
+    for run in &mut map_runs {
+        let ok_stats = run
+            .attempt_stats
+            .last()
+            .expect("successful task has at least one attempt");
+        stats = stats.merge(ok_stats);
+        per_task_shuffle.push(ok_stats.shuffle_bytes);
+        let (buckets, counters, _) = run.payload.take().expect("map wave succeeded");
+        for (name, v) in counters {
+            *user_counters.entry(name).or_default() += v;
+        }
+        task_buckets.push(buckets);
+    }
+
+    let mut outputs = Vec::new();
+    if reducers > 0 {
+        // ---- Shuffle + reduce wave --------------------------------------
+        let shuffle_bytes: u64 = per_task_shuffle.iter().sum();
+        cluster.metrics.record_shuffle_bytes(shuffle_bytes);
+        // Merge + sort each partition's buckets, one rayon work item per
+        // reducer (see crate::shuffle) — the same data under either
+        // scheduling mode.
+        let reducer_inputs = parallel_shuffle(task_buckets, reducers);
+        let reduce_runs = reduce_wave(codec, &reducer_inputs)?;
+        let shuffle_secs = shuffle_charge(cfg, &map_plan, &per_task_shuffle, launch_end);
+        let shuffle_end = launch_end + map_plan.makespan_secs + shuffle_secs;
+        // The shuffle already moved the map outputs off their nodes.
+        let (reduce_plan, reduce_lost) =
+            settle_wave(cluster, &reduce_runs, |_| &[], shuffle_end, false);
+        lost_stats = lost_stats.merge(&reduce_lost);
+        let map = (&map_runs[..], &map_plan);
+        let reduce = Some((shuffle_secs, shuffle_bytes, &reduce_runs[..], &reduce_plan));
+        report.sim_secs = finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
+        if let Some(task) = first_failed_task(&reduce_plan) {
+            return Err(task_failed(Phase::Reduce, task));
+        }
+        cluster.metrics.record_reduce_tasks(reducers as u64);
+        report.failures += reduce_plan.extra_attempts();
+        report.shuffle_secs = shuffle_secs;
+        report.reduce_wave_secs = reduce_plan.makespan_secs;
+        let mut reduce_stats = TaskStats::default();
+        for run in reduce_runs {
+            reduce_stats = reduce_stats.merge(
+                run.attempt_stats
+                    .last()
+                    .expect("successful task has at least one attempt"),
+            );
+            let (outs, counters) = run.payload.expect("reduce wave succeeded");
+            for (name, v) in counters {
+                *user_counters.entry(name).or_default() += v;
+            }
+            outputs.extend(outs);
+        }
+        stats = stats.merge(&reduce_stats);
+    }
+    report.stats = stats;
+    report.lost_stats = lost_stats;
+    report.user_counters = user_counters;
+    Ok((outputs, report))
 }
 
 /// Executes a full map+shuffle+reduce job on the cluster.
@@ -717,409 +1006,64 @@ where
             spec.name
         )));
     }
-    // Deaths scheduled before this job's start take effect now, so the map
-    // wave sees the dead node's replicas as lost.
-    fire_due_deaths(cluster);
-    let job_seq = cluster.metrics.record_job();
-    // Jobs run one after another: the cluster clock at entry is this
-    // job's simulated start time (its trace events are offset from it).
-    let job_t0 = cluster.sim_secs();
-    let num_tasks = inputs.len();
-    let cfg = &cluster.config;
-
-    // ---- Map wave -------------------------------------------------------
-    // Each map task returns its output already split into one bucket per
-    // reduce partition, so the post-wave shuffle merges buckets instead of
-    // routing individual pairs. The recorded DFS reads ride along to drive
-    // locality-aware placement.
-    type MapPayload<M> = (
-        Vec<Vec<(<M as Mapper>::Key, <M as Mapper>::Value)>>,
-        std::collections::BTreeMap<String, u64>,
-        Vec<(String, u64)>,
-    );
-    let codec = remote_codec(cluster, spec)?;
-    let map_encode = |idx: usize| -> Result<Value> {
-        let c = codec.expect("encode runs only when a codec is present");
-        (c.encode_map)(mapper, &inputs[idx])
-    };
-    let map_remote = codec.map(|c| RemoteWave {
-        family: spec.remote_family().unwrap_or_default(),
-        kv: spec.kv_sizing,
-        encode: &map_encode,
-        decode: c.decode_map,
-    });
-    let map_local = |idx: usize| -> Result<(ErasedPayload, TaskStats)> {
-        let mut ctx = MapContext::new(cluster.dfs.clone(), idx, num_tasks, spec.kv_size);
-        let start = std::time::Instant::now();
-        mapper.map(&inputs[idx], &mut ctx)?;
-        let reads = ctx.take_reads();
-        let (pairs, stats, counters) = ctx.finish(start.elapsed());
-        let payload: RawMapPayload<M::Key, M::Value> = (pairs, counters, reads);
-        Ok((Box::new(payload) as ErasedPayload, stats))
-    };
-    let map_post =
-        |_idx: usize, erased: ErasedPayload, stats: &mut TaskStats| -> Result<MapPayload<M>> {
-            let (mut pairs, counters, reads) = *erased
-                .downcast::<RawMapPayload<M::Key, M::Value>>()
-                .map_err(|_| payload_type_error(&spec.name))?;
-            // Map-side combine (Hadoop combiner): pre-aggregate this
-            // task's output per key, shrinking the shuffle.
-            // `emitted_pairs` keeps the pre-combine count; the combine
-            // counters record the shrink, and the shuffled bytes are
-            // re-priced exactly from the surviving pairs (a count
-            // ratio would misprice variable-size values).
-            if let Some(combine) = spec.combiner {
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                stats.combine_input_pairs = pairs.len() as u64;
-                let (keys, values): (Vec<M::Key>, Vec<M::Value>) = pairs.into_iter().unzip();
-                let mut combined = Vec::new();
-                let mut combined_bytes = 0u64;
-                let mut i = 0;
-                while i < keys.len() {
-                    let mut j = i + 1;
-                    while j < keys.len() && keys[j] == keys[i] {
-                        j += 1;
-                    }
-                    let merged = combine(&keys[i], &values[i..j]);
-                    combined_bytes += (spec.kv_size)(&keys[i], &merged);
-                    combined.push((keys[i].clone(), merged));
-                    i = j;
+    let reducers = spec.num_reducers;
+    run_engine(
+        cluster,
+        spec,
+        mapper,
+        inputs,
+        reducers,
+        |codec, partitions| {
+            let reduce_codec = codec.filter(|c| c.encode_reduce.is_some());
+            let reduce_encode = |p: usize| -> Result<Value> {
+                let c = reduce_codec.expect("encode runs only when a codec is present");
+                (c.encode_reduce.expect("filtered on encode_reduce"))(reducer, &partitions[p])
+            };
+            let reduce_remote = reduce_codec.map(|c| RemoteWave {
+                family: spec.remote_family().unwrap_or_default(),
+                kv: spec.kv_sizing,
+                encode: &reduce_encode,
+                decode: c
+                    .decode_reduce
+                    .expect("map+reduce family has a reduce decoder"),
+            });
+            let reduce_local = |p: usize| -> Result<(ErasedPayload, TaskStats)> {
+                let mut ctx = ReduceContext::new(cluster.dfs.clone(), p, reducers);
+                let start = std::time::Instant::now();
+                let mut outputs = Vec::new();
+                // Each group's values are a contiguous slice borrowed from
+                // the sorted run — nothing is cloned on the way in.
+                for (key, values) in partitions[p].groups() {
+                    let out = reducer.reduce(key, values, &mut ctx)?;
+                    outputs.push((key.clone(), out));
                 }
-                stats.combine_output_pairs = combined.len() as u64;
-                stats.shuffle_bytes = combined_bytes;
-                pairs = combined;
-            }
-            let buckets = partition_pairs(pairs, spec.partitioner, spec.num_reducers);
-            Ok((buckets, counters, reads))
-        };
-    // Pipelined scheduling records the real order in which map tasks
-    // commit; the incremental shuffle replays it below. Barrier mode
-    // passes no callback and the wave runs exactly as before.
-    let pipelined = cfg.scheduling == SchedulingMode::Pipelined;
-    let commit_order: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
-    let record_commit = |ev: &CommitEvent| {
-        if ev.ok {
-            commit_order
-                .lock()
-                .expect("commit order lock")
-                .push(ev.task);
-        }
-    };
-    let map_runs: Vec<TaskRun<MapPayload<M>>> = run_wave(
-        cluster,
-        &spec.name,
-        Phase::Map,
-        num_tasks,
-        map_remote,
-        pipelined.then_some(&record_commit as &(dyn Fn(&CommitEvent) + Sync)),
-        map_local,
-        map_post,
-    )?;
-
-    // ---- Map wave accounting ---------------------------------------------
-    let mut map_stats_lists = Vec::with_capacity(map_runs.len());
-    let mut map_failure_lists = Vec::with_capacity(map_runs.len());
-    let mut map_succeeded = Vec::with_capacity(map_runs.len());
-    let mut map_reads = Vec::with_capacity(map_runs.len());
-    let mut map_payloads = Vec::with_capacity(map_runs.len());
-    for run in map_runs {
-        map_succeeded.push(run.payload.is_some());
-        let (buckets, counters, reads) = match run.payload {
-            Some((b, c, r)) => (Some(b), Some(c), r),
-            None => (None, None, Vec::new()),
-        };
-        map_reads.push(reads);
-        map_payloads.push((buckets, counters));
-        map_stats_lists.push(run.attempt_stats);
-        map_failure_lists.push(run.attempt_failures);
-    }
-    let map_tasks_planned =
-        planned_wave_tasks(cluster, &map_stats_lists, &map_succeeded, Some(&map_reads));
-    // The wave's map outputs are node-local (Hadoop): a node dying before
-    // the shuffle takes its completed tasks' outputs with it.
-    let launch_end = job_t0 + cfg.cost.job_launch_secs;
-    let map_plan = plan_with_faults(cluster, &map_tasks_planned, launch_end, true);
-    cluster
-        .metrics
-        .record_failures(sim_level_failures(&map_plan));
-    let mut lost_stats = lost_stats_of(&map_plan, &map_stats_lists);
-
-    if let Some(task) = first_failed_task(&map_plan) {
-        // The map wave could not complete: charge what ran, trace it, and
-        // fail the job with the Hadoop diagnostics.
-        let sim_secs = cfg.cost.job_launch_secs + map_plan.makespan_secs;
-        cluster.metrics.add_sim_secs(sim_secs);
-        record_wave_obs(cluster, &spec.name, Phase::Map, &map_plan);
-        if cluster.trace.is_enabled() {
-            trace_span(
+                let (stats, counters) = ctx.finish(start.elapsed());
+                let payload: RawReducePayload<M::Key, R::Output> = (outputs, counters);
+                Ok((Box::new(payload) as ErasedPayload, stats))
+            };
+            let reduce_post = |_p: usize, erased: ErasedPayload, _stats: &mut TaskStats| {
+                erased
+                    .downcast::<RawReducePayload<M::Key, R::Output>>()
+                    .map(|payload| *payload)
+                    .map_err(|_| payload_type_error(&spec.name))
+            };
+            run_wave(
                 cluster,
                 &spec.name,
-                job_seq,
-                TracePhase::Launch,
-                job_t0,
-                launch_end,
-                0,
-            );
-            trace_plan(
-                cluster,
-                &spec.name,
-                job_seq,
-                TracePhase::Map,
-                &map_stats_lists,
-                &map_failure_lists,
-                &map_plan,
-                launch_end,
-            );
-        }
-        fire_due_deaths(cluster);
-        return Err(MrError::TaskFailed {
-            job: spec.name.clone(),
-            phase: Phase::Map,
-            task,
-            attempts: cfg.max_task_attempts.max(1),
-        });
-    }
-    cluster.metrics.record_map_tasks(num_tasks as u64);
-    cluster.metrics.record_map_locality(
-        map_plan.data_local_tasks as u64,
-        (num_tasks - map_plan.data_local_tasks) as u64,
-        map_plan.remote_read_bytes,
-    );
-
-    // ---- Shuffle ---------------------------------------------------------
-    let mut task_buckets: Vec<Vec<Vec<(M::Key, M::Value)>>> = Vec::with_capacity(num_tasks);
-    let mut shuffle_bytes = 0u64;
-    let mut per_task_shuffle = vec![0u64; num_tasks];
-    let mut map_stats_total = TaskStats::default();
-    let mut user_counters: std::collections::BTreeMap<String, u64> = Default::default();
-    for (task, (buckets, counters)) in map_payloads.into_iter().enumerate() {
-        let ok_stats = map_stats_lists[task]
-            .last()
-            .expect("successful task has at least one attempt");
-        map_stats_total = map_stats_total.merge(ok_stats);
-        shuffle_bytes += ok_stats.shuffle_bytes;
-        per_task_shuffle[task] = ok_stats.shuffle_bytes;
-        for (name, v) in counters.expect("map wave succeeded") {
-            *user_counters.entry(name).or_default() += v;
-        }
-        task_buckets.push(buckets.expect("map wave succeeded"));
-    }
-    cluster.metrics.record_shuffle_bytes(shuffle_bytes);
-    // Merge + sort each partition's buckets. Barrier: one rayon work item
-    // per reducer after the wave; bit-identical to the old
-    // single-threaded stable sort (see crate::shuffle). Pipelined: replay
-    // the recorded commit events through the incremental merge — the
-    // task-index-sorted insertion makes the result bitwise identical to
-    // the barrier path regardless of commit order.
-    let reducer_inputs: Vec<ReducerInput<M::Key, M::Value>> = if pipelined {
-        let order = std::mem::take(&mut *commit_order.lock().expect("commit order lock"));
-        let mut slots: Vec<Option<Vec<Vec<(M::Key, M::Value)>>>> =
-            task_buckets.into_iter().map(Some).collect();
-        let mut inc = IncrementalShuffle::new(num_tasks, spec.num_reducers);
-        for t in order {
-            if let Some(buckets) = slots.get_mut(t).and_then(Option::take) {
-                inc.accept(t, buckets);
-            }
-        }
-        // Defensive: any task whose commit event was not observed (it
-        // cannot happen once the wave returned Ok) still merges here.
-        for (t, slot) in slots.iter_mut().enumerate() {
-            if let Some(buckets) = slot.take() {
-                inc.accept(t, buckets);
-            }
-        }
-        inc.finalize()
-    } else {
-        parallel_shuffle(task_buckets, spec.num_reducers)
-    };
-
-    // ---- Reduce wave ------------------------------------------------------
-    type ReducePayload<M, R> = (
-        Vec<(<M as Mapper>::Key, <R as Reducer>::Output)>,
-        std::collections::BTreeMap<String, u64>,
-    );
-    let reduce_codec = codec.filter(|c| c.encode_reduce.is_some());
-    let reduce_encode = |p: usize| -> Result<Value> {
-        let c = reduce_codec.expect("encode runs only when a codec is present");
-        (c.encode_reduce.expect("filtered on encode_reduce"))(reducer, &reducer_inputs[p])
-    };
-    let reduce_remote = reduce_codec.map(|c| RemoteWave {
-        family: spec.remote_family().unwrap_or_default(),
-        kv: spec.kv_sizing,
-        encode: &reduce_encode,
-        decode: c
-            .decode_reduce
-            .expect("map+reduce family has a reduce decoder"),
-    });
-    let reduce_local = |p: usize| -> Result<(ErasedPayload, TaskStats)> {
-        let mut ctx = ReduceContext::new(cluster.dfs.clone(), p, spec.num_reducers);
-        let start = std::time::Instant::now();
-        let mut outputs = Vec::new();
-        // Each group's values are a contiguous slice borrowed from
-        // the sorted run — nothing is cloned on the way in.
-        for (key, values) in reducer_inputs[p].groups() {
-            let out = reducer.reduce(key, values, &mut ctx)?;
-            outputs.push((key.clone(), out));
-        }
-        let (stats, counters) = ctx.finish(start.elapsed());
-        let payload: RawReducePayload<M::Key, R::Output> = (outputs, counters);
-        Ok((Box::new(payload) as ErasedPayload, stats))
-    };
-    let reduce_post =
-        |_p: usize, erased: ErasedPayload, _stats: &mut TaskStats| -> Result<ReducePayload<M, R>> {
-            let (outputs, counters) = *erased
-                .downcast::<RawReducePayload<M::Key, R::Output>>()
-                .map_err(|_| payload_type_error(&spec.name))?;
-            Ok((outputs, counters))
-        };
-    let reduce_results: Vec<TaskRun<ReducePayload<M, R>>> = run_wave(
-        cluster,
-        &spec.name,
-        Phase::Reduce,
-        spec.num_reducers,
-        reduce_remote,
-        None,
-        reduce_local,
-        reduce_post,
-    )?;
-
-    let mut reduce_stats_lists = Vec::with_capacity(reduce_results.len());
-    let mut reduce_failure_lists = Vec::with_capacity(reduce_results.len());
-    let mut reduce_succeeded = Vec::with_capacity(reduce_results.len());
-    let mut reduce_payloads = Vec::with_capacity(reduce_results.len());
-    for run in reduce_results {
-        reduce_succeeded.push(run.payload.is_some());
-        reduce_payloads.push(run.payload);
-        reduce_stats_lists.push(run.attempt_stats);
-        reduce_failure_lists.push(run.attempt_failures);
-    }
-    let reduce_tasks_planned =
-        planned_wave_tasks(cluster, &reduce_stats_lists, &reduce_succeeded, None);
-
-    // ---- Simulated time ---------------------------------------------------
-    let map_end = launch_end + map_plan.makespan_secs;
-    // Barrier: the whole shuffle is priced after the last mapper commits.
-    // Pipelined: each task's chunk streams through the same aggregate
-    // bandwidth starting at that task's commit, so only the tail that
-    // could not overlap map compute is charged after `map_end` (the tail
-    // is ≥ 0 and ≤ the barrier shuffle by construction).
-    let shuffle_secs = if pipelined {
-        let done_rel = stream_shuffle_finish(
-            &map_plan,
-            &per_task_shuffle,
-            cfg.cost.net_bw * cfg.nodes.max(1) as f64,
-        );
-        launch_end + done_rel - map_end
-    } else {
-        cfg.cost.shuffle_secs(shuffle_bytes, cfg.nodes)
-    };
-    let shuffle_end = map_end + shuffle_secs;
-    // Reduce outputs are DFS writes (replicated), so a death during the
-    // reduce wave does not lose completed reduce tasks — and the shuffle
-    // already moved the map outputs off their nodes.
-    let reduce_plan = plan_with_faults(cluster, &reduce_tasks_planned, shuffle_end, false);
-    cluster
-        .metrics
-        .record_failures(sim_level_failures(&reduce_plan));
-    lost_stats = lost_stats.merge(&lost_stats_of(&reduce_plan, &reduce_stats_lists));
-    let sim_secs = cfg.cost.job_launch_secs
-        + map_plan.makespan_secs
-        + shuffle_secs
-        + reduce_plan.makespan_secs;
-    cluster.metrics.add_sim_secs(sim_secs);
-    record_wave_obs(cluster, &spec.name, Phase::Map, &map_plan);
-    record_wave_obs(cluster, &spec.name, Phase::Reduce, &reduce_plan);
-    record_job_obs(cluster, &spec.name, sim_secs, shuffle_bytes);
-
-    // ---- Trace events -----------------------------------------------------
-    if cluster.trace.is_enabled() {
-        trace_span(
-            cluster,
-            &spec.name,
-            job_seq,
-            TracePhase::Launch,
-            job_t0,
-            launch_end,
-            0,
-        );
-        trace_plan(
-            cluster,
-            &spec.name,
-            job_seq,
-            TracePhase::Map,
-            &map_stats_lists,
-            &map_failure_lists,
-            &map_plan,
-            launch_end,
-        );
-        trace_span(
-            cluster,
-            &spec.name,
-            job_seq,
-            TracePhase::Shuffle,
-            map_end,
-            shuffle_end,
-            shuffle_bytes,
-        );
-        trace_plan(
-            cluster,
-            &spec.name,
-            job_seq,
-            TracePhase::Reduce,
-            &reduce_stats_lists,
-            &reduce_failure_lists,
-            &reduce_plan,
-            shuffle_end,
-        );
-    }
-    fire_due_deaths(cluster);
-
-    if let Some(task) = first_failed_task(&reduce_plan) {
-        return Err(MrError::TaskFailed {
-            job: spec.name.clone(),
-            phase: Phase::Reduce,
-            task,
-            attempts: cfg.max_task_attempts.max(1),
-        });
-    }
-    cluster
-        .metrics
-        .record_reduce_tasks(spec.num_reducers as u64);
-
-    let mut reduce_stats_total = TaskStats::default();
-    let mut outputs = Vec::new();
-    for (task, payload) in reduce_payloads.into_iter().enumerate() {
-        let (outs, counters) = payload.expect("reduce wave succeeded");
-        reduce_stats_total = reduce_stats_total.merge(
-            reduce_stats_lists[task]
-                .last()
-                .expect("successful task has at least one attempt"),
-        );
-        for (name, v) in counters {
-            *user_counters.entry(name).or_default() += v;
-        }
-        outputs.extend(outs);
-    }
-
-    let report = JobReport {
-        name: spec.name.clone(),
-        job_seq,
-        map_tasks: num_tasks,
-        reduce_tasks: spec.num_reducers,
-        failures: map_plan.extra_attempts() + reduce_plan.extra_attempts(),
-        sim_secs,
-        map_wave_secs: map_plan.makespan_secs,
-        shuffle_secs,
-        reduce_wave_secs: reduce_plan.makespan_secs,
-        stats: map_stats_total.merge(&reduce_stats_total),
-        lost_stats,
-        user_counters,
-    };
-    Ok((outputs, report))
+                Phase::Reduce,
+                reducers,
+                reduce_remote,
+                reduce_local,
+                reduce_post,
+            )
+        },
+    )
 }
 
 /// Executes a map-only job (the paper's partitioning job, Section 5.2:
-/// "the mappers do all the work and the reduce function does nothing").
+/// "the mappers do all the work and the reduce function does nothing") —
+/// the zero-reducer case of the job engine (`spec`'s reducer count is
+/// ignored).
 pub fn run_map_only<M>(
     cluster: &Cluster,
     spec: &JobSpec<M::Key, M::Value>,
@@ -1129,143 +1073,10 @@ pub fn run_map_only<M>(
 where
     M: Mapper,
 {
-    fire_due_deaths(cluster);
-    let job_seq = cluster.metrics.record_job();
-    let job_t0 = cluster.sim_secs();
-    let num_tasks = inputs.len();
-    let cfg = &cluster.config;
-    type MapOnlyPayload = (std::collections::BTreeMap<String, u64>, Vec<(String, u64)>);
-    let codec = remote_codec(cluster, spec)?;
-    let map_encode = |idx: usize| -> Result<Value> {
-        let c = codec.expect("encode runs only when a codec is present");
-        (c.encode_map)(mapper, &inputs[idx])
+    let no_reduce = |_: Option<&JobCodec>, _: &[ReducerInput<M::Key, M::Value>]| {
+        Ok(Vec::<TaskRun<RawReducePayload<M::Key, ()>>>::new())
     };
-    let map_remote = codec.map(|c| RemoteWave {
-        family: spec.remote_family().unwrap_or_default(),
-        kv: spec.kv_sizing,
-        encode: &map_encode,
-        decode: c.decode_map,
-    });
-    let map_local = |idx: usize| -> Result<(ErasedPayload, TaskStats)> {
-        let mut ctx = MapContext::new(cluster.dfs.clone(), idx, num_tasks, spec.kv_size);
-        let start = std::time::Instant::now();
-        mapper.map(&inputs[idx], &mut ctx)?;
-        let reads = ctx.take_reads();
-        let (pairs, stats, counters) = ctx.finish(start.elapsed());
-        let payload: RawMapPayload<M::Key, M::Value> = (pairs, counters, reads);
-        Ok((Box::new(payload) as ErasedPayload, stats))
-    };
-    let map_post =
-        |_idx: usize, erased: ErasedPayload, _stats: &mut TaskStats| -> Result<MapOnlyPayload> {
-            // The mappers do all the work through DFS side files; any
-            // emitted pairs are discarded exactly as the inline path did.
-            let (_pairs, counters, reads) = *erased
-                .downcast::<RawMapPayload<M::Key, M::Value>>()
-                .map_err(|_| payload_type_error(&spec.name))?;
-            Ok((counters, reads))
-        };
-    let map_runs: Vec<TaskRun<MapOnlyPayload>> = run_wave(
-        cluster,
-        &spec.name,
-        Phase::Map,
-        num_tasks,
-        map_remote,
-        None,
-        map_local,
-        map_post,
-    )?;
-
-    let mut stats_lists = Vec::with_capacity(map_runs.len());
-    let mut failure_lists = Vec::with_capacity(map_runs.len());
-    let mut succeeded = Vec::with_capacity(map_runs.len());
-    let mut reads_lists = Vec::with_capacity(map_runs.len());
-    let mut counters_list = Vec::with_capacity(map_runs.len());
-    for run in map_runs {
-        succeeded.push(run.payload.is_some());
-        let (counters, reads) = run.payload.unwrap_or_default();
-        counters_list.push(counters);
-        reads_lists.push(reads);
-        stats_lists.push(run.attempt_stats);
-        failure_lists.push(run.attempt_failures);
-    }
-    let tasks_planned = planned_wave_tasks(cluster, &stats_lists, &succeeded, Some(&reads_lists));
-    let launch_end = job_t0 + cfg.cost.job_launch_secs;
-    // Map-only outputs are DFS side files (replicated): a mid-wave death
-    // re-runs only in-flight attempts, not completed ones.
-    let plan = plan_with_faults(cluster, &tasks_planned, launch_end, false);
-    cluster.metrics.record_failures(sim_level_failures(&plan));
-    let lost_stats = lost_stats_of(&plan, &stats_lists);
-
-    let sim_secs = cfg.cost.job_launch_secs + plan.makespan_secs;
-    cluster.metrics.add_sim_secs(sim_secs);
-    record_wave_obs(cluster, &spec.name, Phase::Map, &plan);
-    record_job_obs(cluster, &spec.name, sim_secs, 0);
-
-    if cluster.trace.is_enabled() {
-        trace_span(
-            cluster,
-            &spec.name,
-            job_seq,
-            TracePhase::Launch,
-            job_t0,
-            launch_end,
-            0,
-        );
-        trace_plan(
-            cluster,
-            &spec.name,
-            job_seq,
-            TracePhase::Map,
-            &stats_lists,
-            &failure_lists,
-            &plan,
-            launch_end,
-        );
-    }
-    fire_due_deaths(cluster);
-
-    if let Some(task) = first_failed_task(&plan) {
-        return Err(MrError::TaskFailed {
-            job: spec.name.clone(),
-            phase: Phase::Map,
-            task,
-            attempts: cfg.max_task_attempts.max(1),
-        });
-    }
-    cluster.metrics.record_map_tasks(num_tasks as u64);
-    cluster.metrics.record_map_locality(
-        plan.data_local_tasks as u64,
-        (num_tasks - plan.data_local_tasks) as u64,
-        plan.remote_read_bytes,
-    );
-
-    let mut stats_total = TaskStats::default();
-    let mut user_counters: std::collections::BTreeMap<String, u64> = Default::default();
-    for (task, counters) in counters_list.into_iter().enumerate() {
-        stats_total = stats_total.merge(
-            stats_lists[task]
-                .last()
-                .expect("successful task has at least one attempt"),
-        );
-        for (name, v) in counters {
-            *user_counters.entry(name).or_default() += v;
-        }
-    }
-
-    Ok(JobReport {
-        name: spec.name.clone(),
-        job_seq,
-        map_tasks: num_tasks,
-        reduce_tasks: 0,
-        failures: plan.extra_attempts(),
-        sim_secs,
-        map_wave_secs: plan.makespan_secs,
-        shuffle_secs: 0.0,
-        reduce_wave_secs: 0.0,
-        stats: stats_total,
-        lost_stats,
-        user_counters,
-    })
+    run_engine(cluster, spec, mapper, inputs, 0, no_reduce).map(|(_, report)| report)
 }
 
 #[cfg(test)]
@@ -1490,14 +1301,17 @@ mod tests {
 
     #[test]
     fn empty_input_job() {
-        let cluster = test_cluster(2);
-        let spec = JobSpec::new("empty").reducers(1);
-        let (out, report) = run_job(&cluster, &spec, &ControlMapper, &ControlReducer, &[]).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(report.map_tasks, 0);
-        // Unit model has no launch cost; only the (empty) reducer's
-        // microseconds of measured time remain.
-        assert!(report.sim_secs < 0.01);
+        for mode in [SchedulingMode::Barrier, SchedulingMode::Pipelined] {
+            let cluster = priced_cluster(mode, &[1.0; 2], 1);
+            let spec = JobSpec::new("empty").reducers(1);
+            let (out, report) =
+                run_job(&cluster, &spec, &ControlMapper, &ControlReducer, &[]).unwrap();
+            assert!(out.is_empty());
+            assert_eq!(report.map_tasks, 0);
+            // Unit model has no launch cost; only the (empty) reducer's
+            // microseconds of measured time remain.
+            assert!(report.sim_secs < 0.01);
+        }
     }
 
     #[test]
@@ -1514,6 +1328,147 @@ mod tests {
         let before = cluster.sim_secs();
         let _ = run_map_only(&cluster, &spec, &ControlMapper, &[1]).unwrap();
         assert!(cluster.sim_secs() - before >= 5.0);
+    }
+
+    // ---- The two pricing sites SchedulingMode selects between -----------
+
+    fn priced_cluster(mode: SchedulingMode, speeds: &[f64], slots: usize) -> Cluster {
+        let mut cfg = ClusterConfig::medium(speeds.len());
+        cfg.cost = CostModel::unit_for_tests();
+        cfg.scheduling = mode;
+        cfg.node_speeds = speeds.to_vec();
+        cfg.slots_per_node = slots;
+        cfg.tracing = true;
+        cfg.observability = true;
+        Cluster::new(cfg)
+    }
+
+    fn planned(secs: &[f64]) -> Vec<PlannedTask> {
+        let task = |&success_secs| PlannedTask {
+            success_secs,
+            ..Default::default()
+        };
+        secs.iter().map(task).collect()
+    }
+
+    /// Prices one job's timeline — map plan, shuffle charge, reduce plan —
+    /// through the runner's two mode-dependent sites.
+    fn price(cluster: &Cluster, map: &[f64], bytes: &[u64], reduce: &[f64]) -> f64 {
+        let map_plan = plan_with_faults(cluster, &planned(map), 0.0, true);
+        let shuffle = shuffle_charge(&cluster.config, &map_plan, bytes, 0.0);
+        assert!(shuffle >= -1e-9, "negative shuffle charge {shuffle}");
+        let shuffle_end = map_plan.makespan_secs + shuffle;
+        let reduce_plan = plan_with_faults(cluster, &planned(reduce), shuffle_end, false);
+        shuffle_end + reduce_plan.makespan_secs
+    }
+
+    /// The same measured tasks and shuffle bytes never price slower under
+    /// pipelined rules than under barrier rules: ragged counts, slow
+    /// nodes, 1–3 slots, an empty job, a zero-node cluster. Deterministic —
+    /// no task body runs, so no measured CPU enters either side.
+    #[test]
+    fn pipelined_pricing_never_exceeds_barrier() {
+        let check = |map: &[f64], speeds: &[f64], slots, bytes: &[u64], reduce: &[f64]| {
+            let barrier = priced_cluster(SchedulingMode::Barrier, speeds, slots);
+            let pipelined = priced_cluster(SchedulingMode::Pipelined, speeds, slots);
+            let b = price(&barrier, map, bytes, reduce);
+            let p = price(&pipelined, map, bytes, reduce);
+            assert!(p <= b + 1e-9, "pipelined {p} > barrier {b} for {map:?}");
+            p
+        };
+        check(&[4.0; 8], &[1.0, 1.0, 1.0, 0.25], 1, &[100; 8], &[2.0; 3]);
+        check(
+            &[3.0, 1.0, 2.0, 4.0, 1.0],
+            &[1.0; 2],
+            1,
+            &[50; 5],
+            &[1.0; 2],
+        );
+        check(&[1.0; 4], &[1.0; 4], 1, &[0; 4], &[5.0]);
+        let ragged = [5.0, 1.0, 1.0, 7.0, 2.0, 2.0, 9.0];
+        let ragged_bytes = [30, 0, 10, 80, 5, 5, 60];
+        check(
+            &ragged,
+            &[1.0, 0.5, 1.0],
+            2,
+            &ragged_bytes,
+            &[3.0, 1.0, 4.0],
+        );
+        check(&[2.0; 11], &[0.25, 1.0], 3, &[7; 11], &[6.0; 5]);
+        check(&[2.0], &[], 0, &[5], &[1.0]);
+        assert_eq!(check(&[], &[1.0; 2], 1, &[], &[]), 0.0);
+    }
+
+    #[test]
+    fn a_mid_job_death_lands_in_the_wave_it_falls_in() {
+        // Node 1 dies at `death_at`; plans one wave of `secs` tasks starting
+        // at `wave_start` under pipelined pricing.
+        let plan = |death_at: f64, secs: &[f64], wave_start: f64, map_wave: bool| {
+            let cluster = priced_cluster(SchedulingMode::Pipelined, &[1.0; 2], 1);
+            cluster.faults.kill_node(1, death_at);
+            plan_with_faults(&cluster, &planned(secs), wave_start, map_wave)
+        };
+        let lost = |plan: &WavePlan| {
+            let attempts = plan.attempts.iter().flatten();
+            let lost = attempts.filter(|a| a.outcome == AttemptOutcome::NodeLost(1));
+            lost.count()
+        };
+        // In the map wave: the task on node 1 re-executes, and stealing is
+        // suspended during recovery.
+        let map = plan(40.0, &[100.0; 2], 0.0, true);
+        assert_eq!(map.attempts[1][0].outcome, AttemptOutcome::NodeLost(1));
+        assert_eq!(map.steals, 0);
+        // In the reduce wave (which starts at t=2): the map wave does not
+        // see it, the reduce task on node 1 re-runs elsewhere.
+        assert_eq!(lost(&plan(50.0, &[1.0; 2], 0.0, true)), 0);
+        assert_eq!(lost(&plan(50.0, &[100.0; 2], 2.0, false)), 1);
+        // Far past the job: neither wave sees it.
+        assert_eq!(lost(&plan(1e6, &[100.0; 2], 0.0, true)), 0);
+        assert_eq!(lost(&plan(1e6, &[100.0; 2], 200.0, false)), 0);
+    }
+
+    /// The single epilogue: a map-only job and a map+reduce job running the
+    /// same mapper (one injected retry) emit the same launch/map trace
+    /// events and the same map-wave series.
+    #[test]
+    fn map_only_and_map_reduce_jobs_share_launch_and_map_observations() {
+        let observe = |map_only: bool| {
+            let cluster = priced_cluster(SchedulingMode::Barrier, &[1.0; 2], 1);
+            cluster.faults.fail_task("job", Phase::Map, 1, 1);
+            let spec = JobSpec::new("job")
+                .reducers(2)
+                .partitioner(identity_partitioner);
+            let inputs: Vec<usize> = (0..3).collect();
+            if map_only {
+                run_map_only(&cluster, &spec, &ControlMapper, &inputs).unwrap();
+            } else {
+                run_job(&cluster, &spec, &ControlMapper, &ControlReducer, &inputs).unwrap();
+            }
+            let events: Vec<_> = cluster
+                .trace
+                .events()
+                .into_iter()
+                .filter(|e| matches!(e.phase, TracePhase::Launch | TracePhase::Map))
+                // Not `node`: placement follows measured CPU, which differs
+                // between two executions.
+                .map(|e| (e.phase, e.task, e.attempt, e.failure, e.write_bytes))
+                .collect();
+            let snap = cluster.metrics.obs().snapshot();
+            let is_map = |l: &Labels| l.wave.as_deref() == Some("map");
+            let counters = snap.counters.into_iter().filter(|c| is_map(&c.labels));
+            let hists = snap.histograms.into_iter().filter(|h| is_map(&h.labels));
+            (
+                events,
+                counters
+                    .map(|c| (c.name, c.labels, c.value))
+                    .collect::<Vec<_>>(),
+                hists.map(|h| (h.name, h.hist.count)).collect::<Vec<_>>(),
+            )
+        };
+        let (events, counters, hists) = observe(true);
+        assert_eq!(events.len(), 1 + 4, "launch span + 3 tasks + 1 retry");
+        assert!(!counters.is_empty() && !hists.is_empty());
+        assert_eq!((events, counters, hists), observe(false));
     }
 }
 

@@ -16,99 +16,18 @@
 //! replica of their input; remote reads pay a network crossing),
 //! mid-wave node death (in-flight attempts are lost; completed map
 //! outputs hosted on the dead node are lost too and re-executed), and
-//! task timeouts with capped exponential backoff. With none of those in
-//! play it reduces exactly to [`schedule_wave_hetero`].
+//! task timeouts with capped exponential backoff. It is the only planner:
+//! a fault-free wave is the same call with an empty [`WaveFaults`].
+//!
+//! Clusters may be *heterogeneous* — `node_speeds[i]` scales node `i`'s
+//! execution rate (the paper observes "the performance variance between
+//! different large EC2 instances is high", Section 7.4). Placement is
+//! *speed-blind*, like Hadoop's JobTracker: the scheduler cannot know a
+//! node is slow in advance. Backup copies mitigate exactly this blindness:
+//! one speculative backup for the makespan-defining straggler, or iterated
+//! work stealing ([`steal_backups`]); the first copy to commit wins.
 
 use std::collections::BTreeSet;
-
-/// Result of scheduling one wave.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveSchedule {
-    /// Simulated seconds from wave start to last task completion.
-    pub makespan_secs: f64,
-    /// Per-slot busy time, for utilization diagnostics.
-    pub slot_busy_secs: Vec<f64>,
-    /// Node index each task (in input order) ran on.
-    pub placements: Vec<usize>,
-    /// Simulated `(start, end)` of each task (in input order), relative
-    /// to the wave start — the placements the trace log renders as spans.
-    /// Speculative backup copies are not separately listed; intervals
-    /// reflect each task's primary placement.
-    pub intervals: Vec<(f64, f64)>,
-}
-
-impl WaveSchedule {
-    /// Fraction of slot-seconds actually used (1.0 = perfectly balanced).
-    pub fn utilization(&self) -> f64 {
-        if self.makespan_secs == 0.0 || self.slot_busy_secs.is_empty() {
-            return 1.0;
-        }
-        let busy: f64 = self.slot_busy_secs.iter().sum();
-        busy / (self.makespan_secs * self.slot_busy_secs.len() as f64)
-    }
-}
-
-/// Greedy list scheduling of `task_secs` (in submission order) onto
-/// `nodes * slots_per_node` slots; returns the makespan and placements.
-pub fn schedule_wave(task_secs: &[f64], nodes: usize, slots_per_node: usize) -> WaveSchedule {
-    schedule_wave_hetero(task_secs, &vec![1.0; nodes.max(1)], slots_per_node, false)
-}
-
-/// List scheduling on a *heterogeneous* cluster — `node_speeds[i]` scales
-/// node `i`'s execution rate (1.0 = nominal; the paper observes "the
-/// performance variance between different large EC2 instances is high",
-/// Section 7.4) — with optional Hadoop-style speculative execution.
-///
-/// Placement is *speed-blind*, like Hadoop's JobTracker: each task goes to
-/// the slot that frees earliest, slow or not — the scheduler cannot know a
-/// node is slow in advance. With `speculative` set, the makespan-defining
-/// straggler gets one backup attempt on the best other slot and the wave
-/// completes when the first copy does: Hadoop's mitigation for exactly
-/// this blindness.
-pub fn schedule_wave_hetero(
-    task_secs: &[f64],
-    node_speeds: &[f64],
-    slots_per_node: usize,
-    speculative: bool,
-) -> WaveSchedule {
-    // One planning engine: the legacy entry point is a thin view over
-    // [`plan_wave`] with a fault-free environment (single-attempt budget,
-    // no deaths, no timeouts, no locality inputs). With nothing to retry,
-    // every task has exactly one attempt and the plan's greedy placement
-    // and speculative-backup logic reduce to the pre-fold scheduler
-    // exactly — the `plan_reduces_to_simple_scheduler_without_faults`
-    // test pins the conversion.
-    let tasks: Vec<PlannedTask> = task_secs
-        .iter()
-        .map(|&t| PlannedTask {
-            failed_secs: Vec::new(),
-            success_secs: t,
-            reads: Vec::new(),
-        })
-        .collect();
-    let faults = WaveFaults {
-        max_attempts: 1,
-        ..WaveFaults::default()
-    };
-    let plan = plan_wave(&tasks, node_speeds, slots_per_node, speculative, &faults);
-    WaveSchedule {
-        makespan_secs: plan.makespan_secs,
-        slot_busy_secs: plan.slot_busy_secs,
-        placements: plan
-            .attempts
-            .iter()
-            .map(|a| a.first().expect("one attempt per task").node)
-            .collect(),
-        intervals: plan
-            .attempts
-            .iter()
-            .map(|a| {
-                let first = a.first().expect("one attempt per task");
-                (first.start, first.end)
-            })
-            .collect(),
-    }
-}
 
 /// One task's measured attempt chain and input locality for [`plan_wave`].
 ///
@@ -214,8 +133,8 @@ pub struct WavePlan {
     pub remote_read_bytes: u64,
     /// Tasks that ran out of attempt budget: `(task, attempts started)`.
     pub failed_tasks: Vec<(usize, u32)>,
-    /// Straggler tasks stolen by idle slots ([`steal_backups`]); always 0
-    /// under barrier scheduling.
+    /// Straggler tasks stolen by idle slots ([`steal_backups`], the
+    /// pipelined mode's backup policy); 0 from [`plan_wave`] itself.
     pub steals: u64,
 }
 
@@ -245,6 +164,65 @@ impl WavePlan {
     }
 }
 
+/// Execution rate of `node` (unlisted or non-positive speeds are nominal).
+fn node_speed(node_speeds: &[f64], node: usize) -> f64 {
+    match node_speeds.get(node) {
+        Some(&s) if s > 0.0 => s,
+        _ => 1.0,
+    }
+}
+
+/// Bytes `task` would pull over the network when run on `node`.
+fn remote_bytes_on(task: &PlannedTask, node: usize) -> u64 {
+    task.reads
+        .iter()
+        .filter(|(_, homes)| !homes.contains(&node))
+        .map(|(b, _)| *b)
+        .sum()
+}
+
+/// Seconds entry `chain` of `task` takes on `node`, and the remote bytes
+/// it pulls there. Remote input crosses the network at full bandwidth — a
+/// slow *CPU* does not slow the wire down.
+fn attempt_secs(
+    task: &PlannedTask,
+    chain: usize,
+    node: usize,
+    node_speeds: &[f64],
+    net_bw: f64,
+) -> (f64, u64) {
+    let rb = remote_bytes_on(task, node);
+    let nominal = task.failed_secs.get(chain).unwrap_or(&task.success_secs);
+    let mut dur = nominal / node_speed(node_speeds, node);
+    if rb > 0 && net_bw > 0.0 {
+        dur += rb as f64 / net_bw;
+    }
+    (dur, rb)
+}
+
+/// Where a backup copy of `task`'s chain entry, currently on `slot`,
+/// would commit earliest: each other live slot drains (`free_at`), then
+/// re-runs the same body — paying its own network crossing if the task's
+/// input is not local there. Returns `(backup slot, commit time)`.
+fn best_backup(
+    task: &PlannedTask,
+    chain: usize,
+    slot: usize,
+    free_at: &[f64],
+    node_speeds: &[f64],
+    slots_per_node: usize,
+    faults: &WaveFaults,
+) -> Option<(usize, f64)> {
+    (0..free_at.len())
+        .filter(|&s| s != slot && !faults.dead_nodes.contains(&(s / slots_per_node)))
+        .map(|s| {
+            let (dur, _) =
+                attempt_secs(task, chain, s / slots_per_node, node_speeds, faults.net_bw);
+            (s, free_at[s] + dur)
+        })
+        .min_by(|x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)))
+}
+
 /// Full wave planning: greedy list scheduling with data locality, node
 /// death, and task timeouts.
 ///
@@ -254,9 +232,8 @@ impl WavePlan {
 /// the node that timed out). Slot choice is by earliest start, with
 /// node-local slots preferred among equals — Hadoop's locality tier —
 /// and remote placements charged one network crossing for the non-local
-/// bytes. With no faults, no timeout, and no reads this is exactly
-/// [`schedule_wave_hetero`] (including speculative execution, which is
-/// applied only to fault-free waves).
+/// bytes. Speculative execution is applied only to waves untouched by
+/// deaths or timeouts.
 pub fn plan_wave(
     tasks: &[PlannedTask],
     node_speeds: &[f64],
@@ -267,34 +244,8 @@ pub fn plan_wave(
     let nodes = node_speeds.len().max(1);
     let slots_per_node = slots_per_node.max(1);
     let slot_count = nodes * slots_per_node;
-    let speed = |slot: usize| -> f64 {
-        let s = node_speeds
-            .get(slot / slots_per_node)
-            .copied()
-            .unwrap_or(1.0);
-        if s > 0.0 {
-            s
-        } else {
-            1.0
-        }
-    };
     let max_attempts = faults.max_attempts.max(1);
     let death = faults.node_death;
-
-    // Bytes task `t` would pull over the network when run on `node`.
-    let remote_bytes_on = |task: &PlannedTask, node: usize| -> u64 {
-        task.reads
-            .iter()
-            .filter(|(_, homes)| !homes.contains(&node))
-            .map(|(b, _)| *b)
-            .sum()
-    };
-    let chain_secs = |task: &PlannedTask, chain: usize| -> f64 {
-        task.failed_secs
-            .get(chain)
-            .copied()
-            .unwrap_or(task.success_secs)
-    };
 
     /// A task waiting to run (first attempt or retry).
     struct Pending {
@@ -383,13 +334,7 @@ pub fn plan_wave(
                 continue;
             };
             let node = slot / slots_per_node;
-            let rb = remote_bytes_on(t, node);
-            let mut dur = chain_secs(t, e.chain) / speed(slot);
-            if rb > 0 && faults.net_bw > 0.0 {
-                // Remote input crosses the network at full bandwidth — a
-                // slow *CPU* does not slow the wire down.
-                dur += rb as f64 / faults.net_bw;
-            }
+            let (dur, rb) = attempt_secs(t, e.chain, node, node_speeds, faults.net_bw);
             remote_read_bytes += rb;
             let natural_end = start + dur;
 
@@ -514,7 +459,8 @@ pub fn plan_wave(
 
     let mut makespan = free_at.iter().fold(0.0_f64, |m, &v| m.max(v));
 
-    // Speculative execution, exactly as in `schedule_wave_hetero` — only
+    // Speculative execution: the makespan-defining straggler gets one
+    // backup copy and the wave completes when the first copy does — only
     // for waves untouched by deaths or timeouts (Hadoop suspends backups
     // for tasks already being re-executed for failure).
     if speculative && death.is_none() && !any_timeout && failed_tasks.is_empty() {
@@ -524,29 +470,19 @@ pub fn plan_wave(
             .flat_map(|(task, list)| list.iter().map(move |a| (task, a)))
             .max_by(|a, b| a.1.end.total_cmp(&b.1.end));
         if let Some((task, a)) = straggler {
-            let (slot, finish) = (a.slot, a.end);
-            let nominal = chain_secs(&tasks[task], a.chain);
-            // When the backup copy would finish: the alternative slot
-            // drains, then runs the same body — paying its own network
-            // crossing if the task's input is not local there.
-            let alt_finish = |s: usize| -> f64 {
-                let rb = remote_bytes_on(&tasks[task], s / slots_per_node);
-                let mut d = nominal / speed(s);
-                if rb > 0 && faults.net_bw > 0.0 {
-                    d += rb as f64 / faults.net_bw;
-                }
-                free_at[s] + d
-            };
-            let backup = (0..slot_count)
-                .filter(|&s| s != slot && !faults.dead_nodes.contains(&(s / slots_per_node)))
-                .min_by(|&x, &y| alt_finish(x).total_cmp(&alt_finish(y)).then(x.cmp(&y)));
-            if let Some(backup) = backup {
-                let alt = alt_finish(backup);
-                if alt < finish {
-                    free_at[slot] = alt;
-                    free_at[backup] = alt;
-                    makespan = free_at.iter().fold(0.0_f64, |m, &v| m.max(v));
-                }
+            let backup = best_backup(
+                &tasks[task],
+                a.chain,
+                a.slot,
+                &free_at,
+                node_speeds,
+                slots_per_node,
+                faults,
+            );
+            if let Some((backup, alt)) = backup.filter(|&(_, alt)| alt < a.end) {
+                free_at[a.slot] = alt;
+                free_at[backup] = alt;
+                makespan = free_at.iter().fold(0.0_f64, |m, &v| m.max(v));
             }
         }
     }
@@ -571,27 +507,6 @@ pub fn plan_wave(
 }
 
 // ---- Pipelined, work-stealing execution ----------------------------------
-
-/// Result of [`plan_pipelined`]: one job's combined map + streamed-shuffle
-/// + reduce timeline.
-#[derive(Debug, Clone, Default)]
-pub struct PipelinedPlan {
-    /// The map wave's plan (work-stealing backups applied), relative to
-    /// the wave start.
-    pub map: WavePlan,
-    /// The reduce wave's plan, relative to *its own* start
-    /// ([`PipelinedPlan::shuffle_done_secs`] after the wave start).
-    pub reduce: WavePlan,
-    /// When the last shuffle chunk lands, seconds from the wave start.
-    /// Always within `[map.makespan_secs, map.makespan_secs +
-    /// barrier_shuffle_secs]` — the headroom below the upper bound is the
-    /// transfer time hidden under still-running map tasks.
-    pub shuffle_done_secs: f64,
-    /// Seconds from the wave start to the last reduce completion.
-    pub makespan_secs: f64,
-    /// Straggler tasks stolen by idle slots across both waves.
-    pub steals: u64,
-}
 
 /// Work-stealing backup pass over a completed wave plan: as long as the
 /// plan's latest-finishing in-flight task could be re-run to an earlier
@@ -629,24 +544,6 @@ pub fn steal_backups(
     if timed_out || plan.slot_busy_secs.len() != slot_count {
         return 0;
     }
-    let speed = |slot: usize| -> f64 {
-        let s = node_speeds
-            .get(slot / slots_per_node)
-            .copied()
-            .unwrap_or(1.0);
-        if s > 0.0 {
-            s
-        } else {
-            1.0
-        }
-    };
-    let remote_bytes_on = |task: &PlannedTask, node: usize| -> u64 {
-        task.reads
-            .iter()
-            .filter(|(_, homes)| !homes.contains(&node))
-            .map(|(b, _)| *b)
-            .sum()
-    };
     let mut considered = vec![false; plan.attempts.len()];
     let mut steals = 0u64;
     // The latest-finishing not-yet-considered successful task is the
@@ -667,29 +564,18 @@ pub fn steal_backups(
             let a = &plan.attempts[task][last];
             (a.slot, a.chain)
         };
-        let nominal = tasks[task]
-            .failed_secs
-            .get(chain)
-            .copied()
-            .unwrap_or(tasks[task].success_secs);
-        // When a backup copy on slot `s` would commit: the slot drains,
-        // then re-runs the same body — paying its own network crossing if
-        // the task's input is not local there.
-        let alt_finish = |s: usize| -> f64 {
-            let rb = remote_bytes_on(&tasks[task], s / slots_per_node);
-            let mut d = nominal / speed(s);
-            if rb > 0 && faults.net_bw > 0.0 {
-                d += rb as f64 / faults.net_bw;
-            }
-            plan.slot_busy_secs[s] + d
-        };
-        let backup = (0..slot_count)
-            .filter(|&s| s != slot && !faults.dead_nodes.contains(&(s / slots_per_node)))
-            .min_by(|&x, &y| alt_finish(x).total_cmp(&alt_finish(y)).then(x.cmp(&y)));
-        let Some(backup) = backup else {
+        let backup = best_backup(
+            &tasks[task],
+            chain,
+            slot,
+            &plan.slot_busy_secs,
+            node_speeds,
+            slots_per_node,
+            faults,
+        );
+        let Some((backup, alt)) = backup else {
             break;
         };
-        let alt = alt_finish(backup);
         if alt >= end {
             continue;
         }
@@ -745,119 +631,70 @@ pub fn stream_shuffle_finish(
     at.max(map_plan.makespan_secs)
 }
 
-/// Event-driven planning of one whole job: map wave, per-task streamed
-/// shuffle chunks, reduce wave — the pipelined alternative to the
-/// barrier chain `plan_wave(map) + shuffle_secs + plan_wave(reduce)`.
-///
-/// Three barrier taxes disappear: shuffle chunks transfer as individual
-/// map outputs commit ([`stream_shuffle_finish`]), reducers are admitted
-/// the moment the last chunk lands instead of after a whole-wave
-/// transfer, and idle slots steal straggling in-flight tasks in both
-/// waves ([`steal_backups`]). Fault semantics are `plan_wave`'s:
-/// `faults.node_death` is relative to the *wave start* and is applied to
-/// whichever phase it lands in (two-pass, like the runner's barrier
-/// path); `lose_completed_outputs` governs the map wave only — reduce
-/// outputs are replicated DFS writes.
-///
-/// Only the timeline changes: the planner consumes the same measured
-/// task chains as the barrier path, so job outputs, reduce inputs, and
-/// checkpoint fingerprints are bit-identical under either mode.
-pub fn plan_pipelined(
-    map_tasks: &[PlannedTask],
-    map_shuffle_bytes: &[u64],
-    reduce_tasks: &[PlannedTask],
-    node_speeds: &[f64],
-    slots_per_node: usize,
-    shuffle_bw: f64,
-    faults: &WaveFaults,
-) -> PipelinedPlan {
-    // Map wave, two-pass death injection: plan fault-free, and only if
-    // the death lands inside the makespan re-plan with it mid-wave.
-    let mut map_faults = faults.clone();
-    map_faults.node_death = None;
-    let mut map = plan_wave(map_tasks, node_speeds, slots_per_node, false, &map_faults);
-    if let Some((node, at)) = faults.node_death {
-        if at < map.makespan_secs {
-            map_faults.node_death = Some((node, at));
-            map = plan_wave(map_tasks, node_speeds, slots_per_node, false, &map_faults);
-        }
-    }
-    let mut steals = steal_backups(
-        &mut map,
-        map_tasks,
-        node_speeds,
-        slots_per_node,
-        &map_faults,
-    );
-    let shuffle_done_secs = stream_shuffle_finish(&map, map_shuffle_bytes, shuffle_bw);
-
-    let mut reduce_faults = faults.clone();
-    reduce_faults.node_death = None;
-    reduce_faults.lose_completed_outputs = false;
-    let mut reduce = plan_wave(
-        reduce_tasks,
-        node_speeds,
-        slots_per_node,
-        false,
-        &reduce_faults,
-    );
-    if let Some((node, at)) = faults.node_death {
-        let rel = (at - shuffle_done_secs).max(0.0);
-        if rel < reduce.makespan_secs {
-            reduce_faults.node_death = Some((node, rel));
-            reduce = plan_wave(
-                reduce_tasks,
-                node_speeds,
-                slots_per_node,
-                false,
-                &reduce_faults,
-            );
-        }
-    }
-    steals += steal_backups(
-        &mut reduce,
-        reduce_tasks,
-        node_speeds,
-        slots_per_node,
-        &reduce_faults,
-    );
-
-    let makespan_secs = shuffle_done_secs + reduce.makespan_secs;
-    PipelinedPlan {
-        map,
-        reduce,
-        shuffle_done_secs,
-        makespan_secs,
-        steals,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn simple_tasks(secs: &[f64]) -> Vec<PlannedTask> {
+        secs.iter()
+            .map(|&s| PlannedTask {
+                success_secs: s,
+                ..Default::default()
+            })
+            .collect()
+    }
+
+    /// Plans `secs` (submission order) as a fault-free wave: single-attempt
+    /// budget, no deaths, no timeouts, no locality inputs.
+    fn wave(secs: &[f64], speeds: &[f64], slots: usize, speculative: bool) -> WavePlan {
+        let faults = WaveFaults {
+            max_attempts: 1,
+            ..WaveFaults::default()
+        };
+        plan_wave(&simple_tasks(secs), speeds, slots, speculative, &faults)
+    }
+
+    /// Node each task's first attempt ran on.
+    fn placements(p: &WavePlan) -> Vec<usize> {
+        p.attempts.iter().map(|a| a[0].node).collect()
+    }
+
+    /// `(start, end)` of each task's first attempt.
+    fn intervals(p: &WavePlan) -> Vec<(f64, f64)> {
+        p.attempts.iter().map(|a| (a[0].start, a[0].end)).collect()
+    }
+
+    /// Fraction of slot-seconds actually used (1.0 = perfectly balanced).
+    fn utilization(p: &WavePlan) -> f64 {
+        if p.makespan_secs == 0.0 || p.slot_busy_secs.is_empty() {
+            return 1.0;
+        }
+        let busy: f64 = p.slot_busy_secs.iter().sum();
+        busy / (p.makespan_secs * p.slot_busy_secs.len() as f64)
+    }
+
     #[test]
     fn equal_tasks_divide_evenly() {
         let tasks = vec![1.0; 8];
-        let s = schedule_wave(&tasks, 4, 1);
+        let s = wave(&tasks, &[1.0; 4], 1, false);
         assert!((s.makespan_secs - 2.0).abs() < 1e-12);
-        assert!((s.utilization() - 1.0).abs() < 1e-12);
+        assert!((utilization(&s) - 1.0).abs() < 1e-12);
         // Round-robin placement across the 4 nodes.
-        assert_eq!(&s.placements[..4], &[0, 1, 2, 3]);
+        assert_eq!(&placements(&s)[..4], &[0, 1, 2, 3]);
     }
 
     #[test]
     fn single_node_serializes() {
         let tasks = vec![1.0, 2.0, 3.0];
-        let s = schedule_wave(&tasks, 1, 1);
+        let s = wave(&tasks, &[1.0; 1], 1, false);
         assert!((s.makespan_secs - 6.0).abs() < 1e-12);
-        assert!(s.placements.iter().all(|&p| p == 0));
+        assert!(placements(&s).iter().all(|&p| p == 0));
     }
 
     #[test]
     fn more_nodes_than_tasks() {
         let tasks = vec![5.0, 1.0];
-        let s = schedule_wave(&tasks, 10, 1);
+        let s = wave(&tasks, &[1.0; 10], 1, false);
         assert!((s.makespan_secs - 5.0).abs() < 1e-12);
     }
 
@@ -868,13 +705,13 @@ mod tests {
         // makespan is 1 + 10.
         let mut tasks = vec![1.0; 7];
         tasks.push(10.0);
-        let s = schedule_wave(&tasks, 4, 1);
+        let s = wave(&tasks, &[1.0; 4], 1, false);
         assert!((s.makespan_secs - 11.0).abs() < 1e-12);
-        assert!(s.utilization() < 0.5);
+        assert!(utilization(&s) < 0.5);
         // Submitted first, the long task fully overlaps the short ones.
         let mut tasks = vec![10.0];
         tasks.extend(vec![1.0; 7]);
-        let s = schedule_wave(&tasks, 4, 1);
+        let s = wave(&tasks, &[1.0; 4], 1, false);
         assert!((s.makespan_secs - 10.0).abs() < 1e-12);
     }
 
@@ -882,8 +719,8 @@ mod tests {
     fn retry_extends_one_node() {
         // A failed attempt + retry shows up as two 4.0 entries: on 2 nodes
         // with 2 other 4.0 tasks, makespan doubles vs the clean run.
-        let clean = schedule_wave(&[4.0, 4.0], 2, 1);
-        let faulty = schedule_wave(&[4.0, 4.0, 4.0, 4.0], 2, 1);
+        let clean = wave(&[4.0, 4.0], &[1.0; 2], 1, false);
+        let faulty = wave(&[4.0, 4.0, 4.0, 4.0], &[1.0; 2], 1, false);
         assert!((clean.makespan_secs - 4.0).abs() < 1e-12);
         assert!((faulty.makespan_secs - 8.0).abs() < 1e-12);
     }
@@ -891,21 +728,21 @@ mod tests {
     #[test]
     fn slots_multiply_capacity() {
         let tasks = vec![1.0; 8];
-        let s = schedule_wave(&tasks, 2, 4);
+        let s = wave(&tasks, &[1.0; 2], 4, false);
         assert!((s.makespan_secs - 1.0).abs() < 1e-12);
         assert_eq!(s.slot_busy_secs.len(), 8);
     }
 
     #[test]
     fn empty_wave_is_zero() {
-        let s = schedule_wave(&[], 4, 1);
+        let s = wave(&[], &[1.0; 4], 1, false);
         assert_eq!(s.makespan_secs, 0.0);
-        assert!((s.utilization() - 1.0).abs() < 1e-12);
+        assert!((utilization(&s) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_nodes_clamps_to_one() {
-        let s = schedule_wave(&[2.0], 0, 0);
+        let s = wave(&[2.0], &[], 0, false);
         assert!((s.makespan_secs - 2.0).abs() < 1e-12);
     }
 
@@ -913,9 +750,9 @@ mod tests {
     fn slow_node_stretches_the_wave() {
         // 4 equal tasks, node 3 at half speed: its task takes 2x.
         let tasks = vec![4.0; 4];
-        let even = schedule_wave_hetero(&tasks, &[1.0; 4], 1, false);
+        let even = wave(&tasks, &[1.0; 4], 1, false);
         assert!((even.makespan_secs - 4.0).abs() < 1e-12);
-        let skew = schedule_wave_hetero(&tasks, &[1.0, 1.0, 1.0, 0.5], 1, false);
+        let skew = wave(&tasks, &[1.0, 1.0, 1.0, 0.5], 1, false);
         assert!((skew.makespan_secs - 8.0).abs() < 1e-12);
     }
 
@@ -926,9 +763,9 @@ mod tests {
         // it drains (4 s) and finishes at 8 s.
         let tasks = vec![4.0; 4];
         let speeds = [1.0, 1.0, 1.0, 0.25];
-        let off = schedule_wave_hetero(&tasks, &speeds, 1, false);
+        let off = wave(&tasks, &speeds, 1, false);
         assert!((off.makespan_secs - 16.0).abs() < 1e-12);
-        let on = schedule_wave_hetero(&tasks, &speeds, 1, true);
+        let on = wave(&tasks, &speeds, 1, true);
         assert!(
             (on.makespan_secs - 8.0).abs() < 1e-12,
             "got {}",
@@ -939,8 +776,8 @@ mod tests {
     #[test]
     fn speculation_is_noop_on_homogeneous_balanced_waves() {
         let tasks = vec![1.0; 8];
-        let off = schedule_wave_hetero(&tasks, &[1.0; 4], 1, false);
-        let on = schedule_wave_hetero(&tasks, &[1.0; 4], 1, true);
+        let off = wave(&tasks, &[1.0; 4], 1, false);
+        let on = wave(&tasks, &[1.0; 4], 1, true);
         assert_eq!(off.makespan_secs, on.makespan_secs);
     }
 
@@ -956,11 +793,11 @@ mod tests {
             (vec![1.0; 8], vec![1.0; 4]),
         ];
         for (tasks, speeds) in cases {
-            let s = schedule_wave_hetero(&tasks, &speeds, 1, true);
+            let s = wave(&tasks, &speeds, 1, true);
             assert!(
-                s.utilization() <= 1.0 + 1e-12,
+                utilization(&s) <= 1.0 + 1e-12,
                 "utilization {} > 1 for tasks {tasks:?} on speeds {speeds:?}",
-                s.utilization()
+                utilization(&s)
             );
             for &busy in &s.slot_busy_secs {
                 assert!(busy <= s.makespan_secs + 1e-12, "slot busy past makespan");
@@ -968,7 +805,7 @@ mod tests {
         }
         // The speed-blind single-task case: the straggler's slot and the
         // backup's slot are each busy exactly until the backup completes.
-        let s = schedule_wave_hetero(&[3.0], &[0.5, 2.0, 1.0], 1, true);
+        let s = wave(&[3.0], &[0.5, 2.0, 1.0], 1, true);
         assert!((s.makespan_secs - 1.5).abs() < 1e-12);
         assert!((s.slot_busy_secs[0] - 1.5).abs() < 1e-12, "cancelled copy");
         assert!((s.slot_busy_secs[1] - 1.5).abs() < 1e-12, "backup charged");
@@ -979,20 +816,20 @@ mod tests {
     fn placement_is_speed_blind() {
         // Hadoop cannot know node 0 is slow: the single task lands on the
         // first free slot and eats the slowdown.
-        let s = schedule_wave_hetero(&[3.0], &[0.5, 2.0, 1.0], 1, false);
-        assert_eq!(s.placements, vec![0]);
+        let s = wave(&[3.0], &[0.5, 2.0, 1.0], 1, false);
+        assert_eq!(placements(&s), vec![0]);
         assert!((s.makespan_secs - 6.0).abs() < 1e-12);
         // ...and speculation rescues it on the fast node.
-        let s = schedule_wave_hetero(&[3.0], &[0.5, 2.0, 1.0], 1, true);
+        let s = wave(&[3.0], &[0.5, 2.0, 1.0], 1, true);
         assert!((s.makespan_secs - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn intervals_match_placements_and_makespan() {
         let tasks = vec![3.0, 1.0, 2.0, 4.0, 1.0];
-        let s = schedule_wave(&tasks, 2, 1);
-        assert_eq!(s.intervals.len(), tasks.len());
-        for (i, &(start, end)) in s.intervals.iter().enumerate() {
+        let s = wave(&tasks, &[1.0; 2], 1, false);
+        assert_eq!(intervals(&s).len(), tasks.len());
+        for (i, &(start, end)) in intervals(&s).iter().enumerate() {
             assert!(start >= 0.0 && end >= start);
             assert!(end <= s.makespan_secs + 1e-12);
             // Duration equals the task's cost at nominal speed.
@@ -1001,9 +838,9 @@ mod tests {
         // Tasks on the same node never overlap.
         for i in 0..tasks.len() {
             for j in (i + 1)..tasks.len() {
-                if s.placements[i] == s.placements[j] {
-                    let (a0, a1) = s.intervals[i];
-                    let (b0, b1) = s.intervals[j];
+                if placements(&s)[i] == placements(&s)[j] {
+                    let (a0, a1) = intervals(&s)[i];
+                    let (b0, b1) = intervals(&s)[j];
                     assert!(a1 <= b0 + 1e-12 || b1 <= a0 + 1e-12, "overlap on node");
                 }
             }
@@ -1012,26 +849,17 @@ mod tests {
 
     #[test]
     fn intervals_scale_with_node_speed() {
-        let s = schedule_wave_hetero(&[4.0], &[0.5], 1, false);
-        assert_eq!(s.intervals, vec![(0.0, 8.0)]);
+        let s = wave(&[4.0], &[0.5], 1, false);
+        assert_eq!(intervals(&s), vec![(0.0, 8.0)]);
     }
 
     #[test]
     fn zero_speed_treated_as_nominal() {
-        let s = schedule_wave_hetero(&[1.0], &[0.0], 1, false);
+        let s = wave(&[1.0], &[0.0], 1, false);
         assert!((s.makespan_secs - 1.0).abs() < 1e-12);
     }
 
     // ---- plan_wave ------------------------------------------------------
-
-    fn simple_tasks(secs: &[f64]) -> Vec<PlannedTask> {
-        secs.iter()
-            .map(|&s| PlannedTask {
-                success_secs: s,
-                ..Default::default()
-            })
-            .collect()
-    }
 
     fn no_faults(max_attempts: u32) -> WaveFaults {
         WaveFaults {
@@ -1040,32 +868,6 @@ mod tests {
             backoff_base_secs: 1.0,
             backoff_cap_secs: 60.0,
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn plan_reduces_to_simple_scheduler_without_faults() {
-        let shapes: Vec<(Vec<f64>, Vec<f64>, usize, bool)> = vec![
-            (vec![1.0; 8], vec![1.0; 4], 1, false),
-            (vec![3.0, 1.0, 2.0, 4.0, 1.0], vec![1.0; 2], 1, false),
-            (vec![4.0; 4], vec![1.0, 1.0, 1.0, 0.25], 1, true),
-            (vec![2.0, 5.0, 1.0, 7.0, 3.0], vec![0.25, 1.0, 4.0], 1, true),
-            (vec![1.0; 8], vec![1.0; 2], 4, false),
-        ];
-        for (secs, speeds, slots, spec) in shapes {
-            let old = schedule_wave_hetero(&secs, &speeds, slots, spec);
-            let new = plan_wave(&simple_tasks(&secs), &speeds, slots, spec, &no_faults(4));
-            assert!(
-                (old.makespan_secs - new.makespan_secs).abs() < 1e-12,
-                "makespan mismatch for {secs:?} on {speeds:?}: {} vs {}",
-                old.makespan_secs,
-                new.makespan_secs
-            );
-            for (task, &node) in old.placements.iter().enumerate() {
-                assert_eq!(new.attempts[task][0].node, node, "placement of {task}");
-            }
-            assert_eq!(new.data_local_tasks, secs.len(), "no reads => all local");
-            assert_eq!(new.failed_tasks, vec![]);
         }
     }
 
@@ -1229,7 +1031,7 @@ mod tests {
         assert!(p.attempts.iter().all(Vec::is_empty));
     }
 
-    // ---- plan_pipelined / steal_backups ---------------------------------
+    // ---- steal_backups / stream_shuffle_finish --------------------------
 
     #[test]
     fn stealing_rescues_every_slow_node_straggler() {
@@ -1319,105 +1121,6 @@ mod tests {
         assert_eq!(stream_shuffle_finish(&p, &[10; 4], 0.0), p.makespan_secs);
     }
 
-    #[test]
-    fn pipelined_never_exceeds_the_barrier_chain() {
-        #[allow(clippy::type_complexity)]
-        let shapes: Vec<(Vec<f64>, Vec<f64>, Vec<u64>, Vec<f64>)> = vec![
-            (
-                vec![4.0; 8],
-                vec![1.0, 1.0, 1.0, 0.25],
-                vec![100; 8],
-                vec![2.0; 3],
-            ),
-            (
-                vec![3.0, 1.0, 2.0, 4.0, 1.0],
-                vec![1.0; 2],
-                vec![50; 5],
-                vec![1.0; 2],
-            ),
-            (vec![1.0; 4], vec![1.0; 4], vec![0; 4], vec![5.0]),
-        ];
-        for (map_secs, speeds, bytes, reduce_secs) in shapes {
-            let map_tasks = simple_tasks(&map_secs);
-            let reduce_tasks = simple_tasks(&reduce_secs);
-            let faults = no_faults(4);
-            let bw = 40.0;
-            let barrier_map = plan_wave(&map_tasks, &speeds, 1, true, &faults);
-            let barrier_reduce = plan_wave(&reduce_tasks, &speeds, 1, true, &faults);
-            let total_bytes: u64 = bytes.iter().sum();
-            let barrier =
-                barrier_map.makespan_secs + total_bytes as f64 / bw + barrier_reduce.makespan_secs;
-            let pp = plan_pipelined(&map_tasks, &bytes, &reduce_tasks, &speeds, 1, bw, &faults);
-            assert!(
-                pp.makespan_secs <= barrier + 1e-9,
-                "pipelined {} > barrier {} for {map_secs:?}",
-                pp.makespan_secs,
-                barrier
-            );
-            assert!(pp.shuffle_done_secs >= pp.map.makespan_secs - 1e-12);
-            assert!(
-                (pp.makespan_secs - (pp.shuffle_done_secs + pp.reduce.makespan_secs)).abs() < 1e-12
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_applies_a_mid_job_death_to_the_right_phase() {
-        // Death at t=40 lands in the map wave (2 tasks of 100 s): the map
-        // re-executes like the barrier path would.
-        let map_tasks = simple_tasks(&[100.0, 100.0]);
-        let reduce_tasks = simple_tasks(&[10.0]);
-        let mut faults = no_faults(4);
-        faults.node_death = Some((1, 40.0));
-        let pp = plan_pipelined(
-            &map_tasks,
-            &[0, 0],
-            &reduce_tasks,
-            &[1.0; 2],
-            1,
-            10.0,
-            &faults,
-        );
-        assert_eq!(pp.map.attempts[1][0].outcome, AttemptOutcome::NodeLost(1));
-        assert_eq!(pp.steals, 0, "stealing suspended during recovery");
-        // Death far past the job: neither phase sees it.
-        faults.node_death = Some((1, 1e6));
-        let pp = plan_pipelined(
-            &map_tasks,
-            &[0, 0],
-            &reduce_tasks,
-            &[1.0; 2],
-            1,
-            10.0,
-            &faults,
-        );
-        assert!(pp
-            .map
-            .attempts
-            .iter()
-            .flatten()
-            .all(|a| a.outcome == AttemptOutcome::Success));
-        // Death during the reduce wave: the reduce task re-runs elsewhere.
-        let map_tasks = simple_tasks(&[1.0, 1.0]);
-        let reduce_tasks = simple_tasks(&[100.0, 100.0]);
-        faults.node_death = Some((1, 50.0));
-        let pp = plan_pipelined(
-            &map_tasks,
-            &[0, 0],
-            &reduce_tasks,
-            &[1.0; 2],
-            1,
-            10.0,
-            &faults,
-        );
-        assert!(pp
-            .reduce
-            .attempts
-            .iter()
-            .flatten()
-            .any(|a| matches!(a.outcome, AttemptOutcome::NodeLost(1))));
-    }
-
     // ---- zero-task / zero-node edge cases (regression pins) -------------
 
     #[test]
@@ -1434,24 +1137,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_pipelined_job_is_zero() {
-        let pp = plan_pipelined(&[], &[], &[], &[1.0; 2], 1, 10.0, &no_faults(4));
-        assert_eq!(pp.makespan_secs, 0.0);
-        assert_eq!(pp.shuffle_done_secs, 0.0);
-        assert_eq!(pp.steals, 0);
-        // Map-only shape: reduce side empty.
-        let map_tasks = simple_tasks(&[1.0]);
-        let pp = plan_pipelined(&map_tasks, &[5], &[], &[1.0], 1, 10.0, &no_faults(4));
-        assert!((pp.makespan_secs - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_node_pipelined_clamps_like_plan_wave() {
-        let map_tasks = simple_tasks(&[2.0]);
-        let pp = plan_pipelined(&map_tasks, &[0], &[], &[], 0, 1.0, &no_faults(4));
-        assert!((pp.makespan_secs - 2.0).abs() < 1e-12);
-        let mut p = plan_wave(&map_tasks, &[], 0, false, &no_faults(4));
-        assert_eq!(steal_backups(&mut p, &map_tasks, &[], 0, &no_faults(4)), 0);
+    fn zero_node_steal_clamps_like_plan_wave() {
+        let tasks = simple_tasks(&[2.0]);
+        let mut p = plan_wave(&tasks, &[], 0, false, &no_faults(4));
+        assert!((p.makespan_secs - 2.0).abs() < 1e-12);
+        assert_eq!(steal_backups(&mut p, &tasks, &[], 0, &no_faults(4)), 0);
     }
 
     #[test]
@@ -1465,16 +1155,10 @@ mod tests {
             let tasks = simple_tasks(&secs);
             let mut p = plan_wave(&tasks, &speeds, 1, false, &no_faults(4));
             steal_backups(&mut p, &tasks, &speeds, 1, &no_faults(4));
-            let s = WaveSchedule {
-                makespan_secs: p.makespan_secs,
-                slot_busy_secs: p.slot_busy_secs.clone(),
-                placements: Vec::new(),
-                intervals: Vec::new(),
-            };
             assert!(
-                s.utilization() <= 1.0 + 1e-12,
+                utilization(&p) <= 1.0 + 1e-12,
                 "utilization {} > 1 for {secs:?} on {speeds:?}",
-                s.utilization()
+                utilization(&p)
             );
         }
     }

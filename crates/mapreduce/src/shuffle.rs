@@ -27,7 +27,9 @@
 //!   push-then-stable-sort loop produced it.
 //!
 //! Checkpoint fingerprints and the bit-identical resume suite rely on
-//! this equivalence.
+//! this equivalence. Every job shuffles through [`parallel_shuffle`]
+//! whatever its [`crate::SchedulingMode`]: the mode prices the transfer's
+//! *time* differently and never sees the data.
 
 use rayon::prelude::*;
 
@@ -169,81 +171,6 @@ where
         .collect()
 }
 
-/// Incremental shuffle for pipelined execution: accepts one map task's
-/// buckets at a time, *in any completion order*, merging each non-empty
-/// bucket into the owning reducer's run as it arrives (the per-reducer
-/// merge work that barrier mode defers to [`parallel_shuffle`] happens
-/// here, spread across map-output commits).
-///
-/// Determinism: each arriving bucket is inserted into its reducer's list
-/// at the position sorted by *map task index* (binary search), so
-/// [`IncrementalShuffle::finalize`] concatenates in task order and feeds
-/// the same pair sequence to the same stable sort as the barrier path —
-/// reduce inputs are bitwise identical no matter which order tasks
-/// commit in.
-#[derive(Debug)]
-pub struct IncrementalShuffle<K, V> {
-    /// `runs[p]` holds `(map_task, bucket)` sorted ascending by task.
-    runs: Vec<TaskRuns<K, V>>,
-    accepted: Vec<bool>,
-}
-
-/// One reducer's pending merge: each committed map task's bucket, tagged
-/// with the task index the runs stay sorted by.
-type TaskRuns<K, V> = Vec<(usize, Vec<(K, V)>)>;
-
-impl<K: Ord + Send, V: Send> IncrementalShuffle<K, V> {
-    /// An empty merge over `num_tasks` map tasks and `num_reducers`
-    /// partitions.
-    pub fn new(num_tasks: usize, num_reducers: usize) -> Self {
-        IncrementalShuffle {
-            runs: (0..num_reducers).map(|_| Vec::new()).collect(),
-            accepted: vec![false; num_tasks],
-        }
-    }
-
-    /// Merges map task `map_task`'s per-reducer buckets (as produced by
-    /// [`partition_pairs`]) into the per-reducer runs. Tasks may arrive in
-    /// any order; a duplicate commit of the same task (a backup copy
-    /// finishing after the original) is ignored.
-    pub fn accept(&mut self, map_task: usize, buckets: Vec<Vec<(K, V)>>) {
-        debug_assert_eq!(buckets.len(), self.runs.len());
-        debug_assert!(map_task < self.accepted.len());
-        if std::mem::replace(&mut self.accepted[map_task], true) {
-            return;
-        }
-        for (p, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let run = &mut self.runs[p];
-            let at = run.partition_point(|(t, _)| *t < map_task);
-            run.insert(at, (map_task, bucket));
-        }
-    }
-
-    /// Number of map tasks accepted so far.
-    pub fn accepted_tasks(&self) -> usize {
-        self.accepted.iter().filter(|&&a| a).count()
-    }
-
-    /// Sorts each reducer's run (one rayon work item per reducer, like
-    /// [`parallel_shuffle`]) and returns the reduce inputs.
-    pub fn finalize(self) -> Vec<ReducerInput<K, V>> {
-        self.runs
-            .into_par_iter()
-            .map(|run| {
-                let total = run.iter().map(|(_, b)| b.len()).sum();
-                let mut pairs = Vec::with_capacity(total);
-                for (_, bucket) in run {
-                    pairs.extend(bucket);
-                }
-                ReducerInput::from_pairs(pairs)
-            })
-            .collect()
-    }
-}
-
 /// The pre-parallel shuffle, kept as the executable specification: push
 /// every map task's pairs (task order, then emission order) into its
 /// partition, then stable-sort each partition by key — all on one thread.
@@ -325,53 +252,6 @@ mod tests {
             .collect();
         let got = parallel_shuffle(buckets, 3);
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn incremental_matches_parallel_in_any_commit_order() {
-        let tasks: Vec<Vec<(usize, (usize, usize))>> = (0..5)
-            .map(|t| (0..30).map(|i| (i % 6, (t, i))).collect())
-            .collect();
-        let buckets: Vec<_> = tasks
-            .iter()
-            .map(|pairs| partition_pairs(pairs.clone(), hash_partitioner::<usize>, 3))
-            .collect();
-        let expect = parallel_shuffle(buckets.clone(), 3);
-        // Reversed, shuffled, and in-order commit sequences all converge.
-        for order in [
-            vec![4, 3, 2, 1, 0],
-            vec![2, 0, 4, 1, 3],
-            vec![0, 1, 2, 3, 4],
-        ] {
-            let mut inc = IncrementalShuffle::new(5, 3);
-            for t in order {
-                inc.accept(t, buckets[t].clone());
-            }
-            assert_eq!(inc.accepted_tasks(), 5);
-            assert_eq!(inc.finalize(), expect);
-        }
-    }
-
-    #[test]
-    fn incremental_ignores_duplicate_commits() {
-        // A backup copy committing after the original must not double the
-        // task's pairs.
-        let buckets = partition_pairs(vec![(0usize, 7u8), (1, 8)], identity_partitioner, 2);
-        let mut inc = IncrementalShuffle::new(1, 2);
-        inc.accept(0, buckets.clone());
-        inc.accept(0, buckets);
-        assert_eq!(inc.accepted_tasks(), 1);
-        let out = inc.finalize();
-        assert_eq!(out[0].values(), &[7]);
-        assert_eq!(out[1].values(), &[8]);
-    }
-
-    #[test]
-    fn incremental_empty_job_finalizes_empty_inputs() {
-        let inc: IncrementalShuffle<u32, u32> = IncrementalShuffle::new(0, 3);
-        let out = inc.finalize();
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(ReducerInput::is_empty));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use mrinv_mapreduce::job::{
     hash_partitioner, identity_partitioner, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
 };
 use mrinv_mapreduce::runner::{run_job, run_map_only};
-use mrinv_mapreduce::scheduler::schedule_wave;
+use mrinv_mapreduce::scheduler::{plan_wave, PlannedTask, WaveFaults};
 use mrinv_mapreduce::shuffle::{parallel_shuffle, partition_pairs, reference_shuffle};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, MrError, Phase};
 use proptest::prelude::*;
@@ -108,7 +108,13 @@ proptest! {
     fn scheduler_makespan_bounds(
         (tasks, nodes, slots) in (prop::collection::vec(0.0f64..100.0, 0..40), 1usize..10, 1usize..4)
     ) {
-        let s = schedule_wave(&tasks, nodes, slots);
+        // A fault-free wave: single-attempt budget, no locality inputs.
+        let planned: Vec<PlannedTask> = tasks
+            .iter()
+            .map(|&success_secs| PlannedTask { success_secs, ..Default::default() })
+            .collect();
+        let faults = WaveFaults { max_attempts: 1, ..Default::default() };
+        let s = plan_wave(&planned, &vec![1.0; nodes], slots, false, &faults);
         let total: f64 = tasks.iter().sum();
         let longest = tasks.iter().fold(0.0f64, |m, &v| m.max(v));
         let capacity = (nodes * slots) as f64;
@@ -117,8 +123,8 @@ proptest! {
         prop_assert!(s.makespan_secs >= total / capacity - 1e-9);
         prop_assert!(s.makespan_secs <= total / capacity + longest + 1e-9);
         // Every placement is a valid node index.
-        prop_assert!(s.placements.iter().all(|&p| p < nodes));
-        prop_assert_eq!(s.placements.len(), tasks.len());
+        prop_assert!(s.attempts.iter().all(|a| a.len() == 1 && a[0].node < nodes));
+        prop_assert_eq!(s.attempts.len(), tasks.len());
     }
 
     #[test]
