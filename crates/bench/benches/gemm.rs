@@ -1,6 +1,6 @@
-//! GEMM engine bench: the kernel ladder, naive → blocked (tiled,
-//! unpacked) → packed (register-blocked microkernel + packed panels),
-//! serial and rayon-parallel, at orders 64 / 128 / 256 / 512 / 1024.
+//! GEMM engine bench: the kernel ladder, naive → strided (Eq. 7) →
+//! packed (register-blocked microkernel + packed panels), serial and
+//! rayon-parallel, at orders 64 / 128 / 256 / 512 / 1024.
 //!
 //! Besides the criterion groups, the bench takes wall-clock samples
 //! (best of 3, via `mrinv_bench::micro`) of every backend at every order

@@ -7,7 +7,7 @@
 //! blocking) is measured separately in the `gemm` bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrinv_matrix::kernel::{gemm_with, notrans, trans, Blocked, GemmBackend, Naive, Strided};
+use mrinv_matrix::kernel::{gemm_with, notrans, trans, GemmBackend, Naive, Strided};
 use mrinv_matrix::random::random_matrix;
 use mrinv_matrix::Matrix;
 use std::hint::black_box;
@@ -53,19 +53,6 @@ fn bench_matmul(c: &mut Criterion) {
                     1.0,
                     notrans(black_box(&a)),
                     trans(black_box(&b_t)),
-                    0.0,
-                    &mut out,
-                )
-                .unwrap()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("blocked_t64", n), &n, |bench, _| {
-            bench.iter(|| {
-                gemm_with(
-                    &Blocked { tile: 64 },
-                    1.0,
-                    notrans(black_box(&a)),
-                    notrans(black_box(&b)),
                     0.0,
                     &mut out,
                 )

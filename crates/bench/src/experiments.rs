@@ -493,12 +493,13 @@ pub struct Sec74NodeOutput {
     /// Straggler/lost-work analytics of the death run.
     pub death_analytics: PipelineAnalytics,
     /// Worst straggler ratio among the degraded barrier run's *clean*
-    /// waves (no failed attempts) — the waves work stealing is allowed to
-    /// rescue in pipelined mode.
+    /// waves (no failed attempts) — the waves backups are allowed to
+    /// rescue. Barrier backs up each wave's worst straggler only.
     pub barrier_straggler_ratio: f64,
     /// The same statistic for the degraded run re-executed under
     /// [`SchedulingMode::Pipelined`]: backup attempts on idle fast slots
-    /// truncate the slow node's stragglers.
+    /// truncate every straggler they can beat. With one slow node the two
+    /// coincide — a wave has one straggler, and one backup rescues it.
     pub pipelined_straggler_ratio: f64,
     /// p95 over reduce-task waits (first reduce attempt start minus the
     /// same job's map-wave end) in the degraded barrier run: every reducer
@@ -540,11 +541,8 @@ fn p95_reduce_wait_secs(events: &[mrinv_mapreduce::TaskEvent]) -> f64 {
     use mrinv_mapreduce::tracelog::TracePhase;
     use std::collections::BTreeMap;
 
-    // The job's shuffle span starts at the *planner's* map-wave end. The
-    // map attempt events would overshoot it: a speculative backup
-    // truncates the wave makespan but the trace keeps the straggler's
-    // primary interval, so "max map event end" reads past the instant
-    // reducers were actually admitted and would clamp real waits to zero.
+    // The job's shuffle span starts at the planner's map-wave end — the
+    // instant reducers were admitted.
     let mut map_end: BTreeMap<u64, f64> = BTreeMap::new();
     for e in events {
         if e.phase == TracePhase::Shuffle {

@@ -8,9 +8,7 @@
 
 use mrinv_mapreduce::job::hash_partitioner;
 use mrinv_mapreduce::shuffle::{parallel_shuffle, partition_pairs, reference_shuffle};
-use mrinv_matrix::kernel::{
-    gemm_flops, gemm_with, notrans, Blocked, GemmBackend, Naive, Packed, Strided,
-};
+use mrinv_matrix::kernel::{gemm_flops, gemm_with, notrans, GemmBackend, Naive, Packed, Strided};
 use mrinv_matrix::random::random_matrix;
 use mrinv_matrix::Matrix;
 use std::hint::black_box;
@@ -48,7 +46,6 @@ pub fn gemm_ladder() -> Vec<(&'static str, Box<dyn GemmBackend>)> {
     vec![
         ("naive", Box::new(Naive)),
         ("strided_eq7", Box::new(Strided)),
-        ("blocked_t64", Box::new(Blocked { tile: 64 })),
         ("packed_serial", Box::new(Packed { parallel: false })),
         ("packed_parallel", Box::new(Packed { parallel: true })),
     ]

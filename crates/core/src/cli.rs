@@ -30,9 +30,10 @@
 //!
 //! `--sched pipelined` prices the simulated timeline event-driven: each
 //! map task's shuffle chunk is charged from its commit and idle fast
-//! slots steal straggling tasks, shrinking wave makespans on skewed
-//! clusters. The default is the paper's per-wave barrier. The flag
-//! selects pricing only; outputs are bit-identical either way.
+//! slots back up every straggler they can beat, shrinking wave makespans
+//! on skewed clusters. The default is the paper's per-wave barrier, which
+//! backs up only each wave's worst straggler. The flag selects pricing
+//! only; outputs are bit-identical either way.
 //!
 //! Matrices use the text format of the paper's `a.txt` (a `rows cols`
 //! header line, then whitespace-separated values; see

@@ -17,11 +17,12 @@ use serde::{Deserialize, Serialize};
 /// the test harness.
 pub const WORKER_ENV: &str = "MRINV_WORKER";
 
-/// Fault-injection probe used by the backend tests: the first time it
-/// runs it writes a marker file and kills its own process (simulating a
+/// Fault-injection probe used by the backend tests: the first time task
+/// 0 runs it writes a marker file and kills its own process (simulating a
 /// worker crash mid-wave); the retried attempt sees the marker and
-/// succeeds. Outside a worker process it writes the marker and returns
-/// normally.
+/// succeeds. Only task 0 may die — two concurrent tasks could both miss
+/// the marker before either wrote it. Outside a worker process it writes
+/// the marker and returns normally.
 #[derive(Serialize, Deserialize)]
 pub struct DieOnceMapper {
     /// DFS path of the "already died once" marker file.
@@ -38,7 +39,7 @@ impl Mapper for DieOnceMapper {
         _input: &(),
         ctx: &mut MapContext<usize, usize>,
     ) -> std::result::Result<(), MrError> {
-        if ctx.exists(&self.marker) {
+        if ctx.task_index() != 0 || ctx.exists(&self.marker) {
             return Ok(());
         }
         ctx.write(&self.marker, bytes::Bytes::from_static(b"died"));

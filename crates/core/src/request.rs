@@ -205,6 +205,25 @@ impl<'a> Request<'a> {
     /// behind; resubmitting with [`Request::resume`] restores the
     /// completed prefix and re-runs only the remainder.
     pub fn submit(self, cluster: &Cluster) -> Result<Outcome> {
+        let n = self.validate()?;
+        // Hashed once: the same key looks the entry up and, on a miss,
+        // files the finished run.
+        let keyed = self
+            .cache
+            .map(|cache| (cache, cache_key(self.a, &self.cfg, cluster)));
+        if let Some((cache, key)) = keyed {
+            let need_inverse = self.op == Op::Invert;
+            if let Some(view) = cache.lookup(key, need_inverse, &cluster.dfs) {
+                return self.serve_hit(cluster, cache, key, view, n);
+            }
+        }
+        self.run_pipeline(cluster, n, keyed)
+    }
+
+    /// The matrix order, once the request is known to be well-formed: a
+    /// square matrix, right-hand sides of that length, and at least one of
+    /// them for a solve.
+    fn validate(&self) -> Result<usize> {
         let n = self.a.order()?;
         for (i, b) in self.rhs.iter().enumerate() {
             if b.len() != n {
@@ -219,14 +238,7 @@ impl<'a> Request<'a> {
                 "a solve request needs at least one right-hand side (Request::rhs)".to_string(),
             ));
         }
-        if let Some(cache) = self.cache {
-            let key = cache_key(self.a, &self.cfg, cluster);
-            let need_inverse = self.op == Op::Invert;
-            if let Some(view) = cache.lookup(key, need_inverse, &cluster.dfs) {
-                return self.serve_hit(cluster, cache, key, view, n);
-            }
-        }
-        self.run_pipeline(cluster, n)
+        Ok(n)
     }
 
     /// Serves the request from the attached cache if (and only if) a
@@ -235,20 +247,7 @@ impl<'a> Request<'a> {
     /// threads use this to answer hits concurrently while cold requests
     /// queue for the single pipeline executor.
     pub(crate) fn submit_cached_only(self, cluster: &Cluster) -> Result<Option<Outcome>> {
-        let n = self.a.order()?;
-        for (i, b) in self.rhs.iter().enumerate() {
-            if b.len() != n {
-                return Err(CoreError::Invariant(format!(
-                    "rhs {i} has length {}, expected {n}",
-                    b.len()
-                )));
-            }
-        }
-        if self.op == Op::Solve && self.rhs.is_empty() {
-            return Err(CoreError::Invariant(
-                "a solve request needs at least one right-hand side (Request::rhs)".to_string(),
-            ));
-        }
+        let n = self.validate()?;
         let Some(cache) = self.cache else {
             return Ok(None);
         };
@@ -309,7 +308,14 @@ impl<'a> Request<'a> {
     }
 
     /// The cold path: the exact pipeline the historical entry points ran.
-    fn run_pipeline(self, cluster: &Cluster, n: usize) -> Result<Outcome> {
+    /// `cache` is the attached cache with this request's key, if any; the
+    /// finished run is filed under it.
+    fn run_pipeline(
+        self,
+        cluster: &Cluster,
+        n: usize,
+        cache: Option<(&FactorCache, u64)>,
+    ) -> Result<Outcome> {
         let run = match &self.run {
             Some(run) => run.clone(),
             None => fresh_run_id(cluster),
@@ -376,8 +382,7 @@ impl<'a> Request<'a> {
             solutions.push(substitute(f, b)?);
         }
 
-        if let Some(cache) = self.cache {
-            let key = cache_key(self.a, &self.cfg, cluster);
+        if let Some((cache, key)) = cache {
             cache.insert(
                 key,
                 self.cfg.nb,
@@ -401,7 +406,7 @@ impl<'a> Request<'a> {
             inverse,
             factors: out_factors,
             solutions,
-            cache: if self.cache.is_some() {
+            cache: if cache.is_some() {
                 CacheStatus::Miss
             } else {
                 CacheStatus::Bypass

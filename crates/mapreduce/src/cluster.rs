@@ -19,15 +19,17 @@ use crate::tracelog::TraceLog;
 pub enum SchedulingMode {
     /// Strict barriers (the default, bit-identical reproduction of the
     /// paper's Hadoop runs): the whole shuffle is charged after the *last*
-    /// mapper commits, and a wave's straggler gets at most one speculative
-    /// backup ([`crate::scheduler::plan_wave`]).
+    /// mapper commits, and the backup pass
+    /// ([`crate::scheduler::steal_backups`]) considers only the wave's
+    /// makespan-defining straggler — Hadoop's speculative execution, on
+    /// while [`ClusterConfig::speculative_execution`] is.
     #[default]
     Barrier,
     /// Event-driven pricing: each map task's shuffle chunk is charged from
     /// the moment that task commits, overlapping the rest of the map wave
-    /// ([`crate::scheduler::stream_shuffle_finish`]), and idle slots keep
-    /// stealing straggling in-flight tasks until no backup copy helps
-    /// ([`crate::scheduler::steal_backups`]).
+    /// ([`crate::scheduler::stream_shuffle_finish`]), and the same backup
+    /// pass considers every task: idle slots keep stealing straggling
+    /// in-flight tasks until no backup copy helps.
     Pipelined,
 }
 
@@ -46,7 +48,8 @@ pub struct ClusterConfig {
     /// instances (Section 7.4); populate this to model it.
     pub node_speeds: Vec<f64>,
     /// Hadoop-style speculative execution: back up the wave's straggler
-    /// task on another slot (on by default, as in Hadoop).
+    /// task on another slot (on by default, as in Hadoop). Read under
+    /// [`SchedulingMode::Barrier`] only; pipelined pricing always backs up.
     pub speculative_execution: bool,
     /// Record one [`crate::tracelog::TaskEvent`] per task attempt (off by
     /// default: tracing costs one atomic load per event site when

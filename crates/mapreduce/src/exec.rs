@@ -292,13 +292,10 @@ fn downcast_err(what: &str) -> MrError {
 }
 
 /// Selects the worker-side kv-size function for a [`KvSizing`] tag.
-fn kv_size_fn<K: ShuffleSize, V: ShuffleSize>(kv: KvSizing) -> Result<fn(&K, &V) -> u64> {
+fn kv_size_fn<K: ShuffleSize, V: ShuffleSize>(kv: KvSizing) -> fn(&K, &V) -> u64 {
     match kv {
-        KvSizing::Shallow => Ok(default_kv_size::<K, V>),
-        KvSizing::Deep => Ok(shuffle_size_kv::<K, V>),
-        KvSizing::Custom => Err(MrError::InvalidJob(
-            "jobs with a custom kv_size function cannot run on remote workers".into(),
-        )),
+        KvSizing::Shallow => default_kv_size::<K, V>,
+        KvSizing::Deep => shuffle_size_kv::<K, V>,
     }
 }
 
@@ -346,7 +343,7 @@ where
         M::from_value(de_ref(&desc.payload, "mapper")?).map_err(|e| de_err("mapper", e))?;
     let input = M::Input::from_value(de_ref(&desc.payload, "input")?)
         .map_err(|e| de_err("map input", e))?;
-    let kv = kv_size_fn::<M::Key, M::Value>(desc.kv)?;
+    let kv = kv_size_fn::<M::Key, M::Value>(desc.kv);
     let mut ctx = MapContext::new(dfs, desc.task_index, desc.num_tasks, kv);
     let start = Instant::now();
     mapper.map(&input, &mut ctx)?;
@@ -573,13 +570,6 @@ mod tests {
             (codec.encode_map)(&wrong_mapper, &input),
             Err(MrError::InvalidJob(_))
         ));
-    }
-
-    #[test]
-    fn custom_kv_sizing_is_rejected_for_remote() {
-        assert!(kv_size_fn::<usize, u64>(KvSizing::Custom).is_err());
-        assert!(kv_size_fn::<usize, u64>(KvSizing::Shallow).is_ok());
-        assert!(kv_size_fn::<usize, u64>(KvSizing::Deep).is_ok());
     }
 
     #[test]

@@ -309,7 +309,6 @@ pub struct JobSpec<K, V = ()> {
 /// Which shuffle-pair sizing a [`JobSpec`] uses — tracked beside the
 /// `kv_size` fn pointer so a remote worker (which cannot receive a fn
 /// pointer over the wire) can reconstruct the same sizing from this tag.
-/// Specs with a [`JobSpec::kv_size`] *custom* function cannot run remotely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KvSizing {
     /// [`default_kv_size`]: shallow in-memory size.
@@ -317,8 +316,6 @@ pub enum KvSizing {
     /// [`shuffle_size_kv`]: deep [`ShuffleSize`] bytes
     /// ([`JobSpec::shuffle_sized`]).
     Deep,
-    /// A caller-supplied [`JobSpec::kv_size`] function (not portable).
-    Custom,
 }
 
 impl<K: std::hash::Hash, V> JobSpec<K, V> {
@@ -354,17 +351,6 @@ impl<K: std::hash::Hash, V> JobSpec<K, V> {
     /// volume for associative reductions.
     pub fn combiner(mut self, f: fn(&K, &[V]) -> V) -> Self {
         self.combiner = Some(f);
-        self
-    }
-
-    /// Sets the function that prices a shuffled `(key, value)` pair in
-    /// bytes. Defaults to [`default_kv_size`] (the pair's shallow
-    /// in-memory size), which undercounts heap-backed payloads — prefer
-    /// [`JobSpec::shuffle_sized`] when the key/value types implement
-    /// [`ShuffleSize`].
-    pub fn kv_size(mut self, f: fn(&K, &V) -> u64) -> Self {
-        self.kv_size = f;
-        self.kv_sizing = KvSizing::Custom;
         self
     }
 }
@@ -444,9 +430,8 @@ pub fn identity_partitioner(key: &usize, partitions: usize) -> usize {
 ///
 /// Shallow only — a `Vec<f64>` counts as its 24-byte header, not its
 /// elements. Jobs shuffling heap-backed payloads should wire
-/// [`ShuffleSize`] through [`JobSpec::shuffle_sized`] (or a custom
-/// [`JobSpec::kv_size`]) so the byte counters match what a real
-/// framework would serialize.
+/// [`ShuffleSize`] through [`JobSpec::shuffle_sized`] so the byte
+/// counters match what a real framework would serialize.
 pub fn default_kv_size<K, V>(_k: &K, _v: &V) -> u64 {
     (std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64
 }
@@ -517,7 +502,7 @@ impl<A: ShuffleSize, B: ShuffleSize, C: ShuffleSize> ShuffleSize for (A, B, C) {
     }
 }
 
-/// [`JobSpec::kv_size`]-shaped adapter over [`ShuffleSize`].
+/// The pair-sizing function [`JobSpec::shuffle_sized`] installs.
 pub fn shuffle_size_kv<K: ShuffleSize, V: ShuffleSize>(k: &K, v: &V) -> u64 {
     k.shuffle_size() + v.shuffle_size()
 }

@@ -350,18 +350,20 @@ fn planned_wave_tasks<T>(
         .collect()
 }
 
-/// Plans one wave against the cluster's current fault state. Two-pass
-/// death handling: the wave is planned fault-free first, and only if the
-/// next scheduled death lands inside its makespan is it re-planned with
-/// the death injected mid-wave.
+/// Plans one wave against the cluster's current fault state: greedy
+/// placement ([`plan_wave`]) followed by the one backup pass
+/// ([`steal_backups`]). [`SchedulingMode`] only picks how many straggler
+/// candidates that pass considers: every one when pipelined (idle slots
+/// keep re-running the latest-ending task until no backup improves its
+/// finish), the makespan-defining one under barrier with
+/// `speculative_execution`, none otherwise.
 ///
-/// Under [`SchedulingMode::Pipelined`] the single-backup speculative pass
-/// is replaced by the iterated work-stealing pass
-/// ([`crate::scheduler::steal_backups`]): idle slots keep re-running the
-/// latest-ending in-flight task until no steal improves its finish time.
-/// Stealing suspends itself during failure recovery (timeouts, deaths),
-/// matching the speculative pass's own gating, so neither mode backs up
-/// tasks while re-execution is in progress.
+/// Two-pass death handling, the same order in both modes: the wave is
+/// planned and backed up fault-free first, and only if the next scheduled
+/// death lands inside *that* makespan is it re-planned with the death
+/// injected mid-wave — a death after the backed-up wave really ended
+/// belongs to the next wave. The re-planned wave gets no backups
+/// (`steal_backups` suspends itself during failure recovery).
 fn plan_with_faults(
     cluster: &Cluster,
     tasks: &[PlannedTask],
@@ -370,8 +372,11 @@ fn plan_with_faults(
 ) -> WavePlan {
     let cfg = &cluster.config;
     let speeds = cfg.speeds();
-    let pipelined = cfg.scheduling == SchedulingMode::Pipelined;
-    let speculative = cfg.speculative_execution && !pipelined;
+    let max_candidates = if cfg.scheduling == SchedulingMode::Pipelined {
+        usize::MAX
+    } else {
+        usize::from(cfg.speculative_execution)
+    };
     let mut faults = WaveFaults {
         dead_nodes: cluster.faults.dead_nodes(),
         node_death: None,
@@ -382,16 +387,25 @@ fn plan_with_faults(
         max_attempts: cfg.max_task_attempts.max(1),
         net_bw: cfg.cost.net_bw,
     };
-    let mut plan = plan_wave(tasks, &speeds, cfg.slots_per_node, speculative, &faults);
+    let plan_once = |faults: &WaveFaults| {
+        let mut plan = plan_wave(tasks, &speeds, cfg.slots_per_node, faults);
+        steal_backups(
+            &mut plan,
+            tasks,
+            &speeds,
+            cfg.slots_per_node,
+            faults,
+            max_candidates,
+        );
+        plan
+    };
+    let mut plan = plan_once(&faults);
     if let Some((node, at)) = cluster.faults.pending_death() {
         let rel = (at - wave_start_secs).max(0.0);
         if rel < plan.makespan_secs {
             faults.node_death = Some((node, rel));
-            plan = plan_wave(tasks, &speeds, cfg.slots_per_node, speculative, &faults);
+            plan = plan_once(&faults);
         }
-    }
-    if pipelined {
-        steal_backups(&mut plan, tasks, &speeds, cfg.slots_per_node, &faults);
     }
     plan
 }
@@ -590,31 +604,13 @@ struct RemoteWave<'a> {
 }
 
 /// Resolves the remote codec for a job: `Some` exactly when the backend
-/// wants descriptors and the spec names a registered family. A registered
-/// family whose job carries a custom `kv_size` closure is rejected — the
-/// closure cannot ship to a worker process, and silently degrading to
-/// local execution would hide the misconfiguration.
-fn remote_codec<'c, K, V>(
-    cluster: &'c Cluster,
-    spec: &JobSpec<K, V>,
-) -> Result<Option<&'c JobCodec>> {
+/// wants descriptors and the spec names a registered family.
+fn remote_codec<'c, K, V>(cluster: &'c Cluster, spec: &JobSpec<K, V>) -> Option<&'c JobCodec> {
     if !cluster.backend().wants_descriptors() {
-        return Ok(None);
+        return None;
     }
-    let Some(codec) = spec
-        .remote_family()
-        .and_then(|family| cluster.registry().get(family))
-    else {
-        return Ok(None);
-    };
-    if spec.kv_sizing == KvSizing::Custom {
-        return Err(MrError::InvalidJob(format!(
-            "job {:?} pairs a remote task family with a custom kv_size closure, \
-             which cannot be shipped to worker processes",
-            spec.name
-        )));
-    }
-    Ok(Some(codec))
+    let family = spec.remote_family()?;
+    cluster.registry().get(family)
 }
 
 /// Runs one wave of tasks through the cluster's execution backend — the
@@ -814,7 +810,7 @@ where
     // Each map task returns its output already split into one bucket per
     // reduce partition, so the post-wave shuffle merges buckets instead of
     // routing individual pairs.
-    let codec = remote_codec(cluster, spec)?;
+    let codec = remote_codec(cluster, spec);
     let map_encode = |idx: usize| -> Result<Value> {
         let c = codec.expect("encode runs only when a codec is present");
         (c.encode_map)(mapper, &inputs[idx])
@@ -1425,6 +1421,15 @@ mod tests {
         // Far past the job: neither wave sees it.
         assert_eq!(lost(&plan(1e6, &[100.0; 2], 0.0, true)), 0);
         assert_eq!(lost(&plan(1e6, &[100.0; 2], 200.0, false)), 0);
+        // One death-window order for both modes, backups first: slow node
+        // 1 would hold its task until t=16, but node 0's backup commits at
+        // t=8 and ends the wave, so a death at t=10 is the next wave's.
+        for mode in [SchedulingMode::Barrier, SchedulingMode::Pipelined] {
+            let cluster = priced_cluster(mode, &[1.0, 0.25], 1);
+            cluster.faults.kill_node(1, 10.0);
+            let p = plan_with_faults(&cluster, &planned(&[4.0; 2]), 0.0, true);
+            assert_eq!((p.makespan_secs, p.steals, lost(&p)), (8.0, 1, 0));
+        }
     }
 
     /// The single epilogue: a map-only job and a map+reduce job running the

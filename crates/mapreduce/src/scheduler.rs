@@ -23,9 +23,11 @@
 //! execution rate (the paper observes "the performance variance between
 //! different large EC2 instances is high", Section 7.4). Placement is
 //! *speed-blind*, like Hadoop's JobTracker: the scheduler cannot know a
-//! node is slow in advance. Backup copies mitigate exactly this blindness:
-//! one speculative backup for the makespan-defining straggler, or iterated
-//! work stealing ([`steal_backups`]); the first copy to commit wins.
+//! node is slow in advance. Backup copies mitigate exactly this blindness
+//! ([`steal_backups`], the one backup policy): Hadoop's speculative
+//! execution is that pass limited to the makespan-defining straggler,
+//! work stealing the same pass with no limit; the first copy to commit
+//! wins.
 
 use std::collections::BTreeSet;
 
@@ -133,8 +135,8 @@ pub struct WavePlan {
     pub remote_read_bytes: u64,
     /// Tasks that ran out of attempt budget: `(task, attempts started)`.
     pub failed_tasks: Vec<(usize, u32)>,
-    /// Straggler tasks stolen by idle slots ([`steal_backups`], the
-    /// pipelined mode's backup policy); 0 from [`plan_wave`] itself.
+    /// Straggler tasks whose backup copy on an idle slot committed first
+    /// ([`steal_backups`]); 0 from [`plan_wave`] itself.
     pub steals: u64,
 }
 
@@ -232,13 +234,12 @@ fn best_backup(
 /// the node that timed out). Slot choice is by earliest start, with
 /// node-local slots preferred among equals — Hadoop's locality tier —
 /// and remote placements charged one network crossing for the non-local
-/// bytes. Speculative execution is applied only to waves untouched by
-/// deaths or timeouts.
+/// bytes. Backup copies are a separate pass over the returned plan
+/// ([`steal_backups`]).
 pub fn plan_wave(
     tasks: &[PlannedTask],
     node_speeds: &[f64],
     slots_per_node: usize,
-    speculative: bool,
     faults: &WaveFaults,
 ) -> WavePlan {
     let nodes = node_speeds.len().max(1);
@@ -276,7 +277,6 @@ pub fn plan_wave(
     let mut attempts: Vec<Vec<PlannedAttempt>> = vec![Vec::new(); tasks.len()];
     let mut failed_tasks: Vec<(usize, u32)> = Vec::new();
     let mut remote_read_bytes = 0u64;
-    let mut any_timeout = false;
 
     loop {
         while !pending.is_empty() {
@@ -399,7 +399,6 @@ pub fn plan_wave(
                     })
                 }
                 AttemptOutcome::TimedOut { .. } => {
-                    any_timeout = true;
                     let backoff = (faults.backoff_base_secs
                         * 2f64.powi(e.timeout_retries.min(30) as i32))
                     .min(faults.backoff_cap_secs)
@@ -457,35 +456,7 @@ pub fn plan_wave(
         }
     }
 
-    let mut makespan = free_at.iter().fold(0.0_f64, |m, &v| m.max(v));
-
-    // Speculative execution: the makespan-defining straggler gets one
-    // backup copy and the wave completes when the first copy does — only
-    // for waves untouched by deaths or timeouts (Hadoop suspends backups
-    // for tasks already being re-executed for failure).
-    if speculative && death.is_none() && !any_timeout && failed_tasks.is_empty() {
-        let straggler = attempts
-            .iter()
-            .enumerate()
-            .flat_map(|(task, list)| list.iter().map(move |a| (task, a)))
-            .max_by(|a, b| a.1.end.total_cmp(&b.1.end));
-        if let Some((task, a)) = straggler {
-            let backup = best_backup(
-                &tasks[task],
-                a.chain,
-                a.slot,
-                &free_at,
-                node_speeds,
-                slots_per_node,
-                faults,
-            );
-            if let Some((backup, alt)) = backup.filter(|&(_, alt)| alt < a.end) {
-                free_at[a.slot] = alt;
-                free_at[backup] = alt;
-                makespan = free_at.iter().fold(0.0_f64, |m, &v| m.max(v));
-            }
-        }
-    }
+    let makespan = free_at.iter().fold(0.0_f64, |m, &v| m.max(v));
 
     let data_local_tasks = attempts
         .iter()
@@ -506,29 +477,32 @@ pub fn plan_wave(
     }
 }
 
-// ---- Pipelined, work-stealing execution ----------------------------------
+// ---- Backup copies and the streamed shuffle --------------------------------
 
-/// Work-stealing backup pass over a completed wave plan: as long as the
-/// plan's latest-finishing in-flight task could be re-run to an earlier
-/// finish by an idle slot, that slot *steals* the task — it launches a
-/// backup copy, and when the copy commits the original attempt is killed
-/// (its recorded end and its slot's busy time are truncated to the
-/// backup's completion, exactly when the task's output becomes
-/// available). Each task is stolen at most once, and — like Hadoop
-/// suspending speculation during failure recovery — the pass is a no-op
-/// on waves with a mid-wave death, a timeout, or an exhausted task.
+/// Backup pass over a completed wave plan — the one backup policy. The
+/// plan's latest-finishing task is the straggler candidate; if an idle
+/// slot could re-run it to an earlier finish, that slot launches a backup
+/// copy, and when the copy commits the original attempt is killed (its
+/// recorded end and its slot's busy time are truncated to the backup's
+/// completion, exactly when the task's output becomes available; the
+/// copy's remote input bytes are charged to the plan). Then the next
+/// latest-finishing task is considered, until `max_candidates` have been.
 ///
-/// This generalizes `plan_wave`'s speculative execution (one backup for
-/// the single worst straggler) to every straggler an idle slot can beat,
-/// which is what collapses the slow-node straggler tail the sec74
-/// experiments measure. Returns the number of steals applied (also
-/// accumulated into [`WavePlan::steals`]).
+/// `max_candidates` is the whole difference between the two modes:
+/// Hadoop's speculative execution considers one candidate — the
+/// makespan-defining straggler, beaten or not — and work stealing
+/// considers every task (`usize::MAX`); 0 disables backups. Each task is
+/// backed up at most once, and — like Hadoop suspending speculation
+/// during failure recovery — the pass is a no-op on waves with a mid-wave
+/// death, a timeout, or an exhausted task. Returns the number of backups
+/// that won (also accumulated into [`WavePlan::steals`]).
 pub fn steal_backups(
     plan: &mut WavePlan,
     tasks: &[PlannedTask],
     node_speeds: &[f64],
     slots_per_node: usize,
     faults: &WaveFaults,
+    max_candidates: usize,
 ) -> u64 {
     let nodes = node_speeds.len().max(1);
     let slots_per_node = slots_per_node.max(1);
@@ -546,18 +520,21 @@ pub fn steal_backups(
     }
     let mut considered = vec![false; plan.attempts.len()];
     let mut steals = 0u64;
-    // The latest-finishing not-yet-considered successful task is the
-    // current straggler candidate.
-    while let Some((task, end)) = plan
-        .attempts
-        .iter()
-        .enumerate()
-        .filter(|(t, _)| !considered[*t])
-        .filter_map(|(t, list)| list.last().map(|a| (t, a)))
-        .filter(|(_, a)| a.outcome == AttemptOutcome::Success)
-        .map(|(t, a)| (t, a.end))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-    {
+    for _ in 0..max_candidates {
+        // The latest-finishing not-yet-considered successful task is the
+        // current straggler candidate (the last such task on ties).
+        let Some((task, end)) = plan
+            .attempts
+            .iter()
+            .enumerate()
+            .filter(|(t, _)| !considered[*t])
+            .filter_map(|(t, list)| list.last().map(|a| (t, a)))
+            .filter(|(_, a)| a.outcome == AttemptOutcome::Success)
+            .map(|(t, a)| (t, a.end))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+        else {
+            break;
+        };
         considered[task] = true;
         let last = plan.attempts[task].len() - 1;
         let (slot, chain) = {
@@ -645,13 +622,40 @@ mod tests {
     }
 
     /// Plans `secs` (submission order) as a fault-free wave: single-attempt
-    /// budget, no deaths, no timeouts, no locality inputs.
+    /// budget, no deaths, no timeouts, no locality inputs. `speculative`
+    /// is the barrier mode's backup limit: the worst straggler or nobody.
     fn wave(secs: &[f64], speeds: &[f64], slots: usize, speculative: bool) -> WavePlan {
         let faults = WaveFaults {
             max_attempts: 1,
             ..WaveFaults::default()
         };
-        plan_wave(&simple_tasks(secs), speeds, slots, speculative, &faults)
+        let limit = usize::from(speculative);
+        backed_up(&simple_tasks(secs), speeds, slots, &faults, limit)
+    }
+
+    /// [`plan_wave`] followed by the backup pass, as the runner prices a
+    /// wave.
+    fn backed_up(
+        tasks: &[PlannedTask],
+        speeds: &[f64],
+        slots: usize,
+        faults: &WaveFaults,
+        max_candidates: usize,
+    ) -> WavePlan {
+        let mut plan = plan_wave(tasks, speeds, slots, faults);
+        steal_backups(&mut plan, tasks, speeds, slots, faults, max_candidates);
+        plan
+    }
+
+    /// No attempt outlives its wave and no node is busier than the wave
+    /// is long: a cancelled straggler copy stops at its backup's commit.
+    fn assert_attempts_inside_wave(p: &WavePlan, nodes: usize, slots: usize) {
+        for a in p.attempts.iter().flatten() {
+            assert!(a.end <= p.makespan_secs + 1e-12, "attempt ends past wave");
+        }
+        for busy in p.node_busy_secs(nodes) {
+            assert!(busy <= p.makespan_secs * slots as f64 + 1e-12);
+        }
     }
 
     /// Node each task's first attempt ran on.
@@ -771,6 +775,8 @@ mod tests {
             "got {}",
             on.makespan_secs
         );
+        assert_eq!(on.steals, 1);
+        assert_attempts_inside_wave(&on, 4, 1);
     }
 
     #[test]
@@ -779,6 +785,8 @@ mod tests {
         let off = wave(&tasks, &[1.0; 4], 1, false);
         let on = wave(&tasks, &[1.0; 4], 1, true);
         assert_eq!(off.makespan_secs, on.makespan_secs);
+        assert_eq!(on.steals, 0);
+        assert_attempts_inside_wave(&on, 4, 1);
     }
 
     #[test]
@@ -802,6 +810,7 @@ mod tests {
             for &busy in &s.slot_busy_secs {
                 assert!(busy <= s.makespan_secs + 1e-12, "slot busy past makespan");
             }
+            assert_attempts_inside_wave(&s, speeds.len(), 1);
         }
         // The speed-blind single-task case: the straggler's slot and the
         // backup's slot are each busy exactly until the backup completes.
@@ -877,7 +886,7 @@ mod tests {
         // matching the runner's pinned injected-fault test.
         let mut tasks = simple_tasks(&[100.0, 100.0]);
         tasks[1].failed_secs = vec![100.0];
-        let p = plan_wave(&tasks, &[1.0; 2], 1, true, &no_faults(4));
+        let p = backed_up(&tasks, &[1.0; 2], 1, &no_faults(4), 1);
         assert!(
             (p.makespan_secs - 200.0).abs() < 1e-9,
             "{}",
@@ -897,7 +906,7 @@ mod tests {
         let mut tasks = simple_tasks(&[10.0, 10.0]);
         tasks[0].reads = vec![(100, vec![1])];
         tasks[1].reads = vec![(100, vec![0])];
-        let p = plan_wave(&tasks, &[1.0; 2], 1, false, &no_faults(4));
+        let p = plan_wave(&tasks, &[1.0; 2], 1, &no_faults(4));
         assert_eq!(p.attempts[0][0].node, 1);
         assert_eq!(p.attempts[1][0].node, 0);
         assert_eq!(p.data_local_tasks, 2);
@@ -914,7 +923,7 @@ mod tests {
         let mut faults = no_faults(4);
         faults.net_bw = 10.0;
         faults.dead_nodes.insert(1);
-        let p = plan_wave(&tasks, &[1.0; 2], 1, false, &faults);
+        let p = plan_wave(&tasks, &[1.0; 2], 1, &faults);
         assert_eq!(p.attempts[0][0].node, 0);
         assert_eq!(p.remote_read_bytes, 50);
         assert_eq!(p.data_local_tasks, 0);
@@ -928,7 +937,7 @@ mod tests {
         let tasks = simple_tasks(&[100.0, 100.0]);
         let mut faults = no_faults(4);
         faults.node_death = Some((1, 40.0));
-        let p = plan_wave(&tasks, &[1.0; 2], 1, false, &faults);
+        let p = plan_wave(&tasks, &[1.0; 2], 1, &faults);
         assert_eq!(p.attempts[1][0].outcome, AttemptOutcome::NodeLost(1));
         assert!((p.attempts[1][0].end - 40.0).abs() < 1e-12, "cut at death");
         let retry = &p.attempts[1][1];
@@ -947,7 +956,7 @@ mod tests {
         let mut faults = no_faults(4);
         faults.node_death = Some((1, 15.0));
         faults.lose_completed_outputs = true;
-        let p = plan_wave(&tasks, &[1.0; 2], 1, false, &faults);
+        let p = plan_wave(&tasks, &[1.0; 2], 1, &faults);
         assert_eq!(p.attempts[1][0].outcome, AttemptOutcome::OutputLost(1));
         assert_eq!(p.attempts[1][1].outcome, AttemptOutcome::Success);
         assert_eq!(p.attempts[1][1].node, 0);
@@ -961,7 +970,7 @@ mod tests {
         );
         // Without the Hadoop map-output rule the completed task survives.
         faults.lose_completed_outputs = false;
-        let p = plan_wave(&tasks, &[1.0; 2], 1, false, &faults);
+        let p = plan_wave(&tasks, &[1.0; 2], 1, &faults);
         assert_eq!(p.attempts[1].len(), 1);
         assert!((p.makespan_secs - 30.0).abs() < 1e-12);
     }
@@ -975,7 +984,7 @@ mod tests {
         let mut faults = no_faults(4);
         faults.timeout_secs = Some(50.0);
         faults.backoff_base_secs = 2.0;
-        let p = plan_wave(&tasks, &[1.0, 0.1], 1, false, &faults);
+        let p = plan_wave(&tasks, &[1.0, 0.1], 1, &faults);
         let slow = &p.attempts[1][0];
         assert_eq!(slow.node, 1);
         assert_eq!(slow.outcome, AttemptOutcome::TimedOut { limit_secs: 50.0 });
@@ -998,7 +1007,7 @@ mod tests {
         let tasks = simple_tasks(&[10.0]);
         let mut faults = no_faults(3);
         faults.timeout_secs = Some(5.0);
-        let p = plan_wave(&tasks, &[0.1], 1, false, &faults);
+        let p = plan_wave(&tasks, &[0.1], 1, &faults);
         assert_eq!(p.failed_tasks, vec![(0, 3)]);
         assert_eq!(p.attempts[0].len(), 3);
         assert!(p.attempts[0]
@@ -1012,7 +1021,7 @@ mod tests {
         let mut faults = no_faults(4);
         faults.dead_nodes.insert(0);
         faults.dead_nodes.insert(2);
-        let p = plan_wave(&tasks, &[1.0; 4], 1, false, &faults);
+        let p = plan_wave(&tasks, &[1.0; 4], 1, &faults);
         for list in &p.attempts {
             for a in list {
                 assert!(a.node == 1 || a.node == 3);
@@ -1026,7 +1035,7 @@ mod tests {
         let tasks = simple_tasks(&[1.0; 2]);
         let mut faults = no_faults(4);
         faults.dead_nodes.insert(0);
-        let p = plan_wave(&tasks, &[1.0], 1, false, &faults);
+        let p = plan_wave(&tasks, &[1.0], 1, &faults);
         assert_eq!(p.failed_tasks.len(), 2);
         assert!(p.attempts.iter().all(Vec::is_empty));
     }
@@ -1042,11 +1051,10 @@ mod tests {
         // both stragglers are re-run by fast slots (finish t=12).
         let tasks = simple_tasks(&[4.0; 6]);
         let speeds = [1.0, 1.0, 0.25, 0.25];
-        let spec = plan_wave(&tasks, &speeds, 1, true, &no_faults(4));
-        let mut steal = plan_wave(&tasks, &speeds, 1, false, &no_faults(4));
-        let n = steal_backups(&mut steal, &tasks, &speeds, 1, &no_faults(4));
-        assert!(n >= 2, "both slow-node tasks stolen, got {n}");
-        assert_eq!(steal.steals, n);
+        let spec = backed_up(&tasks, &speeds, 1, &no_faults(4), 1);
+        assert_eq!(spec.steals, 1);
+        let steal = backed_up(&tasks, &speeds, 1, &no_faults(4), usize::MAX);
+        assert!(steal.steals >= 2, "both slow-node tasks stolen");
         assert!(
             steal.makespan_secs < spec.makespan_secs - 1e-9,
             "iterated stealing beats single-task speculation: {} vs {}",
@@ -1067,14 +1075,31 @@ mod tests {
     }
 
     #[test]
+    fn backup_without_the_replica_pays_its_remote_read() {
+        // One 8 s task whose 40-byte input lives on node 0 only, and node 0
+        // runs at 1/4 speed: the local copy takes 32 s. The speculative
+        // backup runs on node 1 — no replica there, so it pulls the 40
+        // bytes over the wire (4 s at bw 10) and commits at 8 + 4 = 12.
+        let mut tasks = simple_tasks(&[8.0]);
+        tasks[0].reads = vec![(40, vec![0])];
+        let mut faults = no_faults(4);
+        faults.net_bw = 10.0;
+        let p = backed_up(&tasks, &[0.25, 1.0], 1, &faults, 1);
+        assert_eq!(p.attempts[0][0].node, 0, "placed with its replica");
+        assert!((p.makespan_secs - 12.0).abs() < 1e-12);
+        assert_eq!(p.steals, 1);
+        assert_eq!(p.remote_read_bytes, 40, "the backup's crossing is charged");
+        assert!(
+            (p.attempts[0][0].end - 12.0).abs() < 1e-12,
+            "copy cancelled"
+        );
+    }
+
+    #[test]
     fn stealing_is_noop_on_balanced_waves() {
         let tasks = simple_tasks(&[1.0; 8]);
-        let mut p = plan_wave(&tasks, &[1.0; 4], 1, false, &no_faults(4));
-        let before = p.makespan_secs;
-        assert_eq!(
-            steal_backups(&mut p, &tasks, &[1.0; 4], 1, &no_faults(4)),
-            0
-        );
+        let before = plan_wave(&tasks, &[1.0; 4], 1, &no_faults(4)).makespan_secs;
+        let p = backed_up(&tasks, &[1.0; 4], 1, &no_faults(4), usize::MAX);
         assert_eq!(p.steals, 0);
         assert_eq!(p.makespan_secs, before);
     }
@@ -1086,20 +1111,20 @@ mod tests {
         let tasks = simple_tasks(&[100.0, 100.0]);
         let mut faults = no_faults(4);
         faults.node_death = Some((1, 40.0));
-        let mut p = plan_wave(&tasks, &[1.0; 2], 1, false, &faults);
-        assert_eq!(steal_backups(&mut p, &tasks, &[1.0; 2], 1, &faults), 0);
+        let p = backed_up(&tasks, &[1.0; 2], 1, &faults, usize::MAX);
+        assert_eq!(p.steals, 0);
         // Timeouts in the plan: same suspension.
         let tasks = simple_tasks(&[10.0, 10.0]);
         let mut faults = no_faults(4);
         faults.timeout_secs = Some(50.0);
         let speeds = [1.0, 0.1];
-        let mut p = plan_wave(&tasks, &speeds, 1, false, &faults);
+        let p = backed_up(&tasks, &speeds, 1, &faults, usize::MAX);
         assert!(p
             .attempts
             .iter()
             .flatten()
             .any(|a| matches!(a.outcome, AttemptOutcome::TimedOut { .. })));
-        assert_eq!(steal_backups(&mut p, &tasks, &speeds, 1, &faults), 0);
+        assert_eq!(p.steals, 0);
     }
 
     #[test]
@@ -1110,7 +1135,7 @@ mod tests {
         // at the first commit (t=1) and stays busy — 1→2→3→4→5 — so the
         // first round's chunks overlap the second round's compute.
         let tasks = simple_tasks(&[1.0; 4]);
-        let p = plan_wave(&tasks, &[1.0; 2], 1, false, &no_faults(4));
+        let p = plan_wave(&tasks, &[1.0; 2], 1, &no_faults(4));
         assert!((p.makespan_secs - 2.0).abs() < 1e-12);
         let done = stream_shuffle_finish(&p, &[10; 4], 10.0);
         assert!((done - 5.0).abs() < 1e-12, "pipe busy from t=1: {done}");
@@ -1130,7 +1155,7 @@ mod tests {
         let mut faults = no_faults(4);
         faults.node_death = Some((0, 0.0));
         faults.lose_completed_outputs = true;
-        let p = plan_wave(&[], &[1.0; 2], 1, true, &faults);
+        let p = backed_up(&[], &[1.0; 2], 1, &faults, 1);
         assert_eq!(p.makespan_secs, 0.0);
         assert!(p.attempts.is_empty());
         assert!(p.failed_tasks.is_empty());
@@ -1139,9 +1164,9 @@ mod tests {
     #[test]
     fn zero_node_steal_clamps_like_plan_wave() {
         let tasks = simple_tasks(&[2.0]);
-        let mut p = plan_wave(&tasks, &[], 0, false, &no_faults(4));
+        let p = backed_up(&tasks, &[], 0, &no_faults(4), usize::MAX);
         assert!((p.makespan_secs - 2.0).abs() < 1e-12);
-        assert_eq!(steal_backups(&mut p, &tasks, &[], 0, &no_faults(4)), 0);
+        assert_eq!(p.steals, 0);
     }
 
     #[test]
@@ -1153,8 +1178,7 @@ mod tests {
         ];
         for (secs, speeds) in cases {
             let tasks = simple_tasks(&secs);
-            let mut p = plan_wave(&tasks, &speeds, 1, false, &no_faults(4));
-            steal_backups(&mut p, &tasks, &speeds, 1, &no_faults(4));
+            let p = backed_up(&tasks, &speeds, 1, &no_faults(4), usize::MAX);
             assert!(
                 utilization(&p) <= 1.0 + 1e-12,
                 "utilization {} > 1 for {secs:?} on {speeds:?}",

@@ -114,7 +114,7 @@ proptest! {
             .map(|&success_secs| PlannedTask { success_secs, ..Default::default() })
             .collect();
         let faults = WaveFaults { max_attempts: 1, ..Default::default() };
-        let s = plan_wave(&planned, &vec![1.0; nodes], slots, false, &faults);
+        let s = plan_wave(&planned, &vec![1.0; nodes], slots, &faults);
         let total: f64 = tasks.iter().sum();
         let longest = tasks.iter().fold(0.0f64, |m, &v| m.max(v));
         let capacity = (nodes * slots) as f64;

@@ -27,16 +27,13 @@
 //!   right operand is supplied transposed). Differential tests pin the
 //!   Packed backend against this one, and the end-to-end Naive pipeline
 //!   is bit-identical to the pre-engine implementation;
-//! * [`Blocked`] — the cache-tiled (but unpacked) middle rung, kept for
-//!   benchmarks to show where packing itself matters;
 //! * [`Strided`] — Equation 7's i-j-k loop with a column-strided read of
-//!   the right operand: the paper's *unoptimized* kernel, preserved as an
-//!   explicit backend so the Section 6.3 ablation stays honest.
+//!   the right operand: the paper's *unoptimized* kernel. It is never the
+//!   process-wide default; the pipeline pins it through [`gemm_with`] for
+//!   the Section 6.3 transpose-off ablation.
 //!
-//! The process-wide default backend is [`Packed`]; set the
-//! `MRINV_GEMM_BACKEND` environment variable to `naive`, `strided`,
-//! `blocked`, `packed`, or `packed-serial` to A/B the whole pipeline
-//! against another engine without recompiling.
+//! The process-wide default backend is [`Packed`]; differential tests flip
+//! it to the [`Naive`] oracle with [`set_global_backend`].
 
 // The reference backends index rows explicitly so the access pattern under
 // discussion (row-major vs column-strided) stays visible in the code.
@@ -49,7 +46,7 @@ pub mod perf;
 mod trsm;
 pub mod tune;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::dense::Matrix;
 use crate::error::{MatrixError, Result};
@@ -196,12 +193,6 @@ pub struct Naive;
 /// timing the access pattern the paper eliminates.
 pub struct Strided;
 
-/// Cache-tiled backend without packing: the old `mul_blocked` kernel.
-pub struct Blocked {
-    /// Tile edge length; must be positive.
-    pub tile: usize,
-}
-
 /// The packed, register-blocked engine (see module docs).
 pub struct Packed {
     /// Parallelize over macro-tile rows with rayon. Small products stay
@@ -212,86 +203,43 @@ pub struct Packed {
 /// Selector for the process-wide default backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// [`Naive`].
-    Naive,
-    /// [`Strided`].
-    Strided,
-    /// [`Blocked`] with the default tile.
-    Blocked,
-    /// [`Packed`] with rayon enabled.
+    /// [`Packed`] with rayon enabled: the production engine.
     Packed,
-    /// [`Packed`] restricted to one thread.
-    PackedSerial,
+    /// [`Naive`]: the bit-identity oracle.
+    Naive,
 }
 
 impl BackendKind {
-    fn as_backend(self) -> &'static dyn GemmBackend {
+    pub(crate) fn as_backend(self) -> &'static dyn GemmBackend {
         match self {
-            BackendKind::Naive => &Naive,
-            BackendKind::Strided => &Strided,
-            BackendKind::Blocked => &Blocked { tile: 64 },
             BackendKind::Packed => &Packed { parallel: true },
-            BackendKind::PackedSerial => &Packed { parallel: false },
-        }
-    }
-
-    fn from_env() -> BackendKind {
-        match std::env::var("MRINV_GEMM_BACKEND").as_deref() {
-            Ok("naive") => BackendKind::Naive,
-            Ok("strided") | Ok("eq7") => BackendKind::Strided,
-            Ok("blocked") => BackendKind::Blocked,
-            Ok("packed-serial") => BackendKind::PackedSerial,
-            // Unrecognized values fall through to the tuned default.
-            _ => BackendKind::Packed,
-        }
-    }
-
-    fn encode(self) -> u8 {
-        match self {
-            BackendKind::Naive => 1,
-            BackendKind::Strided => 2,
-            BackendKind::Blocked => 3,
-            BackendKind::Packed => 4,
-            BackendKind::PackedSerial => 5,
-        }
-    }
-
-    fn decode(v: u8) -> Option<BackendKind> {
-        match v {
-            1 => Some(BackendKind::Naive),
-            2 => Some(BackendKind::Strided),
-            3 => Some(BackendKind::Blocked),
-            4 => Some(BackendKind::Packed),
-            5 => Some(BackendKind::PackedSerial),
-            _ => None,
+            BackendKind::Naive => &Naive,
         }
     }
 }
 
-/// 0 = uninitialized (read `MRINV_GEMM_BACKEND` on first use).
-static GLOBAL_BACKEND: AtomicU8 = AtomicU8::new(0);
+/// Set while the [`Naive`] oracle replaces the [`Packed`] default.
+static NAIVE_SELECTED: AtomicBool = AtomicBool::new(false);
 
-/// The process-wide default backend used by [`gemm`] and [`trsm`].
-///
-/// Initialized lazily from `MRINV_GEMM_BACKEND` (default: [`Packed`]).
-pub fn global_backend() -> BackendKind {
-    match BackendKind::decode(GLOBAL_BACKEND.load(Ordering::Relaxed)) {
-        Some(kind) => kind,
-        None => {
-            let kind = BackendKind::from_env();
-            GLOBAL_BACKEND.store(kind.encode(), Ordering::Relaxed);
-            kind
-        }
+fn kind_of(naive: bool) -> BackendKind {
+    if naive {
+        BackendKind::Naive
+    } else {
+        BackendKind::Packed
     }
+}
+
+/// The process-wide default backend used by [`gemm`] and [`trsm`]
+/// ([`Packed`] unless a test selected the oracle).
+pub fn global_backend() -> BackendKind {
+    kind_of(NAIVE_SELECTED.load(Ordering::Relaxed))
 }
 
 /// Overrides the process-wide default backend, returning the previous
-/// selection. Intended for differential tests and A/B debugging; racing
-/// concurrent `gemm` calls see either backend.
+/// selection. Intended for differential tests; racing concurrent `gemm`
+/// calls see either backend.
 pub fn set_global_backend(kind: BackendKind) -> BackendKind {
-    let prev = global_backend();
-    GLOBAL_BACKEND.store(kind.encode(), Ordering::Relaxed);
-    prev
+    kind_of(NAIVE_SELECTED.swap(kind == BackendKind::Naive, Ordering::Relaxed))
 }
 
 fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &Matrix) -> Result<()> {

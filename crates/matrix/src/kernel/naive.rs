@@ -1,6 +1,5 @@
-//! Reference backends: the seed pipeline's exact loop orders ([`Naive`]),
-//! the Equation 7 strided ablation kernel ([`Strided`]), and the unpacked
-//! cache-tiled middle rung ([`Blocked`]).
+//! Reference backends: the seed pipeline's exact loop orders ([`Naive`])
+//! and the Equation 7 strided ablation kernel ([`Strided`]).
 //!
 //! [`Naive`] is the differential-testing oracle: its summation orders are
 //! bit-identical to the pre-engine `mul_naive`/`mul_transposed`/`sub_mul*`
@@ -9,7 +8,7 @@
 //! relies only on IEEE-754 guarantees: `1.0 * x == x`, `-1.0 * x == -x`,
 //! and `c + (-x) == c - x`, all bitwise.
 
-use super::{scale_by_beta, GemmBackend, MatrixError, Op, OpRef, Result};
+use super::{scale_by_beta, GemmBackend, Op, OpRef, Result};
 use crate::dense::Matrix;
 
 /// Four-way unrolled dot product — the Section 6.3 inner kernel.
@@ -165,74 +164,5 @@ impl GemmBackend for super::Strided {
 
     fn name(&self) -> &'static str {
         "strided"
-    }
-}
-
-impl GemmBackend for super::Blocked {
-    fn gemm_checked(
-        &self,
-        alpha: f64,
-        a: OpRef<'_>,
-        b: OpRef<'_>,
-        beta: f64,
-        c: &mut Matrix,
-    ) -> Result<()> {
-        let tile = self.tile;
-        if tile == 0 {
-            return Err(MatrixError::InvalidParameter {
-                op: "gemm(blocked)",
-                what: "tile size must be positive, got 0",
-            });
-        }
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        scale_by_beta(c, beta);
-        if (a.op, b.op) == (Op::NoTrans, Op::NoTrans) {
-            // The old `mul_blocked` loop nest, with alpha folded into the
-            // broadcast A element.
-            for i0 in (0..m).step_by(tile) {
-                let i1 = (i0 + tile).min(m);
-                for p0 in (0..k).step_by(tile) {
-                    let p1 = (p0 + tile).min(k);
-                    for j0 in (0..n).step_by(tile) {
-                        let j1 = (j0 + tile).min(n);
-                        for i in i0..i1 {
-                            let arow = a.mat.row(i);
-                            let crow = c.row_mut(i);
-                            for p in p0..p1 {
-                                let s = alpha * arow[p];
-                                let brow = b.mat.row(p);
-                                for j in j0..j1 {
-                                    crow[j] += s * brow[j];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            for i0 in (0..m).step_by(tile) {
-                let i1 = (i0 + tile).min(m);
-                for p0 in (0..k).step_by(tile) {
-                    let p1 = (p0 + tile).min(k);
-                    for j0 in (0..n).step_by(tile) {
-                        let j1 = (j0 + tile).min(n);
-                        for i in i0..i1 {
-                            let crow = c.row_mut(i);
-                            for p in p0..p1 {
-                                let s = alpha * a.at(i, p);
-                                for j in j0..j1 {
-                                    crow[j] += s * b.at(p, j);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "blocked"
     }
 }

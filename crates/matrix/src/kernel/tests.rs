@@ -8,7 +8,6 @@ fn backends() -> Vec<(&'static str, Box<dyn GemmBackend>)> {
     vec![
         ("naive", Box::new(Naive)),
         ("strided", Box::new(Strided)),
-        ("blocked", Box::new(Blocked { tile: 48 })),
         ("packed-serial", Box::new(Packed { parallel: false })),
         ("packed", Box::new(Packed { parallel: true })),
     ]
@@ -239,22 +238,6 @@ fn shape_mismatches_rejected() {
     let mut c = Matrix::zeros(3, 3);
     assert!(gemm(1.0, trans(&a), trans(&a.clone()), 0.0, &mut c).is_err());
     assert!(gemm(1.0, trans(&a), notrans(&a.clone()), 0.0, &mut c).is_ok());
-}
-
-#[test]
-fn blocked_zero_tile_is_typed_error() {
-    let a = random_matrix(4, 4, 12);
-    let mut c = Matrix::zeros(4, 4);
-    let err = gemm_with(
-        &Blocked { tile: 0 },
-        1.0,
-        notrans(&a),
-        notrans(&a),
-        0.0,
-        &mut c,
-    )
-    .unwrap_err();
-    assert!(matches!(err, MatrixError::InvalidParameter { .. }));
 }
 
 #[test]

@@ -92,12 +92,8 @@ pub fn lu_decompose_in_place(a: &mut Matrix) -> Result<Permutation> {
     let n = a.order()?;
     if n >= BLOCKED_LU_MIN_ORDER {
         let kind = kernel::global_backend();
-        if matches!(kind, BackendKind::Packed | BackendKind::PackedSerial) {
-            let backend: &dyn kernel::GemmBackend = match kind {
-                BackendKind::PackedSerial => &kernel::Packed { parallel: false },
-                _ => &kernel::Packed { parallel: true },
-            };
-            return kernel::lu_blocked_in_place(a, 64, backend);
+        if kind == BackendKind::Packed {
+            return kernel::lu_blocked_in_place(a, 64, kind.as_backend());
         }
     }
     let mut perm = Permutation::identity(n);

@@ -3,7 +3,7 @@
 use mrinv_matrix::block::{even_ranges, BlockRange};
 use mrinv_matrix::io::{decode_binary, decode_text, encode_binary, encode_text};
 use mrinv_matrix::kernel::{
-    gemm_with, trsm_with, Blocked, Diag, GemmBackend, Naive, Op, Packed, Side, Strided, Uplo,
+    gemm_with, trsm_with, Diag, GemmBackend, Naive, Op, Packed, Side, Strided, Uplo,
 };
 use mrinv_matrix::lu::lu_decompose;
 use mrinv_matrix::norms::inversion_residual;
@@ -70,10 +70,8 @@ proptest! {
         let tol = 32.0 * f64::EPSILON * (k as f64 + 2.0)
             * (alpha.abs() * k as f64 + beta.abs() + 1.0);
 
-        let backends: [&dyn GemmBackend; 5] = [
+        let backends: [&dyn GemmBackend; 3] = [
             &Strided,
-            &Blocked { tile: 5 },
-            &Blocked { tile: 64 },
             &Packed { parallel: false },
             &Packed { parallel: true },
         ];

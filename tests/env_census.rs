@@ -1,0 +1,73 @@
+//! Census of process-wide knobs: every environment variable the library
+//! crates read must be one of the documented ones (README, below the
+//! `MRINV_GEMM_TUNE` table), so a new global switch cannot land unlisted.
+
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+/// The documented set. Extending it is a deliberate, reviewed act.
+const DOCUMENTED: [&str; 2] = ["MRINV_GEMM_TUNE", "MRINV_WORKER"];
+
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The value of `const <ident>: &str = "<value>"` in any of `sources`.
+fn const_str(sources: &[String], ident: &str) -> Option<String> {
+    let decl = format!("const {ident}: &str = \"");
+    sources.iter().find_map(|src| {
+        let rest = &src[src.find(&decl)? + decl.len()..];
+        Some(rest[..rest.find('"')?].to_string())
+    })
+}
+
+#[test]
+fn library_crates_read_only_documented_env_vars() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let src = entry.unwrap().path().join("src");
+        if src.is_dir() {
+            rust_sources(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 20, "scanned only {} files", files.len());
+    let sources: Vec<String> = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).unwrap())
+        .collect();
+
+    let mut read = BTreeSet::new();
+    for (file, src) in files.iter().zip(&sources) {
+        for call in ["env::var(", "env::var_os("] {
+            for (at, _) in src.match_indices(call) {
+                let arg = &src[at + call.len()..];
+                let arg = arg[..arg.find(')').unwrap()].trim();
+                // A literal names the variable; anything else must be a
+                // `&str` constant this scan can resolve.
+                let name = match arg.strip_prefix('"') {
+                    Some(lit) => lit.trim_end_matches('"').to_string(),
+                    None => {
+                        let ident = arg.rsplit("::").next().unwrap();
+                        const_str(&sources, ident).unwrap_or_else(|| {
+                            panic!("{}: cannot resolve env name `{arg}`", file.display())
+                        })
+                    }
+                };
+                read.insert(name);
+            }
+        }
+    }
+    let documented: BTreeSet<String> = DOCUMENTED.iter().map(|s| s.to_string()).collect();
+    assert_eq!(
+        read, documented,
+        "environment variables read by crates/*/src"
+    );
+}
