@@ -12,8 +12,7 @@
 //!
 //! Besides the criterion groups, the bench samples each path (best of 3)
 //! and writes a `mrinv-bench/v1` baseline to `BENCH_pr3.json` at the
-//! repository root. `repro bench-check` regression-gates the tracked
-//! `blocks_speedup` metric against that committed file.
+//! repository root. Neither ratio is tracked by `repro bench-check`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrinv_bench::micro::{
@@ -73,11 +72,13 @@ struct ShuffleDetail {
 fn write_sample() {
     let s = measure_shuffle();
     let mut file = BenchFile::new("shuffle");
-    // The control speedup needs >1 core, so it is recorded but not
-    // regression-tracked; the blocks speedup (clone avoidance) holds on
-    // any core count and gates `repro bench-check`.
+    // Recorded, not regression-tracked: both are ratios of two 10-20 ms
+    // timings against `shuffle_old_path`, a frozen copy of code the
+    // library no longer has, and the ratio alone moves more than
+    // `bench-check`'s tolerance between runs of unchanged code. The live
+    // shuffle number is `e2e`'s `shuffle.mpairs_s`.
     file.push_metric("control_speedup", s.control_speedup(), "ratio", false);
-    file.push_metric("blocks_speedup", s.blocks_speedup(), "ratio", true);
+    file.push_metric("blocks_speedup", s.blocks_speedup(), "ratio", false);
     file.detail = serde_json::to_value(&ShuffleDetail {
         tasks: SHUFFLE_TASKS,
         reducers: SHUFFLE_REDUCERS,

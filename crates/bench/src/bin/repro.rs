@@ -753,7 +753,6 @@ fn run_bench_check(_args: &Args) {
         };
         for m in file.tracked() {
             let measure = || match (file.bench.as_str(), m.id.as_str()) {
-                ("shuffle", "blocks_speedup") => Some(micro::measure_shuffle().blocks_speedup()),
                 ("gemm", "packed_serial_speedup_vs_naive_at_512") => {
                     Some(micro::gemm_packed_serial_speedup(512))
                 }

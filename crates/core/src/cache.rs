@@ -28,6 +28,15 @@
 //! ([`FactorRef::paths`]) and drops the entry — a miss, counted as an
 //! invalidation — the moment any factor file was deleted.
 //!
+//! # Sharing
+//!
+//! An entry is one `Arc`'d `Factorization`: the factor file forest, the
+//! inverse (if an invert run produced one) and the dense factors once
+//! something assembled them. The cold run that primes an entry, the
+//! entry, and every [`crate::Outcome`] later served from it hold the
+//! same `Arc<Matrix>` / `Arc<LuFactors>` — a hit clones pointers under
+//! the map lock, never matrices.
+//!
 //! # Accounting
 //!
 //! Cache hits assemble factors through *uncounted* DFS reads
@@ -37,18 +46,20 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use mrinv_mapreduce::{Cluster, Dfs, Fingerprint, MrError};
 use mrinv_matrix::io::encode_binary;
-use mrinv_matrix::{Matrix, Permutation};
+use mrinv_matrix::Matrix;
 use parking_lot::Mutex;
 
 use crate::config::InversionConfig;
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::factors::FactorRef;
+use crate::inverse::push_run_config;
 use crate::partition::PartitionPlan;
+use crate::request::LuFactors;
 use crate::source::BlockIo;
 
 /// Cache key for a (matrix, config, cluster-geometry) triple.
@@ -62,41 +73,49 @@ pub fn cache_key(a: &Matrix, cfg: &InversionConfig, cluster: &Cluster) -> u64 {
     // The plan root does not affect geometry; an empty root keeps the key
     // workdir-independent.
     let plan = PartitionPlan::new(a.rows(), cluster, cfg, "");
-    Fingerprint::new()
-        .push_bytes(&encode_binary(a))
-        .push_u64(plan.n as u64)
-        .push_u64(plan.nb as u64)
-        .push_u64(plan.m0 as u64)
-        .push_u64(plan.m_l as u64)
-        .push_u64(plan.m_u as u64)
-        .push_u64(plan.grid.0 as u64)
-        .push_u64(plan.grid.1 as u64)
-        .push_u64(cfg.opts.separate_intermediate_files as u64)
-        .push_u64(cfg.opts.block_wrap as u64)
-        .push_u64(cfg.opts.transpose_u as u64)
-        .finish()
+    let matrix = Fingerprint::new().push_bytes(&encode_binary(a));
+    push_run_config(matrix, &plan, &cfg.opts).finish()
 }
 
-/// Factors assembled into dense matrices, memoized per cache entry so a
-/// million `solve(b)` calls pay the file-forest assembly once.
-#[derive(Debug, Clone)]
-pub struct AssembledFactors {
-    /// Unit lower-triangular factor.
-    pub l: Matrix,
-    /// Upper-triangular factor.
-    pub u: Matrix,
-    /// Pivot permutation with `P·A = L·U`.
-    pub perm: Permutation,
-}
-
-/// One cached factorization.
+/// One finished factorization: what a cold pipeline run leaves behind and
+/// what a cache hit finds (see "Sharing" in the module docs).
 #[derive(Debug)]
-struct Entry {
-    nb: usize,
+pub(crate) struct Factorization {
+    pub(crate) nb: usize,
     factors: FactorRef,
-    inverse: Option<Matrix>,
-    assembled: Option<Arc<AssembledFactors>>,
-    workdir: String,
+    pub(crate) inverse: Option<Arc<Matrix>>,
+    /// The factors assembled into dense matrices, memoized so a million
+    /// `solve(b)` calls pay the file-forest assembly once.
+    assembled: OnceLock<Arc<LuFactors>>,
+    pub(crate) workdir: String,
+}
+
+impl Factorization {
+    pub(crate) fn new(
+        nb: usize,
+        factors: FactorRef,
+        inverse: Option<Arc<Matrix>>,
+        workdir: String,
+    ) -> Self {
+        Factorization {
+            nb,
+            factors,
+            inverse,
+            assembled: OnceLock::new(),
+            workdir,
+        }
+    }
+
+    /// Assembled `L`/`U`/`P`, read through `io` on first use. Assembly
+    /// runs outside any lock, so concurrent first uses may assemble
+    /// twice; the first stored result wins.
+    pub(crate) fn assembled(&self, io: &mut dyn BlockIo) -> Result<Arc<LuFactors>> {
+        if let Some(f) = self.assembled.get() {
+            return Ok(f.clone());
+        }
+        let f = Arc::new(LuFactors::assemble(&self.factors, io)?);
+        Ok(self.assembled.get_or_init(|| f).clone())
+    }
 }
 
 /// Point-in-time cache counters.
@@ -112,18 +131,10 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-/// A validated view of a cache entry, handed to the request layer.
-#[derive(Debug)]
-pub(crate) struct CacheEntryView {
-    pub(crate) nb: usize,
-    pub(crate) inverse: Option<Matrix>,
-    pub(crate) workdir: String,
-}
-
 /// Keyed, thread-safe LU-factor cache (see the module docs).
 #[derive(Debug, Default)]
 pub struct FactorCache {
-    entries: Mutex<BTreeMap<u64, Entry>>,
+    entries: Mutex<BTreeMap<u64, Arc<Factorization>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -131,8 +142,8 @@ pub struct FactorCache {
 
 /// DFS access that stays invisible to byte accounting (cache hits must
 /// not perturb concurrent runs' delta-based reports).
-struct UncountedIo<'a> {
-    dfs: &'a Dfs,
+pub(crate) struct UncountedIo<'a> {
+    pub(crate) dfs: &'a Dfs,
 }
 
 impl BlockIo for UncountedIo<'_> {
@@ -171,131 +182,61 @@ impl FactorCache {
     /// inversion — a different numerical path than the pipeline, so it
     /// counts as a miss and the full pipeline runs (and upgrades the
     /// entry).
-    pub(crate) fn lookup(&self, key: u64, need_inverse: bool, dfs: &Dfs) -> Option<CacheEntryView> {
-        self.find(key, need_inverse, dfs, true)
-    }
-
-    /// Like [`FactorCache::lookup`] but a miss is *not* counted: the
-    /// service's handler threads probe the cache before queueing a cold
-    /// request for the executor, whose own full lookup counts the verdict.
-    pub(crate) fn peek(&self, key: u64, need_inverse: bool, dfs: &Dfs) -> Option<CacheEntryView> {
-        self.find(key, need_inverse, dfs, false)
-    }
-
-    fn find(
+    ///
+    /// `count_miss` is false for the service's handler threads, which
+    /// probe the cache before queueing a cold request for the executor —
+    /// the executor's own lookup counts that verdict.
+    pub(crate) fn lookup(
         &self,
         key: u64,
         need_inverse: bool,
         dfs: &Dfs,
         count_miss: bool,
-    ) -> Option<CacheEntryView> {
+    ) -> Option<Arc<Factorization>> {
         let mut entries = self.entries.lock();
-        let usable = match entries.get(&key) {
-            None => false,
-            Some(e) => {
-                if e.factors.paths().iter().any(|p| !dfs.exists(p)) {
-                    // A factor file is gone: the entry is stale, drop it.
-                    entries.remove(&key);
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    false
-                } else {
-                    !need_inverse || e.inverse.is_some()
-                }
-            }
-        };
-        if !usable {
-            if count_miss {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            return None;
+        let stale = entries
+            .get(&key)
+            .is_some_and(|e| e.factors.paths().iter().any(|p| !dfs.exists(p)));
+        if stale {
+            // A factor file is gone: drop the entry.
+            entries.remove(&key);
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        let e = entries.get(&key).expect("validated above");
-        Some(CacheEntryView {
-            nb: e.nb,
-            inverse: e.inverse.clone(),
-            workdir: e.workdir.clone(),
-        })
-    }
-
-    /// Assembled `L`/`U`/`P` for a cached entry, memoized. Assembly runs
-    /// outside the entry lock (uncounted reads), so concurrent first hits
-    /// may assemble twice; the first stored result wins.
-    pub(crate) fn assembled(&self, key: u64, dfs: &Dfs) -> Result<Arc<AssembledFactors>> {
-        let factors = {
-            let entries = self.entries.lock();
-            let e = entries.get(&key).ok_or_else(|| {
-                CoreError::Invariant("factor cache entry vanished mid-request".to_string())
-            })?;
-            if let Some(a) = &e.assembled {
-                return Ok(a.clone());
-            }
-            e.factors.clone()
-        };
-        let mut io = UncountedIo { dfs };
-        let l = factors.assemble_l(&mut io)?;
-        let u = factors.assemble_u(&mut io)?;
-        let assembled = Arc::new(AssembledFactors {
-            l,
-            u,
-            perm: factors.perm(),
-        });
-        let mut entries = self.entries.lock();
-        if let Some(e) = entries.get_mut(&key) {
-            match &e.assembled {
-                Some(existing) => return Ok(existing.clone()),
-                None => e.assembled = Some(assembled.clone()),
-            }
+        let hit = entries
+            .get(&key)
+            .filter(|e| !need_inverse || e.inverse.is_some())
+            .cloned();
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else if count_miss {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(assembled)
+        hit
     }
 
     /// Primes (or upgrades) the entry for `key` after a cold run. An
     /// existing entry keeps whatever the new run did not produce: an
     /// invert run adds the inverse to an entry primed by `lu`, and vice
     /// versa.
-    pub(crate) fn insert(
-        &self,
-        key: u64,
-        nb: usize,
-        factors: FactorRef,
-        inverse: Option<Matrix>,
-        assembled: Option<Arc<AssembledFactors>>,
-        workdir: String,
-    ) {
+    pub(crate) fn insert(&self, key: u64, mut done: Factorization) {
         let mut entries = self.entries.lock();
-        match entries.get_mut(&key) {
-            Some(e) => {
-                if inverse.is_some() {
-                    e.inverse = inverse;
-                }
-                if assembled.is_some() {
-                    e.assembled = assembled;
-                }
-                e.factors = factors;
-                e.workdir = workdir;
+        if let Some(old) = entries.get(&key) {
+            if done.inverse.is_none() {
+                done.inverse = old.inverse.clone();
             }
-            None => {
-                entries.insert(
-                    key,
-                    Entry {
-                        nb,
-                        factors,
-                        inverse,
-                        assembled,
-                        workdir,
-                    },
-                );
+            if let (None, Some(f)) = (done.assembled.get(), old.assembled.get()) {
+                done.assembled = OnceLock::from(f.clone());
             }
         }
+        entries.insert(key, Arc::new(done));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrinv_matrix::io::encode_binary;
     use mrinv_matrix::random::{random_unit_lower, random_upper};
+    use mrinv_matrix::Permutation;
 
     fn leaf_entry(dfs: &Dfs, n: usize, seed: u64) -> FactorRef {
         let l = random_unit_lower(n, seed);
@@ -316,19 +257,22 @@ mod tests {
         let dfs = Dfs::default();
         let cache = FactorCache::new();
         let f = leaf_entry(&dfs, 6, 1);
-        cache.insert(7, 2, f.clone(), None, None, "run-a".to_string());
+        cache.insert(
+            7,
+            Factorization::new(2, f.clone(), None, "run-a".to_string()),
+        );
 
-        assert!(cache.lookup(8, false, &dfs).is_none(), "unknown key");
-        let view = cache.lookup(7, false, &dfs).expect("hit");
+        assert!(cache.lookup(8, false, &dfs, true).is_none(), "unknown key");
+        let view = cache.lookup(7, false, &dfs, true).expect("hit");
         assert_eq!(view.nb, 2);
         assert_eq!(view.workdir, "run-a");
         assert!(view.inverse.is_none());
         // Factors but no inverse: an invert request misses.
-        assert!(cache.lookup(7, true, &dfs).is_none());
+        assert!(cache.lookup(7, true, &dfs, true).is_none());
 
         // Deleting any factor file invalidates the entry on next lookup.
         assert!(dfs.delete("cache-test/1/u"));
-        assert!(cache.lookup(7, false, &dfs).is_none());
+        assert!(cache.lookup(7, false, &dfs, true).is_none());
         let s = cache.stats();
         assert_eq!(s.entries, 0);
         assert_eq!(s.hits, 1);
@@ -341,14 +285,15 @@ mod tests {
         let dfs = Dfs::default();
         let cache = FactorCache::new();
         let f = leaf_entry(&dfs, 5, 9);
-        cache.insert(1, 5, f.clone(), None, None, "w".to_string());
+        cache.insert(1, Factorization::new(5, f.clone(), None, "w".to_string()));
         let before = dfs.counters();
-        let a1 = cache.assembled(1, &dfs).unwrap();
-        let a2 = cache.assembled(1, &dfs).unwrap();
+        let mut io = UncountedIo { dfs: &dfs };
+        let hit = || cache.lookup(1, false, &dfs, true).expect("hit");
+        let a1 = hit().assembled(&mut io).unwrap();
+        let a2 = hit().assembled(&mut io).unwrap();
         assert!(Arc::ptr_eq(&a1, &a2), "memoized");
         assert_eq!(dfs.counters(), before, "assembly reads are uncounted");
         assert_eq!(a1.perm, f.perm());
-        assert!(cache.assembled(2, &dfs).is_err(), "unknown key");
     }
 
     #[test]
@@ -356,10 +301,12 @@ mod tests {
         let dfs = Dfs::default();
         let cache = FactorCache::new();
         let f = leaf_entry(&dfs, 4, 20);
-        cache.insert(3, 4, f.clone(), None, None, "w1".to_string());
-        let inv = Matrix::identity(4);
-        cache.insert(3, 4, f, Some(inv), None, "w2".to_string());
-        let view = cache.lookup(3, true, &dfs).expect("inverse now present");
+        cache.insert(3, Factorization::new(4, f.clone(), None, "w1".to_string()));
+        let inv = Arc::new(Matrix::identity(4));
+        cache.insert(3, Factorization::new(4, f, Some(inv), "w2".to_string()));
+        let view = cache
+            .lookup(3, true, &dfs, true)
+            .expect("inverse now present");
         assert!(view.inverse.is_some());
         assert_eq!(view.workdir, "w2");
         assert_eq!(cache.stats().entries, 1);

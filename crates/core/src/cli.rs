@@ -582,14 +582,6 @@ pub fn worker_main(args: Vec<String>) -> i32 {
     0
 }
 
-/// Entry point for the `mrinv-serve` shim binary: `mrinv serve` without
-/// the subcommand word. Never returns on success.
-pub fn serve_main(args: Vec<String>) -> i32 {
-    let mut argv = vec!["serve".to_string()];
-    argv.extend(args);
-    run(argv)
-}
-
 /// Full subcommand dispatch; `args` excludes the program name. Returns
 /// the process exit code (compute subcommands exit directly on error).
 pub fn run(args: Vec<String>) -> i32 {

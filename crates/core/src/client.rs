@@ -34,7 +34,7 @@ pub struct ServiceReply {
     pub sim_secs: f64,
 }
 
-/// A blocking connection to an `mrinv-serve` instance.
+/// A blocking connection to an `mrinv serve` instance.
 #[derive(Debug)]
 pub struct ServiceClient {
     stream: TcpStream,

@@ -10,14 +10,10 @@
 //! run interacts with the manifest at that directory.
 
 use mrinv_mapreduce::{Cluster, Fingerprint, PipelineDriver, RunId};
-use mrinv_matrix::Matrix;
 
-use crate::config::{InversionConfig, Optimizations};
+use crate::config::Optimizations;
 use crate::error::Result;
-use crate::factors::FactorRef;
-use crate::lu_mr::{lu_decompose_mr, BlockView};
 use crate::partition::PartitionPlan;
-use crate::tri_inv_mr::invert_factors_mr;
 
 /// How a run interacts with the checkpoint manifest at its [`RunId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +35,19 @@ pub enum Checkpoint {
 /// manifest record so a resume against a changed configuration re-runs
 /// instead of restoring stale outputs.
 pub fn run_fingerprint(plan: &PartitionPlan, opts: &Optimizations) -> u64 {
-    Fingerprint::new()
-        .push_u64(plan.n as u64)
+    push_run_config(Fingerprint::new(), plan, opts).finish()
+}
+
+/// Mixes the partition geometry, the run directory and the optimization
+/// toggles into `fp`, in the one order both [`run_fingerprint`] and
+/// [`crate::cache_key`] hash them — a new toggle pushed here reaches both.
+/// (The cache key plans under the empty root, which mixes in nothing.)
+pub(crate) fn push_run_config(
+    fp: Fingerprint,
+    plan: &PartitionPlan,
+    opts: &Optimizations,
+) -> Fingerprint {
+    fp.push_u64(plan.n as u64)
         .push_u64(plan.nb as u64)
         .push_u64(plan.m0 as u64)
         .push_u64(plan.m_l as u64)
@@ -51,7 +58,6 @@ pub fn run_fingerprint(plan: &PartitionPlan, opts: &Optimizations) -> u64 {
         .push_u64(opts.separate_intermediate_files as u64)
         .push_u64(opts.block_wrap as u64)
         .push_u64(opts.transpose_u as u64)
-        .finish()
 }
 
 /// A per-cluster run directory for unpinned requests: distinct across
@@ -73,23 +79,10 @@ pub(crate) fn make_driver<'c>(
     })
 }
 
-/// Low-level variant of an invert request for callers that already
-/// partitioned: decomposes and inverts, reusing the given plan through
-/// the caller's driver.
-pub fn invert_with_plan(
-    driver: &mut PipelineDriver<'_>,
-    plan: &PartitionPlan,
-    tree: crate::partition::SourceTree,
-    cfg: &InversionConfig,
-) -> Result<(Matrix, FactorRef)> {
-    let factors = lu_decompose_mr(driver, BlockView::Tree(tree), plan, &cfg.opts)?;
-    let inverse = invert_factors_mr(driver, &factors, plan, &cfg.opts)?;
-    Ok((inverse, factors))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::InversionConfig;
 
     #[test]
     fn run_fingerprint_tracks_configuration() {

@@ -40,7 +40,7 @@
 //! repeated request for the same (matrix, configuration) serves from the
 //! already-computed factor forest with zero pipeline jobs. The
 //! [`service`] module projects the same API over TCP as the
-//! multi-tenant `mrinv-serve` daemon, with [`client`] as its blocking
+//! multi-tenant `mrinv serve` daemon, with [`client`] as its blocking
 //! counterpart.
 //!
 //! Supporting pieces: [`schedule`] (the precomputed pipeline shape),

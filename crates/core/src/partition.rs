@@ -142,14 +142,6 @@ impl SourceTree {
             SourceTree::Leaf { dir, .. } | SourceTree::Split { dir, .. } => dir,
         }
     }
-
-    /// Total number of leaf blocks (master-node LU sites).
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            SourceTree::Leaf { .. } => 1,
-            SourceTree::Split { a1, .. } => 1 + a1.leaf_count(), // B's tree is built later
-        }
-    }
 }
 
 /// Enumerates every planned piece of the recursive layout (shared by the

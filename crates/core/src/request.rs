@@ -16,13 +16,21 @@
 //! let _inverse = out.into_inverse();
 //! ```
 //!
-//! Every consumer — the CLI, the `mrinv-serve` network service, the repro
+//! Every consumer — the CLI, the `mrinv serve` network service, the repro
 //! experiments, and the tests — goes through this one type; the server is
 //! just the network projection of it. A request can pin its run directory
 //! and checkpoint mode (the crash/resume contract of the historical
 //! `invert_run`), attach right-hand sides to any operation, and attach a
 //! [`FactorCache`] so repeated requests for the same (matrix, config)
 //! skip the pipeline entirely.
+//!
+//! A request is answered in two steps. Something produces a finished
+//! factorization — the cache finds one, or the pipeline runs one — and
+//! then one private tail (`Request::answer`) turns it into the
+//! [`Outcome`]: assemble the factors if the operation or a right-hand
+//! side needs them, substitute, pick the operation's products. A hit and
+//! a cold run differ only in what they hand that tail, so whatever an
+//! answer must carry is built in one place.
 
 use std::sync::Arc;
 
@@ -30,14 +38,15 @@ use mrinv_mapreduce::{Cluster, RunId};
 use mrinv_matrix::triangular::{back_substitution, forward_substitution};
 use mrinv_matrix::{Matrix, Permutation};
 
-use crate::cache::{cache_key, AssembledFactors, CacheEntryView, FactorCache};
+use crate::cache::{cache_key, FactorCache, Factorization, UncountedIo};
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
+use crate::factors::FactorRef;
 use crate::inverse::{fresh_run_id, make_driver, run_fingerprint, Checkpoint};
 use crate::lu_mr::{lu_decompose_mr, BlockView};
 use crate::partition::{ingest_input, run_partition_job, PartitionPlan};
 use crate::report::RunReport;
-use crate::source::MasterIo;
+use crate::source::{BlockIo, MasterIo};
 use crate::tri_inv_mr::invert_factors_mr;
 
 /// What a [`Request`] computes.
@@ -89,6 +98,17 @@ pub struct LuFactors {
     pub perm: Permutation,
 }
 
+impl LuFactors {
+    /// Reads a factor file forest back into dense matrices through `io`.
+    pub(crate) fn assemble(factors: &FactorRef, io: &mut dyn BlockIo) -> Result<LuFactors> {
+        Ok(LuFactors {
+            l: factors.assemble_l(io)?,
+            u: factors.assemble_u(io)?,
+            perm: factors.perm(),
+        })
+    }
+}
+
 /// A fully described unit of work against a cluster: operation, input,
 /// configuration, run placement, and (optionally) a factor cache.
 #[derive(Debug)]
@@ -100,6 +120,7 @@ pub struct Request<'a> {
     run: Option<RunId>,
     mode: Checkpoint,
     cache: Option<&'a FactorCache>,
+    key: Option<u64>,
 }
 
 impl<'a> Request<'a> {
@@ -112,6 +133,7 @@ impl<'a> Request<'a> {
             run: None,
             mode: Checkpoint::Disabled,
             cache: None,
+            key: None,
         }
     }
 
@@ -195,6 +217,14 @@ impl<'a> Request<'a> {
         self
     }
 
+    /// Supplies the [`cache_key`] the caller already computed for this
+    /// request's matrix and configuration on the cluster it will be
+    /// submitted to, so one service request hashes its matrix once.
+    pub(crate) fn keyed(mut self, key: u64) -> Self {
+        self.key = Some(key);
+        self
+    }
+
     /// Executes the request on `cluster`.
     ///
     /// Cold runs are bit-identical to the historical free functions: the
@@ -206,16 +236,9 @@ impl<'a> Request<'a> {
     /// completed prefix and re-runs only the remainder.
     pub fn submit(self, cluster: &Cluster) -> Result<Outcome> {
         let n = self.validate()?;
-        // Hashed once: the same key looks the entry up and, on a miss,
-        // files the finished run.
-        let keyed = self
-            .cache
-            .map(|cache| (cache, cache_key(self.a, &self.cfg, cluster)));
-        if let Some((cache, key)) = keyed {
-            let need_inverse = self.op == Op::Invert;
-            if let Some(view) = cache.lookup(key, need_inverse, &cluster.dfs) {
-                return self.serve_hit(cluster, cache, key, view, n);
-            }
+        let keyed = self.keyed_cache(cluster);
+        if let Some(hit) = self.serve_hit(cluster, n, keyed, true)? {
+            return Ok(hit);
         }
         self.run_pipeline(cluster, n, keyed)
     }
@@ -241,80 +264,62 @@ impl<'a> Request<'a> {
         Ok(n)
     }
 
-    /// Serves the request from the attached cache if (and only if) a
-    /// usable entry exists; returns `Ok(None)` on a miss *without*
-    /// counting it or running the pipeline. The `mrinv-serve` handler
-    /// threads use this to answer hits concurrently while cold requests
-    /// queue for the single pipeline executor.
-    pub(crate) fn submit_cached_only(self, cluster: &Cluster) -> Result<Option<Outcome>> {
-        let n = self.validate()?;
-        let Some(cache) = self.cache else {
-            return Ok(None);
-        };
-        let key = cache_key(self.a, &self.cfg, cluster);
-        let need_inverse = self.op == Op::Invert;
-        match cache.peek(key, need_inverse, &cluster.dfs) {
-            Some(view) => self.serve_hit(cluster, cache, key, view, n).map(Some),
-            None => Ok(None),
-        }
+    /// The attached cache with this request's key. Called once per
+    /// submit: the same key looks the entry up and, on a miss, files the
+    /// finished run.
+    fn keyed_cache(&self, cluster: &Cluster) -> Option<(&'a FactorCache, u64)> {
+        let key = || cache_key(self.a, &self.cfg, cluster);
+        self.cache
+            .map(|cache| (cache, self.key.unwrap_or_else(key)))
     }
 
-    /// Serves the request from a validated cache entry: no driver, no
-    /// jobs, no counted I/O. The report carries zero pipeline numbers and
-    /// names the priming run's directory.
+    /// Serves the request from the attached cache if (and only if) a
+    /// usable entry exists: no driver, no jobs, no counted I/O. The report
+    /// carries zero pipeline numbers and names the priming run's
+    /// directory. `Ok(None)` is a miss, counted when `count_miss` is set.
     fn serve_hit(
-        self,
+        &self,
         cluster: &Cluster,
-        cache: &FactorCache,
-        key: u64,
-        view: CacheEntryView,
         n: usize,
-    ) -> Result<Outcome> {
-        let needs_factors = self.op != Op::Invert || !self.rhs.is_empty();
-        let assembled = if needs_factors {
-            Some(cache.assembled(key, &cluster.dfs)?)
-        } else {
-            None
-        };
-        let mut solutions = Vec::with_capacity(self.rhs.len());
-        for b in &self.rhs {
-            let f = assembled.as_ref().expect("assembled when rhs present");
-            solutions.push(substitute(f, b)?);
-        }
-        let factors = match (self.op, &assembled) {
-            (Op::Lu, Some(f)) => Some(LuFactors {
-                l: f.l.clone(),
-                u: f.u.clone(),
-                perm: f.perm.clone(),
-            }),
-            _ => None,
+        keyed: Option<(&FactorCache, u64)>,
+        count_miss: bool,
+    ) -> Result<Option<Outcome>> {
+        let need_inverse = self.op == Op::Invert;
+        let Some(hit) = keyed
+            .and_then(|(cache, key)| cache.lookup(key, need_inverse, &cluster.dfs, count_miss))
+        else {
+            return Ok(None);
         };
         let report = RunReport {
             n,
             nodes: cluster.nodes(),
-            nb: view.nb,
-            workdir: view.workdir,
+            nb: hit.nb,
+            workdir: hit.workdir.clone(),
             backend: "factor-cache".to_string(),
             ..RunReport::default()
         };
-        Ok(Outcome {
-            op: self.op,
-            inverse: view.inverse,
-            factors,
-            solutions,
-            cache: CacheStatus::Hit,
-            report,
-        })
+        let mut io = UncountedIo { dfs: &cluster.dfs };
+        self.answer(&hit, &mut io, CacheStatus::Hit, report)
+            .map(Some)
+    }
+
+    /// [`Request::submit`] without the cold path: a miss comes back as
+    /// `Ok(None)`, uncounted, and runs nothing. The service's handler
+    /// threads use this to answer hits concurrently while cold requests
+    /// queue for the single pipeline executor.
+    pub(crate) fn submit_cached_only(self, cluster: &Cluster) -> Result<Option<Outcome>> {
+        let n = self.validate()?;
+        self.serve_hit(cluster, n, self.keyed_cache(cluster), false)
     }
 
     /// The cold path: the exact pipeline the historical entry points ran.
-    /// `cache` is the attached cache with this request's key, if any; the
+    /// `keyed` is the attached cache with this request's key, if any; the
     /// finished run is filed under it.
     fn run_pipeline(
         self,
         cluster: &Cluster,
         n: usize,
-        cache: Option<(&FactorCache, u64)>,
+        keyed: Option<(&FactorCache, u64)>,
     ) -> Result<Outcome> {
         let run = match &self.run {
             Some(run) => run.clone(),
@@ -337,12 +342,12 @@ impl<'a> Request<'a> {
         let (tree, _) = run_partition_job(&mut driver, &plan)?;
         let factors = lu_decompose_mr(&mut driver, BlockView::Tree(tree), &plan, &self.cfg.opts)?;
         let inverse = match self.op {
-            Op::Invert => Some(invert_factors_mr(
+            Op::Invert => Some(Arc::new(invert_factors_mr(
                 &mut driver,
                 &factors,
                 &plan,
                 &self.cfg.opts,
-            )?),
+            )?)),
             Op::Lu | Op::Solve => None,
         };
 
@@ -362,62 +367,53 @@ impl<'a> Request<'a> {
         // the measured window, exactly as the historical `lu`/`solve`
         // entry points did (the paper's downstream consumers read the
         // files directly).
-        let needs_factors = self.op != Op::Invert || !self.rhs.is_empty();
-        let assembled = if needs_factors {
-            let mut io = MasterIo::new(&cluster.dfs);
-            let l = factors.assemble_l(&mut io)?;
-            let u = factors.assemble_u(&mut io)?;
-            Some(Arc::new(AssembledFactors {
-                l,
-                u,
-                perm: factors.perm(),
-            }))
+        let done = Factorization::new(self.cfg.nb, factors, inverse, report.workdir.clone());
+        let status = match keyed {
+            Some(_) => CacheStatus::Miss,
+            None => CacheStatus::Bypass,
+        };
+        let outcome = self.answer(&done, &mut MasterIo::new(&cluster.dfs), status, report)?;
+        if let Some((cache, key)) = keyed {
+            cache.insert(key, done);
+        }
+        Ok(outcome)
+    }
+
+    /// The one answer tail: turns a finished factorization — found in the
+    /// cache or just produced by the pipeline — into this request's
+    /// [`Outcome`]. Assembles the factors through `io` if the operation or
+    /// a right-hand side needs them, substitutes, and picks the products
+    /// the operation returns.
+    fn answer(
+        &self,
+        done: &Factorization,
+        io: &mut dyn BlockIo,
+        cache: CacheStatus,
+        report: RunReport,
+    ) -> Result<Outcome> {
+        let assembled = if self.op != Op::Invert || !self.rhs.is_empty() {
+            Some(done.assembled(io)?)
         } else {
             None
         };
-
         let mut solutions = Vec::with_capacity(self.rhs.len());
         for b in &self.rhs {
             let f = assembled.as_ref().expect("assembled when rhs present");
             solutions.push(substitute(f, b)?);
         }
-
-        if let Some((cache, key)) = cache {
-            cache.insert(
-                key,
-                self.cfg.nb,
-                factors.clone(),
-                inverse.clone(),
-                assembled.clone(),
-                report.workdir.clone(),
-            );
-        }
-
-        let out_factors = match (self.op, &assembled) {
-            (Op::Lu, Some(f)) => Some(LuFactors {
-                l: f.l.clone(),
-                u: f.u.clone(),
-                perm: f.perm.clone(),
-            }),
-            _ => None,
-        };
         Ok(Outcome {
             op: self.op,
-            inverse,
-            factors: out_factors,
+            inverse: done.inverse.clone().filter(|_| self.op == Op::Invert),
+            factors: assembled.filter(|_| self.op == Op::Lu),
             solutions,
-            cache: if cache.is_some() {
-                CacheStatus::Miss
-            } else {
-                CacheStatus::Bypass
-            },
+            cache,
             report,
         })
     }
 }
 
 /// `x` with `A·x = b` via the assembled factors: `P·b`, forward, back.
-pub(crate) fn substitute(f: &AssembledFactors, b: &[f64]) -> Result<Vec<f64>> {
+fn substitute(f: &LuFactors, b: &[f64]) -> Result<Vec<f64>> {
     let n = f.perm.len();
     // P·b: entry i of the permuted vector is b[S[i]].
     let pb: Vec<f64> = (0..n).map(|i| b[f.perm.source_of(i)]).collect();
@@ -430,8 +426,8 @@ pub(crate) fn substitute(f: &AssembledFactors, b: &[f64]) -> Result<Vec<f64>> {
 #[derive(Debug, Clone)]
 pub struct Outcome {
     op: Op,
-    inverse: Option<Matrix>,
-    factors: Option<LuFactors>,
+    inverse: Option<Arc<Matrix>>,
+    factors: Option<Arc<LuFactors>>,
     solutions: Vec<Vec<f64>>,
     /// Whether the factor cache served this request.
     pub cache: CacheStatus,
@@ -449,7 +445,7 @@ impl Outcome {
 
     /// The computed inverse ([`Op::Invert`] outcomes only).
     pub fn inverse(&self) -> Option<&Matrix> {
-        self.inverse.as_ref()
+        self.inverse.as_deref()
     }
 
     /// Consumes the outcome, returning the inverse.
@@ -457,13 +453,15 @@ impl Outcome {
     /// # Panics
     /// If the request was not an invert.
     pub fn into_inverse(self) -> Matrix {
-        self.inverse
-            .unwrap_or_else(|| panic!("outcome of {:?} has no inverse", self.op))
+        let shared = self
+            .inverse
+            .unwrap_or_else(|| panic!("outcome of {:?} has no inverse", self.op));
+        Arc::unwrap_or_clone(shared)
     }
 
     /// The assembled factors ([`Op::Lu`] outcomes only).
     pub fn factors(&self) -> Option<&LuFactors> {
-        self.factors.as_ref()
+        self.factors.as_deref()
     }
 
     /// Consumes the outcome, returning the assembled factors.
@@ -471,8 +469,10 @@ impl Outcome {
     /// # Panics
     /// If the request was not an LU decomposition.
     pub fn into_factors(self) -> LuFactors {
-        self.factors
-            .unwrap_or_else(|| panic!("outcome of {:?} has no assembled factors", self.op))
+        let shared = self
+            .factors
+            .unwrap_or_else(|| panic!("outcome of {:?} has no assembled factors", self.op));
+        Arc::unwrap_or_clone(shared)
     }
 
     /// Solutions, one per right-hand side (in the order they were added).
@@ -803,6 +803,29 @@ mod tests {
             .inverse()
             .unwrap()
             .approx_eq(miss.inverse().unwrap(), 0.0));
+    }
+
+    #[test]
+    fn cache_entry_and_outcomes_share_one_inverse() {
+        let c = test_cluster(4);
+        let cache = FactorCache::new();
+        let a = random_invertible(32, 70);
+        let invert = || Request::invert(&a).nb(8).cache(&cache).submit(&c).unwrap();
+        let address = |out: &Outcome| out.inverse().unwrap().as_slice().as_ptr();
+
+        let cold = invert();
+        assert_eq!(cold.cache, CacheStatus::Miss);
+        let (warm1, warm2) = (invert(), invert());
+        assert_eq!(warm1.cache, CacheStatus::Hit);
+        assert_eq!(warm2.cache, CacheStatus::Hit);
+        // Two hits hand out the entry's inverse, not copies of it...
+        assert_eq!(address(&warm1), address(&warm2));
+        // ...and the entry holds the very matrix the cold run returned.
+        assert_eq!(address(&cold), address(&warm1));
+        // Taking ownership copies out of the shared entry, never from it.
+        let owned = cold.into_inverse();
+        assert_ne!(owned.as_slice().as_ptr(), address(&warm1));
+        assert!(owned.approx_eq(warm1.inverse().unwrap(), 0.0));
     }
 
     #[test]

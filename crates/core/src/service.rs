@@ -1,4 +1,4 @@
-//! `mrinv-serve`: the multi-tenant inversion service.
+//! `mrinv serve`: the multi-tenant inversion service.
 //!
 //! A long-running daemon that accepts concurrent [`crate::Request`]-shaped
 //! work over TCP — `invert(A)`, `lu(A)`, `solve(A, b…)` — from many
@@ -36,6 +36,15 @@
 //! one. When the executor picks a `solve`, it also drains every other
 //! queued `solve` with the same cache key (any tenant) and serves the
 //! whole batch from a single factorization + substitution pass.
+//!
+//! # One key, bounded series
+//!
+//! [`cache_key`] re-encodes and hashes the whole matrix, so a request
+//! computes it exactly once, on arrival; the handler's cache probe, the
+//! queued job, solve batching and the executor's submit all carry that
+//! value. The service's metric series are keyed by tenant and operation
+//! only — there is no per-request label — so a long-running server's
+//! series count is bounded by who talks to it, not by how much.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -310,8 +319,8 @@ impl Shared {
         self.cluster.metrics.obs().counter(name, &labels).add(1);
     }
 
-    /// Per-request accounting with the request-id label dimension.
-    fn note_served(&self, tenant: &str, id: u64, op: Op, out: &Outcome) {
+    /// Counts one served request and its cache verdict.
+    fn note_served(&self, tenant: &str, op: Op, out: &Outcome) {
         self.served.fetch_add(1, Ordering::Relaxed);
         let verdict = match out.cache {
             CacheStatus::Hit => "mrinv_service_cache_hits_total",
@@ -319,15 +328,6 @@ impl Shared {
             CacheStatus::Bypass => return,
         };
         self.count(verdict, tenant, op.name());
-        let labels = Labels::new()
-            .tenant(tenant)
-            .request(id.to_string())
-            .task_kind(op.name());
-        let obs = self.cluster.metrics.obs();
-        obs.gauge("mrinv_service_request_jobs", &labels)
-            .set(out.report.jobs as f64);
-        obs.gauge("mrinv_service_request_sim_secs", &labels)
-            .set(out.report.sim_secs);
     }
 }
 
@@ -504,21 +504,23 @@ fn serve_request(shared: &Arc<Shared>, req: WireRequest) -> WireResponse {
         Err(e) => return WireResponse::err(req.id, format!("bad matrix: {e}")),
     };
     let cfg = req.config();
+    // Hashed once: the probe here, the executor's lookup, the run it files
+    // and solve batching all use this key.
+    let key = cache_key(&a, &cfg, &shared.cluster);
 
     // Fast path: serve a cache hit right here, concurrently with
     // whatever the executor is doing (hits never touch driver state).
-    let probe = build_request(&a, op, &req.rhs, &cfg).cache(&shared.cache);
+    let probe = build_request(shared, key, &a, op, &req.rhs, &cfg);
     match probe.submit_cached_only(&shared.cluster) {
         Err(e) => return WireResponse::err(req.id, e.to_string()),
         Ok(Some(out)) => {
-            shared.note_served(&req.tenant, req.id, op, &out);
+            shared.note_served(&req.tenant, op, &out);
             return WireResponse::from_outcome(req.id, &out);
         }
         Ok(None) => {}
     }
 
     // Cold: admission-check, queue for the executor, wait.
-    let key = cache_key(&a, &cfg, &shared.cluster);
     let (tx, rx) = mpsc::channel();
     {
         let mut queues = shared.queues.lock().expect("queues lock");
@@ -553,7 +555,11 @@ fn serve_request(shared: &Arc<Shared>, req: WireRequest) -> WireResponse {
     }
 }
 
+/// The [`Request`] for one wire request against the shared cache, under
+/// the `key` already computed for `(a, cfg)` on the shared cluster.
 fn build_request<'a>(
+    shared: &'a Shared,
+    key: u64,
     a: &'a Matrix,
     op: Op,
     rhs: &[Vec<f64>],
@@ -564,7 +570,10 @@ fn build_request<'a>(
         Op::Lu => Request::lu(a),
         Op::Solve => Request::solve(a),
     };
-    req.rhs_all(rhs.iter().cloned()).config(cfg)
+    req.rhs_all(rhs.iter().cloned())
+        .config(cfg)
+        .cache(&shared.cache)
+        .keyed(key)
 }
 
 /// The single pipeline executor: pops jobs tenant-round-robin, batches
@@ -621,9 +630,7 @@ fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
     }
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        build_request(&job.a, job.op, &rhs, &job.cfg)
-            .cache(&shared.cache)
-            .submit(&shared.cluster)
+        build_request(shared, job.key, &job.a, job.op, &rhs, &job.cfg).submit(&shared.cluster)
     }));
     let outcome = match outcome {
         Ok(result) => result,
@@ -641,7 +648,7 @@ fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
             for (member, (start, len)) in participants {
                 let mut resp = WireResponse::from_outcome(member.id, &out);
                 resp.solutions = out.solutions()[start..start + len].to_vec();
-                shared.note_served(&member.tenant, member.id, member.op, &out);
+                shared.note_served(&member.tenant, member.op, &out);
                 let _ = member.resp.send(resp);
             }
         }

@@ -2,12 +2,14 @@
 //!
 //! The runner plans *when and on which virtual node* each attempt runs
 //! (simulated time); an [`ExecBackend`] decides *in which process* the
-//! attempt's body executes. [`InProcess`] runs it on the calling rayon
-//! thread — the original behavior, bit-identical. [`tcp::TcpWorkers`]
-//! ships a serialized [`TaskDescriptor`] to a pool of real worker
-//! processes over TCP and proxies the task's DFS traffic back to the
-//! driver, so the same pipeline exercises real process isolation, worker
-//! death, and retry steering.
+//! attempt's body executes. The body itself is written once:
+//! `map_body` and `reduce_body` are the only callers of
+//! [`Mapper::map`] and [`Reducer::reduce`]. Under [`InProcess`] the
+//! runner calls them typed, on the calling rayon thread;
+//! [`tcp::TcpWorkers`] ships a serialized [`TaskDescriptor`] to a pool of
+//! real worker processes over TCP, where the family's registered entry
+//! point calls the same body between decoding its arguments and encoding
+//! its result, and proxies the task's DFS traffic back to the driver.
 //!
 //! Remote execution cannot ship closures, so jobs opt in by naming a
 //! *task family* ([`crate::job::JobSpec::remote`]) registered in a
@@ -15,9 +17,10 @@
 //! codec functions ([`JobCodec`]): driver-side encoders that turn the
 //! typed mapper/reducer + task input into a [`serde::Value`] payload and
 //! decoders for the results; worker-side entry points that reconstruct
-//! the typed objects and run the real `map`/`reduce` bodies. A job whose
-//! family is absent from the registry (or that never calls `remote`)
-//! silently runs in-process under any backend.
+//! the typed objects around the body. The registry holds families of
+//! different types side by side, so this codec table is the one place a
+//! payload is type-erased. A job whose family is absent from the registry
+//! (or that never calls `remote`) runs in the driver under any backend.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -37,10 +40,9 @@ use crate::shuffle::ReducerInput;
 
 pub mod tcp;
 
-/// Type-erased payload of a successful task attempt. The runner downcasts
-/// it back to the wave's concrete payload type; the registered decoder
-/// guarantees the erased type matches the registered family.
-pub type ErasedPayload = Box<dyn Any + Send>;
+/// Type-erased result of a registered decoder; [`decode_as`] downcasts it
+/// back to the wave's concrete payload type.
+pub(crate) type ErasedPayload = Box<dyn Any + Send>;
 
 /// Everything a worker process needs to run one task attempt. Serialized
 /// with bincode and shipped over the wire by remote backends.
@@ -73,10 +75,6 @@ pub struct WireTaskResult {
     pub payload: Value,
 }
 
-/// Decodes a remote result payload into the erased payload a wave
-/// expects (see [`TaskCall::decode`]).
-pub type DecodePayloadFn<'a> = &'a (dyn Fn(&Value) -> Result<ErasedPayload> + Sync);
-
 /// Worker-side runner for one phase of a registered family.
 pub(crate) type RunTaskFn = fn(&TaskDescriptor, Arc<dyn DfsAccess>) -> Result<WireTaskResult>;
 
@@ -84,48 +82,35 @@ pub(crate) type RunTaskFn = fn(&TaskDescriptor, Arc<dyn DfsAccess>) -> Result<Wi
 /// partition).
 pub(crate) type EncodeTaskFn = fn(&dyn Any, &dyn Any) -> Result<Value>;
 
-/// One task attempt, handed to [`ExecBackend::execute`]. Backends that
-/// cannot (or choose not to) run the descriptor remotely fall back to the
-/// `local` thunk — both paths return the same erased payload type.
-pub struct TaskCall<'a> {
-    /// Serialized form of the task, present only when the job's family is
-    /// registered and the backend asked for descriptors
-    /// ([`ExecBackend::wants_descriptors`]).
-    pub descriptor: Option<TaskDescriptor>,
-    /// Runs the attempt in the current process.
-    pub local: &'a (dyn Fn() -> Result<(ErasedPayload, TaskStats)> + Sync),
-    /// Decodes a remote result payload into the erased payload the wave
-    /// expects; present exactly when `descriptor` is.
-    pub decode: Option<DecodePayloadFn<'a>>,
-}
-
-impl std::fmt::Debug for TaskCall<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskCall")
-            .field("descriptor", &self.descriptor)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Where task-attempt bodies execute. Owned by
-/// [`crate::cluster::Cluster`]; the runner dispatches every attempt of
-/// every wave through [`ExecBackend::execute`] — exactly one call site.
+/// [`crate::cluster::Cluster`]. A backend decides one thing: whether it
+/// has workers to ship a [`TaskDescriptor`] to. Attempts it does not ship
+/// (every attempt under [`InProcess`]; jobs without a registered family
+/// under any backend) run in the driver through the same body.
 pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     /// Stable backend label (the `backend` dimension of
     /// [`crate::obs::Labels`]).
     fn name(&self) -> &str;
 
-    /// Runs one task attempt and returns its payload and measured stats.
+    /// True when the backend has workers to [`ExecBackend::execute`] on;
+    /// the runner builds descriptors only for backends that do.
+    fn wants_descriptors(&self) -> bool {
+        false
+    }
+
+    /// Runs one task attempt on a worker and returns what the worker sent
+    /// back. Called only when [`ExecBackend::wants_descriptors`] is true.
     ///
     /// Body-level failures come back as the body's [`MrError`] (the
     /// runner wraps and retries them); a dead worker comes back as
     /// [`MrError::WorkerLost`] (retried with backoff on another worker).
-    fn execute(&self, call: &TaskCall<'_>) -> Result<(ErasedPayload, TaskStats)>;
-
-    /// True when the backend can use [`TaskCall::descriptor`]; the runner
-    /// skips the encoding work entirely for backends that cannot.
-    fn wants_descriptors(&self) -> bool {
-        false
+    fn execute(&self, desc: &TaskDescriptor) -> Result<WireTaskResult> {
+        Err(MrError::InvalidJob(format!(
+            "backend {:?} has no workers to run task {} of job {:?} on",
+            self.name(),
+            desc.task_index,
+            desc.job
+        )))
     }
 
     /// A simulated node died ([`crate::fault::FaultPlan::kill_node`]);
@@ -136,19 +121,14 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     fn shutdown(&self) {}
 }
 
-/// The default backend: runs every attempt on the calling rayon thread,
-/// exactly as the pre-backend runner did. Bit-identical: it invokes the
-/// same closure the runner used to inline, in the same place.
+/// The default backend: no workers, so every attempt runs on the calling
+/// rayon thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcess;
 
 impl ExecBackend for InProcess {
     fn name(&self) -> &str {
         "in-process"
-    }
-
-    fn execute(&self, call: &TaskCall<'_>) -> Result<(ErasedPayload, TaskStats)> {
-        (call.local)()
     }
 }
 
@@ -273,13 +253,65 @@ impl TaskRegistry {
 }
 
 /// The raw (pre-combine, pre-partition) result of a map body: emitted
-/// pairs, user counters, recorded DFS reads. Both backends produce this
-/// shape; the runner applies the combiner and partitioner driver-side so
-/// the post-processing order matches the original inline path exactly.
+/// pairs, user counters, recorded DFS reads. The runner applies the
+/// combiner and partitioner driver-side, whichever process ran the body.
 pub(crate) type RawMapPayload<K, V> = (Vec<(K, V)>, BTreeMap<String, u64>, Vec<(String, u64)>);
 
 /// The result of a reduce body: per-key outputs plus user counters.
 pub(crate) type RawReducePayload<K, O> = (Vec<(K, O)>, BTreeMap<String, u64>);
+
+/// One map attempt: the only caller of [`Mapper::map`]. The measured CPU
+/// is the wall time of the `map` call alone.
+#[allow(clippy::type_complexity)]
+pub(crate) fn map_body<M: Mapper>(
+    mapper: &M,
+    input: &M::Input,
+    dfs: Arc<dyn DfsAccess>,
+    task_index: usize,
+    num_tasks: usize,
+    kv_size: fn(&M::Key, &M::Value) -> u64,
+) -> Result<(RawMapPayload<M::Key, M::Value>, TaskStats)> {
+    let mut ctx = MapContext::new(dfs, task_index, num_tasks, kv_size);
+    let start = Instant::now();
+    mapper.map(input, &mut ctx)?;
+    let reads = ctx.take_reads();
+    let (pairs, stats, counters) = ctx.finish(start.elapsed());
+    Ok(((pairs, counters, reads), stats))
+}
+
+/// One reduce attempt over a sorted partition: the only caller of
+/// [`Reducer::reduce`]. Each group's values are a contiguous slice
+/// borrowed from the sorted run — nothing is cloned on the way in.
+#[allow(clippy::type_complexity)]
+pub(crate) fn reduce_body<R: Reducer>(
+    reducer: &R,
+    input: &ReducerInput<R::Key, R::Value>,
+    dfs: Arc<dyn DfsAccess>,
+    partition: usize,
+    num_partitions: usize,
+) -> Result<(RawReducePayload<R::Key, R::Output>, TaskStats)> {
+    let mut ctx = ReduceContext::new(dfs, partition, num_partitions);
+    let start = Instant::now();
+    let mut outputs = Vec::new();
+    for (key, values) in input.groups() {
+        let out = reducer.reduce(key, values, &mut ctx)?;
+        outputs.push((key.clone(), out));
+    }
+    let (stats, counters) = ctx.finish(start.elapsed());
+    Ok(((outputs, counters), stats))
+}
+
+/// Decodes a worker's result payload with a family's registered decoder
+/// and downcasts it to the payload type `T` the wave expects.
+pub(crate) fn decode_as<T: 'static>(
+    decode: fn(&Value) -> Result<ErasedPayload>,
+    payload: &Value,
+) -> Result<T> {
+    match decode(payload)?.downcast::<T>() {
+        Ok(typed) => Ok(*typed),
+        Err(_) => Err(downcast_err("result")),
+    }
+}
 
 fn de_err(context: &str, e: serde::DeError) -> MrError {
     MrError::Other(format!("{context}: {e}"))
@@ -344,11 +376,8 @@ where
     let input = M::Input::from_value(de_ref(&desc.payload, "input")?)
         .map_err(|e| de_err("map input", e))?;
     let kv = kv_size_fn::<M::Key, M::Value>(desc.kv);
-    let mut ctx = MapContext::new(dfs, desc.task_index, desc.num_tasks, kv);
-    let start = Instant::now();
-    mapper.map(&input, &mut ctx)?;
-    let reads = ctx.take_reads();
-    let (pairs, stats, counters) = ctx.finish(start.elapsed());
+    let ((pairs, counters, reads), stats) =
+        map_body(&mapper, &input, dfs, desc.task_index, desc.num_tasks, kv)?;
     Ok(WireTaskResult {
         stats,
         payload: Value::Object(vec![
@@ -408,14 +437,8 @@ where
     let values: Vec<R::Value> =
         de_field(&desc.payload, "values").map_err(|e| de_err("values", e))?;
     let input = ReducerInput::from_sorted_parts(keys, values);
-    let mut ctx = ReduceContext::new(dfs, desc.task_index, desc.num_tasks);
-    let start = Instant::now();
-    let mut outputs = Vec::new();
-    for (key, values) in input.groups() {
-        let out = reducer.reduce(key, values, &mut ctx)?;
-        outputs.push((key.clone(), out));
-    }
-    let (stats, counters) = ctx.finish(start.elapsed());
+    let ((outputs, counters), stats) =
+        reduce_body(&reducer, &input, dfs, desc.task_index, desc.num_tasks)?;
     Ok(WireTaskResult {
         stats,
         payload: Value::Object(vec![
@@ -523,10 +546,9 @@ mod tests {
         assert_eq!(result.stats.emitted_pairs, 1);
         assert!(dfs.exists("out/2"), "side write landed on the driver DFS");
 
-        let erased = (codec.decode_map)(&result.payload).unwrap();
-        let (pairs, counters, reads) = *erased
-            .downcast::<RawMapPayload<usize, u64>>()
-            .expect("decoder produces the registered payload type");
+        let (pairs, counters, reads) =
+            decode_as::<RawMapPayload<usize, u64>>(codec.decode_map, &result.payload)
+                .expect("decoder produces the registered payload type");
         assert_eq!(pairs, vec![(2, 30)]);
         assert_eq!(counters.get("mapped"), Some(&1));
         assert_eq!(reads, vec![("in/2".to_string(), 10)]);
@@ -552,10 +574,10 @@ mod tests {
             payload,
         };
         let result = codec.run(&desc, dfs).unwrap();
-        let erased = (codec.decode_reduce.unwrap())(&result.payload).unwrap();
-        let (outputs, counters) = *erased
-            .downcast::<RawReducePayload<usize, u64>>()
-            .expect("decoder produces the registered payload type");
+        let decode = codec.decode_reduce.unwrap();
+        let (outputs, counters) =
+            decode_as::<RawReducePayload<usize, u64>>(decode, &result.payload)
+                .expect("decoder produces the registered payload type");
         assert_eq!(outputs, vec![(0, 1), (1, 15)]);
         assert_eq!(counters.get("reduced"), Some(&2));
     }

@@ -42,10 +42,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use super::{ErasedPayload, ExecBackend, TaskCall, TaskDescriptor, TaskRegistry, WireTaskResult};
+use super::{ExecBackend, TaskDescriptor, TaskRegistry, WireTaskResult};
 use crate::dfs::{Dfs, DfsAccess};
 use crate::error::{MrError, Result};
-use crate::job::TaskStats;
 use crate::wire::{read_frame, write_frame};
 use std::sync::Arc;
 
@@ -403,11 +402,7 @@ impl ExecBackend for TcpWorkers {
         true
     }
 
-    fn execute(&self, call: &TaskCall<'_>) -> Result<(ErasedPayload, TaskStats)> {
-        let (Some(desc), Some(decode)) = (&call.descriptor, call.decode) else {
-            // Unregistered job: run it in the driver like InProcess would.
-            return (call.local)();
-        };
+    fn execute(&self, desc: &TaskDescriptor) -> Result<WireTaskResult> {
         let Some(dfs) = self.dfs() else {
             return Err(MrError::Other(
                 "TcpWorkers has no DFS attached (call attach_dfs)".into(),
@@ -417,9 +412,7 @@ impl ExecBackend for TcpWorkers {
         match self.run_on_worker(&mut worker, desc, &dfs) {
             Ok(result) => {
                 self.checkin(worker);
-                let result = result?;
-                let payload = decode(&result.payload)?;
-                Ok((payload, result.stats))
+                result
             }
             Err(message) => {
                 let id = worker.id;

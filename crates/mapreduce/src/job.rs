@@ -150,12 +150,6 @@ impl<K, V> MapContext<K, V> {
         std::mem::take(&mut self.reads)
     }
 
-    /// Charges extra compute to this task beyond its measured wall time
-    /// (rarely needed; provided for workloads that sleep or block).
-    pub fn charge_cpu(&mut self, d: Duration) {
-        self.stats.cpu += d;
-    }
-
     /// Reports time spent in an arithmetic kernel. Kernel time is priced
     /// with the cost model's `compute_scale`; unreported CPU is priced as
     /// byte-proportional work (`codec_scale`).
@@ -550,15 +544,6 @@ mod tests {
         let (stats, _counters) = ctx.finish(Duration::ZERO);
         assert_eq!(stats.read_bytes, 10);
         assert_eq!(stats.write_bytes, 20);
-    }
-
-    #[test]
-    fn charge_cpu_adds_to_measured() {
-        let dfs = Arc::new(Dfs::default());
-        let mut ctx: MapContext<usize, usize> = MapContext::new(dfs, 0, 1, default_kv_size);
-        ctx.charge_cpu(Duration::from_secs(1));
-        let (_, stats, _) = ctx.finish(Duration::from_secs(2));
-        assert_eq!(stats.cpu, Duration::from_secs(3));
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Cluster-wide execution metrics.
+//! Cluster-wide execution metrics: the always-on run ledger.
 //!
-//! [`ClusterMetrics`] is now a thin always-on view over the labeled
-//! [`Registry`]: the ten classic cluster-global
-//! counters are registered as unlabeled series (cached `Arc` handles, so
-//! the hot path is handle atomics only — no map lookup, no lock), and
-//! [`MetricsSnapshot`] remains the flat compatibility view every existing
-//! caller reads. The simulated-time accumulators that used to live behind
-//! `Mutex<f64>` are [`Gauge`]s over `AtomicU64` f64 bit patterns, making
-//! the whole metrics path lock-free.
+//! [`ClusterMetrics`] keeps the ten cluster-global totals every run is
+//! accounted in — jobs, map/reduce tasks, failures, shuffle bytes, map
+//! locality, simulated and master seconds — and [`MetricsSnapshot`] is a
+//! point-in-time copy of them. They are exactly what
+//! [`crate::driver::RunReport::from_deltas`] subtracts (snapshot at driver
+//! start, snapshot at finish) to produce a run's report, which is why
+//! they count whether or not observability is enabled. Each total is an
+//! unlabeled series of the labeled [`Registry`] held through a cached
+//! `Arc` handle, so the hot path is handle atomics only — no map lookup,
+//! no lock — and the same numbers appear in the registry's exports. The
+//! simulated-time accumulators are [`Gauge`]s over `AtomicU64` f64 bit
+//! patterns, making the whole metrics path lock-free.
 
 use std::sync::Arc;
 

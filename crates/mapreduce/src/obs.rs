@@ -278,7 +278,7 @@ impl HistogramSnapshot {
 }
 
 /// The fixed label scheme: every series is keyed by (a subset of) these
-/// seven dimensions. A fixed struct instead of a free-form map keeps
+/// six dimensions. A fixed struct instead of a free-form map keeps
 /// cardinality analyzable and snapshot ordering total.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Labels {
@@ -292,11 +292,8 @@ pub struct Labels {
     pub task_kind: Option<String>,
     /// GEMM backend name (kernel perf series).
     pub backend: Option<String>,
-    /// Service tenant name (multi-tenant `mrinv-serve` series).
+    /// Service tenant name (multi-tenant `mrinv serve` series).
     pub tenant: Option<String>,
-    /// Service request id (per-request service series; bounded by the
-    /// registry's series cap, so long-lived servers degrade gracefully).
-    pub request: Option<String>,
 }
 
 impl Labels {
@@ -341,12 +338,6 @@ impl Labels {
         self
     }
 
-    /// Sets the service-request-id label.
-    pub fn request(mut self, request: impl Into<String>) -> Self {
-        self.request = Some(request.into());
-        self
-    }
-
     /// Prometheus label-set rendering (`{job="...",wave="..."}`), empty
     /// string when no label is set. The `extra` pair, when given, is
     /// appended last (used for the histogram `le` label).
@@ -370,9 +361,6 @@ impl Labels {
         }
         if let Some(v) = &self.tenant {
             push("tenant", v);
-        }
-        if let Some(v) = &self.request {
-            push("request", v);
         }
         if let Some((k, v)) = extra {
             push(k, v);
@@ -619,15 +607,6 @@ impl ObsSnapshot {
             name: name.to_string(),
             labels,
             value,
-        });
-    }
-
-    /// Appends a histogram series.
-    pub fn push_histogram(&mut self, name: &str, labels: Labels, hist: HistogramSnapshot) {
-        self.histograms.push(HistogramSeries {
-            name: name.to_string(),
-            labels,
-            hist,
         });
     }
 

@@ -35,10 +35,11 @@ use serde::{Deserialize, Serialize, Value};
 use crate::cluster::{Cluster, ClusterConfig, SchedulingMode};
 use crate::error::{MrError, Result};
 use crate::exec::{
-    ErasedPayload, JobCodec, RawMapPayload, RawReducePayload, TaskCall, TaskDescriptor,
+    decode_as, map_body, reduce_body, ErasedPayload, JobCodec, RawMapPayload, RawReducePayload,
+    TaskDescriptor,
 };
 use crate::fault::{FailureCause, Phase};
-use crate::job::{JobSpec, KvSizing, MapContext, Mapper, ReduceContext, Reducer, TaskStats};
+use crate::job::{JobSpec, KvSizing, Mapper, Reducer, TaskStats};
 use crate::obs::Labels;
 use crate::scheduler::{
     plan_wave, steal_backups, stream_shuffle_finish, AttemptOutcome, PlannedTask, WaveFaults,
@@ -613,19 +614,19 @@ fn remote_codec<'c, K, V>(cluster: &'c Cluster, spec: &JobSpec<K, V>) -> Option<
     cluster.registry().get(family)
 }
 
-/// Runs one wave of tasks through the cluster's execution backend — the
-/// single `ExecBackend::execute` call site shared by the map, reduce, and
-/// map-only waves.
+/// Runs one wave of tasks — the single dispatch shared by the map, reduce,
+/// and map-only waves, and the single [`crate::exec::ExecBackend::execute`]
+/// call site.
 ///
 /// Per task: the (attempt-invariant) descriptor is encoded once, lazily,
-/// only when a remote codec is present; each attempt then dispatches
-/// through the backend inside [`run_with_retries`], recording real
-/// wall-clock per-attempt metrics beside the simulated ones. The `local`
-/// body and the remote worker both return the *raw* family payload;
-/// `post` applies the driver-side tail (combiner, partitioning) inside
-/// the retry closure, so the stats an injected fault discards include the
-/// tail's mutations exactly as the pre-backend inline path produced them.
-fn run_wave<T, L, P>(
+/// only when a remote codec is present; each attempt inside
+/// [`run_with_retries`] then either ships it to a worker and decodes the
+/// result, or runs `local` (the typed task body) right here, recording
+/// real wall-clock per-attempt metrics beside the simulated ones. Both
+/// arms yield the same raw payload `R`; `post` applies the driver-side
+/// tail (combiner, partitioning) inside the retry closure, so the stats an
+/// injected fault discards include the tail's mutations.
+fn run_wave<R, T, L, P>(
     cluster: &Cluster,
     job: &str,
     phase: Phase,
@@ -635,9 +636,10 @@ fn run_wave<T, L, P>(
     post: P,
 ) -> Result<Vec<TaskRun<T>>>
 where
+    R: 'static,
     T: Send,
-    L: Fn(usize) -> Result<(ErasedPayload, TaskStats)> + Sync,
-    P: Fn(usize, ErasedPayload, &mut TaskStats) -> Result<T> + Sync,
+    L: Fn(usize) -> Result<(R, TaskStats)> + Sync,
+    P: Fn(R, &mut TaskStats) -> T + Sync,
 {
     let backend = cluster.backend();
     let obs = cluster.metrics.obs();
@@ -645,29 +647,29 @@ where
         .collect::<Vec<usize>>()
         .into_par_iter()
         .map(|idx| {
-            let descriptor = match &remote {
-                Some(r) => Some(TaskDescriptor {
-                    job: job.to_string(),
-                    family: r.family.to_string(),
-                    phase,
-                    task_index: idx,
-                    num_tasks,
-                    kv: r.kv,
-                    payload: (r.encode)(idx)?,
-                }),
+            let shipped = match &remote {
+                Some(r) => Some((
+                    TaskDescriptor {
+                        job: job.to_string(),
+                        family: r.family.to_string(),
+                        phase,
+                        task_index: idx,
+                        num_tasks,
+                        kv: r.kv,
+                        payload: (r.encode)(idx)?,
+                    },
+                    r.decode,
+                )),
                 None => None,
             };
-            let local_thunk = || local(idx);
             run_with_retries(cluster, job, phase, idx, || {
-                let call = TaskCall {
-                    descriptor: descriptor.clone(),
-                    local: &local_thunk,
-                    decode: remote
-                        .as_ref()
-                        .map(|r| &r.decode as &(dyn Fn(&Value) -> Result<ErasedPayload> + Sync)),
-                };
                 let wall = std::time::Instant::now();
-                let executed = backend.execute(&call);
+                let executed = match &shipped {
+                    Some((descriptor, decode)) => backend
+                        .execute(descriptor)
+                        .and_then(|done| Ok((decode_as::<R>(*decode, &done.payload)?, done.stats))),
+                    None => local(idx),
+                };
                 if obs.is_enabled() {
                     // Real elapsed time, not simulated: under a remote
                     // backend this includes serialization, the network
@@ -680,25 +682,16 @@ where
                         .observe(wall.elapsed().as_secs_f64());
                     obs.counter("mrinv_backend_tasks_total", &labels).add(1);
                 }
-                let (erased, mut stats) = match executed {
+                let (raw, mut stats) = match executed {
                     Ok(ok) => ok,
                     Err(e @ MrError::WorkerLost { .. }) => return Err(e),
                     Err(e) => return Err(wrap_task_error(job, phase, idx, e)),
                 };
-                let payload = post(idx, erased, &mut stats)?;
+                let payload = post(raw, &mut stats);
                 Ok((payload, stats))
             })
         })
         .collect()
-}
-
-/// Downcast failure of a wave payload — only reachable if a registered
-/// decoder produced a different type than the wave expects, which the
-/// registry's monomorphized codecs rule out by construction.
-fn payload_type_error(job: &str) -> MrError {
-    MrError::InvalidJob(format!(
-        "job {job:?}: task payload type does not match the wave (mismatched remote family)"
-    ))
 }
 
 /// A successful map attempt's payload: one bucket of pairs per reduce
@@ -821,25 +814,16 @@ where
         encode: &map_encode,
         decode: c.decode_map,
     });
-    let map_local = |idx: usize| -> Result<(ErasedPayload, TaskStats)> {
-        let mut ctx = MapContext::new(cluster.dfs.clone(), idx, num_tasks, spec.kv_size);
-        let start = std::time::Instant::now();
-        mapper.map(&inputs[idx], &mut ctx)?;
-        let reads = ctx.take_reads();
-        let (pairs, stats, counters) = ctx.finish(start.elapsed());
-        let payload: RawMapPayload<M::Key, M::Value> = (pairs, counters, reads);
-        Ok((Box::new(payload) as ErasedPayload, stats))
+    let map_local = |idx: usize| {
+        let dfs = cluster.dfs.clone();
+        map_body(mapper, &inputs[idx], dfs, idx, num_tasks, spec.kv_size)
     };
-    let map_post = |_idx: usize,
-                    erased: ErasedPayload,
+    let map_post = |(mut pairs, counters, reads): RawMapPayload<M::Key, M::Value>,
                     stats: &mut TaskStats|
-     -> Result<MapPayload<M::Key, M::Value>> {
-        let (mut pairs, counters, reads) = *erased
-            .downcast::<RawMapPayload<M::Key, M::Value>>()
-            .map_err(|_| payload_type_error(&spec.name))?;
+     -> MapPayload<M::Key, M::Value> {
         if reducers == 0 {
             // The mappers did all the work through DFS side files.
-            return Ok((Vec::new(), counters, reads));
+            return (Vec::new(), counters, reads);
         }
         // Map-side combine (Hadoop combiner): pre-aggregate this
         // task's output per key, shrinking the shuffle.
@@ -869,7 +853,7 @@ where
             pairs = combined;
         }
         let buckets = partition_pairs(pairs, spec.partitioner, reducers);
-        Ok((buckets, counters, reads))
+        (buckets, counters, reads)
     };
     let mut map_runs = run_wave(
         cluster,
@@ -1023,26 +1007,9 @@ where
                     .decode_reduce
                     .expect("map+reduce family has a reduce decoder"),
             });
-            let reduce_local = |p: usize| -> Result<(ErasedPayload, TaskStats)> {
-                let mut ctx = ReduceContext::new(cluster.dfs.clone(), p, reducers);
-                let start = std::time::Instant::now();
-                let mut outputs = Vec::new();
-                // Each group's values are a contiguous slice borrowed from
-                // the sorted run — nothing is cloned on the way in.
-                for (key, values) in partitions[p].groups() {
-                    let out = reducer.reduce(key, values, &mut ctx)?;
-                    outputs.push((key.clone(), out));
-                }
-                let (stats, counters) = ctx.finish(start.elapsed());
-                let payload: RawReducePayload<M::Key, R::Output> = (outputs, counters);
-                Ok((Box::new(payload) as ErasedPayload, stats))
-            };
-            let reduce_post = |_p: usize, erased: ErasedPayload, _stats: &mut TaskStats| {
-                erased
-                    .downcast::<RawReducePayload<M::Key, R::Output>>()
-                    .map(|payload| *payload)
-                    .map_err(|_| payload_type_error(&spec.name))
-            };
+            let reduce_local =
+                |p: usize| reduce_body(reducer, &partitions[p], cluster.dfs.clone(), p, reducers);
+            let reduce_post = |raw: RawReducePayload<M::Key, R::Output>, _: &mut TaskStats| raw;
             run_wave(
                 cluster,
                 &spec.name,
@@ -1079,7 +1046,7 @@ where
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use crate::job::identity_partitioner;
+    use crate::job::{identity_partitioner, MapContext, ReduceContext};
     use crate::simtime::CostModel;
     use bytes::Bytes;
 
@@ -1481,7 +1448,7 @@ mod tests {
 mod fault_domain_tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use crate::job::identity_partitioner;
+    use crate::job::{identity_partitioner, MapContext, ReduceContext};
     use crate::simtime::CostModel;
     use bytes::Bytes;
 

@@ -139,12 +139,6 @@ impl CostModel {
         bytes as f64 / (self.net_bw * m0.max(1) as f64)
     }
 
-    /// Simulated seconds for a point-to-point transfer of `bytes` over one
-    /// link (used by the ScaLAPACK baseline's broadcasts).
-    pub fn link_secs(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.net_bw
-    }
-
     /// Extra simulated seconds a task pays to read `bytes` of input whose
     /// replicas all live on *other* nodes: the block crosses the network
     /// once on its way in. Node-local reads pay nothing beyond the disk

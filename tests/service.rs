@@ -1,4 +1,4 @@
-//! Service acceptance: the multi-tenant `mrinv-serve` daemon under
+//! Service acceptance: the multi-tenant `mrinv serve` daemon under
 //! concurrent clients must produce bytes bit-identical to sequential
 //! in-process runs, serve warmed requests from the factor cache with
 //! zero pipeline jobs, enforce per-tenant admission limits, and survive
@@ -203,6 +203,36 @@ fn cached_solve_after_warm_invert_over_the_wire() {
         sol.solutions, cold,
         "cached and cold solutions must agree exactly"
     );
+}
+
+/// A running server's metric series are keyed by (tenant, operation), so
+/// traffic from a known tenant adds none: 200 warm requests leave the
+/// registry's series count where the first few requests put it.
+#[test]
+fn warm_requests_add_no_metric_series() {
+    let cluster = Arc::new(unit_cluster());
+    let handle = ServerHandle::start(cluster.clone(), ServiceConfig::default()).unwrap();
+    let mut client = ServiceClient::connect(&handle.addr().to_string(), "steady").unwrap();
+    let a = random_well_conditioned(16, 41);
+    let cfg = InversionConfig::with_nb(4);
+    let b = [rhs_for(0, 16)];
+
+    // One cold and one warm request per operation: every series this
+    // tenant can own now exists.
+    client.invert(&a, &cfg).unwrap();
+    assert!(client.invert(&a, &cfg).unwrap().cache_hit);
+    assert!(client.solve(&a, &b, &cfg).unwrap().cache_hit);
+    let series = cluster.metrics.obs().series_count();
+
+    for i in 0..200 {
+        let reply = if i % 2 == 0 {
+            client.invert(&a, &cfg).unwrap()
+        } else {
+            client.solve(&a, &b, &cfg).unwrap()
+        };
+        assert!(reply.cache_hit, "request {i} should be warm");
+    }
+    assert_eq!(cluster.metrics.obs().series_count(), series);
 }
 
 /// A tenant over its admission limit is rejected immediately with a
