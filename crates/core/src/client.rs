@@ -4,11 +4,17 @@
 //! at a time (the protocol is strict request/response per connection);
 //! open several clients for concurrency. Matrices cross the wire through
 //! the binary codec, so results are bit-identical to running the same
-//! [`crate::Request`] in-process.
+//! [`crate::Request`] in-process, and as one packed byte node each, so a
+//! frame costs its payload plus a few hundred bytes (see
+//! [`crate::service`], "What a frame costs"). Request ids start at 1: an
+//! error response under id 0 is the server's verdict on the frame itself
+//! ("undecodable request: …") and is reported as the server error it is.
+//! A server that predates both the byte node and that reply just hangs up
+//! ("service connection recv: …").
 
 use std::net::TcpStream;
 
-use mrinv_matrix::io::{decode_binary, encode_binary};
+use mrinv_matrix::io::{decode_binary, encode_binary_vec};
 use mrinv_matrix::{Matrix, Permutation};
 
 use crate::config::InversionConfig;
@@ -89,7 +95,7 @@ impl ServiceClient {
             tenant: self.tenant.clone(),
             id,
             op,
-            a: encode_binary(a).to_vec(),
+            a: encode_binary_vec(a),
             rhs: rhs.to_vec(),
             nb: cfg.nb as u64,
             separate_intermediate_files: cfg.opts.separate_intermediate_files,
@@ -109,7 +115,9 @@ impl ServiceClient {
         }
         let resp = bincode::deserialize::<WireResponse>(&body)
             .map_err(|e| CoreError::Invariant(format!("undecodable response: {e}")))?;
-        if resp.id != id {
+        // Id 0 is never issued: an error under it is about this frame.
+        let about_the_frame = resp.id == 0 && !resp.ok;
+        if resp.id != id && !about_the_frame {
             return Err(CoreError::Invariant(format!(
                 "response id {} for request {id}",
                 resp.id

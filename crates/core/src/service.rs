@@ -12,6 +12,27 @@
 //! | →   | 1   | `Request`  | bincode [`WireRequest`]  |
 //! | ←   | 2   | `Response` | bincode [`WireResponse`] |
 //!
+//! # What a frame costs
+//!
+//! A matrix crosses as the binary codec's bytes (20-byte header + 8 bytes
+//! per element) inside one packed bincode byte node (tag 9: 9 bytes of
+//! overhead per matrix), so a frame is its payload plus a few hundred bytes
+//! of field names and scalars — 1.0004 wire bytes per payload byte at
+//! n = 256, pinned by `frames_cost_their_payload` below. Each side writes a
+//! matrix's bytes once ([`encode_binary_vec`]) and bincode copies them once
+//! into the value tree and once into the frame. `rhs` / `solutions` are
+//! plain `f64` arrays at 9 bytes per 8.
+//!
+//! Compatibility runs one way. This decoder also accepts the older shape
+//! of a byte field (an array of one number per byte, 9 wire bytes per
+//! payload byte), so a client built before tag 9 is still served. A server
+//! built before tag 9 cannot read a new client's request ("unknown tag byte
+//! 9") and hangs up without saying so. From this protocol revision on a
+//! server says so: a request body that does not decode is answered with an
+//! error response whose `id` is 0 ("undecodable request: …") before the
+//! connection is dropped, and [`crate::client::ServiceClient`] reports that
+//! text — what a client gets to read from any future incompatible peer.
+//!
 //! # Threading model
 //!
 //! One accept thread, one handler thread per connection, and **one**
@@ -57,7 +78,7 @@ use std::thread::JoinHandle;
 use mrinv_mapreduce::obs::Labels;
 use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_mapreduce::Cluster;
-use mrinv_matrix::io::{decode_binary, encode_binary};
+use mrinv_matrix::io::{decode_binary, encode_binary_vec};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -127,7 +148,9 @@ impl WireRequest {
     }
 }
 
-/// One response frame. Empty byte vectors stand for absent matrices.
+/// One response frame. Empty byte vectors stand for absent matrices. An
+/// error response with `id` 0 (clients number requests from 1) is about the
+/// connection, not a request: the server could not decode the frame.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireResponse {
     /// Echo of [`WireRequest::id`].
@@ -176,8 +199,8 @@ impl WireResponse {
     fn from_outcome(id: u64, out: &Outcome) -> WireResponse {
         let (l, u, perm) = match out.factors() {
             Some(f) => (
-                encode_binary(&f.l).to_vec(),
-                encode_binary(&f.u).to_vec(),
+                encode_binary_vec(&f.l),
+                encode_binary_vec(&f.u),
                 f.perm.as_slice().iter().map(|&s| s as u64).collect(),
             ),
             None => (Vec::new(), Vec::new(), Vec::new()),
@@ -187,10 +210,7 @@ impl WireResponse {
             ok: true,
             error: String::new(),
             cache_hit: out.cache == CacheStatus::Hit,
-            inverse: out
-                .inverse()
-                .map(|m| encode_binary(m).to_vec())
-                .unwrap_or_default(),
+            inverse: out.inverse().map(encode_binary_vec).unwrap_or_default(),
             l,
             u,
             perm,
@@ -472,7 +492,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 /// Serves one client connection: a loop of request frames, each answered
 /// with exactly one response frame. Malformed frames drop the connection
-/// (the protocol has no way to resynchronize a corrupt stream).
+/// (the protocol has no way to resynchronize a corrupt stream); a request
+/// frame whose body does not decode is told why first, under id 0, so an
+/// incompatible peer reads a reason instead of a bare EOF.
 fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
     loop {
         let (tag, body) = match read_frame(stream) {
@@ -484,7 +506,11 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
         }
         let req = match bincode::deserialize::<WireRequest>(&body) {
             Ok(r) => r,
-            Err(_) => return,
+            Err(e) => {
+                let resp = WireResponse::err(0, format!("undecodable request: {}", e.0));
+                let _ = write_frame(stream, TAG_RESPONSE, &bincode::serialize(&resp));
+                return;
+            }
         };
         let resp = serve_request(shared, req);
         let body = bincode::serialize(&resp);
@@ -761,7 +787,7 @@ mod tests {
             tenant: "t".to_string(),
             id: 9,
             op: WireOp::Solve,
-            a: encode_binary(&Matrix::identity(3)).to_vec(),
+            a: encode_binary_vec(&Matrix::identity(3)),
             rhs: vec![vec![1.0, 2.0, 3.0]],
             nb: 2,
             separate_intermediate_files: true,
@@ -781,5 +807,101 @@ mod tests {
         assert!(!back.ok);
         assert_eq!(back.id, 9);
         assert_eq!(back.error, "nope");
+    }
+
+    #[test]
+    fn frames_cost_their_payload() {
+        let m = mrinv_matrix::random::random_matrix(256, 256, 7);
+        let payload = encode_binary_vec(&m);
+        let request = bincode::serialize(&WireRequest {
+            tenant: "t".to_string(),
+            id: 1,
+            op: WireOp::Invert,
+            a: payload.clone(),
+            rhs: Vec::new(),
+            nb: 32,
+            separate_intermediate_files: true,
+            block_wrap: true,
+            transpose_u: true,
+        });
+        assert!(
+            request.len() <= payload.len() + 512,
+            "request frame is {} bytes for a {}-byte matrix",
+            request.len(),
+            payload.len()
+        );
+        let mut resp = WireResponse::err(1, "");
+        resp.ok = true;
+        resp.inverse = payload.clone();
+        let response = bincode::serialize(&resp);
+        assert!(
+            response.len() <= payload.len() + 512,
+            "response frame is {} bytes for a {}-byte inverse",
+            response.len(),
+            payload.len()
+        );
+        let back = bincode::deserialize::<WireRequest>(&request).unwrap();
+        assert_eq!(back.a, payload);
+        let back = bincode::deserialize::<WireResponse>(&response).unwrap();
+        assert_eq!(back.inverse, payload);
+    }
+
+    #[test]
+    fn undecodable_request_is_answered_before_the_hangup() {
+        use std::io::Read;
+        let cluster = Arc::new(Cluster::medium(1));
+        let server = ServerHandle::start(cluster, ServiceConfig::default()).unwrap();
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        // A request frame whose body is no bincode value at all.
+        write_frame(&mut raw, TAG_REQUEST, &[42, 1, 2, 3]).unwrap();
+        let (tag, body) = read_frame(&mut raw).unwrap();
+        assert_eq!(tag, TAG_RESPONSE);
+        let resp = bincode::deserialize::<WireResponse>(&body).unwrap();
+        assert!(!resp.ok);
+        assert_eq!(resp.id, 0);
+        assert_eq!(resp.error, "undecodable request: unknown tag byte 42");
+        assert_eq!(raw.read_to_end(&mut Vec::new()).unwrap(), 0, "then EOF");
+
+        // A well-formed value of the wrong shape names the field, not its
+        // megabyte of contents.
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        let wrong = serde::Value::Object(vec![(
+            "tenant".to_string(),
+            serde::Value::Bytes(vec![0; 1 << 20]),
+        )]);
+        write_frame(&mut raw, TAG_REQUEST, &bincode::value_to_bytes(&wrong)).unwrap();
+        let (_, body) = read_frame(&mut raw).unwrap();
+        let resp = bincode::deserialize::<WireResponse>(&body).unwrap();
+        assert_eq!(resp.id, 0);
+        assert!(resp
+            .error
+            .starts_with("undecodable request: field \"tenant\""));
+        assert!(resp.error.len() < 200, "{} bytes", resp.error.len());
+    }
+
+    #[test]
+    fn client_reports_an_id_zero_error_as_the_server_error_it_is() {
+        // A peer that cannot read the client's frames (a server predating
+        // the packed byte node answers exactly this) and hangs up.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let old_server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let (tag, _) = read_frame(&mut stream).unwrap();
+            assert_eq!(tag, TAG_REQUEST);
+            let resp = WireResponse::err(0, "undecodable request: unknown tag byte 9");
+            write_frame(&mut stream, TAG_RESPONSE, &bincode::serialize(&resp)).unwrap();
+        });
+        let mut client = crate::client::ServiceClient::connect(&addr, "t").unwrap();
+        let err = client
+            .invert(&Matrix::identity(2), &InversionConfig::with_nb(1))
+            .unwrap_err()
+            .to_string();
+        old_server.join().unwrap();
+        assert!(
+            err.contains("server error: undecodable request: unknown tag byte 9"),
+            "{err}"
+        );
+        assert!(!err.contains("response id"), "{err}");
     }
 }

@@ -14,7 +14,7 @@
 //! data   f64 * rows*cols, row-major
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 use crate::dense::Matrix;
 use crate::error::{MatrixError, Result};
@@ -24,14 +24,22 @@ const HEADER_LEN: usize = 4 + 8 + 8;
 
 /// Serializes a matrix to the binary format.
 pub fn encode_binary(m: &Matrix) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + m.as_slice().len() * 8);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(m.rows() as u64);
-    buf.put_u64_le(m.cols() as u64);
-    for &v in m.as_slice() {
-        buf.put_f64_le(v);
-    }
-    buf.freeze()
+    Bytes::from(encode_binary_vec(m))
+}
+
+/// [`encode_binary`] into an owned vector, written once: what a service
+/// frame's byte field carries, without the copy into a shared [`Bytes`]
+/// and the copy back out of it.
+pub fn encode_binary_vec(m: &Matrix) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + m.as_slice().len() * 8);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(m.rows() as u64).to_le_bytes());
+    buf.extend_from_slice(&(m.cols() as u64).to_le_bytes());
+    // One bulk move of the elements: `flat_map` over fixed-size arrays
+    // compiles to a vectorized copy, where a push per element would pay a
+    // capacity check each.
+    buf.extend(m.as_slice().iter().flat_map(|v| v.to_le_bytes()));
+    buf
 }
 
 /// Deserializes a matrix from the binary format.
@@ -59,10 +67,12 @@ pub fn decode_binary(mut data: &[u8]) -> Result<Matrix> {
             data.remaining()
         )));
     }
-    let mut vals = Vec::with_capacity(rows * cols);
-    while data.has_remaining() {
-        vals.push(data.get_f64_le());
-    }
+    // The length is exact (checked above), so this is one allocation and
+    // one bulk move of the elements.
+    let vals = data
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
+        .collect();
     Matrix::from_vec(rows, cols, vals)
 }
 

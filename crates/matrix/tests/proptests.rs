@@ -1,7 +1,7 @@
 //! Property-based tests on the linear-algebra substrate.
 
 use mrinv_matrix::block::{even_ranges, BlockRange};
-use mrinv_matrix::io::{decode_binary, decode_text, encode_binary, encode_text};
+use mrinv_matrix::io::{decode_binary, decode_text, encode_binary, encode_binary_vec, encode_text};
 use mrinv_matrix::kernel::{
     gemm_with, trsm_with, Diag, GemmBackend, Naive, Op, Packed, Side, Strided, Uplo,
 };
@@ -9,11 +9,43 @@ use mrinv_matrix::lu::lu_decompose;
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::{random_matrix, random_well_conditioned};
 use mrinv_matrix::triangular::{invert_lower, invert_upper};
-use mrinv_matrix::{Matrix, Permutation};
+use mrinv_matrix::{Matrix, MatrixError, Permutation};
 use proptest::prelude::*;
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim, any::<u64>()).prop_map(|(r, c, seed)| random_matrix(r, c, seed))
+}
+
+/// Matrices (empty ones included) whose elements are drawn from every
+/// class of bit pattern: arbitrary bits, ±0, subnormals, NaNs with
+/// payloads, ±infinity.
+fn arb_bits_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    const SIGN: u64 = 1 << 63;
+    const EXP_ALL_ONES: u64 = 0x7ff << 52;
+    let element = |bits: u64| {
+        let (sign, mantissa) = (bits & SIGN, (bits >> 8) & MANTISSA);
+        f64::from_bits(match bits % 6 {
+            0 => sign,
+            1 => sign | mantissa.max(1),
+            2 => sign | EXP_ALL_ONES | mantissa.max(1),
+            3 => sign | EXP_ALL_ONES,
+            _ => bits,
+        })
+    };
+    (
+        0..=max_dim,
+        0..=max_dim,
+        prop::collection::vec(any::<u64>(), max_dim * max_dim),
+    )
+        .prop_map(move |(r, c, bits)| {
+            let vals = bits[..r * c].iter().map(|&b| element(b)).collect();
+            Matrix::from_vec(r, c, vals).unwrap()
+        })
+}
+
+fn bits_of(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 fn arb_perm(max_n: usize) -> impl Strategy<Value = Permutation> {
@@ -38,6 +70,54 @@ proptest! {
     #[test]
     fn binary_codec_round_trips(m in arb_matrix(24)) {
         prop_assert_eq!(decode_binary(&encode_binary(&m)).unwrap(), m);
+    }
+
+    #[test]
+    fn binary_codec_is_bit_identical_both_ways(m in arb_bits_matrix(6)) {
+        let x = encode_binary(&m);
+        prop_assert_eq!(x.as_ref(), encode_binary_vec(&m).as_slice());
+        let back = decode_binary(&x).unwrap();
+        prop_assert_eq!((back.rows(), back.cols()), (m.rows(), m.cols()));
+        // `==` on matrices would equate ±0 and reject every NaN.
+        prop_assert_eq!(bits_of(&back), bits_of(&m));
+        prop_assert_eq!(encode_binary(&back), x);
+    }
+
+    #[test]
+    fn binary_codec_rejects_every_malformed_input(m in arb_bits_matrix(5)) {
+        let x = encode_binary_vec(&m);
+        let is_codec_error = |data: &[u8]| matches!(decode_binary(data), Err(MatrixError::Codec(_)));
+        for cut in 0..x.len() {
+            prop_assert!(is_codec_error(&x[..cut]), "truncated to {cut} of {}", x.len());
+        }
+        for extra in 1..=9 {
+            let mut long = x.clone();
+            long.resize(x.len() + extra, 0);
+            prop_assert!(is_codec_error(&long), "{extra} bytes too long");
+        }
+        for i in 0..4 {
+            let mut bad = x.clone();
+            bad[i] ^= 0x20;
+            prop_assert!(is_codec_error(&bad), "magic byte {i} flipped");
+        }
+        // Dimensions whose product, or product times 8, overflows; and ones
+        // that are merely wrong for the payload.
+        let with_dims = |rows: u64, cols: u64| {
+            let mut bad = x.clone();
+            bad[4..12].copy_from_slice(&rows.to_le_bytes());
+            bad[12..20].copy_from_slice(&cols.to_le_bytes());
+            bad
+        };
+        for (rows, cols) in [
+            (u64::MAX, 2),
+            (u64::MAX, u64::MAX),
+            (1 << 32, 1 << 32),
+            (1 << 61, 1),
+            (1, 1 << 61),
+            (m.rows() as u64 + 1, m.cols() as u64 + 1),
+        ] {
+            prop_assert!(is_codec_error(&with_dims(rows, cols)), "dimensions {rows}x{cols}");
+        }
     }
 
     #[test]
