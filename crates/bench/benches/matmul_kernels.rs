@@ -4,7 +4,7 @@
 //! All variants run through the unified `gemm` surface with an explicit
 //! backend/op combination, so the comparison isolates loop order and
 //! layout rather than API overhead. The engine itself (packing + register
-//! blocking) is measured separately in the `gemm` bench.
+//! blocking) is measured by the benchmark's `kernel.gemm_gflops_*`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrinv_matrix::kernel::{gemm_with, notrans, trans, GemmBackend, Naive, Strided};

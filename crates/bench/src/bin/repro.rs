@@ -29,9 +29,6 @@
 //!   obs-check  quick observability gate: a traced n=64/nb=4 inversion
 //!              must export valid Prometheus text and a cost-model audit
 //!              whose residuals stay under the pinned threshold
-//!   bench-check regression gate: re-measures every tracked metric of the
-//!              committed BENCH_*.json baselines and fails if one lost
-//!              more than 15%
 //!   gemm-par-check ordering gate: on >= 2 cores with >= 2 effective pool
 //!              threads, packed-parallel GEMM must not be slower than
 //!              packed-serial at n >= 256 (skips on single-core boxes)
@@ -48,9 +45,13 @@ use mrinv_bench::experiments::{
     accuracy, fig6, fig7, fig8, nb_sweep, resume_recovery, sec74, sec74_node, sec8_spark,
     section2_methods, stragglers, table1, table2, table3,
 };
-use mrinv_bench::schema::{baseline_path, check_regression, BenchFile, REGRESSION_TOLERANCE};
 use mrinv_bench::suite::SuiteMatrix;
-use mrinv_bench::{micro, write_csv, write_results_file};
+use mrinv_bench::{write_csv, write_results_file};
+use mrinv_matrix::kernel::{gemm_with, notrans, Packed};
+use mrinv_matrix::random::random_matrix;
+use mrinv_matrix::Matrix;
+use std::hint::black_box;
+use std::time::Instant;
 
 #[derive(Debug)]
 struct Args {
@@ -93,7 +94,7 @@ fn parse_args() -> Args {
         }
     }
     if args.experiment.is_empty() {
-        die("usage: repro <table1|table2|table3|fig6|fig7|fig8|sec74|sec74-node|accuracy|nb-sweep|spark|resume|obs-check|bench-check|gemm-par-check|all> [--scale S] [--nodes a,b,c] [--no-scalapack]");
+        die(&usage());
     }
     args
 }
@@ -103,49 +104,58 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+type Runner = fn(&Args);
+
+/// Every experiment: its name, its runner and whether `all` includes it.
+/// The usage line, the dispatch and `all` (in this order) all read this
+/// one table.
+const EXPERIMENTS: &[(&str, Runner, bool)] = &[
+    ("table3", run_table3, true),
+    ("accuracy", run_accuracy, true),
+    ("section2", run_section2, true),
+    ("table1", run_table1, true),
+    ("table2", run_table2, true),
+    ("fig6", run_fig6, true),
+    ("fig7", run_fig7, true),
+    ("fig8", run_fig8, true),
+    ("sec74", run_sec74, true),
+    ("sec74-node", run_sec74_node, true),
+    ("nb-sweep", run_nb_sweep, true),
+    ("spark", run_spark, true),
+    ("stragglers", run_stragglers, true),
+    ("resume", run_resume, true),
+    ("obs-check", run_obs_check, false),
+    ("gemm-par-check", run_gemm_par_check, false),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _, _)| name).collect();
+    format!(
+        "usage: repro <{}|all> [--scale S] [--nodes a,b,c] [--no-scalapack]",
+        names.join("|")
+    )
+}
+
 fn main() {
     let args = parse_args();
-    let run = |name: &str| match name {
-        "table1" => run_table1(&args),
-        "table2" => run_table2(&args),
-        "table3" => run_table3(&args),
-        "fig6" => run_fig6(&args),
-        "fig7" => run_fig7(&args),
-        "fig8" => run_fig8(&args),
-        "sec74" => run_sec74(&args),
-        "sec74-node" => run_sec74_node(&args),
-        "accuracy" => run_accuracy(&args),
-        "nb-sweep" => run_nb_sweep(&args),
-        "spark" => run_spark(&args),
-        "section2" => run_section2(&args),
-        "stragglers" => run_stragglers(&args),
-        "resume" => run_resume(&args),
-        "obs-check" => run_obs_check(&args),
-        "bench-check" => run_bench_check(&args),
-        "gemm-par-check" => run_gemm_par_check(&args),
-        other => die(&format!("unknown experiment {other:?}")),
-    };
     if args.experiment == "all" {
-        for name in [
-            "table3",
-            "accuracy",
-            "section2",
-            "table1",
-            "table2",
-            "fig6",
-            "fig7",
-            "fig8",
-            "sec74",
-            "sec74-node",
-            "nb-sweep",
-            "spark",
-            "stragglers",
-            "resume",
-        ] {
-            run(name);
+        for &(_, run, in_all) in EXPERIMENTS {
+            if in_all {
+                run(&args);
+            }
         }
-    } else {
-        run(&args.experiment);
+        return;
+    }
+    match EXPERIMENTS
+        .iter()
+        .find(|&&(name, _, _)| name == args.experiment)
+    {
+        Some(&(_, run, _)) => run(&args),
+        None => die(&format!(
+            "unknown experiment {:?}\n{}",
+            args.experiment,
+            usage()
+        )),
     }
 }
 
@@ -728,87 +738,33 @@ fn run_obs_check(_args: &Args) {
     println!("obs-check passed");
 }
 
-/// Bench regression gate: re-measures every tracked metric of the
-/// committed `BENCH_*.json` baselines with the shared `micro`
-/// measurement code and fails when one lost more than
-/// [`REGRESSION_TOLERANCE`].
-fn run_bench_check(_args: &Args) {
-    println!(
-        "\n== Bench regression gate: tracked metrics vs committed baselines (tolerance {:.0}%) ==",
-        REGRESSION_TOLERANCE * 100.0
-    );
-    println!(
-        "{:>44} {:>10} {:>10} {:>7} {:>8}",
-        "metric", "baseline", "current", "ratio", "verdict"
-    );
-    let mut failed = false;
-    for name in ["BENCH_pr3.json", "BENCH_pr8.json"] {
-        let file = match BenchFile::load(&baseline_path(name)) {
-            Ok(f) => f,
-            Err(e) => {
-                println!("{name}: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        for m in file.tracked() {
-            let measure = || match (file.bench.as_str(), m.id.as_str()) {
-                ("gemm", "packed_serial_speedup_vs_naive_at_512") => {
-                    Some(micro::gemm_packed_serial_speedup(512))
-                }
-                ("gemm", "packed_serial_gflops_at_256") => {
-                    Some(micro::gemm_packed_gflops(256, false))
-                }
-                ("gemm", "packed_serial_gflops_at_512") => {
-                    Some(micro::gemm_packed_gflops(512, false))
-                }
-                ("gemm", "packed_parallel_gflops_at_256") => {
-                    Some(micro::gemm_packed_gflops(256, true))
-                }
-                ("gemm", "packed_parallel_gflops_at_512") => {
-                    Some(micro::gemm_packed_gflops(512, true))
-                }
-                ("gemm", "packed_parallel_vs_serial_at_512") => {
-                    Some(micro::gemm_parallel_vs_serial(512))
-                }
-                _ => None,
-            };
-            let Some(current) = measure() else {
-                println!(
-                    "{:>44} {:>10.3} {:>10} {:>7} {:>8}",
-                    m.id, m.value, "?", "?", "UNKNOWN"
-                );
-                failed = true;
-                continue;
-            };
-            let mut check = check_regression(m, current);
-            if !check.ok {
-                // One retry before declaring a regression: a shared or
-                // oversubscribed box can lose a single best-of-3 sample
-                // to scheduling noise. Keep whichever run scored better.
-                let retry = check_regression(m, measure().unwrap_or(current));
-                if retry.ratio > check.ratio {
-                    check = retry;
-                }
-            }
-            println!(
-                "{:>44} {:>10.3} {:>10.3} {:>7.3} {:>8}",
-                check.id,
-                check.baseline,
-                check.current,
-                check.ratio,
-                if check.ok { "ok" } else { "REGRESSED" }
-            );
-            failed |= !check.ok;
-        }
-    }
-    if failed {
-        eprintln!(
-            "repro: bench-check FAILED (if the loss is intended, regenerate the baselines with `cargo bench --bench shuffle --bench gemm`)"
-        );
-        std::process::exit(1);
-    }
-    println!("bench-check passed");
+/// Serial / parallel wall-clock ratio of the packed engine for one
+/// `n x n x n` product (best of 9 each, same buffers): > 1 means the
+/// parallel nest wins. Best-of-9 rides out the lost scheduling quanta a
+/// shared runner sees; one 512³ product is ~10 ms.
+fn gemm_parallel_vs_serial(n: usize) -> f64 {
+    let a = random_matrix(n, n, 1);
+    let b = random_matrix(n, n, 2);
+    let mut out = Matrix::zeros(n, n);
+    let mut best_secs = |parallel: bool| {
+        (0..9)
+            .map(|_| {
+                let t0 = Instant::now();
+                gemm_with(
+                    &Packed { parallel },
+                    1.0,
+                    notrans(black_box(&a)),
+                    notrans(black_box(&b)),
+                    0.0,
+                    &mut out,
+                )
+                .expect("square operands");
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let serial = best_secs(false);
+    serial / best_secs(true)
 }
 
 /// Multi-threaded ordering gate: with at least two cores and two
@@ -831,7 +787,7 @@ fn run_gemm_par_check(_args: &Args) {
     }
     let mut failed = false;
     for n in [256usize, 512] {
-        let ratio = micro::gemm_parallel_vs_serial(n);
+        let ratio = gemm_parallel_vs_serial(n);
         let ok = ratio >= 0.95;
         println!(
             "  n={n}: parallel/serial {ratio:.3}x  [{}]",

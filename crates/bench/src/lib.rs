@@ -8,8 +8,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod micro;
-pub mod schema;
 pub mod suite;
 
 use std::io::Write as _;

@@ -10,7 +10,6 @@
 //! mrinv lu     --input a.txt --l l.txt --u u.txt [same flags as invert]
 //! mrinv solve  --input a.txt --rhs b.txt --output x.txt [same flags]
 //! mrinv gen    --order 512 --output a.txt [--seed 42]
-//! mrinv tune   [--out tune.spec]
 //! mrinv serve  [--listen 127.0.0.1:7171] [--nodes 4] [--max-queue 64]
 //! mrinv worker --connect <addr> --worker-id <n>
 //! ```
@@ -54,17 +53,6 @@
 //! at zero cost); `--metrics-prom` and `--metrics-json` also turn on the
 //! kernel engine's per-backend perf counters. `--progress` prints a live
 //! one-line jobs/ETA meter to stderr while the pipeline runs.
-//!
-//! `tune` calibrates the packed GEMM engine on this machine (the
-//! thorough probe profile: MC×KC blocking grid, serial/parallel
-//! crossover, and a block-size throughput sweep) and prints ready-to-use
-//! settings to stdout: an `MRINV_GEMM_TUNE=...` spec for the kernel and a
-//! recommended MapReduce block size for `--nb`. With `--out FILE` the
-//! spec is also written to `FILE`, usable as `MRINV_GEMM_TUNE=file:FILE`
-//! (which re-probes and rewrites the cache if the file ever goes
-//! missing or stale). Note the tuned-KC rounding caveat in
-//! `mrinv_matrix::kernel::tune`: non-default specs trade bitwise seed
-//! identity for speed.
 //!
 //! `--checkpoint` records a job manifest under `--workdir` so a killed
 //! pipeline can be resumed with `--resume`. The DFS is in-memory, so the
@@ -148,6 +136,15 @@ impl Opts {
         }
     }
 
+    /// The inversion configuration for `a`: `--nb` (at least 1, checked
+    /// in [`parse`]) capped at the matrix order.
+    fn config_for(&self, a: &Matrix) -> InversionConfig {
+        InversionConfig {
+            nb: self.nb.min(a.rows().max(1)),
+            ..InversionConfig::default()
+        }
+    }
+
     /// Applies the run-placement flags to a request.
     fn place<'a>(&self, req: Request<'a>, run: &RunId) -> Request<'a> {
         match self.mode() {
@@ -160,7 +157,7 @@ impl Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mrinv invert --input a.txt --output inv.txt [--nodes N] [--nb NB] [--backend in-process|tcp:W] [--sched barrier|pipelined] [--trace-out T.json] [--metrics-json M.json] [--metrics-prom M.prom] [--progress] [--workdir DIR] [--checkpoint] [--resume] [--kill-after-job K] [--connect ADDR --tenant NAME]\n  mrinv lu --input a.txt --l l.txt --u u.txt [same flags as invert]\n  mrinv solve --input a.txt --rhs b.txt --output x.txt [same flags as invert]\n  mrinv gen --order N --output a.txt [--seed S]\n  mrinv tune [--out FILE]\n  mrinv serve [--listen ADDR] [--nodes N] [--max-queue Q]\n  mrinv worker --connect <addr> --worker-id <n>"
+        "usage:\n  mrinv invert --input a.txt --output inv.txt [--nodes N] [--nb NB] [--backend in-process|tcp:W] [--sched barrier|pipelined] [--trace-out T.json] [--metrics-json M.json] [--metrics-prom M.prom] [--progress] [--workdir DIR] [--checkpoint] [--resume] [--kill-after-job K] [--connect ADDR --tenant NAME]\n  mrinv lu --input a.txt --l l.txt --u u.txt [same flags as invert]\n  mrinv solve --input a.txt --rhs b.txt --output x.txt [same flags as invert]\n  mrinv gen --order N --output a.txt [--seed S]\n  mrinv serve [--listen ADDR] [--nodes N] [--max-queue Q]\n  mrinv worker --connect <addr> --worker-id <n>"
     );
     exit(2)
 }
@@ -200,7 +197,6 @@ fn parse(args: Vec<String>) -> Opts {
         match arg.as_str() {
             "--input" => opts.input = Some(val()),
             "--output" => opts.output = Some(val()),
-            "--out" => opts.output = Some(val()),
             "--rhs" => opts.rhs = Some(val()),
             "--l" => opts.l_out = Some(val()),
             "--u" => opts.u_out = Some(val()),
@@ -209,7 +205,13 @@ fn parse(args: Vec<String>) -> Opts {
             "--metrics-prom" => opts.metrics_prom = Some(val()),
             "--progress" => opts.progress = true,
             "--nodes" => opts.nodes = val().parse().unwrap_or_else(|_| usage()),
-            "--nb" => opts.nb = val().parse().unwrap_or_else(|_| usage()),
+            "--nb" => {
+                opts.nb = val().parse().unwrap_or_else(|_| usage());
+                if opts.nb == 0 {
+                    eprintln!("mrinv: --nb must be at least 1");
+                    exit(2);
+                }
+            }
             "--order" => opts.order = val().parse().unwrap_or_else(|_| usage()),
             "--seed" => opts.seed = val().parse().unwrap_or_else(|_| usage()),
             "--workdir" => opts.workdir = val(),
@@ -409,50 +411,6 @@ fn emit_observability(opts: &Opts, cluster: &Cluster, report: &RunReport) {
     }
 }
 
-/// `mrinv tune`: calibrates the packed GEMM engine on this machine and
-/// prints ready-to-paste settings — an `MRINV_GEMM_TUNE` spec plus the
-/// recommended MapReduce block size for `--nb`. Human-readable progress
-/// goes to stderr; the two settings lines go to stdout so they can be
-/// scripted (`eval "$(mrinv tune 2>/dev/null | head -1)"`).
-fn run_tune(opts: &Opts) {
-    use mrinv_matrix::kernel::tune::{calibrate, format_spec, recommend_nb, CalibrateOpts};
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = rayon::current_num_threads();
-    eprintln!(
-        "mrinv: calibrating the packed GEMM engine ({cores} core(s) detected, \
-         {threads} pool thread(s)); this takes a few seconds..."
-    );
-    let p = calibrate(&CalibrateOpts::thorough());
-    eprintln!("  blocking: mc={} kc={} nc={}", p.mc, p.kc, p.nc);
-    eprintln!(
-        "  serial/parallel crossover: {} multiply-adds{}",
-        p.par_min_madds,
-        if threads > 1 {
-            ""
-        } else {
-            " (single-thread pool: crossover probe skipped, compiled default kept)"
-        }
-    );
-    let (nb, curve) = recommend_nb(&p, 3);
-    eprintln!("  block-size sweep, serial packed GFLOP/s per candidate nb:");
-    for (c_nb, gf) in &curve {
-        eprintln!(
-            "    nb={c_nb:>4}  {gf:6.2}{}",
-            if *c_nb == nb { "  <- recommended" } else { "" }
-        );
-    }
-    let spec = format_spec(&p);
-    println!("MRINV_GEMM_TUNE={spec}");
-    println!("recommended --nb {nb}");
-    if let Some(path) = &opts.output {
-        std::fs::write(path, format!("{spec}\n")).unwrap_or_else(|e| {
-            eprintln!("mrinv: cannot write tune spec to {path}: {e}");
-            exit(1)
-        });
-        eprintln!("mrinv: tune spec -> {path} (use MRINV_GEMM_TUNE=file:{path})");
-    }
-}
-
 /// `mrinv serve`: starts the multi-tenant service and blocks forever.
 /// The bound address (useful with `--listen 127.0.0.1:0`) is printed to
 /// stdout as `listening on <addr>` so scripts can scrape it.
@@ -487,7 +445,7 @@ fn run_remote(opts: &Opts, addr: &str) {
         .as_deref()
         .map(read_matrix)
         .unwrap_or_else(|| usage());
-    let cfg = InversionConfig::with_nb(opts.nb.min(a.rows().max(1)));
+    let cfg = opts.config_for(&a);
     let mut client = ServiceClient::connect(addr, &opts.tenant).unwrap_or_else(|e| {
         eprintln!("mrinv: {e}");
         exit(1)
@@ -608,7 +566,7 @@ pub fn run(args: Vec<String>) -> i32 {
             };
             let a = read_matrix(input);
             let cluster = build_cluster(&opts);
-            let cfg = InversionConfig::with_nb(opts.nb.min(a.rows().max(1)));
+            let cfg = opts.config_for(&a);
             let run = RunId::new(&opts.workdir);
             let result = retry_after_kill(
                 opts.place(Request::invert(&a).config(&cfg), &run)
@@ -659,7 +617,7 @@ pub fn run(args: Vec<String>) -> i32 {
             };
             let a = read_matrix(input);
             let cluster = build_cluster(&opts);
-            let cfg = InversionConfig::with_nb(opts.nb.min(a.rows().max(1)));
+            let cfg = opts.config_for(&a);
             let run = RunId::new(&opts.workdir);
             let result = retry_after_kill(
                 opts.place(Request::lu(&a).config(&cfg), &run)
@@ -701,7 +659,7 @@ pub fn run(args: Vec<String>) -> i32 {
             let a = read_matrix(input);
             let rhs = rhs_columns(&read_matrix(rhs_path));
             let cluster = build_cluster(&opts);
-            let cfg = InversionConfig::with_nb(opts.nb.min(a.rows().max(1)));
+            let cfg = opts.config_for(&a);
             let run = RunId::new(&opts.workdir);
             let result = retry_after_kill(
                 opts.place(
@@ -738,7 +696,6 @@ pub fn run(args: Vec<String>) -> i32 {
                 }
             }
         }
-        "tune" => run_tune(&opts),
         "serve" => run_serve(&opts),
         "worker" => {
             // Re-collect the worker flags out of the parsed options.

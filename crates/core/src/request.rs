@@ -174,10 +174,13 @@ impl<'a> Request<'a> {
         self
     }
 
-    /// Shorthand for [`Request::config`] with
-    /// [`InversionConfig::with_nb`].
+    /// Shorthand for [`Request::config`] with block bound `nb` and every
+    /// optimization on. `nb = 0` is refused at submit time.
     pub fn nb(mut self, nb: usize) -> Self {
-        self.cfg = InversionConfig::with_nb(nb);
+        self.cfg = InversionConfig {
+            nb,
+            ..InversionConfig::default()
+        };
         self
     }
 
@@ -244,9 +247,12 @@ impl<'a> Request<'a> {
     }
 
     /// The matrix order, once the request is known to be well-formed: a
-    /// square matrix, right-hand sides of that length, and at least one of
-    /// them for a solve.
+    /// positive block bound, a square matrix, right-hand sides of that
+    /// length, and at least one of them for a solve.
     fn validate(&self) -> Result<usize> {
+        if self.cfg.nb == 0 {
+            return Err(CoreError::Invariant("nb must be at least 1".to_string()));
+        }
         let n = self.a.order()?;
         for (i, b) in self.rhs.iter().enumerate() {
             if b.len() != n {
@@ -695,6 +701,25 @@ mod tests {
         let cluster = test_cluster(2);
         let a = Matrix::zeros(4, 6);
         assert!(Request::invert(&a).submit(&cluster).is_err());
+    }
+
+    #[test]
+    fn zero_nb_is_an_error_not_a_panic() {
+        let cluster = test_cluster(2);
+        let a = random_well_conditioned(8, 2);
+        let cfg = InversionConfig {
+            nb: 0,
+            ..InversionConfig::default()
+        };
+        for req in [
+            Request::invert(&a).config(&cfg),
+            Request::lu(&a).nb(0),
+            Request::solve(&a).rhs(vec![1.0; 8]).nb(0),
+        ] {
+            let err = req.submit(&cluster).unwrap_err().to_string();
+            assert!(err.contains("nb must be at least 1"), "{err}");
+        }
+        assert_eq!(cluster.metrics.snapshot().jobs, 0, "validation is free");
     }
 
     #[test]

@@ -137,14 +137,17 @@ pub struct WireRequest {
 }
 
 impl WireRequest {
+    /// The configuration as the client sent it; `Request::validate`
+    /// refuses `nb = 0`, so it comes back as an error reply.
     fn config(&self) -> InversionConfig {
-        let mut cfg = InversionConfig::with_nb(self.nb as usize);
-        cfg.opts = Optimizations {
-            separate_intermediate_files: self.separate_intermediate_files,
-            block_wrap: self.block_wrap,
-            transpose_u: self.transpose_u,
-        };
-        cfg
+        InversionConfig {
+            nb: usize::try_from(self.nb).unwrap_or(usize::MAX),
+            opts: Optimizations {
+                separate_intermediate_files: self.separate_intermediate_files,
+                block_wrap: self.block_wrap,
+                transpose_u: self.transpose_u,
+            },
+        }
     }
 }
 

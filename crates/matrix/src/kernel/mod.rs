@@ -44,7 +44,6 @@ mod naive;
 mod packed;
 pub mod perf;
 mod trsm;
-pub mod tune;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

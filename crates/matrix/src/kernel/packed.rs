@@ -26,10 +26,10 @@
 //! `beta` is applied to `C` once up front; the k-blocks then accumulate
 //! with `+=`, and `alpha` is folded into the accumulator write-out.
 //!
-//! MC/KC/NC and the serial/parallel crossover are no longer compile-time
-//! constants: they come from [`super::tune::params`], which defaults to
-//! the historical values and can be overridden or auto-probed via
-//! `MRINV_GEMM_TUNE`.
+//! [`MC`], [`KC`], [`NC`] and the serial/parallel crossover
+//! [`PAR_MIN_MADDS`] are compile-time constants. `KC` fixes how each
+//! element's partial sums over `k` are grouped, hence its floating-point
+//! rounding, so every bit-identity pin in the repository depends on it.
 //!
 //! With `parallel = true` and a multi-thread pool, the `ic` loop (and for
 //! wide-but-short operands the `jr` loop too) fans out across the
@@ -41,13 +41,12 @@
 //! partial sum is computed by the identical microkernel loop — so the
 //! parallel path is **bitwise identical** to the serial path, regardless
 //! of thread count or tile distribution. Products below the crossover
-//! (`par_min_madds`) stay serial.
+//! stay serial.
 
 use std::cell::RefCell;
 
 use rayon::prelude::*;
 
-use super::tune::Params;
 use super::{scale_by_beta, GemmBackend, Op, OpRef, Result};
 use crate::dense::Matrix;
 
@@ -55,6 +54,15 @@ use crate::dense::Matrix;
 pub(super) const MR: usize = 4;
 /// Microkernel tile width (columns of C per register block).
 pub(super) const NR: usize = 8;
+/// Macro-block rows: rows of packed A per L2-resident slab.
+const MC: usize = 64;
+/// Macro-block depth: k-extent of the packed panels (L1 reuse).
+const KC: usize = 256;
+/// Macro-block columns: outermost B panel width.
+const NC: usize = 4096;
+/// Serial/parallel crossover in multiply-adds: products with `m·k·n`
+/// below this stay serial (fan-out overhead beats the win).
+const PAR_MIN_MADDS: usize = 1 << 21;
 
 #[cfg(target_arch = "x86_64")]
 mod cpu {
@@ -299,17 +307,14 @@ thread_local! {
     static ABUF: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The packed engine proper, with explicit blocking parameters and an
-/// explicit serial/parallel choice. `beta` must already have been applied
-/// to `C` by the caller ([`GemmBackend::gemm_checked`] does; the autotuner
-/// probes call this directly with candidate parameters, which is what
-/// keeps calibration from recursing into [`super::tune::params`]).
+/// The packed engine proper, with an explicit serial/parallel choice.
+/// `beta` must already have been applied to `C` by the caller
+/// ([`GemmBackend::gemm_checked`] does).
 ///
-/// The parallel and serial paths produce **bitwise identical** results
-/// for the same parameters: both accumulate each C element's `pc`-partial
-/// sums in the same outer-loop order, computed by the same microkernel.
+/// The parallel and serial paths produce **bitwise identical** results:
+/// both accumulate each C element's `pc`-partial sums in the same
+/// outer-loop order, computed by the same microkernel.
 pub(super) fn run_packed(
-    p: &Params,
     parallel: bool,
     name: &'static str,
     alpha: f64,
@@ -321,16 +326,15 @@ pub(super) fn run_packed(
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return;
     }
-    let (mc_p, kc_p, nc_p) = (p.mc, p.kc, p.nc);
-    let mut bbuf = vec![0.0; n.min(nc_p).div_ceil(NR) * NR * k.min(kc_p)];
+    let mut bbuf = vec![0.0; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
     // Kernel perf counters want the packing/microkernel time split;
     // resolve the gate once so disabled runs never read a clock.
     let perf_on = super::perf::is_enabled();
 
-    for jc in (0..n).step_by(nc_p) {
-        let nc = nc_p.min(n - jc);
-        for pc in (0..k).step_by(kc_p) {
-            let kc = kc_p.min(k - pc);
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
             let blen = nc.div_ceil(NR) * NR * kc;
             let tb = perf_on.then(std::time::Instant::now);
             pack_b(b, pc, kc, jc, nc, &mut bbuf[..blen]);
@@ -347,7 +351,7 @@ pub(super) fn run_packed(
                 // every thread still gets work; an item covering a split
                 // repacks its A tile, which is O(mc·kc) against the item's
                 // O(mc·kc·nc/splits) compute.
-                let ic_tiles = m.div_ceil(mc_p);
+                let ic_tiles = m.div_ceil(MC);
                 let jr_panels = nc.div_ceil(NR);
                 let want_items = rayon::current_num_threads() * 2;
                 let jr_splits = if ic_tiles >= want_items {
@@ -363,13 +367,13 @@ pub(super) fn run_packed(
                 for t in 0..ic_tiles {
                     let mut p0 = 0;
                     while p0 < jr_panels {
-                        items.push((t * mc_p, p0, (p0 + panels_per).min(jr_panels)));
+                        items.push((t * MC, p0, (p0 + panels_per).min(jr_panels)));
                         p0 += panels_per;
                     }
                 }
                 let cptr = CPtr(c.as_mut_slice().as_mut_ptr());
                 items.into_par_iter().for_each(|(ic, p0, p1)| {
-                    let mc = mc_p.min(m - ic);
+                    let mc = MC.min(m - ic);
                     ABUF.with(|cell| {
                         let mut abuf = cell.borrow_mut();
                         let alen = mc.div_ceil(MR) * MR * kc;
@@ -398,9 +402,9 @@ pub(super) fn run_packed(
                     });
                 });
             } else {
-                let mut abuf = vec![0.0; mc_p.min(m).div_ceil(MR) * MR * kc];
-                for ic in (0..m).step_by(mc_p) {
-                    let mc = mc_p.min(m - ic);
+                let mut abuf = vec![0.0; MC.min(m).div_ceil(MR) * MR * kc];
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
                     let alen = mc.div_ceil(MR) * MR * kc;
                     let ta = perf_on.then(std::time::Instant::now);
                     pack_a(a, ic, mc, pc, kc, &mut abuf[..alen]);
@@ -429,17 +433,16 @@ impl GemmBackend for super::Packed {
         if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
             return Ok(());
         }
-        let p = super::tune::params();
-        // The old `m > MC` gate is gone: wide-but-short operands now
-        // parallelize via jr-splitting. What remains is the crossover
-        // (below it, fan-out overhead beats the win) and the degenerate
-        // single-thread pool, where the serial nest is strictly better.
+        // Wide-but-short operands parallelize via jr-splitting, so `m`
+        // alone never gates the nest: only the crossover and the
+        // degenerate single-thread pool (where the serial nest is
+        // strictly better) do.
         let use_par =
-            self.parallel && rayon::current_num_threads() > 1 && m * k * n >= p.par_min_madds;
+            self.parallel && rayon::current_num_threads() > 1 && m * k * n >= PAR_MIN_MADDS;
         if self.parallel {
             super::perf::record_packed_path(self.name(), use_par);
         }
-        run_packed(&p, use_par, self.name(), alpha, a, b, c);
+        run_packed(use_par, self.name(), alpha, a, b, c);
         Ok(())
     }
 
@@ -452,6 +455,19 @@ impl GemmBackend for super::Packed {
     }
 
     fn trsm_block(&self) -> Option<usize> {
-        Some(super::tune::params().mc)
+        Some(MC)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn blocking_constants_are_pinned() {
+        // KC groups each element's partial sums over k, so it decides the
+        // engine's floating-point bits; MC is also trsm's block size.
+        // Changing any of the four moves every bit-identity pin at once.
+        assert_eq!((MC, KC, NC, PAR_MIN_MADDS), (64, 256, 4096, 1 << 21));
     }
 }

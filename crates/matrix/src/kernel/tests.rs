@@ -1,6 +1,7 @@
 use super::*;
 use crate::random::{random_matrix, random_unit_lower, random_upper};
 use crate::triangular;
+use proptest::prelude::*;
 
 const TOL: f64 = 1e-9;
 
@@ -11,6 +12,18 @@ fn backends() -> Vec<(&'static str, Box<dyn GemmBackend>)> {
         ("packed-serial", Box::new(Packed { parallel: false })),
         ("packed", Box::new(Packed { parallel: true })),
     ]
+}
+
+/// Runs `f` with the pool's effective width capped at `cap`. The cap is
+/// process-global and tests run on parallel threads, so the two tests
+/// that set it take turns: otherwise one could run under the other's cap
+/// and restore a stale value.
+fn with_thread_cap(cap: usize, f: impl FnOnce()) {
+    static CAP: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _turn = CAP.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let prev = rayon::set_thread_cap(cap);
+    f();
+    rayon::set_thread_cap(prev);
 }
 
 #[test]
@@ -50,7 +63,6 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
     // serial nest's order with the same microkernel — so results must be
     // bit-for-bit equal at any thread cap, including ragged and
     // wide-but-short shapes the old `m > MC` gate used to exclude.
-    let p = tune::DEFAULT_PARAMS;
     for (m, k, n, seed) in [
         (3usize, 5usize, 9usize, 30u64), // m ≤ MR
         (32, 300, 512, 31),              // wide-short: one row tile
@@ -64,7 +76,6 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         let mut serial = c0.clone();
         scale_by_beta(&mut serial, 0.5);
         packed::run_packed(
-            &p,
             false,
             "packed-serial",
             1.5,
@@ -74,11 +85,11 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         );
 
         for cap in [1usize, 2, usize::MAX] {
-            let prev = rayon::set_thread_cap(cap);
             let mut par = c0.clone();
             scale_by_beta(&mut par, 0.5);
-            packed::run_packed(&p, true, "packed", 1.5, notrans(&a), notrans(&b), &mut par);
-            rayon::set_thread_cap(prev);
+            with_thread_cap(cap, || {
+                packed::run_packed(true, "packed", 1.5, notrans(&a), notrans(&b), &mut par)
+            });
             assert_eq!(
                 par, serial,
                 "parallel nest must be bitwise serial at cap={cap} ({m}x{k}x{n})"
@@ -90,7 +101,6 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         let b_t = b.transpose();
         let mut serial_tt = c0.clone();
         packed::run_packed(
-            &p,
             false,
             "packed-serial",
             -1.0,
@@ -99,16 +109,79 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
             &mut serial_tt,
         );
         let mut par_tt = c0.clone();
-        packed::run_packed(
-            &p,
-            true,
-            "packed",
-            -1.0,
-            trans(&a_t),
-            trans(&b_t),
-            &mut par_tt,
-        );
+        packed::run_packed(true, "packed", -1.0, trans(&a_t), trans(&b_t), &mut par_tt);
         assert_eq!(par_tt, serial_tt, "tt parallel nest must be bitwise serial");
+    }
+}
+
+/// Shape families: m ≤ MR slivers, wide-but-short, tall-and-skinny, and
+/// generally ragged — all straddling the MR/NR/MC/KC tile edges.
+fn arb_shape() -> impl Strategy<Value = (usize, usize, usize)> {
+    (0usize..4, any::<u64>()).prop_map(|(family, s)| {
+        let pick = |lo: usize, hi: usize, rot: u32| lo + (s.rotate_right(rot) as usize) % (hi - lo);
+        match family {
+            0 => (pick(1, 5, 0), pick(1, 96, 8), pick(1, 96, 16)), // m ≤ MR
+            1 => (pick(1, 24, 0), pick(1, 64, 8), pick(120, 280, 16)), // wide-short
+            2 => (pick(120, 280, 0), pick(1, 64, 8), pick(1, 24, 16)), // tall-skinny
+            _ => (pick(1, 80, 0), pick(1, 80, 8), pick(1, 80, 16)), // ragged general
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The parallel nest is forced on for every product, however small,
+    /// by calling the engine below the crossover gate — these shapes all
+    /// fall under `PAR_MIN_MADDS`, so `gemm` would never take it.
+    #[test]
+    fn forced_parallel_nest_matches_serial_across_caps_and_ragged_shapes(
+        ((m, k, n), s1, s2, s3, ta, tb, alpha, beta) in (
+            arb_shape(),
+            any::<u64>(), any::<u64>(), any::<u64>(),
+            any::<bool>(), any::<bool>(),
+            -2.0f64..2.0, -2.0f64..2.0,
+        )
+    ) {
+        let a = random_matrix(if ta { k } else { m }, if ta { m } else { k }, s1);
+        let b = random_matrix(if tb { n } else { k }, if tb { k } else { n }, s2);
+        let c0 = random_matrix(m, n, s3);
+        let op = |t: bool| if t { Op::Trans } else { Op::NoTrans };
+
+        let mut naive = c0.clone();
+        gemm_with(&Naive, alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut naive).unwrap();
+        let mut serial = c0.clone();
+        scale_by_beta(&mut serial, beta);
+        packed::run_packed(false, "packed-serial", alpha, op(ta).of(&a), op(tb).of(&b), &mut serial);
+
+        // The same k-linear forward-error bound the backend-agreement
+        // proptest uses against the naive reference.
+        let tol = 32.0 * f64::EPSILON * (k as f64 + 2.0)
+            * (alpha.abs() * k as f64 + beta.abs() + 1.0);
+
+        for cap in [1usize, 2, usize::MAX] {
+            let mut par = c0.clone();
+            scale_by_beta(&mut par, beta);
+            with_thread_cap(cap, || {
+                packed::run_packed(true, "packed", alpha, op(ta).of(&a), op(tb).of(&b), &mut par)
+            });
+
+            // Design contract: the parallel nest is bitwise serial.
+            prop_assert!(
+                par == serial,
+                "parallel differs from serial bitwise at cap={} (m={} k={} n={})",
+                cap, m, k, n
+            );
+            // And both sit within the forward-error bound of naive.
+            for (got, want) in par.as_slice().iter().zip(naive.as_slice()) {
+                prop_assert!(
+                    (got - want).abs() <= tol,
+                    "parallel packed deviates from naive: {} vs {} (tol {}, cap={}, \
+                     m={} k={} n={} ta={} tb={})",
+                    got, want, tol, cap, m, k, n, ta, tb
+                );
+            }
+        }
     }
 }
 

@@ -12,10 +12,9 @@ use mrinv_matrix::Matrix;
 
 #[test]
 fn packed_path_counters_label_fallback_vs_parallel() {
-    // Pin the tune parameters and (absent an explicit override) a
-    // 2-thread pool before anything touches the kernel: both are resolved
-    // once per process on first use.
-    std::env::set_var("MRINV_GEMM_TUNE", "default");
+    // Pin (absent an explicit override) a 2-thread pool before anything
+    // touches the kernel: its width is resolved once per process on first
+    // use.
     if std::env::var_os("RAYON_NUM_THREADS").is_none() {
         std::env::set_var("RAYON_NUM_THREADS", "2");
     }

@@ -1,12 +1,13 @@
-//! Census of process-wide knobs: every environment variable the library
-//! crates read must be one of the documented ones (README, below the
-//! `MRINV_GEMM_TUNE` table), so a new global switch cannot land unlisted.
+//! Census of process-wide knobs: the environment variables the library
+//! crates read and the `MRINV_*` names README.md documents must both be
+//! exactly the set below, so a new global switch cannot land unlisted
+//! and a removed one cannot linger in the docs.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The documented set. Extending it is a deliberate, reviewed act.
-const DOCUMENTED: [&str; 2] = ["MRINV_GEMM_TUNE", "MRINV_WORKER"];
+const DOCUMENTED: [&str; 1] = ["MRINV_WORKER"];
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap() {
@@ -70,4 +71,17 @@ fn library_crates_read_only_documented_env_vars() {
         read, documented,
         "environment variables read by crates/*/src"
     );
+
+    let readme = std::fs::read_to_string(crates.join("../README.md")).unwrap();
+    let named: BTreeSet<String> = readme
+        .match_indices("MRINV_")
+        .map(|(at, _)| {
+            let name = &readme[at..];
+            let end = name
+                .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+                .unwrap_or(name.len());
+            name[..end].to_string()
+        })
+        .collect();
+    assert_eq!(named, documented, "MRINV_* names in README.md");
 }

@@ -9,10 +9,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use mrinv::client::ServiceClient;
-use mrinv::service::{ServerHandle, ServiceConfig};
+use mrinv::service::{ServerHandle, ServiceConfig, WireOp, WireRequest, WireResponse};
 use mrinv::{CacheStatus, FactorCache, InversionConfig, Optimizations, Request};
+use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel};
-use mrinv_matrix::io::encode_binary;
+use mrinv_matrix::io::{encode_binary, encode_binary_vec};
 use mrinv_matrix::random::random_well_conditioned;
 use mrinv_matrix::Matrix;
 use proptest::prelude::*;
@@ -283,6 +284,51 @@ fn malformed_frame_drops_connection_but_not_server() {
         encode_binary(reply.inverse.as_ref().unwrap()),
         encode_binary(warm.inverse.as_ref().unwrap())
     );
+}
+
+/// `nb = 0` is one field any tenant can send: it must come back as an
+/// error reply under the request's own id — not a handler panic that
+/// kills the socket — and the same connection must keep serving.
+#[test]
+fn zero_nb_is_an_error_reply_and_the_connection_survives() {
+    // The service's frame tags (`service::TAG_REQUEST` / `TAG_RESPONSE`).
+    const TAG_REQUEST: u8 = 1;
+    const TAG_RESPONSE: u8 = 2;
+    let handle = start_server(ServiceConfig::default());
+    let a = random_well_conditioned(16, 5);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut ask = |id: u64, nb: u64| -> WireResponse {
+        let req = WireRequest {
+            tenant: "zero".to_string(),
+            id,
+            op: WireOp::Invert,
+            a: encode_binary_vec(&a),
+            rhs: Vec::new(),
+            nb,
+            separate_intermediate_files: true,
+            block_wrap: true,
+            transpose_u: true,
+        };
+        write_frame(&mut stream, TAG_REQUEST, &bincode::serialize(&req)).unwrap();
+        let (tag, body) = read_frame(&mut stream).expect("the connection must stay open");
+        assert_eq!(tag, TAG_RESPONSE);
+        bincode::deserialize(&body).unwrap()
+    };
+
+    let refused = ask(7, 0);
+    assert_eq!(refused.id, 7);
+    assert!(!refused.ok);
+    assert!(
+        refused.error.contains("nb must be at least 1"),
+        "{}",
+        refused.error
+    );
+
+    let served = ask(8, 4);
+    assert_eq!(served.id, 8);
+    assert!(served.ok, "{}", served.error);
+    let want = Request::invert(&a).nb(4).submit(&unit_cluster()).unwrap();
+    assert_eq!(served.inverse, encode_binary_vec(want.inverse().unwrap()));
 }
 
 /// Shutdown closes client sockets, joins every thread, and is
