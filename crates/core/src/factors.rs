@@ -135,95 +135,115 @@ impl FactorRef {
     /// Assembles the full unit-lower factor `L`, applying each level's
     /// `P2` to its `L2'` stripes.
     pub fn assemble_l(&self, io: &mut dyn BlockIo) -> Result<Matrix> {
+        self.assemble(io, Factor::L)
+    }
+
+    /// Assembles the full upper factor `U` in row-major form.
+    pub fn assemble_u(&self, io: &mut dyn BlockIo) -> Result<Matrix> {
+        self.assemble(io, Factor::U)
+    }
+
+    /// Assembles `Uᵀ` (lower-triangular) directly — the Section 6.3 fast
+    /// path that never materializes a row-major `U`.
+    pub fn assemble_u_t(&self, io: &mut dyn BlockIo) -> Result<Matrix> {
+        self.assemble(io, Factor::Ut)
+    }
+
+    /// One allocation for the whole factor; every file of the forest is
+    /// decoded once and written once, at its final position.
+    fn assemble(&self, io: &mut dyn BlockIo, factor: Factor) -> Result<Matrix> {
+        let n = self.n();
+        let mut out = Matrix::zeros(n, n);
+        self.place(io, factor, &mut out, 0)?;
+        Ok(out)
+    }
+
+    /// Writes this subtree's share of `factor` into `out`, whose diagonal
+    /// block starting at `(at, at)` this subtree factors.
+    fn place(
+        &self,
+        io: &mut dyn BlockIo,
+        factor: Factor,
+        out: &mut Matrix,
+        at: usize,
+    ) -> Result<()> {
+        if at + self.n() > out.rows() {
+            return Err(CoreError::Invariant(format!(
+                "factor block of order {} at {at} overruns its parent of order {}",
+                self.n(),
+                out.rows()
+            )));
+        }
         match self {
-            FactorRef::Leaf { l_path, n, .. } => {
-                let m = decode_binary(&io.read_bytes(l_path)?)?;
-                check_shape(&m, (*n, *n), l_path)?;
-                Ok(m)
+            FactorRef::Leaf {
+                n,
+                l_path,
+                u_path,
+                transposed_u,
+                ..
+            } => {
+                let (path, flip) = match factor {
+                    Factor::L => (l_path, false),
+                    Factor::U => (u_path, *transposed_u),
+                    Factor::Ut => (u_path, !*transposed_u),
+                };
+                let m = decode_binary(&io.read_bytes(path)?)?;
+                check_shape(&m, (*n, *n), path)?;
+                put(out, (at, at), &m, flip);
             }
             FactorRef::Node {
                 n,
                 half,
                 a1,
                 l2_stripes,
-                b,
-                ..
-            } => {
-                let mut l = Matrix::zeros(*n, *n);
-                l.set_block(0, 0, &a1.assemble_l(io)?)?;
-                let l2p = read_row_stripes(io, l2_stripes, *n - *half, *half)?;
-                let l2 = b.perm().apply_rows(&l2p);
-                l.set_block(*half, 0, &l2)?;
-                l.set_block(*half, *half, &b.assemble_l(io)?)?;
-                Ok(l)
-            }
-        }
-    }
-
-    /// Assembles the full upper factor `U` in row-major form.
-    pub fn assemble_u(&self, io: &mut dyn BlockIo) -> Result<Matrix> {
-        match self {
-            FactorRef::Leaf {
-                u_path,
-                n,
-                transposed_u,
-                ..
-            } => {
-                let m = decode_binary(&io.read_bytes(u_path)?)?;
-                check_shape(&m, (*n, *n), u_path)?;
-                Ok(if *transposed_u { m.transpose() } else { m })
-            }
-            FactorRef::Node {
-                n,
-                half,
-                a1,
                 u2_stripes,
                 b,
                 transposed_u,
-                ..
             } => {
-                let mut u = Matrix::zeros(*n, *n);
-                u.set_block(0, 0, &a1.assemble_u(io)?)?;
-                let u2 = read_col_stripes(io, u2_stripes, *half, *n - *half, *transposed_u)?;
-                u.set_block(0, *half, &u2)?;
-                u.set_block(*half, *half, &b.assemble_u(io)?)?;
-                Ok(u)
+                let rest = n.checked_sub(*half).ok_or_else(|| {
+                    CoreError::Invariant(format!("factor node splits order {n} at {half}"))
+                })?;
+                let mid = at + *half;
+                a1.place(io, factor, out, at)?;
+                match factor {
+                    Factor::L => {
+                        // L2 = P2·L2': stored row `r` of L2' is row
+                        // `P2⁻¹[r]` of L2.
+                        let dest = b.perm().inverse();
+                        for s in l2_stripes {
+                            check_range(s, rest)?;
+                            let m = decode_binary(&io.read_bytes(&s.path)?)?;
+                            check_shape(&m, (s.range.1 - s.range.0, *half), &s.path)?;
+                            for (k, r) in (s.range.0..s.range.1).enumerate() {
+                                out.row_mut(mid + dest.source_of(r))[at..mid]
+                                    .copy_from_slice(m.row(k));
+                            }
+                        }
+                    }
+                    Factor::U | Factor::Ut => {
+                        for s in u2_stripes {
+                            check_range(s, rest)?;
+                            let m = decode_binary(&io.read_bytes(&s.path)?)?;
+                            let w = s.range.1 - s.range.0;
+                            let stored = if *transposed_u {
+                                (w, *half)
+                            } else {
+                                (*half, w)
+                            };
+                            check_shape(&m, stored, &s.path)?;
+                            // U2 sits right of U1; U2ᵀ sits below U1ᵀ.
+                            if factor == Factor::U {
+                                put(out, (at, mid + s.range.0), &m, *transposed_u);
+                            } else {
+                                put(out, (mid + s.range.0, at), &m, !*transposed_u);
+                            }
+                        }
+                    }
+                }
+                b.place(io, factor, out, mid)?;
             }
         }
-    }
-
-    /// Assembles `Uᵀ` (lower-triangular) directly — the Section 6.3 fast
-    /// path that never materializes a row-major `U`.
-    pub fn assemble_u_t(&self, io: &mut dyn BlockIo) -> Result<Matrix> {
-        match self {
-            FactorRef::Leaf {
-                u_path,
-                n,
-                transposed_u,
-                ..
-            } => {
-                let m = decode_binary(&io.read_bytes(u_path)?)?;
-                check_shape(&m, (*n, *n), u_path)?;
-                Ok(if *transposed_u { m } else { m.transpose() })
-            }
-            FactorRef::Node {
-                n,
-                half,
-                a1,
-                u2_stripes,
-                b,
-                transposed_u,
-                ..
-            } => {
-                // Uᵀ = [[U1ᵀ, 0], [U2ᵀ, U3ᵀ]]
-                let mut ut = Matrix::zeros(*n, *n);
-                ut.set_block(0, 0, &a1.assemble_u_t(io)?)?;
-                let u2 = read_col_stripes(io, u2_stripes, *half, *n - *half, *transposed_u)?;
-                ut.set_block(*half, 0, &u2.transpose())?;
-                ut.set_block(*half, *half, &b.assemble_u_t(io)?)?;
-                Ok(ut)
-            }
-        }
+        Ok(())
     }
 
     /// The Section 6.1 ablation (`separate_intermediate_files = false`):
@@ -333,45 +353,43 @@ fn check_shape(m: &Matrix, expect: (usize, usize), path: &str) -> Result<()> {
     Ok(())
 }
 
-/// Reads row stripes into an `(nrows x ncols)` block.
-fn read_row_stripes(
-    io: &mut dyn BlockIo,
-    stripes: &[Stripe],
-    nrows: usize,
-    ncols: usize,
-) -> Result<Matrix> {
-    let mut out = Matrix::zeros(nrows, ncols);
-    for s in stripes {
-        let m = decode_binary(&io.read_bytes(&s.path)?)?;
-        check_shape(&m, (s.range.1 - s.range.0, ncols), &s.path)?;
-        out.set_block(s.range.0, 0, &m)?;
-    }
-    Ok(out)
+/// Which matrix of the factor triple an assembly produces.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Factor {
+    /// Unit-lower `L`.
+    L,
+    /// Upper `U`, row-major.
+    U,
+    /// `Uᵀ` (lower-triangular).
+    Ut,
 }
 
-/// Reads column stripes into an `(nrows x ncols)` block; stripe files hold
-/// the stripe transposed when `transposed` is set.
-fn read_col_stripes(
-    io: &mut dyn BlockIo,
-    stripes: &[Stripe],
-    nrows: usize,
-    ncols: usize,
-    transposed: bool,
-) -> Result<Matrix> {
-    let mut out = Matrix::zeros(nrows, ncols);
-    for s in stripes {
-        let m = decode_binary(&io.read_bytes(&s.path)?)?;
-        let w = s.range.1 - s.range.0;
-        let m = if transposed {
-            check_shape(&m, (w, nrows), &s.path)?;
-            m.transpose()
-        } else {
-            check_shape(&m, (nrows, w), &s.path)?;
-            m
-        };
-        out.set_block(0, s.range.0, &m)?;
+fn check_range(s: &Stripe, extent: usize) -> Result<()> {
+    if s.range.0 > s.range.1 || s.range.1 > extent {
+        return Err(CoreError::Invariant(format!(
+            "stripe {} covers {:?}, outside its block of {extent}",
+            s.path, s.range
+        )));
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Writes `m` (transposed when `flip`) into `out` with its top-left corner
+/// at `corner`. The caller has checked that it fits.
+fn put(out: &mut Matrix, corner: (usize, usize), m: &Matrix, flip: bool) {
+    let (r0, c0) = corner;
+    if flip {
+        for j in 0..m.cols() {
+            let dst = &mut out.row_mut(r0 + j)[c0..c0 + m.rows()];
+            for (i, d) in dst.iter_mut().enumerate() {
+                *d = m[(i, j)];
+            }
+        }
+    } else {
+        for i in 0..m.rows() {
+            out.row_mut(r0 + i)[c0..c0 + m.cols()].copy_from_slice(m.row(i));
+        }
+    }
 }
 
 #[cfg(test)]

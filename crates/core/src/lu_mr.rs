@@ -24,11 +24,9 @@ use mrinv_mapreduce::runner::run_job;
 use mrinv_mapreduce::{Cluster, MrError, PipelineDriver, TaskRegistry};
 use mrinv_matrix::block::even_ranges;
 use mrinv_matrix::io::encode_binary;
-use mrinv_matrix::kernel::{gemm, gemm_with, notrans, trans, Strided};
+use mrinv_matrix::kernel::{gemm, gemm_with, notrans, trans, Diag, Side, Strided, Uplo};
 use mrinv_matrix::lu::lu_decompose;
-use mrinv_matrix::triangular::{
-    solve_row_times_upper, solve_row_times_upper_transposed, solve_unit_lower_column,
-};
+use mrinv_matrix::triangular::{solve_row_times_upper, trsm};
 use mrinv_matrix::Matrix;
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
 
@@ -412,18 +410,24 @@ impl Mapper for LuLevelMapper {
         match *input {
             LuTaskInput::L2Stripe { k, rows } => {
                 let a3_stripe = self.a3.read_rows(ctx, rows.0, rows.1)?;
-                let mut out = Matrix::zeros(a3_stripe.rows(), a3_stripe.cols());
-                if self.opts.transpose_u {
+                let out = if self.opts.transpose_u {
+                    // X·U1 = A3 is U1ᵀ·Xᵀ = A3ᵀ: one lower solve of the
+                    // whole stripe against the stored transpose.
                     let u1_t = self.a1.assemble_u_t(ctx)?;
                     let kernel = std::time::Instant::now();
-                    for i in 0..a3_stripe.rows() {
-                        let row = solve_row_times_upper_transposed(&u1_t, a3_stripe.row(i))
-                            .map_err(CoreError::from)?;
-                        out.row_mut(i).copy_from_slice(&row);
-                    }
+                    let mut x_t = a3_stripe.transpose();
+                    drop(a3_stripe);
+                    trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, &u1_t, &mut x_t)
+                        .map_err(CoreError::from)?;
+                    drop(u1_t);
+                    let out = x_t.transpose();
                     ctx.charge_kernel(kernel.elapsed());
+                    out
                 } else {
+                    // Ablation path: row-major U1 walked column-wise, one
+                    // row of the stripe at a time.
                     let u1 = self.a1.assemble_u(ctx)?;
+                    let mut out = Matrix::zeros(a3_stripe.rows(), a3_stripe.cols());
                     let kernel = std::time::Instant::now();
                     for i in 0..a3_stripe.rows() {
                         let row = solve_row_times_upper(&u1, a3_stripe.row(i))
@@ -431,42 +435,27 @@ impl Mapper for LuLevelMapper {
                         out.row_mut(i).copy_from_slice(&row);
                     }
                     ctx.charge_kernel(kernel.elapsed());
-                }
+                    out
+                };
                 ctx.write(&format!("{}/L2/L.{k}", self.dir), encode_binary(&out));
             }
             LuTaskInput::U2Stripe { k, cols } => {
-                let a2_stripe = self.a2.read_cols(ctx, cols.0, cols.1)?;
                 // Pivot A2's rows by P1 before solving (Equation 5:
                 // L1 U2 = P1 A2).
-                let a2_stripe = self.p1.apply_rows(&a2_stripe);
+                let mut u2 = self.p1.apply_rows(&self.a2.read_cols(ctx, cols.0, cols.1)?);
                 let l1 = self.a1.assemble_l(ctx)?;
-                let half = l1.rows();
-                let w = a2_stripe.cols();
-                // Solve per column; accumulate directly in transposed
-                // orientation when the Section 6.3 layout is on.
-                if self.opts.transpose_u {
-                    let mut out_t = Matrix::zeros(w, half);
-                    let kernel = std::time::Instant::now();
-                    for j in 0..w {
-                        let col = solve_unit_lower_column(&l1, &a2_stripe.col(j))
-                            .map_err(CoreError::from)?;
-                        out_t.row_mut(j).copy_from_slice(&col);
-                    }
-                    ctx.charge_kernel(kernel.elapsed());
-                    ctx.write(&format!("{}/U2/U.{k}", self.dir), encode_binary(&out_t));
+                let kernel = std::time::Instant::now();
+                trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l1, &mut u2)
+                    .map_err(CoreError::from)?;
+                drop(l1);
+                // Stored transposed when the Section 6.3 layout is on.
+                let stored = if self.opts.transpose_u {
+                    u2.transpose()
                 } else {
-                    let mut out = Matrix::zeros(half, w);
-                    let kernel = std::time::Instant::now();
-                    for j in 0..w {
-                        let col = solve_unit_lower_column(&l1, &a2_stripe.col(j))
-                            .map_err(CoreError::from)?;
-                        for i in 0..half {
-                            out[(i, j)] = col[i];
-                        }
-                    }
-                    ctx.charge_kernel(kernel.elapsed());
-                    ctx.write(&format!("{}/U2/U.{k}", self.dir), encode_binary(&out));
-                }
+                    u2
+                };
+                ctx.charge_kernel(kernel.elapsed());
+                ctx.write(&format!("{}/U2/U.{k}", self.dir), encode_binary(&stored));
             }
         }
         // Control pairs (Figure 5): distribute the B cells round-robin

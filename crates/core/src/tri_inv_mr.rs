@@ -15,15 +15,17 @@
 //! Because the interleaved vectors are non-contiguous, files carry explicit
 //! index headers ([`IndexedBlock`]).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::ops::Range;
+
+use bytes::{Buf, Bytes};
 use mrinv_mapreduce::job::{
     identity_partitioner, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
 };
 use mrinv_mapreduce::runner::run_job;
 use mrinv_mapreduce::{MrError, PipelineDriver, TaskRegistry};
 use mrinv_matrix::block::even_ranges;
-use mrinv_matrix::io::{decode_binary, encode_binary};
-use mrinv_matrix::kernel::{gemm, gemm_with, notrans, trans, Diag, Side, Strided, Uplo};
+use mrinv_matrix::io::{binary_size, decode_binary, encode_binary_onto};
+use mrinv_matrix::kernel::{gemm, gemm_with, notrans, trans, Diag, Side, Strided, Uplo, K_PANEL};
 use mrinv_matrix::triangular::{solve_row_times_upper, trsm};
 use mrinv_matrix::{Matrix, Permutation};
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
@@ -46,14 +48,18 @@ pub struct IndexedBlock {
 
 /// Encodes an [`IndexedBlock`]: `[count u64][indices...][matrix]`.
 pub fn encode_indexed(block: &IndexedBlock) -> Bytes {
-    let mat = encode_binary(&block.data);
-    let mut buf = BytesMut::with_capacity(8 + block.indices.len() * 8 + mat.len());
-    buf.put_u64_le(block.indices.len() as u64);
-    for &i in &block.indices {
-        buf.put_u64_le(i);
-    }
-    buf.put_slice(&mat);
-    buf.freeze()
+    let (rows, cols) = block.data.shape();
+    encode_indexed_parts(&block.indices, rows, cols, block.data.as_slice())
+}
+
+/// [`encode_indexed`] of the `rows x cols` block whose row-major elements
+/// are `values`, written once into one buffer.
+fn encode_indexed_parts(indices: &[u64], rows: usize, cols: usize, values: &[f64]) -> Bytes {
+    let mut buf = Vec::with_capacity(8 + indices.len() * 8 + binary_size(rows, cols) as usize);
+    buf.extend_from_slice(&(indices.len() as u64).to_le_bytes());
+    buf.extend(indices.iter().flat_map(|i| i.to_le_bytes()));
+    encode_binary_onto(&mut buf, rows, cols, values);
+    Bytes::from(buf)
 }
 
 /// Decodes an [`IndexedBlock`].
@@ -61,20 +67,21 @@ pub fn decode_indexed(mut data: &[u8]) -> Result<IndexedBlock> {
     if data.len() < 8 {
         return Err(CoreError::Invariant("indexed block truncated".into()));
     }
-    let count = data.get_u64_le() as usize;
-    if data.len() < count * 8 {
-        return Err(CoreError::Invariant(
-            "indexed block index list truncated".into(),
-        ));
-    }
-    let mut indices = Vec::with_capacity(count);
-    for _ in 0..count {
-        indices.push(data.get_u64_le());
-    }
-    let matrix = decode_binary(data)?;
+    // The count is input: bound it by the bytes actually present before
+    // multiplying or allocating.
+    let index_bytes = usize::try_from(data.get_u64_le())
+        .ok()
+        .and_then(|count| count.checked_mul(8))
+        .filter(|&bytes| bytes <= data.len())
+        .ok_or_else(|| CoreError::Invariant("indexed block index list truncated".into()))?;
+    let (index_part, matrix_part) = data.split_at(index_bytes);
+    let indices = index_part
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
+        .collect();
     Ok(IndexedBlock {
         indices,
-        data: matrix,
+        data: decode_binary(matrix_part)?,
     })
 }
 
@@ -155,25 +162,50 @@ fn invert_lower_columns(t: &Matrix, cols: &[usize]) -> mrinv_matrix::Result<Matr
 }
 
 impl TriInvMapper {
-    /// Splits this worker's interleaved vector indices by block, returning
-    /// `(block_idx, indices)` for each non-empty block.
-    fn group_by_block(indices: &[usize], blocks: &[(usize, usize)]) -> Vec<(usize, Vec<usize>)> {
+    /// Splits this worker's ascending vector indices by block, returning
+    /// `(block_idx, slots)` for each block that holds any: `slots` is the
+    /// contiguous range of positions in `indices` that fall inside it.
+    fn group_by_block(indices: &[usize], blocks: &[(usize, usize)]) -> Vec<(usize, Range<usize>)> {
         blocks
             .iter()
             .enumerate()
-            .filter_map(|(bi, &(b0, b1))| {
-                let in_block: Vec<usize> = indices
-                    .iter()
-                    .copied()
-                    .filter(|&i| i >= b0 && i < b1)
-                    .collect();
-                if in_block.is_empty() {
-                    None
-                } else {
-                    Some((bi, in_block))
-                }
+            .map(|(bi, &(b0, b1))| {
+                let slots =
+                    indices.partition_point(|&i| i < b0)..indices.partition_point(|&i| i < b1);
+                (bi, slots)
             })
+            .filter(|(_, slots)| !slots.is_empty())
             .collect()
+    }
+
+    /// Writes one file per block of `blocks` holding any of `indices`: the
+    /// block's vectors, tagged with their indices. Vector `indices[s]` is
+    /// row `s` of `vectors` — the file then holds those rows, a contiguous
+    /// run — or column `s` when `in_columns`, and the file holds those
+    /// columns.
+    fn write_groups(
+        &self,
+        ctx: &mut MapContext<usize, usize>,
+        name: impl Fn(usize) -> String,
+        indices: &[usize],
+        blocks: &[(usize, usize)],
+        vectors: &Matrix,
+        in_columns: bool,
+    ) {
+        for (bi, slots) in Self::group_by_block(indices, blocks) {
+            let tags: Vec<u64> = indices[slots.clone()].iter().map(|&i| i as u64).collect();
+            let bytes = if in_columns {
+                let stripe = vectors
+                    .col_stripe(slots.start, slots.end)
+                    .expect("slots index the vectors");
+                encode_indexed_parts(&tags, stripe.rows(), stripe.cols(), stripe.as_slice())
+            } else {
+                let len = vectors.cols();
+                let rows = &vectors.as_slice()[slots.start * len..slots.end * len];
+                encode_indexed_parts(&tags, slots.len(), len, rows)
+            };
+            ctx.write(&name(bi), bytes);
+        }
     }
 }
 
@@ -189,81 +221,70 @@ impl Mapper for TriInvMapper {
     ) -> std::result::Result<(), MrError> {
         match *input {
             InvTaskInput::LCols { k } => {
-                let l = self.factors.assemble_l(ctx)?;
                 let my_cols: Vec<usize> = (k..self.n).step_by(self.m_l).collect();
-                // Solve all of this worker's columns in one batched trsm,
-                // then scatter into per-cell files.
-                let kernel = std::time::Instant::now();
-                let computed = invert_lower_columns(&l, &my_cols).map_err(CoreError::from)?;
-                ctx.charge_kernel(kernel.elapsed());
-                for (bi, cols) in Self::group_by_block(&my_cols, &self.col_blocks) {
-                    let mut data = if self.opts.transpose_u {
-                        // Columns stored as rows (transposed layout).
-                        Matrix::zeros(cols.len(), self.n)
-                    } else {
-                        Matrix::zeros(self.n, cols.len())
-                    };
-                    for (slot, &j) in cols.iter().enumerate() {
-                        let pos = my_cols.iter().position(|&c| c == j).unwrap();
-                        let col = computed.col(pos);
-                        if self.opts.transpose_u {
-                            data.row_mut(slot).copy_from_slice(&col);
-                        } else {
-                            for i in 0..self.n {
-                                data[(i, slot)] = col[i];
-                            }
-                        }
-                    }
-                    let block = IndexedBlock {
-                        indices: cols.iter().map(|&c| c as u64).collect(),
-                        data,
-                    };
-                    ctx.write(
-                        &format!("{}/INV/L.{k}.{bi}", self.dir),
-                        encode_indexed(&block),
-                    );
-                }
+                // Solve all of this worker's columns in one batched trsm;
+                // in the transposed layout, then turn them into rows (one
+                // blocked transpose) so each per-cell file is a contiguous
+                // run. `L` is released first: the factor and both
+                // orientations never coexist.
+                let computed = {
+                    let l = self.factors.assemble_l(ctx)?;
+                    let kernel = std::time::Instant::now();
+                    let solved = invert_lower_columns(&l, &my_cols).map_err(CoreError::from)?;
+                    ctx.charge_kernel(kernel.elapsed());
+                    solved
+                };
+                let vectors = if self.opts.transpose_u {
+                    computed.transpose()
+                } else {
+                    computed
+                };
+                self.write_groups(
+                    ctx,
+                    |bi| format!("{}/INV/L.{k}.{bi}", self.dir),
+                    &my_cols,
+                    &self.col_blocks,
+                    &vectors,
+                    !self.opts.transpose_u,
+                );
             }
             InvTaskInput::URows { k } => {
                 let my_rows: Vec<usize> = (k..self.n).step_by(self.m_u).collect();
-                let mut computed: Vec<Vec<f64>> = Vec::with_capacity(my_rows.len());
-                if self.opts.transpose_u {
+                let computed = if self.opts.transpose_u {
                     // Row i of U^-1 is column i of (Uᵀ)^-1, and Uᵀ is the
                     // lower-triangular matrix we store directly.
-                    let ut = self.factors.assemble_u_t(ctx)?;
-                    let kernel = std::time::Instant::now();
-                    let solved = invert_lower_columns(&ut, &my_rows).map_err(CoreError::from)?;
-                    for pos in 0..my_rows.len() {
-                        computed.push(solved.col(pos));
-                    }
-                    ctx.charge_kernel(kernel.elapsed());
+                    let solved = {
+                        let ut = self.factors.assemble_u_t(ctx)?;
+                        let kernel = std::time::Instant::now();
+                        let solved =
+                            invert_lower_columns(&ut, &my_rows).map_err(CoreError::from)?;
+                        ctx.charge_kernel(kernel.elapsed());
+                        solved
+                    };
+                    solved.transpose()
                 } else {
                     // Ablation path: row-major U, solve eᵢᵀ = x·U with
                     // column-striding access.
                     let u = self.factors.assemble_u(ctx)?;
+                    let mut rows = Matrix::zeros(my_rows.len(), self.n);
                     let kernel = std::time::Instant::now();
-                    for &i in &my_rows {
+                    for (slot, &i) in my_rows.iter().enumerate() {
                         let mut e = vec![0.0; self.n];
                         e[i] = 1.0;
-                        computed.push(solve_row_times_upper(&u, &e).map_err(CoreError::from)?);
+                        let x = solve_row_times_upper(&u, &e).map_err(CoreError::from)?;
+                        rows.row_mut(slot).copy_from_slice(&x);
                     }
                     ctx.charge_kernel(kernel.elapsed());
-                }
-                for (bi, rows) in Self::group_by_block(&my_rows, &self.row_blocks) {
-                    let mut data = Matrix::zeros(rows.len(), self.n);
-                    for (slot, &i) in rows.iter().enumerate() {
-                        let pos = my_rows.iter().position(|&r| r == i).unwrap();
-                        data.row_mut(slot).copy_from_slice(&computed[pos]);
-                    }
-                    let block = IndexedBlock {
-                        indices: rows.iter().map(|&r| r as u64).collect(),
-                        data,
-                    };
-                    ctx.write(
-                        &format!("{}/INV/U.{k}.{bi}", self.dir),
-                        encode_indexed(&block),
-                    );
-                }
+                    rows
+                };
+                self.write_groups(
+                    ctx,
+                    |bi| format!("{}/INV/U.{k}.{bi}", self.dir),
+                    &my_rows,
+                    &self.row_blocks,
+                    &computed,
+                    false,
+                );
             }
         }
         // Control pairs: assign product cells round-robin across map tasks.
@@ -370,9 +391,23 @@ impl Reducer for TriInvReducer {
                         .copy_from_slice(block.data.row(slot));
                 }
             }
+            // Row i of U^-1 is zero before column i and column j of L^-1
+            // before row j, so every product term with k < max(r0, c0) is
+            // an exact zero for this cell. Skip the whole K panels among
+            // them: starting on a panel boundary keeps each element's
+            // partial sums grouped as in the dense product, bit for bit.
+            let k0 = r0.max(c0) / K_PANEL * K_PANEL;
+            let (rows, cols) = (u_rows.rows(), l_cols_t.rows());
             let kernel = std::time::Instant::now();
-            let mut p = Matrix::zeros(u_rows.rows(), l_cols_t.rows());
-            gemm(1.0, notrans(&u_rows), trans(&l_cols_t), 0.0, &mut p).map_err(CoreError::from)?;
+            let mut p = Matrix::zeros(rows, cols);
+            gemm(
+                1.0,
+                notrans(&u_rows).window(0..rows, k0..self.n),
+                trans(&l_cols_t).window(k0..self.n, 0..cols),
+                0.0,
+                &mut p,
+            )
+            .map_err(CoreError::from)?;
             ctx.charge_kernel(kernel.elapsed());
             p
         } else {
@@ -539,13 +574,24 @@ mod tests {
     #[test]
     fn group_by_block_partitions_indices() {
         let blocks = vec![(0usize, 4usize), (4, 8), (8, 10)];
-        let groups = TriInvMapper::group_by_block(&[0, 5, 9, 2, 7], &blocks);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0], (0, vec![0, 2]));
-        assert_eq!(groups[1], (1, vec![5, 7]));
-        assert_eq!(groups[2], (2, vec![9]));
+        let groups = TriInvMapper::group_by_block(&[0, 2, 5, 7, 9], &blocks);
+        assert_eq!(groups, vec![(0, 0..2), (1, 2..4), (2, 4..5)]);
         // Indices outside every block are dropped; empty blocks omitted.
-        let groups = TriInvMapper::group_by_block(&[1], &blocks);
-        assert_eq!(groups.len(), 1);
+        let groups = TriInvMapper::group_by_block(&[1, 12], &blocks);
+        assert_eq!(groups, vec![(0, 0..1)]);
+    }
+
+    #[test]
+    fn indexed_block_count_cannot_overflow_or_overallocate() {
+        // A count whose byte size wraps to 0 (or to anything small) used to
+        // pass the truncation check and die in Vec::with_capacity.
+        for count in [1u64 << 61, u64::MAX, (1 << 61) + 1] {
+            let mut data = count.to_le_bytes().to_vec();
+            data.resize(72, 0);
+            assert!(matches!(
+                decode_indexed(&data),
+                Err(CoreError::Invariant(_))
+            ));
+        }
     }
 }

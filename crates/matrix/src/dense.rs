@@ -200,10 +200,19 @@ impl Matrix {
     /// The pipeline stores `U` transposed (Section 6.3) so that the inner
     /// product in the multiply kernels walks both operands row-major.
     pub fn transpose(&self) -> Matrix {
+        // Tile by tile, so both the row-major reads and the column-strided
+        // writes of one tile stay within a few cache lines per row.
+        const TILE: usize = 32;
         let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t.data[j * self.rows + i] = self.data[i * self.cols + j];
+        for i0 in (0..self.rows).step_by(TILE) {
+            let i1 = (i0 + TILE).min(self.rows);
+            for j0 in (0..self.cols).step_by(TILE) {
+                let j1 = (j0 + TILE).min(self.cols);
+                for j in j0..j1 {
+                    for i in i0..i1 {
+                        t.data[j * self.rows + i] = self.data[i * self.cols + j];
+                    }
+                }
             }
         }
         t

@@ -32,14 +32,27 @@ pub fn encode_binary(m: &Matrix) -> Bytes {
 /// and the copy back out of it.
 pub fn encode_binary_vec(m: &Matrix) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + m.as_slice().len() * 8);
+    encode_binary_onto(&mut buf, m.rows(), m.cols(), m.as_slice());
+    buf
+}
+
+/// Appends the binary encoding of the `rows x cols` matrix whose row-major
+/// elements are `values` to `buf` — for a container format that frames a
+/// matrix after its own header, or a producer whose rows already sit
+/// contiguously inside a larger matrix.
+///
+/// # Panics
+/// If `values.len() != rows * cols`.
+pub fn encode_binary_onto(buf: &mut Vec<u8>, rows: usize, cols: usize, values: &[f64]) {
+    assert_eq!(values.len(), rows * cols, "element count must match shape");
+    buf.reserve(HEADER_LEN + values.len() * 8);
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(m.rows() as u64).to_le_bytes());
-    buf.extend_from_slice(&(m.cols() as u64).to_le_bytes());
+    buf.extend_from_slice(&(rows as u64).to_le_bytes());
+    buf.extend_from_slice(&(cols as u64).to_le_bytes());
     // One bulk move of the elements: `flat_map` over fixed-size arrays
     // compiles to a vectorized copy, where a push per element would pay a
     // capacity check each.
-    buf.extend(m.as_slice().iter().flat_map(|v| v.to_le_bytes()));
-    buf
+    buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
 }
 
 /// Deserializes a matrix from the binary format.

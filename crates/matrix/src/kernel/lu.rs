@@ -10,8 +10,8 @@
 //! factor values differ only by the summation order of the trailing
 //! updates.
 
-use super::{gemm_with, notrans, trsm_with, Diag, GemmBackend, MatrixError, Result, Side, Uplo};
-use crate::block::BlockRange;
+use super::trsm::trsm_window;
+use super::{gemm_window, notrans, Diag, GemmBackend, MatMut, MatrixError, Result, Side, Uplo};
 use crate::dense::Matrix;
 use crate::lu::LuFactors;
 use crate::permutation::Permutation;
@@ -96,26 +96,33 @@ pub fn lu_blocked_in_place(
             break;
         }
 
+        // The trailing square, quartered in place around the panel.
+        let w = k1 - k0;
+        let (top, bottom) = MatMut::from(&mut *a).window(k0..n, k0..n).split_rows(w);
+        let (l11, mut u12) = top.split_cols(w);
+        let (l21, a22) = bottom.split_cols(w);
+
         // U12 := L11^-1 · A12 (unit lower solve against the panel's
         // in-place factor; trsm only reads the lower triangle).
-        let l11 = a.block(BlockRange::new((k0, k1), (k0, k1)))?;
-        let mut u12 = a.block(BlockRange::new((k0, k1), (k1, n)))?;
-        trsm_with(
+        trsm_window(
             backend,
             Side::Left,
             Uplo::Lower,
             Diag::Unit,
-            1.0,
-            &l11,
-            &mut u12,
+            true,
+            l11.as_ref(),
+            u12.reborrow(),
         )?;
-        a.set_block(k0, k1, &u12)?;
 
         // A22 -= L21 · U12: the rank-nb trailing update, all level-3.
-        let l21 = a.block(BlockRange::new((k1, n), (k0, k1)))?;
-        let mut a22 = a.block(BlockRange::new((k1, n), (k1, n)))?;
-        gemm_with(backend, -1.0, notrans(&l21), notrans(&u12), 1.0, &mut a22)?;
-        a.set_block(k1, k1, &a22)?;
+        gemm_window(
+            backend,
+            -1.0,
+            notrans(l21.as_ref()),
+            notrans(u12.as_ref()),
+            1.0,
+            a22,
+        )?;
     }
     Ok(perm)
 }

@@ -44,7 +44,9 @@ mod naive;
 mod packed;
 pub mod perf;
 mod trsm;
+mod window;
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::dense::Matrix;
@@ -52,7 +54,9 @@ use crate::error::{MatrixError, Result};
 
 pub use lu::{lu_blocked, lu_blocked_in_place};
 pub use naive::dot;
+pub use packed::K_PANEL;
 pub use trsm::{trsm, trsm_with};
+pub use window::{MatMut, MatRef};
 
 /// Transposition state of a GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,27 +70,38 @@ pub enum Op {
 impl Op {
     /// Wraps a matrix reference with this transposition state:
     /// `Op::Trans.of(&u_t)` reads as "the transpose of `u_t`".
-    pub fn of(self, mat: &Matrix) -> OpRef<'_> {
-        OpRef { op: self, mat }
+    pub fn of<'a>(self, mat: impl Into<MatRef<'a>>) -> OpRef<'a> {
+        OpRef {
+            op: self,
+            win: mat.into(),
+        }
     }
 }
 
-/// A borrowed GEMM operand together with its transposition state.
+/// A borrowed GEMM operand: a window of row-major storage (a whole
+/// [`Matrix`] unless narrowed with [`OpRef::window`]) together with its
+/// transposition state. The operand is read where it lives; no block is
+/// copied out.
 #[derive(Clone, Copy)]
 pub struct OpRef<'a> {
-    /// How the operand participates in the product.
-    pub op: Op,
-    /// The underlying storage.
-    pub mat: &'a Matrix,
+    op: Op,
+    /// The stored (untransposed) window.
+    win: MatRef<'a>,
 }
 
-impl OpRef<'_> {
+impl<'a> OpRef<'a> {
+    /// How the operand participates in the product.
+    #[inline]
+    pub fn op(&self) -> Op {
+        self.op
+    }
+
     /// Logical row count (after applying `op`).
     #[inline]
     pub fn rows(&self) -> usize {
         match self.op {
-            Op::NoTrans => self.mat.rows(),
-            Op::Trans => self.mat.cols(),
+            Op::NoTrans => self.win.rows(),
+            Op::Trans => self.win.cols(),
         }
     }
 
@@ -94,28 +109,49 @@ impl OpRef<'_> {
     #[inline]
     pub fn cols(&self) -> usize {
         match self.op {
-            Op::NoTrans => self.mat.cols(),
-            Op::Trans => self.mat.rows(),
+            Op::NoTrans => self.win.cols(),
+            Op::Trans => self.win.rows(),
         }
+    }
+
+    /// Narrows the operand to logical rows `rows` and logical columns
+    /// `cols` of `op(A)`, in place: `trans(&l_t).window(k0..n, 0..w)` is
+    /// rows `k0..n` of `l_tᵀ`, i.e. stored columns `k0..n` of `l_t`.
+    ///
+    /// # Panics
+    /// If either range is reversed or exceeds the operand.
+    pub fn window(self, rows: Range<usize>, cols: Range<usize>) -> OpRef<'a> {
+        let win = match self.op {
+            Op::NoTrans => self.win.window(rows, cols),
+            Op::Trans => self.win.window(cols, rows),
+        };
+        OpRef { op: self.op, win }
+    }
+
+    /// Row `i` of the *stored* window (a logical column under
+    /// [`Op::Trans`]).
+    #[inline]
+    pub(crate) fn stored_row(&self, i: usize) -> &'a [f64] {
+        self.win.row(i)
     }
 
     /// Logical element `(i, j)` (after applying `op`).
     #[inline]
     pub(crate) fn at(&self, i: usize, j: usize) -> f64 {
         match self.op {
-            Op::NoTrans => self.mat[(i, j)],
-            Op::Trans => self.mat[(j, i)],
+            Op::NoTrans => self.win.row(i)[j],
+            Op::Trans => self.win.row(j)[i],
         }
     }
 }
 
 /// `op(A)` with `op = NoTrans`: the operand as stored.
-pub fn notrans(mat: &Matrix) -> OpRef<'_> {
+pub fn notrans<'a>(mat: impl Into<MatRef<'a>>) -> OpRef<'a> {
     Op::NoTrans.of(mat)
 }
 
 /// `op(A)` with `op = Trans`: the operand's transpose.
-pub fn trans(mat: &Matrix) -> OpRef<'_> {
+pub fn trans<'a>(mat: impl Into<MatRef<'a>>) -> OpRef<'a> {
     Op::Trans.of(mat)
 }
 
@@ -161,14 +197,16 @@ pub trait GemmBackend: Sync {
         a: OpRef<'_>,
         b: OpRef<'_>,
         beta: f64,
-        c: &mut Matrix,
+        c: MatMut<'_>,
     ) -> Result<()>;
 
     /// Backend name (for diagnostics and bench labels).
     fn name(&self) -> &'static str;
 
-    /// Block size [`trsm`] should use when driven by this backend, or
-    /// `None` for the unblocked reference solve.
+    /// Largest order [`trsm`] solves with its unblocked leaf when driven by
+    /// this backend (larger systems recurse, handing the coupling blocks to
+    /// this backend's GEMM), or `None` to solve every system with the
+    /// unblocked reference leaf.
     fn trsm_block(&self) -> Option<usize> {
         None
     }
@@ -241,7 +279,7 @@ pub fn set_global_backend(kind: BackendKind) -> BackendKind {
     kind_of(NAIVE_SELECTED.swap(kind == BackendKind::Naive, Ordering::Relaxed))
 }
 
-fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &Matrix) -> Result<()> {
+fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &MatMut<'_>) -> Result<()> {
     if a.cols() != b.rows() {
         return Err(MatrixError::DimensionMismatch {
             op: "gemm",
@@ -249,10 +287,10 @@ fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &Matrix) -> Result<()> {
             rhs: (b.rows(), b.cols()),
         });
     }
-    if c.shape() != (a.rows(), b.cols()) {
+    if (c.rows(), c.cols()) != (a.rows(), b.cols()) {
         return Err(MatrixError::DimensionMismatch {
             op: "gemm(output)",
-            lhs: c.shape(),
+            lhs: (c.rows(), c.cols()),
             rhs: (a.rows(), b.cols()),
         });
     }
@@ -290,7 +328,20 @@ pub fn gemm_with(
     beta: f64,
     c: &mut Matrix,
 ) -> Result<()> {
-    check_gemm(&a, &b, c)?;
+    gemm_window(backend, alpha, a, b, beta, c.into())
+}
+
+/// [`gemm_with`] writing a window of `C` in place — the form [`trsm`] and
+/// [`lu_blocked`] update their trailing blocks through.
+pub(crate) fn gemm_window(
+    backend: &dyn GemmBackend,
+    alpha: f64,
+    a: OpRef<'_>,
+    b: OpRef<'_>,
+    beta: f64,
+    c: MatMut<'_>,
+) -> Result<()> {
+    check_gemm(&a, &b, &c)?;
     if !perf::is_enabled() {
         return backend.gemm_checked(alpha, a, b, beta, c);
     }
@@ -309,17 +360,18 @@ pub fn mul(a: OpRef<'_>, b: OpRef<'_>) -> Result<Matrix> {
 }
 
 /// Scales `c` by `beta` in place, treating `beta == 0.0` as overwrite.
-pub(crate) fn scale_by_beta(c: &mut Matrix, beta: f64) {
+pub(crate) fn scale_by_beta(c: &mut MatMut<'_>, beta: f64) {
     if beta == 1.0 {
         return;
     }
-    if beta == 0.0 {
-        for v in c.as_mut_slice() {
-            *v = 0.0;
-        }
-    } else {
-        for v in c.as_mut_slice() {
-            *v *= beta;
+    for i in 0..c.rows() {
+        let row = c.row_mut(i);
+        if beta == 0.0 {
+            row.fill(0.0);
+        } else {
+            for v in row {
+                *v *= beta;
+            }
         }
     }
 }

@@ -8,8 +8,7 @@
 //! relies only on IEEE-754 guarantees: `1.0 * x == x`, `-1.0 * x == -x`,
 //! and `c + (-x) == c - x`, all bitwise.
 
-use super::{scale_by_beta, GemmBackend, Op, OpRef, Result};
-use crate::dense::Matrix;
+use super::{scale_by_beta, GemmBackend, MatMut, Op, OpRef, Result};
 
 /// Four-way unrolled dot product — the Section 6.3 inner kernel.
 ///
@@ -47,20 +46,20 @@ impl GemmBackend for super::Naive {
         a: OpRef<'_>,
         b: OpRef<'_>,
         beta: f64,
-        c: &mut Matrix,
+        mut c: MatMut<'_>,
     ) -> Result<()> {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        scale_by_beta(c, beta);
-        match (a.op, b.op) {
+        scale_by_beta(&mut c, beta);
+        match (a.op(), b.op()) {
             (Op::NoTrans, Op::NoTrans) => {
                 // i-k-j, inner loop streaming one row of B: the old
                 // `mul_naive` (alpha = 1) / `sub_mul` (alpha = -1) order.
                 for i in 0..m {
-                    let arow = a.mat.row(i);
+                    let arow = a.stored_row(i);
                     let crow = c.row_mut(i);
                     for (p, &apv) in arow.iter().enumerate().take(k) {
                         let s = alpha * apv;
-                        let brow = b.mat.row(p);
+                        let brow = b.stored_row(p);
                         for j in 0..n {
                             crow[j] += s * brow[j];
                         }
@@ -73,10 +72,10 @@ impl GemmBackend for super::Naive {
                 // order (Section 6.3 layout).
                 let assign = alpha == 1.0 && beta == 0.0;
                 for i in 0..m {
-                    let arow = a.mat.row(i);
+                    let arow = a.stored_row(i);
                     let crow = c.row_mut(i);
                     for j in 0..n {
-                        let d = dot(arow, b.mat.row(j));
+                        let d = dot(arow, b.stored_row(j));
                         if assign {
                             // Plain store, so a -0.0 dot survives (0.0 + -0.0
                             // would round it to +0.0).
@@ -116,22 +115,21 @@ impl GemmBackend for super::Strided {
         a: OpRef<'_>,
         b: OpRef<'_>,
         beta: f64,
-        c: &mut Matrix,
+        mut c: MatMut<'_>,
     ) -> Result<()> {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        scale_by_beta(c, beta);
-        if (a.op, b.op) == (Op::NoTrans, Op::NoTrans) {
+        scale_by_beta(&mut c, beta);
+        if (a.op(), b.op()) == (Op::NoTrans, Op::NoTrans) {
             // i-j-k with stride-n reads of B: Equation 7 verbatim (the old
             // `mul_ijk` / `sub_mul_ijk`).
-            let b_data = b.mat.as_slice();
             let assign = alpha == 1.0 && beta == 0.0;
             for i in 0..m {
-                let arow = a.mat.row(i);
+                let arow = a.stored_row(i);
                 let crow = c.row_mut(i);
                 for (j, cij) in crow.iter_mut().enumerate().take(n) {
                     let mut acc = 0.0;
                     for (p, &apv) in arow.iter().enumerate().take(k) {
-                        acc += apv * b_data[p * n + j]; // stride-n access
+                        acc += apv * b.stored_row(p)[j]; // row-stride access
                     }
                     if assign {
                         *cij = acc;

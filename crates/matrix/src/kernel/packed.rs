@@ -47,8 +47,7 @@ use std::cell::RefCell;
 
 use rayon::prelude::*;
 
-use super::{scale_by_beta, GemmBackend, Op, OpRef, Result};
-use crate::dense::Matrix;
+use super::{scale_by_beta, GemmBackend, MatMut, Op, OpRef, Result};
 
 /// Microkernel tile height (rows of C per register block).
 pub(super) const MR: usize = 4;
@@ -58,20 +57,28 @@ pub(super) const NR: usize = 8;
 const MC: usize = 64;
 /// Macro-block depth: k-extent of the packed panels (L1 reuse).
 const KC: usize = 256;
+/// `KC` for callers: the k-extent over which the packed engine sums one
+/// partial product before adding it to `C`. A caller that knows its
+/// operands are structurally zero over leading whole panels can window
+/// them away ([`super::OpRef::window`]) from a multiple of this without
+/// changing a bit of the result: the remaining terms keep their grouping.
+pub const K_PANEL: usize = KC;
 /// Macro-block columns: outermost B panel width.
 const NC: usize = 4096;
 /// Serial/parallel crossover in multiply-adds: products with `m·k·n`
 /// below this stay serial (fan-out overhead beats the win).
 const PAR_MIN_MADDS: usize = 1 << 21;
 
-#[cfg(target_arch = "x86_64")]
-mod cpu {
-    use std::sync::atomic::{AtomicU8, Ordering};
+/// Whether the AVX2+FMA instantiations may run (cached CPUID probe;
+/// `false` off x86-64).
+pub(super) fn avx2_fma_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::sync::atomic::{AtomicU8, Ordering};
 
-    /// 0 = unknown, 1 = no, 2 = yes.
-    static AVX2_FMA: AtomicU8 = AtomicU8::new(0);
+        /// 0 = unknown, 1 = no, 2 = yes.
+        static AVX2_FMA: AtomicU8 = AtomicU8::new(0);
 
-    pub fn avx2_fma_available() -> bool {
         match AVX2_FMA.load(Ordering::Relaxed) {
             2 => true,
             1 => false,
@@ -83,6 +90,8 @@ mod cpu {
             }
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// The microkernel body: accumulates an MR x NR block over `kc` steps.
@@ -120,7 +129,7 @@ fn micro_avx2(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
 #[inline]
 fn micro_dispatch(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
     #[cfg(target_arch = "x86_64")]
-    if cpu::avx2_fma_available() {
+    if avx2_fma_available() {
         // SAFETY: calling a #[target_feature(avx2,fma)] function is sound
         // because the cached is_x86_feature_detected! probe above confirmed
         // the CPU supports both features at runtime.
@@ -139,11 +148,11 @@ fn pack_a(a: OpRef<'_>, ic: usize, mc: usize, pc: usize, kc: usize, buf: &mut [f
     for (panel, chunk) in buf.chunks_exact_mut(MR * kc).enumerate() {
         let r0 = ic + panel * MR;
         let live = MR.min(ic + mc - r0);
-        match a.op {
+        match a.op() {
             Op::NoTrans => {
-                // Rows of the stored matrix stream; writes stride by MR.
+                // Rows of the stored window stream; writes stride by MR.
                 for r in 0..live {
-                    let row = &a.mat.row(r0 + r)[pc..pc + kc];
+                    let row = &a.stored_row(r0 + r)[pc..pc + kc];
                     for (p, &v) in row.iter().enumerate() {
                         chunk[p * MR + r] = v;
                     }
@@ -154,7 +163,7 @@ fn pack_a(a: OpRef<'_>, ic: usize, mc: usize, pc: usize, kc: usize, buf: &mut [f
                 // both the read (row[r0..]) and the write (p*MR..) are
                 // contiguous.
                 for p in 0..kc {
-                    let row = &a.mat.row(pc + p)[r0..r0 + live];
+                    let row = &a.stored_row(pc + p)[r0..r0 + live];
                     chunk[p * MR..p * MR + live].copy_from_slice(row);
                 }
             }
@@ -177,10 +186,10 @@ fn pack_b(b: OpRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut [f
     for (panel, chunk) in buf.chunks_exact_mut(NR * kc).enumerate() {
         let j0 = jc + panel * NR;
         let live = NR.min(jc + nc - j0);
-        match b.op {
+        match b.op() {
             Op::NoTrans => {
                 for p in 0..kc {
-                    let row = &b.mat.row(pc + p)[j0..j0 + live];
+                    let row = &b.stored_row(pc + p)[j0..j0 + live];
                     chunk[p * NR..p * NR + live].copy_from_slice(row);
                 }
             }
@@ -188,7 +197,7 @@ fn pack_b(b: OpRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut [f
                 // Logical column j is stored row j: stream it, scattering
                 // with stride NR.
                 for j in 0..live {
-                    let row = &b.mat.row(j0 + j)[pc..pc + kc];
+                    let row = &b.stored_row(j0 + j)[pc..pc + kc];
                     for (p, &v) in row.iter().enumerate() {
                         chunk[p * NR + j] = v;
                     }
@@ -206,21 +215,11 @@ fn pack_b(b: OpRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut [f
 }
 
 /// Runs the two inner register-tile loops for one packed (A block, B panel)
-/// pair, writing `alpha * acc` into the `mc x nc` slab of C starting at
-/// row offset 0 of `c_rows` (a borrowed `mc x c_stride` row slice) and
-/// column `jc`.
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel(
-    abuf: &[f64],
-    bbuf: &[f64],
-    kc: usize,
-    mc: usize,
-    nc: usize,
-    jc: usize,
-    alpha: f64,
-    c_rows: &mut [f64],
-    c_stride: usize,
-) {
+/// pair, adding `alpha * acc` into `c`, the `mc x nc` window of C the pair
+/// covers. The serial nest and every work item of the parallel nest run
+/// this same function on their own window.
+fn macro_kernel(abuf: &[f64], bbuf: &[f64], kc: usize, alpha: f64, c: &mut MatMut<'_>) {
+    let (mc, nc) = (c.rows(), c.cols());
     for (bpanel, bchunk) in bbuf.chunks_exact(NR * kc).enumerate() {
         let j0 = bpanel * NR;
         let jw = NR.min(nc - j0);
@@ -230,69 +229,7 @@ fn macro_kernel(
             let mut acc = [[0.0; NR]; MR];
             micro_dispatch(achunk, bchunk, &mut acc);
             for r in 0..iw {
-                let crow = &mut c_rows[(i0 + r) * c_stride + jc + j0..][..jw];
-                for (cv, av) in crow.iter_mut().zip(acc[r].iter()) {
-                    *cv += alpha * av;
-                }
-            }
-        }
-    }
-}
-
-/// Shared pointer to C's storage for the parallel loop nest. Work items
-/// partition C into disjoint `(row-tile × column-range)` tiles, so no two
-/// threads ever touch the same element.
-struct CPtr(*mut f64);
-
-// SAFETY: CPtr is only dereferenced inside `macro_kernel_par`, and the
-// parallel dispatch in `run_packed` hands every work item a distinct
-// (row-range × column-range) tile of C — no element is reachable from two
-// items — while the submitting thread keeps the `&mut Matrix` borrow
-// alive (and untouched) until every item has completed.
-unsafe impl Send for CPtr {}
-// SAFETY: as above — concurrent use from multiple threads only ever
-// writes pairwise-disjoint elements.
-unsafe impl Sync for CPtr {}
-
-/// The parallel-path twin of [`macro_kernel`]: identical arithmetic and
-/// iteration order, but writes C through a shared raw pointer so that
-/// work items owning disjoint tiles of the same row can run concurrently
-/// (disjoint `&mut` sub-slices of one row cannot be expressed safely).
-/// `row0`/`col0` are the tile's absolute top-left corner in C.
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel_par(
-    abuf: &[f64],
-    bbuf: &[f64],
-    kc: usize,
-    mc: usize,
-    nc: usize,
-    col0: usize,
-    alpha: f64,
-    c: &CPtr,
-    row0: usize,
-    c_stride: usize,
-) {
-    for (bpanel, bchunk) in bbuf.chunks_exact(NR * kc).enumerate() {
-        let j0 = bpanel * NR;
-        let jw = NR.min(nc - j0);
-        for (apanel, achunk) in abuf.chunks_exact(MR * kc).enumerate() {
-            let i0 = apanel * MR;
-            let iw = MR.min(mc - i0);
-            let mut acc = [[0.0; NR]; MR];
-            micro_dispatch(achunk, bchunk, &mut acc);
-            for r in 0..iw {
-                // SAFETY: this work item exclusively owns the
-                // (row0..row0+mc) × (col0..col0+nc) tile of C: run_packed
-                // hands out pairwise-disjoint tiles, blocks until all items
-                // finish, and row0+i0+r < row0+mc and col0+j0+jw ≤ col0+nc
-                // keep the slice inside both the tile and C's allocation —
-                // so no other thread can read or write any element of it.
-                let crow = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        c.0.add((row0 + i0 + r) * c_stride + col0 + j0),
-                        jw,
-                    )
-                };
+                let crow = &mut c.row_mut(i0 + r)[j0..j0 + jw];
                 for (cv, av) in crow.iter_mut().zip(acc[r].iter()) {
                     *cv += alpha * av;
                 }
@@ -320,7 +257,7 @@ pub(super) fn run_packed(
     alpha: f64,
     a: OpRef<'_>,
     b: OpRef<'_>,
-    c: &mut Matrix,
+    mut c: MatMut<'_>,
 ) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
@@ -363,17 +300,26 @@ pub(super) fn run_packed(
                         .max(1)
                 };
                 let panels_per = jr_panels.div_ceil(jr_splits);
+                // Carve this panel's columns of C into one exclusive
+                // window per item: disjoint by construction, so the items
+                // can write concurrently.
                 let mut items = Vec::with_capacity(ic_tiles * jr_splits);
+                let mut below = c.reborrow().window(0..m, jc..jc + nc);
                 for t in 0..ic_tiles {
+                    let (tile_rows, rest) = below.split_rows(MC.min(m - t * MC));
+                    below = rest;
+                    let mut right = tile_rows;
                     let mut p0 = 0;
                     while p0 < jr_panels {
-                        items.push((t * MC, p0, (p0 + panels_per).min(jr_panels)));
-                        p0 += panels_per;
+                        let p1 = (p0 + panels_per).min(jr_panels);
+                        let (tile, rest) = right.split_cols((p1 * NR).min(nc) - p0 * NR);
+                        right = rest;
+                        items.push((t * MC, p0, p1, tile));
+                        p0 = p1;
                     }
                 }
-                let cptr = CPtr(c.as_mut_slice().as_mut_ptr());
-                items.into_par_iter().for_each(|(ic, p0, p1)| {
-                    let mc = MC.min(m - ic);
+                items.into_par_iter().for_each(|(ic, p0, p1, mut tile)| {
+                    let mc = tile.rows();
                     ABUF.with(|cell| {
                         let mut abuf = cell.borrow_mut();
                         let alen = mc.div_ceil(MR) * MR * kc;
@@ -386,19 +332,7 @@ pub(super) fn run_packed(
                             super::perf::record_pack(name, ta.elapsed());
                         }
                         let b_sub = &bpanel[p0 * NR * kc..p1 * NR * kc];
-                        let nc_sub = (nc - p0 * NR).min((p1 - p0) * NR);
-                        macro_kernel_par(
-                            &abuf[..alen],
-                            b_sub,
-                            kc,
-                            mc,
-                            nc_sub,
-                            jc + p0 * NR,
-                            alpha,
-                            &cptr,
-                            ic,
-                            n,
-                        );
+                        macro_kernel(&abuf[..alen], b_sub, kc, alpha, &mut tile);
                     });
                 });
             } else {
@@ -411,8 +345,8 @@ pub(super) fn run_packed(
                     if let Some(ta) = ta {
                         super::perf::record_pack(name, ta.elapsed());
                     }
-                    let c_rows = &mut c.as_mut_slice()[ic * n..(ic + mc) * n];
-                    macro_kernel(&abuf[..alen], bpanel, kc, mc, nc, jc, alpha, c_rows, n);
+                    let mut tile = c.reborrow().window(ic..ic + mc, jc..jc + nc);
+                    macro_kernel(&abuf[..alen], bpanel, kc, alpha, &mut tile);
                 }
             }
         }
@@ -426,10 +360,10 @@ impl GemmBackend for super::Packed {
         a: OpRef<'_>,
         b: OpRef<'_>,
         beta: f64,
-        c: &mut Matrix,
+        mut c: MatMut<'_>,
     ) -> Result<()> {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        scale_by_beta(c, beta);
+        scale_by_beta(&mut c, beta);
         if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
             return Ok(());
         }

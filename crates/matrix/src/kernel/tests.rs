@@ -1,7 +1,10 @@
+use super::trsm::trsm_window;
 use super::*;
+use crate::block::BlockRange;
 use crate::random::{random_matrix, random_unit_lower, random_upper};
 use crate::triangular;
 use proptest::prelude::*;
+use std::ops::Range;
 
 const TOL: f64 = 1e-9;
 
@@ -74,21 +77,28 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         let c0 = random_matrix(m, n, seed + 200);
 
         let mut serial = c0.clone();
-        scale_by_beta(&mut serial, 0.5);
+        scale_by_beta(&mut (&mut serial).into(), 0.5);
         packed::run_packed(
             false,
             "packed-serial",
             1.5,
             notrans(&a),
             notrans(&b),
-            &mut serial,
+            (&mut serial).into(),
         );
 
         for cap in [1usize, 2, usize::MAX] {
             let mut par = c0.clone();
-            scale_by_beta(&mut par, 0.5);
+            scale_by_beta(&mut (&mut par).into(), 0.5);
             with_thread_cap(cap, || {
-                packed::run_packed(true, "packed", 1.5, notrans(&a), notrans(&b), &mut par)
+                packed::run_packed(
+                    true,
+                    "packed",
+                    1.5,
+                    notrans(&a),
+                    notrans(&b),
+                    (&mut par).into(),
+                )
             });
             assert_eq!(
                 par, serial,
@@ -106,10 +116,17 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
             -1.0,
             trans(&a_t),
             trans(&b_t),
-            &mut serial_tt,
+            (&mut serial_tt).into(),
         );
         let mut par_tt = c0.clone();
-        packed::run_packed(true, "packed", -1.0, trans(&a_t), trans(&b_t), &mut par_tt);
+        packed::run_packed(
+            true,
+            "packed",
+            -1.0,
+            trans(&a_t),
+            trans(&b_t),
+            (&mut par_tt).into(),
+        );
         assert_eq!(par_tt, serial_tt, "tt parallel nest must be bitwise serial");
     }
 }
@@ -151,8 +168,8 @@ proptest! {
         let mut naive = c0.clone();
         gemm_with(&Naive, alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut naive).unwrap();
         let mut serial = c0.clone();
-        scale_by_beta(&mut serial, beta);
-        packed::run_packed(false, "packed-serial", alpha, op(ta).of(&a), op(tb).of(&b), &mut serial);
+        scale_by_beta(&mut (&mut serial).into(), beta);
+        packed::run_packed(false, "packed-serial", alpha, op(ta).of(&a), op(tb).of(&b), (&mut serial).into());
 
         // The same k-linear forward-error bound the backend-agreement
         // proptest uses against the naive reference.
@@ -161,9 +178,9 @@ proptest! {
 
         for cap in [1usize, 2, usize::MAX] {
             let mut par = c0.clone();
-            scale_by_beta(&mut par, beta);
+            scale_by_beta(&mut (&mut par).into(), beta);
             with_thread_cap(cap, || {
-                packed::run_packed(true, "packed", alpha, op(ta).of(&a), op(tb).of(&b), &mut par)
+                packed::run_packed(true, "packed", alpha, op(ta).of(&a), op(tb).of(&b), (&mut par).into())
             });
 
             // Design contract: the parallel nest is bitwise serial.
@@ -329,21 +346,25 @@ fn empty_and_degenerate_products() {
 
 #[test]
 fn trsm_left_lower_matches_legacy_per_column_kernels() {
-    let n = 12;
+    // Wide enough for a full 16-column leaf tile plus scalar remainder
+    // columns: both must reproduce the per-vector oracles bit for bit.
+    let (n, w) = (40, 21);
     let l = random_unit_lower(n, 13);
-    // Unit solve against a general RHS: bit-identical to the old
-    // column-at-a-time solve_unit_lower_system.
-    let rhs = random_matrix(n, 7, 14);
+    // Unit solve against a general RHS: the old column-at-a-time
+    // solve_unit_lower_column loop (the U2 mappers').
+    let rhs = random_matrix(n, w, 14);
     let mut x = rhs.clone();
     trsm_with(&Naive, Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l, &mut x).unwrap();
-    let expect = triangular::solve_unit_lower_system(&l, &rhs).unwrap();
-    assert_eq!(x, expect);
+    for j in 0..w {
+        let col = triangular::solve_unit_lower_column(&l, &rhs.col(j)).unwrap();
+        assert_eq!(bits_of(&x.col(j)), bits_of(&col), "U2 column {j}");
+    }
 
-    // Non-unit solve of the identity: bit-identical to column-wise
-    // invert_lower_column (including exact +0.0 above each diagonal).
+    // Non-unit solve of the identity: column-wise invert_lower_column
+    // (including exact +0.0 above each diagonal, under negative diagonals).
     let mut lnu = l.clone();
     for i in 0..n {
-        lnu[(i, i)] = 1.5 + i as f64 * 0.25;
+        lnu[(i, i)] = (1.5 + i as f64 * 0.25) * if i % 2 == 0 { 1.0 } else { -1.0 };
     }
     let mut x = Matrix::identity(n);
     trsm_with(
@@ -356,8 +377,31 @@ fn trsm_left_lower_matches_legacy_per_column_kernels() {
         &mut x,
     )
     .unwrap();
-    let expect = triangular::invert_lower(&lnu).unwrap();
-    assert_eq!(x, expect);
+    for j in 0..n {
+        let col = triangular::invert_lower_column(&lnu, j).unwrap();
+        assert_eq!(bits_of(&x.col(j)), bits_of(&col), "inverse column {j}");
+    }
+    assert_eq!(bits(&x), bits(&triangular::invert_lower(&lnu).unwrap()));
+
+    // The L2' mappers' form: X·U1 = A3 solved as U1ᵀ·Xᵀ = A3ᵀ, against the
+    // old row-at-a-time solve_row_times_upper_transposed loop.
+    let u1_t = lnu;
+    let a3 = random_matrix(w, n, 24);
+    let mut x_t = a3.transpose();
+    trsm_with(
+        &Naive,
+        Side::Left,
+        Uplo::Lower,
+        Diag::NonUnit,
+        1.0,
+        &u1_t,
+        &mut x_t,
+    )
+    .unwrap();
+    for i in 0..w {
+        let row = triangular::solve_row_times_upper_transposed(&u1_t, a3.row(i)).unwrap();
+        assert_eq!(bits_of(&x_t.col(i)), bits_of(&row), "L2' row {i}");
+    }
 }
 
 #[test]
@@ -376,13 +420,15 @@ fn trsm_right_upper_matches_legacy_row_kernel() {
         &mut x,
     )
     .unwrap();
-    let expect = triangular::solve_upper_system_right(&u, &rhs).unwrap();
-    assert_eq!(x, expect);
+    for i in 0..5 {
+        let row = triangular::solve_row_times_upper(&u, rhs.row(i)).unwrap();
+        assert_eq!(bits_of(x.row(i)), bits_of(&row), "row {i}");
+    }
 }
 
 #[test]
 fn trsm_all_combinations_solve_their_equation() {
-    let n = 37; // > nb for the packed backend's blocked path
+    let n = 37;
     let lower = {
         let mut l = random_unit_lower(n, 17);
         for i in 0..n {
@@ -435,6 +481,259 @@ fn trsm_all_combinations_solve_their_equation() {
                     "{side:?}/{uplo:?}/{diag:?}/{} failed",
                     backend.name()
                 );
+            }
+        }
+    }
+}
+
+/// `rows x cols` of `m`, copied out.
+fn block_of(m: &Matrix, rows: &Range<usize>, cols: &Range<usize>) -> Matrix {
+    m.block(BlockRange::new(
+        (rows.start, rows.end),
+        (cols.start, cols.end),
+    ))
+    .unwrap()
+}
+
+fn bits_of(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|v| v.to_bits()).collect()
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    bits_of(m.as_slice())
+}
+
+/// A full square (both triangles populated, so a solve that read the wrong
+/// one would show) with a mixed-sign diagonal bounded away from zero and
+/// off-diagonals small enough that solutions stay O(1) at any order.
+fn tame_triangle(n: usize, seed: u64) -> Matrix {
+    let mut t = random_matrix(n, n, seed);
+    let shrink = (4.0 / n as f64).min(1.0);
+    for i in 0..n {
+        for j in 0..n {
+            t[(i, j)] *= shrink;
+        }
+        let mag = 1.5 + (i % 5) as f64 * 0.5;
+        t[(i, i)] = if i % 3 == 0 { -mag } else { mag };
+    }
+    t
+}
+
+#[test]
+fn gemm_on_windows_matches_copied_out_blocks_bitwise() {
+    // Ragged extents straddling the MR/NR/MC edges, inside parents wider
+    // than the operands: every window has an offset and a row stride
+    // larger than its extent.
+    let (m, k, n) = (67, 35, 41);
+    let big_a = random_matrix(90, 80, 40);
+    let big_b = random_matrix(85, 75, 41);
+    let big_c = random_matrix(100, 60, 42);
+    let op = |t: bool| if t { Op::Trans } else { Op::NoTrans };
+    let (c_rows, c_cols) = (9..9 + m, 13..13 + n);
+
+    for (name, backend) in backends() {
+        for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+            // Stored extents of the operand windows, then their logical
+            // (post-op) coordinates, which is what `OpRef::window` takes.
+            let (a_rows, a_cols) = if ta {
+                (7..7 + k, 3..3 + m)
+            } else {
+                (7..7 + m, 3..3 + k)
+            };
+            let (b_rows, b_cols) = if tb {
+                (2..2 + n, 11..11 + k)
+            } else {
+                (2..2 + k, 11..11 + n)
+            };
+            let logical = |t: bool, rows: &Range<usize>, cols: &Range<usize>| {
+                if t {
+                    (cols.clone(), rows.clone())
+                } else {
+                    (rows.clone(), cols.clone())
+                }
+            };
+            let (alr, alc) = logical(ta, &a_rows, &a_cols);
+            let (blr, blc) = logical(tb, &b_rows, &b_cols);
+
+            let mut in_place = big_c.clone();
+            gemm_window(
+                backend.as_ref(),
+                0.5,
+                op(ta).of(&big_a).window(alr, alc),
+                op(tb).of(&big_b).window(blr, blc),
+                -2.0,
+                MatMut::from(&mut in_place).window(c_rows.clone(), c_cols.clone()),
+            )
+            .unwrap();
+
+            let a_blk = block_of(&big_a, &a_rows, &a_cols);
+            let b_blk = block_of(&big_b, &b_rows, &b_cols);
+            let mut c_blk = block_of(&big_c, &c_rows, &c_cols);
+            gemm_with(
+                backend.as_ref(),
+                0.5,
+                op(ta).of(&a_blk),
+                op(tb).of(&b_blk),
+                -2.0,
+                &mut c_blk,
+            )
+            .unwrap();
+            let mut expect = big_c.clone();
+            expect
+                .set_block(c_rows.start, c_cols.start, &c_blk)
+                .unwrap();
+            assert_eq!(
+                bits(&in_place),
+                bits(&expect),
+                "{name} ta={ta} tb={tb}: window gemm differs from block gemm, or wrote outside its window"
+            );
+        }
+    }
+
+    // The tile-parallel nest carves its work items out of the C window.
+    let mut serial = big_c.clone();
+    let mut par = big_c.clone();
+    for (parallel, c) in [(false, &mut serial), (true, &mut par)] {
+        packed::run_packed(
+            parallel,
+            "packed",
+            1.5,
+            notrans(&big_a).window(7..7 + m, 3..3 + k),
+            notrans(&big_b).window(2..2 + k, 11..11 + n),
+            MatMut::from(c).window(c_rows.clone(), c_cols.clone()),
+        );
+    }
+    assert_eq!(bits(&par), bits(&serial));
+}
+
+#[test]
+fn trsm_on_windows_matches_copied_out_blocks_bitwise() {
+    // n > 2 leaves under Packed (recursion, ragged last leaf); w covers two
+    // full left-leaf tiles plus scalar remainder columns.
+    let (n, w) = (150, 37);
+    let big_t = tame_triangle(n + 20, 50);
+    let t_span = 5..5 + n;
+    let packed = Packed { parallel: false };
+    for backend in [&Naive as &dyn GemmBackend, &packed] {
+        for side in [Side::Left, Side::Right] {
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                for diag in [Diag::Unit, Diag::NonUnit] {
+                    let (b_rows, b_cols) = match side {
+                        Side::Left => (3..3 + n, 6..6 + w),
+                        Side::Right => (3..3 + w, 6..6 + n),
+                    };
+                    let big_b = random_matrix(b_rows.end + 4, b_cols.end + 9, 51);
+
+                    let mut in_place = big_b.clone();
+                    trsm_window(
+                        backend,
+                        side,
+                        uplo,
+                        diag,
+                        true,
+                        MatRef::from(&big_t).window(t_span.clone(), t_span.clone()),
+                        MatMut::from(&mut in_place).window(b_rows.clone(), b_cols.clone()),
+                    )
+                    .unwrap();
+
+                    let t_blk = block_of(&big_t, &t_span, &t_span);
+                    let mut b_blk = block_of(&big_b, &b_rows, &b_cols);
+                    trsm_with(backend, side, uplo, diag, 1.0, &t_blk, &mut b_blk).unwrap();
+                    let mut expect = big_b.clone();
+                    expect
+                        .set_block(b_rows.start, b_cols.start, &b_blk)
+                        .unwrap();
+                    assert_eq!(
+                        bits(&in_place),
+                        bits(&expect),
+                        "{}/{side:?}/{uplo:?}/{diag:?}: window trsm differs from block trsm, \
+                         or wrote outside its window",
+                        backend.name()
+                    );
+                    assert!(b_blk.as_slice().iter().all(|v| v.is_finite()));
+                }
+            }
+        }
+    }
+}
+
+/// A batch of unit-basis vectors `e_j`, `j = first, first + step, ...`, as
+/// the columns (left) or rows (right) of the right-hand side.
+fn unit_basis_batch(side: Side, n: usize, first: usize, step: usize) -> (Vec<usize>, Matrix) {
+    let picks: Vec<usize> = (first..n).step_by(step).collect();
+    let mut b = match side {
+        Side::Left => Matrix::zeros(n, picks.len()),
+        Side::Right => Matrix::zeros(picks.len(), n),
+    };
+    for (slot, &j) in picks.iter().enumerate() {
+        match side {
+            Side::Left => b[(j, slot)] = 1.0,
+            Side::Right => b[(slot, j)] = 1.0,
+        }
+    }
+    (picks, b)
+}
+
+#[test]
+fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
+    let backend = Packed { parallel: false };
+    let solve = |side, uplo, t: &Matrix, b: &Matrix, observe_zeros| {
+        let mut x = b.clone();
+        trsm_window(
+            &backend,
+            side,
+            uplo,
+            Diag::NonUnit,
+            observe_zeros,
+            t.into(),
+            (&mut x).into(),
+        )
+        .unwrap();
+        x
+    };
+
+    // The pipeline's shape: interleaved columns of a lower inverse.
+    for n in [65usize, 96, 384, 770] {
+        let t = tame_triangle(n, n as u64);
+        for m in [1usize, 2, 3, 5] {
+            let (picks, b) = unit_basis_batch(Side::Left, n, m - 1, m);
+            let on = solve(Side::Left, Uplo::Lower, &t, &b, true);
+            let off = solve(Side::Left, Uplo::Lower, &t, &b, false);
+            assert_eq!(bits(&on), bits(&off), "n={n} m={m}");
+            // Nothing above a column's diagonal entry was touched: exact
+            // +0.0 even where the diagonal is negative.
+            for (slot, &j) in picks.iter().enumerate() {
+                assert!(
+                    (0..j).all(|i| on[(i, slot)].to_bits() == 0),
+                    "n={n} m={m}: column {j} is not +0.0 above its diagonal"
+                );
+                assert!(on[(j, slot)] != 0.0);
+            }
+        }
+    }
+
+    // The mirrored cases: trailing zeros (backward), vectors as rows (right).
+    let n = 150;
+    let t = tame_triangle(n, 7);
+    for side in [Side::Left, Side::Right] {
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            let (picks, b) = unit_basis_batch(side, n, 1, 3);
+            let on = solve(side, uplo, &t, &b, true);
+            let off = solve(side, uplo, &t, &b, false);
+            assert_eq!(bits(&on), bits(&off), "{side:?}/{uplo:?}");
+            let forward = matches!(
+                (side, uplo),
+                (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper)
+            );
+            for (slot, &j) in picks.iter().enumerate() {
+                let untouched = if forward { 0..j } else { j + 1..n };
+                for i in untouched {
+                    let v = match side {
+                        Side::Left => on[(i, slot)],
+                        Side::Right => on[(slot, i)],
+                    };
+                    assert_eq!(v.to_bits(), 0, "{side:?}/{uplo:?} vector {j} entry {i}");
+                }
             }
         }
     }

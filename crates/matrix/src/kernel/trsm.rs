@@ -2,21 +2,46 @@
 //!
 //! `trsm(side, uplo, diag, alpha, T, B)` overwrites `B` with the solution
 //! `X` of `T · X = alpha · B` ([`Side::Left`]) or `X · T = alpha · B`
-//! ([`Side::Right`]).
+//! ([`Side::Right`]). Each column (left) or row (right) of `B` is one
+//! right-hand-side *vector*.
 //!
-//! Small systems use unblocked forward/back substitution whose summation
-//! order is bit-identical to the per-vector kernels the pipeline mappers
-//! used before this module existed ([`crate::triangular`]); when the
-//! active backend advertises a block size ([`GemmBackend::trsm_block`]),
-//! larger systems are solved a diagonal block at a time with the trailing
-//! update delegated to GEMM, which is where the packed engine's
-//! throughput shows up.
+//! **Leaf.** Systems of order at most [`GemmBackend::trsm_block`] — every
+//! system under a backend that advertises none — are solved by unblocked
+//! substitution, in place. Per vector the arithmetic is the per-vector
+//! kernels' of [`crate::triangular`], operation for operation (the
+//! [`Naive`](super::Naive) pipeline pins depend on it); the left-side leaf
+//! merely runs sixteen vectors abreast so the dependent chain of one
+//! vector hides behind its neighbours'.
+//!
+//! **Recursion.** Larger systems split the triangle in two, solve the
+//! first diagonal block, clear its coupling to the second with one GEMM on
+//! in-place windows of `T` and `B`, and solve the second — recursively, so
+//! the leaf share of the flops is `leaf / n` and everything else runs in
+//! the backend's GEMM. No block of `T` or `B` is ever copied.
+//!
+//! **Observed zeros.** A vector whose leading entries (trailing, for the
+//! backward solves) are exactly `+0.0` has exactly-`+0.0` solution entries
+//! there. The leaf skips them (as the per-vector kernels' unit-basis
+//! callers always relied on) and notes, per vector, the first entry in
+//! solve order that it found live; the recursion then restricts each
+//! coupling GEMM to the vectors that are live at all, and for runs of
+//! vectors that all came alive late, to the part of `K` from there on.
+//! Every term so dropped is an exact `±0.0` product (for a finite `T`)
+//! from the head or tail of one packed K panel — the first block never
+//! exceeds [`K_PANEL`] — so no bit of the result changes, while a batch of
+//! unit-basis vectors sorted by index (triangular inversion) costs
+//! `(n - j)²` per vector instead of `n²`.
 
-use super::{gemm_with, notrans, Diag, GemmBackend, MatrixError, Result, Side, Uplo};
-use crate::block::BlockRange;
+use std::ops::Range;
+
+use super::packed::avx2_fma_available;
+use super::{
+    gemm_window, notrans, Diag, GemmBackend, MatMut, MatRef, MatrixError, Result, Side, Uplo,
+    K_PANEL,
+};
 use crate::dense::Matrix;
 
-fn check_trsm(side: Side, t: &Matrix, b: &Matrix) -> Result<usize> {
+fn check_trsm(side: Side, t: &Matrix, b: &Matrix) -> Result<()> {
     let n = t.order()?;
     let need = match side {
         Side::Left => b.rows(),
@@ -29,7 +54,7 @@ fn check_trsm(side: Side, t: &Matrix, b: &Matrix) -> Result<usize> {
             rhs: b.shape(),
         });
     }
-    Ok(n)
+    Ok(())
 }
 
 fn check_diag(t: &Matrix, diag: Diag) -> Result<()> {
@@ -79,210 +104,421 @@ pub fn trsm_with(
     t: &Matrix,
     b: &mut Matrix,
 ) -> Result<()> {
-    let n = check_trsm(side, t, b)?;
+    check_trsm(side, t, b)?;
     check_diag(t, diag)?;
     if alpha != 1.0 {
         for v in b.as_mut_slice() {
             *v *= alpha;
         }
     }
-    match backend.trsm_block() {
-        Some(nb) if n > nb => blocked(backend, side, uplo, diag, nb, t, b),
-        _ => {
-            unblocked(side, uplo, diag, t, b);
-            Ok(())
-        }
-    }
+    trsm_window(backend, side, uplo, diag, true, t.into(), b.into())
 }
 
-/// Diagonal-block recursion: solve an `nb`-wide stripe unblocked, then
-/// clear its coupling to the remaining stripes with one GEMM.
-fn blocked(
+/// [`trsm_with`] on in-place windows, `alpha = 1`, shapes and diagonal
+/// already validated by the caller. `observe_zeros = false` runs every
+/// coupling GEMM over all vectors — the reference the bit-neutrality test
+/// compares the restriction against.
+pub(crate) fn trsm_window(
     backend: &dyn GemmBackend,
     side: Side,
     uplo: Uplo,
     diag: Diag,
-    nb: usize,
-    t: &Matrix,
-    b: &mut Matrix,
+    observe_zeros: bool,
+    t: MatRef<'_>,
+    b: MatMut<'_>,
 ) -> Result<()> {
-    let n = t.rows();
-    // Iterate diagonal blocks in dependency order: forward for the
-    // triangle whose solve starts at index 0, backward otherwise.
-    let forward = matches!(
-        (side, uplo),
-        (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper)
-    );
-    let starts: Vec<usize> = (0..n).step_by(nb).collect();
-    let order: Box<dyn Iterator<Item = usize>> = if forward {
-        Box::new(starts.into_iter())
-    } else {
-        Box::new(starts.into_iter().rev())
+    let solve = Solve {
+        backend,
+        side,
+        forward: matches!(
+            (side, uplo),
+            (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper)
+        ),
+        unit: diag == Diag::Unit,
+        leaf: backend.trsm_block().unwrap_or(usize::MAX),
+        observe_zeros,
     };
-
-    for k0 in order {
-        let k1 = (k0 + nb).min(n);
-        let tkk = t.block(BlockRange::new((k0, k1), (k0, k1)))?;
-        match side {
-            Side::Left => {
-                let mut xk = b.row_stripe(k0, k1)?;
-                unblocked(side, uplo, diag, &tkk, &mut xk);
-                // Remaining rows: B_r -= T[r, k] · X_k.
-                let (r0, r1) = if forward { (k1, n) } else { (0, k0) };
-                if r0 < r1 {
-                    let trk = t.block(BlockRange::new((r0, r1), (k0, k1)))?;
-                    let mut br = b.row_stripe(r0, r1)?;
-                    gemm_with(backend, -1.0, notrans(&trk), notrans(&xk), 1.0, &mut br)?;
-                    b.set_block(r0, 0, &br)?;
-                }
-                b.set_block(k0, 0, &xk)?;
-            }
-            Side::Right => {
-                let mut xk = b.col_stripe(k0, k1)?;
-                unblocked(side, uplo, diag, &tkk, &mut xk);
-                // Remaining columns: B_r -= X_k · T[k, r].
-                let (r0, r1) = if forward { (k1, n) } else { (0, k0) };
-                if r0 < r1 {
-                    let tkr = t.block(BlockRange::new((k0, k1), (r0, r1)))?;
-                    let mut br = b.col_stripe(r0, r1)?;
-                    gemm_with(backend, -1.0, notrans(&xk), notrans(&tkr), 1.0, &mut br)?;
-                    b.set_block(0, r0, &br)?;
-                }
-                b.set_block(0, k0, &xk)?;
-            }
-        }
-    }
-    Ok(())
+    let vectors = match side {
+        Side::Left => b.cols(),
+        Side::Right => b.rows(),
+    };
+    solve.run(t, b, 0, &mut vec![NEVER; vectors])
 }
 
-fn unblocked(side: Side, uplo: Uplo, diag: Diag, t: &Matrix, b: &mut Matrix) {
-    match side {
-        Side::Left => {
-            // Column-at-a-time substitution, like the pipeline's
-            // per-column mapper kernels: gather the (strided) column,
-            // solve it contiguously, scatter back.
-            let n = t.rows();
-            let cols = b.cols();
-            let mut x = vec![0.0; n];
-            for j in 0..cols {
-                for i in 0..n {
-                    x[i] = b[(i, j)];
-                }
-                match uplo {
-                    Uplo::Lower => solve_lower_col(t, diag, &mut x),
-                    Uplo::Upper => solve_upper_col(t, diag, &mut x),
-                }
-                for i in 0..n {
-                    b[(i, j)] = x[i];
+/// [`Solve::run`]'s `first_live` entry of a vector that is `+0.0` so far.
+const NEVER: usize = usize::MAX;
+
+/// One triangular solve: the fixed parameters of the recursion.
+struct Solve<'s> {
+    backend: &'s dyn GemmBackend,
+    side: Side,
+    /// The solve starts at index 0 (lower-left, upper-right) rather than
+    /// at the last index.
+    forward: bool,
+    unit: bool,
+    /// Largest order the unblocked leaf takes.
+    leaf: usize,
+    observe_zeros: bool,
+}
+
+impl Solve<'_> {
+    /// Solves `t`'s system against `b` in place. `t` is a diagonal block of
+    /// the whole triangle, `solved` indices of which were solved before it;
+    /// `first_live[v]` is the position in solve order (0 = solved first) of
+    /// vector `v`'s first entry that was not `+0.0` when its leaf reached
+    /// it, or [`NEVER`] — written by the leaves, read to narrow the
+    /// coupling GEMMs.
+    fn run(
+        &self,
+        t: MatRef<'_>,
+        mut b: MatMut<'_>,
+        solved: usize,
+        first_live: &mut [usize],
+    ) -> Result<()> {
+        let n = t.rows();
+        if n <= self.leaf {
+            let local = match self.side {
+                Side::Left => leaf_left(t, &mut b, self.forward, self.unit),
+                Side::Right => leaf_right(t, &mut b, self.forward, self.unit),
+            };
+            for (seen, local) in first_live.iter_mut().zip(local) {
+                if *seen == NEVER && local < n {
+                    *seen = solved + local;
                 }
             }
+            return Ok(());
         }
-        Side::Right => {
-            // Row-at-a-time: X·T = B row i is Tᵀ·xᵀ = bᵀ, a substitution
-            // against the transposed factor. Transposing T once keeps every
-            // inner access row-major (the Section 6.3 trick; this is
-            // exactly the old `solve_upper_system_right` arithmetic).
-            let t_t = t.transpose();
-            let rows = b.rows();
-            for i in 0..rows {
-                let x = b.row_mut(i);
-                match uplo {
-                    // Right-solve against upper T == lower solve against Tᵀ.
-                    Uplo::Upper => solve_lower_row_transposed(&t_t, diag, x),
-                    Uplo::Lower => solve_upper_row_transposed(&t_t, diag, x),
-                }
+        // The first block: a leaf multiple near the middle, so leaves stay
+        // full and the coupling GEMMs deep, but never more than one packed
+        // K panel (see the module docs).
+        let len = n.div_ceil(2).next_multiple_of(self.leaf).min(K_PANEL);
+        let (first, second) = if self.forward {
+            (0..len, len..n)
+        } else {
+            (n - len..n, 0..n - len)
+        };
+        let cut = first.start.max(second.start);
+        let (low, high) = match self.side {
+            Side::Left => b.split_rows(cut),
+            Side::Right => b.split_cols(cut),
+        };
+        let (mut b_first, mut b_second) = if self.forward {
+            (low, high)
+        } else {
+            (high, low)
+        };
+
+        self.run(
+            t.window(first.clone(), first.clone()),
+            b_first.reborrow(),
+            solved,
+            first_live,
+        )?;
+        let coupling = match self.side {
+            Side::Left => t.window(second.clone(), first),
+            Side::Right => t.window(first, second.clone()),
+        };
+        for (vectors, k) in self.live_groups(len, solved, first_live) {
+            // B_second -= T[second, first] · X_first on the left,
+            // X_first · T[first, second] on the right — over `vectors`
+            // only, and over the part `k` of the first block's extent
+            // where they can be nonzero.
+            let m = second.len();
+            match self.side {
+                Side::Left => gemm_window(
+                    self.backend,
+                    -1.0,
+                    notrans(coupling).window(0..m, k.clone()),
+                    notrans(b_first.as_ref()).window(k, vectors.clone()),
+                    1.0,
+                    b_second.reborrow().window(0..m, vectors),
+                )?,
+                Side::Right => gemm_window(
+                    self.backend,
+                    -1.0,
+                    notrans(b_first.as_ref()).window(vectors.clone(), k.clone()),
+                    notrans(coupling).window(k, 0..m),
+                    1.0,
+                    b_second.reborrow().window(vectors, 0..m),
+                )?,
             }
         }
+        self.run(
+            t.window(second.clone(), second),
+            b_second,
+            solved + len,
+            first_live,
+        )
+    }
+
+    /// The coupling updates a first block of extent `len` owes the rest of
+    /// the triangle, as `(vectors, k)` pairs: a contiguous range of vectors
+    /// and the range of the block's own indices (in storage order) outside
+    /// of which all of them are still `+0.0`. Disjoint in `vectors`; one
+    /// pair covering everything when zeros are not observed.
+    ///
+    /// A vector joins the run of its right-hand neighbours, whose `k`
+    /// starts at the earliest first-live position among them rounded down
+    /// to a leaf: exact for vectors sorted by where they come alive (a
+    /// unit-basis batch in index order), conservative otherwise.
+    fn live_groups(
+        &self,
+        len: usize,
+        solved: usize,
+        first_live: &[usize],
+    ) -> Vec<(Range<usize>, Range<usize>)> {
+        let k_from = |skip: usize| {
+            if self.forward {
+                skip..len
+            } else {
+                0..len - skip
+            }
+        };
+        if !self.observe_zeros {
+            return vec![(0..first_live.len(), k_from(0))];
+        }
+        let done = solved + len;
+        let Some(lo) = first_live.iter().position(|&p| p < done) else {
+            return Vec::new();
+        };
+        let mut groups: Vec<(Range<usize>, usize)> = Vec::new();
+        let mut earliest = done;
+        for v in (lo..first_live.len()).rev() {
+            earliest = earliest.min(first_live[v]);
+            if earliest >= done {
+                continue; // trailing vectors that are still all zero
+            }
+            let skip = earliest.saturating_sub(solved) / self.leaf * self.leaf;
+            match groups.last_mut() {
+                Some((vectors, s)) if *s == skip => vectors.start = v,
+                _ => groups.push((v..v + 1, skip)),
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(vectors, skip)| (vectors, k_from(skip)))
+            .collect()
     }
 }
 
-/// Forward substitution `T·x = b` in place (lower triangle).
+/// Vectors the left-side leaf advances together: four AVX2 registers' worth
+/// of independent subtract chains per row, enough to cover the add latency.
+const TILE: usize = 16;
+
+/// Left-side leaf: `T · X = B` by substitution, in place, column tiles of
+/// [`TILE`] abreast. Returns, per column, the position in solve order of
+/// its first entry that is not `+0.0` (the leaf's order if there is none).
 ///
-/// An exact-`+0.0` prefix of the RHS is skipped rather than divided: the
-/// corresponding solution entries are exactly `+0.0`, and dividing would
-/// turn them into `-0.0` under a negative diagonal. The pipeline solves
-/// unit-basis columns constantly (triangular inversion), and the skip both
-/// preserves the seed kernels' bit pattern above the diagonal and restores
+/// Per column this is the per-vector kernel, operation for operation: an
+/// exact-`+0.0` prefix (suffix when solving backward) is left untouched
+/// rather than divided — the solution there is exactly `+0.0`, and a
+/// negative diagonal would turn it into `-0.0` — and the remaining entries
+/// subtract their products in ascending `k`. The pipeline solves
+/// unit-basis columns constantly (triangular inversion); the skip both
+/// preserves the seed kernels' bit pattern above the diagonal and keeps
 /// their `O((n-j)^2)` cost per inverse column.
-fn solve_lower_col(t: &Matrix, diag: Diag, x: &mut [f64]) {
-    let n = x.len();
-    let mut start = 0;
-    while start < n && x[start].to_bits() == 0 {
-        start += 1;
-    }
-    for i in start..n {
-        let row = t.row(i);
-        let mut acc = x[i];
-        for (k, &xk) in x.iter().enumerate().take(i).skip(start) {
-            acc -= row[k] * xk;
+fn leaf_left(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Vec<usize> {
+    let (n, w) = (b.rows(), b.cols());
+    // bound[j]: first live row of column j (forward) or one past its last
+    // live row (backward); a column with no live row gets n / 0.
+    let dead = if forward { n } else { 0 };
+    let mut bound = vec![dead; w];
+    let mut pending: Vec<usize> = (0..w).collect();
+    for step in 0..n {
+        if pending.is_empty() {
+            break;
         }
-        x[i] = match diag {
-            Diag::Unit => acc,
-            Diag::NonUnit => acc / row[i],
+        let i = if forward { step } else { n - 1 - step };
+        let row = b.row(i);
+        pending.retain(|&j| {
+            let zero = row[j].to_bits() == 0;
+            if !zero {
+                bound[j] = if forward { i } else { i + 1 };
+            }
+            zero
+        });
+    }
+
+    let use_avx2 = avx2_fma_available();
+    let mut c0 = 0;
+    while c0 < w {
+        let width = if c0 + TILE <= w { TILE } else { 1 };
+        let bounds = &bound[c0..c0 + width];
+        if bounds.iter().any(|&s| s != dead) {
+            // The rows any column of the tile is live on.
+            let rows = if forward {
+                *bounds.iter().min().expect("tile is not empty")..n
+            } else {
+                0..*bounds.iter().max().expect("tile is not empty")
+            };
+            let uniform = bounds.iter().all(|&s| s == bounds[0]);
+            match (width == TILE, uniform) {
+                (true, true) => {
+                    tile::<TILE, false>(use_avx2, t, b, c0, rows, bounds, forward, unit)
+                }
+                (true, false) => {
+                    tile::<TILE, true>(use_avx2, t, b, c0, rows, bounds, forward, unit)
+                }
+                (false, _) => tile::<1, false>(use_avx2, t, b, c0, rows, bounds, forward, unit),
+            }
+        }
+        c0 += width;
+    }
+    if !forward {
+        for s in &mut bound {
+            *s = n - *s;
+        }
+    }
+    bound
+}
+
+/// Dispatches one tile to the AVX2 or the portable instantiation of
+/// [`tile_body`] (same arithmetic, wider registers).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn tile<const W: usize, const MASKED: bool>(
+    use_avx2: bool,
+    t: MatRef<'_>,
+    b: &mut MatMut<'_>,
+    c0: usize,
+    rows: Range<usize>,
+    bounds: &[usize],
+    forward: bool,
+    unit: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2 {
+        // SAFETY: `use_avx2` is the cached is_x86_feature_detected! probe
+        // for avx2 and fma, so the CPU supports the features this
+        // #[target_feature] instantiation was compiled for.
+        unsafe { tile_avx2::<W, MASKED>(t, b, c0, rows, bounds, forward, unit) };
+        return;
+    }
+    let _ = use_avx2;
+    tile_body::<W, MASKED>(t, b, c0, rows, bounds, forward, unit);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn tile_avx2<const W: usize, const MASKED: bool>(
+    t: MatRef<'_>,
+    b: &mut MatMut<'_>,
+    c0: usize,
+    rows: Range<usize>,
+    bounds: &[usize],
+    forward: bool,
+    unit: bool,
+) {
+    tile_body::<W, MASKED>(t, b, c0, rows, bounds, forward, unit);
+}
+
+/// Substitution over live rows `rows` of columns `c0..c0 + W` of `b`.
+///
+/// Row `i`'s `W` accumulators start from `b[i]`, subtract
+/// `t[i][k] * b[k]` for the already-solved live rows `k` in ascending
+/// order, and are divided by the diagonal unless it is implicit. With
+/// `MASKED`, column `l` takes part in a step only where its own bound
+/// (`bounds[l]`) says the row is live for it, so a tile whose columns
+/// start at different rows still gets each column's exact per-vector
+/// arithmetic; without it every column shares `rows`.
+#[inline(always)]
+fn tile_body<const W: usize, const MASKED: bool>(
+    t: MatRef<'_>,
+    b: &mut MatMut<'_>,
+    c0: usize,
+    rows: Range<usize>,
+    bounds: &[usize],
+    forward: bool,
+    unit: bool,
+) {
+    let bounds: &[usize; W] = bounds.try_into().expect("one bound per tile column");
+    // Row r is live for column l?
+    let on = |r: usize, l: usize| {
+        if forward {
+            r >= bounds[l]
+        } else {
+            r < bounds[l]
+        }
+    };
+    for step in 0..rows.len() {
+        let i = if forward {
+            rows.start + step
+        } else {
+            rows.end - 1 - step
         };
+        let solved = if forward {
+            rows.start..i
+        } else {
+            i + 1..rows.end
+        };
+        let trow = t.row(i);
+        let mut acc: [f64; W] = b.row(i)[c0..c0 + W]
+            .try_into()
+            .expect("slice has tile width");
+        for k in solved {
+            let tik = trow[k];
+            let xk: &[f64; W] = b.row(k)[c0..c0 + W]
+                .try_into()
+                .expect("slice has tile width");
+            for l in 0..W {
+                let d = acc[l] - tik * xk[l];
+                acc[l] = if !MASKED || on(k, l) { d } else { acc[l] };
+            }
+        }
+        if !unit {
+            let diag = trow[i];
+            for l in 0..W {
+                let q = acc[l] / diag;
+                acc[l] = if !MASKED || on(i, l) { q } else { acc[l] };
+            }
+        }
+        b.row_mut(i)[c0..c0 + W].copy_from_slice(&acc);
     }
 }
 
-/// Back substitution `T·x = b` in place (upper triangle), with the
-/// mirrored trailing-zero skip.
-fn solve_upper_col(t: &Matrix, diag: Diag, x: &mut [f64]) {
-    let n = x.len();
-    let mut end = n;
-    while end > 0 && x[end - 1].to_bits() == 0 {
-        end -= 1;
-    }
-    for i in (0..end).rev() {
-        let row = t.row(i);
-        let mut acc = x[i];
-        for k in (i + 1)..end {
-            acc -= row[k] * x[k];
-        }
-        x[i] = match diag {
-            Diag::Unit => acc,
-            Diag::NonUnit => acc / row[i],
-        };
-    }
-}
-
-/// Solves `x · T = b` for upper-triangular `T` given `t_t = Tᵀ` (lower
-/// triangular), overwriting `x` (which holds `b` on entry). This is the
-/// old `solve_row_times_upper_transposed` summation order.
-fn solve_lower_row_transposed(t_t: &Matrix, diag: Diag, x: &mut [f64]) {
-    let n = x.len();
-    let mut start = 0;
-    while start < n && x[start].to_bits() == 0 {
-        start += 1;
-    }
-    for j in start..n {
-        let row = t_t.row(j);
-        let mut acc = x[j];
-        for (k, &xk) in x.iter().enumerate().take(j).skip(start) {
-            acc -= xk * row[k];
-        }
-        x[j] = match diag {
-            Diag::Unit => acc,
-            Diag::NonUnit => acc / row[j],
-        };
-    }
-}
-
-/// Solves `x · T = b` for lower-triangular `T` given `t_t = Tᵀ` (upper
-/// triangular), overwriting `x`.
-fn solve_upper_row_transposed(t_t: &Matrix, diag: Diag, x: &mut [f64]) {
-    let n = x.len();
-    let mut end = n;
-    while end > 0 && x[end - 1].to_bits() == 0 {
-        end -= 1;
-    }
-    for j in (0..end).rev() {
-        let row = t_t.row(j);
-        let mut acc = x[j];
-        for k in (j + 1)..end {
-            acc -= x[k] * row[k];
-        }
-        x[j] = match diag {
-            Diag::Unit => acc,
-            Diag::NonUnit => acc / row[j],
-        };
-    }
+/// Right-side leaf: `X · T = B` by substitution, in place, one row of `B`
+/// at a time. Returns, per row, the position in solve order of its first
+/// entry that is not `+0.0` (the leaf's order if there is none).
+///
+/// Written in update form — once `x[j]` is final, `x[j] · T[j, ·]` is
+/// subtracted from the entries still to be solved — so `T` is read along
+/// its rows and no transpose is needed. Each entry receives its products
+/// in solve order, which for the forward (upper) case is the per-vector
+/// kernels' ascending order; the exact-`+0.0` prefix (suffix, backward)
+/// skip is the left-side leaf's.
+fn leaf_right(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Vec<usize> {
+    let n = b.cols();
+    let is_zero = |v: &&f64| v.to_bits() == 0;
+    (0..b.rows())
+        .map(|r| {
+            let x = b.row_mut(r);
+            let skip = if forward {
+                x.iter().take_while(is_zero).count()
+            } else {
+                x.iter().rev().take_while(is_zero).count()
+            };
+            let span = if forward { skip..n } else { 0..n - skip };
+            for step in 0..span.len() {
+                let j = if forward {
+                    span.start + step
+                } else {
+                    span.end - 1 - step
+                };
+                let trow = t.row(j);
+                if !unit {
+                    x[j] /= trow[j];
+                }
+                let xj = x[j];
+                let rest = if forward {
+                    j + 1..span.end
+                } else {
+                    span.start..j
+                };
+                for (xc, &tc) in x[rest.clone()].iter_mut().zip(&trow[rest]) {
+                    *xc -= xj * tc;
+                }
+            }
+            skip
+        })
+        .collect()
 }

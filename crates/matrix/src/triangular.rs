@@ -3,11 +3,19 @@
 //! Two observations from the paper drive the API shape here:
 //!
 //! * each *column* of a lower-triangular inverse is independent of the other
-//!   columns (Section 4.3), so the final MapReduce job's mappers call
-//!   [`invert_lower_column`] on their interleaved column set;
+//!   columns (Section 4.3), so the final MapReduce job's mappers each own an
+//!   interleaved column set;
 //! * each *row* of `L2'` and each *column* of `U2` in Equation 6 is
-//!   independent, so the LU pipeline's mappers call
-//!   [`solve_row_times_upper`] / [`solve_unit_lower_column`] per vector.
+//!   independent, so the LU pipeline's mappers each own a stripe of them.
+//!
+//! The pipeline solves a whole task's vectors in one [`trsm`] call (level-3:
+//! the coupling between diagonal blocks runs in GEMM), and [`invert_lower`]
+//! / [`invert_upper`] are that same solve on an identity right-hand side.
+//! The per-vector kernels — [`invert_lower_column`],
+//! [`solve_unit_lower_column`], [`solve_row_times_upper`],
+//! [`solve_row_times_upper_transposed`] — remain as the arithmetic `trsm`'s
+//! leaf reproduces operation for operation (the bit-identity oracles), and
+//! as the strided reference the Section 6.3 transpose-off ablation times.
 //!
 //! Upper-triangular matrices are inverted through their transpose
 //! (a lower-triangular inverse followed by a transpose), matching the
@@ -70,16 +78,12 @@ pub fn invert_lower_column(l: &Matrix, j: usize) -> Result<Vec<f64>> {
     Ok(col)
 }
 
-/// Inverts a lower-triangular matrix by Equation 4, column by column.
+/// Inverts a lower-triangular matrix by Equation 4: every column of the
+/// inverse solves `L·x = e_j`, all of them in one [`trsm`] on the identity
+/// (whose exact zeros above each `e_j`'s one are never multiplied).
 pub fn invert_lower(l: &Matrix) -> Result<Matrix> {
-    let n = check_square(l, "invert_lower")?;
-    let mut inv = Matrix::zeros(n, n);
-    for j in 0..n {
-        let col = invert_lower_column(l, j)?;
-        for i in j..n {
-            inv[(i, j)] = col[i];
-        }
-    }
+    let mut inv = Matrix::identity(check_square(l, "invert_lower")?);
+    trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, l, &mut inv)?;
     Ok(inv)
 }
 
