@@ -5,6 +5,7 @@
 
 use mrinv::obs::full_snapshot;
 use mrinv::InversionConfig;
+use mrinv_mapreduce::obs::Labels;
 use mrinv_mapreduce::{Cluster, ClusterConfig};
 use mrinv_matrix::kernel;
 use mrinv_matrix::random::random_well_conditioned;
@@ -172,4 +173,93 @@ fn identical_runs_snapshot_identical_structure() {
         (attempts, run_counts)
     };
     assert_eq!(run(), run());
+}
+
+/// `{job,wave}`-style rendering of the label keys a series carries.
+fn label_keys(l: &Labels) -> String {
+    let keys = [
+        ("job", l.job.is_some()),
+        ("wave", l.wave.is_some()),
+        ("node", l.node.is_some()),
+        ("task_kind", l.task_kind.is_some()),
+        ("backend", l.backend.is_some()),
+        ("tenant", l.tenant.is_some()),
+    ];
+    let set: Vec<&str> = keys.iter().filter(|k| k.1).map(|k| k.0).collect();
+    format!("{{{}}}", set.join(","))
+}
+
+/// `job/wave/backend` of a job- or wave-labelled series (`-` when unset).
+fn job_wave(l: &Labels) -> String {
+    let or_dash = |v: &Option<String>| v.clone().unwrap_or_else(|| "-".to_string());
+    format!(
+        "{} {} {}",
+        or_dash(&l.job),
+        or_dash(&l.wave),
+        or_dash(&l.backend)
+    )
+}
+
+/// The series census of the canonical traced n=64/nb=4 inversion (seed
+/// 42, 4 medium nodes): the sorted `(kind, metric name, label keys)` set,
+/// then one line per `job`/`wave`-labelled series with its counter value
+/// or histogram observation count. Node-labelled series appear in the set
+/// only, and `mrinv_wave_remote_read_bytes_total` is left out altogether —
+/// placement, and so which waves read remotely, follows measured time.
+fn series_census() -> String {
+    let cl = cluster(true);
+    let a = random_well_conditioned(64, 42);
+    mrinv::Request::invert(&a)
+        .config(&InversionConfig::with_nb(4))
+        .submit(&cl)
+        .unwrap();
+    let snap = cl.metrics.obs().snapshot();
+    let placed = |name: &str| name == "mrinv_wave_remote_read_bytes_total";
+    let mut set = std::collections::BTreeSet::new();
+    let mut values = Vec::new();
+    let labelled = |l: &Labels| l.node.is_none() && (l.job.is_some() || l.wave.is_some());
+    for c in snap.counters.iter().filter(|c| !placed(&c.name)) {
+        set.insert(format!("counter {}{}", c.name, label_keys(&c.labels)));
+        if labelled(&c.labels) {
+            values.push(format!("{} {} = {}", c.name, job_wave(&c.labels), c.value));
+        }
+    }
+    for g in &snap.gauges {
+        set.insert(format!("gauge {}{}", g.name, label_keys(&g.labels)));
+    }
+    for h in &snap.histograms {
+        set.insert(format!("histogram {}{}", h.name, label_keys(&h.labels)));
+        if labelled(&h.labels) {
+            let (name, count) = (&h.name, h.hist.count);
+            values.push(format!("{name} {} = {count}", job_wave(&h.labels)));
+        }
+    }
+    values.sort();
+    let set: Vec<String> = set.into_iter().collect();
+    format!("{}\n\n{}\n", set.join("\n"), values.join("\n"))
+}
+
+/// Pins which labeled series one inversion produces and how many
+/// observations each job/wave series holds. Set `MRINV_REGEN_GOLDEN=1` to
+/// rewrite the golden file instead of comparing (then commit the diff
+/// deliberately).
+#[test]
+fn n64_series_census_matches_golden() {
+    let census = series_census();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/obs_series_n64_nb4.txt"
+    );
+    if std::env::var_os("MRINV_REGEN_GOLDEN").is_some() {
+        std::fs::write(path, &census).unwrap();
+        return;
+    }
+    let golden = include_str!("golden/obs_series_n64_nb4.txt");
+    assert_eq!(
+        census.trim_end(),
+        golden.trim_end(),
+        "the labeled series of the n=64/nb=4 run changed; if that is \
+         intentional, regenerate with MRINV_REGEN_GOLDEN=1 cargo test -p \
+         mrinv --test observability"
+    );
 }
