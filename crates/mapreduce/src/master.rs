@@ -40,23 +40,9 @@ pub fn run_on_master_named<T>(cluster: &Cluster, label: &str, f: impl FnOnce() -
     }
     if cluster.trace.is_enabled() {
         cluster.trace.record(TaskEvent {
-            job: label.to_string(),
-            job_seq: None,
-            phase: TracePhase::Master,
-            task: 0,
-            attempt: 0,
-            node: None,
-            sim_start_secs: sim_start,
-            sim_end_secs: sim_start + secs,
             cpu_secs: elapsed.as_secs_f64(),
-            kernel_secs: 0.0,
             cpu_sim_secs: secs,
-            io_sim_secs: 0.0,
-            read_bytes: 0,
-            write_bytes: 0,
-            shuffle_bytes: 0,
-            remote_read_bytes: 0,
-            failure: None,
+            ..TaskEvent::span(label, None, TracePhase::Master, sim_start, sim_start + secs)
         });
     }
     out

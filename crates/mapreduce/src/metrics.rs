@@ -39,29 +39,20 @@ pub struct ClusterMetrics {
 impl Default for ClusterMetrics {
     fn default() -> Self {
         let obs = Registry::default();
-        let none = Labels::new();
-        let jobs = obs.counter("mrinv_jobs_total", &none);
-        let map_tasks = obs.counter("mrinv_map_tasks_total", &none);
-        let reduce_tasks = obs.counter("mrinv_reduce_tasks_total", &none);
-        let task_failures = obs.counter("mrinv_task_failures_total", &none);
-        let shuffle_bytes = obs.counter("mrinv_shuffle_bytes_total", &none);
-        let data_local_map_tasks = obs.counter("mrinv_data_local_map_tasks_total", &none);
-        let remote_map_tasks = obs.counter("mrinv_remote_map_tasks_total", &none);
-        let remote_read_bytes = obs.counter("mrinv_remote_read_bytes_total", &none);
-        let sim_secs = obs.gauge("mrinv_sim_seconds", &none);
-        let master_secs = obs.gauge("mrinv_master_seconds", &none);
+        let counter = |name| obs.counter(name, &Labels::new());
+        let gauge = |name| obs.gauge(name, &Labels::new());
         ClusterMetrics {
+            jobs: counter("mrinv_jobs_total"),
+            map_tasks: counter("mrinv_map_tasks_total"),
+            reduce_tasks: counter("mrinv_reduce_tasks_total"),
+            task_failures: counter("mrinv_task_failures_total"),
+            shuffle_bytes: counter("mrinv_shuffle_bytes_total"),
+            data_local_map_tasks: counter("mrinv_data_local_map_tasks_total"),
+            remote_map_tasks: counter("mrinv_remote_map_tasks_total"),
+            remote_read_bytes: counter("mrinv_remote_read_bytes_total"),
+            sim_secs: gauge("mrinv_sim_seconds"),
+            master_secs: gauge("mrinv_master_seconds"),
             obs,
-            jobs,
-            map_tasks,
-            reduce_tasks,
-            task_failures,
-            shuffle_bytes,
-            data_local_map_tasks,
-            remote_map_tasks,
-            remote_read_bytes,
-            sim_secs,
-            master_secs,
         }
     }
 }

@@ -7,17 +7,18 @@
 //!
 //! * **Lock-free hot path.** Recording on a series handle is a relaxed
 //!   atomic op ([`Counter::add`], [`Gauge::add`], [`Histogram::observe`]).
-//!   The registry lock is taken only by [`Registry::counter`]-style
-//!   get-or-create lookups, which call sites hoist out of per-attempt
-//!   loops. Floating-point accumulation uses [`AtomicF64`], a CAS loop
-//!   over the `f64` bit pattern in an `AtomicU64`.
+//!   The registry's one lock is taken only by [`Registry::counter`]-style
+//!   get-or-create lookups; the runner resolves a wave's handles once, on
+//!   the driver thread, after the wave has run. Floating-point
+//!   accumulation uses [`AtomicF64`], a CAS loop over the `f64` bit
+//!   pattern in an `AtomicU64`.
 //! * **Off by default, one relaxed load when disabled.** Labeled
 //!   recording sites check [`Registry::is_enabled`] first, exactly like
 //!   [`crate::tracelog::TraceLog`].
-//! * **Bounded cardinality.** The registry stores at most
-//!   [`Registry::max_series`] series across all kinds; past the cap,
-//!   lookups return detached handles (recorded values are dropped) and
-//!   [`Registry::dropped_series`] counts the overflow.
+//! * **Bounded cardinality.** The registry is one `(name, labels) →
+//!   series` map holding at most [`Registry::max_series`] series of any
+//!   kind; past the cap, lookups return detached handles (recorded values
+//!   are dropped) and [`Registry::dropped_series`] counts the overflow.
 //! * **Deterministic snapshots.** [`Registry::snapshot`] is sorted by
 //!   `(metric name, labels)`, so identical recorded histories produce
 //!   identical [`ObsSnapshot`]s, byte for byte.
@@ -383,7 +384,13 @@ fn escape_label(v: &str) -> String {
 /// Default bound on live series across all metric kinds.
 pub const DEFAULT_MAX_SERIES: usize = 4096;
 
-type SeriesMap<T> = Mutex<BTreeMap<(String, Labels), Arc<T>>>;
+/// One registered series of any kind.
+#[derive(Debug)]
+enum Series {
+    Counter(Arc<Counter>),
+    Gauge(Arc<Gauge>),
+    Histogram(Arc<Histogram>),
+}
 
 /// The labeled metric registry. See the module docs for the contract.
 #[derive(Debug)]
@@ -391,9 +398,7 @@ pub struct Registry {
     enabled: AtomicBool,
     max_series: usize,
     dropped: Counter,
-    counters: SeriesMap<Counter>,
-    gauges: SeriesMap<Gauge>,
-    histograms: SeriesMap<Histogram>,
+    series: Mutex<BTreeMap<(String, Labels), Series>>,
 }
 
 impl Default for Registry {
@@ -409,9 +414,7 @@ impl Registry {
             enabled: AtomicBool::new(false),
             max_series,
             dropped: Counter::default(),
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
+            series: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -439,104 +442,99 @@ impl Registry {
 
     /// Live series across all kinds.
     pub fn series_count(&self) -> usize {
-        self.counters.lock().len() + self.gauges.lock().len() + self.histograms.lock().len()
+        self.series.lock().len()
     }
 
-    /// `others_len` is the combined size of the *other two* kind maps,
-    /// counted by the caller before this map's lock is taken — counting
-    /// inside would re-lock the held mutex. The cap check is therefore a
-    /// snapshot across two instants; a concurrent insert can overshoot
-    /// the cap by a few series, which is fine for a cardinality bound.
+    /// Get-or-create under the one lock; `wrap` / `unwrap` name the kind.
+    /// Past the cap — or when the name and labels are already registered
+    /// under another kind — the caller gets a detached series: the call
+    /// site still works, but its values never reach a snapshot.
     fn get_or_create<T: Default>(
         &self,
-        map: &SeriesMap<T>,
-        others_len: usize,
         name: &str,
         labels: &Labels,
+        wrap: fn(Arc<T>) -> Series,
+        unwrap: fn(&Series) -> Option<&Arc<T>>,
     ) -> Arc<T> {
-        let mut m = map.lock();
-        if let Some(existing) = m.get(&(name.to_string(), labels.clone())) {
-            return Arc::clone(existing);
+        let mut series = self.series.lock();
+        let key = (name.to_string(), labels.clone());
+        if let Some(existing) = series.get(&key) {
+            if let Some(live) = unwrap(existing) {
+                return Arc::clone(live);
+            }
+        } else if series.len() < self.max_series {
+            let handle = Arc::<T>::default();
+            series.insert(key, wrap(Arc::clone(&handle)));
+            return handle;
         }
-        if m.len() + others_len >= self.max_series {
-            // Past the cap: hand back a detached series so the call site
-            // still works, but its values never reach a snapshot.
-            self.dropped.add(1);
-            return Arc::new(T::default());
-        }
-        let handle = Arc::new(T::default());
-        m.insert((name.to_string(), labels.clone()), Arc::clone(&handle));
-        handle
+        self.dropped.add(1);
+        Arc::default()
     }
 
     /// Get-or-create a counter series. Hoist the returned handle out of
     /// loops: the lookup takes the registry lock, increments don't.
     pub fn counter(&self, name: &str, labels: &Labels) -> Arc<Counter> {
-        let others = self.gauges.lock().len() + self.histograms.lock().len();
-        self.get_or_create(&self.counters, others, name, labels)
+        self.get_or_create(name, labels, Series::Counter, |s| match s {
+            Series::Counter(c) => Some(c),
+            _ => None,
+        })
     }
 
     /// Get-or-create a gauge series.
     pub fn gauge(&self, name: &str, labels: &Labels) -> Arc<Gauge> {
-        let others = self.counters.lock().len() + self.histograms.lock().len();
-        self.get_or_create(&self.gauges, others, name, labels)
+        self.get_or_create(name, labels, Series::Gauge, |s| match s {
+            Series::Gauge(g) => Some(g),
+            _ => None,
+        })
     }
 
     /// Get-or-create a histogram series.
     pub fn histogram(&self, name: &str, labels: &Labels) -> Arc<Histogram> {
-        let others = self.counters.lock().len() + self.gauges.lock().len();
-        self.get_or_create(&self.histograms, others, name, labels)
+        self.get_or_create(name, labels, Series::Histogram, |s| match s {
+            Series::Histogram(h) => Some(h),
+            _ => None,
+        })
     }
 
-    /// Deterministic point-in-time copy of every live series, sorted by
-    /// `(name, labels)`.
+    /// Deterministic point-in-time copy of every live series, each kind
+    /// sorted by `(name, labels)`.
     pub fn snapshot(&self) -> ObsSnapshot {
-        ObsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .iter()
-                .map(|((name, labels), c)| CounterSeries {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value: c.get(),
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .iter()
-                .map(|((name, labels), g)| GaugeSeries {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value: g.get(),
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|((name, labels), h)| HistogramSeries {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    hist: h.snapshot(),
-                })
-                .collect(),
+        let mut snap = ObsSnapshot {
             dropped_series: self.dropped.get(),
+            ..ObsSnapshot::default()
+        };
+        for ((name, labels), series) in self.series.lock().iter() {
+            let (name, labels) = (name.clone(), labels.clone());
+            match series {
+                Series::Counter(c) => snap.counters.push(CounterSeries {
+                    name,
+                    labels,
+                    value: c.get(),
+                }),
+                Series::Gauge(g) => snap.gauges.push(GaugeSeries {
+                    name,
+                    labels,
+                    value: g.get(),
+                }),
+                Series::Histogram(h) => snap.histograms.push(HistogramSeries {
+                    name,
+                    labels,
+                    hist: h.snapshot(),
+                }),
+            }
         }
+        snap
     }
 
     /// Zeroes every live series *in place* (registrations and handles
     /// stay valid) and clears the dropped-series count.
     pub fn reset(&self) {
-        for c in self.counters.lock().values() {
-            c.reset();
-        }
-        for g in self.gauges.lock().values() {
-            g.reset();
-        }
-        for h in self.histograms.lock().values() {
-            h.reset();
+        for series in self.series.lock().values() {
+            match series {
+                Series::Counter(c) => c.reset(),
+                Series::Gauge(g) => g.reset(),
+                Series::Histogram(h) => h.reset(),
+            }
         }
         self.dropped.reset();
     }
@@ -620,73 +618,79 @@ impl ObsSnapshot {
     /// cumulative `le` buckets for histograms.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
-        let mut counters: Vec<&CounterSeries> = self.counters.iter().collect();
-        counters.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        let mut last = None;
-        for s in counters {
-            if last != Some(&s.name) {
-                out.push_str(&format!("# TYPE {} counter\n", s.name));
-                last = Some(&s.name);
-            }
-            out.push_str(&format!("{}{} {}\n", s.name, s.labels.prom(None), s.value));
-        }
-        let mut gauges: Vec<&GaugeSeries> = self.gauges.iter().collect();
-        gauges.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        let mut last = None;
-        for s in gauges {
-            if last != Some(&s.name) {
-                out.push_str(&format!("# TYPE {} gauge\n", s.name));
-                last = Some(&s.name);
-            }
-            out.push_str(&format!("{}{} {}\n", s.name, s.labels.prom(None), s.value));
-        }
-        let mut hists: Vec<&HistogramSeries> = self.histograms.iter().collect();
-        hists.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        let mut last = None;
-        for s in hists {
-            if last != Some(&s.name) {
-                out.push_str(&format!("# TYPE {} histogram\n", s.name));
-                last = Some(&s.name);
-            }
-            let mut cum = 0u64;
-            for (i, &c) in s.hist.counts.iter().enumerate() {
-                cum += c;
-                // Only buckets that change the cumulative count, plus the
-                // mandatory +Inf bucket, keep the exposition compact.
-                let is_inf = i + 1 >= s.hist.counts.len();
-                if c == 0 && !is_inf {
-                    continue;
+        // One kind's block: series sorted by `(name, labels)`, a `# TYPE`
+        // comment ahead of each new metric name.
+        let mut section = |kind: &str, mut rows: Vec<PromRow<'_>>| {
+            rows.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+            let mut last = None;
+            for (name, _, samples) in rows {
+                if last != Some(name) {
+                    out.push_str(&format!("# TYPE {name} {kind}\n"));
+                    last = Some(name);
                 }
-                let le = if is_inf {
-                    "+Inf".to_string()
-                } else {
-                    format!("{}", bucket_bound(i))
-                };
-                out.push_str(&format!(
-                    "{}_bucket{} {}\n",
-                    s.name,
-                    s.labels.prom(Some(("le", &le))),
-                    cum
-                ));
+                out.push_str(&samples);
             }
-            out.push_str(&format!(
-                "{}_sum{} {}\n",
-                s.name,
-                s.labels.prom(None),
-                s.hist.sum
-            ));
-            out.push_str(&format!(
-                "{}_count{} {}\n",
-                s.name,
-                s.labels.prom(None),
-                s.hist.count
-            ));
-        }
+        };
+        section("counter", self.counters.iter().map(|s| s.row()).collect());
+        section("gauge", self.gauges.iter().map(|s| s.row()).collect());
+        section(
+            "histogram",
+            self.histograms.iter().map(|s| s.row()).collect(),
+        );
         out.push_str(&format!(
             "# TYPE mrinv_obs_dropped_series gauge\nmrinv_obs_dropped_series {}\n",
             self.dropped_series
         ));
         out
+    }
+}
+
+/// One series' sort key and exposition lines.
+type PromRow<'a> = (&'a str, &'a Labels, String);
+
+/// One exposition line: `name[suffix]{labels} value`.
+fn sample(name: &str, suffix: &str, labels: &Labels, value: impl std::fmt::Display) -> String {
+    format!("{name}{suffix}{} {value}\n", labels.prom(None))
+}
+
+impl CounterSeries {
+    fn row(&self) -> PromRow<'_> {
+        let line = sample(&self.name, "", &self.labels, self.value);
+        (&self.name, &self.labels, line)
+    }
+}
+
+impl GaugeSeries {
+    fn row(&self) -> PromRow<'_> {
+        let line = sample(&self.name, "", &self.labels, self.value);
+        (&self.name, &self.labels, line)
+    }
+}
+
+impl HistogramSeries {
+    /// The `_bucket` (cumulative, by `le`), `_sum` and `_count` lines.
+    fn row(&self) -> PromRow<'_> {
+        let mut out = String::new();
+        let mut cum = 0u64;
+        for (i, &c) in self.hist.counts.iter().enumerate() {
+            cum += c;
+            // Only buckets that change the cumulative count, plus the
+            // mandatory +Inf bucket, keep the exposition compact.
+            let is_inf = i + 1 >= self.hist.counts.len();
+            if c == 0 && !is_inf {
+                continue;
+            }
+            let le = if is_inf {
+                "+Inf".to_string()
+            } else {
+                format!("{}", bucket_bound(i))
+            };
+            let labels = self.labels.prom(Some(("le", &le)));
+            out.push_str(&format!("{}_bucket{labels} {cum}\n", self.name));
+        }
+        out.push_str(&sample(&self.name, "_sum", &self.labels, self.hist.sum));
+        out.push_str(&sample(&self.name, "_count", &self.labels, self.hist.count));
+        (&self.name, &self.labels, out)
     }
 }
 
@@ -982,6 +986,42 @@ mod tests {
             r.snapshot().counters.iter().map(|c| c.value).sum::<u64>(),
             4
         );
+    }
+
+    /// Every kind counts against the one cap: at it, a live series of any
+    /// kind still resolves to its handle, and a new one of any kind — or a
+    /// registered name asked for as another kind — is detached, one drop
+    /// each.
+    #[test]
+    fn cap_is_shared_by_every_kind() {
+        let r = Registry::new(3);
+        let none = Labels::new();
+        let touch_live = || {
+            r.counter("c_total", &none).add(1);
+            r.gauge("g", &none).add(1.0);
+            r.histogram("h_seconds", &none).observe(1.0);
+        };
+        touch_live();
+        touch_live();
+        assert_eq!((r.series_count(), r.dropped_series()), (3, 0));
+        let live = r.snapshot();
+        assert_eq!(live.counters[0].value, 2);
+        assert_eq!(live.gauges[0].value, 2.0);
+        assert_eq!(live.histograms[0].hist.count, 2);
+
+        r.counter("new_total", &none).add(9);
+        assert_eq!(r.dropped_series(), 1);
+        r.gauge("new_g", &none).add(9.0);
+        assert_eq!(r.dropped_series(), 2);
+        r.histogram("new_seconds", &none).observe(9.0);
+        assert_eq!(r.dropped_series(), 3);
+        r.gauge("c_total", &none).add(9.0);
+        assert_eq!(r.dropped_series(), 4);
+        let expect = ObsSnapshot {
+            dropped_series: 4,
+            ..live
+        };
+        assert_eq!(r.snapshot(), expect);
     }
 
     #[test]

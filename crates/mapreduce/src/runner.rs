@@ -25,6 +25,12 @@
 //! invalidated too — subsequent reads of files whose every replica lived
 //! there fail the job with [`MrError::AllReplicasLost`].
 //!
+//! A job is observed in exactly one place, its exit (`finish_job`). Task
+//! bodies only fill their body chain — stats, failure cause, backend wall
+//! time per executed attempt; once the waves are planned, one walk per wave
+//! on the driver thread turns `(WavePlan, chain)` into the attempt
+//! [`TaskEvent`]s and every labeled series, with each gate read once.
+//!
 //! Tasks must be deterministic and idempotent: a retried attempt re-runs
 //! the same body, and side writes to the DFS overwrite those of the failed
 //! attempt (the paper's tasks write worker-unique files, Section 5.2).
@@ -40,7 +46,7 @@ use crate::exec::{
 };
 use crate::fault::{FailureCause, Phase};
 use crate::job::{JobSpec, KvSizing, Mapper, Reducer, TaskStats};
-use crate::obs::Labels;
+use crate::obs::{Labels, Registry};
 use crate::scheduler::{
     plan_wave, steal_backups, stream_shuffle_finish, AttemptOutcome, PlannedTask, WaveFaults,
     WavePlan,
@@ -81,206 +87,100 @@ pub struct JobReport {
     pub user_counters: std::collections::BTreeMap<String, u64>,
 }
 
-/// Per-task execution result: the *body chain* — each executed attempt's
-/// stats and failure cause (`None` marks the successful one) — plus the
-/// successful attempt's payload. `payload: None` means the task exhausted
-/// its attempt budget; the wave is still planned and traced before the job
-/// fails.
+/// One executed body attempt of a task: its measured work, why it failed
+/// (`None` marks the successful one), and the wall-clock seconds the
+/// backend took to execute it.
+struct BodyAttempt {
+    stats: TaskStats,
+    failure: Option<FailureCause>,
+    wall_secs: f64,
+}
+
+/// Per-task execution result: the *body chain* — every executed attempt,
+/// in order — plus the successful attempt's payload. `payload: None` means
+/// the task exhausted its attempt budget; the wave is still planned and
+/// observed before the job fails.
 struct TaskRun<T> {
-    attempt_stats: Vec<TaskStats>,
-    attempt_failures: Vec<Option<String>>,
+    chain: Vec<BodyAttempt>,
     payload: Option<T>,
 }
 
-/// Prometheus `wave` label value for a phase.
-fn wave_label(phase: Phase) -> &'static str {
-    match phase {
-        Phase::Map => "map",
-        Phase::Reduce => "reduce",
-    }
-}
-
-/// Counts one body-level task failure in the labeled registry, classed by
-/// [`FailureCause::kind_label`]. Body failures (injected faults, user
-/// errors) are recorded here as they happen; simulation-level failures
-/// (node losses, lost outputs, timeouts) are recorded per plan by
-/// [`record_wave_obs`] — the two sets are disjoint, so the series never
-/// double-counts a failure.
-fn record_body_failure_obs(cluster: &Cluster, job: &str, phase: Phase, cause: &FailureCause) {
-    let obs = cluster.metrics.obs();
-    if !obs.is_enabled() {
-        return;
-    }
-    obs.counter(
-        "mrinv_task_failures_total",
-        &Labels::new()
-            .job(job)
-            .wave(wave_label(phase))
-            .task_kind(cause.kind_label()),
-    )
-    .add(1);
-}
-
-/// Records one wave's planned schedule into the labeled registry: per-task
-/// run/wait latency histograms, retry and remote-read counters, failure
-/// classes for simulation-level losses, and per-node busy-time/attempt
-/// series (utilization inputs). Handles are resolved once per wave; the
-/// per-attempt loop touches only atomics.
-fn record_wave_obs(cluster: &Cluster, job: &str, phase: Phase, plan: &WavePlan) {
-    let obs = cluster.metrics.obs();
-    if !obs.is_enabled() {
-        return;
-    }
-    let wave = wave_label(phase);
-    let job_wave = Labels::new().job(job).wave(wave);
-    let run_h = obs.histogram("mrinv_task_run_seconds", &job_wave);
-    let wait_h = obs.histogram("mrinv_task_wait_seconds", &job_wave);
-    let attempts_c = obs.counter("mrinv_task_attempts_total", &job_wave);
-    let nodes = cluster.config.nodes.max(1);
-    let mut node_attempts = vec![0u64; nodes];
-    let mut sim_failures: std::collections::BTreeMap<&'static str, u64> = Default::default();
-    for attempts in &plan.attempts {
-        let mut first = true;
-        for a in attempts {
-            attempts_c.add(1);
-            run_h.observe(a.end - a.start);
-            if first {
-                // Wait = time from wave start until the task's first
-                // attempt is placed on a slot.
-                wait_h.observe(a.start);
-                first = false;
-            }
-            if let Some(n) = node_attempts.get_mut(a.node) {
-                *n += 1;
-            }
-            if let Some(cause) = sim_failure(&a.outcome) {
-                *sim_failures.entry(cause.kind_label()).or_default() += 1;
-            }
-        }
-    }
-    for (kind, count) in sim_failures {
-        obs.counter(
-            "mrinv_task_failures_total",
-            &Labels::new().job(job).wave(wave).task_kind(kind),
-        )
-        .add(count);
-    }
-    let retries = plan.extra_attempts();
-    if retries > 0 {
-        obs.counter("mrinv_task_retries_total", &job_wave)
-            .add(retries as u64);
-    }
-    // Resolved unconditionally so the series exists (at 0) even under
-    // barrier scheduling — `repro obs-check` greps for it.
-    obs.counter("mrinv_sched_steals_total", &job_wave)
-        .add(plan.steals);
-    if plan.remote_read_bytes > 0 {
-        obs.counter("mrinv_wave_remote_read_bytes_total", &job_wave)
-            .add(plan.remote_read_bytes);
-    }
-    for (node, (busy, attempts)) in plan
-        .node_busy_secs(nodes)
-        .into_iter()
-        .zip(node_attempts)
-        .enumerate()
-    {
-        if attempts == 0 {
-            continue;
-        }
-        let node_labels = Labels::new().node(node);
-        obs.gauge("mrinv_node_busy_seconds", &node_labels).add(busy);
-        obs.counter("mrinv_node_attempts_total", &node_labels)
-            .add(attempts);
-    }
-}
-
-/// Records job-level series (total simulated seconds, shuffle bytes) for
-/// one completed job.
-fn record_job_obs(cluster: &Cluster, job: &str, sim_secs: f64, shuffle_bytes: u64) {
-    let obs = cluster.metrics.obs();
-    if !obs.is_enabled() {
-        return;
-    }
-    let labels = Labels::new().job(job);
-    obs.histogram("mrinv_job_seconds", &labels)
-        .observe(sim_secs);
-    if shuffle_bytes > 0 {
-        obs.counter("mrinv_job_shuffle_bytes_total", &labels)
-            .add(shuffle_bytes);
-    }
-}
-
-/// Runs one task body with the retry policy, returning the body chain.
+/// Runs one task with the retry policy, returning the body chain. An
+/// attempt is `execute` — timed, as real elapsed time: under a remote
+/// backend it includes serialization, the network round trip, and the
+/// worker's execution — then `post`, the driver-side tail, so the stats an
+/// injected fault discards include the tail's mutations.
+///
 /// Exhausting the attempt budget is NOT an error here — the failed chain
 /// comes back with `payload: None` so the wave planner can still place,
-/// price, and trace the doomed attempts before the job fails.
-fn run_with_retries<T>(
+/// price, and trace the doomed attempts before the job fails. Replica loss
+/// is: a retry would re-read the same dead replicas.
+fn run_with_retries<R, T>(
     cluster: &Cluster,
     job: &str,
     phase: Phase,
     task_index: usize,
-    mut body: impl FnMut() -> Result<(T, TaskStats)>,
+    execute: impl Fn() -> Result<(R, TaskStats)>,
+    post: impl Fn(R, &mut TaskStats) -> T,
 ) -> Result<TaskRun<T>> {
-    let max_attempts = cluster.config.max_task_attempts.max(1);
-    let mut attempt_stats = Vec::new();
-    let mut attempt_failures = Vec::new();
-    let mut workers_lost = 0u32;
-    for _attempt in 0..max_attempts {
-        let (payload, stats) = match body() {
-            Ok(ok) => ok,
-            Err(e @ MrError::UserTask { .. }) | Err(e @ MrError::FileNotFound { .. }) => {
-                // User-visible task error: charge nothing measurable (the
-                // body already failed) and retry like Hadoop would.
-                let cause = FailureCause::UserError(e.to_string());
-                record_body_failure_obs(cluster, job, phase, &cause);
-                attempt_stats.push(TaskStats::default());
-                attempt_failures.push(Some(cause.label()));
-                cluster.metrics.record_failures(1);
-                continue;
+    let cfg = &cluster.config;
+    let mut chain = Vec::new();
+    let mut workers_lost = 0;
+    for _attempt in 0..cfg.max_task_attempts.max(1) {
+        let wall = std::time::Instant::now();
+        let executed = execute();
+        let wall_secs = wall.elapsed().as_secs_f64();
+        let (stats, payload, failure) = match executed {
+            Ok((raw, mut stats)) => {
+                let payload = post(raw, &mut stats);
+                if cluster.faults.should_fail(job, phase, task_index) {
+                    // The attempt ran to completion but its node "died": the
+                    // work is lost and charged, and the task is rescheduled.
+                    (stats, None, Some(FailureCause::Injected))
+                } else {
+                    (stats, Some(payload), None)
+                }
             }
+            Err(fatal @ MrError::AllReplicasLost { .. }) => return Err(fatal),
             Err(MrError::WorkerLost { worker, .. }) => {
                 // A real worker process died mid-attempt. The dead worker
                 // left its backend's pool, so after a capped-exponential
                 // *wall-clock* backoff (the PR 4 timeout-retry knobs) the
                 // retry lands on a surviving worker.
-                let cause = FailureCause::WorkerLost(worker);
-                record_body_failure_obs(cluster, job, phase, &cause);
-                attempt_stats.push(TaskStats::default());
-                attempt_failures.push(Some(cause.label()));
-                cluster.metrics.record_failures(1);
-                let delay = (cluster.config.retry_backoff_base_secs
-                    * 2f64.powi(workers_lost as i32))
-                .min(cluster.config.retry_backoff_cap_secs);
+                let delay = (cfg.retry_backoff_base_secs * 2f64.powi(workers_lost))
+                    .min(cfg.retry_backoff_cap_secs);
                 workers_lost += 1;
                 if delay > 0.0 {
                     std::thread::sleep(std::time::Duration::from_secs_f64(delay));
                 }
-                continue;
+                let cause = FailureCause::WorkerLost(worker);
+                (TaskStats::default(), None, Some(cause))
             }
-            Err(e) => return Err(e),
+            Err(e) => {
+                // User-visible task error: charge nothing measurable (the
+                // body already failed) and retry like Hadoop would.
+                let e = MrError::UserTask {
+                    job: job.to_string(),
+                    phase,
+                    task: task_index,
+                    message: e.to_string(),
+                };
+                let cause = FailureCause::UserError(e.to_string());
+                (TaskStats::default(), None, Some(cause))
+            }
         };
-        if cluster.faults.should_fail(job, phase, task_index) {
-            // The attempt ran to completion but its node "died": the work
-            // is lost and charged, and the task is rescheduled.
-            record_body_failure_obs(cluster, job, phase, &FailureCause::Injected);
-            attempt_stats.push(stats);
-            attempt_failures.push(Some(FailureCause::Injected.label()));
-            cluster.metrics.record_failures(1);
-            continue;
-        }
-        attempt_stats.push(stats);
-        attempt_failures.push(None);
-        return Ok(TaskRun {
-            attempt_stats,
-            attempt_failures,
-            payload: Some(payload),
+        chain.push(BodyAttempt {
+            stats,
+            failure,
+            wall_secs,
         });
+        if payload.is_some() {
+            return Ok(TaskRun { chain, payload });
+        }
+        cluster.metrics.record_failures(1);
     }
-    Ok(TaskRun {
-        attempt_stats,
-        attempt_failures,
-        payload: None,
-    })
+    let payload = None;
+    Ok(TaskRun { chain, payload })
 }
 
 /// Applies every scheduled node death whose instant the cluster clock has
@@ -297,58 +197,46 @@ fn fire_due_deaths(cluster: &Cluster) {
         cluster.backend().on_node_death(node);
         if cluster.trace.is_enabled() {
             cluster.trace.record(TaskEvent {
-                job: "cluster".to_string(),
-                job_seq: None,
-                phase: TracePhase::NodeDeath,
                 task: node,
-                attempt: 0,
                 node: Some(node),
-                sim_start_secs: at,
-                sim_end_secs: at,
-                cpu_secs: 0.0,
-                kernel_secs: 0.0,
-                cpu_sim_secs: 0.0,
-                io_sim_secs: 0.0,
-                read_bytes: 0,
-                write_bytes: 0,
-                shuffle_bytes: 0,
-                remote_read_bytes: 0,
-                failure: None,
+                ..TaskEvent::span("cluster", None, TracePhase::NodeDeath, at, at)
             });
         }
     }
 }
 
-/// Builds the planner's task descriptions for one wave: each executed
-/// attempt priced at nominal speed, with the successful attempt's recorded
-/// DFS reads (`reads` extracts them from the payload) resolved to
-/// surviving replica locations (locality input).
-fn planned_wave_tasks<T>(
+/// Settles one executed wave into its plan: each executed attempt priced
+/// at nominal speed, the successful attempt's recorded DFS reads (`reads`
+/// extracts them from the payload) resolved to surviving replica locations
+/// (locality input), planned against the fault state.
+/// `lose_completed_outputs` is true only for a map wave feeding a shuffle
+/// — its outputs are node-local (Hadoop), so a node dying before the
+/// shuffle takes its completed tasks' outputs with it; reduce outputs and
+/// map-only side files are replicated DFS writes.
+fn settle_wave<T>(
     cluster: &Cluster,
     runs: &[TaskRun<T>],
     reads: impl Fn(&T) -> &[(String, u64)],
-) -> Vec<PlannedTask> {
+    wave_start_secs: f64,
+    lose_completed_outputs: bool,
+) -> WavePlan {
     let cost = &cluster.config.cost;
-    runs.iter()
-        .map(|run| {
-            let stats = &run.attempt_stats;
-            let split = stats.len() - usize::from(run.payload.is_some());
-            PlannedTask {
-                failed_secs: stats[..split].iter().map(|s| cost.task_secs(s)).collect(),
-                success_secs: stats.get(split).map_or(0.0, |s| cost.task_secs(s)),
-                reads: run
-                    .payload
-                    .as_ref()
-                    .map(|payload| {
-                        reads(payload)
-                            .iter()
-                            .map(|(path, bytes)| (*bytes, cluster.dfs.locations(path)))
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-            }
-        })
-        .collect()
+    let planned = |run: &TaskRun<T>| {
+        let secs = |body: &BodyAttempt| cost.task_secs(&body.stats);
+        let split = run.chain.len() - usize::from(run.payload.is_some());
+        let locate = |(path, bytes): &(String, u64)| (*bytes, cluster.dfs.locations(path));
+        PlannedTask {
+            failed_secs: run.chain[..split].iter().map(secs).collect(),
+            success_secs: run.chain.get(split).map_or(0.0, secs),
+            reads: run
+                .payload
+                .as_ref()
+                .map(|payload| reads(payload).iter().map(locate).collect())
+                .unwrap_or_default(),
+        }
+    };
+    let tasks: Vec<PlannedTask> = runs.iter().map(planned).collect();
+    plan_with_faults(cluster, &tasks, wave_start_secs, lose_completed_outputs)
 }
 
 /// Plans one wave against the cluster's current fault state: greedy
@@ -433,29 +321,9 @@ fn shuffle_charge(
     }
 }
 
-/// Settles one executed wave: plans it against the fault state, counts the
-/// plan's simulation-level failures, and totals the work its lost attempts
-/// burned. `lose_completed_outputs` is true only for a map wave feeding a
-/// shuffle — its outputs are node-local (Hadoop), so a node dying before
-/// the shuffle takes its completed tasks' outputs with it; reduce outputs
-/// and map-only side files are replicated DFS writes.
-fn settle_wave<T>(
-    cluster: &Cluster,
-    runs: &[TaskRun<T>],
-    reads: impl Fn(&T) -> &[(String, u64)],
-    wave_start_secs: f64,
-    lose_completed_outputs: bool,
-) -> (WavePlan, TaskStats) {
-    let tasks = planned_wave_tasks(cluster, runs, reads);
-    let plan = plan_with_faults(cluster, &tasks, wave_start_secs, lose_completed_outputs);
-    cluster.metrics.record_failures(sim_level_failures(&plan));
-    let lost = lost_stats_of(&plan, runs);
-    (plan, lost)
-}
-
 /// The simulation-level failure a planned attempt ended in, if any: a node
-/// death, a lost map output, or a timeout (body-level failures are counted
-/// and labeled by [`run_with_retries`] as they happen).
+/// death, a lost map output, or a timeout (body-level failures are in the
+/// task's body chain).
 fn sim_failure(outcome: &AttemptOutcome) -> Option<FailureCause> {
     match *outcome {
         AttemptOutcome::Success | AttemptOutcome::BodyFailed => None,
@@ -465,67 +333,104 @@ fn sim_failure(outcome: &AttemptOutcome) -> Option<FailureCause> {
     }
 }
 
-/// Simulation-level failures in a plan.
-fn sim_level_failures(plan: &WavePlan) -> u64 {
-    let attempts = plan.attempts.iter().flatten();
-    attempts
-        .filter(|a| sim_failure(&a.outcome).is_some())
-        .count() as u64
-}
-
-/// Measured work of every non-successful planned attempt (each one re-ran
-/// or discarded its chain entry's body).
-fn lost_stats_of<T>(plan: &WavePlan, runs: &[TaskRun<T>]) -> TaskStats {
-    let mut lost = TaskStats::default();
-    for (task, list) in plan.attempts.iter().enumerate() {
-        for a in list {
-            if a.outcome == AttemptOutcome::Success {
-                continue;
-            }
-            if let Some(stats) = runs[task].attempt_stats.get(a.chain) {
-                lost = lost.merge(stats);
-            }
-        }
-    }
-    lost
-}
-
 /// The first task a planned wave could not complete (attempt budget
 /// exhausted at either the body or the simulation level).
 fn first_failed_task(plan: &WavePlan) -> Option<usize> {
     plan.failed_tasks.iter().map(|&(t, _)| t).min()
 }
 
-/// Emits one trace event per planned attempt of a wave, offset to
-/// `base_secs` on the cluster clock. Each attempt carries the measured
-/// stats of the body-chain entry it executed, its planned placement and
-/// interval, its remote-read bytes, and its failure cause (body failures
-/// keep their recorded label; node losses, lost outputs, and timeouts get
-/// [`FailureCause`] labels).
-fn trace_plan<T>(
+/// The one walk over a settled wave — its body chains (what executed) and
+/// its plan (where and when the scheduler put it) — that settles all its
+/// accounts. Always: the plan's simulation-level failures into the run
+/// ledger, and the work its lost attempts burned (each non-successful
+/// planned attempt re-ran or discarded its chain entry's body), returned.
+/// Behind the gates [`finish_job`] read — `events` and `obs` are `Some`
+/// exactly when theirs was on — one [`TaskEvent`] per planned attempt,
+/// offset to `base_secs` on the cluster clock, and every labeled series of
+/// the wave, its handles resolved once, here, on the driver thread.
+///
+/// Failure classes come from two disjoint sets, so no failure is counted
+/// twice: body-level causes (injected faults, user errors, lost workers)
+/// sit in the chain, simulation-level ones (node losses, lost outputs,
+/// timeouts) in the plan's outcomes.
+fn observe_wave<T>(
     cluster: &Cluster,
-    job: &str,
-    job_seq: u64,
-    phase: TracePhase,
-    runs: &[TaskRun<T>],
-    plan: &WavePlan,
+    (job, job_seq): (&str, u64),
+    phase: Phase,
+    (runs, plan): (&[TaskRun<T>], &WavePlan),
     base_secs: f64,
-) {
+    obs: Option<&Registry>,
+    mut events: Option<&mut Vec<TaskEvent>>,
+) -> TaskStats {
+    let (wave, trace_phase) = match phase {
+        Phase::Map => ("map", TracePhase::Map),
+        Phase::Reduce => ("reduce", TracePhase::Reduce),
+    };
     let cost = &cluster.config.cost;
-    let mut events = Vec::new();
-    for (task, attempts) in plan.attempts.iter().enumerate() {
-        let run = &runs[task];
+    let nodes = cluster.config.nodes.max(1);
+    let job_wave = Labels::new().job(job).wave(wave);
+    let series = obs.map(|obs| {
+        let backend = job_wave.clone().backend(cluster.backend().name());
+        (
+            obs.histogram("mrinv_backend_task_wall_seconds", &backend),
+            obs.counter("mrinv_backend_tasks_total", &backend),
+            obs.histogram("mrinv_task_run_seconds", &job_wave),
+            obs.histogram("mrinv_task_wait_seconds", &job_wave),
+            obs.counter("mrinv_task_attempts_total", &job_wave),
+        )
+    });
+    let count_failure = |cause: &FailureCause| {
+        if let Some(obs) = obs {
+            let labels = job_wave.clone().task_kind(cause.kind_label());
+            obs.counter("mrinv_task_failures_total", &labels).add(1);
+        }
+    };
+    let mut node_attempts = vec![0u64; nodes];
+    let mut lost = TaskStats::default();
+    let mut sim_failures = 0;
+    for (task, (run, attempts)) in runs.iter().zip(&plan.attempts).enumerate() {
+        for body in &run.chain {
+            if let Some((wall_h, tasks_c, ..)) = &series {
+                wall_h.observe(body.wall_secs);
+                tasks_c.add(1);
+            }
+            body.failure.iter().for_each(count_failure);
+        }
         for (attempt_no, a) in attempts.iter().enumerate() {
-            let stats = run.attempt_stats.get(a.chain).copied().unwrap_or_default();
-            let failure = match &a.outcome {
-                AttemptOutcome::BodyFailed => run.attempt_failures.get(a.chain).cloned().flatten(),
-                outcome => sim_failure(outcome).map(|cause| cause.label()),
+            let body = run.chain.get(a.chain);
+            let sim_cause = sim_failure(&a.outcome);
+            if let Some(cause) = &sim_cause {
+                sim_failures += 1;
+                count_failure(cause);
+            }
+            if a.outcome != AttemptOutcome::Success {
+                lost = body.map_or(lost, |b| lost.merge(&b.stats));
+            }
+            if let Some((.., run_h, wait_h, attempts_c)) = &series {
+                attempts_c.add(1);
+                run_h.observe(a.end - a.start);
+                if attempt_no == 0 {
+                    // Wait = time from wave start until the task's first
+                    // attempt is placed on a slot.
+                    wait_h.observe(a.start);
+                }
+            }
+            if let Some(n) = node_attempts.get_mut(a.node) {
+                *n += 1;
+            }
+            let Some(events) = events.as_deref_mut() else {
+                continue;
+            };
+            let stats = body.map(|b| b.stats).unwrap_or_default();
+            let cause = match a.outcome {
+                AttemptOutcome::BodyFailed => body.and_then(|b| b.failure.as_ref()),
+                _ => sim_cause.as_ref(),
             };
             let (cpu_sim, io_sim) = cost.task_secs_split(&stats);
             events.push(TaskEvent {
                 job: job.to_string(),
                 job_seq: Some(job_seq),
-                phase,
+                phase: trace_phase,
                 task,
                 attempt: attempt_no as u32,
                 node: Some(a.node),
@@ -539,57 +444,37 @@ fn trace_plan<T>(
                 write_bytes: stats.write_bytes,
                 shuffle_bytes: stats.shuffle_bytes,
                 remote_read_bytes: a.remote_bytes,
-                failure,
+                failure: cause.map(FailureCause::label),
             });
         }
     }
-    cluster.trace.record_batch(events);
-}
-
-/// Emits a job-level span (launch or shuffle) on the driver track.
-fn trace_span(
-    cluster: &Cluster,
-    job: &str,
-    job_seq: u64,
-    phase: TracePhase,
-    start_secs: f64,
-    end_secs: f64,
-    shuffle_bytes: u64,
-) {
-    cluster.trace.record(TaskEvent {
-        job: job.to_string(),
-        job_seq: Some(job_seq),
-        phase,
-        task: 0,
-        attempt: 0,
-        node: None,
-        sim_start_secs: start_secs,
-        sim_end_secs: end_secs,
-        cpu_secs: 0.0,
-        kernel_secs: 0.0,
-        cpu_sim_secs: 0.0,
-        io_sim_secs: 0.0,
-        read_bytes: 0,
-        write_bytes: 0,
-        shuffle_bytes,
-        remote_read_bytes: 0,
-        failure: None,
-    });
-}
-
-/// Wraps a task-body error for the retry loop: replica loss is fatal (a
-/// retry re-reads the same dead replicas), everything else is a retryable
-/// user error.
-fn wrap_task_error(job: &str, phase: Phase, task: usize, e: MrError) -> MrError {
-    match e {
-        fatal @ MrError::AllReplicasLost { .. } => fatal,
-        e => MrError::UserTask {
-            job: job.to_string(),
-            phase,
-            task,
-            message: e.to_string(),
-        },
+    cluster.metrics.record_failures(sim_failures);
+    let Some(obs) = obs else { return lost };
+    let retries = plan.extra_attempts();
+    if retries > 0 {
+        obs.counter("mrinv_task_retries_total", &job_wave)
+            .add(retries as u64);
     }
+    // Resolved unconditionally so the series exists (at 0) even under
+    // barrier scheduling — `repro obs-check` greps for it.
+    obs.counter("mrinv_sched_steals_total", &job_wave)
+        .add(plan.steals);
+    if plan.remote_read_bytes > 0 {
+        obs.counter("mrinv_wave_remote_read_bytes_total", &job_wave)
+            .add(plan.remote_read_bytes);
+    }
+    // Utilization inputs: per-node busy time and attempts.
+    let busy = plan.node_busy_secs(nodes);
+    for (node, (busy, attempts)) in busy.into_iter().zip(node_attempts).enumerate() {
+        if attempts == 0 {
+            continue;
+        }
+        let node_labels = Labels::new().node(node);
+        obs.gauge("mrinv_node_busy_seconds", &node_labels).add(busy);
+        obs.counter("mrinv_node_attempts_total", &node_labels)
+            .add(attempts);
+    }
+    lost
 }
 
 /// Remote-execution hooks for one wave, present only when the cluster's
@@ -621,11 +506,10 @@ fn remote_codec<'c, K, V>(cluster: &'c Cluster, spec: &JobSpec<K, V>) -> Option<
 /// Per task: the (attempt-invariant) descriptor is encoded once, lazily,
 /// only when a remote codec is present; each attempt inside
 /// [`run_with_retries`] then either ships it to a worker and decodes the
-/// result, or runs `local` (the typed task body) right here, recording
-/// real wall-clock per-attempt metrics beside the simulated ones. Both
-/// arms yield the same raw payload `R`; `post` applies the driver-side
-/// tail (combiner, partitioning) inside the retry closure, so the stats an
-/// injected fault discards include the tail's mutations.
+/// result, or runs `local` (the typed task body) right here. Both arms
+/// yield the same raw payload `R`; `post` is the driver-side tail
+/// (combiner, partitioning). Nothing is observed here: the chain carries
+/// what [`finish_job`] will record.
 fn run_wave<R, T, L, P>(
     cluster: &Cluster,
     job: &str,
@@ -642,7 +526,6 @@ where
     P: Fn(R, &mut TaskStats) -> T + Sync,
 {
     let backend = cluster.backend();
-    let obs = cluster.metrics.obs();
     (0..num_tasks)
         .collect::<Vec<usize>>()
         .into_par_iter()
@@ -662,34 +545,13 @@ where
                 )),
                 None => None,
             };
-            run_with_retries(cluster, job, phase, idx, || {
-                let wall = std::time::Instant::now();
-                let executed = match &shipped {
-                    Some((descriptor, decode)) => backend
-                        .execute(descriptor)
-                        .and_then(|done| Ok((decode_as::<R>(*decode, &done.payload)?, done.stats))),
-                    None => local(idx),
-                };
-                if obs.is_enabled() {
-                    // Real elapsed time, not simulated: under a remote
-                    // backend this includes serialization, the network
-                    // round trip, and the worker's execution.
-                    let labels = Labels::new()
-                        .job(job)
-                        .wave(wave_label(phase))
-                        .backend(backend.name());
-                    obs.histogram("mrinv_backend_task_wall_seconds", &labels)
-                        .observe(wall.elapsed().as_secs_f64());
-                    obs.counter("mrinv_backend_tasks_total", &labels).add(1);
-                }
-                let (raw, mut stats) = match executed {
-                    Ok(ok) => ok,
-                    Err(e @ MrError::WorkerLost { .. }) => return Err(e),
-                    Err(e) => return Err(wrap_task_error(job, phase, idx, e)),
-                };
-                let payload = post(raw, &mut stats);
-                Ok((payload, stats))
-            })
+            let execute = || match &shipped {
+                Some((descriptor, decode)) => backend
+                    .execute(descriptor)
+                    .and_then(|done| Ok((decode_as::<R>(*decode, &done.payload)?, done.stats))),
+                None => local(idx),
+            };
+            run_with_retries(cluster, job, phase, idx, execute, &post)
         })
         .collect()
 }
@@ -704,64 +566,64 @@ type MapPayload<K, V> = (
 );
 
 /// The single exit of every job that got past its map wave's execution,
-/// failed or not: charges the clock for the phases that ran, records their
-/// wave and job series, traces them, and fires the deaths the advanced
-/// clock has passed. `reduce` carries `(shuffle_secs, shuffle_bytes, runs,
+/// failed or not, and the only place a job is observed: charges the clock
+/// for the phases that ran, walks each wave once ([`observe_wave`]), adds
+/// the job-level spans and series, and fires the deaths the advanced clock
+/// has passed. `reduce` carries `(shuffle_secs, shuffle_bytes, runs,
 /// plan)` when the job has reducers and its map wave completed. Returns
-/// the job's simulated seconds.
+/// the job's simulated seconds and the work its lost attempts burned.
 fn finish_job<A, B>(
     cluster: &Cluster,
     job: &str,
     job_seq: u64,
     job_t0: f64,
-    (map_runs, map_plan): (&[TaskRun<A>], &WavePlan),
+    map: (&[TaskRun<A>], &WavePlan),
     reduce: Option<(f64, u64, &[TaskRun<B>], &WavePlan)>,
-) -> f64 {
+) -> (f64, TaskStats) {
     let launch_secs = cluster.config.cost.job_launch_secs;
-    let mut sim_secs = launch_secs + map_plan.makespan_secs;
+    let mut sim_secs = launch_secs + map.1.makespan_secs;
     if let Some((shuffle_secs, _, _, plan)) = reduce {
         sim_secs = sim_secs + shuffle_secs + plan.makespan_secs;
     }
     cluster.metrics.add_sim_secs(sim_secs);
-    record_wave_obs(cluster, job, Phase::Map, map_plan);
-    if let Some((_, _, _, plan)) = reduce {
-        record_wave_obs(cluster, job, Phase::Reduce, plan);
+    let obs = Some(cluster.metrics.obs()).filter(|obs| obs.is_enabled());
+    let mut events = cluster.trace.is_enabled().then(Vec::new);
+    // Jobs run one after another: `job_t0`, the cluster clock at entry, is
+    // the offset of every event of this job.
+    let id = (job, job_seq);
+    let span = |phase, start, end| TaskEvent::span(job, Some(job_seq), phase, start, end);
+    let launch_end = job_t0 + launch_secs;
+    if let Some(events) = &mut events {
+        events.push(span(TracePhase::Launch, job_t0, launch_end));
     }
-    record_job_obs(cluster, job, sim_secs, reduce.map_or(0, |r| r.1));
-    if cluster.trace.is_enabled() {
-        // Jobs run one after another: `job_t0`, the cluster clock at
-        // entry, is the offset of every event of this job.
-        let span = |phase, start, end, bytes| {
-            trace_span(cluster, job, job_seq, phase, start, end, bytes);
-        };
-        let launch_end = job_t0 + launch_secs;
-        span(TracePhase::Launch, job_t0, launch_end, 0);
-        trace_plan(
-            cluster,
-            job,
-            job_seq,
-            TracePhase::Map,
-            map_runs,
-            map_plan,
-            launch_end,
-        );
-        if let Some((shuffle_secs, shuffle_bytes, runs, plan)) = reduce {
-            let map_end = launch_end + map_plan.makespan_secs;
-            let shuffle_end = map_end + shuffle_secs;
-            span(TracePhase::Shuffle, map_end, shuffle_end, shuffle_bytes);
-            trace_plan(
-                cluster,
-                job,
-                job_seq,
-                TracePhase::Reduce,
-                runs,
-                plan,
-                shuffle_end,
-            );
+    let traced = events.as_mut();
+    let mut lost = observe_wave(cluster, id, Phase::Map, map, launch_end, obs, traced);
+    if let Some((shuffle_secs, shuffle_bytes, runs, plan)) = reduce {
+        let map_end = launch_end + map.1.makespan_secs;
+        let shuffle_end = map_end + shuffle_secs;
+        if let Some(events) = &mut events {
+            events.push(TaskEvent {
+                shuffle_bytes,
+                ..span(TracePhase::Shuffle, map_end, shuffle_end)
+            });
+        }
+        let (wave, traced) = ((runs, plan), events.as_mut());
+        let reduce_lost = observe_wave(cluster, id, Phase::Reduce, wave, shuffle_end, obs, traced);
+        lost = lost.merge(&reduce_lost);
+    }
+    if let Some(obs) = obs {
+        let labels = Labels::new().job(job);
+        obs.histogram("mrinv_job_seconds", &labels)
+            .observe(sim_secs);
+        let shuffle_bytes = reduce.map_or(0, |r| r.1);
+        if shuffle_bytes > 0 {
+            obs.counter("mrinv_job_shuffle_bytes_total", &labels)
+                .add(shuffle_bytes);
         }
     }
+    cluster.trace.record_batch(events.unwrap_or_default());
     fire_due_deaths(cluster);
-    sim_secs
+    (sim_secs, lost)
 }
 
 /// The one job engine. Runs the map wave; with `reducers > 0` also
@@ -865,7 +727,7 @@ where
         map_post,
     )?;
     let launch_end = job_t0 + cfg.cost.job_launch_secs;
-    let (map_plan, mut lost_stats) = settle_wave(
+    let map_plan = settle_wave(
         cluster,
         &map_runs,
         |payload| payload.2.as_slice(),
@@ -888,7 +750,8 @@ where
         // with the Hadoop diagnostics.
         let reduce = None::<(f64, u64, &[TaskRun<RawReducePayload<M::Key, O>>], &WavePlan)>;
         let map = (&map_runs[..], &map_plan);
-        report.sim_secs = finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
+        (report.sim_secs, report.lost_stats) =
+            finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
     }
     if let Some(task) = map_failed {
         return Err(task_failed(Phase::Map, task));
@@ -904,10 +767,11 @@ where
     let mut per_task_shuffle = Vec::with_capacity(num_tasks);
     let mut task_buckets = Vec::with_capacity(num_tasks);
     for run in &mut map_runs {
-        let ok_stats = run
-            .attempt_stats
+        let ok_stats = &run
+            .chain
             .last()
-            .expect("successful task has at least one attempt");
+            .expect("successful task has at least one attempt")
+            .stats;
         stats = stats.merge(ok_stats);
         per_task_shuffle.push(ok_stats.shuffle_bytes);
         let (buckets, counters, _) = run.payload.take().expect("map wave succeeded");
@@ -930,12 +794,11 @@ where
         let shuffle_secs = shuffle_charge(cfg, &map_plan, &per_task_shuffle, launch_end);
         let shuffle_end = launch_end + map_plan.makespan_secs + shuffle_secs;
         // The shuffle already moved the map outputs off their nodes.
-        let (reduce_plan, reduce_lost) =
-            settle_wave(cluster, &reduce_runs, |_| &[], shuffle_end, false);
-        lost_stats = lost_stats.merge(&reduce_lost);
+        let reduce_plan = settle_wave(cluster, &reduce_runs, |_| &[], shuffle_end, false);
         let map = (&map_runs[..], &map_plan);
         let reduce = Some((shuffle_secs, shuffle_bytes, &reduce_runs[..], &reduce_plan));
-        report.sim_secs = finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
+        (report.sim_secs, report.lost_stats) =
+            finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
         if let Some(task) = first_failed_task(&reduce_plan) {
             return Err(task_failed(Phase::Reduce, task));
         }
@@ -946,9 +809,10 @@ where
         let mut reduce_stats = TaskStats::default();
         for run in reduce_runs {
             reduce_stats = reduce_stats.merge(
-                run.attempt_stats
+                &run.chain
                     .last()
-                    .expect("successful task has at least one attempt"),
+                    .expect("successful task has at least one attempt")
+                    .stats,
             );
             let (outs, counters) = run.payload.expect("reduce wave succeeded");
             for (name, v) in counters {
@@ -959,7 +823,6 @@ where
         stats = stats.merge(&reduce_stats);
     }
     report.stats = stats;
-    report.lost_stats = lost_stats;
     report.user_counters = user_counters;
     Ok((outputs, report))
 }
@@ -1651,6 +1514,48 @@ mod fault_domain_tests {
             0,
             "no retry budget burned on a deterministic loss"
         );
+    }
+
+    /// Errors once, then reads its input (a retry, then the real read).
+    struct FlakyReadMapper(std::sync::atomic::AtomicBool);
+    impl Mapper for FlakyReadMapper {
+        type Input = String;
+        type Key = usize;
+        type Value = usize;
+        fn map(&self, input: &String, ctx: &mut MapContext<usize, usize>) -> Result<()> {
+            if !self.0.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                return Err(MrError::Other("transient".into()));
+            }
+            ctx.read(input).map(|_| ())
+        }
+    }
+
+    /// A wave that dies before it is planned is counted in the always-on
+    /// ledger at attempt time, but observed nowhere: no labeled series, no
+    /// attempt events.
+    #[test]
+    fn a_wave_lost_to_dead_replicas_is_counted_but_not_observed() {
+        let mut cfg = ClusterConfig::medium(2);
+        cfg.cost = CostModel::unit_for_tests();
+        cfg.tracing = true;
+        cfg.observability = true;
+        let cluster = Cluster::new(cfg);
+        cluster.dfs.write("in/solo", Bytes::from_static(b"payload"));
+        for n in cluster.dfs.locations("in/solo") {
+            cluster.faults.kill_node(n, 0.0);
+        }
+        let spec: JobSpec<usize, usize> = JobSpec::new("reader");
+        let mapper = FlakyReadMapper(Default::default());
+        let err = run_map_only(&cluster, &spec, &mapper, &["in/solo".to_string()]).unwrap_err();
+        assert!(matches!(err, MrError::AllReplicasLost { .. }), "{err:?}");
+        assert_eq!(cluster.metrics.snapshot().task_failures, 1, "the retry");
+        let events = cluster.trace.events();
+        assert!(!events.is_empty(), "the deaths themselves are markers");
+        assert!(events.iter().all(|e| e.phase == TracePhase::NodeDeath));
+        let snap = cluster.metrics.obs().snapshot();
+        assert!(snap.histograms.is_empty());
+        assert!(snap.counters.iter().all(|c| c.labels == Labels::new()));
+        assert!(snap.gauges.iter().all(|g| g.labels == Labels::new()));
     }
 
     #[test]

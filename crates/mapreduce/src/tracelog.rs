@@ -20,11 +20,12 @@
 //! Tracing is off by default and costs one relaxed atomic load per
 //! (potential) event when disabled: the runner checks
 //! [`TraceLog::is_enabled`] before building any event. When enabled,
-//! events land in sharded mutex-protected ring buffers so parallel task
-//! waves don't serialize on one lock; each shard keeps the newest
-//! `capacity` events and counts what it dropped.
+//! events land in one mutex-protected ring — a job is observed once, on
+//! the driver thread, so its events arrive as one batch under one lock —
+//! that keeps the newest `capacity` events and counts what it dropped.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -112,28 +113,54 @@ pub struct TaskEvent {
 }
 
 impl TaskEvent {
+    /// A job-level span — launch, shuffle, master work, a node death — on
+    /// the driver track: no task, no node, no measured work. Callers set
+    /// what their span does carry with struct-update syntax.
+    pub fn span(
+        job: &str,
+        job_seq: Option<u64>,
+        phase: TracePhase,
+        sim_start_secs: f64,
+        sim_end_secs: f64,
+    ) -> TaskEvent {
+        TaskEvent {
+            job: job.to_string(),
+            job_seq,
+            phase,
+            task: 0,
+            attempt: 0,
+            node: None,
+            sim_start_secs,
+            sim_end_secs,
+            cpu_secs: 0.0,
+            kernel_secs: 0.0,
+            cpu_sim_secs: 0.0,
+            io_sim_secs: 0.0,
+            read_bytes: 0,
+            write_bytes: 0,
+            shuffle_bytes: 0,
+            remote_read_bytes: 0,
+            failure: None,
+        }
+    }
+
     /// Simulated duration of the event, seconds.
     pub fn sim_duration_secs(&self) -> f64 {
         (self.sim_end_secs - self.sim_start_secs).max(0.0)
     }
 }
 
-/// Sharded ring-buffer event log attached to a [`crate::Cluster`].
+/// Ring-buffer event log attached to a [`crate::Cluster`].
 #[derive(Debug)]
 pub struct TraceLog {
     enabled: AtomicBool,
-    shards: Vec<Mutex<Vec<TaskEvent>>>,
-    next_shard: AtomicUsize,
-    capacity_per_shard: usize,
+    ring: Mutex<VecDeque<TaskEvent>>,
+    capacity: usize,
     dropped: AtomicU64,
 }
 
-/// Number of independently locked shards; parallel waves spread across
-/// them round-robin.
-const SHARDS: usize = 8;
-
-/// Default per-shard ring capacity (≈ half a million events total).
-const DEFAULT_SHARD_CAPACITY: usize = 1 << 16;
+/// Default ring capacity (half a million events).
+const DEFAULT_CAPACITY: usize = 1 << 19;
 
 impl Default for TraceLog {
     fn default() -> Self {
@@ -144,17 +171,16 @@ impl Default for TraceLog {
 impl TraceLog {
     /// A log that records nothing until [`TraceLog::enable`] is called.
     pub fn disabled() -> Self {
-        TraceLog::with_capacity(DEFAULT_SHARD_CAPACITY)
+        TraceLog::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A log with an explicit per-shard ring capacity (events beyond it
-    /// evict the oldest in that shard).
-    pub fn with_capacity(capacity_per_shard: usize) -> Self {
+    /// A log with an explicit ring capacity (events beyond it evict the
+    /// oldest recorded).
+    pub fn with_capacity(capacity: usize) -> Self {
         TraceLog {
             enabled: AtomicBool::new(false),
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            next_shard: AtomicUsize::new(0),
-            capacity_per_shard: capacity_per_shard.max(1),
+            ring: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
         }
     }
@@ -178,51 +204,29 @@ impl TraceLog {
 
     /// Records one event (dropped silently when disabled).
     pub fn record(&self, event: TaskEvent) {
+        self.record_batch([event]);
+    }
+
+    /// Records a batch of events under one lock acquisition, evicting the
+    /// oldest recorded events once the ring is full.
+    pub fn record_batch(&self, events: impl IntoIterator<Item = TaskEvent>) {
         if !self.is_enabled() {
             return;
         }
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        self.push_to(shard, event);
-    }
-
-    /// Records a batch of events on one shard (one lock acquisition).
-    pub fn record_batch(&self, events: Vec<TaskEvent>) {
-        if !self.is_enabled() || events.is_empty() {
-            return;
-        }
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        let mut guard = self.shards[shard].lock();
+        let mut ring = self.ring.lock();
         for event in events {
-            Self::push_locked(&mut guard, event, self.capacity_per_shard, &self.dropped);
+            if ring.len() >= self.capacity {
+                ring.pop_front();
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            ring.push_back(event);
         }
-    }
-
-    fn push_to(&self, shard: usize, event: TaskEvent) {
-        let mut guard = self.shards[shard].lock();
-        Self::push_locked(&mut guard, event, self.capacity_per_shard, &self.dropped);
-    }
-
-    fn push_locked(
-        buf: &mut Vec<TaskEvent>,
-        event: TaskEvent,
-        capacity: usize,
-        dropped: &AtomicU64,
-    ) {
-        if buf.len() >= capacity {
-            // Ring behavior: evict the oldest event in this shard.
-            buf.remove(0);
-            dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push(event);
     }
 
     /// Snapshot of all recorded events, ordered by simulated start time
     /// (ties broken by job sequence, then phase order, then task).
     pub fn events(&self) -> Vec<TaskEvent> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().iter().cloned());
-        }
+        let mut out: Vec<TaskEvent> = self.ring.lock().iter().cloned().collect();
         out.sort_by(|a, b| {
             a.sim_start_secs
                 .partial_cmp(&b.sim_start_secs)
@@ -236,7 +240,7 @@ impl TraceLog {
 
     /// Number of recorded events currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.ring.lock().len()
     }
 
     /// True when no events are held.
@@ -251,9 +255,7 @@ impl TraceLog {
 
     /// Discards all recorded events (the enable flag is unchanged).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        self.ring.lock().clear();
         self.dropped.store(0, Ordering::Relaxed);
     }
 }
@@ -577,18 +579,56 @@ mod tests {
         assert_eq!(events[2].job_seq, Some(1));
     }
 
+    /// Uneven batches totalling three capacities, recorded in sim-time
+    /// order: the survivors are exactly the newest `capacity` events.
     #[test]
     fn ring_buffer_evicts_oldest() {
-        let log = TraceLog::with_capacity(2);
+        let capacity = 17;
+        let log = TraceLog::with_capacity(capacity);
         log.enable();
-        for i in 0..(SHARDS * 3) {
-            log.record(event(0, TracePhase::Map, i, i as f64, i as f64 + 1.0));
+        let mut next = 0;
+        for size in [1, 5, 2, 9].into_iter().cycle() {
+            let size = size.min(3 * capacity - next);
+            log.record_batch((next..next + size).map(|i| {
+                let t = i as f64;
+                event(0, TracePhase::Map, i, t, t + 1.0)
+            }));
+            next += size;
+            if next == 3 * capacity {
+                break;
+            }
         }
-        assert_eq!(log.len(), SHARDS * 2, "each shard keeps its capacity");
-        assert_eq!(log.dropped_count(), SHARDS as u64);
+        let kept: Vec<usize> = log.events().iter().map(|e| e.task).collect();
+        assert_eq!(kept, (2 * capacity..3 * capacity).collect::<Vec<_>>());
+        assert_eq!(log.dropped_count(), 2 * capacity as u64);
         log.clear();
         assert!(log.is_empty());
         assert_eq!(log.dropped_count(), 0);
+    }
+
+    /// The single lock serializes concurrent recorders without losing an
+    /// event.
+    #[test]
+    fn concurrent_records_below_capacity_lose_nothing() {
+        let log = TraceLog::disabled();
+        log.enable();
+        std::thread::scope(|scope| {
+            for thread in 0..8 {
+                let log = &log;
+                scope.spawn(move || {
+                    for i in 0..2000 {
+                        log.record(event(thread, TracePhase::Map, i, i as f64, i as f64 + 1.0));
+                    }
+                });
+            }
+        });
+        assert_eq!(log.len(), 8 * 2000);
+        assert_eq!(log.dropped_count(), 0);
+        let events = log.events();
+        for thread in 0..8 {
+            let of_thread = events.iter().filter(|e| e.job_seq == Some(thread));
+            assert_eq!(of_thread.count(), 2000);
+        }
     }
 
     #[test]
