@@ -506,23 +506,111 @@ fn run_remote(opts: &Opts, addr: &str) {
     }
 }
 
-/// Worker-process body shared by `mrinv worker` and the `mrinv-worker`
-/// shim binary: connect back to the driver and serve task descriptors
-/// until shutdown. Returns the process exit code.
+/// What differs between the local compute subcommands: the request they
+/// build, the files they write, and one line of the summary.
+#[derive(Clone, Copy)]
+enum LocalOp<'a> {
+    Invert { output: &'a str },
+    Lu { l_out: &'a str, u_out: &'a str },
+    Solve { rhs: &'a str, output: &'a str },
+}
+
+/// Runs a compute subcommand on a local simulated cluster.
+fn run_local(opts: &Opts) {
+    // Every path the subcommand needs, before any file is read.
+    let flags = (&opts.output, &opts.l_out, &opts.u_out, &opts.rhs);
+    let (op, failed) = match (opts.command.as_str(), flags) {
+        ("invert", (Some(output), ..)) => (LocalOp::Invert { output }, "inversion"),
+        ("lu", (_, Some(l_out), Some(u_out), _)) => (LocalOp::Lu { l_out, u_out }, "decomposition"),
+        ("solve", (Some(output), _, _, Some(rhs))) => (LocalOp::Solve { rhs, output }, "solve"),
+        _ => usage(),
+    };
+    let a = read_matrix(opts.input.as_deref().unwrap_or_else(|| usage()));
+    let rhs = match op {
+        LocalOp::Solve { rhs, .. } => rhs_columns(&read_matrix(rhs)),
+        _ => Vec::new(),
+    };
+    let cluster = build_cluster(opts);
+    let cfg = opts.config_for(&a);
+    let run = RunId::new(&opts.workdir);
+    let request = || {
+        let request = match op {
+            LocalOp::Invert { .. } => Request::invert(&a),
+            LocalOp::Lu { .. } => Request::lu(&a),
+            LocalOp::Solve { .. } => Request::solve(&a).rhs_all(rhs.iter().cloned()),
+        };
+        request.config(&cfg)
+    };
+    let result = retry_after_kill(opts.place(request(), &run).submit(&cluster), opts, || {
+        request().resume(&run).submit(&cluster)
+    });
+    let out = result.unwrap_or_else(|e| {
+        eprintln!("mrinv: {failed} failed: {e}");
+        exit(1)
+    });
+    let (rows, cols, report) = (a.rows(), a.cols(), &out.report);
+    let mut residual = None;
+    match op {
+        LocalOp::Invert { output } => {
+            let inverse = out.inverse().expect("invert outcome");
+            residual = Some(inversion_residual(&a, inverse).unwrap_or(f64::NAN));
+            write_matrix(output, inverse);
+            eprintln!(
+                "inverted {rows}x{cols} on {} simulated nodes: {} jobs, {:.1} simulated s",
+                opts.nodes, report.jobs, report.sim_secs
+            );
+        }
+        LocalOp::Lu { l_out, u_out } => {
+            let f = out.factors().expect("lu outcome");
+            write_matrix(l_out, &f.l);
+            write_matrix(u_out, &f.u);
+            eprintln!(
+                "decomposed {rows}x{cols}: {} jobs; P stored implicitly (PA = LU), S = {:?}...",
+                report.jobs,
+                &f.perm.as_slice()[..f.perm.len().min(8)]
+            );
+        }
+        LocalOp::Solve { output, .. } => {
+            write_matrix(output, &solutions_matrix(out.solutions()));
+            eprintln!(
+                "solved {} right-hand side(s) against {rows}x{cols}: {} jobs, {:.1} simulated s",
+                out.solutions().len(),
+                report.jobs,
+                report.sim_secs
+            );
+        }
+    }
+    report_restored(report);
+    if let Some(res) = residual {
+        eprintln!("max |I - A*A^-1| = {res:.3e} (paper threshold 1e-5)");
+    }
+    emit_observability(opts, &cluster, report);
+    if residual.is_some_and(|res| res.is_nan() || res >= 1e-5) {
+        eprintln!("mrinv: WARNING: residual exceeds the accuracy threshold");
+        exit(3);
+    }
+}
+
+/// Entry point of the `mrinv-worker` shim binary, which takes only the
+/// two worker flags (anything else is a usage error). Returns the process
+/// exit code.
 pub fn worker_main(args: Vec<String>) -> i32 {
-    let mut addr: Option<String> = None;
-    let mut worker_id: Option<usize> = None;
+    let (mut addr, mut worker_id) = (None, None);
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--connect" => addr = it.next(),
             "--worker-id" => worker_id = it.next().and_then(|v| v.parse().ok()),
-            _ => {
-                eprintln!("usage: mrinv worker --connect <addr> --worker-id <n>");
-                return 2;
-            }
+            _ => return serve_worker(None, None),
         }
     }
+    serve_worker(addr, worker_id)
+}
+
+/// Worker-process body shared by `mrinv worker` and the `mrinv-worker`
+/// shim binary: connect back to the driver and serve task descriptors
+/// until shutdown. Returns the process exit code.
+fn serve_worker(addr: Option<String>, worker_id: Option<usize>) -> i32 {
     let (Some(addr), Some(worker_id)) = (addr, worker_id) else {
         eprintln!("usage: mrinv worker --connect <addr> --worker-id <n>");
         return 2;
@@ -556,160 +644,12 @@ pub fn run(args: Vec<String>) -> i32 {
             write_matrix(output, &a);
             eprintln!("wrote a well-conditioned {order}x{order} matrix to {output}");
         }
-        "invert" if opts.connect.is_some() => {
-            let addr = opts.connect.clone().unwrap();
-            run_remote(&opts, &addr);
-        }
-        "invert" => {
-            let (Some(input), Some(output)) = (&opts.input, &opts.output) else {
-                usage()
-            };
-            let a = read_matrix(input);
-            let cluster = build_cluster(&opts);
-            let cfg = opts.config_for(&a);
-            let run = RunId::new(&opts.workdir);
-            let result = retry_after_kill(
-                opts.place(Request::invert(&a).config(&cfg), &run)
-                    .submit(&cluster),
-                &opts,
-                || {
-                    Request::invert(&a)
-                        .config(&cfg)
-                        .resume(&run)
-                        .submit(&cluster)
-                },
-            );
-            match result {
-                Ok(out) => {
-                    let inverse = out.inverse().expect("invert outcome");
-                    let res = inversion_residual(&a, inverse).unwrap_or(f64::NAN);
-                    write_matrix(output, inverse);
-                    eprintln!(
-                        "inverted {}x{} on {} simulated nodes: {} jobs, {:.1} simulated s",
-                        a.rows(),
-                        a.cols(),
-                        opts.nodes,
-                        out.report.jobs,
-                        out.report.sim_secs
-                    );
-                    report_restored(&out.report);
-                    eprintln!("max |I - A*A^-1| = {res:.3e} (paper threshold 1e-5)");
-                    emit_observability(&opts, &cluster, &out.report);
-                    if res.is_nan() || res >= 1e-5 {
-                        eprintln!("mrinv: WARNING: residual exceeds the accuracy threshold");
-                        exit(3);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("mrinv: inversion failed: {e}");
-                    exit(1);
-                }
-            }
-        }
-        "lu" if opts.connect.is_some() => {
-            let addr = opts.connect.clone().unwrap();
-            run_remote(&opts, &addr);
-        }
-        "lu" => {
-            let (Some(input), Some(l_out), Some(u_out)) = (&opts.input, &opts.l_out, &opts.u_out)
-            else {
-                usage()
-            };
-            let a = read_matrix(input);
-            let cluster = build_cluster(&opts);
-            let cfg = opts.config_for(&a);
-            let run = RunId::new(&opts.workdir);
-            let result = retry_after_kill(
-                opts.place(Request::lu(&a).config(&cfg), &run)
-                    .submit(&cluster),
-                &opts,
-                || Request::lu(&a).config(&cfg).resume(&run).submit(&cluster),
-            );
-            match result {
-                Ok(out) => {
-                    let f = out.factors().expect("lu outcome");
-                    write_matrix(l_out, &f.l);
-                    write_matrix(u_out, &f.u);
-                    eprintln!(
-                        "decomposed {}x{}: {} jobs; P stored implicitly (PA = LU), S = {:?}...",
-                        a.rows(),
-                        a.cols(),
-                        out.report.jobs,
-                        &f.perm.as_slice()[..f.perm.len().min(8)]
-                    );
-                    report_restored(&out.report);
-                    emit_observability(&opts, &cluster, &out.report);
-                }
-                Err(e) => {
-                    eprintln!("mrinv: decomposition failed: {e}");
-                    exit(1);
-                }
-            }
-        }
-        "solve" if opts.connect.is_some() => {
-            let addr = opts.connect.clone().unwrap();
-            run_remote(&opts, &addr);
-        }
-        "solve" => {
-            let (Some(input), Some(rhs_path), Some(output)) =
-                (&opts.input, &opts.rhs, &opts.output)
-            else {
-                usage()
-            };
-            let a = read_matrix(input);
-            let rhs = rhs_columns(&read_matrix(rhs_path));
-            let cluster = build_cluster(&opts);
-            let cfg = opts.config_for(&a);
-            let run = RunId::new(&opts.workdir);
-            let result = retry_after_kill(
-                opts.place(
-                    Request::solve(&a).rhs_all(rhs.iter().cloned()).config(&cfg),
-                    &run,
-                )
-                .submit(&cluster),
-                &opts,
-                || {
-                    Request::solve(&a)
-                        .rhs_all(rhs.iter().cloned())
-                        .config(&cfg)
-                        .resume(&run)
-                        .submit(&cluster)
-                },
-            );
-            match result {
-                Ok(out) => {
-                    write_matrix(output, &solutions_matrix(out.solutions()));
-                    eprintln!(
-                        "solved {} right-hand side(s) against {}x{}: {} jobs, {:.1} simulated s",
-                        out.solutions().len(),
-                        a.rows(),
-                        a.cols(),
-                        out.report.jobs,
-                        out.report.sim_secs
-                    );
-                    report_restored(&out.report);
-                    emit_observability(&opts, &cluster, &out.report);
-                }
-                Err(e) => {
-                    eprintln!("mrinv: solve failed: {e}");
-                    exit(1);
-                }
-            }
-        }
+        "invert" | "lu" | "solve" => match &opts.connect {
+            Some(addr) => run_remote(&opts, addr),
+            None => run_local(&opts),
+        },
         "serve" => run_serve(&opts),
-        "worker" => {
-            // Re-collect the worker flags out of the parsed options.
-            let mut argv = Vec::new();
-            if let Some(addr) = &opts.connect {
-                argv.push("--connect".to_string());
-                argv.push(addr.clone());
-            }
-            if let Some(id) = opts.worker_id {
-                argv.push("--worker-id".to_string());
-                argv.push(id.to_string());
-            }
-            return worker_main(argv);
-        }
+        "worker" => return serve_worker(opts.connect, opts.worker_id),
         _ => usage(),
     }
     0
