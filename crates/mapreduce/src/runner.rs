@@ -368,19 +368,19 @@ fn observe_wave<T>(
     };
     let cost = &cluster.config.cost;
     let nodes = cluster.config.nodes.max(1);
-    let job_wave = Labels::new().job(job).wave(wave);
-    let series = obs.map(|obs| {
+    let labeled = obs.map(|obs| (obs, Labels::new().job(job).wave(wave)));
+    let series = labeled.as_ref().map(|(obs, job_wave)| {
         let backend = job_wave.clone().backend(cluster.backend().name());
         (
             obs.histogram("mrinv_backend_task_wall_seconds", &backend),
             obs.counter("mrinv_backend_tasks_total", &backend),
-            obs.histogram("mrinv_task_run_seconds", &job_wave),
-            obs.histogram("mrinv_task_wait_seconds", &job_wave),
-            obs.counter("mrinv_task_attempts_total", &job_wave),
+            obs.histogram("mrinv_task_run_seconds", job_wave),
+            obs.histogram("mrinv_task_wait_seconds", job_wave),
+            obs.counter("mrinv_task_attempts_total", job_wave),
         )
     });
     let count_failure = |cause: &FailureCause| {
-        if let Some(obs) = obs {
+        if let Some((obs, job_wave)) = &labeled {
             let labels = job_wave.clone().task_kind(cause.kind_label());
             obs.counter("mrinv_task_failures_total", &labels).add(1);
         }
@@ -449,18 +449,20 @@ fn observe_wave<T>(
         }
     }
     cluster.metrics.record_failures(sim_failures);
-    let Some(obs) = obs else { return lost };
+    let Some((obs, job_wave)) = &labeled else {
+        return lost;
+    };
     let retries = plan.extra_attempts();
     if retries > 0 {
-        obs.counter("mrinv_task_retries_total", &job_wave)
+        obs.counter("mrinv_task_retries_total", job_wave)
             .add(retries as u64);
     }
     // Resolved unconditionally so the series exists (at 0) even under
     // barrier scheduling — `repro obs-check` greps for it.
-    obs.counter("mrinv_sched_steals_total", &job_wave)
+    obs.counter("mrinv_sched_steals_total", job_wave)
         .add(plan.steals);
     if plan.remote_read_bytes > 0 {
-        obs.counter("mrinv_wave_remote_read_bytes_total", &job_wave)
+        obs.counter("mrinv_wave_remote_read_bytes_total", job_wave)
             .add(plan.remote_read_bytes);
     }
     // Utilization inputs: per-node busy time and attempts.
