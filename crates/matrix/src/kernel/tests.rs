@@ -772,6 +772,20 @@ fn blocked_lu_matches_unblocked_permutation_and_reconstructs() {
 }
 
 #[test]
+fn one_full_width_panel_is_the_unblocked_decomposition_bitwise() {
+    use crate::lu::lu_decompose;
+    // Below 128 `lu_decompose` is a single panel; the backend never runs.
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for n in [1, 2, 7, 33, 64, 127] {
+        let a = random_matrix(n, n, 40 + n as u64);
+        let one_panel = lu_blocked(&a, n, &Naive).unwrap();
+        let unblocked = lu_decompose(&a).unwrap();
+        assert_eq!(one_panel.perm, unblocked.perm, "n={n}");
+        assert_eq!(bits(&one_panel.lu), bits(&unblocked.lu), "n={n}");
+    }
+}
+
+#[test]
 fn blocked_lu_detects_singularity_and_bad_nb() {
     let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
     assert!(matches!(

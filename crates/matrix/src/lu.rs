@@ -73,81 +73,32 @@ pub fn lu_decompose(a: &Matrix) -> Result<LuFactors> {
     Ok(LuFactors { lu, perm })
 }
 
-/// Matrix order at or above which [`lu_decompose_in_place`] switches to
-/// the kernel engine's blocked factorization (when the packed backend is
-/// active). Below it the classic rank-1 loop wins and — more importantly —
-/// stays bit-identical to the seed implementation, which the distributed
-/// pipeline's `nb`-sized leaf decompositions rely on.
+/// Matrix order at or above which [`lu_decompose_in_place`] factors in
+/// 64-wide panels (when the packed backend is active). Below it one panel
+/// spans the matrix, which is the classic rank-1 loop and stays
+/// bit-identical to the seed implementation — the distributed pipeline's
+/// `nb`-sized leaf decompositions rely on that.
 const BLOCKED_LU_MIN_ORDER: usize = 128;
 
 /// In-place variant of [`lu_decompose`]; `a` is overwritten with the packed
 /// factors.
 ///
-/// Orders ≥ 128 are factored with the blocked right-looking algorithm
-/// ([`crate::kernel::lu_blocked_in_place`]) when the process-wide GEMM
-/// backend is the packed engine; pivot choices are identical either way,
-/// factor values differ only in the trailing updates' summation order.
+/// The elimination loop is [`crate::kernel::lu_blocked_in_place`]'s panel;
+/// this only picks the panel width. Orders ≥ 128 use 64 when the
+/// process-wide GEMM backend is the packed engine; everything else is one
+/// panel as wide as the matrix (Algorithm 1 as written, no trailing GEMM).
+/// Pivot choices are identical either way, factor values differ only in
+/// the trailing updates' summation order.
 pub fn lu_decompose_in_place(a: &mut Matrix) -> Result<Permutation> {
     use crate::kernel::{self, BackendKind};
     let n = a.order()?;
-    if n >= BLOCKED_LU_MIN_ORDER {
-        let kind = kernel::global_backend();
-        if kind == BackendKind::Packed {
-            return kernel::lu_blocked_in_place(a, 64, kind.as_backend());
-        }
-    }
-    let mut perm = Permutation::identity(n);
-    // Relative singularity threshold: pivots this far below the matrix
-    // magnitude are treated as zero.
-    let scale = a.as_slice().iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
-    let tol = if scale == 0.0 {
-        f64::MIN_POSITIVE
+    let kind = kernel::global_backend();
+    let panel = if n >= BLOCKED_LU_MIN_ORDER && kind == BackendKind::Packed {
+        64
     } else {
-        scale * f64::EPSILON * n as f64
+        n.max(1)
     };
-
-    for i in 0..n {
-        // Select the row with the maximum |[A]_ji| among rows i..n (line 3).
-        let mut pivot_row = i;
-        let mut pivot_val = a[(i, i)].abs();
-        for j in (i + 1)..n {
-            let v = a[(j, i)].abs();
-            if v > pivot_val {
-                pivot_val = v;
-                pivot_row = j;
-            }
-        }
-        if pivot_val < tol {
-            return Err(MatrixError::Singular { step: i });
-        }
-        if pivot_row != i {
-            a.swap_rows(i, pivot_row);
-            perm.swap(i, pivot_row);
-        }
-
-        // Scale the column below the pivot (lines 6-8).
-        let inv_pivot = 1.0 / a[(i, i)];
-        for j in (i + 1)..n {
-            a[(j, i)] *= inv_pivot;
-        }
-
-        // Rank-1 update of the trailing submatrix (lines 9-13), done
-        // row-wise so both factors stream sequentially.
-        for j in (i + 1)..n {
-            let lji = a[(j, i)];
-            if lji == 0.0 {
-                continue;
-            }
-            // Split borrows: row i is strictly above row j here.
-            let (top, bottom) = a.as_mut_slice().split_at_mut(j * n);
-            let urow = &top[i * n..i * n + n];
-            let jrow = &mut bottom[..n];
-            for k in (i + 1)..n {
-                jrow[k] -= lji * urow[k];
-            }
-        }
-    }
-    Ok(perm)
+    kernel::lu_blocked_in_place(a, panel, kind.as_backend())
 }
 
 /// LU decomposition *without* pivoting; used by the distributed method's
