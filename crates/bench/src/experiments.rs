@@ -113,14 +113,9 @@ pub fn staged_invert(cluster: &Cluster, a: &Matrix, cfg: &InversionConfig) -> St
     let d_before = cluster.dfs.counters();
 
     let mut driver = PipelineDriver::new(cluster, run);
-    let (tree, _partition_report) = run_partition_job(&mut driver, &plan).expect("partition");
-    let factors = mrinv::lu_mr::lu_decompose_mr(
-        &mut driver,
-        mrinv::lu_mr::BlockView::Tree(tree),
-        &plan,
-        &cfg.opts,
-    )
-    .expect("lu pipeline");
+    let (source, _partition_report) = run_partition_job(&mut driver, &plan).expect("partition");
+    let factors = mrinv::lu_mr::lu_decompose_mr(&mut driver, &plan.root, source, &plan, &cfg.opts)
+        .expect("lu pipeline");
 
     let m_mid = cluster.metrics.snapshot();
     let d_mid = cluster.dfs.counters();

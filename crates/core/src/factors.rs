@@ -5,7 +5,8 @@
 //! pieces, `N(d) = 2^d + (m0/2)(2^d − 1)` files in all, and readers
 //! assemble what they need on the fly ("in our implementation, these files
 //! are read into memory recursively"). [`FactorRef`] is the recursive
-//! descriptor of that file forest.
+//! descriptor of that file forest; a node names its level's `L2'`/`U2`
+//! stripe files with the [`MatrixSource`]s the level's reducers read.
 //!
 //! Two subtleties the assembly handles:
 //!
@@ -22,17 +23,7 @@ use mrinv_matrix::{Matrix, Permutation};
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
 
 use crate::error::{CoreError, Result};
-use crate::source::BlockIo;
-
-/// A striped file holding rows `range.0..range.1` of a block (for `L2'`),
-/// or columns of a block (for `U2`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Stripe {
-    /// DFS path of the binary block.
-    pub path: String,
-    /// Covered index range (rows for `L2'` stripes, columns for `U2`).
-    pub range: (usize, usize),
-}
+use crate::source::{BlockIo, MatrixSource, Piece};
 
 /// Recursive descriptor of where a (unit-lower `L`, upper `U`, permutation
 /// `P`) factor triple lives in the DFS.
@@ -53,7 +44,8 @@ pub enum FactorRef {
         transposed_u: bool,
     },
     /// An internal recursion node (Figure 1): factors of `A1`, the level's
-    /// `L2'`/`U2` stripes, and factors of `B`.
+    /// `L2'`/`U2` stripe files, and factors of `B`. The two sources are the
+    /// ones the level's reducers read, unwindowed.
     Node {
         /// Block order at this level.
         n: usize,
@@ -61,12 +53,12 @@ pub enum FactorRef {
         half: usize,
         /// Factors of the top-left block.
         a1: Box<FactorRef>,
-        /// Row stripes of `L2'` (pre-permutation), covering rows
-        /// `0..n-half` of the bottom-left block.
-        l2_stripes: Vec<Stripe>,
-        /// Column stripes of `U2`; each file holds the stripe transposed
-        /// when `transposed_u`.
-        u2_stripes: Vec<Stripe>,
+        /// `L2'` (pre-permutation), `(n-half) × half`, one piece per row
+        /// stripe.
+        l2: MatrixSource,
+        /// `U2` as stored: `half × (n-half)` in column-stripe pieces, or
+        /// `U2ᵀ` in row-stripe pieces when `transposed_u`.
+        u2: MatrixSource,
         /// Factors of the updated bottom-right block `B`.
         b: Box<FactorRef>,
         /// Whether upper-factor files are stored transposed.
@@ -102,16 +94,10 @@ impl FactorRef {
                     out.push(l_path.clone());
                     out.push(u_path.clone());
                 }
-                FactorRef::Node {
-                    a1,
-                    l2_stripes,
-                    u2_stripes,
-                    b,
-                    ..
-                } => {
+                FactorRef::Node { a1, l2, u2, b, .. } => {
                     walk(a1, out);
-                    out.extend(l2_stripes.iter().map(|s| s.path.clone()));
-                    out.extend(u2_stripes.iter().map(|s| s.path.clone()));
+                    out.extend(l2.pieces().iter().map(|p| p.path.clone()));
+                    out.extend(u2.pieces().iter().map(|p| p.path.clone()));
                     walk(b, out);
                 }
             }
@@ -126,9 +112,9 @@ impl FactorRef {
     pub fn l_file_count(&self) -> u64 {
         match self {
             FactorRef::Leaf { .. } => 1,
-            FactorRef::Node {
-                a1, l2_stripes, b, ..
-            } => a1.l_file_count() + l2_stripes.len() as u64 + b.l_file_count(),
+            FactorRef::Node { a1, l2, b, .. } => {
+                a1.l_file_count() + l2.pieces().len() as u64 + b.l_file_count()
+            }
         }
     }
 
@@ -195,14 +181,19 @@ impl FactorRef {
                 n,
                 half,
                 a1,
-                l2_stripes,
-                u2_stripes,
+                l2,
+                u2,
                 b,
                 transposed_u,
             } => {
-                let rest = n.checked_sub(*half).ok_or_else(|| {
-                    CoreError::Invariant(format!("factor node splits order {n} at {half}"))
-                })?;
+                // The children's orders index `out` and `P2` below.
+                let rest = b.n();
+                if a1.n() != *half || *half + rest != *n {
+                    return Err(CoreError::Invariant(format!(
+                        "factor node of order {n} split at {half} has children of order {} and {rest}",
+                        a1.n()
+                    )));
+                }
                 let mid = at + *half;
                 a1.place(io, factor, out, at)?;
                 match factor {
@@ -210,33 +201,37 @@ impl FactorRef {
                         // L2 = P2·L2': stored row `r` of L2' is row
                         // `P2⁻¹[r]` of L2.
                         let dest = b.perm().inverse();
-                        for s in l2_stripes {
-                            check_range(s, rest)?;
-                            let m = decode_binary(&io.read_bytes(&s.path)?)?;
-                            check_shape(&m, (s.range.1 - s.range.0, *half), &s.path)?;
-                            for (k, r) in (s.range.0..s.range.1).enumerate() {
-                                out.row_mut(mid + dest.source_of(r))[at..mid]
+                        for p in l2.pieces() {
+                            let m = read_piece(io, p, (rest, *half))?;
+                            for (k, r) in (p.rows.0..p.rows.1).enumerate() {
+                                out.row_mut(mid + dest.source_of(r))[at + p.cols.0..at + p.cols.1]
                                     .copy_from_slice(m.row(k));
                             }
                         }
                     }
                     Factor::U | Factor::Ut => {
-                        for s in u2_stripes {
-                            check_range(s, rest)?;
-                            let m = decode_binary(&io.read_bytes(&s.path)?)?;
-                            let w = s.range.1 - s.range.0;
-                            let stored = if *transposed_u {
-                                (w, *half)
+                        let stored = if *transposed_u {
+                            (rest, *half)
+                        } else {
+                            (*half, rest)
+                        };
+                        // U2 sits right of U1; U2ᵀ sits below U1ᵀ. A file
+                        // stored in the other orientation is flipped on
+                        // the way in.
+                        let flip = *transposed_u != (factor == Factor::Ut);
+                        let origin = if factor == Factor::U {
+                            (at, mid)
+                        } else {
+                            (mid, at)
+                        };
+                        for p in u2.pieces() {
+                            let m = read_piece(io, p, stored)?;
+                            let (dr, dc) = if flip {
+                                (p.cols.0, p.rows.0)
                             } else {
-                                (*half, w)
+                                (p.rows.0, p.cols.0)
                             };
-                            check_shape(&m, stored, &s.path)?;
-                            // U2 sits right of U1; U2ᵀ sits below U1ᵀ.
-                            if factor == Factor::U {
-                                put(out, (at, mid + s.range.0), &m, *transposed_u);
-                            } else {
-                                put(out, (mid + s.range.0, at), &m, !*transposed_u);
-                            }
+                            put(out, (origin.0 + dr, origin.1 + dc), &m, flip);
                         }
                     }
                 }
@@ -299,8 +294,8 @@ impl Serialize for FactorRef {
                 n,
                 half,
                 a1,
-                l2_stripes,
-                u2_stripes,
+                l2,
+                u2,
                 b,
                 transposed_u,
             } => Value::Object(vec![
@@ -308,8 +303,8 @@ impl Serialize for FactorRef {
                 ("n".to_string(), n.to_value()),
                 ("half".to_string(), half.to_value()),
                 ("a1".to_string(), a1.to_value()),
-                ("l2_stripes".to_string(), l2_stripes.to_value()),
-                ("u2_stripes".to_string(), u2_stripes.to_value()),
+                ("l2".to_string(), l2.to_value()),
+                ("u2".to_string(), u2.to_value()),
                 ("b".to_string(), b.to_value()),
                 ("transposed_u".to_string(), transposed_u.to_value()),
             ]),
@@ -332,8 +327,8 @@ impl Deserialize for FactorRef {
                 n: de_field(v, "n")?,
                 half: de_field(v, "half")?,
                 a1: Box::new(de_field(v, "a1")?),
-                l2_stripes: de_field(v, "l2_stripes")?,
-                u2_stripes: de_field(v, "u2_stripes")?,
+                l2: de_field(v, "l2")?,
+                u2: de_field(v, "u2")?,
                 b: Box::new(de_field(v, "b")?),
                 transposed_u: de_field(v, "transposed_u")?,
             }),
@@ -364,14 +359,19 @@ enum Factor {
     Ut,
 }
 
-fn check_range(s: &Stripe, extent: usize) -> Result<()> {
-    if s.range.0 > s.range.1 || s.range.1 > extent {
+/// Decodes one stripe file of a node's stored `L2'` / `U2`. The piece must
+/// lie inside the `within` block the node's `n` and `half` imply, and the
+/// file must hold what the piece says, so placing it cannot overrun.
+fn read_piece(io: &mut dyn BlockIo, p: &Piece, within: (usize, usize)) -> Result<Matrix> {
+    if p.rows.0 > p.rows.1 || p.rows.1 > within.0 || p.cols.0 > p.cols.1 || p.cols.1 > within.1 {
         return Err(CoreError::Invariant(format!(
-            "stripe {} covers {:?}, outside its block of {extent}",
-            s.path, s.range
+            "stripe {} covers rows {:?} cols {:?}, outside its {within:?} block",
+            p.path, p.rows, p.cols
         )));
     }
-    Ok(())
+    let m = decode_binary(&io.read_bytes(&p.path)?)?;
+    check_shape(&m, (p.nrows(), p.ncols()), &p.path)?;
+    Ok(m)
 }
 
 /// Writes `m` (transposed when `flip`) into `out` with its top-left corner
@@ -395,7 +395,7 @@ fn put(out: &mut Matrix, corner: (usize, usize), m: &Matrix, flip: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::MasterIo;
+    use crate::source::{write_piece, MasterIo};
     use mrinv_mapreduce::Dfs;
     use mrinv_matrix::block::{even_ranges, BlockRange};
     use mrinv_matrix::random::{random_invertible, random_unit_lower, random_upper};
@@ -441,31 +441,28 @@ mod tests {
         // L2 stripes are stored pre-permutation: L2' = P2^-1 L2.
         let l2 = l.block(BlockRange::new((half, n), (0, half))).unwrap();
         let l2p = p_bot.inverse().apply_rows(&l2);
-        let mut l2_stripes = Vec::new();
+        let mut l2_pieces = Vec::new();
         for (k, (r0, r1)) in even_ranges(n - half, stripes).into_iter().enumerate() {
             let path = format!("f/l2/{k}");
-            io.write_bytes(&path, encode_binary(&l2p.row_stripe(r0, r1).unwrap()));
-            l2_stripes.push(Stripe {
-                path,
-                range: (r0, r1),
-            });
+            let stripe = l2p.row_stripe(r0, r1).unwrap();
+            l2_pieces.push(write_piece(&mut io, &path, r0, 0, &stripe));
         }
         let u2 = u.block(BlockRange::new((0, half), (half, n))).unwrap();
-        let mut u2_stripes = Vec::new();
+        let mut u2_pieces = Vec::new();
         for (k, (c0, c1)) in even_ranges(n - half, stripes).into_iter().enumerate() {
             let path = format!("f/u2/{k}");
             let stripe = u2.col_stripe(c0, c1).unwrap();
-            let data = if transposed_u {
-                stripe.transpose()
+            u2_pieces.push(if transposed_u {
+                write_piece(&mut io, &path, c0, 0, &stripe.transpose())
             } else {
-                stripe
-            };
-            io.write_bytes(&path, encode_binary(&data));
-            u2_stripes.push(Stripe {
-                path,
-                range: (c0, c1),
+                write_piece(&mut io, &path, 0, c0, &stripe)
             });
         }
+        let u2_shape = if transposed_u {
+            (n - half, half)
+        } else {
+            (half, n - half)
+        };
         FactorRef::Node {
             n,
             half,
@@ -476,8 +473,8 @@ mod tests {
                 perm: p_top.clone(),
                 transposed_u,
             }),
-            l2_stripes,
-            u2_stripes,
+            l2: MatrixSource::new((n - half, half), l2_pieces),
+            u2: MatrixSource::new(u2_shape, u2_pieces),
             b: Box::new(FactorRef::Leaf {
                 n: n - half,
                 l_path: "f/b/l".into(),
@@ -603,6 +600,43 @@ mod tests {
             Err(CoreError::Invariant(_))
         ));
         assert!(f.assemble_u(&mut io).is_ok());
+    }
+
+    #[test]
+    fn inconsistent_node_is_detected() {
+        let dfs = Dfs::default();
+        let (n, half) = (10, 4);
+        let l = random_unit_lower(n, 40);
+        let u = random_upper(n, 41);
+        let p1 = shuffled_perm(half, 42);
+        let p2 = shuffled_perm(n - half, 43);
+        let good = build_node(&dfs, &l, &u, &p1, &p2, half, 2, true);
+        let FactorRef::Node { a1, l2, u2, b, .. } = good else {
+            panic!("expected node")
+        };
+        // Every stripe one row lower: the last one leaves its block.
+        let shifted = |src: &MatrixSource| {
+            let down = |p: &Piece| Piece::new(p.path.clone(), (p.rows.0 + 1, p.rows.1 + 1), p.cols);
+            MatrixSource::new(src.shape(), src.pieces().iter().map(down).collect())
+        };
+        let node = |n, l2, u2| FactorRef::Node {
+            n,
+            half,
+            a1: a1.clone(),
+            l2,
+            u2,
+            b: b.clone(),
+            transposed_u: true,
+        };
+        let mut io = MasterIo::new(&dfs);
+        let stray = node(n, shifted(&l2), shifted(&u2));
+        // A node whose children do not add up to its order.
+        let shrunk = node(n - 1, l2, u2);
+        for f in [stray, shrunk] {
+            for got in [f.assemble_l(&mut io), f.assemble_u(&mut io)] {
+                assert!(matches!(got, Err(CoreError::Invariant(_))));
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,8 @@
 //! Supporting pieces: [`schedule`] (the precomputed pipeline shape),
 //! [`audit`] (the cost-model audit: predicted-vs-priced task residuals),
 //! [`obs`] (the exportable metrics snapshot, registry + kernel perf),
-//! [`source`] (descriptor-based submatrix storage, Section 5.2),
+//! [`source`] (the one descriptor of a matrix stored in the DFS, Section
+//! 5.2: the partition job returns it, every quadrant is a window of it),
 //! [`factors`] (the separate-files factor forest, Section 6.1),
 //! [`theory`] (the closed forms of Tables 1–2), [`inmem`] (the same
 //! algorithm without MapReduce, for verification and as the Section 8

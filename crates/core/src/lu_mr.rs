@@ -13,8 +13,11 @@
 //!   partitioner, exactly Figure 5's `(j, j)` scheme.
 //!
 //! Leaves (order ≤ `nb`) are LU-decomposed *on the master node*
-//! (Section 4.2), and `B` is never re-materialized: the next level reads it
-//! through [`MatrixSource`] descriptors (Section 5.2).
+//! (Section 4.2). Every block, input side or `B`, is a [`MatrixSource`]:
+//! the recursion takes its quadrants as windows (Section 5.2 — `B` is never
+//! re-materialized, and the Figure-4 files line up with every split), and
+//! each level's `L2'`/`U2` sources serve its reducers and then live on in
+//! the returned [`FactorRef`].
 
 use mrinv_mapreduce::job::{
     identity_partitioner, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
@@ -32,45 +35,14 @@ use serde::{de_field, DeError, Deserialize, Serialize, Value};
 
 use crate::config::Optimizations;
 use crate::error::{CoreError, Result};
-use crate::factors::{FactorRef, Stripe};
-use crate::partition::{PartitionPlan, SourceTree};
+use crate::factors::FactorRef;
+use crate::partition::PartitionPlan;
 use crate::source::{BlockIo, MasterIo, MatrixSource, Piece};
 
 /// Registers this module's remote task family (see
 /// [`crate::remote::exec_registry`]).
 pub(crate) fn register(r: &mut TaskRegistry) {
     r.register::<LuLevelMapper, LuLevelReducer>("lu-level");
-}
-
-/// A block to decompose: either a materialized partition subtree (the input
-/// side) or a descriptor-only source (a `B` submatrix).
-#[derive(Debug, Clone)]
-pub enum BlockView {
-    /// Materialized by the partitioning job.
-    Tree(SourceTree),
-    /// Descriptor into reducer outputs (never materialized).
-    Source {
-        /// DFS directory for this block's outputs.
-        dir: String,
-        /// The block's pieces.
-        source: MatrixSource,
-    },
-}
-
-impl BlockView {
-    fn n(&self) -> usize {
-        match self {
-            BlockView::Tree(t) => t.n(),
-            BlockView::Source { source, .. } => source.rows(),
-        }
-    }
-
-    fn dir(&self) -> String {
-        match self {
-            BlockView::Tree(t) => t.dir().to_string(),
-            BlockView::Source { dir, .. } => dir.clone(),
-        }
-    }
 }
 
 /// Charges a master I/O session to the simulated clock.
@@ -81,35 +53,37 @@ pub(crate) fn charge_master_io(cluster: &Cluster, io: &MasterIo<'_>) {
     cluster.metrics.add_master_secs(secs);
 }
 
-/// Distributed block LU decomposition of the given block. Sequences one
+/// Distributed block LU decomposition of the square block `source`
+/// describes, writing this block's outputs under `dir`. Sequences one
 /// MapReduce job per recursion node through the driver (each restorable
 /// from a checkpoint manifest on resume) and returns the factor
 /// descriptor. Leaf decompositions run on the master node and re-run
 /// deterministically on resume; only their (small) master time is
 /// re-charged.
+///
+/// The input side and `B` go through the same code: `source` is the
+/// partition job's whole-matrix descriptor (`dir` = the plan's root) or a
+/// level's reducer outputs, and either way its quadrants are windows.
 pub fn lu_decompose_mr(
     driver: &mut PipelineDriver<'_>,
-    view: BlockView,
+    dir: &str,
+    source: MatrixSource,
     plan: &PartitionPlan,
     opts: &Optimizations,
 ) -> Result<FactorRef> {
     let cluster = driver.cluster();
-    let n = view.n();
-    let dir = view.dir();
+    let n = source.rows();
+    if source.cols() != n {
+        return Err(CoreError::Invariant(format!(
+            "cannot LU-decompose a {:?} block under {dir}",
+            source.shape()
+        )));
+    }
 
     if n <= plan.nb {
         // Leaf: decompose on the master node (Algorithm 2 lines 2-3).
         let mut io = MasterIo::new(&cluster.dfs);
-        let block = match &view {
-            BlockView::Tree(SourceTree::Leaf { source, .. }) => source.read_all(&mut io)?,
-            BlockView::Source { source, .. } => source.read_all(&mut io)?,
-            BlockView::Tree(other) => {
-                return Err(CoreError::Invariant(format!(
-                    "partition tree has a split of order {} at leaf size",
-                    other.n()
-                )))
-            }
-        };
+        let block = source.read_all(&mut io)?;
         let factors = run_on_master(cluster, || lu_decompose(&block))?;
         let l_path = format!("{dir}/l.bin");
         let u_path = format!("{dir}/u.bin");
@@ -127,49 +101,27 @@ pub fn lu_decompose_mr(
         });
     }
 
-    // Internal node: resolve the quadrants.
-    let (half, a1_view, a2, a3, a4) = match view {
-        BlockView::Tree(SourceTree::Split {
-            half,
-            a1,
-            a2,
-            a3,
-            a4,
-            ..
-        }) => (half, BlockView::Tree(*a1), a2, a3, a4),
-        BlockView::Tree(SourceTree::Leaf { .. }) => unreachable!("handled above"),
-        BlockView::Source { source, dir: d } => {
-            let half = n / 2;
-            let [q1, q2, q3, q4] = source.quadrants(half, half)?;
-            (
-                half,
-                BlockView::Source {
-                    dir: format!("{d}/A1"),
-                    source: q1,
-                },
-                q2,
-                q3,
-                q4,
-            )
-        }
-    };
+    // Internal node: the quadrants are windows (Section 5.2: metadata only).
+    let half = n / 2;
     let rest = n - half;
+    let [a1, a2, a3, a4] = source.quadrants(half, half)?;
 
     // Decompose A1 first (Algorithm 2 line 6).
-    let a1_factors = lu_decompose_mr(driver, a1_view, plan, opts)?;
+    let a1_factors = lu_decompose_mr(driver, &format!("{dir}/A1"), a1, plan, opts)?;
     let p1 = a1_factors.perm();
 
     // Stripe and cell geometry for this level.
+    let nonempty = |r: &(usize, usize)| r.0 < r.1;
     let l2_ranges: Vec<(usize, usize)> = even_ranges(rest, plan.m_l)
         .into_iter()
-        .filter(|r| r.0 < r.1)
+        .filter(nonempty)
         .collect();
     let u2_ranges: Vec<(usize, usize)> = even_ranges(rest, plan.m_u)
         .into_iter()
-        .filter(|r| r.0 < r.1)
+        .filter(nonempty)
         .collect();
-    let cell_rows: Vec<(usize, usize)> = even_ranges(rest, plan.grid.0).into_iter().collect();
-    let cell_cols: Vec<(usize, usize)> = even_ranges(rest, plan.grid.1).into_iter().collect();
+    let cell_rows = even_ranges(rest, plan.grid.0);
+    let cell_cols = even_ranges(rest, plan.grid.1);
 
     let mut inputs = Vec::new();
     for (k, &range) in l2_ranges.iter().enumerate() {
@@ -179,61 +131,52 @@ pub fn lu_decompose_mr(
         inputs.push(LuTaskInput::U2Stripe { k, cols: range });
     }
 
+    // Where the mappers' stripes land, as the reducers and every later
+    // reader of the factors see them: L2' by rows; U2 by columns, or by
+    // rows of U2ᵀ when stored transposed (Section 6.3).
+    let l2 = MatrixSource::new(
+        (rest, half),
+        l2_ranges
+            .iter()
+            .enumerate()
+            .map(|(k, &rows)| Piece::new(format!("{dir}/L2/L.{k}"), rows, (0, half)))
+            .collect(),
+    );
+    let u2_files = u2_ranges
+        .iter()
+        .enumerate()
+        .map(|(k, &range)| (format!("{dir}/U2/U.{k}"), range));
+    let u2 = if opts.transpose_u {
+        MatrixSource::new(
+            (rest, half),
+            u2_files
+                .map(|(path, range)| Piece::new(path, range, (0, half)))
+                .collect(),
+        )
+    } else {
+        MatrixSource::new(
+            (half, rest),
+            u2_files
+                .map(|(path, range)| Piece::new(path, (0, half), range))
+                .collect(),
+        )
+    };
+
     let num_cells = plan.grid.0 * plan.grid.1;
     let mapper = LuLevelMapper {
-        dir: dir.clone(),
+        dir: dir.to_string(),
         a1: a1_factors.clone(),
-        p1: p1.clone(),
+        p1,
         a2,
         a3,
         opts: *opts,
         num_cells,
     };
-    let l2_stripes: Vec<Stripe> = l2_ranges
-        .iter()
-        .enumerate()
-        .map(|(k, &range)| Stripe {
-            path: format!("{dir}/L2/L.{k}"),
-            range,
-        })
-        .collect();
-    let u2_stripes: Vec<Stripe> = u2_ranges
-        .iter()
-        .enumerate()
-        .map(|(k, &range)| Stripe {
-            path: format!("{dir}/U2/U.{k}"),
-            range,
-        })
-        .collect();
-
     let reducer = LuLevelReducer {
-        dir: dir.clone(),
+        dir: dir.to_string(),
         a4,
-        l2_source: MatrixSource::new(
-            (rest, half),
-            l2_stripes
-                .iter()
-                .map(|s| Piece::new(s.path.clone(), s.range, (0, half)))
-                .collect(),
-        ),
-        u2_source: if opts.transpose_u {
-            // Transposed space: rows are U2's columns.
-            MatrixSource::new(
-                (rest, half),
-                u2_stripes
-                    .iter()
-                    .map(|s| Piece::new(s.path.clone(), s.range, (0, half)))
-                    .collect(),
-            )
-        } else {
-            MatrixSource::new(
-                (half, rest),
-                u2_stripes
-                    .iter()
-                    .map(|s| Piece::new(s.path.clone(), (0, half), s.range))
-                    .collect(),
-            )
-        },
+        l2_source: l2.clone(),
+        u2_source: u2.clone(),
         cell_rows: cell_rows.clone(),
         cell_cols: cell_cols.clone(),
         opts: *opts,
@@ -253,7 +196,6 @@ pub fn lu_decompose_mr(
         .iter()
         .enumerate()
         .flat_map(|(i, &rr)| {
-            let dir = &dir;
             let cell_cols = &cell_cols;
             cell_cols.iter().enumerate().filter_map(move |(j, &cc)| {
                 if rr.0 >= rr.1 || cc.0 >= cc.1 {
@@ -267,22 +209,14 @@ pub fn lu_decompose_mr(
     let b_source = MatrixSource::new((rest, rest), b_pieces);
 
     // Decompose B (Algorithm 2 line 10).
-    let b_factors = lu_decompose_mr(
-        driver,
-        BlockView::Source {
-            dir: format!("{dir}/OUT"),
-            source: b_source,
-        },
-        plan,
-        opts,
-    )?;
+    let b_factors = lu_decompose_mr(driver, &format!("{dir}/OUT"), b_source, plan, opts)?;
 
     let node = FactorRef::Node {
         n,
         half,
         a1: Box::new(a1_factors),
-        l2_stripes,
-        u2_stripes,
+        l2,
+        u2,
         b: Box::new(b_factors),
         transposed_u: opts.transpose_u,
     };
@@ -559,9 +493,8 @@ mod tests {
         let a = random_invertible(n, seed);
         ingest_input(&cluster, &a, &plan).unwrap();
         let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
-        let (tree, _) = run_partition_job(&mut driver, &plan).unwrap();
-        let factors =
-            lu_decompose_mr(&mut driver, BlockView::Tree(tree), &plan, &icfg.opts).unwrap();
+        let (source, _) = run_partition_job(&mut driver, &plan).unwrap();
+        let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &icfg.opts).unwrap();
         // Reports minus the partition job: the LU pipeline proper.
         let reports = driver.reports()[1..].to_vec();
         (cluster, factors, reports, a)
@@ -687,9 +620,8 @@ mod tests {
         let a = random_invertible(32, 17);
         ingest_input(&cluster, &a, &plan).unwrap();
         let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
-        let (tree, _) = run_partition_job(&mut driver, &plan).unwrap();
-        let factors =
-            lu_decompose_mr(&mut driver, BlockView::Tree(tree), &plan, &icfg.opts).unwrap();
+        let (source, _) = run_partition_job(&mut driver, &plan).unwrap();
+        let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &icfg.opts).unwrap();
         assert!(driver.total_failures() >= 2);
         assert_pa_eq_lu(&cluster, &factors, &a, 1e-8);
     }

@@ -15,9 +15,12 @@
 //!   `A4` into the `f1 × f2` block-wrap grid (Section 6.2) × writer
 //!   pieces, and `A1` recurses.
 //!
-//! The master rebuilds the same geometry as [`MatrixSource`] descriptors
-//! (pure metadata — the mapper and the master share one enumeration
-//! function, so they cannot disagree).
+//! The master describes the same files as one whole-matrix
+//! [`MatrixSource`] in global coordinates (pure metadata — the mapper and
+//! the master share one enumeration function, so they cannot disagree).
+//! The directory tree is only naming: the files tile the input and align
+//! with every split, so the LU recursion reaches each quadrant's files by
+//! windowing that one descriptor.
 
 use mrinv_mapreduce::job::{JobSpec, MapContext, Mapper};
 use mrinv_mapreduce::runner::{run_map_only, JobReport};
@@ -88,66 +91,20 @@ impl PartitionPlan {
     }
 }
 
-/// A planned file: its path, global rectangle, and writer mapper.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PlannedPiece {
-    writer: usize,
-    path: String,
-    rows: (usize, usize),
-    cols: (usize, usize),
+/// Enumerates every planned piece of the recursive layout, in global
+/// coordinates (shared by the mapper and the master so the two views
+/// cannot diverge). The pieces tile the `n × n` input disjointly and align
+/// with every recursion split, so windowing the whole-matrix source keeps,
+/// for each quadrant, exactly the files under that quadrant's directory.
+fn enumerate_pieces(plan: &PartitionPlan) -> Vec<Piece> {
+    let mut out = Vec::new();
+    enumerate_block(plan, &plan.root, 0, 0, plan.n, &mut out);
+    out
 }
 
-/// The recursive layout of one block, mirroring Figure 4.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SourceTree {
-    /// Block of order ≤ `nb`, decomposed on the master node.
-    Leaf {
-        /// DFS directory of this block.
-        dir: String,
-        /// Block order.
-        n: usize,
-        /// The stored block (local coordinates).
-        source: MatrixSource,
-    },
-    /// Internal node: `A1` recurses; `A2`/`A3`/`A4` feed the level's job.
-    Split {
-        /// DFS directory of this block.
-        dir: String,
-        /// Block order.
-        n: usize,
-        /// Split point (`A1` has order `half`).
-        half: usize,
-        /// Recursive layout of the top-left block.
-        a1: Box<SourceTree>,
-        /// Top-right block, split for the `U2` mappers.
-        a2: MatrixSource,
-        /// Bottom-left block, split for the `L2'` mappers.
-        a3: MatrixSource,
-        /// Bottom-right block, split for the block-wrap reducers.
-        a4: MatrixSource,
-    },
-}
-
-impl SourceTree {
-    /// Block order at this node.
-    pub fn n(&self) -> usize {
-        match self {
-            SourceTree::Leaf { n, .. } | SourceTree::Split { n, .. } => *n,
-        }
-    }
-
-    /// DFS directory of this node.
-    pub fn dir(&self) -> &str {
-        match self {
-            SourceTree::Leaf { dir, .. } | SourceTree::Split { dir, .. } => dir,
-        }
-    }
-}
-
-/// Enumerates every planned piece of the recursive layout (shared by the
-/// mapper and the master so the two views cannot diverge).
-fn enumerate_pieces(plan: &PartitionPlan, out: &mut Vec<PlannedPiece>) {
-    enumerate_block(plan, &plan.root.clone(), 0, 0, plan.n, out);
+/// The whole `n × n` input as the partition job lays it out.
+fn planned_source(plan: &PartitionPlan) -> MatrixSource {
+    MatrixSource::new((plan.n, plan.n), enumerate_pieces(plan))
 }
 
 fn enumerate_block(
@@ -156,14 +113,14 @@ fn enumerate_block(
     r_off: usize,
     c_off: usize,
     n: usize,
-    out: &mut Vec<PlannedPiece>,
+    out: &mut Vec<Piece>,
 ) {
     if n == 0 {
         return;
     }
     if n <= plan.nb {
         // Leaf: single reader cell, row-sliced by writers.
-        push_cells(plan, dir, r_off, c_off, n, n, &[(0, n)], &[(0, n)], out);
+        push_cells(plan, dir, r_off, c_off, &[(0, n)], &[(0, n)], out);
         return;
     }
     let half = n / 2;
@@ -177,8 +134,6 @@ fn enumerate_block(
         &format!("{dir}/A2"),
         r_off,
         c_off + half,
-        half,
-        rest,
         &[(0, half)],
         &a2_cols,
         out,
@@ -190,8 +145,6 @@ fn enumerate_block(
         &format!("{dir}/A3"),
         r_off + half,
         c_off,
-        rest,
-        half,
         &a3_rows,
         &[(0, half)],
         out,
@@ -204,8 +157,6 @@ fn enumerate_block(
         &format!("{dir}/A4"),
         r_off + half,
         c_off + half,
-        rest,
-        rest,
         &a4_rows,
         &a4_cols,
         out,
@@ -213,18 +164,16 @@ fn enumerate_block(
 }
 
 /// Emits the (reader-cell × writer) pieces of one quadrant whose local
-/// origin sits at global `(r_off, c_off)` with shape `(nr, nc)`.
-#[allow(clippy::too_many_arguments)]
+/// origin sits at global `(r_off, c_off)`. Writer `j`'s share of a cell is
+/// the cell's intersection with [`PartitionPlan::mapper_rows`]`(j)`.
 fn push_cells(
     plan: &PartitionPlan,
     dir: &str,
     r_off: usize,
     c_off: usize,
-    _nr: usize,
-    _nc: usize,
     cell_rows: &[(usize, usize)],
     cell_cols: &[(usize, usize)],
-    out: &mut Vec<PlannedPiece>,
+    out: &mut Vec<Piece>,
 ) {
     for (ci, &(cr0, cr1)) in cell_rows.iter().enumerate() {
         for (cj, &(cc0, cc1)) in cell_cols.iter().enumerate() {
@@ -242,98 +191,13 @@ fn push_cells(
                 if ir0 >= ir1 {
                     continue;
                 }
-                out.push(PlannedPiece {
-                    writer: j,
-                    path: format!("{dir}/A.{cell}.{j}"),
-                    rows: (ir0, ir1),
-                    cols: (c_off + cc0, c_off + cc1),
-                });
+                out.push(Piece::new(
+                    format!("{dir}/A.{cell}.{j}"),
+                    (ir0, ir1),
+                    (c_off + cc0, c_off + cc1),
+                ));
             }
         }
-    }
-}
-
-/// Builds the master's [`SourceTree`] of [`MatrixSource`] descriptors for
-/// the layout the partition job will write. All sources use coordinates
-/// local to their own block.
-pub fn build_source_tree(plan: &PartitionPlan) -> SourceTree {
-    let mut pieces = Vec::new();
-    enumerate_pieces(plan, &mut pieces);
-    build_tree_node(plan, &plan.root.clone(), 0, 0, plan.n, &pieces)
-}
-
-fn collect_quadrant(
-    pieces: &[PlannedPiece],
-    dir_prefix: &str,
-    r_off: usize,
-    c_off: usize,
-    shape: (usize, usize),
-) -> MatrixSource {
-    let prefix = format!("{dir_prefix}/A.");
-    let local: Vec<Piece> = pieces
-        .iter()
-        .filter(|p| p.path.starts_with(&prefix))
-        .map(|p| {
-            Piece::new(
-                p.path.clone(),
-                (p.rows.0 - r_off, p.rows.1 - r_off),
-                (p.cols.0 - c_off, p.cols.1 - c_off),
-            )
-        })
-        .collect();
-    MatrixSource::new(shape, local)
-}
-
-fn build_tree_node(
-    plan: &PartitionPlan,
-    dir: &str,
-    r_off: usize,
-    c_off: usize,
-    n: usize,
-    pieces: &[PlannedPiece],
-) -> SourceTree {
-    if n <= plan.nb {
-        return SourceTree::Leaf {
-            dir: dir.to_string(),
-            n,
-            source: collect_quadrant(pieces, dir, r_off, c_off, (n, n)),
-        };
-    }
-    let half = n / 2;
-    let rest = n - half;
-    SourceTree::Split {
-        dir: dir.to_string(),
-        n,
-        half,
-        a1: Box::new(build_tree_node(
-            plan,
-            &format!("{dir}/A1"),
-            r_off,
-            c_off,
-            half,
-            pieces,
-        )),
-        a2: collect_quadrant(
-            pieces,
-            &format!("{dir}/A2"),
-            r_off,
-            c_off + half,
-            (half, rest),
-        ),
-        a3: collect_quadrant(
-            pieces,
-            &format!("{dir}/A3"),
-            r_off + half,
-            c_off,
-            (rest, half),
-        ),
-        a4: collect_quadrant(
-            pieces,
-            &format!("{dir}/A4"),
-            r_off + half,
-            c_off + half,
-            (rest, rest),
-        ),
     }
 }
 
@@ -361,12 +225,13 @@ impl Mapper for PartitionMapper {
         ctx: &mut MapContext<usize, usize>,
     ) -> std::result::Result<(), MrError> {
         let j = *input;
-        let (r0, _r1) = self.plan.mapper_rows(j);
+        let (r0, r1) = self.plan.mapper_rows(j);
         let stripe = decode_binary(&ctx.read(&self.plan.input_part_path(j))?)
             .map_err(|e| MrError::Other(e.to_string()))?;
-        let mut pieces = Vec::new();
-        enumerate_pieces(&self.plan, &mut pieces);
-        for p in pieces.into_iter().filter(|p| p.writer == j) {
+        // Mapper rows are disjoint, so the pieces inside this mapper's
+        // range are exactly the ones `push_cells` cut for writer `j`.
+        let own = |p: &Piece| r0 <= p.rows.0 && p.rows.1 <= r1;
+        for p in enumerate_pieces(&self.plan).into_iter().filter(own) {
             let block = stripe
                 .block(BlockRange::new((p.rows.0 - r0, p.rows.1 - r0), p.cols))
                 .map_err(|e| MrError::Other(e.to_string()))?;
@@ -397,14 +262,15 @@ pub fn ingest_input(cluster: &Cluster, a: &Matrix, plan: &PartitionPlan) -> Resu
     Ok(())
 }
 
-/// Runs the partitioning job through the driver and returns the layout
-/// descriptor tree. On a resumed run the job is restored from the
-/// checkpoint manifest when its outputs survive; the tree is rebuilt
-/// either way (it is a pure function of the plan).
+/// Runs the partitioning job through the driver and returns the
+/// descriptor of the whole `n × n` input: every planned piece, in global
+/// coordinates. On a resumed run the job is restored from the checkpoint
+/// manifest when its outputs survive; the descriptor is rebuilt either way
+/// (it is a pure function of the plan).
 pub fn run_partition_job(
     driver: &mut PipelineDriver<'_>,
     plan: &PartitionPlan,
-) -> Result<(SourceTree, JobReport)> {
+) -> Result<(MatrixSource, JobReport)> {
     let spec: JobSpec<usize, usize> = JobSpec::new(format!("partition:{}", plan.root))
         .shuffle_sized()
         .remote("partition");
@@ -413,30 +279,7 @@ pub fn run_partition_job(
     let report = driver.step(spec.fingerprint(), |c| {
         run_map_only(c, &spec, &mapper, &inputs)
     })?;
-    Ok((build_source_tree(plan), report))
-}
-
-/// Reads the whole partitioned input back (test/diagnostic helper).
-pub fn read_back(tree: &SourceTree, io: &mut MasterIo<'_>) -> Result<Matrix> {
-    match tree {
-        SourceTree::Leaf { source, .. } => source.read_all(io),
-        SourceTree::Split {
-            n,
-            half,
-            a1,
-            a2,
-            a3,
-            a4,
-            ..
-        } => {
-            let mut m = Matrix::zeros(*n, *n);
-            m.set_block(0, 0, &read_back(a1, io)?)?;
-            m.set_block(0, *half, &a2.read_all(io)?)?;
-            m.set_block(*half, 0, &a3.read_all(io)?)?;
-            m.set_block(*half, *half, &a4.read_all(io)?)?;
-            Ok(m)
-        }
-    }
+    Ok((planned_source(plan), report))
 }
 
 #[cfg(test)]
@@ -444,6 +287,7 @@ mod tests {
     use super::*;
     use mrinv_mapreduce::RunId;
     use mrinv_matrix::random::random_matrix;
+    use proptest::prelude::*;
 
     fn plan(n: usize, nb: usize, m0: usize, block_wrap: bool) -> (Cluster, PartitionPlan) {
         let mut cfg = mrinv_mapreduce::ClusterConfig::medium(m0);
@@ -453,6 +297,36 @@ mod tests {
         icfg.opts.block_wrap = block_wrap;
         let p = PartitionPlan::new(n, &cluster, &icfg, "Root");
         (cluster, p)
+    }
+
+    /// How many planned pieces hold each element of the `n × n` input.
+    fn cover_counts(pieces: &[Piece], n: usize) -> Vec<u8> {
+        let mut cover = vec![0u8; n * n];
+        for piece in pieces {
+            for r in piece.rows.0..piece.rows.1 {
+                for c in piece.cols.0..piece.cols.1 {
+                    cover[r * n + c] += 1;
+                }
+            }
+        }
+        cover
+    }
+
+    /// The writer index a planned file is named after (`A.<cell>.<writer>`).
+    fn writer_of(piece: &Piece) -> usize {
+        piece.path.rsplit('.').next().unwrap().parse().unwrap()
+    }
+
+    fn paths(source: &MatrixSource) -> Vec<&str> {
+        source.pieces().iter().map(|p| p.path.as_str()).collect()
+    }
+
+    /// The planned paths under `prefix`, in enumeration order.
+    fn planned_under<'a>(all: &'a [Piece], prefix: &str) -> Vec<&'a str> {
+        all.iter()
+            .map(|p| p.path.as_str())
+            .filter(|p| p.starts_with(prefix))
+            .collect()
     }
 
     #[test]
@@ -467,10 +341,10 @@ mod tests {
             let a = random_matrix(n, n, n as u64);
             ingest_input(&cluster, &a, &p).unwrap();
             let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
-            let (tree, report) = run_partition_job(&mut driver, &p).unwrap();
+            let (source, report) = run_partition_job(&mut driver, &p).unwrap();
             assert_eq!(report.map_tasks, m0);
             let mut io = MasterIo::new(&cluster.dfs);
-            let back = read_back(&tree, &mut io).unwrap();
+            let back = source.read_all(&mut io).unwrap();
             assert_eq!(back, a, "n={n} nb={nb} m0={m0}");
         }
     }
@@ -478,13 +352,17 @@ mod tests {
     #[test]
     fn every_file_has_one_writer() {
         let (_c, p) = plan(32, 8, 4, true);
-        let mut pieces = Vec::new();
-        enumerate_pieces(&p, &mut pieces);
-        let mut seen = std::collections::HashMap::new();
+        let pieces = enumerate_pieces(&p);
+        // The mapper writes the pieces inside its own rows: exactly one
+        // mapper qualifies per piece, the one the file is named after.
         for piece in &pieces {
-            if let Some(prev) = seen.insert(piece.path.clone(), piece.writer) {
-                assert_eq!(prev, piece.writer, "file {} has two writers", piece.path);
-            }
+            let writers: Vec<usize> = (0..p.m0)
+                .filter(|&j| {
+                    let (r0, r1) = p.mapper_rows(j);
+                    r0 <= piece.rows.0 && piece.rows.1 <= r1
+                })
+                .collect();
+            assert_eq!(writers, [writer_of(piece)], "file {}", piece.path);
         }
         // And paths are unique outright.
         let paths: std::collections::HashSet<_> = pieces.iter().map(|p| &p.path).collect();
@@ -494,18 +372,10 @@ mod tests {
     #[test]
     fn pieces_tile_the_matrix_exactly() {
         let (_c, p) = plan(30, 7, 5, true);
-        let mut pieces = Vec::new();
-        enumerate_pieces(&p, &mut pieces);
-        let mut cover = vec![0u8; 30 * 30];
-        for piece in &pieces {
-            for r in piece.rows.0..piece.rows.1 {
-                for c in piece.cols.0..piece.cols.1 {
-                    cover[r * 30 + c] += 1;
-                }
-            }
-        }
         assert!(
-            cover.iter().all(|&v| v == 1),
+            cover_counts(&enumerate_pieces(&p), 30)
+                .iter()
+                .all(|&v| v == 1),
             "every element in exactly one piece"
         );
     }
@@ -513,10 +383,8 @@ mod tests {
     #[test]
     fn writers_only_touch_their_rows() {
         let (_c, p) = plan(40, 10, 4, true);
-        let mut pieces = Vec::new();
-        enumerate_pieces(&p, &mut pieces);
-        for piece in &pieces {
-            let (r0, r1) = p.mapper_rows(piece.writer);
+        for piece in &enumerate_pieces(&p) {
+            let (r0, r1) = p.mapper_rows(writer_of(piece));
             assert!(piece.rows.0 >= r0 && piece.rows.1 <= r1);
         }
     }
@@ -524,32 +392,21 @@ mod tests {
     #[test]
     fn tree_structure_matches_recursion() {
         let (_c, p) = plan(32, 8, 4, true);
-        let tree = build_source_tree(&p);
-        match &tree {
-            SourceTree::Split {
-                n,
-                half,
-                a1,
-                a2,
-                a3,
-                a4,
-                ..
-            } => {
-                assert_eq!(*n, 32);
-                assert_eq!(*half, 16);
-                assert_eq!(a2.shape(), (16, 16));
-                assert_eq!(a3.shape(), (16, 16));
-                assert_eq!(a4.shape(), (16, 16));
-                match a1.as_ref() {
-                    SourceTree::Split { n, a1: inner, .. } => {
-                        assert_eq!(*n, 16);
-                        assert!(matches!(inner.as_ref(), SourceTree::Leaf { n: 8, .. }));
-                    }
-                    other => panic!("expected split, got {other:?}"),
-                }
-            }
-            other => panic!("expected split root, got {other:?}"),
+        let [a1, a2, a3, a4] = planned_source(&p).quadrants(16, 16).unwrap();
+        for q in [&a1, &a2, &a3, &a4] {
+            assert_eq!(q.shape(), (16, 16));
         }
+        assert!(paths(&a2).iter().all(|f| f.starts_with("Root/A2/A.")));
+        assert!(paths(&a3).iter().all(|f| f.starts_with("Root/A3/A.")));
+        assert!(paths(&a4).iter().all(|f| f.starts_with("Root/A4/A.")));
+        // A1 is itself a split of order 16 whose A1 is an order-8 leaf.
+        let [leaf, inner_a2, ..] = a1.quadrants(8, 8).unwrap();
+        assert_eq!(leaf.shape(), (8, 8));
+        assert!(!leaf.pieces().is_empty());
+        assert!(paths(&leaf).iter().all(|f| f.starts_with("Root/A1/A1/A.")));
+        assert!(paths(&inner_a2)
+            .iter()
+            .all(|f| f.starts_with("Root/A1/A2/A.")));
     }
 
     #[test]
@@ -558,10 +415,11 @@ mod tests {
         let a = random_matrix(8, 8, 1);
         ingest_input(&cluster, &a, &p).unwrap();
         let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
-        let (tree, _) = run_partition_job(&mut driver, &p).unwrap();
-        assert!(matches!(tree, SourceTree::Leaf { n: 8, .. }));
+        let (source, _) = run_partition_job(&mut driver, &p).unwrap();
+        assert_eq!(source.shape(), (8, 8));
+        assert!(paths(&source).iter().all(|f| f.starts_with("Root/A.0.")));
         let mut io = MasterIo::new(&cluster.dfs);
-        assert_eq!(read_back(&tree, &mut io).unwrap(), a);
+        assert_eq!(source.read_all(&mut io).unwrap(), a);
     }
 
     #[test]
@@ -581,10 +439,8 @@ mod tests {
         let a = random_matrix(n, n, 9);
         ingest_input(&cluster, &a, &p).unwrap();
         let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
-        let (tree, _) = run_partition_job(&mut driver, &p).unwrap();
-        let SourceTree::Split { a2, .. } = &tree else {
-            panic!("expected split")
-        };
+        let (source, _) = run_partition_job(&mut driver, &p).unwrap();
+        let [_, a2, ..] = source.quadrants(16, 16).unwrap();
         cluster.dfs.reset_counters();
         let mut io = MasterIo::new(&cluster.dfs);
         let stripe_cols = even_ranges(16, p.m_u)[0];
@@ -620,5 +476,39 @@ mod tests {
             next = b;
         }
         assert_eq!(next, 33);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// What lets one whole-matrix descriptor stand in for the Figure-4
+        /// tree: the pieces tile the input exactly once, and at every
+        /// recursion node the four quadrant windows keep exactly the files
+        /// of that quadrant's directory, in enumeration order.
+        #[test]
+        fn windows_keep_each_quadrants_own_files(
+            (n, nb, m0, block_wrap) in (1usize..72, 1usize..20, 1usize..9, any::<bool>())
+        ) {
+            let (_c, p) = plan(n, nb, m0, block_wrap);
+            let all = enumerate_pieces(&p);
+            prop_assert!(cover_counts(&all, n).iter().all(|&v| v == 1));
+
+            // Only A1 recurses on the input side.
+            let mut node = planned_source(&p);
+            let mut dir = p.root.clone();
+            while node.rows() > nb {
+                let half = node.rows() / 2;
+                let [a1, a2, a3, a4] = node.quadrants(half, half).unwrap();
+                for (q, name) in [(&a1, "A1"), (&a2, "A2"), (&a3, "A3"), (&a4, "A4")] {
+                    prop_assert_eq!(paths(q), planned_under(&all, &format!("{dir}/{name}/")));
+                }
+                for q in [&a2, &a3, &a4] {
+                    prop_assert!(!q.pieces().is_empty());
+                }
+                node = a1;
+                dir = format!("{dir}/A1");
+            }
+            prop_assert_eq!(paths(&node), planned_under(&all, &format!("{dir}/A.")));
+        }
     }
 }

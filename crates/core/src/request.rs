@@ -43,7 +43,7 @@ use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
 use crate::factors::FactorRef;
 use crate::inverse::{fresh_run_id, make_driver, run_fingerprint, Checkpoint};
-use crate::lu_mr::{lu_decompose_mr, BlockView};
+use crate::lu_mr::lu_decompose_mr;
 use crate::partition::{ingest_input, run_partition_job, PartitionPlan};
 use crate::report::RunReport;
 use crate::source::{BlockIo, MasterIo};
@@ -345,8 +345,8 @@ impl<'a> Request<'a> {
         if cluster.config.progress {
             driver.enable_progress(planned_jobs);
         }
-        let (tree, _) = run_partition_job(&mut driver, &plan)?;
-        let factors = lu_decompose_mr(&mut driver, BlockView::Tree(tree), &plan, &self.cfg.opts)?;
+        let (source, _) = run_partition_job(&mut driver, &plan)?;
+        let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &self.cfg.opts)?;
         let inverse = match self.op {
             Op::Invert => Some(Arc::new(invert_factors_mr(
                 &mut driver,

@@ -7,11 +7,13 @@
 //! which reducer-output rectangles compose them are recorded ("the files in
 //! Root/OUT/A1..A4 are very small; in general, less than 1 KB").
 //!
-//! [`MatrixSource`] is that descriptor: a list of [`Piece`]s (file +
-//! rectangle) plus a selection window. Cropping a source to a quadrant is
-//! O(pieces) metadata work; reading a range decodes only the overlapping
-//! files. All reads/writes go through [`BlockIo`], so every byte lands in
-//! the executing task's accounting.
+//! [`MatrixSource`] is that descriptor, and the only one: a list of
+//! [`Piece`]s (file + rectangle) plus a selection window. The partition job
+//! returns one for the whole input, every level's `B`, `L2'` and `U2` is
+//! one, and a quadrant of any of them is a window. Cropping is O(pieces)
+//! metadata work; reading a range decodes only the overlapping files and
+//! fails unless they cover it exactly once. All reads/writes go through
+//! [`BlockIo`], so every byte lands in the executing task's accounting.
 
 use bytes::Bytes;
 use mrinv_mapreduce::job::{MapContext, ReduceContext};
@@ -105,17 +107,19 @@ impl Piece {
         }
     }
 
-    fn nrows(&self) -> usize {
+    /// Number of rows the file holds.
+    pub(crate) fn nrows(&self) -> usize {
         self.rows.1 - self.rows.0
     }
 
-    fn ncols(&self) -> usize {
+    /// Number of columns the file holds.
+    pub(crate) fn ncols(&self) -> usize {
         self.cols.1 - self.cols.0
     }
 }
 
 /// A logical `rows x cols` matrix backed by DFS pieces, with an optional
-/// window (for descriptor-only quadrants of `B`).
+/// window (for descriptor-only quadrants).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatrixSource {
     pieces: Vec<Piece>,
@@ -199,7 +203,9 @@ impl MatrixSource {
     }
 
     /// Reads the logical sub-rectangle `rows` x `cols`, decoding only the
-    /// files that overlap it.
+    /// files that overlap it. The pieces must cover the rectangle exactly
+    /// once: a descriptor that lost a piece (or lists one twice) is an
+    /// error, never a zero-filled block.
     pub fn read_range(
         &self,
         io: &mut dyn BlockIo,
@@ -216,6 +222,7 @@ impl MatrixSource {
         // Absolute target rectangle in piece space.
         let tr = (self.origin.0 + rows.0, self.origin.0 + rows.1);
         let tc = (self.origin.1 + cols.0, self.origin.1 + cols.1);
+        let mut copied = 0;
         for piece in &self.pieces {
             let r0 = piece.rows.0.max(tr.0);
             let r1 = piece.rows.1.min(tr.1);
@@ -241,6 +248,14 @@ impl MatrixSource {
                 let dst_row = &mut out.row_mut(r - tr.0)[(c0 - tc.0)..(c1 - tc.0)];
                 dst_row.copy_from_slice(src_row);
             }
+            copied += (r1 - r0) * (c1 - c0);
+        }
+        // Pieces are disjoint, so the count is exact coverage.
+        let wanted = out.rows() * out.cols();
+        if copied != wanted {
+            return Err(CoreError::Invariant(format!(
+                "pieces cover {copied} of the {wanted} elements of rows {rows:?} cols {cols:?}"
+            )));
         }
         Ok(out)
     }
@@ -405,6 +420,34 @@ mod tests {
         let src = MatrixSource::new((4, 4), vec![Piece::new("p", (0, 2), (0, 2))]);
         assert!(matches!(
             src.read_all(&mut io),
+            Err(CoreError::Invariant(_))
+        ));
+    }
+
+    #[test]
+    fn uncovered_or_doubly_covered_elements_are_detected() {
+        let dfs = Dfs::default();
+        let m = random_matrix(4, 4, 8);
+        let mut io = MasterIo::new(&dfs);
+        let top = write_piece(&mut io, "top", 0, 0, &m.row_stripe(0, 2).unwrap());
+        let bottom = write_piece(&mut io, "bottom", 2, 0, &m.row_stripe(2, 4).unwrap());
+        let whole = MatrixSource::new((4, 4), vec![top.clone(), bottom.clone()]);
+        assert_eq!(whole.read_all(&mut io).unwrap(), m);
+        // A lost piece is a gap, not two rows of zeros.
+        let gap = MatrixSource::new((4, 4), vec![top.clone()]);
+        assert!(matches!(
+            gap.read_all(&mut io),
+            Err(CoreError::Invariant(_))
+        ));
+        // The covered half still reads.
+        assert_eq!(
+            gap.read_rows(&mut io, 0, 2).unwrap(),
+            m.row_stripe(0, 2).unwrap()
+        );
+        // A piece listed twice overlaps itself.
+        let twice = MatrixSource::new((4, 4), vec![top.clone(), top, bottom]);
+        assert!(matches!(
+            twice.read_all(&mut io),
             Err(CoreError::Invariant(_))
         ));
     }

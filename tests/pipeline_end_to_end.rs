@@ -1,6 +1,7 @@
 //! End-to-end integration: the full MapReduce inversion pipeline against
 //! the paper's correctness and structure claims.
 
+use mrinv::lu_mr::lu_decompose_mr;
 use mrinv::partition::{ingest_input, run_partition_job, PartitionPlan};
 use mrinv::source::MasterIo;
 use mrinv::{InversionConfig, Optimizations, PipelineDriver, Request, RunId};
@@ -80,14 +81,19 @@ fn partitioned_layout_reassembles_and_feeds_lu() {
     let plan = PartitionPlan::new(64, &cluster, &cfg, "t/partition");
     ingest_input(&cluster, &a, &plan).unwrap();
     let mut driver = PipelineDriver::new(&cluster, RunId::new("t"));
-    let (tree, report) = run_partition_job(&mut driver, &plan).unwrap();
+    let (source, report) = run_partition_job(&mut driver, &plan).unwrap();
     assert_eq!(report.map_tasks, 4);
     let mut io = MasterIo::new(&cluster.dfs);
-    let back = mrinv::partition::read_back(&tree, &mut io).unwrap();
+    let back = source.read_all(&mut io).unwrap();
     assert_eq!(
         back, a,
         "Figure 3/4 layout holds every element exactly once"
     );
+    // The same descriptor is what the LU stage recurses over.
+    let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &cfg.opts).unwrap();
+    let l = factors.assemble_l(&mut io).unwrap();
+    let u = factors.assemble_u(&mut io).unwrap();
+    assert!((&l * &u).approx_eq(&factors.perm().apply_rows(&a), 1e-8));
 }
 
 #[test]
