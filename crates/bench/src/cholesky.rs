@@ -5,13 +5,12 @@
 //! `A = G·Gᵀ` with `G` lower triangular costs half the flops of LU
 //! (`n³/3` multiply-adds vs `2n³/3`) and needs no pivoting, but only
 //! applies to SPD inputs — "it does not work for general matrices", which
-//! is why the paper builds on LU. Provided here so the SPD fast path is
-//! available to users and benchmarks can quantify the 2× kernel gap.
+//! is why the paper builds on LU. Provided here so `repro section2` can
+//! quantify the 2× kernel gap.
 
-use crate::dense::Matrix;
-use crate::error::{MatrixError, Result};
-use crate::kernel::{self, notrans, trans};
-use crate::triangular::invert_lower;
+use mrinv_matrix::kernel::{self, notrans, trans};
+use mrinv_matrix::triangular::invert_lower;
+use mrinv_matrix::{Matrix, MatrixError, Result};
 
 /// Cholesky-factorizes an SPD matrix: returns lower-triangular `G` with
 /// `A = G·Gᵀ`.
@@ -50,18 +49,11 @@ pub fn invert_spd(a: &Matrix) -> Result<Matrix> {
     kernel::mul(trans(&g_inv), notrans(&g_inv))
 }
 
-/// Approximate flop count of an order-`n` Cholesky factorization
-/// (`n³/3` multiply-adds — half of LU).
-pub fn cholesky_flops(n: usize) -> u64 {
-    let n = n as u64;
-    n * n * n / 3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::norms::inversion_residual;
-    use crate::random::{random_matrix, random_spd};
+    use mrinv_matrix::norms::inversion_residual;
+    use mrinv_matrix::random::{random_matrix, random_spd};
 
     #[test]
     fn factor_reconstructs_a() {
@@ -90,8 +82,8 @@ mod tests {
 
     #[test]
     fn agrees_with_general_lu_inversion() {
-        use crate::lu::lu_decompose;
-        use crate::triangular::{invert_lower as il, invert_upper};
+        use mrinv_matrix::lu::lu_decompose;
+        use mrinv_matrix::triangular::{invert_lower as il, invert_upper};
         let a = random_spd(24, 6);
         let via_chol = invert_spd(&a).unwrap();
         let f = lu_decompose(&a).unwrap();
@@ -122,10 +114,5 @@ mod tests {
         assert!(cholesky(&sym).is_err(), "random symmetric is indefinite");
         assert!(cholesky(&Matrix::zeros(3, 3)).is_err());
         assert!(cholesky(&Matrix::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn flop_count_is_half_of_lu() {
-        assert_eq!(cholesky_flops(30) * 2, crate::lu::lu_flops(30));
     }
 }

@@ -1085,7 +1085,7 @@ pub fn section2_methods(n: usize, nb: usize) -> Vec<MethodRow> {
         });
     };
     push("gauss-jordan", &a, 2 * n as u64, "general", &|| {
-        mrinv_matrix::gauss_jordan::invert_gauss_jordan(&a).unwrap()
+        crate::gauss_jordan::invert_gauss_jordan(&a).unwrap()
     });
     push(
         "block-lu (paper)",
@@ -1095,10 +1095,10 @@ pub fn section2_methods(n: usize, nb: usize) -> Vec<MethodRow> {
         &|| mrinv::inmem::invert_block(&a, nb).unwrap(),
     );
     push("qr (gram-schmidt)", &a, n as u64, "general", &|| {
-        mrinv_matrix::qr::invert_qr(&a).unwrap()
+        crate::qr::invert_qr(&a).unwrap()
     });
     push("cholesky", &spd, n as u64, "SPD only", &|| {
-        mrinv_matrix::cholesky::invert_spd(&spd).unwrap()
+        crate::cholesky::invert_spd(&spd).unwrap()
     });
     out
 }

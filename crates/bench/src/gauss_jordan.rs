@@ -10,8 +10,7 @@
 //! pipeline's `2^⌈log2(n/nb)⌉`. This implementation exists to make that
 //! Section 2 comparison executable: same answers, hopeless job count.
 
-use crate::dense::Matrix;
-use crate::error::{MatrixError, Result};
+use mrinv_matrix::{Matrix, MatrixError, Result};
 
 /// Inverts `a` by Gauss-Jordan elimination with partial pivoting.
 pub fn invert_gauss_jordan(a: &Matrix) -> Result<Matrix> {
@@ -84,18 +83,11 @@ pub fn invert_gauss_jordan(a: &Matrix) -> Result<Matrix> {
     Ok(right)
 }
 
-/// Number of sequential elimination steps Gauss-Jordan needs — the
-/// quantity that makes it unsuitable for MapReduce (Section 2: "a pipeline
-/// of n MapReduce jobs").
-pub fn gauss_jordan_sequential_steps(n: usize) -> usize {
-    2 * n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::norms::inversion_residual;
-    use crate::random::{random_invertible, random_well_conditioned};
+    use mrinv_matrix::norms::inversion_residual;
+    use mrinv_matrix::random::{random_invertible, random_well_conditioned};
 
     #[test]
     fn inverts_well_conditioned_matrices() {
@@ -118,8 +110,8 @@ mod tests {
 
     #[test]
     fn agrees_with_lu_based_inversion() {
-        use crate::lu::lu_decompose;
-        use crate::triangular::{invert_lower, invert_upper};
+        use mrinv_matrix::lu::lu_decompose;
+        use mrinv_matrix::triangular::{invert_lower, invert_upper};
         let a = random_invertible(32, 9);
         let gj = invert_gauss_jordan(&a).unwrap();
         let f = lu_decompose(&a).unwrap();
@@ -137,19 +129,12 @@ mod tests {
         // can survive the threshold after pivot swaps reorder the
         // eliminations and leave rounding residue — LU's unnormalized
         // elimination detects that case more reliably; see
-        // crate::lu::tests::singular_matrix_is_detected.)
+        // mrinv_matrix::lu::tests::singular_matrix_is_detected.)
         let mut a = random_well_conditioned(8, 1);
         for v in a.row_mut(5) {
             *v = 0.0;
         }
         assert!(invert_gauss_jordan(&a).is_err());
-    }
-
-    #[test]
-    fn sequential_step_count_is_linear() {
-        // The Section 2 argument: 2n dependent steps vs the block method's
-        // logarithmic pipeline.
-        assert_eq!(gauss_jordan_sequential_steps(100_000), 200_000);
     }
 
     #[test]

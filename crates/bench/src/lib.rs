@@ -1,13 +1,18 @@
 //! Shared harness for regenerating the paper's evaluation (Section 7).
 //!
-//! The `repro` binary exposes one subcommand per table/figure; the
-//! Criterion benches reuse the same experiment functions on smaller
-//! workloads. See `EXPERIMENTS.md` at the repository root for the
-//! paper-vs-measured record.
+//! The `repro` binary exposes one subcommand per table/figure. The
+//! inversion methods the paper weighs and rejects in Section 2
+//! (Gauss-Jordan, QR, Cholesky) live here beside
+//! [`experiments::section2_methods`], their one caller. See
+//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
+//! record.
 
 #![warn(missing_docs)]
 
+mod cholesky;
 pub mod experiments;
+mod gauss_jordan;
+mod qr;
 pub mod suite;
 
 use std::io::Write as _;

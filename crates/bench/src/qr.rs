@@ -9,9 +9,8 @@
 //! better than classical, same sequential structure) so the Section 2
 //! comparison is executable.
 
-use crate::dense::Matrix;
-use crate::error::{MatrixError, Result};
-use crate::triangular::back_substitution;
+use mrinv_matrix::triangular::back_substitution;
+use mrinv_matrix::{Matrix, MatrixError, Result};
 
 /// The QR factors of a square matrix.
 #[derive(Debug, Clone)]
@@ -80,8 +79,8 @@ pub fn invert_qr(a: &Matrix) -> Result<Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::norms::inversion_residual;
-    use crate::random::{random_invertible, random_well_conditioned};
+    use mrinv_matrix::norms::inversion_residual;
+    use mrinv_matrix::random::{random_invertible, random_well_conditioned};
 
     #[test]
     fn q_is_orthogonal_and_r_upper() {

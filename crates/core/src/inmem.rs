@@ -10,7 +10,6 @@
 //! * the shape of a Spark-style port (Section 8's future work keeps
 //!   intermediates in memory; this module is exactly that dataflow).
 
-use mrinv_matrix::block::BlockRange;
 use mrinv_matrix::kernel::{gemm, notrans, trans};
 use mrinv_matrix::lu::lu_decompose;
 use mrinv_matrix::triangular::{
@@ -113,17 +112,6 @@ pub fn invert_single_node(a: &Matrix) -> Result<Matrix> {
     Ok(f.perm.apply_cols(&mul_inverse_factors(&u_inv, &l_inv)?))
 }
 
-/// Extracts the `A1` quadrant factors from a full decomposition, for tests
-/// that validate Equation 5's block structure.
-pub fn factor_quadrants(f: &BlockLu, half: usize) -> Result<(Matrix, Matrix, Matrix, Matrix)> {
-    let n = f.l.rows();
-    let l1 = f.l.block(BlockRange::new((0, half), (0, half)))?;
-    let l2 = f.l.block(BlockRange::new((half, n), (0, half)))?;
-    let u1 = f.u.block(BlockRange::new((0, half), (0, half)))?;
-    let u2 = f.u.block(BlockRange::new((0, half), (half, n)))?;
-    Ok((l1, l2, u1, u2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,15 +203,14 @@ mod tests {
         let half = 16;
         let a = random_invertible(n, 11);
         let f = block_lu(&a, half).unwrap();
-        let (l1, l2, u1, u2) = factor_quadrants(&f, half).unwrap();
-        let q = a.split_quadrants(half).unwrap();
+        let l = f.l.split_quadrants(half).unwrap();
+        let u = f.u.split_quadrants(half).unwrap();
         let pa = f.perm.apply_rows(&a);
         let paq = pa.split_quadrants(half).unwrap();
         // L1 U1 = (P A)_1, L1 U2 = (P A)_2, L2 U1 = (P A)_3.
-        assert!((&l1 * &u1).approx_eq(&paq.a1, 1e-8));
-        assert!((&l1 * &u2).approx_eq(&paq.a2, 1e-8));
-        assert!((&l2 * &u1).approx_eq(&paq.a3, 1e-8));
-        let _ = q;
+        assert!((&l.a1 * &u.a1).approx_eq(&paq.a1, 1e-8));
+        assert!((&l.a1 * &u.a2).approx_eq(&paq.a2, 1e-8));
+        assert!((&l.a3 * &u.a1).approx_eq(&paq.a3, 1e-8));
     }
 
     #[test]

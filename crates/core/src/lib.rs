@@ -52,10 +52,7 @@
 //! [`theory`] (the closed forms of Tables 1–2), [`inmem`] (the same
 //! algorithm without MapReduce, for verification and as the Section 8
 //! "Spark-style" dataflow), and [`config`] (the Section 6 optimization
-//! toggles). Beyond the paper: [`ops`] (distributed multiply, transpose,
-//! and element-wise combine — the SystemML-style neighbours inversion
-//! composes with) and [`solve`] (determinants, condition estimates, and
-//! Newton–Schulz-refined inverses on top of the distributed factors).
+//! toggles).
 
 #![warn(missing_docs)]
 
@@ -70,14 +67,11 @@ pub mod inmem;
 pub mod inverse;
 pub mod lu_mr;
 pub mod obs;
-pub mod ops;
 pub mod partition;
 pub mod remote;
-pub mod report;
 pub mod request;
 pub mod schedule;
 pub mod service;
-pub mod solve;
 pub mod source;
 pub mod theory;
 pub mod tri_inv_mr;
@@ -86,7 +80,6 @@ pub use cache::{cache_key, CacheStats, FactorCache};
 pub use config::{InversionConfig, Optimizations};
 pub use error::{CoreError, Result};
 pub use inverse::{run_fingerprint, Checkpoint};
-pub use mrinv_mapreduce::{PipelineDriver, RunId};
+pub use mrinv_mapreduce::{PipelineDriver, RunId, RunReport};
 pub use remote::exec_registry;
-pub use report::RunReport;
 pub use request::{CacheStatus, LuFactors, Op, Outcome, Request};

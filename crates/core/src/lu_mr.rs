@@ -45,6 +45,15 @@ pub(crate) fn register(r: &mut TaskRegistry) {
     r.register::<LuLevelMapper, LuLevelReducer>("lu-level");
 }
 
+/// The job one recursion node under `dir` submits: one reducer per cell.
+pub(crate) fn job_spec(dir: &str, num_cells: usize) -> JobSpec<usize, usize> {
+    JobSpec::new(format!("lu-level:{dir}"))
+        .reducers(num_cells)
+        .partitioner(identity_partitioner)
+        .shuffle_sized()
+        .remote("lu-level")
+}
+
 /// Charges a master I/O session to the simulated clock.
 pub(crate) fn charge_master_io(cluster: &Cluster, io: &MasterIo<'_>) {
     let cost = &cluster.config.cost;
@@ -182,11 +191,7 @@ pub fn lu_decompose_mr(
         opts: *opts,
     };
 
-    let spec = JobSpec::new(format!("lu-level:{dir}"))
-        .reducers(num_cells)
-        .partitioner(identity_partitioner)
-        .shuffle_sized()
-        .remote("lu-level");
+    let spec = job_spec(dir, num_cells);
     driver.step(spec.fingerprint(), |c| {
         run_job(c, &spec, &mapper, &reducer, &inputs).map(|(_outputs, report)| report)
     })?;
@@ -238,7 +243,7 @@ pub fn lu_decompose_mr(
 /// Map-task input: which stripe of which factor to compute (the control
 /// integer of Section 5.1, enriched with the stripe geometry).
 #[derive(Debug, Clone)]
-pub enum LuTaskInput {
+enum LuTaskInput {
     /// Compute rows `rows.0..rows.1` of `L2'`.
     L2Stripe {
         /// Stripe index.

@@ -16,7 +16,7 @@ use mrinv_mapreduce::Cluster;
 /// Appends one series group per GEMM backend that recorded at least one
 /// call: cumulative calls/FLOPs counters plus wall-time, packing-time,
 /// and effective-GFLOP/s gauges, all labeled `{backend=...}`.
-pub fn kernel_perf_series(snap: &mut ObsSnapshot) {
+fn kernel_perf_series(snap: &mut ObsSnapshot) {
     for p in mrinv_matrix::kernel::perf::snapshot() {
         let labels = Labels::new().backend(p.backend);
         snap.push_counter("mrinv_kernel_calls_total", labels.clone(), p.calls);

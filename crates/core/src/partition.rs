@@ -81,12 +81,12 @@ impl PartitionPlan {
     }
 
     /// The consecutive global row range partition mapper `j` owns.
-    pub fn mapper_rows(&self, j: usize) -> (usize, usize) {
+    fn mapper_rows(&self, j: usize) -> (usize, usize) {
         even_ranges(self.n, self.m0)[j]
     }
 
     /// DFS path of the input row-stripe file mapper `j` reads.
-    pub fn input_part_path(&self, j: usize) -> String {
+    fn input_part_path(&self, j: usize) -> String {
         format!("{}/input/part.{j}", self.root)
     }
 }
@@ -204,7 +204,7 @@ fn push_cells(
 /// The partitioning mapper: worker `j` reads its consecutive input rows and
 /// writes every planned piece it owns.
 #[derive(Serialize, Deserialize)]
-pub struct PartitionMapper {
+struct PartitionMapper {
     plan: PartitionPlan,
 }
 
@@ -212,6 +212,13 @@ pub struct PartitionMapper {
 /// [`crate::remote::exec_registry`]).
 pub(crate) fn register(r: &mut TaskRegistry) {
     r.register_map_only::<PartitionMapper>("partition");
+}
+
+/// The map-only partitioning job writing under `root`.
+pub(crate) fn job_spec(root: &str) -> JobSpec<usize, usize> {
+    JobSpec::new(format!("partition:{root}"))
+        .shuffle_sized()
+        .remote("partition")
 }
 
 impl Mapper for PartitionMapper {
@@ -271,9 +278,7 @@ pub fn run_partition_job(
     driver: &mut PipelineDriver<'_>,
     plan: &PartitionPlan,
 ) -> Result<(MatrixSource, JobReport)> {
-    let spec: JobSpec<usize, usize> = JobSpec::new(format!("partition:{}", plan.root))
-        .shuffle_sized()
-        .remote("partition");
+    let spec = job_spec(&plan.root);
     let inputs: Vec<usize> = (0..plan.m0).collect();
     let mapper = PartitionMapper { plan: plan.clone() };
     let report = driver.step(spec.fingerprint(), |c| {

@@ -59,9 +59,31 @@ impl Mapper for DieOnceMapper {
 pub fn exec_registry() -> TaskRegistry {
     let mut r = TaskRegistry::new();
     crate::partition::register(&mut r);
-    crate::ops::register(&mut r);
     crate::lu_mr::register(&mut r);
     crate::tri_inv_mr::register(&mut r);
     r.register_map_only::<DieOnceMapper>("die-once");
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_is_exactly_the_pipeline_families() {
+        let registry = exec_registry();
+        let families = registry.families();
+        assert_eq!(
+            families,
+            ["die-once", "final-inverse", "lu-level", "partition"]
+        );
+        for spec in [
+            crate::partition::job_spec("d"),
+            crate::lu_mr::job_spec("d", 1),
+            crate::tri_inv_mr::job_spec("d", 1),
+        ] {
+            let family = spec.remote_family().expect("pipeline jobs run remotely");
+            assert!(families.contains(&family), "{family} is not registered");
+        }
+    }
 }

@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use mrinv_mapreduce::{Cluster, RunId};
+use mrinv_mapreduce::{Cluster, RunId, RunReport};
 use mrinv_matrix::triangular::{back_substitution, forward_substitution};
 use mrinv_matrix::{Matrix, Permutation};
 
@@ -45,7 +45,6 @@ use crate::factors::FactorRef;
 use crate::inverse::{fresh_run_id, make_driver, run_fingerprint, Checkpoint};
 use crate::lu_mr::lu_decompose_mr;
 use crate::partition::{ingest_input, run_partition_job, PartitionPlan};
-use crate::report::RunReport;
 use crate::source::{BlockIo, MasterIo};
 use crate::tri_inv_mr::invert_factors_mr;
 

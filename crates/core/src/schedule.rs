@@ -34,7 +34,7 @@ pub fn recursion_depth(n: usize, nb: usize) -> u32 {
 /// jobs including the final inversion job. For awkward odd orders the two
 /// sides of a split can bottom out at different depths and the exact count
 /// comes from the recursion itself ("modulo rounding", Section 4.2).
-pub fn lu_pipeline_jobs(n: usize, nb: usize) -> u64 {
+fn lu_pipeline_jobs(n: usize, nb: usize) -> u64 {
     assert!(nb >= 1, "nb must be positive");
     if n <= nb {
         return 0;

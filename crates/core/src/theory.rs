@@ -50,13 +50,13 @@ impl CostRow {
 }
 
 /// Table 1's `l = (m0 + 2·f1 + 2·f2) / 4`.
-pub fn table1_l(m0: usize) -> f64 {
+fn table1_l(m0: usize) -> f64 {
     let (f1, f2) = factor_pair(m0);
     (m0 as f64 + 2.0 * f1 as f64 + 2.0 * f2 as f64) / 4.0
 }
 
 /// Table 2's `l = (m0 + f1 + f2) / 2`.
-pub fn table2_l(m0: usize) -> f64 {
+fn table2_l(m0: usize) -> f64 {
     let (f1, f2) = factor_pair(m0);
     (m0 as f64 + f1 as f64 + f2 as f64) / 2.0
 }

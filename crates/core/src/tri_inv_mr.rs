@@ -13,7 +13,7 @@
 //!   is column `S[j]` of `A^-1` (Section 4.3).
 //!
 //! Because the interleaved vectors are non-contiguous, files carry explicit
-//! index headers ([`IndexedBlock`]).
+//! index headers (`IndexedBlock`).
 
 use std::ops::Range;
 
@@ -39,7 +39,7 @@ use crate::partition::PartitionPlan;
 /// (interleaved rows of `U^-1`, columns of `L^-1`, or permuted output
 /// columns).
 #[derive(Debug, Clone, PartialEq)]
-pub struct IndexedBlock {
+struct IndexedBlock {
     /// Global index of each vector in `data`'s rows (or columns).
     pub indices: Vec<u64>,
     /// The vectors; orientation is up to the producer.
@@ -47,7 +47,7 @@ pub struct IndexedBlock {
 }
 
 /// Encodes an [`IndexedBlock`]: `[count u64][indices...][matrix]`.
-pub fn encode_indexed(block: &IndexedBlock) -> Bytes {
+fn encode_indexed(block: &IndexedBlock) -> Bytes {
     let (rows, cols) = block.data.shape();
     encode_indexed_parts(&block.indices, rows, cols, block.data.as_slice())
 }
@@ -63,7 +63,7 @@ fn encode_indexed_parts(indices: &[u64], rows: usize, cols: usize, values: &[f64
 }
 
 /// Decodes an [`IndexedBlock`].
-pub fn decode_indexed(mut data: &[u8]) -> Result<IndexedBlock> {
+fn decode_indexed(mut data: &[u8]) -> Result<IndexedBlock> {
     if data.len() < 8 {
         return Err(CoreError::Invariant("indexed block truncated".into()));
     }
@@ -87,7 +87,7 @@ pub fn decode_indexed(mut data: &[u8]) -> Result<IndexedBlock> {
 
 /// Map-task input for the final job.
 #[derive(Debug, Clone)]
-pub enum InvTaskInput {
+enum InvTaskInput {
     /// Invert `L`: compute columns `k, k+m, ...` of `L^-1`.
     LCols {
         /// Worker index within the `L` half.
@@ -131,6 +131,15 @@ impl Deserialize for InvTaskInput {
 /// [`crate::remote::exec_registry`]).
 pub(crate) fn register(r: &mut TaskRegistry) {
     r.register::<TriInvMapper, TriInvReducer>("final-inverse");
+}
+
+/// The final-inversion job writing under `dir`: one reducer per cell.
+pub(crate) fn job_spec(dir: &str, num_cells: usize) -> JobSpec<usize, usize> {
+    JobSpec::new(format!("final-inverse:{dir}"))
+        .reducers(num_cells)
+        .partitioner(identity_partitioner)
+        .shuffle_sized()
+        .remote("final-inverse")
 }
 
 #[derive(Serialize, Deserialize)]
@@ -505,11 +514,7 @@ pub fn invert_factors_mr(
         opts: *opts,
     };
 
-    let spec = JobSpec::new(format!("final-inverse:{dir}"))
-        .reducers(num_cells)
-        .partitioner(identity_partitioner)
-        .shuffle_sized()
-        .remote("final-inverse");
+    let spec = job_spec(&dir, num_cells);
     driver.step(spec.fingerprint(), |c| {
         run_job(c, &spec, &mapper, &reducer, &inputs).map(|(_out, report)| report)
     })?;

@@ -34,11 +34,11 @@ use crate::error::{MrError, Result};
 
 /// Default HDFS replication factor (the paper uses the Hadoop default of 3,
 /// Section 7.1).
-pub const DEFAULT_REPLICATION: u32 = 3;
+const DEFAULT_REPLICATION: u32 = 3;
 
 /// Aggregate I/O counters, all in logical (unreplicated) bytes.
 #[derive(Debug, Default)]
-pub struct DfsCounters {
+struct DfsCounters {
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
     files_written: AtomicU64,
@@ -329,7 +329,7 @@ impl Dfs {
     }
 
     /// Deletes every file under the directory `dir`; returns how many were
-    /// removed. Like `list` and `dir_size`, `""` addresses the root: it
+    /// removed. Like `list`, `""` addresses the root: it
     /// clears the whole store.
     pub fn delete_dir(&self, dir: &str) -> usize {
         let norm = normalize_path(dir);
@@ -364,21 +364,6 @@ impl Dfs {
             .take_while(|(k, _)| k.starts_with(&prefix))
             .map(|(k, _)| k.clone())
             .collect()
-    }
-
-    /// Sum of the sizes of all files under `dir`.
-    pub fn dir_size(&self, dir: &str) -> u64 {
-        let norm = normalize_path(dir);
-        let files = self.files.read();
-        if norm.is_empty() {
-            return files.values().map(|b| b.data.len() as u64).sum();
-        }
-        let prefix = format!("{norm}/");
-        files
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(_, b)| b.data.len() as u64)
-            .sum()
     }
 
     /// Snapshot of the I/O counters.
@@ -593,7 +578,7 @@ mod tests {
 
     #[test]
     fn delete_dir_of_root_clears_the_store() {
-        // `""` means the root for list/dir_size; delete_dir must agree
+        // `""` means the root for list; delete_dir must agree
         // (it used to build the prefix "/" and silently delete nothing).
         let dfs = Dfs::default();
         dfs.write("d/a", Bytes::from_static(b"1"));
@@ -676,16 +661,6 @@ mod tests {
         assert_eq!(c.reads, 2);
         dfs.reset_counters();
         assert_eq!(dfs.counters(), DfsCountersSnapshot::default());
-    }
-
-    #[test]
-    fn dir_size_sums_contents() {
-        let dfs = Dfs::default();
-        dfs.write("d/a", Bytes::from(vec![0u8; 10]));
-        dfs.write("d/e/b", Bytes::from(vec![0u8; 20]));
-        dfs.write("x", Bytes::from(vec![0u8; 40]));
-        assert_eq!(dfs.dir_size("d"), 30);
-        assert_eq!(dfs.dir_size(""), 70);
     }
 
     #[test]

@@ -36,7 +36,6 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::Cluster;
 use crate::dfs::{normalize_path, DfsCountersSnapshot};
 use crate::error::{MrError, Result};
-use crate::job::TaskStats;
 use crate::metrics::MetricsSnapshot;
 use crate::runner::JobReport;
 use crate::tracelog::{self, PipelineAnalytics, TraceLog};
@@ -190,7 +189,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Builds a report from before/after snapshots.
-    pub fn from_deltas(
+    fn from_deltas(
         n: usize,
         nodes: usize,
         nb: usize,
@@ -499,11 +498,6 @@ impl<'c> PipelineDriver<'c> {
         &self.reports
     }
 
-    /// Number of jobs sequenced so far (restored ones included).
-    pub fn num_jobs(&self) -> usize {
-        self.reports.len()
-    }
-
     /// Jobs restored from the manifest instead of re-executed.
     pub fn restored_jobs(&self) -> u64 {
         self.restored_jobs
@@ -517,30 +511,13 @@ impl<'c> PipelineDriver<'c> {
     /// Total simulated seconds across jobs (excludes master-node work,
     /// which the cluster clock tracks separately; includes restored
     /// jobs' recorded times).
-    pub fn total_sim_secs(&self) -> f64 {
+    fn total_sim_secs(&self) -> f64 {
         self.reports.iter().map(|r| r.sim_secs).sum()
     }
 
     /// Total failed task attempts.
     pub fn total_failures(&self) -> u32 {
         self.reports.iter().map(|r| r.failures).sum()
-    }
-
-    /// Aggregate measured work of all successful attempts.
-    pub fn total_stats(&self) -> TaskStats {
-        self.reports
-            .iter()
-            .fold(TaskStats::default(), |acc, r| acc.merge(&r.stats))
-    }
-
-    /// Total map tasks across jobs.
-    pub fn total_map_tasks(&self) -> usize {
-        self.reports.iter().map(|r| r.map_tasks).sum()
-    }
-
-    /// Total reduce tasks across jobs.
-    pub fn total_reduce_tasks(&self) -> usize {
-        self.reports.iter().map(|r| r.reduce_tasks).sum()
     }
 
     /// Straggler/lost-work analytics for *this run's* jobs, computed from
@@ -565,10 +542,6 @@ mod tests {
             reduce_tasks: 1,
             failures,
             sim_secs: secs,
-            stats: TaskStats {
-                read_bytes: 10,
-                ..TaskStats::default()
-            },
             ..JobReport::default()
         }
     }
@@ -577,16 +550,13 @@ mod tests {
     fn totals_accumulate() {
         let cluster = Cluster::medium(1);
         let mut d = PipelineDriver::new(&cluster, RunId::new("t"));
-        assert_eq!(d.num_jobs(), 0);
+        assert!(d.reports().is_empty());
         assert_eq!(d.total_sim_secs(), 0.0);
         d.step(0, |_| Ok(report("a", 1.5, 0))).unwrap();
         d.step(0, |_| Ok(report("b", 2.5, 2))).unwrap();
-        assert_eq!(d.num_jobs(), 2);
+        assert_eq!(d.reports().len(), 2);
         assert!((d.total_sim_secs() - 4.0).abs() < 1e-12);
         assert_eq!(d.total_failures(), 2);
-        assert_eq!(d.total_stats().read_bytes, 20);
-        assert_eq!(d.total_map_tasks(), 4);
-        assert_eq!(d.total_reduce_tasks(), 2);
         assert_eq!(d.reports()[0].name, "a");
         assert_eq!(d.restored_jobs(), 0);
     }
@@ -647,7 +617,7 @@ mod tests {
         assert_eq!(d.restored_jobs(), 1);
         assert_eq!(d.restored_sim_secs(), 5.0);
         d.step(12, step2).unwrap();
-        assert_eq!(d.num_jobs(), 2);
+        assert_eq!(d.reports().len(), 2);
 
         let r = d.finish(8, 2);
         assert_eq!(r.restored_jobs, 1);
@@ -710,7 +680,7 @@ mod tests {
         assert_eq!(err, MrError::DriverKilled { after_jobs: 0 });
         // The knob is consumed: after clearing, the pipeline proceeds.
         d.step(0, |_| Ok(report("a", 1.0, 0))).unwrap();
-        assert_eq!(d.num_jobs(), 1);
+        assert_eq!(d.reports().len(), 1);
     }
 
     #[test]
@@ -753,5 +723,86 @@ mod tests {
         let mut d2 = PipelineDriver::resume(&cluster, run).unwrap();
         let r = d2.step(9, |_| panic!("valid prefix must restore")).unwrap();
         assert_eq!(r.name, "a");
+    }
+
+    #[test]
+    fn deltas_subtract() {
+        let before = MetricsSnapshot {
+            jobs: 2,
+            sim_secs: 10.0,
+            ..Default::default()
+        };
+        let after = MetricsSnapshot {
+            jobs: 5,
+            sim_secs: 7210.0,
+            master_secs: 100.0,
+            task_failures: 1,
+            shuffle_bytes: 64,
+            ..Default::default()
+        };
+        let db = DfsCountersSnapshot {
+            bytes_written: 100,
+            bytes_read: 50,
+            ..Default::default()
+        };
+        let da = DfsCountersSnapshot {
+            bytes_written: 1100,
+            bytes_read: 2050,
+            ..Default::default()
+        };
+        let r = RunReport::from_deltas(64, 4, 8, &before, &after, &db, &da);
+        assert_eq!(r.jobs, 3);
+        assert!((r.sim_secs - 7200.0).abs() < 1e-9);
+        assert!((r.hours - 2.0).abs() < 1e-9);
+        assert_eq!(r.dfs_bytes_written, 1000);
+        assert_eq!(r.dfs_bytes_read, 2000);
+        assert_eq!(r.task_failures, 1);
+        assert_eq!(r.shuffle_bytes, 64);
+        assert!(r.analytics.is_none(), "no analytics without tracing");
+        assert_eq!(
+            r.data_local_fraction, 1.0,
+            "no map tasks means vacuously local"
+        );
+        assert_eq!(r.remote_read_bytes, 0);
+        assert_eq!(r.restored_jobs, 0, "deltas alone restore nothing");
+        assert_eq!(r.workdir, "", "workdir is stamped by the driver");
+    }
+
+    #[test]
+    fn report_round_trips_through_json() {
+        let report = RunReport {
+            n: 64,
+            nodes: 4,
+            nb: 8,
+            jobs: 9,
+            sim_secs: 123.5,
+            master_secs: 10.25,
+            task_failures: 2,
+            dfs_bytes_written: 1 << 20,
+            dfs_bytes_read: 1 << 21,
+            shuffle_bytes: 4096,
+            hours: 123.5 / 3600.0,
+            workdir: "mrinv/run-0".to_string(),
+            backend: "in-process".to_string(),
+            restored_jobs: 3,
+            restored_sim_secs: 41.25,
+            data_local_fraction: 0.75,
+            remote_read_bytes: 2048,
+            analytics: None,
+            audit: None,
+        };
+        let json = serde_json::to_string_pretty(&report).unwrap();
+        assert!(json.contains("\"jobs\": 9"), "json {json}");
+        assert!(json.contains("\"analytics\": null"));
+        assert!(json.contains("\"restored_jobs\": 3"));
+        assert!(json.contains("\"data_local_fraction\": 0.75"));
+        let back: RunReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.n, report.n);
+        assert_eq!(back.jobs, report.jobs);
+        assert_eq!(back.sim_secs, report.sim_secs);
+        assert_eq!(back.workdir, "mrinv/run-0");
+        assert_eq!(back.restored_jobs, 3);
+        assert_eq!(back.restored_sim_secs, 41.25);
+        assert!(back.analytics.is_none());
     }
 }

@@ -4,7 +4,7 @@
 //! accounted in — jobs, map/reduce tasks, failures, shuffle bytes, map
 //! locality, simulated and master seconds — and [`MetricsSnapshot`] is a
 //! point-in-time copy of them. They are exactly what
-//! [`crate::driver::RunReport::from_deltas`] subtracts (snapshot at driver
+//! [`crate::driver::PipelineDriver::finish`] subtracts (snapshot at driver
 //! start, snapshot at finish) to produce a run's report, which is why
 //! they count whether or not observability is enabled. Each total is an
 //! unlabeled series of the labeled [`Registry`] held through a cached

@@ -10,13 +10,13 @@
 //!   The registry's one lock is taken only by [`Registry::counter`]-style
 //!   get-or-create lookups; the runner resolves a wave's handles once, on
 //!   the driver thread, after the wave has run. Floating-point
-//!   accumulation uses [`AtomicF64`], a CAS loop over the `f64` bit
+//!   accumulation uses `AtomicF64`, a CAS loop over the `f64` bit
 //!   pattern in an `AtomicU64`.
 //! * **Off by default, one relaxed load when disabled.** Labeled
 //!   recording sites check [`Registry::is_enabled`] first, exactly like
 //!   [`crate::tracelog::TraceLog`].
 //! * **Bounded cardinality.** The registry is one `(name, labels) →
-//!   series` map holding at most [`Registry::max_series`] series of any
+//!   series` map holding at most the bound [`Registry::new`] takes, of any
 //!   kind; past the cap, lookups return detached handles (recorded values
 //!   are dropped) and [`Registry::dropped_series`] counts the overflow.
 //! * **Deterministic snapshots.** [`Registry::snapshot`] is sorted by
@@ -39,18 +39,11 @@ use serde::{Deserialize, Serialize};
 /// An `f64` accumulator over an `AtomicU64` bit pattern: lock-free adds
 /// via compare-and-swap, no mutex anywhere on the metrics path.
 #[derive(Debug, Default)]
-pub struct AtomicF64 {
+struct AtomicF64 {
     bits: AtomicU64,
 }
 
 impl AtomicF64 {
-    /// A new accumulator holding `v`.
-    pub fn new(v: f64) -> Self {
-        AtomicF64 {
-            bits: AtomicU64::new(v.to_bits()),
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
@@ -119,7 +112,7 @@ impl Gauge {
         self.value.set(v);
     }
 
-    /// Adds to the level (lock-free; see [`AtomicF64`]).
+    /// Adds to the level (lock-free; see `AtomicF64`).
     pub fn add(&self, v: f64) {
         self.value.add(v);
     }
@@ -382,7 +375,7 @@ fn escape_label(v: &str) -> String {
 }
 
 /// Default bound on live series across all metric kinds.
-pub const DEFAULT_MAX_SERIES: usize = 4096;
+const DEFAULT_MAX_SERIES: usize = 4096;
 
 /// One registered series of any kind.
 #[derive(Debug)]
@@ -430,12 +423,7 @@ impl Registry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Cardinality bound this registry enforces.
-    pub fn max_series(&self) -> usize {
-        self.max_series
-    }
-
-    /// Series discarded because the registry was at [`Registry::max_series`].
+    /// Series discarded because the registry was at its cardinality bound.
     pub fn dropped_series(&self) -> u64 {
         self.dropped.get()
     }
@@ -904,7 +892,8 @@ mod tests {
 
     #[test]
     fn atomic_f64_accumulates() {
-        let a = AtomicF64::new(1.5);
+        let a = AtomicF64::default();
+        a.set(1.5);
         a.add(2.25);
         a.add(-0.75);
         assert!((a.get() - 3.0).abs() < 1e-12);

@@ -17,7 +17,7 @@
 //!
 //! The shuffle is bit-for-bit identical to the reference single-threaded
 //! path ([`reference_shuffle`], kept as the executable specification for
-//! the equivalence proptest and the criterion microbench):
+//! the equivalence proptest):
 //!
 //! * a key's partition comes from the job's partitioner alone — same key,
 //!   same reducer, regardless of bucketing;
@@ -176,8 +176,7 @@ where
 /// partition, then stable-sort each partition by key — all on one thread.
 ///
 /// [`parallel_shuffle`] must produce identical partition assignment and
-/// value order (the framework proptests assert it); the criterion
-/// `shuffle` microbench measures the speedup over this path.
+/// value order (the framework proptests assert it).
 pub fn reference_shuffle<K: Ord, V>(
     task_outputs: Vec<Vec<(K, V)>>,
     partitioner: fn(&K, usize) -> usize,

@@ -145,7 +145,7 @@ impl TaskEvent {
     }
 
     /// Simulated duration of the event, seconds.
-    pub fn sim_duration_secs(&self) -> f64 {
+    fn sim_duration_secs(&self) -> f64 {
         (self.sim_end_secs - self.sim_start_secs).max(0.0)
     }
 }
@@ -188,11 +188,6 @@ impl TraceLog {
     /// Starts recording.
     pub fn enable(&self) {
         self.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Stops recording (already-recorded events are kept).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
     }
 
     /// Whether events are currently recorded. The runner checks this

@@ -190,26 +190,6 @@ impl Matrix {
         }
         Ok(out)
     }
-
-    /// Stacks matrices horizontally (all must share a row count).
-    pub fn hstack(parts: &[Matrix]) -> Result<Matrix> {
-        let rows = parts.first().map_or(0, Matrix::rows);
-        let cols: usize = parts.iter().map(Matrix::cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        let mut c = 0;
-        for p in parts {
-            if p.rows() != rows {
-                return Err(MatrixError::DimensionMismatch {
-                    op: "hstack",
-                    lhs: (rows, cols),
-                    rhs: p.shape(),
-                });
-            }
-            out.set_block(0, c, p)?;
-            c += p.cols();
-        }
-        Ok(out)
-    }
 }
 
 /// Splits the length `n` into `parts` contiguous chunk ranges of (almost)
@@ -307,16 +287,11 @@ mod tests {
         let top = m.row_stripe(0, 2).unwrap();
         let bottom = m.row_stripe(2, 6).unwrap();
         assert_eq!(Matrix::vstack(&[top, bottom]).unwrap(), m);
-
-        let left = m.col_stripe(0, 3).unwrap();
-        let right = m.col_stripe(3, 6).unwrap();
-        assert_eq!(Matrix::hstack(&[left, right]).unwrap(), m);
     }
 
     #[test]
     fn stacking_validates_shapes() {
         assert!(Matrix::vstack(&[Matrix::zeros(1, 2), Matrix::zeros(1, 3)]).is_err());
-        assert!(Matrix::hstack(&[Matrix::zeros(2, 1), Matrix::zeros(3, 1)]).is_err());
     }
 
     #[test]

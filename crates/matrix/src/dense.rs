@@ -127,7 +127,7 @@ impl Matrix {
 
     /// True when the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -240,13 +240,6 @@ impl Matrix {
     /// True when every element differs from `other` by at most `tol`.
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.shape() == other.shape() && self.max_abs_diff(other).unwrap() <= tol
-    }
-
-    /// Scales every element in place.
-    pub fn scale_in_place(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
     }
 
     /// `self * v` for a column vector `v`.
@@ -483,13 +476,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(a.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
         assert!(a.mul_vec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn scale_in_place_scales_everything() {
-        let mut a = Matrix::filled(2, 2, 2.0);
-        a.scale_in_place(0.5);
-        assert!(a.approx_eq(&Matrix::filled(2, 2, 1.0), 0.0));
     }
 
     #[test]

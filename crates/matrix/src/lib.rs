@@ -19,9 +19,6 @@
 //! * [`random`] — seeded random test-matrix generation (Section 7.1);
 //! * [`io`] — the text and binary matrix codecs used for DFS storage
 //!   (Table 3 reports both formats);
-//! * [`gauss_jordan`], [`qr`], [`cholesky`] — the alternative inversion
-//!   methods the paper weighs in Section 2/3 (and rejects for MapReduce),
-//!   implemented so the comparison is executable;
 //! * [`refine`] — Newton–Schulz polish of a computed inverse (the
 //!   numerical-stability follow-up the paper defers to future work).
 //!
@@ -31,16 +28,13 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod cholesky;
 pub mod dense;
 pub mod error;
-pub mod gauss_jordan;
 pub mod io;
 pub mod kernel;
 pub mod lu;
 pub mod norms;
 pub mod permutation;
-pub mod qr;
 pub mod random;
 pub mod refine;
 pub mod triangular;

@@ -89,7 +89,7 @@ const BLOCKED_LU_MIN_ORDER: usize = 128;
 /// panel as wide as the matrix (Algorithm 1 as written, no trailing GEMM).
 /// Pivot choices are identical either way, factor values differ only in
 /// the trailing updates' summation order.
-pub fn lu_decompose_in_place(a: &mut Matrix) -> Result<Permutation> {
+fn lu_decompose_in_place(a: &mut Matrix) -> Result<Permutation> {
     use crate::kernel::{self, BackendKind};
     let n = a.order()?;
     let kind = kernel::global_backend();

@@ -9,29 +9,6 @@ impl Matrix {
     pub fn max_norm(&self) -> f64 {
         self.as_slice().iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
     }
-
-    /// Frobenius norm (`sqrt(sum a_ij^2)`).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.as_slice().iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Infinity norm (maximum absolute row sum).
-    pub fn inf_norm(&self) -> f64 {
-        self.row_iter()
-            .map(|row| row.iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
-    /// One norm (maximum absolute column sum).
-    pub fn one_norm(&self) -> f64 {
-        let mut sums = vec![0.0_f64; self.cols()];
-        for row in self.row_iter() {
-            for (s, v) in sums.iter_mut().zip(row) {
-                *s += v.abs();
-            }
-        }
-        sums.into_iter().fold(0.0, f64::max)
-    }
 }
 
 /// Euclidean norm of a vector.
@@ -59,19 +36,13 @@ mod tests {
     fn norms_on_known_matrix() {
         let m = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, -4.0]]).unwrap();
         assert_eq!(m.max_norm(), 4.0);
-        assert_eq!(m.inf_norm(), 7.0);
-        assert_eq!(m.one_norm(), 6.0);
-        assert!((m.frobenius_norm() - (30.0_f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn norms_on_empty_and_zero() {
         let z = Matrix::zeros(3, 3);
         assert_eq!(z.max_norm(), 0.0);
-        assert_eq!(z.frobenius_norm(), 0.0);
-        let e = Matrix::zeros(0, 0);
-        assert_eq!(e.inf_norm(), 0.0);
-        assert_eq!(e.one_norm(), 0.0);
+        assert_eq!(Matrix::zeros(0, 0).max_norm(), 0.0);
     }
 
     #[test]

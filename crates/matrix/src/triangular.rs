@@ -95,16 +95,6 @@ pub fn invert_upper(u: &Matrix) -> Result<Matrix> {
     Ok(invert_lower(&lt)?.transpose())
 }
 
-/// Inverts an upper-triangular matrix *given in transposed storage*
-/// (i.e. the argument is `U^T`, a lower-triangular matrix), returning
-/// `U^-1` also in transposed storage (`(U^-1)^T`, lower-triangular).
-///
-/// With the Section 6.3 layout the final job never materializes a
-/// row-major `U` at all; everything stays in the transposed form.
-pub fn invert_upper_transposed(u_t: &Matrix) -> Result<Matrix> {
-    invert_lower(u_t)
-}
-
 /// Solves `L·x = b` by forward substitution (any nonzero diagonal).
 pub fn forward_substitution(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     let n = check_square(l, "forward_substitution")?;
@@ -292,16 +282,6 @@ mod tests {
             let inv = invert_upper(&u).unwrap();
             assert!((&u * &inv).approx_eq(&Matrix::identity(u.rows()), TOL));
         }
-    }
-
-    #[test]
-    fn upper_inverse_transposed_storage() {
-        let u = random_upper(14, 77);
-        let u_t = u.transpose();
-        let inv_t = invert_upper_transposed(&u_t).unwrap();
-        assert!(inv_t
-            .transpose()
-            .approx_eq(&invert_upper(&u).unwrap(), 1e-10));
     }
 
     #[test]
