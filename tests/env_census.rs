@@ -1,7 +1,8 @@
 //! Census of process-wide knobs: the environment variables the library
 //! crates read and the `MRINV_*` names README.md documents must both be
 //! exactly the set below, so a new global switch cannot land unlisted
-//! and a removed one cannot linger in the docs.
+//! and a removed one cannot linger in the docs. A second census keeps
+//! the library crates' public surface to what some other file calls.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -84,4 +85,122 @@ fn library_crates_read_only_documented_env_vars() {
         })
         .collect();
     assert_eq!(named, documented, "MRINV_* names in README.md");
+}
+
+/// Public items of the library crates that no other file names, as
+/// `item: the reason it stays public`. "A test calls it" is not a reason.
+const NO_OUTSIDE_CALLER: [&str; 13] = [
+    "core::inmem::BlockLu: return type of inmem::block_lu",
+    "core::theory::CostRow: return type of the Table 1/2 closed forms",
+    "mapreduce::obs::CounterSeries: element type of the public field ObsSnapshot::counters",
+    "mapreduce::obs::GaugeSeries: element type of the public field ObsSnapshot::gauges",
+    "mapreduce::obs::HistogramSeries: element type of the public field ObsSnapshot::histograms",
+    "mapreduce::obs::HistogramSnapshot: return type of Histogram::snapshot",
+    "mapreduce::scheduler::PlannedAttempt: element type of the public field WavePlan::attempts",
+    "mapreduce::shuffle::Groups: the iterator ReducerInput::groups returns",
+    "mapreduce::tracelog::dropped_count: the only report of events lost to ring eviction",
+    "matrix::block::Quadrants: return type of Matrix::split_quadrants",
+    "matrix::kernel::perf::BackendPerf: element type perf::snapshot returns",
+    "matrix::refine::Refinement: return type of refine_inverse, below",
+    "matrix::refine::refine_inverse: ROADMAP item 4 gives it a production caller or deletes it",
+];
+
+/// `crates/core/src/lu_mr.rs` -> `core::lu_mr`, `.../kernel/mod.rs` ->
+/// `matrix::kernel`, `.../lib.rs` -> the crate directory's name.
+fn module_path(crates: &Path, file: &Path) -> String {
+    let rel = file.strip_prefix(crates).unwrap().with_extension("");
+    rel.iter()
+        .map(|part| part.to_str().unwrap())
+        .filter(|part| !matches!(*part, "src" | "lib" | "mod"))
+        .collect::<Vec<_>>()
+        .join("::")
+}
+
+/// Every identifier-shaped word of `src` outside its comment lines: a
+/// mention in a doc comment is not a caller.
+fn identifiers(src: &str) -> BTreeSet<&str> {
+    src.lines()
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .flat_map(|line| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')))
+        .filter(|word| !word.is_empty())
+        .collect()
+}
+
+#[test]
+fn public_items_have_a_caller_outside_their_file() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let root = crates.join("..");
+    let mut library = Vec::new();
+    for name in ["matrix", "mapreduce", "core"] {
+        rust_sources(&crates.join(name).join("src"), &mut library);
+    }
+    let mut everywhere = Vec::new();
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let krate = entry.unwrap().path();
+        for sub in ["src", "tests"] {
+            let dir = krate.join(sub);
+            if dir.is_dir() {
+                rust_sources(&dir, &mut everywhere);
+            }
+        }
+    }
+    for dir in ["tests", "examples", "e2e/src"] {
+        rust_sources(&root.join(dir), &mut everywhere);
+    }
+    // The allow-list above names its items; that is not a call either.
+    everywhere.retain(|f| !f.ends_with("tests/env_census.rs"));
+    let sources: Vec<String> = everywhere
+        .iter()
+        .map(|f| std::fs::read_to_string(f).unwrap())
+        .collect();
+    let named: Vec<BTreeSet<&str>> = sources.iter().map(|src| identifiers(src)).collect();
+
+    let mut orphans = BTreeSet::new();
+    for file in &library {
+        let at = everywhere.iter().position(|f| f == file).unwrap();
+        // A file's `#[cfg(test)]` module closes it, so everything before
+        // the attribute is what the crate ships.
+        let shipped = sources[at].split("#[cfg(test)]").next().unwrap();
+        for line in shipped.lines() {
+            let Some(decl) = line.trim_start().strip_prefix("pub ") else {
+                continue;
+            };
+            let mut words = decl.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+            let kind = words.next().unwrap();
+            if !["fn", "struct", "enum", "trait", "const", "type", "mod"].contains(&kind) {
+                continue;
+            }
+            let name = words.next().unwrap();
+            let elsewhere = named
+                .iter()
+                .enumerate()
+                .any(|(i, idents)| i != at && idents.contains(name));
+            if !elsewhere {
+                orphans.insert(format!("{}::{name}", module_path(&crates, file)));
+            }
+        }
+    }
+    assert!(library.len() > 50, "scanned only {} files", library.len());
+
+    let allowed: BTreeSet<&str> = NO_OUTSIDE_CALLER
+        .iter()
+        .map(|entry| match entry.split_once(": ") {
+            Some((item, _reason)) => item,
+            None => panic!("{entry} is allow-listed without a reason"),
+        })
+        .collect();
+    let unlisted: Vec<&String> = orphans
+        .iter()
+        .filter(|item| !allowed.contains(item.as_str()))
+        .collect();
+    let stale: Vec<&&str> = allowed
+        .iter()
+        .filter(|item| !orphans.contains(**item))
+        .collect();
+    assert!(
+        unlisted.is_empty() && stale.is_empty(),
+        "public items no other file names (delete them, make them private, or \
+         allow-list them with a reason): {unlisted:#?}\n\
+         allow-listed items that have a caller outside their file, or are gone: {stale:#?}"
+    );
 }
