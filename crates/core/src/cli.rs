@@ -73,7 +73,7 @@ use mrinv_mapreduce::{
     chrome_trace_json, Cluster, ClusterConfig, MrError, SchedulingMode, TcpWorkers,
     TcpWorkersConfig,
 };
-use mrinv_matrix::io::{decode_text, encode_text};
+use mrinv_matrix::io::{decode_text, write_text};
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::random_well_conditioned;
 use mrinv_matrix::Matrix;
@@ -258,7 +258,8 @@ fn read_matrix(path: &str) -> Matrix {
 }
 
 fn write_matrix(path: &str, m: &Matrix) {
-    std::fs::write(path, encode_text(m)).unwrap_or_else(|e| {
+    let written = std::fs::File::create(path).and_then(|mut file| write_text(&mut file, m));
+    written.unwrap_or_else(|e| {
         eprintln!("mrinv: cannot write {path}: {e}");
         exit(1)
     });

@@ -52,7 +52,7 @@ impl Matrix {
     ///
     /// Returns an error if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(MatrixError::DimensionMismatch {
                 op: "from_vec",
                 lhs: (rows, cols),

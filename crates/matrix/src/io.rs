@@ -13,14 +13,30 @@
 //! cols   u64          8 bytes
 //! data   f64 * rows*cols, row-major
 //! ```
+//!
+//! Text format: a `rows cols` header line, then one line per row of
+//! space-separated values, each the shortest `d.ddde±x` that reads back as
+//! the same `f64` (a round trip is bit exact, `-0` and subnormals
+//! included; every NaN is spelled `NaN`). The reader takes whatever
+//! `str::parse::<f64>` does, so files that older builds wrote with 18
+//! digits still load. Converting one number is the `decimal` submodule's
+//! business.
+
+use std::io::Write;
 
 use bytes::{Buf, Bytes};
 
 use crate::dense::Matrix;
 use crate::error::{MatrixError, Result};
+use decimal::F64_MAX_LEN;
+
+mod decimal;
 
 const MAGIC: &[u8; 4] = b"MRX1";
 const HEADER_LEN: usize = 4 + 8 + 8;
+
+/// Bytes of text [`write_text`] collects before handing them on.
+const TEXT_CHUNK: usize = 64 << 10;
 
 /// Serializes a matrix to the binary format.
 pub fn encode_binary(m: &Matrix) -> Bytes {
@@ -94,72 +110,130 @@ pub fn binary_size(rows: usize, cols: usize) -> u64 {
     HEADER_LEN as u64 + 8 * rows as u64 * cols as u64
 }
 
-/// Serializes a matrix to the text format: a `rows cols` header line, then
-/// one line per row of space-separated decimal values.
+/// Serializes a matrix to the text format; see [`write_text`].
 pub fn encode_text(m: &Matrix) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(16 + m.as_slice().len() * 20);
-    let _ = writeln!(out, "{} {}", m.rows(), m.cols());
-    for row in m.row_iter() {
-        let mut first = true;
-        for v in row {
-            if !first {
-                out.push(' ');
-            }
-            first = false;
-            // 17 significant digits round-trips every f64 exactly.
-            let _ = write!(out, "{v:.17e}");
-        }
-        out.push('\n');
-    }
-    out
+    let mut out = Vec::with_capacity(text_size_estimate(m.rows(), m.cols()) as usize);
+    write_text(&mut out, m).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the text format is ASCII")
 }
 
-/// Deserializes a matrix from the text format.
+/// Streams a matrix to `out` in the text format: a `rows cols` header
+/// line, then one line per row of space-separated values, each the
+/// shortest `d.ddde±x` that reads back as the same `f64` (what `{:e}`
+/// prints). Nothing larger than one [`TEXT_CHUNK`] is held at a time, and
+/// `out` receives whole chunks, so it needs no buffering of its own.
+pub fn write_text(out: &mut impl Write, m: &Matrix) -> std::io::Result<()> {
+    let mut buf = [0u8; TEXT_CHUNK];
+    let mut at = 0;
+    // Writes out what is buffered unless `need` more bytes still fit.
+    let mut make_room = |buf: &[u8], at: &mut usize, need: usize| {
+        if *at + need > buf.len() {
+            out.write_all(&buf[..*at])?;
+            *at = 0;
+        }
+        std::io::Result::Ok(())
+    };
+    let header = format!("{} {}\n", m.rows(), m.cols());
+    buf[..header.len()].copy_from_slice(header.as_bytes());
+    at += header.len();
+    for row in m.row_iter() {
+        for (j, &v) in row.iter().enumerate() {
+            make_room(&buf, &mut at, 1 + F64_MAX_LEN)?;
+            if j > 0 {
+                buf[at] = b' ';
+                at += 1;
+            }
+            let token = &mut buf[at..at + F64_MAX_LEN];
+            at += decimal::write_f64(v, token.try_into().expect("sliced to that length"));
+        }
+        make_room(&buf, &mut at, 1)?;
+        buf[at] = b'\n';
+        at += 1;
+    }
+    out.write_all(&buf[..at])
+}
+
+/// Deserializes a matrix from the text format: two header fields, then
+/// exactly `cols` values on each of exactly `rows` lines, values separated
+/// by ASCII whitespace and blank lines ignored. A value is whatever
+/// `str::parse::<f64>` accepts, and decodes to the same bits.
 pub fn decode_text(text: &str) -> Result<Matrix> {
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| MatrixError::Codec("empty text matrix".into()))?;
-    let mut parts = header.split_whitespace();
-    let rows: usize = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| MatrixError::Codec(format!("bad header line {header:?}")))?;
-    let cols: usize = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| MatrixError::Codec(format!("bad header line {header:?}")))?;
-    let mut vals = Vec::with_capacity(rows * cols);
-    for (i, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        if i >= rows {
-            return Err(MatrixError::Codec(format!(
-                "too many rows: expected {rows}"
-            )));
-        }
-        for tok in line.split_whitespace() {
-            let v: f64 = tok
-                .parse()
-                .map_err(|e| MatrixError::Codec(format!("bad value {tok:?} on row {i}: {e}")))?;
-            vals.push(v);
+    let (header, body) = text.split_once('\n').unwrap_or((text, ""));
+    let mut fields = header.split_ascii_whitespace().map(str::parse::<usize>);
+    let (Some(Ok(rows)), Some(Ok(cols)), None) = (fields.next(), fields.next(), fields.next())
+    else {
+        return Err(MatrixError::Codec(format!("bad header line {header:?}")));
+    };
+    // Every value takes a byte and all but the last a separator, so a
+    // count the body cannot hold is refused before anything is allocated.
+    let count = rows
+        .checked_mul(cols)
+        .filter(|&n| n <= body.len().div_ceil(2))
+        .ok_or_else(|| {
+            MatrixError::Codec(format!(
+                "header {rows}x{cols} promises more values than {} bytes can hold",
+                body.len()
+            ))
+        })?;
+
+    let bytes = body.as_bytes();
+    let mut vals = Vec::with_capacity(count);
+    // Non-blank lines finished, and values seen on the current one.
+    let (mut row, mut in_row) = (0, 0);
+    let mut i = 0;
+    // One step past the end closes the last line if no newline did.
+    while i <= bytes.len() {
+        let b = bytes.get(i).copied().unwrap_or(b'\n');
+        if b == b'\n' {
+            if in_row > 0 {
+                if in_row != cols {
+                    return Err(MatrixError::Codec(format!(
+                        "row {} has {in_row} values, expected {cols}",
+                        row + 1
+                    )));
+                }
+                row += 1;
+                in_row = 0;
+            }
+            i += 1;
+        } else if b.is_ascii_whitespace() {
+            i += 1;
+        } else {
+            if row == rows {
+                return Err(MatrixError::Codec(format!(
+                    "too many rows: expected {rows}"
+                )));
+            }
+            let (end, value) = decimal::scan_f64(body, i);
+            let value = value.map_err(|e| {
+                MatrixError::Codec(format!(
+                    "bad value {:?} on row {}: {e}",
+                    &body[i..end],
+                    row + 1
+                ))
+            })?;
+            // An overlong row is reported with its full count, not stored.
+            if in_row < cols {
+                vals.push(value);
+            }
+            in_row += 1;
+            i = end;
         }
     }
-    if vals.len() != rows * cols {
+    // A row of no columns is a blank line, so none are counted.
+    let expected = if cols == 0 { 0 } else { rows };
+    if row != expected {
         return Err(MatrixError::Codec(format!(
-            "expected {} values for {rows}x{cols}, found {}",
-            rows * cols,
-            vals.len()
+            "expected {expected} rows of {cols} values, found {row}"
         )));
     }
     Matrix::from_vec(rows, cols, vals)
 }
 
-/// Estimated size in bytes of the text encoding of a `rows x cols` matrix
-/// (each value printed with 17 significant digits plus separator, ~25
-/// bytes). Used for the Table 3 text-size column.
+/// Estimated size in bytes of the text encoding of a `rows x cols` matrix,
+/// and an upper bound on it: 25 bytes is the longest value with its
+/// separator (a uniform(-1, 1) element averages 21.7). Used for the
+/// Table 3 text-size column, whose rounded GB figures it reproduces.
 pub fn text_size_estimate(rows: usize, cols: usize) -> u64 {
     16 + 25 * rows as u64 * cols as u64
 }
@@ -197,23 +271,80 @@ mod tests {
         let m = random_matrix(7, 11, 5);
         let enc = encode_text(&m);
         let back = decode_text(&enc).unwrap();
-        assert_eq!(back, m, "17-digit text round trip must be bit exact");
+        assert_eq!(back, m, "shortest-digits text round trip must be bit exact");
     }
 
     #[test]
     fn text_handles_special_values() {
         let m = Matrix::from_rows(&[&[0.0, -0.0], &[f64::MAX, f64::MIN_POSITIVE]]).unwrap();
-        let back = decode_text(&encode_text(&m)).unwrap();
+        let enc = encode_text(&m);
+        assert_eq!(
+            enc,
+            "2 2\n0e0 -0e0\n1.7976931348623157e308 2.2250738585072014e-308\n"
+        );
+        let back = decode_text(&enc).unwrap();
         assert_eq!(back, m);
+        assert!(back[(0, 1)].is_sign_negative());
+    }
+
+    #[test]
+    fn text_skips_blank_lines_anywhere() {
+        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
+        for text in [
+            "2 2\n1 2\n3 4",
+            "2 2\n\n1 2\n\n \t\n3 4\n\n\n",
+            "2 2\r\n1 2\r\n3 4\r\n",
+            " 2\t2 \n  1   2  \n\t3 4 \n",
+        ] {
+            assert_eq!(decode_text(text).unwrap(), m, "{text:?}");
+        }
     }
 
     #[test]
     fn text_rejects_malformed_input() {
-        assert!(decode_text("").is_err());
-        assert!(decode_text("abc def\n").is_err());
-        assert!(decode_text("2 2\n1 2\n3\n").is_err());
-        assert!(decode_text("2 2\n1 2\n3 4\n5 6\n").is_err());
-        assert!(decode_text("1 2\n1 banana\n").is_err());
+        let message = |text: &str| match decode_text(text) {
+            Err(MatrixError::Codec(message)) => message,
+            other => panic!("{text:?} gave {other:?}"),
+        };
+        message("");
+        message("abc def\n");
+        message("2 2\n1 2\n3\n");
+        message("2 2\n1 2\n3 4\n5 6\n");
+        message("1 2\n1 banana\n");
+        // Header: two fields, no more.
+        message("2\n1 2\n");
+        message("2 2 7\n1 2\n3 4\n");
+        message("-2 2\n");
+        // The right total in the wrong rows.
+        assert!(message("2 2\n1 2 3\n4\n").contains("row 1 has 3 values"));
+        assert!(message("2 2\n1\n2 3 4\n").contains("row 1 has 1 values"));
+        assert!(message("2 2\n1 2 3 4\n").contains("row 1 has 4 values"));
+        assert!(message("2 2\n1 2\n3 4 5\n").contains("row 2 has 3 values"));
+        assert!(message("3 2\n1 2\n3 4\n\n\n\n").contains("found 2"));
+        message("2 0\n1\n");
+        message("0 2\n1 2\n");
+    }
+
+    #[test]
+    fn text_header_cannot_make_the_decoder_allocate_or_overflow() {
+        // Each used to abort on the allocation, panic with `capacity
+        // overflow`, or wrap to an `Ok` 2^32 x 2^32 matrix of no elements.
+        for text in [
+            "3000000000 3\n",
+            "1 18446744073709551615\n",
+            "4294967296 4294967296\n",
+            "4294967296 4294967296\n1 2\n",
+            "2 2\n1 2\n3",
+        ] {
+            assert!(
+                matches!(decode_text(text), Err(MatrixError::Codec(_))),
+                "{text:?}"
+            );
+        }
+        assert!(Matrix::from_vec(1 << 32, 1 << 32, Vec::new()).is_err());
+        // The bound is tight: n values fit in 2n - 1 bytes.
+        assert_eq!(decode_text("1 3\n1 2 3").unwrap().cols(), 3);
+        assert_eq!(decode_text("3000000000 0\n").unwrap().rows(), 3_000_000_000);
     }
 
     #[test]
@@ -221,6 +352,10 @@ mod tests {
         let m = Matrix::zeros(0, 0);
         assert_eq!(decode_binary(&encode_binary(&m)).unwrap(), m);
         assert_eq!(decode_text(&encode_text(&m)).unwrap(), m);
+        for (rows, cols) in [(0, 3), (3, 0)] {
+            let m = Matrix::zeros(rows, cols);
+            assert_eq!(decode_text(&encode_text(&m)).unwrap(), m);
+        }
     }
 
     #[test]

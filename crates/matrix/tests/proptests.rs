@@ -1,7 +1,9 @@
 //! Property-based tests on the linear-algebra substrate.
 
 use mrinv_matrix::block::{even_ranges, BlockRange};
-use mrinv_matrix::io::{decode_binary, decode_text, encode_binary, encode_binary_vec, encode_text};
+use mrinv_matrix::io::{
+    decode_binary, decode_text, encode_binary, encode_binary_vec, encode_text, write_text,
+};
 use mrinv_matrix::kernel::{
     gemm_with, trsm_with, Diag, GemmBackend, Naive, Op, Packed, Side, Strided, Uplo,
 };
@@ -46,6 +48,57 @@ fn arb_bits_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
 
 fn bits_of(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Takes at most 1000 bytes a call and `budget` in all, then fails; keeps
+/// what it took and the longest buffer it was offered.
+struct ShortWriter {
+    budget: usize,
+    taken: Vec<u8>,
+    longest_offer: usize,
+}
+
+impl ShortWriter {
+    fn with_budget(budget: usize) -> Self {
+        ShortWriter {
+            budget,
+            taken: Vec::new(),
+            longest_offer: 0,
+        }
+    }
+}
+
+impl std::io::Write for ShortWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.longest_offer = self.longest_offer.max(buf.len());
+        let n = buf.len().min(1000).min(self.budget - self.taken.len());
+        if n == 0 {
+            return Err(std::io::Error::other("disk full"));
+        }
+        self.taken.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn text_writer_streams_in_chunks_and_surfaces_io_errors() {
+    let m = random_matrix(70, 60, 9);
+    let text = encode_text(&m);
+    assert!(text.len() > 80_000, "more than one chunk");
+    let mut all = ShortWriter::with_budget(usize::MAX);
+    write_text(&mut all, &m).unwrap();
+    assert_eq!(all.taken, text.as_bytes());
+    assert!(all.longest_offer <= 64 << 10, "the whole text was buffered");
+    for budget in [0, 10, 64 << 10, 70_000, text.len() - 1] {
+        let mut full = ShortWriter::with_budget(budget);
+        let err = write_text(&mut full, &m).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(full.taken, &text.as_bytes()[..budget]);
+    }
 }
 
 fn arb_perm(max_n: usize) -> impl Strategy<Value = Permutation> {
@@ -121,8 +174,28 @@ proptest! {
     }
 
     #[test]
-    fn text_codec_round_trips(m in arb_matrix(12)) {
+    fn text_codec_round_trips(
+        (m, any_bits, budget) in (arb_matrix(12), arb_bits_matrix(6), any::<usize>())
+    ) {
         prop_assert_eq!(decode_text(&encode_text(&m)).unwrap(), m);
+
+        // Every class of bit pattern and the empty shapes. Text has one
+        // spelling of NaN, so those come back as a class; all else exactly.
+        let text = encode_text(&any_bits);
+        let back = decode_text(&text).unwrap();
+        prop_assert_eq!((back.rows(), back.cols()), (any_bits.rows(), any_bits.cols()));
+        for (got, want) in back.as_slice().iter().zip(any_bits.as_slice()) {
+            prop_assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{:#018x} came back as {:#018x}", want.to_bits(), got.to_bits()
+            );
+        }
+
+        let mut streamed = ShortWriter::with_budget(usize::MAX);
+        write_text(&mut streamed, &any_bits).unwrap();
+        prop_assert_eq!(&streamed.taken, text.as_bytes());
+        let mut full = ShortWriter::with_budget(budget % text.len());
+        prop_assert!(write_text(&mut full, &any_bits).is_err());
     }
 
     #[test]
