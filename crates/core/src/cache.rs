@@ -40,7 +40,7 @@
 //! # Accounting
 //!
 //! Cache hits assemble factors through *uncounted* DFS reads
-//! ([`mrinv_mapreduce::Dfs::read_uncounted`]): a hit served concurrently
+//! ([`mrinv_mapreduce::UncountedDfs`]): a hit served concurrently
 //! with an in-flight pipeline run must not perturb that run's delta-based
 //! [`crate::RunReport`].
 
@@ -48,8 +48,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
-use mrinv_mapreduce::{Cluster, Dfs, Fingerprint, MrError};
+use mrinv_mapreduce::{Cluster, Dfs, Fingerprint, TaskIo};
 use mrinv_matrix::io::encode_binary;
 use mrinv_matrix::Matrix;
 use parking_lot::Mutex;
@@ -60,7 +59,6 @@ use crate::factors::FactorRef;
 use crate::inverse::push_run_config;
 use crate::partition::PartitionPlan;
 use crate::request::LuFactors;
-use crate::source::BlockIo;
 
 /// Cache key for a (matrix, config, cluster-geometry) triple.
 ///
@@ -109,7 +107,7 @@ impl Factorization {
     /// Assembled `L`/`U`/`P`, read through `io` on first use. Assembly
     /// runs outside any lock, so concurrent first uses may assemble
     /// twice; the first stored result wins.
-    pub(crate) fn assembled(&self, io: &mut dyn BlockIo) -> Result<Arc<LuFactors>> {
+    pub(crate) fn assembled(&self, io: &mut TaskIo) -> Result<Arc<LuFactors>> {
         if let Some(f) = self.assembled.get() {
             return Ok(f.clone());
         }
@@ -138,21 +136,6 @@ pub struct FactorCache {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
-}
-
-/// DFS access that stays invisible to byte accounting (cache hits must
-/// not perturb concurrent runs' delta-based reports).
-pub(crate) struct UncountedIo<'a> {
-    pub(crate) dfs: &'a Dfs,
-}
-
-impl BlockIo for UncountedIo<'_> {
-    fn read_bytes(&mut self, path: &str) -> std::result::Result<Bytes, MrError> {
-        self.dfs.read_uncounted(path)
-    }
-    fn write_bytes(&mut self, path: &str, data: Bytes) {
-        self.dfs.write_uncounted(path, data);
-    }
 }
 
 impl FactorCache {
@@ -282,12 +265,12 @@ mod tests {
 
     #[test]
     fn assembly_is_memoized_and_uncounted() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let cache = FactorCache::new();
         let f = leaf_entry(&dfs, 5, 9);
         cache.insert(1, Factorization::new(5, f.clone(), None, "w".to_string()));
         let before = dfs.counters();
-        let mut io = UncountedIo { dfs: &dfs };
+        let mut io = TaskIo::new(Arc::new(mrinv_mapreduce::UncountedDfs(dfs.clone())));
         let hit = || cache.lookup(1, false, &dfs, true).expect("hit");
         let a1 = hit().assembled(&mut io).unwrap();
         let a2 = hit().assembled(&mut io).unwrap();

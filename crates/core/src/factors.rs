@@ -8,7 +8,11 @@
 //! descriptor of that file forest; a node names its level's `L2'`/`U2`
 //! stripe files with the [`MatrixSource`]s the level's reducers read.
 //!
-//! Two subtleties the assembly handles:
+//! Assembly reads through the one accounted handle
+//! ([`mrinv_mapreduce::TaskIo`]) and places every `U` / `Uᵀ` stripe and
+//! leaf block with [`MatrixSource::read_into`]; only the `L2'` stripes,
+//! whose rows land through `P2`, keep a loop of their own over
+//! [`read_block`]. Two subtleties it handles:
 //!
 //! * **pivoting** — the stored bottom-left stripes are `L2'`
 //!   (pre-permutation); the true factor block is `L2 = P2·L2'`, so readers
@@ -18,12 +22,12 @@
 //!   factors live on disk transposed; [`FactorRef::assemble_u_t`] returns
 //!   `Uᵀ` without ever materializing a row-major `U`.
 
-use mrinv_matrix::io::{decode_binary, encode_binary};
+use mrinv_mapreduce::TaskIo;
 use mrinv_matrix::{Matrix, Permutation};
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
 
 use crate::error::{CoreError, Result};
-use crate::source::{BlockIo, MatrixSource, Piece};
+use crate::source::{expect_covered, inside, read_block, write_block, MatrixSource, Piece};
 
 /// Recursive descriptor of where a (unit-lower `L`, upper `U`, permutation
 /// `P`) factor triple lives in the DFS.
@@ -120,24 +124,24 @@ impl FactorRef {
 
     /// Assembles the full unit-lower factor `L`, applying each level's
     /// `P2` to its `L2'` stripes.
-    pub fn assemble_l(&self, io: &mut dyn BlockIo) -> Result<Matrix> {
+    pub fn assemble_l(&self, io: &mut TaskIo) -> Result<Matrix> {
         self.assemble(io, Factor::L)
     }
 
     /// Assembles the full upper factor `U` in row-major form.
-    pub fn assemble_u(&self, io: &mut dyn BlockIo) -> Result<Matrix> {
+    pub fn assemble_u(&self, io: &mut TaskIo) -> Result<Matrix> {
         self.assemble(io, Factor::U)
     }
 
     /// Assembles `Uᵀ` (lower-triangular) directly — the Section 6.3 fast
     /// path that never materializes a row-major `U`.
-    pub fn assemble_u_t(&self, io: &mut dyn BlockIo) -> Result<Matrix> {
+    pub fn assemble_u_t(&self, io: &mut TaskIo) -> Result<Matrix> {
         self.assemble(io, Factor::Ut)
     }
 
     /// One allocation for the whole factor; every file of the forest is
     /// decoded once and written once, at its final position.
-    fn assemble(&self, io: &mut dyn BlockIo, factor: Factor) -> Result<Matrix> {
+    fn assemble(&self, io: &mut TaskIo, factor: Factor) -> Result<Matrix> {
         let n = self.n();
         let mut out = Matrix::zeros(n, n);
         self.place(io, factor, &mut out, 0)?;
@@ -146,13 +150,7 @@ impl FactorRef {
 
     /// Writes this subtree's share of `factor` into `out`, whose diagonal
     /// block starting at `(at, at)` this subtree factors.
-    fn place(
-        &self,
-        io: &mut dyn BlockIo,
-        factor: Factor,
-        out: &mut Matrix,
-        at: usize,
-    ) -> Result<()> {
+    fn place(&self, io: &mut TaskIo, factor: Factor, out: &mut Matrix, at: usize) -> Result<()> {
         if at + self.n() > out.rows() {
             return Err(CoreError::Invariant(format!(
                 "factor block of order {} at {at} overruns its parent of order {}",
@@ -168,14 +166,10 @@ impl FactorRef {
                 transposed_u,
                 ..
             } => {
-                let (path, flip) = match factor {
-                    Factor::L => (l_path, false),
-                    Factor::U => (u_path, *transposed_u),
-                    Factor::Ut => (u_path, !*transposed_u),
-                };
-                let m = decode_binary(&io.read_bytes(path)?)?;
-                check_shape(&m, (*n, *n), path)?;
-                put(out, (at, at), &m, flip);
+                let path = if factor == Factor::L { l_path } else { u_path };
+                let whole = (0, *n);
+                MatrixSource::new((*n, *n), vec![Piece::new(path.clone(), whole, whole)])
+                    .read_into(io, whole, whole, out, (at, at), factor.flips(*transposed_u))?;
             }
             FactorRef::Node {
                 n,
@@ -196,44 +190,42 @@ impl FactorRef {
                 }
                 let mid = at + *half;
                 a1.place(io, factor, out, at)?;
-                match factor {
-                    Factor::L => {
-                        // L2 = P2·L2': stored row `r` of L2' is row
-                        // `P2⁻¹[r]` of L2.
-                        let dest = b.perm().inverse();
-                        for p in l2.pieces() {
-                            let m = read_piece(io, p, (rest, *half))?;
-                            for (k, r) in (p.rows.0..p.rows.1).enumerate() {
-                                out.row_mut(mid + dest.source_of(r))[at + p.cols.0..at + p.cols.1]
-                                    .copy_from_slice(m.row(k));
-                            }
+                if factor == Factor::L {
+                    // L2 = P2·L2': stored row `r` of L2' is row `P2⁻¹[r]`
+                    // of L2, so the stripes keep their own row map; like
+                    // every read, they must cover their block exactly once.
+                    let dest = b.perm().inverse();
+                    let mut placed = 0;
+                    for p in l2.pieces() {
+                        if !inside(p.rows, p.cols, (rest, *half)) {
+                            return Err(CoreError::Invariant(format!(
+                                "stripe {} covers rows {:?} cols {:?}, outside its {rest}x{half} block",
+                                p.path, p.rows, p.cols
+                            )));
                         }
-                    }
-                    Factor::U | Factor::Ut => {
-                        let stored = if *transposed_u {
-                            (rest, *half)
-                        } else {
-                            (*half, rest)
-                        };
-                        // U2 sits right of U1; U2ᵀ sits below U1ᵀ. A file
-                        // stored in the other orientation is flipped on
-                        // the way in.
-                        let flip = *transposed_u != (factor == Factor::Ut);
-                        let origin = if factor == Factor::U {
-                            (at, mid)
-                        } else {
-                            (mid, at)
-                        };
-                        for p in u2.pieces() {
-                            let m = read_piece(io, p, stored)?;
-                            let (dr, dc) = if flip {
-                                (p.cols.0, p.rows.0)
-                            } else {
-                                (p.rows.0, p.cols.0)
-                            };
-                            put(out, (origin.0 + dr, origin.1 + dc), &m, flip);
+                        let m = read_block(io, &p.path, (p.nrows(), p.ncols()))?;
+                        for (k, r) in (p.rows.0..p.rows.1).enumerate() {
+                            out.row_mut(mid + dest.source_of(r))[at + p.cols.0..at + p.cols.1]
+                                .copy_from_slice(m.row(k));
                         }
+                        placed += p.nrows() * p.ncols();
                     }
+                    let what = format_args!("a {rest}x{half} L2' block");
+                    expect_covered(placed, rest * *half, what)?;
+                } else {
+                    // U2 sits right of U1; U2ᵀ sits below U1ᵀ.
+                    let corner = if factor == Factor::U {
+                        (at, mid)
+                    } else {
+                        (mid, at)
+                    };
+                    let stored = if *transposed_u {
+                        (rest, *half)
+                    } else {
+                        (*half, rest)
+                    };
+                    let flip = factor.flips(*transposed_u);
+                    u2.read_into(io, (0, stored.0), (0, stored.1), out, corner, flip)?;
                 }
                 b.place(io, factor, out, mid)?;
             }
@@ -249,24 +241,39 @@ impl FactorRef {
     /// `l.bin`/`u.bin` hold the permuted, combined factors — so downstream
     /// consumers behave identically; only the serial combine cost and the
     /// extra write I/O differ.
-    pub fn combine(&self, io: &mut dyn BlockIo, dir: &str, transpose_u: bool) -> Result<FactorRef> {
+    pub fn combine(&self, io: &mut TaskIo, dir: &str, transpose_u: bool) -> Result<FactorRef> {
         let l = self.assemble_l(io)?;
         let u = if transpose_u {
             self.assemble_u_t(io)?
         } else {
             self.assemble_u(io)?
         };
+        let leaf = FactorRef::write_leaf(io, dir, &l, &u, self.perm(), transpose_u);
+        Ok(leaf)
+    }
+
+    /// Writes one block's factors as the two files of a leaf under `dir`
+    /// and returns the leaf naming them. `u` is as stored: `Uᵀ` when
+    /// `transposed_u`.
+    pub(crate) fn write_leaf(
+        io: &mut TaskIo,
+        dir: &str,
+        l: &Matrix,
+        u: &Matrix,
+        perm: Permutation,
+        transposed_u: bool,
+    ) -> FactorRef {
         let l_path = format!("{dir}/l.bin");
         let u_path = format!("{dir}/u.bin");
-        io.write_bytes(&l_path, encode_binary(&l));
-        io.write_bytes(&u_path, encode_binary(&u));
-        Ok(FactorRef::Leaf {
-            n: self.n(),
+        write_block(io, &l_path, l);
+        write_block(io, &u_path, u);
+        FactorRef::Leaf {
+            n: l.rows(),
             l_path,
             u_path,
-            perm: self.perm(),
-            transposed_u: transpose_u,
-        })
+            perm,
+            transposed_u,
+        }
     }
 }
 
@@ -337,17 +344,6 @@ impl Deserialize for FactorRef {
     }
 }
 
-fn check_shape(m: &Matrix, expect: (usize, usize), path: &str) -> Result<()> {
-    if m.shape() != expect {
-        return Err(CoreError::Invariant(format!(
-            "factor file {path} has shape {:?}, expected {:?}",
-            m.shape(),
-            expect
-        )));
-    }
-    Ok(())
-}
-
 /// Which matrix of the factor triple an assembly produces.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Factor {
@@ -359,35 +355,14 @@ enum Factor {
     Ut,
 }
 
-/// Decodes one stripe file of a node's stored `L2'` / `U2`. The piece must
-/// lie inside the `within` block the node's `n` and `half` imply, and the
-/// file must hold what the piece says, so placing it cannot overrun.
-fn read_piece(io: &mut dyn BlockIo, p: &Piece, within: (usize, usize)) -> Result<Matrix> {
-    if p.rows.0 > p.rows.1 || p.rows.1 > within.0 || p.cols.0 > p.cols.1 || p.cols.1 > within.1 {
-        return Err(CoreError::Invariant(format!(
-            "stripe {} covers rows {:?} cols {:?}, outside its {within:?} block",
-            p.path, p.rows, p.cols
-        )));
-    }
-    let m = decode_binary(&io.read_bytes(&p.path)?)?;
-    check_shape(&m, (p.nrows(), p.ncols()), &p.path)?;
-    Ok(m)
-}
-
-/// Writes `m` (transposed when `flip`) into `out` with its top-left corner
-/// at `corner`. The caller has checked that it fits.
-fn put(out: &mut Matrix, corner: (usize, usize), m: &Matrix, flip: bool) {
-    let (r0, c0) = corner;
-    if flip {
-        for j in 0..m.cols() {
-            let dst = &mut out.row_mut(r0 + j)[c0..c0 + m.rows()];
-            for (i, d) in dst.iter_mut().enumerate() {
-                *d = m[(i, j)];
-            }
-        }
-    } else {
-        for i in 0..m.rows() {
-            out.row_mut(r0 + i)[c0..c0 + m.cols()].copy_from_slice(m.row(i));
+impl Factor {
+    /// Whether a file is transposed on the way in: a stored `U` flips to
+    /// give `Uᵀ`, a stored `Uᵀ` (Section 6.3) flips to give `U`.
+    fn flips(self, stored_transposed: bool) -> bool {
+        match self {
+            Factor::L => false,
+            Factor::U => stored_transposed,
+            Factor::Ut => !stored_transposed,
         }
     }
 }
@@ -395,16 +370,17 @@ fn put(out: &mut Matrix, corner: (usize, usize), m: &Matrix, flip: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{write_piece, MasterIo};
+    use crate::source::write_piece;
     use mrinv_mapreduce::Dfs;
     use mrinv_matrix::block::{even_ranges, BlockRange};
     use mrinv_matrix::random::{random_invertible, random_unit_lower, random_upper};
+    use std::sync::Arc;
 
     /// Stores a known (L, U, P) pair as a two-level FactorRef forest and
     /// checks assembly reproduces it.
     #[allow(clippy::too_many_arguments)]
     fn build_node(
-        dfs: &Dfs,
+        dfs: &Arc<Dfs>,
         l: &Matrix,
         u: &Matrix,
         p_top: &Permutation,
@@ -414,30 +390,23 @@ mod tests {
         transposed_u: bool,
     ) -> FactorRef {
         let n = l.rows();
-        let mut io = MasterIo::new(dfs);
+        let mut io = TaskIo::new(dfs.clone());
         // Leaves for A1 and B.
         let l1 = l.block(BlockRange::new((0, half), (0, half))).unwrap();
         let u1 = u.block(BlockRange::new((0, half), (0, half))).unwrap();
         let l3 = l.block(BlockRange::new((half, n), (half, n))).unwrap();
         let u3 = u.block(BlockRange::new((half, n), (half, n))).unwrap();
-        io.write_bytes("f/a1/l", encode_binary(&l1));
-        io.write_bytes(
-            "f/a1/u",
-            encode_binary(&if transposed_u {
-                u1.transpose()
+        write_block(&mut io, "f/a1/l", &l1);
+        let stored = |u: &Matrix| {
+            if transposed_u {
+                u.transpose()
             } else {
-                u1.clone()
-            }),
-        );
-        io.write_bytes("f/b/l", encode_binary(&l3));
-        io.write_bytes(
-            "f/b/u",
-            encode_binary(&if transposed_u {
-                u3.transpose()
-            } else {
-                u3.clone()
-            }),
-        );
+                u.clone()
+            }
+        };
+        write_block(&mut io, "f/a1/u", &stored(&u1));
+        write_block(&mut io, "f/b/l", &l3);
+        write_block(&mut io, "f/b/u", &stored(&u3));
         // L2 stripes are stored pre-permutation: L2' = P2^-1 L2.
         let l2 = l.block(BlockRange::new((half, n), (0, half))).unwrap();
         let l2p = p_bot.inverse().apply_rows(&l2);
@@ -498,7 +467,7 @@ mod tests {
     #[test]
     fn node_assembly_round_trips() {
         for &transposed in &[false, true] {
-            let dfs = Dfs::default();
+            let dfs = Arc::new(Dfs::default());
             let n = 12;
             let half = 5;
             let l = random_unit_lower(n, 1);
@@ -506,7 +475,7 @@ mod tests {
             let p1 = shuffled_perm(half, 3);
             let p2 = shuffled_perm(n - half, 4);
             let f = build_node(&dfs, &l, &u, &p1, &p2, half, 3, transposed);
-            let mut io = MasterIo::new(&dfs);
+            let mut io = TaskIo::new(dfs.clone());
             assert_eq!(f.n(), n);
             assert!(f.assemble_l(&mut io).unwrap().approx_eq(&l, 1e-12));
             assert!(f.assemble_u(&mut io).unwrap().approx_eq(&u, 1e-12));
@@ -521,13 +490,13 @@ mod tests {
 
     #[test]
     fn leaf_round_trips() {
-        let dfs = Dfs::default();
-        let mut io = MasterIo::new(&dfs);
+        let dfs = Arc::new(Dfs::default());
+        let mut io = TaskIo::new(dfs.clone());
         let n = 6;
         let l = random_unit_lower(n, 5);
         let u = random_upper(n, 6);
-        io.write_bytes("leaf/l", encode_binary(&l));
-        io.write_bytes("leaf/u", encode_binary(&u.transpose()));
+        write_block(&mut io, "leaf/l", &l);
+        write_block(&mut io, "leaf/u", &u.transpose());
         let f = FactorRef::Leaf {
             n,
             l_path: "leaf/l".into(),
@@ -546,7 +515,7 @@ mod tests {
 
     #[test]
     fn paths_enumerate_the_whole_forest() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let n = 12;
         let half = 5;
         let l = random_unit_lower(n, 30);
@@ -564,7 +533,7 @@ mod tests {
 
     #[test]
     fn combine_produces_equivalent_leaf() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let n = 10;
         let half = 4;
         let l = random_unit_lower(n, 8);
@@ -572,22 +541,22 @@ mod tests {
         let p1 = shuffled_perm(half, 10);
         let p2 = shuffled_perm(n - half, 11);
         let f = build_node(&dfs, &l, &u, &p1, &p2, half, 2, true);
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         let combined = f.combine(&mut io, "f/combined", true).unwrap();
         assert!(matches!(combined, FactorRef::Leaf { .. }));
         assert!(combined.assemble_l(&mut io).unwrap().approx_eq(&l, 1e-12));
         assert!(combined.assemble_u(&mut io).unwrap().approx_eq(&u, 1e-12));
         assert_eq!(combined.perm(), f.perm());
         assert_eq!(combined.l_file_count(), 1);
-        assert!(io.bytes_written > 0, "combining costs write I/O");
+        assert!(io.stats().write_bytes > 0, "combining costs write I/O");
     }
 
     #[test]
     fn corrupt_factor_shape_is_detected() {
-        let dfs = Dfs::default();
-        let mut io = MasterIo::new(&dfs);
-        io.write_bytes("bad/l", encode_binary(&Matrix::zeros(3, 3)));
-        io.write_bytes("bad/u", encode_binary(&Matrix::zeros(4, 4)));
+        let dfs = Arc::new(Dfs::default());
+        let mut io = TaskIo::new(dfs.clone());
+        write_block(&mut io, "bad/l", &Matrix::zeros(3, 3));
+        write_block(&mut io, "bad/u", &Matrix::zeros(4, 4));
         let f = FactorRef::Leaf {
             n: 4,
             l_path: "bad/l".into(),
@@ -604,7 +573,7 @@ mod tests {
 
     #[test]
     fn inconsistent_node_is_detected() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let (n, half) = (10, 4);
         let l = random_unit_lower(n, 40);
         let u = random_upper(n, 41);
@@ -628,7 +597,7 @@ mod tests {
             b: b.clone(),
             transposed_u: true,
         };
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         let stray = node(n, shifted(&l2), shifted(&u2));
         // A node whose children do not add up to its order.
         let shrunk = node(n - 1, l2, u2);
@@ -644,7 +613,7 @@ mod tests {
         // End-to-end sanity: factor a matrix with the in-memory block
         // method, store it as a FactorRef forest, reassemble, and verify
         // P·A = L·U still holds.
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let n = 14;
         let half = 7;
         let a = random_invertible(n, 20);
@@ -660,7 +629,7 @@ mod tests {
             Permutation::from_vec(s[half..].iter().map(|&v| v - half).collect())
         };
         let fr = build_node(&dfs, &f.l, &f.u, &p1, &p2, half, 2, true);
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         let l = fr.assemble_l(&mut io).unwrap();
         let u = fr.assemble_u(&mut io).unwrap();
         let pa = fr.perm().apply_rows(&a);

@@ -24,20 +24,19 @@ use mrinv_mapreduce::job::{
 };
 use mrinv_mapreduce::master::run_on_master;
 use mrinv_mapreduce::runner::run_job;
-use mrinv_mapreduce::{Cluster, MrError, PipelineDriver, TaskRegistry};
+use mrinv_mapreduce::{Cluster, MrError, PipelineDriver, TaskIo, TaskRegistry};
 use mrinv_matrix::block::even_ranges;
-use mrinv_matrix::io::encode_binary;
 use mrinv_matrix::kernel::{gemm, gemm_with, notrans, trans, Diag, Side, Strided, Uplo};
 use mrinv_matrix::lu::lu_decompose;
 use mrinv_matrix::triangular::{solve_row_times_upper, trsm};
 use mrinv_matrix::Matrix;
-use serde::{de_field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::config::Optimizations;
 use crate::error::{CoreError, Result};
 use crate::factors::FactorRef;
 use crate::partition::PartitionPlan;
-use crate::source::{BlockIo, MasterIo, MatrixSource, Piece};
+use crate::source::{write_block, MatrixSource, Piece};
 
 /// Registers this module's remote task family (see
 /// [`crate::remote::exec_registry`]).
@@ -54,11 +53,20 @@ pub(crate) fn job_spec(dir: &str, num_cells: usize) -> JobSpec<usize, usize> {
         .remote("lu-level")
 }
 
+/// Control pairs (Figure 5): distributes a job's reducer cells round-robin
+/// across its map tasks, so every reducer receives exactly one
+/// `(cell, cell)` key through the identity partitioner.
+pub(crate) fn emit_cells(ctx: &mut MapContext<usize, usize>, num_cells: usize) {
+    for cell in (ctx.task_index()..num_cells).step_by(ctx.num_tasks()) {
+        ctx.emit(cell, cell);
+    }
+}
+
 /// Charges a master I/O session to the simulated clock.
-pub(crate) fn charge_master_io(cluster: &Cluster, io: &MasterIo<'_>) {
+fn charge_master_io(cluster: &Cluster, io: &TaskIo) {
     let cost = &cluster.config.cost;
-    let secs = io.bytes_read as f64 / cost.disk_read_bw
-        + io.bytes_written as f64 * f64::from(cost.replication) / cost.disk_write_bw;
+    let secs = io.stats().read_bytes as f64 / cost.disk_read_bw
+        + io.stats().write_bytes as f64 * f64::from(cost.replication) / cost.disk_write_bw;
     cluster.metrics.add_master_secs(secs);
 }
 
@@ -91,23 +99,16 @@ pub fn lu_decompose_mr(
 
     if n <= plan.nb {
         // Leaf: decompose on the master node (Algorithm 2 lines 2-3).
-        let mut io = MasterIo::new(&cluster.dfs);
+        let mut io = TaskIo::new(cluster.dfs.clone());
         let block = source.read_all(&mut io)?;
         let factors = run_on_master(cluster, || lu_decompose(&block))?;
-        let l_path = format!("{dir}/l.bin");
-        let u_path = format!("{dir}/u.bin");
-        io.write_bytes(&l_path, encode_binary(&factors.unit_lower()));
         let u = factors.upper();
         let stored_u = if opts.transpose_u { u.transpose() } else { u };
-        io.write_bytes(&u_path, encode_binary(&stored_u));
+        let l = factors.unit_lower();
+        let leaf =
+            FactorRef::write_leaf(&mut io, dir, &l, &stored_u, factors.perm, opts.transpose_u);
         charge_master_io(cluster, &io);
-        return Ok(FactorRef::Leaf {
-            n,
-            l_path,
-            u_path,
-            perm: factors.perm,
-            transposed_u: opts.transpose_u,
-        });
+        return Ok(leaf);
     }
 
     // Internal node: the quadrants are windows (Section 5.2: metadata only).
@@ -117,44 +118,26 @@ pub fn lu_decompose_mr(
 
     // Decompose A1 first (Algorithm 2 line 6).
     let a1_factors = lu_decompose_mr(driver, &format!("{dir}/A1"), a1, plan, opts)?;
-    let p1 = a1_factors.perm();
 
-    // Stripe and cell geometry for this level.
+    // Where this level's files land, named here once: the mappers and
+    // reducers are handed these pieces, and every later reader of the
+    // factors sees the same ones. L2' is striped by rows; U2 by columns,
+    // or by rows of U2ᵀ when stored transposed (Section 6.3); B by the
+    // block-wrap grid (Section 6.2), one file per cell.
     let nonempty = |r: &(usize, usize)| r.0 < r.1;
-    let l2_ranges: Vec<(usize, usize)> = even_ranges(rest, plan.m_l)
-        .into_iter()
-        .filter(nonempty)
-        .collect();
-    let u2_ranges: Vec<(usize, usize)> = even_ranges(rest, plan.m_u)
-        .into_iter()
-        .filter(nonempty)
-        .collect();
-    let cell_rows = even_ranges(rest, plan.grid.0);
-    let cell_cols = even_ranges(rest, plan.grid.1);
-
-    let mut inputs = Vec::new();
-    for (k, &range) in l2_ranges.iter().enumerate() {
-        inputs.push(LuTaskInput::L2Stripe { k, rows: range });
-    }
-    for (k, &range) in u2_ranges.iter().enumerate() {
-        inputs.push(LuTaskInput::U2Stripe { k, cols: range });
-    }
-
-    // Where the mappers' stripes land, as the reducers and every later
-    // reader of the factors see them: L2' by rows; U2 by columns, or by
-    // rows of U2ᵀ when stored transposed (Section 6.3).
+    let stripes = |count| {
+        even_ranges(rest, count)
+            .into_iter()
+            .filter(nonempty)
+            .enumerate()
+    };
     let l2 = MatrixSource::new(
         (rest, half),
-        l2_ranges
-            .iter()
-            .enumerate()
-            .map(|(k, &rows)| Piece::new(format!("{dir}/L2/L.{k}"), rows, (0, half)))
+        stripes(plan.m_l)
+            .map(|(k, rows)| Piece::new(format!("{dir}/L2/L.{k}"), rows, (0, half)))
             .collect(),
     );
-    let u2_files = u2_ranges
-        .iter()
-        .enumerate()
-        .map(|(k, &range)| (format!("{dir}/U2/U.{k}"), range));
+    let u2_files = stripes(plan.m_u).map(|(k, range)| (format!("{dir}/U2/U.{k}"), range));
     let u2 = if opts.transpose_u {
         MatrixSource::new(
             (rest, half),
@@ -170,48 +153,46 @@ pub fn lu_decompose_mr(
                 .collect(),
         )
     };
+    let cell_cols = even_ranges(rest, plan.grid.1);
+    let cells: Vec<Piece> = even_ranges(rest, plan.grid.0)
+        .into_iter()
+        .flat_map(|rr| cell_cols.iter().map(move |&cc| (rr, cc)))
+        .enumerate()
+        .map(|(cell, (rr, cc))| Piece::new(format!("{dir}/OUT/A.{cell}"), rr, cc))
+        .collect();
 
-    let num_cells = plan.grid.0 * plan.grid.1;
+    let input = |stripe| {
+        move |p: &Piece| LuTaskInput {
+            stripe,
+            piece: p.clone(),
+        }
+    };
+    let inputs: Vec<LuTaskInput> = (l2.pieces().iter().map(input(Stripe::L2)))
+        .chain(u2.pieces().iter().map(input(Stripe::U2)))
+        .collect();
     let mapper = LuLevelMapper {
-        dir: dir.to_string(),
         a1: a1_factors.clone(),
-        p1,
         a2,
         a3,
         opts: *opts,
-        num_cells,
+        num_cells: cells.len(),
     };
+    // B's descriptor (Section 5.2: metadata only, built on the master).
+    let b_source = MatrixSource::new(
+        (rest, rest),
+        cells.iter().filter(|p| !p.is_empty()).cloned().collect(),
+    );
+    let spec = job_spec(dir, cells.len());
     let reducer = LuLevelReducer {
-        dir: dir.to_string(),
         a4,
         l2_source: l2.clone(),
         u2_source: u2.clone(),
-        cell_rows: cell_rows.clone(),
-        cell_cols: cell_cols.clone(),
+        cells,
         opts: *opts,
     };
-
-    let spec = job_spec(dir, num_cells);
     driver.step(spec.fingerprint(), |c| {
         run_job(c, &spec, &mapper, &reducer, &inputs).map(|(_outputs, report)| report)
     })?;
-
-    // B's descriptor (Section 5.2: metadata only, built on the master).
-    let b_pieces: Vec<Piece> = cell_rows
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &rr)| {
-            let cell_cols = &cell_cols;
-            cell_cols.iter().enumerate().filter_map(move |(j, &cc)| {
-                if rr.0 >= rr.1 || cc.0 >= cc.1 {
-                    return None;
-                }
-                let cell = i * cell_cols.len() + j;
-                Some(Piece::new(format!("{dir}/OUT/A.{cell}"), rr, cc))
-            })
-        })
-        .collect();
-    let b_source = MatrixSource::new((rest, rest), b_pieces);
 
     // Decompose B (Algorithm 2 line 10).
     let b_factors = lu_decompose_mr(driver, &format!("{dir}/OUT"), b_source, plan, opts)?;
@@ -231,7 +212,7 @@ pub fn lu_decompose_mr(
     } else {
         // Section 6.1 ablation: serially combine this level's factors on
         // the master while the cluster waits.
-        let mut io = MasterIo::new(&cluster.dfs);
+        let mut io = TaskIo::new(cluster.dfs.clone());
         let combined = run_on_master(cluster, || {
             node.combine(&mut io, &format!("{dir}/COMBINED"), opts.transpose_u)
         });
@@ -241,99 +222,30 @@ pub fn lu_decompose_mr(
 }
 
 /// Map-task input: which stripe of which factor to compute (the control
-/// integer of Section 5.1, enriched with the stripe geometry).
-#[derive(Debug, Clone)]
-enum LuTaskInput {
-    /// Compute rows `rows.0..rows.1` of `L2'`.
-    L2Stripe {
-        /// Stripe index.
-        k: usize,
-        /// Row range within the bottom-left block.
-        rows: (usize, usize),
-    },
-    /// Compute columns `cols.0..cols.1` of `U2`.
-    U2Stripe {
-        /// Stripe index.
-        k: usize,
-        /// Column range within the top-right block.
-        cols: (usize, usize),
-    },
+/// integer of Section 5.1, enriched into the piece the master named: its
+/// path is where the stripe goes, its rectangle what the stripe covers).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct LuTaskInput {
+    stripe: Stripe,
+    piece: Piece,
 }
 
-// Manual serde: the vendored derive cannot handle data-carrying enum
-// variants.
-impl Serialize for LuTaskInput {
-    fn to_value(&self) -> Value {
-        match self {
-            LuTaskInput::L2Stripe { k, rows } => Value::Object(vec![
-                ("kind".to_string(), Value::String("l2".to_string())),
-                ("k".to_string(), k.to_value()),
-                ("range".to_string(), rows.to_value()),
-            ]),
-            LuTaskInput::U2Stripe { k, cols } => Value::Object(vec![
-                ("kind".to_string(), Value::String("u2".to_string())),
-                ("k".to_string(), k.to_value()),
-                ("range".to_string(), cols.to_value()),
-            ]),
-        }
-    }
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+enum Stripe {
+    /// Compute the rows of `L2'` the piece covers.
+    L2,
+    /// Compute the columns of `U2` the piece covers (its rows, when `U2`
+    /// is stored transposed).
+    U2,
 }
 
-impl Deserialize for LuTaskInput {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let kind: String = de_field(v, "kind")?;
-        match kind.as_str() {
-            "l2" => Ok(LuTaskInput::L2Stripe {
-                k: de_field(v, "k")?,
-                rows: de_field(v, "range")?,
-            }),
-            "u2" => Ok(LuTaskInput::U2Stripe {
-                k: de_field(v, "k")?,
-                cols: de_field(v, "range")?,
-            }),
-            other => Err(DeError(format!("unknown LuTaskInput kind {other:?}"))),
-        }
-    }
-}
-
+#[derive(Serialize, Deserialize)]
 struct LuLevelMapper {
-    dir: String,
     a1: FactorRef,
-    p1: mrinv_matrix::Permutation,
     a2: MatrixSource,
     a3: MatrixSource,
     opts: Optimizations,
     num_cells: usize,
-}
-
-// Manual serde: `Permutation` is foreign, so `p1` ships inline as its
-// `S`-array.
-impl Serialize for LuLevelMapper {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dir".to_string(), self.dir.to_value()),
-            ("a1".to_string(), self.a1.to_value()),
-            ("p1".to_string(), self.p1.as_slice().to_value()),
-            ("a2".to_string(), self.a2.to_value()),
-            ("a3".to_string(), self.a3.to_value()),
-            ("opts".to_string(), self.opts.to_value()),
-            ("num_cells".to_string(), self.num_cells.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LuLevelMapper {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        Ok(LuLevelMapper {
-            dir: de_field(v, "dir")?,
-            a1: de_field(v, "a1")?,
-            p1: mrinv_matrix::Permutation::from_vec(de_field(v, "p1")?),
-            a2: de_field(v, "a2")?,
-            a3: de_field(v, "a3")?,
-            opts: de_field(v, "opts")?,
-            num_cells: de_field(v, "num_cells")?,
-        })
-    }
 }
 
 impl Mapper for LuLevelMapper {
@@ -346,9 +258,10 @@ impl Mapper for LuLevelMapper {
         input: &LuTaskInput,
         ctx: &mut MapContext<usize, usize>,
     ) -> std::result::Result<(), MrError> {
-        match *input {
-            LuTaskInput::L2Stripe { k, rows } => {
-                let a3_stripe = self.a3.read_rows(ctx, rows.0, rows.1)?;
+        let piece = &input.piece;
+        match input.stripe {
+            Stripe::L2 => {
+                let a3_stripe = self.a3.read_rows(ctx, piece.rows.0, piece.rows.1)?;
                 let out = if self.opts.transpose_u {
                     // X·U1 = A3 is U1ᵀ·Xᵀ = A3ᵀ: one lower solve of the
                     // whole stripe against the stored transpose.
@@ -376,12 +289,18 @@ impl Mapper for LuLevelMapper {
                     ctx.charge_kernel(kernel.elapsed());
                     out
                 };
-                ctx.write(&format!("{}/L2/L.{k}", self.dir), encode_binary(&out));
+                write_block(ctx, &piece.path, &out);
             }
-            LuTaskInput::U2Stripe { k, cols } => {
+            Stripe::U2 => {
+                let cols = if self.opts.transpose_u {
+                    piece.rows
+                } else {
+                    piece.cols
+                };
                 // Pivot A2's rows by P1 before solving (Equation 5:
                 // L1 U2 = P1 A2).
-                let mut u2 = self.p1.apply_rows(&self.a2.read_cols(ctx, cols.0, cols.1)?);
+                let p1 = self.a1.perm();
+                let mut u2 = p1.apply_rows(&self.a2.read_cols(ctx, cols.0, cols.1)?);
                 let l1 = self.a1.assemble_l(ctx)?;
                 let kernel = std::time::Instant::now();
                 trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l1, &mut u2)
@@ -394,32 +313,23 @@ impl Mapper for LuLevelMapper {
                     u2
                 };
                 ctx.charge_kernel(kernel.elapsed());
-                ctx.write(&format!("{}/U2/U.{k}", self.dir), encode_binary(&stored));
+                write_block(ctx, &piece.path, &stored);
             }
         }
-        // Control pairs (Figure 5): distribute the B cells round-robin
-        // across map tasks so every reducer receives exactly one
-        // (cell, cell) key.
-        let mut cell = ctx.task_index();
-        let stride = ctx.num_tasks();
-        while cell < self.num_cells {
-            ctx.emit(cell, cell);
-            cell += stride;
-        }
+        emit_cells(ctx, self.num_cells);
         Ok(())
     }
 }
 
 #[derive(Serialize, Deserialize)]
 struct LuLevelReducer {
-    dir: String,
     a4: MatrixSource,
     l2_source: MatrixSource,
     /// `U2` pieces; in transposed space (`rest x half`) when
     /// `opts.transpose_u`, else `half x rest`.
     u2_source: MatrixSource,
-    cell_rows: Vec<(usize, usize)>,
-    cell_cols: Vec<(usize, usize)>,
+    /// Where each cell of `B` goes and what it covers, indexed by cell.
+    cells: Vec<Piece>,
     opts: Optimizations,
 }
 
@@ -434,14 +344,11 @@ impl Reducer for LuLevelReducer {
         _values: &[usize],
         ctx: &mut ReduceContext,
     ) -> std::result::Result<(), MrError> {
-        let cell = *key;
-        let i = cell / self.cell_cols.len();
-        let j = cell % self.cell_cols.len();
-        let rr = self.cell_rows[i];
-        let cc = self.cell_cols[j];
-        if rr.0 >= rr.1 || cc.0 >= cc.1 {
+        let cell = &self.cells[*key];
+        if cell.is_empty() {
             return Ok(());
         }
+        let (rr, cc) = (cell.rows, cell.cols);
         let mut b = self.a4.read_range(ctx, rr, cc)?;
         let l2_rows = self.l2_source.read_rows(ctx, rr.0, rr.1)?;
         if self.opts.transpose_u {
@@ -468,7 +375,7 @@ impl Reducer for LuLevelReducer {
             .map_err(CoreError::from)?;
             ctx.charge_kernel(kernel.elapsed());
         }
-        ctx.write(&format!("{}/OUT/A.{cell}", self.dir), encode_binary(&b));
+        write_block(ctx, &cell.path, &b);
         Ok(())
     }
 }
@@ -506,7 +413,7 @@ mod tests {
     }
 
     fn assert_pa_eq_lu(cluster: &Cluster, factors: &FactorRef, a: &Matrix, tol: f64) {
-        let mut io = MasterIo::new(&cluster.dfs);
+        let mut io = TaskIo::new(cluster.dfs.clone());
         let l = factors.assemble_l(&mut io).unwrap();
         let u = factors.assemble_u(&mut io).unwrap();
         let pa = factors.perm().apply_rows(a);
@@ -565,7 +472,7 @@ mod tests {
         for opts in variants {
             let (cluster, factors, _p, a) = run_lu(24, 6, 4, opts, 42);
             assert_pa_eq_lu(&cluster, &factors, &a, 1e-8);
-            let mut io = MasterIo::new(&cluster.dfs);
+            let mut io = TaskIo::new(cluster.dfs.clone());
             let l = factors.assemble_l(&mut io).unwrap();
             match &reference {
                 None => reference = Some(l),
@@ -607,6 +514,32 @@ mod tests {
         assert_eq!(reports.len(), 0);
         assert_pa_eq_lu(&cluster, &factors, &a, 1e-9);
         assert!(cluster.metrics.snapshot().master_secs > 0.0);
+    }
+
+    /// The master's bytes are the DFS's bytes: with compute priced at zero
+    /// and unit bandwidths, a leaf decomposition charges exactly what its
+    /// one handle moved.
+    #[test]
+    fn master_io_charge_is_the_bytes_moved() {
+        let mut ccfg = ClusterConfig::medium(2);
+        ccfg.cost = CostModel {
+            master_compute_scale: 0.0,
+            replication: 3,
+            ..CostModel::unit_for_tests()
+        };
+        let cluster = Cluster::new(ccfg);
+        let icfg = InversionConfig::with_nb(16);
+        let plan = PartitionPlan::new(8, &cluster, &icfg, "Root");
+        ingest_input(&cluster, &random_invertible(8, 19), &plan).unwrap();
+        let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
+        let (source, _) = run_partition_job(&mut driver, &plan).unwrap();
+        let before = cluster.dfs.counters();
+        lu_decompose_mr(&mut driver, &plan.root, source, &plan, &icfg.opts).unwrap();
+        let after = cluster.dfs.counters();
+        let read = (after.bytes_read - before.bytes_read) as f64;
+        let written = (after.bytes_written - before.bytes_written) as f64;
+        assert!(read > 0.0 && written > 0.0);
+        assert_eq!(cluster.metrics.snapshot().master_secs, read + 3.0 * written);
     }
 
     #[test]

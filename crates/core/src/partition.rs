@@ -24,15 +24,14 @@
 
 use mrinv_mapreduce::job::{JobSpec, MapContext, Mapper};
 use mrinv_mapreduce::runner::{run_map_only, JobReport};
-use mrinv_mapreduce::{Cluster, MrError, PipelineDriver, TaskRegistry};
+use mrinv_mapreduce::{Cluster, MrError, PipelineDriver, TaskIo, TaskRegistry};
 use mrinv_matrix::block::{even_ranges, BlockRange};
-use mrinv_matrix::io::{decode_binary, encode_binary};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
-use crate::source::{BlockIo, MasterIo, MatrixSource, Piece};
+use crate::source::{read_block, write_block, MatrixSource, Piece};
 
 /// Static geometry of one inversion's data layout.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,6 +87,13 @@ impl PartitionPlan {
     /// DFS path of the input row-stripe file mapper `j` reads.
     fn input_part_path(&self, j: usize) -> String {
         format!("{}/input/part.{j}", self.root)
+    }
+
+    /// Mapper `j`'s input: the stripe [`ingest_input`] stored for it,
+    /// which must be `mapper_rows(j) × n`.
+    fn read_input_part(&self, io: &mut TaskIo, j: usize) -> Result<Matrix> {
+        let (r0, r1) = self.mapper_rows(j);
+        read_block(io, &self.input_part_path(j), (r1 - r0, self.n))
     }
 }
 
@@ -233,16 +239,15 @@ impl Mapper for PartitionMapper {
     ) -> std::result::Result<(), MrError> {
         let j = *input;
         let (r0, r1) = self.plan.mapper_rows(j);
-        let stripe = decode_binary(&ctx.read(&self.plan.input_part_path(j))?)
-            .map_err(|e| MrError::Other(e.to_string()))?;
+        let stripe = self.plan.read_input_part(ctx, j)?;
         // Mapper rows are disjoint, so the pieces inside this mapper's
         // range are exactly the ones `push_cells` cut for writer `j`.
         let own = |p: &Piece| r0 <= p.rows.0 && p.rows.1 <= r1;
         for p in enumerate_pieces(&self.plan).into_iter().filter(own) {
             let block = stripe
                 .block(BlockRange::new((p.rows.0 - r0, p.rows.1 - r0), p.cols))
-                .map_err(|e| MrError::Other(e.to_string()))?;
-            ctx.write(&p.path, encode_binary(&block));
+                .map_err(CoreError::from)?;
+            write_block(ctx, &p.path, &block);
         }
         Ok(())
     }
@@ -260,11 +265,10 @@ pub fn ingest_input(cluster: &Cluster, a: &Matrix, plan: &PartitionPlan) -> Resu
             n = plan.n
         )));
     }
-    let mut io = MasterIo::new(&cluster.dfs);
+    let mut io = TaskIo::new(cluster.dfs.clone());
     for j in 0..plan.m0 {
         let (r0, r1) = plan.mapper_rows(j);
-        let stripe = a.row_stripe(r0, r1)?;
-        io.write_bytes(&plan.input_part_path(j), encode_binary(&stripe));
+        write_block(&mut io, &plan.input_part_path(j), &a.row_stripe(r0, r1)?);
     }
     Ok(())
 }
@@ -348,7 +352,7 @@ mod tests {
             let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
             let (source, report) = run_partition_job(&mut driver, &p).unwrap();
             assert_eq!(report.map_tasks, m0);
-            let mut io = MasterIo::new(&cluster.dfs);
+            let mut io = TaskIo::new(cluster.dfs.clone());
             let back = source.read_all(&mut io).unwrap();
             assert_eq!(back, a, "n={n} nb={nb} m0={m0}");
         }
@@ -423,7 +427,7 @@ mod tests {
         let (source, _) = run_partition_job(&mut driver, &p).unwrap();
         assert_eq!(source.shape(), (8, 8));
         assert!(paths(&source).iter().all(|f| f.starts_with("Root/A.0.")));
-        let mut io = MasterIo::new(&cluster.dfs);
+        let mut io = TaskIo::new(cluster.dfs.clone());
         assert_eq!(source.read_all(&mut io).unwrap(), a);
     }
 
@@ -447,7 +451,7 @@ mod tests {
         let (source, _) = run_partition_job(&mut driver, &p).unwrap();
         let [_, a2, ..] = source.quadrants(16, 16).unwrap();
         cluster.dfs.reset_counters();
-        let mut io = MasterIo::new(&cluster.dfs);
+        let mut io = TaskIo::new(cluster.dfs.clone());
         let stripe_cols = even_ranges(16, p.m_u)[0];
         let got = a2.read_cols(&mut io, stripe_cols.0, stripe_cols.1).unwrap();
         let expect = a
@@ -462,6 +466,32 @@ mod tests {
             cluster.dfs.counters().bytes_read,
             a2_bytes
         );
+    }
+
+    /// A stored input stripe that is not `mapper_rows(j) × n` fails its
+    /// mapper by name, whichever way it is off: too small used to surface
+    /// as a block-range error from inside the piece loop, too large (rows
+    /// or columns no piece indexes) used to be accepted.
+    #[test]
+    fn input_stripe_of_the_wrong_shape_fails_its_mapper() {
+        for shape in [(5, 16), (9, 16), (8, 17)] {
+            let (cluster, p) = plan(16, 4, 2, true);
+            ingest_input(&cluster, &random_matrix(16, 16, 3), &p).unwrap();
+            let mut io = TaskIo::new(cluster.dfs.clone());
+            let stored = random_matrix(shape.0, shape.1, 4);
+            write_block(&mut io, "Root/input/part.1", &stored);
+            match p.read_input_part(&mut io, 1) {
+                Err(CoreError::Invariant(msg)) => {
+                    for needle in ["Root/input/part.1", &format!("{shape:?}"), "(8, 16)"] {
+                        assert!(msg.contains(needle), "{msg:?} lacks {needle:?}");
+                    }
+                }
+                other => panic!("{shape:?}: {other:?}"),
+            }
+            assert!(p.read_input_part(&mut io, 0).is_ok());
+            let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
+            assert!(run_partition_job(&mut driver, &p).is_err(), "{shape:?}");
+        }
     }
 
     #[test]

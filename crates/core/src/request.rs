@@ -34,18 +34,17 @@
 
 use std::sync::Arc;
 
-use mrinv_mapreduce::{Cluster, RunId, RunReport};
+use mrinv_mapreduce::{Cluster, RunId, RunReport, TaskIo, UncountedDfs};
 use mrinv_matrix::triangular::{back_substitution, forward_substitution};
 use mrinv_matrix::{Matrix, Permutation};
 
-use crate::cache::{cache_key, FactorCache, Factorization, UncountedIo};
+use crate::cache::{cache_key, FactorCache, Factorization};
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
 use crate::factors::FactorRef;
 use crate::inverse::{fresh_run_id, make_driver, run_fingerprint, Checkpoint};
 use crate::lu_mr::lu_decompose_mr;
 use crate::partition::{ingest_input, run_partition_job, PartitionPlan};
-use crate::source::{BlockIo, MasterIo};
 use crate::tri_inv_mr::invert_factors_mr;
 
 /// What a [`Request`] computes.
@@ -99,7 +98,7 @@ pub struct LuFactors {
 
 impl LuFactors {
     /// Reads a factor file forest back into dense matrices through `io`.
-    pub(crate) fn assemble(factors: &FactorRef, io: &mut dyn BlockIo) -> Result<LuFactors> {
+    pub(crate) fn assemble(factors: &FactorRef, io: &mut TaskIo) -> Result<LuFactors> {
         Ok(LuFactors {
             l: factors.assemble_l(io)?,
             u: factors.assemble_u(io)?,
@@ -303,7 +302,7 @@ impl<'a> Request<'a> {
             backend: "factor-cache".to_string(),
             ..RunReport::default()
         };
-        let mut io = UncountedIo { dfs: &cluster.dfs };
+        let mut io = TaskIo::new(Arc::new(UncountedDfs(cluster.dfs.clone())));
         self.answer(&hit, &mut io, CacheStatus::Hit, report)
             .map(Some)
     }
@@ -377,7 +376,7 @@ impl<'a> Request<'a> {
             Some(_) => CacheStatus::Miss,
             None => CacheStatus::Bypass,
         };
-        let outcome = self.answer(&done, &mut MasterIo::new(&cluster.dfs), status, report)?;
+        let outcome = self.answer(&done, &mut TaskIo::new(cluster.dfs.clone()), status, report)?;
         if let Some((cache, key)) = keyed {
             cache.insert(key, done);
         }
@@ -392,7 +391,7 @@ impl<'a> Request<'a> {
     fn answer(
         &self,
         done: &Factorization,
-        io: &mut dyn BlockIo,
+        io: &mut TaskIo,
         cache: CacheStatus,
         report: RunReport,
     ) -> Result<Outcome> {

@@ -12,75 +12,60 @@
 //! returns one for the whole input, every level's `B`, `L2'` and `U2` is
 //! one, and a quadrant of any of them is a window. Cropping is O(pieces)
 //! metadata work; reading a range decodes only the overlapping files and
-//! fails unless they cover it exactly once. All reads/writes go through
-//! [`BlockIo`], so every byte lands in the executing task's accounting.
+//! fails unless they cover it exactly once.
+//!
+//! Every byte moves through the one accounted handle,
+//! [`mrinv_mapreduce::TaskIo`] — a task context derefs to it, the master
+//! opens one over `cluster.dfs` — and [`read_block`] / [`write_block`] are
+//! the only two functions in this crate that turn DFS bytes into a
+//! [`Matrix`] and back: a stored block is decoded, and its shape checked,
+//! in one place.
 
-use bytes::Bytes;
-use mrinv_mapreduce::job::{MapContext, ReduceContext};
-use mrinv_mapreduce::{Dfs, MrError};
+use mrinv_mapreduce::TaskIo;
 use mrinv_matrix::io::{decode_binary, encode_binary};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CoreError, Result};
 
-/// Accounted DFS access, implemented by both task contexts and the master.
-pub trait BlockIo {
-    /// Reads a file (charged to the caller's task where applicable).
-    fn read_bytes(&mut self, path: &str) -> std::result::Result<Bytes, MrError>;
-    /// Writes a file (charged to the caller's task where applicable).
-    fn write_bytes(&mut self, path: &str, data: Bytes);
+/// Reads and decodes the block stored at `path`, which must hold exactly
+/// `expect` (rows, columns): a file of any other shape is an
+/// [`CoreError::Invariant`] naming it, never something to index into.
+pub fn read_block(io: &mut TaskIo, path: &str, expect: (usize, usize)) -> Result<Matrix> {
+    let block = decode_binary(&io.read(path)?)?;
+    if block.shape() != expect {
+        return Err(CoreError::Invariant(format!(
+            "file {path} holds a {:?} block, expected {expect:?}",
+            block.shape()
+        )));
+    }
+    Ok(block)
 }
 
-impl<K, V> BlockIo for MapContext<K, V> {
-    fn read_bytes(&mut self, path: &str) -> std::result::Result<Bytes, MrError> {
-        self.read(path)
-    }
-    fn write_bytes(&mut self, path: &str, data: Bytes) {
-        self.write(path, data);
-    }
+/// Encodes `block` and writes it to `path`.
+pub fn write_block(io: &mut TaskIo, path: &str, block: &Matrix) {
+    io.write(path, encode_binary(block));
 }
 
-impl BlockIo for ReduceContext {
-    fn read_bytes(&mut self, path: &str) -> std::result::Result<Bytes, MrError> {
-        self.read(path)
+/// The coverage rule of every read: files that placed anything but exactly
+/// the `wanted` elements lost one (or list one twice), and a zero-filled
+/// remainder is never a valid read.
+pub(crate) fn expect_covered(
+    placed: usize,
+    wanted: usize,
+    what: std::fmt::Arguments<'_>,
+) -> Result<()> {
+    if placed != wanted {
+        return Err(CoreError::Invariant(format!(
+            "files cover {placed} of the {wanted} elements of {what}"
+        )));
     }
-    fn write_bytes(&mut self, path: &str, data: Bytes) {
-        self.write(path, data);
-    }
+    Ok(())
 }
 
-/// Master-node DFS access; tracks bytes so the driver can charge the
-/// master's serial I/O to the simulated clock.
-pub struct MasterIo<'a> {
-    dfs: &'a Dfs,
-    /// Bytes read through this handle.
-    pub bytes_read: u64,
-    /// Bytes written through this handle.
-    pub bytes_written: u64,
-}
-
-impl<'a> MasterIo<'a> {
-    /// Wraps a DFS handle.
-    pub fn new(dfs: &'a Dfs) -> Self {
-        MasterIo {
-            dfs,
-            bytes_read: 0,
-            bytes_written: 0,
-        }
-    }
-}
-
-impl BlockIo for MasterIo<'_> {
-    fn read_bytes(&mut self, path: &str) -> std::result::Result<Bytes, MrError> {
-        let data = self.dfs.read(path)?;
-        self.bytes_read += data.len() as u64;
-        Ok(data)
-    }
-    fn write_bytes(&mut self, path: &str, data: Bytes) {
-        self.bytes_written += data.len() as u64;
-        self.dfs.write(path, data);
-    }
+/// True when `rows` x `cols` is a well-formed rectangle inside `shape`.
+pub(crate) fn inside(rows: (usize, usize), cols: (usize, usize), shape: (usize, usize)) -> bool {
+    rows.0 <= rows.1 && rows.1 <= shape.0 && cols.0 <= cols.1 && cols.1 <= shape.1
 }
 
 /// One stored rectangle of a logical matrix: the file at `path` holds the
@@ -105,6 +90,24 @@ impl Piece {
             rows,
             cols,
         }
+    }
+
+    /// The rows and columns of the piece inside `rows` x `cols` (piece
+    /// space), if any.
+    fn overlap(
+        &self,
+        rows: (usize, usize),
+        cols: (usize, usize),
+    ) -> Option<((usize, usize), (usize, usize))> {
+        let r = (self.rows.0.max(rows.0), self.rows.1.min(rows.1));
+        let c = (self.cols.0.max(cols.0), self.cols.1.min(cols.1));
+        (r.0 < r.1 && c.0 < c.1).then_some((r, c))
+    }
+
+    /// True when the rectangle holds no element (a grid cell of a block
+    /// smaller than the grid).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rows.0 >= self.rows.1 || self.cols.0 >= self.cols.1
     }
 
     /// Number of rows the file holds.
@@ -160,34 +163,35 @@ impl MatrixSource {
         &self.pieces
     }
 
+    /// The logical rectangle `rows` x `cols` in piece space; an error unless
+    /// it is well formed and inside this source's shape.
+    fn rect(
+        &self,
+        what: &str,
+        rows: (usize, usize),
+        cols: (usize, usize),
+    ) -> Result<((usize, usize), (usize, usize))> {
+        if !inside(rows, cols, self.shape) {
+            return Err(CoreError::Invariant(format!(
+                "{what} rows {rows:?} cols {cols:?} out of bounds for {:?} source",
+                self.shape
+            )));
+        }
+        let (r, c) = self.origin;
+        Ok(((r + rows.0, r + rows.1), (c + cols.0, c + cols.1)))
+    }
+
     /// Crops to the sub-rectangle `rows` x `cols` (logical coordinates).
     /// Pure metadata: no I/O. This is how the paper "partitions"
     /// `B = A4 − L2'U2` in under a second on the master (Section 5.2).
     pub fn window(&self, rows: (usize, usize), cols: (usize, usize)) -> Result<MatrixSource> {
-        if rows.0 > rows.1 || cols.0 > cols.1 || rows.1 > self.shape.0 || cols.1 > self.shape.1 {
-            return Err(CoreError::Invariant(format!(
-                "window rows {rows:?} cols {cols:?} out of bounds for {:?} source",
-                self.shape
-            )));
-        }
-        let origin = (self.origin.0 + rows.0, self.origin.1 + cols.0);
-        let shape = (rows.1 - rows.0, cols.1 - cols.0);
+        let (wr, wc) = self.rect("window", rows, cols)?;
         // Keep only pieces overlapping the new window.
-        let pieces = self
-            .pieces
-            .iter()
-            .filter(|p| {
-                p.rows.1 > origin.0
-                    && p.rows.0 < origin.0 + shape.0
-                    && p.cols.1 > origin.1
-                    && p.cols.0 < origin.1 + shape.1
-            })
-            .cloned()
-            .collect();
+        let overlapping = |p: &&Piece| p.overlap(wr, wc).is_some();
         Ok(MatrixSource {
-            pieces,
-            origin,
-            shape,
+            pieces: self.pieces.iter().filter(overlapping).cloned().collect(),
+            origin: (wr.0, wc.0),
+            shape: (rows.1 - rows.0, cols.1 - cols.0),
         })
     }
 
@@ -208,84 +212,85 @@ impl MatrixSource {
     /// error, never a zero-filled block.
     pub fn read_range(
         &self,
-        io: &mut dyn BlockIo,
+        io: &mut TaskIo,
         rows: (usize, usize),
         cols: (usize, usize),
     ) -> Result<Matrix> {
-        if rows.0 > rows.1 || cols.0 > cols.1 || rows.1 > self.shape.0 || cols.1 > self.shape.1 {
+        self.rect("read", rows, cols)?;
+        let mut out = Matrix::zeros(rows.1 - rows.0, cols.1 - cols.0);
+        self.read_into(io, rows, cols, &mut out, (0, 0), false)?;
+        Ok(out)
+    }
+
+    /// [`MatrixSource::read_range`] into place: the rectangle lands in
+    /// `out` with its top-left element at `corner` — transposed when
+    /// `flip`, so source element `(r, c)` of it lands `(c, r)` from
+    /// `corner`. The one routine that copies stored pieces into a matrix.
+    pub fn read_into(
+        &self,
+        io: &mut TaskIo,
+        rows: (usize, usize),
+        cols: (usize, usize),
+        out: &mut Matrix,
+        corner: (usize, usize),
+        flip: bool,
+    ) -> Result<()> {
+        let (tr, tc) = self.rect("read", rows, cols)?;
+        let (h, w) = (rows.1 - rows.0, cols.1 - cols.0);
+        let (placed_h, placed_w) = if flip { (w, h) } else { (h, w) };
+        if corner.0 + placed_h > out.rows() || corner.1 + placed_w > out.cols() {
             return Err(CoreError::Invariant(format!(
-                "read_range rows {rows:?} cols {cols:?} out of bounds for {:?} source",
-                self.shape
+                "a {placed_h}x{placed_w} read placed at {corner:?} overruns its {:?} target",
+                out.shape()
             )));
         }
-        let mut out = Matrix::zeros(rows.1 - rows.0, cols.1 - cols.0);
-        // Absolute target rectangle in piece space.
-        let tr = (self.origin.0 + rows.0, self.origin.0 + rows.1);
-        let tc = (self.origin.1 + cols.0, self.origin.1 + cols.1);
         let mut copied = 0;
         for piece in &self.pieces {
-            let r0 = piece.rows.0.max(tr.0);
-            let r1 = piece.rows.1.min(tr.1);
-            let c0 = piece.cols.0.max(tc.0);
-            let c1 = piece.cols.1.min(tc.1);
-            if r0 >= r1 || c0 >= c1 {
+            let Some(((r0, r1), (c0, c1))) = piece.overlap(tr, tc) else {
                 continue;
-            }
-            let data = io.read_bytes(&piece.path).map_err(CoreError::MapReduce)?;
-            let block = decode_binary(&data)?;
-            if block.shape() != (piece.nrows(), piece.ncols()) {
-                return Err(CoreError::Invariant(format!(
-                    "piece {} has shape {:?}, descriptor says {}x{}",
-                    piece.path,
-                    block.shape(),
-                    piece.nrows(),
-                    piece.ncols()
-                )));
-            }
-            for r in r0..r1 {
-                let src_row =
-                    &block.row(r - piece.rows.0)[(c0 - piece.cols.0)..(c1 - piece.cols.0)];
-                let dst_row = &mut out.row_mut(r - tr.0)[(c0 - tc.0)..(c1 - tc.0)];
-                dst_row.copy_from_slice(src_row);
+            };
+            let block = read_block(io, &piece.path, (piece.nrows(), piece.ncols()))?;
+            let src_cols = (c0 - piece.cols.0)..(c1 - piece.cols.0);
+            if flip {
+                for c in c0..c1 {
+                    let dst = &mut out.row_mut(corner.0 + c - tc.0)
+                        [corner.1 + r0 - tr.0..corner.1 + r1 - tr.0];
+                    for (r, d) in (r0..r1).zip(dst) {
+                        *d = block[(r - piece.rows.0, c - piece.cols.0)];
+                    }
+                }
+            } else {
+                for r in r0..r1 {
+                    out.row_mut(corner.0 + r - tr.0)[corner.1 + c0 - tc.0..corner.1 + c1 - tc.0]
+                        .copy_from_slice(&block.row(r - piece.rows.0)[src_cols.clone()]);
+                }
             }
             copied += (r1 - r0) * (c1 - c0);
         }
         // Pieces are disjoint, so the count is exact coverage.
-        let wanted = out.rows() * out.cols();
-        if copied != wanted {
-            return Err(CoreError::Invariant(format!(
-                "pieces cover {copied} of the {wanted} elements of rows {rows:?} cols {cols:?}"
-            )));
-        }
-        Ok(out)
+        expect_covered(copied, h * w, format_args!("rows {rows:?} cols {cols:?}"))
     }
 
     /// Reads the entire logical matrix.
-    pub fn read_all(&self, io: &mut dyn BlockIo) -> Result<Matrix> {
+    pub fn read_all(&self, io: &mut TaskIo) -> Result<Matrix> {
         self.read_range(io, (0, self.shape.0), (0, self.shape.1))
     }
 
     /// Reads a stripe of full-width rows.
-    pub fn read_rows(&self, io: &mut dyn BlockIo, r0: usize, r1: usize) -> Result<Matrix> {
+    pub fn read_rows(&self, io: &mut TaskIo, r0: usize, r1: usize) -> Result<Matrix> {
         self.read_range(io, (r0, r1), (0, self.shape.1))
     }
 
     /// Reads a stripe of full-height columns.
-    pub fn read_cols(&self, io: &mut dyn BlockIo, c0: usize, c1: usize) -> Result<Matrix> {
+    pub fn read_cols(&self, io: &mut TaskIo, c0: usize, c1: usize) -> Result<Matrix> {
         self.read_range(io, (0, self.shape.0), (c0, c1))
     }
 }
 
 /// Writes `block` to `path` and returns its piece descriptor, positioned at
 /// `(row0, col0)` in piece space.
-pub fn write_piece(
-    io: &mut dyn BlockIo,
-    path: &str,
-    row0: usize,
-    col0: usize,
-    block: &Matrix,
-) -> Piece {
-    io.write_bytes(path, encode_binary(block));
+pub fn write_piece(io: &mut TaskIo, path: &str, row0: usize, col0: usize, block: &Matrix) -> Piece {
+    write_block(io, path, block);
     Piece::new(
         path,
         (row0, row0 + block.rows()),
@@ -296,10 +301,12 @@ pub fn write_piece(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrinv_mapreduce::Dfs;
     use mrinv_matrix::random::random_matrix;
+    use std::sync::Arc;
 
-    fn scatter(dfs: &Dfs, m: &Matrix, tile: usize) -> MatrixSource {
-        let mut io = MasterIo::new(dfs);
+    fn scatter(dfs: &Arc<Dfs>, m: &Matrix, tile: usize) -> MatrixSource {
+        let mut io = TaskIo::new(dfs.clone());
         let mut pieces = Vec::new();
         let mut idx = 0;
         let mut r = 0;
@@ -322,21 +329,20 @@ mod tests {
 
     #[test]
     fn read_all_reassembles() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let m = random_matrix(13, 17, 1);
         let src = scatter(&dfs, &m, 5);
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         assert_eq!(src.read_all(&mut io).unwrap(), m);
-        assert!(io.bytes_read > 0);
     }
 
     #[test]
     fn read_range_reads_only_overlapping_files() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let m = random_matrix(20, 20, 2);
         let src = scatter(&dfs, &m, 10); // 4 tiles
         dfs.reset_counters();
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         let got = src.read_range(&mut io, (0, 10), (0, 10)).unwrap();
         assert_eq!(
             got,
@@ -348,12 +354,12 @@ mod tests {
 
     #[test]
     fn window_then_read_matches_direct_block() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let m = random_matrix(16, 16, 3);
         let src = scatter(&dfs, &m, 6);
         let w = src.window((4, 12), (2, 14)).unwrap();
         assert_eq!(w.shape(), (8, 12));
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         let got = w.read_all(&mut io).unwrap();
         let expect = m
             .block(mrinv_matrix::block::BlockRange::new((4, 12), (2, 14)))
@@ -370,7 +376,7 @@ mod tests {
 
     #[test]
     fn quadrants_cover_source() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let m = random_matrix(10, 10, 4);
         let src = scatter(&dfs, &m, 4);
         let [q1, q2, q3, q4] = src.quadrants(6, 6).unwrap();
@@ -378,17 +384,17 @@ mod tests {
         assert_eq!(q2.shape(), (6, 4));
         assert_eq!(q3.shape(), (4, 6));
         assert_eq!(q4.shape(), (4, 4));
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         let a4 = q4.read_all(&mut io).unwrap();
         assert_eq!(a4[(0, 0)], m[(6, 6)]);
     }
 
     #[test]
     fn stripes() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let m = random_matrix(9, 9, 5);
         let src = scatter(&dfs, &m, 3);
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         assert_eq!(
             src.read_rows(&mut io, 3, 6).unwrap(),
             m.row_stripe(3, 6).unwrap()
@@ -400,11 +406,47 @@ mod tests {
     }
 
     #[test]
+    fn read_into_places_and_flips() {
+        let dfs = Arc::new(Dfs::default());
+        let m = random_matrix(7, 5, 9);
+        let src = scatter(&dfs, &m, 3);
+        let mut io = TaskIo::new(dfs.clone());
+        let (rows, cols) = ((1, 6), (2, 5));
+        let want = m
+            .block(mrinv_matrix::block::BlockRange::new(rows, cols))
+            .unwrap();
+        let mut out = Matrix::zeros(9, 9);
+        src.read_into(&mut io, rows, cols, &mut out, (2, 1), false)
+            .unwrap();
+        src.read_into(&mut io, rows, cols, &mut out, (0, 4), true)
+            .unwrap();
+        let block = |r, c| {
+            out.block(mrinv_matrix::block::BlockRange::new(r, c))
+                .unwrap()
+        };
+        assert_eq!(block((2, 7), (1, 4)), want);
+        assert_eq!(block((0, 3), (4, 9)), want.transpose());
+        // A placement that does not fit is refused, not clipped.
+        for (corner, flip) in [
+            ((5, 0), false),
+            ((0, 7), false),
+            ((7, 0), true),
+            ((0, 5), true),
+        ] {
+            let got = src.read_into(&mut io, rows, cols, &mut out, corner, flip);
+            assert!(
+                matches!(got, Err(CoreError::Invariant(_))),
+                "{corner:?} {flip}"
+            );
+        }
+    }
+
+    #[test]
     fn bounds_are_validated() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let m = random_matrix(4, 4, 6);
         let src = scatter(&dfs, &m, 2);
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         assert!(src.read_range(&mut io, (0, 5), (0, 2)).is_err());
         assert!(src.window((2, 1), (0, 4)).is_err());
         assert!(src.window((0, 4), (0, 5)).is_err());
@@ -412,10 +454,10 @@ mod tests {
 
     #[test]
     fn corrupt_descriptor_is_detected() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let m = random_matrix(4, 4, 7);
-        let mut io = MasterIo::new(&dfs);
-        io.write_bytes("p", encode_binary(&m));
+        let mut io = TaskIo::new(dfs.clone());
+        write_block(&mut io, "p", &m);
         // Descriptor claims the file covers 2x2 but it holds 4x4.
         let src = MatrixSource::new((4, 4), vec![Piece::new("p", (0, 2), (0, 2))]);
         assert!(matches!(
@@ -426,9 +468,9 @@ mod tests {
 
     #[test]
     fn uncovered_or_doubly_covered_elements_are_detected() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let m = random_matrix(4, 4, 8);
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         let top = write_piece(&mut io, "top", 0, 0, &m.row_stripe(0, 2).unwrap());
         let bottom = write_piece(&mut io, "bottom", 2, 0, &m.row_stripe(2, 4).unwrap());
         let whole = MatrixSource::new((4, 4), vec![top.clone(), bottom.clone()]);
@@ -454,22 +496,12 @@ mod tests {
 
     #[test]
     fn missing_piece_file_errors() {
-        let dfs = Dfs::default();
+        let dfs = Arc::new(Dfs::default());
         let src = MatrixSource::new((2, 2), vec![Piece::new("gone", (0, 2), (0, 2))]);
-        let mut io = MasterIo::new(&dfs);
+        let mut io = TaskIo::new(dfs.clone());
         assert!(matches!(
             src.read_all(&mut io),
             Err(CoreError::MapReduce(_))
         ));
-    }
-
-    #[test]
-    fn master_io_accounts_bytes() {
-        let dfs = Dfs::default();
-        let mut io = MasterIo::new(&dfs);
-        io.write_bytes("x", Bytes::from(vec![0u8; 30]));
-        let _ = io.read_bytes("x").unwrap();
-        assert_eq!(io.bytes_written, 30);
-        assert_eq!(io.bytes_read, 30);
     }
 }

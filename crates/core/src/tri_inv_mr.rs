@@ -14,6 +14,15 @@
 //!
 //! Because the interleaved vectors are non-contiguous, files carry explicit
 //! index headers (`IndexedBlock`).
+//!
+//! Writers and readers share one enumeration: `owned` says which indices
+//! worker `k` holds inside a block, `Layout::files` turns that into the
+//! `(path, index header)` table of the `INV/` files, a mapper writes its
+//! row of the table and a reducer *reads* its block's column of it — a
+//! missing file is `FileNotFound`, never "that worker had no rows" — and
+//! the master assembles `RESULT/` the same way. Every file's header and
+//! shape are checked against the enumeration, one `scatter_indexed` places
+//! rows or columns, and a reader fails unless it covered its block.
 
 use std::ops::Range;
 
@@ -22,18 +31,20 @@ use mrinv_mapreduce::job::{
     identity_partitioner, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
 };
 use mrinv_mapreduce::runner::run_job;
-use mrinv_mapreduce::{MrError, PipelineDriver, TaskRegistry};
+use mrinv_mapreduce::{MrError, PipelineDriver, TaskIo, TaskRegistry};
 use mrinv_matrix::block::even_ranges;
 use mrinv_matrix::io::{binary_size, decode_binary, encode_binary_onto};
 use mrinv_matrix::kernel::{gemm, gemm_with, notrans, trans, Diag, Side, Strided, Uplo, K_PANEL};
 use mrinv_matrix::triangular::{solve_row_times_upper, trsm};
-use mrinv_matrix::{Matrix, Permutation};
-use serde::{de_field, DeError, Deserialize, Serialize, Value};
+use mrinv_matrix::Matrix;
+use serde::{Deserialize, Serialize};
 
 use crate::config::Optimizations;
 use crate::error::{CoreError, Result};
 use crate::factors::FactorRef;
+use crate::lu_mr::emit_cells;
 use crate::partition::PartitionPlan;
+use crate::source::expect_covered;
 
 /// A bundle of same-length vectors tagged with their global indices
 /// (interleaved rows of `U^-1`, columns of `L^-1`, or permuted output
@@ -46,14 +57,9 @@ struct IndexedBlock {
     pub data: Matrix,
 }
 
-/// Encodes an [`IndexedBlock`]: `[count u64][indices...][matrix]`.
-fn encode_indexed(block: &IndexedBlock) -> Bytes {
-    let (rows, cols) = block.data.shape();
-    encode_indexed_parts(&block.indices, rows, cols, block.data.as_slice())
-}
-
-/// [`encode_indexed`] of the `rows x cols` block whose row-major elements
-/// are `values`, written once into one buffer.
+/// Encodes an [`IndexedBlock`] — `[count u64][indices...][matrix]` — from
+/// its parts: the index header and the `rows x cols` block whose row-major
+/// elements are `values`, written once into one buffer.
 fn encode_indexed_parts(indices: &[u64], rows: usize, cols: usize, values: &[f64]) -> Bytes {
     let mut buf = Vec::with_capacity(8 + indices.len() * 8 + binary_size(rows, cols) as usize);
     buf.extend_from_slice(&(indices.len() as u64).to_le_bytes());
@@ -85,46 +91,22 @@ fn decode_indexed(mut data: &[u8]) -> Result<IndexedBlock> {
     })
 }
 
-/// Map-task input for the final job.
-#[derive(Debug, Clone)]
-enum InvTaskInput {
-    /// Invert `L`: compute columns `k, k+m, ...` of `L^-1`.
-    LCols {
-        /// Worker index within the `L` half.
-        k: usize,
-    },
-    /// Invert `U`: compute rows `k, k+m, ...` of `U^-1`.
-    URows {
-        /// Worker index within the `U` half.
-        k: usize,
-    },
+/// Which triangular inverse a vector belongs to: a column of `L^-1`, or a
+/// row of `U^-1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+enum Operand {
+    /// Columns of `L^-1`, grouped by the product grid's column blocks.
+    L,
+    /// Rows of `U^-1`, grouped by the product grid's row blocks.
+    U,
 }
 
-// Manual serde: the vendored derive macro cannot handle data-carrying
-// enum variants, so the variants ship as a tagged object.
-impl Serialize for InvTaskInput {
-    fn to_value(&self) -> Value {
-        let (kind, k) = match *self {
-            InvTaskInput::LCols { k } => ("l", k),
-            InvTaskInput::URows { k } => ("u", k),
-        };
-        Value::Object(vec![
-            ("kind".to_string(), Value::String(kind.to_string())),
-            ("k".to_string(), k.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for InvTaskInput {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let kind: String = de_field(v, "kind")?;
-        let k: usize = de_field(v, "k")?;
-        match kind.as_str() {
-            "l" => Ok(InvTaskInput::LCols { k }),
-            "u" => Ok(InvTaskInput::URows { k }),
-            other => Err(DeError(format!("unknown InvTaskInput kind {other:?}"))),
-        }
-    }
+/// Map-task input for the final job: worker `k` of `op`'s half computes
+/// vectors `k, k+m, k+2m, ...` of it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct InvTaskInput {
+    op: Operand,
+    k: usize,
 }
 
 /// Registers this module's remote task family (see
@@ -142,17 +124,184 @@ pub(crate) fn job_spec(dir: &str, num_cells: usize) -> JobSpec<usize, usize> {
         .remote("final-inverse")
 }
 
+/// The vector indices worker `k` of `m` owns inside `block`: the paper's
+/// interleaved assignment `k, k+m, k+2m, ...` below `n`, restricted to the
+/// block. The mapper groups its vectors by this and every reader
+/// enumerates its files from it, so which `(worker, block)` pairs hold a
+/// file — and which are legitimately empty — is known, never probed.
+fn owned(k: usize, m: usize, n: usize, block: (usize, usize)) -> impl Iterator<Item = u64> {
+    let first = k + block.0.saturating_sub(k).div_ceil(m) * m;
+    (first..block.1.min(n)).step_by(m).map(|i| i as u64)
+}
+
+/// Where the final job's files live and which vectors each holds: the one
+/// description its mappers write by and its reducers and the master read
+/// by.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Layout {
+    dir: String,
+    n: usize,
+    /// Workers inverting `L`.
+    m_l: usize,
+    /// Workers inverting `U`.
+    m_u: usize,
+    /// Row blocks of the product grid.
+    row_blocks: Vec<(usize, usize)>,
+    /// Column blocks of the product grid.
+    col_blocks: Vec<(usize, usize)>,
+    /// Column `j` of the product is column `perm[j]` of `A^-1` (Section
+    /// 4.3): a slice of this is an output file's index header.
+    perm: Vec<u64>,
+}
+
+impl Layout {
+    /// An operand's file tag, worker count and blocks.
+    fn operand(&self, op: Operand) -> (char, usize, &[(usize, usize)]) {
+        match op {
+            Operand::L => ('L', self.m_l, &self.col_blocks),
+            Operand::U => ('U', self.m_u, &self.row_blocks),
+        }
+    }
+
+    /// The `INV/` files of `op` written by a worker in `workers` for a
+    /// block in `blocks`, as `(path, index header)`: one per pair that owns
+    /// any vector. A mapper asks for its own row of this table, a reducer
+    /// for its block's column.
+    fn files(
+        &self,
+        op: Operand,
+        workers: Range<usize>,
+        blocks: Range<usize>,
+    ) -> Vec<(String, Vec<u64>)> {
+        let (tag, m, all_blocks) = self.operand(op);
+        let pairs = workers.flat_map(|k| blocks.clone().map(move |b| (k, b)));
+        pairs
+            .filter_map(|(k, b)| {
+                let indices: Vec<u64> = owned(k, m, self.n, all_blocks[b]).collect();
+                (!indices.is_empty()).then(|| (format!("{}/INV/{tag}.{k}.{b}", self.dir), indices))
+            })
+            .collect()
+    }
+
+    /// Reads the vectors of `op` that fall in its block `b`, from every
+    /// worker that owns any: as the rows of a `len x n` matrix, or the
+    /// columns of an `n x len` one when the files hold columns. A missing
+    /// file is an error, and so is anything short of the whole block.
+    fn read_operand(
+        &self,
+        io: &mut TaskIo,
+        op: Operand,
+        b: usize,
+        in_columns: bool,
+    ) -> Result<Matrix> {
+        let (_, m, blocks) = self.operand(op);
+        let (b0, b1) = blocks[b];
+        let oriented = |len: usize| {
+            if in_columns {
+                (self.n, len)
+            } else {
+                (len, self.n)
+            }
+        };
+        let (rows, cols) = oriented(b1 - b0);
+        let mut out = Matrix::zeros(rows, cols);
+        let mut placed = 0;
+        for (path, indices) in self.files(op, 0..m, b..b + 1) {
+            let data = read_indexed(io, &path, &indices, oriented(indices.len()))?;
+            scatter_indexed(&indices, &data, in_columns, &mut out, (b0, 0));
+            placed += indices.len();
+        }
+        expect_covered(
+            placed,
+            b1 - b0,
+            format_args!("an operand block (in vectors)"),
+        )?;
+        Ok(out)
+    }
+
+    fn num_cells(&self) -> usize {
+        self.row_blocks.len() * self.col_blocks.len()
+    }
+
+    /// The row and column block indices of a product cell.
+    fn cell(&self, cell: usize) -> (usize, usize) {
+        (cell / self.col_blocks.len(), cell % self.col_blocks.len())
+    }
+
+    /// Path of a product cell's output file.
+    fn result_path(&self, cell: usize) -> String {
+        let (r0, _) = self.row_blocks[self.cell(cell).0];
+        format!("{}/RESULT/A.{cell}.{r0}", self.dir)
+    }
+
+    /// Assembles `A^-1` from the reducers' output files: every nonempty
+    /// cell's file, indexed by the columns of `A^-1` it holds.
+    fn read_result(&self, io: &mut TaskIo) -> Result<Matrix> {
+        let mut result = Matrix::zeros(self.n, self.n);
+        let mut placed = 0;
+        for cell in 0..self.num_cells() {
+            let (bi, bj) = self.cell(cell);
+            let ((r0, r1), (c0, c1)) = (self.row_blocks[bi], self.col_blocks[bj]);
+            if r0 < r1 && c0 < c1 {
+                let tags = &self.perm[c0..c1];
+                let data = read_indexed(io, &self.result_path(cell), tags, (r1 - r0, c1 - c0))?;
+                scatter_indexed(tags, &data, true, &mut result, (0, r0));
+                placed += (r1 - r0) * (c1 - c0);
+            }
+        }
+        expect_covered(placed, self.n * self.n, format_args!("the inverse"))?;
+        Ok(result)
+    }
+}
+
+/// Reads the indexed file at `path`, which must exist, carry exactly the
+/// index header `expect` and hold a block of `shape`.
+fn read_indexed(
+    io: &mut TaskIo,
+    path: &str,
+    expect: &[u64],
+    shape: (usize, usize),
+) -> Result<Matrix> {
+    let file = decode_indexed(&io.read(path)?)?;
+    if file.indices != expect || file.data.shape() != shape {
+        return Err(CoreError::Invariant(format!(
+            "file {path} holds a {:?} block indexed {:?}, expected {shape:?} indexed {expect:?}",
+            file.data.shape(),
+            file.indices
+        )));
+    }
+    Ok(file.data)
+}
+
+/// The one scatter: vector `s` of `data` — row `s`, or column `s` when
+/// `in_columns` — lands in row (column) `indices[s] - base` of `out`,
+/// starting `at` elements along it.
+fn scatter_indexed(
+    indices: &[u64],
+    data: &Matrix,
+    in_columns: bool,
+    out: &mut Matrix,
+    (base, at): (usize, usize),
+) {
+    if in_columns {
+        for r in 0..data.rows() {
+            let dst = out.row_mut(at + r);
+            for (&i, &v) in indices.iter().zip(data.row(r)) {
+                dst[i as usize - base] = v;
+            }
+        }
+    } else {
+        for (slot, &i) in indices.iter().enumerate() {
+            out.row_mut(i as usize - base)[at..at + data.cols()].copy_from_slice(data.row(slot));
+        }
+    }
+}
+
 #[derive(Serialize, Deserialize)]
 struct TriInvMapper {
-    dir: String,
+    layout: Layout,
     factors: FactorRef,
     opts: Optimizations,
-    n: usize,
-    m_l: usize,
-    m_u: usize,
-    row_blocks: Vec<(usize, usize)>,
-    col_blocks: Vec<(usize, usize)>,
-    num_cells: usize,
 }
 
 /// Computes the selected columns of `T^-1` for lower-triangular `T` by
@@ -170,54 +319,6 @@ fn invert_lower_columns(t: &Matrix, cols: &[usize]) -> mrinv_matrix::Result<Matr
     Ok(x)
 }
 
-impl TriInvMapper {
-    /// Splits this worker's ascending vector indices by block, returning
-    /// `(block_idx, slots)` for each block that holds any: `slots` is the
-    /// contiguous range of positions in `indices` that fall inside it.
-    fn group_by_block(indices: &[usize], blocks: &[(usize, usize)]) -> Vec<(usize, Range<usize>)> {
-        blocks
-            .iter()
-            .enumerate()
-            .map(|(bi, &(b0, b1))| {
-                let slots =
-                    indices.partition_point(|&i| i < b0)..indices.partition_point(|&i| i < b1);
-                (bi, slots)
-            })
-            .filter(|(_, slots)| !slots.is_empty())
-            .collect()
-    }
-
-    /// Writes one file per block of `blocks` holding any of `indices`: the
-    /// block's vectors, tagged with their indices. Vector `indices[s]` is
-    /// row `s` of `vectors` — the file then holds those rows, a contiguous
-    /// run — or column `s` when `in_columns`, and the file holds those
-    /// columns.
-    fn write_groups(
-        &self,
-        ctx: &mut MapContext<usize, usize>,
-        name: impl Fn(usize) -> String,
-        indices: &[usize],
-        blocks: &[(usize, usize)],
-        vectors: &Matrix,
-        in_columns: bool,
-    ) {
-        for (bi, slots) in Self::group_by_block(indices, blocks) {
-            let tags: Vec<u64> = indices[slots.clone()].iter().map(|&i| i as u64).collect();
-            let bytes = if in_columns {
-                let stripe = vectors
-                    .col_stripe(slots.start, slots.end)
-                    .expect("slots index the vectors");
-                encode_indexed_parts(&tags, stripe.rows(), stripe.cols(), stripe.as_slice())
-            } else {
-                let len = vectors.cols();
-                let rows = &vectors.as_slice()[slots.start * len..slots.end * len];
-                encode_indexed_parts(&tags, slots.len(), len, rows)
-            };
-            ctx.write(&name(bi), bytes);
-        }
-    }
-}
-
 impl Mapper for TriInvMapper {
     type Input = InvTaskInput;
     type Key = usize;
@@ -228,126 +329,75 @@ impl Mapper for TriInvMapper {
         input: &InvTaskInput,
         ctx: &mut MapContext<usize, usize>,
     ) -> std::result::Result<(), MrError> {
-        match *input {
-            InvTaskInput::LCols { k } => {
-                let my_cols: Vec<usize> = (k..self.n).step_by(self.m_l).collect();
-                // Solve all of this worker's columns in one batched trsm;
-                // in the transposed layout, then turn them into rows (one
-                // blocked transpose) so each per-cell file is a contiguous
-                // run. `L` is released first: the factor and both
-                // orientations never coexist.
-                let computed = {
-                    let l = self.factors.assemble_l(ctx)?;
-                    let kernel = std::time::Instant::now();
-                    let solved = invert_lower_columns(&l, &my_cols).map_err(CoreError::from)?;
-                    ctx.charge_kernel(kernel.elapsed());
-                    solved
-                };
-                let vectors = if self.opts.transpose_u {
-                    computed.transpose()
-                } else {
-                    computed
-                };
-                self.write_groups(
-                    ctx,
-                    |bi| format!("{}/INV/L.{k}.{bi}", self.dir),
-                    &my_cols,
-                    &self.col_blocks,
-                    &vectors,
-                    !self.opts.transpose_u,
-                );
+        let InvTaskInput { op, k } = *input;
+        let n = self.layout.n;
+        let (_, m, blocks) = self.layout.operand(op);
+        let mine: Vec<usize> = (k..n).step_by(m).collect();
+        // Both inverses come from one lower-triangular solve: row i of
+        // U^-1 is column i of (Uᵀ)^-1, and Uᵀ is what Section 6.3 stores.
+        let lower = match op {
+            Operand::L => Some(self.factors.assemble_l(ctx)?),
+            Operand::U if self.opts.transpose_u => Some(self.factors.assemble_u_t(ctx)?),
+            Operand::U => None,
+        };
+        let (computed, as_columns) = if let Some(t) = lower {
+            // Solve all of this worker's columns in one batched trsm. The
+            // factor is released before anything else is allocated.
+            let kernel = std::time::Instant::now();
+            let solved = invert_lower_columns(&t, &mine).map_err(CoreError::from)?;
+            ctx.charge_kernel(kernel.elapsed());
+            (solved, true)
+        } else {
+            // Ablation path: row-major U, solve eᵢᵀ = x·U with
+            // column-striding access.
+            let u = self.factors.assemble_u(ctx)?;
+            let mut rows = Matrix::zeros(mine.len(), n);
+            let kernel = std::time::Instant::now();
+            for (slot, &i) in mine.iter().enumerate() {
+                let mut e = vec![0.0; n];
+                e[i] = 1.0;
+                let x = solve_row_times_upper(&u, &e).map_err(CoreError::from)?;
+                rows.row_mut(slot).copy_from_slice(&x);
             }
-            InvTaskInput::URows { k } => {
-                let my_rows: Vec<usize> = (k..self.n).step_by(self.m_u).collect();
-                let computed = if self.opts.transpose_u {
-                    // Row i of U^-1 is column i of (Uᵀ)^-1, and Uᵀ is the
-                    // lower-triangular matrix we store directly.
-                    let solved = {
-                        let ut = self.factors.assemble_u_t(ctx)?;
-                        let kernel = std::time::Instant::now();
-                        let solved =
-                            invert_lower_columns(&ut, &my_rows).map_err(CoreError::from)?;
-                        ctx.charge_kernel(kernel.elapsed());
-                        solved
-                    };
-                    solved.transpose()
-                } else {
-                    // Ablation path: row-major U, solve eᵢᵀ = x·U with
-                    // column-striding access.
-                    let u = self.factors.assemble_u(ctx)?;
-                    let mut rows = Matrix::zeros(my_rows.len(), self.n);
-                    let kernel = std::time::Instant::now();
-                    for (slot, &i) in my_rows.iter().enumerate() {
-                        let mut e = vec![0.0; self.n];
-                        e[i] = 1.0;
-                        let x = solve_row_times_upper(&u, &e).map_err(CoreError::from)?;
-                        rows.row_mut(slot).copy_from_slice(&x);
-                    }
-                    ctx.charge_kernel(kernel.elapsed());
-                    rows
-                };
-                self.write_groups(
-                    ctx,
-                    |bi| format!("{}/INV/U.{k}.{bi}", self.dir),
-                    &my_rows,
-                    &self.row_blocks,
-                    &computed,
-                    false,
-                );
-            }
+            ctx.charge_kernel(kernel.elapsed());
+            (rows, false)
+        };
+        // In the transposed layout columns become rows (one blocked
+        // transpose), so each per-cell file is a contiguous run. `computed`
+        // stays allocated until the files are written: the DFS keeps every
+        // encoded buffer, and freeing a megabyte first lets those settle in
+        // its hole, which no later task can reuse (+2 % `peak_rss_mb` on
+        // `lib-wide` under glibc, with the same live bytes).
+        let rows = (as_columns && self.opts.transpose_u).then(|| computed.transpose());
+        let (vectors, in_columns) = match &rows {
+            Some(rows) => (rows, false),
+            None => (&computed, as_columns),
+        };
+        // One file per block holding any of this worker's vectors. Vector
+        // `k + s·m` is row `s` of `vectors`, so a block's file holds a
+        // contiguous run of rows — or column `s`, and those columns.
+        for (path, indices) in self.layout.files(op, k..k + 1, 0..blocks.len()) {
+            let s0 = (indices[0] as usize - k) / m;
+            let s1 = s0 + indices.len();
+            let bytes = if in_columns {
+                let stripe = vectors.col_stripe(s0, s1).expect("slots index the vectors");
+                encode_indexed_parts(&indices, stripe.rows(), stripe.cols(), stripe.as_slice())
+            } else {
+                let len = vectors.cols();
+                let rows = &vectors.as_slice()[s0 * len..s1 * len];
+                encode_indexed_parts(&indices, s1 - s0, len, rows)
+            };
+            ctx.write(&path, bytes);
         }
-        // Control pairs: assign product cells round-robin across map tasks.
-        let mut cell = ctx.task_index();
-        let stride = ctx.num_tasks();
-        while cell < self.num_cells {
-            ctx.emit(cell, cell);
-            cell += stride;
-        }
+        emit_cells(ctx, self.layout.num_cells());
         Ok(())
     }
 }
 
+#[derive(Serialize, Deserialize)]
 struct TriInvReducer {
-    dir: String,
-    n: usize,
-    m_l: usize,
-    m_u: usize,
-    row_blocks: Vec<(usize, usize)>,
-    col_blocks: Vec<(usize, usize)>,
-    perm: Permutation,
+    layout: Layout,
     opts: Optimizations,
-}
-
-// Manual serde: `Permutation` is foreign, so `perm` ships inline as its
-// `S`-array.
-impl Serialize for TriInvReducer {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dir".to_string(), self.dir.to_value()),
-            ("n".to_string(), self.n.to_value()),
-            ("m_l".to_string(), self.m_l.to_value()),
-            ("m_u".to_string(), self.m_u.to_value()),
-            ("row_blocks".to_string(), self.row_blocks.to_value()),
-            ("col_blocks".to_string(), self.col_blocks.to_value()),
-            ("perm".to_string(), self.perm.as_slice().to_value()),
-            ("opts".to_string(), self.opts.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TriInvReducer {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        Ok(TriInvReducer {
-            dir: de_field(v, "dir")?,
-            n: de_field(v, "n")?,
-            m_l: de_field(v, "m_l")?,
-            m_u: de_field(v, "m_u")?,
-            row_blocks: de_field(v, "row_blocks")?,
-            col_blocks: de_field(v, "col_blocks")?,
-            perm: Permutation::from_vec(de_field(v, "perm")?),
-            opts: de_field(v, "opts")?,
-        })
-    }
 }
 
 impl Reducer for TriInvReducer {
@@ -362,44 +412,17 @@ impl Reducer for TriInvReducer {
         ctx: &mut ReduceContext,
     ) -> std::result::Result<(), MrError> {
         let cell = *key;
-        let bi = cell / self.col_blocks.len();
-        let bj = cell % self.col_blocks.len();
-        let (r0, r1) = self.row_blocks[bi];
-        let (c0, c1) = self.col_blocks[bj];
+        let layout = &self.layout;
+        let (bi, bj) = layout.cell(cell);
+        let ((r0, r1), (c0, c1)) = (layout.row_blocks[bi], layout.col_blocks[bj]);
         if r0 >= r1 || c0 >= c1 {
             return Ok(());
         }
 
-        // Assemble this cell's rows of U^-1.
-        let mut u_rows = Matrix::zeros(r1 - r0, self.n);
-        for k in 0..self.m_u {
-            let path = format!("{}/INV/U.{k}.{bi}", self.dir);
-            if !ctx.exists(&path) {
-                continue; // that worker had no rows in this block
-            }
-            let block = decode_indexed(&ctx.read(&path)?)?;
-            for (slot, &i) in block.indices.iter().enumerate() {
-                u_rows
-                    .row_mut(i as usize - r0)
-                    .copy_from_slice(block.data.row(slot));
-            }
-        }
-
-        // Assemble this cell's columns of L^-1 and multiply.
+        // This cell's rows of U^-1, then its columns of L^-1, multiplied.
+        let u_rows = layout.read_operand(ctx, Operand::U, bi, false)?;
         let product = if self.opts.transpose_u {
-            let mut l_cols_t = Matrix::zeros(c1 - c0, self.n);
-            for k in 0..self.m_l {
-                let path = format!("{}/INV/L.{k}.{bj}", self.dir);
-                if !ctx.exists(&path) {
-                    continue;
-                }
-                let block = decode_indexed(&ctx.read(&path)?)?;
-                for (slot, &j) in block.indices.iter().enumerate() {
-                    l_cols_t
-                        .row_mut(j as usize - c0)
-                        .copy_from_slice(block.data.row(slot));
-                }
-            }
+            let l_cols_t = layout.read_operand(ctx, Operand::L, bj, false)?;
             // Row i of U^-1 is zero before column i and column j of L^-1
             // before row j, so every product term with k < max(r0, c0) is
             // an exact zero for this cell. Skip the whole K panels among
@@ -411,8 +434,8 @@ impl Reducer for TriInvReducer {
             let mut p = Matrix::zeros(rows, cols);
             gemm(
                 1.0,
-                notrans(&u_rows).window(0..rows, k0..self.n),
-                trans(&l_cols_t).window(k0..self.n, 0..cols),
+                notrans(&u_rows).window(0..rows, k0..layout.n),
+                trans(&l_cols_t).window(k0..layout.n, 0..cols),
                 0.0,
                 &mut p,
             )
@@ -420,19 +443,7 @@ impl Reducer for TriInvReducer {
             ctx.charge_kernel(kernel.elapsed());
             p
         } else {
-            let mut l_cols = Matrix::zeros(self.n, c1 - c0);
-            for k in 0..self.m_l {
-                let path = format!("{}/INV/L.{k}.{bj}", self.dir);
-                if !ctx.exists(&path) {
-                    continue;
-                }
-                let block = decode_indexed(&ctx.read(&path)?)?;
-                for (slot, &j) in block.indices.iter().enumerate() {
-                    for i in 0..self.n {
-                        l_cols[(i, j as usize - c0)] = block.data[(i, slot)];
-                    }
-                }
-            }
+            let l_cols = layout.read_operand(ctx, Operand::L, bj, true)?;
             // Ablation path: Equation 7's column-striding product, pinned
             // to the Strided backend so it measures that exact loop order.
             let kernel = std::time::Instant::now();
@@ -450,15 +461,9 @@ impl Reducer for TriInvReducer {
             p
         };
 
-        // Column j of the product is column S[j] of A^-1 (Section 4.3).
-        let out = IndexedBlock {
-            indices: (c0..c1).map(|j| self.perm.source_of(j) as u64).collect(),
-            data: product,
-        };
-        ctx.write(
-            &format!("{}/RESULT/A.{cell}.{r0}", self.dir),
-            encode_indexed(&out),
-        );
+        let (rows, cols) = product.shape();
+        let bytes = encode_indexed_parts(&layout.perm[c0..c1], rows, cols, product.as_slice());
+        ctx.write(&layout.result_path(cell), bytes);
         Ok(())
     }
 }
@@ -478,71 +483,54 @@ pub fn invert_factors_mr(
 ) -> Result<Matrix> {
     let cluster = driver.cluster();
     let n = factors.n();
-    let dir = plan.root.clone();
-    let row_blocks = even_ranges(n, plan.grid.0);
-    let col_blocks = even_ranges(n, plan.grid.1);
-    let num_cells = plan.grid.0 * plan.grid.1;
-
-    let mut inputs = Vec::new();
-    for k in 0..plan.m_l.min(n) {
-        inputs.push(InvTaskInput::LCols { k });
-    }
-    for k in 0..plan.m_u.min(n) {
-        inputs.push(InvTaskInput::URows { k });
-    }
-
-    let perm = factors.perm();
+    let layout = Layout {
+        dir: plan.root.clone(),
+        n,
+        m_l: plan.m_l.min(n),
+        m_u: plan.m_u.min(n),
+        row_blocks: even_ranges(n, plan.grid.0),
+        col_blocks: even_ranges(n, plan.grid.1),
+        perm: (factors.perm().as_slice().iter())
+            .map(|&s| s as u64)
+            .collect(),
+    };
+    let inputs: Vec<InvTaskInput> = [(Operand::L, layout.m_l), (Operand::U, layout.m_u)]
+        .into_iter()
+        .flat_map(|(op, m)| (0..m).map(move |k| InvTaskInput { op, k }))
+        .collect();
     let mapper = TriInvMapper {
-        dir: dir.clone(),
+        layout: layout.clone(),
         factors: factors.clone(),
         opts: *opts,
-        n,
-        m_l: plan.m_l.min(n),
-        m_u: plan.m_u.min(n),
-        row_blocks: row_blocks.clone(),
-        col_blocks: col_blocks.clone(),
-        num_cells,
     };
     let reducer = TriInvReducer {
-        dir: dir.clone(),
-        n,
-        m_l: plan.m_l.min(n),
-        m_u: plan.m_u.min(n),
-        row_blocks: row_blocks.clone(),
-        col_blocks: col_blocks.clone(),
-        perm,
+        layout,
         opts: *opts,
     };
 
-    let spec = job_spec(&dir, num_cells);
+    let spec = job_spec(&plan.root, reducer.layout.num_cells());
     driver.step(spec.fingerprint(), |c| {
         run_job(c, &spec, &mapper, &reducer, &inputs).map(|(_out, report)| report)
     })?;
 
     // Assemble the final matrix from the RESULT files (uncharged).
-    let mut result = Matrix::zeros(n, n);
-    for (bi, &(r0, r1)) in row_blocks.iter().enumerate() {
-        for (bj, &(c0, c1)) in col_blocks.iter().enumerate() {
-            if r0 >= r1 || c0 >= c1 {
-                continue;
-            }
-            let cell = bi * col_blocks.len() + bj;
-            let data = cluster.dfs.read(&format!("{dir}/RESULT/A.{cell}.{r0}"))?;
-            let block = decode_indexed(&data)?;
-            for (slot, &target_col) in block.indices.iter().enumerate() {
-                for i in r0..r1 {
-                    result[(i, target_col as usize)] = block.data[(i - r0, slot)];
-                }
-            }
-        }
-    }
-    Ok(result)
+    reducer
+        .layout
+        .read_result(&mut TaskIo::new(cluster.dfs.clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrinv_mapreduce::Dfs;
     use mrinv_matrix::random::random_matrix;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    fn encode_indexed(block: &IndexedBlock) -> Bytes {
+        let (rows, cols) = block.data.shape();
+        encode_indexed_parts(&block.indices, rows, cols, block.data.as_slice())
+    }
 
     #[test]
     fn indexed_block_round_trips() {
@@ -576,14 +564,221 @@ mod tests {
         assert!(back.indices.is_empty());
     }
 
+    fn layout(n: usize, m_l: usize, m_u: usize, grid: (usize, usize)) -> Layout {
+        Layout {
+            dir: "Root".to_string(),
+            n,
+            m_l: m_l.min(n),
+            m_u: m_u.min(n),
+            row_blocks: even_ranges(n, grid.0),
+            col_blocks: even_ranges(n, grid.1),
+            perm: (0..n as u64).rev().collect(),
+        }
+    }
+
     #[test]
-    fn group_by_block_partitions_indices() {
-        let blocks = vec![(0usize, 4usize), (4, 8), (8, 10)];
-        let groups = TriInvMapper::group_by_block(&[0, 2, 5, 7, 9], &blocks);
-        assert_eq!(groups, vec![(0, 0..2), (1, 2..4), (2, 4..5)]);
-        // Indices outside every block are dropped; empty blocks omitted.
-        let groups = TriInvMapper::group_by_block(&[1, 12], &blocks);
-        assert_eq!(groups, vec![(0, 0..1)]);
+    fn owned_indices_interleave_within_a_block() {
+        let own = |k, m, n, block| owned(k, m, n, block).collect::<Vec<u64>>();
+        assert_eq!(own(0, 4, 16, (0, 16)), [0, 4, 8, 12]);
+        assert_eq!(own(1, 3, 10, (4, 8)), [4, 7]);
+        assert_eq!(own(2, 3, 10, (4, 8)), [5]);
+        assert_eq!(own(0, 3, 10, (4, 8)), [6]);
+        // A worker whose first vector lies past the block, a block past
+        // the order, an empty block: known to be empty.
+        assert_eq!(own(9, 12, 10, (0, 5)), []);
+        assert_eq!(own(1, 2, 6, (6, 9)), []);
+        assert_eq!(own(0, 1, 6, (3, 3)), []);
+    }
+
+    /// Every file of a layout, as the mappers write it: worker `k`'s vector
+    /// `i` is filled with `i + frac`, as a row (or a column, for `L` under
+    /// `in_columns`).
+    fn write_inv_files(io: &mut TaskIo, layout: &Layout, l_in_columns: bool) {
+        for (op, frac, in_columns) in [(Operand::L, 0.25, l_in_columns), (Operand::U, 0.5, false)] {
+            let (_, m, blocks) = layout.operand(op);
+            for (path, indices) in layout.files(op, 0..m, 0..blocks.len()) {
+                let rows =
+                    Matrix::from_fn(indices.len(), layout.n, |s, _| indices[s] as f64 + frac);
+                let data = if in_columns { rows.transpose() } else { rows };
+                io.write(&path, encode_indexed(&IndexedBlock { indices, data }));
+            }
+        }
+    }
+
+    fn names(err: &CoreError, path: &str) -> bool {
+        err.to_string().contains(path)
+    }
+
+    #[test]
+    fn a_lost_or_mislabelled_operand_file_is_an_error_naming_it() {
+        for l_in_columns in [false, true] {
+            let dfs = Arc::new(Dfs::default());
+            let mut io = TaskIo::new(dfs.clone());
+            // 5 < m: workers 5.. of each half own nothing anywhere.
+            let layout = layout(10, 3, 4, (2, 3));
+            write_inv_files(&mut io, &layout, l_in_columns);
+
+            let u = layout.read_operand(&mut io, Operand::U, 1, false).unwrap();
+            assert_eq!(u, Matrix::from_fn(5, 10, |r, _| (5 + r) as f64 + 0.5));
+            let l = layout
+                .read_operand(&mut io, Operand::L, 2, l_in_columns)
+                .unwrap();
+            let expect = Matrix::from_fn(3, 10, |r, _| (7 + r) as f64 + 0.25);
+            assert_eq!(if l_in_columns { l.transpose() } else { l }, expect);
+
+            for (op, b, in_columns, path) in [
+                (Operand::U, 1, false, "Root/INV/U.2.1"),
+                (Operand::L, 2, l_in_columns, "Root/INV/L.1.2"),
+            ] {
+                let good = dfs.read(path).unwrap();
+                // Tagged with some other worker's indices.
+                let mut wrong = decode_indexed(&good).unwrap();
+                wrong.indices[0] += 1;
+                dfs.write(path, encode_indexed(&wrong));
+                let err = layout.read_operand(&mut io, op, b, in_columns).unwrap_err();
+                assert!(
+                    matches!(err, CoreError::Invariant(_)) && names(&err, path),
+                    "{err}"
+                );
+                // One vector short.
+                let short = IndexedBlock {
+                    indices: wrong.indices[1..].to_vec(),
+                    data: Matrix::zeros(0, 0),
+                };
+                dfs.write(path, encode_indexed(&short));
+                let err = layout.read_operand(&mut io, op, b, in_columns).unwrap_err();
+                assert!(
+                    matches!(err, CoreError::Invariant(_)) && names(&err, path),
+                    "{err}"
+                );
+                // Gone: at the parent this read `Ok`, with zero rows.
+                assert!(dfs.delete(path));
+                let err = layout.read_operand(&mut io, op, b, in_columns).unwrap_err();
+                assert!(
+                    matches!(&err, CoreError::MapReduce(MrError::FileNotFound { path: p, .. }) if p == path),
+                    "{err}"
+                );
+                dfs.write(path, good);
+                layout.read_operand(&mut io, op, b, in_columns).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_lost_or_mislabelled_result_file_is_an_error_naming_it() {
+        let dfs = Arc::new(Dfs::default());
+        let mut io = TaskIo::new(dfs.clone());
+        let mut layout = layout(7, 2, 2, (3, 2));
+        layout.perm = vec![3, 0, 6, 1, 5, 2, 4];
+        // Cell files as the reducers write them: element (i, S[j]) of the
+        // result is `10·i + S[j]`.
+        for cell in 0..6 {
+            let (bi, bj) = layout.cell(cell);
+            let ((r0, r1), (c0, c1)) = (layout.row_blocks[bi], layout.col_blocks[bj]);
+            let indices = layout.perm[c0..c1].to_vec();
+            let data = Matrix::from_fn(r1 - r0, indices.len(), |r, s| {
+                (10 * (r0 + r)) as f64 + indices[s] as f64
+            });
+            let block = IndexedBlock { indices, data };
+            io.write(&layout.result_path(cell), encode_indexed(&block));
+        }
+        let expect = Matrix::from_fn(7, 7, |i, j| (10 * i + j) as f64);
+        assert_eq!(layout.read_result(&mut io).unwrap(), expect);
+
+        let path = "Root/RESULT/A.3.3";
+        assert_eq!(layout.result_path(3), path);
+        let good = dfs.read(path).unwrap();
+        let mut wrong = decode_indexed(&good).unwrap();
+        wrong.indices.swap(0, 1);
+        dfs.write(path, encode_indexed(&wrong));
+        let err = layout.read_result(&mut io).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Invariant(_)) && names(&err, path),
+            "{err}"
+        );
+        // A block one row short of its cell.
+        wrong.indices.swap(0, 1);
+        wrong.data = wrong.data.row_stripe(0, 1).unwrap();
+        dfs.write(path, encode_indexed(&wrong));
+        let err = layout.read_result(&mut io).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Invariant(_)) && names(&err, path),
+            "{err}"
+        );
+        assert!(dfs.delete(path));
+        let err = layout.read_result(&mut io).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::MapReduce(MrError::FileNotFound { path: p, .. }) if p == path),
+            "{err}"
+        );
+    }
+
+    /// An order below the worker count: most `(worker, block)` pairs hold
+    /// no file, and the readers know which without probing.
+    #[test]
+    fn orders_below_the_worker_count_invert() {
+        use crate::config::InversionConfig;
+        use crate::request::Request;
+        for (n, nb) in [(5usize, 2usize), (5, 4), (11, 2), (11, 4)] {
+            for transpose_u in [true, false] {
+                let mut ccfg = mrinv_mapreduce::ClusterConfig::medium(16);
+                ccfg.cost = mrinv_mapreduce::CostModel::unit_for_tests();
+                let cluster = mrinv_mapreduce::Cluster::new(ccfg);
+                let mut cfg = InversionConfig::with_nb(nb);
+                cfg.opts.transpose_u = transpose_u;
+                let a = mrinv_matrix::random::random_well_conditioned(n, (n + nb) as u64);
+                let out = Request::invert(&a).config(&cfg).submit(&cluster).unwrap();
+                let expect = crate::inmem::invert_block(&a, nb).unwrap();
+                let diff = out.inverse().unwrap().max_abs_diff(&expect).unwrap();
+                assert!(
+                    diff < mrinv_matrix::PAPER_ACCURACY,
+                    "n={n} nb={nb} transpose_u={transpose_u}: off by {diff}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Writer and reader cannot disagree: the files the mappers write,
+        /// worker by worker, are the files the reducers read, block by
+        /// block, and a block's files hold each of its indices once.
+        #[test]
+        fn mappers_write_the_files_reducers_read(
+            (n, m_l, m_u, f1, f2) in (1usize..40, 1usize..12, 1usize..12, 1usize..7, 1usize..7)
+        ) {
+            let layout = layout(n, m_l, m_u, (f1, f2));
+            for op in [Operand::L, Operand::U] {
+                let (_, m, blocks) = layout.operand(op);
+                let mut written: Vec<(String, Vec<u64>)> = (0..m)
+                    .flat_map(|k| layout.files(op, k..k + 1, 0..blocks.len()))
+                    .collect();
+                let mut read = Vec::new();
+                for (b, &(b0, b1)) in blocks.iter().enumerate() {
+                    let files = layout.files(op, 0..m, b..b + 1);
+                    let mut indices: Vec<u64> =
+                        files.iter().flat_map(|f| f.1.clone()).collect();
+                    indices.sort_unstable();
+                    prop_assert_eq!(indices, (b0 as u64..b1 as u64).collect::<Vec<_>>());
+                    read.extend(files);
+                }
+                written.sort();
+                read.sort();
+                prop_assert_eq!(&written, &read);
+                // What the mapper computes is what it files: every one of
+                // worker k's vectors, in slot order.
+                for k in 0..m {
+                    let filed: Vec<u64> = layout
+                        .files(op, k..k + 1, 0..blocks.len())
+                        .into_iter()
+                        .flat_map(|f| f.1)
+                        .collect();
+                    let computed: Vec<u64> = (k..n).step_by(m).map(|i| i as u64).collect();
+                    prop_assert_eq!(filed, computed);
+                }
+            }
+        }
     }
 
     #[test]

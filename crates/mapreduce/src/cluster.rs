@@ -107,19 +107,9 @@ impl ClusterConfig {
     /// Section 7.4).
     pub fn large(nodes: usize) -> Self {
         ClusterConfig {
-            nodes,
             slots_per_node: 2,
-            max_task_attempts: 4,
-            node_speeds: Vec::new(),
-            speculative_execution: true,
-            tracing: false,
-            observability: false,
-            progress: false,
-            task_timeout_secs: None,
-            retry_backoff_base_secs: 1.0,
-            retry_backoff_cap_secs: 60.0,
-            scheduling: SchedulingMode::Barrier,
             cost: CostModel::ec2_large(),
+            ..ClusterConfig::medium(nodes)
         }
     }
 

@@ -26,10 +26,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 
+use crate::driver::Fingerprint;
 use crate::error::{MrError, Result};
 
 /// Default HDFS replication factor (the paper uses the Hadoop default of 3,
@@ -111,17 +113,6 @@ pub fn normalize_path(path: &str) -> String {
     segs.join("/")
 }
 
-/// Stable FNV-1a hash of a path — the deterministic seed for block
-/// placement (reruns must place blocks on the same home nodes).
-fn placement_hash(path: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in path.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 impl Dfs {
     /// Creates an empty DFS with the given replication factor, with as many
     /// placement nodes as replicas (every file lives everywhere).
@@ -158,7 +149,10 @@ impl Dfs {
     /// set when every node is dead.
     fn place(&self, path: &str) -> Vec<usize> {
         let dead = self.dead.read();
-        let start = (placement_hash(path) % self.nodes as u64) as usize;
+        // The manifest's stable FNV-1a: reruns place blocks on the same
+        // home nodes.
+        let hash = Fingerprint::new().push_bytes(path.as_bytes()).finish();
+        let start = (hash % self.nodes as u64) as usize;
         let mut homes = Vec::with_capacity(self.replication as usize);
         for i in 0..self.nodes {
             let node = (start + i) % self.nodes;
@@ -197,13 +191,11 @@ impl Dfs {
 
     /// Writes (or overwrites) a file.
     pub fn write(&self, path: &str, data: Bytes) {
-        let path = normalize_path(path);
         self.counters
             .bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.counters.files_written.fetch_add(1, Ordering::Relaxed);
-        let homes = self.place(&path);
-        self.files.write().insert(path, Block { data, homes });
+        self.write_uncounted(path, data);
     }
 
     /// Writes (or overwrites) a file *without* touching the I/O counters.
@@ -217,15 +209,10 @@ impl Dfs {
         self.files.write().insert(path, Block { data, homes });
     }
 
-    /// Reads a file *without* touching the I/O counters.
-    ///
-    /// The read-side twin of [`Dfs::write_uncounted`], reserved for
-    /// framework work that must stay invisible to byte accounting: the
-    /// factor cache assembles `L`/`U` from a *previous* run's files while
-    /// other pipelines may be mid-flight, and those reads must not perturb
-    /// the in-flight runs' delta-based reports. Same availability
-    /// semantics as [`Dfs::read`].
-    pub fn read_uncounted(&self, path: &str) -> Result<Bytes> {
+    /// Reads a file *without* touching the I/O counters: the read-side
+    /// twin of [`Dfs::write_uncounted`], reached from outside through
+    /// [`UncountedDfs`]. Same availability semantics as [`Dfs::read`].
+    fn read_uncounted(&self, path: &str) -> Result<Bytes> {
         let path = normalize_path(path);
         let files = self.files.read();
         let block = match files.get(&path) {
@@ -247,23 +234,7 @@ impl Dfs {
     /// Fails with [`MrError::AllReplicasLost`] when every home node of the
     /// block is dead — the data existed but no replica survives.
     pub fn read(&self, path: &str) -> Result<Bytes> {
-        let path = normalize_path(path);
-        let files = self.files.read();
-        let block = match files.get(&path) {
-            Some(b) => b,
-            None => return Err(self.not_found(&files, path)),
-        };
-        {
-            let dead = self.dead.read();
-            if block.homes.iter().all(|n| dead.contains(n)) {
-                return Err(MrError::AllReplicasLost {
-                    path,
-                    homes: block.homes.clone(),
-                });
-            }
-        }
-        let data = block.data.clone();
-        drop(files);
+        let data = self.read_uncounted(path)?;
         self.counters
             .bytes_read
             .fetch_add(data.len() as u64, Ordering::Relaxed);
@@ -430,6 +401,27 @@ impl DfsAccess for Dfs {
     }
     fn list(&self, dir: &str) -> Vec<String> {
         Dfs::list(self, dir)
+    }
+}
+
+/// A [`Dfs`] seen through its `_uncounted` pair: the same files, invisible
+/// to the byte counters. The factor cache's hit path reads a *previous*
+/// run's files through this while other pipelines may be mid-flight, so a
+/// hit cannot perturb their delta-based reports.
+pub struct UncountedDfs(pub Arc<Dfs>);
+
+impl DfsAccess for UncountedDfs {
+    fn read(&self, path: &str) -> Result<Bytes> {
+        self.0.read_uncounted(path)
+    }
+    fn write(&self, path: &str, data: Bytes) {
+        self.0.write_uncounted(path, data)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.0.exists(path)
+    }
+    fn list(&self, dir: &str) -> Vec<String> {
+        self.0.list(dir)
     }
 }
 

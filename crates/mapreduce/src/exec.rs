@@ -274,9 +274,8 @@ pub(crate) fn map_body<M: Mapper>(
     let mut ctx = MapContext::new(dfs, task_index, num_tasks, kv_size);
     let start = Instant::now();
     mapper.map(input, &mut ctx)?;
-    let reads = ctx.take_reads();
-    let (pairs, stats, counters) = ctx.finish(start.elapsed());
-    Ok(((pairs, counters, reads), stats))
+    let (stats, counters, reads) = ctx.io.finish(start.elapsed());
+    Ok(((ctx.emitted, counters, reads), stats))
 }
 
 /// One reduce attempt over a sorted partition: the only caller of
@@ -297,7 +296,7 @@ pub(crate) fn reduce_body<R: Reducer>(
         let out = reducer.reduce(key, values, &mut ctx)?;
         outputs.push((key.clone(), out));
     }
-    let (stats, counters) = ctx.finish(start.elapsed());
+    let (stats, counters, _) = ctx.io.finish(start.elapsed());
     Ok(((outputs, counters), stats))
 }
 

@@ -8,10 +8,13 @@
 //! (Section 5.1: mapper inputs are small *control files*, and the real
 //! inputs/outputs are DFS files the tasks read and write directly).
 //!
-//! Every byte a task moves through its context is accounted into
-//! [`TaskStats`], which the scheduler prices into simulated time.
+//! Both contexts deref to one [`TaskIo`], the accounted handle every DFS
+//! access in the tree goes through (the master and the factor cache open
+//! their own): every byte it moves is accounted into [`TaskStats`], which
+//! the scheduler prices into simulated time.
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,67 +71,43 @@ impl TaskStats {
     }
 }
 
-/// Context handed to each map task: DFS access (accounted), identity, and
-/// the emit channel.
-pub struct MapContext<K, V> {
+/// The one accounted handle between code and the DFS: every byte moved
+/// through it lands in its [`TaskStats`]. Task contexts deref to it, the
+/// master opens one over `cluster.dfs`, and the factor cache's hit path
+/// opens one over [`crate::dfs::UncountedDfs`].
+pub struct TaskIo {
     dfs: Arc<dyn DfsAccess>,
-    task_index: usize,
-    num_tasks: usize,
     stats: TaskStats,
-    emitted: Vec<(K, V)>,
-    kv_size: fn(&K, &V) -> u64,
     counters: BTreeMap<String, u64>,
-    reads: Vec<(String, u64)>,
+    /// `Some` on the map side only: the normalized `(path, bytes)` of each
+    /// read, from which the scheduler places the task near its blocks'
+    /// replicas and prices non-local reads.
+    reads: Option<Vec<(String, u64)>>,
 }
 
-impl<K, V> MapContext<K, V> {
-    pub(crate) fn new(
-        dfs: Arc<dyn DfsAccess>,
-        task_index: usize,
-        num_tasks: usize,
-        kv_size: fn(&K, &V) -> u64,
-    ) -> Self {
-        MapContext {
+impl TaskIo {
+    /// A handle over `dfs` that accounts bytes and records nothing else
+    /// (the reduce side, the master, tests).
+    pub fn new(dfs: Arc<dyn DfsAccess>) -> Self {
+        TaskIo {
             dfs,
-            task_index,
-            num_tasks,
             stats: TaskStats::default(),
-            emitted: Vec::new(),
-            kv_size,
             counters: BTreeMap::new(),
-            reads: Vec::new(),
+            reads: None,
         }
     }
 
-    /// This task's index within the map wave (the paper's worker id `j`).
-    pub fn task_index(&self) -> usize {
-        self.task_index
-    }
-
-    /// Number of map tasks in this job.
-    pub fn num_tasks(&self) -> usize {
-        self.num_tasks
-    }
-
-    /// Emits a `(key, value)` pair into the shuffle.
-    pub fn emit(&mut self, key: K, value: V) {
-        self.stats.shuffle_bytes += (self.kv_size)(&key, &value);
-        self.stats.emitted_pairs += 1;
-        self.emitted.push((key, value));
-    }
-
-    /// Reads a DFS file, charging the bytes to this task. The read is also
-    /// recorded (normalized path + size) so the scheduler can place this
-    /// task near the block's replicas and price non-local reads.
+    /// Reads a DFS file, charging the bytes to this handle.
     pub fn read(&mut self, path: &str) -> Result<Bytes> {
         let data = self.dfs.read(path)?;
         self.stats.read_bytes += data.len() as u64;
-        self.reads
-            .push((crate::dfs::normalize_path(path), data.len() as u64));
+        if let Some(reads) = &mut self.reads {
+            reads.push((crate::dfs::normalize_path(path), data.len() as u64));
+        }
         Ok(data)
     }
 
-    /// Writes a DFS file, charging the bytes to this task.
+    /// Writes a DFS file, charging the bytes to this handle.
     pub fn write(&mut self, path: &str, data: Bytes) {
         self.stats.write_bytes += data.len() as u64;
         self.dfs.write(path, data);
@@ -142,12 +121,6 @@ impl<K, V> MapContext<K, V> {
     /// True when a DFS path exists (metadata operation, not charged).
     pub fn exists(&self, path: &str) -> bool {
         self.dfs.exists(path)
-    }
-
-    /// Drains the recorded `(path, bytes)` reads — consumed by the runner
-    /// to drive locality-aware scheduling of the successful attempt.
-    pub(crate) fn take_reads(&mut self) -> Vec<(String, u64)> {
-        std::mem::take(&mut self.reads)
     }
 
     /// Reports time spent in an arithmetic kernel. Kernel time is priced
@@ -163,33 +136,97 @@ impl<K, V> MapContext<K, V> {
         *self.counters.entry(name.to_string()).or_default() += by;
     }
 
+    /// What has been charged so far.
+    pub fn stats(&self) -> &TaskStats {
+        &self.stats
+    }
+
+    /// Closes the handle: the stats with the body's `measured` CPU added,
+    /// the user counters, and the recorded reads (empty unless map-side).
     pub(crate) fn finish(
         self,
         measured: Duration,
-    ) -> (Vec<(K, V)>, TaskStats, BTreeMap<String, u64>) {
+    ) -> (TaskStats, BTreeMap<String, u64>, Vec<(String, u64)>) {
         let mut stats = self.stats;
         stats.cpu += measured;
-        (self.emitted, stats, self.counters)
+        (stats, self.counters, self.reads.unwrap_or_default())
     }
 }
 
-/// Context handed to each reduce task.
+/// Context handed to each map task: a recording [`TaskIo`], the task's
+/// identity, and the emit channel.
+pub struct MapContext<K, V> {
+    pub(crate) io: TaskIo,
+    task_index: usize,
+    num_tasks: usize,
+    pub(crate) emitted: Vec<(K, V)>,
+    kv_size: fn(&K, &V) -> u64,
+}
+
+impl<K, V> MapContext<K, V> {
+    pub(crate) fn new(
+        dfs: Arc<dyn DfsAccess>,
+        task_index: usize,
+        num_tasks: usize,
+        kv_size: fn(&K, &V) -> u64,
+    ) -> Self {
+        MapContext {
+            io: TaskIo {
+                reads: Some(Vec::new()),
+                ..TaskIo::new(dfs)
+            },
+            task_index,
+            num_tasks,
+            emitted: Vec::new(),
+            kv_size,
+        }
+    }
+
+    /// This task's index within the map wave (the paper's worker id `j`).
+    pub fn task_index(&self) -> usize {
+        self.task_index
+    }
+
+    /// Number of map tasks in this job.
+    pub fn num_tasks(&self) -> usize {
+        self.num_tasks
+    }
+
+    /// Emits a `(key, value)` pair into the shuffle.
+    pub fn emit(&mut self, key: K, value: V) {
+        self.io.stats.shuffle_bytes += (self.kv_size)(&key, &value);
+        self.io.stats.emitted_pairs += 1;
+        self.emitted.push((key, value));
+    }
+}
+
+impl<K, V> Deref for MapContext<K, V> {
+    type Target = TaskIo;
+    fn deref(&self) -> &TaskIo {
+        &self.io
+    }
+}
+
+impl<K, V> DerefMut for MapContext<K, V> {
+    fn deref_mut(&mut self) -> &mut TaskIo {
+        &mut self.io
+    }
+}
+
+/// Context handed to each reduce task: a [`TaskIo`] and the partition's
+/// identity.
 pub struct ReduceContext {
-    dfs: Arc<dyn DfsAccess>,
+    pub(crate) io: TaskIo,
     partition: usize,
     num_partitions: usize,
-    stats: TaskStats,
-    counters: BTreeMap<String, u64>,
 }
 
 impl ReduceContext {
     pub(crate) fn new(dfs: Arc<dyn DfsAccess>, partition: usize, num_partitions: usize) -> Self {
         ReduceContext {
-            dfs,
+            io: TaskIo::new(dfs),
             partition,
             num_partitions,
-            stats: TaskStats::default(),
-            counters: BTreeMap::new(),
         }
     }
 
@@ -202,45 +239,18 @@ impl ReduceContext {
     pub fn num_partitions(&self) -> usize {
         self.num_partitions
     }
+}
 
-    /// Reads a DFS file, charging the bytes to this task.
-    pub fn read(&mut self, path: &str) -> Result<Bytes> {
-        let data = self.dfs.read(path)?;
-        self.stats.read_bytes += data.len() as u64;
-        Ok(data)
+impl Deref for ReduceContext {
+    type Target = TaskIo;
+    fn deref(&self) -> &TaskIo {
+        &self.io
     }
+}
 
-    /// Writes a DFS file, charging the bytes to this task.
-    pub fn write(&mut self, path: &str, data: Bytes) {
-        self.stats.write_bytes += data.len() as u64;
-        self.dfs.write(path, data);
-    }
-
-    /// Lists DFS files under a directory (metadata operation, not charged).
-    pub fn list(&self, dir: &str) -> Vec<String> {
-        self.dfs.list(dir)
-    }
-
-    /// True when a DFS path exists (metadata operation, not charged).
-    pub fn exists(&self, path: &str) -> bool {
-        self.dfs.exists(path)
-    }
-
-    /// Reports time spent in an arithmetic kernel (see
-    /// [`MapContext::charge_kernel`]).
-    pub fn charge_kernel(&mut self, d: Duration) {
-        self.stats.kernel += d;
-    }
-
-    /// Increments a named user counter (see [`MapContext::increment`]).
-    pub fn increment(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_default() += by;
-    }
-
-    pub(crate) fn finish(self, measured: Duration) -> (TaskStats, BTreeMap<String, u64>) {
-        let mut stats = self.stats;
-        stats.cpu += measured;
-        (stats, self.counters)
+impl DerefMut for ReduceContext {
+    fn deref_mut(&mut self) -> &mut TaskIo {
+        &mut self.io
     }
 }
 
@@ -522,9 +532,10 @@ mod tests {
         assert_eq!(ctx.list("").len(), 2);
         ctx.increment("rows", 3);
         ctx.increment("rows", 2);
-        let (pairs, stats, counters) = ctx.finish(Duration::from_millis(5));
+        let (stats, counters, reads) = ctx.io.finish(Duration::from_millis(5));
         assert_eq!(counters.get("rows"), Some(&5));
-        assert_eq!(pairs, vec![(1, 7), (2, 8)]);
+        assert_eq!(ctx.emitted, vec![(1, 7), (2, 8)]);
+        assert_eq!(reads, vec![("in".to_string(), 64)]);
         assert_eq!(stats.read_bytes, 64);
         assert_eq!(stats.write_bytes, 32);
         assert_eq!(stats.emitted_pairs, 2);
@@ -541,9 +552,52 @@ mod tests {
         assert_eq!(ctx.num_partitions(), 3);
         let _ = ctx.read("x").unwrap();
         ctx.write("y", Bytes::from(vec![0u8; 20]));
-        let (stats, _counters) = ctx.finish(Duration::ZERO);
+        let (stats, _counters, reads) = ctx.io.finish(Duration::ZERO);
         assert_eq!(stats.read_bytes, 10);
         assert_eq!(stats.write_bytes, 20);
+        assert!(reads.is_empty(), "only the map side records reads");
+    }
+
+    /// The three flavours of the one handle: identical traffic charges
+    /// identical stats; only the map side records (normalized) reads; the
+    /// uncounted adapter leaves the DFS counters alone.
+    #[test]
+    fn task_io_flavours_account_alike() {
+        use crate::dfs::UncountedDfs;
+        let dfs = Arc::new(Dfs::default());
+        dfs.write("d/in", Bytes::from(vec![1u8; 30]));
+        let traffic = |io: &mut TaskIo| {
+            assert_eq!(io.read("/d//in").unwrap().len(), 30);
+            io.write("d/out", Bytes::from(vec![0u8; 12]));
+            io.charge_kernel(Duration::from_millis(3));
+            io.increment("files", 1);
+            assert!(io.exists("d/out"));
+            assert_eq!(io.list("d").len(), 2);
+            assert!(io.read("d/missing").is_err());
+        };
+        let mut map: MapContext<usize, usize> = MapContext::new(dfs.clone(), 0, 1, default_kv_size);
+        let mut reduce = ReduceContext::new(dfs.clone(), 0, 1);
+        let mut master = TaskIo::new(dfs.clone());
+        traffic(&mut map);
+        traffic(&mut reduce);
+        traffic(&mut master);
+        assert_eq!(master.stats().read_bytes, 30);
+        assert_eq!(master.stats().write_bytes, 12);
+        let (map_stats, map_counters, map_reads) = map.io.finish(Duration::ZERO);
+        let (reduce_stats, _, reduce_reads) = reduce.io.finish(Duration::ZERO);
+        let (master_stats, master_counters, master_reads) = master.finish(Duration::ZERO);
+        assert_eq!(map_stats, reduce_stats);
+        assert_eq!(map_stats, master_stats);
+        assert_eq!(map_counters, master_counters);
+        assert_eq!(map_reads, vec![("d/in".to_string(), 30)], "normalized");
+        assert!(reduce_reads.is_empty() && master_reads.is_empty());
+
+        let before = dfs.counters();
+        assert_eq!((before.reads, before.files_written), (3, 4));
+        let mut hit = TaskIo::new(Arc::new(UncountedDfs(dfs.clone())));
+        traffic(&mut hit);
+        assert_eq!(hit.stats(), &master_stats, "the handle still accounts");
+        assert_eq!(dfs.counters(), before, "the DFS does not");
     }
 
     #[test]

@@ -75,13 +75,15 @@ pub mod tracelog;
 pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig, SchedulingMode};
-pub use dfs::Dfs;
+pub use dfs::{Dfs, UncountedDfs};
 pub use driver::{Fingerprint, ManifestRecord, PipelineDriver, RunId, RunReport};
 pub use error::{MrError, Result};
 pub use exec::tcp::{worker_serve, TcpWorkers, TcpWorkersConfig};
 pub use exec::{ExecBackend, InProcess, TaskDescriptor, TaskRegistry};
 pub use fault::{FailureCause, FaultPlan, Phase};
-pub use job::{JobSpec, MapContext, Mapper, ReduceContext, Reducer, ShuffleSize, TaskStats};
+pub use job::{
+    JobSpec, MapContext, Mapper, ReduceContext, Reducer, ShuffleSize, TaskIo, TaskStats,
+};
 pub use metrics::MetricsSnapshot;
 pub use obs::{CostAudit, Labels, ObsSnapshot, Registry};
 pub use runner::{run_job, run_map_only, JobReport};

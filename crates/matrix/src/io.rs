@@ -120,7 +120,7 @@ pub fn encode_text(m: &Matrix) -> String {
 /// Streams a matrix to `out` in the text format: a `rows cols` header
 /// line, then one line per row of space-separated values, each the
 /// shortest `d.ddde±x` that reads back as the same `f64` (what `{:e}`
-/// prints). Nothing larger than one [`TEXT_CHUNK`] is held at a time, and
+/// prints). Nothing larger than one `TEXT_CHUNK` is held at a time, and
 /// `out` receives whole chunks, so it needs no buffering of its own.
 pub fn write_text(out: &mut impl Write, m: &Matrix) -> std::io::Result<()> {
     let mut buf = [0u8; TEXT_CHUNK];

@@ -2,7 +2,9 @@
 //! crates read and the `MRINV_*` names README.md documents must both be
 //! exactly the set below, so a new global switch cannot land unlisted
 //! and a removed one cannot linger in the docs. A second census keeps
-//! the library crates' public surface to what some other file calls.
+//! the library crates' public surface to what some other file calls, and
+//! a third keeps `crates/core`'s block codec calls and DFS file names to
+//! the one place each belongs.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -203,4 +205,70 @@ fn public_items_have_a_caller_outside_their_file() {
          allow-list them with a reason): {unlisted:#?}\n\
          allow-listed items that have a caller outside their file, or are gone: {stale:#?}"
     );
+}
+
+/// `(file name, 1-based line, line)` of every non-comment line under
+/// `crates/core/src`; `shipped_only` stops each file at its
+/// `#[cfg(test)]` module.
+fn core_code_lines(shipped_only: bool) -> Vec<(String, usize, String)> {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    rust_sources(&src, &mut files);
+    assert!(files.len() >= 20, "scanned only {} files", files.len());
+    let mut out = Vec::new();
+    for file in files {
+        let name = file.strip_prefix(&src).unwrap().display().to_string();
+        let text = std::fs::read_to_string(&file).unwrap();
+        let lines = text
+            .lines()
+            .take_while(|line| !(shipped_only && line.starts_with("#[cfg(test)]")));
+        for (at, line) in lines.enumerate() {
+            if !line.trim_start().starts_with("//") {
+                out.push((name.clone(), at + 1, line.to_string()));
+            }
+        }
+    }
+    out
+}
+
+/// A stored block becomes a `Matrix` (and back) in `source.rs`'s
+/// `read_block` / `write_block` and nowhere else, and each DFS file family
+/// is named by one function: a reader that formats its own path can drift
+/// from the writer, one that is handed the path cannot.
+#[test]
+fn core_decodes_blocks_and_names_dfs_files_in_one_place() {
+    // Tests included: they go through the typed pair too.
+    const CODEC_FILES: [&str; 5] = [
+        "source.rs",     // block I/O: read_block / write_block
+        "tri_inv_mr.rs", // the IndexedBlock container
+        "cache.rs",      // the cache key hashes the encoded matrix
+        "service.rs",    // the wire
+        "client.rs",     // the wire
+    ];
+    let bypasses: Vec<String> = core_code_lines(false)
+        .into_iter()
+        .filter(|(file, _, line)| {
+            (line.contains("decode_binary") || line.contains("encode_binary"))
+                && !CODEC_FILES.contains(&file.as_str())
+        })
+        .map(|(file, at, line)| format!("{file}:{at}: {}", line.trim()))
+        .collect();
+    assert!(
+        bypasses.is_empty(),
+        "block codec called outside source::{{read_block, write_block}}: {bypasses:#?}"
+    );
+
+    let shipped = core_code_lines(true);
+    for family in ["/L2/L.", "/U2/U.", "/OUT/A.", "/INV/", "/RESULT/A."] {
+        let sites: Vec<String> = shipped
+            .iter()
+            .filter(|(_, _, line)| line.contains(family))
+            .map(|(file, at, _)| format!("{file}:{at}"))
+            .collect();
+        assert_eq!(
+            sites.len(),
+            1,
+            "`{family}` must be spelled by exactly one shipped function, found {sites:?}"
+        );
+    }
 }

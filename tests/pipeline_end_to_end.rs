@@ -3,10 +3,9 @@
 
 use mrinv::lu_mr::lu_decompose_mr;
 use mrinv::partition::{ingest_input, run_partition_job, PartitionPlan};
-use mrinv::source::MasterIo;
 use mrinv::{InversionConfig, Optimizations, PipelineDriver, Request, RunId};
 use mrinv_mapreduce::scheduler::{plan_wave, PlannedTask, WaveFaults};
-use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel};
+use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, TaskIo};
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::{random_invertible, random_well_conditioned};
 use mrinv_matrix::{Matrix, PAPER_ACCURACY};
@@ -83,7 +82,7 @@ fn partitioned_layout_reassembles_and_feeds_lu() {
     let mut driver = PipelineDriver::new(&cluster, RunId::new("t"));
     let (source, report) = run_partition_job(&mut driver, &plan).unwrap();
     assert_eq!(report.map_tasks, 4);
-    let mut io = MasterIo::new(&cluster.dfs);
+    let mut io = TaskIo::new(cluster.dfs.clone());
     let back = source.read_all(&mut io).unwrap();
     assert_eq!(
         back, a,
