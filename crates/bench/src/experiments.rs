@@ -13,14 +13,13 @@
 //! apples-to-apples.
 
 use mrinv::config::InversionConfig;
-use mrinv::partition::{ingest_input, run_partition_job, PartitionPlan};
 use mrinv::schedule;
-use mrinv::theory;
-use mrinv::{CoreError, Request};
+use mrinv::theory::{self, CostRow};
+use mrinv::{CoreError, Outcome, Request, RunReport};
 use mrinv_mapreduce::tracelog;
 use mrinv_mapreduce::{
-    chrome_trace_json, Cluster, ClusterConfig, CostModel, MrError, Phase, PipelineAnalytics,
-    PipelineDriver, RunId, SchedulingMode,
+    chrome_trace_json, Cluster, ClusterConfig, CostModel, MrError, Phase, PipelineAnalytics, RunId,
+    SchedulingMode,
 };
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::Matrix;
@@ -73,82 +72,32 @@ pub fn large_cluster(m0: usize, scale: usize) -> Cluster {
     Cluster::new(cfg)
 }
 
-/// Stage-separated accounting of one inversion.
-#[derive(Debug, Clone)]
-pub struct StagedRun {
-    /// Matrix order (at scale).
-    pub n: usize,
-    /// Cluster size.
-    pub m0: usize,
-    /// Simulated seconds of partition + LU pipeline.
-    pub lu_secs: f64,
-    /// DFS bytes written during partition + LU.
-    pub lu_bytes_written: u64,
-    /// DFS bytes read during partition + LU.
-    pub lu_bytes_read: u64,
-    /// Simulated seconds of the final inversion job.
-    pub inv_secs: f64,
-    /// DFS bytes written during the final job.
-    pub inv_bytes_written: u64,
-    /// DFS bytes read during the final job.
-    pub inv_bytes_read: u64,
-    /// Total simulated seconds.
-    pub total_secs: f64,
-    /// MapReduce jobs executed.
-    pub jobs: u64,
-    /// Failed task attempts.
-    pub failures: u64,
-    /// The computed inverse.
-    pub inverse: Matrix,
+/// One cold inversion through the front door, on a cluster the experiment
+/// built (fault plan, node speeds, scheduling mode and tracing included).
+fn invert(cluster: &Cluster, a: &Matrix, cfg: &InversionConfig) -> Outcome {
+    Request::invert(a)
+        .config(cfg)
+        .submit(cluster)
+        .expect("inversion")
 }
 
-/// Runs the full pipeline with per-stage DFS/byte accounting.
-pub fn staged_invert(cluster: &Cluster, a: &Matrix, cfg: &InversionConfig) -> StagedRun {
-    let n = a.rows();
-    let run = RunId::new(format!("bench/{}", cluster.dfs.file_count()));
-    let plan = PartitionPlan::new(n, cluster, cfg, run.dir());
-    ingest_input(cluster, a, &plan).expect("ingest");
-
-    let m_before = cluster.metrics.snapshot();
-    let d_before = cluster.dfs.counters();
-
-    let mut driver = PipelineDriver::new(cluster, run);
-    let (source, _partition_report) = run_partition_job(&mut driver, &plan).expect("partition");
-    let factors = mrinv::lu_mr::lu_decompose_mr(&mut driver, &plan.root, source, &plan, &cfg.opts)
-        .expect("lu pipeline");
-
-    let m_mid = cluster.metrics.snapshot();
-    let d_mid = cluster.dfs.counters();
-
-    let inverse = mrinv::tri_inv_mr::invert_factors_mr(&mut driver, &factors, &plan, &cfg.opts)
-        .expect("final job");
-
-    let m_after = cluster.metrics.snapshot();
-    let d_after = cluster.dfs.counters();
-
-    StagedRun {
-        n,
-        m0: cluster.nodes(),
-        lu_secs: m_mid.sim_secs - m_before.sim_secs,
-        lu_bytes_written: d_mid.bytes_written - d_before.bytes_written,
-        lu_bytes_read: d_mid.bytes_read - d_before.bytes_read,
-        inv_secs: m_after.sim_secs - m_mid.sim_secs,
-        inv_bytes_written: d_after.bytes_written - d_mid.bytes_written,
-        inv_bytes_read: d_after.bytes_read - d_mid.bytes_read,
-        total_secs: m_after.sim_secs - m_before.sim_secs,
-        jobs: m_after.jobs - m_before.jobs,
-        failures: m_after.task_failures - m_before.task_failures,
-        inverse,
-    }
-}
-
-/// Convenience wrapper: full optimized inversion, returning only the
-/// staged accounting.
-pub fn run_suite_matrix(m: &SuiteMatrix, scale: usize, m0: usize) -> StagedRun {
-    let cluster = medium_cluster(m0, scale);
-    let a = m.generate(scale);
+/// Full optimized inversion of a suite matrix on a fresh medium cluster.
+fn run_suite_matrix(m: &SuiteMatrix, scale: usize, m0: usize) -> Outcome {
     let cfg = InversionConfig::with_nb(m.nb(scale));
-    staged_invert(&cluster, &a, &cfg)
+    invert(&medium_cluster(m0, scale), &m.generate(scale), &cfg)
+}
+
+/// The report of partition + LU pipeline alone for a suite matrix, on a
+/// cluster built exactly as [`run_suite_matrix`] builds its own: an
+/// `lu` request stops before the final job, so its report is the Table 1
+/// stage, and an inversion's report minus it is the Table 2 stage (DFS
+/// byte counts repeat exactly across identically built clusters).
+fn lu_stage_report(m: &SuiteMatrix, scale: usize, m0: usize) -> RunReport {
+    Request::lu(&m.generate(scale))
+        .config(&InversionConfig::with_nb(m.nb(scale)))
+        .submit(&medium_cluster(m0, scale))
+        .expect("lu pipeline")
+        .report
 }
 
 /// Number of repetitions used to de-noise measured-CPU-based simulated
@@ -180,22 +129,31 @@ pub struct CostComparisonRow {
     pub scalapack_transfer: f64,
 }
 
+impl CostComparisonRow {
+    fn new(m0: usize, ours: CostRow, scalapack: CostRow, written: u64, read: u64) -> Self {
+        CostComparisonRow {
+            m0,
+            theory_writes: ours.writes,
+            measured_writes: written as f64 / 8.0,
+            theory_reads: ours.reads,
+            measured_reads: read as f64 / 8.0,
+            scalapack_transfer: scalapack.transfer,
+        }
+    }
+}
+
 /// Table 1: LU-stage I/O, theory vs measured, vs the ScaLAPACK model.
 pub fn table1(n_matrix: &SuiteMatrix, scale: usize, m0s: &[usize]) -> Vec<CostComparisonRow> {
     m0s.iter()
         .map(|&m0| {
-            let run = run_suite_matrix(n_matrix, scale, m0);
-            let n = run.n;
-            let ours = theory::table1_ours(n, m0);
-            let scal = theory::table1_scalapack(n, m0);
-            CostComparisonRow {
+            let lu = lu_stage_report(n_matrix, scale, m0);
+            CostComparisonRow::new(
                 m0,
-                theory_writes: ours.writes,
-                measured_writes: run.lu_bytes_written as f64 / 8.0,
-                theory_reads: ours.reads,
-                measured_reads: run.lu_bytes_read as f64 / 8.0,
-                scalapack_transfer: scal.transfer,
-            }
+                theory::table1_ours(lu.n, m0),
+                theory::table1_scalapack(lu.n, m0),
+                lu.dfs_bytes_written,
+                lu.dfs_bytes_read,
+            )
         })
         .collect()
 }
@@ -204,18 +162,15 @@ pub fn table1(n_matrix: &SuiteMatrix, scale: usize, m0s: &[usize]) -> Vec<CostCo
 pub fn table2(n_matrix: &SuiteMatrix, scale: usize, m0s: &[usize]) -> Vec<CostComparisonRow> {
     m0s.iter()
         .map(|&m0| {
-            let run = run_suite_matrix(n_matrix, scale, m0);
-            let n = run.n;
-            let ours = theory::table2_ours(n, m0);
-            let scal = theory::table2_scalapack(n, m0);
-            CostComparisonRow {
+            let lu = lu_stage_report(n_matrix, scale, m0);
+            let all = run_suite_matrix(n_matrix, scale, m0).report;
+            CostComparisonRow::new(
                 m0,
-                theory_writes: ours.writes,
-                measured_writes: run.inv_bytes_written as f64 / 8.0,
-                theory_reads: ours.reads,
-                measured_reads: run.inv_bytes_read as f64 / 8.0,
-                scalapack_transfer: scal.transfer,
-            }
+                theory::table2_ours(all.n, m0),
+                theory::table2_scalapack(all.n, m0),
+                all.dfs_bytes_written - lu.dfs_bytes_written,
+                all.dfs_bytes_read - lu.dfs_bytes_read,
+            )
         })
         .collect()
 }
@@ -239,7 +194,7 @@ pub fn fig6(scale: usize, node_counts: &[usize]) -> Vec<ScalingPoint> {
         .filter(|m| matches!(m.name, "M1" | "M2" | "M3"))
     {
         for &m0 in node_counts {
-            let secs = min_sim_secs(|| run_suite_matrix(m, scale, m0).total_secs);
+            let secs = min_sim_secs(|| run_suite_matrix(m, scale, m0).report.sim_secs);
             out.push(ScalingPoint {
                 name: m.name,
                 m0,
@@ -271,14 +226,14 @@ pub fn fig7(scale: usize, node_counts: &[usize]) -> Vec<AblationRow> {
     node_counts
         .iter()
         .map(|&m0| {
-            let base = min_sim_secs(|| run_suite_matrix(&m5, scale, m0).total_secs);
+            let base = min_sim_secs(|| run_suite_matrix(&m5, scale, m0).report.sim_secs);
             let time_with = |mutate: fn(&mut mrinv::Optimizations)| {
                 min_sim_secs(|| {
                     let cluster = medium_cluster(m0, scale);
                     let a = m5.generate(scale);
                     let mut cfg = InversionConfig::with_nb(m5.nb(scale));
                     mutate(&mut cfg.opts);
-                    staged_invert(&cluster, &a, &cfg).total_secs
+                    invert(&cluster, &a, &cfg).report.sim_secs
                 })
             };
             AblationRow {
@@ -328,7 +283,7 @@ pub fn fig8(scale: usize, node_counts: &[usize]) -> Vec<VersusPoint> {
         .filter(|m| matches!(m.name, "M1" | "M2" | "M3"))
     {
         for &m0 in node_counts {
-            let ours = min_sim_secs(|| run_suite_matrix(m, scale, m0).total_secs);
+            let ours = min_sim_secs(|| run_suite_matrix(m, scale, m0).report.sim_secs);
             let scal = min_sim_secs(|| run_scalapack(m, scale, m0, false).report.sim_secs);
             out.push(VersusPoint {
                 name: m.name,
@@ -353,6 +308,17 @@ pub struct LargeMatrixOutcome {
     pub jobs: u64,
     /// Failed task attempts.
     pub failures: u64,
+}
+
+impl LargeMatrixOutcome {
+    fn of(label: &str, run: &Outcome) -> Self {
+        LargeMatrixOutcome {
+            label: label.into(),
+            hours: run.report.hours,
+            jobs: run.report.jobs,
+            failures: run.report.task_failures,
+        }
+    }
 }
 
 /// Everything the Section 7.4 / 7.5 experiment produces: the outcome
@@ -381,13 +347,8 @@ pub fn sec74(scale: usize, with_scalapack: bool) -> Sec74Output {
 
     // 128 large instances, clean run (paper: ~5 hours).
     let cluster = large_cluster(128, scale);
-    let run = staged_invert(&cluster, &a, &cfg);
-    out.push(LargeMatrixOutcome {
-        label: "ours/128-large/clean".into(),
-        hours: run.total_secs / 3600.0,
-        jobs: run.jobs,
-        failures: run.failures,
-    });
+    let run = invert(&cluster, &a, &cfg);
+    out.push(LargeMatrixOutcome::of("ours/128-large/clean", &run));
 
     // 128 large instances with one failed triangular-inversion mapper
     // (paper: ~8 hours). Large instances have two task slots per node, so
@@ -395,23 +356,16 @@ pub fn sec74(scale: usize, with_scalapack: bool) -> Sec74Output {
     // schedule barely stretches — the contrast case.
     let cluster = large_cluster(128, scale);
     cluster.faults.fail_task("final-inverse", Phase::Map, 0, 1);
-    let run = staged_invert(&cluster, &a, &cfg);
-    out.push(LargeMatrixOutcome {
-        label: "ours/128-large/mapper-failure".into(),
-        hours: run.total_secs / 3600.0,
-        jobs: run.jobs,
-        failures: run.failures,
-    });
+    let run = invert(&cluster, &a, &cfg);
+    out.push(LargeMatrixOutcome::of(
+        "ours/128-large/mapper-failure",
+        &run,
+    ));
 
     // 64 medium instances (paper: ~15 hours).
     let cluster = medium_cluster(64, scale);
-    let run = staged_invert(&cluster, &a, &cfg);
-    out.push(LargeMatrixOutcome {
-        label: "ours/64-medium/clean".into(),
-        hours: run.total_secs / 3600.0,
-        jobs: run.jobs,
-        failures: run.failures,
-    });
+    let run = invert(&cluster, &a, &cfg);
+    out.push(LargeMatrixOutcome::of("ours/64-medium/clean", &run));
 
     // 64 medium instances with the same mapper failure. Medium instances
     // have one slot per node and the final job has exactly one task per
@@ -424,13 +378,11 @@ pub fn sec74(scale: usize, with_scalapack: bool) -> Sec74Output {
     ccfg.tracing = true;
     let cluster = Cluster::new(ccfg);
     cluster.faults.fail_task("final-inverse", Phase::Map, 0, 1);
-    let run = staged_invert(&cluster, &a, &cfg);
-    out.push(LargeMatrixOutcome {
-        label: "ours/64-medium/mapper-failure".into(),
-        hours: run.total_secs / 3600.0,
-        jobs: run.jobs,
-        failures: run.failures,
-    });
+    let run = invert(&cluster, &a, &cfg);
+    out.push(LargeMatrixOutcome::of(
+        "ours/64-medium/mapper-failure",
+        &run,
+    ));
     let events = cluster.trace.events();
     let failure_trace_json = chrome_trace_json(&events);
     let failure_analytics = tracelog::analyze(&events, None);
@@ -621,7 +573,7 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
 
     // Run 1: clean.
     let cluster = cluster_with(vec![], None, SchedulingMode::Barrier);
-    let clean = staged_invert(&cluster, &a, &cfg);
+    let clean = invert(&cluster, &a, &cfg);
     let clean_events = cluster.trace.events();
     let d_max = clean_events
         .iter()
@@ -655,7 +607,7 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
 
     // Run 2: degraded — timeout evictions, no death.
     let cluster = cluster_with(speeds.clone(), Some(timeout), SchedulingMode::Barrier);
-    let degraded = staged_invert(&cluster, &a, &cfg);
+    let degraded = invert(&cluster, &a, &cfg);
     let base_events = cluster.trace.events();
 
     // Run 2b: the same degraded cluster under pipelined scheduling — the
@@ -664,7 +616,7 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
     // the slow node's in-timeout stragglers; the inverse bits must not
     // move.
     let cluster = cluster_with(speeds.clone(), Some(timeout), SchedulingMode::Pipelined);
-    let piped = staged_invert(&cluster, &a, &cfg);
+    let piped = invert(&cluster, &a, &cfg);
     let piped_events = cluster.trace.events();
     let steals: u64 = cluster
         .obs_snapshot()
@@ -715,8 +667,7 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
     // Run 3: the same degraded cluster, with the victim dying mid-wave.
     let cluster = cluster_with(speeds, Some(timeout), SchedulingMode::Barrier);
     cluster.faults.kill_node(victim, t_kill);
-    let death = staged_invert(&cluster, &a, &cfg);
-    let snap = cluster.metrics.snapshot();
+    let death = invert(&cluster, &a, &cfg);
     let events = cluster.trace.events();
     let failures_starting = |prefix: &str| {
         events
@@ -724,20 +675,20 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
             .filter(|e| e.failure.as_deref().is_some_and(|f| f.starts_with(prefix)))
             .count()
     };
-    let classified = snap.data_local_map_tasks + snap.remote_map_tasks;
-
-    let row = |label: &str, run: &StagedRun| LargeMatrixOutcome {
-        label: label.into(),
-        hours: run.total_secs / 3600.0,
-        jobs: run.jobs,
-        failures: run.failures,
+    let row = |label: &str, run: &Outcome| {
+        LargeMatrixOutcome::of(&format!("ours/{m0}-medium/{label}"), run)
+    };
+    let clean_inverse = clean.inverse().expect("invert outcome");
+    let diff_from_clean = |run: &Outcome| {
+        let inverse = run.inverse().expect("invert outcome");
+        inverse.max_abs_diff(clean_inverse).expect("same shape")
     };
     Sec74NodeOutput {
         outcomes: vec![
-            row(&format!("ours/{m0}-medium/clean"), &clean),
-            row(&format!("ours/{m0}-medium/slow-node+timeout"), &degraded),
-            row(&format!("ours/{m0}-medium/slow-node+pipelined"), &piped),
-            row(&format!("ours/{m0}-medium/node-death"), &death),
+            row("clean", &clean),
+            row("slow-node+timeout", &degraded),
+            row("slow-node+pipelined", &piped),
+            row("node-death", &death),
         ],
         victim,
         t_kill_secs: t_kill,
@@ -748,27 +699,17 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
             .iter()
             .filter(|e| e.phase == TracePhase::NodeDeath)
             .count(),
-        data_local_fraction: if classified == 0 {
-            1.0
-        } else {
-            snap.data_local_map_tasks as f64 / classified as f64
-        },
-        max_abs_diff: death
-            .inverse
-            .max_abs_diff(&clean.inverse)
-            .expect("same shape"),
+        data_local_fraction: death.report.data_local_fraction,
+        max_abs_diff: diff_from_clean(&death),
         death_trace_json: chrome_trace_json(&events),
         death_analytics: tracelog::analyze(&events, None),
         barrier_straggler_ratio: clean_wave_straggler_ratio(&barrier_analytics),
         pipelined_straggler_ratio: clean_wave_straggler_ratio(&piped_analytics),
         barrier_p95_reduce_wait_secs: p95_reduce_wait_secs(&base_events),
         pipelined_p95_reduce_wait_secs: p95_reduce_wait_secs(&piped_events),
-        pipelined_hours: piped.total_secs / 3600.0,
+        pipelined_hours: piped.report.hours,
         steals,
-        pipelined_max_abs_diff: piped
-            .inverse
-            .max_abs_diff(&clean.inverse)
-            .expect("same shape"),
+        pipelined_max_abs_diff: diff_from_clean(&piped),
     }
 }
 
@@ -779,8 +720,8 @@ pub fn accuracy(scale: usize, m0: usize) -> Vec<(String, f64)> {
         .filter(|m| matches!(m.name, "M1" | "M2" | "M3" | "M5"))
         .map(|m| {
             let a = m.generate(scale);
-            let run = run_suite_matrix(m, scale, m0);
-            let res = inversion_residual(&a, &run.inverse).expect("square");
+            let inverse = run_suite_matrix(m, scale, m0).into_inverse();
+            let res = inversion_residual(&a, &inverse).expect("square");
             (m.name.to_string(), res)
         })
         .collect()
@@ -843,15 +784,23 @@ mod tests {
     }
 
     #[test]
-    fn staged_run_accounts_stages() {
+    fn tables_reproduce_the_pinned_stage_bytes() {
+        // M5 at scale 64 -> n = 256, nb = 50 on 4 medium nodes, 9 jobs.
+        // DFS byte counts repeat exactly; these four were read off the
+        // hand-sequenced stage split before it was deleted.
         let m5 = SuiteMatrix::by_name("M5").unwrap();
-        // Tiny: scale 64 -> n = 256, nb = 50.
-        let run = run_suite_matrix(&m5, 64, 4);
-        assert_eq!(run.n, 256);
-        assert_eq!(run.jobs, 9, "M5 runs 9 jobs at any scale");
-        assert!(run.lu_secs > 0.0 && run.inv_secs > 0.0);
-        assert!(run.lu_bytes_written > 0 && run.inv_bytes_written > 0);
-        assert!((run.total_secs - (run.lu_secs + run.inv_secs)).abs() < 1e-6);
+        let lu = &table1(&m5, 64, &[4])[0];
+        let inv = &table2(&m5, 64, &[4])[0];
+        assert_eq!(lu.measured_writes * 8.0, 1_345_468.0);
+        assert_eq!(lu.measured_reads * 8.0, 3_363_240.0);
+        assert_eq!(inv.measured_writes * 8.0, 1_581_392.0);
+        assert_eq!(inv.measured_reads * 8.0, 3_815_696.0);
+        // The two stages are the whole inversion, nothing more or less.
+        let all = run_suite_matrix(&m5, 64, 4).report;
+        assert_eq!(all.n, 256);
+        assert_eq!(all.jobs, 9, "M5 runs 9 jobs at any scale");
+        assert_eq!(all.dfs_bytes_written, 1_345_468 + 1_581_392);
+        assert_eq!(all.dfs_bytes_read, 3_363_240 + 3_815_696);
     }
 
     #[test]
@@ -945,8 +894,8 @@ mod tests {
         // Small smoke version of `repro accuracy`.
         let m5 = SuiteMatrix::by_name("M5").unwrap();
         let a = m5.generate(64);
-        let run = run_suite_matrix(&m5, 64, 4);
-        let res = inversion_residual(&a, &run.inverse).unwrap();
+        let inverse = run_suite_matrix(&m5, 64, 4).into_inverse();
+        let res = inversion_residual(&a, &inverse).unwrap();
         assert!(res < 1e-5, "residual {res}");
     }
 }
@@ -972,11 +921,13 @@ pub fn nb_sweep(scale: usize, m0: usize, nbs: &[usize]) -> Vec<NbSweepPoint> {
         .map(|&nb| {
             let secs = min_sim_secs(|| {
                 let cluster = medium_cluster(m0, scale);
-                staged_invert(&cluster, &a, &InversionConfig::with_nb(nb)).total_secs
+                invert(&cluster, &a, &InversionConfig::with_nb(nb))
+                    .report
+                    .sim_secs
             });
             let run = {
                 let cluster = medium_cluster(m0, scale);
-                staged_invert(&cluster, &a, &InversionConfig::with_nb(nb))
+                invert(&cluster, &a, &InversionConfig::with_nb(nb)).report
             };
             NbSweepPoint {
                 nb,
@@ -1014,7 +965,7 @@ pub fn sec8_spark(scale: usize, node_counts: &[usize]) -> Vec<SparkPoint> {
         for &m0 in node_counts {
             let hadoop = min_sim_secs(|| {
                 let cluster = medium_cluster(m0, scale);
-                staged_invert(&cluster, &a, &cfg).total_secs
+                invert(&cluster, &a, &cfg).report.sim_secs
             });
             let spark = min_sim_secs(|| {
                 let mut ccfg = ClusterConfig::medium(m0);
@@ -1029,7 +980,7 @@ pub fn sec8_spark(scale: usize, node_counts: &[usize]) -> Vec<SparkPoint> {
                     ..base
                 };
                 let cluster = Cluster::new(ccfg);
-                staged_invert(&cluster, &a, &cfg).total_secs
+                invert(&cluster, &a, &cfg).report.sim_secs
             });
             out.push(SparkPoint {
                 name: m.name,
@@ -1135,7 +1086,7 @@ pub fn stragglers(scale: usize, slow_factors: &[f64]) -> Vec<StragglerRow> {
                     ccfg.node_speeds = speeds;
                     ccfg.speculative_execution = speculative;
                     let cluster = Cluster::new(ccfg);
-                    staged_invert(&cluster, &a, &cfg).total_secs
+                    invert(&cluster, &a, &cfg).report.sim_secs
                 })
             };
             StragglerRow {

@@ -3,7 +3,7 @@
 //! The paper's motivating applications (Section 1) factor a matrix once
 //! and then amortize it over many cheap downstream uses. [`FactorCache`]
 //! makes that pattern first-class: a successful pipeline run primes the
-//! cache with its [`FactorRef`] file forest (plus the inverse, for invert
+//! cache with its `FactorRef` file forest (plus the inverse, for invert
 //! runs), and any later [`crate::Request`] for the *same* matrix under
 //! the *same* configuration is served straight from those files — zero
 //! MapReduce jobs, zero simulated seconds.
@@ -15,7 +15,7 @@
 //! codec), the block bound `nb`, the optimization toggles, and the
 //! cluster partition geometry (`m0`, `m_l`, `m_u`, block-wrap grid). It
 //! deliberately **excludes** the run directory — unlike the checkpoint
-//! manifest's [`crate::run_fingerprint`], which includes `plan.root` so a
+//! manifest's `run_fingerprint`, which includes `plan.root` so a
 //! resume can't restore another run's files, the cache exists precisely
 //! to share factors *across* runs. Determinism makes that sound: a
 //! pipeline run is a pure function of (matrix, config, geometry), so two
@@ -25,7 +25,7 @@
 //!
 //! Entries reference DFS files; they do not own them. Every lookup
 //! re-validates that each referenced file still exists
-//! ([`FactorRef::paths`]) and drops the entry — a miss, counted as an
+//! (`FactorRef::paths`) and drops the entry — a miss, counted as an
 //! invalidation — the moment any factor file was deleted.
 //!
 //! # Sharing

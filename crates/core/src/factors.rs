@@ -111,17 +111,6 @@ impl FactorRef {
         out
     }
 
-    /// Number of DFS files holding the `L` factor (the Section 6.1
-    /// `N(d)` quantity when stripes count `m0/2` per level).
-    pub fn l_file_count(&self) -> u64 {
-        match self {
-            FactorRef::Leaf { .. } => 1,
-            FactorRef::Node { a1, l2, b, .. } => {
-                a1.l_file_count() + l2.pieces().len() as u64 + b.l_file_count()
-            }
-        }
-    }
-
     /// Assembles the full unit-lower factor `L`, applying each level's
     /// `P2` to its `L2'` stripes.
     pub fn assemble_l(&self, io: &mut TaskIo) -> Result<Matrix> {
@@ -484,7 +473,11 @@ mod tests {
                 .unwrap()
                 .approx_eq(&u.transpose(), 1e-12));
             assert_eq!(f.perm(), Permutation::augment(&p1, &p2));
-            assert_eq!(f.l_file_count(), 1 + 3 + 1);
+            assert_eq!(
+                f.paths().len(),
+                2 * (1 + 3 + 1),
+                "L and U: leaf, 3 stripes, leaf"
+            );
         }
     }
 
@@ -510,7 +503,7 @@ mod tests {
             .assemble_u_t(&mut io)
             .unwrap()
             .approx_eq(&u.transpose(), 0.0));
-        assert_eq!(f.l_file_count(), 1);
+        assert_eq!(f.paths().len(), 2, "one L file, one U file");
     }
 
     #[test]
@@ -547,7 +540,7 @@ mod tests {
         assert!(combined.assemble_l(&mut io).unwrap().approx_eq(&l, 1e-12));
         assert!(combined.assemble_u(&mut io).unwrap().approx_eq(&u, 1e-12));
         assert_eq!(combined.perm(), f.perm());
-        assert_eq!(combined.l_file_count(), 1);
+        assert_eq!(combined.paths().len(), 2, "one L file, one U file");
         assert!(io.stats().write_bytes > 0, "combining costs write I/O");
     }
 

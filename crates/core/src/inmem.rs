@@ -17,6 +17,8 @@ use mrinv_matrix::triangular::{
 };
 use mrinv_matrix::{Matrix, Permutation, Result};
 
+use crate::request::LuFactors;
+
 /// `U^-1 · L^-1` with `L^-1` packed transposed (both operands then stream
 /// row-major — the Section 6.3 layout, preserved bit-for-bit from the old
 /// `mul_parallel` under the Naive backend).
@@ -27,25 +29,14 @@ fn mul_inverse_factors(u_inv: &Matrix, l_inv: &Matrix) -> Result<Matrix> {
     Ok(c)
 }
 
-/// The result of a block LU decomposition: `P·A = L·U`.
-#[derive(Debug, Clone)]
-pub struct BlockLu {
-    /// Unit lower-triangular factor.
-    pub l: Matrix,
-    /// Upper-triangular factor.
-    pub u: Matrix,
-    /// Row permutation.
-    pub perm: Permutation,
-}
-
 /// Recursive block LU decomposition (Algorithm 2), splitting at `n/2` until
 /// blocks are of order at most `nb`.
-pub fn block_lu(a: &Matrix, nb: usize) -> Result<BlockLu> {
+pub fn block_lu(a: &Matrix, nb: usize) -> Result<LuFactors> {
     assert!(nb >= 1, "nb must be positive");
     let n = a.order()?;
     if n <= nb {
         let f = lu_decompose(a)?;
-        return Ok(BlockLu {
+        return Ok(LuFactors {
             l: f.unit_lower(),
             u: f.upper(),
             perm: f.perm,
@@ -81,7 +72,7 @@ pub fn block_lu(a: &Matrix, nb: usize) -> Result<BlockLu> {
     u.set_block(0, half, &u2)?;
     u.set_block(half, half, &bottom.u)?;
     let perm = Permutation::augment(&top.perm, &bottom.perm);
-    Ok(BlockLu { l, u, perm })
+    Ok(LuFactors { l, u, perm })
 }
 
 /// Inverts `a` through the block LU decomposition:

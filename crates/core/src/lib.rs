@@ -28,58 +28,67 @@
 //!
 //! # Architecture
 //!
-//! | Stage | Jobs | Module |
+//! | Stage | Jobs | Private module |
 //! |---|---|---|
-//! | Partition input (Algorithm 3) | 1 map-only | [`partition`] |
-//! | Block LU (Algorithm 2, Eq. 6) | `2^⌈log2(n/nb)⌉ − 1` | [`lu_mr`] |
-//! | Triangular inverses + product (Eq. 4) | 1 | [`tri_inv_mr`] |
+//! | Partition input (Algorithm 3) | 1 map-only | `partition` |
+//! | Block LU (Algorithm 2, Eq. 6) | `2^⌈log2(n/nb)⌉ − 1` | `lu_mr` |
+//! | Triangular inverses + product (Eq. 4) | 1 | `tri_inv_mr` |
 //!
 //! Every consumer enters through the [`Request`] builder in [`request`]
 //! (inversion, LU decomposition, and linear solves behind one fluent
-//! API), optionally backed by the keyed [`cache::FactorCache`] so a
-//! repeated request for the same (matrix, configuration) serves from the
-//! already-computed factor forest with zero pipeline jobs. The
-//! [`service`] module projects the same API over TCP as the
-//! multi-tenant `mrinv serve` daemon, with [`client`] as its blocking
-//! counterpart.
+//! API), which is the one place that sequence of jobs is written down;
+//! the stage modules above and their supports (`source`, the one
+//! descriptor of a matrix stored in the DFS; `factors`, the
+//! separate-files factor forest of Section 6.1; `inverse`, checkpoint
+//! modes and the run fingerprint; `audit`, the cost-model audit a traced
+//! run attaches to its [`RunReport`]) are private, so the compiler's
+//! `dead_code` lint is their census. A request is optionally backed by
+//! the keyed [`cache::FactorCache`] so a repeated request for the same
+//! (matrix, configuration) serves from the already-computed factor forest
+//! with zero pipeline jobs. The [`service`] module projects the same API
+//! over TCP as the multi-tenant `mrinv serve` daemon, with [`client`] as
+//! its blocking counterpart.
 //!
-//! Supporting pieces: [`schedule`] (the precomputed pipeline shape),
-//! [`audit`] (the cost-model audit: predicted-vs-priced task residuals),
-//! [`obs`] (the exportable metrics snapshot, registry + kernel perf),
-//! [`source`] (the one descriptor of a matrix stored in the DFS, Section
-//! 5.2: the partition job returns it, every quadrant is a window of it),
-//! [`factors`] (the separate-files factor forest, Section 6.1),
-//! [`theory`] (the closed forms of Tables 1–2), [`inmem`] (the same
-//! algorithm without MapReduce, for verification and as the Section 8
-//! "Spark-style" dataflow), and [`config`] (the Section 6 optimization
-//! toggles).
+//! | Exported module | What it holds |
+//! |---|---|
+//! | [`request`] | [`Request`], [`Outcome`], [`Op`], [`LuFactors`], [`CacheStatus`] |
+//! | [`config`] | `nb` and the Section 6 optimization toggles |
+//! | [`cache`] | the keyed factor cache and [`cache_key`] |
+//! | [`service`], [`client`] | `mrinv serve` and its blocking client |
+//! | [`cli`] | the `mrinv` / `mrinv-worker` command line |
+//! | [`remote`] | the worker task-family registry ([`exec_registry`]) |
+//! | [`schedule`] | the precomputed pipeline shape |
+//! | [`theory`] | the closed forms of Tables 1–2 |
+//! | [`inmem`] | the same algorithm without MapReduce: the verification reference and the Section 8 "Spark-style" dataflow |
+//! | [`obs`] | the exportable metrics snapshot (registry + kernel perf) |
+//! | [`error`] | [`CoreError`] |
 
 #![warn(missing_docs)]
 
-pub mod audit;
+mod audit;
 pub mod cache;
 pub mod cli;
 pub mod client;
 pub mod config;
 pub mod error;
-pub mod factors;
+mod factors;
 pub mod inmem;
-pub mod inverse;
-pub mod lu_mr;
+mod inverse;
+mod lu_mr;
 pub mod obs;
-pub mod partition;
+mod partition;
 pub mod remote;
 pub mod request;
 pub mod schedule;
 pub mod service;
-pub mod source;
+mod source;
 pub mod theory;
-pub mod tri_inv_mr;
+mod tri_inv_mr;
 
 pub use cache::{cache_key, CacheStats, FactorCache};
 pub use config::{InversionConfig, Optimizations};
 pub use error::{CoreError, Result};
-pub use inverse::{run_fingerprint, Checkpoint};
-pub use mrinv_mapreduce::{PipelineDriver, RunId, RunReport};
+pub use inverse::Checkpoint;
+pub use mrinv_mapreduce::{RunId, RunReport};
 pub use remote::exec_registry;
 pub use request::{CacheStatus, LuFactors, Op, Outcome, Request};

@@ -490,8 +490,12 @@ mod tests {
         let mut no_sep = Optimizations::all();
         no_sep.separate_intermediate_files = false;
         let (_c2, f2, _p2, _a2) = run_lu(32, 8, 4, no_sep, 7);
-        assert!(f1.l_file_count() > 1, "separate files keep the forest");
-        assert_eq!(f2.l_file_count(), 1, "combining collapses to one file");
+        assert!(f1.paths().len() > 2, "separate files keep the forest");
+        assert_eq!(
+            f2.paths().len(),
+            2,
+            "combining collapses to one L and one U"
+        );
     }
 
     #[test]
@@ -499,7 +503,11 @@ mod tests {
         // N(d) = 2^d + (m0/2)(2^d - 1) when every level has m0/2 stripes.
         let (_c, f, _p, _a) = run_lu(64, 8, 4, Optimizations::all(), 9);
         let d = crate::schedule::recursion_depth(64, 8);
-        assert_eq!(f.l_file_count(), crate::schedule::factor_file_count(d, 4));
+        // L and U each take N(d) files: m_l = m_u = m0/2.
+        assert_eq!(
+            f.paths().len() as u64,
+            2 * crate::schedule::factor_file_count(d, 4)
+        );
     }
 
     #[test]

@@ -316,9 +316,11 @@ impl<'a> Request<'a> {
         self.serve_hit(cluster, n, self.keyed_cache(cluster), false)
     }
 
-    /// The cold path: the exact pipeline the historical entry points ran.
-    /// `keyed` is the attached cache with this request's key, if any; the
-    /// finished run is filed under it.
+    /// The cold path, and the only place the pipeline's job sequence is
+    /// written: partition, the LU jobs, then (for an invert) the final
+    /// job, each committed by one `PipelineDriver::step`. `keyed` is the
+    /// attached cache with this request's key, if any; the finished run
+    /// is filed under it.
     fn run_pipeline(
         self,
         cluster: &Cluster,

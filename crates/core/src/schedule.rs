@@ -4,7 +4,7 @@
 //! whole MapReduce pipeline is known *before* the computation starts: the
 //! recursion depth follows from `n` and `nb`, and with it the number of
 //! jobs, the data movement, and the intermediate file counts. This module
-//! computes those closed forms; the driver in [`crate::lu_mr`] executes
+//! computes those closed forms; the driver in the private `lu_mr` module executes
 //! exactly this schedule, and tests assert the two agree.
 
 /// Recursion depth `d = ⌈log2(n / nb)⌉` (0 when the matrix already fits the

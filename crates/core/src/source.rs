@@ -287,9 +287,16 @@ impl MatrixSource {
     }
 }
 
-/// Writes `block` to `path` and returns its piece descriptor, positioned at
-/// `(row0, col0)` in piece space.
-pub fn write_piece(io: &mut TaskIo, path: &str, row0: usize, col0: usize, block: &Matrix) -> Piece {
+/// Test fixture: writes `block` to `path` and returns its piece
+/// descriptor, positioned at `(row0, col0)` in piece space.
+#[cfg(test)]
+pub(crate) fn write_piece(
+    io: &mut TaskIo,
+    path: &str,
+    row0: usize,
+    col0: usize,
+    block: &Matrix,
+) -> Piece {
     write_block(io, path, block);
     Piece::new(
         path,

@@ -70,8 +70,9 @@ pub struct ClusterConfig {
     /// default) disables timeouts. Timed-out attempts are retried on
     /// another node with capped exponential backoff.
     pub task_timeout_secs: Option<f64>,
-    /// First retry-after-timeout backoff delay, seconds (doubles per
-    /// consecutive timeout of the same task).
+    /// First retry-after-timeout backoff delay, *simulated* seconds
+    /// (doubles per consecutive timeout of the same task). Priced by the
+    /// wave planner only: no real retry waits on it.
     pub retry_backoff_base_secs: f64,
     /// Upper bound on the timeout-retry backoff delay, seconds.
     pub retry_backoff_cap_secs: f64,

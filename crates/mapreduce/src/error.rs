@@ -68,7 +68,7 @@ pub enum MrError {
     },
     /// A remote worker process died (or its socket broke) while running a
     /// task attempt. Retryable: the runner steers the retry onto a
-    /// different worker with backoff, like a lost tasktracker in Hadoop.
+    /// different worker, like a lost tasktracker in Hadoop.
     WorkerLost {
         /// Worker id of the dead process.
         worker: usize,

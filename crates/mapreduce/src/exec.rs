@@ -103,7 +103,7 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     ///
     /// Body-level failures come back as the body's [`MrError`] (the
     /// runner wraps and retries them); a dead worker comes back as
-    /// [`MrError::WorkerLost`] (retried with backoff on another worker).
+    /// [`MrError::WorkerLost`] (retried at once on another worker).
     fn execute(&self, desc: &TaskDescriptor) -> Result<WireTaskResult> {
         Err(MrError::InvalidJob(format!(
             "backend {:?} has no workers to run task {} of job {:?} on",
@@ -139,14 +139,14 @@ impl ExecBackend for InProcess {
 pub struct JobCodec {
     /// Driver: `(&M, &M::Input) -> payload` (arguments type-erased).
     pub(crate) encode_map: EncodeTaskFn,
-    /// Driver: map result payload -> erased `(pairs, counters, reads)`.
+    /// Driver: map result payload -> erased `(pairs, reads)`.
     pub(crate) decode_map: fn(&Value) -> Result<ErasedPayload>,
     /// Worker: run the family's mapper for a descriptor.
     pub(crate) run_map: RunTaskFn,
     /// Driver: `(&R, &ReducerInput<K, V>) -> payload`; `None` for
     /// map-only families.
     pub(crate) encode_reduce: Option<EncodeTaskFn>,
-    /// Driver: reduce result payload -> erased `(outputs, counters)`.
+    /// Driver: reduce result payload -> erased `outputs`.
     pub(crate) decode_reduce: Option<fn(&Value) -> Result<ErasedPayload>>,
     /// Worker: run the family's reducer for a descriptor.
     pub(crate) run_reduce: Option<RunTaskFn>,
@@ -253,12 +253,12 @@ impl TaskRegistry {
 }
 
 /// The raw (pre-combine, pre-partition) result of a map body: emitted
-/// pairs, user counters, recorded DFS reads. The runner applies the
-/// combiner and partitioner driver-side, whichever process ran the body.
-pub(crate) type RawMapPayload<K, V> = (Vec<(K, V)>, BTreeMap<String, u64>, Vec<(String, u64)>);
+/// pairs and recorded DFS reads. The runner applies the combiner and
+/// partitioner driver-side, whichever process ran the body.
+pub(crate) type RawMapPayload<K, V> = (Vec<(K, V)>, Vec<(String, u64)>);
 
-/// The result of a reduce body: per-key outputs plus user counters.
-pub(crate) type RawReducePayload<K, O> = (Vec<(K, O)>, BTreeMap<String, u64>);
+/// The result of a reduce body: per-key outputs.
+pub(crate) type RawReducePayload<K, O> = Vec<(K, O)>;
 
 /// One map attempt: the only caller of [`Mapper::map`]. The measured CPU
 /// is the wall time of the `map` call alone.
@@ -274,8 +274,8 @@ pub(crate) fn map_body<M: Mapper>(
     let mut ctx = MapContext::new(dfs, task_index, num_tasks, kv_size);
     let start = Instant::now();
     mapper.map(input, &mut ctx)?;
-    let (stats, counters, reads) = ctx.io.finish(start.elapsed());
-    Ok(((ctx.emitted, counters, reads), stats))
+    let (stats, reads) = ctx.io.finish(start.elapsed());
+    Ok(((ctx.emitted, reads), stats))
 }
 
 /// One reduce attempt over a sorted partition: the only caller of
@@ -296,8 +296,8 @@ pub(crate) fn reduce_body<R: Reducer>(
         let out = reducer.reduce(key, values, &mut ctx)?;
         outputs.push((key.clone(), out));
     }
-    let (stats, counters, _) = ctx.io.finish(start.elapsed());
-    Ok(((outputs, counters), stats))
+    let (stats, _) = ctx.io.finish(start.elapsed());
+    Ok((outputs, stats))
 }
 
 /// Decodes a worker's result payload with a family's registered decoder
@@ -355,11 +355,9 @@ where
 {
     let pairs: Vec<(M::Key, M::Value)> =
         de_field(v, "pairs").map_err(|e| de_err("map result pairs", e))?;
-    let counters: BTreeMap<String, u64> =
-        de_field(v, "counters").map_err(|e| de_err("map result counters", e))?;
     let reads: Vec<(String, u64)> =
         de_field(v, "reads").map_err(|e| de_err("map result reads", e))?;
-    let payload: RawMapPayload<M::Key, M::Value> = (pairs, counters, reads);
+    let payload: RawMapPayload<M::Key, M::Value> = (pairs, reads);
     Ok(Box::new(payload))
 }
 
@@ -375,13 +373,12 @@ where
     let input = M::Input::from_value(de_ref(&desc.payload, "input")?)
         .map_err(|e| de_err("map input", e))?;
     let kv = kv_size_fn::<M::Key, M::Value>(desc.kv);
-    let ((pairs, counters, reads), stats) =
+    let ((pairs, reads), stats) =
         map_body(&mapper, &input, dfs, desc.task_index, desc.num_tasks, kv)?;
     Ok(WireTaskResult {
         stats,
         payload: Value::Object(vec![
             ("pairs".to_string(), pairs.to_value()),
-            ("counters".to_string(), counters.to_value()),
             ("reads".to_string(), reads.to_value()),
         ]),
     })
@@ -415,12 +412,9 @@ where
     R::Key: Deserialize,
     R::Output: Deserialize,
 {
-    let outputs: Vec<(R::Key, R::Output)> =
+    let outputs: RawReducePayload<R::Key, R::Output> =
         de_field(v, "outputs").map_err(|e| de_err("reduce result outputs", e))?;
-    let counters: BTreeMap<String, u64> =
-        de_field(v, "counters").map_err(|e| de_err("reduce result counters", e))?;
-    let payload: RawReducePayload<R::Key, R::Output> = (outputs, counters);
-    Ok(Box::new(payload))
+    Ok(Box::new(outputs))
 }
 
 fn run_reduce_task<R>(desc: &TaskDescriptor, dfs: Arc<dyn DfsAccess>) -> Result<WireTaskResult>
@@ -436,14 +430,10 @@ where
     let values: Vec<R::Value> =
         de_field(&desc.payload, "values").map_err(|e| de_err("values", e))?;
     let input = ReducerInput::from_sorted_parts(keys, values);
-    let ((outputs, counters), stats) =
-        reduce_body(&reducer, &input, dfs, desc.task_index, desc.num_tasks)?;
+    let (outputs, stats) = reduce_body(&reducer, &input, dfs, desc.task_index, desc.num_tasks)?;
     Ok(WireTaskResult {
         stats,
-        payload: Value::Object(vec![
-            ("outputs".to_string(), outputs.to_value()),
-            ("counters".to_string(), counters.to_value()),
-        ]),
+        payload: Value::Object(vec![("outputs".to_string(), outputs.to_value())]),
     })
 }
 
@@ -474,7 +464,6 @@ mod tests {
             let data = ctx.read(&format!("in/{input}"))?;
             ctx.emit(*input, self.factor * data.len() as u64);
             ctx.write(&format!("out/{input}"), Bytes::from(vec![0u8; 4]));
-            ctx.increment("mapped", 1);
             Ok(())
         }
     }
@@ -489,8 +478,7 @@ mod tests {
         type Value = u64;
         type Output = u64;
 
-        fn reduce(&self, _key: &usize, values: &[u64], ctx: &mut ReduceContext) -> Result<u64> {
-            ctx.increment("reduced", 1);
+        fn reduce(&self, _key: &usize, values: &[u64], _: &mut ReduceContext) -> Result<u64> {
             Ok(values.iter().sum())
         }
     }
@@ -545,11 +533,10 @@ mod tests {
         assert_eq!(result.stats.emitted_pairs, 1);
         assert!(dfs.exists("out/2"), "side write landed on the driver DFS");
 
-        let (pairs, counters, reads) =
+        let (pairs, reads) =
             decode_as::<RawMapPayload<usize, u64>>(codec.decode_map, &result.payload)
                 .expect("decoder produces the registered payload type");
         assert_eq!(pairs, vec![(2, 30)]);
-        assert_eq!(counters.get("mapped"), Some(&1));
         assert_eq!(reads, vec![("in/2".to_string(), 10)]);
     }
 
@@ -574,11 +561,9 @@ mod tests {
         };
         let result = codec.run(&desc, dfs).unwrap();
         let decode = codec.decode_reduce.unwrap();
-        let (outputs, counters) =
-            decode_as::<RawReducePayload<usize, u64>>(decode, &result.payload)
-                .expect("decoder produces the registered payload type");
+        let outputs = decode_as::<RawReducePayload<usize, u64>>(decode, &result.payload)
+            .expect("decoder produces the registered payload type");
         assert_eq!(outputs, vec![(0, 1), (1, 15)]);
-        assert_eq!(counters.get("reduced"), Some(&2));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!
 //! A broken socket, EOF, or read timeout while a worker owns a task kills
 //! the worker process and surfaces [`MrError::WorkerLost`] — the runner
-//! retries with capped exponential backoff, and since the dead worker
-//! left the pool, the retry lands on a surviving worker (steering). A
+//! retries at once, and since the dead worker left the pool, the retry
+//! lands on a surviving worker (steering). A
 //! simulated node death ([`ExecBackend::on_node_death`]) kills a real
 //! worker chosen by `node % workers`. The pool respawns one worker when
 //! the last one dies, so a run can always make progress.

@@ -13,7 +13,6 @@
 //! their own): every byte it moves is accounted into [`TaskStats`], which
 //! the scheduler prices into simulated time.
 
-use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,7 +77,6 @@ impl TaskStats {
 pub struct TaskIo {
     dfs: Arc<dyn DfsAccess>,
     stats: TaskStats,
-    counters: BTreeMap<String, u64>,
     /// `Some` on the map side only: the normalized `(path, bytes)` of each
     /// read, from which the scheduler places the task near its blocks'
     /// replicas and prices non-local reads.
@@ -92,7 +90,6 @@ impl TaskIo {
         TaskIo {
             dfs,
             stats: TaskStats::default(),
-            counters: BTreeMap::new(),
             reads: None,
         }
     }
@@ -130,26 +127,17 @@ impl TaskIo {
         self.stats.kernel += d;
     }
 
-    /// Increments a named user counter (Hadoop's `Counter` facility);
-    /// counters aggregate across tasks into the job report.
-    pub fn increment(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_default() += by;
-    }
-
     /// What has been charged so far.
     pub fn stats(&self) -> &TaskStats {
         &self.stats
     }
 
     /// Closes the handle: the stats with the body's `measured` CPU added,
-    /// the user counters, and the recorded reads (empty unless map-side).
-    pub(crate) fn finish(
-        self,
-        measured: Duration,
-    ) -> (TaskStats, BTreeMap<String, u64>, Vec<(String, u64)>) {
+    /// and the recorded reads (empty unless map-side).
+    pub(crate) fn finish(self, measured: Duration) -> (TaskStats, Vec<(String, u64)>) {
         let mut stats = self.stats;
         stats.cpu += measured;
-        (stats, self.counters, self.reads.unwrap_or_default())
+        (stats, self.reads.unwrap_or_default())
     }
 }
 
@@ -530,10 +518,7 @@ mod tests {
         ctx.emit(2, 8);
         assert!(ctx.exists("out"));
         assert_eq!(ctx.list("").len(), 2);
-        ctx.increment("rows", 3);
-        ctx.increment("rows", 2);
-        let (stats, counters, reads) = ctx.io.finish(Duration::from_millis(5));
-        assert_eq!(counters.get("rows"), Some(&5));
+        let (stats, reads) = ctx.io.finish(Duration::from_millis(5));
         assert_eq!(ctx.emitted, vec![(1, 7), (2, 8)]);
         assert_eq!(reads, vec![("in".to_string(), 64)]);
         assert_eq!(stats.read_bytes, 64);
@@ -552,7 +537,7 @@ mod tests {
         assert_eq!(ctx.num_partitions(), 3);
         let _ = ctx.read("x").unwrap();
         ctx.write("y", Bytes::from(vec![0u8; 20]));
-        let (stats, _counters, reads) = ctx.io.finish(Duration::ZERO);
+        let (stats, reads) = ctx.io.finish(Duration::ZERO);
         assert_eq!(stats.read_bytes, 10);
         assert_eq!(stats.write_bytes, 20);
         assert!(reads.is_empty(), "only the map side records reads");
@@ -570,7 +555,6 @@ mod tests {
             assert_eq!(io.read("/d//in").unwrap().len(), 30);
             io.write("d/out", Bytes::from(vec![0u8; 12]));
             io.charge_kernel(Duration::from_millis(3));
-            io.increment("files", 1);
             assert!(io.exists("d/out"));
             assert_eq!(io.list("d").len(), 2);
             assert!(io.read("d/missing").is_err());
@@ -583,12 +567,11 @@ mod tests {
         traffic(&mut master);
         assert_eq!(master.stats().read_bytes, 30);
         assert_eq!(master.stats().write_bytes, 12);
-        let (map_stats, map_counters, map_reads) = map.io.finish(Duration::ZERO);
-        let (reduce_stats, _, reduce_reads) = reduce.io.finish(Duration::ZERO);
-        let (master_stats, master_counters, master_reads) = master.finish(Duration::ZERO);
+        let (map_stats, map_reads) = map.io.finish(Duration::ZERO);
+        let (reduce_stats, reduce_reads) = reduce.io.finish(Duration::ZERO);
+        let (master_stats, master_reads) = master.finish(Duration::ZERO);
         assert_eq!(map_stats, reduce_stats);
         assert_eq!(map_stats, master_stats);
-        assert_eq!(map_counters, master_counters);
         assert_eq!(map_reads, vec![("d/in".to_string(), 30)], "normalized");
         assert!(reduce_reads.is_empty() && master_reads.is_empty());
 

@@ -82,9 +82,6 @@ pub struct JobReport {
     pub stats: TaskStats,
     /// Aggregate measured work of failed (lost) attempts.
     pub lost_stats: TaskStats,
-    /// Named user counters aggregated across successful tasks (the Hadoop
-    /// `Counter` facility).
-    pub user_counters: std::collections::BTreeMap<String, u64>,
 }
 
 /// One executed body attempt of a task: its measured work, why it failed
@@ -125,7 +122,6 @@ fn run_with_retries<R, T>(
 ) -> Result<TaskRun<T>> {
     let cfg = &cluster.config;
     let mut chain = Vec::new();
-    let mut workers_lost = 0;
     for _attempt in 0..cfg.max_task_attempts.max(1) {
         let wall = std::time::Instant::now();
         let executed = execute();
@@ -143,16 +139,10 @@ fn run_with_retries<R, T>(
             }
             Err(fatal @ MrError::AllReplicasLost { .. }) => return Err(fatal),
             Err(MrError::WorkerLost { worker, .. }) => {
-                // A real worker process died mid-attempt. The dead worker
-                // left its backend's pool, so after a capped-exponential
-                // *wall-clock* backoff (the PR 4 timeout-retry knobs) the
-                // retry lands on a surviving worker.
-                let delay = (cfg.retry_backoff_base_secs * 2f64.powi(workers_lost))
-                    .min(cfg.retry_backoff_cap_secs);
-                workers_lost += 1;
-                if delay > 0.0 {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(delay));
-                }
+                // A real worker process died mid-attempt. It has already
+                // left its backend's pool, which blocks or respawns on
+                // checkout, so the retry goes out at once; the attempt
+                // budget bounds a worker that dies every time.
                 let cause = FailureCause::WorkerLost(worker);
                 (TaskStats::default(), None, Some(cause))
             }
@@ -559,13 +549,9 @@ where
 }
 
 /// A successful map attempt's payload: one bucket of pairs per reduce
-/// partition (none for a map-only job), the task's user counters, and its
-/// recorded DFS reads (locality input for the planner).
-type MapPayload<K, V> = (
-    Vec<Vec<(K, V)>>,
-    std::collections::BTreeMap<String, u64>,
-    Vec<(String, u64)>,
-);
+/// partition (none for a map-only job) and its recorded DFS reads
+/// (locality input for the planner).
+type MapPayload<K, V> = (Vec<Vec<(K, V)>>, Vec<(String, u64)>);
 
 /// The single exit of every job that got past its map wave's execution,
 /// failed or not, and the only place a job is observed: charges the clock
@@ -682,12 +668,12 @@ where
         let dfs = cluster.dfs.clone();
         map_body(mapper, &inputs[idx], dfs, idx, num_tasks, spec.kv_size)
     };
-    let map_post = |(mut pairs, counters, reads): RawMapPayload<M::Key, M::Value>,
+    let map_post = |(mut pairs, reads): RawMapPayload<M::Key, M::Value>,
                     stats: &mut TaskStats|
      -> MapPayload<M::Key, M::Value> {
         if reducers == 0 {
             // The mappers did all the work through DFS side files.
-            return (Vec::new(), counters, reads);
+            return (Vec::new(), reads);
         }
         // Map-side combine (Hadoop combiner): pre-aggregate this
         // task's output per key, shrinking the shuffle.
@@ -717,7 +703,7 @@ where
             pairs = combined;
         }
         let buckets = partition_pairs(pairs, spec.partitioner, reducers);
-        (buckets, counters, reads)
+        (buckets, reads)
     };
     let mut map_runs = run_wave(
         cluster,
@@ -732,7 +718,7 @@ where
     let map_plan = settle_wave(
         cluster,
         &map_runs,
-        |payload| payload.2.as_slice(),
+        |payload| payload.1.as_slice(),
         launch_end,
         reducers > 0,
     );
@@ -765,7 +751,6 @@ where
         map_plan.remote_read_bytes,
     );
     let mut stats = TaskStats::default();
-    let mut user_counters: std::collections::BTreeMap<String, u64> = Default::default();
     let mut per_task_shuffle = Vec::with_capacity(num_tasks);
     let mut task_buckets = Vec::with_capacity(num_tasks);
     for run in &mut map_runs {
@@ -776,10 +761,7 @@ where
             .stats;
         stats = stats.merge(ok_stats);
         per_task_shuffle.push(ok_stats.shuffle_bytes);
-        let (buckets, counters, _) = run.payload.take().expect("map wave succeeded");
-        for (name, v) in counters {
-            *user_counters.entry(name).or_default() += v;
-        }
+        let (buckets, _) = run.payload.take().expect("map wave succeeded");
         task_buckets.push(buckets);
     }
 
@@ -816,16 +798,11 @@ where
                     .expect("successful task has at least one attempt")
                     .stats,
             );
-            let (outs, counters) = run.payload.expect("reduce wave succeeded");
-            for (name, v) in counters {
-                *user_counters.entry(name).or_default() += v;
-            }
-            outputs.extend(outs);
+            outputs.extend(run.payload.expect("reduce wave succeeded"));
         }
         stats = stats.merge(&reduce_stats);
     }
     report.stats = stats;
-    report.user_counters = user_counters;
     Ok((outputs, report))
 }
 
@@ -1495,6 +1472,60 @@ mod fault_domain_tests {
         assert!(retry.failure.is_none());
     }
 
+    /// A backend whose worker dies under every attempt it is handed.
+    #[derive(Debug)]
+    struct DyingWorkers;
+    impl crate::exec::ExecBackend for DyingWorkers {
+        fn name(&self) -> &str {
+            "dying-workers"
+        }
+        fn wants_descriptors(&self) -> bool {
+            true
+        }
+        fn execute(&self, _: &TaskDescriptor) -> Result<crate::exec::WireTaskResult> {
+            Err(MrError::WorkerLost {
+                worker: 0,
+                message: "exited mid-attempt".into(),
+            })
+        }
+    }
+
+    // Braced: the vendored serde derive only handles braced bodies.
+    #[derive(Serialize, Deserialize)]
+    struct ShippedMapper {}
+    impl Mapper for ShippedMapper {
+        type Input = usize;
+        type Key = usize;
+        type Value = usize;
+        fn map(&self, _: &usize, _: &mut MapContext<usize, usize>) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_worker_that_always_dies_spends_the_attempt_budget_without_waiting() {
+        // The default simulated timeout-retry backoff is 1 s doubling: a
+        // retry that slept it in wall time would take 15 s here.
+        let mut cluster = test_cluster(1);
+        let mut registry = crate::exec::TaskRegistry::new();
+        registry.register_map_only::<ShippedMapper>("doomed");
+        cluster.set_registry(std::sync::Arc::new(registry));
+        cluster.set_backend(std::sync::Arc::new(DyingWorkers));
+        let spec: JobSpec<usize, usize> = JobSpec::new("doomed").remote("doomed");
+        let started = std::time::Instant::now();
+        let err = run_map_only(&cluster, &spec, &ShippedMapper {}, &[0]).unwrap_err();
+        assert!(
+            matches!(err, MrError::TaskFailed { attempts: 4, .. }),
+            "max_task_attempts bounds the crash loop: {err:?}"
+        );
+        assert_eq!(cluster.metrics.snapshot().task_failures, 4);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "retries go out at once, took {:?}",
+            started.elapsed()
+        );
+    }
+
     #[test]
     fn reads_from_a_dead_nodes_replicas_fail_the_job_fatally() {
         let cluster = test_cluster(2);
@@ -1605,7 +1636,6 @@ mod combiner_tests {
             let data = ctx.read(input)?;
             for w in String::from_utf8_lossy(&data).split_whitespace() {
                 ctx.emit(w.to_string(), 1);
-                ctx.increment("words_seen", 1);
             }
             Ok(())
         }
@@ -1615,8 +1645,7 @@ mod combiner_tests {
         type Key = String;
         type Value = u64;
         type Output = u64;
-        fn reduce(&self, _k: &String, values: &[u64], ctx: &mut ReduceContext) -> Result<u64> {
-            ctx.increment("keys_reduced", 1);
+        fn reduce(&self, _k: &String, values: &[u64], _: &mut ReduceContext) -> Result<u64> {
             Ok(values.iter().sum())
         }
     }
@@ -1714,12 +1743,5 @@ mod combiner_tests {
         assert_eq!(report.stats.emitted_pairs, 3);
         assert_eq!(report.stats.combine_input_pairs, 3);
         assert_eq!(report.stats.combine_output_pairs, 2);
-    }
-
-    #[test]
-    fn user_counters_aggregate_across_phases() {
-        let (_, report) = run(true);
-        assert_eq!(report.user_counters.get("words_seen"), Some(&8));
-        assert_eq!(report.user_counters.get("keys_reduced"), Some(&2));
     }
 }

@@ -344,6 +344,85 @@ fn empty_and_degenerate_products() {
     }
 }
 
+// The per-vector triangular kernels the pipeline's mappers ran before
+// `trsm`: its leaf reproduces their arithmetic operation for operation, so
+// they stay here as the bit-identity oracles.
+
+/// Column `j` of `L^-1` by Equation 4 (any nonzero diagonal; entries above
+/// the diagonal are zero).
+fn invert_lower_column(l: &Matrix, j: usize) -> Vec<f64> {
+    let n = l.rows();
+    let mut col = vec![0.0; n];
+    col[j] = 1.0 / l[(j, j)];
+    for i in (j + 1)..n {
+        // [L^-1]_ij = -1/[L]_ii * sum_{k=j}^{i-1} [L]_ik [L^-1]_kj
+        let row = l.row(i);
+        let mut acc = 0.0;
+        for (k, &ck) in col.iter().enumerate().take(i).skip(j) {
+            acc += row[k] * ck;
+        }
+        col[i] = -acc / row[i];
+    }
+    col
+}
+
+/// One column of `U2` in Equation 6: `L1·x = a2_col` for unit-lower `L1`.
+fn solve_unit_lower_column(l1: &Matrix, a2_col: &[f64]) -> Vec<f64> {
+    let mut x = a2_col.to_vec();
+    for i in 0..l1.rows() {
+        let row = l1.row(i);
+        let mut acc = x[i];
+        for (k, &xk) in x.iter().enumerate().take(i) {
+            acc -= row[k] * xk;
+        }
+        x[i] = acc; // unit diagonal: no division
+    }
+    x
+}
+
+/// One row of `L2'` in Equation 6, `x·U1 = a3_row`, with `U1` supplied in
+/// transposed storage (`u1_t = U1ᵀ`, lower triangular): every access is
+/// row-major, unlike [`triangular::solve_row_times_upper`].
+fn solve_row_times_upper_transposed(u1_t: &Matrix, a3_row: &[f64]) -> Vec<f64> {
+    let n = u1_t.rows();
+    let mut x = vec![0.0; n];
+    for j in 0..n {
+        let row = u1_t.row(j);
+        let mut acc = a3_row[j];
+        for (k, &xk) in x.iter().enumerate().take(j) {
+            acc -= xk * row[k];
+        }
+        x[j] = acc / row[j];
+    }
+    x
+}
+
+#[test]
+fn column_kernel_matches_full_inverse() {
+    let l = random_unit_lower(9, 3);
+    let inv = triangular::invert_lower(&l).unwrap();
+    for j in 0..9 {
+        let col = invert_lower_column(&l, j);
+        for i in 0..9 {
+            assert!((col[i] - inv[(i, j)]).abs() < 1e-12);
+        }
+    }
+}
+
+#[test]
+fn strided_row_kernel_matches_transposed_storage_oracle() {
+    let u1 = random_upper(10, 8);
+    let u1_t = u1.transpose();
+    let a3 = random_matrix(6, 10, 9);
+    for i in 0..6 {
+        let a = triangular::solve_row_times_upper(&u1, a3.row(i)).unwrap();
+        let b = solve_row_times_upper_transposed(&u1_t, a3.row(i));
+        for (x, y) in a.iter().zip(&b) {
+            assert!((x - y).abs() < 1e-12);
+        }
+    }
+}
+
 #[test]
 fn trsm_left_lower_matches_legacy_per_column_kernels() {
     // Wide enough for a full 16-column leaf tile plus scalar remainder
@@ -356,7 +435,7 @@ fn trsm_left_lower_matches_legacy_per_column_kernels() {
     let mut x = rhs.clone();
     trsm_with(&Naive, Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l, &mut x).unwrap();
     for j in 0..w {
-        let col = triangular::solve_unit_lower_column(&l, &rhs.col(j)).unwrap();
+        let col = solve_unit_lower_column(&l, &rhs.col(j));
         assert_eq!(bits_of(&x.col(j)), bits_of(&col), "U2 column {j}");
     }
 
@@ -378,7 +457,7 @@ fn trsm_left_lower_matches_legacy_per_column_kernels() {
     )
     .unwrap();
     for j in 0..n {
-        let col = triangular::invert_lower_column(&lnu, j).unwrap();
+        let col = invert_lower_column(&lnu, j);
         assert_eq!(bits_of(&x.col(j)), bits_of(&col), "inverse column {j}");
     }
     assert_eq!(bits(&x), bits(&triangular::invert_lower(&lnu).unwrap()));
@@ -399,7 +478,7 @@ fn trsm_left_lower_matches_legacy_per_column_kernels() {
     )
     .unwrap();
     for i in 0..w {
-        let row = triangular::solve_row_times_upper_transposed(&u1_t, a3.row(i)).unwrap();
+        let row = solve_row_times_upper_transposed(&u1_t, a3.row(i));
         assert_eq!(bits_of(&x_t.col(i)), bits_of(&row), "L2' row {i}");
     }
 }

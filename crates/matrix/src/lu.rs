@@ -11,7 +11,7 @@
 //! [`Permutation`] array) such that `P·A = L·U`.
 
 use crate::dense::Matrix;
-use crate::error::{MatrixError, Result};
+use crate::error::Result;
 use crate::permutation::Permutation;
 
 /// Packed LU factors plus the pivot permutation: `P·A = L·U`.
@@ -65,7 +65,7 @@ pub fn lu_flops(n: usize) -> u64 {
 /// LU-decomposes `a` with partial pivoting (Algorithm 1): returns packed
 /// factors and the permutation with `P·A = L·U`.
 ///
-/// Returns [`MatrixError::Singular`] when an elimination step finds no pivot
+/// Returns [`crate::MatrixError::Singular`] when an elimination step finds no pivot
 /// above the numerical threshold (the matrix has no inverse).
 pub fn lu_decompose(a: &Matrix) -> Result<LuFactors> {
     let mut lu = a.clone();
@@ -101,50 +101,11 @@ fn lu_decompose_in_place(a: &mut Matrix) -> Result<Permutation> {
     kernel::lu_blocked_in_place(a, panel, kind.as_backend())
 }
 
-/// LU decomposition *without* pivoting; used by the distributed method's
-/// analysis and by tests on diagonally dominant matrices where pivoting is
-/// unnecessary (Equation 3).
-pub fn lu_decompose_no_pivot(a: &Matrix) -> Result<LuFactors> {
-    let n = a.order()?;
-    let mut lu = a.clone();
-    let scale = a.as_slice().iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
-    let tol = if scale == 0.0 {
-        f64::MIN_POSITIVE
-    } else {
-        scale * f64::EPSILON * n as f64
-    };
-
-    for i in 0..n {
-        if lu[(i, i)].abs() < tol {
-            return Err(MatrixError::Singular { step: i });
-        }
-        let inv_pivot = 1.0 / lu[(i, i)];
-        for j in (i + 1)..n {
-            lu[(j, i)] *= inv_pivot;
-        }
-        for j in (i + 1)..n {
-            let lji = lu[(j, i)];
-            if lji == 0.0 {
-                continue;
-            }
-            let (top, bottom) = lu.as_mut_slice().split_at_mut(j * n);
-            let urow = &top[i * n..i * n + n];
-            let jrow = &mut bottom[..n];
-            for k in (i + 1)..n {
-                jrow[k] -= lji * urow[k];
-            }
-        }
-    }
-    Ok(LuFactors {
-        lu,
-        perm: Permutation::identity(n),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random::{random_matrix, random_well_conditioned};
+    use crate::error::MatrixError;
+    use crate::random::random_matrix;
 
     #[test]
     fn known_3x3_decomposition() {
@@ -155,6 +116,9 @@ mod tests {
         // With partial pivoting the first pivot row must be the one with
         // max |a_i0| = 8.
         assert_eq!(f.perm.source_of(0), 2);
+        // A zero leading entry is a row swap, not a failure.
+        let swap = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
+        assert!(lu_decompose(&swap).is_ok());
     }
 
     #[test]
@@ -217,26 +181,6 @@ mod tests {
     fn non_square_is_rejected() {
         let a = Matrix::zeros(3, 4);
         assert!(lu_decompose(&a).is_err());
-        assert!(lu_decompose_no_pivot(&a).is_err());
-    }
-
-    #[test]
-    fn no_pivot_matches_pivoted_on_dominant_matrices() {
-        let a = random_well_conditioned(24, 3);
-        let piv = lu_decompose(&a).unwrap();
-        let nopiv = lu_decompose_no_pivot(&a).unwrap();
-        // Diagonally dominant: pivoting should be a no-op.
-        assert!(piv.perm.is_identity());
-        assert!(piv.lu.approx_eq(&nopiv.lu, 1e-9));
-        assert!(nopiv.reconstruct().approx_eq(&a, 1e-8));
-    }
-
-    #[test]
-    fn no_pivot_rejects_zero_leading_pivot() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert!(lu_decompose_no_pivot(&a).is_err());
-        // ...while pivoting handles it fine.
-        assert!(lu_decompose(&a).is_ok());
     }
 
     #[test]

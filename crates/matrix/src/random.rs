@@ -164,6 +164,6 @@ mod tests {
                 assert!((m[(i, j)] - m[(j, i)]).abs() < 1e-12);
             }
         }
-        assert!(crate::lu::lu_decompose_no_pivot(&m).is_ok());
+        assert!(crate::lu::lu_decompose(&m).is_ok());
     }
 }

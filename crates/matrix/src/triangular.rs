@@ -11,11 +11,10 @@
 //! The pipeline solves a whole task's vectors in one [`trsm`] call (level-3:
 //! the coupling between diagonal blocks runs in GEMM), and [`invert_lower`]
 //! / [`invert_upper`] are that same solve on an identity right-hand side.
-//! The per-vector kernels — [`invert_lower_column`],
-//! [`solve_unit_lower_column`], [`solve_row_times_upper`],
-//! [`solve_row_times_upper_transposed`] — remain as the arithmetic `trsm`'s
-//! leaf reproduces operation for operation (the bit-identity oracles), and
-//! as the strided reference the Section 6.3 transpose-off ablation times.
+//! One per-vector kernel remains, [`solve_row_times_upper`]: the strided
+//! reference the Section 6.3 transpose-off ablation times. The other
+//! per-vector forms, whose arithmetic `trsm`'s leaf reproduces operation
+//! for operation, are the bit-identity oracles in `kernel/tests.rs`.
 //!
 //! Upper-triangular matrices are inverted through their transpose
 //! (a lower-triangular inverse followed by a transpose), matching the
@@ -46,36 +45,6 @@ fn check_nonzero_diag(a: &Matrix) -> Result<()> {
 pub fn tri_inv_flops(n: usize) -> u64 {
     let n = n as u64;
     2 * n * n * n / 3
-}
-
-/// Computes column `j` of `L^-1` by Equation 4.
-///
-/// Returns the column as a dense vector of length `n` (entries above the
-/// diagonal are zero). `l` may have any nonzero diagonal; for the
-/// pipeline's unit-lower factors the `1/[L]_ii` terms are exactly 1.
-pub fn invert_lower_column(l: &Matrix, j: usize) -> Result<Vec<f64>> {
-    let n = check_square(l, "invert_lower_column")?;
-    if j >= n {
-        return Err(MatrixError::OutOfBounds {
-            op: "invert_lower_column",
-            rows: (0, n),
-            cols: (j, j + 1),
-            shape: l.shape(),
-        });
-    }
-    check_nonzero_diag(l)?;
-    let mut col = vec![0.0; n];
-    col[j] = 1.0 / l[(j, j)];
-    for i in (j + 1)..n {
-        // [L^-1]_ij = -1/[L]_ii * sum_{k=j}^{i-1} [L]_ik [L^-1]_kj
-        let row = l.row(i);
-        let mut acc = 0.0;
-        for (k, &ck) in col.iter().enumerate().take(i).skip(j) {
-            acc += row[k] * ck;
-        }
-        col[i] = -acc / row[i];
-    }
-    Ok(col)
 }
 
 /// Inverts a lower-triangular matrix by Equation 4: every column of the
@@ -141,41 +110,14 @@ pub fn back_substitution(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Ok(x)
 }
 
-/// Computes one column of `U2` in Equation 6: solves `L1·x = a2_col` where
-/// `L1` is unit lower triangular (the `1/[L1]_ii` factors are 1).
-///
-/// This is the per-column kernel a `U2` mapper runs for each of its
-/// assigned columns of `A2`.
-pub fn solve_unit_lower_column(l1: &Matrix, a2_col: &[f64]) -> Result<Vec<f64>> {
-    let n = check_square(l1, "solve_unit_lower_column")?;
-    if a2_col.len() != n {
-        return Err(MatrixError::DimensionMismatch {
-            op: "solve_unit_lower_column",
-            lhs: l1.shape(),
-            rhs: (a2_col.len(), 1),
-        });
-    }
-    let mut x = a2_col.to_vec();
-    for i in 0..n {
-        let row = l1.row(i);
-        let mut acc = x[i];
-        for (k, &xk) in x.iter().enumerate().take(i) {
-            acc -= row[k] * xk;
-        }
-        x[i] = acc; // unit diagonal: no division
-    }
-    Ok(x)
-}
-
 /// Computes one row of `L2'` in Equation 6: solves `x·U1 = a3_row`, i.e.
 /// `U1ᵀ·xᵀ = a3_rowᵀ`, a forward substitution against the transposed upper
 /// factor.
 ///
 /// This is the per-row kernel an `L2'` mapper runs for each of its assigned
 /// rows of `A3`. `u1` is passed row-major (not transposed); the kernel
-/// walks it column-wise which is acceptable for `nb`-sized blocks, and the
-/// transposed-storage variant [`solve_row_times_upper_transposed`] is the
-/// Section 6.3 fast path.
+/// walks it column-wise, which is what Section 6.3's transposed storage
+/// avoids.
 pub fn solve_row_times_upper(u1: &Matrix, a3_row: &[f64]) -> Result<Vec<f64>> {
     let n = check_square(u1, "solve_row_times_upper")?;
     if a3_row.len() != n {
@@ -194,30 +136,6 @@ pub fn solve_row_times_upper(u1: &Matrix, a3_row: &[f64]) -> Result<Vec<f64>> {
             acc -= xk * u1[(k, j)];
         }
         x[j] = acc / u1[(j, j)];
-    }
-    Ok(x)
-}
-
-/// [`solve_row_times_upper`] with `U1` supplied in transposed storage
-/// (`u1_t = U1ᵀ`, lower triangular), so every access is row-major.
-pub fn solve_row_times_upper_transposed(u1_t: &Matrix, a3_row: &[f64]) -> Result<Vec<f64>> {
-    let n = check_square(u1_t, "solve_row_times_upper_transposed")?;
-    if a3_row.len() != n {
-        return Err(MatrixError::DimensionMismatch {
-            op: "solve_row_times_upper_transposed",
-            lhs: u1_t.shape(),
-            rhs: (1, a3_row.len()),
-        });
-    }
-    check_nonzero_diag(u1_t)?;
-    let mut x = vec![0.0; n];
-    for j in 0..n {
-        let row = u1_t.row(j);
-        let mut acc = a3_row[j];
-        for (k, &xk) in x.iter().enumerate().take(j) {
-            acc -= xk * row[k];
-        }
-        x[j] = acc / row[j];
     }
     Ok(x)
 }
@@ -289,21 +207,7 @@ mod tests {
         let mut l = random_unit_lower(5, 1);
         l[(2, 2)] = 0.0;
         assert!(invert_lower(&l).is_err());
-        assert!(invert_lower_column(&l, 0).is_err());
         assert!(forward_substitution(&l, &[1.0; 5]).is_err());
-    }
-
-    #[test]
-    fn column_kernel_matches_full_inverse() {
-        let l = random_unit_lower(9, 3);
-        let inv = invert_lower(&l).unwrap();
-        for j in 0..9 {
-            let col = invert_lower_column(&l, j).unwrap();
-            for i in 0..9 {
-                assert!((col[i] - inv[(i, j)]).abs() < 1e-12);
-            }
-        }
-        assert!(invert_lower_column(&l, 9).is_err());
     }
 
     #[test]
@@ -348,15 +252,6 @@ mod tests {
         let a3 = random_matrix(6, 10, 9);
         let l2 = solve_upper_system_right(&u1, &a3).unwrap();
         assert!((&l2 * &u1).approx_eq(&a3, TOL));
-        // Row kernel agrees with the transposed-storage fast path.
-        let u1_t = u1.transpose();
-        for i in 0..6 {
-            let a = solve_row_times_upper(&u1, a3.row(i)).unwrap();
-            let b = solve_row_times_upper_transposed(&u1_t, a3.row(i)).unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x - y).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -96,9 +96,7 @@ fn killed_worker_is_replaced_and_the_attempt_retried() {
     // The die-once probe writes a marker through the live DFS connection
     // and then exits its worker process; the retried attempt (and every
     // other task) sees the marker and succeeds.
-    let mut cfg = unit_config(4);
-    cfg.retry_backoff_base_secs = 0.0; // retry immediately (wall clock)
-    let cluster = tcp_cluster(cfg, 2);
+    let cluster = tcp_cluster(unit_config(4), 2);
 
     let mapper = mrinv::remote::DieOnceMapper {
         marker: "probe/died-once".to_string(),

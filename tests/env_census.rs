@@ -5,6 +5,13 @@
 //! the library crates' public surface to what some other file calls, and
 //! a third keeps `crates/core`'s block codec calls and DFS file names to
 //! the one place each belongs.
+//!
+//! The second census is a text scan, so an item another file's *test*
+//! spells passes it. For everything behind `Request` — `mrinv`'s private
+//! stage modules (`partition`, `lu_mr`, `tri_inv_mr`, `factors`, `source`,
+//! `inverse`, `audit`) — the compiler is the census instead: CI's
+//! `cargo clippy --workspace --all-targets -- -D warnings` builds the
+//! library without `cfg(test)` and fails on rustc's `dead_code`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -91,9 +98,7 @@ fn library_crates_read_only_documented_env_vars() {
 
 /// Public items of the library crates that no other file names, as
 /// `item: the reason it stays public`. "A test calls it" is not a reason.
-const NO_OUTSIDE_CALLER: [&str; 13] = [
-    "core::inmem::BlockLu: return type of inmem::block_lu",
-    "core::theory::CostRow: return type of the Table 1/2 closed forms",
+const NO_OUTSIDE_CALLER: [&str; 11] = [
     "mapreduce::obs::CounterSeries: element type of the public field ObsSnapshot::counters",
     "mapreduce::obs::GaugeSeries: element type of the public field ObsSnapshot::gauges",
     "mapreduce::obs::HistogramSeries: element type of the public field ObsSnapshot::histograms",

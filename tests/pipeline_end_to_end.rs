@@ -1,11 +1,9 @@
 //! End-to-end integration: the full MapReduce inversion pipeline against
 //! the paper's correctness and structure claims.
 
-use mrinv::lu_mr::lu_decompose_mr;
-use mrinv::partition::{ingest_input, run_partition_job, PartitionPlan};
-use mrinv::{InversionConfig, Optimizations, PipelineDriver, Request, RunId};
+use mrinv::{InversionConfig, Optimizations, Request};
 use mrinv_mapreduce::scheduler::{plan_wave, PlannedTask, WaveFaults};
-use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, TaskIo};
+use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel};
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::{random_invertible, random_well_conditioned};
 use mrinv_matrix::{Matrix, PAPER_ACCURACY};
@@ -70,29 +68,6 @@ fn job_pipeline_length_matches_table3_structure() {
         assert_eq!(out.report.jobs, expect, "n={n} nb={nb}");
         assert_eq!(out.report.jobs, mrinv::schedule::total_jobs(n, nb));
     }
-}
-
-#[test]
-fn partitioned_layout_reassembles_and_feeds_lu() {
-    let cluster = unit_cluster(4);
-    let a = random_invertible(64, 7);
-    let cfg = InversionConfig::with_nb(16);
-    let plan = PartitionPlan::new(64, &cluster, &cfg, "t/partition");
-    ingest_input(&cluster, &a, &plan).unwrap();
-    let mut driver = PipelineDriver::new(&cluster, RunId::new("t"));
-    let (source, report) = run_partition_job(&mut driver, &plan).unwrap();
-    assert_eq!(report.map_tasks, 4);
-    let mut io = TaskIo::new(cluster.dfs.clone());
-    let back = source.read_all(&mut io).unwrap();
-    assert_eq!(
-        back, a,
-        "Figure 3/4 layout holds every element exactly once"
-    );
-    // The same descriptor is what the LU stage recurses over.
-    let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &cfg.opts).unwrap();
-    let l = factors.assemble_l(&mut io).unwrap();
-    let u = factors.assemble_u(&mut io).unwrap();
-    assert!((&l * &u).approx_eq(&factors.perm().apply_rows(&a), 1e-8));
 }
 
 #[test]
