@@ -45,11 +45,10 @@ pub(crate) fn register(r: &mut TaskRegistry) {
 }
 
 /// The job one recursion node under `dir` submits: one reducer per cell.
-pub(crate) fn job_spec(dir: &str, num_cells: usize) -> JobSpec<usize, usize> {
+pub(crate) fn job_spec(dir: &str, num_cells: usize) -> JobSpec<usize> {
     JobSpec::new(format!("lu-level:{dir}"))
         .reducers(num_cells)
         .partitioner(identity_partitioner)
-        .shuffle_sized()
         .remote("lu-level")
 }
 

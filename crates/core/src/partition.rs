@@ -221,10 +221,8 @@ pub(crate) fn register(r: &mut TaskRegistry) {
 }
 
 /// The map-only partitioning job writing under `root`.
-pub(crate) fn job_spec(root: &str) -> JobSpec<usize, usize> {
-    JobSpec::new(format!("partition:{root}"))
-        .shuffle_sized()
-        .remote("partition")
+pub(crate) fn job_spec(root: &str) -> JobSpec<usize> {
+    JobSpec::new(format!("partition:{root}")).remote("partition")
 }
 
 impl Mapper for PartitionMapper {

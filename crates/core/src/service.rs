@@ -257,7 +257,9 @@ struct QueuedJob {
     resp: mpsc::Sender<WireResponse>,
 }
 
-/// Per-tenant FIFO queues plus the round-robin draining order.
+/// Per-tenant FIFO queues plus the round-robin draining order. A tenant
+/// has an entry in both exactly while it has a job queued, so a
+/// long-running server holds nothing for tenants it has drained.
 #[derive(Default)]
 struct Queues {
     tenants: BTreeMap<String, VecDeque<QueuedJob>>,
@@ -276,17 +278,15 @@ impl Queues {
 
     /// Pops the next job in tenant-round-robin order.
     fn pop(&mut self) -> Option<QueuedJob> {
-        while let Some(tenant) = self.rr.pop_front() {
-            if let Some(q) = self.tenants.get_mut(&tenant) {
-                if let Some(job) = q.pop_front() {
-                    if !q.is_empty() {
-                        self.rr.push_back(tenant);
-                    }
-                    return Some(job);
-                }
-            }
+        let tenant = self.rr.pop_front()?;
+        let q = self.tenants.get_mut(&tenant)?;
+        let job = q.pop_front();
+        if q.is_empty() {
+            self.tenants.remove(&tenant);
+        } else {
+            self.rr.push_back(tenant);
         }
-        None
+        job
     }
 
     /// Drains every queued solve sharing `key` (any tenant) for batching.
@@ -303,6 +303,9 @@ impl Queues {
             }
             *q = keep;
         }
+        self.tenants.retain(|_, q| !q.is_empty());
+        let tenants = &self.tenants;
+        self.rr.retain(|tenant| tenants.contains_key(tenant));
         batch
     }
 
@@ -312,9 +315,9 @@ impl Queues {
 
     fn drain_all(&mut self) -> Vec<QueuedJob> {
         self.rr.clear();
-        self.tenants
-            .values_mut()
-            .flat_map(|q| q.drain(..))
+        std::mem::take(&mut self.tenants)
+            .into_values()
+            .flatten()
             .collect()
     }
 }
@@ -751,6 +754,35 @@ mod tests {
         let rest: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|j| j.id).collect();
         assert_eq!(rest.len(), 2);
         assert!(rest.contains(&3) && rest.contains(&4));
+    }
+
+    /// A drained tenant leaves nothing behind, whichever way its queue
+    /// emptied: popped by the executor or batch-drained behind a leader.
+    #[test]
+    fn drained_tenants_leave_no_queue_behind() {
+        let mut q = Queues::default();
+        for i in 0..1000u64 {
+            let tenant = format!("tenant-{i}");
+            if i % 2 == 0 {
+                q.push(job(&tenant, i, Op::Invert, 0).0);
+                assert_eq!(q.pop().map(|j| j.id), Some(i));
+            } else {
+                q.push(job(&tenant, i, Op::Solve, i).0);
+                assert_eq!(q.drain_matching_solves(i).len(), 1);
+            }
+            assert_eq!(q.pending(&tenant), 0);
+        }
+        assert!(
+            q.tenants.is_empty(),
+            "{} empty queues kept",
+            q.tenants.len()
+        );
+        assert!(
+            q.rr.is_empty(),
+            "{} tenants left in the rotation",
+            q.rr.len()
+        );
+        assert!(q.pop().is_none());
     }
 
     #[test]

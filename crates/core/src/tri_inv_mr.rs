@@ -116,11 +116,10 @@ pub(crate) fn register(r: &mut TaskRegistry) {
 }
 
 /// The final-inversion job writing under `dir`: one reducer per cell.
-pub(crate) fn job_spec(dir: &str, num_cells: usize) -> JobSpec<usize, usize> {
+pub(crate) fn job_spec(dir: &str, num_cells: usize) -> JobSpec<usize> {
     JobSpec::new(format!("final-inverse:{dir}"))
         .reducers(num_cells)
         .partitioner(identity_partitioner)
-        .shuffle_sized()
         .remote("final-inverse")
 }
 

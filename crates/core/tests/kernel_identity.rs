@@ -11,8 +11,8 @@
 //!   bounded here at 1e-10).
 //! * The checkpoint manifest's job fingerprints must not move: a PR 2
 //!   `Checkpoint::Resume` of a pre-refactor run has to keep restoring
-//!   every job. Fingerprints cover job name, reducer count, combiner
-//!   presence, config fingerprint, and sequence number.
+//!   every job. Fingerprints cover job name, reducer count, a constant
+//!   slot, config fingerprint, and sequence number.
 
 use mrinv::config::{InversionConfig, Optimizations};
 use mrinv::Request;

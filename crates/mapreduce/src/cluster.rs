@@ -33,6 +33,18 @@ pub enum SchedulingMode {
     Pipelined,
 }
 
+/// Maximum attempts per task before the job fails (Hadoop's
+/// `mapred.map.max.attempts` default).
+pub(crate) const MAX_TASK_ATTEMPTS: u32 = 4;
+
+/// First retry-after-timeout backoff delay, *simulated* seconds (doubles
+/// per consecutive timeout of the same task). Priced by the wave planner
+/// only: no real retry waits on it.
+pub(crate) const RETRY_BACKOFF_BASE_SECS: f64 = 1.0;
+
+/// Upper bound on the timeout-retry backoff delay, simulated seconds.
+pub(crate) const RETRY_BACKOFF_CAP_SECS: f64 = 60.0;
+
 /// Static cluster shape and pricing.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -40,9 +52,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Concurrent task slots per node (Hadoop 1.x map slots).
     pub slots_per_node: usize,
-    /// Maximum attempts per task before the job fails (Hadoop's
-    /// `mapred.map.max.attempts`, default 4).
-    pub max_task_attempts: u32,
     /// Per-node speed factors (1.0 = nominal). Empty means homogeneous.
     /// The paper observes high variance between supposedly identical EC2
     /// instances (Section 7.4); populate this to model it.
@@ -68,14 +77,9 @@ pub struct ClusterConfig {
     /// Declare a task attempt dead once its simulated duration exceeds
     /// this many seconds (Hadoop's `mapred.task.timeout`). `None` (the
     /// default) disables timeouts. Timed-out attempts are retried on
-    /// another node with capped exponential backoff.
+    /// another node with capped exponential backoff (1 simulated second
+    /// doubling, up to 60).
     pub task_timeout_secs: Option<f64>,
-    /// First retry-after-timeout backoff delay, *simulated* seconds
-    /// (doubles per consecutive timeout of the same task). Priced by the
-    /// wave planner only: no real retry waits on it.
-    pub retry_backoff_base_secs: f64,
-    /// Upper bound on the timeout-retry backoff delay, seconds.
-    pub retry_backoff_cap_secs: f64,
     /// Barrier-per-wave (default) or pipelined, work-stealing pricing.
     /// Excluded from config fingerprints: the mode never touches data, so
     /// a checkpoint written under one mode resumes under the other.
@@ -90,15 +94,12 @@ impl ClusterConfig {
         ClusterConfig {
             nodes,
             slots_per_node: 1,
-            max_task_attempts: 4,
             node_speeds: Vec::new(),
             speculative_execution: true,
             tracing: false,
             observability: false,
             progress: false,
             task_timeout_secs: None,
-            retry_backoff_base_secs: 1.0,
-            retry_backoff_cap_secs: 60.0,
             scheduling: SchedulingMode::Barrier,
             cost: CostModel::ec2_medium(),
         }

@@ -373,11 +373,12 @@ impl Dfs {
     }
 }
 
-/// The DFS operations a *task body* may perform, abstracted so a task can
-/// run either in the driver process (directly against [`Dfs`]) or inside a
-/// remote worker process, where each call becomes an RPC back to the
-/// driver's namenode. Tasks never see which one they got: the contexts in
-/// [`crate::job`] hold an `Arc<dyn DfsAccess>`.
+/// The DFS operations a *task body* may perform — read, write, exists; no
+/// task lists a directory — abstracted so a task can run either in the
+/// driver process (directly against [`Dfs`]) or inside a remote worker
+/// process, where each call becomes an RPC back to the driver's namenode.
+/// Tasks never see which one they got: the contexts in [`crate::job`]
+/// hold an `Arc<dyn DfsAccess>`.
 pub trait DfsAccess: Send + Sync {
     /// Reads a file (see [`Dfs::read`]).
     fn read(&self, path: &str) -> Result<Bytes>;
@@ -385,8 +386,6 @@ pub trait DfsAccess: Send + Sync {
     fn write(&self, path: &str, data: Bytes);
     /// True when `path` exists (see [`Dfs::exists`]).
     fn exists(&self, path: &str) -> bool;
-    /// Lists files under `dir` (see [`Dfs::list`]).
-    fn list(&self, dir: &str) -> Vec<String>;
 }
 
 impl DfsAccess for Dfs {
@@ -398,9 +397,6 @@ impl DfsAccess for Dfs {
     }
     fn exists(&self, path: &str) -> bool {
         Dfs::exists(self, path)
-    }
-    fn list(&self, dir: &str) -> Vec<String> {
-        Dfs::list(self, dir)
     }
 }
 
@@ -419,9 +415,6 @@ impl DfsAccess for UncountedDfs {
     }
     fn exists(&self, path: &str) -> bool {
         self.0.exists(path)
-    }
-    fn list(&self, dir: &str) -> Vec<String> {
-        self.0.list(dir)
     }
 }
 

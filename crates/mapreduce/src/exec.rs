@@ -9,7 +9,10 @@
 //! [`tcp::TcpWorkers`] ships a serialized [`TaskDescriptor`] to a pool of
 //! real worker processes over TCP, where the family's registered entry
 //! point calls the same body between decoding its arguments and encoding
-//! its result, and proxies the task's DFS traffic back to the driver.
+//! its result, and proxies the task's DFS traffic back to the driver. The
+//! body accounts bytes the same way in either process — shuffled pairs by
+//! their [`crate::job::ShuffleSize`] — so a descriptor carries no sizing
+//! hint and a worker's [`TaskStats`] equal the driver's.
 //!
 //! Remote execution cannot ship closures, so jobs opt in by naming a
 //! *task family* ([`crate::job::JobSpec::remote`]) registered in a
@@ -32,10 +35,7 @@ use serde::{de_field, Deserialize, Serialize, Value};
 use crate::dfs::DfsAccess;
 use crate::error::{MrError, Result};
 use crate::fault::Phase;
-use crate::job::{
-    default_kv_size, shuffle_size_kv, KvSizing, MapContext, Mapper, ReduceContext, Reducer,
-    ShuffleSize, TaskStats,
-};
+use crate::job::{MapContext, Mapper, ReduceContext, Reducer, TaskStats};
 use crate::shuffle::ReducerInput;
 
 pub mod tcp;
@@ -58,8 +58,6 @@ pub struct TaskDescriptor {
     pub task_index: usize,
     /// Number of tasks in the wave (map count or reducer count).
     pub num_tasks: usize,
-    /// Shuffle-pair sizing the worker must reconstruct.
-    pub kv: KvSizing,
     /// Family-specific payload: the serialized mapper + input split, or
     /// the serialized reducer + sorted partition.
     pub payload: Value,
@@ -194,15 +192,13 @@ impl TaskRegistry {
     }
 
     /// Registers a map+reduce family under `name`. All shuffled and
-    /// serialized types must round-trip serde; keys and values must carry
-    /// [`ShuffleSize`] so the worker can reconstruct the job's
-    /// [`KvSizing`] without a function pointer.
+    /// serialized types must round-trip serde.
     pub fn register<M, R>(&mut self, name: impl Into<String>)
     where
         M: Mapper + Serialize + Deserialize,
         M::Input: Serialize + Deserialize,
-        M::Key: Serialize + Deserialize + ShuffleSize,
-        M::Value: Serialize + Deserialize + ShuffleSize,
+        M::Key: Serialize + Deserialize,
+        M::Value: Serialize + Deserialize,
         R: Reducer<Key = M::Key, Value = M::Value> + Serialize + Deserialize,
         R::Output: Serialize + Deserialize,
     {
@@ -225,8 +221,8 @@ impl TaskRegistry {
     where
         M: Mapper + Serialize + Deserialize,
         M::Input: Serialize + Deserialize,
-        M::Key: Serialize + Deserialize + ShuffleSize,
-        M::Value: Serialize + Deserialize + ShuffleSize,
+        M::Key: Serialize + Deserialize,
+        M::Value: Serialize + Deserialize,
     {
         self.families.insert(
             name.into(),
@@ -252,9 +248,9 @@ impl TaskRegistry {
     }
 }
 
-/// The raw (pre-combine, pre-partition) result of a map body: emitted
-/// pairs and recorded DFS reads. The runner applies the combiner and
-/// partitioner driver-side, whichever process ran the body.
+/// The raw (pre-partition) result of a map body: emitted pairs and
+/// recorded DFS reads. The runner partitions them driver-side, whichever
+/// process ran the body.
 pub(crate) type RawMapPayload<K, V> = (Vec<(K, V)>, Vec<(String, u64)>);
 
 /// The result of a reduce body: per-key outputs.
@@ -269,9 +265,8 @@ pub(crate) fn map_body<M: Mapper>(
     dfs: Arc<dyn DfsAccess>,
     task_index: usize,
     num_tasks: usize,
-    kv_size: fn(&M::Key, &M::Value) -> u64,
 ) -> Result<(RawMapPayload<M::Key, M::Value>, TaskStats)> {
-    let mut ctx = MapContext::new(dfs, task_index, num_tasks, kv_size);
+    let mut ctx = MapContext::new(dfs, task_index, num_tasks);
     let start = Instant::now();
     mapper.map(input, &mut ctx)?;
     let (stats, reads) = ctx.io.finish(start.elapsed());
@@ -322,14 +317,6 @@ fn downcast_err(what: &str) -> MrError {
     ))
 }
 
-/// Selects the worker-side kv-size function for a [`KvSizing`] tag.
-fn kv_size_fn<K: ShuffleSize, V: ShuffleSize>(kv: KvSizing) -> fn(&K, &V) -> u64 {
-    match kv {
-        KvSizing::Shallow => default_kv_size::<K, V>,
-        KvSizing::Deep => shuffle_size_kv::<K, V>,
-    }
-}
-
 fn encode_map_task<M>(mapper: &dyn Any, input: &dyn Any) -> Result<Value>
 where
     M: Mapper + Serialize,
@@ -365,16 +352,14 @@ fn run_map_task<M>(desc: &TaskDescriptor, dfs: Arc<dyn DfsAccess>) -> Result<Wir
 where
     M: Mapper + Deserialize,
     M::Input: Deserialize,
-    M::Key: Serialize + ShuffleSize,
-    M::Value: Serialize + ShuffleSize,
+    M::Key: Serialize,
+    M::Value: Serialize,
 {
     let mapper =
         M::from_value(de_ref(&desc.payload, "mapper")?).map_err(|e| de_err("mapper", e))?;
     let input = M::Input::from_value(de_ref(&desc.payload, "input")?)
         .map_err(|e| de_err("map input", e))?;
-    let kv = kv_size_fn::<M::Key, M::Value>(desc.kv);
-    let ((pairs, reads), stats) =
-        map_body(&mapper, &input, dfs, desc.task_index, desc.num_tasks, kv)?;
+    let ((pairs, reads), stats) = map_body(&mapper, &input, dfs, desc.task_index, desc.num_tasks)?;
     Ok(WireTaskResult {
         stats,
         payload: Value::Object(vec![
@@ -497,7 +482,6 @@ mod tests {
             phase: Phase::Map,
             task_index: 3,
             num_tasks: 8,
-            kv: KvSizing::Deep,
             payload: Value::Object(vec![("x".into(), Value::Number(serde::Number::F(1.5)))]),
         };
         let bytes = bincode::serialize(&desc);
@@ -521,7 +505,6 @@ mod tests {
             phase: Phase::Map,
             task_index: 2,
             num_tasks: 4,
-            kv: KvSizing::Deep,
             payload,
         };
         // Simulate the wire: bincode both directions.
@@ -530,7 +513,7 @@ mod tests {
         let result: WireTaskResult = bincode::deserialize(&bincode::serialize(&result)).unwrap();
         assert_eq!(result.stats.read_bytes, 10);
         assert_eq!(result.stats.write_bytes, 4);
-        assert_eq!(result.stats.emitted_pairs, 1);
+        assert_eq!(result.stats.shuffle_bytes, 16, "one (usize, u64) pair");
         assert!(dfs.exists("out/2"), "side write landed on the driver DFS");
 
         let (pairs, reads) =
@@ -556,7 +539,6 @@ mod tests {
             phase: Phase::Reduce,
             task_index: 0,
             num_tasks: 1,
-            kv: KvSizing::Deep,
             payload,
         };
         let result = codec.run(&desc, dfs).unwrap();
@@ -589,7 +571,6 @@ mod tests {
             phase: Phase::Reduce,
             task_index: 0,
             num_tasks: 1,
-            kv: KvSizing::Deep,
             payload: Value::Null,
         };
         let dfs: Arc<Dfs> = Arc::new(Dfs::default());

@@ -12,7 +12,7 @@
 //! # Wire format
 //!
 //! Frames are [`crate::wire`]'s: `u32` little-endian length, then one tag
-//! byte, then the body. Control structures (descriptors, results, errors, string lists)
+//! byte, then the body. Control structures (descriptors, results, errors)
 //! are bincode; DFS file contents ride as raw bytes (bit-exact, no value
 //! tree in the middle).
 //!
@@ -58,7 +58,6 @@ const TAG_DONE: u8 = 18;
 const OP_READ: u8 = 0;
 const OP_WRITE: u8 = 1;
 const OP_EXISTS: u8 = 2;
-const OP_LIST: u8 = 3;
 
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
@@ -384,11 +383,6 @@ fn serve_dfs_request(body: &[u8], dfs: &Dfs) -> std::result::Result<Vec<u8>, Str
             vec![STATUS_OK]
         }
         OP_EXISTS => vec![STATUS_OK, dfs.exists(path) as u8],
-        OP_LIST => {
-            let mut resp = vec![STATUS_OK];
-            resp.extend_from_slice(&bincode::serialize(&dfs.list(path)));
-            resp
-        }
         other => return Err(format!("unknown DFS op {other}")),
     })
 }
@@ -523,15 +517,6 @@ impl DfsAccess for RemoteDfs {
         self.request(OP_EXISTS, path, &[])
             .map(|resp| resp.first() == Some(&1))
             .unwrap_or(false)
-    }
-
-    fn list(&self, dir: &str) -> Vec<String> {
-        self.request(OP_LIST, dir, &[])
-            .and_then(|resp| {
-                bincode::deserialize::<Vec<String>>(&resp)
-                    .map_err(|e| MrError::Other(e.to_string()))
-            })
-            .unwrap_or_default()
     }
 }
 

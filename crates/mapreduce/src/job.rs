@@ -3,10 +3,13 @@
 //! The contract matches Hadoop's: a mapper consumes one input split and
 //! emits `(key, value)` pairs; the shuffle routes each key to a reduce
 //! partition (by a partitioner), sorts, and groups; a reducer consumes one
-//! key with all its values. Tasks may also perform side I/O against the
-//! DFS through their context — the paper's jobs lean on this heavily
-//! (Section 5.1: mapper inputs are small *control files*, and the real
-//! inputs/outputs are DFS files the tasks read and write directly).
+//! key with all its values. There is no combiner, and one size rule: keys
+//! and values carry [`ShuffleSize`], and [`MapContext::emit`] charges each
+//! pair's deep size, in the driver and in a worker process alike. Tasks
+//! may also perform side I/O against the DFS through their context — the
+//! paper's jobs lean on this heavily (Section 5.1: mapper inputs are
+//! small *control files*, and the real inputs/outputs are DFS files the
+//! tasks read and write directly).
 //!
 //! Both contexts deref to one [`TaskIo`], the accounted handle every DFS
 //! access in the tree goes through (the master and the factor cache open
@@ -36,15 +39,9 @@ pub struct TaskStats {
     pub read_bytes: u64,
     /// Bytes written to the DFS.
     pub write_bytes: u64,
-    /// Bytes emitted into the shuffle (post-combine when a combiner runs).
+    /// Bytes emitted into the shuffle: the deep [`ShuffleSize`] of every
+    /// pair.
     pub shuffle_bytes: u64,
-    /// Number of `(key, value)` pairs emitted by the task body, *before*
-    /// any combiner shrinks them.
-    pub emitted_pairs: u64,
-    /// Pairs fed into the map-side combiner (0 when no combiner runs).
-    pub combine_input_pairs: u64,
-    /// Pairs surviving the map-side combiner (0 when no combiner runs).
-    pub combine_output_pairs: u64,
 }
 
 impl TaskStats {
@@ -56,9 +53,6 @@ impl TaskStats {
             read_bytes: self.read_bytes + other.read_bytes,
             write_bytes: self.write_bytes + other.write_bytes,
             shuffle_bytes: self.shuffle_bytes + other.shuffle_bytes,
-            emitted_pairs: self.emitted_pairs + other.emitted_pairs,
-            combine_input_pairs: self.combine_input_pairs + other.combine_input_pairs,
-            combine_output_pairs: self.combine_output_pairs + other.combine_output_pairs,
         }
     }
 
@@ -110,11 +104,6 @@ impl TaskIo {
         self.dfs.write(path, data);
     }
 
-    /// Lists DFS files under a directory (metadata operation, not charged).
-    pub fn list(&self, dir: &str) -> Vec<String> {
-        self.dfs.list(dir)
-    }
-
     /// True when a DFS path exists (metadata operation, not charged).
     pub fn exists(&self, path: &str) -> bool {
         self.dfs.exists(path)
@@ -148,16 +137,10 @@ pub struct MapContext<K, V> {
     task_index: usize,
     num_tasks: usize,
     pub(crate) emitted: Vec<(K, V)>,
-    kv_size: fn(&K, &V) -> u64,
 }
 
-impl<K, V> MapContext<K, V> {
-    pub(crate) fn new(
-        dfs: Arc<dyn DfsAccess>,
-        task_index: usize,
-        num_tasks: usize,
-        kv_size: fn(&K, &V) -> u64,
-    ) -> Self {
+impl<K: ShuffleSize, V: ShuffleSize> MapContext<K, V> {
+    pub(crate) fn new(dfs: Arc<dyn DfsAccess>, task_index: usize, num_tasks: usize) -> Self {
         MapContext {
             io: TaskIo {
                 reads: Some(Vec::new()),
@@ -166,7 +149,6 @@ impl<K, V> MapContext<K, V> {
             task_index,
             num_tasks,
             emitted: Vec::new(),
-            kv_size,
         }
     }
 
@@ -180,10 +162,10 @@ impl<K, V> MapContext<K, V> {
         self.num_tasks
     }
 
-    /// Emits a `(key, value)` pair into the shuffle.
+    /// Emits a `(key, value)` pair into the shuffle, charging its deep
+    /// [`ShuffleSize`].
     pub fn emit(&mut self, key: K, value: V) {
-        self.io.stats.shuffle_bytes += (self.kv_size)(&key, &value);
-        self.io.stats.emitted_pairs += 1;
+        self.io.stats.shuffle_bytes += key.shuffle_size() + value.shuffle_size();
         self.emitted.push((key, value));
     }
 }
@@ -249,10 +231,10 @@ impl DerefMut for ReduceContext {
 pub trait Mapper: Send + Sync + 'static {
     /// One input split (the paper's jobs use a small control integer).
     type Input: Clone + Send + Sync + 'static;
-    /// Shuffle key.
-    type Key: Ord + Clone + Send + Sync + 'static;
-    /// Shuffle value.
-    type Value: Clone + Send + Sync + 'static;
+    /// Shuffle key, priced by its [`ShuffleSize`].
+    type Key: Ord + Clone + ShuffleSize + Send + Sync + 'static;
+    /// Shuffle value, priced by its [`ShuffleSize`].
+    type Value: Clone + ShuffleSize + Send + Sync + 'static;
 
     /// Processes one split, emitting pairs and doing side DFS I/O.
     fn map(&self, input: &Self::Input, ctx: &mut MapContext<Self::Key, Self::Value>) -> Result<()>;
@@ -281,46 +263,27 @@ pub trait Reducer: Send + Sync + 'static {
 /// ```
 /// use mrinv_mapreduce::job::{identity_partitioner, JobSpec};
 ///
-/// let spec: JobSpec<usize, u64> = JobSpec::new("wordcount")
+/// let spec: JobSpec<usize> = JobSpec::new("control")
 ///     .reducers(4)
-///     .partitioner(identity_partitioner)
-///     .combiner(|_k, vs| vs.iter().sum());
-/// assert_eq!(spec.name(), "wordcount");
+///     .partitioner(identity_partitioner);
+/// assert_eq!(spec.name(), "control");
 /// assert_eq!(spec.num_reducers(), 4);
 /// ```
-pub struct JobSpec<K, V = ()> {
+pub struct JobSpec<K> {
     pub(crate) name: String,
     pub(crate) num_reducers: usize,
     pub(crate) partitioner: fn(&K, usize) -> usize,
-    pub(crate) combiner: Option<fn(&K, &[V]) -> V>,
-    pub(crate) kv_size: fn(&K, &V) -> u64,
-    pub(crate) kv_sizing: KvSizing,
     pub(crate) remote: Option<String>,
 }
 
-/// Which shuffle-pair sizing a [`JobSpec`] uses — tracked beside the
-/// `kv_size` fn pointer so a remote worker (which cannot receive a fn
-/// pointer over the wire) can reconstruct the same sizing from this tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KvSizing {
-    /// [`default_kv_size`]: shallow in-memory size.
-    Shallow,
-    /// [`shuffle_size_kv`]: deep [`ShuffleSize`] bytes
-    /// ([`JobSpec::shuffle_sized`]).
-    Deep,
-}
-
-impl<K: std::hash::Hash, V> JobSpec<K, V> {
-    /// A map-only job (no reducers) with the default hash partitioner and
-    /// no combiner; extend with the builder methods.
+impl<K: std::hash::Hash> JobSpec<K> {
+    /// A map-only job (no reducers) with the default hash partitioner;
+    /// extend with the builder methods.
     pub fn new(name: impl Into<String>) -> Self {
         JobSpec {
             name: name.into(),
             num_reducers: 0,
             partitioner: hash_partitioner::<K>,
-            combiner: None,
-            kv_size: default_kv_size::<K, V>,
-            kv_sizing: KvSizing::Shallow,
             remote: None,
         }
     }
@@ -337,27 +300,9 @@ impl<K: std::hash::Hash, V> JobSpec<K, V> {
         self.partitioner = f;
         self
     }
-
-    /// Attaches a combiner (Hadoop's map-side pre-aggregation): applied to
-    /// each map task's output per key before the shuffle, cutting shuffle
-    /// volume for associative reductions.
-    pub fn combiner(mut self, f: fn(&K, &[V]) -> V) -> Self {
-        self.combiner = Some(f);
-        self
-    }
 }
 
-impl<K: ShuffleSize, V: ShuffleSize> JobSpec<K, V> {
-    /// Prices shuffled pairs with their deep [`ShuffleSize`] — the size a
-    /// real framework would serialize and move, heap payloads included.
-    pub fn shuffle_sized(mut self) -> Self {
-        self.kv_size = shuffle_size_kv::<K, V>;
-        self.kv_sizing = KvSizing::Deep;
-        self
-    }
-}
-
-impl<K, V> JobSpec<K, V> {
+impl<K> JobSpec<K> {
     /// Human-readable job name (appears in fault rules and errors).
     pub fn name(&self) -> &str {
         &self.name
@@ -391,15 +336,16 @@ impl<K, V> JobSpec<K, V> {
     /// Stable fingerprint of this spec, identical across processes and
     /// runs (unlike `DefaultHasher`). The checkpoint manifest records it
     /// so [`crate::driver::PipelineDriver::resume`] can tell whether a
-    /// manifest entry was produced by the same job definition. Function
-    /// pointers (partitioner, combiner body) cannot be hashed portably;
-    /// the fingerprint covers the name, the reducer count, and whether a
-    /// combiner is attached.
+    /// manifest entry was produced by the same job definition. The
+    /// partitioner is a function pointer and cannot be hashed portably;
+    /// the fingerprint covers the name and the reducer count.
     pub fn fingerprint(&self) -> u64 {
         crate::driver::Fingerprint::new()
             .push_bytes(self.name.as_bytes())
             .push_u64(self.num_reducers as u64)
-            .push_u64(self.combiner.is_some() as u64)
+            // The slot a since-deleted combiner flag held: a constant 0
+            // keeps every pinned manifest fingerprint unchanged.
+            .push_u64(0)
             .finish()
     }
 }
@@ -418,17 +364,9 @@ pub fn identity_partitioner(key: &usize, partitions: usize) -> usize {
     key % partitions.max(1)
 }
 
-/// Default shuffle size estimate: the in-memory size of the pair.
-///
-/// Shallow only — a `Vec<f64>` counts as its 24-byte header, not its
-/// elements. Jobs shuffling heap-backed payloads should wire
-/// [`ShuffleSize`] through [`JobSpec::shuffle_sized`] so the byte
-/// counters match what a real framework would serialize.
-pub fn default_kv_size<K, V>(_k: &K, _v: &V) -> u64 {
-    (std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64
-}
-
-/// Deep serialized size of a shuffled key or value, in bytes.
+/// Deep serialized size of a shuffled key or value, in bytes: the one
+/// rule [`MapContext::emit`] prices every pair by, on the driver and on a
+/// worker alike.
 ///
 /// The contract is the wire size Hadoop would move for the payload:
 /// fixed-width scalars count their width, variable-length containers
@@ -494,11 +432,6 @@ impl<A: ShuffleSize, B: ShuffleSize, C: ShuffleSize> ShuffleSize for (A, B, C) {
     }
 }
 
-/// The pair-sizing function [`JobSpec::shuffle_sized`] installs.
-pub fn shuffle_size_kv<K: ShuffleSize, V: ShuffleSize>(k: &K, v: &V) -> u64 {
-    k.shuffle_size() + v.shuffle_size()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,7 +441,7 @@ mod tests {
     fn map_context_accounts_io_and_emits() {
         let dfs = Arc::new(Dfs::default());
         dfs.write("in", Bytes::from(vec![1u8; 64]));
-        let mut ctx: MapContext<usize, usize> = MapContext::new(dfs.clone(), 2, 4, default_kv_size);
+        let mut ctx: MapContext<usize, usize> = MapContext::new(dfs.clone(), 2, 4);
         assert_eq!(ctx.task_index(), 2);
         assert_eq!(ctx.num_tasks(), 4);
         let data = ctx.read("in").unwrap();
@@ -517,13 +450,11 @@ mod tests {
         ctx.emit(1, 7);
         ctx.emit(2, 8);
         assert!(ctx.exists("out"));
-        assert_eq!(ctx.list("").len(), 2);
         let (stats, reads) = ctx.io.finish(Duration::from_millis(5));
         assert_eq!(ctx.emitted, vec![(1, 7), (2, 8)]);
         assert_eq!(reads, vec![("in".to_string(), 64)]);
         assert_eq!(stats.read_bytes, 64);
         assert_eq!(stats.write_bytes, 32);
-        assert_eq!(stats.emitted_pairs, 2);
         assert_eq!(stats.shuffle_bytes, 32); // 2 pairs * 16 bytes
         assert_eq!(stats.cpu, Duration::from_millis(5));
     }
@@ -556,10 +487,9 @@ mod tests {
             io.write("d/out", Bytes::from(vec![0u8; 12]));
             io.charge_kernel(Duration::from_millis(3));
             assert!(io.exists("d/out"));
-            assert_eq!(io.list("d").len(), 2);
             assert!(io.read("d/missing").is_err());
         };
-        let mut map: MapContext<usize, usize> = MapContext::new(dfs.clone(), 0, 1, default_kv_size);
+        let mut map: MapContext<usize, usize> = MapContext::new(dfs.clone(), 0, 1);
         let mut reduce = ReduceContext::new(dfs.clone(), 0, 1);
         let mut master = TaskIo::new(dfs.clone());
         traffic(&mut map);
@@ -602,9 +532,6 @@ mod tests {
             read_bytes: 10,
             write_bytes: 20,
             shuffle_bytes: 5,
-            emitted_pairs: 1,
-            combine_input_pairs: 6,
-            combine_output_pairs: 2,
         };
         let b = TaskStats {
             cpu: Duration::from_secs(2),
@@ -612,9 +539,6 @@ mod tests {
             read_bytes: 1,
             write_bytes: 2,
             shuffle_bytes: 3,
-            emitted_pairs: 4,
-            combine_input_pairs: 4,
-            combine_output_pairs: 3,
         };
         let m = a.merge(&b);
         assert_eq!(m.cpu, Duration::from_secs(3));
@@ -622,21 +546,16 @@ mod tests {
         assert_eq!(m.read_bytes, 11);
         assert_eq!(m.write_bytes, 22);
         assert_eq!(m.shuffle_bytes, 8);
-        assert_eq!(m.emitted_pairs, 5);
-        assert_eq!(m.combine_input_pairs, 10);
-        assert_eq!(m.combine_output_pairs, 5);
         assert_eq!(m.transfer_bytes(), 11 + 8);
     }
 
     #[test]
     fn shuffle_size_counts_heap_payloads() {
-        // The motivating bug: a block of n*n doubles must charge >= 8*n*n
-        // bytes, where default_kv_size charged only the Vec header.
+        // A block of n*n doubles charges its elements, not its 24-byte
+        // `Vec` header.
         let n = 16usize;
         let block: Vec<f64> = vec![1.0; n * n];
-        assert!(block.shuffle_size() >= (8 * n * n) as u64);
-        assert_eq!(default_kv_size(&0usize, &block), 32, "shallow: 8 + 24");
-        assert!(shuffle_size_kv(&0usize, &block) >= (8 * n * n) as u64);
+        assert_eq!(block.shuffle_size(), 8 + (8 * n * n) as u64);
 
         assert_eq!(7u64.shuffle_size(), 8);
         assert_eq!(true.shuffle_size(), 1);
@@ -651,35 +570,39 @@ mod tests {
         assert_eq!(nested.shuffle_size(), 8 + (8 + 3) + (8 + 5));
     }
 
+    /// `emit` prices a heap payload by its deep size, the same rule a
+    /// worker applies: key 8 + length prefix 8 + 9 doubles.
     #[test]
-    fn shuffle_sized_spec_prices_deep_bytes() {
-        let spec: JobSpec<usize, Vec<f64>> = JobSpec::new("blocks").shuffle_sized();
-        let block = vec![0.0f64; 9];
-        assert_eq!((spec.kv_size)(&3usize, &block), 8 + 8 + 72);
-        // fingerprint ignores the kv_size hook (fn pointers are not
-        // portable), so resume manifests stay bit-identical.
-        let plain: JobSpec<usize, Vec<f64>> = JobSpec::new("blocks");
-        assert_eq!(spec.fingerprint(), plain.fingerprint());
+    fn emit_prices_pairs_by_deep_shuffle_size() {
+        let dfs = Arc::new(Dfs::default());
+        let mut ctx: MapContext<usize, Vec<f64>> = MapContext::new(dfs, 0, 1);
+        ctx.emit(3, vec![0.0; 9]);
+        let (stats, _) = ctx.io.finish(Duration::ZERO);
+        assert_eq!(stats.shuffle_bytes, 8 + 8 + 72);
     }
 
     #[test]
     fn spec_fingerprints_are_stable_and_discriminating() {
-        let a: JobSpec<usize, usize> = JobSpec::new("wc").reducers(2);
-        let b: JobSpec<usize, usize> = JobSpec::new("wc").reducers(2);
+        let a: JobSpec<usize> = JobSpec::new("wc").reducers(2);
+        let b: JobSpec<usize> = JobSpec::new("wc").reducers(2);
         assert_eq!(a.fingerprint(), b.fingerprint(), "same spec, same print");
-        let more_reducers: JobSpec<usize, usize> = JobSpec::new("wc").reducers(3);
+        let more_reducers: JobSpec<usize> = JobSpec::new("wc").reducers(3);
         assert_ne!(a.fingerprint(), more_reducers.fingerprint());
-        let other_name: JobSpec<usize, usize> = JobSpec::new("wc2").reducers(2);
+        let other_name: JobSpec<usize> = JobSpec::new("wc2").reducers(2);
         assert_ne!(a.fingerprint(), other_name.fingerprint());
-        let combined: JobSpec<usize, usize> =
-            JobSpec::new("wc").reducers(2).combiner(|_k, vs| vs[0]);
-        assert_ne!(a.fingerprint(), combined.fingerprint());
+        // Execution plumbing is not identity: the partitioner and the
+        // remote family leave the print alone.
+        let plumbed: JobSpec<usize> = JobSpec::new("wc")
+            .reducers(2)
+            .partitioner(identity_partitioner)
+            .remote("family");
+        assert_eq!(a.fingerprint(), plumbed.fingerprint());
     }
 
     #[test]
     fn missing_file_read_errors() {
         let dfs = Arc::new(Dfs::default());
-        let mut ctx: MapContext<usize, usize> = MapContext::new(dfs, 0, 1, default_kv_size);
+        let mut ctx: MapContext<usize, usize> = MapContext::new(dfs, 0, 1);
         assert!(ctx.read("missing").is_err());
     }
 }

@@ -8,7 +8,8 @@
 //! about one job launch (Section 5).
 //!
 //! [`run_on_master`] executes a closure, measures it, charges the scaled
-//! time to the cluster's simulated clock, and returns the result.
+//! time to the cluster's simulated clock, records a `master` span on the
+//! cluster's driver track, and returns the result.
 
 use std::time::Instant;
 
@@ -16,14 +17,11 @@ use crate::cluster::Cluster;
 use crate::tracelog::{TaskEvent, TracePhase};
 
 /// Runs `f` on the master node, charging its measured (scaled) time to the
-/// cluster's simulated clock as serial master-side work.
+/// cluster's simulated clock as serial master-side work. The call appears
+/// in exported traces as a `master` span on the cluster's driver track,
+/// between job processes, and in `mrinv_master_call_seconds`.
 pub fn run_on_master<T>(cluster: &Cluster, f: impl FnOnce() -> T) -> T {
-    run_on_master_named(cluster, "master", f)
-}
-
-/// [`run_on_master`] with a label: the span appears in exported traces
-/// under `label` on the cluster's driver track, between job processes.
-pub fn run_on_master_named<T>(cluster: &Cluster, label: &str, f: impl FnOnce() -> T) -> T {
+    const LABEL: &str = "master";
     let sim_start = cluster.sim_secs();
     let start = Instant::now();
     let out = f();
@@ -34,7 +32,7 @@ pub fn run_on_master_named<T>(cluster: &Cluster, label: &str, f: impl FnOnce() -
     if obs.is_enabled() {
         obs.histogram(
             "mrinv_master_call_seconds",
-            &crate::obs::Labels::new().task_kind(label),
+            &crate::obs::Labels::new().task_kind(LABEL),
         )
         .observe(secs);
     }
@@ -42,7 +40,7 @@ pub fn run_on_master_named<T>(cluster: &Cluster, label: &str, f: impl FnOnce() -
         cluster.trace.record(TaskEvent {
             cpu_secs: elapsed.as_secs_f64(),
             cpu_sim_secs: secs,
-            ..TaskEvent::span(label, None, TracePhase::Master, sim_start, sim_start + secs)
+            ..TaskEvent::span(LABEL, None, TracePhase::Master, sim_start, sim_start + secs)
         });
     }
     out

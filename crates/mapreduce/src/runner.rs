@@ -38,14 +38,17 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::cluster::{Cluster, ClusterConfig, SchedulingMode};
+use crate::cluster::{
+    Cluster, ClusterConfig, SchedulingMode, MAX_TASK_ATTEMPTS, RETRY_BACKOFF_BASE_SECS,
+    RETRY_BACKOFF_CAP_SECS,
+};
 use crate::error::{MrError, Result};
 use crate::exec::{
     decode_as, map_body, reduce_body, ErasedPayload, JobCodec, RawMapPayload, RawReducePayload,
     TaskDescriptor,
 };
 use crate::fault::{FailureCause, Phase};
-use crate::job::{JobSpec, KvSizing, Mapper, Reducer, TaskStats};
+use crate::job::{JobSpec, Mapper, Reducer, TaskStats};
 use crate::obs::{Labels, Registry};
 use crate::scheduler::{
     plan_wave, steal_backups, stream_shuffle_finish, AttemptOutcome, PlannedTask, WaveFaults,
@@ -80,8 +83,6 @@ pub struct JobReport {
     pub reduce_wave_secs: f64,
     /// Aggregate measured work across all successful attempts.
     pub stats: TaskStats,
-    /// Aggregate measured work of failed (lost) attempts.
-    pub lost_stats: TaskStats,
 }
 
 /// One executed body attempt of a task: its measured work, why it failed
@@ -105,8 +106,7 @@ struct TaskRun<T> {
 /// Runs one task with the retry policy, returning the body chain. An
 /// attempt is `execute` — timed, as real elapsed time: under a remote
 /// backend it includes serialization, the network round trip, and the
-/// worker's execution — then `post`, the driver-side tail, so the stats an
-/// injected fault discards include the tail's mutations.
+/// worker's execution — then `post`, the driver-side tail (partitioning).
 ///
 /// Exhausting the attempt budget is NOT an error here — the failed chain
 /// comes back with `payload: None` so the wave planner can still place,
@@ -118,17 +118,16 @@ fn run_with_retries<R, T>(
     phase: Phase,
     task_index: usize,
     execute: impl Fn() -> Result<(R, TaskStats)>,
-    post: impl Fn(R, &mut TaskStats) -> T,
+    post: impl Fn(R) -> T,
 ) -> Result<TaskRun<T>> {
-    let cfg = &cluster.config;
     let mut chain = Vec::new();
-    for _attempt in 0..cfg.max_task_attempts.max(1) {
+    for _attempt in 0..MAX_TASK_ATTEMPTS {
         let wall = std::time::Instant::now();
         let executed = execute();
         let wall_secs = wall.elapsed().as_secs_f64();
         let (stats, payload, failure) = match executed {
-            Ok((raw, mut stats)) => {
-                let payload = post(raw, &mut stats);
+            Ok((raw, stats)) => {
+                let payload = post(raw);
                 if cluster.faults.should_fail(job, phase, task_index) {
                     // The attempt ran to completion but its node "died": the
                     // work is lost and charged, and the task is rescheduled.
@@ -261,9 +260,9 @@ fn plan_with_faults(
         node_death: None,
         lose_completed_outputs,
         timeout_secs: cfg.task_timeout_secs,
-        backoff_base_secs: cfg.retry_backoff_base_secs,
-        backoff_cap_secs: cfg.retry_backoff_cap_secs,
-        max_attempts: cfg.max_task_attempts.max(1),
+        backoff_base_secs: RETRY_BACKOFF_BASE_SECS,
+        backoff_cap_secs: RETRY_BACKOFF_CAP_SECS,
+        max_attempts: MAX_TASK_ATTEMPTS,
         net_bw: cfg.cost.net_bw,
     };
     let plan_once = |faults: &WaveFaults| {
@@ -332,10 +331,8 @@ fn first_failed_task(plan: &WavePlan) -> Option<usize> {
 /// The one walk over a settled wave — its body chains (what executed) and
 /// its plan (where and when the scheduler put it) — that settles all its
 /// accounts. Always: the plan's simulation-level failures into the run
-/// ledger, and the work its lost attempts burned (each non-successful
-/// planned attempt re-ran or discarded its chain entry's body), returned.
-/// Behind the gates [`finish_job`] read — `events` and `obs` are `Some`
-/// exactly when theirs was on — one [`TaskEvent`] per planned attempt,
+/// ledger. Behind the gates [`finish_job`] read — `events` and `obs` are
+/// `Some` exactly when theirs was on — one [`TaskEvent`] per planned attempt,
 /// offset to `base_secs` on the cluster clock, and every labeled series of
 /// the wave, its handles resolved once, here, on the driver thread.
 ///
@@ -351,7 +348,7 @@ fn observe_wave<T>(
     base_secs: f64,
     obs: Option<&Registry>,
     mut events: Option<&mut Vec<TaskEvent>>,
-) -> TaskStats {
+) {
     let (wave, trace_phase) = match phase {
         Phase::Map => ("map", TracePhase::Map),
         Phase::Reduce => ("reduce", TracePhase::Reduce),
@@ -376,7 +373,6 @@ fn observe_wave<T>(
         }
     };
     let mut node_attempts = vec![0u64; nodes];
-    let mut lost = TaskStats::default();
     let mut sim_failures = 0;
     for (task, (run, attempts)) in runs.iter().zip(&plan.attempts).enumerate() {
         for body in &run.chain {
@@ -392,9 +388,6 @@ fn observe_wave<T>(
             if let Some(cause) = &sim_cause {
                 sim_failures += 1;
                 count_failure(cause);
-            }
-            if a.outcome != AttemptOutcome::Success {
-                lost = body.map_or(lost, |b| lost.merge(&b.stats));
             }
             if let Some((.., run_h, wait_h, attempts_c)) = &series {
                 attempts_c.add(1);
@@ -440,7 +433,7 @@ fn observe_wave<T>(
     }
     cluster.metrics.record_failures(sim_failures);
     let Some((obs, job_wave)) = &labeled else {
-        return lost;
+        return;
     };
     let retries = plan.extra_attempts();
     if retries > 0 {
@@ -466,7 +459,6 @@ fn observe_wave<T>(
         obs.counter("mrinv_node_attempts_total", &node_labels)
             .add(attempts);
     }
-    lost
 }
 
 /// Remote-execution hooks for one wave, present only when the cluster's
@@ -474,7 +466,6 @@ fn observe_wave<T>(
 /// and the job's [`JobSpec::remote`] family is registered.
 struct RemoteWave<'a> {
     family: &'a str,
-    kv: KvSizing,
     /// Builds task `idx`'s family-specific descriptor payload.
     encode: &'a (dyn Fn(usize) -> Result<Value> + Sync),
     /// Decodes a remote result payload into the wave's erased payload.
@@ -483,7 +474,7 @@ struct RemoteWave<'a> {
 
 /// Resolves the remote codec for a job: `Some` exactly when the backend
 /// wants descriptors and the spec names a registered family.
-fn remote_codec<'c, K, V>(cluster: &'c Cluster, spec: &JobSpec<K, V>) -> Option<&'c JobCodec> {
+fn remote_codec<'c, K>(cluster: &'c Cluster, spec: &JobSpec<K>) -> Option<&'c JobCodec> {
     if !cluster.backend().wants_descriptors() {
         return None;
     }
@@ -500,7 +491,7 @@ fn remote_codec<'c, K, V>(cluster: &'c Cluster, spec: &JobSpec<K, V>) -> Option<
 /// [`run_with_retries`] then either ships it to a worker and decodes the
 /// result, or runs `local` (the typed task body) right here. Both arms
 /// yield the same raw payload `R`; `post` is the driver-side tail
-/// (combiner, partitioning). Nothing is observed here: the chain carries
+/// (partitioning). Nothing is observed here: the chain carries
 /// what [`finish_job`] will record.
 fn run_wave<R, T, L, P>(
     cluster: &Cluster,
@@ -515,7 +506,7 @@ where
     R: 'static,
     T: Send,
     L: Fn(usize) -> Result<(R, TaskStats)> + Sync,
-    P: Fn(R, &mut TaskStats) -> T + Sync,
+    P: Fn(R) -> T + Sync,
 {
     let backend = cluster.backend();
     (0..num_tasks)
@@ -530,7 +521,6 @@ where
                         phase,
                         task_index: idx,
                         num_tasks,
-                        kv: r.kv,
                         payload: (r.encode)(idx)?,
                     },
                     r.decode,
@@ -548,18 +538,13 @@ where
         .collect()
 }
 
-/// A successful map attempt's payload: one bucket of pairs per reduce
-/// partition (none for a map-only job) and its recorded DFS reads
-/// (locality input for the planner).
-type MapPayload<K, V> = (Vec<Vec<(K, V)>>, Vec<(String, u64)>);
-
 /// The single exit of every job that got past its map wave's execution,
 /// failed or not, and the only place a job is observed: charges the clock
 /// for the phases that ran, walks each wave once ([`observe_wave`]), adds
 /// the job-level spans and series, and fires the deaths the advanced clock
 /// has passed. `reduce` carries `(shuffle_secs, shuffle_bytes, runs,
 /// plan)` when the job has reducers and its map wave completed. Returns
-/// the job's simulated seconds and the work its lost attempts burned.
+/// the job's simulated seconds.
 fn finish_job<A, B>(
     cluster: &Cluster,
     job: &str,
@@ -567,7 +552,7 @@ fn finish_job<A, B>(
     job_t0: f64,
     map: (&[TaskRun<A>], &WavePlan),
     reduce: Option<(f64, u64, &[TaskRun<B>], &WavePlan)>,
-) -> (f64, TaskStats) {
+) -> f64 {
     let launch_secs = cluster.config.cost.job_launch_secs;
     let mut sim_secs = launch_secs + map.1.makespan_secs;
     if let Some((shuffle_secs, _, _, plan)) = reduce {
@@ -585,7 +570,7 @@ fn finish_job<A, B>(
         events.push(span(TracePhase::Launch, job_t0, launch_end));
     }
     let traced = events.as_mut();
-    let mut lost = observe_wave(cluster, id, Phase::Map, map, launch_end, obs, traced);
+    observe_wave(cluster, id, Phase::Map, map, launch_end, obs, traced);
     if let Some((shuffle_secs, shuffle_bytes, runs, plan)) = reduce {
         let map_end = launch_end + map.1.makespan_secs;
         let shuffle_end = map_end + shuffle_secs;
@@ -596,8 +581,7 @@ fn finish_job<A, B>(
             });
         }
         let (wave, traced) = ((runs, plan), events.as_mut());
-        let reduce_lost = observe_wave(cluster, id, Phase::Reduce, wave, shuffle_end, obs, traced);
-        lost = lost.merge(&reduce_lost);
+        observe_wave(cluster, id, Phase::Reduce, wave, shuffle_end, obs, traced);
     }
     if let Some(obs) = obs {
         let labels = Labels::new().job(job);
@@ -611,18 +595,18 @@ fn finish_job<A, B>(
     }
     cluster.trace.record_batch(events.unwrap_or_default());
     fire_due_deaths(cluster);
-    (sim_secs, lost)
+    sim_secs
 }
 
 /// The one job engine. Runs the map wave; with `reducers > 0` also
-/// combines/partitions each task's pairs, shuffles, and hands the sorted
+/// partitions each task's pairs, shuffles, and hands the sorted
 /// partitions to `reduce_wave` (which runs the reduce bodies through
 /// [`run_wave`]). With zero reducers emitted pairs are discarded and
 /// `reduce_wave` is never called.
 #[allow(clippy::type_complexity)]
 fn run_engine<M, O, F>(
     cluster: &Cluster,
-    spec: &JobSpec<M::Key, M::Value>,
+    spec: &JobSpec<M::Key>,
     mapper: &M,
     inputs: &[M::Input],
     reducers: usize,
@@ -646,7 +630,7 @@ where
         job: spec.name.clone(),
         phase,
         task,
-        attempts: cfg.max_task_attempts.max(1),
+        attempts: MAX_TASK_ATTEMPTS,
     };
 
     // ---- Map wave -------------------------------------------------------
@@ -660,49 +644,23 @@ where
     };
     let map_remote = codec.map(|c| RemoteWave {
         family: spec.remote_family().unwrap_or_default(),
-        kv: spec.kv_sizing,
         encode: &map_encode,
         decode: c.decode_map,
     });
     let map_local = |idx: usize| {
         let dfs = cluster.dfs.clone();
-        map_body(mapper, &inputs[idx], dfs, idx, num_tasks, spec.kv_size)
+        map_body(mapper, &inputs[idx], dfs, idx, num_tasks)
     };
-    let map_post = |(mut pairs, reads): RawMapPayload<M::Key, M::Value>,
-                    stats: &mut TaskStats|
-     -> MapPayload<M::Key, M::Value> {
-        if reducers == 0 {
-            // The mappers did all the work through DFS side files.
-            return (Vec::new(), reads);
-        }
-        // Map-side combine (Hadoop combiner): pre-aggregate this
-        // task's output per key, shrinking the shuffle.
-        // `emitted_pairs` keeps the pre-combine count; the combine
-        // counters record the shrink, and the shuffled bytes are
-        // re-priced exactly from the surviving pairs (a count
-        // ratio would misprice variable-size values).
-        if let Some(combine) = spec.combiner {
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            stats.combine_input_pairs = pairs.len() as u64;
-            let (keys, values): (Vec<M::Key>, Vec<M::Value>) = pairs.into_iter().unzip();
-            let mut combined = Vec::new();
-            let mut combined_bytes = 0u64;
-            let mut i = 0;
-            while i < keys.len() {
-                let mut j = i + 1;
-                while j < keys.len() && keys[j] == keys[i] {
-                    j += 1;
-                }
-                let merged = combine(&keys[i], &values[i..j]);
-                combined_bytes += (spec.kv_size)(&keys[i], &merged);
-                combined.push((keys[i].clone(), merged));
-                i = j;
-            }
-            stats.combine_output_pairs = combined.len() as u64;
-            stats.shuffle_bytes = combined_bytes;
-            pairs = combined;
-        }
-        let buckets = partition_pairs(pairs, spec.partitioner, reducers);
+    // A successful map attempt's payload: one bucket of pairs per reduce
+    // partition and its recorded DFS reads (locality input for the
+    // planner). Without reducers the mappers did all the work through DFS
+    // side files, and their pairs are dropped.
+    let map_post = |(pairs, reads): RawMapPayload<M::Key, M::Value>| {
+        let buckets = if reducers == 0 {
+            Vec::new()
+        } else {
+            partition_pairs(pairs, spec.partitioner, reducers)
+        };
         (buckets, reads)
     };
     let mut map_runs = run_wave(
@@ -738,8 +696,7 @@ where
         // with the Hadoop diagnostics.
         let reduce = None::<(f64, u64, &[TaskRun<RawReducePayload<M::Key, O>>], &WavePlan)>;
         let map = (&map_runs[..], &map_plan);
-        (report.sim_secs, report.lost_stats) =
-            finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
+        report.sim_secs = finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
     }
     if let Some(task) = map_failed {
         return Err(task_failed(Phase::Map, task));
@@ -781,8 +738,7 @@ where
         let reduce_plan = settle_wave(cluster, &reduce_runs, |_| &[], shuffle_end, false);
         let map = (&map_runs[..], &map_plan);
         let reduce = Some((shuffle_secs, shuffle_bytes, &reduce_runs[..], &reduce_plan));
-        (report.sim_secs, report.lost_stats) =
-            finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
+        report.sim_secs = finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
         if let Some(task) = first_failed_task(&reduce_plan) {
             return Err(task_failed(Phase::Reduce, task));
         }
@@ -813,7 +769,7 @@ where
 #[allow(clippy::type_complexity)]
 pub fn run_job<M, R>(
     cluster: &Cluster,
-    spec: &JobSpec<M::Key, M::Value>,
+    spec: &JobSpec<M::Key>,
     mapper: &M,
     reducer: &R,
     inputs: &[M::Input],
@@ -843,7 +799,6 @@ where
             };
             let reduce_remote = reduce_codec.map(|c| RemoteWave {
                 family: spec.remote_family().unwrap_or_default(),
-                kv: spec.kv_sizing,
                 encode: &reduce_encode,
                 decode: c
                     .decode_reduce
@@ -851,7 +806,7 @@ where
             });
             let reduce_local =
                 |p: usize| reduce_body(reducer, &partitions[p], cluster.dfs.clone(), p, reducers);
-            let reduce_post = |raw: RawReducePayload<M::Key, R::Output>, _: &mut TaskStats| raw;
+            let reduce_post = |raw: RawReducePayload<M::Key, R::Output>| raw;
             run_wave(
                 cluster,
                 &spec.name,
@@ -871,7 +826,7 @@ where
 /// ignored).
 pub fn run_map_only<M>(
     cluster: &Cluster,
-    spec: &JobSpec<M::Key, M::Value>,
+    spec: &JobSpec<M::Key>,
     mapper: &M,
     inputs: &[M::Input],
 ) -> Result<JobReport>
@@ -1001,7 +956,7 @@ mod tests {
     #[test]
     fn map_only_job_runs_and_prices() {
         let cluster = test_cluster(2);
-        let spec: JobSpec<usize, usize> = JobSpec::new("partition");
+        let spec: JobSpec<usize> = JobSpec::new("partition");
         let inputs: Vec<usize> = (0..4).collect();
         let report = run_map_only(&cluster, &spec, &ControlMapper, &inputs).unwrap();
         assert_eq!(report.map_tasks, 4);
@@ -1033,10 +988,9 @@ mod tests {
         assert_eq!(report.failures, 1);
         assert_eq!(cluster.faults.injected_count(), 1);
         assert_eq!(cluster.metrics.snapshot().task_failures, 1);
-        // Lost work is charged: the failed attempt wrote 100 bytes.
-        assert_eq!(report.lost_stats.write_bytes, 100);
-        // The retried attempt lengthens the map wave: 2 tasks fit 2 nodes
-        // in 100 s, the retry adds another 100 s on one node.
+        // Lost work is charged: the failed attempt's 100 written bytes
+        // price 100 s, so the retry lengthens the map wave — 2 tasks fit
+        // 2 nodes in 100 s, the retry adds another 100 s on one node.
         assert!((report.map_wave_secs - 200.0).abs() < 1.0);
     }
 
@@ -1082,7 +1036,7 @@ mod tests {
     #[test]
     fn user_error_is_retried() {
         let cluster = test_cluster(1);
-        let spec: JobSpec<usize, usize> = JobSpec::new("flaky");
+        let spec: JobSpec<usize> = JobSpec::new("flaky");
         // First attempt writes the marker and errors; the runner wraps the
         // task body's error into UserTask and retries, and the retry
         // succeeds because the marker now exists.
@@ -1127,7 +1081,7 @@ mod tests {
             ..CostModel::unit_for_tests()
         };
         let cluster = Cluster::new(cfg);
-        let spec: JobSpec<usize, usize> = JobSpec::new("a");
+        let spec: JobSpec<usize> = JobSpec::new("a");
         let r1 = run_map_only(&cluster, &spec, &ControlMapper, &[0]).unwrap();
         assert!(r1.sim_secs >= 5.0);
         let before = cluster.sim_secs();
@@ -1342,7 +1296,7 @@ mod fault_domain_tests {
         // dies at t=150 (mid second round): its in-flight attempt is lost
         // and re-runs on node 0, stretching the wave to 300.
         cluster.faults.kill_node(1, 150.0);
-        let spec: JobSpec<usize, usize> = JobSpec::new("partition");
+        let spec: JobSpec<usize> = JobSpec::new("partition");
         let report =
             run_map_only(&cluster, &spec, &ControlMapper, &(0..4).collect::<Vec<_>>()).unwrap();
         assert_eq!(report.failures, 1, "one attempt lost to the death");
@@ -1441,15 +1395,14 @@ mod fault_domain_tests {
         // the 150 s timeout; node 0 at full speed stays under it.
         cfg.node_speeds = vec![1.0, 0.1];
         cfg.task_timeout_secs = Some(150.0);
-        cfg.retry_backoff_base_secs = 2.0;
         let cluster = Cluster::new(cfg);
-        let spec: JobSpec<usize, usize> = JobSpec::new("partition");
+        let spec: JobSpec<usize> = JobSpec::new("partition");
         let report = run_map_only(&cluster, &spec, &ControlMapper, &[0, 1]).unwrap();
         assert_eq!(report.failures, 1, "one timed-out attempt");
         // Node 0: task 0 (0-100); node 1: task 1 cut at 150; retry (with
-        // 2 s backoff, avoiding node 1) on node 0: 152-252.
+        // 1 s backoff, avoiding node 1) on node 0: 151-251.
         assert!(
-            (report.map_wave_secs - 252.0).abs() < 1.0,
+            (report.map_wave_secs - 251.0).abs() < 1.0,
             "timeout + backoff + re-run: {}",
             report.map_wave_secs
         );
@@ -1511,7 +1464,7 @@ mod fault_domain_tests {
         registry.register_map_only::<ShippedMapper>("doomed");
         cluster.set_registry(std::sync::Arc::new(registry));
         cluster.set_backend(std::sync::Arc::new(DyingWorkers));
-        let spec: JobSpec<usize, usize> = JobSpec::new("doomed").remote("doomed");
+        let spec: JobSpec<usize> = JobSpec::new("doomed").remote("doomed");
         let started = std::time::Instant::now();
         let err = run_map_only(&cluster, &spec, &ShippedMapper {}, &[0]).unwrap_err();
         assert!(
@@ -1536,7 +1489,7 @@ mod fault_domain_tests {
             cluster.faults.kill_node(n, 0.0);
         }
         // Force the deaths to fire on job entry (clock is already at 0).
-        let spec: JobSpec<usize, usize> = JobSpec::new("reader");
+        let spec: JobSpec<usize> = JobSpec::new("reader");
         let err = run_map_only(&cluster, &spec, &ReadMapper, &["in/solo".to_string()]).unwrap_err();
         assert!(
             matches!(err, MrError::AllReplicasLost { .. }),
@@ -1577,7 +1530,7 @@ mod fault_domain_tests {
         for n in cluster.dfs.locations("in/solo") {
             cluster.faults.kill_node(n, 0.0);
         }
-        let spec: JobSpec<usize, usize> = JobSpec::new("reader");
+        let spec: JobSpec<usize> = JobSpec::new("reader");
         let mapper = FlakyReadMapper(Default::default());
         let err = run_map_only(&cluster, &spec, &mapper, &["in/solo".to_string()]).unwrap_err();
         assert!(matches!(err, MrError::AllReplicasLost { .. }), "{err:?}");
@@ -1601,7 +1554,7 @@ mod fault_domain_tests {
                 path
             })
             .collect();
-        let spec: JobSpec<usize, usize> = JobSpec::new("reader");
+        let spec: JobSpec<usize> = JobSpec::new("reader");
         run_map_only(&cluster, &spec, &ReadMapper, &inputs).unwrap();
         let snap = cluster.metrics.snapshot();
         assert_eq!(
@@ -1616,132 +1569,5 @@ mod fault_domain_tests {
         // Remote bytes are consistent with the classification: each remote
         // task pulled its 50-byte input across the network.
         assert_eq!(snap.remote_read_bytes, snap.remote_map_tasks * 50);
-    }
-}
-
-#[cfg(test)]
-mod combiner_tests {
-    use super::*;
-    use crate::cluster::ClusterConfig;
-    use crate::job::{JobSpec, MapContext, Mapper, ReduceContext, Reducer};
-    use crate::simtime::CostModel;
-    use bytes::Bytes;
-
-    struct WordMapper;
-    impl Mapper for WordMapper {
-        type Input = String;
-        type Key = String;
-        type Value = u64;
-        fn map(&self, input: &String, ctx: &mut MapContext<String, u64>) -> Result<()> {
-            let data = ctx.read(input)?;
-            for w in String::from_utf8_lossy(&data).split_whitespace() {
-                ctx.emit(w.to_string(), 1);
-            }
-            Ok(())
-        }
-    }
-    struct SumReducer;
-    impl Reducer for SumReducer {
-        type Key = String;
-        type Value = u64;
-        type Output = u64;
-        fn reduce(&self, _k: &String, values: &[u64], _: &mut ReduceContext) -> Result<u64> {
-            Ok(values.iter().sum())
-        }
-    }
-
-    fn cluster() -> Cluster {
-        let mut cfg = ClusterConfig::medium(2);
-        cfg.cost = CostModel::unit_for_tests();
-        Cluster::new(cfg)
-    }
-
-    fn run(with_combiner: bool) -> (Vec<(String, u64)>, JobReport) {
-        let cluster = cluster();
-        cluster.dfs.write("in/0", Bytes::from_static(b"a a a b"));
-        cluster.dfs.write("in/1", Bytes::from_static(b"a b b b"));
-        let mut spec = JobSpec::new("wc").reducers(2);
-        if with_combiner {
-            spec = spec.combiner(|_k: &String, vs: &[u64]| vs.iter().sum());
-        }
-        let inputs = vec!["in/0".to_string(), "in/1".to_string()];
-        let (mut out, report) =
-            run_job(&cluster, &spec, &WordMapper, &SumReducer, &inputs).unwrap();
-        out.sort();
-        (out, report)
-    }
-
-    #[test]
-    fn combiner_preserves_results_and_shrinks_shuffle() {
-        let (plain_out, plain_report) = run(false);
-        let (comb_out, comb_report) = run(true);
-        assert_eq!(plain_out, comb_out, "combiner must not change answers");
-        assert_eq!(comb_out, vec![("a".to_string(), 4), ("b".to_string(), 4)]);
-        assert!(
-            comb_report.stats.shuffle_bytes < plain_report.stats.shuffle_bytes,
-            "combiner must reduce shuffle volume: {} vs {}",
-            comb_report.stats.shuffle_bytes,
-            plain_report.stats.shuffle_bytes
-        );
-        // emitted_pairs is the pre-combine count either way; the combine
-        // counters record the shrink (8 raw pairs, at most 2 per map task).
-        assert_eq!(plain_report.stats.emitted_pairs, 8);
-        assert_eq!(plain_report.stats.combine_input_pairs, 0);
-        assert_eq!(plain_report.stats.combine_output_pairs, 0);
-        assert_eq!(comb_report.stats.emitted_pairs, 8);
-        assert_eq!(comb_report.stats.combine_input_pairs, 8);
-        assert!(comb_report.stats.combine_output_pairs <= 4);
-    }
-
-    /// Combining values of *different sizes* must re-price the shuffle from
-    /// the surviving pairs, not rescale by pair count.
-    struct VarMapper;
-    impl Mapper for VarMapper {
-        type Input = usize;
-        type Key = usize;
-        type Value = Vec<u64>;
-        fn map(&self, _input: &usize, ctx: &mut MapContext<usize, Vec<u64>>) -> Result<()> {
-            // Key 0: one huge value and one tiny value; key 1: one tiny.
-            ctx.emit(0, vec![7; 100]);
-            ctx.emit(0, vec![1]);
-            ctx.emit(1, vec![2]);
-            Ok(())
-        }
-    }
-    struct FirstReducer;
-    impl Reducer for FirstReducer {
-        type Key = usize;
-        type Value = Vec<u64>;
-        type Output = u64;
-        fn reduce(&self, _k: &usize, values: &[Vec<u64>], _ctx: &mut ReduceContext) -> Result<u64> {
-            Ok(values[0].len() as u64)
-        }
-    }
-
-    #[test]
-    fn combiner_reprices_bytes_exactly_for_varying_value_sizes() {
-        use crate::job::{identity_partitioner, shuffle_size_kv};
-        let cluster = cluster();
-        let spec: JobSpec<usize, Vec<u64>> = JobSpec::new("var")
-            .reducers(2)
-            .partitioner(identity_partitioner)
-            .shuffle_sized()
-            // Keep the shorter of the two runs per key: survivors are the
-            // two 1-element values, so the exact cost is computable.
-            .combiner(|_k, vs: &[Vec<u64>]| vs.iter().min_by_key(|v| v.len()).unwrap().clone());
-        let (out, report) = run_job(&cluster, &spec, &VarMapper, &FirstReducer, &[0]).unwrap();
-        assert_eq!(out, vec![(0, 1), (1, 1)]);
-        // Survivors: (0, [1]) and (1, [2]) => 2 * (8 key + 8 len + 8 elem).
-        let expect = 2 * shuffle_size_kv(&0usize, &vec![0u64; 1]);
-        assert_eq!(report.stats.shuffle_bytes, expect);
-        // The old count-ratio formula would have charged a third of the
-        // raw bytes (3 pairs -> 2), vastly overcounting the surviving
-        // 1-element values next to the dropped 100-element one.
-        let raw = shuffle_size_kv(&0usize, &vec![0u64; 100])
-            + 2 * shuffle_size_kv(&0usize, &vec![0u64; 1]);
-        assert!(report.stats.shuffle_bytes < raw * 2 / 3);
-        assert_eq!(report.stats.emitted_pairs, 3);
-        assert_eq!(report.stats.combine_input_pairs, 3);
-        assert_eq!(report.stats.combine_output_pairs, 2);
     }
 }

@@ -171,9 +171,6 @@ mod tests {
             read_bytes: read,
             write_bytes: write,
             shuffle_bytes: 0,
-            emitted_pairs: 0,
-            combine_input_pairs: 0,
-            combine_output_pairs: 0,
         }
     }
 

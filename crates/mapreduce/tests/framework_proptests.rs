@@ -194,7 +194,7 @@ proptest! {
         }
         let cluster = unit_cluster(m0);
         let inputs: Vec<usize> = (0..n_inputs).collect();
-        let spec: JobSpec<usize, usize> = JobSpec::new("touch");
+        let spec: JobSpec<usize> = JobSpec::new("touch");
         let report = run_map_only(&cluster, &spec, &Touch, &inputs).unwrap();
         prop_assert_eq!(report.map_tasks, n_inputs);
         for i in 0..n_inputs {

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use mrinv_mapreduce::job::{JobSpec, MapContext, Mapper, ReduceContext, Reducer};
-use mrinv_mapreduce::master::run_on_master_named;
+use mrinv_mapreduce::master::run_on_master;
 use mrinv_mapreduce::runner::{run_job, run_map_only};
 use mrinv_mapreduce::tracelog::{analyze, chrome_trace_json, TracePhase};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, MrError, Phase, PipelineDriver, RunId};
@@ -82,9 +82,9 @@ fn clean_job_emits_one_event_per_attempt_plus_job_spans() {
 #[test]
 fn consecutive_jobs_get_distinct_sequence_numbers_and_offsets() {
     let cluster = traced_cluster(2);
-    let spec: JobSpec<usize, usize> = JobSpec::new("first");
+    let spec: JobSpec<usize> = JobSpec::new("first");
     let r1 = run_map_only(&cluster, &spec, &WriteMapper, &[0, 1]).unwrap();
-    let spec2: JobSpec<usize, usize> = JobSpec::new("second");
+    let spec2: JobSpec<usize> = JobSpec::new("second");
     let r2 = run_map_only(&cluster, &spec2, &WriteMapper, &[2, 3]).unwrap();
     assert_eq!(r1.job_seq + 1, r2.job_seq);
 
@@ -165,7 +165,7 @@ fn pipeline_analytics_are_scoped_to_its_jobs() {
     let cluster = traced_cluster(2);
     let mut driver = PipelineDriver::new(&cluster, RunId::new("mine-run"));
 
-    let spec: JobSpec<usize, usize> = JobSpec::new("mine");
+    let spec: JobSpec<usize> = JobSpec::new("mine");
     driver
         .step(spec.fingerprint(), |c| {
             run_map_only(c, &spec, &WriteMapper, &[0, 1, 2])
@@ -173,7 +173,7 @@ fn pipeline_analytics_are_scoped_to_its_jobs() {
         .unwrap();
 
     // An unrelated job on the same cluster must not leak in.
-    let other: JobSpec<usize, usize> = JobSpec::new("other");
+    let other: JobSpec<usize> = JobSpec::new("other");
     run_map_only(&cluster, &other, &WriteMapper, &[7]).unwrap();
 
     let analytics = driver.analytics(&cluster.trace);
@@ -192,9 +192,15 @@ fn chrome_export_of_a_real_run_parses_and_spans_match() {
     let cluster = traced_cluster(3);
     let spec = JobSpec::new("export-job").reducers(2);
     run_job(&cluster, &spec, &WriteMapper, &CountReducer, &[0, 1, 2, 3]).unwrap();
-    run_on_master_named(&cluster, "master-lu", || 1 + 1);
+    run_on_master(&cluster, || 1 + 1);
 
     let events = cluster.trace.events();
+    let master: Vec<&str> = events
+        .iter()
+        .filter(|e| e.phase == TracePhase::Master)
+        .map(|e| e.job.as_str())
+        .collect();
+    assert_eq!(master, ["master"], "master: master");
     let json = chrome_trace_json(&events);
     let doc: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
     let spans = doc.get("traceEvents").unwrap().as_array().unwrap();
@@ -263,7 +269,7 @@ fn user_errors_are_traced_with_their_message() {
         }
     }
     let cluster = traced_cluster(1);
-    let spec: JobSpec<usize, usize> = JobSpec::new("flaky");
+    let spec: JobSpec<usize> = JobSpec::new("flaky");
     run_map_only(&cluster, &spec, &FailOnce, &[5]).unwrap();
     let events = cluster.trace.events();
     let failed: Vec<_> = events.iter().filter(|e| e.failure.is_some()).collect();

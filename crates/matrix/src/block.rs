@@ -112,7 +112,6 @@ impl Matrix {
     /// let q = a.split_quadrants(2).unwrap();
     /// assert_eq!(q.a1[(0, 0)], 0.0);  // top-left
     /// assert_eq!(q.a4[(0, 0)], 10.0); // bottom-right starts at (2, 2)
-    /// assert_eq!(Matrix::from_quadrants(&q).unwrap(), a);
     /// ```
     pub fn split_quadrants(&self, split: usize) -> Result<Quadrants> {
         let n = self.order()?;
@@ -132,32 +131,6 @@ impl Matrix {
         })
     }
 
-    /// Reassembles four quadrants into one square matrix (inverse of
-    /// [`Matrix::split_quadrants`]).
-    pub fn from_quadrants(q: &Quadrants) -> Result<Matrix> {
-        let top = q.a1.rows();
-        let bottom = q.a3.rows();
-        let left = q.a1.cols();
-        let right = q.a2.cols();
-        if q.a2.rows() != top
-            || q.a4.rows() != bottom
-            || q.a3.cols() != left
-            || q.a4.cols() != right
-        {
-            return Err(MatrixError::DimensionMismatch {
-                op: "from_quadrants",
-                lhs: q.a1.shape(),
-                rhs: q.a4.shape(),
-            });
-        }
-        let mut m = Matrix::zeros(top + bottom, left + right);
-        m.set_block(0, 0, &q.a1)?;
-        m.set_block(0, left, &q.a2)?;
-        m.set_block(top, 0, &q.a3)?;
-        m.set_block(top, left, &q.a4)?;
-        Ok(m)
-    }
-
     /// Extracts rows `r1..r2` as a new matrix (a horizontal stripe).
     ///
     /// Mappers in the partitioning job each read an equal number of
@@ -169,26 +142,6 @@ impl Matrix {
     /// Extracts columns `c1..c2` as a new matrix (a vertical stripe).
     pub fn col_stripe(&self, c1: usize, c2: usize) -> Result<Matrix> {
         self.block(BlockRange::new((0, self.rows()), (c1, c2)))
-    }
-
-    /// Stacks matrices vertically (all must share a column count).
-    pub fn vstack(parts: &[Matrix]) -> Result<Matrix> {
-        let cols = parts.first().map_or(0, Matrix::cols);
-        let rows: usize = parts.iter().map(Matrix::rows).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        let mut r = 0;
-        for p in parts {
-            if p.cols() != cols {
-                return Err(MatrixError::DimensionMismatch {
-                    op: "vstack",
-                    lhs: (rows, cols),
-                    rhs: p.shape(),
-                });
-            }
-            out.set_block(r, 0, p)?;
-            r += p.rows();
-        }
-        Ok(out)
     }
 }
 
@@ -254,7 +207,12 @@ mod tests {
         assert_eq!(q.a1.shape(), (2, 2));
         assert_eq!(q.a4.shape(), (4, 4));
         assert_eq!(q.a3[(0, 0)], m[(2, 0)]);
-        let back = Matrix::from_quadrants(&q).unwrap();
+        let mut back = Matrix::zeros(6, 6);
+        for (block, r0, c0) in [(&q.a1, 0, 0), (&q.a2, 0, 2), (&q.a3, 2, 0), (&q.a4, 2, 2)] {
+            let range = BlockRange::new((r0, r0 + block.rows()), (c0, c0 + block.cols()));
+            assert_eq!(block, &m.block(range).unwrap());
+            back.set_block(r0, c0, block).unwrap();
+        }
         assert_eq!(back, m);
     }
 
@@ -262,12 +220,6 @@ mod tests {
     fn quadrants_validate_input() {
         assert!(Matrix::zeros(2, 3).split_quadrants(1).is_err());
         assert!(sample().split_quadrants(7).is_err());
-        let q = sample().split_quadrants(2).unwrap();
-        let bad = Quadrants {
-            a2: Matrix::zeros(3, 4),
-            ..q
-        };
-        assert!(Matrix::from_quadrants(&bad).is_err());
     }
 
     #[test]
@@ -276,6 +228,7 @@ mod tests {
         let rs = m.row_stripe(2, 4).unwrap();
         assert_eq!(rs.shape(), (2, 6));
         assert_eq!(rs[(0, 0)], 12.0);
+        assert_eq!(rs, m.block(BlockRange::new((2, 4), (0, 6))).unwrap());
         let cs = m.col_stripe(4, 6).unwrap();
         assert_eq!(cs.shape(), (6, 2));
         assert_eq!(cs[(0, 0)], 4.0);
@@ -284,14 +237,18 @@ mod tests {
     #[test]
     fn stacking_round_trips() {
         let m = sample();
-        let top = m.row_stripe(0, 2).unwrap();
-        let bottom = m.row_stripe(2, 6).unwrap();
-        assert_eq!(Matrix::vstack(&[top, bottom]).unwrap(), m);
+        let mut back = Matrix::zeros(6, 6);
+        back.set_block(0, 0, &m.row_stripe(0, 2).unwrap()).unwrap();
+        back.set_block(2, 0, &m.row_stripe(2, 6).unwrap()).unwrap();
+        assert_eq!(back, m);
     }
 
     #[test]
     fn stacking_validates_shapes() {
-        assert!(Matrix::vstack(&[Matrix::zeros(1, 2), Matrix::zeros(1, 3)]).is_err());
+        // A stripe wider, or reaching lower, than its target is rejected.
+        let mut m = Matrix::zeros(2, 2);
+        assert!(m.set_block(0, 0, &Matrix::zeros(1, 3)).is_err());
+        assert!(m.set_block(1, 0, &Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]

@@ -84,15 +84,6 @@ impl Permutation {
         Permutation { s: inv }
     }
 
-    /// Composition `self ∘ other`: applying `other` first, then `self`.
-    ///
-    /// As matrices, `P_self · P_other`.
-    pub fn compose(&self, other: &Permutation) -> Permutation {
-        assert_eq!(self.len(), other.len(), "permutation length mismatch");
-        let s = self.s.iter().map(|&i| other.s[i]).collect();
-        Permutation { s }
-    }
-
     /// Builds a block-diagonal permutation from the top part `p1` (acting on
     /// the first `p1.len()` rows) and the bottom part `p2`.
     ///
@@ -130,31 +121,6 @@ impl Permutation {
             }
         }
         out
-    }
-
-    /// Sign of the permutation: `+1.0` for even, `-1.0` for odd (the
-    /// determinant of `P`, needed for `det(A) = det(P)·det(L)·det(U)`).
-    pub fn sign(&self) -> f64 {
-        // Count cycles: parity = (-1)^(n - #cycles).
-        let n = self.s.len();
-        let mut seen = vec![false; n];
-        let mut cycles = 0;
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            cycles += 1;
-            let mut i = start;
-            while !seen[i] {
-                seen[i] = true;
-                i = self.s[i];
-            }
-        }
-        if (n - cycles) % 2 == 0 {
-            1.0
-        } else {
-            -1.0
-        }
     }
 
     /// Materializes the permutation as a dense binary matrix `P`
@@ -208,17 +174,8 @@ mod tests {
         let a = Matrix::from_fn(4, 2, |i, j| (i * 2 + j) as f64);
         let back = p.inverse().apply_rows(&p.apply_rows(&a));
         assert_eq!(back, a);
-        assert!(p.compose(&p.inverse()).is_identity());
-        assert!(p.inverse().compose(&p).is_identity());
-    }
-
-    #[test]
-    fn compose_matches_matrix_product() {
-        let p = Permutation::from_vec(vec![1, 2, 0]);
-        let q = Permutation::from_vec(vec![2, 1, 0]);
-        let pq = p.compose(&q);
-        let dense = &p.to_matrix() * &q.to_matrix();
-        assert_eq!(pq.to_matrix(), dense);
+        assert_eq!(p.apply_rows(&p.inverse().apply_rows(&a)), a);
+        assert_eq!(p.inverse().inverse(), p);
     }
 
     #[test]
@@ -236,29 +193,6 @@ mod tests {
         p.swap(0, 2);
         assert_eq!(p.as_slice(), &[2, 1, 0]);
         assert_eq!(p.source_of(0), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn compose_length_mismatch_panics() {
-        let p = Permutation::identity(2);
-        let q = Permutation::identity(3);
-        let _ = p.compose(&q);
-    }
-
-    #[test]
-    fn sign_matches_transposition_count() {
-        assert_eq!(Permutation::identity(5).sign(), 1.0);
-        let mut p = Permutation::identity(5);
-        p.swap(0, 3);
-        assert_eq!(p.sign(), -1.0);
-        p.swap(1, 2);
-        assert_eq!(p.sign(), 1.0);
-        // A 3-cycle is even.
-        assert_eq!(Permutation::from_vec(vec![1, 2, 0]).sign(), 1.0);
-        // sign(P) * sign(P^-1) = 1.
-        let q = Permutation::from_vec(vec![3, 1, 0, 2]);
-        assert_eq!(q.sign() * q.inverse().sign(), 1.0);
     }
 
     #[test]

@@ -315,9 +315,10 @@ proptest! {
     }
 
     #[test]
-    fn permutation_inverse_composes_to_identity(p in arb_perm(40)) {
-        prop_assert!(p.compose(&p.inverse()).is_identity());
-        prop_assert!(p.inverse().compose(&p).is_identity());
+    fn permutation_inverse_composes_to_identity((p, seed) in (arb_perm(40), any::<u64>())) {
+        let a = random_matrix(p.len(), 3, seed);
+        prop_assert_eq!(p.inverse().apply_rows(&p.apply_rows(&a)), a.clone());
+        prop_assert_eq!(p.apply_rows(&p.inverse().apply_rows(&a)), a);
     }
 
     #[test]
@@ -332,7 +333,14 @@ proptest! {
         let a = random_matrix(n, n, seed);
         let split = ((n as f64 * split_frac) as usize).min(n);
         let q = a.split_quadrants(split).unwrap();
-        prop_assert_eq!(Matrix::from_quadrants(&q).unwrap(), a);
+        let corners = [(&q.a1, 0, 0), (&q.a2, 0, split), (&q.a3, split, 0), (&q.a4, split, split)];
+        let mut back = Matrix::zeros(n, n);
+        for (block, r0, c0) in corners {
+            let range = BlockRange::new((r0, r0 + block.rows()), (c0, c0 + block.cols()));
+            prop_assert_eq!(block, &a.block(range).unwrap());
+            back.set_block(r0, c0, block).unwrap();
+        }
+        prop_assert_eq!(back, a);
     }
 
     #[test]
@@ -369,7 +377,12 @@ proptest! {
     fn vstack_of_stripes_rebuilds((n, cut, seed) in (2usize..20, 1usize..19, any::<u64>())) {
         let a = random_matrix(n, n, seed);
         let cut = cut.min(n - 1);
-        let parts = [a.row_stripe(0, cut).unwrap(), a.row_stripe(cut, n).unwrap()];
-        prop_assert_eq!(Matrix::vstack(&parts).unwrap(), a);
+        let mut back = Matrix::zeros(n, n);
+        for (r1, r2) in [(0, cut), (cut, n)] {
+            let stripe = a.row_stripe(r1, r2).unwrap();
+            prop_assert_eq!(&stripe, &a.block(BlockRange::new((r1, r2), (0, n))).unwrap());
+            back.set_block(r1, 0, &stripe).unwrap();
+        }
+        prop_assert_eq!(back, a);
     }
 }

@@ -71,7 +71,7 @@ fn panicking_job_body_leaves_no_orphan_workers() {
 
         // Unwinds out of rayon, through run_map_only, and drops the
         // cluster (and its backend) on the way.
-        let spec: JobSpec<usize, usize> = JobSpec::new("panic-probe");
+        let spec: JobSpec<usize> = JobSpec::new("panic-probe");
         let _ = run_map_only(&cluster, &spec, &PanickingMapper, &[(), (), ()]);
         unreachable!("the map body always panics");
     });

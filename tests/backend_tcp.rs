@@ -1,7 +1,8 @@
 //! Differential acceptance for the `tcp-workers` execution backend: the
 //! full 17-job acceptance pipeline (n = 64, nb = 4) run through real
-//! worker processes must be bit-identical — inverse bytes and manifest
-//! job fingerprints — to the in-process backend, and a worker process
+//! worker processes must be bit-identical — inverse bytes, manifest job
+//! fingerprints, and every job's DFS and shuffle byte accounting — to the
+//! in-process backend, and a worker process
 //! killed mid-wave must be replaced with the attempt retried to the same
 //! answer.
 
@@ -36,15 +37,12 @@ fn tcp_cluster(cfg: ClusterConfig, workers: usize) -> Cluster {
     cluster
 }
 
-fn manifest_fingerprints(cluster: &Cluster, run: &RunId) -> Vec<(String, u64)> {
+fn manifest(cluster: &Cluster, run: &RunId) -> Vec<ManifestRecord> {
     let manifest = cluster.dfs.read(&run.manifest_path()).unwrap();
     std::str::from_utf8(&manifest)
         .unwrap()
         .lines()
-        .map(|l| {
-            let r: ManifestRecord = serde_json::from_str(l).unwrap();
-            (r.name, r.fingerprint)
-        })
+        .map(|l| serde_json::from_str(l).unwrap())
         .collect()
 }
 
@@ -85,10 +83,27 @@ fn tcp_backend_matches_in_process_bit_for_bit() {
 
     // Same jobs, same specs, same order: every manifest fingerprint
     // (which mixes run config, job spec, and sequence) must agree.
-    let local_fp = manifest_fingerprints(&local, &run);
-    let remote_fp = manifest_fingerprints(&remote, &run);
-    assert_eq!(local_fp.len(), 17);
-    assert_eq!(local_fp, remote_fp);
+    let (local_jobs, remote_jobs) = (manifest(&local, &run), manifest(&remote, &run));
+    let fingerprints = |jobs: &[ManifestRecord]| -> Vec<(String, u64)> {
+        jobs.iter()
+            .map(|r| (r.name.clone(), r.fingerprint))
+            .collect()
+    };
+    assert_eq!(local_jobs.len(), 17);
+    assert_eq!(fingerprints(&local_jobs), fingerprints(&remote_jobs));
+
+    // A worker charges reads, writes and shuffled pairs exactly as the
+    // driver does, job by job and in total.
+    let bytes = |jobs: &[ManifestRecord]| -> Vec<(String, [u64; 3])> {
+        let io = |r: &ManifestRecord| {
+            let s = &r.report.stats;
+            [s.read_bytes, s.write_bytes, s.shuffle_bytes]
+        };
+        jobs.iter().map(|r| (r.name.clone(), io(r))).collect()
+    };
+    assert_eq!(bytes(&local_jobs), bytes(&remote_jobs));
+    let totals = |r: &mrinv::RunReport| [r.dfs_bytes_read, r.dfs_bytes_written, r.shuffle_bytes];
+    assert_eq!(totals(&out.report), totals(&baseline.report));
 }
 
 #[test]
@@ -101,7 +116,7 @@ fn killed_worker_is_replaced_and_the_attempt_retried() {
     let mapper = mrinv::remote::DieOnceMapper {
         marker: "probe/died-once".to_string(),
     };
-    let spec: JobSpec<usize, usize> = JobSpec::new("die-once-probe").remote("die-once");
+    let spec: JobSpec<usize> = JobSpec::new("die-once-probe").remote("die-once");
     let report = run_map_only(&cluster, &spec, &mapper, &[(), (), ()]).unwrap();
 
     assert_eq!(report.map_tasks, 3);

@@ -1,7 +1,9 @@
 //! Census of process-wide knobs: the environment variables the library
 //! crates read and the `MRINV_*` names README.md documents must both be
 //! exactly the set below, so a new global switch cannot land unlisted
-//! and a removed one cannot linger in the docs. A second census keeps
+//! and a removed one cannot linger in the docs; likewise `ClusterConfig`'s
+//! public fields must be exactly `CLUSTER_KNOBS`, each with the non-test
+//! caller that sets it. A second census keeps
 //! the library crates' public surface to what some other file calls, and
 //! a third keeps `crates/core`'s block codec calls and DFS file names to
 //! the one place each belongs.
@@ -94,6 +96,43 @@ fn library_crates_read_only_documented_env_vars() {
         })
         .collect();
     assert_eq!(named, documented, "MRINV_* names in README.md");
+}
+
+/// `ClusterConfig`'s public fields, as `field: the non-test caller that
+/// sets it`. A knob nothing outside a test sets is a constant; adding one
+/// is the same reviewed act as extending `DOCUMENTED`.
+const CLUSTER_KNOBS: [&str; 10] = [
+    "nodes: ClusterConfig::medium",
+    "slots_per_node: ClusterConfig::large",
+    "node_speeds: bench node_death_experiment",
+    "speculative_execution: bench stragglers",
+    "tracing: cli build_cluster",
+    "observability: cli build_cluster",
+    "progress: cli build_cluster",
+    "task_timeout_secs: bench node_death_experiment",
+    "scheduling: cli build_cluster",
+    "cost: bench medium_cluster",
+];
+
+#[test]
+fn cluster_config_fields_are_the_listed_knobs() {
+    let cluster = Path::new(env!("CARGO_MANIFEST_DIR")).join("../mapreduce/src/cluster.rs");
+    let src = std::fs::read_to_string(cluster).unwrap();
+    let body = &src[src.find("pub struct ClusterConfig {").unwrap()..];
+    let body = &body[..body.find("\n}").unwrap()];
+    let fields: BTreeSet<&str> = body
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("pub "))
+        .filter_map(|decl| Some(decl.split_once(':')?.0))
+        .collect();
+    let listed: BTreeSet<&str> = CLUSTER_KNOBS
+        .iter()
+        .map(|entry| match entry.split_once(": ") {
+            Some((field, _caller)) => field,
+            None => panic!("{entry} is listed without the caller that sets it"),
+        })
+        .collect();
+    assert_eq!(fields, listed, "ClusterConfig's public fields");
 }
 
 /// Public items of the library crates that no other file names, as

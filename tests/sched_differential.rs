@@ -84,7 +84,7 @@ fn run_spray(
     if let Some((node, at)) = death {
         cluster.faults.kill_node(node % m0.max(1), at);
     }
-    let spec: JobSpec<usize, u64> = JobSpec::new("spray").reducers(reducers);
+    let spec: JobSpec<usize> = JobSpec::new("spray").reducers(reducers);
     let mapper = SprayMapper {
         keys: 11,
         pairs_per_task: 13,

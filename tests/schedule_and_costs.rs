@@ -127,8 +127,8 @@ fn measured_transfer_matches_tables_1_and_2_closed_forms() {
     // The paper's central claim is stated in bytes moved over the network:
     // Table 1 transfer = (l+3)n^2 elements for the LU stage and Table 2
     // transfer = (l'+2)n^2 for the inversion stage, where every DFS read a
-    // task performs crosses the network (theory.rs). With byte-accurate
-    // kv_size accounting, the measured per-task transfer (DFS reads +
+    // task performs crosses the network (theory.rs). With deep
+    // `ShuffleSize` accounting, the measured per-task transfer (DFS reads +
     // shuffled bytes, summed from the trace) of an end-to-end n=64, nb=4
     // inversion on m0=4 must land within 10% of the closed forms. The
     // partition preprocessing job and the master's local reads sit outside
