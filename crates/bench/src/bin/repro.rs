@@ -28,7 +28,8 @@
 //!              vs redone simulated time
 //!   obs-check  quick observability gate: a traced n=64/nb=4 inversion
 //!              must export valid Prometheus text and a cost-model audit
-//!              whose residuals stay under the pinned threshold
+//!              whose residuals stay under the pinned threshold, and leave
+//!              only its factor forest and RESULT/ live in the DFS
 //!   gemm-par-check ordering gate: on >= 2 cores with >= 2 effective pool
 //!              threads, packed-parallel GEMM must not be slower than
 //!              packed-serial at n >= 256 (skips on single-core boxes)
@@ -658,8 +659,9 @@ fn run_resume(args: &Args) {
 
 /// Quick observability gate (the CI fixture): a traced n=64/nb=4
 /// inversion on 4 medium nodes must produce parseable Prometheus text
-/// containing the task-latency histograms and kernel series, and a
-/// cost-model audit whose residuals stay under the pinned threshold.
+/// containing the task-latency histograms and kernel series, a
+/// cost-model audit whose residuals stay under the pinned threshold, and
+/// a DFS live-bytes gauge that holds only the run's products.
 fn run_obs_check(_args: &Args) {
     use mrinv_mapreduce::{Cluster, ClusterConfig};
 
@@ -678,7 +680,8 @@ fn run_obs_check(_args: &Args) {
     mrinv_matrix::kernel::perf::set_enabled(false);
 
     let mut failed = false;
-    let text = mrinv::obs::full_snapshot(&cluster).prometheus_text();
+    let snap = mrinv::obs::full_snapshot(&cluster);
+    let text = snap.prometheus_text();
     match mrinv_mapreduce::obs::validate_prometheus_text(&text) {
         Ok(()) => println!("prometheus text: {} lines, valid", text.lines().count()),
         Err(e) => {
@@ -701,6 +704,44 @@ fn run_obs_check(_args: &Args) {
     }
     let path = write_results_file("obs_check.prom", &text).unwrap();
     println!("-> {path}");
+
+    // What a finished invert holds in the DFS: its factor forest (leaf
+    // `l.bin` / `u.bin`, each level's `L2/` and `U2/` stripes) and
+    // `RESULT/`. Every intermediate file was released; the peak was not
+    // every byte ever written. Both are counts: they repeat exactly.
+    let dfs = &cluster.dfs;
+    let product = |p: &String| {
+        p.ends_with("/l.bin")
+            || p.ends_with("/u.bin")
+            || ["/L2/", "/U2/", "/RESULT/"].iter().any(|d| p.contains(d))
+    };
+    let products: u64 = (dfs.list(&out.report.workdir).iter())
+        .filter(|p| product(p))
+        .map(|p| dfs.len(p).unwrap_or(0))
+        .sum();
+    let gauge = |name: &str| snap.gauges.iter().find(|g| g.name == name).map(|g| g.value);
+    let written = (snap.counters.iter())
+        .find(|c| c.name == "mrinv_dfs_write_bytes_total")
+        .map(|c| c.value as f64);
+    match (
+        gauge("mrinv_dfs_live_bytes"),
+        gauge("mrinv_dfs_live_bytes_peak"),
+        written,
+    ) {
+        (Some(live), Some(peak), Some(written)) => {
+            println!(
+                "dfs live bytes: {live} (factor forest + RESULT/: {products}), peak {peak} of {written} written"
+            );
+            if live != products as f64 || peak >= written {
+                println!("dfs live bytes WRONG: an intermediate file outlived its last reader");
+                failed = true;
+            }
+        }
+        _ => {
+            println!("prometheus text MISSING the dfs live-bytes series");
+            failed = true;
+        }
+    }
 
     match &out.report.audit {
         Some(audit) => {

@@ -80,7 +80,7 @@ pub fn cache_key(a: &Matrix, cfg: &InversionConfig, cluster: &Cluster) -> u64 {
 #[derive(Debug)]
 pub(crate) struct Factorization {
     pub(crate) nb: usize,
-    factors: FactorRef,
+    pub(crate) factors: FactorRef,
     pub(crate) inverse: Option<Arc<Matrix>>,
     /// The factors assembled into dense matrices, memoized so a million
     /// `solve(b)` calls pay the file-forest assembly once.

@@ -100,8 +100,8 @@ impl FactorRef {
                 }
                 FactorRef::Node { a1, l2, u2, b, .. } => {
                     walk(a1, out);
-                    out.extend(l2.pieces().iter().map(|p| p.path.clone()));
-                    out.extend(u2.pieces().iter().map(|p| p.path.clone()));
+                    out.extend(l2.paths());
+                    out.extend(u2.paths());
                     walk(b, out);
                 }
             }

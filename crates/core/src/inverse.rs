@@ -60,11 +60,17 @@ pub(crate) fn push_run_config(
         .push_u64(opts.transpose_u as u64)
 }
 
-/// A per-cluster run directory for unpinned requests: distinct across
-/// consecutive runs on the same cluster (the DFS file count only grows),
-/// deterministic given the cluster state.
+/// A per-cluster run directory for unpinned requests, deterministic given
+/// the cluster state: `mrinv/run-<k>` for the first `k` from the DFS file
+/// count up whose directory holds no file. Deletions can bring the count
+/// back to a value an earlier run was named after, so a name is only
+/// taken once it is known to be empty; a failed run's cleanup then deletes
+/// nothing but its own files.
 pub(crate) fn fresh_run_id(cluster: &Cluster) -> RunId {
-    RunId::new(format!("mrinv/run-{}", cluster.dfs.file_count()))
+    (cluster.dfs.file_count()..)
+        .map(|k| RunId::new(format!("mrinv/run-{k}")))
+        .find(|run| cluster.dfs.list(run.dir()).is_empty())
+        .expect("an unbounded range has a free directory")
 }
 
 pub(crate) fn make_driver<'c>(

@@ -17,7 +17,9 @@
 //! the recursion takes its quadrants as windows (Section 5.2 — `B` is never
 //! re-materialized, and the Figure-4 files line up with every split), and
 //! each level's `L2'`/`U2` sources serve its reducers and then live on in
-//! the returned [`FactorRef`].
+//! the returned [`FactorRef`]. A level's `B` cells die with its `B`
+//! recursion: the level named them, so it releases them once that
+//! recursion returns.
 
 use mrinv_mapreduce::job::{
     identity_partitioner, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
@@ -193,8 +195,12 @@ pub fn lu_decompose_mr(
         run_job(c, &spec, &mapper, &reducer, &inputs).map(|(_outputs, report)| report)
     })?;
 
-    // Decompose B (Algorithm 2 line 10).
+    // Decompose B (Algorithm 2 line 10). Its recursion is the last reader
+    // of the cells, which this level named and so releases whole; a
+    // window of them may share a cell with its siblings.
+    let b_cells: Vec<String> = b_source.paths().collect();
     let b_factors = lu_decompose_mr(driver, &format!("{dir}/OUT"), b_source, plan, opts)?;
+    driver.release(b_cells);
 
     let node = FactorRef::Node {
         n,
@@ -210,13 +216,17 @@ pub fn lu_decompose_mr(
         Ok(node)
     } else {
         // Section 6.1 ablation: serially combine this level's factors on
-        // the master while the cluster waits.
+        // the master while the cluster waits. The combined leaf supersedes
+        // the files it was read from.
         let mut io = TaskIo::new(cluster.dfs.clone());
         let combined = run_on_master(cluster, || {
             node.combine(&mut io, &format!("{dir}/COMBINED"), opts.transpose_u)
         });
         charge_master_io(cluster, &io);
-        combined
+        let combined = combined?;
+        let kept = combined.paths();
+        driver.release(node.paths().into_iter().filter(|p| !kept.contains(p)));
+        Ok(combined)
     }
 }
 

@@ -273,9 +273,10 @@ pub fn ingest_input(cluster: &Cluster, a: &Matrix, plan: &PartitionPlan) -> Resu
 
 /// Runs the partitioning job through the driver and returns the
 /// descriptor of the whole `n × n` input: every planned piece, in global
-/// coordinates. On a resumed run the job is restored from the checkpoint
-/// manifest when its outputs survive; the descriptor is rebuilt either way
-/// (it is a pure function of the plan).
+/// coordinates. The job is the last reader of the `input/` stripes, so
+/// they are released once it commits. On a resumed run the job is restored
+/// from the checkpoint manifest when its outputs survive; the descriptor
+/// is rebuilt either way (it is a pure function of the plan).
 pub fn run_partition_job(
     driver: &mut PipelineDriver<'_>,
     plan: &PartitionPlan,
@@ -286,6 +287,7 @@ pub fn run_partition_job(
     let report = driver.step(spec.fingerprint(), |c| {
         run_map_only(c, &spec, &mapper, &inputs)
     })?;
+    driver.release(inputs.iter().map(|&j| plan.input_part_path(j)));
     Ok((planned_source(plan), report))
 }
 

@@ -235,13 +235,25 @@ impl<'a> Request<'a> {
     /// as [`mrinv_mapreduce::MrError::DriverKilled`]) leaves a manifest
     /// behind; resubmitting with [`Request::resume`] restores the
     /// completed prefix and re-runs only the remainder.
+    ///
+    /// A cold run that fails in a directory the caller did not pin is
+    /// deleted whole: nothing can resume it or read what it wrote. A pinned
+    /// or checkpointed run directory is left for the caller.
     pub fn submit(self, cluster: &Cluster) -> Result<Outcome> {
         let n = self.validate()?;
         let keyed = self.keyed_cache(cluster);
         if let Some(hit) = self.serve_hit(cluster, n, keyed, true)? {
             return Ok(hit);
         }
-        self.run_pipeline(cluster, n, keyed)
+        let run = match &self.run {
+            Some(run) => run.clone(),
+            None => fresh_run_id(cluster),
+        };
+        let cold = self.run_pipeline(cluster, n, &run, keyed);
+        if cold.is_err() && self.run.is_none() {
+            cluster.dfs.delete_dir(run.dir());
+        }
+        cold
     }
 
     /// The matrix order, once the request is known to be well-formed: a
@@ -318,19 +330,16 @@ impl<'a> Request<'a> {
 
     /// The cold path, and the only place the pipeline's job sequence is
     /// written: partition, the LU jobs, then (for an invert) the final
-    /// job, each committed by one `PipelineDriver::step`. `keyed` is the
-    /// attached cache with this request's key, if any; the finished run
-    /// is filed under it.
+    /// job, each committed by one `PipelineDriver::step`, in `run`'s
+    /// directory. `keyed` is the attached cache with this request's key,
+    /// if any; the finished run is filed under it.
     fn run_pipeline(
-        self,
+        &self,
         cluster: &Cluster,
         n: usize,
+        run: &RunId,
         keyed: Option<(&FactorCache, u64)>,
     ) -> Result<Outcome> {
-        let run = match &self.run {
-            Some(run) => run.clone(),
-            None => fresh_run_id(cluster),
-        };
         let plan = PartitionPlan::new(n, cluster, &self.cfg, run.dir());
         ingest_input(cluster, self.a, &plan)?;
 
@@ -340,13 +349,17 @@ impl<'a> Request<'a> {
             Op::Invert => crate::schedule::total_jobs(n, self.cfg.nb),
             Op::Lu | Op::Solve => crate::schedule::total_jobs(n, self.cfg.nb) - 1,
         };
-        let mut driver = make_driver(cluster, &run, self.mode)?;
+        let mut driver = make_driver(cluster, run, self.mode)?;
         driver.set_config_fingerprint(run_fingerprint(&plan, &self.cfg.opts));
         if cluster.config.progress {
             driver.enable_progress(planned_jobs);
         }
         let (source, _) = run_partition_job(&mut driver, &plan)?;
+        // The recursion reads the partition tree through windows of one
+        // descriptor; only once its root returns is the whole tree dead.
+        let tree: Vec<String> = source.paths().collect();
         let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &self.cfg.opts)?;
+        driver.release(tree);
         let inverse = match self.op {
             Op::Invert => Some(Arc::new(invert_factors_mr(
                 &mut driver,
@@ -500,6 +513,7 @@ mod tests {
     use mrinv_matrix::norms::{inversion_residual, vec_norm};
     use mrinv_matrix::random::{random_invertible, random_well_conditioned};
     use mrinv_matrix::PAPER_ACCURACY;
+    use std::collections::BTreeSet;
 
     fn test_cluster(m0: usize) -> Cluster {
         let mut cfg = ClusterConfig::medium(m0);
@@ -694,6 +708,161 @@ mod tests {
         let row = a.row(2).to_vec();
         a.row_mut(9).copy_from_slice(&row);
         assert!(Request::invert(&a).nb(4).submit(&cluster).is_err());
+    }
+
+    /// A cold run that fails in a directory nobody named is deleted whole:
+    /// the cluster's DFS is left as the request found it. At the parent
+    /// the partition tree, `B` cells and factors written before the
+    /// failing leaf stayed for good.
+    #[test]
+    fn a_failed_cold_run_leaves_the_dfs_as_it_found_it() {
+        let c = test_cluster(2);
+        let cache = FactorCache::new();
+        let good = random_well_conditioned(16, 14);
+        Request::invert(&good)
+            .nb(4)
+            .cache(&cache)
+            .submit(&c)
+            .unwrap();
+        let mut singular = random_well_conditioned(16, 15);
+        let row = singular.row(2).to_vec();
+        singular.row_mut(9).copy_from_slice(&row);
+
+        let held = |c: &Cluster| (c.dfs.file_count(), c.dfs.live_bytes());
+        let before = held(&c);
+        let written = c.dfs.counters().files_written;
+        let failed = Request::invert(&singular).nb(4).cache(&cache).submit(&c);
+        assert!(failed.is_err());
+        assert!(c.dfs.counters().files_written > written, "it wrote files");
+        assert_eq!(held(&c), before);
+        assert_eq!(cache.stats().entries, 1);
+
+        // A pinned directory belongs to the caller and keeps what the
+        // failed run wrote.
+        let run = RunId::new("pinned");
+        let failed = Request::invert(&singular).nb(4).workdir(&run).submit(&c);
+        assert!(failed.is_err());
+        assert!(!c.dfs.list(run.dir()).is_empty());
+    }
+
+    /// Deleting a run brings the DFS file count back to a value a live
+    /// run was named after. The next unpinned run must not land in (and
+    /// overwrite, or on failure delete) that live run's directory.
+    #[test]
+    fn a_fresh_run_never_lands_in_a_live_directory() {
+        let c = test_cluster(2);
+        let (a, b) = (random_invertible(16, 1), random_invertible(16, 2));
+        let first = Request::lu(&a).nb(4).submit(&c).unwrap();
+        let second = Request::lu(&b).nb(4).submit(&c).unwrap();
+        let files = |dir: &str| -> Vec<_> {
+            let paths = c.dfs.list(dir);
+            paths.into_iter().map(|p| c.dfs.read(&p).unwrap()).collect()
+        };
+        let kept = files(&second.report.workdir);
+        c.dfs.delete_dir(&first.report.workdir);
+        let third = Request::lu(&a).nb(4).submit(&c).unwrap();
+        assert_ne!(third.report.workdir, second.report.workdir);
+        assert_eq!(files(&second.report.workdir), kept);
+    }
+
+    /// The files a finished run keeps: the factor forest its cache entry
+    /// names, plus `RESULT/` for an invert. Asserts that the run's
+    /// directory holds exactly those and returns their total size.
+    fn kept_bytes(c: &Cluster, cache: &FactorCache, key: u64, out: &Outcome) -> u64 {
+        let entry = cache.lookup(key, false, &c.dfs, false).expect("cached");
+        let workdir = &out.report.workdir;
+        let results = c.dfs.list(&format!("{workdir}/RESULT"));
+        assert_eq!(results.is_empty(), out.op() != Op::Invert, "{workdir}");
+        let mut expect: BTreeSet<String> = entry.factors.paths().into_iter().collect();
+        expect.extend(results);
+        let held: BTreeSet<String> = c.dfs.list(workdir).into_iter().collect();
+        assert_eq!(held, expect, "{:?} {workdir}", out.op());
+        held.iter().map(|p| c.dfs.len(p).unwrap()).sum()
+    }
+
+    /// After a plain run the DFS holds the request's products and nothing
+    /// else, under every optimization set, at an even and an odd order, and
+    /// with block wrap off at n=24 / nb=6 / m0=4, where `B`'s cells do not
+    /// line up with `B`'s own split and so windows share cells.
+    #[test]
+    fn plain_runs_keep_only_their_products() {
+        let mut variants = Vec::new();
+        for sep in [true, false] {
+            for wrap in [true, false] {
+                for tr in [true, false] {
+                    variants.push(Optimizations {
+                        separate_intermediate_files: sep,
+                        block_wrap: wrap,
+                        transpose_u: tr,
+                    });
+                }
+            }
+        }
+        for (n, nb) in [(32, 8), (37, 9), (24, 6)] {
+            let a = random_invertible(n, n as u64);
+            for opts in &variants {
+                let cfg = InversionConfig { nb, opts: *opts };
+                for op in [Op::Invert, Op::Lu, Op::Solve] {
+                    let c = test_cluster(4);
+                    let cache = FactorCache::new();
+                    let req = match op {
+                        Op::Invert => Request::invert(&a),
+                        Op::Lu => Request::lu(&a),
+                        Op::Solve => Request::solve(&a).rhs(vec![1.0; n]),
+                    };
+                    let out = req.config(&cfg).cache(&cache).submit(&c).unwrap();
+                    let key = cache_key(&a, &cfg, &c);
+                    assert_eq!(c.dfs.list(""), c.dfs.list(&out.report.workdir));
+                    assert_eq!(c.dfs.live_bytes(), kept_bytes(&c, &cache, key, &out));
+                    assert!(c.dfs.live_bytes_peak() > c.dfs.live_bytes(), "{opts:?}");
+                }
+            }
+        }
+    }
+
+    /// A checkpointed run releases nothing: every file it wrote is still
+    /// there, next to the manifest, as before files were ever released.
+    #[test]
+    fn checkpointed_runs_keep_every_file() {
+        for opts in [Optimizations::all(), Optimizations::none()] {
+            let c = test_cluster(4);
+            let a = random_invertible(37, 3);
+            let run = RunId::new("kept");
+            let cfg = InversionConfig { nb: 9, opts };
+            Request::invert(&a)
+                .config(&cfg)
+                .checkpoint(&run)
+                .submit(&c)
+                .unwrap();
+            let io = c.dfs.counters();
+            let manifest = c.dfs.len(&run.manifest_path()).unwrap();
+            assert_eq!(c.dfs.file_count() as u64, io.files_written + 1);
+            assert_eq!(c.dfs.live_bytes(), io.bytes_written + manifest);
+            assert!(!c.dfs.list(&format!("{}/input", run.dir())).is_empty());
+        }
+    }
+
+    /// A server's DFS grows by exactly each cold request's products, and
+    /// not at all on a hit.
+    #[test]
+    fn each_cold_invert_adds_only_its_products() {
+        let c = test_cluster(4);
+        let cache = FactorCache::new();
+        let cfg = InversionConfig::with_nb(8);
+        for seed in 0..3 {
+            let a = random_well_conditioned(32, 90 + seed);
+            let before = c.dfs.live_bytes();
+            let cold = Request::invert(&a).config(&cfg).cache(&cache).submit(&c);
+            let cold = cold.unwrap();
+            let key = cache_key(&a, &cfg, &c);
+            let kept = kept_bytes(&c, &cache, key, &cold);
+            assert_eq!(c.dfs.live_bytes() - before, kept, "cold invert {seed}");
+
+            let held = (c.dfs.file_count(), c.dfs.live_bytes());
+            let hit = Request::invert(&a).config(&cfg).cache(&cache).submit(&c);
+            assert_eq!(hit.unwrap().cache, CacheStatus::Hit);
+            assert_eq!((c.dfs.file_count(), c.dfs.live_bytes()), held);
+        }
     }
 
     #[test]

@@ -163,6 +163,11 @@ impl MatrixSource {
         &self.pieces
     }
 
+    /// The DFS files the pieces live in, in piece order.
+    pub(crate) fn paths(&self) -> impl Iterator<Item = String> + '_ {
+        self.pieces.iter().map(|p| p.path.clone())
+    }
+
     /// The logical rectangle `rows` x `cols` in piece space; an error unless
     /// it is well formed and inside this source's shape.
     fn rect(

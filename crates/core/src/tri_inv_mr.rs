@@ -470,8 +470,9 @@ impl Reducer for TriInvReducer {
 /// Runs the final inversion job over decomposed factors, returning the
 /// assembled `A^-1`.
 ///
-/// The result also remains in the DFS under `<dir>/RESULT/` for downstream
-/// consumers (the paper's Hadoop-workflow motivation); the in-memory
+/// The `INV/` vectors are released once the job commits. The result
+/// remains in the DFS under `<dir>/RESULT/` for downstream consumers (the
+/// paper's Hadoop-workflow motivation); the in-memory
 /// assembly here is an API convenience and is not charged to the simulated
 /// clock.
 pub fn invert_factors_mr(
@@ -507,15 +508,20 @@ pub fn invert_factors_mr(
         opts: *opts,
     };
 
-    let spec = job_spec(&plan.root, reducer.layout.num_cells());
+    let layout = &reducer.layout;
+    let spec = job_spec(&plan.root, layout.num_cells());
     driver.step(spec.fingerprint(), |c| {
         run_job(c, &spec, &mapper, &reducer, &inputs).map(|(_out, report)| report)
     })?;
+    // The reducers were the last readers of the triangular inverses.
+    let inv_files = [Operand::L, Operand::U].into_iter().flat_map(|op| {
+        let (_, m, blocks) = layout.operand(op);
+        layout.files(op, 0..m, 0..blocks.len())
+    });
+    driver.release(inv_files.map(|(path, _)| path));
 
     // Assemble the final matrix from the RESULT files (uncharged).
-    reducer
-        .layout
-        .read_result(&mut TaskIo::new(cluster.dfs.clone()))
+    layout.read_result(&mut TaskIo::new(cluster.dfs.clone()))
 }
 
 #[cfg(test)]

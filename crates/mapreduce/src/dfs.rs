@@ -13,6 +13,20 @@
 //! cost model charges `replication` disk writes per logical write, like a
 //! real HDFS pipeline would.
 //!
+//! # File lifetime
+//!
+//! A file lives until someone deletes it, and the store holds its bytes in
+//! memory until then. The pipeline deletes a file once the last job that
+//! reads it has committed: the partition tree, each level's `B` cells and
+//! the final job's triangular inverses are released by the module that
+//! named them (`PipelineDriver::release`, a no-op in checkpointed runs,
+//! whose manifest promises every output to a resume). What a request
+//! leaves behind is its factor forest and, for an invert, `RESULT/`. The
+//! live-bytes gauge ([`Dfs::live_bytes`], [`Dfs::live_bytes_peak`]) tracks
+//! what is held: every write adds its length and subtracts the length of
+//! the file it overwrites, every delete subtracts. It is not an I/O
+//! counter, so it stays out of [`DfsCountersSnapshot`].
+//!
 //! # Block placement and failure domains
 //!
 //! Each file is assigned `replication` *home nodes* at write time, chosen
@@ -83,6 +97,10 @@ struct Block {
 pub struct Dfs {
     files: RwLock<BTreeMap<String, Block>>,
     counters: DfsCounters,
+    /// Bytes held by the stored files, and their high-water mark. Moved
+    /// only with `files`' write lock held.
+    live_bytes: AtomicU64,
+    live_bytes_peak: AtomicU64,
     replication: u32,
     nodes: usize,
     dead: RwLock<BTreeSet<usize>>,
@@ -127,6 +145,8 @@ impl Dfs {
         Dfs {
             files: RwLock::new(BTreeMap::new()),
             counters: DfsCounters::default(),
+            live_bytes: AtomicU64::new(0),
+            live_bytes_peak: AtomicU64::new(0),
             replication,
             nodes: nodes.max(1),
             dead: RwLock::new(BTreeSet::new()),
@@ -206,7 +226,19 @@ impl Dfs {
     pub fn write_uncounted(&self, path: &str, data: Bytes) {
         let path = normalize_path(path);
         let homes = self.place(&path);
-        self.files.write().insert(path, Block { data, homes });
+        let added = data.len() as u64;
+        let mut files = self.files.write();
+        let old = files.insert(path, Block { data, homes });
+        self.move_live_bytes(added, old.map_or(0, |b| b.data.len() as u64));
+    }
+
+    /// Applies one mutation to the live-bytes gauge and its peak. Callers
+    /// hold `files`' write lock, so the load and the store cannot
+    /// interleave with another mutation.
+    fn move_live_bytes(&self, added: u64, removed: u64) {
+        let live = self.live_bytes.load(Ordering::Relaxed) + added - removed;
+        self.live_bytes.store(live, Ordering::Relaxed);
+        self.live_bytes_peak.fetch_max(live, Ordering::Relaxed);
     }
 
     /// Reads a file *without* touching the I/O counters: the read-side
@@ -296,7 +328,12 @@ impl Dfs {
 
     /// Deletes a file; returns whether it existed.
     pub fn delete(&self, path: &str) -> bool {
-        self.files.write().remove(&normalize_path(path)).is_some()
+        let mut files = self.files.write();
+        let Some(block) = files.remove(&normalize_path(path)) else {
+            return false;
+        };
+        self.move_live_bytes(0, block.data.len() as u64);
+        true
     }
 
     /// Deletes every file under the directory `dir`; returns how many were
@@ -305,21 +342,33 @@ impl Dfs {
     pub fn delete_dir(&self, dir: &str) -> usize {
         let norm = normalize_path(dir);
         let mut files = self.files.write();
-        if norm.is_empty() {
-            let n = files.len();
-            files.clear();
-            return n;
-        }
-        let prefix = format!("{norm}/");
-        let doomed: Vec<String> = files
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &doomed {
-            files.remove(k);
-        }
+        let doomed: Vec<String> = if norm.is_empty() {
+            files.keys().cloned().collect()
+        } else {
+            let prefix = format!("{norm}/");
+            files
+                .range(prefix.clone()..)
+                .take_while(|(k, _)| k.starts_with(&prefix))
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        let removed: u64 = doomed
+            .iter()
+            .filter_map(|k| files.remove(k))
+            .map(|b| b.data.len() as u64)
+            .sum();
+        self.move_live_bytes(0, removed);
         doomed.len()
+    }
+
+    /// Bytes held by the files stored now (the manifest included).
+    pub fn live_bytes(&self) -> u64 {
+        self.live_bytes.load(Ordering::Relaxed)
+    }
+
+    /// The most bytes the store has held at once since it was created.
+    pub fn live_bytes_peak(&self) -> u64 {
+        self.live_bytes_peak.load(Ordering::Relaxed)
     }
 
     /// Lists all files under directory `dir` (recursively), sorted.
@@ -347,10 +396,10 @@ impl Dfs {
         }
     }
 
-    /// Bridges the DFS counters into an observability snapshot as
-    /// cluster-global series (the DFS hot path itself stays
-    /// registry-free: these atomics are always on and cost what they
-    /// always did).
+    /// Bridges the DFS counters and the live-bytes gauge into an
+    /// observability snapshot as cluster-global series (the DFS hot path
+    /// itself stays registry-free: these atomics are always on and cost
+    /// what they always did).
     pub fn obs_series(&self, snap: &mut crate::obs::ObsSnapshot) {
         let c = self.counters();
         let none = crate::obs::Labels::new();
@@ -361,7 +410,17 @@ impl Dfs {
             none.clone(),
             c.files_written,
         );
-        snap.push_counter("mrinv_dfs_reads_total", none, c.reads);
+        snap.push_counter("mrinv_dfs_reads_total", none.clone(), c.reads);
+        snap.push_gauge(
+            "mrinv_dfs_live_bytes",
+            none.clone(),
+            self.live_bytes() as f64,
+        );
+        snap.push_gauge(
+            "mrinv_dfs_live_bytes_peak",
+            none,
+            self.live_bytes_peak() as f64,
+        );
     }
 
     /// Resets the I/O counters (e.g. between experiments on a shared DFS).
@@ -659,6 +718,37 @@ mod tests {
     }
 
     #[test]
+    fn live_bytes_follow_writes_overwrites_and_deletes() {
+        let dfs = Dfs::default();
+        let live = |dfs: &Dfs| (dfs.live_bytes(), dfs.live_bytes_peak());
+        dfs.write("d/a", Bytes::from(vec![0u8; 100]));
+        dfs.write("d/b", Bytes::from(vec![0u8; 50]));
+        assert_eq!(live(&dfs), (150, 150));
+        // An overwrite replaces the old length; it never holds both.
+        dfs.write("d/a", Bytes::from(vec![0u8; 30]));
+        assert_eq!(live(&dfs), (80, 150));
+        dfs.write("d/a", Bytes::from(vec![0u8; 160]));
+        assert_eq!(live(&dfs), (210, 210));
+        // Uncounted writes hold bytes like any other file.
+        dfs.write_uncounted("d/_manifest", Bytes::from(vec![0u8; 7]));
+        assert_eq!(live(&dfs), (217, 217));
+        dfs.write_uncounted("d/_manifest", Bytes::from(vec![0u8; 5]));
+        assert_eq!(live(&dfs), (215, 217));
+        assert!(dfs.delete("d/b"));
+        assert!(!dfs.delete("d/b"), "a second delete frees nothing");
+        assert_eq!(live(&dfs), (165, 217));
+        dfs.write("e/c", Bytes::from(vec![0u8; 9]));
+        assert_eq!(dfs.delete_dir("d"), 2);
+        assert_eq!(live(&dfs), (9, 217));
+        dfs.write("top", Bytes::from(vec![0u8; 4]));
+        assert_eq!(dfs.delete_dir(""), 2);
+        assert_eq!(live(&dfs), (0, 217), "the peak is a high-water mark");
+        // The gauge is no I/O counter: neither reset nor snapshot sees it.
+        dfs.reset_counters();
+        assert_eq!(dfs.live_bytes_peak(), 217);
+    }
+
+    #[test]
     fn concurrent_writers_do_not_lose_files() {
         use std::sync::Arc;
         let dfs = Arc::new(Dfs::default());
@@ -677,6 +767,7 @@ mod tests {
         }
         assert_eq!(dfs.file_count(), 400);
         assert_eq!(dfs.counters().bytes_written, 4000);
+        assert_eq!(dfs.live_bytes(), 4000);
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //!   re-executes); the first mismatch truncates the stale manifest tail
 //!   and execution resumes from there.
 //!
+//! A plain run gives intermediate files back as it goes:
+//! [`PipelineDriver::release`] deletes a file set once its last reader has
+//! committed. A checkpointed run releases nothing, since a resume must find
+//! every recorded output.
+//!
 //! Restored jobs do not advance the cluster clock — the resumed run's
 //! [`RunReport::sim_secs`] prices only what actually re-ran, while
 //! [`RunReport::restored_sim_secs`] reports what the checkpoint saved.
@@ -459,6 +464,21 @@ impl<'c> PipelineDriver<'c> {
         Ok(report)
     }
 
+    /// Deletes `paths`, files whose last reader has just committed: the
+    /// one place a pipeline gives DFS memory back. Only the module that
+    /// named a whole file set releases it, once the last job reading it
+    /// has returned through [`PipelineDriver::step`]. A checkpointed run
+    /// keeps every file, because its manifest promises each job's outputs
+    /// to a resume.
+    pub fn release<P: AsRef<str>>(&self, paths: impl IntoIterator<Item = P>) {
+        if self.checkpoint {
+            return;
+        }
+        for path in paths {
+            self.cluster.dfs.delete(path.as_ref());
+        }
+    }
+
     fn rewrite_manifest(&self) {
         let mut buf = String::new();
         for record in &self.manifest {
@@ -706,6 +726,33 @@ mod tests {
             before,
             "checkpointing must not perturb byte accounting"
         );
+    }
+
+    #[test]
+    fn plain_runs_release_and_checkpointed_runs_keep() {
+        let cluster = Cluster::medium(1);
+        let write = |c: &Cluster, dir: &str| -> Result<JobReport> {
+            c.dfs.write(&format!("{dir}/a"), Bytes::from_static(b"aa"));
+            c.dfs.write(&format!("{dir}/b"), Bytes::from_static(b"b"));
+            Ok(report("w", 1.0, 0))
+        };
+        let mut plain = PipelineDriver::new(&cluster, RunId::new("plain"));
+        plain.step(0, |c| write(c, "plain")).unwrap();
+        plain.release(["plain/a", "plain/missing"]);
+        assert_eq!(cluster.dfs.list("plain"), ["plain/b"]);
+        assert_eq!(cluster.dfs.live_bytes(), 1);
+
+        let run = RunId::new("kept");
+        let kept = ["kept/_manifest", "kept/a", "kept/b"];
+        let mut d = PipelineDriver::checkpointed(&cluster, run.clone());
+        d.step(1, |c| write(c, "kept")).unwrap();
+        d.release(["kept/a", "kept/b"]);
+        assert_eq!(cluster.dfs.list("kept"), kept);
+        // A resume replays the record only because the outputs survived.
+        let mut d = PipelineDriver::resume(&cluster, run).unwrap();
+        d.step(1, |_| panic!("outputs were kept")).unwrap();
+        d.release(vec!["kept/a".to_string()]);
+        assert_eq!(cluster.dfs.list("kept"), kept);
     }
 
     #[test]
