@@ -41,11 +41,22 @@ pub struct ServiceReply {
 }
 
 /// A blocking connection to an `mrinv serve` instance.
-#[derive(Debug)]
 pub struct ServiceClient {
     stream: TcpStream,
     tenant: String,
     next_id: u64,
+    /// Every request is serialized and every response read here.
+    frame: Vec<u8>,
+}
+
+impl std::fmt::Debug for ServiceClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServiceClient")
+            .field("stream", &self.stream)
+            .field("tenant", &self.tenant)
+            .field("next_id", &self.next_id)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ServiceClient {
@@ -59,6 +70,7 @@ impl ServiceClient {
             stream,
             tenant: tenant.into(),
             next_id: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -105,15 +117,16 @@ impl ServiceClient {
         let net = |what: &str, e: &dyn std::fmt::Display| {
             CoreError::Invariant(format!("service connection {what}: {e}"))
         };
-        write_frame(&mut self.stream, TAG_REQUEST, &bincode::serialize(&req))
-            .map_err(|e| net("send", &e))?;
-        let (tag, body) = read_frame(&mut self.stream).map_err(|e| net("recv", &e))?;
+        self.frame.clear();
+        bincode::serialize_into(&mut self.frame, &req);
+        write_frame(&mut self.stream, TAG_REQUEST, &self.frame).map_err(|e| net("send", &e))?;
+        let tag = read_frame(&mut self.stream, &mut self.frame).map_err(|e| net("recv", &e))?;
         if tag != TAG_RESPONSE {
             return Err(CoreError::Invariant(format!(
                 "expected a response frame, got tag {tag}"
             )));
         }
-        let resp = bincode::deserialize::<WireResponse>(&body)
+        let resp = bincode::deserialize::<WireResponse>(&self.frame)
             .map_err(|e| CoreError::Invariant(format!("undecodable response: {e}")))?;
         // Id 0 is never issued: an error under it is about this frame.
         let about_the_frame = resp.id == 0 && !resp.ok;
@@ -142,11 +155,23 @@ fn decode_reply(resp: WireResponse) -> Result<ServiceReply> {
     let factors = if resp.l.is_empty() {
         None
     } else {
-        Some(LuFactors {
-            l: decode_binary(&resp.l)?,
-            u: decode_binary(&resp.u)?,
-            perm: Permutation::from_vec(resp.perm.iter().map(|&s| s as usize).collect()),
-        })
+        let l = decode_binary(&resp.l)?;
+        let u = decode_binary(&resp.u)?;
+        let pivots = resp
+            .perm
+            .iter()
+            .map(|&s| usize::try_from(s).unwrap_or(usize::MAX));
+        let perm = Permutation::from_vec(pivots.collect())?;
+        let n = l.order()?;
+        if u.rows() != n || u.cols() != n || perm.len() != n {
+            return Err(CoreError::Invariant(format!(
+                "lu reply: L is {n}x{n}, U is {}x{}, {} pivots",
+                u.rows(),
+                u.cols(),
+                perm.len()
+            )));
+        }
+        Some(LuFactors { l, u, perm })
     };
     Ok(ServiceReply {
         inverse,

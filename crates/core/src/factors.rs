@@ -312,13 +312,24 @@ impl Deserialize for FactorRef {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
         let kind: String = de_field(v, "kind")?;
         match kind.as_str() {
-            "leaf" => Ok(FactorRef::Leaf {
-                n: de_field(v, "n")?,
-                l_path: de_field(v, "l_path")?,
-                u_path: de_field(v, "u_path")?,
-                perm: Permutation::from_vec(de_field(v, "perm")?),
-                transposed_u: de_field(v, "transposed_u")?,
-            }),
+            "leaf" => {
+                let n = de_field(v, "n")?;
+                let perm = Permutation::from_vec(de_field(v, "perm")?)
+                    .map_err(|e| DeError(format!("field \"perm\": {e}")))?;
+                if perm.len() != n {
+                    return Err(DeError(format!(
+                        "field \"perm\": {} pivots for a leaf of order {n}",
+                        perm.len()
+                    )));
+                }
+                Ok(FactorRef::Leaf {
+                    n,
+                    l_path: de_field(v, "l_path")?,
+                    u_path: de_field(v, "u_path")?,
+                    perm,
+                    transposed_u: de_field(v, "transposed_u")?,
+                })
+            }
             "node" => Ok(FactorRef::Node {
                 n: de_field(v, "n")?,
                 half: de_field(v, "half")?,
@@ -450,7 +461,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut s: Vec<usize> = (0..n).collect();
         s.shuffle(&mut rng);
-        Permutation::from_vec(s)
+        Permutation::from_vec(s).unwrap()
     }
 
     #[test]
@@ -504,6 +515,40 @@ mod tests {
             .unwrap()
             .approx_eq(&u.transpose(), 0.0));
         assert_eq!(f.paths().len(), 2, "one L file, one U file");
+    }
+
+    /// A stored leaf's pivots are checked on the way in: a repeated or
+    /// out-of-range entry, or an array of the wrong order, is a decode
+    /// error naming the field, not a `FactorRef` that indexes out of bounds.
+    #[test]
+    fn leaf_pivots_are_checked_when_decoded() {
+        let leaf = |n: usize, perm: Vec<usize>| {
+            let mut v = FactorRef::Leaf {
+                n,
+                l_path: "l".into(),
+                u_path: "u".into(),
+                perm: Permutation::identity(perm.len()),
+                transposed_u: false,
+            }
+            .to_value();
+            if let Value::Object(fields) = &mut v {
+                fields.iter_mut().find(|(k, _)| k == "perm").unwrap().1 = perm.to_value();
+            }
+            FactorRef::from_value(&v)
+        };
+        assert_eq!(
+            leaf(3, vec![2, 0, 1]).unwrap().perm().as_slice(),
+            &[2, 0, 1]
+        );
+        for (n, perm, why) in [
+            (2, vec![0, 0], "entry 1 is 0"),
+            (2, vec![0, 2], "entry 1 is 2"),
+            (3, vec![1, 0], "2 pivots for a leaf of order 3"),
+        ] {
+            let err = leaf(n, perm).unwrap_err().0;
+            assert!(err.starts_with("field \"perm\": "), "{err}");
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]
@@ -615,11 +660,11 @@ mod tests {
             // block_lu at nb = half yields exactly one split: recover the
             // sub-permutations from the augmented structure.
             let s = f.perm.as_slice();
-            Permutation::from_vec(s[..half].to_vec())
+            Permutation::from_vec(s[..half].to_vec()).unwrap()
         };
         let p2 = {
             let s = f.perm.as_slice();
-            Permutation::from_vec(s[half..].iter().map(|&v| v - half).collect())
+            Permutation::from_vec(s[half..].iter().map(|&v| v - half).collect()).unwrap()
         };
         let fr = build_node(&dfs, &f.l, &f.u, &p1, &p2, half, 2, true);
         let mut io = TaskIo::new(dfs.clone());

@@ -85,7 +85,7 @@ mod source;
 pub mod theory;
 mod tri_inv_mr;
 
-pub use cache::{cache_key, CacheStats, FactorCache};
+pub use cache::{cache_key, CacheKey, CacheStats, FactorCache};
 pub use config::{InversionConfig, Optimizations};
 pub use error::{CoreError, Result};
 pub use inverse::Checkpoint;

@@ -38,7 +38,7 @@ use mrinv_mapreduce::{Cluster, RunId, RunReport, TaskIo, UncountedDfs};
 use mrinv_matrix::triangular::{back_substitution, forward_substitution};
 use mrinv_matrix::{Matrix, Permutation};
 
-use crate::cache::{cache_key, FactorCache, Factorization};
+use crate::cache::{cache_key, CacheKey, FactorCache, Factorization};
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
 use crate::factors::FactorRef;
@@ -118,7 +118,7 @@ pub struct Request<'a> {
     run: Option<RunId>,
     mode: Checkpoint,
     cache: Option<&'a FactorCache>,
-    key: Option<u64>,
+    key: Option<CacheKey>,
 }
 
 impl<'a> Request<'a> {
@@ -221,7 +221,7 @@ impl<'a> Request<'a> {
     /// Supplies the [`cache_key`] the caller already computed for this
     /// request's matrix and configuration on the cluster it will be
     /// submitted to, so one service request hashes its matrix once.
-    pub(crate) fn keyed(mut self, key: u64) -> Self {
+    pub(crate) fn keyed(mut self, key: CacheKey) -> Self {
         self.key = Some(key);
         self
     }
@@ -283,7 +283,7 @@ impl<'a> Request<'a> {
     /// The attached cache with this request's key. Called once per
     /// submit: the same key looks the entry up and, on a miss, files the
     /// finished run.
-    fn keyed_cache(&self, cluster: &Cluster) -> Option<(&'a FactorCache, u64)> {
+    fn keyed_cache(&self, cluster: &Cluster) -> Option<(&'a FactorCache, CacheKey)> {
         let key = || cache_key(self.a, &self.cfg, cluster);
         self.cache
             .map(|cache| (cache, self.key.unwrap_or_else(key)))
@@ -297,7 +297,7 @@ impl<'a> Request<'a> {
         &self,
         cluster: &Cluster,
         n: usize,
-        keyed: Option<(&FactorCache, u64)>,
+        keyed: Option<(&FactorCache, CacheKey)>,
         count_miss: bool,
     ) -> Result<Option<Outcome>> {
         let need_inverse = self.op == Op::Invert;
@@ -338,7 +338,7 @@ impl<'a> Request<'a> {
         cluster: &Cluster,
         n: usize,
         run: &RunId,
-        keyed: Option<(&FactorCache, u64)>,
+        keyed: Option<(&FactorCache, CacheKey)>,
     ) -> Result<Outcome> {
         let plan = PartitionPlan::new(n, cluster, &self.cfg, run.dir());
         ingest_input(cluster, self.a, &plan)?;
@@ -768,7 +768,7 @@ mod tests {
     /// The files a finished run keeps: the factor forest its cache entry
     /// names, plus `RESULT/` for an invert. Asserts that the run's
     /// directory holds exactly those and returns their total size.
-    fn kept_bytes(c: &Cluster, cache: &FactorCache, key: u64, out: &Outcome) -> u64 {
+    fn kept_bytes(c: &Cluster, cache: &FactorCache, key: CacheKey, out: &Outcome) -> u64 {
         let entry = cache.lookup(key, false, &c.dfs, false).expect("cached");
         let workdir = &out.report.workdir;
         let results = c.dfs.list(&format!("{workdir}/RESULT"));

@@ -18,10 +18,22 @@
 //! per element) inside one packed bincode byte node (tag 9: 9 bytes of
 //! overhead per matrix), so a frame is its payload plus a few hundred bytes
 //! of field names and scalars — 1.0004 wire bytes per payload byte at
-//! n = 256, pinned by `frames_cost_their_payload` below. Each side writes a
-//! matrix's bytes once ([`encode_binary_vec`]) and bincode copies them once
-//! into the value tree and once into the frame. `rhs` / `solutions` are
-//! plain `f64` arrays at 9 bytes per 8.
+//! n = 256, pinned by `frames_cost_their_payload` below. `rhs` /
+//! `solutions` are plain `f64` arrays at 9 bytes per 8.
+//!
+//! In memory, each side writes a matrix's bytes once
+//! ([`encode_binary_vec`]) and bincode copies them once into the value
+//! tree and once into the frame; the receiver copies them out of the frame
+//! into the value tree, into the field, and decodes them into a `Matrix`.
+//! The frame itself is not a fresh buffer: each connection — this
+//! server's handler and [`crate::client::ServiceClient`] alike — reads
+//! every frame into one buffer and serializes every reply into it
+//! ([`bincode::serialize_into`], sized exactly from the value tree), so in
+//! the steady state a frame allocates nothing. A connection therefore
+//! retains capacity for its largest frame until it closes. Measured with
+//! a counting allocator at n = 256 (`tests/alloc_budget.rs`), a warm
+//! invert allocates about 10 matrix-sized buffers across both sides, a
+//! warm solve about 5.
 //!
 //! Compatibility runs one way. This decoder also accepts the older shape
 //! of a byte field (an array of one number per byte, 9 wire bytes per
@@ -60,12 +72,13 @@
 //!
 //! # One key, bounded series
 //!
-//! [`cache_key`] re-encodes and hashes the whole matrix, so a request
-//! computes it exactly once, on arrival; the handler's cache probe, the
-//! queued job, solve batching and the executor's submit all carry that
-//! value. The service's metric series are keyed by tenant and operation
-//! only — there is no per-request label — so a long-running server's
-//! series count is bounded by who talks to it, not by how much.
+//! [`cache_key`] reads every word of the matrix once (a 128-bit digest,
+//! see [`crate::cache`]), so a request computes it exactly once, on
+//! arrival; the handler's cache probe, the queued job, solve batching and
+//! the executor's submit all carry that [`CacheKey`]. The service's metric
+//! series are keyed by tenant and operation only — there is no
+//! per-request label — so a long-running server's series count is bounded
+//! by who talks to it, not by how much.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -82,7 +95,7 @@ use mrinv_matrix::io::{decode_binary, encode_binary_vec};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{cache_key, CacheStats, FactorCache};
+use crate::cache::{cache_key, CacheKey, CacheStats, FactorCache};
 use crate::config::{InversionConfig, Optimizations};
 use crate::error::{CoreError, Result};
 use crate::request::{CacheStatus, Op, Outcome, Request};
@@ -253,7 +266,7 @@ struct QueuedJob {
     a: Matrix,
     rhs: Vec<Vec<f64>>,
     cfg: InversionConfig,
-    key: u64,
+    key: CacheKey,
     resp: mpsc::Sender<WireResponse>,
 }
 
@@ -290,7 +303,7 @@ impl Queues {
     }
 
     /// Drains every queued solve sharing `key` (any tenant) for batching.
-    fn drain_matching_solves(&mut self, key: u64) -> Vec<QueuedJob> {
+    fn drain_matching_solves(&mut self, key: CacheKey) -> Vec<QueuedJob> {
         let mut batch = Vec::new();
         for q in self.tenants.values_mut() {
             let mut keep = VecDeque::with_capacity(q.len());
@@ -502,25 +515,25 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// frame whose body does not decode is told why first, under id 0, so an
 /// incompatible peer reads a reason instead of a bare EOF.
 fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
+    // Every request is read, and every response written, from here.
+    let mut frame = Vec::new();
     loop {
-        let (tag, body) = match read_frame(stream) {
-            Ok(f) => f,
-            Err(_) => return, // EOF, reset, or shutdown
+        let Ok(tag) = read_frame(stream, &mut frame) else {
+            return; // EOF, reset, or shutdown
         };
         if tag != TAG_REQUEST {
             return;
         }
-        let req = match bincode::deserialize::<WireRequest>(&body) {
-            Ok(r) => r,
-            Err(e) => {
-                let resp = WireResponse::err(0, format!("undecodable request: {}", e.0));
-                let _ = write_frame(stream, TAG_RESPONSE, &bincode::serialize(&resp));
-                return;
-            }
+        let (resp, hang_up) = match bincode::deserialize::<WireRequest>(&frame) {
+            Ok(req) => (serve_request(shared, req), false),
+            Err(e) => (
+                WireResponse::err(0, format!("undecodable request: {}", e.0)),
+                true,
+            ),
         };
-        let resp = serve_request(shared, req);
-        let body = bincode::serialize(&resp);
-        if write_frame(stream, TAG_RESPONSE, &body).is_err() {
+        frame.clear();
+        bincode::serialize_into(&mut frame, &resp);
+        if write_frame(stream, TAG_RESPONSE, &frame).is_err() || hang_up {
             return;
         }
     }
@@ -591,7 +604,7 @@ fn serve_request(shared: &Arc<Shared>, req: WireRequest) -> WireResponse {
 /// the `key` already computed for `(a, cfg)` on the shared cluster.
 fn build_request<'a>(
     shared: &'a Shared,
-    key: u64,
+    key: CacheKey,
     a: &'a Matrix,
     op: Op,
     rhs: &[Vec<f64>],
@@ -699,7 +712,23 @@ fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
 mod tests {
     use super::*;
 
-    fn job(tenant: &str, id: u64, op: Op, key: u64) -> (QueuedJob, mpsc::Receiver<WireResponse>) {
+    /// One frame into a buffer of its own, as a test's raw socket reads it.
+    fn read_frame<R: std::io::Read>(stream: &mut R) -> std::io::Result<(u8, Vec<u8>)> {
+        let mut body = Vec::new();
+        let tag = mrinv_mapreduce::wire::read_frame(stream, &mut body)?;
+        Ok((tag, body))
+    }
+
+    /// A key standing for the `k`-th distinct matrix.
+    fn key(k: u64) -> CacheKey {
+        CacheKey {
+            order: 2,
+            digest: [k, 0],
+            config: 0,
+        }
+    }
+
+    fn job(tenant: &str, id: u64, op: Op, k: u64) -> (QueuedJob, mpsc::Receiver<WireResponse>) {
         let (tx, rx) = mpsc::channel();
         (
             QueuedJob {
@@ -709,7 +738,7 @@ mod tests {
                 a: Matrix::identity(2),
                 rhs: Vec::new(),
                 cfg: InversionConfig::with_nb(1),
-                key,
+                key: key(k),
                 resp: tx,
             },
             rx,
@@ -747,7 +776,7 @@ mod tests {
         q.push(job("c", 4, Op::Invert, 42).0);
         let leader = q.pop().unwrap();
         assert_eq!(leader.id, 1);
-        let batch = q.drain_matching_solves(42);
+        let batch = q.drain_matching_solves(key(42));
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].id, 2);
         // The different-key solve and the invert stay queued.
@@ -768,7 +797,7 @@ mod tests {
                 assert_eq!(q.pop().map(|j| j.id), Some(i));
             } else {
                 q.push(job(&tenant, i, Op::Solve, i).0);
-                assert_eq!(q.drain_matching_solves(i).len(), 1);
+                assert_eq!(q.drain_matching_solves(key(i)).len(), 1);
             }
             assert_eq!(q.pending(&tenant), 0);
         }
@@ -938,5 +967,66 @@ mod tests {
             "{err}"
         );
         assert!(!err.contains("response id"), "{err}");
+    }
+
+    /// Asks a fake server for the LU factors of a 2×2 matrix; it answers
+    /// with `l`, `u` and `perm` under the request's id.
+    fn lu_from_fake_server(
+        l: &Matrix,
+        u: &Matrix,
+        perm: Vec<u64>,
+    ) -> Result<crate::client::ServiceReply> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut resp = WireResponse::err(0, "");
+        resp.ok = true;
+        resp.l = encode_binary_vec(l);
+        resp.u = encode_binary_vec(u);
+        resp.perm = perm;
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let (tag, body) = read_frame(&mut stream).unwrap();
+            assert_eq!(tag, TAG_REQUEST);
+            resp.id = bincode::deserialize::<WireRequest>(&body).unwrap().id;
+            write_frame(&mut stream, TAG_RESPONSE, &bincode::serialize(&resp)).unwrap();
+        });
+        let mut client = crate::client::ServiceClient::connect(&addr, "t").unwrap();
+        let reply = client.lu(&Matrix::identity(2), &InversionConfig::with_nb(1));
+        server.join().unwrap();
+        reply
+    }
+
+    #[test]
+    fn client_rejects_pivots_that_are_not_a_permutation() {
+        let i2 = Matrix::identity(2);
+        let good = lu_from_fake_server(&i2, &i2, vec![1, 0]).unwrap();
+        assert_eq!(good.factors.unwrap().perm.as_slice(), &[1, 0]);
+        for perm in [vec![0, 0], vec![0, 2], vec![u64::MAX, 0]] {
+            let err = lu_from_fake_server(&i2, &i2, perm.clone()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::Matrix(mrinv_matrix::MatrixError::NotAPermutation { .. })
+                ),
+                "{perm:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn client_rejects_factors_and_pivots_of_different_orders() {
+        let (i2, i3) = (Matrix::identity(2), Matrix::identity(3));
+        for (l, u, perm) in [
+            (&i2, &i3, vec![1, 0]),
+            (&i3, &i2, vec![2, 1, 0]),
+            (&i2, &i2, vec![0]),
+            (&i2, &i2, vec![2, 1, 0]),
+        ] {
+            let err = lu_from_fake_server(l, u, perm).unwrap_err().to_string();
+            assert!(err.contains("lu reply: L is"), "{err}");
+        }
+        let wide = Matrix::zeros(2, 3);
+        let err = lu_from_fake_server(&wide, &i2, vec![1, 0]).unwrap_err();
+        assert!(matches!(err, CoreError::Matrix(_)), "{err}");
     }
 }

@@ -14,7 +14,9 @@
 //! Frames are [`crate::wire`]'s: `u32` little-endian length, then one tag
 //! byte, then the body. Control structures (descriptors, results, errors)
 //! are bincode; DFS file contents ride as raw bytes (bit-exact, no value
-//! tree in the middle).
+//! tree in the middle). Each side builds and reads every frame of a
+//! conversation in one buffer: the driver one per task attempt, the
+//! worker one for its connection.
 //!
 //! | dir | tag | frame      | body                                        |
 //! |-----|-----|------------|---------------------------------------------|
@@ -216,9 +218,10 @@ impl TcpWorkers {
         stream
             .set_nodelay(true)
             .map_err(|e| MrError::Other(format!("worker {id} socket: {e}")))?;
-        let hello = read_frame(&mut stream)
+        let mut hello = Vec::new();
+        let tag = read_frame(&mut stream, &mut hello)
             .map_err(|e| MrError::Other(format!("worker {id} sent no Hello: {e}")))?;
-        if hello.0 != TAG_HELLO || hello.1.len() != 8 {
+        if tag != TAG_HELLO || hello.len() != 8 {
             let _ = child.kill();
             let _ = child.wait();
             return Err(MrError::Other(format!("worker {id} sent a bad Hello")));
@@ -294,10 +297,10 @@ impl TcpWorkers {
             .stream
             .set_read_timeout(Some(self.config.attempt_timeout))
             .map_err(|e| io_err("set timeout", &e))?;
-        write_frame(&mut worker.stream, TAG_RUN, &bincode::serialize(desc))
-            .map_err(|e| io_err("send task", &e))?;
+        let mut frame = bincode::serialize(desc);
+        write_frame(&mut worker.stream, TAG_RUN, &frame).map_err(|e| io_err("send task", &e))?;
         loop {
-            let (tag, body) = read_frame(&mut worker.stream).map_err(|e| {
+            let tag = read_frame(&mut worker.stream, &mut frame).map_err(|e| {
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -312,12 +315,12 @@ impl TcpWorkers {
             })?;
             match tag {
                 TAG_DFS_REQ => {
-                    let resp = serve_dfs_request(&body, dfs).map_err(|e| io_err("dfs req", &e))?;
-                    write_frame(&mut worker.stream, TAG_DFS_RESP, &resp)
+                    serve_dfs_request(&mut frame, dfs).map_err(|e| io_err("dfs req", &e))?;
+                    write_frame(&mut worker.stream, TAG_DFS_RESP, &frame)
                         .map_err(|e| io_err("send dfs resp", &e))?;
                 }
                 TAG_DONE => {
-                    let Some((&status, payload)) = body.split_first() else {
+                    let Some((&status, payload)) = frame.split_first() else {
                         return Err("empty Done frame".into());
                     };
                     return Ok(match status {
@@ -349,10 +352,10 @@ impl TcpWorkers {
     }
 }
 
-/// Handles one worker DFS request against the driver's store, returning
-/// the `DfsResp` body.
-fn serve_dfs_request(body: &[u8], dfs: &Dfs) -> std::result::Result<Vec<u8>, String> {
-    let Some((&op, rest)) = body.split_first() else {
+/// Handles the worker DFS request in `frame` against the driver's store
+/// and replaces it with the `DfsResp` body.
+fn serve_dfs_request(frame: &mut Vec<u8>, dfs: &Dfs) -> std::result::Result<(), String> {
+    let Some((&op, rest)) = frame.split_first() else {
         return Err("empty DfsReq".into());
     };
     if rest.len() < 4 {
@@ -364,27 +367,34 @@ fn serve_dfs_request(body: &[u8], dfs: &Dfs) -> std::result::Result<Vec<u8>, Str
     }
     let path = std::str::from_utf8(&rest[4..4 + path_len]).map_err(|e| e.to_string())?;
     let data = &rest[4 + path_len..];
-    Ok(match op {
-        OP_READ => match dfs.read(path) {
-            Ok(bytes) => {
-                let mut resp = Vec::with_capacity(1 + bytes.len());
-                resp.push(STATUS_OK);
-                resp.extend_from_slice(&bytes);
-                resp
+    match op {
+        OP_READ => {
+            let read = dfs.read(path);
+            frame.clear();
+            match read {
+                Ok(bytes) => {
+                    frame.push(STATUS_OK);
+                    frame.extend_from_slice(&bytes);
+                }
+                Err(e) => {
+                    frame.push(STATUS_ERR);
+                    bincode::serialize_into(frame, &e);
+                }
             }
-            Err(e) => {
-                let mut resp = vec![STATUS_ERR];
-                resp.extend_from_slice(&bincode::serialize(&e));
-                resp
-            }
-        },
+        }
         OP_WRITE => {
             dfs.write(path, Bytes::from(data.to_vec()));
-            vec![STATUS_OK]
+            frame.clear();
+            frame.push(STATUS_OK);
         }
-        OP_EXISTS => vec![STATUS_OK, dfs.exists(path) as u8],
+        OP_EXISTS => {
+            let exists = dfs.exists(path);
+            frame.clear();
+            frame.extend([STATUS_OK, u8::from(exists)]);
+        }
         other => return Err(format!("unknown DFS op {other}")),
-    })
+    }
+    Ok(())
 }
 
 impl ExecBackend for TcpWorkers {
@@ -469,28 +479,36 @@ impl Drop for TcpWorkers {
 
 // ---- Worker side ---------------------------------------------------------
 
+/// The worker's end of its driver connection: the socket, and the one
+/// buffer every frame on it is built and read in.
+struct Conn {
+    stream: TcpStream,
+    frame: Vec<u8>,
+}
+
 /// [`DfsAccess`] implementation that forwards every operation to the
 /// driver over the task's own socket.
 struct RemoteDfs {
-    stream: Mutex<TcpStream>,
+    conn: Mutex<Conn>,
 }
 
 impl RemoteDfs {
     fn request(&self, op: u8, path: &str, data: &[u8]) -> Result<Vec<u8>> {
-        let mut body = Vec::with_capacity(1 + 4 + path.len() + data.len());
-        body.push(op);
-        body.extend_from_slice(&(path.len() as u32).to_le_bytes());
-        body.extend_from_slice(path.as_bytes());
-        body.extend_from_slice(data);
-        let mut stream = self.stream.lock().expect("stream lock");
-        write_frame(&mut *stream, TAG_DFS_REQ, &body)
-            .map_err(|e| MrError::Other(format!("worker lost driver connection: {e}")))?;
-        let (tag, resp) = read_frame(&mut *stream)
-            .map_err(|e| MrError::Other(format!("worker lost driver connection: {e}")))?;
+        let lost =
+            |e: std::io::Error| MrError::Other(format!("worker lost driver connection: {e}"));
+        let mut conn = self.conn.lock().expect("connection lock");
+        let Conn { stream, frame } = &mut *conn;
+        frame.clear();
+        frame.push(op);
+        frame.extend_from_slice(&(path.len() as u32).to_le_bytes());
+        frame.extend_from_slice(path.as_bytes());
+        frame.extend_from_slice(data);
+        write_frame(stream, TAG_DFS_REQ, frame).map_err(lost)?;
+        let tag = read_frame(stream, frame).map_err(lost)?;
         if tag != TAG_DFS_RESP {
             return Err(MrError::Other(format!("expected DfsResp, got tag {tag}")));
         }
-        let Some((&status, payload)) = resp.split_first() else {
+        let Some((&status, payload)) = frame.split_first() else {
             return Err(MrError::Other("empty DfsResp".into()));
         };
         match status {
@@ -539,20 +557,24 @@ pub fn worker_serve(addr: &str, worker_id: usize, registry: &TaskRegistry) -> Re
             .map_err(|e| net_err("hello", &e))?;
     }
     let remote = Arc::new(RemoteDfs {
-        stream: Mutex::new(stream),
+        conn: Mutex::new(Conn {
+            stream,
+            frame: Vec::new(),
+        }),
     });
     loop {
-        let (tag, body) = {
-            let mut s = remote.stream.lock().expect("stream lock");
-            match read_frame(&mut *s) {
-                Ok(frame) => frame,
-                // EOF/reset: the driver went away; exit quietly.
-                Err(_) => return Ok(()),
-            }
+        let mut conn = remote.conn.lock().expect("connection lock");
+        let Conn { stream, frame } = &mut *conn;
+        let Ok(tag) = read_frame(stream, frame) else {
+            // EOF/reset: the driver went away; exit quietly.
+            return Ok(());
         };
         match tag {
             TAG_RUN => {
-                let outcome = bincode::deserialize::<TaskDescriptor>(&body)
+                let desc = bincode::deserialize::<TaskDescriptor>(frame);
+                // The task's DFS requests take the connection in turn.
+                drop(conn);
+                let outcome = desc
                     .map_err(|e| MrError::Other(format!("bad task descriptor: {e}")))
                     .and_then(|desc| {
                         let codec = registry.get(&desc.family).ok_or_else(|| {
@@ -563,19 +585,20 @@ pub fn worker_serve(addr: &str, worker_id: usize, registry: &TaskRegistry) -> Re
                         })?;
                         codec.run(&desc, remote.clone() as Arc<dyn DfsAccess>)
                     });
-                let mut frame = Vec::new();
+                let mut conn = remote.conn.lock().expect("connection lock");
+                let Conn { stream, frame } = &mut *conn;
+                frame.clear();
                 match outcome {
                     Ok(result) => {
                         frame.push(STATUS_OK);
-                        frame.extend_from_slice(&bincode::serialize(&result));
+                        bincode::serialize_into(frame, &result);
                     }
                     Err(e) => {
                         frame.push(STATUS_ERR);
-                        frame.extend_from_slice(&bincode::serialize(&e));
+                        bincode::serialize_into(frame, &e);
                     }
                 }
-                let mut s = remote.stream.lock().expect("stream lock");
-                write_frame(&mut *s, TAG_DONE, &frame).map_err(|e| net_err("send done", &e))?;
+                write_frame(stream, TAG_DONE, frame).map_err(|e| net_err("send done", &e))?;
             }
             TAG_SHUTDOWN => return Ok(()),
             other => {

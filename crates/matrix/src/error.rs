@@ -49,6 +49,16 @@ pub enum MatrixError {
     },
     /// A serialized matrix could not be decoded.
     Codec(String),
+    /// A pivot array read from outside the program is not a permutation
+    /// of `0..len`: its entry `index` is out of range or repeated.
+    NotAPermutation {
+        /// Length of the array.
+        len: usize,
+        /// Position of the first offending entry.
+        index: usize,
+        /// The offending entry.
+        value: usize,
+    },
 }
 
 impl fmt::Display for MatrixError {
@@ -86,6 +96,9 @@ impl fmt::Display for MatrixError {
                 write!(f, "invalid parameter in {op}: {what}")
             }
             MatrixError::Codec(msg) => write!(f, "matrix codec error: {msg}"),
+            MatrixError::NotAPermutation { len, index, value } => {
+                write!(f, "not a permutation of 0..{len}: entry {index} is {value}")
+            }
         }
     }
 }

@@ -8,6 +8,7 @@
 //! `U^-1 L^-1`.
 
 use crate::dense::Matrix;
+use crate::error::{MatrixError, Result};
 
 /// A row permutation stored as the paper's `S` array.
 ///
@@ -25,23 +26,22 @@ impl Permutation {
         }
     }
 
-    /// Builds a permutation from an `S` array; panics (debug) if the array
-    /// is not a valid permutation.
-    pub fn from_vec(s: Vec<usize>) -> Self {
-        debug_assert!(Self::is_valid(&s), "not a permutation: {s:?}");
-        Permutation { s }
-    }
-
-    fn is_valid(s: &[usize]) -> bool {
+    /// Builds a permutation from an `S` array, checking that it is one:
+    /// every entry below the length, none repeated. Pivot arrays arrive
+    /// from outside the program (a service reply, a stored `FactorRef`),
+    /// and `source_of` indexes with them.
+    pub fn from_vec(s: Vec<usize>) -> Result<Self> {
         let mut seen = vec![false; s.len()];
-        s.iter().all(|&v| {
-            if v >= s.len() || seen[v] {
-                false
-            } else {
-                seen[v] = true;
-                true
+        for (index, &value) in s.iter().enumerate() {
+            if value >= s.len() || std::mem::replace(&mut seen[value], true) {
+                return Err(MatrixError::NotAPermutation {
+                    len: s.len(),
+                    index,
+                    value,
+                });
             }
-        })
+        }
+        Ok(Permutation { s })
     }
 
     /// Length of the permutation.
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn apply_rows_matches_dense_p() {
-        let p = Permutation::from_vec(vec![2, 0, 1]);
+        let p = Permutation::from_vec(vec![2, 0, 1]).unwrap();
         let a = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
         let via_array = p.apply_rows(&a);
         let via_matrix = &p.to_matrix() * &a;
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn apply_cols_matches_dense_p() {
-        let p = Permutation::from_vec(vec![2, 0, 1]);
+        let p = Permutation::from_vec(vec![2, 0, 1]).unwrap();
         let a = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
         let via_array = p.apply_cols(&a);
         let via_matrix = &a * &p.to_matrix();
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn inverse_undoes_row_permutation() {
-        let p = Permutation::from_vec(vec![3, 1, 0, 2]);
+        let p = Permutation::from_vec(vec![3, 1, 0, 2]).unwrap();
         let a = Matrix::from_fn(4, 2, |i, j| (i * 2 + j) as f64);
         let back = p.inverse().apply_rows(&p.apply_rows(&a));
         assert_eq!(back, a);
@@ -180,11 +180,37 @@ mod tests {
 
     #[test]
     fn augment_is_block_diagonal() {
-        let p1 = Permutation::from_vec(vec![1, 0]);
-        let p2 = Permutation::from_vec(vec![0, 2, 1]);
+        let p1 = Permutation::from_vec(vec![1, 0]).unwrap();
+        let p2 = Permutation::from_vec(vec![0, 2, 1]).unwrap();
         let p = Permutation::augment(&p1, &p2);
         assert_eq!(p.as_slice(), &[1, 0, 2, 4, 3]);
         assert_eq!(p.len(), 5);
+    }
+
+    #[test]
+    fn from_vec_rejects_what_is_not_a_permutation() {
+        assert_eq!(
+            Permutation::from_vec(vec![2, 0, 1]).unwrap().as_slice(),
+            &[2, 0, 1]
+        );
+        assert_eq!(
+            Permutation::from_vec(Vec::new()),
+            Ok(Permutation::identity(0))
+        );
+        let repeated = Permutation::from_vec(vec![0, 0]).unwrap_err();
+        assert_eq!(
+            repeated,
+            MatrixError::NotAPermutation {
+                len: 2,
+                index: 1,
+                value: 0
+            }
+        );
+        let out_of_range = Permutation::from_vec(vec![0, 5, 1]).unwrap_err();
+        assert_eq!(
+            out_of_range.to_string(),
+            "not a permutation of 0..3: entry 1 is 5"
+        );
     }
 
     #[test]
@@ -198,7 +224,7 @@ mod tests {
     #[test]
     fn pa_equals_apply_rows_for_lu_usage() {
         // The LU contract is PA = LU where P is built from the S array.
-        let p = Permutation::from_vec(vec![1, 2, 0]);
+        let p = Permutation::from_vec(vec![1, 2, 0]).unwrap();
         let a = Matrix::from_fn(3, 3, |i, j| ((i + 1) * (j + 2)) as f64);
         let pa = p.apply_rows(&a);
         for i in 0..3 {

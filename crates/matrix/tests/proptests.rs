@@ -108,7 +108,7 @@ fn arb_perm(max_n: usize) -> impl Strategy<Value = Permutation> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut s: Vec<usize> = (0..n).collect();
         s.shuffle(&mut rng);
-        Permutation::from_vec(s)
+        Permutation::from_vec(s).unwrap()
     })
 }
 

@@ -285,7 +285,7 @@ fn core_decodes_blocks_and_names_dfs_files_in_one_place() {
     const CODEC_FILES: [&str; 5] = [
         "source.rs",     // block I/O: read_block / write_block
         "tri_inv_mr.rs", // the IndexedBlock container
-        "cache.rs",      // the cache key hashes the encoded matrix
+        "cache.rs",      // its tests store leaf factor files
         "service.rs",    // the wire
         "client.rs",     // the wire
     ];

@@ -310,7 +310,8 @@ fn zero_nb_is_an_error_reply_and_the_connection_survives() {
             transpose_u: true,
         };
         write_frame(&mut stream, TAG_REQUEST, &bincode::serialize(&req)).unwrap();
-        let (tag, body) = read_frame(&mut stream).expect("the connection must stay open");
+        let mut body = Vec::new();
+        let tag = read_frame(&mut stream, &mut body).expect("the connection must stay open");
         assert_eq!(tag, TAG_RESPONSE);
         bincode::deserialize(&body).unwrap()
     };
