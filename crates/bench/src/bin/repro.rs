@@ -462,43 +462,8 @@ fn run_sec74_node(args: &Args) {
     );
     let trace_path = write_results_file("sec74_node_trace.json", &result.death_trace_json).unwrap();
     println!("death-run timeline -> {trace_path} (open at ui.perfetto.dev or chrome://tracing)");
-    println!(
-        "barrier vs pipelined on the slow node: {:.6} h -> {:.6} h, clean-wave straggler \
-         ratio {:.2} -> {:.2}, p95 reduce wait {:.3e}s -> {:.3e}s, {} steal(s); \
-         max |clean - pipelined| = {:e}",
-        result
-            .outcomes
-            .iter()
-            .find(|o| o.label.contains("slow-node+timeout"))
-            .map(|o| o.hours)
-            .unwrap_or(f64::NAN),
-        result.pipelined_hours,
-        result.barrier_straggler_ratio,
-        result.pipelined_straggler_ratio,
-        result.barrier_p95_reduce_wait_secs,
-        result.pipelined_p95_reduce_wait_secs,
-        result.steals,
-        result.pipelined_max_abs_diff
-    );
-    let sched_csv = [format!(
-        "{},{},{},{},{},{},{}",
-        result.barrier_straggler_ratio,
-        result.pipelined_straggler_ratio,
-        result.barrier_p95_reduce_wait_secs,
-        result.pipelined_p95_reduce_wait_secs,
-        result.pipelined_hours,
-        result.steals,
-        result.pipelined_max_abs_diff
-    )];
-    let sched_path = write_csv(
-        "sec74_node_sched",
-        "barrier_straggler,pipelined_straggler,barrier_p95_wait_secs,\
-         pipelined_p95_wait_secs,pipelined_hours,steals,pipelined_max_abs_diff",
-        &sched_csv,
-    )
-    .unwrap();
     println!("(paper: workers killed mid-run; the job re-executes lost tasks and still");
-    println!("        finishes correctly, stretching 5 h to 8 h)\n-> {path}\n-> {sched_path}");
+    println!("        finishes correctly, stretching 5 h to 8 h)\n-> {path}");
 }
 
 fn run_section2(args: &Args) {
@@ -693,7 +658,7 @@ fn run_obs_check(_args: &Args) {
         "mrinv_task_run_seconds_bucket{",
         "mrinv_kernel_gflops{backend=",
         "mrinv_job_seconds_count{",
-        // Present (at 0) even in barrier mode: the runner resolves the
+        // Present (at 0) even when no backup won: the runner resolves the
         // steal counter unconditionally so dashboards never miss it.
         "mrinv_sched_steals_total{",
     ] {

@@ -19,7 +19,6 @@ use mrinv::{CoreError, Outcome, Request, RunReport};
 use mrinv_mapreduce::tracelog;
 use mrinv_mapreduce::{
     chrome_trace_json, Cluster, ClusterConfig, CostModel, MrError, Phase, PipelineAnalytics, RunId,
-    SchedulingMode,
 };
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::Matrix;
@@ -73,7 +72,7 @@ pub fn large_cluster(m0: usize, scale: usize) -> Cluster {
 }
 
 /// One cold inversion through the front door, on a cluster the experiment
-/// built (fault plan, node speeds, scheduling mode and tracing included).
+/// built (fault plan, node speeds and tracing included).
 fn invert(cluster: &Cluster, a: &Matrix, cfg: &InversionConfig) -> Outcome {
     Request::invert(a)
         .config(cfg)
@@ -439,79 +438,6 @@ pub struct Sec74NodeOutput {
     pub death_trace_json: String,
     /// Straggler/lost-work analytics of the death run.
     pub death_analytics: PipelineAnalytics,
-    /// Worst straggler ratio among the degraded barrier run's *clean*
-    /// waves (no failed attempts) — the waves backups are allowed to
-    /// rescue. Barrier backs up each wave's worst straggler only.
-    pub barrier_straggler_ratio: f64,
-    /// The same statistic for the degraded run re-executed under
-    /// [`SchedulingMode::Pipelined`]: backup attempts on idle fast slots
-    /// truncate every straggler they can beat. With one slow node the two
-    /// coincide — a wave has one straggler, and one backup rescues it.
-    pub pipelined_straggler_ratio: f64,
-    /// p95 over reduce-task waits (first reduce attempt start minus the
-    /// same job's map-wave end) in the degraded barrier run: every reducer
-    /// sits out the full post-barrier shuffle.
-    pub barrier_p95_reduce_wait_secs: f64,
-    /// The pipelined counterpart — the streamed shuffle overlaps transfers
-    /// with map compute, so reducers start sooner after the last map.
-    pub pipelined_p95_reduce_wait_secs: f64,
-    /// Degraded makespan in hours under pipelined scheduling (compare to
-    /// the `slow-node+timeout` outcome row).
-    pub pipelined_hours: f64,
-    /// Backup attempts the pipelined degraded run launched
-    /// (`mrinv_sched_steals_total` summed across jobs and waves).
-    pub steals: u64,
-    /// max |clean − pipelined| over the inverse: pipelined scheduling
-    /// reorders the timeline, never the data (0.0 ⇒ bit-identical).
-    pub pipelined_max_abs_diff: f64,
-}
-
-/// Worst `max/p50` straggler ratio among waves that saw no failed
-/// attempts — timeout/death waves suspend work stealing by design, so the
-/// clean waves are where the barrier-vs-pipelined comparison is
-/// meaningful.
-fn clean_wave_straggler_ratio(analytics: &PipelineAnalytics) -> f64 {
-    analytics
-        .waves
-        .iter()
-        .filter(|w| w.lost_secs == 0.0 && w.attempts == w.tasks)
-        .map(|w| w.straggler_ratio)
-        .fold(1.0, f64::max)
-}
-
-/// p95 of reduce-task wait: for each job with a reduce wave, the first
-/// attempt of every reduce task waits `start − map_wave_end` seconds
-/// behind the job's last map completion (shuffle plus queueing). The
-/// barrier scheduler charges every reducer the full serial shuffle; the
-/// streamed shuffle ships early commits while late maps still run.
-fn p95_reduce_wait_secs(events: &[mrinv_mapreduce::TaskEvent]) -> f64 {
-    use mrinv_mapreduce::tracelog::TracePhase;
-    use std::collections::BTreeMap;
-
-    // The job's shuffle span starts at the planner's map-wave end — the
-    // instant reducers were admitted.
-    let mut map_end: BTreeMap<u64, f64> = BTreeMap::new();
-    for e in events {
-        if e.phase == TracePhase::Shuffle {
-            if let Some(seq) = e.job_seq {
-                map_end.insert(seq, e.sim_start_secs);
-            }
-        }
-    }
-    let mut waits: Vec<f64> = events
-        .iter()
-        .filter(|e| e.phase == TracePhase::Reduce && e.attempt == 0)
-        .filter_map(|e| {
-            let end = map_end.get(&e.job_seq?)?;
-            Some((e.sim_start_secs - end).max(0.0))
-        })
-        .collect();
-    waits.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    if waits.is_empty() {
-        return 0.0;
-    }
-    let idx = ((waits.len() as f64 * 0.95).ceil() as usize).clamp(1, waits.len()) - 1;
-    waits[idx]
 }
 
 /// Section 7.4, node-granularity variant: the paper kills *worker
@@ -557,22 +483,18 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
         codec_scale: 0.0,
         ..extrapolated_cost(scale)
     };
-    let cluster_with = |speeds: Vec<f64>, timeout: Option<f64>, mode: SchedulingMode| {
+    let cluster_with = |speeds: Vec<f64>, timeout: Option<f64>| {
         let mut ccfg = ClusterConfig::medium(m0);
         ccfg.cost = cost.clone();
         ccfg.tracing = true;
-        // The steal counter (`mrinv_sched_steals_total`) lives in the obs
-        // registry, so the barrier-vs-pipelined comparison turns it on.
-        ccfg.observability = true;
         ccfg.node_speeds = speeds;
         ccfg.task_timeout_secs = timeout;
-        ccfg.scheduling = mode;
         Cluster::new(ccfg)
     };
     let dur = |e: &mrinv_mapreduce::TaskEvent| e.sim_end_secs - e.sim_start_secs;
 
     // Run 1: clean.
-    let cluster = cluster_with(vec![], None, SchedulingMode::Barrier);
+    let cluster = cluster_with(vec![], None);
     let clean = invert(&cluster, &a, &cfg);
     let clean_events = cluster.trace.events();
     let d_max = clean_events
@@ -606,27 +528,9 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
     speeds[m0 - 1] = slow;
 
     // Run 2: degraded — timeout evictions, no death.
-    let cluster = cluster_with(speeds.clone(), Some(timeout), SchedulingMode::Barrier);
+    let cluster = cluster_with(speeds.clone(), Some(timeout));
     let degraded = invert(&cluster, &a, &cfg);
     let base_events = cluster.trace.events();
-
-    // Run 2b: the same degraded cluster under pipelined scheduling — the
-    // straggler-tax comparison of the two modes on identical inputs. The
-    // streamed shuffle starts reducers sooner and idle fast slots steal
-    // the slow node's in-timeout stragglers; the inverse bits must not
-    // move.
-    let cluster = cluster_with(speeds.clone(), Some(timeout), SchedulingMode::Pipelined);
-    let piped = invert(&cluster, &a, &cfg);
-    let piped_events = cluster.trace.events();
-    let steals: u64 = cluster
-        .obs_snapshot()
-        .counters
-        .iter()
-        .filter(|c| c.name == "mrinv_sched_steals_total")
-        .map(|c| c.value)
-        .sum();
-    let barrier_analytics = tracelog::analyze(&base_events, None);
-    let piped_analytics = tracelog::analyze(&piped_events, None);
 
     // Victim: among map waves of shuffling jobs (map-only side files are
     // replicated DFS writes and survive a death), the healthy node whose
@@ -665,7 +569,7 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
     let (_, victim, t_kill) = best.expect("a shuffling job's map wave has an early finisher");
 
     // Run 3: the same degraded cluster, with the victim dying mid-wave.
-    let cluster = cluster_with(speeds, Some(timeout), SchedulingMode::Barrier);
+    let cluster = cluster_with(speeds, Some(timeout));
     cluster.faults.kill_node(victim, t_kill);
     let death = invert(&cluster, &a, &cfg);
     let events = cluster.trace.events();
@@ -679,15 +583,11 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
         LargeMatrixOutcome::of(&format!("ours/{m0}-medium/{label}"), run)
     };
     let clean_inverse = clean.inverse().expect("invert outcome");
-    let diff_from_clean = |run: &Outcome| {
-        let inverse = run.inverse().expect("invert outcome");
-        inverse.max_abs_diff(clean_inverse).expect("same shape")
-    };
+    let death_inverse = death.inverse().expect("invert outcome");
     Sec74NodeOutput {
         outcomes: vec![
             row("clean", &clean),
             row("slow-node+timeout", &degraded),
-            row("slow-node+pipelined", &piped),
             row("node-death", &death),
         ],
         victim,
@@ -700,16 +600,11 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
             .filter(|e| e.phase == TracePhase::NodeDeath)
             .count(),
         data_local_fraction: death.report.data_local_fraction,
-        max_abs_diff: diff_from_clean(&death),
+        max_abs_diff: death_inverse
+            .max_abs_diff(clean_inverse)
+            .expect("same shape"),
         death_trace_json: chrome_trace_json(&events),
         death_analytics: tracelog::analyze(&events, None),
-        barrier_straggler_ratio: clean_wave_straggler_ratio(&barrier_analytics),
-        pipelined_straggler_ratio: clean_wave_straggler_ratio(&piped_analytics),
-        barrier_p95_reduce_wait_secs: p95_reduce_wait_secs(&base_events),
-        pipelined_p95_reduce_wait_secs: p95_reduce_wait_secs(&piped_events),
-        pipelined_hours: piped.report.hours,
-        steals,
-        pipelined_max_abs_diff: diff_from_clean(&piped),
     }
 }
 
@@ -834,31 +729,6 @@ mod tests {
         );
         assert!((0.0..=1.0).contains(&out.data_local_fraction));
         assert!(out.death_trace_json.contains("traceEvents"));
-        // Pipelined vs barrier on the same degraded cluster: identical
-        // bits, a shorter makespan, reducers that wait less behind the
-        // last map, and no *worse* stragglers on the clean waves.
-        assert_eq!(
-            out.pipelined_max_abs_diff, 0.0,
-            "pipelined scheduling must reproduce the clean bits"
-        );
-        assert!(
-            out.pipelined_hours < hours("slow-node+timeout"),
-            "pipelined {} h must beat barrier {} h on the slow node",
-            out.pipelined_hours,
-            hours("slow-node+timeout")
-        );
-        assert!(
-            out.pipelined_p95_reduce_wait_secs < out.barrier_p95_reduce_wait_secs,
-            "streamed shuffle must cut the p95 reduce wait: {} vs {}",
-            out.pipelined_p95_reduce_wait_secs,
-            out.barrier_p95_reduce_wait_secs
-        );
-        assert!(
-            out.pipelined_straggler_ratio <= out.barrier_straggler_ratio,
-            "stealing may only shrink clean-wave stragglers: {} vs {}",
-            out.pipelined_straggler_ratio,
-            out.barrier_straggler_ratio
-        );
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! mrinv invert --input a.txt --output inv.txt [--nodes 4] [--nb 200]
-//!              [--backend in-process|tcp:<n>] [--sched barrier|pipelined]
-//!              [--trace-out trace.json] [--metrics-json metrics.json]
+//!              [--backend in-process|tcp:<n>] [--trace-out trace.json] [--metrics-json metrics.json]
 //!              [--metrics-prom metrics.prom] [--progress]
 //!              [--workdir DIR] [--checkpoint] [--resume] [--kill-after-job K]
 //!              [--connect ADDR --tenant NAME]
@@ -26,13 +25,6 @@
 //! DFS traffic travel over loopback TCP, and a worker that dies
 //! mid-attempt is replaced and the attempt retried. Results are
 //! bit-identical across backends.
-//!
-//! `--sched pipelined` prices the simulated timeline event-driven: each
-//! map task's shuffle chunk is charged from its commit and idle fast
-//! slots back up every straggler they can beat, shrinking wave makespans
-//! on skewed clusters. The default is the paper's per-wave barrier, which
-//! backs up only each wave's worst straggler. The flag selects pricing
-//! only; outputs are bit-identical either way.
 //!
 //! Matrices use the text format of the paper's `a.txt` (a `rows cols`
 //! header line, then whitespace-separated values; see
@@ -70,8 +62,7 @@ use std::process::exit;
 use std::sync::Arc;
 
 use mrinv_mapreduce::{
-    chrome_trace_json, Cluster, ClusterConfig, MrError, SchedulingMode, TcpWorkers,
-    TcpWorkersConfig,
+    chrome_trace_json, Cluster, ClusterConfig, MrError, TcpWorkers, TcpWorkersConfig,
 };
 use mrinv_matrix::io::{decode_text, write_text};
 use mrinv_matrix::norms::inversion_residual;
@@ -104,7 +95,6 @@ struct Opts {
     resume: bool,
     kill_after: Option<u64>,
     backend: Backend,
-    scheduling: SchedulingMode,
     connect: Option<String>,
     tenant: String,
     listen: String,
@@ -157,7 +147,7 @@ impl Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mrinv invert --input a.txt --output inv.txt [--nodes N] [--nb NB] [--backend in-process|tcp:W] [--sched barrier|pipelined] [--trace-out T.json] [--metrics-json M.json] [--metrics-prom M.prom] [--progress] [--workdir DIR] [--checkpoint] [--resume] [--kill-after-job K] [--connect ADDR --tenant NAME]\n  mrinv lu --input a.txt --l l.txt --u u.txt [same flags as invert]\n  mrinv solve --input a.txt --rhs b.txt --output x.txt [same flags as invert]\n  mrinv gen --order N --output a.txt [--seed S]\n  mrinv serve [--listen ADDR] [--nodes N] [--max-queue Q]\n  mrinv worker --connect <addr> --worker-id <n>"
+        "usage:\n  mrinv invert --input a.txt --output inv.txt [--nodes N] [--nb NB] [--backend in-process|tcp:W] [--trace-out T.json] [--metrics-json M.json] [--metrics-prom M.prom] [--progress] [--workdir DIR] [--checkpoint] [--resume] [--kill-after-job K] [--connect ADDR --tenant NAME]\n  mrinv lu --input a.txt --l l.txt --u u.txt [same flags as invert]\n  mrinv solve --input a.txt --rhs b.txt --output x.txt [same flags as invert]\n  mrinv gen --order N --output a.txt [--seed S]\n  mrinv serve [--listen ADDR] [--nodes N] [--max-queue Q]\n  mrinv worker --connect <addr> --worker-id <n>"
     );
     exit(2)
 }
@@ -183,7 +173,6 @@ fn parse(args: Vec<String>) -> Opts {
         resume: false,
         kill_after: None,
         backend: Backend::InProcess,
-        scheduling: SchedulingMode::Barrier,
         connect: None,
         tenant: "cli".to_string(),
         listen: "127.0.0.1:0".to_string(),
@@ -230,13 +219,6 @@ fn parse(args: Vec<String>) -> Opts {
                     tcp if tcp.starts_with("tcp:") => {
                         Backend::Tcp(tcp[4..].parse().unwrap_or_else(|_| usage()))
                     }
-                    _ => usage(),
-                };
-            }
-            "--sched" => {
-                opts.scheduling = match val().as_str() {
-                    "barrier" => SchedulingMode::Barrier,
-                    "pipelined" => SchedulingMode::Pipelined,
                     _ => usage(),
                 };
             }
@@ -307,7 +289,6 @@ fn build_cluster(opts: &Opts) -> Cluster {
     cfg.tracing = opts.trace_out.is_some() || wants_metrics;
     cfg.observability = wants_metrics;
     cfg.progress = opts.progress;
-    cfg.scheduling = opts.scheduling;
     if wants_metrics {
         mrinv_matrix::kernel::perf::set_enabled(true);
     }
@@ -419,7 +400,6 @@ fn run_serve(opts: &Opts) {
     let mut cfg = ClusterConfig::medium(opts.nodes);
     // Tenant/request metrics are the service's flight recorder; always on.
     cfg.observability = true;
-    cfg.scheduling = opts.scheduling;
     let cluster = Arc::new(Cluster::new(cfg));
     let service = ServiceConfig {
         addr: opts.listen.clone(),

@@ -784,6 +784,41 @@ mod tests {
                 }
             }
         }
+
+        /// Hostile bytes never panic the reader: arbitrary input, and a
+        /// valid block cut short anywhere, with one byte flipped, or with
+        /// its count, rows or cols set to `u64::MAX` or to the bytes
+        /// remaining + 1. A lying count is always an error; a lying shape
+        /// may describe an empty matrix, which is a valid block.
+        #[test]
+        fn hostile_bytes_never_panic_decode_indexed(
+            (noise, (rows, cols), cut, (at, mask)) in (
+                prop::collection::vec(any::<u8>(), 0..96),
+                (0usize..4, 0usize..4),
+                any::<usize>(),
+                (any::<usize>(), 1u8..=255),
+            )
+        ) {
+            let _ = decode_indexed(&noise);
+            let indices: Vec<u64> = (0..rows as u64).collect();
+            let valid = encode_indexed_parts(&indices, rows, cols, &vec![1.5; rows * cols]);
+            prop_assert!(decode_indexed(&valid).is_ok());
+            prop_assert!(decode_indexed(&valid[..cut % valid.len()]).is_err());
+            let mut flipped = valid.to_vec();
+            flipped[at % valid.len()] ^= mask;
+            let _ = decode_indexed(&flipped);
+            // The count, then the binary header's rows and cols.
+            let header = 8 + 8 * rows;
+            for field in [0, header + 4, header + 12] {
+                let remaining = (valid.len() - field - 8) as u64;
+                for lie in [u64::MAX, remaining + 1] {
+                    let mut lying = valid.to_vec();
+                    lying[field..field + 8].copy_from_slice(&lie.to_le_bytes());
+                    let decoded = decode_indexed(&lying);
+                    prop_assert!(field > 0 || decoded.is_err());
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,30 +9,6 @@ use crate::metrics::ClusterMetrics;
 use crate::simtime::CostModel;
 use crate::tracelog::TraceLog;
 
-/// How a job's waves are priced onto the simulated cluster clock.
-///
-/// The mode moves *time*, never data: every job runs the same bodies
-/// through the same shuffle under either value, and the runner reads the
-/// mode at exactly two pricing rules — the backup policy of a wave plan
-/// and the shuffle charge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulingMode {
-    /// Strict barriers (the default, bit-identical reproduction of the
-    /// paper's Hadoop runs): the whole shuffle is charged after the *last*
-    /// mapper commits, and the backup pass
-    /// ([`crate::scheduler::steal_backups`]) considers only the wave's
-    /// makespan-defining straggler — Hadoop's speculative execution, on
-    /// while [`ClusterConfig::speculative_execution`] is.
-    #[default]
-    Barrier,
-    /// Event-driven pricing: each map task's shuffle chunk is charged from
-    /// the moment that task commits, overlapping the rest of the map wave
-    /// ([`crate::scheduler::stream_shuffle_finish`]), and the same backup
-    /// pass considers every task: idle slots keep stealing straggling
-    /// in-flight tasks until no backup copy helps.
-    Pipelined,
-}
-
 /// Maximum attempts per task before the job fails (Hadoop's
 /// `mapred.map.max.attempts` default).
 pub(crate) const MAX_TASK_ATTEMPTS: u32 = 4;
@@ -56,9 +32,9 @@ pub struct ClusterConfig {
     /// The paper observes high variance between supposedly identical EC2
     /// instances (Section 7.4); populate this to model it.
     pub node_speeds: Vec<f64>,
-    /// Hadoop-style speculative execution: back up the wave's straggler
-    /// task on another slot (on by default, as in Hadoop). Read under
-    /// [`SchedulingMode::Barrier`] only; pipelined pricing always backs up.
+    /// Hadoop-style speculative execution: back up each wave's
+    /// makespan-defining straggler on the slot that would finish it first
+    /// ([`crate::scheduler::speculate`]; on by default, as in Hadoop).
     pub speculative_execution: bool,
     /// Record one [`crate::tracelog::TaskEvent`] per task attempt (off by
     /// default: tracing costs one atomic load per event site when
@@ -80,10 +56,6 @@ pub struct ClusterConfig {
     /// another node with capped exponential backoff (1 simulated second
     /// doubling, up to 60).
     pub task_timeout_secs: Option<f64>,
-    /// Barrier-per-wave (default) or pipelined, work-stealing pricing.
-    /// Excluded from config fingerprints: the mode never touches data, so
-    /// a checkpoint written under one mode resumes under the other.
-    pub scheduling: SchedulingMode,
     /// Pricing of compute, disk, network, and job launches.
     pub cost: CostModel,
 }
@@ -100,7 +72,6 @@ impl ClusterConfig {
             observability: false,
             progress: false,
             task_timeout_secs: None,
-            scheduling: SchedulingMode::Barrier,
             cost: CostModel::ec2_medium(),
         }
     }
@@ -287,12 +258,5 @@ mod tests {
         let l = Cluster::new(ClusterConfig::large(128));
         assert_eq!(l.config.slots_per_node, 2);
         assert_eq!(l.config.cost.cores_per_node, 2);
-    }
-
-    #[test]
-    fn barrier_scheduling_is_the_default() {
-        assert_eq!(ClusterConfig::medium(4).scheduling, SchedulingMode::Barrier);
-        assert_eq!(ClusterConfig::large(4).scheduling, SchedulingMode::Barrier);
-        assert_eq!(SchedulingMode::default(), SchedulingMode::Barrier);
     }
 }

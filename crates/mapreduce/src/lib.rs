@@ -74,7 +74,7 @@ pub mod simtime;
 pub mod tracelog;
 pub mod wire;
 
-pub use cluster::{Cluster, ClusterConfig, SchedulingMode};
+pub use cluster::{Cluster, ClusterConfig};
 pub use dfs::{Dfs, UncountedDfs};
 pub use driver::{Fingerprint, ManifestRecord, PipelineDriver, RunId, RunReport};
 pub use error::{MrError, Result};

@@ -3,8 +3,8 @@
 //! Every job is one round through one private engine ([`run_job`] and
 //! [`run_map_only`] are its two entry points); a map-only job is the
 //! zero-reducer case of the same round — no partitioning, no shuffle, no
-//! reduce wave. [`SchedulingMode`] never touches data: it selects between
-//! two pricing rules, at the backup policy and at the shuffle charge.
+//! reduce wave. Each wave ends at a barrier: the shuffle is charged after
+//! the last mapper commits, and the reduce wave starts after the shuffle.
 //!
 //! Tasks execute for real, in parallel, through rayon; the *simulated*
 //! duration of each wave comes from replaying the measured per-task work
@@ -38,10 +38,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::cluster::{
-    Cluster, ClusterConfig, SchedulingMode, MAX_TASK_ATTEMPTS, RETRY_BACKOFF_BASE_SECS,
-    RETRY_BACKOFF_CAP_SECS,
-};
+use crate::cluster::{Cluster, MAX_TASK_ATTEMPTS, RETRY_BACKOFF_BASE_SECS, RETRY_BACKOFF_CAP_SECS};
 use crate::error::{MrError, Result};
 use crate::exec::{
     decode_as, map_body, reduce_body, ErasedPayload, JobCodec, RawMapPayload, RawReducePayload,
@@ -50,10 +47,7 @@ use crate::exec::{
 use crate::fault::{FailureCause, Phase};
 use crate::job::{JobSpec, Mapper, Reducer, TaskStats};
 use crate::obs::{Labels, Registry};
-use crate::scheduler::{
-    plan_wave, steal_backups, stream_shuffle_finish, AttemptOutcome, PlannedTask, WaveFaults,
-    WavePlan,
-};
+use crate::scheduler::{plan_wave, speculate, AttemptOutcome, PlannedTask, WaveFaults, WavePlan};
 use crate::shuffle::{parallel_shuffle, partition_pairs, ReducerInput};
 use crate::tracelog::{TaskEvent, TracePhase};
 
@@ -229,19 +223,15 @@ fn settle_wave<T>(
 }
 
 /// Plans one wave against the cluster's current fault state: greedy
-/// placement ([`plan_wave`]) followed by the one backup pass
-/// ([`steal_backups`]). [`SchedulingMode`] only picks how many straggler
-/// candidates that pass considers: every one when pipelined (idle slots
-/// keep re-running the latest-ending task until no backup improves its
-/// finish), the makespan-defining one under barrier with
-/// `speculative_execution`, none otherwise.
+/// placement ([`plan_wave`]) followed, with `speculative_execution` on, by
+/// the backup of the wave's makespan-defining straggler ([`speculate`]).
 ///
-/// Two-pass death handling, the same order in both modes: the wave is
-/// planned and backed up fault-free first, and only if the next scheduled
-/// death lands inside *that* makespan is it re-planned with the death
-/// injected mid-wave — a death after the backed-up wave really ended
-/// belongs to the next wave. The re-planned wave gets no backups
-/// (`steal_backups` suspends itself during failure recovery).
+/// Two-pass death handling: the wave is planned and backed up fault-free
+/// first, and only if the next scheduled death lands inside *that*
+/// makespan is it re-planned with the death injected mid-wave — a death
+/// after the backed-up wave really ended belongs to the next wave. The
+/// re-planned wave gets no backup (`speculate` suspends itself during
+/// failure recovery).
 fn plan_with_faults(
     cluster: &Cluster,
     tasks: &[PlannedTask],
@@ -250,11 +240,6 @@ fn plan_with_faults(
 ) -> WavePlan {
     let cfg = &cluster.config;
     let speeds = cfg.speeds();
-    let max_candidates = if cfg.scheduling == SchedulingMode::Pipelined {
-        usize::MAX
-    } else {
-        usize::from(cfg.speculative_execution)
-    };
     let mut faults = WaveFaults {
         dead_nodes: cluster.faults.dead_nodes(),
         node_death: None,
@@ -267,14 +252,9 @@ fn plan_with_faults(
     };
     let plan_once = |faults: &WaveFaults| {
         let mut plan = plan_wave(tasks, &speeds, cfg.slots_per_node, faults);
-        steal_backups(
-            &mut plan,
-            tasks,
-            &speeds,
-            cfg.slots_per_node,
-            faults,
-            max_candidates,
-        );
+        if cfg.speculative_execution {
+            speculate(&mut plan, tasks, &speeds, cfg.slots_per_node, faults);
+        }
         plan
     };
     let mut plan = plan_once(&faults);
@@ -286,28 +266,6 @@ fn plan_with_faults(
         }
     }
     plan
-}
-
-/// Seconds the shuffle adds after the map wave ends. Barrier: the whole
-/// shuffle is priced after the last mapper commits. Pipelined: each task's
-/// chunk streams through the same aggregate bandwidth starting at that
-/// task's commit, so only the tail that could not overlap map compute is
-/// charged (≥ 0 and ≤ the barrier charge by construction).
-fn shuffle_charge(
-    cfg: &ClusterConfig,
-    map_plan: &WavePlan,
-    per_task_bytes: &[u64],
-    launch_end: f64,
-) -> f64 {
-    if cfg.scheduling == SchedulingMode::Pipelined {
-        let aggregate_bw = cfg.cost.net_bw * cfg.nodes.max(1) as f64;
-        let done_rel = stream_shuffle_finish(map_plan, per_task_bytes, aggregate_bw);
-        let map_end = launch_end + map_plan.makespan_secs;
-        launch_end + done_rel - map_end
-    } else {
-        cfg.cost
-            .shuffle_secs(per_task_bytes.iter().sum(), cfg.nodes)
-    }
 }
 
 /// The simulation-level failure a planned attempt ended in, if any: a node
@@ -440,8 +398,8 @@ fn observe_wave<T>(
         obs.counter("mrinv_task_retries_total", job_wave)
             .add(retries as u64);
     }
-    // Resolved unconditionally so the series exists (at 0) even under
-    // barrier scheduling — `repro obs-check` greps for it.
+    // Resolved unconditionally so the series exists (at 0) even when no
+    // backup won — `repro obs-check` greps for it.
     obs.counter("mrinv_sched_steals_total", job_wave)
         .add(plan.steals);
     if plan.remote_read_bytes > 0 {
@@ -708,7 +666,7 @@ where
         map_plan.remote_read_bytes,
     );
     let mut stats = TaskStats::default();
-    let mut per_task_shuffle = Vec::with_capacity(num_tasks);
+    let mut shuffle_bytes = 0u64;
     let mut task_buckets = Vec::with_capacity(num_tasks);
     for run in &mut map_runs {
         let ok_stats = &run
@@ -717,7 +675,7 @@ where
             .expect("successful task has at least one attempt")
             .stats;
         stats = stats.merge(ok_stats);
-        per_task_shuffle.push(ok_stats.shuffle_bytes);
+        shuffle_bytes += ok_stats.shuffle_bytes;
         let (buckets, _) = run.payload.take().expect("map wave succeeded");
         task_buckets.push(buckets);
     }
@@ -725,14 +683,12 @@ where
     let mut outputs = Vec::new();
     if reducers > 0 {
         // ---- Shuffle + reduce wave --------------------------------------
-        let shuffle_bytes: u64 = per_task_shuffle.iter().sum();
         cluster.metrics.record_shuffle_bytes(shuffle_bytes);
         // Merge + sort each partition's buckets, one rayon work item per
-        // reducer (see crate::shuffle) — the same data under either
-        // scheduling mode.
+        // reducer (see crate::shuffle).
         let reducer_inputs = parallel_shuffle(task_buckets, reducers);
         let reduce_runs = reduce_wave(codec, &reducer_inputs)?;
-        let shuffle_secs = shuffle_charge(cfg, &map_plan, &per_task_shuffle, launch_end);
+        let shuffle_secs = cfg.cost.shuffle_secs(shuffle_bytes, cfg.nodes);
         let shuffle_end = launch_end + map_plan.makespan_secs + shuffle_secs;
         // The shuffle already moved the map outputs off their nodes.
         let reduce_plan = settle_wave(cluster, &reduce_runs, |_| &[], shuffle_end, false);
@@ -1060,17 +1016,14 @@ mod tests {
 
     #[test]
     fn empty_input_job() {
-        for mode in [SchedulingMode::Barrier, SchedulingMode::Pipelined] {
-            let cluster = priced_cluster(mode, &[1.0; 2], 1);
-            let spec = JobSpec::new("empty").reducers(1);
-            let (out, report) =
-                run_job(&cluster, &spec, &ControlMapper, &ControlReducer, &[]).unwrap();
-            assert!(out.is_empty());
-            assert_eq!(report.map_tasks, 0);
-            // Unit model has no launch cost; only the (empty) reducer's
-            // microseconds of measured time remain.
-            assert!(report.sim_secs < 0.01);
-        }
+        let cluster = priced_cluster(&[1.0; 2], 1);
+        let spec = JobSpec::new("empty").reducers(1);
+        let (out, report) = run_job(&cluster, &spec, &ControlMapper, &ControlReducer, &[]).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(report.map_tasks, 0);
+        // Unit model has no launch cost; only the (empty) reducer's
+        // microseconds of measured time remain.
+        assert!(report.sim_secs < 0.01);
     }
 
     #[test]
@@ -1089,12 +1042,11 @@ mod tests {
         assert!(cluster.sim_secs() - before >= 5.0);
     }
 
-    // ---- The two pricing sites SchedulingMode selects between -----------
+    // ---- Wave pricing -----------------------------------------------------
 
-    fn priced_cluster(mode: SchedulingMode, speeds: &[f64], slots: usize) -> Cluster {
+    fn priced_cluster(speeds: &[f64], slots: usize) -> Cluster {
         let mut cfg = ClusterConfig::medium(speeds.len());
         cfg.cost = CostModel::unit_for_tests();
-        cfg.scheduling = mode;
         cfg.node_speeds = speeds.to_vec();
         cfg.slots_per_node = slots;
         cfg.tracing = true;
@@ -1110,60 +1062,12 @@ mod tests {
         secs.iter().map(task).collect()
     }
 
-    /// Prices one job's timeline — map plan, shuffle charge, reduce plan —
-    /// through the runner's two mode-dependent sites.
-    fn price(cluster: &Cluster, map: &[f64], bytes: &[u64], reduce: &[f64]) -> f64 {
-        let map_plan = plan_with_faults(cluster, &planned(map), 0.0, true);
-        let shuffle = shuffle_charge(&cluster.config, &map_plan, bytes, 0.0);
-        assert!(shuffle >= -1e-9, "negative shuffle charge {shuffle}");
-        let shuffle_end = map_plan.makespan_secs + shuffle;
-        let reduce_plan = plan_with_faults(cluster, &planned(reduce), shuffle_end, false);
-        shuffle_end + reduce_plan.makespan_secs
-    }
-
-    /// The same measured tasks and shuffle bytes never price slower under
-    /// pipelined rules than under barrier rules: ragged counts, slow
-    /// nodes, 1–3 slots, an empty job, a zero-node cluster. Deterministic —
-    /// no task body runs, so no measured CPU enters either side.
-    #[test]
-    fn pipelined_pricing_never_exceeds_barrier() {
-        let check = |map: &[f64], speeds: &[f64], slots, bytes: &[u64], reduce: &[f64]| {
-            let barrier = priced_cluster(SchedulingMode::Barrier, speeds, slots);
-            let pipelined = priced_cluster(SchedulingMode::Pipelined, speeds, slots);
-            let b = price(&barrier, map, bytes, reduce);
-            let p = price(&pipelined, map, bytes, reduce);
-            assert!(p <= b + 1e-9, "pipelined {p} > barrier {b} for {map:?}");
-            p
-        };
-        check(&[4.0; 8], &[1.0, 1.0, 1.0, 0.25], 1, &[100; 8], &[2.0; 3]);
-        check(
-            &[3.0, 1.0, 2.0, 4.0, 1.0],
-            &[1.0; 2],
-            1,
-            &[50; 5],
-            &[1.0; 2],
-        );
-        check(&[1.0; 4], &[1.0; 4], 1, &[0; 4], &[5.0]);
-        let ragged = [5.0, 1.0, 1.0, 7.0, 2.0, 2.0, 9.0];
-        let ragged_bytes = [30, 0, 10, 80, 5, 5, 60];
-        check(
-            &ragged,
-            &[1.0, 0.5, 1.0],
-            2,
-            &ragged_bytes,
-            &[3.0, 1.0, 4.0],
-        );
-        check(&[2.0; 11], &[0.25, 1.0], 3, &[7; 11], &[6.0; 5]);
-        check(&[2.0], &[], 0, &[5], &[1.0]);
-        assert_eq!(check(&[], &[1.0; 2], 1, &[], &[]), 0.0);
-    }
-
     #[test]
     fn a_mid_job_death_lands_in_the_wave_it_falls_in() {
         // Node 1 dies at `death_at`; plans one wave of `secs` tasks starting
-        // at `wave_start` under pipelined pricing.
+        // at `wave_start`.
         let plan = |death_at: f64, secs: &[f64], wave_start: f64, map_wave: bool| {
-            let cluster = priced_cluster(SchedulingMode::Pipelined, &[1.0; 2], 1);
+            let cluster = priced_cluster(&[1.0; 2], 1);
             cluster.faults.kill_node(1, death_at);
             plan_with_faults(&cluster, &planned(secs), wave_start, map_wave)
         };
@@ -1172,8 +1076,8 @@ mod tests {
             let lost = attempts.filter(|a| a.outcome == AttemptOutcome::NodeLost(1));
             lost.count()
         };
-        // In the map wave: the task on node 1 re-executes, and stealing is
-        // suspended during recovery.
+        // In the map wave: the task on node 1 re-executes, and speculation
+        // is suspended during recovery.
         let map = plan(40.0, &[100.0; 2], 0.0, true);
         assert_eq!(map.attempts[1][0].outcome, AttemptOutcome::NodeLost(1));
         assert_eq!(map.steals, 0);
@@ -1184,15 +1088,13 @@ mod tests {
         // Far past the job: neither wave sees it.
         assert_eq!(lost(&plan(1e6, &[100.0; 2], 0.0, true)), 0);
         assert_eq!(lost(&plan(1e6, &[100.0; 2], 200.0, false)), 0);
-        // One death-window order for both modes, backups first: slow node
-        // 1 would hold its task until t=16, but node 0's backup commits at
-        // t=8 and ends the wave, so a death at t=10 is the next wave's.
-        for mode in [SchedulingMode::Barrier, SchedulingMode::Pipelined] {
-            let cluster = priced_cluster(mode, &[1.0, 0.25], 1);
-            cluster.faults.kill_node(1, 10.0);
-            let p = plan_with_faults(&cluster, &planned(&[4.0; 2]), 0.0, true);
-            assert_eq!((p.makespan_secs, p.steals, lost(&p)), (8.0, 1, 0));
-        }
+        // The death window is the backed-up wave: slow node 1 would hold
+        // its task until t=16, but node 0's backup commits at t=8 and ends
+        // the wave, so a death at t=10 is the next wave's.
+        let cluster = priced_cluster(&[1.0, 0.25], 1);
+        cluster.faults.kill_node(1, 10.0);
+        let p = plan_with_faults(&cluster, &planned(&[4.0; 2]), 0.0, true);
+        assert_eq!((p.makespan_secs, p.steals, lost(&p)), (8.0, 1, 0));
     }
 
     /// The single epilogue: a map-only job and a map+reduce job running the
@@ -1201,7 +1103,7 @@ mod tests {
     #[test]
     fn map_only_and_map_reduce_jobs_share_launch_and_map_observations() {
         let observe = |map_only: bool| {
-            let cluster = priced_cluster(SchedulingMode::Barrier, &[1.0; 2], 1);
+            let cluster = priced_cluster(&[1.0; 2], 1);
             cluster.faults.fail_task("job", Phase::Map, 1, 1);
             let spec = JobSpec::new("job")
                 .reducers(2)

@@ -23,11 +23,10 @@
 //! execution rate (the paper observes "the performance variance between
 //! different large EC2 instances is high", Section 7.4). Placement is
 //! *speed-blind*, like Hadoop's JobTracker: the scheduler cannot know a
-//! node is slow in advance. Backup copies mitigate exactly this blindness
-//! ([`steal_backups`], the one backup policy): Hadoop's speculative
-//! execution is that pass limited to the makespan-defining straggler,
-//! work stealing the same pass with no limit; the first copy to commit
-//! wins.
+//! node is slow in advance. A backup copy mitigates exactly this blindness
+//! ([`speculate`], Hadoop's speculative execution): the wave's
+//! makespan-defining straggler is re-run on the slot that would finish it
+//! first, and the first copy to commit wins.
 
 use std::collections::BTreeSet;
 
@@ -136,7 +135,7 @@ pub struct WavePlan {
     /// Tasks that ran out of attempt budget: `(task, attempts started)`.
     pub failed_tasks: Vec<(usize, u32)>,
     /// Straggler tasks whose backup copy on an idle slot committed first
-    /// ([`steal_backups`]); 0 from [`plan_wave`] itself.
+    /// ([`speculate`]); 0 from [`plan_wave`] itself.
     pub steals: u64,
 }
 
@@ -234,8 +233,8 @@ fn best_backup(
 /// the node that timed out). Slot choice is by earliest start, with
 /// node-local slots preferred among equals — Hadoop's locality tier —
 /// and remote placements charged one network crossing for the non-local
-/// bytes. Backup copies are a separate pass over the returned plan
-/// ([`steal_backups`]).
+/// bytes. The backup copy is a separate pass over the returned plan
+/// ([`speculate`]).
 pub fn plan_wave(
     tasks: &[PlannedTask],
     node_speeds: &[f64],
@@ -477,38 +476,33 @@ pub fn plan_wave(
     }
 }
 
-// ---- Backup copies and the streamed shuffle --------------------------------
+// ---- Speculative execution -------------------------------------------------
 
-/// Backup pass over a completed wave plan — the one backup policy. The
-/// plan's latest-finishing task is the straggler candidate; if an idle
-/// slot could re-run it to an earlier finish, that slot launches a backup
-/// copy, and when the copy commits the original attempt is killed (its
-/// recorded end and its slot's busy time are truncated to the backup's
-/// completion, exactly when the task's output becomes available; the
-/// copy's remote input bytes are charged to the plan). Then the next
-/// latest-finishing task is considered, until `max_candidates` have been.
+/// Hadoop's speculative execution over a completed wave plan: one backup
+/// copy of the wave's makespan-defining straggler. The plan's
+/// latest-finishing successful task (the last such task on ties) is the
+/// candidate; if another live slot could re-run it to an earlier finish,
+/// that slot launches the copy, and when the copy commits the original
+/// attempt is killed (its recorded end and its slot's busy time are
+/// truncated to the backup's completion, exactly when the task's output
+/// becomes available; the copy's remote input bytes are charged to the
+/// plan). A won backup is counted in [`WavePlan::steals`].
 ///
-/// `max_candidates` is the whole difference between the two modes:
-/// Hadoop's speculative execution considers one candidate — the
-/// makespan-defining straggler, beaten or not — and work stealing
-/// considers every task (`usize::MAX`); 0 disables backups. Each task is
-/// backed up at most once, and — like Hadoop suspending speculation
-/// during failure recovery — the pass is a no-op on waves with a mid-wave
-/// death, a timeout, or an exhausted task. Returns the number of backups
-/// that won (also accumulated into [`WavePlan::steals`]).
-pub fn steal_backups(
+/// Like Hadoop suspending speculation during failure recovery, the pass
+/// is a no-op on waves with a mid-wave death, a timeout, or an exhausted
+/// task.
+pub fn speculate(
     plan: &mut WavePlan,
     tasks: &[PlannedTask],
     node_speeds: &[f64],
     slots_per_node: usize,
     faults: &WaveFaults,
-    max_candidates: usize,
-) -> u64 {
+) {
     let nodes = node_speeds.len().max(1);
     let slots_per_node = slots_per_node.max(1);
     let slot_count = nodes * slots_per_node;
     if faults.node_death.is_some() || !plan.failed_tasks.is_empty() {
-        return 0;
+        return;
     }
     let timed_out = plan
         .attempts
@@ -516,96 +510,44 @@ pub fn steal_backups(
         .flatten()
         .any(|a| matches!(a.outcome, AttemptOutcome::TimedOut { .. }));
     if timed_out || plan.slot_busy_secs.len() != slot_count {
-        return 0;
+        return;
     }
-    let mut considered = vec![false; plan.attempts.len()];
-    let mut steals = 0u64;
-    for _ in 0..max_candidates {
-        // The latest-finishing not-yet-considered successful task is the
-        // current straggler candidate (the last such task on ties).
-        let Some((task, end)) = plan
-            .attempts
-            .iter()
-            .enumerate()
-            .filter(|(t, _)| !considered[*t])
-            .filter_map(|(t, list)| list.last().map(|a| (t, a)))
-            .filter(|(_, a)| a.outcome == AttemptOutcome::Success)
-            .map(|(t, a)| (t, a.end))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-        else {
-            break;
-        };
-        considered[task] = true;
-        let last = plan.attempts[task].len() - 1;
-        let (slot, chain) = {
-            let a = &plan.attempts[task][last];
-            (a.slot, a.chain)
-        };
-        let backup = best_backup(
-            &tasks[task],
-            chain,
-            slot,
-            &plan.slot_busy_secs,
-            node_speeds,
-            slots_per_node,
-            faults,
-        );
-        let Some((backup, alt)) = backup else {
-            break;
-        };
-        if alt >= end {
-            continue;
-        }
-        // Steal: the backup slot runs the copy to `alt`; the original copy
-        // is killed at that instant (both slots are occupied until then).
-        plan.remote_read_bytes += remote_bytes_on(&tasks[task], backup / slots_per_node);
-        plan.slot_busy_secs[slot] = alt;
-        plan.slot_busy_secs[backup] = alt;
-        plan.attempts[task][last].end = alt;
-        steals += 1;
-    }
-    if steals > 0 {
-        plan.makespan_secs = plan.slot_busy_secs.iter().fold(0.0_f64, |m, &v| m.max(v));
-        plan.steals += steals;
-    }
-    steals
-}
-
-/// When the last shuffle chunk lands, given a map plan whose tasks start
-/// streaming their pre-partitioned output the moment they commit.
-///
-/// Each map task's chunk crosses the same aggregate shuffle bandwidth the
-/// barrier model charges (`net_bw × m0`), one chunk at a time in commit
-/// order — so the total transfer time is identical to the barrier
-/// shuffle, but transfers overlap map tasks that are still running
-/// instead of waiting for the whole wave. The result is bounded below by
-/// the last commit and above by `makespan + Σ bytes / bw` (the barrier
-/// schedule); the gap to the upper bound is the straggler tax the
-/// pipeline no longer pays.
-pub fn stream_shuffle_finish(
-    map_plan: &WavePlan,
-    shuffle_bytes_per_task: &[u64],
-    aggregate_bw: f64,
-) -> f64 {
-    let mut commits: Vec<(f64, usize)> = map_plan
+    let Some((task, end)) = plan
         .attempts
         .iter()
         .enumerate()
-        .filter_map(|(t, list)| {
-            let a = list.last()?;
-            (a.outcome == AttemptOutcome::Success).then_some((a.end, t))
-        })
-        .collect();
-    commits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut at = 0.0_f64;
-    for (commit, task) in commits {
-        let bytes = shuffle_bytes_per_task.get(task).copied().unwrap_or(0);
-        at = at.max(commit);
-        if bytes > 0 && aggregate_bw > 0.0 {
-            at += bytes as f64 / aggregate_bw;
-        }
-    }
-    at.max(map_plan.makespan_secs)
+        .filter_map(|(t, list)| list.last().map(|a| (t, a)))
+        .filter(|(_, a)| a.outcome == AttemptOutcome::Success)
+        .map(|(t, a)| (t, a.end))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+    else {
+        return;
+    };
+    let last = plan.attempts[task].len() - 1;
+    let (slot, chain) = {
+        let a = &plan.attempts[task][last];
+        (a.slot, a.chain)
+    };
+    let backup = best_backup(
+        &tasks[task],
+        chain,
+        slot,
+        &plan.slot_busy_secs,
+        node_speeds,
+        slots_per_node,
+        faults,
+    );
+    let Some((backup, alt)) = backup.filter(|&(_, alt)| alt < end) else {
+        return;
+    };
+    // The backup slot runs the copy to `alt`; the original copy is killed
+    // at that instant (both slots are occupied until then).
+    plan.remote_read_bytes += remote_bytes_on(&tasks[task], backup / slots_per_node);
+    plan.slot_busy_secs[slot] = alt;
+    plan.slot_busy_secs[backup] = alt;
+    plan.attempts[task][last].end = alt;
+    plan.makespan_secs = plan.slot_busy_secs.iter().fold(0.0_f64, |m, &v| m.max(v));
+    plan.steals += 1;
 }
 
 #[cfg(test)]
@@ -622,28 +564,31 @@ mod tests {
     }
 
     /// Plans `secs` (submission order) as a fault-free wave: single-attempt
-    /// budget, no deaths, no timeouts, no locality inputs. `speculative`
-    /// is the barrier mode's backup limit: the worst straggler or nobody.
+    /// budget, no deaths, no timeouts, no locality inputs, with or without
+    /// the speculative backup of its worst straggler.
     fn wave(secs: &[f64], speeds: &[f64], slots: usize, speculative: bool) -> WavePlan {
         let faults = WaveFaults {
             max_attempts: 1,
             ..WaveFaults::default()
         };
-        let limit = usize::from(speculative);
-        backed_up(&simple_tasks(secs), speeds, slots, &faults, limit)
+        let tasks = simple_tasks(secs);
+        if speculative {
+            backed_up(&tasks, speeds, slots, &faults)
+        } else {
+            plan_wave(&tasks, speeds, slots, &faults)
+        }
     }
 
-    /// [`plan_wave`] followed by the backup pass, as the runner prices a
-    /// wave.
+    /// [`plan_wave`] followed by [`speculate`], as the runner prices a
+    /// wave with speculative execution on.
     fn backed_up(
         tasks: &[PlannedTask],
         speeds: &[f64],
         slots: usize,
         faults: &WaveFaults,
-        max_candidates: usize,
     ) -> WavePlan {
         let mut plan = plan_wave(tasks, speeds, slots, faults);
-        steal_backups(&mut plan, tasks, speeds, slots, faults, max_candidates);
+        speculate(&mut plan, tasks, speeds, slots, faults);
         plan
     }
 
@@ -886,7 +831,7 @@ mod tests {
         // matching the runner's pinned injected-fault test.
         let mut tasks = simple_tasks(&[100.0, 100.0]);
         tasks[1].failed_secs = vec![100.0];
-        let p = backed_up(&tasks, &[1.0; 2], 1, &no_faults(4), 1);
+        let p = backed_up(&tasks, &[1.0; 2], 1, &no_faults(4));
         assert!(
             (p.makespan_secs - 200.0).abs() < 1e-9,
             "{}",
@@ -1040,38 +985,22 @@ mod tests {
         assert!(p.attempts.iter().all(Vec::is_empty));
     }
 
-    // ---- steal_backups / stream_shuffle_finish --------------------------
+    // ---- speculate ------------------------------------------------------
 
     #[test]
-    fn stealing_rescues_every_slow_node_straggler() {
+    fn speculation_backs_up_one_straggler_per_wave() {
         // 6 tasks of 4 s on 4 nodes, nodes 2 and 3 at 1/4 speed. Both
         // slow copies run 16 s; the fast slots drain by t=8. Speculation
-        // backs up only the single worst straggler (one 16 s copy
-        // survives); the steal pass keeps going until no steal helps, so
-        // both stragglers are re-run by fast slots (finish t=12).
+        // backs up only the makespan-defining straggler (task 3, the last
+        // on ties): its copy commits at 12, and task 2's 16 s copy
+        // survives and still ends the wave.
         let tasks = simple_tasks(&[4.0; 6]);
         let speeds = [1.0, 1.0, 0.25, 0.25];
-        let spec = backed_up(&tasks, &speeds, 1, &no_faults(4), 1);
+        let spec = backed_up(&tasks, &speeds, 1, &no_faults(4));
         assert_eq!(spec.steals, 1);
-        let steal = backed_up(&tasks, &speeds, 1, &no_faults(4), usize::MAX);
-        assert!(steal.steals >= 2, "both slow-node tasks stolen");
-        assert!(
-            steal.makespan_secs < spec.makespan_secs - 1e-9,
-            "iterated stealing beats single-task speculation: {} vs {}",
-            steal.makespan_secs,
-            spec.makespan_secs
-        );
-        // Physical: no slot busy past the makespan.
-        for &busy in &steal.slot_busy_secs {
-            assert!(busy <= steal.makespan_secs + 1e-12);
-        }
-        // Every attempt's recorded end respects the truncation order.
-        for list in &steal.attempts {
-            for a in list {
-                assert!(a.end >= a.start - 1e-12);
-                assert!(a.end <= steal.makespan_secs + 1e-12);
-            }
-        }
+        assert!((spec.attempts[3][0].end - 12.0).abs() < 1e-12);
+        assert!((spec.attempts[2][0].end - 16.0).abs() < 1e-12);
+        assert!((spec.makespan_secs - 16.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1084,7 +1013,7 @@ mod tests {
         tasks[0].reads = vec![(40, vec![0])];
         let mut faults = no_faults(4);
         faults.net_bw = 10.0;
-        let p = backed_up(&tasks, &[0.25, 1.0], 1, &faults, 1);
+        let p = backed_up(&tasks, &[0.25, 1.0], 1, &faults);
         assert_eq!(p.attempts[0][0].node, 0, "placed with its replica");
         assert!((p.makespan_secs - 12.0).abs() < 1e-12);
         assert_eq!(p.steals, 1);
@@ -1099,7 +1028,7 @@ mod tests {
     fn stealing_is_noop_on_balanced_waves() {
         let tasks = simple_tasks(&[1.0; 8]);
         let before = plan_wave(&tasks, &[1.0; 4], 1, &no_faults(4)).makespan_secs;
-        let p = backed_up(&tasks, &[1.0; 4], 1, &no_faults(4), usize::MAX);
+        let p = backed_up(&tasks, &[1.0; 4], 1, &no_faults(4));
         assert_eq!(p.steals, 0);
         assert_eq!(p.makespan_secs, before);
     }
@@ -1111,39 +1040,20 @@ mod tests {
         let tasks = simple_tasks(&[100.0, 100.0]);
         let mut faults = no_faults(4);
         faults.node_death = Some((1, 40.0));
-        let p = backed_up(&tasks, &[1.0; 2], 1, &faults, usize::MAX);
+        let p = backed_up(&tasks, &[1.0; 2], 1, &faults);
         assert_eq!(p.steals, 0);
         // Timeouts in the plan: same suspension.
         let tasks = simple_tasks(&[10.0, 10.0]);
         let mut faults = no_faults(4);
         faults.timeout_secs = Some(50.0);
         let speeds = [1.0, 0.1];
-        let p = backed_up(&tasks, &speeds, 1, &faults, usize::MAX);
+        let p = backed_up(&tasks, &speeds, 1, &faults);
         assert!(p
             .attempts
             .iter()
             .flatten()
             .any(|a| matches!(a.outcome, AttemptOutcome::TimedOut { .. })));
         assert_eq!(p.steals, 0);
-    }
-
-    #[test]
-    fn streamed_shuffle_overlaps_transfers_with_map_compute() {
-        // 4 maps on 2 nodes => commits at 1, 1, 2, 2. Each ships 10 bytes
-        // at bw 10 (1 s per chunk through the shared aggregate pipe).
-        // Barrier: map 2 s + transfer 4 s = 6. Streamed: the pipe starts
-        // at the first commit (t=1) and stays busy — 1→2→3→4→5 — so the
-        // first round's chunks overlap the second round's compute.
-        let tasks = simple_tasks(&[1.0; 4]);
-        let p = plan_wave(&tasks, &[1.0; 2], 1, &no_faults(4));
-        assert!((p.makespan_secs - 2.0).abs() < 1e-12);
-        let done = stream_shuffle_finish(&p, &[10; 4], 10.0);
-        assert!((done - 5.0).abs() < 1e-12, "pipe busy from t=1: {done}");
-        // Bounds: never before the last commit, never past the barrier.
-        assert!(done >= p.makespan_secs - 1e-12);
-        assert!(done <= p.makespan_secs + 4.0 + 1e-12);
-        // Zero bandwidth charges nothing (transfer priced elsewhere).
-        assert_eq!(stream_shuffle_finish(&p, &[10; 4], 0.0), p.makespan_secs);
     }
 
     // ---- zero-task / zero-node edge cases (regression pins) -------------
@@ -1155,7 +1065,7 @@ mod tests {
         let mut faults = no_faults(4);
         faults.node_death = Some((0, 0.0));
         faults.lose_completed_outputs = true;
-        let p = backed_up(&[], &[1.0; 2], 1, &faults, 1);
+        let p = backed_up(&[], &[1.0; 2], 1, &faults);
         assert_eq!(p.makespan_secs, 0.0);
         assert!(p.attempts.is_empty());
         assert!(p.failed_tasks.is_empty());
@@ -1164,7 +1074,7 @@ mod tests {
     #[test]
     fn zero_node_steal_clamps_like_plan_wave() {
         let tasks = simple_tasks(&[2.0]);
-        let p = backed_up(&tasks, &[], 0, &no_faults(4), usize::MAX);
+        let p = backed_up(&tasks, &[], 0, &no_faults(4));
         assert!((p.makespan_secs - 2.0).abs() < 1e-12);
         assert_eq!(p.steals, 0);
     }
@@ -1178,7 +1088,7 @@ mod tests {
         ];
         for (secs, speeds) in cases {
             let tasks = simple_tasks(&secs);
-            let p = backed_up(&tasks, &speeds, 1, &no_faults(4), usize::MAX);
+            let p = backed_up(&tasks, &speeds, 1, &no_faults(4));
             assert!(
                 utilization(&p) <= 1.0 + 1e-12,
                 "utilization {} > 1 for {secs:?} on {speeds:?}",

@@ -27,9 +27,9 @@
 //!   push-then-stable-sort loop produced it.
 //!
 //! Checkpoint fingerprints and the bit-identical resume suite rely on
-//! this equivalence. Every job shuffles through [`parallel_shuffle`]
-//! whatever its [`crate::SchedulingMode`]: the mode prices the transfer's
-//! *time* differently and never sees the data.
+//! this equivalence. Every job shuffles through [`parallel_shuffle`]; the
+//! transfer's *time* is priced separately, after the map wave's barrier
+//! (`CostModel::shuffle_secs`), and never sees the data.
 
 use rayon::prelude::*;
 

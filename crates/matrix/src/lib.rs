@@ -18,9 +18,7 @@
 //!   permutation matrix `P`;
 //! * [`random`] — seeded random test-matrix generation (Section 7.1);
 //! * [`io`] — the text and binary matrix codecs used for DFS storage
-//!   (Table 3 reports both formats);
-//! * [`refine`] — Newton–Schulz polish of a computed inverse (the
-//!   numerical-stability follow-up the paper defers to future work).
+//!   (Table 3 reports both formats).
 //!
 //! The crate is deliberately free of any distributed-systems concerns; the
 //! MapReduce framework and the pipeline live in sibling crates.
@@ -36,7 +34,6 @@ pub mod lu;
 pub mod norms;
 pub mod permutation;
 pub mod random;
-pub mod refine;
 pub mod triangular;
 
 pub use dense::Matrix;

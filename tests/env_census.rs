@@ -101,7 +101,7 @@ fn library_crates_read_only_documented_env_vars() {
 /// `ClusterConfig`'s public fields, as `field: the non-test caller that
 /// sets it`. A knob nothing outside a test sets is a constant; adding one
 /// is the same reviewed act as extending `DOCUMENTED`.
-const CLUSTER_KNOBS: [&str; 10] = [
+const CLUSTER_KNOBS: [&str; 9] = [
     "nodes: ClusterConfig::medium",
     "slots_per_node: ClusterConfig::large",
     "node_speeds: bench node_death_experiment",
@@ -110,7 +110,6 @@ const CLUSTER_KNOBS: [&str; 10] = [
     "observability: cli build_cluster",
     "progress: cli build_cluster",
     "task_timeout_secs: bench node_death_experiment",
-    "scheduling: cli build_cluster",
     "cost: bench medium_cluster",
 ];
 
@@ -137,7 +136,7 @@ fn cluster_config_fields_are_the_listed_knobs() {
 
 /// Public items of the library crates that no other file names, as
 /// `item: the reason it stays public`. "A test calls it" is not a reason.
-const NO_OUTSIDE_CALLER: [&str; 11] = [
+const NO_OUTSIDE_CALLER: [&str; 9] = [
     "mapreduce::obs::CounterSeries: element type of the public field ObsSnapshot::counters",
     "mapreduce::obs::GaugeSeries: element type of the public field ObsSnapshot::gauges",
     "mapreduce::obs::HistogramSeries: element type of the public field ObsSnapshot::histograms",
@@ -147,8 +146,6 @@ const NO_OUTSIDE_CALLER: [&str; 11] = [
     "mapreduce::tracelog::dropped_count: the only report of events lost to ring eviction",
     "matrix::block::Quadrants: return type of Matrix::split_quadrants",
     "matrix::kernel::perf::BackendPerf: element type perf::snapshot returns",
-    "matrix::refine::Refinement: return type of refine_inverse, below",
-    "matrix::refine::refine_inverse: ROADMAP item 4 gives it a production caller or deletes it",
 ];
 
 /// `crates/core/src/lu_mr.rs` -> `core::lu_mr`, `.../kernel/mod.rs` ->
