@@ -681,21 +681,25 @@ mod tests {
     #[test]
     fn tables_reproduce_the_pinned_stage_bytes() {
         // M5 at scale 64 -> n = 256, nb = 50 on 4 medium nodes, 9 jobs.
-        // DFS byte counts repeat exactly; these four were read off the
-        // hand-sequenced stage split before it was deleted.
+        // DFS byte counts repeat exactly; the LU pair was read off the
+        // hand-sequenced stage split before it was deleted. The inversion
+        // pair fell by 522336 / 1044672 B when the `INV/` files became
+        // triangles: the n(n-1) zero elements of the two inverses and 12
+        // header bytes on each of the 8 files, written once and read by 2
+        // reducers each.
         let m5 = SuiteMatrix::by_name("M5").unwrap();
         let lu = &table1(&m5, 64, &[4])[0];
         let inv = &table2(&m5, 64, &[4])[0];
         assert_eq!(lu.measured_writes * 8.0, 1_345_468.0);
         assert_eq!(lu.measured_reads * 8.0, 3_363_240.0);
-        assert_eq!(inv.measured_writes * 8.0, 1_581_392.0);
-        assert_eq!(inv.measured_reads * 8.0, 3_815_696.0);
+        assert_eq!(inv.measured_writes * 8.0, 1_059_056.0);
+        assert_eq!(inv.measured_reads * 8.0, 2_771_024.0);
         // The two stages are the whole inversion, nothing more or less.
         let all = run_suite_matrix(&m5, 64, 4).report;
         assert_eq!(all.n, 256);
         assert_eq!(all.jobs, 9, "M5 runs 9 jobs at any scale");
-        assert_eq!(all.dfs_bytes_written, 1_345_468 + 1_581_392);
-        assert_eq!(all.dfs_bytes_read, 3_363_240 + 3_815_696);
+        assert_eq!(all.dfs_bytes_written, 1_345_468 + 1_059_056);
+        assert_eq!(all.dfs_bytes_read, 3_363_240 + 2_771_024);
     }
 
     #[test]

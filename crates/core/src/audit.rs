@@ -10,7 +10,8 @@
 //!    (the [`crate::schedule`] closed forms).
 //! 2. **Stages** — measured bytes (from the trace) against the Table 1/2
 //!    closed forms of [`crate::theory`], with calibrated tolerance bands:
-//!    transfer lands within 10% of `(l+3)n²` / `(l'+2)n²`; writes sit
+//!    the LU stage's transfer lands within 10% of `(l+3)n²` and the final
+//!    stage's reads within 10% of Table 2's Read column `l'n²`; writes sit
 //!    between the paper's bound and the full file inventory (the forms
 //!    exclude factor stripes — see `tests/schedule_and_costs.rs`).
 //! 3. **Tasks** — for every successful priced attempt, the *predicted*
@@ -32,17 +33,26 @@ use mrinv_mapreduce::Cluster;
 
 use crate::theory;
 
-/// Relative half-width of the transfer bands: the measured stage transfer
-/// must land within 10% of the Table 1/2 closed forms.
-const TRANSFER_BAND: (f64, f64) = (0.9, 1.1);
+/// Relative half-width of the stage bands: the measured LU transfer and
+/// final-stage reads must land within 10% of the Table 1/2 closed forms.
+///
+/// Calibrated on 4 nodes. Measured final-inverse-reads ratios: 1.085
+/// (n=64, nb=4), 1.042 / 1.050 (n=128, nb=4 / 8); on 16 nodes 1.152 /
+/// 1.075 / 1.080 at the same three shapes, on 64 nodes 1.114 / 1.120
+/// (n=128, nb=4 / 8). Every `INV/` file adds a header and every mapper
+/// reads whole leaves, so small orders on many nodes sit just above the
+/// band. On 16+ nodes the audit of these small orders fails anyway: the
+/// lu-transfer ratio is 1.13–1.26 and per-task residuals reach 0.38.
+const STAGE_BAND: (f64, f64) = (0.9, 1.1);
 
 /// Minimum LU recursion depth ([`crate::schedule::recursion_depth`]) the
-/// transfer bands are calibrated for. The Table 1/2 forms are asymptotic
-/// in the recursion depth; on shallow runs (e.g. n=64/nb=16, depth 2) the
-/// lower-order terms they drop dominate the measurement (lu-transfer
-/// ratio 0.71 at depth 2, 0.90 at depth 3, 1.09 at depth 4), so asserting
-/// the 10% band there would report model drift where the model was never
-/// claimed to apply. Out-of-domain runs simply omit the transfer stages.
+/// lu-transfer and final-inverse-reads bands are calibrated for. The
+/// Table 1/2 forms are asymptotic in the recursion depth; on shallow runs
+/// (e.g. n=64/nb=16, depth 2) the lower-order terms they drop dominate
+/// the measurement (lu-transfer ratio 0.71 at depth 2, 0.90 at depth 3,
+/// 1.09 at depth 4), so asserting the 10% band there would report model
+/// drift where the model was never claimed to apply. Out-of-domain runs
+/// simply omit both stages.
 const TRANSFER_CALIBRATED_MIN_DEPTH: u32 = 4;
 
 /// Write-volume band: at least the paper's closed form, at most the full
@@ -121,11 +131,11 @@ pub fn cost_audit(
         .collect();
 
     // ---- Stage audits: measured bytes vs the Tables 1/2 closed forms ----
-    let stage_transfer = |prefix: &str| -> f64 {
+    let stage_bytes = |prefix: &str, bytes: fn(&TaskEvent) -> u64| -> f64 {
         run_events
             .iter()
             .filter(|e| e.job.starts_with(prefix) && e.failure.is_none())
-            .map(|e| (e.read_bytes + e.shuffle_bytes) as f64)
+            .map(|e| bytes(e) as f64)
             .sum()
     };
     let mut stages = Vec::new();
@@ -136,9 +146,9 @@ pub fn cost_audit(
     if has_lu && in_transfer_domain {
         stages.push(stage(
             "lu-transfer",
-            stage_transfer("lu-level:"),
+            stage_bytes("lu-level:", |e| e.read_bytes + e.shuffle_bytes),
             lu_row.transfer_bytes(),
-            TRANSFER_BAND,
+            STAGE_BAND,
         ));
     }
     let has_final = run_events
@@ -146,11 +156,13 @@ pub fn cost_audit(
         .any(|e| e.job.starts_with("final-inverse:"));
     let inv_row = theory::table2_ours(n, m0);
     if has_final && in_transfer_domain {
+        // Table 2's Read column, `l'·n²`: the factors the mappers read and
+        // the triangles the reducers read.
         stages.push(stage(
-            "final-inverse-transfer",
-            stage_transfer("final-inverse:"),
-            inv_row.transfer_bytes(),
-            TRANSFER_BAND,
+            "final-inverse-reads",
+            stage_bytes("final-inverse:", |e| e.read_bytes),
+            inv_row.read_bytes(),
+            STAGE_BAND,
         ));
     }
     if has_lu {
@@ -273,11 +285,13 @@ mod tests {
         );
         assert!(audit.flagged.is_empty());
         assert!(audit.within_threshold);
-        assert!(
-            audit.stages.iter().any(|s| s.stage == "lu-transfer"),
-            "stage checks present: {:?}",
-            audit.stages
-        );
+        for name in ["lu-transfer", "final-inverse-reads"] {
+            assert!(
+                audit.stages.iter().any(|s| s.stage == name),
+                "{name} missing from the stage checks: {:?}",
+                audit.stages
+            );
+        }
         for s in &audit.stages {
             assert!(
                 s.within_band,
@@ -285,6 +299,30 @@ mod tests {
                 s.stage, s.ratio, s.band_lo, s.band_hi
             );
         }
+    }
+
+    #[test]
+    fn final_reads_band_holds_at_sixteen_nodes() {
+        // More nodes mean more `INV/` files (more headers) and more
+        // whole-leaf over-reads per mapper; at n=128/nb=8 (depth 4) the
+        // reads still land inside the band (ratio 1.080).
+        let cluster = traced_cluster(16);
+        let a = random_well_conditioned(128, 17);
+        let out = Request::invert(&a)
+            .config(&InversionConfig::with_nb(8))
+            .submit(&cluster)
+            .unwrap();
+        let audit = out.report.audit.expect("traced run attaches the audit");
+        let reads = audit
+            .stages
+            .iter()
+            .find(|s| s.stage == "final-inverse-reads")
+            .expect("depth 4 asserts the reads band");
+        assert!(
+            reads.within_band,
+            "ratio {} outside [{}, {}]",
+            reads.ratio, reads.band_lo, reads.band_hi
+        );
     }
 
     #[test]
@@ -300,11 +338,14 @@ mod tests {
             .submit(&cluster)
             .unwrap();
         let audit = out.report.audit.expect("traced run attaches the audit");
-        assert!(audit.stages.iter().all(|s| !s.stage.contains("transfer")));
-        assert!(
-            audit.stages.iter().any(|s| s.stage == "total-writes"),
-            "depth-independent write band still asserted: {:?}",
-            audit.stages
+        assert_eq!(
+            audit
+                .stages
+                .iter()
+                .map(|s| s.stage.as_str())
+                .collect::<Vec<_>>(),
+            ["total-writes"],
+            "only the depth-independent write band is asserted"
         );
         assert!(audit.within_threshold, "clean residuals, clean audit");
     }

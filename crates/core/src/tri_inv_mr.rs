@@ -13,16 +13,34 @@
 //!   is column `S[j]` of `A^-1` (Section 4.3).
 //!
 //! Because the interleaved vectors are non-contiguous, files carry explicit
-//! index headers (`IndexedBlock`).
+//! index headers.
+//!
+//! **`INV/` files hold triangles.** Column `j` of `L^-1` is zero above row
+//! `j` and row `i` of `U^-1` is zero left of column `i`, so a full-length
+//! vector is on average half zeros. An `INV/{L,U}.k.b` file keeps each
+//! vector from its own index on:
+//!
+//! ```text
+//! [count u64][indices: count × u64][n u64][vector s, elements indices[s]..n]...
+//! ```
+//!
+//! That is the layout Table 2 prices: the mappers write `n²` elements for
+//! both inverses (`2n²` with the product), and each reducer reads about
+//! half of its `(1/f1 + 1/f2)·n²` block-wrap share. The writer refuses a
+//! vector whose dropped head is not `== 0.0` — dropping it silently would
+//! turn a wrong factor into a wrong inverse — and the reader checks every
+//! length against the bytes present before it allocates, then puts the
+//! zeros back only from the column its product starts at. `RESULT/` is
+//! dense (`IndexedBlock`: an index header and a binary block).
 //!
 //! Writers and readers share one enumeration: `owned` says which indices
 //! worker `k` holds inside a block, `Layout::files` turns that into the
 //! `(path, index header)` table of the `INV/` files, a mapper writes its
 //! row of the table and a reducer *reads* its block's column of it — a
 //! missing file is `FileNotFound`, never "that worker had no rows" — and
-//! the master assembles `RESULT/` the same way. Every file's header and
-//! shape are checked against the enumeration, one `scatter_indexed` places
-//! rows or columns, and a reader fails unless it covered its block.
+//! the master assembles `RESULT/` the same way. Every file's header is
+//! checked against the enumeration, and a reader fails unless it covered
+//! its block.
 
 use std::ops::Range;
 
@@ -46,9 +64,8 @@ use crate::lu_mr::emit_cells;
 use crate::partition::PartitionPlan;
 use crate::source::expect_covered;
 
-/// A bundle of same-length vectors tagged with their global indices
-/// (interleaved rows of `U^-1`, columns of `L^-1`, or permuted output
-/// columns).
+/// A `RESULT/` file: a product cell tagged with the columns of `A^-1` its
+/// columns are.
 #[derive(Debug, Clone, PartialEq)]
 struct IndexedBlock {
     /// Global index of each vector in `data`'s rows (or columns).
@@ -89,6 +106,103 @@ fn decode_indexed(mut data: &[u8]) -> Result<IndexedBlock> {
         indices,
         data: decode_binary(matrix_part)?,
     })
+}
+
+/// Encodes the `INV/` file at `path` (layout in the module doc): the
+/// `n`-element vectors laid end to end in `vectors`, vector `s` kept from
+/// element `indices[s]` on. A vector with a nonzero element before its
+/// index is an error naming the file.
+fn encode_tails(path: &str, indices: &[u64], n: usize, vectors: &[f64]) -> Result<Bytes> {
+    debug_assert_eq!(vectors.len(), indices.len() * n);
+    let words: usize = indices.iter().map(|&i| n - i as usize).sum();
+    let mut buf = Vec::with_capacity(16 + 8 * (indices.len() + words));
+    buf.extend_from_slice(&(indices.len() as u64).to_le_bytes());
+    buf.extend(indices.iter().flat_map(|i| i.to_le_bytes()));
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+    for (s, &i) in indices.iter().enumerate() {
+        let (head, tail) = vectors[s * n..(s + 1) * n].split_at(i as usize);
+        if let Some(j) = head.iter().position(|&v| v != 0.0) {
+            return Err(CoreError::Invariant(format!(
+                "file {path}: vector {i} holds {} at element {j}, before its index",
+                head[j]
+            )));
+        }
+        buf.extend(tail.iter().flat_map(|v| v.to_le_bytes()));
+    }
+    Ok(Bytes::from(buf))
+}
+
+/// A decoded `INV/` file: vector `indices[s]` is `n - indices[s]` words of
+/// `words`, after the vectors before it.
+struct Tails<'a> {
+    indices: Vec<u64>,
+    n: usize,
+    words: &'a [u8],
+}
+
+impl<'a> Tails<'a> {
+    /// Each vector's index and its elements `index..n`, as little-endian
+    /// words.
+    fn vectors(&self) -> impl Iterator<Item = (usize, &'a [u8])> + '_ {
+        let mut rest = self.words;
+        self.indices.iter().map(move |&i| {
+            let (tail, next) = rest.split_at(8 * (self.n - i as usize));
+            rest = next;
+            (i as usize, tail)
+        })
+    }
+}
+
+/// Decodes the `INV/` file at `path`. Every length is input: each is
+/// checked against the bytes present before anything is multiplied or
+/// allocated, and the tails must fill the file exactly.
+fn decode_tails<'a>(path: &str, mut data: &'a [u8]) -> Result<Tails<'a>> {
+    let bad = |what: String| CoreError::Invariant(format!("file {path}: {what}"));
+    if data.len() < 8 {
+        return Err(bad(format!("{} bytes, shorter than its count", data.len())));
+    }
+    let count = data.get_u64_le();
+    let index_bytes = usize::try_from(count)
+        .ok()
+        .and_then(|count| count.checked_mul(8))
+        .filter(|&bytes| data.len().checked_sub(8).is_some_and(|room| bytes <= room))
+        .ok_or_else(|| {
+            bad(format!(
+                "{count} indices and an order do not fit in {} bytes",
+                data.len()
+            ))
+        })?;
+    let (index_part, mut rest) = data.split_at(index_bytes);
+    let n = rest.get_u64_le();
+    let indices: Vec<u64> = index_part
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
+        .collect();
+    let mut words = 0u64;
+    for &i in &indices {
+        if i >= n {
+            return Err(bad(format!("vector index {i} is outside order {n}")));
+        }
+        words = (words.checked_add(n - i)).ok_or_else(|| bad("tail lengths overflow".into()))?;
+    }
+    if words.checked_mul(8) != Some(rest.len() as u64) {
+        return Err(bad(format!(
+            "holds {} bytes of vectors, its header says {words} words",
+            rest.len()
+        )));
+    }
+    let n = usize::try_from(n).map_err(|_| bad(format!("order {n} does not fit in memory")))?;
+    Ok(Tails {
+        indices,
+        n,
+        words: rest,
+    })
+}
+
+/// The `f64`s of little-endian `bytes`.
+fn words(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    (bytes.chunks_exact(8))
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
 }
 
 /// Which triangular inverse a vector belongs to: a column of `L^-1`, or a
@@ -182,32 +296,73 @@ impl Layout {
             .collect()
     }
 
+    /// Files worker `k`'s vectors of `op`, row `s` of `vectors` being
+    /// vector `k + s·m`: one file per block holding any of them, each a
+    /// contiguous run of rows kept from their own indices on.
+    fn write_operand(
+        &self,
+        io: &mut TaskIo,
+        op: Operand,
+        k: usize,
+        vectors: &Matrix,
+    ) -> Result<()> {
+        let (_, m, blocks) = self.operand(op);
+        let n = self.n;
+        debug_assert_eq!(vectors.cols(), n);
+        for (path, indices) in self.files(op, k..k + 1, 0..blocks.len()) {
+            let s0 = (indices[0] as usize - k) / m;
+            let rows = &vectors.as_slice()[s0 * n..(s0 + indices.len()) * n];
+            io.write(&path, encode_tails(&path, &indices, n, rows)?);
+        }
+        Ok(())
+    }
+
     /// Reads the vectors of `op` that fall in its block `b`, from every
-    /// worker that owns any: as the rows of a `len x n` matrix, or the
-    /// columns of an `n x len` one when the files hold columns. A missing
-    /// file is an error, and so is anything short of the whole block.
+    /// worker that owns any, keeping elements `from..n` of each: as the
+    /// rows of a `len x (n - from)` matrix, or the columns of an
+    /// `(n - from) x len` one. What the files drop before a vector's
+    /// index reads as zero. A missing file is an error, and so is
+    /// anything short of the whole block.
     fn read_operand(
         &self,
         io: &mut TaskIo,
         op: Operand,
         b: usize,
         in_columns: bool,
+        from: usize,
     ) -> Result<Matrix> {
         let (_, m, blocks) = self.operand(op);
         let (b0, b1) = blocks[b];
-        let oriented = |len: usize| {
-            if in_columns {
-                (self.n, len)
-            } else {
-                (len, self.n)
-            }
+        let width = self.n - from;
+        let mut out = if in_columns {
+            Matrix::zeros(width, b1 - b0)
+        } else {
+            Matrix::zeros(b1 - b0, width)
         };
-        let (rows, cols) = oriented(b1 - b0);
-        let mut out = Matrix::zeros(rows, cols);
         let mut placed = 0;
         for (path, indices) in self.files(op, 0..m, b..b + 1) {
-            let data = read_indexed(io, &path, &indices, oriented(indices.len()))?;
-            scatter_indexed(&indices, &data, in_columns, &mut out, (b0, 0));
+            let bytes = io.read(&path)?;
+            let file = decode_tails(&path, &bytes)?;
+            if file.indices != indices || file.n != self.n {
+                return Err(CoreError::Invariant(format!(
+                    "file {path} holds vectors {:?} of order {}, expected {indices:?} of order {}",
+                    file.indices, file.n, self.n
+                )));
+            }
+            for (i, tail) in file.vectors() {
+                let start = i.max(from);
+                let values = words(&tail[8 * (start - i)..]);
+                if in_columns {
+                    for (j, v) in (start - from..).zip(values) {
+                        out[(j, i - b0)] = v;
+                    }
+                } else {
+                    out.row_mut(i - b0)[start - from..]
+                        .iter_mut()
+                        .zip(values)
+                        .for_each(|(d, v)| *d = v);
+                }
+            }
             placed += indices.len();
         }
         expect_covered(
@@ -244,7 +399,13 @@ impl Layout {
             if r0 < r1 && c0 < c1 {
                 let tags = &self.perm[c0..c1];
                 let data = read_indexed(io, &self.result_path(cell), tags, (r1 - r0, c1 - c0))?;
-                scatter_indexed(tags, &data, true, &mut result, (0, r0));
+                // Column `s` of the cell is column `tags[s]` of `A^-1`.
+                for (r, src) in data.row_iter().enumerate() {
+                    let dst = result.row_mut(r0 + r);
+                    for (&j, &v) in tags.iter().zip(src) {
+                        dst[j as usize] = v;
+                    }
+                }
                 placed += (r1 - r0) * (c1 - c0);
             }
         }
@@ -253,7 +414,7 @@ impl Layout {
     }
 }
 
-/// Reads the indexed file at `path`, which must exist, carry exactly the
+/// Reads the `RESULT/` file at `path`, which must exist, carry exactly the
 /// index header `expect` and hold a block of `shape`.
 fn read_indexed(
     io: &mut TaskIo,
@@ -270,30 +431,6 @@ fn read_indexed(
         )));
     }
     Ok(file.data)
-}
-
-/// The one scatter: vector `s` of `data` — row `s`, or column `s` when
-/// `in_columns` — lands in row (column) `indices[s] - base` of `out`,
-/// starting `at` elements along it.
-fn scatter_indexed(
-    indices: &[u64],
-    data: &Matrix,
-    in_columns: bool,
-    out: &mut Matrix,
-    (base, at): (usize, usize),
-) {
-    if in_columns {
-        for r in 0..data.rows() {
-            let dst = out.row_mut(at + r);
-            for (&i, &v) in indices.iter().zip(data.row(r)) {
-                dst[i as usize - base] = v;
-            }
-        }
-    } else {
-        for (slot, &i) in indices.iter().enumerate() {
-            out.row_mut(i as usize - base)[at..at + data.cols()].copy_from_slice(data.row(slot));
-        }
-    }
 }
 
 #[derive(Serialize, Deserialize)]
@@ -330,7 +467,7 @@ impl Mapper for TriInvMapper {
     ) -> std::result::Result<(), MrError> {
         let InvTaskInput { op, k } = *input;
         let n = self.layout.n;
-        let (_, m, blocks) = self.layout.operand(op);
+        let (_, m, _) = self.layout.operand(op);
         let mine: Vec<usize> = (k..n).step_by(m).collect();
         // Both inverses come from one lower-triangular solve: row i of
         // U^-1 is column i of (Uᵀ)^-1, and Uᵀ is what Section 6.3 stores.
@@ -361,33 +498,15 @@ impl Mapper for TriInvMapper {
             ctx.charge_kernel(kernel.elapsed());
             (rows, false)
         };
-        // In the transposed layout columns become rows (one blocked
-        // transpose), so each per-cell file is a contiguous run. `computed`
-        // stays allocated until the files are written: the DFS keeps every
-        // encoded buffer, and freeing a megabyte first lets those settle in
-        // its hole, which no later task can reuse (+2 % `peak_rss_mb` on
-        // `lib-wide` under glibc, with the same live bytes).
-        let rows = (as_columns && self.opts.transpose_u).then(|| computed.transpose());
-        let (vectors, in_columns) = match &rows {
-            Some(rows) => (rows, false),
-            None => (&computed, as_columns),
-        };
-        // One file per block holding any of this worker's vectors. Vector
-        // `k + s·m` is row `s` of `vectors`, so a block's file holds a
-        // contiguous run of rows — or column `s`, and those columns.
-        for (path, indices) in self.layout.files(op, k..k + 1, 0..blocks.len()) {
-            let s0 = (indices[0] as usize - k) / m;
-            let s1 = s0 + indices.len();
-            let bytes = if in_columns {
-                let stripe = vectors.col_stripe(s0, s1).expect("slots index the vectors");
-                encode_indexed_parts(&indices, stripe.rows(), stripe.cols(), stripe.as_slice())
-            } else {
-                let len = vectors.cols();
-                let rows = &vectors.as_slice()[s0 * len..s1 * len];
-                encode_indexed_parts(&indices, s1 - s0, len, rows)
-            };
-            ctx.write(&path, bytes);
-        }
+        // Columns become rows (one blocked transpose), so each vector is a
+        // contiguous run. `computed` stays allocated until the files are
+        // written: the DFS keeps every encoded buffer, and freeing a
+        // megabyte first lets those settle in its hole, which no later task
+        // can reuse (+2 % `peak_rss_mb` on `lib-wide` under glibc, with the
+        // same live bytes).
+        let rows = as_columns.then(|| computed.transpose());
+        self.layout
+            .write_operand(ctx, op, k, rows.as_ref().unwrap_or(&computed))?;
         emit_cells(ctx, self.layout.num_cells());
         Ok(())
     }
@@ -419,30 +538,24 @@ impl Reducer for TriInvReducer {
         }
 
         // This cell's rows of U^-1, then its columns of L^-1, multiplied.
-        let u_rows = layout.read_operand(ctx, Operand::U, bi, false)?;
         let product = if self.opts.transpose_u {
-            let l_cols_t = layout.read_operand(ctx, Operand::L, bj, false)?;
             // Row i of U^-1 is zero before column i and column j of L^-1
             // before row j, so every product term with k < max(r0, c0) is
             // an exact zero for this cell. Skip the whole K panels among
-            // them: starting on a panel boundary keeps each element's
-            // partial sums grouped as in the dense product, bit for bit.
+            // them — read only from `k0` on: starting on a panel boundary
+            // keeps each element's partial sums grouped as in the dense
+            // product, bit for bit.
             let k0 = r0.max(c0) / K_PANEL * K_PANEL;
-            let (rows, cols) = (u_rows.rows(), l_cols_t.rows());
+            let u_rows = layout.read_operand(ctx, Operand::U, bi, false, k0)?;
+            let l_cols_t = layout.read_operand(ctx, Operand::L, bj, false, k0)?;
             let kernel = std::time::Instant::now();
-            let mut p = Matrix::zeros(rows, cols);
-            gemm(
-                1.0,
-                notrans(&u_rows).window(0..rows, k0..layout.n),
-                trans(&l_cols_t).window(k0..layout.n, 0..cols),
-                0.0,
-                &mut p,
-            )
-            .map_err(CoreError::from)?;
+            let mut p = Matrix::zeros(u_rows.rows(), l_cols_t.rows());
+            gemm(1.0, notrans(&u_rows), trans(&l_cols_t), 0.0, &mut p).map_err(CoreError::from)?;
             ctx.charge_kernel(kernel.elapsed());
             p
         } else {
-            let l_cols = layout.read_operand(ctx, Operand::L, bj, true)?;
+            let u_rows = layout.read_operand(ctx, Operand::U, bi, false, 0)?;
+            let l_cols = layout.read_operand(ctx, Operand::L, bj, true, 0)?;
             // Ablation path: Equation 7's column-striding product, pinned
             // to the Strided backend so it measures that exact loop order.
             let kernel = std::time::Instant::now();
@@ -595,23 +708,38 @@ mod tests {
         assert_eq!(own(0, 1, 6, (3, 3)), []);
     }
 
-    /// Every file of a layout, as the mappers write it: worker `k`'s vector
-    /// `i` is filled with `i + frac`, as a row (or a column, for `L` under
-    /// `in_columns`).
-    fn write_inv_files(io: &mut TaskIo, layout: &Layout, l_in_columns: bool) {
-        for (op, frac, in_columns) in [(Operand::L, 0.25, l_in_columns), (Operand::U, 0.5, false)] {
-            let (_, m, blocks) = layout.operand(op);
-            for (path, indices) in layout.files(op, 0..m, 0..blocks.len()) {
-                let rows =
-                    Matrix::from_fn(indices.len(), layout.n, |s, _| indices[s] as f64 + frac);
-                let data = if in_columns { rows.transpose() } else { rows };
-                io.write(&path, encode_indexed(&IndexedBlock { indices, data }));
+    /// Triangular vectors as the tests fill them: vector `i` is `i + frac`
+    /// from its index on and zero before, one row per index.
+    fn vector_rows(indices: &[u64], n: usize, frac: f64) -> Matrix {
+        Matrix::from_fn(indices.len(), n, |s, j| {
+            let i = indices[s] as usize;
+            if j >= i {
+                i as f64 + frac
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// Every file of a layout, through the mappers' writer: the vectors of
+    /// `L` hold `i + 0.25`, those of `U` `i + 0.5`.
+    fn write_inv_files(io: &mut TaskIo, layout: &Layout) {
+        for (op, frac) in [(Operand::L, 0.25), (Operand::U, 0.5)] {
+            let (_, m, _) = layout.operand(op);
+            for k in 0..m {
+                let mine: Vec<u64> = (k as u64..layout.n as u64).step_by(m).collect();
+                let vectors = vector_rows(&mine, layout.n, frac);
+                layout.write_operand(io, op, k, &vectors).unwrap();
             }
         }
     }
 
     fn names(err: &CoreError, path: &str) -> bool {
         err.to_string().contains(path)
+    }
+
+    fn invariant_naming(err: &CoreError, path: &str) -> bool {
+        matches!(err, CoreError::Invariant(_)) && names(err, path)
     }
 
     #[test]
@@ -621,52 +749,86 @@ mod tests {
             let mut io = TaskIo::new(dfs.clone());
             // 5 < m: workers 5.. of each half own nothing anywhere.
             let layout = layout(10, 3, 4, (2, 3));
-            write_inv_files(&mut io, &layout, l_in_columns);
+            write_inv_files(&mut io, &layout);
 
-            let u = layout.read_operand(&mut io, Operand::U, 1, false).unwrap();
-            assert_eq!(u, Matrix::from_fn(5, 10, |r, _| (5 + r) as f64 + 0.5));
-            let l = layout
-                .read_operand(&mut io, Operand::L, 2, l_in_columns)
+            let u = layout
+                .read_operand(&mut io, Operand::U, 1, false, 0)
                 .unwrap();
-            let expect = Matrix::from_fn(3, 10, |r, _| (7 + r) as f64 + 0.25);
+            assert_eq!(u, vector_rows(&[5, 6, 7, 8, 9], 10, 0.5));
+            let l = layout
+                .read_operand(&mut io, Operand::L, 2, l_in_columns, 0)
+                .unwrap();
+            let expect = vector_rows(&[7, 8, 9], 10, 0.25);
             assert_eq!(if l_in_columns { l.transpose() } else { l }, expect);
 
-            for (op, b, in_columns, path) in [
-                (Operand::U, 1, false, "Root/INV/U.2.1"),
-                (Operand::L, 2, l_in_columns, "Root/INV/L.1.2"),
+            for (op, b, in_columns, path, frac) in [
+                (Operand::U, 1, false, "Root/INV/U.2.1", 0.5),
+                (Operand::L, 2, l_in_columns, "Root/INV/L.1.2", 0.25),
             ] {
                 let good = dfs.read(path).unwrap();
-                // Tagged with some other worker's indices.
-                let mut wrong = decode_indexed(&good).unwrap();
-                wrong.indices[0] += 1;
-                dfs.write(path, encode_indexed(&wrong));
-                let err = layout.read_operand(&mut io, op, b, in_columns).unwrap_err();
-                assert!(
-                    matches!(err, CoreError::Invariant(_)) && names(&err, path),
-                    "{err}"
-                );
-                // One vector short.
-                let short = IndexedBlock {
-                    indices: wrong.indices[1..].to_vec(),
-                    data: Matrix::zeros(0, 0),
+                let held = decode_tails(path, &good).unwrap().indices;
+                let refile = |indices: &[u64]| {
+                    let vectors = vector_rows(indices, 10, frac);
+                    dfs.write(
+                        path,
+                        encode_tails(path, indices, 10, vectors.as_slice()).unwrap(),
+                    );
                 };
-                dfs.write(path, encode_indexed(&short));
-                let err = layout.read_operand(&mut io, op, b, in_columns).unwrap_err();
-                assert!(
-                    matches!(err, CoreError::Invariant(_)) && names(&err, path),
-                    "{err}"
-                );
-                // Gone: at the parent this read `Ok`, with zero rows.
+                // Tagged with some other worker's indices; one vector short;
+                // cut short by one element.
+                let mut wrong = held.clone();
+                wrong[0] += 1;
+                refile(&wrong);
+                let err = layout
+                    .read_operand(&mut io, op, b, in_columns, 0)
+                    .unwrap_err();
+                assert!(invariant_naming(&err, path), "{err}");
+                refile(&held[1..]);
+                let err = layout
+                    .read_operand(&mut io, op, b, in_columns, 0)
+                    .unwrap_err();
+                assert!(invariant_naming(&err, path), "{err}");
+                dfs.write(path, good.slice(..good.len() - 8));
+                let err = layout
+                    .read_operand(&mut io, op, b, in_columns, 0)
+                    .unwrap_err();
+                assert!(invariant_naming(&err, path), "{err}");
+                // Gone: it once read `Ok`, with zero rows.
                 assert!(dfs.delete(path));
-                let err = layout.read_operand(&mut io, op, b, in_columns).unwrap_err();
+                let err = layout
+                    .read_operand(&mut io, op, b, in_columns, 0)
+                    .unwrap_err();
                 assert!(
                     matches!(&err, CoreError::MapReduce(MrError::FileNotFound { path: p, .. }) if p == path),
                     "{err}"
                 );
                 dfs.write(path, good);
-                layout.read_operand(&mut io, op, b, in_columns).unwrap();
+                layout.read_operand(&mut io, op, b, in_columns, 0).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn the_writer_refuses_a_vector_with_a_nonzero_head() {
+        let path = "Root/INV/L.0.1";
+        // Vector 2 of order 4 drops elements 0 and 1; a tiny value, a NaN.
+        for head in [[0.0, 1e-300], [f64::NAN, 0.0]] {
+            let vector = [head[0], head[1], 3.0, 4.0];
+            let err = encode_tails(path, &[2], 4, &vector).unwrap_err();
+            assert!(invariant_naming(&err, path), "{err}");
+        }
+        // Negative zero is zero; the reader puts it back as +0.0.
+        let file = encode_tails(path, &[0, 2], 4, &[1.0, 2.0, 3.0, 4.0, -0.0, 0.0, 5.0, 6.0]);
+        let file = file.unwrap();
+        let tails = decode_tails(path, &file).unwrap();
+        let vectors: Vec<(usize, Vec<f64>)> = tails
+            .vectors()
+            .map(|(i, t)| (i, words(t).collect()))
+            .collect();
+        assert_eq!(
+            vectors,
+            [(0, vec![1.0, 2.0, 3.0, 4.0]), (2, vec![5.0, 6.0])]
+        );
     }
 
     #[test]
@@ -781,6 +943,75 @@ mod tests {
                         .collect();
                     let computed: Vec<u64> = (k..n).step_by(m).map(|i| i as u64).collect();
                     prop_assert_eq!(filed, computed);
+                }
+            }
+        }
+
+        /// `read_operand(…, from)` is columns `from..n` of the dense
+        /// operand the mappers filed, in either orientation.
+        #[test]
+        fn read_operand_from_is_the_dense_window(
+            ((n, m_l, m_u), (f1, f2), from, seed) in (
+                (1usize..30, 1usize..8, 1usize..8),
+                (1usize..5, 1usize..5),
+                any::<usize>(),
+                any::<u64>(),
+            )
+        ) {
+            let from = from % n;
+            let layout = layout(n, m_l, m_u, (f1, f2));
+            // Vector i: random from its index on, zero before.
+            let noise = random_matrix(n, n, seed);
+            let dense = Matrix::from_fn(n, n, |i, j| if j >= i { noise[(i, j)] } else { 0.0 });
+            let mut io = TaskIo::new(Arc::new(Dfs::default()));
+            for op in [Operand::L, Operand::U] {
+                let (_, m, blocks) = layout.operand(op);
+                for k in 0..m {
+                    let mine = (k..n).step_by(m).count();
+                    let vectors = Matrix::from_fn(mine, n, |s, j| dense[(k + s * m, j)]);
+                    layout.write_operand(&mut io, op, k, &vectors).unwrap();
+                }
+                for (b, &(b0, b1)) in blocks.iter().enumerate() {
+                    let window = Matrix::from_fn(b1 - b0, n - from, |r, c| dense[(b0 + r, from + c)]);
+                    let rows = layout.read_operand(&mut io, op, b, false, from).unwrap();
+                    prop_assert_eq!(&rows, &window);
+                    let cols = layout.read_operand(&mut io, op, b, true, from).unwrap();
+                    prop_assert_eq!(cols, window.transpose());
+                }
+            }
+        }
+
+        /// Hostile bytes never panic the `INV/` reader: arbitrary input,
+        /// and a valid file cut short anywhere, with one byte flipped, or
+        /// with its count or order set to `u64::MAX`, to the bytes
+        /// remaining + 1 or to a count whose byte size wraps. A cut or a
+        /// lying length is always an error, found before anything is
+        /// allocated by it.
+        #[test]
+        fn hostile_bytes_never_panic_decode_tails(
+            (noise, (n, count), cut, (at, mask)) in (
+                prop::collection::vec(any::<u8>(), 0..96),
+                (1usize..6, 1usize..4),
+                any::<usize>(),
+                (any::<usize>(), 1u8..=255),
+            )
+        ) {
+            let _ = decode_tails("x", &noise);
+            let indices: Vec<u64> = (0..count as u64).map(|s| 2 * s % n as u64).collect();
+            let vectors = vector_rows(&indices, n, 1.5);
+            let valid = encode_tails("x", &indices, n, vectors.as_slice()).unwrap();
+            prop_assert!(decode_tails("x", &valid).is_ok());
+            prop_assert!(decode_tails("x", &valid[..cut % valid.len()]).is_err());
+            let mut flipped = valid.to_vec();
+            flipped[at % valid.len()] ^= mask;
+            let _ = decode_tails("x", &flipped);
+            // The count, then the order.
+            for field in [0, 8 + 8 * count] {
+                let remaining = (valid.len() - field - 8) as u64;
+                for lie in [u64::MAX, remaining + 1, 1 << 61] {
+                    let mut lying = valid.to_vec();
+                    lying[field..field + 8].copy_from_slice(&lie.to_le_bytes());
+                    prop_assert!(decode_tails("x", &lying).is_err());
                 }
             }
         }

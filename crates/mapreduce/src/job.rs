@@ -45,14 +45,16 @@ pub struct TaskStats {
 }
 
 impl TaskStats {
-    /// Component-wise sum.
+    /// Component-wise sum, saturating: a worker's reply is input, and an
+    /// in-range but huge figure (`cpu: Duration::MAX`) must not panic the
+    /// driver that adds it up.
     pub fn merge(&self, other: &TaskStats) -> TaskStats {
         TaskStats {
-            cpu: self.cpu + other.cpu,
-            kernel: self.kernel + other.kernel,
-            read_bytes: self.read_bytes + other.read_bytes,
-            write_bytes: self.write_bytes + other.write_bytes,
-            shuffle_bytes: self.shuffle_bytes + other.shuffle_bytes,
+            cpu: self.cpu.saturating_add(other.cpu),
+            kernel: self.kernel.saturating_add(other.kernel),
+            read_bytes: self.read_bytes.saturating_add(other.read_bytes),
+            write_bytes: self.write_bytes.saturating_add(other.write_bytes),
+            shuffle_bytes: self.shuffle_bytes.saturating_add(other.shuffle_bytes),
         }
     }
 
@@ -60,7 +62,7 @@ impl TaskStats {
     /// every DFS read plus everything pushed through the shuffle
     /// (`theory.rs` Tables 1–2 count all DFS reads as network transfer).
     pub fn transfer_bytes(&self) -> u64 {
-        self.read_bytes + self.shuffle_bytes
+        self.read_bytes.saturating_add(self.shuffle_bytes)
     }
 }
 

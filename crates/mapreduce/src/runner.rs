@@ -666,7 +666,6 @@ where
         map_plan.remote_read_bytes,
     );
     let mut stats = TaskStats::default();
-    let mut shuffle_bytes = 0u64;
     let mut task_buckets = Vec::with_capacity(num_tasks);
     for run in &mut map_runs {
         let ok_stats = &run
@@ -675,7 +674,6 @@ where
             .expect("successful task has at least one attempt")
             .stats;
         stats = stats.merge(ok_stats);
-        shuffle_bytes += ok_stats.shuffle_bytes;
         let (buckets, _) = run.payload.take().expect("map wave succeeded");
         task_buckets.push(buckets);
     }
@@ -683,6 +681,7 @@ where
     let mut outputs = Vec::new();
     if reducers > 0 {
         // ---- Shuffle + reduce wave --------------------------------------
+        let shuffle_bytes = stats.shuffle_bytes;
         cluster.metrics.record_shuffle_bytes(shuffle_bytes);
         // Merge + sort each partition's buckets, one rayon work item per
         // reducer (see crate::shuffle).

@@ -18,19 +18,31 @@ pub fn vec_norm(v: &[f64]) -> f64 {
 
 /// The paper's Section 7.2 accuracy metric: the maximum absolute element of
 /// `I_n - M·M_inv`. The paper verifies this is below `1e-5` for its suite.
+///
+/// Holds one `n x n` matrix, `P = M·M_inv`, and folds `|δᵢⱼ - pᵢⱼ|` over
+/// it in row-major order: the value of [`Matrix::max_norm`] on `I - P`, bit
+/// for bit, without `I` or `I - P`.
 pub fn inversion_residual(m: &Matrix, m_inv: &Matrix) -> Result<f64> {
-    let n = m.order()?;
+    m.order()?;
+    m_inv.order()?;
     let prod = kernel::mul(notrans(m), notrans(m_inv))?;
-    let residual = &Matrix::identity(n) - &prod;
-    Ok(residual.max_norm())
+    let mut max = 0.0_f64;
+    for (i, row) in prod.row_iter().enumerate() {
+        for (j, &p) in row.iter().enumerate() {
+            let delta = if i == j { 1.0 } else { 0.0 };
+            max = max.max((delta - p).abs());
+        }
+    }
+    Ok(max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lu::lu_decompose;
-    use crate::random::random_well_conditioned;
+    use crate::random::{random_matrix, random_well_conditioned};
     use crate::triangular::{invert_lower, invert_upper};
+    use proptest::prelude::*;
 
     #[test]
     fn norms_on_known_matrix() {
@@ -75,5 +87,56 @@ mod tests {
     fn residual_requires_square() {
         let a = Matrix::zeros(2, 3);
         assert!(inversion_residual(&a, &a).is_err());
+        // A square matrix against a non-square "inverse" of matching inner
+        // dimension, and against a square one of another order.
+        let sq = Matrix::identity(2);
+        assert!(inversion_residual(&sq, &a).is_err());
+        assert!(inversion_residual(&sq, &Matrix::identity(3)).is_err());
+    }
+
+    /// The three-matrix formula the one-buffer fold replaced: the oracle.
+    fn three_matrix_residual(m: &Matrix, m_inv: &Matrix) -> f64 {
+        let prod = kernel::mul(notrans(m), notrans(m_inv)).unwrap();
+        (&Matrix::identity(m.rows()) - &prod).max_norm()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Bit-equal to the oracle on random inputs, and on inputs whose
+        /// entries are replaced by NaN, ±Inf, -0.0 or 0.0 at random.
+        #[test]
+        fn residual_is_bit_equal_to_the_three_matrix_formula(
+            (n, seed, specials) in (
+                0usize..12,
+                any::<u64>(),
+                prop::collection::vec((any::<usize>(), 0usize..5), 0..6),
+            )
+        ) {
+            let mut m = random_matrix(n, n, seed);
+            let mut m_inv = random_matrix(n, n, seed ^ 0x9e37_79b9);
+            if n > 0 {
+                for (at, which) in specials {
+                    let value = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0][which];
+                    let target = if at % 2 == 0 { &mut m } else { &mut m_inv };
+                    target.as_mut_slice()[at / 2 % (n * n)] = value;
+                }
+            }
+            let got = inversion_residual(&m, &m_inv).unwrap();
+            prop_assert_eq!(got.to_bits(), three_matrix_residual(&m, &m_inv).to_bits());
+        }
+    }
+
+    #[test]
+    fn residual_of_special_values() {
+        let identity = Matrix::identity(3);
+        let mut one_inf = Matrix::identity(3);
+        one_inf[(1, 2)] = f64::INFINITY;
+        let residual = |m: &Matrix| inversion_residual(m, &identity).unwrap();
+        assert_eq!(residual(&identity), 0.0);
+        assert_eq!(residual(&Matrix::filled(3, 3, -0.0)), 1.0);
+        assert_eq!(residual(&one_inf), f64::INFINITY);
+        // `f64::max` skips NaN, so an all-NaN product reads as clean.
+        assert_eq!(residual(&Matrix::filled(3, 3, f64::NAN)), 0.0);
     }
 }

@@ -7,7 +7,8 @@
 //! JSON) every number set to `u64::MAX` or one past it. A panic fails the
 //! test by itself; the named cases at the end are the ones that used to.
 //! `decode_text` has its own hostile-header suite in `mrinv-matrix`, and
-//! the final job's `decode_indexed` a unit proptest beside it.
+//! the final job's `decode_indexed` and `decode_tails` unit proptests
+//! beside them.
 
 use std::time::Duration;
 
@@ -278,4 +279,29 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
     let json = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
     assert!(serde_json::from_str::<Value>(&json).is_err());
     assert!(!manifest(json.as_bytes()));
+}
+
+/// A reply can carry figures that decode fine and are still absurd:
+/// `Duration::MAX` of CPU, `u64::MAX` bytes. The driver sums every
+/// attempt's stats, and `Duration` addition used to panic there.
+#[test]
+fn huge_in_range_task_stats_merge_without_panicking() {
+    let huge = TaskStats {
+        cpu: Duration::MAX,
+        kernel: Duration::MAX,
+        read_bytes: u64::MAX,
+        write_bytes: u64::MAX,
+        shuffle_bytes: u64::MAX,
+    };
+    let frame = bincode::serialize(&WireTaskResult {
+        stats: huge,
+        payload: Value::Null,
+    });
+    let decoded = bincode::deserialize::<WireTaskResult>(&frame)
+        .unwrap()
+        .stats;
+    assert_eq!(decoded, huge);
+    let total = stats().merge(&decoded).merge(&decoded);
+    assert_eq!(total, huge);
+    assert_eq!(total.transfer_bytes(), u64::MAX);
 }
