@@ -10,7 +10,7 @@
 //! * the shape of a Spark-style port (Section 8's future work keeps
 //!   intermediates in memory; this module is exactly that dataflow).
 
-use mrinv_matrix::kernel::{gemm, notrans, trans};
+use mrinv_matrix::kernel::{gemm, gemm_staircase, notrans, trans};
 use mrinv_matrix::lu::lu_decompose;
 use mrinv_matrix::triangular::{
     invert_lower, invert_upper, solve_unit_lower_system, solve_upper_system_right,
@@ -21,11 +21,13 @@ use crate::request::LuFactors;
 
 /// `U^-1 · L^-1` with `L^-1` packed transposed (both operands then stream
 /// row-major — the Section 6.3 layout, preserved bit-for-bit from the old
-/// `mul_parallel` under the Naive backend).
+/// `mul_parallel` under the Naive backend). Row `i` of `U^-1` and column
+/// `i` of `L^-1` are exactly zero before index `i`, so the product skips
+/// those terms tile by tile ([`gemm_staircase`]) with the dense bits.
 fn mul_inverse_factors(u_inv: &Matrix, l_inv: &Matrix) -> Result<Matrix> {
     let l_inv_t = l_inv.transpose();
     let mut c = Matrix::zeros(u_inv.rows(), l_inv.cols());
-    gemm(1.0, notrans(u_inv), trans(&l_inv_t), 0.0, &mut c)?;
+    gemm_staircase(notrans(u_inv), 0, trans(&l_inv_t), 0, 0, &mut c)?;
     Ok(c)
 }
 

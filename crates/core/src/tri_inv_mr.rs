@@ -10,7 +10,10 @@
 //!   read only their own `(1/f1 + 1/f2)·n²` share (Section 6.2);
 //! * **reducers** — each computes one block of `U^-1·L^-1` and writes it
 //!   with its *permuted* target column indices: column `j` of the product
-//!   is column `S[j]` of `A^-1` (Section 4.3).
+//!   is column `S[j]` of `A^-1` (Section 4.3). The block multiplies only
+//!   the terms the two triangles can make nonzero, tile by tile
+//!   (`kernel::gemm_staircase`), with the dense product's bits; the Eq. 7
+//!   ablation keeps its dense `Strided` product.
 //!
 //! Because the interleaved vectors are non-contiguous, files carry explicit
 //! index headers.
@@ -52,7 +55,9 @@ use mrinv_mapreduce::runner::run_job;
 use mrinv_mapreduce::{MrError, PipelineDriver, TaskIo, TaskRegistry};
 use mrinv_matrix::block::even_ranges;
 use mrinv_matrix::io::{binary_size, decode_binary, encode_binary_onto};
-use mrinv_matrix::kernel::{gemm, gemm_with, notrans, trans, Diag, Side, Strided, Uplo, K_PANEL};
+use mrinv_matrix::kernel::{
+    gemm_staircase, gemm_with, notrans, trans, Diag, Side, Strided, Uplo, K_PANEL,
+};
 use mrinv_matrix::triangular::{solve_row_times_upper, trsm};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize};
@@ -540,17 +545,20 @@ impl Reducer for TriInvReducer {
         // This cell's rows of U^-1, then its columns of L^-1, multiplied.
         let product = if self.opts.transpose_u {
             // Row i of U^-1 is zero before column i and column j of L^-1
-            // before row j, so every product term with k < max(r0, c0) is
-            // an exact zero for this cell. Skip the whole K panels among
-            // them — read only from `k0` on: starting on a panel boundary
-            // keeps each element's partial sums grouped as in the dense
+            // before row j — exact zeros, which the INV/ files drop and
+            // `read_operand` puts back. So no term with k < max(r0, c0)
+            // reaches this cell: read only from the K panel `k0` that
+            // holds that index, and let `gemm_staircase` start each tile
+            // of the product at its own first nonzero term. Both keep
+            // each element's partial sums grouped as in the dense
             // product, bit for bit.
             let k0 = r0.max(c0) / K_PANEL * K_PANEL;
             let u_rows = layout.read_operand(ctx, Operand::U, bi, false, k0)?;
             let l_cols_t = layout.read_operand(ctx, Operand::L, bj, false, k0)?;
             let kernel = std::time::Instant::now();
             let mut p = Matrix::zeros(u_rows.rows(), l_cols_t.rows());
-            gemm(1.0, notrans(&u_rows), trans(&l_cols_t), 0.0, &mut p).map_err(CoreError::from)?;
+            gemm_staircase(notrans(&u_rows), r0, trans(&l_cols_t), c0, k0, &mut p)
+                .map_err(CoreError::from)?;
             ctx.charge_kernel(kernel.elapsed());
             p
         } else {

@@ -8,7 +8,8 @@
 //! * Under the default `Packed` engine the same inverse must agree within a
 //!   documented forward-error tolerance (the engine only reassociates
 //!   sums; for this n=64 / nb=4 problem the observed deviation is ~1e-13,
-//!   bounded here at 1e-10).
+//!   bounded here at 1e-10). Its bits are pinned as well, at two orders
+//!   large enough for the final product to start past a K panel.
 //! * The checkpoint manifest's job fingerprints must not move: a PR 2
 //!   `Checkpoint::Resume` of a pre-refactor run has to keep restoring
 //!   every job. Fingerprints cover job name, reducer count, a constant
@@ -19,7 +20,7 @@ use mrinv::Request;
 use mrinv_mapreduce::driver::ManifestRecord;
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, RunId};
 use mrinv_matrix::kernel::{set_global_backend, BackendKind};
-use mrinv_matrix::random::random_invertible;
+use mrinv_matrix::random::{random_invertible, random_well_conditioned};
 use mrinv_matrix::Matrix;
 
 fn test_cluster() -> Cluster {
@@ -92,8 +93,31 @@ fn e2e_inverse_is_pinned_per_backend() {
         "packed engine deviates from reference by {diff:e}"
     );
 
+    for &(n, nb, pinned) in PACKED_HASHES {
+        let a = random_well_conditioned(n, n as u64);
+        let inverse = Request::invert(&a)
+            .config(&InversionConfig::with_nb(nb))
+            .submit(&test_cluster())
+            .unwrap()
+            .into_inverse();
+        assert_eq!(
+            hash_matrix(&inverse),
+            pinned,
+            "packed inverse at n={n} nb={nb} moved"
+        );
+    }
+
     set_global_backend(prev);
 }
+
+/// `(n, nb, hash)` of the `Packed`-backend inverse of
+/// `random_well_conditioned(n, n)` on 4 nodes: orders past two K panels,
+/// where the final product's cells start beyond the first panel and its
+/// 128-wide tiles straddle a panel boundary. Captured while every cell
+/// still multiplied whole K panels, so skipping zero terms tile by tile
+/// must reproduce them.
+const PACKED_HASHES: &[(usize, usize, u64)] =
+    &[(520, 65, 0xd2594b6c51ace638), (600, 75, 0x6552474b4498bf1d)];
 
 /// `(job name, manifest fingerprint)` for every job of the pinned run, in
 /// pipeline order. Captured before the kernel refactor; a change here

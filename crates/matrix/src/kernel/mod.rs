@@ -10,17 +10,20 @@
 //!
 //! * [`gemm`] — `C := alpha * op(A) * op(B) + beta * C` with
 //!   [`Op::NoTrans`]/[`Op::Trans`] per operand;
+//! * [`gemm_staircase`] — `C := op(A) * op(B)` for an upper-triangle-like
+//!   `op(A)` and a lower-triangle-like `op(B)`, skipping their zero terms
+//!   tile by tile with [`gemm`]'s bits;
 //! * [`trsm`] — `B := alpha * T^-1 * B` (left) or `alpha * B * T^-1`
 //!   (right) for triangular `T`, all [`Side`]/[`Uplo`]/[`Diag`] cases;
 //! * [`lu_blocked`] — right-looking blocked LU whose trailing updates are
-//!   the two kernels above.
+//!   [`gemm`] and [`trsm`].
 //!
 //! Execution strategy is pluggable through [`GemmBackend`]:
 //!
 //! * [`Packed`] — the real engine: panels of `A` and `B` are packed into
 //!   contiguous, register-block-sized buffers, the MC/KC/NC loop nest
 //!   keeps them L1/L2-resident, an MR×NR register-tiled microkernel does
-//!   the flops (with an AVX2+FMA path selected at runtime on x86-64), and
+//!   the flops (with an AVX2 path selected at runtime on x86-64), and
 //!   rayon parallelizes over macro-tile rows;
 //! * [`Naive`] — the reference loop orders the seed pipeline used
 //!   (i-k-j row-streaming, and the Section 6.3 unrolled-dot form when the
@@ -43,6 +46,7 @@ mod lu;
 mod naive;
 mod packed;
 pub mod perf;
+mod staircase;
 mod trsm;
 mod window;
 
@@ -55,6 +59,7 @@ use crate::error::{MatrixError, Result};
 pub use lu::{lu_blocked, lu_blocked_in_place};
 pub use naive::dot;
 pub use packed::K_PANEL;
+pub use staircase::gemm_staircase;
 pub use trsm::{trsm, trsm_with};
 pub use window::{MatMut, MatRef};
 
@@ -209,6 +214,16 @@ pub trait GemmBackend: Sync {
     /// unblocked reference leaf.
     fn trsm_block(&self) -> Option<usize> {
         None
+    }
+
+    /// Whether this backend sums every element of `C` in [`K_PANEL`]-deep
+    /// panels of `k`, aligned to the operands' first column, each panel's
+    /// sum started from `+0.0` and added to `C` in order — what lets
+    /// [`gemm_staircase`] skip exact-zero head terms without changing a
+    /// bit. Without it (the default), [`gemm_staircase`] is one dense
+    /// product.
+    fn sums_in_k_panels(&self) -> bool {
+        false
     }
 }
 

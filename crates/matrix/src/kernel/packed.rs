@@ -21,7 +21,11 @@
 //! The microkernel keeps an `MR x NR = 4 x 8` f64 accumulator block in
 //! registers (8 YMM registers under AVX2) and is compiled twice: once
 //! portably and once with `#[target_feature(enable = "avx2", "fma")]`;
-//! the FMA variant is selected per-call by cached CPUID detection.
+//! the AVX2 variant is selected per-call by cached CPUID detection. Both
+//! round each step as a multiply, then an add: Rust never contracts
+//! `a * b + c` into a fused multiply-add, so the AVX2 build issues
+//! `vmulpd` + `vaddpd`, not `vfmadd`. That is what keeps the two
+//! instantiations — and every host, with AVX2 or without — bit-equal.
 //!
 //! `beta` is applied to `C` once up front; the k-blocks then accumulate
 //! with `+=`, and `alpha` is folded into the accumulator write-out.
@@ -117,9 +121,11 @@ fn micro_generic(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
     micro_body(ap, bp, acc);
 }
 
-/// AVX2+FMA instantiation: same body, compiled with 256-bit registers and
-/// fused multiply-add available, which is what lets the 4x8 accumulator
-/// block live entirely in YMM registers.
+/// AVX2 instantiation: same body, compiled with 256-bit registers, which
+/// is what lets the 4x8 accumulator block live entirely in YMM registers.
+/// The `fma` feature is enabled but unused: `acc += a * b` stays a
+/// separately rounded multiply and add (`vmulpd` + `vaddpd`), so the
+/// result is the portable instantiation's, bit for bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn micro_avx2(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
@@ -390,6 +396,10 @@ impl GemmBackend for super::Packed {
 
     fn trsm_block(&self) -> Option<usize> {
         Some(MC)
+    }
+
+    fn sums_in_k_panels(&self) -> bool {
+        true
     }
 }
 

@@ -179,6 +179,8 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{GemmBackend, MatMut, OpRef, Packed};
+    use crate::Matrix;
 
     /// Serialized via the global flag: these tests mutate process-wide
     /// state, so they run in one test to avoid interleaving.
@@ -221,40 +223,54 @@ mod tests {
         assert!(snapshot().is_empty());
 
         trsm_zero_observation_cuts_the_gemm_count();
+        staircase_product_cuts_the_gemm_count();
         reset();
+    }
+
+    /// The packed engine under a backend name no concurrently running test
+    /// uses: its calls land in the `"other"` slot.
+    struct CountProbe;
+    const ENGINE: Packed = Packed { parallel: false };
+    impl GemmBackend for CountProbe {
+        fn gemm_checked(
+            &self,
+            alpha: f64,
+            a: OpRef<'_>,
+            b: OpRef<'_>,
+            beta: f64,
+            c: MatMut<'_>,
+        ) -> crate::Result<()> {
+            ENGINE.gemm_checked(alpha, a, b, beta, c)
+        }
+        fn name(&self) -> &'static str {
+            "count-probe"
+        }
+        fn trsm_block(&self) -> Option<usize> {
+            ENGINE.trsm_block()
+        }
+        fn sums_in_k_panels(&self) -> bool {
+            ENGINE.sums_in_k_panels()
+        }
+    }
+
+    /// GEMM flops [`CountProbe`] records while `run` runs.
+    fn probe_flops(run: impl FnOnce()) -> u64 {
+        reset();
+        set_enabled(true);
+        run();
+        set_enabled(false);
+        let snap = snapshot();
+        snap.iter().find(|p| p.backend == "other").unwrap().flops
     }
 
     /// The count behind the pipeline's triangular-inversion saving: on the
     /// n = 768 batch of 384 interleaved unit-basis columns, the coupling
     /// GEMMs restricted to observed-live vectors do at most 0.4 of the
     /// flops of the same solve run dense. Part of the one test above
-    /// because it, too, flips the process-wide flag; it records under a
-    /// backend name no concurrently running test uses.
+    /// because it, too, flips the process-wide flag.
     fn trsm_zero_observation_cuts_the_gemm_count() {
         use crate::kernel::trsm::trsm_window;
-        use crate::kernel::{Diag, GemmBackend, MatMut, OpRef, Packed, Side, Uplo};
-        use crate::Matrix;
-
-        struct CountProbe;
-        const ENGINE: Packed = Packed { parallel: false };
-        impl GemmBackend for CountProbe {
-            fn gemm_checked(
-                &self,
-                alpha: f64,
-                a: OpRef<'_>,
-                b: OpRef<'_>,
-                beta: f64,
-                c: MatMut<'_>,
-            ) -> crate::Result<()> {
-                ENGINE.gemm_checked(alpha, a, b, beta, c)
-            }
-            fn name(&self) -> &'static str {
-                "count-probe"
-            }
-            fn trsm_block(&self) -> Option<usize> {
-                ENGINE.trsm_block()
-            }
-        }
+        use crate::kernel::{Diag, Side, Uplo};
 
         let n = 768;
         let t = Matrix::from_fn(n, n, |i, j| if i == j { 2.0 } else { 1.0 / n as f64 });
@@ -263,26 +279,45 @@ mod tests {
             for slot in 0..n / 2 {
                 x[(2 * slot + 1, slot)] = 1.0;
             }
-            reset();
-            set_enabled(true);
-            trsm_window(
-                &CountProbe,
-                Side::Left,
-                Uplo::Lower,
-                Diag::NonUnit,
-                observe_zeros,
-                (&t).into(),
-                (&mut x).into(),
-            )
-            .unwrap();
-            set_enabled(false);
-            let snap = snapshot();
-            snap.iter().find(|p| p.backend == "other").unwrap().flops
+            probe_flops(|| {
+                trsm_window(
+                    &CountProbe,
+                    Side::Left,
+                    Uplo::Lower,
+                    Diag::NonUnit,
+                    observe_zeros,
+                    (&t).into(),
+                    (&mut x).into(),
+                )
+                .unwrap()
+            })
         };
         let (dense, observed) = (flops(false), flops(true));
         assert!(
             observed as f64 <= 0.4 * dense as f64,
             "observed-zero batch does {observed} GEMM flops, dense {dense}"
+        );
+    }
+
+    /// The count behind the final product's saving: `U⁻¹·L⁻¹` at n = 768
+    /// as a staircase product does at most 0.43 of the dense flops (0.421
+    /// with 128-wide tiles; two whole triangles floor it at 1/3).
+    fn staircase_product_cuts_the_gemm_count() {
+        use crate::kernel::staircase::staircase_with;
+        use crate::kernel::{gemm_window, notrans, trans};
+
+        let n = 768;
+        // U times L = Uᵀ, with L stored transposed as the reducer has it.
+        let u = Matrix::from_fn(n, n, |i, j| if j >= i { 1.0 } else { 0.0 });
+        let mut c = Matrix::zeros(n, n);
+        let (a, b) = (notrans(&u), trans(&u));
+        let dense =
+            probe_flops(|| gemm_window(&CountProbe, 1.0, a, b, 0.0, (&mut c).into()).unwrap());
+        let stairs =
+            probe_flops(|| staircase_with(&CountProbe, a, 0, b, 0, 0, (&mut c).into()).unwrap());
+        assert!(
+            stairs as f64 <= 0.43 * dense as f64,
+            "staircase product does {stairs} GEMM flops, dense {dense}"
         );
     }
 }

@@ -1,3 +1,4 @@
+use super::staircase::staircase_with;
 use super::trsm::trsm_window;
 use super::*;
 use crate::block::BlockRange;
@@ -814,6 +815,68 @@ fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
                     assert_eq!(v.to_bits(), 0, "{side:?}/{uplo:?} vector {j} entry {i}");
                 }
             }
+        }
+    }
+}
+
+/// A `rows x cols` matrix, random from column `first(i)` of row `i` on and
+/// exactly `+0.0` before it.
+fn staircase(rows: usize, cols: usize, first: impl Fn(usize) -> usize, seed: u64) -> Matrix {
+    let noise = random_matrix(rows, cols, seed);
+    Matrix::from_fn(
+        rows,
+        cols,
+        |i, p| {
+            if p >= first(i) {
+                noise[(i, p)]
+            } else {
+                0.0
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The staircase product is the dense product, bit for bit: under the
+    /// packed engine (tiles cut at both edges of `C`, `K` of one to three
+    /// panels, tiles whose first term falls inside a panel and splits it,
+    /// steps that start before the window's origin), and under the Naive
+    /// oracle, where it is the one dense call.
+    #[test]
+    fn staircase_product_is_the_dense_product_bitwise(
+        ((m, n, k), origin, (a_row0, b_col0), (ta, tb), seed) in (
+            (1usize..300, 1usize..300, 1usize..=3 * K_PANEL),
+            0usize..2 * K_PANEL,
+            (any::<usize>(), any::<usize>()),
+            (any::<bool>(), any::<bool>()),
+            any::<u64>(),
+        )
+    ) {
+        // Steps anywhere from index 0 to past the window's end.
+        let (a_row0, b_col0) = (a_row0 % (origin + k), b_col0 % (origin + k));
+        let step = |row0: usize| move |i: usize| (row0 + i).saturating_sub(origin);
+        // Logical op(A) is m x k, op(B) is k x n; store each as the test
+        // asks, so both `Op`s are exercised on either side.
+        let a = staircase(m, k, step(a_row0), seed);
+        let b_t = staircase(n, k, step(b_col0), seed ^ 1);
+        let a_stored = if ta { a.transpose() } else { a };
+        let b_stored = if tb { b_t } else { b_t.transpose() };
+        let op = |t: bool| if t { Op::Trans } else { Op::NoTrans };
+        let (a_op, b_op) = (op(ta).of(&a_stored), op(tb).of(&b_stored));
+
+        for backend in [&Packed { parallel: false } as &dyn GemmBackend, &Naive] {
+            let mut dense = Matrix::filled(m, n, f64::NAN);
+            gemm_with(backend, 1.0, a_op, b_op, 0.0, &mut dense).unwrap();
+            let mut stairs = Matrix::filled(m, n, f64::NAN);
+            staircase_with(backend, a_op, a_row0, b_op, b_col0, origin, (&mut stairs).into())
+                .unwrap();
+            prop_assert!(
+                bits(&stairs) == bits(&dense),
+                "{}: m={} n={} k={} origin={} a_row0={} b_col0={}",
+                backend.name(), m, n, k, origin, a_row0, b_col0
+            );
         }
     }
 }

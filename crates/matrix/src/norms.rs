@@ -21,7 +21,8 @@ pub fn vec_norm(v: &[f64]) -> f64 {
 ///
 /// Holds one `n x n` matrix, `P = M·M_inv`, and folds `|δᵢⱼ - pᵢⱼ|` over
 /// it in row-major order: the value of [`Matrix::max_norm`] on `I - P`, bit
-/// for bit, without `I` or `I - P`.
+/// for bit, without `I` or `I - P` — except that a NaN anywhere in `P` is
+/// `+∞`, a failed check, where `f64::max` would skip it.
 pub fn inversion_residual(m: &Matrix, m_inv: &Matrix) -> Result<f64> {
     m.order()?;
     m_inv.order()?;
@@ -29,6 +30,9 @@ pub fn inversion_residual(m: &Matrix, m_inv: &Matrix) -> Result<f64> {
     let mut max = 0.0_f64;
     for (i, row) in prod.row_iter().enumerate() {
         for (j, &p) in row.iter().enumerate() {
+            if p.is_nan() {
+                return Ok(f64::INFINITY);
+            }
             let delta = if i == j { 1.0 } else { 0.0 };
             max = max.max((delta - p).abs());
         }
@@ -94,17 +98,23 @@ mod tests {
         assert!(inversion_residual(&sq, &Matrix::identity(3)).is_err());
     }
 
-    /// The three-matrix formula the one-buffer fold replaced: the oracle.
+    /// The three-matrix formula the one-buffer fold replaced, reading a
+    /// NaN anywhere in `I - P` as `+∞`: the oracle.
     fn three_matrix_residual(m: &Matrix, m_inv: &Matrix) -> f64 {
         let prod = kernel::mul(notrans(m), notrans(m_inv)).unwrap();
-        (&Matrix::identity(m.rows()) - &prod).max_norm()
+        let residual = &Matrix::identity(m.rows()) - &prod;
+        if residual.as_slice().iter().any(|v| v.is_nan()) {
+            return f64::INFINITY;
+        }
+        residual.max_norm()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Bit-equal to the oracle on random inputs, and on inputs whose
-        /// entries are replaced by NaN, ±Inf, -0.0 or 0.0 at random.
+        /// entries are replaced by NaN, ±Inf, -0.0 or 0.0 at random (an
+        /// Inf can make NaN products too).
         #[test]
         fn residual_is_bit_equal_to_the_three_matrix_formula(
             (n, seed, specials) in (
@@ -136,7 +146,19 @@ mod tests {
         assert_eq!(residual(&identity), 0.0);
         assert_eq!(residual(&Matrix::filled(3, 3, -0.0)), 1.0);
         assert_eq!(residual(&one_inf), f64::INFINITY);
-        // `f64::max` skips NaN, so an all-NaN product reads as clean.
-        assert_eq!(residual(&Matrix::filled(3, 3, f64::NAN)), 0.0);
+        // `f64::max` skips NaN; the residual must not read a NaN as clean.
+        assert_eq!(residual(&Matrix::filled(3, 3, f64::NAN)), f64::INFINITY);
+    }
+
+    #[test]
+    fn one_nan_in_a_correct_inverse_fails_the_check() {
+        let a = random_well_conditioned(16, 5);
+        let f = lu_decompose(&a).unwrap();
+        let l_inv = invert_lower(&f.unit_lower()).unwrap();
+        let u_inv = invert_upper(&f.upper()).unwrap();
+        let mut a_inv = f.perm.apply_cols(&(&u_inv * &l_inv));
+        assert!(inversion_residual(&a, &a_inv).unwrap() < crate::PAPER_ACCURACY);
+        a_inv[(3, 11)] = f64::NAN;
+        assert_eq!(inversion_residual(&a, &a_inv).unwrap(), f64::INFINITY);
     }
 }
