@@ -40,7 +40,11 @@
 //! `--scale` divides every matrix order and `nb` by a power of two
 //! (default 32); the pipeline structure and job counts are identical at
 //! every scale, and times are extrapolated back to paper scale (see
-//! `crates/bench/src/experiments.rs`).
+//! `crates/bench/src/experiments.rs`). Simulated time prices each task's
+//! counted flops and bytes, never the host's clock, so every experiment
+//! but `section2` (wall time by definition) prints the same bytes and
+//! writes the same CSV on every run, on any machine; each figure is one
+//! run.
 
 use mrinv_bench::experiments::{
     accuracy, fig6, fig7, fig8, nb_sweep, resume_recovery, sec74, sec74_node, sec8_spark,

@@ -5,12 +5,13 @@
 //! Experiments run the suite at a power-of-two `scale` divisor (orders and
 //! `nb` divided by `scale`), which preserves the pipeline structure
 //! exactly. To report times comparable to the paper's full-scale EC2 runs,
-//! the cost model is *extrapolated*: measured task CPU is multiplied by
-//! `scale³` (arithmetic is cubic in the order) and effective bandwidths
-//! divided by `scale²` (I/O is quadratic), on top of the 2007-era EC2
-//! calibration. Job-launch overhead is scale-free, as in reality. The
-//! same model prices both systems, so every ratio and crossover is
-//! apples-to-apples.
+//! the cost model is *extrapolated*: the flop rate is divided by `scale³`
+//! (arithmetic is cubic in the order) and the codec rate and bandwidths
+//! by `scale²` (bytes are quadratic), on top of the 2007-era EC2 rates.
+//! Job-launch overhead is scale-free, as in reality. The same model
+//! prices both systems, so every ratio and crossover is apples-to-apples.
+//! Tasks count their work and nothing measured is priced, so every
+//! figure repeats byte for byte: each one is a single run.
 
 use mrinv::config::InversionConfig;
 use mrinv::schedule;
@@ -26,30 +27,13 @@ use mrinv_scalapack::{ScalapackConfig, ScalapackRun};
 
 use crate::suite::{SuiteMatrix, SUITE};
 
-/// The EC2-medium cost model extrapolated from `scale`-reduced matrices to
-/// paper-scale behavior.
-pub fn extrapolated_cost(scale: usize) -> CostModel {
+/// The `base` profile (EC2 medium or large) extrapolated from
+/// `scale`-reduced matrices to paper-scale behavior.
+pub fn extrapolated_cost(base: CostModel, scale: usize) -> CostModel {
     let s = scale as f64;
-    let base = CostModel::ec2_medium();
     CostModel {
-        compute_scale: base.compute_scale * s * s * s,
-        master_compute_scale: base.master_compute_scale * s * s * s,
-        codec_scale: base.codec_scale * s * s,
-        disk_read_bw: base.disk_read_bw / (s * s),
-        disk_write_bw: base.disk_write_bw / (s * s),
-        net_bw: base.net_bw / (s * s),
-        ..base
-    }
-}
-
-/// The EC2-large variant (Section 7.4's second cluster shape).
-pub fn extrapolated_cost_large(scale: usize) -> CostModel {
-    let s = scale as f64;
-    let base = CostModel::ec2_large();
-    CostModel {
-        compute_scale: base.compute_scale * s * s * s,
-        master_compute_scale: base.master_compute_scale * s * s * s,
-        codec_scale: base.codec_scale * s * s,
+        flops_per_sec: base.flops_per_sec / (s * s * s),
+        codec_bytes_per_sec: base.codec_bytes_per_sec / (s * s),
         disk_read_bw: base.disk_read_bw / (s * s),
         disk_write_bw: base.disk_write_bw / (s * s),
         net_bw: base.net_bw / (s * s),
@@ -60,14 +44,14 @@ pub fn extrapolated_cost_large(scale: usize) -> CostModel {
 /// Builds a medium cluster of `m0` nodes with extrapolated pricing.
 pub fn medium_cluster(m0: usize, scale: usize) -> Cluster {
     let mut cfg = ClusterConfig::medium(m0);
-    cfg.cost = extrapolated_cost(scale);
+    cfg.cost = extrapolated_cost(CostModel::ec2_medium(), scale);
     Cluster::new(cfg)
 }
 
 /// Builds a large-instance cluster (2 cores, 2 slots per node).
 pub fn large_cluster(m0: usize, scale: usize) -> Cluster {
     let mut cfg = ClusterConfig::large(m0);
-    cfg.cost = extrapolated_cost_large(scale);
+    cfg.cost = extrapolated_cost(CostModel::ec2_large(), scale);
     Cluster::new(cfg)
 }
 
@@ -97,18 +81,6 @@ fn lu_stage_report(m: &SuiteMatrix, scale: usize, m0: usize) -> RunReport {
         .submit(&medium_cluster(m0, scale))
         .expect("lu pipeline")
         .report
-}
-
-/// Number of repetitions used to de-noise measured-CPU-based simulated
-/// times (the minimum over repeats is reported, the usual treatment for
-/// timing noise on a shared machine).
-pub const TIMING_REPEATS: usize = 3;
-
-/// Minimum simulated seconds over [`TIMING_REPEATS`] runs of `f`.
-pub fn min_sim_secs(mut f: impl FnMut() -> f64) -> f64 {
-    (0..TIMING_REPEATS)
-        .map(|_| f())
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// One Table 1 / Table 2 comparison row.
@@ -193,7 +165,7 @@ pub fn fig6(scale: usize, node_counts: &[usize]) -> Vec<ScalingPoint> {
         .filter(|m| matches!(m.name, "M1" | "M2" | "M3"))
     {
         for &m0 in node_counts {
-            let secs = min_sim_secs(|| run_suite_matrix(m, scale, m0).report.sim_secs);
+            let secs = run_suite_matrix(m, scale, m0).report.sim_secs;
             out.push(ScalingPoint {
                 name: m.name,
                 m0,
@@ -225,15 +197,13 @@ pub fn fig7(scale: usize, node_counts: &[usize]) -> Vec<AblationRow> {
     node_counts
         .iter()
         .map(|&m0| {
-            let base = min_sim_secs(|| run_suite_matrix(&m5, scale, m0).report.sim_secs);
+            let base = run_suite_matrix(&m5, scale, m0).report.sim_secs;
             let time_with = |mutate: fn(&mut mrinv::Optimizations)| {
-                min_sim_secs(|| {
-                    let cluster = medium_cluster(m0, scale);
-                    let a = m5.generate(scale);
-                    let mut cfg = InversionConfig::with_nb(m5.nb(scale));
-                    mutate(&mut cfg.opts);
-                    invert(&cluster, &a, &cfg).report.sim_secs
-                })
+                let cluster = medium_cluster(m0, scale);
+                let a = m5.generate(scale);
+                let mut cfg = InversionConfig::with_nb(m5.nb(scale));
+                mutate(&mut cfg.opts);
+                invert(&cluster, &a, &cfg).report.sim_secs
             };
             AblationRow {
                 m0,
@@ -264,11 +234,12 @@ pub struct VersusPoint {
 /// pricing.
 pub fn run_scalapack(m: &SuiteMatrix, scale: usize, m0: usize, large: bool) -> ScalapackRun {
     let a = m.generate(scale);
-    let cost = if large {
-        extrapolated_cost_large(scale)
+    let base = if large {
+        CostModel::ec2_large()
     } else {
-        extrapolated_cost(scale)
+        CostModel::ec2_medium()
     };
+    let cost = extrapolated_cost(base, scale);
     let block = (128 / scale).max(4);
     mrinv_scalapack::invert(&a, m0, &cost, &ScalapackConfig { block_size: block })
         .expect("scalapack inversion")
@@ -282,8 +253,8 @@ pub fn fig8(scale: usize, node_counts: &[usize]) -> Vec<VersusPoint> {
         .filter(|m| matches!(m.name, "M1" | "M2" | "M3"))
     {
         for &m0 in node_counts {
-            let ours = min_sim_secs(|| run_suite_matrix(m, scale, m0).report.sim_secs);
-            let scal = min_sim_secs(|| run_scalapack(m, scale, m0, false).report.sim_secs);
+            let ours = run_suite_matrix(m, scale, m0).report.sim_secs;
+            let scal = run_scalapack(m, scale, m0, false).report.sim_secs;
             out.push(VersusPoint {
                 name: m.name,
                 m0,
@@ -373,7 +344,7 @@ pub fn sec74(scale: usize, with_scalapack: bool) -> Sec74Output {
     // visibly stretches. This is the run worth looking at on a timeline,
     // so it executes with per-task tracing enabled.
     let mut ccfg = ClusterConfig::medium(64);
-    ccfg.cost = extrapolated_cost(scale);
+    ccfg.cost = extrapolated_cost(CostModel::ec2_medium(), scale);
     ccfg.tracing = true;
     let cluster = Cluster::new(ccfg);
     cluster.faults.fail_task("final-inverse", Phase::Map, 0, 1);
@@ -455,11 +426,8 @@ pub fn sec74_node(scale: usize) -> Sec74NodeOutput {
 /// The [`sec74_node`] machinery, parameterized so tests can run it on a
 /// small matrix and cluster.
 ///
-/// Unlike the other experiments this one is priced on bytes alone
-/// (compute scales zeroed): compute pricing multiplies *measured wall
-/// time*, which jitters between runs, and the timeout calibration plus
-/// the bit-identity comparison need the three schedules to be exactly
-/// reproducible. Byte counts are. Three runs:
+/// The timeout calibration and the bit-identity comparison need the three
+/// schedules to be exactly reproducible; counted work is. Three runs:
 ///
 /// 1. **clean** — calibrates the task timeout (comfortably above the
 ///    longest healthy attempt, including a worst-case fully-remote read)
@@ -477,12 +445,7 @@ pub fn node_death_experiment(m: &SuiteMatrix, scale: usize, m0: usize) -> Sec74N
 
     let cfg = InversionConfig::with_nb(m.nb(scale));
     let a = m.generate(scale);
-    let cost = CostModel {
-        compute_scale: 0.0,
-        master_compute_scale: 0.0,
-        codec_scale: 0.0,
-        ..extrapolated_cost(scale)
-    };
+    let cost = extrapolated_cost(CostModel::ec2_medium(), scale);
     let cluster_with = |speeds: Vec<f64>, timeout: Option<f64>| {
         let mut ccfg = ClusterConfig::medium(m0);
         ccfg.cost = cost.clone();
@@ -667,11 +630,14 @@ mod tests {
 
     #[test]
     fn extrapolated_cost_scales() {
-        let c1 = extrapolated_cost(1);
-        let c32 = extrapolated_cost(32);
-        assert_eq!(c1.compute_scale, 16.0);
-        assert_eq!(c32.compute_scale, 16.0 * 32.0f64.powi(3));
+        let c1 = extrapolated_cost(CostModel::ec2_medium(), 1);
+        let c32 = extrapolated_cost(CostModel::ec2_medium(), 32);
+        assert_eq!(c1, CostModel::ec2_medium());
+        assert_eq!(c32.flops_per_sec, c1.flops_per_sec / 32.0f64.powi(3));
+        assert_eq!(c32.codec_bytes_per_sec, c1.codec_bytes_per_sec / 1024.0);
         assert_eq!(c32.disk_read_bw, c1.disk_read_bw / 1024.0);
+        let large = extrapolated_cost(CostModel::ec2_large(), 32);
+        assert_eq!((large.cores_per_node, large.net_bw), (2, 45e6 / 1024.0));
         assert_eq!(
             c32.job_launch_secs, c1.job_launch_secs,
             "launch is scale-free"
@@ -793,20 +759,12 @@ pub fn nb_sweep(scale: usize, m0: usize, nbs: &[usize]) -> Vec<NbSweepPoint> {
     let a = m5.generate(scale);
     nbs.iter()
         .map(|&nb| {
-            let secs = min_sim_secs(|| {
-                let cluster = medium_cluster(m0, scale);
-                invert(&cluster, &a, &InversionConfig::with_nb(nb))
-                    .report
-                    .sim_secs
-            });
-            let run = {
-                let cluster = medium_cluster(m0, scale);
-                invert(&cluster, &a, &InversionConfig::with_nb(nb)).report
-            };
+            let cluster = medium_cluster(m0, scale);
+            let run = invert(&cluster, &a, &InversionConfig::with_nb(nb)).report;
             NbSweepPoint {
                 nb,
                 jobs: run.jobs,
-                minutes: secs / 60.0,
+                minutes: run.sim_secs / 60.0,
             }
         })
         .collect()
@@ -837,25 +795,19 @@ pub fn sec8_spark(scale: usize, node_counts: &[usize]) -> Vec<SparkPoint> {
         let a = m.generate(scale);
         let cfg = InversionConfig::with_nb(m.nb(scale));
         for &m0 in node_counts {
-            let hadoop = min_sim_secs(|| {
-                let cluster = medium_cluster(m0, scale);
-                invert(&cluster, &a, &cfg).report.sim_secs
-            });
-            let spark = min_sim_secs(|| {
-                let mut ccfg = ClusterConfig::medium(m0);
-                let base = extrapolated_cost(scale);
-                ccfg.cost = CostModel {
-                    // Intermediates live in memory: ~2 GB/s effective
-                    // (scale-adjusted), no replication, 1 s task launch.
-                    disk_read_bw: base.disk_read_bw * 33.0,
-                    disk_write_bw: base.disk_write_bw * 33.0,
-                    replication: 1,
-                    job_launch_secs: 1.0,
-                    ..base
-                };
-                let cluster = Cluster::new(ccfg);
-                invert(&cluster, &a, &cfg).report.sim_secs
-            });
+            let hadoop = invert(&medium_cluster(m0, scale), &a, &cfg).report.sim_secs;
+            let mut ccfg = ClusterConfig::medium(m0);
+            let base = extrapolated_cost(CostModel::ec2_medium(), scale);
+            ccfg.cost = CostModel {
+                // Intermediates live in memory: ~2 GB/s effective
+                // (scale-adjusted), no replication, 1 s task launch.
+                disk_read_bw: base.disk_read_bw * 33.0,
+                disk_write_bw: base.disk_write_bw * 33.0,
+                replication: 1,
+                job_launch_secs: 1.0,
+                ..base
+            };
+            let spark = invert(&Cluster::new(ccfg), &a, &cfg).report.sim_secs;
             out.push(SparkPoint {
                 name: m.name,
                 m0,
@@ -952,16 +904,14 @@ pub fn stragglers(scale: usize, slow_factors: &[f64]) -> Vec<StragglerRow> {
         .iter()
         .map(|&slow| {
             let time_with = |speculative: bool| {
-                min_sim_secs(|| {
-                    let mut ccfg = ClusterConfig::medium(16);
-                    ccfg.cost = extrapolated_cost(scale);
-                    let mut speeds = vec![1.0; 16];
-                    speeds[7] = slow;
-                    ccfg.node_speeds = speeds;
-                    ccfg.speculative_execution = speculative;
-                    let cluster = Cluster::new(ccfg);
-                    invert(&cluster, &a, &cfg).report.sim_secs
-                })
+                let mut ccfg = ClusterConfig::medium(16);
+                ccfg.cost = extrapolated_cost(CostModel::ec2_medium(), scale);
+                let mut speeds = vec![1.0; 16];
+                speeds[7] = slow;
+                ccfg.node_speeds = speeds;
+                ccfg.speculative_execution = speculative;
+                let cluster = Cluster::new(ccfg);
+                invert(&cluster, &a, &cfg).report.sim_secs
             };
             StragglerRow {
                 slow_factor: slow,

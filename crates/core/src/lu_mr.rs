@@ -26,11 +26,14 @@ use mrinv_mapreduce::job::{
 };
 use mrinv_mapreduce::master::run_on_master;
 use mrinv_mapreduce::runner::run_job;
-use mrinv_mapreduce::{Cluster, MrError, PipelineDriver, TaskIo, TaskRegistry};
+use mrinv_mapreduce::simtime::STRIDED_SLOWDOWN;
+use mrinv_mapreduce::{Cluster, MrError, PipelineDriver, TaskIo, TaskRegistry, TaskStats};
 use mrinv_matrix::block::even_ranges;
-use mrinv_matrix::kernel::{gemm, gemm_with, notrans, trans, Diag, Side, Strided, Uplo};
-use mrinv_matrix::lu::lu_decompose;
-use mrinv_matrix::triangular::{solve_row_times_upper, trsm};
+use mrinv_matrix::kernel::{
+    gemm, gemm_flops, gemm_with, notrans, trans, Diag, Side, Strided, Uplo,
+};
+use mrinv_matrix::lu::{lu_decompose, lu_flops};
+use mrinv_matrix::triangular::{solve_row_times_upper, trsm, trsm_flops};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +71,7 @@ fn charge_master_io(cluster: &Cluster, io: &TaskIo) {
     let cost = &cluster.config.cost;
     let secs = io.stats().read_bytes as f64 / cost.disk_read_bw
         + io.stats().write_bytes as f64 * f64::from(cost.replication) / cost.disk_write_bw;
-    cluster.metrics.add_master_secs(secs);
+    cluster.metrics.add_master_time(secs);
 }
 
 /// Distributed block LU decomposition of the square block `source`
@@ -102,7 +105,11 @@ pub fn lu_decompose_mr(
         // Leaf: decompose on the master node (Algorithm 2 lines 2-3).
         let mut io = TaskIo::new(cluster.dfs.clone());
         let block = source.read_all(&mut io)?;
-        let factors = run_on_master(cluster, || lu_decompose(&block))?;
+        let leaf_lu = TaskStats {
+            flops: lu_flops(n),
+            ..TaskStats::default()
+        };
+        let factors = run_on_master(cluster, || (lu_decompose(&block), leaf_lu))?;
         let u = factors.upper();
         let stored_u = if opts.transpose_u { u.transpose() } else { u };
         let l = factors.unit_lower();
@@ -220,7 +227,8 @@ pub fn lu_decompose_mr(
         // the files it was read from.
         let mut io = TaskIo::new(cluster.dfs.clone());
         let combined = run_on_master(cluster, || {
-            node.combine(&mut io, &format!("{dir}/COMBINED"), opts.transpose_u)
+            let combined = node.combine(&mut io, &format!("{dir}/COMBINED"), opts.transpose_u);
+            (combined, *io.stats())
         });
         charge_master_io(cluster, &io);
         let combined = combined?;
@@ -275,27 +283,24 @@ impl Mapper for LuLevelMapper {
                     // X·U1 = A3 is U1ᵀ·Xᵀ = A3ᵀ: one lower solve of the
                     // whole stripe against the stored transpose.
                     let u1_t = self.a1.assemble_u_t(ctx)?;
-                    let kernel = std::time::Instant::now();
                     let mut x_t = a3_stripe.transpose();
                     drop(a3_stripe);
                     trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, &u1_t, &mut x_t)
                         .map_err(CoreError::from)?;
+                    ctx.charge_flops(trsm_flops(u1_t.rows(), x_t.cols()));
                     drop(u1_t);
-                    let out = x_t.transpose();
-                    ctx.charge_kernel(kernel.elapsed());
-                    out
+                    x_t.transpose()
                 } else {
                     // Ablation path: row-major U1 walked column-wise, one
                     // row of the stripe at a time.
                     let u1 = self.a1.assemble_u(ctx)?;
                     let mut out = Matrix::zeros(a3_stripe.rows(), a3_stripe.cols());
-                    let kernel = std::time::Instant::now();
                     for i in 0..a3_stripe.rows() {
                         let row = solve_row_times_upper(&u1, a3_stripe.row(i))
                             .map_err(CoreError::from)?;
                         out.row_mut(i).copy_from_slice(&row);
                     }
-                    ctx.charge_kernel(kernel.elapsed());
+                    ctx.charge_flops(STRIDED_SLOWDOWN * trsm_flops(u1.rows(), out.rows()));
                     out
                 };
                 write_block(ctx, &piece.path, &out);
@@ -311,9 +316,9 @@ impl Mapper for LuLevelMapper {
                 let p1 = self.a1.perm();
                 let mut u2 = p1.apply_rows(&self.a2.read_cols(ctx, cols.0, cols.1)?);
                 let l1 = self.a1.assemble_l(ctx)?;
-                let kernel = std::time::Instant::now();
                 trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l1, &mut u2)
                     .map_err(CoreError::from)?;
+                ctx.charge_flops(trsm_flops(l1.rows(), u2.cols()));
                 drop(l1);
                 // Stored transposed when the Section 6.3 layout is on.
                 let stored = if self.opts.transpose_u {
@@ -321,7 +326,6 @@ impl Mapper for LuLevelMapper {
                 } else {
                     u2
                 };
-                ctx.charge_kernel(kernel.elapsed());
                 write_block(ctx, &piece.path, &stored);
             }
         }
@@ -362,17 +366,16 @@ impl Reducer for LuLevelReducer {
         let l2_rows = self.l2_source.read_rows(ctx, rr.0, rr.1)?;
         if self.opts.transpose_u {
             let u2t_rows = self.u2_source.read_rows(ctx, cc.0, cc.1)?;
-            let kernel = std::time::Instant::now();
             gemm(-1.0, notrans(&l2_rows), trans(&u2t_rows), 1.0, &mut b)
                 .map_err(CoreError::from)?;
-            ctx.charge_kernel(kernel.elapsed());
+            ctx.charge_flops(gemm_flops(b.rows(), l2_rows.cols(), b.cols()));
         } else {
             // Ablation path: row-major U2, Equation 7's column-striding
             // inner loop (the access pattern Section 6.3 eliminates) —
-            // pinned to the Strided backend so the ablation measures that
-            // exact loop order regardless of the process-wide backend.
+            // pinned to the Strided backend so the ablation runs that
+            // exact loop order regardless of the process-wide backend, and
+            // priced at that loop's rate.
             let u2_cols = self.u2_source.read_cols(ctx, cc.0, cc.1)?;
-            let kernel = std::time::Instant::now();
             gemm_with(
                 &Strided,
                 -1.0,
@@ -382,7 +385,8 @@ impl Reducer for LuLevelReducer {
                 &mut b,
             )
             .map_err(CoreError::from)?;
-            ctx.charge_kernel(kernel.elapsed());
+            let flops = gemm_flops(b.rows(), l2_rows.cols(), b.cols());
+            ctx.charge_flops(STRIDED_SLOWDOWN * flops);
         }
         write_block(ctx, &cell.path, &b);
         Ok(())
@@ -533,14 +537,14 @@ mod tests {
         assert!(cluster.metrics.snapshot().master_secs > 0.0);
     }
 
-    /// The master's bytes are the DFS's bytes: with compute priced at zero
-    /// and unit bandwidths, a leaf decomposition charges exactly what its
-    /// one handle moved.
+    /// The master's charge is its counted work: with unit bandwidths and a
+    /// unit flop rate, a leaf decomposition charges the leaf LU's flops at
+    /// the master's speed plus exactly the bytes its one handle moved.
     #[test]
     fn master_io_charge_is_the_bytes_moved() {
         let mut ccfg = ClusterConfig::medium(2);
         ccfg.cost = CostModel {
-            master_compute_scale: 0.0,
+            flops_per_sec: 1.0,
             replication: 3,
             ..CostModel::unit_for_tests()
         };
@@ -556,7 +560,11 @@ mod tests {
         let read = (after.bytes_read - before.bytes_read) as f64;
         let written = (after.bytes_written - before.bytes_written) as f64;
         assert!(read > 0.0 && written > 0.0);
-        assert_eq!(cluster.metrics.snapshot().master_secs, read + 3.0 * written);
+        let lu = lu_flops(8) as f64 / mrinv_mapreduce::simtime::MASTER_SPEEDUP;
+        assert_eq!(
+            cluster.metrics.snapshot().master_secs,
+            lu + (read + 3.0 * written)
+        );
     }
 
     #[test]

@@ -52,13 +52,15 @@ use mrinv_mapreduce::job::{
     identity_partitioner, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
 };
 use mrinv_mapreduce::runner::run_job;
+use mrinv_mapreduce::simtime::STRIDED_SLOWDOWN;
 use mrinv_mapreduce::{MrError, PipelineDriver, TaskIo, TaskRegistry};
 use mrinv_matrix::block::even_ranges;
 use mrinv_matrix::io::{binary_size, decode_binary, encode_binary_onto};
 use mrinv_matrix::kernel::{
-    gemm_staircase, gemm_with, notrans, trans, Diag, Side, Strided, Uplo, K_PANEL,
+    gemm_flops, gemm_staircase, gemm_with, notrans, trans, tri_product_flops, Diag, Side, Strided,
+    Uplo, K_PANEL,
 };
-use mrinv_matrix::triangular::{solve_row_times_upper, trsm};
+use mrinv_matrix::triangular::{solve_row_times_upper, trsm, trsm_flops};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -483,24 +485,25 @@ impl Mapper for TriInvMapper {
         };
         let (computed, as_columns) = if let Some(t) = lower {
             // Solve all of this worker's columns in one batched trsm. The
-            // factor is released before anything else is allocated.
-            let kernel = std::time::Instant::now();
+            // factor is released before anything else is allocated. Column
+            // `j` of the inverse is zero above row `j`: a solve of order
+            // `n - j`.
             let solved = invert_lower_columns(&t, &mine).map_err(CoreError::from)?;
-            ctx.charge_kernel(kernel.elapsed());
+            ctx.charge_flops(mine.iter().map(|&j| trsm_flops(n - j, 1)).sum());
             (solved, true)
         } else {
             // Ablation path: row-major U, solve eᵢᵀ = x·U with
             // column-striding access.
             let u = self.factors.assemble_u(ctx)?;
+            // The row solve walks all of `U` for every row.
             let mut rows = Matrix::zeros(mine.len(), n);
-            let kernel = std::time::Instant::now();
             for (slot, &i) in mine.iter().enumerate() {
                 let mut e = vec![0.0; n];
                 e[i] = 1.0;
                 let x = solve_row_times_upper(&u, &e).map_err(CoreError::from)?;
                 rows.row_mut(slot).copy_from_slice(&x);
             }
-            ctx.charge_kernel(kernel.elapsed());
+            ctx.charge_flops(STRIDED_SLOWDOWN * trsm_flops(n, mine.len()));
             (rows, false)
         };
         // Columns become rows (one blocked transpose), so each vector is a
@@ -555,18 +558,17 @@ impl Reducer for TriInvReducer {
             let k0 = r0.max(c0) / K_PANEL * K_PANEL;
             let u_rows = layout.read_operand(ctx, Operand::U, bi, false, k0)?;
             let l_cols_t = layout.read_operand(ctx, Operand::L, bj, false, k0)?;
-            let kernel = std::time::Instant::now();
             let mut p = Matrix::zeros(u_rows.rows(), l_cols_t.rows());
             gemm_staircase(notrans(&u_rows), r0, trans(&l_cols_t), c0, k0, &mut p)
                 .map_err(CoreError::from)?;
-            ctx.charge_kernel(kernel.elapsed());
+            ctx.charge_flops(tri_product_flops(layout.n, r0..r1, c0..c1));
             p
         } else {
             let u_rows = layout.read_operand(ctx, Operand::U, bi, false, 0)?;
             let l_cols = layout.read_operand(ctx, Operand::L, bj, true, 0)?;
             // Ablation path: Equation 7's column-striding product, pinned
-            // to the Strided backend so it measures that exact loop order.
-            let kernel = std::time::Instant::now();
+            // to the Strided backend so it runs that exact loop order, and
+            // priced at that loop's rate.
             let mut p = Matrix::zeros(u_rows.rows(), l_cols.cols());
             gemm_with(
                 &Strided,
@@ -577,7 +579,8 @@ impl Reducer for TriInvReducer {
                 &mut p,
             )
             .map_err(CoreError::from)?;
-            ctx.charge_kernel(kernel.elapsed());
+            let flops = gemm_flops(p.rows(), u_rows.cols(), p.cols());
+            ctx.charge_flops(STRIDED_SLOWDOWN * flops);
             p
         };
 

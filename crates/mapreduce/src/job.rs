@@ -13,8 +13,9 @@
 //!
 //! Both contexts deref to one [`TaskIo`], the accounted handle every DFS
 //! access in the tree goes through (the master and the factor cache open
-//! their own): every byte it moves is accounted into [`TaskStats`], which
-//! the scheduler prices into simulated time.
+//! their own): every byte it moves is accounted into [`TaskStats`], beside
+//! the flops the task charges for its arithmetic, and the scheduler prices
+//! those counts into simulated time.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -26,15 +27,15 @@ use serde::{Deserialize, Serialize};
 use crate::dfs::DfsAccess;
 use crate::error::Result;
 
-/// Measured work of one task attempt, priced by
-/// [`crate::simtime::CostModel`].
+/// Work of one task attempt: the counts [`crate::simtime::CostModel`]
+/// prices, and the wall time the body took, which it does not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TaskStats {
-    /// Measured compute time of the task body.
+    /// Measured wall time of the task body (observability only).
     pub cpu: Duration,
-    /// Portion of `cpu` spent in arithmetic kernels (reported by the task
-    /// via `charge_kernel`); the remainder is byte-proportional work.
-    pub kernel: Duration,
+    /// Flops of the task's arithmetic kernels, as charged by the task via
+    /// [`TaskIo::charge_flops`].
+    pub flops: u64,
     /// Bytes read from the DFS.
     pub read_bytes: u64,
     /// Bytes written to the DFS.
@@ -51,7 +52,7 @@ impl TaskStats {
     pub fn merge(&self, other: &TaskStats) -> TaskStats {
         TaskStats {
             cpu: self.cpu.saturating_add(other.cpu),
-            kernel: self.kernel.saturating_add(other.kernel),
+            flops: self.flops.saturating_add(other.flops),
             read_bytes: self.read_bytes.saturating_add(other.read_bytes),
             write_bytes: self.write_bytes.saturating_add(other.write_bytes),
             shuffle_bytes: self.shuffle_bytes.saturating_add(other.shuffle_bytes),
@@ -111,11 +112,11 @@ impl TaskIo {
         self.dfs.exists(path)
     }
 
-    /// Reports time spent in an arithmetic kernel. Kernel time is priced
-    /// with the cost model's `compute_scale`; unreported CPU is priced as
-    /// byte-proportional work (`codec_scale`).
-    pub fn charge_kernel(&mut self, d: Duration) {
-        self.stats.kernel += d;
+    /// Charges `flops` of arithmetic, a closed form of the kernel's shapes.
+    /// The cost model prices them at its flop rate; everything else a task
+    /// does is priced by the bytes it reads and writes.
+    pub fn charge_flops(&mut self, flops: u64) {
+        self.stats.flops += flops;
     }
 
     /// What has been charged so far.
@@ -487,7 +488,7 @@ mod tests {
         let traffic = |io: &mut TaskIo| {
             assert_eq!(io.read("/d//in").unwrap().len(), 30);
             io.write("d/out", Bytes::from(vec![0u8; 12]));
-            io.charge_kernel(Duration::from_millis(3));
+            io.charge_flops(3);
             assert!(io.exists("d/out"));
             assert!(io.read("d/missing").is_err());
         };
@@ -530,21 +531,21 @@ mod tests {
     fn task_stats_merge() {
         let a = TaskStats {
             cpu: Duration::from_secs(1),
-            kernel: Duration::from_millis(500),
+            flops: 500,
             read_bytes: 10,
             write_bytes: 20,
             shuffle_bytes: 5,
         };
         let b = TaskStats {
             cpu: Duration::from_secs(2),
-            kernel: Duration::from_millis(1500),
+            flops: 1500,
             read_bytes: 1,
             write_bytes: 2,
             shuffle_bytes: 3,
         };
         let m = a.merge(&b);
         assert_eq!(m.cpu, Duration::from_secs(3));
-        assert_eq!(m.kernel, Duration::from_secs(2));
+        assert_eq!(m.flops, 2000);
         assert_eq!(m.read_bytes, 11);
         assert_eq!(m.write_bytes, 22);
         assert_eq!(m.shuffle_bytes, 8);

@@ -18,8 +18,8 @@
 //! * [`shuffle`] — the data path between the waves: map-side per-reducer
 //!   buckets, a reducer-parallel merge-and-sort, and zero-copy grouped
 //!   value slices for the reducers;
-//! * [`simtime::CostModel`] — converts measured per-task work (CPU time,
-//!   DFS bytes, shuffle bytes) into simulated cluster time, including the
+//! * [`simtime::CostModel`] — converts counted per-task work (flops, DFS
+//!   bytes, shuffle bytes) into simulated cluster time, including the
 //!   constant MapReduce job-launch overhead that the paper's `nb` bound
 //!   value is tuned against (Section 5);
 //! * [`exec`] — the pluggable execution backend seam: task attempts
@@ -36,7 +36,7 @@
 //! * [`driver::PipelineDriver`] — owns job sequencing and accounting for a
 //!   chain of jobs (the paper's Figure 2 pipeline), with optional
 //!   checkpoint manifests and crash/resume recovery;
-//! * [`master`] — timed computation on the master node (the paper runs
+//! * [`master`] — priced computation on the master node (the paper runs
 //!   `nb`-sized LU decompositions there);
 //! * [`tracelog`] — one typed event per task attempt, with
 //!   Chrome/Perfetto trace export and per-wave straggler analytics
@@ -49,9 +49,9 @@
 //! # Simulated time
 //!
 //! Everything numeric is computed for real; only the *reported running
-//! time* is simulated. Each task returns a [`job::TaskStats`]; the
-//! scheduler assigns tasks to `m0` virtual nodes and the cost model prices
-//! each node's work. This is what lets a laptop regenerate the shape of the
+//! time* is simulated. Each task returns a [`job::TaskStats`] of counted
+//! work; the scheduler assigns tasks to `m0` virtual nodes and the cost
+//! model prices each node's work, so the clock repeats exactly run to run. This is what lets a laptop regenerate the shape of the
 //! paper's EC2 scaling results (Figures 6–8). See `DESIGN.md` for the
 //! substitution argument.
 

@@ -1,4 +1,4 @@
-//! Timed computation on the MapReduce master node.
+//! Priced computation on the MapReduce master node.
 //!
 //! The paper decomposes blocks of order at most `nb` *on the master node*
 //! (Section 4.2): "we decompose such small matrices in the MapReduce master
@@ -7,27 +7,33 @@
 //! hurts (Section 6.1) and why `nb` is tuned so a master-side LU costs
 //! about one job launch (Section 5).
 //!
-//! [`run_on_master`] executes a closure, measures it, charges the scaled
-//! time to the cluster's simulated clock, records a `master` span on the
-//! cluster's driver track, and returns the result.
+//! [`run_on_master`] executes a closure that returns its result and the
+//! work it counted, charges that work at the master's rates to the
+//! cluster's simulated clock, records a `master` span on the cluster's
+//! driver track, and returns the result. It also times the closure: the
+//! span's `cpu_secs` is measured wall time, which observability reads and
+//! pricing never does.
 
 use std::time::Instant;
 
 use crate::cluster::Cluster;
+use crate::job::TaskStats;
 use crate::tracelog::{TaskEvent, TracePhase};
 
-/// Runs `f` on the master node, charging its measured (scaled) time to the
-/// cluster's simulated clock as serial master-side work. The call appears
-/// in exported traces as a `master` span on the cluster's driver track,
-/// between job processes, and in `mrinv_master_call_seconds`.
-pub fn run_on_master<T>(cluster: &Cluster, f: impl FnOnce() -> T) -> T {
+/// Runs `f` on the master node. `f` returns its result and its counted
+/// work (flops, and the bytes it coded), which is charged to the cluster's
+/// simulated clock as serial master-side work
+/// ([`crate::CostModel::master_work_secs`]). The call appears in exported
+/// traces as a `master` span on the cluster's driver track, between job
+/// processes, and in `mrinv_master_call_seconds`.
+pub fn run_on_master<T>(cluster: &Cluster, f: impl FnOnce() -> (T, TaskStats)) -> T {
     const LABEL: &str = "master";
     let sim_start = cluster.sim_secs();
     let start = Instant::now();
-    let out = f();
+    let (out, work) = f();
     let elapsed = start.elapsed();
-    let secs = cluster.config.cost.master_secs(elapsed);
-    cluster.metrics.add_master_secs(secs);
+    let secs = cluster.config.cost.master_work_secs(&work);
+    cluster.metrics.add_master_time(secs);
     let obs = cluster.metrics.obs();
     if obs.is_enabled() {
         obs.histogram(
@@ -39,6 +45,7 @@ pub fn run_on_master<T>(cluster: &Cluster, f: impl FnOnce() -> T) -> T {
     if cluster.trace.is_enabled() {
         cluster.trace.record(TaskEvent {
             cpu_secs: elapsed.as_secs_f64(),
+            flops: work.flops,
             cpu_sim_secs: secs,
             ..TaskEvent::span(LABEL, None, TracePhase::Master, sim_start, sim_start + secs)
         });
@@ -50,30 +57,41 @@ pub fn run_on_master<T>(cluster: &Cluster, f: impl FnOnce() -> T) -> T {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use crate::simtime::CostModel;
+    use crate::simtime::{CostModel, MASTER_SPEEDUP};
 
     #[test]
     fn master_work_advances_the_clock() {
         let mut cfg = ClusterConfig::medium(4);
+        cfg.tracing = true;
         cfg.cost = CostModel {
-            master_compute_scale: 1000.0,
+            flops_per_sec: 1.0,
+            codec_bytes_per_sec: 2.0,
             ..CostModel::unit_for_tests()
         };
         let cluster = Cluster::new(cfg);
-        let result = run_on_master(&cluster, || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            42
-        });
+        let work = TaskStats {
+            flops: 640,
+            read_bytes: 64,
+            write_bytes: 64,
+            ..TaskStats::default()
+        };
+        let result = run_on_master(&cluster, || (42, work));
         assert_eq!(result, 42);
         let snap = cluster.metrics.snapshot();
-        assert!(snap.master_secs >= 5.0, "5 ms at scale 1000 is >= 5 s");
-        assert!((snap.sim_secs - snap.master_secs).abs() < 1e-12);
+        assert_eq!(snap.master_secs, (640.0 + 128.0 / 2.0) / MASTER_SPEEDUP);
+        assert_eq!(snap.sim_secs, snap.master_secs);
+        let events = cluster.trace.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].flops, 640);
+        assert_eq!(events[0].cpu_sim_secs, 11.0);
+        assert_eq!(events[0].sim_end_secs, 11.0);
     }
 
     #[test]
     fn master_result_is_returned() {
         let cluster = Cluster::medium(1);
-        let v = run_on_master(&cluster, || vec![1, 2, 3]);
+        let v = run_on_master(&cluster, || (vec![1, 2, 3], TaskStats::default()));
         assert_eq!(v, vec![1, 2, 3]);
+        assert_eq!(cluster.metrics.snapshot().master_secs, 0.0);
     }
 }

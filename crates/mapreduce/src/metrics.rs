@@ -134,7 +134,7 @@ impl ClusterMetrics {
 
     /// Adds simulated master-node compute seconds (also advances the
     /// cluster clock).
-    pub fn add_master_secs(&self, secs: f64) {
+    pub fn add_master_time(&self, secs: f64) {
         self.master_secs.add(secs);
         self.add_sim_secs(secs);
     }
@@ -182,7 +182,7 @@ mod tests {
         m.record_shuffle_bytes(100);
         m.record_map_locality(4, 1, 64);
         m.add_sim_secs(2.5);
-        m.add_master_secs(1.5);
+        m.add_master_time(1.5);
         let s = m.snapshot();
         assert_eq!(s.jobs, 2);
         assert_eq!(s.map_tasks, 5);
@@ -215,7 +215,7 @@ mod tests {
         m.record_map_tasks(7);
         m.record_shuffle_bytes(4096);
         m.add_sim_secs(12.25);
-        m.add_master_secs(0.75);
+        m.add_master_time(0.75);
         let s = m.snapshot();
         let json = serde_json::to_string(&s).unwrap();
         assert!(json.contains("\"jobs\":1"), "json {json}");
@@ -228,7 +228,7 @@ mod tests {
     fn core_counters_appear_in_the_registry_snapshot() {
         let m = ClusterMetrics::default();
         m.record_job();
-        m.add_master_secs(2.0);
+        m.add_master_time(2.0);
         let obs = m.obs().snapshot();
         let jobs = obs
             .counters

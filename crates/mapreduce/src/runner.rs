@@ -7,7 +7,7 @@
 //! the last mapper commits, and the reduce wave starts after the shuffle.
 //!
 //! Tasks execute for real, in parallel, through rayon; the *simulated*
-//! duration of each wave comes from replaying the measured per-task work
+//! duration of each wave comes from replaying the counted per-task work
 //! through the fault- and locality-aware wave planner (see
 //! [`crate::scheduler::plan_wave`]). The planner places each map task
 //! preferentially on a node holding a DFS replica of its input (charging
@@ -378,7 +378,7 @@ fn observe_wave<T>(
                 sim_start_secs: base_secs + a.start,
                 sim_end_secs: base_secs + a.end,
                 cpu_secs: stats.cpu.as_secs_f64(),
-                kernel_secs: stats.kernel.as_secs_f64(),
+                flops: stats.flops,
                 cpu_sim_secs: cpu_sim,
                 io_sim_secs: io_sim,
                 read_bytes: stats.read_bytes,
@@ -1020,9 +1020,8 @@ mod tests {
         let (out, report) = run_job(&cluster, &spec, &ControlMapper, &ControlReducer, &[]).unwrap();
         assert!(out.is_empty());
         assert_eq!(report.map_tasks, 0);
-        // Unit model has no launch cost; only the (empty) reducer's
-        // microseconds of measured time remain.
-        assert!(report.sim_secs < 0.01);
+        // Unit model has no launch cost and free compute; nothing moved.
+        assert_eq!(report.sim_secs, 0.0);
     }
 
     #[test]
@@ -1118,9 +1117,7 @@ mod tests {
                 .events()
                 .into_iter()
                 .filter(|e| matches!(e.phase, TracePhase::Launch | TracePhase::Map))
-                // Not `node`: placement follows measured CPU, which differs
-                // between two executions.
-                .map(|e| (e.phase, e.task, e.attempt, e.failure, e.write_bytes))
+                .map(|e| (e.phase, e.task, e.attempt, e.node, e.failure, e.write_bytes))
                 .collect();
             let snap = cluster.metrics.obs().snapshot();
             let is_map = |l: &Labels| l.wave.as_deref() == Some("map");

@@ -30,7 +30,7 @@
 
 use std::collections::BTreeSet;
 
-/// One task's measured attempt chain and input locality for [`plan_wave`].
+/// One task's priced attempt chain and input locality for [`plan_wave`].
 ///
 /// The *body chain* is what actually executed: `failed_secs` holds the
 /// nominal-speed durations of body-level failures (injected faults, user

@@ -1,29 +1,48 @@
-//! The cost model that converts measured task work into simulated cluster
+//! The cost model that converts counted task work into simulated cluster
 //! time.
 //!
 //! The paper's experiments run on Amazon EC2 *medium* instances (1 virtual
 //! core of 2007-era performance, Section 7.1) and, for the largest matrix,
 //! *large* instances (2 such cores, Section 7.4). Neither the hardware nor
-//! the cluster is available here, so tasks execute locally and the model
-//! prices their measured work as if it ran on those machines:
+//! the cluster is available here, so tasks execute locally, *count* their
+//! work — the flops of their arithmetic kernels and the DFS bytes they code
+//! — and the model prices those counts at the rates of those machines:
 //!
 //! ```text
-//! task_time  = cpu · compute_scale / cores
+//! task_time  = (flops / flops_per_sec + (read + write) / codec_bytes_per_sec) / cores
 //!            + read_bytes  / disk_read_bw
 //!            + write_bytes · replication / disk_write_bw
 //! wave_time  = makespan of list-scheduling task_times onto m0 nodes
 //! job_time   = job_launch + map_wave + shuffle_bytes/(net_bw·m0) + reduce_wave
 //! ```
 //!
+//! Nothing measured on the host enters the clock, so a run's simulated
+//! time is a pure function of its inputs. The rates, and the speed ratios
+//! below, are derived once in DESIGN.md §7.
+//!
 //! The `job_launch` constant is the overhead the paper's bound value `nb`
 //! is tuned against (Section 5: `nb` is chosen so a master-node LU costs
 //! about one job launch).
 
-use std::time::Duration;
-
 use crate::job::TaskStats;
 
-/// Prices measured task work in simulated seconds.
+/// How much faster the master node runs counted work than a worker: the
+/// paper's master runs optimized native code and its workers naive Java,
+/// and `nb` is tuned so a master-side LU costs about one job launch
+/// (Section 5).
+pub const MASTER_SPEEDUP: f64 = 64.0;
+
+/// Compute advantage of the ScaLAPACK baseline's tuned BLAS over the
+/// workers' naive loops (the paper's workers run Java; ScaLAPACK runs
+/// tuned Fortran).
+pub const BLAS_ADVANTAGE: f64 = 1.5;
+
+/// How many times slower per flop Equation 7's column-striding loops run
+/// than the row-major loops the workers run: the Section 6.3 transpose-off
+/// ablation charges its flops this many times over.
+pub const STRIDED_SLOWDOWN: u64 = 3;
+
+/// Prices counted task work in simulated seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Constant overhead to launch one MapReduce job, seconds.
@@ -35,21 +54,13 @@ pub struct CostModel {
     /// Per-node network bandwidth, bytes/second (shuffle and replication
     /// traffic).
     pub net_bw: f64,
-    /// Multiplier applied to locally measured CPU seconds to model the
-    /// target machine (2007-era EC2 compute units are far slower than a
-    /// modern core).
-    pub compute_scale: f64,
-    /// Multiplier for *master-node* CPU seconds. The paper tunes `nb` so a
-    /// master-side LU costs about one job launch (Section 5) — its master
-    /// runs optimized native code while workers run naive Java — so the
-    /// master is typically priced faster than the workers.
-    pub master_compute_scale: f64,
-    /// Multiplier for the non-kernel portion of task CPU (serialization,
-    /// block assembly, data movement). Tasks report their arithmetic
-    /// kernels explicitly via `charge_kernel`; the rest of their measured
-    /// CPU is byte-proportional work that extrapolated models must scale
-    /// quadratically (with data volume), not cubically (with flops).
-    pub codec_scale: f64,
+    /// One worker core's arithmetic rate, flops/second: the naive-loop
+    /// kernels of the paper's Java workers on a 2007-era EC2 core.
+    pub flops_per_sec: f64,
+    /// One worker core's rate for everything else a task does per DFS byte
+    /// it reads or writes (decoding, encoding, block assembly, copies),
+    /// bytes/second.
+    pub codec_bytes_per_sec: f64,
     /// Physical cores per node sharing a task's compute.
     pub cores_per_node: u32,
     /// HDFS replication factor charged on writes.
@@ -66,9 +77,8 @@ impl CostModel {
             disk_read_bw: 60e6,
             disk_write_bw: 60e6,
             net_bw: 60e6,
-            compute_scale: 16.0,
-            master_compute_scale: 0.25,
-            codec_scale: 16.0,
+            flops_per_sec: 200e6,
+            codec_bytes_per_sec: 80e6,
             cores_per_node: 1,
             replication: 3,
         }
@@ -80,32 +90,34 @@ impl CostModel {
     /// instances copied data *slower* than medium ones).
     pub fn ec2_large() -> Self {
         CostModel {
-            job_launch_secs: 6.5,
             disk_read_bw: 45e6,
             disk_write_bw: 45e6,
             net_bw: 45e6,
-            compute_scale: 16.0,
-            master_compute_scale: 0.25,
-            codec_scale: 16.0,
             cores_per_node: 2,
-            replication: 3,
+            ..CostModel::ec2_medium()
         }
     }
 
-    /// A unit-speed model for tests: 1 byte/second bandwidths and no
-    /// compute scaling make costs exactly predictable.
+    /// A unit-speed model for tests: 1 byte/second bandwidths and free
+    /// compute make costs exactly the bytes moved.
     pub fn unit_for_tests() -> Self {
         CostModel {
             job_launch_secs: 0.0,
             disk_read_bw: 1.0,
             disk_write_bw: 1.0,
             net_bw: 1.0,
-            compute_scale: 1.0,
-            master_compute_scale: 1.0,
-            codec_scale: 1.0,
+            flops_per_sec: f64::INFINITY,
+            codec_bytes_per_sec: f64::INFINITY,
             cores_per_node: 1,
             replication: 1,
         }
+    }
+
+    /// Simulated seconds one core spends on `stats`' counted work: its
+    /// flops, and the bytes it read and wrote, each at its rate.
+    fn work_secs(&self, stats: &TaskStats) -> f64 {
+        let bytes = stats.read_bytes as f64 + stats.write_bytes as f64;
+        stats.flops as f64 / self.flops_per_sec + bytes / self.codec_bytes_per_sec
     }
 
     /// Simulated seconds to execute one task on one node.
@@ -117,16 +129,16 @@ impl CostModel {
     /// Simulated `(compute, io)` seconds for one task — the attribution
     /// the trace log's CPU-vs-I/O skew analytics are built on.
     pub fn task_secs_split(&self, stats: &TaskStats) -> (f64, f64) {
-        let measured = stats.cpu.as_secs_f64();
-        // Arithmetic kernels (reported explicitly by the task) and the
-        // remaining byte-proportional work extrapolate differently.
-        let kernel = stats.kernel.as_secs_f64().min(measured);
-        let other = measured - kernel;
-        let cpu = (kernel * self.compute_scale + other * self.codec_scale)
-            / f64::from(self.cores_per_node);
+        let cpu = self.work_secs(stats) / f64::from(self.cores_per_node);
         let read = stats.read_bytes as f64 / self.disk_read_bw;
         let write = stats.write_bytes as f64 * f64::from(self.replication) / self.disk_write_bw;
         (cpu, read + write)
+    }
+
+    /// Simulated seconds of counted work on the master node, which runs it
+    /// [`MASTER_SPEEDUP`] times faster than a worker core.
+    pub fn master_work_secs(&self, work: &TaskStats) -> f64 {
+        self.work_secs(work) / MASTER_SPEEDUP
     }
 
     /// Simulated seconds for the shuffle of `bytes` across `m0` nodes:
@@ -146,11 +158,6 @@ impl CostModel {
     pub fn remote_read_secs(&self, bytes: u64) -> f64 {
         bytes as f64 / self.net_bw
     }
-
-    /// Scaled compute seconds for a measured duration on the master node.
-    pub fn master_secs(&self, cpu: Duration) -> f64 {
-        cpu.as_secs_f64() * self.master_compute_scale
-    }
 }
 
 impl Default for CostModel {
@@ -163,38 +170,51 @@ impl Default for CostModel {
 mod tests {
     use super::*;
 
-    fn stats(cpu: f64, read: u64, write: u64) -> TaskStats {
+    fn stats(flops: u64, read: u64, write: u64) -> TaskStats {
         TaskStats {
-            cpu: Duration::from_secs_f64(cpu),
-            // All CPU counts as kernel in these pricing tests.
-            kernel: Duration::from_secs_f64(cpu),
+            flops,
             read_bytes: read,
             write_bytes: write,
-            shuffle_bytes: 0,
+            ..TaskStats::default()
         }
     }
 
+    /// Unit bandwidths and unit rates.
+    fn unit_rates() -> CostModel {
+        CostModel {
+            flops_per_sec: 1.0,
+            codec_bytes_per_sec: 1.0,
+            ..CostModel::unit_for_tests()
+        }
+    }
+
+    /// The test model prices exactly the bytes moved: compute is free.
     #[test]
     fn unit_model_prices_exactly() {
         let m = CostModel::unit_for_tests();
-        let t = m.task_secs(&stats(2.0, 3, 5));
-        assert!((t - 10.0).abs() < 1e-12); // 2 cpu + 3 read + 5 write
+        assert_eq!(m.task_secs_split(&stats(1 << 40, 3, 5)), (0.0, 8.0));
+        assert_eq!(m.master_work_secs(&stats(1 << 40, 3, 5)), 0.0);
+    }
+
+    #[test]
+    fn unit_rates_price_counted_work_exactly() {
+        let m = unit_rates();
+        assert_eq!(m.task_secs_split(&stats(2, 3, 5)), (10.0, 8.0));
+        assert_eq!(m.task_secs(&stats(2, 3, 5)), 18.0);
     }
 
     #[test]
     fn replication_multiplies_write_cost() {
         let mut m = CostModel::unit_for_tests();
         m.replication = 3;
-        let t = m.task_secs(&stats(0.0, 0, 10));
-        assert!((t - 30.0).abs() < 1e-12);
+        assert_eq!(m.task_secs(&stats(0, 0, 10)), 30.0);
     }
 
     #[test]
     fn cores_divide_compute() {
-        let mut m = CostModel::unit_for_tests();
+        let mut m = unit_rates();
         m.cores_per_node = 4;
-        let t = m.task_secs(&stats(8.0, 0, 0));
-        assert!((t - 2.0).abs() < 1e-12);
+        assert_eq!(m.task_secs_split(&stats(8, 0, 0)).0, 2.0);
     }
 
     #[test]
@@ -215,6 +235,7 @@ mod tests {
             large.net_bw < med.net_bw,
             "paper observed slower copies on large instances"
         );
+        assert_eq!(large.flops_per_sec, med.flops_per_sec, "same cores");
         assert!(med.job_launch_secs > 0.0);
         assert_eq!(CostModel::default(), med);
     }
@@ -228,10 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn master_secs_uses_master_scale() {
-        let mut m = CostModel::unit_for_tests();
-        m.compute_scale = 10.0;
-        m.master_compute_scale = 3.0;
-        assert!((m.master_secs(Duration::from_secs(2)) - 6.0).abs() < 1e-12);
+    fn master_runs_counted_work_faster() {
+        let m = unit_rates();
+        let work = stats(96, 16, 16);
+        assert_eq!(m.master_work_secs(&work), 128.0 / MASTER_SPEEDUP);
+        assert_eq!(m.master_work_secs(&work), m.task_secs_split(&work).0 / 64.0);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Every task attempt the runner executes — map, reduce, the job-launch
 //! overhead, the shuffle, and master-node computations — can be recorded
-//! as a [`TaskEvent`] carrying both *measured* work (real CPU seconds,
-//! DFS/shuffle bytes) and its *simulated* placement (virtual node plus
-//! start/end on the cluster's simulated clock, from the list scheduler).
+//! as a [`TaskEvent`] carrying its work (counted flops and DFS/shuffle
+//! bytes, and the real CPU seconds it took) and its *simulated* placement
+//! (virtual node plus start/end on the cluster's simulated clock, from the
+//! list scheduler).
 //! Three consumers are built on the log:
 //!
 //! * [`chrome_trace_json`] renders the events in the Chrome/Perfetto
@@ -89,10 +90,11 @@ pub struct TaskEvent {
     pub sim_start_secs: f64,
     /// Simulated end time on the cluster clock, seconds.
     pub sim_end_secs: f64,
-    /// Real (measured) CPU seconds of the attempt body.
+    /// Real (measured) CPU seconds of the attempt body; the cost model
+    /// never reads it.
     pub cpu_secs: f64,
-    /// Portion of `cpu_secs` spent in arithmetic kernels.
-    pub kernel_secs: f64,
+    /// Flops the attempt (or master call) charged for its arithmetic.
+    pub flops: u64,
     /// Simulated seconds attributed to compute by the cost model.
     pub cpu_sim_secs: f64,
     /// Simulated seconds attributed to DFS I/O by the cost model.
@@ -133,7 +135,7 @@ impl TaskEvent {
             sim_start_secs,
             sim_end_secs,
             cpu_secs: 0.0,
-            kernel_secs: 0.0,
+            flops: 0,
             cpu_sim_secs: 0.0,
             io_sim_secs: 0.0,
             read_bytes: 0,
@@ -308,7 +310,7 @@ pub fn chrome_trace_json(events: &[TaskEvent]) -> String {
 
         let mut args: Vec<(String, Value)> = vec![
             ("cpu_secs".into(), f(event.cpu_secs)),
-            ("kernel_secs".into(), f(event.kernel_secs)),
+            ("flops".into(), u(event.flops)),
             ("cpu_sim_secs".into(), f(event.cpu_sim_secs)),
             ("io_sim_secs".into(), f(event.io_sim_secs)),
             ("read_bytes".into(), u(event.read_bytes)),
@@ -541,7 +543,7 @@ mod tests {
             sim_start_secs: start,
             sim_end_secs: end,
             cpu_secs: 0.1,
-            kernel_secs: 0.05,
+            flops: 5,
             cpu_sim_secs: (end - start) * 0.5,
             io_sim_secs: (end - start) * 0.5,
             read_bytes: 100,

@@ -397,5 +397,25 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * (m as u64) * (k as u64) * (n as u64)
 }
 
+/// Floating-point operation count of block `rows x cols` of `U·L`, for
+/// order-`n` upper-triangular `U` and lower-triangular `L`, counting only
+/// the terms the triangles can make nonzero: element `(i, j)` sums
+/// `n − max(i, j)` of them. Over the whole product that is about `2n³/3`.
+/// It counts the algorithm's arithmetic, not [`gemm_staircase`]'s tiles,
+/// which multiply a few zero terms more.
+pub fn tri_product_flops(n: usize, rows: Range<usize>, cols: Range<usize>) -> u64 {
+    let terms: u64 = rows
+        .map(|i| {
+            // Left of the diagonal every element sums `n − i` terms; from
+            // column `max(i, c0)` on, `n − j` terms: an arithmetic series.
+            let left = cols.end.min(i).saturating_sub(cols.start) as u64;
+            let from = cols.start.max(i);
+            let right = cols.end.saturating_sub(from) as u64;
+            left * (n - i) as u64 + right * (n - from) as u64 - right * right.saturating_sub(1) / 2
+        })
+        .sum();
+    2 * terms
+}
+
 #[cfg(test)]
 mod tests;

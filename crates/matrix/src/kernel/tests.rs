@@ -963,3 +963,32 @@ fn gemm_flops_counts_two_per_madd() {
     assert_eq!(gemm_flops(2, 3, 4), 48);
     assert_eq!(gemm_flops(0, 3, 4), 0);
 }
+
+/// The closed form against a term-by-term count, on blocks above, below
+/// and across the diagonal; the whole product is `Σ k²` terms.
+#[test]
+fn tri_product_flops_counts_the_nonzero_terms() {
+    let n = 13;
+    let brute = |rows: Range<usize>, cols: Range<usize>| -> u64 {
+        let pairs = rows.flat_map(|i| cols.clone().map(move |j| (i, j)));
+        pairs.map(|(i, j)| 2 * (n - i.max(j)) as u64).sum()
+    };
+    for (rows, cols) in [
+        (0..n, 0..n),
+        (0..4, 9..13),
+        (9..13, 0..4),
+        (3..8, 5..11),
+        (6..6, 0..n),
+    ] {
+        assert_eq!(
+            tri_product_flops(n, rows.clone(), cols.clone()),
+            brute(rows.clone(), cols.clone()),
+            "{rows:?} x {cols:?}"
+        );
+    }
+    let k = n as u64;
+    assert_eq!(
+        tri_product_flops(n, 0..n, 0..n),
+        2 * k * (k + 1) * (2 * k + 1) / 6
+    );
+}

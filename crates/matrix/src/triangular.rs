@@ -47,6 +47,14 @@ pub fn tri_inv_flops(n: usize) -> u64 {
     2 * n * n * n / 3
 }
 
+/// Floating-point operation count of solving an order-`m` triangular
+/// system for `nrhs` dense right-hand sides (per vector, `m²/2`
+/// multiplications and as many additions, divisions included).
+pub fn trsm_flops(m: usize, nrhs: usize) -> u64 {
+    let m = m as u64;
+    m * m * nrhs as u64
+}
+
 /// Inverts a lower-triangular matrix by Equation 4: every column of the
 /// inverse solves `L·x = e_j`, all of them in one [`trsm`] on the identity
 /// (whose exact zeros above each `e_j`'s one are never multiplied).
@@ -295,5 +303,7 @@ mod tests {
     fn flop_count_formula() {
         assert_eq!(tri_inv_flops(0), 0);
         assert_eq!(tri_inv_flops(6), 144);
+        assert_eq!(trsm_flops(6, 2), 72);
+        assert_eq!(trsm_flops(0, 5), 0);
     }
 }

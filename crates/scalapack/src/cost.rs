@@ -1,22 +1,16 @@
 //! Pricing the baseline's tallies into simulated time.
 //!
-//! Uses the same [`CostModel`] as the MapReduce system. MPI differences
-//! honored here: no per-job launch overhead, intermediates stay in memory
+//! Uses the same [`CostModel`] as the MapReduce system: the busiest
+//! process's counted flops at the worker flop rate times
+//! [`BLAS_ADVANTAGE`]. MPI differences honored here: no per-job launch overhead, intermediates stay in memory
 //! (the matrix is read once and the result written once — the paper's
 //! Table 1/2 "Read n², Write n²" rows), and every transferred byte crosses
 //! the network at the cluster's aggregate bandwidth.
 
-use std::time::Duration;
-
+use mrinv_mapreduce::simtime::BLAS_ADVANTAGE;
 use mrinv_mapreduce::CostModel;
 
 use crate::grid::{ProcessGrid, WorkTally};
-
-/// Compute advantage of the baseline's optimized BLAS kernels over the
-/// MapReduce system's naive-loop workers (the paper's workers run Java;
-/// ScaLAPACK runs tuned Fortran). Applied as a divisor on the baseline's
-/// compute price.
-pub const BLAS_ADVANTAGE: f64 = 1.5;
 
 /// Time and movement accounting for one baseline run.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,8 +32,6 @@ pub struct ScalapackReport {
     pub total_flops: f64,
     /// Load balance (avg/max per-process flops; 1.0 = perfect).
     pub balance: f64,
-    /// Locally measured wall time of the real computation.
-    pub measured: Duration,
 }
 
 /// Converts the LU + inversion tallies into a simulated running time.
@@ -48,23 +40,17 @@ pub fn price(
     grid: &ProcessGrid,
     lu: &WorkTally,
     inv: &WorkTally,
-    measured: Duration,
     cost: &CostModel,
 ) -> ScalapackReport {
     let m0 = grid.size();
     let total = lu.merge(inv);
 
-    // Calibrate a flop rate from the real run, then price the busiest
-    // process's share at the target machine's speed.
+    // The busiest process's counted flops, at the worker rate sped up by
+    // tuned BLAS.
     let total_flops = total.total_flops();
-    let flop_rate = if measured.as_secs_f64() > 0.0 {
-        total_flops / measured.as_secs_f64()
-    } else {
-        1e9
-    };
-    let compute_secs = total.max_proc_flops() / flop_rate * cost.compute_scale
-        / f64::from(cost.cores_per_node)
-        / BLAS_ADVANTAGE;
+    let compute_secs = total.max_proc_flops()
+        / (cost.flops_per_sec * BLAS_ADVANTAGE)
+        / f64::from(cost.cores_per_node);
 
     // Disk: read the input once, write the result once, spread across m0.
     let n2_bytes = (n * n * 8) as f64;
@@ -89,7 +75,6 @@ pub fn price(
         transfer_elements_grid: total.transfer_grid as u64,
         total_flops,
         balance: total.balance(),
-        measured,
     }
 }
 
@@ -108,16 +93,18 @@ mod tests {
     #[test]
     fn pricing_adds_components() {
         let grid = ProcessGrid::new(4, 8);
-        let cost = CostModel::unit_for_tests();
+        let cost = CostModel {
+            flops_per_sec: 400.0,
+            ..CostModel::unit_for_tests()
+        };
         let lu = tally(4, 400.0, 100.0);
         let inv = tally(4, 0.0, 0.0);
-        let measured = Duration::from_secs(1); // rate = 400 flops/s
-        let r = price(10, &grid, &lu, &inv, measured, &cost);
-        // compute: max_proc = 100 flops / 400 per sec = 0.25 s, / 1.5 BLAS
+        let r = price(10, &grid, &lu, &inv, &cost);
+        // compute: max_proc = 100 flops / (400 per sec * 1.5 BLAS) = 1/6 s
         // disk: 800 bytes read + 800 write over 4 nodes at 1 B/s = 400 s
         // net: 100 elements * 8 bytes at single-link 1 B/s = 800 s
-        let expect = 0.25 / BLAS_ADVANTAGE + 400.0 + 800.0;
-        assert!((r.sim_secs - expect).abs() < 1e-9, "got {}", r.sim_secs);
+        let expect = 100.0 / (400.0 * BLAS_ADVANTAGE) + 400.0 + 800.0;
+        assert_eq!(r.sim_secs, expect);
         assert_eq!(r.transfer_elements_paper_model, 100);
         assert!((r.balance - 1.0).abs() < 1e-12);
     }
@@ -125,14 +112,14 @@ mod tests {
     #[test]
     fn more_nodes_reduce_time_until_network_dominates() {
         let cost = CostModel::ec2_medium();
-        let n = 1000;
+        let n = 10_000;
         let flops = (n as f64).powi(3);
         let secs = |m0: usize| {
             let grid = ProcessGrid::new(m0, 128);
             // Paper model transfer grows linearly with m0.
             let lu = tally(m0, flops, 2.0 / 3.0 * m0 as f64 * (n * n) as f64);
             let inv = tally(m0, 0.0, 0.0);
-            price(n, &grid, &lu, &inv, Duration::from_secs(10), &cost).sim_secs
+            price(n, &grid, &lu, &inv, &cost).sim_secs
         };
         // Compute shrinks with m0 but the critical-path network volume
         // *grows* with m0, so scaling first helps and eventually hurts —
@@ -150,19 +137,5 @@ mod tests {
             speedup < 16.0,
             "16x nodes must yield sub-ideal {speedup:.1}x speedup"
         );
-    }
-
-    #[test]
-    fn zero_measured_duration_is_safe() {
-        let grid = ProcessGrid::new(2, 8);
-        let r = price(
-            4,
-            &grid,
-            &WorkTally::new(2),
-            &WorkTally::new(2),
-            Duration::ZERO,
-            &CostModel::unit_for_tests(),
-        );
-        assert!(r.sim_secs.is_finite());
     }
 }

@@ -21,11 +21,11 @@
 //!   the Figure 8 reproduction uses, and a realistic grid-broadcast
 //!   volume, reported alongside for honesty.
 //!
-//! Numerics are computed for real; only the *time* is simulated, using the
-//! same [`mrinv_mapreduce::CostModel`] as the MapReduce system so every
-//! comparison is apples-to-apples. MPI keeps intermediates in memory: no
-//! per-step DFS traffic, no job-launch overhead — exactly the trade the
-//! paper describes.
+//! Numerics are computed for real; only the *time* is simulated, from the
+//! tallied flops and transfers, using the same [`mrinv_mapreduce::CostModel`]
+//! as the MapReduce system so every comparison is apples-to-apples. MPI
+//! keeps intermediates in memory: no per-step DFS traffic, no job-launch
+//! overhead — exactly the trade the paper describes.
 
 #![warn(missing_docs)]
 
@@ -72,11 +72,9 @@ pub fn invert(
     cfg: &ScalapackConfig,
 ) -> Result<ScalapackRun> {
     let grid = ProcessGrid::new(m0, cfg.block_size);
-    let start = std::time::Instant::now();
     let lu = pdgetrf::pdgetrf(a, &grid)?;
     let inv = pdgetri::pdgetri(&lu, &grid)?;
-    let measured = start.elapsed();
-    let report = cost::price(a.rows(), &grid, &lu.tally, &inv.tally, measured, cost_model);
+    let report = cost::price(a.rows(), &grid, &lu.tally, &inv.tally, cost_model);
     Ok(ScalapackRun {
         inverse: inv.inverse,
         report,

@@ -16,13 +16,15 @@ use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, Phase};
 use mrinv_matrix::random::random_well_conditioned;
 
 /// A 4-node cluster whose cost model emphasizes task compute (as at the
-/// paper's matrix sizes, where task work — not job launches — dominates),
-/// so a lost attempt visibly stretches the schedule.
+/// paper's matrix sizes, where task work — not job launches — dominates):
+/// its cores run 1e5 times slower than an EC2 medium core, so a lost
+/// attempt visibly stretches the schedule.
 fn compute_bound_cluster() -> Cluster {
     let mut cfg = ClusterConfig::medium(4);
+    let medium = CostModel::ec2_medium();
     cfg.cost = CostModel {
-        compute_scale: 2e5,
-        ..CostModel::ec2_medium()
+        flops_per_sec: medium.flops_per_sec / 1e5,
+        ..medium
     };
     Cluster::new(cfg)
 }

@@ -104,6 +104,16 @@ fn tcp_backend_matches_in_process_bit_for_bit() {
     assert_eq!(bytes(&local_jobs), bytes(&remote_jobs));
     let totals = |r: &mrinv::RunReport| [r.dfs_bytes_read, r.dfs_bytes_written, r.shuffle_bytes];
     assert_eq!(totals(&out.report), totals(&baseline.report));
+
+    // A worker charges the driver's flops, and the clock prices only
+    // counted work: both backends land on the same simulated seconds, job
+    // by job and in total.
+    let priced = |jobs: &[ManifestRecord]| -> Vec<(String, u64, f64)> {
+        let job = |r: &ManifestRecord| (r.name.clone(), r.report.stats.flops, r.report.sim_secs);
+        jobs.iter().map(job).collect()
+    };
+    assert_eq!(priced(&local_jobs), priced(&remote_jobs));
+    assert_eq!(out.report.sim_secs, baseline.report.sim_secs);
 }
 
 #[test]

@@ -8,13 +8,14 @@ use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::random_well_conditioned;
 use mrinv_matrix::PAPER_ACCURACY;
 
-fn cluster_with(compute_scale: f64) -> Cluster {
+fn cluster_with(cost: CostModel) -> Cluster {
     let mut cfg = ClusterConfig::medium(4);
-    cfg.cost = CostModel {
-        compute_scale,
-        ..CostModel::unit_for_tests()
-    };
+    cfg.cost = cost;
     Cluster::new(cfg)
+}
+
+fn unit_cluster() -> Cluster {
+    cluster_with(CostModel::unit_for_tests())
 }
 
 fn run(cluster: &Cluster) -> (mrinv::Outcome, f64) {
@@ -37,7 +38,7 @@ fn every_stage_survives_a_single_failure() {
         ("final-inverse", Phase::Reduce),
     ];
     for &(job, phase) in stages {
-        let cluster = cluster_with(1.0);
+        let cluster = unit_cluster();
         cluster.faults.fail_task(job, phase, 0, 1);
         let (out, res) = run(&cluster);
         assert!(res < PAPER_ACCURACY, "{job}/{phase:?}: residual {res}");
@@ -51,7 +52,7 @@ fn every_stage_survives_a_single_failure() {
 
 #[test]
 fn multiple_concurrent_failures_recover() {
-    let cluster = cluster_with(1.0);
+    let cluster = unit_cluster();
     cluster.faults.fail_task("lu-level", Phase::Map, 0, 2); // two attempts die
     cluster.faults.fail_task("lu-level", Phase::Map, 1, 1);
     cluster
@@ -68,14 +69,18 @@ fn multiple_concurrent_failures_recover() {
 
 #[test]
 fn failures_stretch_the_simulated_schedule() {
-    // Compute-weighted model so lost work is visible (Section 7.4: the
-    // 5-hour run became 8 hours).
-    let clean = {
-        let cluster = cluster_with(1e4);
-        run(&cluster).0.report.sim_secs
+    // Flops priced as heavily as bytes, so lost work is visible (Section
+    // 7.4: the 5-hour run became 8 hours). Counted work repeats exactly.
+    let priced = || {
+        cluster_with(CostModel {
+            flops_per_sec: 1.0,
+            ..CostModel::unit_for_tests()
+        })
     };
+    let clean = run(&priced()).0.report.sim_secs;
+    assert_eq!(run(&priced()).0.report.sim_secs, clean);
     let faulty = {
-        let cluster = cluster_with(1e4);
+        let cluster = priced();
         cluster.faults.fail_task("final-inverse", Phase::Map, 0, 1);
         run(&cluster).0.report.sim_secs
     };
@@ -90,7 +95,7 @@ fn retried_results_are_bit_identical() {
     let a = random_well_conditioned(48, 7);
     let cfg = InversionConfig::with_nb(12);
     let clean = {
-        let cluster = cluster_with(1.0);
+        let cluster = unit_cluster();
         Request::invert(&a)
             .config(&cfg)
             .submit(&cluster)
@@ -98,7 +103,7 @@ fn retried_results_are_bit_identical() {
             .into_inverse()
     };
     let faulty = {
-        let cluster = cluster_with(1.0);
+        let cluster = unit_cluster();
         cluster.faults.fail_task("", Phase::Map, 1, 1); // any job, map task 1
         cluster.faults.fail_task("", Phase::Reduce, 0, 1);
         Request::invert(&a)
@@ -115,7 +120,7 @@ fn retried_results_are_bit_identical() {
 
 #[test]
 fn exhausted_retry_budget_fails_the_whole_inversion() {
-    let cluster = cluster_with(1.0);
+    let cluster = unit_cluster();
     // More failures than max_task_attempts (4).
     cluster.faults.fail_task("lu-level", Phase::Map, 0, 100);
     let a = random_well_conditioned(64, 42);
@@ -190,7 +195,7 @@ fn permanent_fault_fails_cleanly_and_resumes_once_cleared() {
     );
     let baseline = Request::invert(&a)
         .config(&cfg)
-        .submit(&cluster_with(1.0))
+        .submit(&unit_cluster())
         .unwrap();
     assert_eq!(
         out.inverse()
@@ -203,7 +208,7 @@ fn permanent_fault_fails_cleanly_and_resumes_once_cleared() {
 
 #[test]
 fn failure_accounting_reaches_cluster_metrics() {
-    let cluster = cluster_with(1.0);
+    let cluster = unit_cluster();
     cluster.faults.fail_task("lu-level", Phase::Map, 0, 1);
     let _ = run(&cluster);
     let snap = cluster.metrics.snapshot();

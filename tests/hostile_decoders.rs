@@ -63,7 +63,7 @@ fn decode_all(bytes: &[u8]) {
 fn stats() -> TaskStats {
     TaskStats {
         cpu: Duration::new(3, 250),
-        kernel: Duration::from_nanos(7),
+        flops: 7,
         read_bytes: 64,
         write_bytes: 32,
         shuffle_bytes: 16,
@@ -282,13 +282,13 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
 }
 
 /// A reply can carry figures that decode fine and are still absurd:
-/// `Duration::MAX` of CPU, `u64::MAX` bytes. The driver sums every
+/// `Duration::MAX` of CPU, `u64::MAX` flops and bytes. The driver sums every
 /// attempt's stats, and `Duration` addition used to panic there.
 #[test]
 fn huge_in_range_task_stats_merge_without_panicking() {
     let huge = TaskStats {
         cpu: Duration::MAX,
-        kernel: Duration::MAX,
+        flops: u64::MAX,
         read_bytes: u64::MAX,
         write_bytes: u64::MAX,
         shuffle_bytes: u64::MAX,

@@ -9,12 +9,13 @@
 //!    surface, not an implementation detail.
 //! 2. A pinned FNV-1a fingerprint of the canonical n=64/nb=4 traced
 //!    inversion, computed over the *deterministic* projection of every
-//!    event (wall-clock fields excluded). The same run executed twice
-//!    must fingerprint identically, and the value itself is pinned so an
-//!    accidental change to scheduling, pricing, or event emission fails
-//!    loudly.
+//!    event (wall-clock fields excluded; simulated ones included). The
+//!    same run executed twice must fingerprint identically, and the value
+//!    itself is pinned so an accidental change to scheduling, pricing, or
+//!    event emission fails loudly. Beside it, the total flops the run
+//!    charges are pinned as an exact integer.
 
-use mrinv::InversionConfig;
+use mrinv::{InversionConfig, Optimizations};
 use mrinv_mapreduce::tracelog::TaskEvent;
 use mrinv_mapreduce::{chrome_trace_json, Cluster, ClusterConfig, TracePhase};
 use mrinv_matrix::random::random_well_conditioned;
@@ -34,7 +35,7 @@ fn synthetic_events() -> Vec<TaskEvent> {
             sim_start_secs: 1.5,
             sim_end_secs: 2.25,
             cpu_secs: 0.125,
-            kernel_secs: 0.0625,
+            flops: 65536,
             cpu_sim_secs: 0.5,
             io_sim_secs: 0.25,
             read_bytes: 4096,
@@ -53,7 +54,7 @@ fn synthetic_events() -> Vec<TaskEvent> {
             sim_start_secs: 2.25,
             sim_end_secs: 2.5,
             cpu_secs: 0.03125,
-            kernel_secs: 0.0,
+            flops: 0,
             cpu_sim_secs: 0.125,
             io_sim_secs: 0.0625,
             read_bytes: 2048,
@@ -72,7 +73,7 @@ fn synthetic_events() -> Vec<TaskEvent> {
             sim_start_secs: 0.0,
             sim_end_secs: 1.5,
             cpu_secs: 0.25,
-            kernel_secs: 0.0,
+            flops: 1_048_576,
             cpu_sim_secs: 1.5,
             io_sim_secs: 0.0,
             read_bytes: 0,
@@ -84,21 +85,18 @@ fn synthetic_events() -> Vec<TaskEvent> {
     ]
 }
 
-/// FNV-1a 64 over the sorted deterministic projection of the events.
-///
-/// The simulated clock is priced from *measured* CPU time through the
-/// cost model, so every timing field (`ts`/`dur` in the export:
-/// `sim_start_secs`, `sim_end_secs`, `cpu_sim_secs`, `io_sim_secs`) and
-/// everything downstream of it (node placement — `tid` — and the
-/// placement-dependent `remote_read_bytes`) varies run to run. What
-/// must NOT vary is the structure: which jobs ran, their sequence
-/// numbers, every wave's task/attempt set, and the exact I/O volumes.
+/// FNV-1a 64 over the sorted deterministic projection of the events: the
+/// structure (which jobs ran, their sequence numbers, every wave's
+/// task/attempt set, the exact I/O volumes) and the simulated clock
+/// (`ts`/`dur` in the export: `sim_start_secs`, `sim_end_secs`, and the
+/// `cpu_sim_secs` / `io_sim_secs` split), which the cost model prices from
+/// counted work alone. Only `cpu_secs`, measured wall time, is left out.
 fn fingerprint(events: &[TaskEvent]) -> u64 {
     let mut lines: Vec<String> = events
         .iter()
         .map(|e| {
             format!(
-                "{}|{:?}|{}|{}|{}|{}|{}|{}|{:?}",
+                "{}|{:?}|{}|{}|{}|{}|{}|{}|{:?}|{}|{}|{}|{}",
                 e.job,
                 e.job_seq,
                 e.phase.label(),
@@ -107,7 +105,11 @@ fn fingerprint(events: &[TaskEvent]) -> u64 {
                 e.read_bytes,
                 e.write_bytes,
                 e.shuffle_bytes,
-                e.failure
+                e.failure,
+                e.sim_start_secs,
+                e.sim_end_secs,
+                e.cpu_sim_secs,
+                e.io_sim_secs
             )
         })
         .collect();
@@ -124,16 +126,22 @@ fn fingerprint(events: &[TaskEvent]) -> u64 {
     hash
 }
 
-fn traced_n64_events() -> Vec<TaskEvent> {
+fn traced_n64_events_with(opts: Optimizations) -> Vec<TaskEvent> {
     let mut cfg = ClusterConfig::medium(4);
     cfg.tracing = true;
     let cluster = Cluster::new(cfg);
     let a = random_well_conditioned(64, 42);
+    let mut icfg = InversionConfig::with_nb(4);
+    icfg.opts = opts;
     mrinv::Request::invert(&a)
-        .config(&InversionConfig::with_nb(4))
+        .config(&icfg)
         .submit(&cluster)
         .unwrap();
     cluster.trace.events()
+}
+
+fn traced_n64_events() -> Vec<TaskEvent> {
+    traced_n64_events_with(Optimizations::all())
 }
 
 /// Set `MRINV_REGEN_GOLDEN=1` to rewrite the golden file instead of
@@ -171,8 +179,33 @@ fn n64_trace_fingerprint_is_pinned() {
     );
 }
 
+/// Every flop the canonical run charges, tasks and master alike, is one
+/// closed form of a kernel's shapes: leaving out any charge site, or
+/// changing one form, moves these totals. The second run turns transposed
+/// `U` off, so its four Equation 7 sites charge `STRIDED_SLOWDOWN` times
+/// their flops.
+#[test]
+fn n64_flops_are_pinned() {
+    let flops = |events: &[TaskEvent]| events.iter().map(|e| e.flops).sum::<u64>();
+    assert_eq!(flops(&traced_n64_events()), PINNED_N64_FLOPS);
+    let strided = Optimizations {
+        transpose_u: false,
+        ..Optimizations::all()
+    };
+    assert_eq!(
+        flops(&traced_n64_events_with(strided)),
+        PINNED_N64_STRIDED_FLOPS
+    );
+}
+
 /// Fingerprint of the canonical n=64/nb=4 run (seed 42, 4 medium nodes).
-/// Last moved when the final job's `INV/` files became triangles: only
-/// `read_bytes` / `write_bytes` changed, and the projection without them
-/// hashes to 1574678037858331168 on both sides of that change.
-const PINNED_N64_FINGERPRINT: u64 = 3694281442768935279;
+/// Last moved when the projection gained the simulated clock, once the
+/// clock priced counted work instead of measured CPU; the projection
+/// without those four fields still hashed to 3694281442768935279.
+const PINNED_N64_FINGERPRINT: u64 = 18426081460659255201;
+
+/// Flops the canonical run charges (`n64_flops_are_pinned`).
+const PINNED_N64_FLOPS: u64 = 532_512;
+
+/// The same with transposed `U` off.
+const PINNED_N64_STRIDED_FLOPS: u64 = 2_884_608;
