@@ -5,7 +5,12 @@
 //! open several clients for concurrency. Matrices cross the wire through
 //! the binary codec, so results are bit-identical to running the same
 //! [`crate::Request`] in-process, and as one packed byte node each, so a
-//! frame costs its payload plus a few hundred bytes (see
+//! frame costs its payload plus a few hundred bytes. The client speaks
+//! through the service's frame codec, over one frame buffer it keeps: the
+//! caller's matrix is encoded straight into the request frame, and a reply
+//! is read as a view whose matrices are slices of the frame, so the
+//! returned inverse (or factors) is the one copy a request makes on this
+//! side, and a warm request faults no memory back in (see
 //! [`crate::service`], "What a frame costs"). Request ids start at 1: an
 //! error response under id 0 is the server's verdict on the frame itself
 //! ("undecodable request: …") and is reported as the server error it is.
@@ -14,13 +19,13 @@
 
 use std::net::TcpStream;
 
-use mrinv_matrix::io::{decode_binary, encode_binary_vec};
+use mrinv_matrix::io::decode_binary;
 use mrinv_matrix::{Matrix, Permutation};
 
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
 use crate::request::LuFactors;
-use crate::service::{WireOp, WireRequest, WireResponse, TAG_REQUEST, TAG_RESPONSE};
+use crate::service::{encode_request, ResponseView, WireOp, TAG_REQUEST, TAG_RESPONSE};
 use mrinv_mapreduce::wire::{read_frame, write_frame};
 
 /// What the server sent back for one request.
@@ -103,22 +108,11 @@ impl ServiceClient {
     ) -> Result<ServiceReply> {
         self.next_id += 1;
         let id = self.next_id;
-        let req = WireRequest {
-            tenant: self.tenant.clone(),
-            id,
-            op,
-            a: encode_binary_vec(a),
-            rhs: rhs.to_vec(),
-            nb: cfg.nb as u64,
-            separate_intermediate_files: cfg.opts.separate_intermediate_files,
-            block_wrap: cfg.opts.block_wrap,
-            transpose_u: cfg.opts.transpose_u,
-        };
         let net = |what: &str, e: &dyn std::fmt::Display| {
             CoreError::Invariant(format!("service connection {what}: {e}"))
         };
         self.frame.clear();
-        bincode::serialize_into(&mut self.frame, &req);
+        encode_request(&mut self.frame, &self.tenant, id, op, a, rhs, cfg);
         write_frame(&mut self.stream, TAG_REQUEST, &self.frame).map_err(|e| net("send", &e))?;
         let tag = read_frame(&mut self.stream, &mut self.frame).map_err(|e| net("recv", &e))?;
         if tag != TAG_RESPONSE {
@@ -126,7 +120,7 @@ impl ServiceClient {
                 "expected a response frame, got tag {tag}"
             )));
         }
-        let resp = bincode::deserialize::<WireResponse>(&self.frame)
+        let resp = ResponseView::read(&self.frame)
             .map_err(|e| CoreError::Invariant(format!("undecodable response: {e}")))?;
         // Id 0 is never issued: an error under it is about this frame.
         let about_the_frame = resp.id == 0 && !resp.ok;
@@ -146,7 +140,9 @@ impl ServiceClient {
     }
 }
 
-fn decode_reply(resp: WireResponse) -> Result<ServiceReply> {
+/// The reply a response view stands for: each matrix decoded out of the
+/// frame once, the pivots checked.
+fn decode_reply(resp: ResponseView<'_>) -> Result<ServiceReply> {
     let inverse = if resp.inverse.is_empty() {
         None
     } else {

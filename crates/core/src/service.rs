@@ -21,19 +21,33 @@
 //! n = 256, pinned by `frames_cost_their_payload` below. `rhs` /
 //! `solutions` are plain `f64` arrays at 9 bytes per 8.
 //!
-//! In memory, each side writes a matrix's bytes once
-//! ([`encode_binary_vec`]) and bincode copies them once into the value
-//! tree and once into the frame; the receiver copies them out of the frame
-//! into the value tree, into the field, and decodes them into a `Matrix`.
-//! The frame itself is not a fresh buffer: each connection — this
-//! server's handler and [`crate::client::ServiceClient`] alike — reads
-//! every frame into one buffer and serializes every reply into it
-//! ([`bincode::serialize_into`], sized exactly from the value tree), so in
-//! the steady state a frame allocates nothing. A connection therefore
-//! retains capacity for its largest frame until it closes. Measured with
-//! a counting allocator at n = 256 (`tests/alloc_budget.rs`), a warm
-//! invert allocates about 10 matrix-sized buffers across both sides, a
-//! warm solve about 5.
+//! In memory, a matrix is copied once per side. Both ends speak through
+//! this module's frame codec: `encode_request` / `encode_response`
+//! write a frame node by node from borrowed parts — the caller's `&Matrix`
+//! goes straight into the frame ([`encode_binary_onto`]), a reply is
+//! written from the `&Outcome` the cache or the executor produced — and
+//! [`RequestView`] / [`ResponseView`] read a frame into a view whose matrix
+//! fields are slices of it, which [`decode_binary`] turns once into the
+//! `Matrix` the receiver keeps. The bytes are exactly what
+//! `bincode::serialize` gives the equivalent [`WireRequest`] /
+//! [`WireResponse`]; those structs stay as the protocol's reference. The
+//! frame itself is not a fresh buffer: each connection — this server's
+//! handler and [`crate::client::ServiceClient`] alike — reads every frame
+//! into one buffer and writes every frame into it, so in the steady state
+//! a frame allocates nothing, and a connection retains capacity for its
+//! largest frame until it closes. Measured with a counting allocator at
+//! n = 256 (`tests/alloc_budget.rs`), a warm invert allocates about 2
+//! matrix-sized buffers across both sides (the server's decoded `a`, the
+//! client's inverse), a warm solve about 1.
+//!
+//! Copies matter beyond their memcpy. When the client still built a
+//! matrix-sized byte vector, bincode's value tree and an owned `inverse`
+//! field per request, freeing them left more than glibc's trim threshold
+//! (twice the dynamic mmap threshold, ~1 MB once a 512 KB block has been
+//! freed) at the top of the heap, so glibc returned it to the kernel and
+//! the next request faulted it back in: 214–224 minor page faults per warm
+//! n = 256 invert on a client on the process's main thread, now 0
+//! (`tests/warm_faults.rs` bounds them).
 //!
 //! Compatibility runs one way. This decoder also accepts the older shape
 //! of a byte field (an array of one number per byte, 9 wire bytes per
@@ -80,8 +94,10 @@
 //! per-request label — so a long-running server's series count is bounded
 //! by who talks to it, not by how much.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -91,9 +107,9 @@ use std::thread::JoinHandle;
 use mrinv_mapreduce::obs::Labels;
 use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_mapreduce::Cluster;
-use mrinv_matrix::io::{decode_binary, encode_binary_vec};
+use mrinv_matrix::io::{binary_size, decode_binary, encode_binary_onto};
 use mrinv_matrix::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::cache::{cache_key, CacheKey, CacheStats, FactorCache};
 use crate::config::{InversionConfig, Optimizations};
@@ -149,21 +165,6 @@ pub struct WireRequest {
     pub transpose_u: bool,
 }
 
-impl WireRequest {
-    /// The configuration as the client sent it; `Request::validate`
-    /// refuses `nb = 0`, so it comes back as an error reply.
-    fn config(&self) -> InversionConfig {
-        InversionConfig {
-            nb: usize::try_from(self.nb).unwrap_or(usize::MAX),
-            opts: Optimizations {
-                separate_intermediate_files: self.separate_intermediate_files,
-                block_wrap: self.block_wrap,
-                transpose_u: self.transpose_u,
-            },
-        }
-    }
-}
-
 /// One response frame. Empty byte vectors stand for absent matrices. An
 /// error response with `id` 0 (clients number requests from 1) is about the
 /// connection, not a request: the server could not decode the frame.
@@ -195,45 +196,289 @@ pub struct WireResponse {
     pub sim_secs: f64,
 }
 
-impl WireResponse {
-    fn err(id: u64, message: impl Into<String>) -> WireResponse {
-        WireResponse {
-            id,
-            ok: false,
-            error: message.into(),
-            cache_hit: false,
-            inverse: Vec::new(),
-            l: Vec::new(),
-            u: Vec::new(),
-            perm: Vec::new(),
-            solutions: Vec::new(),
-            jobs: 0,
-            sim_secs: 0.0,
+// ---- The frame codec -----------------------------------------------------
+
+/// An upper bound on a frame's bytes beyond its matrices' encodings, its
+/// vectors' items and its strings: the field names, node headers and
+/// scalars of either frame (under 300 bytes; `frames_cost_their_payload`
+/// pins 512). Reserved up front with the rest, so no field write has to
+/// grow the frame.
+const FIXED_BYTES: usize = 512;
+
+/// One object field whose value bincode writes as `value`'s [`Serialize`]
+/// tree: the scalars and strings.
+fn field<T: Serialize + ?Sized>(frame: &mut Vec<u8>, key: &str, value: &T) {
+    bincode::write_key(frame, key);
+    bincode::serialize_into(frame, value);
+}
+
+/// Bytes of `m`'s binary encoding; none for an absent matrix.
+fn matrix_len(m: Option<&Matrix>) -> usize {
+    m.map_or(0, |m| binary_size(m.rows(), m.cols()) as usize)
+}
+
+/// A byte field holding `m`'s binary encoding, written straight from the
+/// matrix; an absent matrix is the empty byte string.
+fn matrix_field(frame: &mut Vec<u8>, key: &str, m: Option<&Matrix>) {
+    bincode::write_key(frame, key);
+    bincode::write_bytes_header(frame, matrix_len(m));
+    if let Some(m) = m {
+        encode_binary_onto(frame, m.rows(), m.cols(), m.as_slice());
+    }
+}
+
+/// Bytes of the array nodes [`vectors_field`] writes for `vectors`' items.
+fn vectors_len(vectors: &[Vec<f64>]) -> usize {
+    vectors.iter().map(|v| 9 + 9 * v.len()).sum()
+}
+
+/// A `Vec<Vec<f64>>` field, written from the borrowed vectors.
+fn vectors_field(frame: &mut Vec<u8>, key: &str, vectors: &[Vec<f64>]) {
+    bincode::write_key(frame, key);
+    bincode::write_array_header(frame, vectors.len());
+    for v in vectors {
+        bincode::write_array_header(frame, v.len());
+        for x in v {
+            bincode::serialize_into(frame, x);
+        }
+    }
+}
+
+/// Appends a request frame's body to `frame`: the bytes
+/// `bincode::serialize` gives the [`WireRequest`] of these parts, with `a`
+/// encoded once, straight into the frame.
+pub(crate) fn encode_request(
+    frame: &mut Vec<u8>,
+    tenant: &str,
+    id: u64,
+    op: WireOp,
+    a: &Matrix,
+    rhs: &[Vec<f64>],
+    cfg: &InversionConfig,
+) {
+    frame.reserve(FIXED_BYTES + tenant.len() + matrix_len(Some(a)) + vectors_len(rhs));
+    bincode::write_object_header(frame, 9);
+    field(frame, "tenant", tenant);
+    field(frame, "id", &id);
+    field(frame, "op", &op);
+    matrix_field(frame, "a", Some(a));
+    vectors_field(frame, "rhs", rhs);
+    field(frame, "nb", &(cfg.nb as u64));
+    let opts = &cfg.opts;
+    field(
+        frame,
+        "separate_intermediate_files",
+        &opts.separate_intermediate_files,
+    );
+    field(frame, "block_wrap", &opts.block_wrap);
+    field(frame, "transpose_u", &opts.transpose_u);
+}
+
+/// Appends a response frame's body to `frame`: the bytes
+/// `bincode::serialize` gives the [`WireResponse`] of `reply` — a served
+/// outcome with the solutions that are this request's own (a batched solve
+/// shares its outcome), or an error text — under `id`. Matrices go
+/// straight from the outcome into the frame.
+pub(crate) fn encode_response(
+    frame: &mut Vec<u8>,
+    id: u64,
+    reply: std::result::Result<(&Outcome, &[Vec<f64>]), &str>,
+) {
+    let (out, solutions, error) = match reply {
+        Ok((out, solutions)) => (Some(out), solutions, ""),
+        Err(error) => (None, &[][..], error),
+    };
+    let inverse = out.and_then(Outcome::inverse);
+    let factors = out.and_then(Outcome::factors);
+    let (l, u) = (factors.map(|f| &f.l), factors.map(|f| &f.u));
+    let perm = factors.map_or(&[][..], |f| f.perm.as_slice());
+    frame.reserve(
+        FIXED_BYTES
+            + error.len()
+            + matrix_len(inverse)
+            + matrix_len(l)
+            + matrix_len(u)
+            + 9 * perm.len()
+            + vectors_len(solutions),
+    );
+    bincode::write_object_header(frame, 11);
+    field(frame, "id", &id);
+    field(frame, "ok", &out.is_some());
+    field(frame, "error", error);
+    field(
+        frame,
+        "cache_hit",
+        &out.is_some_and(|o| o.cache == CacheStatus::Hit),
+    );
+    matrix_field(frame, "inverse", inverse);
+    matrix_field(frame, "l", l);
+    matrix_field(frame, "u", u);
+    bincode::write_key(frame, "perm");
+    bincode::write_array_header(frame, perm.len());
+    for &source in perm {
+        bincode::serialize_into(frame, &(source as u64));
+    }
+    vectors_field(frame, "solutions", solutions);
+    field(frame, "jobs", &out.map_or(0, |o| o.report.jobs));
+    field(frame, "sim_secs", &out.map_or(0.0, |o| o.report.sim_secs));
+}
+
+/// The fields of a frame's root object, each decoded as the wire structs'
+/// derived `Deserialize` decodes it, with the same errors.
+struct Fields<'v, 'f>(&'v bincode::ValueRef<'f>);
+
+impl<'f> Fields<'_, 'f> {
+    fn missing(key: &str) -> bincode::Error {
+        bincode::Error(format!("missing field {key:?}"))
+    }
+
+    fn named(key: &str, e: serde::DeError) -> bincode::Error {
+        bincode::Error(format!("field {key:?}: {}", e.0))
+    }
+
+    /// A scalar or vector field, through its owned serde decoding.
+    fn get<T: Deserialize>(&self, key: &str) -> std::result::Result<T, bincode::Error> {
+        match self.0.get(key) {
+            Some(node) => T::from_value(&node.to_value()).map_err(|e| Self::named(key, e)),
+            None => T::from_value(&Value::Null).map_err(|_| Self::missing(key)),
         }
     }
 
-    fn from_outcome(id: u64, out: &Outcome) -> WireResponse {
-        let (l, u, perm) = match out.factors() {
-            Some(f) => (
-                encode_binary_vec(&f.l),
-                encode_binary_vec(&f.u),
-                f.perm.as_slice().iter().map(|&s| s as u64).collect(),
-            ),
-            None => (Vec::new(), Vec::new(), Vec::new()),
+    /// A `Vec<Vec<f64>>` field, read straight off the tree when it has
+    /// that shape; any other shape goes through [`Fields::get`] for its
+    /// error.
+    fn vectors(&self, key: &str) -> std::result::Result<Vec<Vec<f64>>, bincode::Error> {
+        let number = |x: &bincode::ValueRef<'_>| match x {
+            bincode::ValueRef::Number(n) => Value::Number(*n).as_f64(),
+            _ => None,
         };
-        WireResponse {
-            id,
-            ok: true,
-            error: String::new(),
-            cache_hit: out.cache == CacheStatus::Hit,
-            inverse: out.inverse().map(encode_binary_vec).unwrap_or_default(),
-            l,
-            u,
-            perm,
-            solutions: out.solutions().to_vec(),
-            jobs: out.report.jobs,
-            sim_secs: out.report.sim_secs,
+        let direct = match self.0.get(key) {
+            Some(bincode::ValueRef::Array(vectors)) => vectors
+                .iter()
+                .map(|v| match v {
+                    bincode::ValueRef::Array(xs) => xs.iter().map(number).collect(),
+                    _ => None,
+                })
+                .collect(),
+            _ => None,
+        };
+        direct.map_or_else(|| self.get(key), Ok)
+    }
+
+    /// A byte field: a slice of the frame, or an owned copy of the
+    /// pre-tag-9 array of numbers.
+    fn bytes(&self, key: &str) -> std::result::Result<Cow<'f, [u8]>, bincode::Error> {
+        let node = self.0.get(key).ok_or_else(|| Self::missing(key))?;
+        node.to_bytes().map_err(|e| Self::named(key, e))
+    }
+}
+
+/// A request frame as the server reads it: [`WireRequest`]'s fields, with
+/// the matrix a slice of the frame (an owned copy only from a peer that
+/// predates the packed byte node).
+#[derive(Debug)]
+pub struct RequestView<'f> {
+    /// [`WireRequest::tenant`].
+    pub(crate) tenant: String,
+    /// [`WireRequest::id`].
+    pub(crate) id: u64,
+    /// [`WireRequest::op`].
+    pub(crate) op: WireOp,
+    /// [`WireRequest::a`].
+    pub(crate) a: Cow<'f, [u8]>,
+    /// [`WireRequest::rhs`].
+    pub(crate) rhs: Vec<Vec<f64>>,
+    /// [`WireRequest::nb`].
+    pub(crate) nb: u64,
+    /// [`WireRequest::separate_intermediate_files`].
+    pub(crate) separate_intermediate_files: bool,
+    /// [`WireRequest::block_wrap`].
+    pub(crate) block_wrap: bool,
+    /// [`WireRequest::transpose_u`].
+    pub(crate) transpose_u: bool,
+}
+
+impl<'f> RequestView<'f> {
+    /// Reads a request frame's body, accepting and refusing exactly what
+    /// `bincode::deserialize::<WireRequest>` does, with the same errors.
+    pub fn read(frame: &'f [u8]) -> std::result::Result<RequestView<'f>, bincode::Error> {
+        let root = bincode::bytes_to_value_ref(frame)?;
+        let fields = Fields(&root);
+        Ok(RequestView {
+            tenant: fields.get("tenant")?,
+            id: fields.get("id")?,
+            op: fields.get("op")?,
+            a: fields.bytes("a")?,
+            rhs: fields.vectors("rhs")?,
+            nb: fields.get("nb")?,
+            separate_intermediate_files: fields.get("separate_intermediate_files")?,
+            block_wrap: fields.get("block_wrap")?,
+            transpose_u: fields.get("transpose_u")?,
+        })
+    }
+
+    /// The configuration as the client sent it; `Request::validate`
+    /// refuses `nb = 0`, so it comes back as an error reply.
+    fn config(&self) -> InversionConfig {
+        InversionConfig {
+            nb: usize::try_from(self.nb).unwrap_or(usize::MAX),
+            opts: Optimizations {
+                separate_intermediate_files: self.separate_intermediate_files,
+                block_wrap: self.block_wrap,
+                transpose_u: self.transpose_u,
+            },
         }
+    }
+}
+
+/// A response frame as the client reads it: [`WireResponse`]'s fields,
+/// with the matrices slices of the frame (owned copies only from a peer
+/// that predates the packed byte node).
+#[derive(Debug)]
+pub struct ResponseView<'f> {
+    /// [`WireResponse::id`].
+    pub(crate) id: u64,
+    /// [`WireResponse::ok`].
+    pub(crate) ok: bool,
+    /// [`WireResponse::error`].
+    pub(crate) error: String,
+    /// [`WireResponse::cache_hit`].
+    pub(crate) cache_hit: bool,
+    /// [`WireResponse::inverse`].
+    pub(crate) inverse: Cow<'f, [u8]>,
+    /// [`WireResponse::l`].
+    pub(crate) l: Cow<'f, [u8]>,
+    /// [`WireResponse::u`].
+    pub(crate) u: Cow<'f, [u8]>,
+    /// [`WireResponse::perm`].
+    pub(crate) perm: Vec<u64>,
+    /// [`WireResponse::solutions`].
+    pub(crate) solutions: Vec<Vec<f64>>,
+    /// [`WireResponse::jobs`].
+    pub(crate) jobs: u64,
+    /// [`WireResponse::sim_secs`].
+    pub(crate) sim_secs: f64,
+}
+
+impl<'f> ResponseView<'f> {
+    /// Reads a response frame's body, accepting and refusing exactly what
+    /// `bincode::deserialize::<WireResponse>` does, with the same errors.
+    pub fn read(frame: &'f [u8]) -> std::result::Result<ResponseView<'f>, bincode::Error> {
+        let root = bincode::bytes_to_value_ref(frame)?;
+        let fields = Fields(&root);
+        Ok(ResponseView {
+            id: fields.get("id")?,
+            ok: fields.get("ok")?,
+            error: fields.get("error")?,
+            cache_hit: fields.get("cache_hit")?,
+            inverse: fields.bytes("inverse")?,
+            l: fields.bytes("l")?,
+            u: fields.bytes("u")?,
+            perm: fields.get("perm")?,
+            solutions: fields.vectors("solutions")?,
+            jobs: fields.get("jobs")?,
+            sim_secs: fields.get("sim_secs")?,
+        })
     }
 }
 
@@ -261,14 +506,18 @@ impl Default for ServiceConfig {
 /// A cold request parked for the executor.
 struct QueuedJob {
     tenant: String,
-    id: u64,
     op: Op,
     a: Matrix,
     rhs: Vec<Vec<f64>>,
     cfg: InversionConfig,
     key: CacheKey,
-    resp: mpsc::Sender<WireResponse>,
+    resp: mpsc::Sender<Answer>,
 }
+
+/// What a served request's reply is written from: the outcome (shared by a
+/// batch of solves) and the range of its solutions that are this request's,
+/// or the error text.
+type Answer = std::result::Result<(Arc<Outcome>, Range<usize>), String>;
 
 /// Per-tenant FIFO queues plus the round-robin draining order. A tenant
 /// has an entry in both exactly while it has a job queued, so a
@@ -524,15 +773,16 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
         if tag != TAG_REQUEST {
             return;
         }
-        let (resp, hang_up) = match bincode::deserialize::<WireRequest>(&frame) {
-            Ok(req) => (serve_request(shared, req), false),
-            Err(e) => (
-                WireResponse::err(0, format!("undecodable request: {}", e.0)),
-                true,
-            ),
+        let (id, answer, hang_up) = match RequestView::read(&frame) {
+            Ok(req) => (req.id, serve_request(shared, req), false),
+            Err(e) => (0, Err(format!("undecodable request: {}", e.0)), true),
         };
         frame.clear();
-        bincode::serialize_into(&mut frame, &resp);
+        let reply = match &answer {
+            Ok((out, mine)) => Ok((&**out, &out.solutions()[mine.clone()])),
+            Err(message) => Err(message.as_str()),
+        };
+        encode_response(&mut frame, id, reply);
         if write_frame(stream, TAG_RESPONSE, &frame).is_err() || hang_up {
             return;
         }
@@ -540,14 +790,11 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
 }
 
 /// Serves one decoded request: cache hits inline, cold work through the
-/// executor queue.
-fn serve_request(shared: &Arc<Shared>, req: WireRequest) -> WireResponse {
+/// executor queue. The matrix is decoded out of the frame here, once.
+fn serve_request(shared: &Arc<Shared>, req: RequestView<'_>) -> Answer {
     let op = req.op.op();
     shared.count("mrinv_service_requests_total", &req.tenant, op.name());
-    let a = match decode_binary(&req.a) {
-        Ok(a) => a,
-        Err(e) => return WireResponse::err(req.id, format!("bad matrix: {e}")),
-    };
+    let a = decode_binary(&req.a).map_err(|e| format!("bad matrix: {e}"))?;
     let cfg = req.config();
     // Hashed once: the probe here, the executor's lookup, the run it files
     // and solve batching all use this key.
@@ -557,10 +804,11 @@ fn serve_request(shared: &Arc<Shared>, req: WireRequest) -> WireResponse {
     // whatever the executor is doing (hits never touch driver state).
     let probe = build_request(shared, key, &a, op, &req.rhs, &cfg);
     match probe.submit_cached_only(&shared.cluster) {
-        Err(e) => return WireResponse::err(req.id, e.to_string()),
+        Err(e) => return Err(e.to_string()),
         Ok(Some(out)) => {
             shared.note_served(&req.tenant, op, &out);
-            return WireResponse::from_outcome(req.id, &out);
+            let all = 0..out.solutions().len();
+            return Ok((Arc::new(out), all));
         }
         Ok(None) => {}
     }
@@ -570,21 +818,17 @@ fn serve_request(shared: &Arc<Shared>, req: WireRequest) -> WireResponse {
     {
         let mut queues = shared.queues.lock().expect("queues lock");
         if shared.shutdown.load(Ordering::SeqCst) {
-            return WireResponse::err(req.id, "server is shutting down");
+            return Err("server is shutting down".to_string());
         }
         if queues.pending(&req.tenant) >= shared.config.max_queue_per_tenant {
             shared.count("mrinv_service_rejected_total", &req.tenant, op.name());
-            return WireResponse::err(
-                req.id,
-                format!(
-                    "tenant {} has {} queued requests (admission limit)",
-                    req.tenant, shared.config.max_queue_per_tenant
-                ),
-            );
+            return Err(format!(
+                "tenant {} has {} queued requests (admission limit)",
+                req.tenant, shared.config.max_queue_per_tenant
+            ));
         }
         queues.push(QueuedJob {
-            tenant: req.tenant.clone(),
-            id: req.id,
+            tenant: req.tenant,
             op,
             a,
             rhs: req.rhs,
@@ -594,10 +838,8 @@ fn serve_request(shared: &Arc<Shared>, req: WireRequest) -> WireResponse {
         });
     }
     shared.work.notify_one();
-    match rx.recv() {
-        Ok(resp) => resp,
-        Err(_) => WireResponse::err(req.id, "server dropped the request (shutting down)"),
-    }
+    rx.recv()
+        .unwrap_or_else(|_| Err("server dropped the request (shutting down)".to_string()))
 }
 
 /// The [`Request`] for one wire request against the shared cache, under
@@ -653,9 +895,7 @@ fn executor_loop(shared: &Arc<Shared>) {
                 queues.drain_all()
             };
             for job in orphans {
-                let _ = job
-                    .resp
-                    .send(WireResponse::err(job.id, "server is shutting down"));
+                let _ = job.resp.send(Err("server is shutting down".to_string()));
             }
             return;
         }
@@ -663,15 +903,18 @@ fn executor_loop(shared: &Arc<Shared>) {
 }
 
 /// Runs `job` (plus any batched same-key solves) through one pipeline /
-/// substitution pass and answers every participant.
-fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
+/// substitution pass and answers every participant with the shared
+/// outcome and the range of its own solutions.
+fn execute_batch(shared: &Arc<Shared>, mut job: QueuedJob, mut batch: Vec<QueuedJob>) {
     // Merge the batch's right-hand sides behind the leader's, remembering
-    // each participant's slice.
-    let mut rhs = job.rhs.clone();
-    let mut spans = vec![(0usize, job.rhs.len())];
-    for follower in &batch {
-        spans.push((rhs.len(), follower.rhs.len()));
-        rhs.extend(follower.rhs.iter().cloned());
+    // each participant's range.
+    let mut rhs = std::mem::take(&mut job.rhs);
+    let mut ranges = Vec::with_capacity(1 + batch.len());
+    ranges.push(0..rhs.len());
+    for follower in &mut batch {
+        let start = rhs.len();
+        rhs.append(&mut follower.rhs);
+        ranges.push(start..rhs.len());
     }
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -684,25 +927,19 @@ fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
         )),
     };
 
+    let members = std::iter::once(&job).chain(batch.iter());
     match outcome {
         Ok(out) => {
-            let participants: Vec<(&QueuedJob, (usize, usize))> = std::iter::once(&job)
-                .chain(batch.iter())
-                .zip(spans)
-                .collect();
-            for (member, (start, len)) in participants {
-                let mut resp = WireResponse::from_outcome(member.id, &out);
-                resp.solutions = out.solutions()[start..start + len].to_vec();
+            let out = Arc::new(out);
+            for (member, mine) in members.zip(ranges) {
                 shared.note_served(&member.tenant, member.op, &out);
-                let _ = member.resp.send(resp);
+                let _ = member.resp.send(Ok((out.clone(), mine)));
             }
         }
         Err(e) => {
             let message = e.to_string();
-            for member in std::iter::once(&job).chain(batch.iter()) {
-                let _ = member
-                    .resp
-                    .send(WireResponse::err(member.id, message.clone()));
+            for member in members {
+                let _ = member.resp.send(Err(message.clone()));
             }
         }
     }
@@ -711,6 +948,29 @@ fn execute_batch(shared: &Arc<Shared>, job: QueuedJob, batch: Vec<QueuedJob>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::FactorCache;
+    use mrinv_matrix::io::encode_binary_vec;
+    use mrinv_matrix::random::{random_matrix, random_well_conditioned};
+    use proptest::prelude::*;
+
+    impl WireResponse {
+        /// An error response, as the server's codec writes one.
+        fn err(id: u64, message: impl Into<String>) -> WireResponse {
+            WireResponse {
+                id,
+                ok: false,
+                error: message.into(),
+                cache_hit: false,
+                inverse: Vec::new(),
+                l: Vec::new(),
+                u: Vec::new(),
+                perm: Vec::new(),
+                solutions: Vec::new(),
+                jobs: 0,
+                sim_secs: 0.0,
+            }
+        }
+    }
 
     /// One frame into a buffer of its own, as a test's raw socket reads it.
     fn read_frame<R: std::io::Read>(stream: &mut R) -> std::io::Result<(u8, Vec<u8>)> {
@@ -728,14 +988,15 @@ mod tests {
         }
     }
 
-    fn job(tenant: &str, id: u64, op: Op, k: u64) -> (QueuedJob, mpsc::Receiver<WireResponse>) {
+    /// A queued job on the `k`-th distinct matrix, told apart from the
+    /// others by [`id`].
+    fn job(tenant: &str, id: u64, op: Op, k: u64) -> (QueuedJob, mpsc::Receiver<Answer>) {
         let (tx, rx) = mpsc::channel();
         (
             QueuedJob {
                 tenant: tenant.to_string(),
-                id,
                 op,
-                a: Matrix::identity(2),
+                a: Matrix::from_vec(1, 1, vec![id as f64]).unwrap(),
                 rhs: Vec::new(),
                 cfg: InversionConfig::with_nb(1),
                 key: key(k),
@@ -745,6 +1006,11 @@ mod tests {
         )
     }
 
+    /// The `id` a test [`job`] was made with.
+    fn id(job: &QueuedJob) -> u64 {
+        job.a[(0, 0)] as u64
+    }
+
     #[test]
     fn queues_drain_round_robin_across_tenants() {
         let mut q = Queues::default();
@@ -752,17 +1018,17 @@ mod tests {
             q.push(job("alice", i, Op::Invert, 0).0);
         }
         q.push(job("bob", 10, Op::Invert, 0).0);
-        let order: Vec<(String, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|j| (j.tenant, j.id))
+        let order: Vec<(u64, String)> = std::iter::from_fn(|| q.pop())
+            .map(|j| (id(&j), j.tenant))
             .collect();
         // Bob's single request is served second, not fourth.
         assert_eq!(
             order,
             vec![
-                ("alice".to_string(), 0),
-                ("bob".to_string(), 10),
-                ("alice".to_string(), 1),
-                ("alice".to_string(), 2),
+                (0, "alice".to_string()),
+                (10, "bob".to_string()),
+                (1, "alice".to_string()),
+                (2, "alice".to_string()),
             ]
         );
     }
@@ -775,12 +1041,12 @@ mod tests {
         q.push(job("b", 3, Op::Solve, 7).0);
         q.push(job("c", 4, Op::Invert, 42).0);
         let leader = q.pop().unwrap();
-        assert_eq!(leader.id, 1);
+        assert_eq!(id(&leader), 1);
         let batch = q.drain_matching_solves(key(42));
         assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].id, 2);
+        assert_eq!(id(&batch[0]), 2);
         // The different-key solve and the invert stay queued.
-        let rest: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|j| j.id).collect();
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|j| id(&j)).collect();
         assert_eq!(rest.len(), 2);
         assert!(rest.contains(&3) && rest.contains(&4));
     }
@@ -794,7 +1060,7 @@ mod tests {
             let tenant = format!("tenant-{i}");
             if i % 2 == 0 {
                 q.push(job(&tenant, i, Op::Invert, 0).0);
-                assert_eq!(q.pop().map(|j| j.id), Some(i));
+                assert_eq!(q.pop().map(|j| id(&j)), Some(i));
             } else {
                 q.push(job(&tenant, i, Op::Solve, i).0);
                 assert_eq!(q.drain_matching_solves(key(i)).len(), 1);
@@ -858,7 +1124,8 @@ mod tests {
             block_wrap: false,
             transpose_u: true,
         };
-        let back = bincode::deserialize::<WireRequest>(&bincode::serialize(&req)).unwrap();
+        let frame = bincode::serialize(&req);
+        let back = RequestView::read(&frame).unwrap();
         assert_eq!(back.tenant, "t");
         assert_eq!(back.op, WireOp::Solve);
         assert_eq!(back.rhs, req.rhs);
@@ -908,6 +1175,182 @@ mod tests {
         assert_eq!(back.a, payload);
         let back = bincode::deserialize::<WireResponse>(&response).unwrap();
         assert_eq!(back.inverse, payload);
+    }
+
+    /// `value` with every byte string in the shape a peer built before the
+    /// packed byte node sends it: an array of one number per byte.
+    fn legacy(value: Value) -> Value {
+        match value {
+            Value::Bytes(bytes) => Value::Array(
+                bytes
+                    .into_iter()
+                    .map(|b| Value::Number(serde::Number::U(b.into())))
+                    .collect(),
+            ),
+            Value::Object(fields) => {
+                Value::Object(fields.into_iter().map(|(k, v)| (k, legacy(v))).collect())
+            }
+            other => other,
+        }
+    }
+
+    /// The frame a struct serializes to, and its pre-tag-9 shape.
+    fn both_shapes<T: Serialize>(reference: &T) -> [Vec<u8>; 2] {
+        [
+            bincode::serialize(reference),
+            bincode::value_to_bytes(&legacy(reference.to_value())),
+        ]
+    }
+
+    /// Vectors compared by their bits, so a NaN equals itself.
+    fn bits(vectors: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        vectors
+            .iter()
+            .map(|v| v.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The request codec writes exactly what `bincode::serialize` gives
+        /// the equivalent `WireRequest`, and the server's view reads every
+        /// struct-serialized request, legacy byte arrays included, back to
+        /// the same fields.
+        #[test]
+        fn request_frames_are_the_structs_bytes(
+            ((rows, cols, seed), tenant, id, op, rhs, nb, flags) in (
+                (0usize..5, 0usize..5, any::<u64>()),
+                "[a-z_é]{0,12}",
+                any::<u64>(),
+                0usize..3,
+                prop::collection::vec(
+                    prop::collection::vec(any::<u64>().prop_map(f64::from_bits), 0..5usize),
+                    0..3usize,
+                ),
+                1usize..64,
+                0u8..8,
+            )
+        ) {
+            // Arbitrary bits: NaNs, infinities and -0.0 turn up.
+            let values = (0..rows * cols)
+                .map(|i| f64::from_bits(seed.wrapping_mul(2 * i as u64 + 1)))
+                .collect();
+            let a = Matrix::from_vec(rows, cols, values).unwrap();
+            let op = [WireOp::Invert, WireOp::Lu, WireOp::Solve][op];
+            let cfg = InversionConfig {
+                nb,
+                opts: Optimizations {
+                    separate_intermediate_files: flags & 1 != 0,
+                    block_wrap: flags & 2 != 0,
+                    transpose_u: flags & 4 != 0,
+                },
+            };
+            let reference = WireRequest {
+                tenant: tenant.clone(),
+                id,
+                op,
+                a: encode_binary_vec(&a),
+                rhs: rhs.clone(),
+                nb: nb as u64,
+                separate_intermediate_files: cfg.opts.separate_intermediate_files,
+                block_wrap: cfg.opts.block_wrap,
+                transpose_u: cfg.opts.transpose_u,
+            };
+            // The codec appends, after whatever the buffer holds.
+            let mut frame = vec![0xA5];
+            encode_request(&mut frame, &tenant, id, op, &a, &rhs, &cfg);
+            let [bytes, old] = both_shapes(&reference);
+            prop_assert_eq!(&frame[1..], &bytes[..]);
+            for frame in [bytes, old] {
+                let view = RequestView::read(&frame).unwrap();
+                prop_assert_eq!(&view.tenant, &tenant);
+                prop_assert_eq!((view.id, view.op, view.nb), (id, op, nb as u64));
+                prop_assert_eq!(&*view.a, &reference.a[..]);
+                prop_assert_eq!(bits(&view.rhs), bits(&rhs));
+                let opts = &view.config().opts;
+                prop_assert_eq!(opts, &cfg.opts);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The response codec writes exactly what `bincode::serialize` gives
+        /// the `WireResponse` of the same outcome — inverse, factors, a
+        /// batch member's slice of the solutions, cold or from the cache —
+        /// or of the same error, and the client's view reads every
+        /// struct-serialized response, legacy byte arrays included, back to
+        /// the same fields.
+        #[test]
+        fn response_frames_are_the_structs_bytes(
+            (n, nb, op, k, seed, (from, take), hit, id, error) in (
+                1usize..9,
+                1usize..9,
+                0usize..3,
+                0usize..4,
+                any::<u64>(),
+                (0usize..4, 0usize..4),
+                any::<bool>(),
+                any::<u64>(),
+                "[a-z é]{0,24}",
+            )
+        ) {
+            let (cluster, cache) = (Cluster::medium(2), FactorCache::new());
+            let a = random_well_conditioned(n, seed);
+            let k = if op == 2 { k.max(1) } else { k };
+            let rhs: Vec<Vec<f64>> =
+                (0..k).map(|i| random_matrix(n, 1, seed ^ i as u64).into_vec()).collect();
+            let run = || {
+                let req = [Request::invert, Request::lu, Request::solve][op](&a);
+                req.rhs_all(rhs.iter().cloned()).nb(nb).cache(&cache).submit(&cluster).unwrap()
+            };
+            let mut out = run();
+            if hit {
+                out = run();
+                prop_assert_eq!(out.cache, CacheStatus::Hit);
+            }
+            let start = from.min(k);
+            let mine = &out.solutions()[start..start + take.min(k - start)];
+            let factors = out.factors();
+            let served = WireResponse {
+                id,
+                ok: true,
+                error: String::new(),
+                cache_hit: out.cache == CacheStatus::Hit,
+                inverse: out.inverse().map(encode_binary_vec).unwrap_or_default(),
+                l: factors.map(|f| encode_binary_vec(&f.l)).unwrap_or_default(),
+                u: factors.map(|f| encode_binary_vec(&f.u)).unwrap_or_default(),
+                perm: factors.map_or(Vec::new(), |f| {
+                    f.perm.as_slice().iter().map(|&s| s as u64).collect()
+                }),
+                solutions: mine.to_vec(),
+                jobs: out.report.jobs,
+                sim_secs: out.report.sim_secs,
+            };
+            let failed = WireResponse::err(id, error.clone());
+            for (reply, reference) in [(Ok((&out, mine)), &served), (Err(error.as_str()), &failed)] {
+                let mut frame = vec![0xA5];
+                encode_response(&mut frame, id, reply);
+                let [bytes, old] = both_shapes(reference);
+                prop_assert_eq!(&frame[1..], &bytes[..]);
+                for frame in [bytes, old] {
+                    let view = ResponseView::read(&frame).unwrap();
+                    prop_assert_eq!(
+                        (view.id, view.ok, view.cache_hit, view.jobs),
+                        (reference.id, reference.ok, reference.cache_hit, reference.jobs)
+                    );
+                    prop_assert_eq!(view.sim_secs.to_bits(), reference.sim_secs.to_bits());
+                    prop_assert_eq!(&view.error, &reference.error);
+                    prop_assert_eq!(&*view.inverse, &reference.inverse[..]);
+                    prop_assert_eq!(&*view.l, &reference.l[..]);
+                    prop_assert_eq!(&*view.u, &reference.u[..]);
+                    prop_assert_eq!(&view.perm, &reference.perm);
+                    prop_assert_eq!(bits(&view.solutions), bits(&reference.solutions));
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! matrix payload (n² · 8 bytes).
 //!
 //! These are counts, not timings: in the steady state a request takes the
-//! same allocations every time, so the ratios repeat exactly. A frame
-//! buffer that is no longer reused costs about two payloads per frame (a
-//! fresh buffer grows by doubling as the body arrives), which is what the
-//! bounds catch.
+//! same allocations every time, so the ratios repeat exactly. A warm invert
+//! copies the matrix once per side (the server's decoded `a`, the client's
+//! returned inverse), a warm solve once (the server's `a`). A frame buffer
+//! that is no longer reused costs about two payloads per frame (a fresh
+//! buffer grows by doubling as the body arrives), and a byte field copied
+//! out of the frame one payload, which is what the bounds catch. What those transient buffers cost in page faults is `warm_faults.rs`'s
+//! count: it needs a client on the main thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,8 +116,8 @@ fn warm_requests_stay_within_their_allocation_budget() {
     });
     println!("payloads allocated per warm request: invert {invert:.3}, solve {solve:.3}");
     assert!(
-        invert <= 11.0,
+        invert <= 2.1,
         "a warm invert allocated {invert:.3} payloads"
     );
-    assert!(solve <= 6.0, "a warm solve allocated {solve:.3} payloads");
+    assert!(solve <= 1.1, "a warm solve allocated {solve:.3} payloads");
 }

@@ -1,7 +1,8 @@
 //! Hostile bytes never panic a decoder. Every decoder that reads bytes a
 //! peer or a file supplied — the frame reader, bincode into the four wire
-//! types, the checkpoint manifest's JSON line, and the binary matrix codec
-//! — returns `Ok` or `Err` on arbitrary input and on each mutation of a
+//! types, the checkpoint manifest's JSON line, the binary matrix codec, and
+//! the service's frame views (the server's of a request, the client's of a
+//! response) — returns `Ok` or `Err` on arbitrary input and on each mutation of a
 //! valid encoding: a cut at every offset, one flipped byte, a length or
 //! count field set to `u64::MAX` or to the bytes remaining + 1, and (for
 //! JSON) every number set to `u64::MAX` or one past it. A panic fails the
@@ -12,7 +13,7 @@
 
 use std::time::Duration;
 
-use mrinv::service::{WireOp, WireRequest, WireResponse};
+use mrinv::service::{RequestView, ResponseView, WireOp, WireRequest, WireResponse};
 use mrinv_mapreduce::exec::WireTaskResult;
 use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_mapreduce::{JobReport, ManifestRecord, Phase, TaskDescriptor, TaskStats};
@@ -39,11 +40,19 @@ fn matrix(bytes: &[u8]) -> bool {
     decode_binary(bytes).is_ok()
 }
 
+fn request_view(bytes: &[u8]) -> bool {
+    RequestView::read(bytes).is_ok()
+}
+
+fn response_view(bytes: &[u8]) -> bool {
+    ResponseView::read(bytes).is_ok()
+}
+
 /// A decoder under test: `true` is `Ok`.
 type Decoder = fn(&[u8]) -> bool;
 
 /// Every decoder under test, by name.
-const DECODERS: [(&str, Decoder); 7] = [
+const DECODERS: [(&str, Decoder); 9] = [
     ("read_frame", frame),
     ("WireRequest", wire::<WireRequest>),
     ("WireResponse", wire::<WireResponse>),
@@ -51,6 +60,8 @@ const DECODERS: [(&str, Decoder); 7] = [
     ("WireTaskResult", wire::<WireTaskResult>),
     ("ManifestRecord", manifest),
     ("decode_binary", matrix),
+    ("RequestView", request_view),
+    ("ResponseView", response_view),
 ];
 
 /// Feeds `bytes` to every decoder. Returning at all is the property.
@@ -151,6 +162,8 @@ fn valid_encodings() -> Vec<Vec<u8>> {
         bincode::serialize(&result),
         serde_json::to_string(&record).unwrap().into_bytes(),
         encode_binary_vec(&a),
+        bincode::serialize(&request),
+        bincode::serialize(&response),
     ]
 }
 

@@ -5,8 +5,9 @@
 //! malformed clients without wedging the listener.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 use mrinv::client::ServiceClient;
 use mrinv::service::{ServerHandle, ServiceConfig, WireOp, WireRequest, WireResponse};
@@ -17,6 +18,11 @@ use mrinv_matrix::io::{encode_binary, encode_binary_vec};
 use mrinv_matrix::random::random_well_conditioned;
 use mrinv_matrix::Matrix;
 use proptest::prelude::*;
+use serde::{Number, Serialize, Value};
+
+/// The service's frame tags (`service::TAG_REQUEST` / `TAG_RESPONSE`).
+const TAG_REQUEST: u8 = 1;
+const TAG_RESPONSE: u8 = 2;
 
 fn unit_cluster() -> Cluster {
     let mut cfg = ClusterConfig::medium(4);
@@ -291,9 +297,6 @@ fn malformed_frame_drops_connection_but_not_server() {
 /// kills the socket — and the same connection must keep serving.
 #[test]
 fn zero_nb_is_an_error_reply_and_the_connection_survives() {
-    // The service's frame tags (`service::TAG_REQUEST` / `TAG_RESPONSE`).
-    const TAG_REQUEST: u8 = 1;
-    const TAG_RESPONSE: u8 = 2;
     let handle = start_server(ServiceConfig::default());
     let a = random_well_conditioned(16, 5);
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
@@ -330,6 +333,185 @@ fn zero_nb_is_an_error_reply_and_the_connection_survives() {
     assert!(served.ok, "{}", served.error);
     let want = Request::invert(&a).nb(4).submit(&unit_cluster()).unwrap();
     assert_eq!(served.inverse, encode_binary_vec(want.inverse().unwrap()));
+}
+
+/// `value` with its byte field `key` in the shape a peer built before the
+/// packed byte node sends it: an array of one number per byte.
+fn with_legacy_bytes(value: Value, key: &str) -> Value {
+    let Value::Object(fields) = value else {
+        panic!("a wire struct is an object")
+    };
+    let legacy = |v: Value| match v {
+        Value::Bytes(bytes) => Value::Array(
+            bytes
+                .into_iter()
+                .map(|b| Value::Number(Number::U(b.into())))
+                .collect(),
+        ),
+        other => other,
+    };
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| if k == key { (k, legacy(v)) } else { (k, v) })
+            .collect(),
+    )
+}
+
+/// Sends one request body over `stream` and reads the response.
+fn ask_raw(stream: &mut TcpStream, body: &[u8]) -> WireResponse {
+    write_frame(stream, TAG_REQUEST, body).unwrap();
+    let mut reply = Vec::new();
+    assert_eq!(read_frame(stream, &mut reply).unwrap(), TAG_RESPONSE);
+    bincode::deserialize(&reply).unwrap()
+}
+
+/// Compatibility runs one way, and this is the way it runs: a client built
+/// before the packed byte node sends `a` as an array of one number per
+/// byte, and is served the same inverse, bit for bit, as a current client.
+#[test]
+fn a_request_in_the_pre_tag9_shape_is_served_bit_identically() {
+    let handle = start_server(ServiceConfig::default());
+    let a = random_well_conditioned(16, 29);
+    let request = |id: u64| WireRequest {
+        tenant: "old".to_string(),
+        id,
+        op: WireOp::Invert,
+        a: encode_binary_vec(&a),
+        rhs: Vec::new(),
+        nb: 4,
+        separate_intermediate_files: true,
+        block_wrap: true,
+        transpose_u: true,
+    };
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let current = ask_raw(&mut stream, &bincode::serialize(&request(1)));
+    let old_body = bincode::value_to_bytes(&with_legacy_bytes(request(2).to_value(), "a"));
+    assert!(old_body.len() > 8 * encode_binary_vec(&a).len());
+    let old = ask_raw(&mut stream, &old_body);
+    assert!(current.ok && old.ok, "{} / {}", current.error, old.error);
+    assert_eq!(old.id, 2);
+    assert_eq!(old.inverse, current.inverse);
+    let want = Request::invert(&a).nb(4).submit(&unit_cluster()).unwrap();
+    assert_eq!(old.inverse, encode_binary_vec(want.inverse().unwrap()));
+}
+
+/// The other half: a server that answers with the inverse as an array of
+/// one number per byte is still read by `ServiceClient`.
+#[test]
+fn the_client_reads_an_inverse_in_the_pre_tag9_shape() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let inverse = random_well_conditioned(8, 31);
+    let payload = encode_binary_vec(&inverse);
+    let old_server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut body = Vec::new();
+        assert_eq!(read_frame(&mut stream, &mut body).unwrap(), TAG_REQUEST);
+        let id = bincode::deserialize::<WireRequest>(&body).unwrap().id;
+        let response = WireResponse {
+            id,
+            ok: true,
+            error: String::new(),
+            cache_hit: true,
+            inverse: payload,
+            l: Vec::new(),
+            u: Vec::new(),
+            perm: Vec::new(),
+            solutions: Vec::new(),
+            jobs: 0,
+            sim_secs: 0.0,
+        };
+        let old = with_legacy_bytes(response.to_value(), "inverse");
+        write_frame(&mut stream, TAG_RESPONSE, &bincode::value_to_bytes(&old)).unwrap();
+    });
+    let mut client = ServiceClient::connect(&addr, "t").unwrap();
+    let reply = client
+        .invert(&Matrix::identity(8), &InversionConfig::with_nb(2))
+        .unwrap();
+    old_server.join().unwrap();
+    assert!(reply.cache_hit);
+    assert_eq!(
+        encode_binary(reply.inverse.as_ref().unwrap()),
+        encode_binary(&inverse)
+    );
+}
+
+/// Cold solves of one never-seen matrix, sent from several connections
+/// while a cold invert occupies the executor, are served as one batch: one
+/// factorization, one substitution pass over every member's right-hand
+/// sides. Each reply carries that member's solutions and no one else's,
+/// bit-identical to a solo `Request::solve`.
+#[test]
+fn batched_cold_solves_each_get_their_own_solutions() {
+    const MEMBERS: usize = 4;
+    let cluster = Arc::new(unit_cluster());
+    let handle = ServerHandle::start(cluster.clone(), ServiceConfig::default()).unwrap();
+    let addr = handle.addr().to_string();
+    let busy = random_well_conditioned(768, 37);
+    let a = random_well_conditioned(24, 41);
+    let cfg = InversionConfig::with_nb(6);
+    // Member i sends i + 1 right-hand sides, so every slice has its own
+    // start and length.
+    let rhs: Vec<Vec<Vec<f64>>> = (0..MEMBERS)
+        .map(|i| (0..=i).map(|j| rhs_for(10 * i + j, 24)).collect())
+        .collect();
+    let solo: Vec<Vec<Vec<f64>>> = rhs
+        .iter()
+        .map(|b| {
+            Request::solve(&a)
+                .rhs_all(b.iter().cloned())
+                .config(&cfg)
+                .submit(&unit_cluster())
+                .unwrap()
+                .into_solutions()
+        })
+        .collect();
+
+    let replies = std::thread::scope(|s| {
+        let mut blocker = ServiceClient::connect(&addr, "busy").unwrap();
+        let busy = &busy;
+        let busy = s.spawn(move || blocker.invert(busy, &InversionConfig::with_nb(8)).unwrap());
+        // The invert's first job has written its files: the executor is
+        // running it, and the solves queue behind it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while cluster.dfs.counters().files_written == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the invert never started"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let members: Vec<_> = rhs
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                let addr = &addr;
+                let (a, cfg) = (&a, &cfg);
+                s.spawn(move || {
+                    let mut client = ServiceClient::connect(addr, format!("member-{i}")).unwrap();
+                    client.solve(a, b, cfg).unwrap()
+                })
+            })
+            .collect();
+        assert!(!busy.join().unwrap().cache_hit);
+        members
+            .into_iter()
+            .map(|m| m.join().unwrap())
+            .collect::<Vec<_>>()
+    });
+    let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        v.iter()
+            .map(|x| x.iter().map(|f| f.to_bits()).collect())
+            .collect()
+    };
+    for (i, reply) in replies.iter().enumerate() {
+        assert!(
+            !reply.cache_hit && reply.jobs > 0,
+            "member {i} was served alone, not in the batch"
+        );
+        assert_eq!(bits(&reply.solutions), bits(&solo[i]), "member {i}");
+    }
 }
 
 /// Shutdown closes client sockets, joins every thread, and is
