@@ -16,16 +16,31 @@
 //! ("undecodable request: …") and is reported as the server error it is.
 //! A server that predates both the byte node and that reply just hangs up
 //! ("service connection recv: …").
+//!
+//! A client names what it already sent. Every request hashes its matrix
+//! (the cache key's digest, ~10–15 µs at n = 256); once the server has
+//! answered a full request for that matrix and configuration and echoed
+//! the same name as `admitted`, later requests for it carry the name and
+//! an empty matrix, so a warm solve moves its right-hand side and a few
+//! hundred bytes instead of the matrix. If the server answers `resend` —
+//! it no longer holds that entry, or the name fell out of its table — the
+//! client forgets the name and sends the request in full once, which
+//! admits it again. A server that never echoes `admitted` (one that
+//! predates names) is never sent a name. The client keeps at most
+//! `NAMES` (64) names, forgetting the least recently used.
 
 use std::net::TcpStream;
 
 use mrinv_matrix::io::decode_binary;
 use mrinv_matrix::{Matrix, Permutation};
 
+use crate::cache::{name_of, Name};
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
 use crate::request::LuFactors;
-use crate::service::{encode_request, ResponseView, WireOp, TAG_REQUEST, TAG_RESPONSE};
+use crate::service::{
+    encode_request, Names, Operand, ResponseView, WireOp, TAG_REQUEST, TAG_RESPONSE,
+};
 use mrinv_mapreduce::wire::{read_frame, write_frame};
 
 /// What the server sent back for one request.
@@ -52,6 +67,9 @@ pub struct ServiceClient {
     next_id: u64,
     /// Every request is serialized and every response read here.
     frame: Vec<u8>,
+    /// The names the server admitted for this connection, by
+    /// configuration.
+    names: Names<(Name, InversionConfig), ()>,
 }
 
 impl std::fmt::Debug for ServiceClient {
@@ -76,6 +94,7 @@ impl ServiceClient {
             tenant: tenant.into(),
             next_id: 0,
             frame: Vec::new(),
+            names: Names::new(),
         })
     }
 
@@ -99,6 +118,9 @@ impl ServiceClient {
         self.roundtrip(WireOp::Solve, a, rhs, cfg)
     }
 
+    /// One request: by name if the server admitted this matrix and
+    /// configuration on this connection, in full otherwise — and in full
+    /// once more if the server asks for it.
     fn roundtrip(
         &mut self,
         op: WireOp,
@@ -106,13 +128,39 @@ impl ServiceClient {
         rhs: &[Vec<f64>],
         cfg: &InversionConfig,
     ) -> Result<ServiceReply> {
+        let name = name_of(a);
+        let this = |(n, c): &(Name, InversionConfig)| *n == name && c == cfg;
+        if self.names.find(this).is_some() {
+            if let Some(reply) = self.exchange(op, name, Operand::Named(name), rhs, cfg)? {
+                return Ok(reply);
+            }
+            self.names.forget(this);
+        }
+        let reply = self.exchange(op, name, Operand::Matrix(a), rhs, cfg)?;
+        reply.ok_or_else(|| {
+            CoreError::Invariant("the server asked again for a matrix it was sent".to_string())
+        })
+    }
+
+    /// Sends one request frame for the matrix named `name` and reads its
+    /// response: the reply, or `None` when the server asks for the request
+    /// in full. A full request's `admitted` name is stored if it is
+    /// `name`.
+    fn exchange(
+        &mut self,
+        op: WireOp,
+        name: Name,
+        operand: Operand<'_>,
+        rhs: &[Vec<f64>],
+        cfg: &InversionConfig,
+    ) -> Result<Option<ServiceReply>> {
         self.next_id += 1;
         let id = self.next_id;
         let net = |what: &str, e: &dyn std::fmt::Display| {
             CoreError::Invariant(format!("service connection {what}: {e}"))
         };
         self.frame.clear();
-        encode_request(&mut self.frame, &self.tenant, id, op, a, rhs, cfg);
+        encode_request(&mut self.frame, &self.tenant, id, op, operand, rhs, cfg);
         write_frame(&mut self.stream, TAG_REQUEST, &self.frame).map_err(|e| net("send", &e))?;
         let tag = read_frame(&mut self.stream, &mut self.frame).map_err(|e| net("recv", &e))?;
         if tag != TAG_RESPONSE {
@@ -130,13 +178,19 @@ impl ServiceClient {
                 resp.id
             )));
         }
+        if resp.resend && !resp.ok {
+            return Ok(None);
+        }
         if !resp.ok {
             return Err(CoreError::Invariant(format!(
                 "server error: {}",
                 resp.error
             )));
         }
-        decode_reply(resp)
+        if matches!(operand, Operand::Matrix(_)) && resp.admitted == Some(name) {
+            self.names.insert((name, cfg.clone()), ());
+        }
+        decode_reply(resp).map(Some)
     }
 }
 

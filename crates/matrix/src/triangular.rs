@@ -72,7 +72,17 @@ pub fn invert_upper(u: &Matrix) -> Result<Matrix> {
     Ok(invert_lower(&lt)?.transpose())
 }
 
+/// Rows [`forward_substitution`] solves abreast.
+const ABREAST: usize = 8;
+
 /// Solves `L·x = b` by forward substitution (any nonzero diagonal).
+///
+/// Rows are solved eight at a time: one pass over the solved prefix
+/// `x[..i0]` subtracts it from all eight accumulators, then the 8×8
+/// triangle on the diagonal finishes them in order. Each row still
+/// subtracts its terms in ascending `k` and divides last, so its bits are
+/// those of the row-by-row loop; the eight independent chains keep a core
+/// busy where one chain waits on each subtraction.
 pub fn forward_substitution(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     let n = check_square(l, "forward_substitution")?;
     if b.len() != n {
@@ -84,7 +94,24 @@ pub fn forward_substitution(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     }
     check_nonzero_diag(l)?;
     let mut x = vec![0.0; n];
-    for i in 0..n {
+    let mut i0 = 0;
+    while i0 + ABREAST <= n {
+        let rows: [&[f64]; ABREAST] = std::array::from_fn(|r| &l.row(i0 + r)[..i0 + ABREAST]);
+        let mut acc: [f64; ABREAST] = std::array::from_fn(|r| b[i0 + r]);
+        for (k, &xk) in x[..i0].iter().enumerate() {
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                *acc -= row[k] * xk;
+            }
+        }
+        for (r, (mut acc, row)) in acc.into_iter().zip(&rows).enumerate() {
+            for k in i0..i0 + r {
+                acc -= row[k] * x[k];
+            }
+            x[i0 + r] = acc / row[i0 + r];
+        }
+        i0 += ABREAST;
+    }
+    for i in i0..n {
         let row = l.row(i);
         let mut acc = b[i];
         for (k, &xk) in x.iter().enumerate().take(i) {
@@ -96,6 +123,11 @@ pub fn forward_substitution(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 }
 
 /// Solves `U·x = b` by back substitution (any nonzero diagonal).
+///
+/// Serial, unlike [`forward_substitution`]: row `i` subtracts its terms in
+/// ascending `k`, so its first term is `x[i + 1]` — each row waits for the
+/// one below it before it can start, and running rows abreast would change
+/// that order and the bits.
 pub fn back_substitution(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     let n = check_square(u, "back_substitution")?;
     if b.len() != n {
@@ -233,6 +265,46 @@ mod tests {
         let x = back_substitution(&u, &b).unwrap();
         for (a, b) in x.iter().zip(&x_true) {
             assert!((a - b).abs() < TOL);
+        }
+    }
+
+    /// The row-by-row forward substitution the abreast one must match.
+    fn forward_row_by_row(l: &Matrix, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; b.len()];
+        for i in 0..b.len() {
+            let mut acc = b[i];
+            for k in 0..i {
+                acc -= l[(i, k)] * x[k];
+            }
+            x[i] = acc / l[(i, i)];
+        }
+        x
+    }
+
+    /// Eight rows abreast give the row-by-row bits, on random and on
+    /// unit-basis right-hand sides, with unit and general diagonals, at
+    /// orders below, at and off multiples of eight.
+    #[test]
+    fn abreast_forward_substitution_keeps_the_row_by_row_bits() {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [1, 5, 8, 9, 15, 16, 23, 37, 64, 100, 131] {
+            let unit = random_unit_lower(n, n as u64);
+            let mut general = unit.clone();
+            for i in 0..n {
+                general[(i, i)] = 0.5 + (i % 7) as f64 * 0.75;
+            }
+            let mut rhs = vec![random_matrix(n, 1, 3 * n as u64).into_vec()];
+            rhs.extend([0, n / 2, n - 1].map(|j| {
+                let mut e = vec![0.0; n];
+                e[j] = 1.0;
+                e
+            }));
+            for l in [&unit, &general] {
+                for b in &rhs {
+                    let x = forward_substitution(l, b).unwrap();
+                    assert_eq!(bits(&x), bits(&forward_row_by_row(l, b)), "n = {n}");
+                }
+            }
         }
     }
 
