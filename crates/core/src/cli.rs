@@ -366,20 +366,12 @@ fn emit_observability(opts: &Opts, cluster: &Cluster, report: &RunReport) {
         write_output(path, &text, "prometheus metrics");
     }
     if let Some(audit) = &report.audit {
-        eprintln!(
-            "  cost model: {} task(s) audited, max |residual| {:.4} (mean {:.4}), \
-             {} flagged over {:.0}% threshold{}",
-            audit.tasks,
-            audit.max_abs_residual,
-            audit.mean_abs_residual,
-            audit.flagged.len(),
-            audit.threshold * 100.0,
-            if audit.within_threshold {
-                ""
-            } else {
-                " [MODEL DRIFT]"
-            }
-        );
+        let drift = if audit.within_bands {
+            ""
+        } else {
+            " [MODEL DRIFT]"
+        };
+        eprintln!("  cost model: {audit}{drift}");
     }
     if let Some(analytics) = &report.analytics {
         let ratio = analytics.worst_straggler_ratio();

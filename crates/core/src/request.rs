@@ -417,12 +417,9 @@ impl<'a> Request<'a> {
         let mut report = driver.finish(n, self.cfg.nb);
         if cluster.trace.is_enabled() {
             report.audit = Some(crate::audit::cost_audit(
-                cluster,
                 driver.reports(),
+                &report,
                 planned_jobs,
-                n,
-                self.cfg.nb,
-                report.dfs_bytes_written,
             ));
         }
 

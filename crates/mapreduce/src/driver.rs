@@ -186,9 +186,10 @@ pub struct RunReport {
     /// Per-wave straggler/lost-work analytics, present when the cluster
     /// ran with tracing enabled ([`crate::cluster::ClusterConfig::tracing`]).
     pub analytics: Option<PipelineAnalytics>,
-    /// Cost-model audit: predicted-vs-priced residuals per task and
-    /// closed-form stage checks (see [`crate::obs::CostAudit`]). Attached
-    /// by pipelines that run with tracing enabled; `None` otherwise.
+    /// Cost-model audit: planned vs executed jobs and the closed-form
+    /// stage byte checks, read from the job reports (see
+    /// [`crate::obs::CostAudit`]). Attached by pipelines that run with
+    /// tracing enabled; `None` otherwise.
     pub audit: Option<crate::obs::CostAudit>,
 }
 

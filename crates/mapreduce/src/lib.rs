@@ -43,8 +43,10 @@
 //!   (off by default; see [`cluster::ClusterConfig::tracing`]);
 //! * [`obs`] — the labeled metric registry (counters, gauges, log-bucketed
 //!   histograms keyed by `{job, wave, node, task-kind, gemm-backend}`),
-//!   Prometheus/JSON export, and the cost-model audit report types
-//!   (off by default; see [`cluster::ClusterConfig::observability`]).
+//!   Prometheus/JSON export (off by default; see
+//!   [`cluster::ClusterConfig::observability`]), and the cost-model audit
+//!   report [`obs::CostAudit`]: planned vs executed jobs, and stage bytes
+//!   vs the paper's Tables 1–2.
 //!
 //! # Simulated time
 //!

@@ -25,9 +25,10 @@
 //!
 //! Snapshots export as Prometheus text exposition
 //! ([`ObsSnapshot::prometheus_text`]) and JSON ([`ObsSnapshot::to_json`]).
-//! The module also defines the cost-model audit report types
-//! ([`CostAudit`]) that `mrinv` attaches to a traced run's `RunReport`:
-//! the closed forms of the paper's Tables 1–2 next to what actually ran.
+//! The module also defines the cost-model audit report ([`CostAudit`])
+//! that `mrinv` attaches to a traced run's `RunReport`: the planned job
+//! count and the closed forms of the paper's Tables 1–2 next to what the
+//! run's job reports counted.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -791,22 +792,17 @@ fn split_label_pairs(body: &str) -> Option<Vec<String>> {
 // this crate.
 // ---------------------------------------------------------------------------
 
-/// Default bound on the per-task relative pricing residual: on a clean
-/// homogeneous run every successful attempt should be priced within 5% of
-/// the model's prediction from its own measured stats.
-pub const MODEL_ERROR_THRESHOLD: f64 = 0.05;
-
 /// One pipeline stage's measured bytes against the paper's closed form,
 /// with the calibration band the repository's tests pin.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageAudit {
-    /// Stage label (e.g. `lu transfer`).
+    /// Stage label (e.g. `lu-transfer`).
     pub stage: String,
     /// Bytes the run actually moved/wrote.
     pub measured: f64,
     /// The closed-form prediction (Tables 1–2).
     pub predicted: f64,
-    /// `measured / predicted` (0 when the prediction is 0).
+    /// `measured / predicted` (NaN when the prediction is 0).
     pub ratio: f64,
     /// Lower edge of the accepted band.
     pub band_lo: f64,
@@ -816,74 +812,44 @@ pub struct StageAudit {
     pub within_band: bool,
 }
 
-/// Per-job distribution of task pricing residuals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobResiduals {
-    /// Job name.
-    pub job: String,
-    /// Successful attempts audited.
-    pub tasks: usize,
-    /// Largest `|residual|`.
-    pub max_abs: f64,
-    /// Mean `|residual|`.
-    pub mean_abs: f64,
-    /// 95th percentile of `|residual|` (exact, from the sorted sample).
-    pub p95_abs: f64,
-}
-
-/// One task attempt whose pricing residual exceeded the audit threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TaskFlag {
-    /// Job name.
-    pub job: String,
-    /// Wave (`map`/`reduce`).
-    pub phase: String,
-    /// Task index within the wave.
-    pub task: usize,
-    /// Attempt number.
-    pub attempt: u32,
-    /// Model-predicted simulated seconds (from the task's own stats).
-    pub predicted_secs: f64,
-    /// Simulated seconds the scheduler actually charged.
-    pub priced_secs: f64,
-    /// `(priced - predicted) / max(predicted, ε)`.
-    pub residual: f64,
-}
-
-/// The cost-model audit: predicted costs (the `theory.rs`/`schedule.rs`
-/// closed forms) next to what the run actually measured and priced.
+/// The cost-model audit: the `schedule.rs` plan and the Tables 1–2
+/// closed forms of `theory.rs` next to what the run actually executed.
 ///
-/// Three layers, coarse to fine:
+/// Two layers, coarse to fine:
 /// * **structure** — planned vs executed job count;
-/// * **stages** — per-stage byte totals vs Tables 1–2 ([`StageAudit`]);
-/// * **tasks** — per-attempt priced time vs the cost model re-applied to
-///   the attempt's own measured stats ([`JobResiduals`], [`TaskFlag`]).
-///   Residuals are ~0 on clean homogeneous runs; slow nodes, timeouts,
-///   and scheduler drift show up here first.
+/// * **stages** — per-stage byte totals vs Tables 1–2 ([`StageAudit`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostAudit {
-    /// Residual threshold used for flagging.
-    pub threshold: f64,
     /// Jobs the `schedule.rs` plan predicted.
     pub planned_jobs: usize,
-    /// Jobs the run executed.
+    /// Jobs the run executed (restored ones included).
     pub executed_jobs: usize,
     /// `planned_jobs == executed_jobs`.
     pub structure_ok: bool,
     /// Stage-level byte audits.
     pub stages: Vec<StageAudit>,
-    /// Per-job residual distributions.
-    pub per_job: Vec<JobResiduals>,
-    /// Total successful attempts audited.
-    pub tasks: usize,
-    /// Largest `|residual|` across all audited attempts.
-    pub max_abs_residual: f64,
-    /// Mean `|residual|` across all audited attempts.
-    pub mean_abs_residual: f64,
-    /// Attempts whose `|residual|` exceeded [`CostAudit::threshold`].
-    pub flagged: Vec<TaskFlag>,
-    /// `max_abs_residual <= threshold`.
-    pub within_threshold: bool,
+    /// `structure_ok` and every stage within its band.
+    pub within_bands: bool,
+}
+
+impl std::fmt::Display for CostAudit {
+    /// `17/17 planned jobs; lu-transfer 1.087, final-inverse-reads 1.085,
+    /// total-writes 1.352`, naming the band of each stage outside it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}/{} planned jobs",
+            self.executed_jobs, self.planned_jobs
+        )?;
+        for (i, s) in self.stages.iter().enumerate() {
+            let sep = if i == 0 { "; " } else { ", " };
+            write!(f, "{sep}{} {:.3}", s.stage, s.ratio)?;
+            if !s.within_band {
+                write!(f, " (outside [{}, {}])", s.band_lo, s.band_hi)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -150,14 +150,6 @@ impl CostModel {
         }
         bytes as f64 / (self.net_bw * m0.max(1) as f64)
     }
-
-    /// Extra simulated seconds a task pays to read `bytes` of input whose
-    /// replicas all live on *other* nodes: the block crosses the network
-    /// once on its way in. Node-local reads pay nothing beyond the disk
-    /// cost already in [`CostModel::task_secs`].
-    pub fn remote_read_secs(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.net_bw
-    }
 }
 
 impl Default for CostModel {
@@ -238,14 +230,6 @@ mod tests {
         assert_eq!(large.flops_per_sec, med.flops_per_sec, "same cores");
         assert!(med.job_launch_secs > 0.0);
         assert_eq!(CostModel::default(), med);
-    }
-
-    #[test]
-    fn remote_reads_price_one_network_crossing() {
-        let mut m = CostModel::unit_for_tests();
-        m.net_bw = 10.0;
-        assert!((m.remote_read_secs(100) - 10.0).abs() < 1e-12);
-        assert_eq!(m.remote_read_secs(0), 0.0);
     }
 
     #[test]
