@@ -7,11 +7,12 @@
 //! [`crate::Request`] in-process, and as one packed byte node each, so a
 //! frame costs its payload plus a few hundred bytes. The client speaks
 //! through the service's frame codec, over one frame buffer it keeps: the
-//! caller's matrix is encoded straight into the request frame, and a reply
-//! is read as a view whose matrices are slices of the frame, so the
-//! returned inverse (or factors) is the one copy a request makes on this
-//! side, and a warm request faults no memory back in (see
-//! [`crate::service`], "What a frame costs"). Request ids start at 1: an
+//! caller's matrix is never copied into the request frame but spliced
+//! from its own memory as the frame is written, and a reply is read as a
+//! view whose matrices are slices of the frame, so the returned inverse
+//! (or factors) is the one copy a request makes on this side, and a warm
+//! request faults no memory back in (see [`crate::service`], "What a
+//! frame costs"). Request ids start at 1: an
 //! error response under id 0 is the server's verdict on the frame itself
 //! ("undecodable request: …") and is reported as the server error it is.
 //! A server that predates both the byte node and that reply just hangs up
@@ -41,7 +42,7 @@ use crate::request::LuFactors;
 use crate::service::{
     encode_request, Names, Operand, ResponseView, WireOp, TAG_REQUEST, TAG_RESPONSE,
 };
-use mrinv_mapreduce::wire::{read_frame, write_frame};
+use mrinv_mapreduce::wire::{read_frame, write_spliced_frame};
 
 /// What the server sent back for one request.
 #[derive(Debug, Clone)]
@@ -160,8 +161,9 @@ impl ServiceClient {
             CoreError::Invariant(format!("service connection {what}: {e}"))
         };
         self.frame.clear();
-        encode_request(&mut self.frame, &self.tenant, id, op, operand, rhs, cfg);
-        write_frame(&mut self.stream, TAG_REQUEST, &self.frame).map_err(|e| net("send", &e))?;
+        let a = encode_request(&mut self.frame, &self.tenant, id, op, operand, rhs, cfg);
+        write_spliced_frame(&mut self.stream, TAG_REQUEST, &self.frame, &[a])
+            .map_err(|e| net("send", &e))?;
         let tag = read_frame(&mut self.stream, &mut self.frame).map_err(|e| net("recv", &e))?;
         if tag != TAG_RESPONSE {
             return Err(CoreError::Invariant(format!(

@@ -57,25 +57,31 @@
 //! server — its right-hand side and ~300 bytes of keys and scalars —
 //! where the full request is ~527 KB.
 //!
-//! In memory, a matrix is copied once per side. Both ends speak through
-//! this module's frame codec: `encode_request` / `encode_response`
-//! write a frame node by node from borrowed parts — the caller's `&Matrix`
-//! goes straight into the frame ([`encode_binary_onto`]), a reply is
-//! written from the `&Outcome` the cache or the executor produced — and
-//! [`RequestView`] / [`ResponseView`] read a frame into a view whose matrix
-//! fields are slices of it, which [`decode_binary`] turns once into the
-//! `Matrix` the receiver keeps. The bytes are exactly what
-//! `bincode::serialize` gives the equivalent [`WireRequest`] /
-//! [`WireResponse`]; those structs stay as the protocol's reference. The
-//! frame itself is not a fresh buffer: each connection — this server's
-//! handler and [`crate::client::ServiceClient`] alike — reads every frame
-//! into one buffer and writes every frame into it, so in the steady state
-//! a frame allocates nothing, and a connection retains capacity for its
-//! largest frame until it closes. Measured with a counting allocator at
-//! n = 256 (`tests/alloc_budget.rs`), a warm named invert allocates about
-//! 1 matrix-sized buffer across both sides (the client's inverse), a warm
-//! named solve about a tenth of one; a full request adds the server's
-//! decoded `a`.
+//! In memory, a matrix is copied only where it is received. Both ends
+//! speak through this module's frame codec: `encode_request` /
+//! `encode_response` write a frame node by node from borrowed parts into
+//! the connection's frame buffer — all of it but a matrix's elements,
+//! which they return as [`Splice`]s lent from the caller's `&Matrix` or
+//! the `&Outcome` the cache or the executor produced
+//! ([`encode_binary_lending`]) — and [`write_spliced_frame`] sends buffer
+//! and splices in one vectored write, so a served inverse goes to the
+//! socket from the cache entry's own memory. [`RequestView`] /
+//! [`ResponseView`] read a frame into a view whose matrix fields are
+//! slices of it, which [`decode_binary`] turns once into the `Matrix` the
+//! receiver keeps. The bytes are exactly what `bincode::serialize` gives
+//! the equivalent [`WireRequest`] / [`WireResponse`]; those structs stay
+//! as the protocol's reference. The frame buffer is not a fresh one: each
+//! connection — this server's handler and
+//! [`crate::client::ServiceClient`] alike — reads every frame into one
+//! buffer and writes every frame's non-matrix bytes into it, so in the
+//! steady state a frame allocates nothing, and a connection retains
+//! capacity for its largest received frame until it closes. Measured with
+//! a counting allocator at n = 256 (`tests/alloc_budget.rs`), a warm named
+//! invert allocates about 1 matrix-sized buffer across both sides (the
+//! client's inverse), a warm named solve about a tenth of one; a full
+//! request adds the server's decoded `a`. Splicing changed none of those
+//! counts — the copy it removed went into a buffer already retained — but
+//! it took a ~527 KB memcpy off every warm invert's reply.
 //!
 //! Copies matter beyond their memcpy. When the client still built a
 //! matrix-sized byte vector, bincode's value tree and an owned `inverse`
@@ -143,9 +149,9 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 
 use mrinv_mapreduce::obs::Labels;
-use mrinv_mapreduce::wire::{read_frame, write_frame};
+use mrinv_mapreduce::wire::{read_frame, write_spliced_frame, Splice};
 use mrinv_mapreduce::Cluster;
-use mrinv_matrix::io::{binary_size, decode_binary, encode_binary_onto};
+use mrinv_matrix::io::{binary_size, decode_binary, encode_binary_lending};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize, Value};
 
@@ -236,11 +242,12 @@ pub struct WireResponse {
 
 // ---- The frame codec -----------------------------------------------------
 
-/// An upper bound on a frame's bytes beyond its matrices' encodings, its
-/// vectors' items and its strings: the field names, node headers and
-/// scalars of either frame (under 300 bytes; `frames_cost_their_payload`
-/// pins 512). Reserved up front with the rest, so no field write has to
-/// grow the frame.
+/// An upper bound on a frame buffer's bytes beyond its vectors' items and
+/// its strings: the field names, node headers and scalars of either frame
+/// and its matrices' 20-byte codec headers (under 400 bytes;
+/// `frames_cost_their_payload` pins 512). Reserved up front with the
+/// rest, so no field write has to grow the buffer. A matrix's elements
+/// are not among them: they are spliced in as the frame is written.
 const FIXED_BYTES: usize = 512;
 
 /// One object field whose value bincode writes as `value`'s [`Serialize`]
@@ -255,14 +262,15 @@ fn matrix_len(m: Option<&Matrix>) -> usize {
     m.map_or(0, |m| binary_size(m.rows(), m.cols()) as usize)
 }
 
-/// A byte field holding `m`'s binary encoding, written straight from the
-/// matrix; an absent matrix is the empty byte string.
-fn matrix_field(frame: &mut Vec<u8>, key: &str, m: Option<&Matrix>) {
+/// A byte field holding `m`'s binary encoding: its headers go into the
+/// frame, and its elements are returned as the splice that follows them,
+/// lent from the matrix. An absent matrix is the empty byte string, and
+/// an empty splice.
+fn matrix_field<'m>(frame: &mut Vec<u8>, key: &str, m: Option<&'m Matrix>) -> Splice<'m> {
     bincode::write_key(frame, key);
     bincode::write_bytes_header(frame, matrix_len(m));
-    if let Some(m) = m {
-        encode_binary_onto(frame, m.rows(), m.cols(), m.as_slice());
-    }
+    let elements = m.map(|m| encode_binary_lending(frame, m.rows(), m.cols(), m.as_slice()));
+    Splice::new(frame.len(), elements.unwrap_or_default())
 }
 
 /// Bytes of the array nodes [`vectors_field`] writes for `vectors`' items.
@@ -300,29 +308,35 @@ pub(crate) enum Operand<'a> {
     Named(Name),
 }
 
-/// Appends a request frame's body to `frame`: the bytes
-/// `bincode::serialize` gives the [`WireRequest`] of these parts, with `a`
-/// encoded once, straight into the frame — or, for a named operand, with
-/// `a` empty and the `name` key after the struct's fields.
-pub(crate) fn encode_request(
+/// Appends a request frame's body to `frame`, less `a`'s elements, which
+/// are returned as the splice that completes it: with them, the bytes
+/// `bincode::serialize` gives the [`WireRequest`] of these parts — or, for
+/// a named operand, with `a` empty and the `name` key after the struct's
+/// fields.
+pub(crate) fn encode_request<'a>(
     frame: &mut Vec<u8>,
     tenant: &str,
     id: u64,
     op: WireOp,
-    operand: Operand<'_>,
+    operand: Operand<'a>,
     rhs: &[Vec<f64>],
     cfg: &InversionConfig,
-) {
+) -> Splice<'a> {
     let (a, name) = match operand {
         Operand::Matrix(a) => (Some(a), None),
         Operand::Named(name) => (None, Some(name)),
     };
+    // `a`'s elements are spliced, but the buffer is still reserved for
+    // them: the reply is read into it, and an invert's or an LU's reply
+    // carries as large a matrix. One exact reservation spares the
+    // reader's doubling growth, whose freed blocks stay in the heap and
+    // raise the client's peak RSS.
     frame.reserve(FIXED_BYTES + tenant.len() + matrix_len(a) + vectors_len(rhs));
     bincode::write_object_header(frame, 9 + usize::from(name.is_some()));
     field(frame, "tenant", tenant);
     field(frame, "id", &id);
     field(frame, "op", &op);
-    matrix_field(frame, "a", a);
+    let a = matrix_field(frame, "a", a);
     vectors_field(frame, "rhs", rhs);
     field(frame, "nb", &(cfg.nb as u64));
     let opts = &cfg.opts;
@@ -336,6 +350,7 @@ pub(crate) fn encode_request(
     if let Some(name) = name {
         name_field(frame, "name", &name);
     }
+    a
 }
 
 /// What a response frame says.
@@ -356,11 +371,16 @@ pub(crate) enum Reply<'o> {
 /// `ok` and `error`.
 const RESEND: &str = "this connection holds no matrix under the request's name; send it in full";
 
-/// Appends a response frame's body to `frame`: the bytes
-/// `bincode::serialize` gives the [`WireResponse`] of `reply` under `id`,
-/// then the `admitted` or `resend` key when the reply has one. Matrices go
-/// straight from the outcome into the frame.
-pub(crate) fn encode_response(frame: &mut Vec<u8>, id: u64, reply: Reply<'_>) {
+/// Appends a response frame's body to `frame`, less the elements of its
+/// matrices, which are returned as the splices that complete it, lent
+/// from the outcome: with them, the bytes `bincode::serialize` gives the
+/// [`WireResponse`] of `reply` under `id`, then the `admitted` or `resend`
+/// key when the reply has one.
+pub(crate) fn encode_response<'o>(
+    frame: &mut Vec<u8>,
+    id: u64,
+    reply: Reply<'o>,
+) -> [Splice<'o>; 3] {
     let (out, solutions, error, admitted) = match reply {
         Reply::Served(out, solutions, admitted) => (Some(out), solutions, "", admitted),
         Reply::Failed(error) => (None, &[][..], error, None),
@@ -371,15 +391,7 @@ pub(crate) fn encode_response(frame: &mut Vec<u8>, id: u64, reply: Reply<'_>) {
     let factors = out.and_then(Outcome::factors);
     let (l, u) = (factors.map(|f| &f.l), factors.map(|f| &f.u));
     let perm = factors.map_or(&[][..], |f| f.perm.as_slice());
-    frame.reserve(
-        FIXED_BYTES
-            + error.len()
-            + matrix_len(inverse)
-            + matrix_len(l)
-            + matrix_len(u)
-            + 9 * perm.len()
-            + vectors_len(solutions),
-    );
+    frame.reserve(FIXED_BYTES + error.len() + 9 * perm.len() + vectors_len(solutions));
     let extra = usize::from(admitted.is_some()) + usize::from(resend);
     bincode::write_object_header(frame, 11 + extra);
     field(frame, "id", &id);
@@ -390,9 +402,11 @@ pub(crate) fn encode_response(frame: &mut Vec<u8>, id: u64, reply: Reply<'_>) {
         "cache_hit",
         &out.is_some_and(|o| o.cache == CacheStatus::Hit),
     );
-    matrix_field(frame, "inverse", inverse);
-    matrix_field(frame, "l", l);
-    matrix_field(frame, "u", u);
+    let splices = [
+        matrix_field(frame, "inverse", inverse),
+        matrix_field(frame, "l", l),
+        matrix_field(frame, "u", u),
+    ];
     bincode::write_key(frame, "perm");
     bincode::write_array_header(frame, perm.len());
     for &source in perm {
@@ -407,6 +421,7 @@ pub(crate) fn encode_response(frame: &mut Vec<u8>, id: u64, reply: Reply<'_>) {
     if resend {
         field(frame, "resend", &true);
     }
+    splices
 }
 
 /// The fields of a frame's root object, each decoded as the wire structs'
@@ -977,8 +992,8 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
             Verdict::Failed(message) => Reply::Failed(message),
             Verdict::Resend => Reply::Resend,
         };
-        encode_response(&mut frame, id, reply);
-        if write_frame(stream, TAG_RESPONSE, &frame).is_err() || hang_up {
+        let splices = encode_response(&mut frame, id, reply);
+        if write_spliced_frame(stream, TAG_RESPONSE, &frame, &splices).is_err() || hang_up {
             return;
         }
     }
@@ -1209,6 +1224,7 @@ fn execute_batch(shared: &Arc<Shared>, mut job: QueuedJob, mut batch: Vec<Queued
 mod tests {
     use super::*;
     use crate::cache::FactorCache;
+    use mrinv_mapreduce::wire::write_frame;
     use mrinv_matrix::io::encode_binary_vec;
     use mrinv_matrix::random::{random_matrix, random_well_conditioned};
     use proptest::prelude::*;
@@ -1237,6 +1253,13 @@ mod tests {
         let mut body = Vec::new();
         let tag = mrinv_mapreduce::wire::read_frame(stream, &mut body)?;
         Ok((tag, body))
+    }
+
+    /// The body a frame buffer and its splices put on the wire.
+    fn sent(frame: &[u8], splices: &[Splice<'_>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_spliced_frame(&mut wire, TAG_RESPONSE, frame, splices).unwrap();
+        read_frame(&mut wire.as_slice()).unwrap().1
     }
 
     /// A key standing for the `k`-th distinct matrix.
@@ -1519,9 +1542,9 @@ mod tests {
             };
             // The codec appends, after whatever the buffer holds.
             let mut frame = vec![0xA5];
-            encode_request(&mut frame, &tenant, id, op, Operand::Matrix(&a), &rhs, &cfg);
+            let splice = encode_request(&mut frame, &tenant, id, op, Operand::Matrix(&a), &rhs, &cfg);
             let [bytes, old] = both_shapes(&reference);
-            prop_assert_eq!(&frame[1..], &bytes[..]);
+            prop_assert_eq!(&sent(&frame, &[splice])[1..], &bytes[..]);
             for frame in [bytes, old] {
                 let view = RequestView::read(&frame).unwrap();
                 prop_assert_eq!(&view.tenant, &tenant);
@@ -1596,9 +1619,9 @@ mod tests {
             ];
             for (reply, reference) in replies {
                 let mut frame = vec![0xA5];
-                encode_response(&mut frame, id, reply);
+                let splices = encode_response(&mut frame, id, reply);
                 let [bytes, old] = both_shapes(reference);
-                prop_assert_eq!(&frame[1..], &bytes[..]);
+                prop_assert_eq!(&sent(&frame, &splices)[1..], &bytes[..]);
                 for frame in [bytes, old] {
                     let view = ResponseView::read(&frame).unwrap();
                     prop_assert_eq!(
@@ -1626,7 +1649,7 @@ mod tests {
         let cfg = InversionConfig::with_nb(2);
         let rhs = vec![vec![1.0, -0.0, f64::NAN]];
         let mut frame = Vec::new();
-        encode_request(
+        let splice = encode_request(
             &mut frame,
             "t",
             5,
@@ -1635,6 +1658,7 @@ mod tests {
             &rhs,
             &cfg,
         );
+        assert!(splice.bytes.is_empty(), "a named request carries no matrix");
         let old = bincode::deserialize::<WireRequest>(&frame).unwrap();
         assert_eq!((old.id, old.op, old.nb), (5, WireOp::Solve, 2));
         assert!(old.a.is_empty());
@@ -1643,7 +1667,7 @@ mod tests {
         assert_eq!(bits(&view.rhs), bits(&rhs));
         let mut full = Vec::new();
         let a = Matrix::identity(3);
-        encode_request(
+        let splice = encode_request(
             &mut full,
             "t",
             5,
@@ -1652,7 +1676,10 @@ mod tests {
             &rhs,
             &cfg,
         );
-        assert_eq!(RequestView::read(&full).unwrap().name, None);
+        assert_eq!(
+            RequestView::read(&sent(&full, &[splice])).unwrap().name,
+            None
+        );
 
         let (cluster, cache) = (Cluster::medium(2), FactorCache::new());
         let out = Request::invert(&a)
@@ -1667,13 +1694,92 @@ mod tests {
             (Reply::Resend, None, true),
         ] {
             frame.clear();
-            encode_response(&mut frame, 9, reply);
-            let old = bincode::deserialize::<WireResponse>(&frame).unwrap();
+            let splices = encode_response(&mut frame, 9, reply);
+            let body = sent(&frame, &splices);
+            let old = bincode::deserialize::<WireResponse>(&body).unwrap();
             assert_eq!(old.ok, matches!(reply, Reply::Served(..)));
-            let view = ResponseView::read(&frame).unwrap();
+            let view = ResponseView::read(&body).unwrap();
             assert_eq!((view.id, view.admitted, view.resend), (9, admitted, resend));
-            assert!(frame.len() <= FIXED_BYTES + old.inverse.len() + old.error.len());
+            assert!(frame.len() <= FIXED_BYTES + old.error.len());
         }
+    }
+
+    /// A served matrix never enters the frame buffer: the buffer holds the
+    /// field names, scalars and codec headers, and the elements are
+    /// spliced from the outcome's own memory.
+    #[test]
+    fn a_served_matrix_stays_out_of_the_frame_buffer() {
+        let (cluster, cache) = (Cluster::medium(2), FactorCache::new());
+        let a = random_well_conditioned(64, 3);
+        for request in [Request::invert, Request::lu] {
+            let out = request(&a).nb(16).cache(&cache).submit(&cluster).unwrap();
+            let mut frame = Vec::new();
+            let splices = encode_response(&mut frame, 1, Reply::Served(&out, &[], None));
+            assert!(frame.len() < 1024, "{} bytes in the buffer", frame.len());
+            let lent = [
+                out.inverse(),
+                out.factors().map(|f| &f.l),
+                out.factors().map(|f| &f.u),
+            ];
+            for (splice, m) in splices.iter().zip(lent) {
+                let elements = m.map_or(&[][..], |m| m.as_slice());
+                assert_eq!(splice.bytes.len(), 8 * elements.len());
+                if cfg!(target_endian = "little") && !elements.is_empty() {
+                    assert_eq!(splice.bytes.as_ptr(), elements.as_ptr().cast::<u8>());
+                }
+            }
+        }
+    }
+
+    /// A client that sends a full n = 256 invert and hangs up without
+    /// reading the reply costs the server its handler and nothing else.
+    #[test]
+    fn a_client_that_hangs_up_mid_reply_ends_only_its_handler() {
+        let cluster = Arc::new(Cluster::medium(1));
+        let server = ServerHandle::start(cluster, ServiceConfig::default()).unwrap();
+        let (a, cfg) = (
+            random_well_conditioned(256, 5),
+            InversionConfig::with_nb(64),
+        );
+        let mut frame = Vec::new();
+        let splice = encode_request(
+            &mut frame,
+            "t",
+            1,
+            WireOp::Invert,
+            Operand::Matrix(&a),
+            &[],
+            &cfg,
+        );
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        write_spliced_frame(&mut raw, TAG_REQUEST, &frame, &[splice]).unwrap();
+        drop(raw);
+        // The reply (~527 KB) meets a closed socket, or fills the socket's
+        // buffers and then meets its reset; either way the handler ends.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while server.served() == 0 {
+            assert!(std::time::Instant::now() < deadline, "never served");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let tracked = || server.shared.conns.lock().unwrap().len();
+        let mut client =
+            crate::client::ServiceClient::connect(&server.addr().to_string(), "t").unwrap();
+        let reply = client.invert(&a, &cfg).unwrap();
+        assert!(reply.cache_hit, "the hung-up request's factors were cached");
+        assert!(reply.inverse.is_some());
+        assert_eq!(server.served(), 2);
+        // Each accept reaps finished handlers; the hung-up one must be
+        // among them, leaving the live client and at most one other.
+        while tracked() > 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} entries for 1 live connection",
+                tracked()
+            );
+            drop(TcpStream::connect(server.addr()).unwrap());
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        drop(client);
     }
 
     /// A name is three numbers whose order one frame could carry, and

@@ -16,7 +16,10 @@
 //! are bincode; DFS file contents ride as raw bytes (bit-exact, no value
 //! tree in the middle). Each side builds and reads every frame of a
 //! conversation in one buffer: the driver one per task attempt, the
-//! worker one for its connection.
+//! worker one for its connection. A file's bytes never enter that buffer
+//! on the way out: the driver's read reply splices in the stored
+//! [`Bytes`], and a worker's write request the task's own (see
+//! [`crate::wire::Splice`]).
 //!
 //! | dir | tag | frame      | body                                        |
 //! |-----|-----|------------|---------------------------------------------|
@@ -37,6 +40,7 @@
 //! worker chosen by `node % workers`. The pool respawns one worker when
 //! the last one dies, so a run can always make progress.
 
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Condvar, Mutex};
@@ -47,7 +51,7 @@ use bytes::Bytes;
 use super::{ExecBackend, TaskDescriptor, TaskRegistry, WireTaskResult};
 use crate::dfs::{Dfs, DfsAccess};
 use crate::error::{MrError, Result};
-use crate::wire::{read_frame, write_frame};
+use crate::wire::{read_frame, write_frame, write_spliced_frame, Splice};
 use std::sync::Arc;
 
 const TAG_RUN: u8 = 0;
@@ -315,8 +319,9 @@ impl TcpWorkers {
             })?;
             match tag {
                 TAG_DFS_REQ => {
-                    serve_dfs_request(&mut frame, dfs).map_err(|e| io_err("dfs req", &e))?;
-                    write_frame(&mut worker.stream, TAG_DFS_RESP, &frame)
+                    let file =
+                        serve_dfs_request(&mut frame, dfs).map_err(|e| io_err("dfs req", &e))?;
+                    send_dfs_response(&mut worker.stream, &frame, file.as_ref())
                         .map_err(|e| io_err("send dfs resp", &e))?;
                 }
                 TAG_DONE => {
@@ -353,8 +358,9 @@ impl TcpWorkers {
 }
 
 /// Handles the worker DFS request in `frame` against the driver's store
-/// and replaces it with the `DfsResp` body.
-fn serve_dfs_request(frame: &mut Vec<u8>, dfs: &Dfs) -> std::result::Result<(), String> {
+/// and replaces it with the `DfsResp` body — all of it but the file a
+/// read found, which is returned for [`send_dfs_response`] to splice in.
+fn serve_dfs_request(frame: &mut Vec<u8>, dfs: &Dfs) -> std::result::Result<Option<Bytes>, String> {
     let Some((&op, rest)) = frame.split_first() else {
         return Err("empty DfsReq".into());
     };
@@ -374,7 +380,7 @@ fn serve_dfs_request(frame: &mut Vec<u8>, dfs: &Dfs) -> std::result::Result<(), 
             match read {
                 Ok(bytes) => {
                     frame.push(STATUS_OK);
-                    frame.extend_from_slice(&bytes);
+                    return Ok(Some(bytes));
                 }
                 Err(e) => {
                     frame.push(STATUS_ERR);
@@ -394,7 +400,35 @@ fn serve_dfs_request(frame: &mut Vec<u8>, dfs: &Dfs) -> std::result::Result<(), 
         }
         other => return Err(format!("unknown DFS op {other}")),
     }
-    Ok(())
+    Ok(None)
+}
+
+/// Sends a `DfsResp` frame: `body`, then the file a read found, written
+/// from the store's own [`Bytes`].
+fn send_dfs_response<W: Write>(
+    stream: &mut W,
+    body: &[u8],
+    file: Option<&Bytes>,
+) -> std::io::Result<()> {
+    let file = file.map(|f| Splice::new(body.len(), &f[..]));
+    write_spliced_frame(stream, TAG_DFS_RESP, body, file.as_slice())
+}
+
+/// Sends a `DfsReq` frame built in `frame`: the op byte, the path, then
+/// `data` written from the caller's memory.
+fn send_dfs_request<W: Write>(
+    stream: &mut W,
+    frame: &mut Vec<u8>,
+    op: u8,
+    path: &str,
+    data: &[u8],
+) -> std::io::Result<()> {
+    frame.clear();
+    frame.push(op);
+    frame.extend_from_slice(&(path.len() as u32).to_le_bytes());
+    frame.extend_from_slice(path.as_bytes());
+    let data = [Splice::new(frame.len(), data)];
+    write_spliced_frame(stream, TAG_DFS_REQ, frame, &data)
 }
 
 impl ExecBackend for TcpWorkers {
@@ -498,12 +532,7 @@ impl RemoteDfs {
             |e: std::io::Error| MrError::Other(format!("worker lost driver connection: {e}"));
         let mut conn = self.conn.lock().expect("connection lock");
         let Conn { stream, frame } = &mut *conn;
-        frame.clear();
-        frame.push(op);
-        frame.extend_from_slice(&(path.len() as u32).to_le_bytes());
-        frame.extend_from_slice(path.as_bytes());
-        frame.extend_from_slice(data);
-        write_frame(stream, TAG_DFS_REQ, frame).map_err(lost)?;
+        send_dfs_request(stream, frame, op, path, data).map_err(lost)?;
         let tag = read_frame(stream, frame).map_err(lost)?;
         if tag != TAG_DFS_RESP {
             return Err(MrError::Other(format!("expected DfsResp, got tag {tag}")));
@@ -607,5 +636,64 @@ pub fn worker_serve(addr: &str, worker_id: usize, registry: &TaskRegistry) -> Re
                 )))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What `serve_dfs_request` and `write_frame` sent before the file
+    /// was spliced in: the whole body in the frame buffer.
+    fn contiguous(tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, tag, body).unwrap();
+        wire
+    }
+
+    #[test]
+    fn dfs_frames_keep_their_contiguous_layout() {
+        let file: Vec<u8> = (0..1000u32).map(|i| (i * 31) as u8).collect();
+        let dfs = Dfs::new(1);
+        dfs.write("dir/file", Bytes::from(file.clone()));
+
+        // A worker's write request, and its read and exists requests.
+        let mut frame = Vec::new();
+        for (op, data) in [
+            (OP_WRITE, &file[..]),
+            (OP_READ, &[][..]),
+            (OP_EXISTS, &[][..]),
+        ] {
+            let mut wire = Vec::new();
+            send_dfs_request(&mut wire, &mut frame, op, "dir/file", data).unwrap();
+            let mut body = vec![op, 8, 0, 0, 0];
+            body.extend_from_slice(b"dir/file");
+            body.extend_from_slice(data);
+            assert_eq!(wire, contiguous(TAG_DFS_REQ, &body), "op {op}");
+
+            // The driver's reply to it, read back from the request frame.
+            let mut request = Vec::new();
+            read_frame(&mut wire.as_slice(), &mut request).unwrap();
+            let found = serve_dfs_request(&mut request, &dfs).unwrap();
+            let mut wire = Vec::new();
+            send_dfs_response(&mut wire, &request, found.as_ref()).unwrap();
+            let body = match op {
+                OP_READ => [&[STATUS_OK][..], &file].concat(),
+                OP_EXISTS => vec![STATUS_OK, 1],
+                _ => vec![STATUS_OK],
+            };
+            assert_eq!(wire, contiguous(TAG_DFS_RESP, &body), "op {op}");
+        }
+
+        // A read of a missing file: the error, with nothing spliced in.
+        let mut request = Vec::new();
+        send_dfs_request(&mut request, &mut frame, OP_READ, "missing", &[]).unwrap();
+        read_frame(&mut request.as_slice(), &mut frame).unwrap();
+        let found = serve_dfs_request(&mut frame, &dfs).unwrap();
+        assert!(found.is_none());
+        assert_eq!(frame[0], STATUS_ERR);
+        let mut wire = Vec::new();
+        send_dfs_response(&mut wire, &frame, None).unwrap();
+        assert_eq!(wire, contiguous(TAG_DFS_RESP, &frame));
     }
 }

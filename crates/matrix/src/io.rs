@@ -22,6 +22,7 @@
 //! digits still load. Converting one number is the `decimal` submodule's
 //! business.
 
+use std::borrow::Cow;
 use std::io::Write;
 
 use bytes::{Buf, Bytes};
@@ -60,15 +61,50 @@ pub fn encode_binary_vec(m: &Matrix) -> Vec<u8> {
 /// # Panics
 /// If `values.len() != rows * cols`.
 pub fn encode_binary_onto(buf: &mut Vec<u8>, rows: usize, cols: usize, values: &[f64]) {
-    assert_eq!(values.len(), rows * cols, "element count must match shape");
     buf.reserve(HEADER_LEN + values.len() * 8);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(rows as u64).to_le_bytes());
-    buf.extend_from_slice(&(cols as u64).to_le_bytes());
+    encode_header_onto(buf, rows, cols, values);
     // One bulk move of the elements: `flat_map` over fixed-size arrays
     // compiles to a vectorized copy, where a push per element would pay a
     // capacity check each.
     buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+}
+
+/// [`encode_binary_onto`] without the copy of the elements: appends only
+/// the header to `buf` and lends the element bytes that follow it, for a
+/// writer that sends them from the memory that holds them (a frame
+/// writer's splice). On a little-endian target the bytes are `values`'
+/// own memory; elsewhere they are an owned little-endian copy.
+///
+/// # Panics
+/// If `values.len() != rows * cols`.
+pub fn encode_binary_lending<'v>(
+    buf: &mut Vec<u8>,
+    rows: usize,
+    cols: usize,
+    values: &'v [f64],
+) -> Cow<'v, [u8]> {
+    encode_header_onto(buf, rows, cols, values);
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: the pointer and length describe exactly the memory of
+        // `values`, which is initialized and borrowed for `'v`; `u8` has
+        // alignment 1 and every bit pattern is a valid `u8`; and on a
+        // little-endian target an `f64`'s memory is its `to_le_bytes()`.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), size_of_val(values))
+        };
+        Cow::Borrowed(bytes)
+    }
+    #[cfg(not(target_endian = "little"))]
+    Cow::Owned(values.iter().flat_map(|v| v.to_le_bytes()).collect())
+}
+
+/// The binary encoding's header, appended to `buf`.
+fn encode_header_onto(buf: &mut Vec<u8>, rows: usize, cols: usize, values: &[f64]) {
+    assert_eq!(values.len(), rows * cols, "element count must match shape");
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(rows as u64).to_le_bytes());
+    buf.extend_from_slice(&(cols as u64).to_le_bytes());
 }
 
 /// Deserializes a matrix from the binary format.
@@ -250,6 +286,21 @@ mod tests {
         assert_eq!(enc.len() as u64, binary_size(17, 9));
         let back = decode_binary(&enc).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn lent_elements_follow_the_header_as_the_copy_does() {
+        for (rows, cols) in [(0, 0), (3, 0), (1, 1), (5, 7)] {
+            let m = random_matrix(rows, cols, 11);
+            let mut buf = vec![0xA5];
+            let elements = encode_binary_lending(&mut buf, rows, cols, m.as_slice());
+            assert_eq!(buf.len(), 1 + HEADER_LEN);
+            buf.extend_from_slice(&elements);
+            assert_eq!(&buf[1..], &encode_binary(&m)[..]);
+            if cfg!(target_endian = "little") {
+                assert!(matches!(elements, Cow::Borrowed(_)), "lent, not copied");
+            }
+        }
     }
 
     #[test]
