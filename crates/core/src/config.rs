@@ -18,7 +18,10 @@ pub struct Optimizations {
     /// `(1/f1 + 1/f2)n²`).
     pub block_wrap: bool,
     /// Section 6.3: store upper-triangular matrices transposed so multiply
-    /// and solve kernels walk both operands row-major.
+    /// and solve kernels walk both operands row-major. When disabled, `U`
+    /// is stored row-major and the four Equation 6/7 sites are priced at
+    /// `simtime::STRIDED_SLOWDOWN`; the kernels are the same, and under
+    /// the default `Packed` backend so are the inverse's bits.
     pub transpose_u: bool,
 }
 

@@ -29,12 +29,9 @@ use mrinv_mapreduce::runner::run_job;
 use mrinv_mapreduce::simtime::STRIDED_SLOWDOWN;
 use mrinv_mapreduce::{Cluster, MrError, PipelineDriver, TaskIo, TaskRegistry, TaskStats};
 use mrinv_matrix::block::even_ranges;
-use mrinv_matrix::kernel::{
-    gemm, gemm_flops, gemm_with, notrans, trans, Diag, Side, Strided, Uplo,
-};
+use mrinv_matrix::kernel::{gemm, gemm_flops, notrans, Diag, Op, Side, Uplo};
 use mrinv_matrix::lu::{lu_decompose, lu_flops};
-use mrinv_matrix::triangular::{solve_row_times_upper, trsm, trsm_flops};
-use mrinv_matrix::Matrix;
+use mrinv_matrix::triangular::{trsm, trsm_flops};
 use serde::{Deserialize, Serialize};
 
 use crate::config::Optimizations;
@@ -238,6 +235,17 @@ pub fn lu_decompose_mr(
     }
 }
 
+/// What one flop of an Equation 6/7 site is charged as: `STRIDED_SLOWDOWN`
+/// flops with `U` stored row-major (Section 6.3 off), where the paper's
+/// loops stride through it. The kernels compute the same bits either way.
+fn strided_rate(opts: &Optimizations) -> u64 {
+    if opts.transpose_u {
+        1
+    } else {
+        STRIDED_SLOWDOWN
+    }
+}
+
 /// Map-task input: which stripe of which factor to compute (the control
 /// integer of Section 5.1, enriched into the piece the master named: its
 /// path is where the stripe goes, its rectangle what the stripe covers).
@@ -278,31 +286,18 @@ impl Mapper for LuLevelMapper {
         let piece = &input.piece;
         match input.stripe {
             Stripe::L2 => {
+                // X·U1 = A3 is U1ᵀ·Xᵀ = A3ᵀ: one lower solve of the whole
+                // stripe against U1ᵀ, assembled from either storage.
                 let a3_stripe = self.a3.read_rows(ctx, piece.rows.0, piece.rows.1)?;
-                let out = if self.opts.transpose_u {
-                    // X·U1 = A3 is U1ᵀ·Xᵀ = A3ᵀ: one lower solve of the
-                    // whole stripe against the stored transpose.
-                    let u1_t = self.a1.assemble_u_t(ctx)?;
-                    let mut x_t = a3_stripe.transpose();
-                    drop(a3_stripe);
-                    trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, &u1_t, &mut x_t)
-                        .map_err(CoreError::from)?;
-                    ctx.charge_flops(trsm_flops(u1_t.rows(), x_t.cols()));
-                    drop(u1_t);
-                    x_t.transpose()
-                } else {
-                    // Ablation path: row-major U1 walked column-wise, one
-                    // row of the stripe at a time.
-                    let u1 = self.a1.assemble_u(ctx)?;
-                    let mut out = Matrix::zeros(a3_stripe.rows(), a3_stripe.cols());
-                    for i in 0..a3_stripe.rows() {
-                        let row = solve_row_times_upper(&u1, a3_stripe.row(i))
-                            .map_err(CoreError::from)?;
-                        out.row_mut(i).copy_from_slice(&row);
-                    }
-                    ctx.charge_flops(STRIDED_SLOWDOWN * trsm_flops(u1.rows(), out.rows()));
-                    out
-                };
+                let u1_t = self.a1.assemble_u_t(ctx)?;
+                let mut x_t = a3_stripe.transpose();
+                drop(a3_stripe);
+                trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, &u1_t, &mut x_t)
+                    .map_err(CoreError::from)?;
+                ctx.charge_flops(strided_rate(&self.opts) * trsm_flops(u1_t.rows(), x_t.cols()));
+                drop(u1_t);
+                let out = x_t.transpose();
+                drop(x_t);
                 write_block(ctx, &piece.path, &out);
             }
             Stripe::U2 => {
@@ -364,30 +359,16 @@ impl Reducer for LuLevelReducer {
         let (rr, cc) = (cell.rows, cell.cols);
         let mut b = self.a4.read_range(ctx, rr, cc)?;
         let l2_rows = self.l2_source.read_rows(ctx, rr.0, rr.1)?;
-        if self.opts.transpose_u {
-            let u2t_rows = self.u2_source.read_rows(ctx, cc.0, cc.1)?;
-            gemm(-1.0, notrans(&l2_rows), trans(&u2t_rows), 1.0, &mut b)
-                .map_err(CoreError::from)?;
-            ctx.charge_flops(gemm_flops(b.rows(), l2_rows.cols(), b.cols()));
+        // U2's columns cc: rows of the stored U2ᵀ (Section 6.3), else
+        // columns of the row-major U2. Packing reads either orientation
+        // into the same panels, so both give the same bits.
+        let (u2, op) = if self.opts.transpose_u {
+            (self.u2_source.read_rows(ctx, cc.0, cc.1)?, Op::Trans)
         } else {
-            // Ablation path: row-major U2, Equation 7's column-striding
-            // inner loop (the access pattern Section 6.3 eliminates) —
-            // pinned to the Strided backend so the ablation runs that
-            // exact loop order regardless of the process-wide backend, and
-            // priced at that loop's rate.
-            let u2_cols = self.u2_source.read_cols(ctx, cc.0, cc.1)?;
-            gemm_with(
-                &Strided,
-                -1.0,
-                notrans(&l2_rows),
-                notrans(&u2_cols),
-                1.0,
-                &mut b,
-            )
-            .map_err(CoreError::from)?;
-            let flops = gemm_flops(b.rows(), l2_rows.cols(), b.cols());
-            ctx.charge_flops(STRIDED_SLOWDOWN * flops);
-        }
+            (self.u2_source.read_cols(ctx, cc.0, cc.1)?, Op::NoTrans)
+        };
+        gemm(-1.0, notrans(&l2_rows), op.of(&u2), 1.0, &mut b).map_err(CoreError::from)?;
+        ctx.charge_flops(strided_rate(&self.opts) * gemm_flops(b.rows(), l2_rows.cols(), b.cols()));
         write_block(ctx, &cell.path, &b);
         Ok(())
     }
@@ -401,6 +382,7 @@ mod tests {
     use mrinv_mapreduce::runner::JobReport;
     use mrinv_mapreduce::{ClusterConfig, CostModel, RunId};
     use mrinv_matrix::random::random_invertible;
+    use mrinv_matrix::Matrix;
 
     fn run_lu(
         n: usize,
@@ -481,17 +463,19 @@ mod tests {
                 }
             }
         }
-        let mut reference: Option<Matrix> = None;
+        let bits = |m: Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut reference = None;
         for opts in variants {
             let (cluster, factors, _p, a) = run_lu(24, 6, 4, opts, 42);
             assert_pa_eq_lu(&cluster, &factors, &a, 1e-8);
             let mut io = TaskIo::new(cluster.dfs.clone());
-            let l = factors.assemble_l(&mut io).unwrap();
+            let l = bits(factors.assemble_l(&mut io).unwrap());
+            let u = bits(factors.assemble_u(&mut io).unwrap());
             match &reference {
-                None => reference = Some(l),
+                None => reference = Some((l, u)),
                 Some(r) => assert!(
-                    l.approx_eq(r, 1e-9),
-                    "optimizations changed the numerics: {opts:?}"
+                    (l, u) == *r,
+                    "optimizations changed the factors' bits: {opts:?}"
                 ),
             }
         }

@@ -720,7 +720,8 @@ mod tests {
             .submit(&cluster)
             .unwrap()
             .into_inverse();
-        assert!(unopt.approx_eq(&reference, 1e-9));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&unopt), bits(&reference));
     }
 
     #[test]

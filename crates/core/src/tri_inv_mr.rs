@@ -12,8 +12,9 @@
 //!   with its *permuted* target column indices: column `j` of the product
 //!   is column `S[j]` of `A^-1` (Section 4.3). The block multiplies only
 //!   the terms the two triangles can make nonzero, tile by tile
-//!   (`kernel::gemm_staircase`), with the dense product's bits; the Eq. 7
-//!   ablation keeps its dense `Strided` product.
+//!   (`kernel::gemm_staircase`), with the dense product's bits. With `U`
+//!   stored row-major (the Section 6.3 ablation) the same code runs and
+//!   is priced as Equation 7's dense, strided product.
 //!
 //! Because the interleaved vectors are non-contiguous, files carry explicit
 //! index headers.
@@ -57,10 +58,9 @@ use mrinv_mapreduce::{MrError, PipelineDriver, TaskIo, TaskRegistry};
 use mrinv_matrix::block::even_ranges;
 use mrinv_matrix::io::{binary_size, decode_binary, encode_binary_onto};
 use mrinv_matrix::kernel::{
-    gemm_flops, gemm_staircase, gemm_with, notrans, trans, tri_product_flops, Diag, Side, Strided,
-    Uplo, K_PANEL,
+    gemm_flops, gemm_staircase, notrans, trans, tri_product_flops, Diag, Side, Uplo, K_PANEL,
 };
-use mrinv_matrix::triangular::{solve_row_times_upper, trsm, trsm_flops};
+use mrinv_matrix::triangular::{trsm, trsm_flops};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -326,26 +326,13 @@ impl Layout {
 
     /// Reads the vectors of `op` that fall in its block `b`, from every
     /// worker that owns any, keeping elements `from..n` of each: as the
-    /// rows of a `len x (n - from)` matrix, or the columns of an
-    /// `(n - from) x len` one. What the files drop before a vector's
-    /// index reads as zero. A missing file is an error, and so is
+    /// rows of a `len x (n - from)` matrix. What the files drop before a
+    /// vector's index reads as zero. A missing file is an error, and so is
     /// anything short of the whole block.
-    fn read_operand(
-        &self,
-        io: &mut TaskIo,
-        op: Operand,
-        b: usize,
-        in_columns: bool,
-        from: usize,
-    ) -> Result<Matrix> {
+    fn read_operand(&self, io: &mut TaskIo, op: Operand, b: usize, from: usize) -> Result<Matrix> {
         let (_, m, blocks) = self.operand(op);
         let (b0, b1) = blocks[b];
-        let width = self.n - from;
-        let mut out = if in_columns {
-            Matrix::zeros(width, b1 - b0)
-        } else {
-            Matrix::zeros(b1 - b0, width)
-        };
+        let mut out = Matrix::zeros(b1 - b0, self.n - from);
         let mut placed = 0;
         for (path, indices) in self.files(op, 0..m, b..b + 1) {
             let bytes = io.read(&path)?;
@@ -359,16 +346,10 @@ impl Layout {
             for (i, tail) in file.vectors() {
                 let start = i.max(from);
                 let values = words(&tail[8 * (start - i)..]);
-                if in_columns {
-                    for (j, v) in (start - from..).zip(values) {
-                        out[(j, i - b0)] = v;
-                    }
-                } else {
-                    out.row_mut(i - b0)[start - from..]
-                        .iter_mut()
-                        .zip(values)
-                        .for_each(|(d, v)| *d = v);
-                }
+                out.row_mut(i - b0)[start - from..]
+                    .iter_mut()
+                    .zip(values)
+                    .for_each(|(d, v)| *d = v);
             }
             placed += indices.len();
         }
@@ -477,44 +458,31 @@ impl Mapper for TriInvMapper {
         let (_, m, _) = self.layout.operand(op);
         let mine: Vec<usize> = (k..n).step_by(m).collect();
         // Both inverses come from one lower-triangular solve: row i of
-        // U^-1 is column i of (Uᵀ)^-1, and Uᵀ is what Section 6.3 stores.
+        // U^-1 is column i of (Uᵀ)^-1, and Uᵀ is what Section 6.3 stores
+        // (assembled from either storage). The factor is released before
+        // anything else is allocated.
         let lower = match op {
-            Operand::L => Some(self.factors.assemble_l(ctx)?),
-            Operand::U if self.opts.transpose_u => Some(self.factors.assemble_u_t(ctx)?),
-            Operand::U => None,
+            Operand::L => self.factors.assemble_l(ctx)?,
+            Operand::U => self.factors.assemble_u_t(ctx)?,
         };
-        let (computed, as_columns) = if let Some(t) = lower {
-            // Solve all of this worker's columns in one batched trsm. The
-            // factor is released before anything else is allocated. Column
-            // `j` of the inverse is zero above row `j`: a solve of order
-            // `n - j`.
-            let solved = invert_lower_columns(&t, &mine).map_err(CoreError::from)?;
-            ctx.charge_flops(mine.iter().map(|&j| trsm_flops(n - j, 1)).sum());
-            (solved, true)
+        let computed = invert_lower_columns(&lower, &mine).map_err(CoreError::from)?;
+        drop(lower);
+        // Column `j` of the inverse is zero above row `j`: a solve of order
+        // `n - j`. With `U` stored row-major (Section 6.3 off), priced as
+        // the paper's row solves, each over all of `U`, at the strided rate.
+        ctx.charge_flops(if op == Operand::L || self.opts.transpose_u {
+            mine.iter().map(|&j| trsm_flops(n - j, 1)).sum()
         } else {
-            // Ablation path: row-major U, solve eᵢᵀ = x·U with
-            // column-striding access.
-            let u = self.factors.assemble_u(ctx)?;
-            // The row solve walks all of `U` for every row.
-            let mut rows = Matrix::zeros(mine.len(), n);
-            for (slot, &i) in mine.iter().enumerate() {
-                let mut e = vec![0.0; n];
-                e[i] = 1.0;
-                let x = solve_row_times_upper(&u, &e).map_err(CoreError::from)?;
-                rows.row_mut(slot).copy_from_slice(&x);
-            }
-            ctx.charge_flops(STRIDED_SLOWDOWN * trsm_flops(n, mine.len()));
-            (rows, false)
-        };
+            STRIDED_SLOWDOWN * trsm_flops(n, mine.len())
+        });
         // Columns become rows (one blocked transpose), so each vector is a
         // contiguous run. `computed` stays allocated until the files are
         // written: the DFS keeps every encoded buffer, and freeing a
         // megabyte first lets those settle in its hole, which no later task
         // can reuse (+2 % `peak_rss_mb` on `lib-wide` under glibc, with the
         // same live bytes).
-        let rows = as_columns.then(|| computed.transpose());
-        self.layout
-            .write_operand(ctx, op, k, rows.as_ref().unwrap_or(&computed))?;
+        let rows = computed.transpose();
+        self.layout.write_operand(ctx, op, k, &rows)?;
         emit_cells(ctx, self.layout.num_cells());
         Ok(())
     }
@@ -546,43 +514,26 @@ impl Reducer for TriInvReducer {
         }
 
         // This cell's rows of U^-1, then its columns of L^-1, multiplied.
-        let product = if self.opts.transpose_u {
-            // Row i of U^-1 is zero before column i and column j of L^-1
-            // before row j — exact zeros, which the INV/ files drop and
-            // `read_operand` puts back. So no term with k < max(r0, c0)
-            // reaches this cell: read only from the K panel `k0` that
-            // holds that index, and let `gemm_staircase` start each tile
-            // of the product at its own first nonzero term. Both keep
-            // each element's partial sums grouped as in the dense
-            // product, bit for bit.
-            let k0 = r0.max(c0) / K_PANEL * K_PANEL;
-            let u_rows = layout.read_operand(ctx, Operand::U, bi, false, k0)?;
-            let l_cols_t = layout.read_operand(ctx, Operand::L, bj, false, k0)?;
-            let mut p = Matrix::zeros(u_rows.rows(), l_cols_t.rows());
-            gemm_staircase(notrans(&u_rows), r0, trans(&l_cols_t), c0, k0, &mut p)
-                .map_err(CoreError::from)?;
-            ctx.charge_flops(tri_product_flops(layout.n, r0..r1, c0..c1));
-            p
-        } else {
-            let u_rows = layout.read_operand(ctx, Operand::U, bi, false, 0)?;
-            let l_cols = layout.read_operand(ctx, Operand::L, bj, true, 0)?;
-            // Ablation path: Equation 7's column-striding product, pinned
-            // to the Strided backend so it runs that exact loop order, and
-            // priced at that loop's rate.
-            let mut p = Matrix::zeros(u_rows.rows(), l_cols.cols());
-            gemm_with(
-                &Strided,
-                1.0,
-                notrans(&u_rows),
-                notrans(&l_cols),
-                0.0,
-                &mut p,
-            )
+        // Row i of U^-1 is zero before column i and column j of L^-1 before
+        // row j — exact zeros, which the INV/ files drop and `read_operand`
+        // puts back. So no term with k < max(r0, c0) reaches this cell:
+        // read only from the K panel `k0` that holds that index, and let
+        // `gemm_staircase` start each tile of the product at its own first
+        // nonzero term. Both keep each element's partial sums grouped as in
+        // the dense product, bit for bit.
+        let k0 = r0.max(c0) / K_PANEL * K_PANEL;
+        let u_rows = layout.read_operand(ctx, Operand::U, bi, k0)?;
+        let l_cols_t = layout.read_operand(ctx, Operand::L, bj, k0)?;
+        let mut product = Matrix::zeros(u_rows.rows(), l_cols_t.rows());
+        gemm_staircase(notrans(&u_rows), r0, trans(&l_cols_t), c0, k0, &mut product)
             .map_err(CoreError::from)?;
-            let flops = gemm_flops(p.rows(), u_rows.cols(), p.cols());
-            ctx.charge_flops(STRIDED_SLOWDOWN * flops);
-            p
-        };
+        // With `U` stored row-major (Section 6.3 off), priced as Equation
+        // 7's dense product at the strided rate.
+        ctx.charge_flops(if self.opts.transpose_u {
+            tri_product_flops(layout.n, r0..r1, c0..c1)
+        } else {
+            STRIDED_SLOWDOWN * gemm_flops(r1 - r0, layout.n, c1 - c0)
+        });
 
         let (rows, cols) = product.shape();
         let bytes = encode_indexed_parts(&layout.perm[c0..c1], rows, cols, product.as_slice());
@@ -755,67 +706,52 @@ mod tests {
 
     #[test]
     fn a_lost_or_mislabelled_operand_file_is_an_error_naming_it() {
-        for l_in_columns in [false, true] {
-            let dfs = Arc::new(Dfs::default());
-            let mut io = TaskIo::new(dfs.clone());
-            // 5 < m: workers 5.. of each half own nothing anywhere.
-            let layout = layout(10, 3, 4, (2, 3));
-            write_inv_files(&mut io, &layout);
+        let dfs = Arc::new(Dfs::default());
+        let mut io = TaskIo::new(dfs.clone());
+        // 5 < m: workers 5.. of each half own nothing anywhere.
+        let layout = layout(10, 3, 4, (2, 3));
+        write_inv_files(&mut io, &layout);
 
-            let u = layout
-                .read_operand(&mut io, Operand::U, 1, false, 0)
-                .unwrap();
-            assert_eq!(u, vector_rows(&[5, 6, 7, 8, 9], 10, 0.5));
-            let l = layout
-                .read_operand(&mut io, Operand::L, 2, l_in_columns, 0)
-                .unwrap();
-            let expect = vector_rows(&[7, 8, 9], 10, 0.25);
-            assert_eq!(if l_in_columns { l.transpose() } else { l }, expect);
+        let u = layout.read_operand(&mut io, Operand::U, 1, 0).unwrap();
+        assert_eq!(u, vector_rows(&[5, 6, 7, 8, 9], 10, 0.5));
+        let l = layout.read_operand(&mut io, Operand::L, 2, 0).unwrap();
+        assert_eq!(l, vector_rows(&[7, 8, 9], 10, 0.25));
 
-            for (op, b, in_columns, path, frac) in [
-                (Operand::U, 1, false, "Root/INV/U.2.1", 0.5),
-                (Operand::L, 2, l_in_columns, "Root/INV/L.1.2", 0.25),
-            ] {
-                let good = dfs.read(path).unwrap();
-                let held = decode_tails(path, &good).unwrap().indices;
-                let refile = |indices: &[u64]| {
-                    let vectors = vector_rows(indices, 10, frac);
-                    dfs.write(
-                        path,
-                        encode_tails(path, indices, 10, vectors.as_slice()).unwrap(),
-                    );
-                };
-                // Tagged with some other worker's indices; one vector short;
-                // cut short by one element.
-                let mut wrong = held.clone();
-                wrong[0] += 1;
-                refile(&wrong);
-                let err = layout
-                    .read_operand(&mut io, op, b, in_columns, 0)
-                    .unwrap_err();
-                assert!(invariant_naming(&err, path), "{err}");
-                refile(&held[1..]);
-                let err = layout
-                    .read_operand(&mut io, op, b, in_columns, 0)
-                    .unwrap_err();
-                assert!(invariant_naming(&err, path), "{err}");
-                dfs.write(path, good.slice(..good.len() - 8));
-                let err = layout
-                    .read_operand(&mut io, op, b, in_columns, 0)
-                    .unwrap_err();
-                assert!(invariant_naming(&err, path), "{err}");
-                // Gone: it once read `Ok`, with zero rows.
-                assert!(dfs.delete(path));
-                let err = layout
-                    .read_operand(&mut io, op, b, in_columns, 0)
-                    .unwrap_err();
-                assert!(
-                    matches!(&err, CoreError::MapReduce(MrError::FileNotFound { path: p, .. }) if p == path),
-                    "{err}"
+        for (op, b, path, frac) in [
+            (Operand::U, 1, "Root/INV/U.2.1", 0.5),
+            (Operand::L, 2, "Root/INV/L.1.2", 0.25),
+        ] {
+            let good = dfs.read(path).unwrap();
+            let held = decode_tails(path, &good).unwrap().indices;
+            let refile = |indices: &[u64]| {
+                let vectors = vector_rows(indices, 10, frac);
+                dfs.write(
+                    path,
+                    encode_tails(path, indices, 10, vectors.as_slice()).unwrap(),
                 );
-                dfs.write(path, good);
-                layout.read_operand(&mut io, op, b, in_columns, 0).unwrap();
-            }
+            };
+            // Tagged with some other worker's indices; one vector short;
+            // cut short by one element.
+            let mut wrong = held.clone();
+            wrong[0] += 1;
+            refile(&wrong);
+            let err = layout.read_operand(&mut io, op, b, 0).unwrap_err();
+            assert!(invariant_naming(&err, path), "{err}");
+            refile(&held[1..]);
+            let err = layout.read_operand(&mut io, op, b, 0).unwrap_err();
+            assert!(invariant_naming(&err, path), "{err}");
+            dfs.write(path, good.slice(..good.len() - 8));
+            let err = layout.read_operand(&mut io, op, b, 0).unwrap_err();
+            assert!(invariant_naming(&err, path), "{err}");
+            // Gone: it once read `Ok`, with zero rows.
+            assert!(dfs.delete(path));
+            let err = layout.read_operand(&mut io, op, b, 0).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::MapReduce(MrError::FileNotFound { path: p, .. }) if p == path),
+                "{err}"
+            );
+            dfs.write(path, good);
+            layout.read_operand(&mut io, op, b, 0).unwrap();
         }
     }
 
@@ -959,7 +895,7 @@ mod tests {
         }
 
         /// `read_operand(…, from)` is columns `from..n` of the dense
-        /// operand the mappers filed, in either orientation.
+        /// operand the mappers filed.
         #[test]
         fn read_operand_from_is_the_dense_window(
             ((n, m_l, m_u), (f1, f2), from, seed) in (
@@ -984,10 +920,8 @@ mod tests {
                 }
                 for (b, &(b0, b1)) in blocks.iter().enumerate() {
                     let window = Matrix::from_fn(b1 - b0, n - from, |r, c| dense[(b0 + r, from + c)]);
-                    let rows = layout.read_operand(&mut io, op, b, false, from).unwrap();
-                    prop_assert_eq!(&rows, &window);
-                    let cols = layout.read_operand(&mut io, op, b, true, from).unwrap();
-                    prop_assert_eq!(cols, window.transpose());
+                    let rows = layout.read_operand(&mut io, op, b, from).unwrap();
+                    prop_assert_eq!(rows, window);
                 }
             }
         }

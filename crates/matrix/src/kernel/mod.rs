@@ -29,17 +29,17 @@
 //!   (i-k-j row-streaming, and the Section 6.3 unrolled-dot form when the
 //!   right operand is supplied transposed). Differential tests pin the
 //!   Packed backend against this one, and the end-to-end Naive pipeline
-//!   is bit-identical to the pre-engine implementation;
-//! * [`Strided`] — Equation 7's i-j-k loop with a column-strided read of
-//!   the right operand: the paper's *unoptimized* kernel. It is never the
-//!   process-wide default; the pipeline pins it through [`gemm_with`] for
-//!   the Section 6.3 transpose-off ablation.
+//!   is bit-identical to the pre-engine implementation.
+//!
+//! Equation 7's column-strided loop, the paper's *unoptimized* kernel, has
+//! no backend: the Section 6.3 transpose-off ablation computes with these
+//! kernels and is priced at `simtime::STRIDED_SLOWDOWN` instead.
 //!
 //! The process-wide default backend is [`Packed`]; differential tests flip
 //! it to the [`Naive`] oracle with [`set_global_backend`].
 
-// The reference backends index rows explicitly so the access pattern under
-// discussion (row-major vs column-strided) stays visible in the code.
+// The reference backend indexes rows explicitly so its loop order stays
+// visible in the code.
 #![allow(clippy::needless_range_loop)]
 
 mod lu;
@@ -238,12 +238,6 @@ pub trait GemmBackend: Sync {
 /// The end-to-end pipeline under this backend is bit-identical to the
 /// pre-engine implementation.
 pub struct Naive;
-
-/// Equation 7 ablation backend: i-j-k with a stride-`n` read of the right
-/// operand — "each read of an element from U2 will access a separate
-/// memory page" (Section 6.3). Kept so the transpose-off ablation keeps
-/// timing the access pattern the paper eliminates.
-pub struct Strided;
 
 /// The packed, register-blocked engine (see module docs).
 pub struct Packed {

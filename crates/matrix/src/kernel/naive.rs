@@ -1,5 +1,4 @@
-//! Reference backends: the seed pipeline's exact loop orders ([`Naive`])
-//! and the Equation 7 strided ablation kernel ([`Strided`]).
+//! Reference backend: the seed pipeline's exact loop orders ([`Naive`]).
 //!
 //! [`Naive`] is the differential-testing oracle: its summation orders are
 //! bit-identical to the pre-engine `mul_naive`/`mul_transposed`/`sub_mul*`
@@ -105,62 +104,5 @@ impl GemmBackend for super::Naive {
 
     fn name(&self) -> &'static str {
         "naive"
-    }
-}
-
-impl GemmBackend for super::Strided {
-    fn gemm_checked(
-        &self,
-        alpha: f64,
-        a: OpRef<'_>,
-        b: OpRef<'_>,
-        beta: f64,
-        mut c: MatMut<'_>,
-    ) -> Result<()> {
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        scale_by_beta(&mut c, beta);
-        if (a.op(), b.op()) == (Op::NoTrans, Op::NoTrans) {
-            // i-j-k with stride-n reads of B: Equation 7 verbatim (the old
-            // `mul_ijk` / `sub_mul_ijk`).
-            let assign = alpha == 1.0 && beta == 0.0;
-            for i in 0..m {
-                let arow = a.stored_row(i);
-                let crow = c.row_mut(i);
-                for (j, cij) in crow.iter_mut().enumerate().take(n) {
-                    let mut acc = 0.0;
-                    for (p, &apv) in arow.iter().enumerate().take(k) {
-                        acc += apv * b.stored_row(p)[j]; // row-stride access
-                    }
-                    if assign {
-                        *cij = acc;
-                    } else {
-                        *cij += alpha * acc;
-                    }
-                }
-            }
-        } else {
-            // The ablation only ever runs untransposed; other shapes get
-            // the same i-j-k order over logical elements.
-            let assign = alpha == 1.0 && beta == 0.0;
-            for i in 0..m {
-                let crow = c.row_mut(i);
-                for (j, cij) in crow.iter_mut().enumerate().take(n) {
-                    let mut acc = 0.0;
-                    for p in 0..k {
-                        acc += a.at(i, p) * b.at(p, j);
-                    }
-                    if assign {
-                        *cij = acc;
-                    } else {
-                        *cij += alpha * acc;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "strided"
     }
 }

@@ -16,9 +16,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Slot order for [`slot_index`]: the four [`super::GemmBackend::name`]
+/// Slot order for [`slot_index`]: the three [`super::GemmBackend::name`]
 /// values plus a catch-all for out-of-tree backends.
-const BACKEND_NAMES: [&str; 5] = ["naive", "strided", "packed", "packed-serial", "other"];
+const BACKEND_NAMES: [&str; 4] = ["naive", "packed", "packed-serial", "other"];
 
 struct Slot {
     calls: AtomicU64,
@@ -43,7 +43,7 @@ impl Slot {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SLOTS: [Slot; 5] = [const { Slot::new() }; 5];
+static SLOTS: [Slot; 4] = [const { Slot::new() }; 4];
 
 fn slot_index(backend: &str) -> usize {
     BACKEND_NAMES
@@ -140,8 +140,7 @@ impl BackendPerf {
 }
 
 /// Counters of every backend that recorded at least one call, in the
-/// fixed backend-name order (naive, strided, packed, packed-serial,
-/// other).
+/// fixed backend-name order (naive, packed, packed-serial, other).
 pub fn snapshot() -> Vec<BackendPerf> {
     BACKEND_NAMES
         .iter()

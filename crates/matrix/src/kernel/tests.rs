@@ -12,7 +12,6 @@ const TOL: f64 = 1e-9;
 fn backends() -> Vec<(&'static str, Box<dyn GemmBackend>)> {
     vec![
         ("naive", Box::new(Naive)),
-        ("strided", Box::new(Strided)),
         ("packed-serial", Box::new(Packed { parallel: false })),
         ("packed", Box::new(Packed { parallel: true })),
     ]
@@ -267,42 +266,6 @@ fn naive_backend_is_bit_identical_to_legacy_kernels() {
         }
     }
     assert_eq!(c, expect, "fused dot subtract must match bitwise");
-}
-
-#[test]
-fn strided_backend_is_bit_identical_to_eq7_kernels() {
-    let a = random_matrix(13, 19, 7);
-    let b = random_matrix(19, 11, 8);
-    let c0 = random_matrix(13, 11, 9);
-
-    let mut c = Matrix::zeros(13, 11);
-    gemm_with(&Strided, 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
-    let mut expect = Matrix::zeros(13, 11);
-    let bd = b.as_slice();
-    for i in 0..13 {
-        for j in 0..11 {
-            let mut acc = 0.0;
-            for p in 0..19 {
-                acc += a[(i, p)] * bd[p * 11 + j];
-            }
-            expect[(i, j)] = acc;
-        }
-    }
-    assert_eq!(c, expect, "must match mul_ijk bitwise");
-
-    let mut c = c0.clone();
-    gemm_with(&Strided, -1.0, notrans(&a), notrans(&b), 1.0, &mut c).unwrap();
-    let mut expect = c0.clone();
-    for i in 0..13 {
-        for j in 0..11 {
-            let mut acc = 0.0;
-            for p in 0..19 {
-                acc += a[(i, p)] * bd[p * 11 + j];
-            }
-            expect[(i, j)] -= acc;
-        }
-    }
-    assert_eq!(c, expect, "must match sub_mul_ijk bitwise");
 }
 
 #[test]

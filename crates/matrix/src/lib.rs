@@ -10,8 +10,8 @@
 //! * [`triangular`] — inverses of unit-lower and upper triangular matrices
 //!   (Equation 4) and forward/back substitution;
 //! * [`kernel`] — the BLAS-3 engine: one `gemm` entry point over pluggable
-//!   backends (packed cache-blocked default, bit-exact naive reference,
-//!   Equation 7 strided ablation), blocked TRSM, and blocked LU — `gemm`
+//!   backends (packed cache-blocked default, bit-exact naive reference),
+//!   blocked TRSM, and blocked LU — `gemm`
 //!   and `trsm` are re-exported at the crate root as the blessed entry
 //!   points;
 //! * [`permutation`] — the compact `S`-array representation of the pivot

@@ -11,10 +11,12 @@
 //! The pipeline solves a whole task's vectors in one [`trsm`] call (level-3:
 //! the coupling between diagonal blocks runs in GEMM), and [`invert_lower`]
 //! / [`invert_upper`] are that same solve on an identity right-hand side.
-//! One per-vector kernel remains, [`solve_row_times_upper`]: the strided
-//! reference the Section 6.3 transpose-off ablation times. The other
-//! per-vector forms, whose arithmetic `trsm`'s leaf reproduces operation
-//! for operation, are the bit-identity oracles in `kernel/tests.rs`.
+//! One per-vector kernel remains, [`solve_row_times_upper`]: Equation 6's
+//! row solve over row-major `U`, striding through it. It is public for
+//! benchmark probes and has no library caller (the Section 6.3
+//! transpose-off ablation is priced, not run). The other per-vector forms,
+//! whose arithmetic `trsm`'s leaf reproduces operation for operation, are
+//! the bit-identity oracles in `kernel/tests.rs`.
 //!
 //! Upper-triangular matrices are inverted through their transpose
 //! (a lower-triangular inverse followed by a transpose), matching the
@@ -154,10 +156,11 @@ pub fn back_substitution(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 /// `U1ᵀ·xᵀ = a3_rowᵀ`, a forward substitution against the transposed upper
 /// factor.
 ///
-/// This is the per-row kernel an `L2'` mapper runs for each of its assigned
-/// rows of `A3`. `u1` is passed row-major (not transposed); the kernel
-/// walks it column-wise, which is what Section 6.3's transposed storage
-/// avoids.
+/// This is Equation 6's per-row kernel over the unoptimized layout: `u1`
+/// is passed row-major (not transposed), and the kernel walks it
+/// column-wise, which is what Section 6.3's transposed storage avoids. It
+/// has no library caller: the pipeline's `L2'` mappers solve a whole stripe
+/// in one [`trsm`] against `U1ᵀ` under either storage.
 pub fn solve_row_times_upper(u1: &Matrix, a3_row: &[f64]) -> Result<Vec<f64>> {
     let n = check_square(u1, "solve_row_times_upper")?;
     if a3_row.len() != n {

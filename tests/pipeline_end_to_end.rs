@@ -6,7 +6,7 @@ use mrinv_mapreduce::scheduler::{plan_wave, PlannedTask, WaveFaults};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel};
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::{random_invertible, random_well_conditioned};
-use mrinv_matrix::{Matrix, PAPER_ACCURACY};
+use mrinv_matrix::PAPER_ACCURACY;
 
 fn unit_cluster(m0: usize) -> Cluster {
     let mut cfg = ClusterConfig::medium(m0);
@@ -92,35 +92,39 @@ fn lu_stage_factors_reconstruct_pa() {
     }
 }
 
+/// Every toggle keeps the computation and changes only the storage and
+/// the price, so all eight combinations give the same bits. (520, 65) puts
+/// product cells past one K panel.
 #[test]
 fn optimization_toggles_preserve_numerics_exactly() {
-    let a = random_invertible(48, 21);
-    let mut results: Vec<Matrix> = Vec::new();
-    for sep in [true, false] {
-        for wrap in [true, false] {
-            for tr in [true, false] {
-                let cluster = unit_cluster(4);
-                let mut cfg = InversionConfig::with_nb(12);
-                cfg.opts = Optimizations {
-                    separate_intermediate_files: sep,
-                    block_wrap: wrap,
-                    transpose_u: tr,
-                };
-                results.push(
-                    Request::invert(&a)
+    for &(n, nb, m0) in &[(48usize, 12usize, 4usize), (520, 65, 4)] {
+        let a = random_invertible(n, 21);
+        let mut results: Vec<Vec<u64>> = Vec::new();
+        for sep in [true, false] {
+            for wrap in [true, false] {
+                for tr in [true, false] {
+                    let cluster = unit_cluster(m0);
+                    let mut cfg = InversionConfig::with_nb(nb);
+                    cfg.opts = Optimizations {
+                        separate_intermediate_files: sep,
+                        block_wrap: wrap,
+                        transpose_u: tr,
+                    };
+                    let inverse = Request::invert(&a)
                         .config(&cfg)
                         .submit(&cluster)
                         .unwrap()
-                        .into_inverse(),
-                );
+                        .into_inverse();
+                    results.push(inverse.as_slice().iter().map(|x| x.to_bits()).collect());
+                }
             }
         }
-    }
-    for r in &results[1..] {
-        assert!(
-            r.approx_eq(&results[0], 1e-9),
-            "optimizations must not change results beyond rounding"
-        );
+        for (i, r) in results.iter().enumerate().skip(1) {
+            assert!(
+                *r == results[0],
+                "n={n} nb={nb}: toggle combination {i} changed the inverse's bits"
+            );
+        }
     }
 }
 
