@@ -18,6 +18,19 @@
 //! local simulated cluster, or — with `--connect ADDR` — ship the same
 //! request to a running `mrinv serve` instance as tenant `--tenant`
 //! (default `cli`), sharing its factor cache with every other client.
+//! The two runs differ only in where the answer comes from: their flags
+//! are checked together before any file is read or any socket opened,
+//! one writer writes the files, and every inverse written — computed here
+//! or served — is checked against `A` on this machine (O(n³)). A flag
+//! only a local run reads (`--trace-out`, `--metrics-json`,
+//! `--metrics-prom`, `--progress`, `--checkpoint`, `--resume`,
+//! `--kill-after-job`, `--backend tcp:<n>`) is a usage error beside
+//! `--connect`.
+//!
+//! Exit codes: 2 for a usage error (a missing path, a count flag such as
+//! `--nodes` or `--nb` given 0), 1 for an I/O or computation error, 3 when
+//! an inverse's residual `max |I - A·A⁻¹|` exceeds 1e-5 (its file is
+//! still written).
 //!
 //! `--backend tcp:<n>` runs every task attempt in one of `n` real
 //! `mrinv worker` processes (spawned next to this binary as
@@ -69,9 +82,9 @@ use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::random_well_conditioned;
 use mrinv_matrix::Matrix;
 
-use crate::client::ServiceClient;
+use crate::client::{ServiceClient, ServiceReply};
 use crate::error::{CoreError, Result};
-use crate::request::{Outcome, Request};
+use crate::request::{LuFactors, Outcome, Request};
 use crate::service::{ServerHandle, ServiceConfig};
 use crate::{Checkpoint, InversionConfig, RunId, RunReport};
 
@@ -135,6 +148,22 @@ impl Opts {
         }
     }
 
+    /// The first flag given that only a local run reads, if any.
+    fn local_only_flag(&self) -> Option<&'static str> {
+        [
+            ("--trace-out", self.trace_out.is_some()),
+            ("--metrics-json", self.metrics_json.is_some()),
+            ("--metrics-prom", self.metrics_prom.is_some()),
+            ("--progress", self.progress),
+            ("--checkpoint", self.checkpoint),
+            ("--resume", self.resume),
+            ("--kill-after-job", self.kill_after.is_some()),
+            ("--backend tcp:<n>", matches!(self.backend, Backend::Tcp(_))),
+        ]
+        .into_iter()
+        .find_map(|(flag, given)| given.then_some(flag))
+    }
+
     /// Applies the run-placement flags to a request.
     fn place<'a>(&self, req: Request<'a>, run: &RunId) -> Request<'a> {
         match self.mode() {
@@ -150,6 +179,17 @@ fn usage() -> ! {
         "usage:\n  mrinv invert --input a.txt --output inv.txt [--nodes N] [--nb NB] [--backend in-process|tcp:W] [--trace-out T.json] [--metrics-json M.json] [--metrics-prom M.prom] [--progress] [--workdir DIR] [--checkpoint] [--resume] [--kill-after-job K] [--connect ADDR --tenant NAME]\n  mrinv lu --input a.txt --l l.txt --u u.txt [same flags as invert]\n  mrinv solve --input a.txt --rhs b.txt --output x.txt [same flags as invert]\n  mrinv gen --order N --output a.txt [--seed S]\n  mrinv serve [--listen ADDR] [--nodes N] [--max-queue Q]\n  mrinv worker --connect <addr> --worker-id <n>"
     );
     exit(2)
+}
+
+/// A count flag's value: a usage error unless it is a number, and exit 2
+/// with a reason when it is 0.
+fn at_least_one(flag: &str, value: &str) -> usize {
+    let n = value.parse().unwrap_or_else(|_| usage());
+    if n == 0 {
+        eprintln!("mrinv: {flag} must be at least 1");
+        exit(2);
+    }
+    n
 }
 
 fn parse(args: Vec<String>) -> Opts {
@@ -193,14 +233,8 @@ fn parse(args: Vec<String>) -> Opts {
             "--metrics-json" => opts.metrics_json = Some(val()),
             "--metrics-prom" => opts.metrics_prom = Some(val()),
             "--progress" => opts.progress = true,
-            "--nodes" => opts.nodes = val().parse().unwrap_or_else(|_| usage()),
-            "--nb" => {
-                opts.nb = val().parse().unwrap_or_else(|_| usage());
-                if opts.nb == 0 {
-                    eprintln!("mrinv: --nb must be at least 1");
-                    exit(2);
-                }
-            }
+            "--nodes" => opts.nodes = at_least_one("--nodes", &val()),
+            "--nb" => opts.nb = at_least_one("--nb", &val()),
             "--order" => opts.order = val().parse().unwrap_or_else(|_| usage()),
             "--seed" => opts.seed = val().parse().unwrap_or_else(|_| usage()),
             "--workdir" => opts.workdir = val(),
@@ -217,7 +251,7 @@ fn parse(args: Vec<String>) -> Opts {
                 opts.backend = match v.as_str() {
                     "in-process" => Backend::InProcess,
                     tcp if tcp.starts_with("tcp:") => {
-                        Backend::Tcp(tcp[4..].parse().unwrap_or_else(|_| usage()))
+                        Backend::Tcp(at_least_one("--backend tcp:<n>", &tcp[4..]))
                     }
                     _ => usage(),
                 };
@@ -294,10 +328,6 @@ fn build_cluster(opts: &Opts) -> Cluster {
     }
     let mut cluster = Cluster::new(cfg);
     if let Backend::Tcp(workers) = opts.backend {
-        if workers == 0 {
-            eprintln!("mrinv: --backend tcp:<n> needs at least one worker");
-            exit(2);
-        }
         // The worker binary ships alongside this one.
         let worker_bin = std::env::current_exe()
             .map(|p| p.with_file_name("mrinv-worker"))
@@ -338,18 +368,15 @@ fn retry_after_kill(
     }
 }
 
-/// One-line checkpoint-restore summary for resumed runs.
-fn report_restored(report: &RunReport) {
+/// Prints a finished local run's restore, cost-model and straggler lines,
+/// and emits its opt-in machine-readable outputs.
+fn emit_observability(opts: &Opts, cluster: &Cluster, report: &RunReport) {
     if report.restored_jobs > 0 {
         eprintln!(
             "  resumed from manifest: {} job(s) restored, {:.1} simulated s saved",
             report.restored_jobs, report.restored_sim_secs
         );
     }
-}
-
-/// Emits the opt-in machine-readable outputs for a finished run.
-fn emit_observability(opts: &Opts, cluster: &Cluster, report: &RunReport) {
     if let Some(path) = &opts.trace_out {
         let json = chrome_trace_json(&cluster.trace.events());
         write_output(path, &json, "chrome trace");
@@ -411,153 +438,161 @@ fn run_serve(opts: &Opts) {
     }
 }
 
-/// Routes a compute subcommand to a remote `mrinv serve` instance.
-fn run_remote(opts: &Opts, addr: &str) {
-    let a = opts
-        .input
-        .as_deref()
-        .map(read_matrix)
-        .unwrap_or_else(|| usage());
-    let cfg = opts.config_for(&a);
-    let mut client = ServiceClient::connect(addr, &opts.tenant).unwrap_or_else(|e| {
-        eprintln!("mrinv: {e}");
-        exit(1)
-    });
-    let reply = match opts.command.as_str() {
-        "invert" => client.invert(&a, &cfg),
-        "lu" => client.lu(&a, &cfg),
-        "solve" => {
-            let rhs = opts
-                .rhs
-                .as_deref()
-                .map(read_matrix)
-                .unwrap_or_else(|| usage());
-            client.solve(&a, &rhs_columns(&rhs), &cfg)
-        }
-        _ => usage(),
-    };
-    let reply = reply.unwrap_or_else(|e| {
-        eprintln!("mrinv: {e}");
-        exit(1)
-    });
-    eprintln!(
-        "mrinv: served by {addr} as tenant {}: {} jobs, {:.1} simulated s{}",
-        opts.tenant,
-        reply.jobs,
-        reply.sim_secs,
-        if reply.cache_hit {
-            " (factor-cache hit)"
-        } else {
-            ""
-        }
-    );
-    match opts.command.as_str() {
-        "invert" => {
-            let output = opts.output.as_deref().unwrap_or_else(|| usage());
-            let inverse = reply.inverse.as_ref().unwrap_or_else(|| {
-                eprintln!("mrinv: server returned no inverse");
-                exit(1)
-            });
-            write_matrix(output, inverse);
-        }
-        "lu" => {
-            let (Some(l_out), Some(u_out)) = (&opts.l_out, &opts.u_out) else {
-                usage()
-            };
-            let f = reply.factors.as_ref().unwrap_or_else(|| {
-                eprintln!("mrinv: server returned no factors");
-                exit(1)
-            });
-            write_matrix(l_out, &f.l);
-            write_matrix(u_out, &f.u);
-        }
-        "solve" => {
-            let output = opts.output.as_deref().unwrap_or_else(|| usage());
-            write_matrix(output, &solutions_matrix(&reply.solutions));
-        }
-        _ => unreachable!(),
-    }
-}
-
-/// What differs between the local compute subcommands: the request they
+/// What differs between the compute subcommands: the request they
 /// build, the files they write, and one line of the summary.
 #[derive(Clone, Copy)]
-enum LocalOp<'a> {
+enum ComputeOp<'a> {
     Invert { output: &'a str },
     Lu { l_out: &'a str, u_out: &'a str },
     Solve { rhs: &'a str, output: &'a str },
 }
 
-/// Runs a compute subcommand on a local simulated cluster.
-fn run_local(opts: &Opts) {
-    // Every path the subcommand needs, before any file is read.
+/// Where a compute subcommand's answer came from.
+enum Answer {
+    /// [`Request::submit`] on a local cluster, whose trace and metrics the
+    /// observability flags write.
+    Local(Box<(Cluster, Outcome)>),
+    /// A `mrinv serve` instance.
+    Remote(ServiceReply),
+}
+
+impl Answer {
+    /// The answer's inverse, factors and solutions (each op fills one),
+    /// and the pipeline jobs and simulated seconds it cost.
+    fn parts(&self) -> (Option<&Matrix>, Option<&LuFactors>, &[Vec<f64>], u64, f64) {
+        match self {
+            Answer::Local(local) => {
+                let (out, report) = (&local.1, &local.1.report);
+                (
+                    out.inverse(),
+                    out.factors(),
+                    out.solutions(),
+                    report.jobs,
+                    report.sim_secs,
+                )
+            }
+            Answer::Remote(r) => (
+                r.inverse.as_ref(),
+                r.factors.as_ref(),
+                &r.solutions,
+                r.jobs,
+                r.sim_secs,
+            ),
+        }
+    }
+}
+
+/// The compute subcommand the flags ask for, and its input: every path it
+/// needs, checked before any file is read or any socket opened.
+fn compute_op(opts: &Opts) -> (ComputeOp<'_>, &str) {
     let flags = (&opts.output, &opts.l_out, &opts.u_out, &opts.rhs);
-    let (op, failed) = match (opts.command.as_str(), flags) {
-        ("invert", (Some(output), ..)) => (LocalOp::Invert { output }, "inversion"),
-        ("lu", (_, Some(l_out), Some(u_out), _)) => (LocalOp::Lu { l_out, u_out }, "decomposition"),
-        ("solve", (Some(output), _, _, Some(rhs))) => (LocalOp::Solve { rhs, output }, "solve"),
+    let op = match (opts.command.as_str(), flags) {
+        ("invert", (Some(output), ..)) => ComputeOp::Invert { output },
+        ("lu", (_, Some(l_out), Some(u_out), _)) => ComputeOp::Lu { l_out, u_out },
+        ("solve", (Some(output), _, _, Some(rhs))) => ComputeOp::Solve { rhs, output },
         _ => usage(),
     };
-    let a = read_matrix(opts.input.as_deref().unwrap_or_else(|| usage()));
+    if let (Some(_), Some(flag)) = (&opts.connect, opts.local_only_flag()) {
+        eprintln!("mrinv: {flag} applies to a local run; it cannot be combined with --connect");
+        exit(2);
+    }
+    (op, opts.input.as_deref().unwrap_or_else(|| usage()))
+}
+
+/// Runs a compute subcommand on a local simulated cluster, or on the
+/// `mrinv serve` instance at `--connect`, then writes its answer and, for
+/// an inverse, checks the residual.
+fn run_compute(opts: &Opts) {
+    let (op, input) = compute_op(opts);
+    let failed = match op {
+        ComputeOp::Invert { .. } => "inversion",
+        ComputeOp::Lu { .. } => "decomposition",
+        ComputeOp::Solve { .. } => "solve",
+    };
+    let a = read_matrix(input);
     let rhs = match op {
-        LocalOp::Solve { rhs, .. } => rhs_columns(&read_matrix(rhs)),
+        ComputeOp::Solve { rhs, .. } => rhs_columns(&read_matrix(rhs)),
         _ => Vec::new(),
     };
-    let cluster = build_cluster(opts);
     let cfg = opts.config_for(&a);
-    let run = RunId::new(&opts.workdir);
-    let request = || {
-        let request = match op {
-            LocalOp::Invert { .. } => Request::invert(&a),
-            LocalOp::Lu { .. } => Request::lu(&a),
-            LocalOp::Solve { .. } => Request::solve(&a).rhs_all(rhs.iter().cloned()),
-        };
-        request.config(&cfg)
-    };
-    let result = retry_after_kill(opts.place(request(), &run).submit(&cluster), opts, || {
-        request().resume(&run).submit(&cluster)
-    });
-    let out = result.unwrap_or_else(|e| {
+    let fail = |e: CoreError| -> ! {
         eprintln!("mrinv: {failed} failed: {e}");
         exit(1)
-    });
-    let (rows, cols, report) = (a.rows(), a.cols(), &out.report);
+    };
+    let (answer, origin) = match &opts.connect {
+        None => {
+            let cluster = build_cluster(opts);
+            let run = RunId::new(&opts.workdir);
+            let request = || {
+                let request = match op {
+                    ComputeOp::Invert { .. } => Request::invert(&a),
+                    ComputeOp::Lu { .. } => Request::lu(&a),
+                    ComputeOp::Solve { .. } => Request::solve(&a).rhs_all(rhs.iter().cloned()),
+                };
+                request.config(&cfg)
+            };
+            let result =
+                retry_after_kill(opts.place(request(), &run).submit(&cluster), opts, || {
+                    request().resume(&run).submit(&cluster)
+                });
+            let out = result.unwrap_or_else(|e| fail(e));
+            let origin = format!("on {} simulated nodes", opts.nodes);
+            (Answer::Local(Box::new((cluster, out))), origin)
+        }
+        Some(addr) => {
+            let mut client = ServiceClient::connect(addr, &opts.tenant).unwrap_or_else(|e| {
+                eprintln!("mrinv: {e}");
+                exit(1)
+            });
+            let reply = match op {
+                ComputeOp::Invert { .. } => client.invert(&a, &cfg),
+                ComputeOp::Lu { .. } => client.lu(&a, &cfg),
+                ComputeOp::Solve { .. } => client.solve(&a, &rhs, &cfg),
+            };
+            let reply = reply.unwrap_or_else(|e| fail(e));
+            let hit = reply.cache_hit.then_some(" (factor-cache hit)");
+            let origin = format!("by {addr} as tenant {}{}", opts.tenant, hit.unwrap_or(""));
+            (Answer::Remote(reply), origin)
+        }
+    };
+    let missing = |what: &str| -> ! {
+        eprintln!("mrinv: the answer holds no {what}");
+        exit(1)
+    };
+    let (rows, cols) = (a.rows(), a.cols());
+    let (inverse, factors, solutions, jobs, sim_secs) = answer.parts();
     let mut residual = None;
     match op {
-        LocalOp::Invert { output } => {
-            let inverse = out.inverse().expect("invert outcome");
+        ComputeOp::Invert { output } => {
+            let inverse = inverse.unwrap_or_else(|| missing("inverse"));
+            // Checked here for every inverse written, wherever it came from.
             residual = Some(inversion_residual(&a, inverse).unwrap_or(f64::NAN));
             write_matrix(output, inverse);
-            eprintln!(
-                "inverted {rows}x{cols} on {} simulated nodes: {} jobs, {:.1} simulated s",
-                opts.nodes, report.jobs, report.sim_secs
-            );
+            eprintln!("inverted {rows}x{cols} {origin}: {jobs} jobs, {sim_secs:.1} simulated s");
         }
-        LocalOp::Lu { l_out, u_out } => {
-            let f = out.factors().expect("lu outcome");
+        ComputeOp::Lu { l_out, u_out } => {
+            let f = factors.unwrap_or_else(|| missing("factors"));
             write_matrix(l_out, &f.l);
             write_matrix(u_out, &f.u);
             eprintln!(
-                "decomposed {rows}x{cols}: {} jobs; P stored implicitly (PA = LU), S = {:?}...",
-                report.jobs,
+                "decomposed {rows}x{cols} {origin}: {jobs} jobs; P stored implicitly (PA = LU), S = {:?}...",
                 &f.perm.as_slice()[..f.perm.len().min(8)]
             );
         }
-        LocalOp::Solve { output, .. } => {
-            write_matrix(output, &solutions_matrix(out.solutions()));
+        ComputeOp::Solve { output, .. } => {
+            write_matrix(output, &solutions_matrix(solutions));
             eprintln!(
-                "solved {} right-hand side(s) against {rows}x{cols}: {} jobs, {:.1} simulated s",
-                out.solutions().len(),
-                report.jobs,
-                report.sim_secs
+                "solved {} right-hand side(s) against {rows}x{cols} {origin}: {jobs} jobs, {sim_secs:.1} simulated s",
+                solutions.len()
             );
         }
     }
-    report_restored(report);
     if let Some(res) = residual {
         eprintln!("max |I - A*A^-1| = {res:.3e} (paper threshold 1e-5)");
     }
-    emit_observability(opts, &cluster, report);
+    if let Answer::Local(local) = &answer {
+        emit_observability(opts, &local.0, &local.1.report);
+    }
     if residual.is_some_and(|res| res.is_nan() || res >= 1e-5) {
         eprintln!("mrinv: WARNING: residual exceeds the accuracy threshold");
         exit(3);
@@ -617,10 +652,7 @@ pub fn run(args: Vec<String>) -> i32 {
             write_matrix(output, &a);
             eprintln!("wrote a well-conditioned {order}x{order} matrix to {output}");
         }
-        "invert" | "lu" | "solve" => match &opts.connect {
-            Some(addr) => run_remote(&opts, addr),
-            None => run_local(&opts),
-        },
+        "invert" | "lu" | "solve" => run_compute(&opts),
         "serve" => run_serve(&opts),
         "worker" => return serve_worker(opts.connect, opts.worker_id),
         _ => usage(),

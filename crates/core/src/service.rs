@@ -116,23 +116,24 @@
 //! sequential run would, so concurrent clients get bit-identical bytes
 //! to back-to-back requests.
 //!
-//! # Admission control, fairness, batching
+//! # Admission control and fairness
 //!
 //! Each tenant owns a bounded FIFO queue
 //! ([`ServiceConfig::max_queue_per_tenant`]); a request arriving at a
 //! full queue is rejected immediately rather than admitted and starved.
 //! The executor drains queues tenant-round-robin, so one tenant
 //! submitting a thousand requests cannot lock out another submitting
-//! one. When the executor picks a `solve`, it also drains every other
-//! queued `solve` with the same cache key (any tenant) and serves the
-//! whole batch from a single factorization + substitution pass.
+//! one. Every queued job is one request and gets one answer: the
+//! executor submits it through [`Request::submit`], which probes the
+//! cache first, so a job queued behind the one that factors its matrix
+//! is answered from that factorization, as a cache hit that runs no job.
 //!
 //! # One key, bounded series
 //!
 //! [`cache_key`] reads every word of the matrix once (a 128-bit digest,
 //! see [`crate::cache`]), so a full request computes it exactly once, on
-//! arrival; the handler's cache probe, the queued job, solve batching, the
-//! executor's submit and the name it admits all carry that [`CacheKey`].
+//! arrival; the handler's cache probe, the queued job, the executor's
+//! submit and the name it admits all carry that [`CacheKey`].
 //! A named request hashes nothing: its key was computed at admission. The
 //! service's metric series are keyed by tenant and operation only — there
 //! is no per-request label — so a long-running server's series count is
@@ -141,7 +142,6 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -356,10 +356,8 @@ pub(crate) fn encode_request<'a>(
 /// What a response frame says.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Reply<'o> {
-    /// A served outcome, the solutions that are this request's own (a
-    /// batched solve shares its outcome), and the name the request
-    /// admitted, if it did.
-    Served(&'o Outcome, &'o [Vec<f64>], Option<Name>),
+    /// A served outcome, and the name the request admitted, if it did.
+    Served(&'o Outcome, Option<Name>),
     /// An error text.
     Failed(&'o str),
     /// The request's name is not bound on this connection: send it in
@@ -381,12 +379,13 @@ pub(crate) fn encode_response<'o>(
     id: u64,
     reply: Reply<'o>,
 ) -> [Splice<'o>; 3] {
-    let (out, solutions, error, admitted) = match reply {
-        Reply::Served(out, solutions, admitted) => (Some(out), solutions, "", admitted),
-        Reply::Failed(error) => (None, &[][..], error, None),
-        Reply::Resend => (None, &[][..], RESEND, None),
+    let (out, error, admitted) = match reply {
+        Reply::Served(out, admitted) => (Some(out), "", admitted),
+        Reply::Failed(error) => (None, error, None),
+        Reply::Resend => (None, RESEND, None),
     };
     let resend = matches!(reply, Reply::Resend);
+    let solutions = out.map_or(&[][..], Outcome::solutions);
     let inverse = out.and_then(Outcome::inverse);
     let factors = out.and_then(Outcome::factors);
     let (l, u) = (factors.map(|f| &f.l), factors.map(|f| &f.u));
@@ -695,9 +694,8 @@ type ServerNames = Names<(String, Name, InversionConfig), Bound>;
 
 /// How the handler answers one request.
 enum Verdict {
-    /// A served outcome, the range of its solutions that are this
-    /// request's, and the name the request admitted.
-    Served(Arc<Outcome>, Range<usize>, Option<Name>),
+    /// A served outcome, and the name the request admitted.
+    Served(Box<Outcome>, Option<Name>),
     /// An error text.
     Failed(String),
     /// The request's name is not bound here.
@@ -715,10 +713,8 @@ struct QueuedJob {
     resp: mpsc::Sender<Answer>,
 }
 
-/// What a served request's reply is written from: the outcome (shared by a
-/// batch of solves) and the range of its solutions that are this request's,
-/// or the error text.
-type Answer = std::result::Result<(Arc<Outcome>, Range<usize>), String>;
+/// What a request's reply is written from: its outcome, or the error text.
+type Answer = std::result::Result<Outcome, String>;
 
 /// Per-tenant FIFO queues plus the round-robin draining order. A tenant
 /// has an entry in both exactly while it has a job queued, so a
@@ -750,26 +746,6 @@ impl Queues {
             self.rr.push_back(tenant);
         }
         job
-    }
-
-    /// Drains every queued solve sharing `key` (any tenant) for batching.
-    fn drain_matching_solves(&mut self, key: CacheKey) -> Vec<QueuedJob> {
-        let mut batch = Vec::new();
-        for q in self.tenants.values_mut() {
-            let mut keep = VecDeque::with_capacity(q.len());
-            for job in q.drain(..) {
-                if job.op == Op::Solve && job.key == key {
-                    batch.push(job);
-                } else {
-                    keep.push_back(job);
-                }
-            }
-            *q = keep;
-        }
-        self.tenants.retain(|_, q| !q.is_empty());
-        let tenants = &self.tenants;
-        self.rr.retain(|tenant| tenants.contains_key(tenant));
-        batch
     }
 
     fn pending(&self, tenant: &str) -> usize {
@@ -986,9 +962,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
         };
         frame.clear();
         let reply = match &verdict {
-            Verdict::Served(out, mine, admitted) => {
-                Reply::Served(out, &out.solutions()[mine.clone()], *admitted)
-            }
+            Verdict::Served(out, admitted) => Reply::Served(out, *admitted),
             Verdict::Failed(message) => Reply::Failed(message),
             Verdict::Resend => Reply::Resend,
         };
@@ -1013,17 +987,17 @@ fn serve_request(shared: &Arc<Shared>, req: RequestView<'_>, names: &mut ServerN
         Ok(a) => a,
         Err(e) => return Verdict::Failed(format!("bad matrix: {e}")),
     };
-    // Hashed once: the probe here, the executor's lookup, the run it files,
-    // solve batching and the name it admits all use this key.
+    // Hashed once: the probe here, the executor's lookup, the run it files
+    // and the name it admits all use this key.
     let key = cache_key(&a, &cfg, &shared.cluster);
     match serve_full(shared, &req.tenant, op, a, req.rhs, &cfg, key) {
-        Ok((out, mine)) => {
+        Ok(out) => {
             let admitted = out.entry().map(|entry| {
                 let bound = (key, entry.clone());
                 names.insert((req.tenant, key.name(), cfg), bound);
                 key.name()
             });
-            Verdict::Served(out, mine, admitted)
+            Verdict::Served(Box::new(out), admitted)
         }
         Err(message) => Verdict::Failed(message),
     }
@@ -1053,8 +1027,7 @@ fn serve_named(
     match named.submit_cached_only(&shared.cluster) {
         Ok(Some(out)) => {
             shared.note_served(tenant, op, &out);
-            let all = 0..out.solutions().len();
-            Verdict::Served(Arc::new(out), all, None)
+            Verdict::Served(Box::new(out), None)
         }
         Ok(None) => {
             names.forget(this);
@@ -1082,8 +1055,7 @@ fn serve_full(
         Err(e) => return Err(e.to_string()),
         Ok(Some(out)) => {
             shared.note_served(tenant, op, &out);
-            let all = 0..out.solutions().len();
-            return Ok((Arc::new(out), all));
+            return Ok(out);
         }
         Ok(None) => {}
     }
@@ -1138,14 +1110,13 @@ fn build_request<'a>(
         .keyed(key)
 }
 
-/// The single pipeline executor: pops jobs tenant-round-robin, batches
-/// same-key solves, runs each cold pipeline alone, answers through the
-/// jobs' channels.
+/// The single pipeline executor: pops jobs tenant-round-robin, runs each
+/// alone, answers each through its own channel.
 fn executor_loop(shared: &Arc<Shared>) {
     loop {
-        let (job, batch) = {
+        let job = {
             let mut queues = shared.queues.lock().expect("queues lock");
-            let job = loop {
+            loop {
                 if let Some(job) = queues.pop() {
                     break job;
                 }
@@ -1153,15 +1124,9 @@ fn executor_loop(shared: &Arc<Shared>) {
                     return;
                 }
                 queues = shared.work.wait(queues).expect("queues lock");
-            };
-            let batch = if job.op == Op::Solve {
-                queues.drain_matching_solves(job.key)
-            } else {
-                Vec::new()
-            };
-            (job, batch)
+            }
         };
-        execute_batch(shared, job, batch);
+        execute(shared, job);
         if shared.shutdown.load(Ordering::SeqCst) {
             // Fail whatever is still queued rather than leaving handler
             // threads blocked on their channels.
@@ -1177,23 +1142,11 @@ fn executor_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Runs `job` (plus any batched same-key solves) through one pipeline /
-/// substitution pass and answers every participant with the shared
-/// outcome and the range of its own solutions.
-fn execute_batch(shared: &Arc<Shared>, mut job: QueuedJob, mut batch: Vec<QueuedJob>) {
-    // Merge the batch's right-hand sides behind the leader's, remembering
-    // each participant's range.
-    let mut rhs = std::mem::take(&mut job.rhs);
-    let mut ranges = Vec::with_capacity(1 + batch.len());
-    ranges.push(0..rhs.len());
-    for follower in &mut batch {
-        let start = rhs.len();
-        rhs.append(&mut follower.rhs);
-        ranges.push(start..rhs.len());
-    }
-
+/// Submits `job`: a cache hit if a job before it filed its matrix, a
+/// pipeline run otherwise. A panic is answered as an error.
+fn execute(shared: &Arc<Shared>, job: QueuedJob) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        build_request(shared, job.key, &job.a, job.op, &rhs, &job.cfg).submit(&shared.cluster)
+        build_request(shared, job.key, &job.a, job.op, &job.rhs, &job.cfg).submit(&shared.cluster)
     }));
     let outcome = match outcome {
         Ok(result) => result,
@@ -1201,23 +1154,14 @@ fn execute_batch(shared: &Arc<Shared>, mut job: QueuedJob, mut batch: Vec<Queued
             "request panicked in the pipeline executor".to_string(),
         )),
     };
-
-    let members = std::iter::once(&job).chain(batch.iter());
-    match outcome {
+    let answer = match outcome {
         Ok(out) => {
-            let out = Arc::new(out);
-            for (member, mine) in members.zip(ranges) {
-                shared.note_served(&member.tenant, member.op, &out);
-                let _ = member.resp.send(Ok((out.clone(), mine)));
-            }
+            shared.note_served(&job.tenant, job.op, &out);
+            Ok(out)
         }
-        Err(e) => {
-            let message = e.to_string();
-            for member in members {
-                let _ = member.resp.send(Err(message.clone()));
-            }
-        }
-    }
+        Err(e) => Err(e.to_string()),
+    };
+    let _ = job.resp.send(answer);
 }
 
 #[cfg(test)]
@@ -1262,31 +1206,21 @@ mod tests {
         read_frame(&mut wire.as_slice()).unwrap().1
     }
 
-    /// A key standing for the `k`-th distinct matrix.
-    fn key(k: u64) -> CacheKey {
-        CacheKey {
-            order: 2,
-            digest: [k, 0],
-            config: 0,
-        }
-    }
-
-    /// A queued job on the `k`-th distinct matrix, told apart from the
-    /// others by [`id`].
-    fn job(tenant: &str, id: u64, op: Op, k: u64) -> (QueuedJob, mpsc::Receiver<Answer>) {
-        let (tx, rx) = mpsc::channel();
-        (
-            QueuedJob {
-                tenant: tenant.to_string(),
-                op,
-                a: Matrix::from_vec(1, 1, vec![id as f64]).unwrap(),
-                rhs: Vec::new(),
-                cfg: InversionConfig::with_nb(1),
-                key: key(k),
-                resp: tx,
+    /// A queued invert, told apart from the others by [`id`].
+    fn job(tenant: &str, id: u64) -> QueuedJob {
+        QueuedJob {
+            tenant: tenant.to_string(),
+            op: Op::Invert,
+            a: Matrix::from_vec(1, 1, vec![id as f64]).unwrap(),
+            rhs: Vec::new(),
+            cfg: InversionConfig::with_nb(1),
+            key: CacheKey {
+                order: 1,
+                digest: [id, 0],
+                config: 0,
             },
-            rx,
-        )
+            resp: mpsc::channel().0,
+        }
     }
 
     /// The `id` a test [`job`] was made with.
@@ -1298,9 +1232,9 @@ mod tests {
     fn queues_drain_round_robin_across_tenants() {
         let mut q = Queues::default();
         for i in 0..3 {
-            q.push(job("alice", i, Op::Invert, 0).0);
+            q.push(job("alice", i));
         }
-        q.push(job("bob", 10, Op::Invert, 0).0);
+        q.push(job("bob", 10));
         let order: Vec<(u64, String)> = std::iter::from_fn(|| q.pop())
             .map(|j| (id(&j), j.tenant))
             .collect();
@@ -1316,38 +1250,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn solve_batching_drains_same_key_only() {
-        let mut q = Queues::default();
-        q.push(job("a", 1, Op::Solve, 42).0);
-        q.push(job("b", 2, Op::Solve, 42).0);
-        q.push(job("b", 3, Op::Solve, 7).0);
-        q.push(job("c", 4, Op::Invert, 42).0);
-        let leader = q.pop().unwrap();
-        assert_eq!(id(&leader), 1);
-        let batch = q.drain_matching_solves(key(42));
-        assert_eq!(batch.len(), 1);
-        assert_eq!(id(&batch[0]), 2);
-        // The different-key solve and the invert stay queued.
-        let rest: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|j| id(&j)).collect();
-        assert_eq!(rest.len(), 2);
-        assert!(rest.contains(&3) && rest.contains(&4));
-    }
-
-    /// A drained tenant leaves nothing behind, whichever way its queue
-    /// emptied: popped by the executor or batch-drained behind a leader.
+    /// A tenant the executor drained leaves nothing behind.
     #[test]
     fn drained_tenants_leave_no_queue_behind() {
         let mut q = Queues::default();
         for i in 0..1000u64 {
             let tenant = format!("tenant-{i}");
-            if i % 2 == 0 {
-                q.push(job(&tenant, i, Op::Invert, 0).0);
-                assert_eq!(q.pop().map(|j| id(&j)), Some(i));
-            } else {
-                q.push(job(&tenant, i, Op::Solve, i).0);
-                assert_eq!(q.drain_matching_solves(key(i)).len(), 1);
-            }
+            q.push(job(&tenant, i));
+            assert_eq!(q.pop().map(|j| id(&j)), Some(i));
             assert_eq!(q.pending(&tenant), 0);
         }
         assert!(
@@ -1561,20 +1471,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The response codec writes exactly what `bincode::serialize` gives
-        /// the `WireResponse` of the same outcome — inverse, factors, a
-        /// batch member's slice of the solutions, cold or from the cache —
-        /// or of the same error, and the client's view reads every
+        /// the `WireResponse` of the same outcome — inverse, factors,
+        /// solutions, cold or from the cache — or of the same error, and the client's view reads every
         /// struct-serialized response, legacy byte arrays included, back to
         /// the same fields.
         #[test]
         fn response_frames_are_the_structs_bytes(
-            (n, nb, op, k, seed, (from, take), hit, id, error) in (
+            (n, nb, op, k, seed, hit, id, error) in (
                 1usize..9,
                 1usize..9,
                 0usize..3,
                 0usize..4,
                 any::<u64>(),
-                (0usize..4, 0usize..4),
                 any::<bool>(),
                 any::<u64>(),
                 "[a-z é]{0,24}",
@@ -1594,8 +1502,6 @@ mod tests {
                 out = run();
                 prop_assert_eq!(out.cache, CacheStatus::Hit);
             }
-            let start = from.min(k);
-            let mine = &out.solutions()[start..start + take.min(k - start)];
             let factors = out.factors();
             let served = WireResponse {
                 id,
@@ -1608,13 +1514,13 @@ mod tests {
                 perm: factors.map_or(Vec::new(), |f| {
                     f.perm.as_slice().iter().map(|&s| s as u64).collect()
                 }),
-                solutions: mine.to_vec(),
+                solutions: out.solutions().to_vec(),
                 jobs: out.report.jobs,
                 sim_secs: out.report.sim_secs,
             };
             let failed = WireResponse::err(id, error.clone());
             let replies = [
-                (Reply::Served(&out, mine, None), &served),
+                (Reply::Served(&out, None), &served),
                 (Reply::Failed(error.as_str()), &failed),
             ];
             for (reply, reference) in replies {
@@ -1688,8 +1594,8 @@ mod tests {
             .submit(&cluster)
             .unwrap();
         for (reply, admitted, resend) in [
-            (Reply::Served(&out, &[], Some(name)), Some(name), false),
-            (Reply::Served(&out, &[], None), None, false),
+            (Reply::Served(&out, Some(name)), Some(name), false),
+            (Reply::Served(&out, None), None, false),
             (Reply::Failed("no"), None, false),
             (Reply::Resend, None, true),
         ] {
@@ -1714,7 +1620,7 @@ mod tests {
         for request in [Request::invert, Request::lu] {
             let out = request(&a).nb(16).cache(&cache).submit(&cluster).unwrap();
             let mut frame = Vec::new();
-            let splices = encode_response(&mut frame, 1, Reply::Served(&out, &[], None));
+            let splices = encode_response(&mut frame, 1, Reply::Served(&out, None));
             assert!(frame.len() < 1024, "{} bytes in the buffer", frame.len());
             let lent = [
                 out.inverse(),

@@ -8,6 +8,8 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,9 +17,10 @@ use std::time::Duration;
 use mrinv::client::ServiceClient;
 use mrinv::service::{ServerHandle, ServiceConfig, WireOp, WireRequest, WireResponse};
 use mrinv::{CacheStatus, FactorCache, InversionConfig, Optimizations, Request};
+use mrinv_mapreduce::obs::Labels;
 use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel};
-use mrinv_matrix::io::{encode_binary, encode_binary_vec};
+use mrinv_matrix::io::{encode_binary, encode_binary_vec, encode_text};
 use mrinv_matrix::random::random_well_conditioned;
 use mrinv_matrix::Matrix;
 use proptest::prelude::*;
@@ -441,12 +444,13 @@ fn the_client_reads_an_inverse_in_the_pre_tag9_shape() {
 }
 
 /// Cold solves of one never-seen matrix, sent from several connections
-/// while a cold invert occupies the executor, are served as one batch: one
-/// factorization, one substitution pass over every member's right-hand
-/// sides. Each reply carries that member's solutions and no one else's,
-/// bit-identical to a solo `Request::solve`.
+/// while a cold invert occupies the executor, share one factorization:
+/// every one of them queues, the first the executor reaches runs the
+/// pipeline, and each of the others is answered from the entry it filed —
+/// a cache hit with no job, counted as one. Each reply carries that
+/// member's own solutions, bit-identical to a solo `Request::solve`.
 #[test]
-fn batched_cold_solves_each_get_their_own_solutions() {
+fn same_key_cold_solves_share_one_factorization() {
     const MEMBERS: usize = 4;
     let cluster = Arc::new(unit_cluster());
     let handle = ServerHandle::start(cluster.clone(), ServiceConfig::default()).unwrap();
@@ -454,8 +458,7 @@ fn batched_cold_solves_each_get_their_own_solutions() {
     let busy = random_well_conditioned(768, 37);
     let a = random_well_conditioned(24, 41);
     let cfg = InversionConfig::with_nb(6);
-    // Member i sends i + 1 right-hand sides, so every slice has its own
-    // start and length.
+    // Member i sends i + 1 right-hand sides.
     let rhs: Vec<Vec<Vec<f64>>> = (0..MEMBERS)
         .map(|i| (0..=i).map(|j| rhs_for(10 * i + j, 24)).collect())
         .collect();
@@ -508,10 +511,26 @@ fn batched_cold_solves_each_get_their_own_solutions() {
             .map(|x| x.iter().map(|f| f.to_bits()).collect())
             .collect()
     };
+    let cold: Vec<usize> = (0..MEMBERS).filter(|&i| !replies[i].cache_hit).collect();
+    assert_eq!(cold.len(), 1, "members {cold:?} ran a pipeline");
+    let counted = |name: &str, i: usize| {
+        let labels = Labels::new()
+            .tenant(format!("member-{i}"))
+            .task_kind("solve");
+        cluster.metrics.obs().counter(name, &labels).get()
+    };
     for (i, reply) in replies.iter().enumerate() {
-        assert!(
-            !reply.cache_hit && reply.jobs > 0,
-            "member {i} was served alone, not in the batch"
+        assert_eq!(reply.jobs > 0, !reply.cache_hit, "member {i}");
+        let hit = u64::from(reply.cache_hit);
+        assert_eq!(
+            counted("mrinv_service_cache_hits_total", i),
+            hit,
+            "member {i}"
+        );
+        assert_eq!(
+            counted("mrinv_service_cache_misses_total", i),
+            1 - hit,
+            "member {i}"
         );
         assert_eq!(bits(&reply.solutions), bits(&solo[i]), "member {i}");
     }
@@ -946,4 +965,208 @@ fn a_server_that_never_admits_never_receives_a_name() {
     }
     drop(client);
     assert_eq!(old_server.join().unwrap(), 3);
+}
+
+// ---- `mrinv --connect`: the CLI's remote runs --------------------------
+
+/// The `mrinv` binary of this package.
+const MRINV: &str = env!("CARGO_BIN_EXE_mrinv");
+
+/// A fresh directory holding `a.txt` (n = 64) and `b.txt` (two
+/// right-hand sides) for one CLI test.
+fn cli_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mrinv-cli-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = random_well_conditioned(64, 43);
+    let b = Matrix::from_vec(64, 2, (0..128).map(|k| k as f64 - 60.0).collect()).unwrap();
+    std::fs::write(dir.join("a.txt"), encode_text(&a)).unwrap();
+    std::fs::write(dir.join("b.txt"), encode_text(&b)).unwrap();
+    dir
+}
+
+/// Runs `mrinv args` in `dir`: its exit code and its stderr.
+fn mrinv(dir: &Path, args: &[&str]) -> (i32, String) {
+    let out = Command::new(MRINV)
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code().unwrap_or(-1), stderr)
+}
+
+/// A remote run's flags are checked before anything is read or sent: an
+/// invert with no `--output` is a usage error the server never sees.
+#[test]
+fn a_remote_run_missing_its_output_is_refused_before_it_is_sent() {
+    let handle = start_server(ServiceConfig::default());
+    let addr = handle.addr().to_string();
+    let dir = cli_dir("no-output");
+    let (code, stderr) = mrinv(&dir, &["invert", "--connect", &addr, "--input", "a.txt"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert_eq!(handle.served(), 0, "the request reached the server");
+    assert!(stderr.starts_with("usage:"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `invert`, `lu` and `solve` write the same bytes computed here or served,
+/// and a served inverse is checked on the client like a local one — with
+/// no claim about the server's node count.
+#[test]
+fn remote_runs_write_the_bytes_local_runs_write() {
+    let handle = start_server(ServiceConfig::default());
+    let addr = handle.addr().to_string();
+    let dir = cli_dir("same-bytes");
+    let runs: [&[&str]; 3] = [
+        &["invert", "--output", "x.txt"],
+        &["lu", "--l", "l.txt", "--u", "u.txt"],
+        &["solve", "--rhs", "../b.txt", "--output", "x.txt"],
+    ];
+    for run in runs {
+        let outputs = run
+            .iter()
+            .filter(|a| a.ends_with(".txt") && !a.starts_with("../"));
+        let mut written = Vec::new();
+        for side in ["local", "remote"] {
+            let side_dir = dir.join(side);
+            let _ = std::fs::remove_dir_all(&side_dir);
+            std::fs::create_dir(&side_dir).unwrap();
+            let mut args = run.to_vec();
+            args.extend(["--input", "../a.txt", "--nb", "16"]);
+            if side == "remote" {
+                args.extend(["--connect", addr.as_str()]);
+            }
+            let (code, stderr) = mrinv(&side_dir, &args);
+            assert_eq!(code, 0, "{run:?} ({side}): {stderr}");
+            if run[0] == "invert" {
+                assert!(stderr.contains("max |I - A*A^-1| = "), "{stderr}");
+            }
+            let claims_nodes = stderr.contains("simulated nodes");
+            assert_eq!(claims_nodes, side == "local", "{run:?} ({side}): {stderr}");
+            let files = outputs
+                .clone()
+                .map(|f| std::fs::read(side_dir.join(f)).unwrap());
+            written.push(files.collect::<Vec<_>>());
+        }
+        assert!(written[0].iter().all(|bytes| !bytes.is_empty()));
+        assert_eq!(
+            written[0], written[1],
+            "{run:?}: local and served files differ"
+        );
+    }
+    assert_eq!(handle.served(), 3);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A wrong inverse from a server is caught by the client's residual check:
+/// the file is written, and the run exits 3.
+#[test]
+fn a_wrong_served_inverse_exits_3() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let liar = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut body = Vec::new();
+        assert_eq!(read_frame(&mut stream, &mut body).unwrap(), TAG_REQUEST);
+        let response = WireResponse {
+            id: bincode::deserialize::<WireRequest>(&body).unwrap().id,
+            ok: true,
+            error: String::new(),
+            cache_hit: true,
+            inverse: encode_binary_vec(&Matrix::identity(64)),
+            l: Vec::new(),
+            u: Vec::new(),
+            perm: Vec::new(),
+            solutions: Vec::new(),
+            jobs: 0,
+            sim_secs: 0.0,
+        };
+        write_frame(&mut stream, TAG_RESPONSE, &bincode::serialize(&response)).unwrap();
+    });
+    let dir = cli_dir("wrong-inverse");
+    let args = [
+        "invert",
+        "--connect",
+        &addr,
+        "--input",
+        "a.txt",
+        "--output",
+        "x.txt",
+    ];
+    let (code, stderr) = mrinv(&dir, &args);
+    liar.join().unwrap();
+    assert_eq!(code, 3, "{stderr}");
+    assert!(stderr.contains("residual exceeds"), "{stderr}");
+    assert!(dir.join("x.txt").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every flag only a local run reads is a usage error beside `--connect`,
+/// before the input is read or the server asked.
+#[test]
+fn local_only_flags_are_refused_beside_connect() {
+    let handle = start_server(ServiceConfig::default());
+    let addr = handle.addr().to_string();
+    let dir = cli_dir("local-only");
+    let flags: [&[&str]; 8] = [
+        &["--trace-out", "t.json"],
+        &["--metrics-json", "m.json"],
+        &["--metrics-prom", "m.prom"],
+        &["--progress"],
+        &["--checkpoint"],
+        &["--resume"],
+        &["--kill-after-job", "1"],
+        &["--backend", "tcp:2"],
+    ];
+    for flag in flags {
+        let mut args = vec!["invert", "--connect", &addr, "--input", "a.txt"];
+        args.extend(["--output", "x.txt"]);
+        args.extend(flag);
+        let (code, stderr) = mrinv(&dir, &args);
+        assert_eq!(code, 2, "{flag:?}: {stderr}");
+        assert!(stderr.contains(flag[0]), "{flag:?}: {stderr}");
+        assert!(!dir.join("x.txt").exists(), "{flag:?} wrote an output");
+    }
+    assert_eq!(handle.served(), 0, "a refused run reached the server");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `--nodes 0` is a usage error for a compute subcommand and for `serve`,
+/// as `--nb 0` is; neither runs nor listens.
+#[test]
+fn zero_nodes_is_a_usage_error() {
+    let dir = cli_dir("zero-nodes");
+    let args = [
+        "invert", "--input", "a.txt", "--output", "x.txt", "--nodes", "0",
+    ];
+    let (code, stderr) = mrinv(&dir, &args);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("--nodes must be at least 1"), "{stderr}");
+    assert!(!dir.join("x.txt").exists());
+
+    let mut serve = Command::new(MRINV)
+        .args(["serve", "--listen", "127.0.0.1:0", "--nodes", "0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = serve.try_wait().unwrap() {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = serve.kill();
+            let _ = serve.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(
+        status.and_then(|s| s.code()),
+        Some(2),
+        "serve --nodes 0 ran"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
