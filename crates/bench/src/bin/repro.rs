@@ -29,7 +29,7 @@
 //!   obs-check  quick observability gate: a traced n=64/nb=4 inversion
 //!              must export valid Prometheus text and a cost-model audit
 //!              that runs every planned job with every stage in its band,
-//!              and leave only its factor forest and RESULT/ live in the DFS
+//!              and leave only its factor forest live in the DFS
 //!   gemm-par-check ordering gate: on >= 2 cores with >= 2 effective pool
 //!              threads, packed-parallel GEMM must not be slower than
 //!              packed-serial at n >= 256 (skips on single-core boxes)
@@ -676,14 +676,14 @@ fn run_obs_check(_args: &Args) {
     println!("-> {path}");
 
     // What a finished invert holds in the DFS: its factor forest (leaf
-    // `l.bin` / `u.bin`, each level's `L2/` and `U2/` stripes) and
-    // `RESULT/`. Every intermediate file was released; the peak was not
-    // every byte ever written. Both are counts: they repeat exactly.
+    // `l.bin` / `u.bin`, each level's `L2/` and `U2/` stripes). Every
+    // intermediate file, `RESULT/` included, was released; the peak was
+    // not every byte ever written. Both are counts: they repeat exactly.
     let dfs = &cluster.dfs;
     let product = |p: &String| {
         p.ends_with("/l.bin")
             || p.ends_with("/u.bin")
-            || ["/L2/", "/U2/", "/RESULT/"].iter().any(|d| p.contains(d))
+            || ["/L2/", "/U2/"].iter().any(|d| p.contains(d))
     };
     let products: u64 = (dfs.list(&out.report.workdir).iter())
         .filter(|p| product(p))
@@ -700,7 +700,7 @@ fn run_obs_check(_args: &Args) {
     ) {
         (Some(live), Some(peak), Some(written)) => {
             println!(
-                "dfs live bytes: {live} (factor forest + RESULT/: {products}), peak {peak} of {written} written"
+                "dfs live bytes: {live} (factor forest: {products}), peak {peak} of {written} written"
             );
             if live != products as f64 || peak >= written {
                 println!("dfs live bytes WRONG: an intermediate file outlived its last reader");

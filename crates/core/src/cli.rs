@@ -28,7 +28,8 @@
 //! `--connect`.
 //!
 //! Exit codes: 2 for a usage error (a missing path, a count flag such as
-//! `--nodes` or `--nb` given 0), 1 for an I/O or computation error, 3 when
+//! `--nodes` or `--nb` given 0, a flag the subcommand does not read, such
+//! as `serve --backend tcp:<n>`), 1 for an I/O or computation error, 3 when
 //! an inverse's residual `max |I - A·A⁻¹|` exceeds 1e-5 (its file is
 //! still written).
 //!
@@ -192,6 +193,42 @@ fn at_least_one(flag: &str, value: &str) -> usize {
     n
 }
 
+/// The flags every compute subcommand (`invert`, `lu`, `solve`) reads.
+const COMPUTE_FLAGS: [&str; 14] = [
+    "--input",
+    "--nodes",
+    "--nb",
+    "--backend",
+    "--trace-out",
+    "--metrics-json",
+    "--metrics-prom",
+    "--progress",
+    "--workdir",
+    "--checkpoint",
+    "--resume",
+    "--kill-after-job",
+    "--connect",
+    "--tenant",
+];
+
+/// The flags `command` reads; a usage error for an unknown subcommand.
+/// `serve` reads no `--backend`: its cluster runs tasks in-process.
+fn flags_read_by(command: &str) -> Vec<&'static str> {
+    let compute = |own: &[&'static str]| [&COMPUTE_FLAGS[..], own].concat();
+    match command {
+        "invert" => compute(&["--output"]),
+        "lu" => compute(&["--l", "--u"]),
+        "solve" => compute(&["--rhs", "--output"]),
+        "gen" => vec!["--order", "--output", "--seed"],
+        "serve" => vec!["--listen", "--nodes", "--max-queue"],
+        "worker" => vec!["--connect", "--worker-id"],
+        _ => usage(),
+    }
+}
+
+/// Parses the command line. A flag the subcommand does not read is a
+/// usage error (exit 2), refused before any file is read or any port
+/// bound, so a mistyped run never silently drops what was asked of it.
 fn parse(args: Vec<String>) -> Opts {
     let mut opts = Opts {
         command: String::new(),
@@ -221,6 +258,7 @@ fn parse(args: Vec<String>) -> Opts {
     };
     let mut it = args.into_iter();
     opts.command = it.next().unwrap_or_else(|| usage());
+    let reads = flags_read_by(&opts.command);
     while let Some(arg) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage());
         match arg.as_str() {
@@ -257,6 +295,10 @@ fn parse(args: Vec<String>) -> Opts {
                 };
             }
             _ => usage(),
+        }
+        if !reads.contains(&arg.as_str()) {
+            eprintln!("mrinv: {arg} does not apply to {}", opts.command);
+            exit(2);
         }
     }
     opts

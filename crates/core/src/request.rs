@@ -818,15 +818,13 @@ mod tests {
     }
 
     /// The files a finished run keeps: the factor forest its cache entry
-    /// names, plus `RESULT/` for an invert. Asserts that the run's
-    /// directory holds exactly those and returns their total size.
+    /// names, for every op (an invert's `RESULT/` is released once the
+    /// master has assembled it). Asserts that the run's directory holds
+    /// exactly those and returns their total size.
     fn kept_bytes(c: &Cluster, cache: &FactorCache, key: CacheKey, out: &Outcome) -> u64 {
         let entry = cache.lookup(key, false, &c.dfs, false).expect("cached");
         let workdir = &out.report.workdir;
-        let results = c.dfs.list(&format!("{workdir}/RESULT"));
-        assert_eq!(results.is_empty(), out.op() != Op::Invert, "{workdir}");
-        let mut expect: BTreeSet<String> = entry.factors.paths().into_iter().collect();
-        expect.extend(results);
+        let expect: BTreeSet<String> = entry.factors.paths().into_iter().collect();
         let held: BTreeSet<String> = c.dfs.list(workdir).into_iter().collect();
         assert_eq!(held, expect, "{:?} {workdir}", out.op());
         held.iter().map(|p| c.dfs.len(p).unwrap()).sum()

@@ -545,11 +545,11 @@ impl Reducer for TriInvReducer {
 /// Runs the final inversion job over decomposed factors, returning the
 /// assembled `A^-1`.
 ///
-/// The `INV/` vectors are released once the job commits. The result
-/// remains in the DFS under `<dir>/RESULT/` for downstream consumers (the
-/// paper's Hadoop-workflow motivation); the in-memory
-/// assembly here is an API convenience and is not charged to the simulated
-/// clock.
+/// The `INV/` vectors are released once the job commits, and the
+/// `<dir>/RESULT/` cells once the master has assembled them: the returned
+/// matrix is the one copy of the inverse a plain run keeps. A checkpointed
+/// run keeps both, for a resume. The assembly is not charged to the
+/// simulated clock.
 pub fn invert_factors_mr(
     driver: &mut PipelineDriver<'_>,
     factors: &FactorRef,
@@ -595,8 +595,11 @@ pub fn invert_factors_mr(
     });
     driver.release(inv_files.map(|(path, _)| path));
 
-    // Assemble the final matrix from the RESULT files (uncharged).
-    layout.read_result(&mut TaskIo::new(cluster.dfs.clone()))
+    // Assemble the final matrix from the RESULT files (uncharged); the
+    // master is their last reader.
+    let inverse = layout.read_result(&mut TaskIo::new(cluster.dfs.clone()))?;
+    driver.release((0..layout.num_cells()).map(|cell| layout.result_path(cell)));
+    Ok(inverse)
 }
 
 #[cfg(test)]

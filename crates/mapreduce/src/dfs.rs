@@ -20,8 +20,9 @@
 //! reads it has committed: the partition tree, each level's `B` cells and
 //! the final job's triangular inverses are released by the module that
 //! named them (`PipelineDriver::release`, a no-op in checkpointed runs,
-//! whose manifest promises every output to a resume). What a request
-//! leaves behind is its factor forest and, for an invert, `RESULT/`. The
+//! whose manifest promises every output to a resume), and the final job's
+//! `RESULT/` once the master has assembled the inverse from it. What a
+//! request leaves behind is its factor forest. The
 //! live-bytes gauge ([`Dfs::live_bytes`], [`Dfs::live_bytes_peak`]) tracks
 //! what is held: every write adds its length and subtracts the length of
 //! the file it overwrites, every delete subtracts. It is not an I/O

@@ -1,7 +1,7 @@
 //! End-to-end integration: the full MapReduce inversion pipeline against
 //! the paper's correctness and structure claims.
 
-use mrinv::{InversionConfig, Optimizations, Request};
+use mrinv::{InversionConfig, Optimizations, Request, RunId};
 use mrinv_mapreduce::scheduler::{plan_wave, PlannedTask, WaveFaults};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel};
 use mrinv_matrix::norms::inversion_residual;
@@ -129,33 +129,34 @@ fn optimization_toggles_preserve_numerics_exactly() {
 }
 
 #[test]
-fn dfs_retains_result_files_for_downstream_jobs() {
-    // The paper's motivation: the inverse stays in HDFS for the next
-    // MapReduce job in the workflow.
-    let cluster = unit_cluster(4);
+fn a_plain_invert_keeps_its_factors_and_releases_result() {
+    // The assembled inverse is the one copy a plain run keeps: once the
+    // master has read `RESULT/`, nothing reads it again. The factor forest
+    // (separate intermediate files) stays for the cache and later solves.
     let a = random_well_conditioned(32, 3);
-    let _ = Request::invert(&a)
-        .config(&InversionConfig::with_nb(8))
-        .submit(&cluster)
-        .unwrap();
-    let result_files: Vec<String> = cluster
-        .dfs
-        .list("")
-        .into_iter()
-        .filter(|p| p.contains("/RESULT/"))
-        .collect();
+    let cfg = InversionConfig::with_nb(8);
+    let live = |cluster: &Cluster, dir: &str| {
+        let paths = cluster.dfs.list("");
+        paths.into_iter().filter(|p| p.contains(dir)).count()
+    };
+    let cluster = unit_cluster(4);
+    Request::invert(&a).config(&cfg).submit(&cluster).unwrap();
+    assert_eq!(live(&cluster, "/RESULT/"), 0, "RESULT/ outlived its reader");
     assert!(
-        !result_files.is_empty(),
-        "RESULT files must remain in the DFS"
+        live(&cluster, "/L2/") > 0,
+        "factor stripes must remain in the DFS"
     );
-    // And the factor forest too (separate intermediate files).
-    let l2_files = cluster
-        .dfs
-        .list("")
-        .into_iter()
-        .filter(|p| p.contains("/L2/"))
-        .count();
-    assert!(l2_files > 0, "factor stripes must remain in the DFS");
+
+    // A checkpointed run keeps every output, `RESULT/` included, because
+    // its manifest promises the final job's outputs to a resume.
+    let cluster = unit_cluster(4);
+    let run = RunId::new("kept-result");
+    let checkpointed = Request::invert(&a).config(&cfg).checkpoint(&run);
+    checkpointed.submit(&cluster).unwrap();
+    assert!(
+        live(&cluster, "/RESULT/") > 0,
+        "a checkpointed run keeps RESULT/"
+    );
 }
 
 #[test]

@@ -218,6 +218,30 @@ fn cached_solve_after_warm_invert_over_the_wire() {
     );
 }
 
+/// A long-running server holds, per cold invert, only what its factor
+/// cache serves from: every live DFS byte belongs to a listed file, and
+/// no `RESULT/` file outlives the master's assembly of the inverse.
+#[test]
+fn cold_inverts_leave_no_result_files_in_the_server_dfs() {
+    let cluster = Arc::new(unit_cluster());
+    let handle = ServerHandle::start(cluster.clone(), ServiceConfig::default()).unwrap();
+    let mut client = ServiceClient::connect(&handle.addr().to_string(), "footprint").unwrap();
+    let cfg = InversionConfig::with_nb(8);
+    for seed in 0..3 {
+        let reply = client.invert(&random_well_conditioned(32, 60 + seed), &cfg);
+        assert!(!reply.unwrap().cache_hit, "cold invert {seed}");
+    }
+    let dfs = &cluster.dfs;
+    let files = dfs.list("");
+    let listed: u64 = files.iter().map(|p| dfs.len(p).unwrap()).sum();
+    assert_eq!(dfs.live_bytes(), listed);
+    let results: Vec<_> = files.iter().filter(|p| p.contains("/RESULT/")).collect();
+    assert!(
+        results.is_empty(),
+        "RESULT/ outlived its reader: {results:?}"
+    );
+}
+
 /// A running server's metric series are keyed by (tenant, operation), so
 /// traffic from a known tenant adds none: 200 warm requests leave the
 /// registry's series count where the first few requests put it.
@@ -996,6 +1020,35 @@ fn mrinv(dir: &Path, args: &[&str]) -> (i32, String) {
     (out.status.code().unwrap_or(-1), stderr)
 }
 
+/// Runs `mrinv args` in `dir` for at most 30 s: its exit code (`None` if
+/// it was still running and was killed) and its stderr. For commands that
+/// block, such as `serve`, when they fail to refuse their arguments.
+fn mrinv_within(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(MRINV)
+        .args(args)
+        .current_dir(dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    let mut pipe = child.stderr.take().unwrap();
+    pipe.read_to_string(&mut stderr).unwrap();
+    (status.and_then(|s| s.code()), stderr)
+}
+
 /// A remote run's flags are checked before anything is read or sent: an
 /// invert with no `--output` is a usage error the server never sees.
 #[test]
@@ -1145,28 +1198,45 @@ fn zero_nodes_is_a_usage_error() {
     assert!(stderr.contains("--nodes must be at least 1"), "{stderr}");
     assert!(!dir.join("x.txt").exists());
 
-    let mut serve = Command::new(MRINV)
-        .args(["serve", "--listen", "127.0.0.1:0", "--nodes", "0"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = serve.try_wait().unwrap() {
-            break Some(status);
+    let (code, _) = mrinv_within(&dir, &["serve", "--listen", "127.0.0.1:0", "--nodes", "0"]);
+    assert_eq!(code, Some(2), "serve --nodes 0 ran");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A flag the subcommand does not read is a usage error naming it, before
+/// any file is read or written or any port bound: `serve` no longer
+/// listens past a `--trace-out` it would never write, nor `gen` and
+/// `invert` run past flags that belong to another subcommand.
+#[test]
+fn flags_a_subcommand_does_not_read_are_refused() {
+    let dir = cli_dir("foreign-flags");
+    let serve = ["serve", "--listen", "127.0.0.1:0"];
+    let gen = ["gen", "--order", "4", "--output", "x.txt"];
+    let invert = ["invert", "--input", "a.txt", "--output", "x.txt"];
+    let cases: [(&[&str], &[&str]); 13] = [
+        (&serve, &["--trace-out", "t.json"]),
+        (&serve, &["--checkpoint"]),
+        (&serve, &["--nb", "7"]),
+        (&serve, &["--input", "nothere.txt"]),
+        (&serve, &["--backend", "tcp:2"]),
+        (&serve, &["--output", "x.txt"]),
+        (&gen, &["--nb", "4"]),
+        (&gen, &["--listen", "1.2.3.4:5"]),
+        (&gen, &["--max-queue", "3"]),
+        (&invert, &["--listen", "1.2.3.4:5"]),
+        (&invert, &["--max-queue", "3"]),
+        (&invert, &["--seed", "9"]),
+        (&invert, &["--order", "77"]),
+    ];
+    for (base, flag) in cases {
+        let args = [base, flag].concat();
+        let (code, stderr) = mrinv_within(&dir, &args);
+        assert_eq!(code, Some(2), "{args:?} was not refused: {stderr}");
+        let reason = format!("mrinv: {} does not apply to {}", flag[0], base[0]);
+        assert!(stderr.contains(&reason), "{args:?}: {stderr}");
+        for out in ["x.txt", "t.json"] {
+            assert!(!dir.join(out).exists(), "{args:?} wrote {out}");
         }
-        if std::time::Instant::now() > deadline {
-            let _ = serve.kill();
-            let _ = serve.wait();
-            break None;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    assert_eq!(
-        status.and_then(|s| s.code()),
-        Some(2),
-        "serve --nodes 0 ran"
-    );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
