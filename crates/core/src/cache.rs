@@ -5,23 +5,23 @@
 //! makes that pattern first-class: a successful pipeline run primes the
 //! cache with its `FactorRef` file forest (plus the inverse, for invert
 //! runs), and any later [`crate::Request`] for the *same* matrix under
-//! the *same* configuration is served straight from those files — zero
+//! the *same* block bound `nb` is served straight from those files — zero
 //! MapReduce jobs, zero simulated seconds.
 //!
 //! # Key semantics
 //!
-//! The key ([`CacheKey`], from [`cache_key`]) covers everything that
-//! determines the factor bytes: the matrix order and a 128-bit digest of
-//! its contents, and a fingerprint of the block bound `nb`, the
-//! optimization toggles and the cluster partition geometry (`m0`, `m_l`,
-//! `m_u`, block-wrap grid). The entries are keyed by the whole value, so
-//! a hit has compared all of it. It deliberately **excludes** the run
-//! directory — unlike the checkpoint manifest's `run_fingerprint`, which
-//! includes `plan.root` so a resume can't restore another run's files,
-//! the cache exists precisely to share factors *across* runs.
-//! Determinism makes that sound: a pipeline run is a pure function of
-//! (matrix, config, geometry), so two runs with equal keys would have
-//! produced bit-identical factor files.
+//! The key ([`CacheKey`], from [`cache_key`]) is the matrix order, a
+//! 128-bit digest of its contents, and the block bound `nb`: for the
+//! process's kernel backend a run is a pure function of (matrix, `nb`).
+//! The geometry, cost profile, §6 toggles and execution backend only
+//! place and store the pieces; `tests/reference_bits.rs` pins the
+//! pipeline to `inmem::invert_block`'s and `block_lu`'s bits across all
+//! of them. So a hit serves any geometry or toggles, reading through the
+//! entry's own `FactorRef` layout, and the map compares the whole key.
+//! The run directory is left out too: the checkpoint manifest's
+//! `run_fingerprint` covers it, the geometry and the toggles, because a
+//! resume restores that run's files; the cache shares factors *across*
+//! runs.
 //!
 //! The digest hashes the matrix's `f64` words as their bits, in one pass
 //! and with no intermediate buffer, so `+0.0` / `-0.0` and distinct NaN
@@ -56,9 +56,9 @@
 //! exists, a shared service trusts its tenants.
 //!
 //! The service names a matrix by the matrix half of its key — order and
-//! digest, a `Name` — once a connection has sent it in full; a named
-//! request is answered from the one entry the name was admitted against
-//! (see [`crate::service`]).
+//! digest, a `Name` — once a connection has sent it in full. A name binds
+//! per tenant and `nb`, and a named request is answered from the one entry
+//! the name was admitted against (see [`crate::service`]).
 //!
 //! # Invalidation
 //!
@@ -88,44 +88,36 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use mrinv_mapreduce::{Cluster, Dfs, Fingerprint, TaskIo};
+use mrinv_mapreduce::{Cluster, Dfs, TaskIo};
 use mrinv_matrix::Matrix;
 use parking_lot::Mutex;
 
 use crate::config::InversionConfig;
 use crate::error::Result;
 use crate::factors::FactorRef;
-use crate::inverse::push_run_config;
-use crate::partition::PartitionPlan;
 use crate::request::LuFactors;
 
-/// The [`FactorCache`] key of one (matrix, config, cluster geometry)
-/// triple; see "Key semantics" in the module docs.
+/// The [`FactorCache`] key of one (matrix, `nb`) pair; see "Key
+/// semantics" in the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
     /// Matrix order.
     pub(crate) order: usize,
     /// The two halves of the matrix words' digest.
     pub(crate) digest: [u64; 2],
-    /// The manifest fingerprint of the geometry and toggles.
-    pub(crate) config: u64,
+    /// The block bound.
+    pub(crate) nb: usize,
 }
 
-/// Cache key for a (matrix, config, cluster-geometry) triple.
-///
-/// The matrix part is its order and a 128-bit digest of its words; the
-/// rest is the manifest [`Fingerprint`] of the run configuration without
-/// the run directory. The key is identical across run directories and
-/// processes, and changes when any matrix entry, `nb`, optimization
-/// toggle, or partition-geometry parameter changes.
-pub fn cache_key(a: &Matrix, cfg: &InversionConfig, cluster: &Cluster) -> CacheKey {
-    // The plan root does not affect geometry; an empty root keeps the key
-    // workdir-independent.
-    let plan = PartitionPlan::new(a.rows(), cluster, cfg, "");
+/// Cache key for matrix `a` under `cfg`: its order, a 128-bit digest of
+/// its words, and `cfg.nb`, the same across run directories, processes
+/// and clusters (see "Key semantics"). `cluster` is unread; the parameter
+/// stays so existing callers, the `e2e` harness among them, keep theirs.
+pub fn cache_key(a: &Matrix, cfg: &InversionConfig, _cluster: &Cluster) -> CacheKey {
     CacheKey {
         order: a.rows(),
         digest: digest(a.as_slice()),
-        config: push_run_config(Fingerprint::new(), &plan, &cfg.opts).finish(),
+        nb: cfg.nb,
     }
 }
 
@@ -140,7 +132,7 @@ impl CacheKey {
     }
 }
 
-/// The [`Name`] every key of `a` has, whatever the configuration.
+/// The [`Name`] every key of `a` has, whatever its `nb`.
 pub(crate) fn name_of(a: &Matrix) -> Name {
     let [d0, d1] = digest(a.as_slice());
     [a.rows() as u64, d0, d1]
@@ -453,6 +445,7 @@ impl FactorCache {
 mod tests {
     use super::*;
     use crate::config::Optimizations;
+    use mrinv_mapreduce::ClusterConfig;
     use mrinv_matrix::io::encode_binary;
     use mrinv_matrix::random::{random_matrix, random_unit_lower, random_upper};
     use mrinv_matrix::Permutation;
@@ -463,7 +456,7 @@ mod tests {
         CacheKey {
             order: 6,
             digest: [k, 0],
-            config: 0,
+            nb: 2,
         }
     }
 
@@ -587,24 +580,33 @@ mod tests {
         );
     }
 
-    /// The order, `nb`, each optimization toggle and the node count (which
-    /// sets `m0`, `m_l`, `m_u` and the block-wrap grid) each change the key.
+    /// The order, `nb` and every word change the key; the optimization
+    /// toggles and the node count (which sets `m0`, `m_l`, `m_u` and the
+    /// block-wrap grid) do not, since no bit of the answer moves with them
+    /// (`tests/reference_bits.rs`).
     #[test]
-    fn key_covers_order_nb_toggles_and_geometry() {
+    fn key_covers_order_nb_and_words_only() {
         let four = Cluster::medium(4);
         let words = random_matrix(4, 4, 11).into_vec();
         let a = Matrix::from_vec(4, 4, words.clone()).unwrap();
         let base = InversionConfig::with_nb(2);
-        let toggled = |flip: fn(&mut Optimizations)| {
-            let mut cfg = base.clone();
-            flip(&mut cfg.opts);
-            cfg
-        };
+        let mut flipped = a.clone();
+        flipped[(3, 1)] = f64::from_bits(a[(3, 1)].to_bits() ^ 1);
         let keys = [
             cache_key(&a, &base, &four),
             // The same words as a different order.
             cache_key(&Matrix::from_vec(2, 8, words).unwrap(), &base, &four),
             cache_key(&a, &InversionConfig::with_nb(3), &four),
+            cache_key(&flipped, &base, &four),
+        ];
+        assert_eq!(BTreeSet::from(keys).len(), keys.len(), "{keys:#?}");
+
+        let toggled = |flip: fn(&mut Optimizations)| {
+            let mut cfg = base.clone();
+            flip(&mut cfg.opts);
+            cfg
+        };
+        let same = [
             cache_key(
                 &a,
                 &toggled(|o| o.separate_intermediate_files ^= true),
@@ -612,9 +614,11 @@ mod tests {
             ),
             cache_key(&a, &toggled(|o| o.block_wrap ^= true), &four),
             cache_key(&a, &toggled(|o| o.transpose_u ^= true), &four),
+            cache_key(&a, &toggled(|o| *o = Optimizations::none()), &four),
             cache_key(&a, &base, &Cluster::medium(2)),
+            cache_key(&a, &base, &Cluster::new(ClusterConfig::large(8))),
         ];
-        assert_eq!(BTreeSet::from(keys).len(), keys.len(), "{keys:#?}");
+        assert!(same.iter().all(|k| *k == keys[0]), "{same:#?}");
     }
 
     /// What does not shape the factors does not enter the key: a cluster
@@ -660,7 +664,7 @@ mod tests {
         let first = CacheKey {
             order: 6,
             digest: [99, 1],
-            config: 5,
+            nb: 5,
         };
         let second = CacheKey {
             digest: [99, 2],

@@ -4,8 +4,7 @@
 //! mrinv invert --input a.txt --output inv.txt [--nodes 4] [--nb 200]
 //!              [--backend in-process|tcp:<n>] [--trace-out trace.json] [--metrics-json metrics.json]
 //!              [--metrics-prom metrics.prom] [--progress]
-//!              [--workdir DIR] [--checkpoint] [--resume] [--kill-after-job K]
-//!              [--connect ADDR --tenant NAME]
+//!              [--connect ADDR [--tenant NAME]]
 //! mrinv lu     --input a.txt --l l.txt --u u.txt [same flags as invert]
 //! mrinv solve  --input a.txt --rhs b.txt --output x.txt [same flags]
 //! mrinv gen    --order 512 --output a.txt [--seed 42]
@@ -23,15 +22,14 @@
 //! one writer writes the files, and every inverse written — computed here
 //! or served — is checked against `A` on this machine (O(n³)). A flag
 //! only a local run reads (`--trace-out`, `--metrics-json`,
-//! `--metrics-prom`, `--progress`, `--checkpoint`, `--resume`,
-//! `--kill-after-job`, `--backend tcp:<n>`) is a usage error beside
-//! `--connect`.
+//! `--metrics-prom`, `--progress`, `--backend tcp:<n>`) is a usage error
+//! beside `--connect`, and `--tenant` is one without it.
 //!
 //! Exit codes: 2 for a usage error (a missing path, a count flag such as
-//! `--nodes` or `--nb` given 0, a flag the subcommand does not read, such
-//! as `serve --backend tcp:<n>`), 1 for an I/O or computation error, 3 when
-//! an inverse's residual `max |I - A·A⁻¹|` exceeds 1e-5 (its file is
-//! still written).
+//! `--nodes` or `--nb` given 0, an unknown flag, a flag the subcommand does
+//! not read, such as `serve --backend tcp:<n>`), 1 for an I/O or
+//! computation error, 3 when an inverse's residual `max |I - A·A⁻¹|`
+//! exceeds 1e-5 (its file is still written).
 //!
 //! `--backend tcp:<n>` runs every task attempt in one of `n` real
 //! `mrinv worker` processes (spawned next to this binary as
@@ -60,11 +58,10 @@
 //! kernel engine's per-backend perf counters. `--progress` prints a live
 //! one-line jobs/ETA meter to stderr while the pipeline runs.
 //!
-//! `--checkpoint` records a job manifest under `--workdir` so a killed
-//! pipeline can be resumed with `--resume`. The DFS is in-memory, so the
-//! crash/resume demo is single-process: `--checkpoint --kill-after-job K
-//! --resume` kills the driver after K jobs and then resumes from the
-//! manifest in the same invocation.
+//! The DFS is in-memory and dies with the process, so the CLI has no
+//! checkpoint or resume flags: nothing a run could record would outlive
+//! it. [`Request::checkpoint`] and [`Request::resume`] are the library's,
+//! and `repro resume` demonstrates them.
 //!
 //! `serve` starts the multi-tenant inversion service
 //! ([`crate::service`]) on `--listen` and blocks; `worker` is the TCP
@@ -75,19 +72,17 @@
 use std::process::exit;
 use std::sync::Arc;
 
-use mrinv_mapreduce::{
-    chrome_trace_json, Cluster, ClusterConfig, MrError, TcpWorkers, TcpWorkersConfig,
-};
+use mrinv_mapreduce::{chrome_trace_json, Cluster, ClusterConfig, TcpWorkers, TcpWorkersConfig};
 use mrinv_matrix::io::{decode_text, write_text};
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::random_well_conditioned;
 use mrinv_matrix::Matrix;
 
 use crate::client::{ServiceClient, ServiceReply};
-use crate::error::{CoreError, Result};
+use crate::error::CoreError;
 use crate::request::{LuFactors, Outcome, Request};
 use crate::service::{ServerHandle, ServiceConfig};
-use crate::{Checkpoint, InversionConfig, RunId, RunReport};
+use crate::{InversionConfig, RunId, RunReport};
 
 struct Opts {
     command: String,
@@ -104,13 +99,9 @@ struct Opts {
     nb: usize,
     order: usize,
     seed: u64,
-    workdir: String,
-    checkpoint: bool,
-    resume: bool,
-    kill_after: Option<u64>,
     backend: Backend,
     connect: Option<String>,
-    tenant: String,
+    tenant: Option<String>,
     listen: String,
     max_queue: usize,
     worker_id: Option<usize>,
@@ -126,20 +117,6 @@ enum Backend {
 }
 
 impl Opts {
-    /// Checkpoint mode implied by the flags: `--resume` alone replays an
-    /// existing manifest; `--checkpoint` or `--kill-after-job` record one
-    /// (the kill implies recording so the single-process crash demo has a
-    /// manifest to come back to).
-    fn mode(&self) -> Checkpoint {
-        if self.resume && self.kill_after.is_none() {
-            Checkpoint::Resume
-        } else if self.checkpoint || self.kill_after.is_some() {
-            Checkpoint::Enabled
-        } else {
-            Checkpoint::Disabled
-        }
-    }
-
     /// The inversion configuration for `a`: `--nb` (at least 1, checked
     /// in [`parse`]) capped at the matrix order.
     fn config_for(&self, a: &Matrix) -> InversionConfig {
@@ -156,28 +133,16 @@ impl Opts {
             ("--metrics-json", self.metrics_json.is_some()),
             ("--metrics-prom", self.metrics_prom.is_some()),
             ("--progress", self.progress),
-            ("--checkpoint", self.checkpoint),
-            ("--resume", self.resume),
-            ("--kill-after-job", self.kill_after.is_some()),
             ("--backend tcp:<n>", matches!(self.backend, Backend::Tcp(_))),
         ]
         .into_iter()
         .find_map(|(flag, given)| given.then_some(flag))
     }
-
-    /// Applies the run-placement flags to a request.
-    fn place<'a>(&self, req: Request<'a>, run: &RunId) -> Request<'a> {
-        match self.mode() {
-            Checkpoint::Disabled => req.workdir(run),
-            Checkpoint::Enabled => req.checkpoint(run),
-            Checkpoint::Resume => req.resume(run),
-        }
-    }
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mrinv invert --input a.txt --output inv.txt [--nodes N] [--nb NB] [--backend in-process|tcp:W] [--trace-out T.json] [--metrics-json M.json] [--metrics-prom M.prom] [--progress] [--workdir DIR] [--checkpoint] [--resume] [--kill-after-job K] [--connect ADDR --tenant NAME]\n  mrinv lu --input a.txt --l l.txt --u u.txt [same flags as invert]\n  mrinv solve --input a.txt --rhs b.txt --output x.txt [same flags as invert]\n  mrinv gen --order N --output a.txt [--seed S]\n  mrinv serve [--listen ADDR] [--nodes N] [--max-queue Q]\n  mrinv worker --connect <addr> --worker-id <n>"
+        "usage:\n  mrinv invert --input a.txt --output inv.txt [--nodes N] [--nb NB] [--backend in-process|tcp:W] [--trace-out T.json] [--metrics-json M.json] [--metrics-prom M.prom] [--progress] [--connect ADDR [--tenant NAME]]\n  mrinv lu --input a.txt --l l.txt --u u.txt [same flags as invert]\n  mrinv solve --input a.txt --rhs b.txt --output x.txt [same flags as invert]\n  mrinv gen --order N --output a.txt [--seed S]\n  mrinv serve [--listen ADDR] [--nodes N] [--max-queue Q]\n  mrinv worker --connect <addr> --worker-id <n>"
     );
     exit(2)
 }
@@ -194,7 +159,7 @@ fn at_least_one(flag: &str, value: &str) -> usize {
 }
 
 /// The flags every compute subcommand (`invert`, `lu`, `solve`) reads.
-const COMPUTE_FLAGS: [&str; 14] = [
+const COMPUTE_FLAGS: [&str; 10] = [
     "--input",
     "--nodes",
     "--nb",
@@ -203,10 +168,6 @@ const COMPUTE_FLAGS: [&str; 14] = [
     "--metrics-json",
     "--metrics-prom",
     "--progress",
-    "--workdir",
-    "--checkpoint",
-    "--resume",
-    "--kill-after-job",
     "--connect",
     "--tenant",
 ];
@@ -245,13 +206,9 @@ fn parse(args: Vec<String>) -> Opts {
         nb: 200,
         order: 0,
         seed: 42,
-        workdir: "mrinv/cli".to_string(),
-        checkpoint: false,
-        resume: false,
-        kill_after: None,
         backend: Backend::InProcess,
         connect: None,
-        tenant: "cli".to_string(),
+        tenant: None,
         listen: "127.0.0.1:0".to_string(),
         max_queue: 64,
         worker_id: None,
@@ -275,12 +232,8 @@ fn parse(args: Vec<String>) -> Opts {
             "--nb" => opts.nb = at_least_one("--nb", &val()),
             "--order" => opts.order = val().parse().unwrap_or_else(|_| usage()),
             "--seed" => opts.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--workdir" => opts.workdir = val(),
-            "--checkpoint" => opts.checkpoint = true,
-            "--resume" => opts.resume = true,
-            "--kill-after-job" => opts.kill_after = Some(val().parse().unwrap_or_else(|_| usage())),
             "--connect" => opts.connect = Some(val()),
-            "--tenant" => opts.tenant = val(),
+            "--tenant" => opts.tenant = Some(val()),
             "--listen" => opts.listen = val(),
             "--max-queue" => opts.max_queue = val().parse().unwrap_or_else(|_| usage()),
             "--worker-id" => opts.worker_id = Some(val().parse().unwrap_or_else(|_| usage())),
@@ -294,7 +247,10 @@ fn parse(args: Vec<String>) -> Opts {
                     _ => usage(),
                 };
             }
-            _ => usage(),
+            _ => {
+                eprintln!("mrinv: unknown flag {arg}");
+                usage()
+            }
         }
         if !reads.contains(&arg.as_str()) {
             eprintln!("mrinv: {arg} does not apply to {}", opts.command);
@@ -387,38 +343,12 @@ fn build_cluster(opts: &Opts) -> Cluster {
         cluster.set_registry(Arc::new(crate::exec_registry()));
         eprintln!("mrinv: tcp backend up with {workers} worker process(es)");
     }
-    if let Some(k) = opts.kill_after {
-        cluster.faults.kill_driver_after(k);
-    }
     cluster
 }
 
-/// Turns a driver kill into a resume when `--resume` was also given: the
-/// manifest left by the first attempt makes the retry a prefix restore.
-/// The kill knob fires once and disarms, so the retry runs to completion.
-fn retry_after_kill(
-    result: Result<Outcome>,
-    opts: &Opts,
-    retry: impl FnOnce() -> Result<Outcome>,
-) -> Result<Outcome> {
-    match result {
-        Err(CoreError::MapReduce(MrError::DriverKilled { after_jobs })) if opts.resume => {
-            eprintln!("mrinv: driver killed after {after_jobs} job(s); resuming from the manifest");
-            retry()
-        }
-        other => other,
-    }
-}
-
-/// Prints a finished local run's restore, cost-model and straggler lines,
-/// and emits its opt-in machine-readable outputs.
+/// Prints a finished local run's cost-model and straggler lines, and
+/// emits its opt-in machine-readable outputs.
 fn emit_observability(opts: &Opts, cluster: &Cluster, report: &RunReport) {
-    if report.restored_jobs > 0 {
-        eprintln!(
-            "  resumed from manifest: {} job(s) restored, {:.1} simulated s saved",
-            report.restored_jobs, report.restored_sim_secs
-        );
-    }
     if let Some(path) = &opts.trace_out {
         let json = chrome_trace_json(&cluster.trace.events());
         write_output(path, &json, "chrome trace");
@@ -538,6 +468,10 @@ fn compute_op(opts: &Opts) -> (ComputeOp<'_>, &str) {
         eprintln!("mrinv: {flag} applies to a local run; it cannot be combined with --connect");
         exit(2);
     }
+    if opts.connect.is_none() && opts.tenant.is_some() {
+        eprintln!("mrinv: --tenant applies to a --connect run");
+        exit(2);
+    }
     (op, opts.input.as_deref().unwrap_or_else(|| usage()))
 }
 
@@ -564,25 +498,22 @@ fn run_compute(opts: &Opts) {
     let (answer, origin) = match &opts.connect {
         None => {
             let cluster = build_cluster(opts);
-            let run = RunId::new(&opts.workdir);
-            let request = || {
-                let request = match op {
-                    ComputeOp::Invert { .. } => Request::invert(&a),
-                    ComputeOp::Lu { .. } => Request::lu(&a),
-                    ComputeOp::Solve { .. } => Request::solve(&a).rhs_all(rhs.iter().cloned()),
-                };
-                request.config(&cfg)
+            let request = match op {
+                ComputeOp::Invert { .. } => Request::invert(&a),
+                ComputeOp::Lu { .. } => Request::lu(&a),
+                ComputeOp::Solve { .. } => Request::solve(&a).rhs_all(rhs.iter().cloned()),
             };
-            let result =
-                retry_after_kill(opts.place(request(), &run).submit(&cluster), opts, || {
-                    request().resume(&run).submit(&cluster)
-                });
-            let out = result.unwrap_or_else(|e| fail(e));
+            // One fixed directory: job names (`final-inverse:mrinv/cli`) in
+            // traces and metrics read the same from run to run.
+            let run = RunId::new("mrinv/cli");
+            let out = request.config(&cfg).workdir(&run).submit(&cluster);
+            let out = out.unwrap_or_else(|e| fail(e));
             let origin = format!("on {} simulated nodes", opts.nodes);
             (Answer::Local(Box::new((cluster, out))), origin)
         }
         Some(addr) => {
-            let mut client = ServiceClient::connect(addr, &opts.tenant).unwrap_or_else(|e| {
+            let tenant = opts.tenant.as_deref().unwrap_or("cli");
+            let mut client = ServiceClient::connect(addr, tenant).unwrap_or_else(|e| {
                 eprintln!("mrinv: {e}");
                 exit(1)
             });
@@ -593,7 +524,7 @@ fn run_compute(opts: &Opts) {
             };
             let reply = reply.unwrap_or_else(|e| fail(e));
             let hit = reply.cache_hit.then_some(" (factor-cache hit)");
-            let origin = format!("by {addr} as tenant {}{}", opts.tenant, hit.unwrap_or(""));
+            let origin = format!("by {addr} as tenant {tenant}{}", hit.unwrap_or(""));
             (Answer::Remote(reply), origin)
         }
     };

@@ -20,15 +20,16 @@
 //!
 //! A client names what it already sent. Every request hashes its matrix
 //! (the cache key's digest, ~10–15 µs at n = 256); once the server has
-//! answered a full request for that matrix and configuration and echoed
-//! the same name as `admitted`, later requests for it carry the name and
-//! an empty matrix, so a warm solve moves its right-hand side and a few
-//! hundred bytes instead of the matrix. If the server answers `resend` —
-//! it no longer holds that entry, or the name fell out of its table — the
-//! client forgets the name and sends the request in full once, which
-//! admits it again. A server that never echoes `admitted` (one that
-//! predates names) is never sent a name. The client keeps at most
-//! `NAMES` (64) names, forgetting the least recently used.
+//! answered a full request for that matrix and `nb` and echoed the same
+//! name as `admitted`, later requests for it under that `nb` — whatever
+//! their optimization toggles — carry the name and an empty matrix, so a
+//! warm solve moves its right-hand side and a few hundred bytes instead of
+//! the matrix. If the server answers `resend` — it no longer holds that
+//! entry, or the name fell out of its table — the client forgets the name
+//! and sends the request in full once, which admits it again. A server
+//! that never echoes `admitted` (one that predates names) is never sent a
+//! name. The client keeps at most `NAMES` (64) names, forgetting the least
+//! recently used.
 
 use std::net::TcpStream;
 
@@ -68,9 +69,10 @@ pub struct ServiceClient {
     next_id: u64,
     /// Every request is serialized and every response read here.
     frame: Vec<u8>,
-    /// The names the server admitted for this connection, by
-    /// configuration.
-    names: Names<(Name, InversionConfig), ()>,
+    /// The names the server admitted for this connection, by block bound:
+    /// a name binds per (tenant, `nb`), and the toggles move no bit of the
+    /// answer.
+    names: Names<(Name, usize), ()>,
 }
 
 impl std::fmt::Debug for ServiceClient {
@@ -119,9 +121,9 @@ impl ServiceClient {
         self.roundtrip(WireOp::Solve, a, rhs, cfg)
     }
 
-    /// One request: by name if the server admitted this matrix and
-    /// configuration on this connection, in full otherwise — and in full
-    /// once more if the server asks for it.
+    /// One request: by name if the server admitted this matrix under this
+    /// `nb` on this connection, in full otherwise — and in full once more
+    /// if the server asks for it.
     fn roundtrip(
         &mut self,
         op: WireOp,
@@ -130,7 +132,7 @@ impl ServiceClient {
         cfg: &InversionConfig,
     ) -> Result<ServiceReply> {
         let name = name_of(a);
-        let this = |(n, c): &(Name, InversionConfig)| *n == name && c == cfg;
+        let this = |&(n, nb): &(Name, usize)| n == name && nb == cfg.nb;
         if self.names.find(this).is_some() {
             if let Some(reply) = self.exchange(op, name, Operand::Named(name), rhs, cfg)? {
                 return Ok(reply);
@@ -190,7 +192,7 @@ impl ServiceClient {
             )));
         }
         if matches!(operand, Operand::Matrix(_)) && resp.admitted == Some(name) {
-            self.names.insert((name, cfg.clone()), ());
+            self.names.insert((name, cfg.nb), ());
         }
         decode_reply(resp).map(Some)
     }

@@ -30,24 +30,16 @@ pub enum Checkpoint {
     Resume,
 }
 
-/// Fingerprint of everything that determines the pipeline's job sequence:
-/// the partition geometry and the optimization toggles. Mixed into every
-/// manifest record so a resume against a changed configuration re-runs
-/// instead of restoring stale outputs.
+/// Fingerprint of everything that determines the pipeline's job sequence
+/// and where its files live: the partition geometry, the run directory and
+/// the optimization toggles. Mixed into every manifest record so a resume
+/// against a changed configuration re-runs instead of restoring stale
+/// outputs. (The answer's bits depend on `nb` alone, which is why the
+/// factor cache keys by less; a resume restores files, whose names and
+/// layout do depend on the rest.)
 pub fn run_fingerprint(plan: &PartitionPlan, opts: &Optimizations) -> u64 {
-    push_run_config(Fingerprint::new(), plan, opts).finish()
-}
-
-/// Mixes the partition geometry, the run directory and the optimization
-/// toggles into `fp`, in the one order both [`run_fingerprint`] and
-/// [`crate::cache_key`] hash them — a new toggle pushed here reaches both.
-/// (The cache key plans under the empty root, which mixes in nothing.)
-pub(crate) fn push_run_config(
-    fp: Fingerprint,
-    plan: &PartitionPlan,
-    opts: &Optimizations,
-) -> Fingerprint {
-    fp.push_u64(plan.n as u64)
+    Fingerprint::new()
+        .push_u64(plan.n as u64)
         .push_u64(plan.nb as u64)
         .push_u64(plan.m0 as u64)
         .push_u64(plan.m_l as u64)
@@ -58,6 +50,7 @@ pub(crate) fn push_run_config(
         .push_u64(opts.separate_intermediate_files as u64)
         .push_u64(opts.block_wrap as u64)
         .push_u64(opts.transpose_u as u64)
+        .finish()
 }
 
 /// A per-cluster run directory for unpinned requests, deterministic given

@@ -44,7 +44,7 @@
 //! checks a traced run attaches to its [`RunReport`]) are private, so the compiler's
 //! `dead_code` lint is their census. A request is optionally backed by
 //! the keyed [`cache::FactorCache`] so a repeated request for the same
-//! (matrix, configuration) serves from the already-computed factor forest
+//! (matrix, nb) serves from the already-computed factor forest
 //! with zero pipeline jobs. The [`service`] module projects the same API
 //! over TCP as the multi-tenant `mrinv serve` daemon, with [`client`] as
 //! its blocking counterpart.

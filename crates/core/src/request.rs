@@ -21,8 +21,8 @@
 //! just the network projection of it. A request can pin its run directory
 //! and checkpoint mode (the crash/resume contract of the historical
 //! `invert_run`), attach right-hand sides to any operation, and attach a
-//! [`FactorCache`] so repeated requests for the same (matrix, config)
-//! skip the pipeline entirely.
+//! [`FactorCache`] so repeated requests for the same (matrix, nb) skip
+//! the pipeline entirely.
 //!
 //! A request is answered in two steps. Something produces a finished
 //! factorization — the cache finds one, or the pipeline runs one — and
@@ -233,18 +233,18 @@ impl<'a> Request<'a> {
     }
 
     /// Attaches a factor cache. A usable entry (same matrix bytes, same
-    /// configuration, same cluster geometry, all factor files still
-    /// present) short-circuits the pipeline — the cache takes precedence
-    /// over any pinned run directory or checkpoint mode. A miss runs the
-    /// pipeline and primes the cache.
+    /// `nb`, all factor files still present; the toggles and the cluster's
+    /// shape move no bit of the answer) short-circuits the pipeline — the
+    /// cache takes precedence over any pinned run directory or checkpoint
+    /// mode. A miss runs the pipeline and primes the cache.
     pub fn cache(mut self, cache: &'a FactorCache) -> Self {
         self.cache = Some(cache);
         self
     }
 
     /// Supplies the [`cache_key`] the caller already computed for this
-    /// request's matrix and configuration on the cluster it will be
-    /// submitted to, so one service request hashes its matrix once.
+    /// request's matrix and `nb`, so one service request hashes its
+    /// matrix once.
     pub(crate) fn keyed(mut self, key: CacheKey) -> Self {
         self.key = Some(key);
         self
@@ -572,6 +572,12 @@ mod tests {
         Cluster::new(cfg)
     }
 
+    /// A matrix's words as their bits, for comparisons that allow no
+    /// rounding.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn end_to_end_inversion_is_accurate() {
         let cluster = test_cluster(4);
@@ -588,7 +594,7 @@ mod tests {
         let a = random_invertible(40, 2);
         let out = Request::invert(&a).nb(10).submit(&cluster).unwrap();
         let reference = crate::inmem::invert_block(&a, 10).unwrap();
-        assert!(out.into_inverse().approx_eq(&reference, 1e-7));
+        assert_eq!(bits(&out.into_inverse()), bits(&reference));
     }
 
     #[test]
@@ -720,7 +726,6 @@ mod tests {
             .submit(&cluster)
             .unwrap()
             .into_inverse();
-        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&unopt), bits(&reference));
     }
 
@@ -1072,6 +1077,39 @@ mod tests {
         assert!(owned.approx_eq(warm1.inverse().unwrap(), 0.0));
     }
 
+    /// An entry filed by a run on 4 nodes serves a 2-node cluster over the
+    /// same DFS: the key is (matrix, nb), and a hit reads the factors
+    /// through the entry's own layout. Every product has the bits a cold
+    /// 2-node run computes.
+    #[test]
+    fn an_entry_primed_on_four_nodes_serves_a_two_node_cluster() {
+        let four = test_cluster(4);
+        let mut two = test_cluster(2);
+        two.dfs = four.dfs.clone();
+        let cache = FactorCache::new();
+        let a = random_invertible(37, 8);
+        let b: Vec<f64> = (0..37).map(|i| (i as f64 * 0.3).sin()).collect();
+        let primed = Request::invert(&a).nb(9).cache(&cache).submit(&four);
+        assert_eq!(primed.unwrap().cache, CacheStatus::Miss);
+
+        let hit = Request::invert(&a).nb(9).rhs(b.clone()).cache(&cache);
+        let hit = hit.submit(&two).unwrap();
+        assert_eq!(hit.cache, CacheStatus::Hit);
+        assert_eq!(hit.report.jobs, 0);
+        let solo = Request::invert(&a).nb(9).rhs(b.clone());
+        let solo = solo.submit(&test_cluster(2)).unwrap();
+        assert_eq!(bits(hit.inverse().unwrap()), bits(solo.inverse().unwrap()));
+        assert_eq!(hit.solutions(), solo.solutions());
+
+        let hit = Request::lu(&a).nb(9).cache(&cache).submit(&two).unwrap();
+        assert_eq!(hit.cache, CacheStatus::Hit);
+        let solo = Request::lu(&a).nb(9).submit(&test_cluster(2)).unwrap();
+        let (got, want) = (hit.into_factors(), solo.into_factors());
+        assert_eq!(got.perm, want.perm);
+        assert_eq!(bits(&got.l), bits(&want.l));
+        assert_eq!(bits(&got.u), bits(&want.u));
+    }
+
     #[test]
     fn cache_misses_on_any_perturbation() {
         let c = test_cluster(4);
@@ -1082,7 +1120,7 @@ mod tests {
         // Different nb: miss.
         let out = Request::lu(&a).nb(8).cache(&cache).submit(&c).unwrap();
         assert_eq!(out.cache, CacheStatus::Miss);
-        // Different opts: miss.
+        // Different opts: a hit, since they move no bit of the answer.
         let mut cfg = InversionConfig::with_nb(4);
         cfg.opts = Optimizations::none();
         let out = Request::lu(&a)
@@ -1090,7 +1128,7 @@ mod tests {
             .cache(&cache)
             .submit(&c)
             .unwrap();
-        assert_eq!(out.cache, CacheStatus::Miss);
+        assert_eq!(out.cache, CacheStatus::Hit);
         // Perturbed matrix: miss.
         let mut a2 = a.clone();
         a2[(0, 0)] += 1e-13;

@@ -29,20 +29,20 @@
 //! matrix half of its [`CacheKey`]. The server never takes one on trust:
 //! it admits a name only for a full request on this connection that it
 //! answered, computes the name from the matrix itself, binds it — per
-//! tenant and configuration — to the cache entry that answered (a `Weak`
-//! pointer, compared by address), and echoes it as `admitted`. The
-//! configuration half of the key is computed then, once. A later request
-//! on the connection that carries the name instead of `a` is answered
-//! from that entry, through the same lookup and answer tail as a full
-//! hit. If the key no longer finds an entry, finds a different one (it
-//! was replaced), or the entry lost a file or lacks what the operation
-//! needs, the reply is `resend` and the client sends the request in full
-//! once. A name sent on a connection, or by a tenant, that never uploaded
-//! it gets `resend` too — never an answer. The client stores a name only
-//! when the server's echo equals its own digest, so it never names a
-//! matrix to a server that predates names. Each end keeps at most
-//! `NAMES` (64) names per connection and forgets the least recently used
-//! first. The full request that admits a name is where an answer's
+//! tenant and `nb`, the rest of the key — to the cache entry that
+//! answered (a `Weak` pointer, compared by address), and echoes it as
+//! `admitted`. A later request on the connection that carries the name
+//! instead of `a`, under the same `nb` and whatever its optimization
+//! toggles, is answered from that entry, through the same lookup and
+//! answer tail as a full hit; under another `nb` it gets `resend`. If the
+//! key no longer finds an entry, finds a different one (it was replaced),
+//! or the entry lost a file or lacks what the operation needs, the reply
+//! is `resend` and the client sends the request in full once. A name sent
+//! on a connection, or by a tenant, that never uploaded it gets `resend`
+//! too — never an answer. The client stores a name only when the server's
+//! echo equals its own digest, so it never names a matrix to a server that
+//! predates names. Each end keeps at most `NAMES` (64) names per
+//! connection and forgets the least recently used first. The full request that admits a name is where an answer's
 //! certificate has one place to run.
 //!
 //! # What a frame costs
@@ -662,11 +662,11 @@ impl<K: PartialEq, V> Names<K, V> {
         }
     }
 
-    /// The value under the key `is` accepts, now the most recently used.
-    pub(crate) fn find(&mut self, is: impl Fn(&K) -> bool) -> Option<&V> {
+    /// The entry whose key `is` accepts, now the most recently used.
+    pub(crate) fn find(&mut self, is: impl Fn(&K) -> bool) -> Option<&(K, V)> {
         let i = self.entries.iter().position(|(k, _)| is(k))?;
         self.entries[i..].rotate_left(1);
-        self.entries.last().map(|(_, v)| v)
+        self.entries.last()
     }
 
     /// Files `value` under `key` as the most recently used, forgetting the
@@ -685,12 +685,9 @@ impl<K: PartialEq, V> Names<K, V> {
     }
 }
 
-/// What a name is bound to on the server's end of a connection: the key
-/// computed when it was admitted, and the entry that answered then.
-type Bound = (CacheKey, Weak<Factorization>);
-
-/// The server's table: names per tenant and configuration.
-type ServerNames = Names<(String, Name, InversionConfig), Bound>;
+/// The server's table: per tenant, the key a name was admitted under (its
+/// name and `nb`) and the entry that answered then.
+type ServerNames = Names<(String, CacheKey), Weak<Factorization>>;
 
 /// How the handler answers one request.
 enum Verdict {
@@ -993,8 +990,7 @@ fn serve_request(shared: &Arc<Shared>, req: RequestView<'_>, names: &mut ServerN
     match serve_full(shared, &req.tenant, op, a, req.rhs, &cfg, key) {
         Ok(out) => {
             let admitted = out.entry().map(|entry| {
-                let bound = (key, entry.clone());
-                names.insert((req.tenant, key.name(), cfg), bound);
+                names.insert((req.tenant, key), entry.clone());
                 key.name()
             });
             Verdict::Served(Box::new(out), admitted)
@@ -1004,9 +1000,10 @@ fn serve_request(shared: &Arc<Shared>, req: RequestView<'_>, names: &mut ServerN
 }
 
 /// Serves a named request from the entry its name is bound to under this
-/// tenant and configuration, through the same lookup and answer tail as a
-/// full hit. No binding, or a binding whose entry the cache no longer
-/// serves, is a [`Verdict::Resend`].
+/// tenant and `nb`, through the same lookup and answer tail as a full hit;
+/// the toggles need not match, as they move no bit of the answer. No
+/// binding, or a binding whose entry the cache no longer serves, is a
+/// [`Verdict::Resend`].
 fn serve_named(
     shared: &Shared,
     tenant: &str,
@@ -1016,11 +1013,11 @@ fn serve_named(
     cfg: &InversionConfig,
     names: &mut ServerNames,
 ) -> Verdict {
-    let this = |(t, n, c): &(String, Name, InversionConfig)| t == tenant && *n == name && c == cfg;
-    let Some((key, entry)) = names.find(this).cloned() else {
+    let this = |(t, k): &(String, CacheKey)| t == tenant && k.name() == name && k.nb == cfg.nb;
+    let Some(((_, key), entry)) = names.find(this) else {
         return Verdict::Resend;
     };
-    let named = Request::named(op, key, entry)
+    let named = Request::named(op, *key, entry.clone())
         .rhs_all(rhs)
         .config(cfg)
         .cache(&shared.cache);
@@ -1217,7 +1214,7 @@ mod tests {
             key: CacheKey {
                 order: 1,
                 digest: [id, 0],
-                config: 0,
+                nb: 1,
             },
             resp: mpsc::channel().0,
         }
@@ -1751,12 +1748,12 @@ mod tests {
         for k in 0..NAMES {
             names.insert(k, k * 10);
         }
-        assert_eq!(names.find(|&k| k == 0), Some(&0));
+        assert_eq!(names.find(|&k| k == 0), Some(&(0, 0)));
         names.insert(NAMES, 0);
         assert!(names.find(|&k| k == 1).is_none(), "1 was the least recent");
         assert!(names.find(|&k| k == 0).is_some(), "0 was used");
         names.insert(0, 7);
-        assert_eq!(names.find(|&k| k == 0), Some(&7));
+        assert_eq!(names.find(|&k| k == 0), Some(&(0, 7)));
         names.forget(|&k| k == 0);
         assert!(names.find(|&k| k == 0).is_none());
         assert_eq!(names.entries.len(), NAMES - 1);

@@ -846,9 +846,12 @@ mod tests {
                 let a = mrinv_matrix::random::random_well_conditioned(n, (n + nb) as u64);
                 let out = Request::invert(&a).config(&cfg).submit(&cluster).unwrap();
                 let expect = crate::inmem::invert_block(&a, nb).unwrap();
-                let diff = out.inverse().unwrap().max_abs_diff(&expect).unwrap();
+                let got = out.inverse().unwrap();
+                let diff = got.max_abs_diff(&expect).unwrap();
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert!(
-                    diff < mrinv_matrix::PAPER_ACCURACY,
+                    bits(got) == bits(&expect),
                     "n={n} nb={nb} transpose_u={transpose_u}: off by {diff}"
                 );
             }

@@ -17,6 +17,12 @@ fn unit_cluster(m0: usize) -> Cluster {
     Cluster::new(cfg)
 }
 
+/// A matrix's words as their bits: the pipeline and the in-memory block
+/// method compute the same ones (`tests/reference_bits.rs`).
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
 fn scalapack(a: &Matrix) -> ScalapackRun {
     mrinv_scalapack::invert(
         a,
@@ -43,7 +49,7 @@ fn four_implementations_agree() {
         let single = invert_single_node(&a).unwrap();
         let scal = scalapack(&a).inverse;
 
-        assert!(mr.approx_eq(&blocked, 1e-7), "MR vs block, seed {seed}");
+        assert!(bits(&mr) == bits(&blocked), "MR vs block, seed {seed}");
         assert!(
             mr.approx_eq(&single, 1e-7),
             "MR vs single-node, seed {seed}"
@@ -54,7 +60,8 @@ fn four_implementations_agree() {
 
 #[test]
 fn mr_factors_match_in_memory_block_factors() {
-    // Same split points (nb), same pivot decisions => identical factors.
+    // Same split points (nb), same pivot decisions => identical factors,
+    // bit for bit.
     let a = random_invertible(64, 9);
     let cluster = unit_cluster(4);
     let out = mrinv::Request::lu(&a)
@@ -64,8 +71,8 @@ fn mr_factors_match_in_memory_block_factors() {
         .into_factors();
     let reference = block_lu(&a, 16).unwrap();
     assert_eq!(out.perm, reference.perm, "identical pivot choices");
-    assert!(out.l.approx_eq(&reference.l, 1e-9));
-    assert!(out.u.approx_eq(&reference.u, 1e-9));
+    assert!(bits(&out.l) == bits(&reference.l), "L differs");
+    assert!(bits(&out.u) == bits(&reference.u), "U differs");
 }
 
 #[test]

@@ -579,9 +579,8 @@ fn shutdown_closes_sockets_and_is_idempotent() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The factor cache hits on an identical (matrix, config)
-    /// fingerprint, misses on any perturbation — a 1-ulp matrix nudge, a
-    /// different block bound, different optimization flags — and
+    /// The factor cache hits on an identical (matrix, nb) key, misses on a 1-ulp matrix nudge or a different block
+    /// bound, hits under different optimization flags (the same bits), and
     /// invalidates (then re-primes) when the factor files vanish from
     /// the DFS.
     #[test]
@@ -615,7 +614,16 @@ proptest! {
                 Request::lu(&a).config(&cfg2).cache(&cache).submit(&cluster).unwrap()
             }
         };
-        prop_assert_eq!(perturbed.cache, CacheStatus::Miss);
+        // Other optimization flags move no bit of the answer, so the
+        // entry the first run filed serves them.
+        let toggles_only = perturb == 2;
+        let verdict = if toggles_only { CacheStatus::Hit } else { CacheStatus::Miss };
+        prop_assert_eq!(perturbed.cache, verdict);
+        if toggles_only {
+            let (got, want) = (perturbed.factors().unwrap(), primed.factors().unwrap());
+            prop_assert_eq!(encode_binary(&got.l), encode_binary(&want.l));
+            prop_assert_eq!(encode_binary(&got.u), encode_binary(&want.u));
+        }
 
         // Deleting the priming run's DFS files kills the entry: the next
         // identical request is a miss that re-runs the pipeline.
@@ -836,7 +844,7 @@ fn a_name_answers_only_its_connection_and_tenant_and_only_while_its_entry_lives(
     // Another tenant on the same connection.
     let bob = ask_value(&mut first, &named_body(&raw_invert("bob", 3, &a, 4), &name));
     assert!(resend(&bob), "{:?}", bob.0);
-    // The same tenant under another configuration.
+    // The same tenant under another block bound.
     let other = ask_value(
         &mut first,
         &named_body(&raw_invert("alice", 4, &a, 2), &name),
@@ -865,6 +873,37 @@ fn a_name_answers_only_its_connection_and_tenant_and_only_while_its_entry_lives(
     assert!(again.0.ok && !again.0.cache_hit, "{}", again.0.error);
     assert_eq!(again.0.inverse, full.0.inverse);
     assert_eq!(again.1.get("admitted"), Some(&name));
+}
+
+/// A name binds per (tenant, nb): a named request under other
+/// optimization toggles is served by name with the full request's bits,
+/// since the toggles move no bit of the answer, and one under another `nb`
+/// gets `resend`.
+#[test]
+fn a_name_serves_other_toggles_but_not_another_nb() {
+    let handle = start_server(ServiceConfig::default());
+    let a = random_well_conditioned(24, 73);
+    let mut conn = TcpStream::connect(handle.addr()).unwrap();
+    let full = ask_value(
+        &mut conn,
+        &bincode::serialize(&raw_invert("alice", 1, &a, 6)),
+    );
+    assert!(full.0.ok && !full.0.cache_hit, "{}", full.0.error);
+    let name = full.1.get("admitted").expect("admitted").clone();
+
+    let mut untransposed = raw_invert("alice", 2, &a, 6);
+    untransposed.transpose_u = false;
+    let named = ask_value(&mut conn, &named_body(&untransposed, &name));
+    assert!(!resend(&named), "{:?}", named.0);
+    assert!(named.0.ok && named.0.cache_hit, "{}", named.0.error);
+    assert_eq!(named.0.inverse, full.0.inverse);
+
+    let other_nb = ask_value(
+        &mut conn,
+        &named_body(&raw_invert("alice", 3, &a, 4), &name),
+    );
+    assert!(resend(&other_nb), "{:?}", other_nb.0);
+    assert_eq!(handle.cache_stats().entries, 1);
 }
 
 /// `ServiceClient` recovers from `resend` by sending the request in full
@@ -1162,14 +1201,11 @@ fn local_only_flags_are_refused_beside_connect() {
     let handle = start_server(ServiceConfig::default());
     let addr = handle.addr().to_string();
     let dir = cli_dir("local-only");
-    let flags: [&[&str]; 8] = [
+    let flags: [&[&str]; 5] = [
         &["--trace-out", "t.json"],
         &["--metrics-json", "m.json"],
         &["--metrics-prom", "m.prom"],
         &["--progress"],
-        &["--checkpoint"],
-        &["--resume"],
-        &["--kill-after-job", "1"],
         &["--backend", "tcp:2"],
     ];
     for flag in flags {
@@ -1182,6 +1218,60 @@ fn local_only_flags_are_refused_beside_connect() {
         assert!(!dir.join("x.txt").exists(), "{flag:?} wrote an output");
     }
     assert_eq!(handle.served(), 0, "a refused run reached the server");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The checkpoint flags could not work in a fresh process (the DFS dies
+/// with it), so they are gone: each is an unknown flag, refused before
+/// the input is read, and the usage text names none of them.
+#[test]
+fn checkpoint_flags_are_unknown() {
+    let dir = cli_dir("checkpoint-flags");
+    let flags: [&[&str]; 4] = [
+        &["--workdir", "w"],
+        &["--checkpoint"],
+        &["--resume"],
+        &["--kill-after-job", "1"],
+    ];
+    for flag in flags {
+        let mut args = vec!["invert", "--input", "a.txt", "--output", "x.txt"];
+        args.extend(flag);
+        let (code, stderr) = mrinv(&dir, &args);
+        assert_eq!(code, 2, "{flag:?}: {stderr}");
+        let reason = format!("mrinv: unknown flag {}", flag[0]);
+        assert!(stderr.contains(&reason), "{flag:?}: {stderr}");
+        assert!(!dir.join("x.txt").exists(), "{flag:?} wrote an output");
+    }
+    let (code, usage) = mrinv(&dir, &[]);
+    assert_eq!(code, 2);
+    assert!(usage.contains("mrinv invert"), "{usage}");
+    for flag in flags {
+        assert!(!usage.contains(flag[0]), "usage lists {}", flag[0]);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `--tenant` names who a server serves; a local run has no server, so
+/// the flag is a usage error there, before the input is read.
+#[test]
+fn a_tenant_without_connect_is_refused() {
+    let dir = cli_dir("local-tenant");
+    let args = [
+        "invert",
+        "--input",
+        "nothere.txt",
+        "--output",
+        "x.txt",
+        "--tenant",
+        "alice",
+    ];
+    let (code, stderr) = mrinv(&dir, &args);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("--tenant applies to a --connect run"),
+        "{stderr}"
+    );
+    assert!(!dir.join("x.txt").exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -1215,7 +1305,7 @@ fn flags_a_subcommand_does_not_read_are_refused() {
     let invert = ["invert", "--input", "a.txt", "--output", "x.txt"];
     let cases: [(&[&str], &[&str]); 13] = [
         (&serve, &["--trace-out", "t.json"]),
-        (&serve, &["--checkpoint"]),
+        (&serve, &["--progress"]),
         (&serve, &["--nb", "7"]),
         (&serve, &["--input", "nothere.txt"]),
         (&serve, &["--backend", "tcp:2"]),
