@@ -90,7 +90,7 @@ fn stage(name: &str, measured: f64, predicted: f64, band: (f64, f64)) -> StageAu
 /// The write-volume stage adds the restored prefix's recorded writes to
 /// the run's DFS delta, so a resumed run reads what the whole pipeline
 /// wrote.
-pub fn cost_audit(reports: &[JobReport], run: &RunReport, planned_jobs: u64) -> CostAudit {
+pub(crate) fn cost_audit(reports: &[JobReport], run: &RunReport, planned_jobs: u64) -> CostAudit {
     let family_bytes = |prefix: &str, bytes: fn(&TaskStats) -> u64| -> Option<f64> {
         let mut family = reports
             .iter()

@@ -1,7 +1,7 @@
-//! Worker-process entry point for the `tcp` execution backend — a thin
-//! shim over `mrinv worker`, kept as a standalone binary because
+//! Worker process of the `tcp` execution backend:
 //! [`mrinv_mapreduce::TcpWorkers`] spawns workers by this file name
-//! (found next to whichever binary is driving).
+//! (found next to whichever binary is driving), and the body is
+//! [`mrinv::cli::worker_main`].
 //!
 //! ```text
 //! mrinv-worker --connect 127.0.0.1:<port> --worker-id <n>

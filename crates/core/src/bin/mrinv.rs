@@ -1,7 +1,7 @@
 //! `mrinv` — the command-line front end. All subcommand parsing and
-//! dispatch lives in [`mrinv::cli`], shared with the `mrinv-worker` shim
-//! binary.
+//! dispatch lives in [`mrinv::cli`], which also holds the `mrinv-worker`
+//! binary's entry point.
 
 fn main() {
-    std::process::exit(mrinv::cli::run(std::env::args().skip(1).collect()));
+    mrinv::cli::run(std::env::args().skip(1).collect());
 }

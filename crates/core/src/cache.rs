@@ -364,11 +364,6 @@ impl FactorCache {
         }
     }
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        self.entries.lock().clear();
-    }
-
     /// Validated lookup: the entry filed under `key`, if all its files
     /// are still there and `usable` accepts it. Requests pass whether the
     /// entry holds what the operation needs — an entry primed by an

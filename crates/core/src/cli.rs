@@ -1,4 +1,5 @@
-//! The `mrinv` command-line front end, shared by every binary.
+//! The `mrinv` command-line front end, and the entry point of the
+//! `mrinv-worker` binary.
 //!
 //! ```text
 //! mrinv invert --input a.txt --output inv.txt [--nodes 4] [--nb 200]
@@ -9,7 +10,6 @@
 //! mrinv solve  --input a.txt --rhs b.txt --output x.txt [same flags]
 //! mrinv gen    --order 512 --output a.txt [--seed 42]
 //! mrinv serve  [--listen 127.0.0.1:7171] [--nodes 4] [--max-queue 64]
-//! mrinv worker --connect <addr> --worker-id <n>
 //! ```
 //!
 //! All three compute subcommands are projections of the one
@@ -32,11 +32,10 @@
 //! exceeds 1e-5 (its file is still written).
 //!
 //! `--backend tcp:<n>` runs every task attempt in one of `n` real
-//! `mrinv worker` processes (spawned next to this binary as
-//! `mrinv-worker`) instead of in-process threads; task descriptors and
-//! DFS traffic travel over loopback TCP, and a worker that dies
-//! mid-attempt is replaced and the attempt retried. Results are
-//! bit-identical across backends.
+//! `mrinv-worker` processes (spawned next to this binary) instead of
+//! in-process threads; task descriptors and DFS traffic travel over
+//! loopback TCP, and a worker that dies mid-attempt is replaced and the
+//! attempt retried. Results are bit-identical across backends.
 //!
 //! Matrices use the text format of the paper's `a.txt` (a `rows cols`
 //! header line, then whitespace-separated values; see
@@ -64,10 +63,8 @@
 //! and `repro resume` demonstrates them.
 //!
 //! `serve` starts the multi-tenant inversion service
-//! ([`crate::service`]) on `--listen` and blocks; `worker` is the TCP
-//! backend's worker-process entry point (the standalone `mrinv-worker`
-//! binary is a shim over it, kept because the backend spawns workers by
-//! that file name).
+//! ([`crate::service`]) on `--listen` and blocks. The TCP backend's worker
+//! processes run [`worker_main`], the whole of the `mrinv-worker` binary.
 
 use std::process::exit;
 use std::sync::Arc;
@@ -104,7 +101,6 @@ struct Opts {
     tenant: Option<String>,
     listen: String,
     max_queue: usize,
-    worker_id: Option<usize>,
 }
 
 /// Execution backend selection (`--backend`).
@@ -142,7 +138,7 @@ impl Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mrinv invert --input a.txt --output inv.txt [--nodes N] [--nb NB] [--backend in-process|tcp:W] [--trace-out T.json] [--metrics-json M.json] [--metrics-prom M.prom] [--progress] [--connect ADDR [--tenant NAME]]\n  mrinv lu --input a.txt --l l.txt --u u.txt [same flags as invert]\n  mrinv solve --input a.txt --rhs b.txt --output x.txt [same flags as invert]\n  mrinv gen --order N --output a.txt [--seed S]\n  mrinv serve [--listen ADDR] [--nodes N] [--max-queue Q]\n  mrinv worker --connect <addr> --worker-id <n>"
+        "usage:\n  mrinv invert --input a.txt --output inv.txt [--nodes N] [--nb NB] [--backend in-process|tcp:W] [--trace-out T.json] [--metrics-json M.json] [--metrics-prom M.prom] [--progress] [--connect ADDR [--tenant NAME]]\n  mrinv lu --input a.txt --l l.txt --u u.txt [same flags as invert]\n  mrinv solve --input a.txt --rhs b.txt --output x.txt [same flags as invert]\n  mrinv gen --order N --output a.txt [--seed S]\n  mrinv serve [--listen ADDR] [--nodes N] [--max-queue Q]"
     );
     exit(2)
 }
@@ -182,7 +178,6 @@ fn flags_read_by(command: &str) -> Vec<&'static str> {
         "solve" => compute(&["--rhs", "--output"]),
         "gen" => vec!["--order", "--output", "--seed"],
         "serve" => vec!["--listen", "--nodes", "--max-queue"],
-        "worker" => vec!["--connect", "--worker-id"],
         _ => usage(),
     }
 }
@@ -211,7 +206,6 @@ fn parse(args: Vec<String>) -> Opts {
         tenant: None,
         listen: "127.0.0.1:0".to_string(),
         max_queue: 64,
-        worker_id: None,
     };
     let mut it = args.into_iter();
     opts.command = it.next().unwrap_or_else(|| usage());
@@ -236,7 +230,6 @@ fn parse(args: Vec<String>) -> Opts {
             "--tenant" => opts.tenant = Some(val()),
             "--listen" => opts.listen = val(),
             "--max-queue" => opts.max_queue = val().parse().unwrap_or_else(|_| usage()),
-            "--worker-id" => opts.worker_id = Some(val().parse().unwrap_or_else(|_| usage())),
             "--backend" => {
                 let v = val();
                 opts.backend = match v.as_str() {
@@ -572,29 +565,26 @@ fn run_compute(opts: &Opts) {
     }
 }
 
-/// Entry point of the `mrinv-worker` shim binary, which takes only the
-/// two worker flags (anything else is a usage error). Returns the process
+/// Entry point of the `mrinv-worker` binary, which takes only its two
+/// flags (anything else is a usage error, exit 2): connect back to the
+/// driver and serve task descriptors until shutdown. Returns the process
 /// exit code.
 pub fn worker_main(args: Vec<String>) -> i32 {
+    let usage = || {
+        eprintln!("usage: mrinv-worker --connect <addr> --worker-id <n>");
+        2
+    };
     let (mut addr, mut worker_id) = (None, None);
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--connect" => addr = it.next(),
             "--worker-id" => worker_id = it.next().and_then(|v| v.parse().ok()),
-            _ => return serve_worker(None, None),
+            _ => return usage(),
         }
     }
-    serve_worker(addr, worker_id)
-}
-
-/// Worker-process body shared by `mrinv worker` and the `mrinv-worker`
-/// shim binary: connect back to the driver and serve task descriptors
-/// until shutdown. Returns the process exit code.
-fn serve_worker(addr: Option<String>, worker_id: Option<usize>) -> i32 {
     let (Some(addr), Some(worker_id)) = (addr, worker_id) else {
-        eprintln!("usage: mrinv worker --connect <addr> --worker-id <n>");
-        return 2;
+        return usage();
     };
 
     // Lets in-crate task code (the die-once fault probe) detect that it
@@ -609,9 +599,9 @@ fn serve_worker(addr: Option<String>, worker_id: Option<usize>) -> i32 {
     0
 }
 
-/// Full subcommand dispatch; `args` excludes the program name. Returns
-/// the process exit code (compute subcommands exit directly on error).
-pub fn run(args: Vec<String>) -> i32 {
+/// Full subcommand dispatch; `args` excludes the program name. An error
+/// exits the process directly, with the codes listed above.
+pub fn run(args: Vec<String>) {
     let opts = parse(args);
     match opts.command.as_str() {
         "gen" => {
@@ -627,8 +617,6 @@ pub fn run(args: Vec<String>) -> i32 {
         }
         "invert" | "lu" | "solve" => run_compute(&opts),
         "serve" => run_serve(&opts),
-        "worker" => return serve_worker(opts.connect, opts.worker_id),
         _ => usage(),
     }
-    0
 }

@@ -6,7 +6,7 @@ use mrinv_mapreduce::MrError;
 use mrinv_matrix::MatrixError;
 
 /// Result alias for pipeline operations.
-pub type Result<T> = std::result::Result<T, CoreError>;
+pub(crate) type Result<T> = std::result::Result<T, CoreError>;
 
 /// Errors produced by the distributed inversion pipeline.
 #[derive(Debug, Clone, PartialEq)]

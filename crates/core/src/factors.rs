@@ -32,7 +32,7 @@ use crate::source::{expect_covered, inside, read_block, write_block, MatrixSourc
 /// Recursive descriptor of where a (unit-lower `L`, upper `U`, permutation
 /// `P`) factor triple lives in the DFS.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FactorRef {
+pub(crate) enum FactorRef {
     /// A master-node-decomposed block of order at most `nb`: one file per
     /// factor.
     Leaf {
@@ -72,7 +72,7 @@ pub enum FactorRef {
 
 impl FactorRef {
     /// Order of the factored block.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         match self {
             FactorRef::Leaf { n, .. } | FactorRef::Node { n, .. } => *n,
         }
@@ -80,7 +80,7 @@ impl FactorRef {
 
     /// The full pivot permutation `P` (Algorithm 2 line 11: the
     /// augmentation of `P1` and `P2`, recursively).
-    pub fn perm(&self) -> Permutation {
+    pub(crate) fn perm(&self) -> Permutation {
         match self {
             FactorRef::Leaf { perm, .. } => perm.clone(),
             FactorRef::Node { a1, b, .. } => Permutation::augment(&a1.perm(), &b.perm()),
@@ -91,7 +91,7 @@ impl FactorRef {
     ///
     /// The factor cache uses this to validate an entry before serving it:
     /// a hit is only a hit while every underlying file still exists.
-    pub fn paths(&self) -> Vec<String> {
+    pub(crate) fn paths(&self) -> Vec<String> {
         fn walk(f: &FactorRef, out: &mut Vec<String>) {
             match f {
                 FactorRef::Leaf { l_path, u_path, .. } => {
@@ -113,18 +113,18 @@ impl FactorRef {
 
     /// Assembles the full unit-lower factor `L`, applying each level's
     /// `P2` to its `L2'` stripes.
-    pub fn assemble_l(&self, io: &mut TaskIo) -> Result<Matrix> {
+    pub(crate) fn assemble_l(&self, io: &mut TaskIo) -> Result<Matrix> {
         self.assemble(io, Factor::L)
     }
 
     /// Assembles the full upper factor `U` in row-major form.
-    pub fn assemble_u(&self, io: &mut TaskIo) -> Result<Matrix> {
+    pub(crate) fn assemble_u(&self, io: &mut TaskIo) -> Result<Matrix> {
         self.assemble(io, Factor::U)
     }
 
     /// Assembles `Uᵀ` (lower-triangular) directly — the Section 6.3 fast
     /// path that never materializes a row-major `U`.
-    pub fn assemble_u_t(&self, io: &mut TaskIo) -> Result<Matrix> {
+    pub(crate) fn assemble_u_t(&self, io: &mut TaskIo) -> Result<Matrix> {
         self.assemble(io, Factor::Ut)
     }
 
@@ -230,7 +230,12 @@ impl FactorRef {
     /// `l.bin`/`u.bin` hold the permuted, combined factors — so downstream
     /// consumers behave identically; only the serial combine cost and the
     /// extra write I/O differ.
-    pub fn combine(&self, io: &mut TaskIo, dir: &str, transpose_u: bool) -> Result<FactorRef> {
+    pub(crate) fn combine(
+        &self,
+        io: &mut TaskIo,
+        dir: &str,
+        transpose_u: bool,
+    ) -> Result<FactorRef> {
         let l = self.assemble_l(io)?;
         let u = if transpose_u {
             self.assemble_u_t(io)?

@@ -17,7 +17,7 @@ use crate::partition::PartitionPlan;
 
 /// How a run interacts with the checkpoint manifest at its [`RunId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Checkpoint {
+pub(crate) enum Checkpoint {
     /// No manifest: run every job (the paper's baseline behaviour).
     Disabled,
     /// Record a manifest entry after each completed job; any stale
@@ -37,7 +37,7 @@ pub enum Checkpoint {
 /// outputs. (The answer's bits depend on `nb` alone, which is why the
 /// factor cache keys by less; a resume restores files, whose names and
 /// layout do depend on the rest.)
-pub fn run_fingerprint(plan: &PartitionPlan, opts: &Optimizations) -> u64 {
+pub(crate) fn run_fingerprint(plan: &PartitionPlan, opts: &Optimizations) -> u64 {
     Fingerprint::new()
         .push_u64(plan.n as u64)
         .push_u64(plan.nb as u64)

@@ -34,7 +34,7 @@
 //! | Block LU (Algorithm 2, Eq. 6) | `2^⌈log2(n/nb)⌉ − 1` | `lu_mr` |
 //! | Triangular inverses + product (Eq. 4) | 1 | `tri_inv_mr` |
 //!
-//! Every consumer enters through the [`Request`] builder in [`request`]
+//! Every consumer enters through the [`Request`] builder in `request`
 //! (inversion, LU decomposition, and linear solves behind one fluent
 //! API), which is the one place that sequence of jobs is written down;
 //! the stage modules above and their supports (`source`, the one
@@ -51,26 +51,26 @@
 //!
 //! | Exported module | What it holds |
 //! |---|---|
-//! | [`request`] | [`Request`], [`Outcome`], [`Op`], [`LuFactors`], [`CacheStatus`] |
+//! | `request` | [`Request`], [`Outcome`], `Op`, [`LuFactors`], [`CacheStatus`] |
 //! | [`config`] | `nb` and the Section 6 optimization toggles |
-//! | [`cache`] | the keyed factor cache and [`cache_key`] |
+//! | `cache` | the keyed factor cache and [`cache_key`] |
 //! | [`service`], [`client`] | `mrinv serve` and its blocking client |
-//! | [`cli`] | the `mrinv` / `mrinv-worker` command line |
+//! | [`cli`] | the `mrinv` command line and the `mrinv-worker` entry point |
 //! | [`remote`] | the worker task-family registry ([`exec_registry`]) |
 //! | [`schedule`] | the precomputed pipeline shape |
 //! | [`theory`] | the closed forms of Tables 1–2 |
 //! | [`inmem`] | the same algorithm without MapReduce: the verification reference and the Section 8 "Spark-style" dataflow |
 //! | [`obs`] | the exportable metrics snapshot (registry + kernel perf) |
-//! | [`error`] | [`CoreError`] |
+//! | `error` | [`CoreError`] |
 
 #![warn(missing_docs)]
 
 mod audit;
-pub mod cache;
+mod cache;
 pub mod cli;
 pub mod client;
 pub mod config;
-pub mod error;
+mod error;
 mod factors;
 pub mod inmem;
 mod inverse;
@@ -78,17 +78,16 @@ mod lu_mr;
 pub mod obs;
 mod partition;
 pub mod remote;
-pub mod request;
+mod request;
 pub mod schedule;
 pub mod service;
 mod source;
 pub mod theory;
 mod tri_inv_mr;
 
-pub use cache::{cache_key, CacheKey, CacheStats, FactorCache};
+pub use cache::{cache_key, FactorCache};
 pub use config::{InversionConfig, Optimizations};
-pub use error::{CoreError, Result};
-pub use inverse::Checkpoint;
+pub use error::CoreError;
 pub use mrinv_mapreduce::{RunId, RunReport};
 pub use remote::exec_registry;
-pub use request::{CacheStatus, LuFactors, Op, Outcome, Request};
+pub use request::{CacheStatus, LuFactors, Outcome, Request};

@@ -82,7 +82,7 @@ fn charge_master_io(cluster: &Cluster, io: &TaskIo) {
 /// The input side and `B` go through the same code: `source` is the
 /// partition job's whole-matrix descriptor (`dir` = the plan's root) or a
 /// level's reducer outputs, and either way its quadrants are windows.
-pub fn lu_decompose_mr(
+pub(crate) fn lu_decompose_mr(
     driver: &mut PipelineDriver<'_>,
     dir: &str,
     source: MatrixSource,

@@ -8,7 +8,7 @@
 //! single [`ObsSnapshot`] for Prometheus/JSON export (the `mrinv`
 //! binary's `--metrics-prom`/`--metrics-json` flags).
 
-pub use mrinv_mapreduce::obs::{ObsSnapshot, Registry};
+pub(crate) use mrinv_mapreduce::obs::ObsSnapshot;
 
 use mrinv_mapreduce::obs::Labels;
 use mrinv_mapreduce::Cluster;

@@ -35,7 +35,7 @@ use crate::source::{read_block, write_block, MatrixSource, Piece};
 
 /// Static geometry of one inversion's data layout.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PartitionPlan {
+pub(crate) struct PartitionPlan {
     /// Matrix order.
     pub n: usize,
     /// Bound value: blocks of order at most `nb` become leaves.
@@ -55,7 +55,7 @@ pub struct PartitionPlan {
 
 impl PartitionPlan {
     /// Builds the plan for a cluster and configuration.
-    pub fn new(
+    pub(crate) fn new(
         n: usize,
         cluster: &Cluster,
         cfg: &InversionConfig,
@@ -255,7 +255,7 @@ impl Mapper for PartitionMapper {
 /// upstream job's output in the paper's workflow; its cost is not part of
 /// the inversion's Tables 1–2 accounting, so callers typically reset the
 /// DFS counters afterwards).
-pub fn ingest_input(cluster: &Cluster, a: &Matrix, plan: &PartitionPlan) -> Result<()> {
+pub(crate) fn ingest_input(cluster: &Cluster, a: &Matrix, plan: &PartitionPlan) -> Result<()> {
     if a.rows() != plan.n || a.cols() != plan.n {
         return Err(CoreError::Invariant(format!(
             "input is {:?}, plan expects {n}x{n}",
@@ -277,7 +277,7 @@ pub fn ingest_input(cluster: &Cluster, a: &Matrix, plan: &PartitionPlan) -> Resu
 /// they are released once it commits. On a resumed run the job is restored
 /// from the checkpoint manifest when its outputs survive; the descriptor
 /// is rebuilt either way (it is a pure function of the plan).
-pub fn run_partition_job(
+pub(crate) fn run_partition_job(
     driver: &mut PipelineDriver<'_>,
     plan: &PartitionPlan,
 ) -> Result<(MatrixSource, JobReport)> {

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// [`DieOnceMapper`] probe only terminates the process when it is set,
 /// so running the probe in-process (e.g. from a unit test) cannot kill
 /// the test harness.
-pub const WORKER_ENV: &str = "MRINV_WORKER";
+pub(crate) const WORKER_ENV: &str = "MRINV_WORKER";
 
 /// Fault-injection probe used by the backend tests: the first time task
 /// 0 runs it writes a marker file and kills its own process (simulating a

@@ -52,7 +52,7 @@ use crate::tri_inv_mr::invert_factors_mr;
 
 /// What a [`Request`] computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
+pub(crate) enum Op {
     /// Full pipeline of Figure 2: partition job → LU pipeline → final
     /// inversion job.
     Invert,
@@ -66,7 +66,7 @@ pub enum Op {
 
 impl Op {
     /// Stable lowercase name (obs labels, wire protocol, CLI).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Op::Invert => "invert",
             Op::Lu => "lu",
@@ -88,7 +88,7 @@ pub enum CacheStatus {
     Hit,
 }
 
-/// Assembled LU factors returned by an [`Op::Lu`] outcome.
+/// Assembled LU factors returned by an `Op::Lu` outcome.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     /// Unit lower-triangular factor.
@@ -254,8 +254,8 @@ impl<'a> Request<'a> {
     ///
     /// Cold runs are bit-identical to the historical free functions: the
     /// same driver, job sequence, manifest fingerprints, and master-side
-    /// assembly. With [`Checkpoint::Enabled`], a driver crash mid-pipeline
-    /// (e.g. [`mrinv_mapreduce::FaultPlan::kill_driver_after`], surfacing
+    /// assembly. With `Checkpoint::Enabled`, a driver crash mid-pipeline
+    /// (e.g. `mrinv_mapreduce::FaultPlan::kill_driver_after`, surfacing
     /// as [`mrinv_mapreduce::MrError::DriverKilled`]) leaves a manifest
     /// behind; resubmitting with [`Request::resume`] restores the
     /// completed prefix and re-runs only the remainder.
@@ -503,12 +503,7 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// The operation that produced this outcome.
-    pub fn op(&self) -> Op {
-        self.op
-    }
-
-    /// The computed inverse ([`Op::Invert`] outcomes only).
+    /// The computed inverse (`Op::Invert` outcomes only).
     pub fn inverse(&self) -> Option<&Matrix> {
         self.inverse.as_deref()
     }
@@ -524,7 +519,7 @@ impl Outcome {
         Arc::unwrap_or_clone(shared)
     }
 
-    /// The assembled factors ([`Op::Lu`] outcomes only).
+    /// The assembled factors (`Op::Lu` outcomes only).
     pub fn factors(&self) -> Option<&LuFactors> {
         self.factors.as_deref()
     }
@@ -831,7 +826,7 @@ mod tests {
         let workdir = &out.report.workdir;
         let expect: BTreeSet<String> = entry.factors.paths().into_iter().collect();
         let held: BTreeSet<String> = c.dfs.list(workdir).into_iter().collect();
-        assert_eq!(held, expect, "{:?} {workdir}", out.op());
+        assert_eq!(held, expect, "{:?} {workdir}", out.op);
         held.iter().map(|p| c.dfs.len(p).unwrap()).sum()
     }
 

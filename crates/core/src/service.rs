@@ -26,7 +26,7 @@
 //! # Names
 //!
 //! A name is a matrix's order and the 128-bit digest of its words, the
-//! matrix half of its [`CacheKey`]. The server never takes one on trust:
+//! matrix half of its `CacheKey`. The server never takes one on trust:
 //! it admits a name only for a full request on this connection that it
 //! answered, computes the name from the matrix itself, binds it — per
 //! tenant and `nb`, the rest of the key — to the cache entry that
@@ -131,9 +131,9 @@
 //! # One key, bounded series
 //!
 //! [`cache_key`] reads every word of the matrix once (a 128-bit digest,
-//! see [`crate::cache`]), so a full request computes it exactly once, on
+//! see `crate::cache`), so a full request computes it exactly once, on
 //! arrival; the handler's cache probe, the queued job, the executor's
-//! submit and the name it admits all carry that [`CacheKey`].
+//! submit and the name it admits all carry that `CacheKey`.
 //! A named request hashes nothing: its key was computed at admission. The
 //! service's metric series are keyed by tenant and operation only — there
 //! is no per-request label — so a long-running server's series count is

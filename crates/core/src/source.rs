@@ -31,7 +31,7 @@ use crate::error::{CoreError, Result};
 /// Reads and decodes the block stored at `path`, which must hold exactly
 /// `expect` (rows, columns): a file of any other shape is an
 /// [`CoreError::Invariant`] naming it, never something to index into.
-pub fn read_block(io: &mut TaskIo, path: &str, expect: (usize, usize)) -> Result<Matrix> {
+pub(crate) fn read_block(io: &mut TaskIo, path: &str, expect: (usize, usize)) -> Result<Matrix> {
     let block = decode_binary(&io.read(path)?)?;
     if block.shape() != expect {
         return Err(CoreError::Invariant(format!(
@@ -43,7 +43,7 @@ pub fn read_block(io: &mut TaskIo, path: &str, expect: (usize, usize)) -> Result
 }
 
 /// Encodes `block` and writes it to `path`.
-pub fn write_block(io: &mut TaskIo, path: &str, block: &Matrix) {
+pub(crate) fn write_block(io: &mut TaskIo, path: &str, block: &Matrix) {
     io.write(path, encode_binary(block));
 }
 
@@ -72,7 +72,7 @@ pub(crate) fn inside(rows: (usize, usize), cols: (usize, usize), shape: (usize, 
 /// dense block covering rows `rows.0..rows.1` and columns `cols.0..cols.1`
 /// of the *piece coordinate space*.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Piece {
+pub(crate) struct Piece {
     /// DFS path of the binary-encoded block.
     pub path: String,
     /// Row range the file covers (piece space, begin inclusive / end
@@ -84,7 +84,7 @@ pub struct Piece {
 
 impl Piece {
     /// Creates a piece descriptor.
-    pub fn new(path: impl Into<String>, rows: (usize, usize), cols: (usize, usize)) -> Self {
+    pub(crate) fn new(path: impl Into<String>, rows: (usize, usize), cols: (usize, usize)) -> Self {
         Piece {
             path: path.into(),
             rows,
@@ -124,7 +124,7 @@ impl Piece {
 /// A logical `rows x cols` matrix backed by DFS pieces, with an optional
 /// window (for descriptor-only quadrants).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MatrixSource {
+pub(crate) struct MatrixSource {
     pieces: Vec<Piece>,
     /// Window origin in piece space.
     origin: (usize, usize),
@@ -135,7 +135,7 @@ pub struct MatrixSource {
 impl MatrixSource {
     /// A source covering the full piece space `shape`, where the pieces'
     /// coordinates are already logical coordinates.
-    pub fn new(shape: (usize, usize), pieces: Vec<Piece>) -> Self {
+    pub(crate) fn new(shape: (usize, usize), pieces: Vec<Piece>) -> Self {
         MatrixSource {
             pieces,
             origin: (0, 0),
@@ -144,22 +144,22 @@ impl MatrixSource {
     }
 
     /// Logical shape.
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         self.shape
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.shape.0
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.shape.1
     }
 
     /// The underlying piece descriptors.
-    pub fn pieces(&self) -> &[Piece] {
+    pub(crate) fn pieces(&self) -> &[Piece] {
         &self.pieces
     }
 
@@ -189,7 +189,11 @@ impl MatrixSource {
     /// Crops to the sub-rectangle `rows` x `cols` (logical coordinates).
     /// Pure metadata: no I/O. This is how the paper "partitions"
     /// `B = A4 − L2'U2` in under a second on the master (Section 5.2).
-    pub fn window(&self, rows: (usize, usize), cols: (usize, usize)) -> Result<MatrixSource> {
+    pub(crate) fn window(
+        &self,
+        rows: (usize, usize),
+        cols: (usize, usize),
+    ) -> Result<MatrixSource> {
         let (wr, wc) = self.rect("window", rows, cols)?;
         // Keep only pieces overlapping the new window.
         let overlapping = |p: &&Piece| p.overlap(wr, wc).is_some();
@@ -201,7 +205,11 @@ impl MatrixSource {
     }
 
     /// Splits into the four Figure-1 quadrants at `(row_split, col_split)`.
-    pub fn quadrants(&self, row_split: usize, col_split: usize) -> Result<[MatrixSource; 4]> {
+    pub(crate) fn quadrants(
+        &self,
+        row_split: usize,
+        col_split: usize,
+    ) -> Result<[MatrixSource; 4]> {
         let (n, m) = self.shape;
         Ok([
             self.window((0, row_split), (0, col_split))?,
@@ -215,7 +223,7 @@ impl MatrixSource {
     /// files that overlap it. The pieces must cover the rectangle exactly
     /// once: a descriptor that lost a piece (or lists one twice) is an
     /// error, never a zero-filled block.
-    pub fn read_range(
+    pub(crate) fn read_range(
         &self,
         io: &mut TaskIo,
         rows: (usize, usize),
@@ -231,7 +239,7 @@ impl MatrixSource {
     /// `out` with its top-left element at `corner` — transposed when
     /// `flip`, so source element `(r, c)` of it lands `(c, r)` from
     /// `corner`. The one routine that copies stored pieces into a matrix.
-    pub fn read_into(
+    pub(crate) fn read_into(
         &self,
         io: &mut TaskIo,
         rows: (usize, usize),
@@ -277,17 +285,17 @@ impl MatrixSource {
     }
 
     /// Reads the entire logical matrix.
-    pub fn read_all(&self, io: &mut TaskIo) -> Result<Matrix> {
+    pub(crate) fn read_all(&self, io: &mut TaskIo) -> Result<Matrix> {
         self.read_range(io, (0, self.shape.0), (0, self.shape.1))
     }
 
     /// Reads a stripe of full-width rows.
-    pub fn read_rows(&self, io: &mut TaskIo, r0: usize, r1: usize) -> Result<Matrix> {
+    pub(crate) fn read_rows(&self, io: &mut TaskIo, r0: usize, r1: usize) -> Result<Matrix> {
         self.read_range(io, (r0, r1), (0, self.shape.1))
     }
 
     /// Reads a stripe of full-height columns.
-    pub fn read_cols(&self, io: &mut TaskIo, c0: usize, c1: usize) -> Result<Matrix> {
+    pub(crate) fn read_cols(&self, io: &mut TaskIo, c0: usize, c1: usize) -> Result<Matrix> {
         self.read_range(io, (0, self.shape.0), (c0, c1))
     }
 }

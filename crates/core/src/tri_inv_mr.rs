@@ -550,7 +550,7 @@ impl Reducer for TriInvReducer {
 /// matrix is the one copy of the inverse a plain run keeps. A checkpointed
 /// run keeps both, for a resume. The assembly is not charged to the
 /// simulated clock.
-pub fn invert_factors_mr(
+pub(crate) fn invert_factors_mr(
     driver: &mut PipelineDriver<'_>,
     factors: &FactorRef,
     plan: &PartitionPlan,

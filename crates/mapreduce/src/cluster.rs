@@ -34,7 +34,7 @@ pub struct ClusterConfig {
     pub node_speeds: Vec<f64>,
     /// Hadoop-style speculative execution: back up each wave's
     /// makespan-defining straggler on the slot that would finish it first
-    /// ([`crate::scheduler::speculate`]; on by default, as in Hadoop).
+    /// (`crate::scheduler::speculate`; on by default, as in Hadoop).
     pub speculative_execution: bool,
     /// Record one [`crate::tracelog::TaskEvent`] per task attempt (off by
     /// default: tracing costs one atomic load per event site when
@@ -95,7 +95,7 @@ impl ClusterConfig {
 
     /// Per-node speed factors expanded to the cluster size (1.0 where
     /// unspecified).
-    pub fn speeds(&self) -> Vec<f64> {
+    pub(crate) fn speeds(&self) -> Vec<f64> {
         let mut v = self.node_speeds.clone();
         v.resize(self.nodes.max(1), 1.0);
         v
@@ -125,7 +125,7 @@ pub struct Cluster {
     /// Failure-injection plan.
     pub faults: FaultPlan,
     /// Per-task-attempt event log (recording only when enabled — via
-    /// [`ClusterConfig::tracing`] or [`crate::tracelog::TraceLog::enable`]).
+    /// [`ClusterConfig::tracing`] or `crate::tracelog::TraceLog::enable`).
     pub trace: TraceLog,
     /// How task attempts execute ([`InProcess`] by default).
     backend: Arc<dyn ExecBackend>,
@@ -158,17 +158,17 @@ impl Cluster {
     }
 
     /// The execution backend task attempts dispatch through.
-    pub fn backend(&self) -> &Arc<dyn ExecBackend> {
+    pub(crate) fn backend(&self) -> &Arc<dyn ExecBackend> {
         &self.backend
     }
 
-    /// Replaces the execution backend (default: [`InProcess`]).
+    /// Replaces the execution backend (default: `InProcess`).
     pub fn set_backend(&mut self, backend: Arc<dyn ExecBackend>) {
         self.backend = backend;
     }
 
     /// The registry of named task families available for remote execution.
-    pub fn registry(&self) -> &Arc<TaskRegistry> {
+    pub(crate) fn registry(&self) -> &Arc<TaskRegistry> {
         &self.registry
     }
 
@@ -189,7 +189,7 @@ impl Cluster {
     }
 
     /// Total simulated seconds so far.
-    pub fn sim_secs(&self) -> f64 {
+    pub(crate) fn sim_secs(&self) -> f64 {
         self.metrics.sim_secs()
     }
 
@@ -250,8 +250,16 @@ mod tests {
         assert_eq!(c.nodes(), 16);
         assert_eq!(c.config.slots_per_node, 1);
         assert_eq!(c.config.block_wrap_factors(), (4, 4));
-        assert_eq!(c.dfs.replication(), 3);
-        assert_eq!(c.dfs.nodes(), 16, "DFS places blocks across m0 nodes");
+        let names: Vec<String> = (0..64).map(|i| format!("f{i}")).collect();
+        for name in &names {
+            c.dfs.write(name, bytes::Bytes::new());
+        }
+        assert_eq!(c.dfs.locations("f0").len(), 3, "3 replicas per file");
+        let homes: std::collections::BTreeSet<usize> = names
+            .iter()
+            .flat_map(|name| c.dfs.locations(name))
+            .collect();
+        assert_eq!(homes.len(), 16, "DFS places blocks across m0 nodes");
         assert_eq!(c.config.task_timeout_secs, None, "timeouts off by default");
         assert_eq!(c.sim_secs(), 0.0);
 

@@ -32,8 +32,8 @@
 //!
 //! Each file is assigned `replication` *home nodes* at write time, chosen
 //! deterministically from a stable hash of its normalized path (so reruns
-//! place blocks identically). [`Dfs::kill_node`] marks a virtual node dead:
-//! its replicas stop counting, [`Dfs::locations`] reports only survivors,
+//! place blocks identically). `Dfs::kill_node` marks a virtual node dead:
+//! its replicas stop counting, `Dfs::locations` reports only survivors,
 //! and a read whose replicas are all on dead nodes fails with
 //! [`MrError::AllReplicasLost`] — the HDFS behavior behind the paper's
 //! Section 7.4 node-failure experiment. Namenode metadata (`exists`,
@@ -146,7 +146,7 @@ fn normalized(path: &str) -> Cow<'_, str> {
 impl Dfs {
     /// Creates an empty DFS with the given replication factor, with as many
     /// placement nodes as replicas (every file lives everywhere).
-    pub fn new(replication: u32) -> Self {
+    pub(crate) fn new(replication: u32) -> Self {
         Self::with_nodes(replication, replication as usize)
     }
 
@@ -163,16 +163,6 @@ impl Dfs {
             nodes: nodes.max(1),
             dead: RwLock::new(BTreeSet::new()),
         }
-    }
-
-    /// The configured replication factor.
-    pub fn replication(&self) -> u32 {
-        self.replication
-    }
-
-    /// Number of virtual nodes blocks are placed across.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     /// Picks the home nodes for `path`: walk the node ring from a stable
@@ -200,13 +190,13 @@ impl Dfs {
 
     /// Marks a virtual node dead: its replicas stop counting toward
     /// availability and future writes avoid it.
-    pub fn kill_node(&self, node: usize) {
+    pub(crate) fn kill_node(&self, node: usize) {
         self.dead.write().insert(node);
     }
 
     /// Nodes currently holding a surviving replica of `path` (empty for
     /// unknown paths or when every home node is dead).
-    pub fn locations(&self, path: &str) -> Vec<usize> {
+    pub(crate) fn locations(&self, path: &str) -> Vec<usize> {
         let path = normalized(path);
         let files = self.files.read();
         let Some(block) = files.get(&*path) else {
@@ -235,7 +225,7 @@ impl Dfs {
     /// Reserved for framework metadata (the checkpoint manifest): driver
     /// bookkeeping must stay invisible to byte accounting so a
     /// checkpoint-enabled run reports the same I/O as a plain one.
-    pub fn write_uncounted(&self, path: &str, data: Bytes) {
+    pub(crate) fn write_uncounted(&self, path: &str, data: Bytes) {
         let path = normalized(path).into_owned();
         let homes = self.place(&path);
         let added = data.len() as u64;
@@ -328,11 +318,6 @@ impl Dfs {
         }
     }
 
-    /// True when the store holds no files.
-    pub fn is_empty(&self) -> bool {
-        self.files.read().is_empty()
-    }
-
     /// Number of files stored.
     pub fn file_count(&self) -> usize {
         self.files.read().len()
@@ -412,7 +397,7 @@ impl Dfs {
     /// observability snapshot as cluster-global series (the DFS hot path
     /// itself stays registry-free: these atomics are always on and cost
     /// what they always did).
-    pub fn obs_series(&self, snap: &mut crate::obs::ObsSnapshot) {
+    pub(crate) fn obs_series(&self, snap: &mut crate::obs::ObsSnapshot) {
         let c = self.counters();
         let none = crate::obs::Labels::new();
         snap.push_counter("mrinv_dfs_write_bytes_total", none.clone(), c.bytes_written);
@@ -647,7 +632,6 @@ mod tests {
         assert!(!dfs.delete("d/a"));
         assert_eq!(dfs.delete_dir("d"), 1);
         assert_eq!(dfs.file_count(), 1);
-        assert!(!dfs.is_empty());
     }
 
     #[test]
@@ -660,7 +644,7 @@ mod tests {
         dfs.write("top", Bytes::from_static(b"4"));
         assert_eq!(dfs.list("").len(), 3);
         assert_eq!(dfs.delete_dir(""), 3);
-        assert!(dfs.is_empty());
+        assert_eq!(dfs.file_count(), 0);
         assert_eq!(dfs.delete_dir("/"), 0, "idempotent on the empty store");
     }
 

@@ -28,12 +28,10 @@
 //! Restored jobs do not advance the cluster clock — the resumed run's
 //! [`RunReport::sim_secs`] prices only what actually re-ran, while
 //! [`RunReport::restored_sim_secs`] reports what the checkpoint saved.
-//! The manifest itself is written through [`Dfs::write_uncounted`] and
+//! The manifest itself is written through `Dfs::write_uncounted` and
 //! verified through uncharged metadata operations, so a
 //! checkpoint-enabled run reports byte-for-byte the same I/O as a plain
 //! one.
-//!
-//! [`Dfs::write_uncounted`]: crate::dfs::Dfs::write_uncounted
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -374,11 +372,6 @@ impl<'c> PipelineDriver<'c> {
         self.cluster
     }
 
-    /// The run this driver addresses.
-    pub fn run(&self) -> &RunId {
-        &self.run
-    }
-
     /// Runs (or restores) the pipeline's next job.
     ///
     /// `spec_fingerprint` identifies the job definition (see
@@ -519,16 +512,6 @@ impl<'c> PipelineDriver<'c> {
         &self.reports
     }
 
-    /// Jobs restored from the manifest instead of re-executed.
-    pub fn restored_jobs(&self) -> u64 {
-        self.restored_jobs
-    }
-
-    /// Simulated seconds the restored jobs originally cost.
-    pub fn restored_sim_secs(&self) -> f64 {
-        self.restored_sim_secs
-    }
-
     /// Total simulated seconds across jobs (excludes master-node work,
     /// which the cluster clock tracks separately; includes restored
     /// jobs' recorded times).
@@ -579,7 +562,7 @@ mod tests {
         assert!((d.total_sim_secs() - 4.0).abs() < 1e-12);
         assert_eq!(d.total_failures(), 2);
         assert_eq!(d.reports()[0].name, "a");
-        assert_eq!(d.restored_jobs(), 0);
+        assert_eq!(d.restored_jobs, 0);
     }
 
     #[test]
@@ -635,8 +618,8 @@ mod tests {
         d.set_config_fingerprint(42);
         let restored = d.step(11, |_| panic!("must not re-run")).unwrap();
         assert_eq!(restored.name, "one");
-        assert_eq!(d.restored_jobs(), 1);
-        assert_eq!(d.restored_sim_secs(), 5.0);
+        assert_eq!(d.restored_jobs, 1);
+        assert_eq!(d.restored_sim_secs, 5.0);
         d.step(12, step2).unwrap();
         assert_eq!(d.reports().len(), 2);
 
@@ -666,7 +649,7 @@ mod tests {
         })
         .unwrap();
         assert!(reran, "changed spec must re-run");
-        assert_eq!(d2.restored_jobs(), 0);
+        assert_eq!(d2.restored_jobs, 0);
 
         // Matching fingerprint but a deleted output: re-run too. Fresh run
         // directory so the recorded output diff actually contains the file.

@@ -26,7 +26,7 @@ pub enum MrError {
         nearest_parent: String,
     },
     /// A file's data is unrecoverable: every node holding one of its
-    /// replicas died ([`crate::dfs::Dfs::kill_node`]). Unlike
+    /// replicas died (`crate::dfs::Dfs::kill_node`). Unlike
     /// [`MrError::FileNotFound`], the file *was* written — this is a
     /// failure-domain loss, not a missing path, and it is not retryable.
     AllReplicasLost {
@@ -36,7 +36,7 @@ pub enum MrError {
         homes: Vec<usize>,
     },
     /// The pipeline driver was killed by the fault plan
-    /// ([`crate::fault::FaultPlan::kill_driver_after`]) after completing
+    /// (`crate::fault::FaultPlan::kill_driver_after`) after completing
     /// the given number of jobs — the simulated analogue of the driver
     /// process dying between jobs.
     DriverKilled {

@@ -4,7 +4,7 @@
 //! (simulated time); an [`ExecBackend`] decides *in which process* the
 //! attempt's body executes. The body itself is written once:
 //! `map_body` and `reduce_body` are the only callers of
-//! [`Mapper::map`] and [`Reducer::reduce`]. Under [`InProcess`] the
+//! [`Mapper::map`] and [`Reducer::reduce`]. Under `InProcess` the
 //! runner calls them typed, on the calling rayon thread;
 //! [`tcp::TcpWorkers`] ships a serialized [`TaskDescriptor`] to a pool of
 //! real worker processes over TCP, where the family's registered entry
@@ -17,7 +17,7 @@
 //! Remote execution cannot ship closures, so jobs opt in by naming a
 //! *task family* ([`crate::job::JobSpec::remote`]) registered in a
 //! [`TaskRegistry`]. Registration captures, per family, monomorphized
-//! codec functions ([`JobCodec`]): driver-side encoders that turn the
+//! codec functions (`JobCodec`): driver-side encoders that turn the
 //! typed mapper/reducer + task input into a [`serde::Value`] payload and
 //! decoders for the results; worker-side entry points that reconstruct
 //! the typed objects around the body. The registry holds families of
@@ -38,7 +38,7 @@ use crate::fault::Phase;
 use crate::job::{MapContext, Mapper, ReduceContext, Reducer, TaskStats};
 use crate::shuffle::ReducerInput;
 
-pub mod tcp;
+pub(crate) mod tcp;
 
 /// Type-erased result of a registered decoder; [`decode_as`] downcasts it
 /// back to the wave's concrete payload type.
@@ -83,7 +83,7 @@ pub(crate) type EncodeTaskFn = fn(&dyn Any, &dyn Any) -> Result<Value>;
 /// Where task-attempt bodies execute. Owned by
 /// [`crate::cluster::Cluster`]. A backend decides one thing: whether it
 /// has workers to ship a [`TaskDescriptor`] to. Attempts it does not ship
-/// (every attempt under [`InProcess`]; jobs without a registered family
+/// (every attempt under `InProcess`; jobs without a registered family
 /// under any backend) run in the driver through the same body.
 pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     /// Stable backend label (the `backend` dimension of
@@ -111,7 +111,7 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
         )))
     }
 
-    /// A simulated node died ([`crate::fault::FaultPlan::kill_node`]);
+    /// A simulated node died (`crate::fault::FaultPlan::kill_node`);
     /// backends with real workers map this onto killing one of them.
     fn on_node_death(&self, _node: usize) {}
 
@@ -122,7 +122,7 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
 /// The default backend: no workers, so every attempt runs on the calling
 /// rayon thread.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct InProcess;
+pub(crate) struct InProcess;
 
 impl ExecBackend for InProcess {
     fn name(&self) -> &str {
@@ -134,7 +134,7 @@ impl ExecBackend for InProcess {
 /// encoders/decoders operate on type-erased mapper/reducer references;
 /// worker-side runners rebuild the typed objects from the wire and run
 /// the real bodies.
-pub struct JobCodec {
+pub(crate) struct JobCodec {
     /// Driver: `(&M, &M::Input) -> payload` (arguments type-erased).
     pub(crate) encode_map: EncodeTaskFn,
     /// Driver: map result payload -> erased `(pairs, reads)`.
@@ -152,7 +152,11 @@ pub struct JobCodec {
 
 impl JobCodec {
     /// Worker-side dispatch on the descriptor's phase.
-    pub fn run(&self, desc: &TaskDescriptor, dfs: Arc<dyn DfsAccess>) -> Result<WireTaskResult> {
+    pub(crate) fn run(
+        &self,
+        desc: &TaskDescriptor,
+        dfs: Arc<dyn DfsAccess>,
+    ) -> Result<WireTaskResult> {
         match desc.phase {
             Phase::Map => (self.run_map)(desc, dfs),
             Phase::Reduce => {
@@ -238,7 +242,7 @@ impl TaskRegistry {
     }
 
     /// Looks up a family's codec.
-    pub fn get(&self, family: &str) -> Option<&JobCodec> {
+    pub(crate) fn get(&self, family: &str) -> Option<&JobCodec> {
         self.families.get(family)
     }
 
@@ -281,10 +285,8 @@ pub(crate) fn reduce_body<R: Reducer>(
     reducer: &R,
     input: &ReducerInput<R::Key, R::Value>,
     dfs: Arc<dyn DfsAccess>,
-    partition: usize,
-    num_partitions: usize,
 ) -> Result<(RawReducePayload<R::Key, R::Output>, TaskStats)> {
-    let mut ctx = ReduceContext::new(dfs, partition, num_partitions);
+    let mut ctx = ReduceContext::new(dfs);
     let start = Instant::now();
     let mut outputs = Vec::new();
     for (key, values) in input.groups() {
@@ -415,7 +417,7 @@ where
     let values: Vec<R::Value> =
         de_field(&desc.payload, "values").map_err(|e| de_err("values", e))?;
     let input = ReducerInput::from_sorted_parts(keys, values);
-    let (outputs, stats) = reduce_body(&reducer, &input, dfs, desc.task_index, desc.num_tasks)?;
+    let (outputs, stats) = reduce_body(&reducer, &input, dfs)?;
     Ok(WireTaskResult {
         stats,
         payload: Value::Object(vec![("outputs".to_string(), outputs.to_value())]),

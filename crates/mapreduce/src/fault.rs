@@ -28,7 +28,7 @@ pub enum Phase {
 /// retried user errors, node deaths, and timeouts stay distinguishable in
 /// exported traces.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FailureCause {
+pub(crate) enum FailureCause {
     /// The fault plan killed the attempt (its node "died").
     Injected,
     /// The task body returned a user-visible error and was retried.
@@ -56,7 +56,7 @@ pub enum FailureCause {
 
 impl FailureCause {
     /// Stable string label stored in trace events.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             FailureCause::Injected => "injected-fault".to_string(),
             FailureCause::UserError(msg) => format!("user-error: {msg}"),
@@ -72,7 +72,7 @@ impl FailureCause {
     /// Bounded-cardinality failure class, used as the `task_kind` label
     /// on failure-counter series (no node index or message payload, so
     /// the label set stays small).
-    pub fn kind_label(&self) -> &'static str {
+    pub(crate) fn kind_label(&self) -> &'static str {
         match self {
             FailureCause::Injected => "injected",
             FailureCause::UserError(_) => "user-error",
@@ -120,7 +120,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// An empty plan (no failures).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FaultPlan::default()
     }
 
@@ -138,7 +138,7 @@ impl FaultPlan {
 
     /// Consulted by the runner for each task attempt; returns true when the
     /// attempt must be treated as failed (and consumes one failure budget).
-    pub fn should_fail(&self, job: &str, phase: Phase, task_index: usize) -> bool {
+    pub(crate) fn should_fail(&self, job: &str, phase: Phase, task_index: usize) -> bool {
         let rules = self.rules.lock();
         for rule in rules.iter() {
             if rule.phase == phase
@@ -187,7 +187,7 @@ impl FaultPlan {
     ///
     /// This is what makes 0 distinguishable from 1: a zero countdown fires
     /// here, on step entry, instead of waiting for a completed job.
-    pub fn driver_kill_now(&self) -> bool {
+    pub(crate) fn driver_kill_now(&self) -> bool {
         let mut armed = self.kill_driver_after.lock();
         if *armed == Some(0) {
             *armed = None;
@@ -198,7 +198,7 @@ impl FaultPlan {
 
     /// Consulted by the driver after each completed job; returns true
     /// exactly once, when the armed countdown reaches zero.
-    pub fn driver_job_completed(&self) -> bool {
+    pub(crate) fn driver_job_completed(&self) -> bool {
         let mut armed = self.kill_driver_after.lock();
         if let Some(remaining) = *armed {
             let remaining = remaining.saturating_sub(1);
@@ -227,7 +227,7 @@ impl FaultPlan {
 
     /// Deaths scheduled at or before `now_secs` that have not fired yet;
     /// marks them fired. The runner applies each exactly once.
-    pub fn deaths_due(&self, now_secs: f64) -> Vec<(usize, f64)> {
+    pub(crate) fn deaths_due(&self, now_secs: f64) -> Vec<(usize, f64)> {
         let mut deaths = self.node_deaths.lock();
         let mut due = Vec::new();
         for d in deaths.iter_mut() {
@@ -240,7 +240,7 @@ impl FaultPlan {
     }
 
     /// The earliest death that has not fired yet, as `(node, after_secs)`.
-    pub fn pending_death(&self) -> Option<(usize, f64)> {
+    pub(crate) fn pending_death(&self) -> Option<(usize, f64)> {
         self.node_deaths
             .lock()
             .iter()
@@ -250,7 +250,7 @@ impl FaultPlan {
     }
 
     /// Nodes whose scheduled death has already fired.
-    pub fn dead_nodes(&self) -> std::collections::BTreeSet<usize> {
+    pub(crate) fn dead_nodes(&self) -> std::collections::BTreeSet<usize> {
         self.node_deaths
             .lock()
             .iter()

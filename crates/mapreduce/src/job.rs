@@ -186,31 +186,16 @@ impl<K, V> DerefMut for MapContext<K, V> {
     }
 }
 
-/// Context handed to each reduce task: a [`TaskIo`] and the partition's
-/// identity.
+/// Context handed to each reduce task: a [`TaskIo`].
 pub struct ReduceContext {
     pub(crate) io: TaskIo,
-    partition: usize,
-    num_partitions: usize,
 }
 
 impl ReduceContext {
-    pub(crate) fn new(dfs: Arc<dyn DfsAccess>, partition: usize, num_partitions: usize) -> Self {
+    pub(crate) fn new(dfs: Arc<dyn DfsAccess>) -> Self {
         ReduceContext {
             io: TaskIo::new(dfs),
-            partition,
-            num_partitions,
         }
-    }
-
-    /// This reducer's partition index.
-    pub fn partition(&self) -> usize {
-        self.partition
-    }
-
-    /// Number of reduce partitions in this job.
-    pub fn num_partitions(&self) -> usize {
-        self.num_partitions
     }
 }
 
@@ -466,9 +451,7 @@ mod tests {
     fn reduce_context_accounts_io() {
         let dfs = Arc::new(Dfs::default());
         dfs.write("x", Bytes::from(vec![0u8; 10]));
-        let mut ctx = ReduceContext::new(dfs.clone(), 1, 3);
-        assert_eq!(ctx.partition(), 1);
-        assert_eq!(ctx.num_partitions(), 3);
+        let mut ctx = ReduceContext::new(dfs.clone());
         let _ = ctx.read("x").unwrap();
         ctx.write("y", Bytes::from(vec![0u8; 20]));
         let (stats, reads) = ctx.io.finish(Duration::ZERO);
@@ -493,7 +476,7 @@ mod tests {
             assert!(io.read("d/missing").is_err());
         };
         let mut map: MapContext<usize, usize> = MapContext::new(dfs.clone(), 0, 1);
-        let mut reduce = ReduceContext::new(dfs.clone(), 0, 1);
+        let mut reduce = ReduceContext::new(dfs.clone());
         let mut master = TaskIo::new(dfs.clone());
         traffic(&mut map);
         traffic(&mut reduce);

@@ -24,13 +24,13 @@
 //!   value is tuned against (Section 5);
 //! * [`exec`] — the pluggable execution backend seam: task attempts
 //!   dispatch through an [`exec::ExecBackend`] owned by the cluster. The
-//!   default [`exec::InProcess`] runs closures on rayon exactly as before;
+//!   default `exec::InProcess` runs closures on rayon exactly as before;
 //!   [`exec::tcp::TcpWorkers`] ships bincode task descriptors to real
 //!   worker *processes* over TCP and serves their DFS traffic from the
 //!   driver;
 //! * [`wire`] — the one length-prefixed frame codec every socket speaks
 //!   (worker backend, service, client);
-//! * [`fault::FaultPlan`] — deterministic task-failure injection plus the
+//! * `fault::FaultPlan` — deterministic task-failure injection plus the
 //!   Hadoop retry policy, reproducing the Section 7.4 failure-recovery
 //!   experiment;
 //! * [`driver::PipelineDriver`] — owns job sequencing and accounting for a
@@ -62,12 +62,12 @@
 pub mod cluster;
 pub mod dfs;
 pub mod driver;
-pub mod error;
+mod error;
 pub mod exec;
-pub mod fault;
+mod fault;
 pub mod job;
 pub mod master;
-pub mod metrics;
+mod metrics;
 pub mod obs;
 pub mod runner;
 pub mod scheduler;
@@ -81,16 +81,9 @@ pub use dfs::{Dfs, UncountedDfs};
 pub use driver::{Fingerprint, ManifestRecord, PipelineDriver, RunId, RunReport};
 pub use error::{MrError, Result};
 pub use exec::tcp::{worker_serve, TcpWorkers, TcpWorkersConfig};
-pub use exec::{ExecBackend, InProcess, TaskDescriptor, TaskRegistry};
-pub use fault::{FailureCause, FaultPlan, Phase};
-pub use job::{
-    JobSpec, MapContext, Mapper, ReduceContext, Reducer, ShuffleSize, TaskIo, TaskStats,
-};
-pub use metrics::MetricsSnapshot;
-pub use obs::{CostAudit, Labels, ObsSnapshot, Registry};
-pub use runner::{run_job, run_map_only, JobReport};
-pub use shuffle::ReducerInput;
+pub use exec::{TaskDescriptor, TaskRegistry};
+pub use fault::Phase;
+pub use job::{TaskIo, TaskStats};
+pub use runner::JobReport;
 pub use simtime::CostModel;
-pub use tracelog::{
-    chrome_trace_json, PipelineAnalytics, TaskEvent, TraceLog, TracePhase, WaveAnalytics,
-};
+pub use tracelog::{chrome_trace_json, PipelineAnalytics, TaskEvent, TracePhase};

@@ -23,7 +23,7 @@ use crate::tracelog::{TaskEvent, TracePhase};
 /// Runs `f` on the master node. `f` returns its result and its counted
 /// work (flops, and the bytes it coded), which is charged to the cluster's
 /// simulated clock as serial master-side work
-/// ([`crate::CostModel::master_work_secs`]). The call appears in exported
+/// (`crate::CostModel::master_work_secs`). The call appears in exported
 /// traces as a `master` span on the cluster's driver track, between job
 /// processes, and in `mrinv_master_call_seconds`.
 pub fn run_on_master<T>(cluster: &Cluster, f: impl FnOnce() -> (T, TaskStats)) -> T {

@@ -93,34 +93,34 @@ impl ClusterMetrics {
 
     /// Records a launched job, returning its cluster-wide 0-based
     /// sequence number (used as the job's trace identity).
-    pub fn record_job(&self) -> u64 {
+    pub(crate) fn record_job(&self) -> u64 {
         self.jobs.fetch_add(1)
     }
 
     /// Records completed map tasks.
-    pub fn record_map_tasks(&self, n: u64) {
+    pub(crate) fn record_map_tasks(&self, n: u64) {
         self.map_tasks.add(n);
     }
 
     /// Records completed reduce tasks.
-    pub fn record_reduce_tasks(&self, n: u64) {
+    pub(crate) fn record_reduce_tasks(&self, n: u64) {
         self.reduce_tasks.add(n);
     }
 
     /// Records failed task attempts.
-    pub fn record_failures(&self, n: u64) {
+    pub(crate) fn record_failures(&self, n: u64) {
         self.task_failures.add(n);
     }
 
     /// Records shuffle volume.
-    pub fn record_shuffle_bytes(&self, n: u64) {
+    pub(crate) fn record_shuffle_bytes(&self, n: u64) {
         self.shuffle_bytes.add(n);
     }
 
     /// Records one map wave's placement quality: how many tasks ran
     /// data-local vs remote, and the bytes the remote ones pulled across
     /// the network.
-    pub fn record_map_locality(&self, local: u64, remote: u64, remote_bytes: u64) {
+    pub(crate) fn record_map_locality(&self, local: u64, remote: u64, remote_bytes: u64) {
         self.data_local_map_tasks.add(local);
         self.remote_map_tasks.add(remote);
         self.remote_read_bytes.add(remote_bytes);
@@ -128,7 +128,7 @@ impl ClusterMetrics {
 
     /// Adds simulated seconds to the cluster clock (lock-free: a CAS loop
     /// over the f64 bit pattern).
-    pub fn add_sim_secs(&self, secs: f64) {
+    pub(crate) fn add_sim_secs(&self, secs: f64) {
         self.sim_secs.add(secs);
     }
 
@@ -140,7 +140,7 @@ impl ClusterMetrics {
     }
 
     /// Total simulated seconds so far.
-    pub fn sim_secs(&self) -> f64 {
+    pub(crate) fn sim_secs(&self) -> f64 {
         self.sim_secs.get()
     }
 
@@ -158,12 +158,6 @@ impl ClusterMetrics {
             sim_secs: self.sim_secs.get(),
             master_secs: self.master_secs.get(),
         }
-    }
-
-    /// Resets everything to zero — the compatibility counters and every
-    /// labeled series in the registry (registrations stay live).
-    pub fn reset(&self) {
-        self.obs.reset();
     }
 }
 
@@ -197,15 +191,6 @@ mod tests {
             "master time advances the clock"
         );
         assert!((s.master_secs - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let m = ClusterMetrics::default();
-        m.record_job();
-        m.add_sim_secs(1.0);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Labeled observability registry: counters, gauges, and log-bucketed
 //! histograms keyed by `{job, wave, node, task-kind, gemm-backend}`.
 //!
-//! The flat [`crate::metrics::ClusterMetrics`] counters answer "how much
+//! The flat `crate::metrics::ClusterMetrics` counters answer "how much
 //! in total"; this registry answers "which job / wave / node / backend".
 //! Design constraints, in order:
 //!
@@ -13,7 +13,7 @@
 //!   accumulation uses `AtomicF64`, a CAS loop over the `f64` bit
 //!   pattern in an `AtomicU64`.
 //! * **Off by default, one relaxed load when disabled.** Labeled
-//!   recording sites check [`Registry::is_enabled`] first, exactly like
+//!   recording sites check `Registry::is_enabled` first, exactly like
 //!   [`crate::tracelog::TraceLog`].
 //! * **Bounded cardinality.** The registry is one `(name, labels) →
 //!   series` map holding at most the bound [`Registry::new`] takes, of any
@@ -46,17 +46,12 @@ struct AtomicF64 {
 
 impl AtomicF64 {
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
-    /// Overwrites the value.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
     /// Adds `v` with a CAS loop.
-    pub fn add(&self, v: f64) {
+    pub(crate) fn add(&self, v: f64) {
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
@@ -85,18 +80,13 @@ impl Counter {
 
     /// Adds `n` and returns the value *before* the add (used for
     /// sequence-number allocation).
-    pub fn fetch_add(&self, n: u64) -> u64 {
+    pub(crate) fn fetch_add(&self, n: u64) -> u64 {
         self.value.fetch_add(n, Ordering::Relaxed)
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Back to zero.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -108,24 +98,14 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Overwrites the level.
-    pub fn set(&self, v: f64) {
-        self.value.set(v);
-    }
-
     /// Adds to the level (lock-free; see `AtomicF64`).
     pub fn add(&self, v: f64) {
         self.value.add(v);
     }
 
     /// Current level.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         self.value.get()
-    }
-
-    /// Back to zero.
-    pub fn reset(&self) {
-        self.value.set(0.0);
     }
 }
 
@@ -200,15 +180,6 @@ impl Histogram {
             sum: self.sum.get(),
         }
     }
-
-    /// Back to empty.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.set(0.0);
-    }
 }
 
 /// A point-in-time copy of a [`Histogram`]. Merging snapshots is a
@@ -241,7 +212,7 @@ impl HistogramSnapshot {
     /// Upper bound of the bucket holding the `q`-quantile observation
     /// (`q` in `0..=1`); `+Inf` when it fell in the overflow bucket, 0
     /// when the histogram is empty.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -420,7 +391,7 @@ impl Registry {
 
     /// One relaxed load: should call sites record labeled metrics?
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -513,19 +484,6 @@ impl Registry {
             }
         }
         snap
-    }
-
-    /// Zeroes every live series *in place* (registrations and handles
-    /// stay valid) and clears the dropped-series count.
-    pub fn reset(&self) {
-        for series in self.series.lock().values() {
-            match series {
-                Series::Counter(c) => c.reset(),
-                Series::Gauge(g) => g.reset(),
-                Series::Histogram(h) => h.reset(),
-            }
-        }
-        self.dropped.reset();
     }
 }
 
@@ -859,12 +817,11 @@ mod tests {
     #[test]
     fn atomic_f64_accumulates() {
         let a = AtomicF64::default();
-        a.set(1.5);
+        assert_eq!(a.get(), 0.0);
+        a.add(1.5);
         a.add(2.25);
         a.add(-0.75);
         assert!((a.get() - 3.0).abs() < 1e-12);
-        a.set(0.0);
-        assert_eq!(a.get(), 0.0);
     }
 
     #[test]
@@ -980,24 +937,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_in_place_and_keeps_handles_live() {
-        let r = Registry::default();
-        let c = r.counter("c_total", &Labels::new());
-        let h = r.histogram("h_seconds", &Labels::new());
-        c.add(7);
-        h.observe(1.0);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(r.snapshot().histograms[0].hist.count, 0);
-        c.add(1); // the old handle still feeds the registered series
-        assert_eq!(r.snapshot().counters[0].value, 1);
-    }
-
-    #[test]
     fn prometheus_text_renders_and_validates() {
         let r = Registry::default();
         r.counter("mrinv_jobs_total", &Labels::new()).add(3);
-        r.gauge("mrinv_sim_seconds", &Labels::new()).set(12.5);
+        r.gauge("mrinv_sim_seconds", &Labels::new()).add(12.5);
         let h = r.histogram(
             "mrinv_task_run_seconds",
             &Labels::new().job("lu-level:0").wave("map"),

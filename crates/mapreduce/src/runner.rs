@@ -16,7 +16,7 @@
 //! to the schedule — so failures lengthen the simulated run exactly as the
 //! paper's Section 7.4 failed-mapper experiment describes.
 //!
-//! Mid-run whole-node deaths ([`crate::fault::FaultPlan::kill_node`])
+//! Mid-run whole-node deaths (`crate::fault::FaultPlan::kill_node`)
 //! follow Hadoop 1.x semantics: a map task's output lives on its node's
 //! local disk (not in the DFS), so completed map tasks on a node that dies
 //! before the shuffle lose their output and re-execute; reduce outputs and
@@ -759,8 +759,7 @@ where
                     .decode_reduce
                     .expect("map+reduce family has a reduce decoder"),
             });
-            let reduce_local =
-                |p: usize| reduce_body(reducer, &partitions[p], cluster.dfs.clone(), p, reducers);
+            let reduce_local = |p: usize| reduce_body(reducer, &partitions[p], cluster.dfs.clone());
             let reduce_post = |raw: RawReducePayload<M::Key, R::Output>| raw;
             run_wave(
                 cluster,
@@ -883,7 +882,6 @@ mod tests {
         type Output = usize;
         fn reduce(&self, key: &usize, values: &[usize], ctx: &mut ReduceContext) -> Result<usize> {
             assert_eq!(values, &[*key]);
-            assert_eq!(ctx.partition(), *key % ctx.num_partitions());
             let data = ctx.read(&format!("OUT/{key}"))?;
             Ok(data.len())
         }

@@ -24,7 +24,7 @@
 //! different large EC2 instances is high", Section 7.4). Placement is
 //! *speed-blind*, like Hadoop's JobTracker: the scheduler cannot know a
 //! node is slow in advance. A backup copy mitigates exactly this blindness
-//! ([`speculate`], Hadoop's speculative execution): the wave's
+//! (`speculate`, Hadoop's speculative execution): the wave's
 //! makespan-defining straggler is re-run on the slot that would finish it
 //! first, and the first copy to commit wins.
 
@@ -58,11 +58,11 @@ pub struct WaveFaults {
     pub dead_nodes: BTreeSet<usize>,
     /// A node dying mid-wave: `(node, seconds after wave start)`. Attempts
     /// in flight on it at that instant fail with
-    /// [`AttemptOutcome::NodeLost`]; nothing starts there afterward.
+    /// `AttemptOutcome::NodeLost`; nothing starts there afterward.
     pub node_death: Option<(usize, f64)>,
     /// Map outputs are node-local (Hadoop: not in the DFS), so a mid-wave
     /// death also voids *completed* tasks on the dying node
-    /// ([`AttemptOutcome::OutputLost`]) and re-executes them. False for
+    /// (`AttemptOutcome::OutputLost`) and re-executes them. False for
     /// reduce waves and map-only jobs, whose outputs are replicated DFS
     /// writes.
     pub lose_completed_outputs: bool,
@@ -80,7 +80,7 @@ pub struct WaveFaults {
 
 /// Why a planned attempt ended the way it did.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttemptOutcome {
+pub(crate) enum AttemptOutcome {
     /// Ran to completion and its output was used.
     Success,
     /// The body itself failed (injected fault or user error) and the chain
@@ -115,7 +115,7 @@ pub struct PlannedAttempt {
     /// Input bytes this attempt pulled from other nodes' replicas.
     pub remote_bytes: u64,
     /// How the attempt ended.
-    pub outcome: AttemptOutcome,
+    pub(crate) outcome: AttemptOutcome,
 }
 
 /// Result of [`plan_wave`]: the schedule plus per-attempt provenance.
@@ -135,14 +135,14 @@ pub struct WavePlan {
     /// Tasks that ran out of attempt budget: `(task, attempts started)`.
     pub failed_tasks: Vec<(usize, u32)>,
     /// Straggler tasks whose backup copy on an idle slot committed first
-    /// ([`speculate`]); 0 from [`plan_wave`] itself.
+    /// (`speculate`); 0 from [`plan_wave`] itself.
     pub steals: u64,
 }
 
 impl WavePlan {
     /// Attempts beyond each task's first — the retry count the job report
     /// surfaces.
-    pub fn extra_attempts(&self) -> u32 {
+    pub(crate) fn extra_attempts(&self) -> u32 {
         self.attempts
             .iter()
             .map(|a| a.len().saturating_sub(1) as u32)
@@ -152,7 +152,7 @@ impl WavePlan {
     /// Busy simulated seconds per node: every attempt's occupancy summed
     /// onto the node it ran on — the per-node utilization series the
     /// observability registry records.
-    pub fn node_busy_secs(&self, nodes: usize) -> Vec<f64> {
+    pub(crate) fn node_busy_secs(&self, nodes: usize) -> Vec<f64> {
         let mut busy = vec![0.0; nodes.max(1)];
         for attempts in &self.attempts {
             for a in attempts {
@@ -234,7 +234,7 @@ fn best_backup(
 /// node-local slots preferred among equals — Hadoop's locality tier —
 /// and remote placements charged one network crossing for the non-local
 /// bytes. The backup copy is a separate pass over the returned plan
-/// ([`speculate`]).
+/// (`speculate`).
 pub fn plan_wave(
     tasks: &[PlannedTask],
     node_speeds: &[f64],
@@ -491,7 +491,7 @@ pub fn plan_wave(
 /// Like Hadoop suspending speculation during failure recovery, the pass
 /// is a no-op on waves with a mid-wave death, a timeout, or an exhausted
 /// task.
-pub fn speculate(
+pub(crate) fn speculate(
     plan: &mut WavePlan,
     tasks: &[PlannedTask],
     node_speeds: &[f64],

@@ -10,14 +10,14 @@
 //! single-threaded loop and then cloned every group's values before each
 //! `Reducer::reduce` call; the sorted [`ReducerInput`] instead stores keys
 //! and values in parallel arrays so each key group is a contiguous
-//! borrowed `&[V]` slice ([`ReducerInput::groups`]) — no value is ever
+//! borrowed `&[V]` slice (`ReducerInput::groups`) — no value is ever
 //! copied between `emit` and `reduce`.
 //!
 //! # Determinism
 //!
 //! The shuffle is bit-for-bit identical to the reference single-threaded
-//! path ([`reference_shuffle`], kept as the executable specification for
-//! the equivalence proptest):
+//! path (`reference_shuffle` in the framework proptests, kept as the
+//! executable specification):
 //!
 //! * a key's partition comes from the job's partitioner alone — same key,
 //!   same reducer, regardless of bucketing;
@@ -45,7 +45,7 @@ pub struct ReducerInput<K, V> {
 impl<K: Ord, V> ReducerInput<K, V> {
     /// Builds the input from one reduce partition's pairs (any order);
     /// sorts them stably by key.
-    pub fn from_pairs(mut pairs: Vec<(K, V)>) -> Self {
+    pub(crate) fn from_pairs(mut pairs: Vec<(K, V)>) -> Self {
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
         let (keys, values) = pairs.into_iter().unzip();
         ReducerInput { keys, values }
@@ -62,16 +62,6 @@ impl<K: Ord, V> ReducerInput<K, V> {
         ReducerInput { keys, values }
     }
 
-    /// Number of `(key, value)` pairs.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when the partition received no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// The sorted keys (one entry per pair, duplicates adjacent).
     pub fn keys(&self) -> &[K] {
         &self.keys
@@ -85,13 +75,13 @@ impl<K: Ord, V> ReducerInput<K, V> {
     /// Iterates the key groups: one `(key, values)` item per distinct key,
     /// in ascending key order, where `values` borrows the contiguous run
     /// of that key's values.
-    pub fn groups(&self) -> Groups<'_, K, V> {
+    pub(crate) fn groups(&self) -> Groups<'_, K, V> {
         Groups { input: self, at: 0 }
     }
 }
 
 /// Iterator over a [`ReducerInput`]'s key groups.
-pub struct Groups<'a, K, V> {
+pub(crate) struct Groups<'a, K, V> {
     input: &'a ReducerInput<K, V>,
     at: usize,
 }
@@ -138,7 +128,9 @@ pub fn partition_pairs<K, V>(
 /// (each inner list of length `num_reducers`, as produced by
 /// [`partition_pairs`]). Within each partition, tasks' buckets are
 /// concatenated in task order before the stable sort — the exact pair
-/// order of [`reference_shuffle`].
+/// order of pushing every task's pairs into its partition on one thread,
+/// then stable-sorting each partition by key (the framework proptests
+/// hold it to that specification).
 pub fn parallel_shuffle<K, V>(
     task_buckets: Vec<Vec<Vec<(K, V)>>>,
     num_reducers: usize,
@@ -171,30 +163,6 @@ where
         .collect()
 }
 
-/// The pre-parallel shuffle, kept as the executable specification: push
-/// every map task's pairs (task order, then emission order) into its
-/// partition, then stable-sort each partition by key — all on one thread.
-///
-/// [`parallel_shuffle`] must produce identical partition assignment and
-/// value order (the framework proptests assert it).
-pub fn reference_shuffle<K: Ord, V>(
-    task_outputs: Vec<Vec<(K, V)>>,
-    partitioner: fn(&K, usize) -> usize,
-    num_reducers: usize,
-) -> Vec<ReducerInput<K, V>> {
-    let mut partitions: Vec<Vec<(K, V)>> = (0..num_reducers).map(|_| Vec::new()).collect();
-    for pairs in task_outputs {
-        for (k, v) in pairs {
-            let p = partitioner(&k, num_reducers);
-            partitions[p].push((k, v));
-        }
-    }
-    partitions
-        .into_iter()
-        .map(ReducerInput::from_pairs)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,14 +174,13 @@ mod tests {
         let groups: Vec<(i32, Vec<&str>)> =
             input.groups().map(|(k, vs)| (*k, vs.to_vec())).collect();
         assert_eq!(groups, vec![(1, vec!["a", "b"]), (2, vec!["c", "d"])]);
-        assert_eq!(input.len(), 4);
-        assert!(!input.is_empty());
+        assert_eq!(input.keys().len(), 4);
     }
 
     #[test]
     fn empty_input_has_no_groups() {
         let input: ReducerInput<u32, u32> = ReducerInput::from_pairs(Vec::new());
-        assert!(input.is_empty());
+        assert!(input.keys().is_empty());
         assert_eq!(input.groups().count(), 0);
     }
 
@@ -240,17 +207,33 @@ mod tests {
     #[test]
     fn parallel_matches_reference_on_interleaved_tasks() {
         // Several tasks emitting overlapping keys with distinct values so
-        // any order violation is visible.
+        // any order violation is visible. The reference: each partition
+        // holds its keys' pairs in task, then emission order, stable-sorted
+        // by key.
         let tasks: Vec<Vec<(usize, (usize, usize))>> = (0..6)
             .map(|t| (0..40).map(|i| (i % 7, (t, i))).collect())
             .collect();
-        let expect = reference_shuffle(tasks.clone(), hash_partitioner::<usize>, 3);
         let buckets = tasks
-            .into_iter()
-            .map(|pairs| partition_pairs(pairs, hash_partitioner::<usize>, 3))
+            .iter()
+            .map(|pairs| partition_pairs(pairs.clone(), hash_partitioner::<usize>, 3))
             .collect();
         let got = parallel_shuffle(buckets, 3);
-        assert_eq!(got, expect);
+        for (p, input) in got.iter().enumerate() {
+            let mut expect: Vec<(usize, (usize, usize))> = tasks
+                .iter()
+                .flatten()
+                .filter(|(k, _)| hash_partitioner(k, 3) == p)
+                .copied()
+                .collect();
+            expect.sort_by_key(|&(k, _)| k);
+            let pairs: Vec<_> = input
+                .keys()
+                .iter()
+                .copied()
+                .zip(input.values().iter().copied())
+                .collect();
+            assert_eq!(pairs, expect);
+        }
     }
 
     #[test]

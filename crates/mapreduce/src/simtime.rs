@@ -121,14 +121,14 @@ impl CostModel {
     }
 
     /// Simulated seconds to execute one task on one node.
-    pub fn task_secs(&self, stats: &TaskStats) -> f64 {
+    pub(crate) fn task_secs(&self, stats: &TaskStats) -> f64 {
         let (cpu, io) = self.task_secs_split(stats);
         cpu + io
     }
 
     /// Simulated `(compute, io)` seconds for one task — the attribution
     /// the trace log's CPU-vs-I/O skew analytics are built on.
-    pub fn task_secs_split(&self, stats: &TaskStats) -> (f64, f64) {
+    pub(crate) fn task_secs_split(&self, stats: &TaskStats) -> (f64, f64) {
         let cpu = self.work_secs(stats) / f64::from(self.cores_per_node);
         let read = stats.read_bytes as f64 / self.disk_read_bw;
         let write = stats.write_bytes as f64 * f64::from(self.replication) / self.disk_write_bw;
@@ -137,14 +137,14 @@ impl CostModel {
 
     /// Simulated seconds of counted work on the master node, which runs it
     /// [`MASTER_SPEEDUP`] times faster than a worker core.
-    pub fn master_work_secs(&self, work: &TaskStats) -> f64 {
+    pub(crate) fn master_work_secs(&self, work: &TaskStats) -> f64 {
         self.work_secs(work) / MASTER_SPEEDUP
     }
 
     /// Simulated seconds for the shuffle of `bytes` across `m0` nodes:
     /// every byte crosses the network once, and the cluster moves data at
     /// `m0 · net_bw` in aggregate.
-    pub fn shuffle_secs(&self, bytes: u64, m0: usize) -> f64 {
+    pub(crate) fn shuffle_secs(&self, bytes: u64, m0: usize) -> f64 {
         if bytes == 0 {
             return 0.0;
         }

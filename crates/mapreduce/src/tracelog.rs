@@ -23,10 +23,10 @@
 //! [`TraceLog::is_enabled`] before building any event. When enabled,
 //! events land in one mutex-protected ring — a job is observed once, on
 //! the driver thread, so its events arrive as one batch under one lock —
-//! that keeps the newest `capacity` events and counts what it dropped.
+//! that keeps the newest `capacity` events.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -48,7 +48,7 @@ pub enum TracePhase {
     Reduce,
     /// A computation on the master node (between jobs).
     Master,
-    /// A virtual node dying ([`crate::fault::FaultPlan::kill_node`]): an
+    /// A virtual node dying (`crate::fault::FaultPlan::kill_node`): an
     /// instantaneous cluster-level marker whose `task` field is the node
     /// index.
     NodeDeath,
@@ -110,7 +110,7 @@ pub struct TaskEvent {
     pub remote_read_bytes: u64,
     /// Why the attempt failed (`None` for successful attempts). Injected
     /// faults and retried user errors carry distinct labels — see
-    /// [`crate::fault::FailureCause`].
+    /// `crate::fault::FailureCause`.
     pub failure: Option<String>,
 }
 
@@ -118,7 +118,7 @@ impl TaskEvent {
     /// A job-level span — launch, shuffle, master work, a node death — on
     /// the driver track: no task, no node, no measured work. Callers set
     /// what their span does carry with struct-update syntax.
-    pub fn span(
+    pub(crate) fn span(
         job: &str,
         job_seq: Option<u64>,
         phase: TracePhase,
@@ -158,7 +158,6 @@ pub struct TraceLog {
     enabled: AtomicBool,
     ring: Mutex<VecDeque<TaskEvent>>,
     capacity: usize,
-    dropped: AtomicU64,
 }
 
 /// Default ring capacity (half a million events).
@@ -172,23 +171,22 @@ impl Default for TraceLog {
 
 impl TraceLog {
     /// A log that records nothing until [`TraceLog::enable`] is called.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         TraceLog::with_capacity(DEFAULT_CAPACITY)
     }
 
     /// A log with an explicit ring capacity (events beyond it evict the
     /// oldest recorded).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         TraceLog {
             enabled: AtomicBool::new(false),
             ring: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
         }
     }
 
     /// Starts recording.
-    pub fn enable(&self) {
+    pub(crate) fn enable(&self) {
         self.enabled.store(true, Ordering::Relaxed);
     }
 
@@ -200,13 +198,13 @@ impl TraceLog {
     }
 
     /// Records one event (dropped silently when disabled).
-    pub fn record(&self, event: TaskEvent) {
+    pub(crate) fn record(&self, event: TaskEvent) {
         self.record_batch([event]);
     }
 
     /// Records a batch of events under one lock acquisition, evicting the
     /// oldest recorded events once the ring is full.
-    pub fn record_batch(&self, events: impl IntoIterator<Item = TaskEvent>) {
+    pub(crate) fn record_batch(&self, events: impl IntoIterator<Item = TaskEvent>) {
         if !self.is_enabled() {
             return;
         }
@@ -214,7 +212,6 @@ impl TraceLog {
         for event in events {
             if ring.len() >= self.capacity {
                 ring.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
             }
             ring.push_back(event);
         }
@@ -236,7 +233,7 @@ impl TraceLog {
     }
 
     /// Number of recorded events currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ring.lock().len()
     }
 
@@ -245,15 +242,9 @@ impl TraceLog {
         self.len() == 0
     }
 
-    /// Events evicted by ring-buffer overflow.
-    pub fn dropped_count(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
     /// Discards all recorded events (the enable flag is unchanged).
     pub fn clear(&self) {
         self.ring.lock().clear();
-        self.dropped.store(0, Ordering::Relaxed);
     }
 }
 
@@ -597,10 +588,8 @@ mod tests {
         }
         let kept: Vec<usize> = log.events().iter().map(|e| e.task).collect();
         assert_eq!(kept, (2 * capacity..3 * capacity).collect::<Vec<_>>());
-        assert_eq!(log.dropped_count(), 2 * capacity as u64);
         log.clear();
         assert!(log.is_empty());
-        assert_eq!(log.dropped_count(), 0);
     }
 
     /// The single lock serializes concurrent recorders without losing an
@@ -620,7 +609,6 @@ mod tests {
             }
         });
         assert_eq!(log.len(), 8 * 2000);
-        assert_eq!(log.dropped_count(), 0);
         let events = log.events();
         for thread in 0..8 {
             let of_thread = events.iter().filter(|e| e.job_seq == Some(thread));

@@ -6,7 +6,7 @@ use mrinv_mapreduce::job::{
 };
 use mrinv_mapreduce::runner::{run_job, run_map_only};
 use mrinv_mapreduce::scheduler::{plan_wave, PlannedTask, WaveFaults};
-use mrinv_mapreduce::shuffle::{parallel_shuffle, partition_pairs, reference_shuffle};
+use mrinv_mapreduce::shuffle::{parallel_shuffle, partition_pairs};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, MrError, Phase};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -15,6 +15,28 @@ fn unit_cluster(m0: usize) -> Cluster {
     let mut cfg = ClusterConfig::medium(m0);
     cfg.cost = CostModel::unit_for_tests();
     Cluster::new(cfg)
+}
+
+/// The pre-parallel shuffle, kept as the executable specification of
+/// `parallel_shuffle`: push every map task's pairs (task order, then
+/// emission order) into its partition, then stable-sort each partition
+/// by key, all on one thread. Returns each partition's sorted pairs.
+fn reference_shuffle<K: Ord, V>(
+    task_outputs: Vec<Vec<(K, V)>>,
+    partitioner: fn(&K, usize) -> usize,
+    num_reducers: usize,
+) -> Vec<Vec<(K, V)>> {
+    let mut partitions: Vec<Vec<(K, V)>> = (0..num_reducers).map(|_| Vec::new()).collect();
+    for pairs in task_outputs {
+        for (k, v) in pairs {
+            let p = partitioner(&k, num_reducers);
+            partitions[p].push((k, v));
+        }
+    }
+    for partition in &mut partitions {
+        partition.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+    partitions
 }
 
 /// Word count, the canonical MapReduce program.
@@ -170,9 +192,10 @@ proptest! {
             .collect();
         let got = parallel_shuffle(buckets, reducers);
         prop_assert_eq!(got.len(), expect.len());
-        for (g, e) in got.iter().zip(&expect) {
-            prop_assert_eq!(g.keys(), e.keys());
-            prop_assert_eq!(g.values(), e.values());
+        for (g, e) in got.iter().zip(expect) {
+            let (keys, values): (Vec<_>, Vec<_>) = e.into_iter().unzip();
+            prop_assert_eq!(g.keys(), &keys[..]);
+            prop_assert_eq!(g.values(), &values[..]);
         }
     }
 

@@ -30,15 +30,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows x cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates the identity matrix of order `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -95,16 +86,6 @@ impl Matrix {
             }
         }
         Matrix { rows, cols, data }
-    }
-
-    /// Builds a diagonal matrix from the given diagonal entries.
-    pub fn diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m.data[i * n + i] = d;
-        }
-        m
     }
 
     /// Number of rows.
@@ -407,13 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_matrix() {
-        let d = Matrix::diagonal(&[1.0, 2.0, 3.0]);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
-    }
-
-    #[test]
     fn order_requires_square() {
         assert_eq!(Matrix::zeros(3, 3).order().unwrap(), 3);
         assert!(Matrix::zeros(2, 3).order().is_err());
@@ -448,7 +422,7 @@ mod tests {
 
     #[test]
     fn approx_eq_and_max_abs_diff() {
-        let a = Matrix::filled(2, 2, 1.0);
+        let a = Matrix::from_fn(2, 2, |_, _| 1.0);
         let mut b = a.clone();
         b[(1, 1)] = 1.0 + 1e-9;
         assert!(a.approx_eq(&b, 1e-8));

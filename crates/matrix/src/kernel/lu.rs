@@ -13,20 +13,13 @@
 use super::trsm::trsm_window;
 use super::{gemm_window, notrans, Diag, GemmBackend, MatMut, MatrixError, Result, Side, Uplo};
 use crate::dense::Matrix;
-use crate::lu::LuFactors;
 use crate::permutation::Permutation;
 
-/// Blocked variant of [`crate::lu::lu_decompose`]: same packed-factor
-/// layout and singularity threshold, trailing updates through `backend`.
-pub fn lu_blocked(a: &Matrix, nb: usize, backend: &dyn GemmBackend) -> Result<LuFactors> {
-    let mut lu = a.clone();
-    let perm = lu_blocked_in_place(&mut lu, nb, backend)?;
-    Ok(LuFactors { lu, perm })
-}
-
-/// In-place blocked LU: overwrites `a` with the packed factors and
-/// returns the pivot permutation (`P·A = L·U`).
-pub fn lu_blocked_in_place(
+/// Blocked variant of [`crate::lu::lu_decompose`], in place: overwrites
+/// `a` with the same packed-factor layout (same singularity threshold,
+/// trailing updates through `backend`) and returns the pivot permutation
+/// (`P·A = L·U`).
+pub(crate) fn lu_blocked_in_place(
     a: &mut Matrix,
     nb: usize,
     backend: &dyn GemmBackend,

@@ -15,8 +15,8 @@
 //!   tile by tile with [`gemm`]'s bits;
 //! * [`trsm`] — `B := alpha * T^-1 * B` (left) or `alpha * B * T^-1`
 //!   (right) for triangular `T`, all [`Side`]/[`Uplo`]/[`Diag`] cases;
-//! * [`lu_blocked`] — right-looking blocked LU whose trailing updates are
-//!   [`gemm`] and [`trsm`].
+//! * `lu_blocked_in_place` — right-looking blocked LU whose trailing
+//!   updates are [`gemm`] and [`trsm`].
 //!
 //! Execution strategy is pluggable through [`GemmBackend`]:
 //!
@@ -56,8 +56,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use crate::dense::Matrix;
 use crate::error::{MatrixError, Result};
 
-pub use lu::{lu_blocked, lu_blocked_in_place};
-pub use naive::dot;
+pub(crate) use lu::lu_blocked_in_place;
 pub use packed::K_PANEL;
 pub use staircase::gemm_staircase;
 pub use trsm::{trsm, trsm_with};
@@ -84,7 +83,7 @@ impl Op {
 }
 
 /// A borrowed GEMM operand: a window of row-major storage (a whole
-/// [`Matrix`] unless narrowed with [`OpRef::window`]) together with its
+/// [`Matrix`] unless narrowed with `OpRef::window`) together with its
 /// transposition state. The operand is read where it lives; no block is
 /// copied out.
 #[derive(Clone, Copy)]
@@ -97,13 +96,13 @@ pub struct OpRef<'a> {
 impl<'a> OpRef<'a> {
     /// How the operand participates in the product.
     #[inline]
-    pub fn op(&self) -> Op {
+    pub(crate) fn op(&self) -> Op {
         self.op
     }
 
     /// Logical row count (after applying `op`).
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         match self.op {
             Op::NoTrans => self.win.rows(),
             Op::Trans => self.win.cols(),
@@ -112,7 +111,7 @@ impl<'a> OpRef<'a> {
 
     /// Logical column count (after applying `op`).
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         match self.op {
             Op::NoTrans => self.win.cols(),
             Op::Trans => self.win.rows(),
@@ -125,7 +124,7 @@ impl<'a> OpRef<'a> {
     ///
     /// # Panics
     /// If either range is reversed or exceeds the operand.
-    pub fn window(self, rows: Range<usize>, cols: Range<usize>) -> OpRef<'a> {
+    pub(crate) fn window(self, rows: Range<usize>, cols: Range<usize>) -> OpRef<'a> {
         let win = match self.op {
             Op::NoTrans => self.win.window(rows, cols),
             Op::Trans => self.win.window(cols, rows),
@@ -277,7 +276,7 @@ fn kind_of(naive: bool) -> BackendKind {
 
 /// The process-wide default backend used by [`gemm`] and [`trsm`]
 /// ([`Packed`] unless a test selected the oracle).
-pub fn global_backend() -> BackendKind {
+pub(crate) fn global_backend() -> BackendKind {
     kind_of(NAIVE_SELECTED.load(Ordering::Relaxed))
 }
 
@@ -307,7 +306,7 @@ fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &MatMut<'_>) -> Result<()> {
 }
 
 /// `C := alpha * op(A) * op(B) + beta * C` through the process-wide
-/// default backend (see [`global_backend`]).
+/// default backend (see `global_backend`).
 ///
 /// `beta == 0.0` overwrites `C` without reading it (NaNs in `C` do not
 /// propagate), matching BLAS convention.
@@ -341,7 +340,7 @@ pub fn gemm_with(
 }
 
 /// [`gemm_with`] writing a window of `C` in place — the form [`trsm`] and
-/// [`lu_blocked`] update their trailing blocks through.
+/// [`lu_blocked_in_place`] update their trailing blocks through.
 pub(crate) fn gemm_window(
     backend: &dyn GemmBackend,
     alpha: f64,

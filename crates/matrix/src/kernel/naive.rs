@@ -15,7 +15,7 @@ use super::{scale_by_beta, GemmBackend, MatMut, Op, OpRef, Result};
 /// drift vs a single chain. The exact split (`(s0+s1)+(s2+s3)+tail`) is
 /// part of the [`Naive`](super::Naive) backend's bit-identity contract.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let chunks = a.len() / 4 * 4;
     let mut s0 = 0.0;

@@ -64,7 +64,7 @@ const KC: usize = 256;
 /// `KC` for callers: the k-extent over which the packed engine sums one
 /// partial product before adding it to `C`. A caller that knows its
 /// operands are structurally zero over leading whole panels can window
-/// them away ([`super::OpRef::window`]) from a multiple of this without
+/// them away (`super::OpRef::window`) from a multiple of this without
 /// changing a bit of the result: the remaining terms keep their grouping.
 pub const K_PANEL: usize = KC;
 /// Macro-block columns: outermost B panel width.

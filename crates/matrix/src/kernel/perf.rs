@@ -2,7 +2,7 @@
 //! the packing-vs-microkernel time split.
 //!
 //! Off by default with the tracelog contract: every recording site is
-//! gated on one relaxed [`AtomicBool`] load ([`is_enabled`]), and nothing
+//! gated on one relaxed [`AtomicBool`] load (`is_enabled`), and nothing
 //! else runs when disabled — no `Instant::now`, no atomics. When enabled,
 //! [`super::gemm_with`] times each call and credits `2·m·k·n` FLOPs to the
 //! executing backend's slot, and the packed engine separately accumulates
@@ -61,13 +61,13 @@ pub fn set_enabled(on: bool) {
 /// the whole disabled-path cost, and recording sites must check it before
 /// reading any clock.
 #[inline]
-pub fn is_enabled() -> bool {
+pub(crate) fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
 /// Credits one GEMM call of `flops` floating-point operations taking
 /// `elapsed` to `backend`'s slot. No-op when disabled.
-pub fn record_gemm(backend: &str, flops: u64, elapsed: Duration) {
+pub(crate) fn record_gemm(backend: &str, flops: u64, elapsed: Duration) {
     if !is_enabled() {
         return;
     }
@@ -81,7 +81,7 @@ pub fn record_gemm(backend: &str, flops: u64, elapsed: Duration) {
 /// Accumulates packing time onto `backend`'s slot (summed across rayon
 /// workers, so it can exceed the call's wall time on parallel backends).
 /// No-op when disabled.
-pub fn record_pack(backend: &str, elapsed: Duration) {
+pub(crate) fn record_pack(backend: &str, elapsed: Duration) {
     if !is_enabled() {
         return;
     }
@@ -94,7 +94,7 @@ pub fn record_pack(backend: &str, elapsed: Duration) {
 /// call: `parallel = false` means the engine *fell back* to its serial
 /// loop (size gate, single-thread pool). Benches use this to refuse to
 /// label a serial-fallback run as a parallel result. No-op when disabled.
-pub fn record_packed_path(backend: &str, parallel: bool) {
+pub(crate) fn record_packed_path(backend: &str, parallel: bool) {
     if !is_enabled() {
         return;
     }

@@ -1,11 +1,20 @@
+use super::naive::dot;
 use super::staircase::staircase_with;
 use super::trsm::trsm_window;
 use super::*;
 use crate::block::BlockRange;
+use crate::lu::LuFactors;
 use crate::random::{random_matrix, random_unit_lower, random_upper};
 use crate::triangular;
 use proptest::prelude::*;
 use std::ops::Range;
+
+/// [`lu_blocked_in_place`] on a copy of `a`, packed as [`LuFactors`].
+fn lu_blocked(a: &Matrix, nb: usize, backend: &dyn GemmBackend) -> Result<LuFactors> {
+    let mut lu = a.clone();
+    let perm = lu_blocked_in_place(&mut lu, nb, backend)?;
+    Ok(LuFactors { lu, perm })
+}
 
 const TOL: f64 = 1e-9;
 
@@ -273,7 +282,7 @@ fn beta_zero_overwrites_nan() {
     let a = random_matrix(9, 9, 10);
     let b = random_matrix(9, 9, 11);
     for (_, backend) in backends() {
-        let mut c = Matrix::filled(9, 9, f64::NAN);
+        let mut c = Matrix::from_fn(9, 9, |_, _| f64::NAN);
         gemm_with(backend.as_ref(), 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
         assert!(c.as_slice().iter().all(|v| v.is_finite()));
     }
@@ -302,7 +311,7 @@ fn empty_and_degenerate_products() {
         gemm_with(backend.as_ref(), 1.0, notrans(&a), notrans(&a), 0.0, &mut c).unwrap();
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 2);
-        let mut c = Matrix::filled(3, 2, 7.0);
+        let mut c = Matrix::from_fn(3, 2, |_, _| 7.0);
         gemm_with(backend.as_ref(), 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
     }
@@ -830,9 +839,9 @@ proptest! {
         let (a_op, b_op) = (op(ta).of(&a_stored), op(tb).of(&b_stored));
 
         for backend in [&Packed { parallel: false } as &dyn GemmBackend, &Naive] {
-            let mut dense = Matrix::filled(m, n, f64::NAN);
+            let mut dense = Matrix::from_fn(m, n, |_, _| f64::NAN);
             gemm_with(backend, 1.0, a_op, b_op, 0.0, &mut dense).unwrap();
-            let mut stairs = Matrix::filled(m, n, f64::NAN);
+            let mut stairs = Matrix::from_fn(m, n, |_, _| f64::NAN);
             staircase_with(backend, a_op, a_row0, b_op, b_col0, origin, (&mut stairs).into())
                 .unwrap();
             prop_assert!(

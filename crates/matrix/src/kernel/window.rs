@@ -81,13 +81,13 @@ impl<'a> From<&'a Matrix> for MatRef<'a> {
 impl<'a> MatRef<'a> {
     /// Row count.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Column count.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -95,7 +95,7 @@ impl<'a> MatRef<'a> {
     ///
     /// # Panics
     /// If either range is reversed or exceeds the window.
-    pub fn window(self, rows: Range<usize>, cols: Range<usize>) -> MatRef<'a> {
+    pub(crate) fn window(self, rows: Range<usize>, cols: Range<usize>) -> MatRef<'a> {
         check_range("rows", &rows, self.rows);
         check_range("cols", &cols, self.cols);
         MatRef {
@@ -112,7 +112,7 @@ impl<'a> MatRef<'a> {
 
     /// Row `i` of the window.
     #[inline]
-    pub fn row(&self, i: usize) -> &'a [f64] {
+    pub(crate) fn row(&self, i: usize) -> &'a [f64] {
         assert!(i < self.rows, "row {i} out of {} window rows", self.rows);
         // SAFETY: i < rows, so by the type invariant the `cols` elements at
         // ptr + i*stride are inside a live allocation with no writer for
@@ -137,19 +137,19 @@ impl<'a> From<&'a mut Matrix> for MatMut<'a> {
 impl<'a> MatMut<'a> {
     /// Row count.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Column count.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// A shorter exclusive borrow of the same window.
     #[inline]
-    pub fn reborrow(&mut self) -> MatMut<'_> {
+    pub(crate) fn reborrow(&mut self) -> MatMut<'_> {
         MatMut {
             ptr: self.ptr,
             rows: self.rows,
@@ -162,7 +162,7 @@ impl<'a> MatMut<'a> {
     /// A read-only view of the same window for as long as `self` is
     /// (shared-)borrowed.
     #[inline]
-    pub fn as_ref(&self) -> MatRef<'_> {
+    pub(crate) fn as_ref(&self) -> MatRef<'_> {
         MatRef {
             ptr: self.ptr,
             rows: self.rows,
@@ -194,14 +194,14 @@ impl<'a> MatMut<'a> {
     ///
     /// # Panics
     /// If either range is reversed or exceeds the window.
-    pub fn window(self, rows: Range<usize>, cols: Range<usize>) -> MatMut<'a> {
+    pub(crate) fn window(self, rows: Range<usize>, cols: Range<usize>) -> MatMut<'a> {
         // SAFETY: `self` is consumed, so the carved window is the only one
         // left over its (sub)set of elements.
         unsafe { self.carve(rows, cols) }
     }
 
     /// Splits into the windows above and below row `at`.
-    pub fn split_rows(self, at: usize) -> (MatMut<'a>, MatMut<'a>) {
+    pub(crate) fn split_rows(self, at: usize) -> (MatMut<'a>, MatMut<'a>) {
         // SAFETY: `self` is consumed and the two windows cover disjoint row
         // ranges of it, so no element is reachable from both.
         unsafe {
@@ -213,7 +213,7 @@ impl<'a> MatMut<'a> {
     }
 
     /// Splits into the windows left and right of column `at`.
-    pub fn split_cols(self, at: usize) -> (MatMut<'a>, MatMut<'a>) {
+    pub(crate) fn split_cols(self, at: usize) -> (MatMut<'a>, MatMut<'a>) {
         // SAFETY: `self` is consumed and the two windows cover disjoint
         // column ranges: their rows interleave in memory but share no
         // element, and `row`/`row_mut` only ever slice a window's own
@@ -228,7 +228,7 @@ impl<'a> MatMut<'a> {
 
     /// Row `i` of the window.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row {i} out of {} window rows", self.rows);
         // SAFETY: as in `row_mut`; a shared borrow of `self` rules out a
         // concurrent `row_mut` on this window.
@@ -237,7 +237,7 @@ impl<'a> MatMut<'a> {
 
     /// Row `i` of the window, writable.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row {i} out of {} window rows", self.rows);
         // SAFETY: i < rows, so by the type invariant the `cols` elements at
         // ptr + i*stride are inside a live allocation that only this window

@@ -14,7 +14,7 @@
 //!   blocked TRSM, and blocked LU — `gemm`
 //!   and `trsm` are re-exported at the crate root as the blessed entry
 //!   points;
-//! * [`permutation`] — the compact `S`-array representation of the pivot
+//! * `permutation` — the compact `S`-array representation of the pivot
 //!   permutation matrix `P`;
 //! * [`random`] — seeded random test-matrix generation (Section 7.1);
 //! * [`io`] — the text and binary matrix codecs used for DFS storage
@@ -32,13 +32,13 @@ pub mod io;
 pub mod kernel;
 pub mod lu;
 pub mod norms;
-pub mod permutation;
+mod permutation;
 pub mod random;
 pub mod triangular;
 
 pub use dense::Matrix;
 pub use error::{MatrixError, Result};
-pub use kernel::{gemm, gemm_flops, gemm_with, notrans, trans, trsm, trsm_with};
+pub use kernel::{gemm, gemm_flops, notrans, trsm};
 pub use permutation::Permutation;
 
 /// Default absolute tolerance used by tests and accuracy checks.

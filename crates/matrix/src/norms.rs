@@ -144,10 +144,13 @@ mod tests {
         one_inf[(1, 2)] = f64::INFINITY;
         let residual = |m: &Matrix| inversion_residual(m, &identity).unwrap();
         assert_eq!(residual(&identity), 0.0);
-        assert_eq!(residual(&Matrix::filled(3, 3, -0.0)), 1.0);
+        assert_eq!(residual(&Matrix::from_fn(3, 3, |_, _| -0.0)), 1.0);
         assert_eq!(residual(&one_inf), f64::INFINITY);
         // `f64::max` skips NaN; the residual must not read a NaN as clean.
-        assert_eq!(residual(&Matrix::filled(3, 3, f64::NAN)), f64::INFINITY);
+        assert_eq!(
+            residual(&Matrix::from_fn(3, 3, |_, _| f64::NAN)),
+            f64::INFINITY
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::dense::Matrix;
 use crate::error::{MatrixError, Result};
 use crate::kernel::{Diag, Side, Uplo};
 
-pub use crate::kernel::{trsm, trsm_with};
+pub use crate::kernel::trsm;
 
 fn check_square(a: &Matrix, _op: &'static str) -> Result<usize> {
     a.order()

@@ -35,7 +35,7 @@ pub struct ScalapackReport {
 }
 
 /// Converts the LU + inversion tallies into a simulated running time.
-pub fn price(
+pub(crate) fn price(
     n: usize,
     grid: &ProcessGrid,
     lu: &WorkTally,

@@ -4,8 +4,8 @@
 //! `f1 × f2` where `m0 = f1 × f2` and the factors are as close as
 //! possible, and distributes the matrix in 128 × 128 blocks assigned
 //! cyclically — block `(m1·f1 + i, m2·f2 + j)` to process `f2·j + i` in
-//! the paper's indexing. This module provides the ownership map and a
-//! per-process work tally.
+//! the paper's indexing. This module provides the processes of each
+//! block row and column, and a per-process work tally.
 
 use mrinv_mapreduce::cluster::factor_pair;
 
@@ -30,35 +30,23 @@ impl ProcessGrid {
     }
 
     /// Number of processes.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.f1 * self.f2
     }
 
     /// Block row/column index of a matrix index.
-    pub fn block_of(&self, i: usize) -> usize {
+    pub(crate) fn block_of(&self, i: usize) -> usize {
         i / self.block
     }
 
-    /// Owning process of matrix block `(bi, bj)`.
-    pub fn owner(&self, bi: usize, bj: usize) -> usize {
-        let i = bi % self.f1;
-        let j = bj % self.f2;
-        self.f2 * i + j
-    }
-
-    /// Owning process of matrix element `(i, j)`.
-    pub fn owner_of_element(&self, i: usize, j: usize) -> usize {
-        self.owner(self.block_of(i), self.block_of(j))
-    }
-
     /// The processes of the grid column owning block-column `bj`.
-    pub fn column_procs(&self, bj: usize) -> Vec<usize> {
+    pub(crate) fn column_procs(&self, bj: usize) -> Vec<usize> {
         let j = bj % self.f2;
         (0..self.f1).map(|i| self.f2 * i + j).collect()
     }
 
     /// The processes of the grid row owning block-row `bi`.
-    pub fn row_procs(&self, bi: usize) -> Vec<usize> {
+    pub(crate) fn row_procs(&self, bi: usize) -> Vec<usize> {
         let i = bi % self.f1;
         (0..self.f2).map(|j| self.f2 * i + j).collect()
     }
@@ -67,7 +55,7 @@ impl ProcessGrid {
 /// Per-process flop counters plus communication volumes, filled by the
 /// baseline routines.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WorkTally {
+pub(crate) struct WorkTally {
     /// Floating-point operations charged to each process.
     pub proc_flops: Vec<f64>,
     /// Elements transferred per the *paper's* Table 1/2 model.
@@ -78,7 +66,7 @@ pub struct WorkTally {
 
 impl WorkTally {
     /// A zero tally for `m0` processes.
-    pub fn new(m0: usize) -> Self {
+    pub(crate) fn new(m0: usize) -> Self {
         WorkTally {
             proc_flops: vec![0.0; m0.max(1)],
             transfer_paper: 0.0,
@@ -87,7 +75,7 @@ impl WorkTally {
     }
 
     /// Charges `flops` evenly across the given processes.
-    pub fn charge_even(&mut self, procs: &[usize], flops: f64) {
+    pub(crate) fn charge_even(&mut self, procs: &[usize], flops: f64) {
         if procs.is_empty() {
             return;
         }
@@ -98,23 +86,23 @@ impl WorkTally {
     }
 
     /// Charges `flops` to one process.
-    pub fn charge(&mut self, proc: usize, flops: f64) {
+    pub(crate) fn charge(&mut self, proc: usize, flops: f64) {
         self.proc_flops[proc] += flops;
     }
 
     /// The busiest process's flops — the quantity that bounds the
     /// parallel compute time.
-    pub fn max_proc_flops(&self) -> f64 {
+    pub(crate) fn max_proc_flops(&self) -> f64 {
         self.proc_flops.iter().fold(0.0, |m, &v| m.max(v))
     }
 
     /// Total flops across processes.
-    pub fn total_flops(&self) -> f64 {
+    pub(crate) fn total_flops(&self) -> f64 {
         self.proc_flops.iter().sum()
     }
 
     /// Load balance: average/maximum per-process flops (1.0 = perfect).
-    pub fn balance(&self) -> f64 {
+    pub(crate) fn balance(&self) -> f64 {
         let max = self.max_proc_flops();
         if max == 0.0 {
             return 1.0;
@@ -123,7 +111,7 @@ impl WorkTally {
     }
 
     /// Component-wise sum with another tally.
-    pub fn merge(&self, other: &WorkTally) -> WorkTally {
+    pub(crate) fn merge(&self, other: &WorkTally) -> WorkTally {
         WorkTally {
             proc_flops: self
                 .proc_flops
@@ -141,6 +129,16 @@ impl WorkTally {
 mod tests {
     use super::*;
 
+    /// Owning process of block `(bi, bj)`: the one process both block-row
+    /// `bi`'s grid row and block-column `bj`'s grid column hold.
+    fn owner(g: &ProcessGrid, bi: usize, bj: usize) -> usize {
+        let column = g.column_procs(bj);
+        let mut shared = g.row_procs(bi).into_iter().filter(|p| column.contains(p));
+        let o = shared.next().expect("a grid row and column meet");
+        assert_eq!(shared.next(), None, "in one process");
+        o
+    }
+
     #[test]
     fn grid_factors_are_most_square() {
         let g = ProcessGrid::new(64, 128);
@@ -155,14 +153,13 @@ mod tests {
         let g = ProcessGrid::new(6, 4); // 3 x 2
         for bi in 0..10 {
             for bj in 0..10 {
-                let o = g.owner(bi, bj);
+                let o = owner(&g, bi, bj);
                 assert!(o < 6);
-                assert_eq!(o, g.owner(bi + 3, bj)); // cycles in f1
-                assert_eq!(o, g.owner(bi, bj + 2)); // cycles in f2
+                assert_eq!(o, owner(&g, bi + 3, bj)); // cycles in f1
+                assert_eq!(o, owner(&g, bi, bj + 2)); // cycles in f2
             }
         }
-        assert_eq!(g.owner_of_element(0, 0), g.owner(0, 0));
-        assert_eq!(g.owner_of_element(4, 4), g.owner(1, 1));
+        assert_eq!((g.block_of(3), g.block_of(4)), (0, 1));
     }
 
     #[test]
@@ -172,7 +169,7 @@ mod tests {
         let mut counts = [0; 12];
         for bi in 0..g.f1 * 4 {
             for bj in 0..g.f2 * 4 {
-                counts[g.owner(bi, bj)] += 1;
+                counts[owner(&g, bi, bj)] += 1;
             }
         }
         assert!(counts.iter().all(|&c| c == counts[0]));

@@ -29,16 +29,15 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
-pub mod grid;
+mod cost;
+mod grid;
 pub mod pdgetrf;
-pub mod pdgetri;
+mod pdgetri;
 
 use mrinv_mapreduce::CostModel;
-use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::{Matrix, Result};
 
-pub use cost::ScalapackReport;
+pub(crate) use cost::ScalapackReport;
 pub use grid::ProcessGrid;
 
 /// Configuration for the baseline.
@@ -81,14 +80,10 @@ pub fn invert(
     })
 }
 
-/// Convenience check mirroring the paper's Section 7.2 accuracy metric.
-pub fn residual(a: &Matrix, run: &ScalapackRun) -> Result<f64> {
-    inversion_residual(a, &run.inverse)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrinv_matrix::norms::inversion_residual;
     use mrinv_matrix::random::{random_invertible, random_well_conditioned};
     use mrinv_matrix::PAPER_ACCURACY;
 
@@ -102,7 +97,7 @@ mod tests {
             &ScalapackConfig { block_size: 8 },
         )
         .unwrap();
-        assert!(residual(&a, &run).unwrap() < PAPER_ACCURACY);
+        assert!(inversion_residual(&a, &run.inverse).unwrap() < PAPER_ACCURACY);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct PdgetrfOutput {
     /// Pivot permutation: `P·A = L·U`.
     pub perm: Permutation,
     /// Per-process work and communication.
-    pub tally: WorkTally,
+    pub(crate) tally: WorkTally,
 }
 
 /// Right-looking blocked LU with partial pivoting over the process grid.

@@ -16,7 +16,7 @@ use crate::pdgetrf::PdgetrfOutput;
 
 /// Output of the inversion phase.
 #[derive(Debug, Clone)]
-pub struct PdgetriOutput {
+pub(crate) struct PdgetriOutput {
     /// The assembled inverse.
     pub inverse: Matrix,
     /// Per-process work and communication of this phase.
@@ -24,7 +24,7 @@ pub struct PdgetriOutput {
 }
 
 /// Inverts the factored matrix.
-pub fn pdgetri(factors: &PdgetrfOutput, grid: &ProcessGrid) -> Result<PdgetriOutput> {
+pub(crate) fn pdgetri(factors: &PdgetrfOutput, grid: &ProcessGrid) -> Result<PdgetriOutput> {
     let n = factors.l.rows();
     let m0 = grid.size();
     let mut tally = WorkTally::new(m0);

@@ -1223,7 +1223,10 @@ fn local_only_flags_are_refused_beside_connect() {
 
 /// The checkpoint flags could not work in a fresh process (the DFS dies
 /// with it), so they are gone: each is an unknown flag, refused before
-/// the input is read, and the usage text names none of them.
+/// the input is read, and the usage text names none of them. Nor does it
+/// name `mrinv worker`, which nothing spawned (the TCP backend runs the
+/// `mrinv-worker` binary): it is an unknown subcommand and connects
+/// nowhere.
 #[test]
 fn checkpoint_flags_are_unknown() {
     let dir = cli_dir("checkpoint-flags");
@@ -1248,6 +1251,10 @@ fn checkpoint_flags_are_unknown() {
     for flag in flags {
         assert!(!usage.contains(flag[0]), "usage lists {}", flag[0]);
     }
+    assert!(!usage.contains("mrinv worker"), "{usage}");
+    let worker = ["worker", "--connect", "127.0.0.1:9", "--worker-id", "0"];
+    let (code, stderr) = mrinv_within(&dir, &worker);
+    assert_eq!(code, Some(2), "mrinv worker was not refused: {stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
