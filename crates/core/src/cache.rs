@@ -71,11 +71,14 @@
 //! # Sharing
 //!
 //! An entry is one `Arc`'d `Factorization`: the factor file forest, the
-//! inverse (if an invert run produced one) and the dense factors once
-//! something assembled them. The cold run that primes an entry, the
-//! entry, and every [`crate::Outcome`] later served from it hold the
-//! same `Arc<Matrix>` / `Arc<LuFactors>` — a hit clones pointers under
-//! the map lock, never matrices.
+//! inverse (if an invert run produced one) and, once a solve or an LU
+//! needed them, the factors packed into one matrix — `L` strictly below
+//! the diagonal, `U` on and above it, n² words with `P` beside them. The
+//! cold run that primes an entry, the entry, and every
+//! [`crate::Outcome`] later served from it hold the same `Arc<Matrix>`
+//! inverse — a hit clones pointers under the map lock, never matrices.
+//! Solves substitute through the shared packed factors in place; an LU
+//! outcome unpacks its own dense `L` and `U` from them.
 //!
 //! # Accounting
 //!
@@ -89,13 +92,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use mrinv_mapreduce::{Cluster, Dfs, TaskIo};
-use mrinv_matrix::Matrix;
+use mrinv_matrix::{lu, Matrix};
 use parking_lot::Mutex;
 
 use crate::config::InversionConfig;
 use crate::error::Result;
 use crate::factors::FactorRef;
-use crate::request::LuFactors;
 
 /// The [`FactorCache`] key of one (matrix, `nb`) pair; see "Key
 /// semantics" in the module docs.
@@ -291,9 +293,10 @@ pub(crate) struct Factorization {
     /// Every file of `factors`, listed once: what a hit checks.
     paths: Vec<String>,
     pub(crate) inverse: Option<Arc<Matrix>>,
-    /// The factors assembled into dense matrices, memoized so a million
+    /// The factors packed into one matrix (`L` strictly below the
+    /// diagonal, `U` on and above it) with `P`, memoized so a million
     /// `solve(b)` calls pay the file-forest assembly once.
-    assembled: OnceLock<Arc<LuFactors>>,
+    assembled: OnceLock<Arc<lu::LuFactors>>,
     pub(crate) workdir: String,
 }
 
@@ -314,14 +317,14 @@ impl Factorization {
         }
     }
 
-    /// Assembled `L`/`U`/`P`, read through `io` on first use. Assembly
-    /// runs outside any lock, so concurrent first uses may assemble
-    /// twice; the first stored result wins.
-    pub(crate) fn assembled(&self, io: &mut TaskIo) -> Result<Arc<LuFactors>> {
+    /// The packed `L`/`U` and `P`, read through `io` on first use.
+    /// Assembly runs outside any lock, so concurrent first uses may
+    /// assemble twice; the first stored result wins.
+    pub(crate) fn assembled(&self, io: &mut TaskIo) -> Result<Arc<lu::LuFactors>> {
         if let Some(f) = self.assembled.get() {
             return Ok(f.clone());
         }
-        let f = Arc::new(LuFactors::assemble(&self.factors, io)?);
+        let f = Arc::new(self.factors.assemble_packed(io)?);
         Ok(self.assembled.get_or_init(|| f).clone())
     }
 }

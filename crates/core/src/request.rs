@@ -39,12 +39,11 @@ use std::sync::{Arc, Weak};
 
 use mrinv_mapreduce::{Cluster, RunId, RunReport, TaskIo, UncountedDfs};
 use mrinv_matrix::triangular::{back_substitution, forward_substitution};
-use mrinv_matrix::{Matrix, Permutation};
+use mrinv_matrix::{lu, Matrix, Permutation};
 
 use crate::cache::{cache_key, CacheKey, FactorCache, Factorization};
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
-use crate::factors::FactorRef;
 use crate::inverse::{fresh_run_id, make_driver, run_fingerprint, Checkpoint};
 use crate::lu_mr::lu_decompose_mr;
 use crate::partition::{ingest_input, run_partition_job, PartitionPlan};
@@ -88,7 +87,8 @@ pub enum CacheStatus {
     Hit,
 }
 
-/// Assembled LU factors returned by an `Op::Lu` outcome.
+/// Dense LU factors returned by an `Op::Lu` outcome, unpacked from the
+/// factorization's packed `L`/`U` for that outcome alone.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     /// Unit lower-triangular factor.
@@ -97,17 +97,6 @@ pub struct LuFactors {
     pub u: Matrix,
     /// Pivot permutation with `P·A = L·U`.
     pub perm: Permutation,
-}
-
-impl LuFactors {
-    /// Reads a factor file forest back into dense matrices through `io`.
-    pub(crate) fn assemble(factors: &FactorRef, io: &mut TaskIo) -> Result<LuFactors> {
-        Ok(LuFactors {
-            l: factors.assemble_l(io)?,
-            u: factors.assemble_u(io)?,
-            perm: factors.perm(),
-        })
-    }
 }
 
 /// What a request names its matrix by.
@@ -452,20 +441,27 @@ impl<'a> Request<'a> {
         cache: CacheStatus,
         report: RunReport,
     ) -> Result<Outcome> {
-        let assembled = if self.op != Op::Invert || !self.rhs.is_empty() {
+        let packed = if self.op != Op::Invert || !self.rhs.is_empty() {
             Some(done.assembled(io)?)
         } else {
             None
         };
         let mut solutions = Vec::with_capacity(self.rhs.len());
         for b in &self.rhs {
-            let f = assembled.as_ref().expect("assembled when rhs present");
+            let f = packed.as_ref().expect("assembled when rhs present");
             solutions.push(substitute(f, b)?);
         }
+        let factors = packed.filter(|_| self.op == Op::Lu).map(|f| {
+            Arc::new(LuFactors {
+                l: f.unit_lower(),
+                u: f.upper(),
+                perm: f.perm.clone(),
+            })
+        });
         Ok(Outcome {
             op: self.op,
             inverse: done.inverse.clone().filter(|_| self.op == Op::Invert),
-            factors: assembled.filter(|_| self.op == Op::Lu),
+            factors,
             solutions,
             cache,
             report,
@@ -474,13 +470,14 @@ impl<'a> Request<'a> {
     }
 }
 
-/// `x` with `A·x = b` via the assembled factors: `P·b`, forward, back.
-fn substitute(f: &LuFactors, b: &[f64]) -> Result<Vec<f64>> {
+/// `x` with `A·x = b` via the packed factors: `P·b`, forward through the
+/// strict lower triangle (unit `L`), back through the upper one.
+fn substitute(f: &lu::LuFactors, b: &[f64]) -> Result<Vec<f64>> {
     let n = f.perm.len();
     // P·b: entry i of the permuted vector is b[S[i]].
     let pb: Vec<f64> = (0..n).map(|i| b[f.perm.source_of(i)]).collect();
-    let y = forward_substitution(&f.l, &pb)?;
-    Ok(back_substitution(&f.u, &y)?)
+    let y = forward_substitution(&f.lu, &pb)?;
+    Ok(back_substitution(&f.lu, &y)?)
 }
 
 /// The typed result of a [`Request`]: whichever products the operation

@@ -19,6 +19,14 @@
 //! payloads per matrix-sized frame (a fresh buffer grows by doubling as
 //! the body arrives), and a byte field copied out of the frame one
 //! payload, which is what the bounds catch.
+//!
+//! The first solve against an entry an invert primed is counted too: it
+//! reads the factor forest back into the entry's solve memo. It allocates
+//! 2.221 payloads: the memo, `L` and `U` packed into one matrix (1); one
+//! decode of every stored factor file (1.125: at n = 256, nb = 32 the
+//! `L` files and the `U` files hold 36864 words each); and the solve
+//! itself. A memo that holds a dense `L` and a dense `U` allocates one
+//! payload more (3.224) and fails the bound.
 //! What those transient buffers cost in page faults is `warm_faults.rs`'s
 //! count: it needs a client on the main thread.
 
@@ -82,14 +90,15 @@ const NB: usize = 32;
 const WARM_UP: usize = 20;
 const COUNTED: u64 = 10;
 
-/// Bytes allocated per call of `request`, in matrix payloads.
-fn payloads_per_call(mut request: impl FnMut()) -> f64 {
+/// Bytes allocated per call of `request` over `calls` calls, in matrix
+/// payloads.
+fn payloads_per_call(calls: u64, mut request: impl FnMut()) -> f64 {
     let before = ALLOCATED.load(Ordering::SeqCst);
-    for _ in 0..COUNTED {
+    for _ in 0..calls {
         request();
     }
     let bytes = ALLOCATED.load(Ordering::SeqCst) - before;
-    bytes as f64 / COUNTED as f64 / (N * N * 8) as f64
+    bytes as f64 / calls as f64 / (N * N * 8) as f64
 }
 
 /// The service's frame tags (`service::TAG_REQUEST` / `TAG_RESPONSE`).
@@ -156,9 +165,12 @@ fn warm_requests_stay_within_their_allocation_budget() {
     let cfg = InversionConfig::with_nb(NB);
 
     // Prime: a cold invert files the factors and the inverse, the first
-    // solve assembles L and U.
+    // solve reads the factors back into the entry's solve memo.
     assert!(!client.invert(&a, &cfg).unwrap().cache_hit);
-    assert!(client.solve(&a, &rhs, &cfg).unwrap().cache_hit);
+    let memo = payloads_per_call(1, || {
+        assert!(client.solve(&a, &rhs, &cfg).unwrap().cache_hit);
+    });
+    println!("payloads allocated by the solve that builds the memo: {memo:.3}");
     let mut full = FullRequests {
         stream: TcpStream::connect(server.addr()).unwrap(),
         reply: Vec::new(),
@@ -182,19 +194,19 @@ fn warm_requests_stay_within_their_allocation_budget() {
         );
     }
 
-    let invert = payloads_per_call(|| {
+    let invert = payloads_per_call(COUNTED, || {
         let reply = client.invert(&a, &cfg).unwrap();
         assert!(reply.cache_hit && reply.inverse.is_some());
     });
-    let solve = payloads_per_call(|| {
+    let solve = payloads_per_call(COUNTED, || {
         let reply = client.solve(&a, &rhs, &cfg).unwrap();
         assert!(reply.cache_hit && reply.solutions.len() == 1);
     });
-    let full_invert = payloads_per_call(|| {
+    let full_invert = payloads_per_call(COUNTED, || {
         let (hit, inverse, _) = full.ask(&full_invert);
         assert!(hit && inverse.is_some());
     });
-    let full_solve = payloads_per_call(|| {
+    let full_solve = payloads_per_call(COUNTED, || {
         let (hit, _, solutions) = full.ask(&full_solve);
         assert!(hit && solutions == 1);
     });
@@ -202,6 +214,10 @@ fn warm_requests_stay_within_their_allocation_budget() {
     println!(
         "payloads allocated per warm request sent in full: \
          invert {full_invert:.3}, solve {full_solve:.3}"
+    );
+    assert!(
+        memo <= 2.3,
+        "the solve that builds the memo allocated {memo:.3} payloads"
     );
     assert!(
         invert <= 1.1,
