@@ -17,7 +17,7 @@ use mrinv_matrix::{Matrix, MatrixError, Result};
 ///
 /// Returns [`MatrixError::Singular`] when a diagonal entry fails to be
 /// positive (the matrix is not positive definite).
-pub fn cholesky(a: &Matrix) -> Result<Matrix> {
+pub(crate) fn cholesky(a: &Matrix) -> Result<Matrix> {
     let n = a.order()?;
     let mut g = Matrix::zeros(n, n);
     for i in 0..n {
@@ -41,7 +41,7 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix> {
 }
 
 /// Inverts an SPD matrix through Cholesky: `A^-1 = G^-ᵀ·G^-1`.
-pub fn invert_spd(a: &Matrix) -> Result<Matrix> {
+pub(crate) fn invert_spd(a: &Matrix) -> Result<Matrix> {
     let g = cholesky(a)?;
     let g_inv = invert_lower(&g)?;
     // A^-1 = (G^-1)ᵀ (G^-1): the Op::Trans operand is packed row-major by

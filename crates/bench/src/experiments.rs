@@ -29,7 +29,7 @@ use crate::suite::{SuiteMatrix, SUITE};
 
 /// The `base` profile (EC2 medium or large) extrapolated from
 /// `scale`-reduced matrices to paper-scale behavior.
-pub fn extrapolated_cost(base: CostModel, scale: usize) -> CostModel {
+pub(crate) fn extrapolated_cost(base: CostModel, scale: usize) -> CostModel {
     let s = scale as f64;
     CostModel {
         flops_per_sec: base.flops_per_sec / (s * s * s),
@@ -42,14 +42,14 @@ pub fn extrapolated_cost(base: CostModel, scale: usize) -> CostModel {
 }
 
 /// Builds a medium cluster of `m0` nodes with extrapolated pricing.
-pub fn medium_cluster(m0: usize, scale: usize) -> Cluster {
+pub(crate) fn medium_cluster(m0: usize, scale: usize) -> Cluster {
     let mut cfg = ClusterConfig::medium(m0);
     cfg.cost = extrapolated_cost(CostModel::ec2_medium(), scale);
     Cluster::new(cfg)
 }
 
 /// Builds a large-instance cluster (2 cores, 2 slots per node).
-pub fn large_cluster(m0: usize, scale: usize) -> Cluster {
+pub(crate) fn large_cluster(m0: usize, scale: usize) -> Cluster {
     let mut cfg = ClusterConfig::large(m0);
     cfg.cost = extrapolated_cost(CostModel::ec2_large(), scale);
     Cluster::new(cfg)
@@ -232,7 +232,7 @@ pub struct VersusPoint {
 
 /// Runs the ScaLAPACK baseline on a suite matrix with extrapolated
 /// pricing.
-pub fn run_scalapack(m: &SuiteMatrix, scale: usize, m0: usize, large: bool) -> ScalapackRun {
+pub(crate) fn run_scalapack(m: &SuiteMatrix, scale: usize, m0: usize, large: bool) -> ScalapackRun {
     let a = m.generate(scale);
     let base = if large {
         CostModel::ec2_large()

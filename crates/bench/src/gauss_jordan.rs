@@ -13,7 +13,7 @@
 use mrinv_matrix::{Matrix, MatrixError, Result};
 
 /// Inverts `a` by Gauss-Jordan elimination with partial pivoting.
-pub fn invert_gauss_jordan(a: &Matrix) -> Result<Matrix> {
+pub(crate) fn invert_gauss_jordan(a: &Matrix) -> Result<Matrix> {
     let n = a.order()?;
     // Augmented system [A | I], row-major.
     let mut left = a.clone();

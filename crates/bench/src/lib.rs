@@ -41,20 +41,9 @@ pub fn write_results_file(name: &str, content: &str) -> std::io::Result<String> 
     Ok(path.display().to_string())
 }
 
-/// Formats a byte count as gigabytes with two decimals.
-pub fn gb(bytes: f64) -> String {
-    format!("{:.2}", bytes / (1u64 << 30) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gb_formats() {
-        assert_eq!(gb((1u64 << 30) as f64), "1.00");
-        assert_eq!(gb(0.0), "0.00");
-    }
 
     #[test]
     fn csv_writes_to_results() {

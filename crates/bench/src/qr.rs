@@ -14,18 +14,18 @@ use mrinv_matrix::{Matrix, MatrixError, Result};
 
 /// The QR factors of a square matrix.
 #[derive(Debug, Clone)]
-pub struct QrFactors {
+pub(crate) struct QrFactors {
     /// Orthogonal factor (`QᵀQ = I`).
-    pub q: Matrix,
+    pub(crate) q: Matrix,
     /// Upper-triangular factor.
-    pub r: Matrix,
+    pub(crate) r: Matrix,
 }
 
 /// Decomposes `a = Q·R` by modified Gram-Schmidt.
 ///
 /// Returns [`MatrixError::Singular`] when a column's residual norm
 /// vanishes (rank deficiency).
-pub fn qr_decompose(a: &Matrix) -> Result<QrFactors> {
+pub(crate) fn qr_decompose(a: &Matrix) -> Result<QrFactors> {
     let n = a.order()?;
     // Work on columns: v_j starts as column j of A.
     let mut v: Vec<Vec<f64>> = (0..n).map(|j| a.col(j)).collect();
@@ -62,7 +62,7 @@ pub fn qr_decompose(a: &Matrix) -> Result<QrFactors> {
 
 /// Inverts `a` through QR: `A^-1 = R^-1·Qᵀ`, computed column by column
 /// with back substitution (`R·x = Qᵀ·e_j`).
-pub fn invert_qr(a: &Matrix) -> Result<Matrix> {
+pub(crate) fn invert_qr(a: &Matrix) -> Result<Matrix> {
     let n = a.order()?;
     let f = qr_decompose(a)?;
     let qt = f.q.transpose();

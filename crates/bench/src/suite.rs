@@ -10,21 +10,21 @@ use mrinv_matrix::random::random_well_conditioned;
 use mrinv_matrix::Matrix;
 
 /// The paper's bound value at full scale.
-pub const PAPER_NB: usize = 3200;
+pub(crate) const PAPER_NB: usize = 3200;
 
 /// One evaluation matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuiteMatrix {
     /// Paper name (M1–M5).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Order at the paper's scale.
-    pub full_order: usize,
+    pub(crate) full_order: usize,
     /// RNG seed for reproducibility.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 /// Table 3's five matrices.
-pub const SUITE: [SuiteMatrix; 5] = [
+pub(crate) const SUITE: [SuiteMatrix; 5] = [
     SuiteMatrix {
         name: "M1",
         full_order: 20480,
@@ -71,19 +71,19 @@ impl SuiteMatrix {
     }
 
     /// Bound value at the given scale divisor.
-    pub fn nb(&self, scale: usize) -> usize {
+    pub(crate) fn nb(&self, scale: usize) -> usize {
         assert!(PAPER_NB % scale == 0, "scale must divide nb = {PAPER_NB}");
         PAPER_NB / scale
     }
 
     /// Generates the matrix at the given scale (diagonally dominant, hence
     /// invertible; the paper notes performance depends only on the order).
-    pub fn generate(&self, scale: usize) -> Matrix {
+    pub(crate) fn generate(&self, scale: usize) -> Matrix {
         random_well_conditioned(self.order(scale), self.seed)
     }
 
     /// Element count at the paper's scale, in billions (Table 3 column).
-    pub fn full_elements_billion(&self) -> f64 {
+    pub(crate) fn full_elements_billion(&self) -> f64 {
         (self.full_order as f64).powi(2) / 1e9
     }
 }
