@@ -29,7 +29,7 @@
 //!   obs-check  quick observability gate: a traced n=64/nb=4 inversion
 //!              must export valid Prometheus text and a cost-model audit
 //!              that runs every planned job with every stage in its band,
-//!              and leave only its factor forest live in the DFS
+//!              and leave nothing live in the DFS
 //!   gemm-par-check ordering gate: on >= 2 cores with >= 2 effective pool
 //!              threads, packed-parallel GEMM must not be slower than
 //!              packed-serial at n >= 256 (skips on single-core boxes)
@@ -675,20 +675,10 @@ fn run_obs_check(_args: &Args) {
     let path = write_results_file("obs_check.prom", &text).unwrap();
     println!("-> {path}");
 
-    // What a finished invert holds in the DFS: its factor forest (leaf
-    // `l.bin` / `u.bin`, each level's `L2/` and `U2/` stripes). Every
-    // intermediate file, `RESULT/` included, was released; the peak was
-    // not every byte ever written. Both are counts: they repeat exactly.
-    let dfs = &cluster.dfs;
-    let product = |p: &String| {
-        p.ends_with("/l.bin")
-            || p.ends_with("/u.bin")
-            || ["/L2/", "/U2/"].iter().any(|d| p.contains(d))
-    };
-    let products: u64 = (dfs.list(&out.report.workdir).iter())
-        .filter(|p| product(p))
-        .map(|p| dfs.len(p).unwrap_or(0))
-        .sum();
+    // What a finished invert holds in the DFS: nothing. Every file it
+    // wrote, `RESULT/` and the factor forest included, was released; the
+    // peak was not every byte ever written. Both are counts: they repeat
+    // exactly.
     let gauge = |name: &str| snap.gauges.iter().find(|g| g.name == name).map(|g| g.value);
     let written = (snap.counters.iter())
         .find(|c| c.name == "mrinv_dfs_write_bytes_total")
@@ -699,11 +689,9 @@ fn run_obs_check(_args: &Args) {
         written,
     ) {
         (Some(live), Some(peak), Some(written)) => {
-            println!(
-                "dfs live bytes: {live} (factor forest: {products}), peak {peak} of {written} written"
-            );
-            if live != products as f64 || peak >= written {
-                println!("dfs live bytes WRONG: an intermediate file outlived its last reader");
+            println!("dfs live bytes: {live}, peak {peak} of {written} written");
+            if live != 0.0 || peak >= written {
+                println!("dfs live bytes WRONG: a file outlived its last reader");
                 failed = true;
             }
         }

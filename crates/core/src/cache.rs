@@ -3,10 +3,10 @@
 //! The paper's motivating applications (Section 1) factor a matrix once
 //! and then amortize it over many cheap downstream uses. [`FactorCache`]
 //! makes that pattern first-class: a successful pipeline run primes the
-//! cache with its `FactorRef` file forest (plus the inverse, for invert
-//! runs), and any later [`crate::Request`] for the *same* matrix under
-//! the *same* block bound `nb` is served straight from those files — zero
-//! MapReduce jobs, zero simulated seconds.
+//! cache with its factors, packed into one matrix (plus the inverse, for
+//! invert runs), and any later [`crate::Request`] for the *same* matrix
+//! under the *same* block bound `nb` is served straight from them — zero
+//! MapReduce jobs, zero simulated seconds, zero DFS reads.
 //!
 //! # Key semantics
 //!
@@ -16,12 +16,11 @@
 //! The geometry, cost profile, §6 toggles and execution backend only
 //! place and store the pieces; `tests/reference_bits.rs` pins the
 //! pipeline to `inmem::invert_block`'s and `block_lu`'s bits across all
-//! of them. So a hit serves any geometry or toggles, reading through the
-//! entry's own `FactorRef` layout, and the map compares the whole key.
-//! The run directory is left out too: the checkpoint manifest's
-//! `run_fingerprint` covers it, the geometry and the toggles, because a
-//! resume restores that run's files; the cache shares factors *across*
-//! runs.
+//! of them. So a hit serves any geometry or toggles, and the map compares
+//! the whole key. The run directory is left out too: an entry holds
+//! answers, not a run's files. (The checkpoint manifest's
+//! `run_fingerprint` does cover the directory, the geometry and the
+//! toggles, because a resume restores that run's files.)
 //!
 //! The digest hashes the matrix's `f64` words as their bits, in one pass
 //! and with no intermediate buffer, so `+0.0` / `-0.0` and distinct NaN
@@ -60,44 +59,38 @@
 //! per tenant and `nb`, and a named request is answered from the one entry
 //! the name was admitted against (see [`crate::service`]).
 //!
-//! # Invalidation
+//! # Ownership
 //!
-//! Entries reference DFS files; they do not own them. Every lookup
-//! re-validates that each referenced file still exists and drops the
-//! entry — a miss, counted as an invalidation — the moment any factor
-//! file was deleted. An entry lists its files once, when it is built, so
-//! a hit checks them without allocating.
+//! An entry owns its answers: the factors packed into one matrix — `L`
+//! strictly below the diagonal, `U` on and above it, n² words with `P`
+//! beside them — and the inverse, if an invert run produced one. The cold
+//! run that primes an entry packs the factors through its own counted
+//! master handle, outside its report's window, and then releases its
+//! factor forest as every plain run does, so a finished request leaves
+//! nothing in the DFS (a checkpointed run keeps every file for a resume).
+//! Nothing an entry answers from can vanish under it: a lookup checks the
+//! key and nothing else, and an entry is never invalidated, only replaced
+//! when a run adds the inverse to an entry an `lu` or `solve` primed. The
+//! cache does not evict.
 //!
 //! # Sharing
 //!
-//! An entry is one `Arc`'d `Factorization`: the factor file forest, the
-//! inverse (if an invert run produced one) and, once a solve or an LU
-//! needed them, the factors packed into one matrix — `L` strictly below
-//! the diagonal, `U` on and above it, n² words with `P` beside them. The
-//! cold run that primes an entry, the entry, and every
-//! [`crate::Outcome`] later served from it hold the same `Arc<Matrix>`
-//! inverse — a hit clones pointers under the map lock, never matrices.
-//! Solves substitute through the shared packed factors in place; an LU
-//! outcome unpacks its own dense `L` and `U` from them.
-//!
-//! # Accounting
-//!
-//! Cache hits assemble factors through *uncounted* DFS reads
-//! ([`mrinv_mapreduce::UncountedDfs`]): a hit served concurrently
-//! with an in-flight pipeline run must not perturb that run's delta-based
-//! [`crate::RunReport`].
+//! An entry is one `Arc`'d `Factorization`. The cold run that primes an
+//! entry, the entry, and every [`crate::Outcome`] later served from it
+//! hold the same `Arc<Matrix>` inverse — a hit clones pointers under the
+//! map lock, never matrices. Solves substitute through the shared packed
+//! factors in place; an LU outcome unpacks its own dense `L` and `U` from
+//! them.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use mrinv_mapreduce::{Cluster, Dfs, TaskIo};
+use mrinv_mapreduce::Cluster;
 use mrinv_matrix::{lu, Matrix};
 use parking_lot::Mutex;
 
 use crate::config::InversionConfig;
-use crate::error::Result;
-use crate::factors::FactorRef;
 
 /// The [`FactorCache`] key of one (matrix, `nb`) pair; see "Key
 /// semantics" in the module docs.
@@ -284,49 +277,14 @@ fn digest(words: &[f64]) -> [u64; 2] {
     digest_portable(words)
 }
 
-/// One finished factorization: what a cold pipeline run leaves behind and
-/// what a cache hit finds (see "Sharing" in the module docs).
+/// One finished factorization: what a cold pipeline run files and what a
+/// cache hit answers from (see "Ownership" in the module docs).
 #[derive(Debug)]
 pub(crate) struct Factorization {
     pub(crate) nb: usize,
-    pub(crate) factors: FactorRef,
-    /// Every file of `factors`, listed once: what a hit checks.
-    paths: Vec<String>,
+    /// `L` strictly below the diagonal, `U` on and above it, and `P`.
+    pub(crate) lu: Arc<lu::LuFactors>,
     pub(crate) inverse: Option<Arc<Matrix>>,
-    /// The factors packed into one matrix (`L` strictly below the
-    /// diagonal, `U` on and above it) with `P`, memoized so a million
-    /// `solve(b)` calls pay the file-forest assembly once.
-    assembled: OnceLock<Arc<lu::LuFactors>>,
-    pub(crate) workdir: String,
-}
-
-impl Factorization {
-    pub(crate) fn new(
-        nb: usize,
-        factors: FactorRef,
-        inverse: Option<Arc<Matrix>>,
-        workdir: String,
-    ) -> Self {
-        Factorization {
-            nb,
-            paths: factors.paths(),
-            factors,
-            inverse,
-            assembled: OnceLock::new(),
-            workdir,
-        }
-    }
-
-    /// The packed `L`/`U` and `P`, read through `io` on first use.
-    /// Assembly runs outside any lock, so concurrent first uses may
-    /// assemble twice; the first stored result wins.
-    pub(crate) fn assembled(&self, io: &mut TaskIo) -> Result<Arc<lu::LuFactors>> {
-        if let Some(f) = self.assembled.get() {
-            return Ok(f.clone());
-        }
-        let f = Arc::new(self.factors.assemble_packed(io)?);
-        Ok(self.assembled.get_or_init(|| f).clone())
-    }
 }
 
 /// Point-in-time cache counters.
@@ -338,8 +296,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to run the pipeline.
     pub misses: u64,
-    /// Entries dropped because a referenced DFS file disappeared.
-    pub invalidations: u64,
 }
 
 /// Keyed, thread-safe LU-factor cache (see the module docs).
@@ -348,7 +304,6 @@ pub struct FactorCache {
     entries: Mutex<BTreeMap<CacheKey, Arc<Factorization>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl FactorCache {
@@ -363,18 +318,17 @@ impl FactorCache {
             entries: self.entries.lock().len(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
         }
     }
 
-    /// Validated lookup: the entry filed under `key`, if all its files
-    /// are still there and `usable` accepts it. Requests pass whether the
-    /// entry holds what the operation needs — an entry primed by an
-    /// `lu`/`solve` run holds factors but no inverse, and serving an invert
-    /// from it would require master-side triangular inversion, a different
-    /// numerical path than the pipeline, so it counts as a miss and the
-    /// full pipeline runs (and upgrades the entry) — and, for a named
-    /// request, whether it is the entry the name was admitted against.
+    /// The entry filed under `key`, if `usable` accepts it. Requests pass
+    /// whether the entry holds what the operation needs — an entry primed
+    /// by an `lu`/`solve` run holds factors but no inverse, and serving an
+    /// invert from it would require master-side triangular inversion, a
+    /// different numerical path than the pipeline, so it counts as a miss
+    /// and the full pipeline runs (and upgrades the entry) — and, for a
+    /// named request, whether it is the entry the name was admitted
+    /// against.
     ///
     /// `count_miss` is false for the service's handler threads, which
     /// probe the cache before queueing a cold request for the executor —
@@ -382,20 +336,10 @@ impl FactorCache {
     pub(crate) fn lookup_if(
         &self,
         key: CacheKey,
-        dfs: &Dfs,
         count_miss: bool,
         usable: impl FnOnce(&Factorization) -> bool,
     ) -> Option<Arc<Factorization>> {
-        let mut entries = self.entries.lock();
-        let stale = entries
-            .get(&key)
-            .is_some_and(|e| e.paths.iter().any(|p| !dfs.exists(p)));
-        if stale {
-            // A factor file is gone: drop the entry.
-            entries.remove(&key);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        let hit = entries.get(&key).filter(|e| usable(e)).cloned();
+        let hit = self.entries.lock().get(&key).filter(|e| usable(e)).cloned();
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else if count_miss {
@@ -411,26 +355,21 @@ impl FactorCache {
         &self,
         key: CacheKey,
         need_inverse: bool,
-        dfs: &Dfs,
         count_miss: bool,
     ) -> Option<Arc<Factorization>> {
-        self.lookup_if(key, dfs, count_miss, |e| {
-            !need_inverse || e.inverse.is_some()
-        })
+        self.lookup_if(key, count_miss, |e| !need_inverse || e.inverse.is_some())
     }
 
-    /// Primes (or upgrades) the entry for `key` after a cold run. An
-    /// existing entry keeps whatever the new run did not produce: an
-    /// invert run adds the inverse to an entry primed by `lu`, and vice
-    /// versa. Returns the entry now filed under `key`.
+    /// Primes (or upgrades) the entry for `key` after a cold run: an
+    /// invert run adds the inverse to an entry an `lu` or `solve` primed.
+    /// An inverse the new run did not produce is kept (two cold runs of
+    /// one key race when several threads submit). Returns the entry now
+    /// filed under `key`.
     pub(crate) fn insert(&self, key: CacheKey, mut done: Factorization) -> Arc<Factorization> {
         let mut entries = self.entries.lock();
         if let Some(old) = entries.get(&key) {
             if done.inverse.is_none() {
                 done.inverse = old.inverse.clone();
-            }
-            if let (None, Some(f)) = (done.assembled.get(), old.assembled.get()) {
-                done.assembled = OnceLock::from(f.clone());
             }
         }
         let entry = Arc::new(done);
@@ -445,7 +384,7 @@ mod tests {
     use crate::config::Optimizations;
     use mrinv_mapreduce::ClusterConfig;
     use mrinv_matrix::io::encode_binary;
-    use mrinv_matrix::random::{random_matrix, random_unit_lower, random_upper};
+    use mrinv_matrix::random::random_matrix;
     use mrinv_matrix::Permutation;
     use std::collections::BTreeSet;
 
@@ -458,89 +397,78 @@ mod tests {
         }
     }
 
-    fn leaf_entry(dfs: &Dfs, n: usize, seed: u64) -> FactorRef {
-        let l = random_unit_lower(n, seed);
-        let u = random_upper(n, seed + 1);
-        dfs.write(&format!("cache-test/{seed}/l"), encode_binary(&l));
-        dfs.write(&format!("cache-test/{seed}/u"), encode_binary(&u));
-        FactorRef::Leaf {
-            n,
-            l_path: format!("cache-test/{seed}/l"),
-            u_path: format!("cache-test/{seed}/u"),
-            perm: Permutation::identity(n),
-            transposed_u: false,
+    /// An entry of order `n` under block bound `nb`, with an inverse if
+    /// `inverse`.
+    fn entry(nb: usize, n: usize, inverse: bool) -> Factorization {
+        Factorization {
+            nb,
+            lu: Arc::new(lu::LuFactors {
+                lu: random_matrix(n, n, nb as u64),
+                perm: Permutation::identity(n),
+            }),
+            inverse: inverse.then(|| Arc::new(Matrix::identity(n))),
         }
     }
 
+    /// A lookup finds an entry by its whole key and what the request
+    /// needs, and reads nothing else: the entry owns its factors, so
+    /// emptying the DFS under a checkpointed priming run, which keeps
+    /// every file it wrote, leaves it serving the cold run's bits.
     #[test]
     fn lookup_hits_validates_and_invalidates() {
-        let dfs = Dfs::default();
-        let cache = FactorCache::new();
-        let f = leaf_entry(&dfs, 6, 1);
-        cache.insert(
-            key(7),
-            Factorization::new(2, f.clone(), None, "run-a".to_string()),
-        );
+        use crate::request::{CacheStatus, Request};
+        use crate::RunId;
 
-        assert!(
-            cache.lookup(key(8), false, &dfs, true).is_none(),
-            "unknown key"
-        );
-        let view = cache.lookup(key(7), false, &dfs, true).expect("hit");
-        assert_eq!(view.nb, 2);
-        assert_eq!(view.workdir, "run-a");
+        let cluster = Cluster::medium(2);
+        let cache = FactorCache::new();
+        let a = mrinv_matrix::random::random_well_conditioned(12, 1);
+        let cfg = InversionConfig::with_nb(4);
+        let lu = || Request::lu(&a).config(&cfg).cache(&cache);
+        let cold = lu().checkpoint(&RunId::new("kept")).submit(&cluster);
+        let cold = cold.unwrap().into_factors();
+        let key = cache_key(&a, &cfg, &cluster);
+
+        let other_nb = CacheKey { nb: 5, ..key };
+        assert!(cache.lookup(other_nb, false, true).is_none(), "unknown key");
+        let view = cache.lookup(key, false, true).expect("hit");
+        assert_eq!(view.nb, 4);
         assert!(view.inverse.is_none());
         // Factors but no inverse: an invert request misses.
-        assert!(cache.lookup(key(7), true, &dfs, true).is_none());
+        assert!(cache.lookup(key, true, true).is_none());
 
-        // Deleting any factor file invalidates the entry on next lookup.
-        assert!(dfs.delete("cache-test/1/u"));
-        assert!(cache.lookup(key(7), false, &dfs, true).is_none());
-        let s = cache.stats();
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 3);
-        assert_eq!(s.invalidations, 1);
-    }
-
-    #[test]
-    fn assembly_is_memoized_and_uncounted() {
-        let dfs = Arc::new(Dfs::default());
-        let cache = FactorCache::new();
-        let f = leaf_entry(&dfs, 5, 9);
-        cache.insert(
-            key(1),
-            Factorization::new(5, f.clone(), None, "w".to_string()),
+        assert!(
+            cluster.dfs.delete_dir("") > 0,
+            "the checkpointed run kept its files"
         );
-        let before = dfs.counters();
-        let mut io = TaskIo::new(Arc::new(mrinv_mapreduce::UncountedDfs(dfs.clone())));
-        let hit = || cache.lookup(key(1), false, &dfs, true).expect("hit");
-        let a1 = hit().assembled(&mut io).unwrap();
-        let a2 = hit().assembled(&mut io).unwrap();
-        assert!(Arc::ptr_eq(&a1, &a2), "memoized");
-        assert_eq!(dfs.counters(), before, "assembly reads are uncounted");
-        assert_eq!(a1.perm, f.perm());
+        let after = cache.lookup(key, false, true).expect("still a hit");
+        assert!(Arc::ptr_eq(&view, &after));
+        let hit = lu().submit(&cluster).unwrap();
+        assert_eq!(hit.cache, CacheStatus::Hit);
+        assert_eq!(hit.report.jobs, 0);
+        let hit = hit.into_factors();
+        assert_eq!(hit.perm, cold.perm);
+        assert_eq!(encode_binary(&hit.l), encode_binary(&cold.l));
+        assert_eq!(encode_binary(&hit.u), encode_binary(&cold.u));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.hits, s.misses), (1, 3, 3));
     }
 
     #[test]
     fn insert_upgrades_in_place() {
-        let dfs = Dfs::default();
         let cache = FactorCache::new();
-        let f = leaf_entry(&dfs, 4, 20);
-        cache.insert(
-            key(3),
-            Factorization::new(4, f.clone(), None, "w1".to_string()),
-        );
-        let inv = Arc::new(Matrix::identity(4));
-        cache.insert(
-            key(3),
-            Factorization::new(4, f, Some(inv), "w2".to_string()),
-        );
+        cache.insert(key(3), entry(4, 4, false));
+        cache.insert(key(3), entry(4, 4, true));
         let view = cache
-            .lookup(key(3), true, &dfs, true)
+            .lookup(key(3), true, true)
             .expect("inverse now present");
         assert!(view.inverse.is_some());
-        assert_eq!(view.workdir, "w2");
+        // A run that produced no inverse keeps the entry's.
+        cache.insert(key(3), entry(4, 4, false));
+        let kept = cache.lookup(key(3), true, true).expect("inverse kept");
+        assert!(Arc::ptr_eq(
+            view.inverse.as_ref().unwrap(),
+            kept.inverse.as_ref().unwrap()
+        ));
         assert_eq!(cache.stats().entries, 1);
     }
 
@@ -649,16 +577,14 @@ mod tests {
         assert_eq!(run("run-a").cache, CacheStatus::Miss);
         let hit = run("run-b");
         assert_eq!(hit.cache, CacheStatus::Hit);
-        assert_eq!(hit.report.workdir, "run-a");
+        assert_eq!(hit.report.jobs, 0);
     }
 
     /// The map compares whole keys: two entries that agree on the order,
     /// the configuration and the first digest half are still two entries.
     #[test]
     fn keys_differing_in_the_second_digest_half_stay_apart() {
-        let dfs = Dfs::default();
         let cache = FactorCache::new();
-        let f = leaf_entry(&dfs, 6, 40);
         let first = CacheKey {
             order: 6,
             digest: [99, 1],
@@ -668,14 +594,11 @@ mod tests {
             digest: [99, 2],
             ..first
         };
-        cache.insert(first, Factorization::new(2, f.clone(), None, "a".into()));
-        assert!(cache.lookup(second, false, &dfs, true).is_none());
-        cache.insert(second, Factorization::new(3, f, None, "b".into()));
-        assert_eq!(cache.lookup(first, false, &dfs, true).unwrap().workdir, "a");
-        assert_eq!(
-            cache.lookup(second, false, &dfs, true).unwrap().workdir,
-            "b"
-        );
+        cache.insert(first, entry(2, 6, false));
+        assert!(cache.lookup(second, false, true).is_none());
+        cache.insert(second, entry(3, 6, false));
+        assert_eq!(cache.lookup(first, false, true).unwrap().nb, 2);
+        assert_eq!(cache.lookup(second, false, true).unwrap().nb, 3);
         assert_eq!(cache.stats().entries, 2);
     }
 

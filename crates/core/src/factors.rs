@@ -12,10 +12,12 @@
 //! ([`mrinv_mapreduce::TaskIo`]) and places every `U` / `Uᵀ` stripe and
 //! leaf block with [`MatrixSource::read_into`]; only the `L2'` stripes,
 //! whose rows land through `P2`, and the leaves of a packed assembly keep
-//! a loop of their own over [`read_block`]. A packed assembly
-//! ([`FactorRef::assemble_packed`]) is Algorithm 1's in-place layout for
-//! the whole forest: one matrix holding `L` strictly below the diagonal
-//! and `U` on and above it. Two subtleties every assembly handles:
+//! a loop of their own over [`stored_block`]. Either way each stored row
+//! is decoded straight into its place in the one output matrix. A packed
+//! assembly ([`FactorRef::assemble_packed`]) is Algorithm 1's in-place
+//! layout for the whole forest: one matrix holding `L` strictly below the
+//! diagonal and `U` on and above it. Two subtleties every assembly
+//! handles:
 //!
 //! * **pivoting** — the stored bottom-left stripes are `L2'`
 //!   (pre-permutation); the true factor block is `L2 = P2·L2'`, so readers
@@ -30,7 +32,7 @@ use mrinv_matrix::{lu, Matrix, Permutation};
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
 
 use crate::error::{CoreError, Result};
-use crate::source::{expect_covered, inside, read_block, write_block, MatrixSource, Piece};
+use crate::source::{expect_covered, inside, stored_block, write_block, MatrixSource, Piece};
 
 /// Recursive descriptor of where a (unit-lower `L`, upper `U`, permutation
 /// `P`) factor triple lives in the DFS.
@@ -90,10 +92,9 @@ impl FactorRef {
         }
     }
 
-    /// Every DFS path this forest references, in a deterministic order.
-    ///
-    /// The factor cache uses this to validate an entry before serving it:
-    /// a hit is only a hit while every underlying file still exists.
+    /// Every DFS path this forest references, in a deterministic order:
+    /// what a finished run releases once it has packed the factors, or
+    /// at once when nothing needs them.
     pub(crate) fn paths(&self) -> Vec<String> {
         fn walk(f: &FactorRef, out: &mut Vec<String>) {
             match f {
@@ -215,10 +216,11 @@ impl FactorRef {
                                 p.path, p.rows, p.cols
                             )));
                         }
-                        let m = read_block(io, &p.path, (p.nrows(), p.ncols()))?;
+                        let bytes = io.read(&p.path)?;
+                        let m = stored_block(&bytes, &p.path, (p.nrows(), p.ncols()))?;
                         for (k, r) in (p.rows.0..p.rows.1).enumerate() {
-                            out.row_mut(mid + dest.source_of(r))[at + p.cols.0..at + p.cols.1]
-                                .copy_from_slice(m.row(k));
+                            let row = out.row_mut(mid + dest.source_of(r));
+                            m.read_row(k, 0, &mut row[at + p.cols.0..at + p.cols.1]);
                         }
                         placed += p.nrows() * p.ncols();
                     }
@@ -392,31 +394,33 @@ fn place_packed_leaf(
             "file {path} holds {what} in stored row {r}, which the packed factors would drop"
         ))
     };
-    let zero = |words: &[f64]| words.iter().all(|v| v.to_bits() == 0);
-    let l = read_block(io, l_path, (n, n))?;
+    fn zero(mut words: impl Iterator<Item = f64>) -> bool {
+        words.all(|v| v.to_bits() == 0)
+    }
+    let bytes = io.read(l_path)?;
+    let l = stored_block(&bytes, l_path, (n, n))?;
     for r in 0..n {
-        let row = l.row(r);
-        if row[r] != 1.0 {
+        if l.row(r, r..r + 1).ne([1.0]) {
             return Err(misread(l_path, r, "a diagonal word other than 1"));
         }
-        if !zero(&row[r + 1..]) {
+        if !zero(l.row(r, r + 1..n)) {
             return Err(misread(
                 l_path,
                 r,
                 "a word other than +0 above the diagonal",
             ));
         }
-        out.row_mut(at + r)[at..at + r].copy_from_slice(&row[..r]);
+        l.read_row(r, 0, &mut out.row_mut(at + r)[at..at + r]);
     }
-    let u = read_block(io, u_path, (n, n))?;
+    let bytes = io.read(u_path)?;
+    let u = stored_block(&bytes, u_path, (n, n))?;
     for r in 0..n {
-        let row = u.row(r);
         let (dropped, kept) = if transposed_u {
-            (&row[r + 1..], &row[..=r])
+            (r + 1..n, 0..r + 1)
         } else {
-            (&row[..r], &row[r..])
+            (0..r, r..n)
         };
-        if !zero(dropped) {
+        if !zero(u.row(r, dropped)) {
             return Err(misread(
                 u_path,
                 r,
@@ -424,11 +428,11 @@ fn place_packed_leaf(
             ));
         }
         if transposed_u {
-            for (i, &v) in kept.iter().enumerate() {
+            for (i, v) in u.row(r, kept).enumerate() {
                 out[(at + i, at + r)] = v;
             }
         } else {
-            out.row_mut(at + r)[at + r..at + n].copy_from_slice(kept);
+            u.read_row(r, r, &mut out.row_mut(at + r)[at + r..at + n]);
         }
     }
     Ok(())

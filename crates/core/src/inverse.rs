@@ -54,13 +54,13 @@ pub(crate) fn run_fingerprint(plan: &PartitionPlan, opts: &Optimizations) -> u64
 }
 
 /// A per-cluster run directory for unpinned requests, deterministic given
-/// the cluster state: `mrinv/run-<k>` for the first `k` from the DFS file
-/// count up whose directory holds no file. Deletions can bring the count
-/// back to a value an earlier run was named after, so a name is only
-/// taken once it is known to be empty; a failed run's cleanup then deletes
-/// nothing but its own files.
+/// the cluster state: `mrinv/run-<k>` for the first `k` from the count of
+/// DFS files written (which grows with every run) up whose directory holds
+/// no file. A counter reset can bring the count back to a live directory's
+/// name, so a name is only taken once it is known to be empty; a failed
+/// run's cleanup then deletes nothing but its own files.
 pub(crate) fn fresh_run_id(cluster: &Cluster) -> RunId {
-    (cluster.dfs.file_count()..)
+    (cluster.dfs.counters().files_written..)
         .map(|k| RunId::new(format!("mrinv/run-{k}")))
         .find(|run| cluster.dfs.list(run.dir()).is_empty())
         .expect("an unbounded range has a free directory")

@@ -497,14 +497,19 @@ mod tests {
 
     #[test]
     fn factor_file_count_matches_formula() {
-        // N(d) = 2^d + (m0/2)(2^d - 1) when every level has m0/2 stripes.
-        let (_c, f, _p, _a) = run_lu(64, 8, 4, Optimizations::all(), 9);
-        let d = crate::schedule::recursion_depth(64, 8);
-        // L and U each take N(d) files: m_l = m_u = m0/2.
-        assert_eq!(
-            f.paths().len() as u64,
-            2 * crate::schedule::factor_file_count(d, 4)
-        );
+        // N(d) = 2^d + (m0/2)(2^d - 1) when every level has m0/2 stripes
+        // (Section 6.1).
+        for (n, nb, m0) in [(64, 8, 4), (128, 16, 4)] {
+            let (c, f, _p, _a) = run_lu(n, nb, m0, Optimizations::all(), 9);
+            assert!(f.paths().iter().all(|p| c.dfs.exists(p)), "written");
+            let d = crate::schedule::recursion_depth(n, nb);
+            // L and U each take N(d) files: m_l = m_u = m0/2.
+            assert_eq!(
+                f.paths().len() as u64,
+                2 * crate::schedule::factor_file_count(d, m0),
+                "n={n} nb={nb} m0={m0}"
+            );
+        }
     }
 
     #[test]

@@ -24,20 +24,20 @@
 //! [`FactorCache`] so repeated requests for the same (matrix, nb) skip
 //! the pipeline entirely.
 //!
-//! A request is answered in two steps. Something produces a finished
-//! factorization — the cache finds one, or the pipeline runs one — and
-//! then one private tail (`Request::answer`) turns it into the
-//! [`Outcome`]: assemble the factors if the operation or a right-hand
-//! side needs them, substitute, pick the operation's products. A hit and
-//! a cold run differ only in what they hand that tail, so whatever an
-//! answer must carry is built in one place. The service's *named*
+//! A request is answered in two steps. Something produces the packed
+//! factors and the inverse — the cache finds an entry, or the pipeline
+//! runs and packs what the request or the cache needs — and then one
+//! private tail (`Request::answer`) turns them into the [`Outcome`]:
+//! substitute, pick the operation's products. A hit and a cold run differ
+//! only in what they hand that tail, so whatever an answer must carry is
+//! built in one place. The service's *named*
 //! requests — a matrix its connection already sent, named by key — are
 //! crate-private key-only requests: they carry no matrix, can only be
 //! hits, and go through the same lookup and the same tail.
 
 use std::sync::{Arc, Weak};
 
-use mrinv_mapreduce::{Cluster, RunId, RunReport, TaskIo, UncountedDfs};
+use mrinv_mapreduce::{Cluster, RunId, RunReport, TaskIo};
 use mrinv_matrix::triangular::{back_substitution, forward_substitution};
 use mrinv_matrix::{lu, Matrix, Permutation};
 
@@ -157,7 +157,7 @@ impl<'a> Request<'a> {
     /// A key-only request: `op` on the matrix `key` was computed from,
     /// served from `entry` — the cache entry an earlier request for that
     /// matrix was answered from — if the attached cache still files it
-    /// under `key` and its files are all there, and not at all otherwise.
+    /// under `key`, and not at all otherwise.
     /// It runs no pipeline: [`Request::submit_cached_only`] is its one
     /// door.
     pub(crate) fn named(op: Op, key: CacheKey, entry: Weak<Factorization>) -> Self {
@@ -222,10 +222,12 @@ impl<'a> Request<'a> {
     }
 
     /// Attaches a factor cache. A usable entry (same matrix bytes, same
-    /// `nb`, all factor files still present; the toggles and the cluster's
-    /// shape move no bit of the answer) short-circuits the pipeline — the
-    /// cache takes precedence over any pinned run directory or checkpoint
-    /// mode. A miss runs the pipeline and primes the cache.
+    /// `nb`; the toggles and the cluster's shape move no bit of the
+    /// answer) short-circuits the pipeline — the cache takes precedence
+    /// over any pinned run directory or checkpoint mode. A miss runs the
+    /// pipeline and primes the cache with the packed factors (and the
+    /// inverse, for an invert), which the entry owns: it reads no DFS
+    /// file again.
     pub fn cache(mut self, cache: &'a FactorCache) -> Self {
         self.cache = Some(cache);
         self
@@ -248,6 +250,9 @@ impl<'a> Request<'a> {
     /// as [`mrinv_mapreduce::MrError::DriverKilled`]) leaves a manifest
     /// behind; resubmitting with [`Request::resume`] restores the
     /// completed prefix and re-runs only the remainder.
+    ///
+    /// A plain cold run that succeeds leaves nothing in the DFS; a
+    /// checkpointed one keeps every file it wrote, for a resume.
     ///
     /// A cold run that fails in a directory the caller did not pin is
     /// deleted whole: nothing can resume it or read what it wrote. A pinned
@@ -315,8 +320,8 @@ impl<'a> Request<'a> {
     /// Serves the request from the attached cache if (and only if) a
     /// usable entry exists — one that holds what the operation needs and,
     /// for a key-only request, is the entry it names: no driver, no jobs,
-    /// no counted I/O. The report carries zero pipeline numbers and names
-    /// the priming run's directory. `Ok(None)` is a miss, counted when
+    /// no DFS reads. The report carries zero pipeline numbers and no run
+    /// directory, since nothing ran. `Ok(None)` is a miss, counted when
     /// `count_miss` is set.
     fn serve_hit(
         &self,
@@ -332,8 +337,7 @@ impl<'a> Request<'a> {
             };
             named && (self.op != Op::Invert || e.inverse.is_some())
         };
-        let Some(hit) =
-            keyed.and_then(|(cache, key)| cache.lookup_if(key, &cluster.dfs, count_miss, usable))
+        let Some(hit) = keyed.and_then(|(cache, key)| cache.lookup_if(key, count_miss, usable))
         else {
             return Ok(None);
         };
@@ -341,12 +345,11 @@ impl<'a> Request<'a> {
             n,
             nodes: cluster.nodes(),
             nb: hit.nb,
-            workdir: hit.workdir.clone(),
             backend: "factor-cache".to_string(),
             ..RunReport::default()
         };
-        let mut io = TaskIo::new(Arc::new(UncountedDfs(cluster.dfs.clone())));
-        let mut outcome = self.answer(&hit, &mut io, CacheStatus::Hit, report)?;
+        let lu = Some(hit.lu.clone());
+        let mut outcome = self.answer(lu, hit.inverse.clone(), CacheStatus::Hit, report)?;
         outcome.entry = Some(Arc::downgrade(&hit));
         Ok(Some(outcome))
     }
@@ -412,18 +415,27 @@ impl<'a> Request<'a> {
             ));
         }
 
-        // Master-side assembly reads the factor file forest back outside
-        // the measured window, exactly as the historical `lu`/`solve`
-        // entry points did (the paper's downstream consumers read the
-        // files directly).
-        let done = Factorization::new(self.cfg.nb, factors, inverse, report.workdir.clone());
+        // Outside the measured window, the master packs the factors the
+        // operation, a right-hand side or the cache needs; then the forest,
+        // the run's last files, goes back to the DFS.
+        let packs = keyed.is_some() || self.op != Op::Invert || !self.rhs.is_empty();
+        let mut io = TaskIo::new(cluster.dfs.clone());
+        let lu = packs
+            .then(|| factors.assemble_packed(&mut io).map(Arc::new))
+            .transpose()?;
+        driver.release(factors.paths());
+
         let status = match keyed {
             Some(_) => CacheStatus::Miss,
             None => CacheStatus::Bypass,
         };
-        let mut outcome =
-            self.answer(&done, &mut TaskIo::new(cluster.dfs.clone()), status, report)?;
-        if let Some((cache, key)) = keyed {
+        let mut outcome = self.answer(lu.clone(), inverse.clone(), status, report)?;
+        if let (Some((cache, key)), Some(lu)) = (keyed, lu) {
+            let done = Factorization {
+                nb: self.cfg.nb,
+                lu,
+                inverse,
+            };
             outcome.entry = Some(Arc::downgrade(&cache.insert(key, done)));
         }
         Ok(outcome)
@@ -431,27 +443,22 @@ impl<'a> Request<'a> {
 
     /// The one answer tail: turns a finished factorization — found in the
     /// cache or just produced by the pipeline — into this request's
-    /// [`Outcome`]. Assembles the factors through `io` if the operation or
-    /// a right-hand side needs them, substitutes, and picks the products
-    /// the operation returns.
+    /// [`Outcome`]: substitutes through the packed factors `lu` and picks
+    /// the products the operation returns. `lu` is there whenever the
+    /// operation or a right-hand side needs it.
     fn answer(
         &self,
-        done: &Factorization,
-        io: &mut TaskIo,
+        lu: Option<Arc<lu::LuFactors>>,
+        inverse: Option<Arc<Matrix>>,
         cache: CacheStatus,
         report: RunReport,
     ) -> Result<Outcome> {
-        let packed = if self.op != Op::Invert || !self.rhs.is_empty() {
-            Some(done.assembled(io)?)
-        } else {
-            None
-        };
         let mut solutions = Vec::with_capacity(self.rhs.len());
         for b in &self.rhs {
-            let f = packed.as_ref().expect("assembled when rhs present");
+            let f = lu.as_ref().expect("packed when rhs present");
             solutions.push(substitute(f, b)?);
         }
-        let factors = packed.filter(|_| self.op == Op::Lu).map(|f| {
+        let factors = lu.filter(|_| self.op == Op::Lu).map(|f| {
             Arc::new(LuFactors {
                 l: f.unit_lower(),
                 u: f.upper(),
@@ -460,7 +467,7 @@ impl<'a> Request<'a> {
         });
         Ok(Outcome {
             op: self.op,
-            inverse: done.inverse.clone().filter(|_| self.op == Op::Invert),
+            inverse: inverse.filter(|_| self.op == Op::Invert),
             factors,
             solutions,
             cache,
@@ -556,7 +563,6 @@ mod tests {
     use mrinv_matrix::norms::{inversion_residual, vec_norm};
     use mrinv_matrix::random::{random_invertible, random_well_conditioned};
     use mrinv_matrix::PAPER_ACCURACY;
-    use std::collections::BTreeSet;
 
     fn test_cluster(m0: usize) -> Cluster {
         let mut cfg = ClusterConfig::medium(m0);
@@ -794,43 +800,36 @@ mod tests {
         assert!(!c.dfs.list(run.dir()).is_empty());
     }
 
-    /// Deleting a run brings the DFS file count back to a value a live
-    /// run was named after. The next unpinned run must not land in (and
-    /// overwrite, or on failure delete) that live run's directory.
+    /// Resetting the DFS counters brings the count of files written back
+    /// to a value a live directory was named after. The next unpinned run
+    /// must not land in (and overwrite, or on failure delete) that
+    /// directory, here a checkpointed run's, which keeps every file.
     #[test]
     fn a_fresh_run_never_lands_in_a_live_directory() {
         let c = test_cluster(2);
         let (a, b) = (random_invertible(16, 1), random_invertible(16, 2));
         let first = Request::lu(&a).nb(4).submit(&c).unwrap();
-        let second = Request::lu(&b).nb(4).submit(&c).unwrap();
+        let live = RunId::new(first.report.workdir.clone());
+        Request::lu(&b).nb(4).checkpoint(&live).submit(&c).unwrap();
         let files = |dir: &str| -> Vec<_> {
             let paths = c.dfs.list(dir);
             paths.into_iter().map(|p| c.dfs.read(&p).unwrap()).collect()
         };
-        let kept = files(&second.report.workdir);
-        c.dfs.delete_dir(&first.report.workdir);
-        let third = Request::lu(&a).nb(4).submit(&c).unwrap();
-        assert_ne!(third.report.workdir, second.report.workdir);
-        assert_eq!(files(&second.report.workdir), kept);
+        let kept = files(live.dir());
+        assert!(!kept.is_empty());
+        c.dfs.reset_counters();
+        let next = Request::lu(&a).nb(4).submit(&c).unwrap();
+        assert_eq!(first.report.workdir, "mrinv/run-0");
+        assert_ne!(next.report.workdir, first.report.workdir);
+        assert_eq!(files(live.dir()), kept);
     }
 
-    /// The files a finished run keeps: the factor forest its cache entry
-    /// names, for every op (an invert's `RESULT/` is released once the
-    /// master has assembled it). Asserts that the run's directory holds
-    /// exactly those and returns their total size.
-    fn kept_bytes(c: &Cluster, cache: &FactorCache, key: CacheKey, out: &Outcome) -> u64 {
-        let entry = cache.lookup(key, false, &c.dfs, false).expect("cached");
-        let workdir = &out.report.workdir;
-        let expect: BTreeSet<String> = entry.factors.paths().into_iter().collect();
-        let held: BTreeSet<String> = c.dfs.list(workdir).into_iter().collect();
-        assert_eq!(held, expect, "{:?} {workdir}", out.op);
-        held.iter().map(|p| c.dfs.len(p).unwrap()).sum()
-    }
-
-    /// After a plain run the DFS holds the request's products and nothing
-    /// else, under every optimization set, at an even and an odd order, and
-    /// with block wrap off at n=24 / nb=6 / m0=4, where `B`'s cells do not
-    /// line up with `B`'s own split and so windows share cells.
+    /// After a plain run the DFS holds nothing, with a cache or without,
+    /// for every operation, under every optimization set, at an even and an
+    /// odd order, and with block wrap off at n=24 / nb=6 / m0=4, where
+    /// `B`'s cells do not line up with `B`'s own split and so windows
+    /// share cells: whatever the answer needs is in the outcome and the
+    /// cache entry.
     #[test]
     fn plain_runs_keep_only_their_products() {
         let mut variants = Vec::new();
@@ -849,7 +848,10 @@ mod tests {
             let a = random_invertible(n, n as u64);
             for opts in &variants {
                 let cfg = InversionConfig { nb, opts: *opts };
-                for op in [Op::Invert, Op::Lu, Op::Solve] {
+                for (op, cached) in [Op::Invert, Op::Lu, Op::Solve]
+                    .into_iter()
+                    .flat_map(|op| [(op, true), (op, false)])
+                {
                     let c = test_cluster(4);
                     let cache = FactorCache::new();
                     let req = match op {
@@ -857,11 +859,12 @@ mod tests {
                         Op::Lu => Request::lu(&a),
                         Op::Solve => Request::solve(&a).rhs(vec![1.0; n]),
                     };
-                    let out = req.config(&cfg).cache(&cache).submit(&c).unwrap();
-                    let key = cache_key(&a, &cfg, &c);
-                    assert_eq!(c.dfs.list(""), c.dfs.list(&out.report.workdir));
-                    assert_eq!(c.dfs.live_bytes(), kept_bytes(&c, &cache, key, &out));
-                    assert!(c.dfs.live_bytes_peak() > c.dfs.live_bytes(), "{opts:?}");
+                    let req = if cached { req.cache(&cache) } else { req };
+                    req.config(&cfg).submit(&c).unwrap();
+                    let what = format!("{op:?} cached {cached} {opts:?}");
+                    assert_eq!((c.dfs.file_count(), c.dfs.live_bytes()), (0, 0), "{what}");
+                    assert!(c.dfs.live_bytes_peak() > 0, "{what}");
+                    assert_eq!(cache.stats().entries, usize::from(cached), "{what}");
                 }
             }
         }
@@ -889,27 +892,23 @@ mod tests {
         }
     }
 
-    /// A server's DFS grows by exactly each cold request's products, and
-    /// not at all on a hit.
+    /// A server's DFS stays empty across cold inverts and their hits.
     #[test]
     fn each_cold_invert_adds_only_its_products() {
         let c = test_cluster(4);
         let cache = FactorCache::new();
         let cfg = InversionConfig::with_nb(8);
+        let empty = |c: &Cluster| (c.dfs.file_count(), c.dfs.live_bytes()) == (0, 0);
         for seed in 0..3 {
             let a = random_well_conditioned(32, 90 + seed);
-            let before = c.dfs.live_bytes();
             let cold = Request::invert(&a).config(&cfg).cache(&cache).submit(&c);
-            let cold = cold.unwrap();
-            let key = cache_key(&a, &cfg, &c);
-            let kept = kept_bytes(&c, &cache, key, &cold);
-            assert_eq!(c.dfs.live_bytes() - before, kept, "cold invert {seed}");
-
-            let held = (c.dfs.file_count(), c.dfs.live_bytes());
+            assert_eq!(cold.unwrap().cache, CacheStatus::Miss);
+            assert!(empty(&c), "cold invert {seed}");
             let hit = Request::invert(&a).config(&cfg).cache(&cache).submit(&c);
             assert_eq!(hit.unwrap().cache, CacheStatus::Hit);
-            assert_eq!((c.dfs.file_count(), c.dfs.live_bytes()), held);
+            assert!(empty(&c), "hit {seed}");
         }
+        assert_eq!(cache.stats().entries, 3);
     }
 
     #[test]
@@ -1014,7 +1013,7 @@ mod tests {
         let files_after_warm = c.dfs.file_count();
         let io_after_warm = c.dfs.counters();
 
-        // Hit: zero pipeline jobs, zero simulated seconds, no counted I/O,
+        // Hit: zero pipeline jobs, zero simulated seconds, no DFS reads,
         // no new DFS files.
         let hit = Request::solve(&a)
             .rhs(b.clone())
@@ -1026,9 +1025,10 @@ mod tests {
         assert_eq!(hit.report.jobs, 0);
         assert_eq!(hit.report.sim_secs, 0.0);
         assert_eq!(hit.report.backend, "factor-cache");
+        assert_eq!(hit.report.workdir, "", "a hit runs in no directory");
         assert_eq!(c.metrics.snapshot().jobs, jobs_after_warm);
         assert_eq!(c.dfs.file_count(), files_after_warm);
-        assert_eq!(c.dfs.counters(), io_after_warm, "hits are uncounted");
+        assert_eq!(c.dfs.counters(), io_after_warm, "hits read nothing");
 
         // And the answer is bit-identical to a cold solve.
         let cold = Request::solve(&a).rhs(b).nb(8).submit(&c).unwrap();
@@ -1070,9 +1070,9 @@ mod tests {
     }
 
     /// An entry filed by a run on 4 nodes serves a 2-node cluster over the
-    /// same DFS: the key is (matrix, nb), and a hit reads the factors
-    /// through the entry's own layout. Every product has the bits a cold
-    /// 2-node run computes.
+    /// same DFS: the key is (matrix, nb), and a hit answers from the
+    /// entry's packed factors. Every product has the bits a cold 2-node run
+    /// computes.
     #[test]
     fn an_entry_primed_on_four_nodes_serves_a_two_node_cluster() {
         let four = test_cluster(4);

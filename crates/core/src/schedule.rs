@@ -57,8 +57,9 @@ pub fn total_jobs(n: usize, nb: usize) -> u64 {
 
 /// Number of files storing the final `L` (or `U`) factor with the separate
 /// intermediate files optimization on (Section 6.1):
-/// `N(d) = 2^d + (m0/2)(2^d − 1)`.
-pub fn factor_file_count(d: u32, m0: usize) -> u64 {
+/// `N(d) = 2^d + (m0/2)(2^d − 1)`: the tests' oracle for executed forests.
+#[cfg(test)]
+pub(crate) fn factor_file_count(d: u32, m0: usize) -> u64 {
     let two_d = 1u64 << d;
     two_d + (m0 as u64 / 2) * (two_d - 1)
 }

@@ -35,9 +35,9 @@
 //! instead of `a`, under the same `nb` and whatever its optimization
 //! toggles, is answered from that entry, through the same lookup and
 //! answer tail as a full hit; under another `nb` it gets `resend`. If the
-//! key no longer finds an entry, finds a different one (it was replaced),
-//! or the entry lost a file or lacks what the operation needs, the reply
-//! is `resend` and the client sends the request in full once. A name sent
+//! key finds a different entry (it was replaced), or the entry lacks what
+//! the operation needs, the reply is `resend` and the client sends the
+//! request in full once. A name sent
 //! on a connection, or by a tenant, that never uploaded it gets `resend`
 //! too — never an answer. The client stores a name only when the server's
 //! echo equals its own digest, so it never names a matrix to a server that
@@ -106,7 +106,7 @@
 //!
 //! One accept thread, one handler thread per connection, and **one**
 //! pipeline executor thread. Handler threads serve cache *hits*
-//! themselves (hits touch no driver state and use uncounted DFS reads,
+//! themselves (hits touch no driver state and read nothing from the DFS,
 //! so any number can run concurrently); everything cold is queued for
 //! the executor, which runs pipelines strictly one at a time. That
 //! serialization is what keeps [`crate::RunReport`]s correct — the

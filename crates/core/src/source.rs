@@ -16,13 +16,15 @@
 //!
 //! Every byte moves through the one accounted handle,
 //! [`mrinv_mapreduce::TaskIo`] — a task context derefs to it, the master
-//! opens one over `cluster.dfs` — and [`read_block`] / [`write_block`] are
-//! the only two functions in this crate that turn DFS bytes into a
-//! [`Matrix`] and back: a stored block is decoded, and its shape checked,
-//! in one place.
+//! opens one over `cluster.dfs` — and a stored block's header and shape
+//! are checked in one place, [`stored_block`]. [`read_block`] decodes the
+//! block into a [`Matrix`] of its own; a read that places blocks into a
+//! larger matrix ([`MatrixSource::read_into`], the factor assemblies)
+//! decodes each stored row straight into its slot. [`write_block`] is the
+//! one encoder.
 
 use mrinv_mapreduce::TaskIo;
-use mrinv_matrix::io::{decode_binary, encode_binary};
+use mrinv_matrix::io::{encode_binary, BinaryView};
 use mrinv_matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +34,19 @@ use crate::error::{CoreError, Result};
 /// `expect` (rows, columns): a file of any other shape is an
 /// [`CoreError::Invariant`] naming it, never something to index into.
 pub(crate) fn read_block(io: &mut TaskIo, path: &str, expect: (usize, usize)) -> Result<Matrix> {
-    let block = decode_binary(&io.read(path)?)?;
+    let bytes = io.read(path)?;
+    Ok(stored_block(&bytes, path, expect)?.to_matrix())
+}
+
+/// The block that `bytes`, read from `path`, store, with [`read_block`]'s
+/// checks and errors, its words left for the caller to decode straight
+/// into place.
+pub(crate) fn stored_block<'a>(
+    bytes: &'a [u8],
+    path: &str,
+    expect: (usize, usize),
+) -> Result<BinaryView<'a>> {
+    let block = BinaryView::parse(bytes)?;
     if block.shape() != expect {
         return Err(CoreError::Invariant(format!(
             "file {path} holds a {:?} block, expected {expect:?}",
@@ -262,20 +276,21 @@ impl MatrixSource {
             let Some(((r0, r1), (c0, c1))) = piece.overlap(tr, tc) else {
                 continue;
             };
-            let block = read_block(io, &piece.path, (piece.nrows(), piece.ncols()))?;
+            let bytes = io.read(&piece.path)?;
+            let block = stored_block(&bytes, &piece.path, (piece.nrows(), piece.ncols()))?;
             let src_cols = (c0 - piece.cols.0)..(c1 - piece.cols.0);
-            if flip {
-                for c in c0..c1 {
-                    let dst = &mut out.row_mut(corner.0 + c - tc.0)
-                        [corner.1 + r0 - tr.0..corner.1 + r1 - tr.0];
-                    for (r, d) in (r0..r1).zip(dst) {
-                        *d = block[(r - piece.rows.0, c - piece.cols.0)];
+            let dst_cols = corner.1 + c0 - tc.0..corner.1 + c1 - tc.0;
+            for r in r0..r1 {
+                let stored = r - piece.rows.0;
+                if flip {
+                    let col = corner.1 + r - tr.0;
+                    let words = block.row(stored, src_cols.clone());
+                    for (c, v) in (corner.0 + c0 - tc.0..).zip(words) {
+                        out[(c, col)] = v;
                     }
-                }
-            } else {
-                for r in r0..r1 {
-                    out.row_mut(corner.0 + r - tr.0)[corner.1 + c0 - tc.0..corner.1 + c1 - tc.0]
-                        .copy_from_slice(&block.row(r - piece.rows.0)[src_cols.clone()]);
+                } else {
+                    let row = &mut out.row_mut(corner.0 + r - tr.0)[dst_cols.clone()];
+                    block.read_row(stored, src_cols.start, row);
                 }
             }
             copied += (r1 - r0) * (c1 - c0);

@@ -21,12 +21,13 @@
 //! the final job's triangular inverses are released by the module that
 //! named them (`PipelineDriver::release`, a no-op in checkpointed runs,
 //! whose manifest promises every output to a resume), and the final job's
-//! `RESULT/` once the master has assembled the inverse from it. What a
-//! request leaves behind is its factor forest. The
-//! live-bytes gauge ([`Dfs::live_bytes`], [`Dfs::live_bytes_peak`]) tracks
-//! what is held: every write adds its length and subtracts the length of
-//! the file it overwrites, every delete subtracts. It is not an I/O
-//! counter, so it stays out of [`DfsCountersSnapshot`].
+//! `RESULT/` once the master has assembled the inverse from it, and last
+//! the factor forest, once the master has packed what the request needs
+//! from it: a plain request leaves nothing behind. The live-bytes gauge
+//! ([`Dfs::live_bytes`], [`Dfs::live_bytes_peak`]) tracks what is held:
+//! every write adds its length and subtracts the length of the file it
+//! overwrites, every delete subtracts. It is not an I/O counter, so it
+//! stays out of [`DfsCountersSnapshot`].
 //!
 //! # Block placement and failure domains
 //!
@@ -42,7 +43,6 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -244,8 +244,8 @@ impl Dfs {
     }
 
     /// Reads a file *without* touching the I/O counters: the read-side
-    /// twin of [`Dfs::write_uncounted`], reached from outside through
-    /// [`UncountedDfs`]. Same availability semantics as [`Dfs::read`].
+    /// twin of [`Dfs::write_uncounted`], and the body of [`Dfs::read`],
+    /// with the same availability semantics.
     fn read_uncounted(&self, path: &str) -> Result<Bytes> {
         let path = normalized(path);
         let files = self.files.read();
@@ -453,24 +453,6 @@ impl DfsAccess for Dfs {
     }
     fn exists(&self, path: &str) -> bool {
         Dfs::exists(self, path)
-    }
-}
-
-/// A [`Dfs`] seen through its `_uncounted` pair: the same files, invisible
-/// to the byte counters. The factor cache's hit path reads a *previous*
-/// run's files through this while other pipelines may be mid-flight, so a
-/// hit cannot perturb their delta-based reports.
-pub struct UncountedDfs(pub Arc<Dfs>);
-
-impl DfsAccess for UncountedDfs {
-    fn read(&self, path: &str) -> Result<Bytes> {
-        self.0.read_uncounted(path)
-    }
-    fn write(&self, path: &str, data: Bytes) {
-        self.0.write_uncounted(path, data)
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.0.exists(path)
     }
 }
 

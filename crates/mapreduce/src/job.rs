@@ -68,9 +68,8 @@ impl TaskStats {
 }
 
 /// The one accounted handle between code and the DFS: every byte moved
-/// through it lands in its [`TaskStats`]. Task contexts deref to it, the
-/// master opens one over `cluster.dfs`, and the factor cache's hit path
-/// opens one over [`crate::dfs::UncountedDfs`].
+/// through it lands in its [`TaskStats`]. Task contexts deref to it, and
+/// the master opens one over `cluster.dfs`.
 pub struct TaskIo {
     dfs: Arc<dyn DfsAccess>,
     stats: TaskStats,
@@ -461,11 +460,9 @@ mod tests {
     }
 
     /// The three flavours of the one handle: identical traffic charges
-    /// identical stats; only the map side records (normalized) reads; the
-    /// uncounted adapter leaves the DFS counters alone.
+    /// identical stats; only the map side records (normalized) reads.
     #[test]
     fn task_io_flavours_account_alike() {
-        use crate::dfs::UncountedDfs;
         let dfs = Arc::new(Dfs::default());
         dfs.write("d/in", Bytes::from(vec![1u8; 30]));
         let traffic = |io: &mut TaskIo| {
@@ -490,13 +487,8 @@ mod tests {
         assert_eq!(map_stats, master_stats);
         assert_eq!(map_reads, vec![("d/in".to_string(), 30)], "normalized");
         assert!(reduce_reads.is_empty() && master_reads.is_empty());
-
-        let before = dfs.counters();
-        assert_eq!((before.reads, before.files_written), (3, 4));
-        let mut hit = TaskIo::new(Arc::new(UncountedDfs(dfs.clone())));
-        traffic(&mut hit);
-        assert_eq!(hit.stats(), &master_stats, "the handle still accounts");
-        assert_eq!(dfs.counters(), before, "the DFS does not");
+        let counted = dfs.counters();
+        assert_eq!((counted.reads, counted.files_written), (3, 4));
     }
 
     #[test]

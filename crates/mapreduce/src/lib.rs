@@ -77,7 +77,7 @@ pub mod tracelog;
 pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use dfs::{Dfs, UncountedDfs};
+pub use dfs::Dfs;
 pub use driver::{Fingerprint, ManifestRecord, PipelineDriver, RunId, RunReport};
 pub use error::{MrError, Result};
 pub use exec::tcp::{worker_serve, TcpWorkers, TcpWorkersConfig};

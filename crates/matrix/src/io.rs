@@ -24,6 +24,7 @@
 
 use std::borrow::Cow;
 use std::io::Write;
+use std::ops::Range;
 
 use bytes::{Buf, Bytes};
 
@@ -108,37 +109,93 @@ fn encode_header_onto(buf: &mut Vec<u8>, rows: usize, cols: usize, values: &[f64
 }
 
 /// Deserializes a matrix from the binary format.
-pub fn decode_binary(mut data: &[u8]) -> Result<Matrix> {
-    if data.len() < HEADER_LEN {
-        return Err(MatrixError::Codec(format!(
-            "binary matrix truncated: {} bytes, need at least {HEADER_LEN}",
-            data.len()
-        )));
+pub fn decode_binary(data: &[u8]) -> Result<Matrix> {
+    Ok(BinaryView::parse(data)?.to_matrix())
+}
+
+/// A binary-encoded matrix whose header is checked and whose elements are
+/// left in the bytes that store them: a reader decodes each row straight
+/// into the place it is going, with no [`Matrix`] of its own in between.
+#[derive(Debug, Clone, Copy)]
+pub struct BinaryView<'a> {
+    rows: usize,
+    cols: usize,
+    /// `rows * cols` little-endian `f64`s, row-major.
+    elements: &'a [u8],
+}
+
+impl<'a> BinaryView<'a> {
+    /// Checks `data`'s header and length, with [`decode_binary`]'s errors.
+    pub fn parse(mut data: &'a [u8]) -> Result<Self> {
+        if data.len() < HEADER_LEN {
+            return Err(MatrixError::Codec(format!(
+                "binary matrix truncated: {} bytes, need at least {HEADER_LEN}",
+                data.len()
+            )));
+        }
+        let mut magic = [0u8; 4];
+        data.copy_to_slice(&mut magic);
+        if &magic != MAGIC {
+            return Err(MatrixError::Codec(format!("bad magic {magic:?}")));
+        }
+        let rows = data.get_u64_le() as usize;
+        let cols = data.get_u64_le() as usize;
+        let expect = rows
+            .checked_mul(cols)
+            .and_then(|e| e.checked_mul(8))
+            .ok_or_else(|| MatrixError::Codec("dimension overflow".into()))?;
+        if data.remaining() != expect {
+            return Err(MatrixError::Codec(format!(
+                "binary matrix payload is {} bytes, expected {expect} for {rows}x{cols}",
+                data.remaining()
+            )));
+        }
+        Ok(BinaryView {
+            rows,
+            cols,
+            elements: data,
+        })
     }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(MatrixError::Codec(format!("bad magic {magic:?}")));
+
+    /// `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
     }
-    let rows = data.get_u64_le() as usize;
-    let cols = data.get_u64_le() as usize;
-    let expect = rows
-        .checked_mul(cols)
-        .and_then(|e| e.checked_mul(8))
-        .ok_or_else(|| MatrixError::Codec("dimension overflow".into()))?;
-    if data.remaining() != expect {
-        return Err(MatrixError::Codec(format!(
-            "binary matrix payload is {} bytes, expected {expect} for {rows}x{cols}",
-            data.remaining()
-        )));
+
+    /// Columns `cols` of row `r`, decoded a word at a time.
+    ///
+    /// # Panics
+    /// If `r` or `cols` lies outside the matrix.
+    pub fn row(&self, r: usize, cols: Range<usize>) -> impl ExactSizeIterator<Item = f64> + 'a {
+        let (rows, width) = self.shape();
+        assert!(
+            r < rows && cols.end <= width,
+            "row {r} cols {cols:?} outside {rows}x{width}"
+        );
+        let at = r * width;
+        words(&self.elements[(at + cols.start) * 8..(at + cols.end) * 8])
     }
-    // The length is exact (checked above), so this is one allocation and
-    // one bulk move of the elements.
-    let vals = data
+
+    /// Decodes row `r` from column `c0` on into `dst`, one word per slot.
+    pub fn read_row(&self, r: usize, c0: usize, dst: &mut [f64]) {
+        let words = self.row(r, c0..c0 + dst.len());
+        for (d, v) in dst.iter_mut().zip(words) {
+            *d = v;
+        }
+    }
+
+    /// The whole matrix, decoded in one allocation and one bulk move.
+    pub fn to_matrix(&self) -> Matrix {
+        Matrix::from_vec(self.rows, self.cols, words(self.elements).collect())
+            .expect("parse checked the element count")
+    }
+}
+
+/// Little-endian `f64` words, in order.
+fn words(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    bytes
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
-        .collect();
-    Matrix::from_vec(rows, cols, vals)
 }
 
 /// Exact size in bytes of the binary encoding of a `rows x cols` matrix.
@@ -286,6 +343,31 @@ mod tests {
         assert_eq!(enc.len() as u64, binary_size(17, 9));
         let back = decode_binary(&enc).unwrap();
         assert_eq!(back, m);
+    }
+
+    /// A view reads every word, row and column range with the decoded
+    /// matrix's bits, and refuses a range past its row.
+    #[test]
+    fn a_view_reads_what_decoding_reads() {
+        let mut m = random_matrix(5, 7, 4);
+        m[(2, 3)] = -0.0;
+        let enc = encode_binary(&m);
+        let view = BinaryView::parse(&enc).unwrap();
+        assert_eq!(view.shape(), (5, 7));
+        assert_eq!(view.to_matrix(), m);
+        for r in 0..5 {
+            let words: Vec<u64> = view.row(r, 0..7).map(f64::to_bits).collect();
+            assert_eq!(
+                words,
+                m.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+            let mut dst = [0.0; 4];
+            view.read_row(r, 2, &mut dst);
+            assert_eq!(dst, m.row(r)[2..6]);
+            assert_eq!(view.row(r, 1..3).collect::<Vec<_>>(), m.row(r)[1..3]);
+        }
+        let past = std::panic::catch_unwind(|| view.row(0, 5..8).count());
+        assert!(past.is_err(), "a range past the row is refused");
     }
 
     #[test]

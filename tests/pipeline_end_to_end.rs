@@ -1,7 +1,7 @@
 //! End-to-end integration: the full MapReduce inversion pipeline against
 //! the paper's correctness and structure claims.
 
-use mrinv::{InversionConfig, Optimizations, Request, RunId};
+use mrinv::{FactorCache, InversionConfig, Optimizations, Request, RunId};
 use mrinv_mapreduce::scheduler::{plan_wave, PlannedTask, WaveFaults};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel};
 use mrinv_matrix::norms::inversion_residual;
@@ -130,9 +130,9 @@ fn optimization_toggles_preserve_numerics_exactly() {
 
 #[test]
 fn a_plain_invert_keeps_its_factors_and_releases_result() {
-    // The assembled inverse is the one copy a plain run keeps: once the
-    // master has read `RESULT/`, nothing reads it again. The factor forest
-    // (separate intermediate files) stays for the cache and later solves.
+    // A plain run gives every file it wrote back: `RESULT/` once the master
+    // has assembled the inverse, and the factor forest, which nothing reads
+    // again, once the run is done. What it keeps is in the outcome.
     let a = random_well_conditioned(32, 3);
     let cfg = InversionConfig::with_nb(8);
     let live = |cluster: &Cluster, dir: &str| {
@@ -140,15 +140,13 @@ fn a_plain_invert_keeps_its_factors_and_releases_result() {
         paths.into_iter().filter(|p| p.contains(dir)).count()
     };
     let cluster = unit_cluster(4);
-    Request::invert(&a).config(&cfg).submit(&cluster).unwrap();
-    assert_eq!(live(&cluster, "/RESULT/"), 0, "RESULT/ outlived its reader");
-    assert!(
-        live(&cluster, "/L2/") > 0,
-        "factor stripes must remain in the DFS"
-    );
+    let out = Request::invert(&a).config(&cfg).submit(&cluster).unwrap();
+    assert!(out.inverse().is_some());
+    assert_eq!(cluster.dfs.list(""), Vec::<String>::new());
+    assert_eq!(cluster.dfs.live_bytes(), 0);
 
-    // A checkpointed run keeps every output, `RESULT/` included, because
-    // its manifest promises the final job's outputs to a resume.
+    // A checkpointed run keeps every output, `RESULT/` and the factor
+    // stripes included, because its manifest promises them to a resume.
     let cluster = unit_cluster(4);
     let run = RunId::new("kept-result");
     let checkpointed = Request::invert(&a).config(&cfg).checkpoint(&run);
@@ -157,6 +155,37 @@ fn a_plain_invert_keeps_its_factors_and_releases_result() {
         live(&cluster, "/RESULT/") > 0,
         "a checkpointed run keeps RESULT/"
     );
+    assert!(
+        live(&cluster, "/L2/") > 0,
+        "a checkpointed run keeps its factor stripes"
+    );
+}
+
+/// Eight cold n=256 / nb=32 inverts of distinct matrices on one cluster,
+/// with a factor cache and without: each leaves the DFS empty, so a
+/// long-lived cluster holds no file per request it served.
+#[test]
+fn eight_cold_inverts_leave_the_dfs_empty() {
+    let cfg = InversionConfig::with_nb(32);
+    for cached in [true, false] {
+        let cluster = Cluster::new(ClusterConfig::medium(4));
+        let cache = FactorCache::new();
+        for seed in 0..8 {
+            let a = random_well_conditioned(256, 500 + seed);
+            let request = Request::invert(&a).config(&cfg);
+            let request = if cached {
+                request.cache(&cache)
+            } else {
+                request
+            };
+            assert!(request.submit(&cluster).unwrap().inverse().is_some());
+            let dfs = &cluster.dfs;
+            let held = (dfs.live_bytes(), dfs.file_count());
+            assert_eq!(held, (0, 0), "cached {cached}, invert {seed}");
+            assert!(dfs.live_bytes_peak() > 0);
+        }
+        assert_eq!(cache.stats().entries, if cached { 8 } else { 0 });
+    }
 }
 
 #[test]

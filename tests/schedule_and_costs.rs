@@ -3,7 +3,7 @@
 //! the data movement between the jobs can be precisely determined before
 //! the start of the computation" (Section 1).
 
-use mrinv::schedule::{factor_file_count, job_plan, recursion_depth, total_jobs, PlannedJob};
+use mrinv::schedule::{job_plan, recursion_depth, total_jobs, PlannedJob};
 use mrinv::theory;
 use mrinv::{InversionConfig, Request};
 use mrinv_mapreduce::cluster::factor_pair;
@@ -48,27 +48,6 @@ fn plan_brackets_partition_and_final() {
         .filter(|j| matches!(j, PlannedJob::LuLevel { .. }))
         .count();
     assert_eq!(lu_jobs as u64, total_jobs(256, 32) - 2);
-}
-
-#[test]
-fn factor_file_count_matches_execution() {
-    // N(d) = 2^d + (m0/2)(2^d - 1), Section 6.1.
-    let m0 = 4;
-    let n = 128;
-    let nb = 16;
-    let cluster = unit_cluster(m0);
-    let a = random_well_conditioned(n, 1);
-    let _ = Request::lu(&a)
-        .config(&InversionConfig::with_nb(nb))
-        .submit(&cluster)
-        .unwrap();
-    let l_files = cluster
-        .dfs
-        .list("")
-        .into_iter()
-        .filter(|p| p.ends_with("/l.bin") || p.contains("/L2/"))
-        .count() as u64;
-    assert_eq!(l_files, factor_file_count(recursion_depth(n, nb), m0));
 }
 
 #[test]

@@ -218,9 +218,10 @@ fn cached_solve_after_warm_invert_over_the_wire() {
     );
 }
 
-/// A long-running server holds, per cold invert, only what its factor
-/// cache serves from: every live DFS byte belongs to a listed file, and
-/// no `RESULT/` file outlives the master's assembly of the inverse.
+/// A long-running server's DFS holds nothing once its cold inverts have
+/// returned: each run packed its factors into the cache entry, which owns
+/// them, and gave every file it wrote back, `RESULT/` and the factor
+/// forest included.
 #[test]
 fn cold_inverts_leave_no_result_files_in_the_server_dfs() {
     let cluster = Arc::new(unit_cluster());
@@ -232,14 +233,9 @@ fn cold_inverts_leave_no_result_files_in_the_server_dfs() {
         assert!(!reply.unwrap().cache_hit, "cold invert {seed}");
     }
     let dfs = &cluster.dfs;
-    let files = dfs.list("");
-    let listed: u64 = files.iter().map(|p| dfs.len(p).unwrap()).sum();
-    assert_eq!(dfs.live_bytes(), listed);
-    let results: Vec<_> = files.iter().filter(|p| p.contains("/RESULT/")).collect();
-    assert!(
-        results.is_empty(),
-        "RESULT/ outlived its reader: {results:?}"
-    );
+    assert_eq!(dfs.list(""), Vec::<String>::new());
+    assert_eq!((dfs.file_count(), dfs.live_bytes()), (0, 0));
+    assert!(dfs.live_bytes_peak() > 0, "the runs did write");
 }
 
 /// A running server's metric series are keyed by (tenant, operation), so
@@ -581,8 +577,8 @@ proptest! {
 
     /// The factor cache hits on an identical (matrix, nb) key, misses on a 1-ulp matrix nudge or a different block
     /// bound, hits under different optimization flags (the same bits), and
-    /// invalidates (then re-primes) when the factor files vanish from
-    /// the DFS.
+    /// keeps hitting with the cold run's bits once the DFS is emptied: an
+    /// entry owns its factors.
     #[test]
     fn factor_cache_hit_miss_and_invalidation((seed, perturb) in (0u64..1_000, 0usize..3)) {
         let cluster = unit_cluster();
@@ -625,14 +621,16 @@ proptest! {
             prop_assert_eq!(encode_binary(&got.u), encode_binary(&want.u));
         }
 
-        // Deleting the priming run's DFS files kills the entry: the next
-        // identical request is a miss that re-runs the pipeline.
-        let removed = cluster.dfs.delete_dir(&primed.report.workdir);
-        prop_assert!(removed > 0, "the factor forest lives under the workdir");
+        // Nothing in the DFS backs the entry: the next identical request
+        // after emptying it is a hit with the cold run's bits.
+        cluster.dfs.delete_dir("");
         let after = Request::lu(&a).config(&cfg).cache(&cache).submit(&cluster).unwrap();
-        prop_assert_eq!(after.cache, CacheStatus::Miss);
-        prop_assert!(after.report.jobs > 0);
-        prop_assert!(cache.stats().invalidations >= 1);
+        prop_assert_eq!(after.cache, CacheStatus::Hit);
+        prop_assert_eq!(after.report.jobs, 0);
+        let (got, want) = (after.factors().unwrap(), primed.factors().unwrap());
+        prop_assert_eq!(&got.perm, &want.perm);
+        prop_assert_eq!(encode_binary(&got.l), encode_binary(&want.l));
+        prop_assert_eq!(encode_binary(&got.u), encode_binary(&want.u));
     }
 }
 
@@ -808,8 +806,8 @@ fn resend(response: &(WireResponse, Value)) -> bool {
 
 /// A name answers only on the connection, and for the tenant, that sent
 /// the matrix in full, and only while the entry it was admitted against
-/// is what the cache serves: anyone else, and anything after the factor
-/// files are gone, gets `resend`.
+/// is what the cache serves: anyone else gets `resend`. The entry owns its
+/// answers, so emptying the DFS does not end it.
 #[test]
 fn a_name_answers_only_its_connection_and_tenant_and_only_while_its_entry_lives() {
     let cluster = Arc::new(unit_cluster());
@@ -859,18 +857,19 @@ fn a_name_answers_only_its_connection_and_tenant_and_only_while_its_entry_lives(
     assert!(resend(&elsewhere), "{:?}", elsewhere.0);
     assert_eq!(elsewhere.0.id, 5);
 
-    // The factor files are gone: the name's entry is invalid.
-    assert!(cluster.dfs.delete_dir("") > 0);
-    let gone = ask_value(
+    // The DFS is emptied: the name's entry still answers.
+    cluster.dfs.delete_dir("");
+    let kept = ask_value(
         &mut first,
         &named_body(&raw_invert("alice", 6, &a, 4), &name),
     );
-    assert!(resend(&gone), "{:?}", gone.0);
+    assert!(kept.0.ok && kept.0.cache_hit, "{:?}", kept.0);
+    assert_eq!(kept.0.inverse, full.0.inverse);
     let again = ask_value(
         &mut first,
         &bincode::serialize(&raw_invert("alice", 7, &a, 4)),
     );
-    assert!(again.0.ok && !again.0.cache_hit, "{}", again.0.error);
+    assert!(again.0.ok && again.0.cache_hit, "{}", again.0.error);
     assert_eq!(again.0.inverse, full.0.inverse);
     assert_eq!(again.1.get("admitted"), Some(&name));
 }
@@ -907,12 +906,12 @@ fn a_name_serves_other_toggles_but_not_another_nb() {
 }
 
 /// `ServiceClient` recovers from `resend` by sending the request in full
-/// once: after the entry its name was admitted against is replaced (an
-/// invert upgrades an lu-primed entry), and after its files are deleted.
-/// Each time the answer has the bits it had before, and the next request
-/// goes by name again.
+/// once, after the entry its name was admitted against is replaced (an
+/// invert upgrades an lu-primed entry): the answer has the bits it had
+/// before, and the next request goes by name again. Emptying the DFS
+/// ends no entry, so the request after it still goes by name.
 #[test]
-fn the_client_resends_in_full_after_its_entry_is_replaced_or_deleted() {
+fn the_client_resends_in_full_after_its_entry_is_replaced() {
     let cluster = Arc::new(unit_cluster());
     let handle = ServerHandle::start(cluster.clone(), ServiceConfig::default()).unwrap();
     let relay = Relay::start(handle.addr());
@@ -941,16 +940,11 @@ fn the_client_resends_in_full_after_its_entry_is_replaced_or_deleted() {
         "named again: {up} bytes up"
     );
 
-    assert!(cluster.dfs.delete_dir("") > 0);
-    let (rerun, up) = relay.sent(|| client.solve(&a, &b, &cfg).unwrap());
-    assert!(!rerun.cache_hit && rerun.jobs > 0, "the pipeline ran again");
-    assert!(up > payload, "resent in full: {up} bytes up");
-    assert_eq!(bits(&rerun.solutions), bits(&first.solutions));
-    let (named, up) = relay.sent(|| client.solve(&a, &b, &cfg).unwrap());
-    assert!(
-        named.cache_hit && up < payload,
-        "named again: {up} bytes up"
-    );
+    cluster.dfs.delete_dir("");
+    let (kept, up) = relay.sent(|| client.solve(&a, &b, &cfg).unwrap());
+    assert!(kept.cache_hit && kept.jobs == 0, "the entry still answers");
+    assert!(up < payload, "still named: {up} bytes up");
+    assert_eq!(bits(&kept.solutions), bits(&first.solutions));
 }
 
 /// A client that knows nothing of names sends every request in full and
