@@ -23,9 +23,6 @@
 //!   section2   the Section 2 method comparison, executable
 //!   stragglers heterogeneous nodes vs speculative execution (7.4's EC2
 //!              variance observation)
-//!   resume     driver-crash recovery: kill a checkpointed pipeline after
-//!              every job prefix, resume from the manifest, report saved
-//!              vs redone simulated time
 //!   obs-check  quick observability gate: a traced n=64/nb=4 inversion
 //!              must export valid Prometheus text and a cost-model audit
 //!              that runs every planned job with every stage in its band,
@@ -47,8 +44,8 @@
 //! run.
 
 use mrinv_bench::experiments::{
-    accuracy, fig6, fig7, fig8, nb_sweep, resume_recovery, sec74, sec74_node, sec8_spark,
-    section2_methods, stragglers, table1, table2, table3,
+    accuracy, fig6, fig7, fig8, nb_sweep, sec74, sec74_node, sec8_spark, section2_methods,
+    stragglers, table1, table2, table3,
 };
 use mrinv_bench::suite::SuiteMatrix;
 use mrinv_bench::{write_csv, write_results_file};
@@ -128,7 +125,6 @@ const EXPERIMENTS: &[(&str, Runner, bool)] = &[
     ("nb-sweep", run_nb_sweep, true),
     ("spark", run_spark, true),
     ("stragglers", run_stragglers, true),
-    ("resume", run_resume, true),
     ("obs-check", run_obs_check, false),
     ("gemm-par-check", run_gemm_par_check, false),
 ];
@@ -576,54 +572,6 @@ fn run_spark(args: &Args) {
     }
     let path = write_csv("spark", "matrix,nodes,hadoop_minutes,spark_minutes", &csv).unwrap();
     println!("(the paper expects Spark to win by keeping intermediates in memory)\n-> {path}");
-}
-
-fn run_resume(args: &Args) {
-    println!(
-        "\n== Driver-crash recovery: checkpoint + resume after every job prefix (scale 1/{}) ==",
-        args.scale
-    );
-    println!(
-        "{:>6} {:>6} {:>9} {:>9} {:>12} {:>12} {:>11} {:>10}",
-        "kill@", "total", "restored", "re-run", "saved (s)", "redone (s)", "full (s)", "max diff"
-    );
-    let mut csv = Vec::new();
-    let points = resume_recovery(args.scale);
-    for p in &points {
-        println!(
-            "{:>6} {:>6} {:>9} {:>9} {:>12.1} {:>12.1} {:>11.1} {:>10.1e}",
-            p.kill_after,
-            p.total_jobs,
-            p.restored_jobs,
-            p.resumed_jobs,
-            p.saved_sim_secs,
-            p.redone_sim_secs,
-            p.full_run_sim_secs,
-            p.max_abs_diff
-        );
-        csv.push(format!(
-            "{},{},{},{},{},{},{},{}",
-            p.kill_after,
-            p.total_jobs,
-            p.restored_jobs,
-            p.resumed_jobs,
-            p.saved_sim_secs,
-            p.redone_sim_secs,
-            p.full_run_sim_secs,
-            p.max_abs_diff
-        ));
-    }
-    let path = write_csv(
-        "resume",
-        "kill_after,total_jobs,restored_jobs,resumed_jobs,saved_sim_secs,redone_sim_secs,full_run_sim_secs,max_abs_diff",
-        &csv,
-    )
-    .unwrap();
-    let identical = points.iter().all(|p| p.max_abs_diff == 0.0);
-    println!(
-        "(every resumed inverse bit-identical to the uninterrupted run: {})\n-> {path}",
-        if identical { "yes" } else { "NO" }
-    );
 }
 
 /// Quick observability gate (the CI fixture): a traced n=64/nb=4

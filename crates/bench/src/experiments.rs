@@ -16,10 +16,10 @@
 use mrinv::config::InversionConfig;
 use mrinv::schedule;
 use mrinv::theory::{self, CostRow};
-use mrinv::{CoreError, Outcome, Request, RunReport};
+use mrinv::{Outcome, Request, RunReport};
 use mrinv_mapreduce::tracelog;
 use mrinv_mapreduce::{
-    chrome_trace_json, Cluster, ClusterConfig, CostModel, MrError, Phase, PipelineAnalytics, RunId,
+    chrome_trace_json, Cluster, ClusterConfig, CostModel, Phase, PipelineAnalytics,
 };
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::Matrix;
@@ -712,24 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_recovery_restores_prefixes_bit_identically() {
-        // Scale 64 -> n = 32, nb = 4 -> a 9-job pipeline.
-        let points = resume_recovery(64);
-        assert_eq!(points.len(), 9);
-        for p in &points {
-            assert_eq!(p.total_jobs, 9);
-            assert_eq!(
-                p.max_abs_diff, 0.0,
-                "kill after {} must recover bit-identically",
-                p.kill_after
-            );
-            assert_eq!(p.restored_jobs, p.kill_after);
-            assert_eq!(p.resumed_jobs, p.total_jobs - p.kill_after);
-            assert!(p.saved_sim_secs > 0.0 && p.redone_sim_secs > 0.0);
-        }
-    }
-
-    #[test]
     fn accuracy_below_paper_threshold_small() {
         // Small smoke version of `repro accuracy`.
         let m5 = SuiteMatrix::by_name("M5").unwrap();
@@ -917,88 +899,6 @@ pub fn stragglers(scale: usize, slow_factors: &[f64]) -> Vec<StragglerRow> {
                 slow_factor: slow,
                 no_speculation_minutes: time_with(false) / 60.0,
                 speculation_minutes: time_with(true) / 60.0,
-            }
-        })
-        .collect()
-}
-
-/// One driver-crash recovery point: the checkpointed pipeline killed after
-/// `kill_after` jobs, then resumed from the manifest.
-#[derive(Debug, Clone)]
-pub struct ResumePoint {
-    /// Jobs completed before the driver was killed.
-    pub kill_after: u64,
-    /// Jobs in the uninterrupted pipeline.
-    pub total_jobs: u64,
-    /// Jobs the resume restored from the manifest.
-    pub restored_jobs: u64,
-    /// Jobs the resume actually re-executed.
-    pub resumed_jobs: u64,
-    /// Simulated seconds of cluster time the checkpoint saved.
-    pub saved_sim_secs: f64,
-    /// Simulated seconds the resumed remainder cost.
-    pub redone_sim_secs: f64,
-    /// Simulated seconds of the uninterrupted baseline run.
-    pub full_run_sim_secs: f64,
-    /// `max |inv_resumed - inv_baseline|` — 0.0 means bit-identical.
-    pub max_abs_diff: f64,
-}
-
-/// Driver-crash recovery sweep: the Section 7.4 fault-tolerance story
-/// extended to *driver* failures. A checkpointed inversion is killed after
-/// every prefix length `k` of its job pipeline and resumed from the
-/// manifest; each point reports the split between restored (saved) and
-/// re-executed (redone) simulated time and verifies the recovered inverse
-/// is bit-identical to an uninterrupted run.
-pub fn resume_recovery(scale: usize) -> Vec<ResumePoint> {
-    let n = (2048 / scale).max(32);
-    let nb = (n / 8).max(1);
-    let a = mrinv_matrix::random::random_well_conditioned(n, 74);
-    let cfg = InversionConfig::with_nb(nb);
-
-    // Uninterrupted baseline on its own cluster.
-    let cluster = medium_cluster(4, scale);
-    let baseline = Request::invert(&a)
-        .config(&cfg)
-        .submit(&cluster)
-        .expect("baseline inversion");
-    let total = baseline.report.jobs;
-
-    (1..=total)
-        .map(|k| {
-            let cluster = medium_cluster(4, scale);
-            cluster.faults.kill_driver_after(k);
-            let run = RunId::new("repro/resume");
-            let first = Request::invert(&a)
-                .config(&cfg)
-                .checkpoint(&run)
-                .submit(&cluster);
-            assert!(
-                matches!(
-                    first,
-                    Err(CoreError::MapReduce(MrError::DriverKilled { .. }))
-                ),
-                "the fault plan must kill the driver after job {k}"
-            );
-            let out = Request::invert(&a)
-                .config(&cfg)
-                .resume(&run)
-                .submit(&cluster)
-                .expect("resumed run");
-            let max_abs_diff = out
-                .inverse()
-                .expect("invert outcome")
-                .max_abs_diff(baseline.inverse().expect("invert outcome"))
-                .expect("same shape");
-            ResumePoint {
-                kill_after: k,
-                total_jobs: total,
-                restored_jobs: out.report.restored_jobs,
-                resumed_jobs: out.report.jobs,
-                saved_sim_secs: out.report.restored_sim_secs,
-                redone_sim_secs: out.report.sim_secs,
-                full_run_sim_secs: baseline.report.sim_secs,
-                max_abs_diff,
             }
         })
         .collect()

@@ -16,9 +16,9 @@
 //!    file inventory (the forms exclude factor stripes — see
 //!    `tests/schedule_and_costs.rs`).
 //!
-//! Both layers read the [`JobReport`]s, whose `stats` sum each job's
-//! successful attempts, so a resumed run is audited whole: its restored
-//! jobs count with the ones that re-ran.
+//! Both layers read the run's job reports
+//! ([`mrinv_mapreduce::RunReport::job_reports`]), whose `stats` sum each
+//! job's successful attempts.
 //!
 //! [`crate::Request::submit`] attaches the audit to
 //! [`mrinv_mapreduce::RunReport::audit`] when the cluster traces
@@ -26,7 +26,7 @@
 //! run's report is unchanged.
 
 use mrinv_mapreduce::obs::{CostAudit, StageAudit};
-use mrinv_mapreduce::{JobReport, RunReport, TaskStats};
+use mrinv_mapreduce::{RunReport, TaskStats};
 
 use crate::theory;
 
@@ -79,18 +79,14 @@ fn stage(name: &str, measured: f64, predicted: f64, band: (f64, f64)) -> StageAu
     }
 }
 
-/// Audits one finished run: `reports` are the run's job reports in
-/// pipeline order, restored ones first ([`mrinv_mapreduce::PipelineDriver::reports`]),
-/// `run` the run's report (order, block size and cluster size evaluate
-/// the closed forms; `nb` fixes the recursion depth, which decides
-/// whether the transfer bands are in their calibrated domain), and
-/// `planned_jobs` the precomputed pipeline length
+/// Audits one finished run: `run` is the run's report (its job reports
+/// in pipeline order carry the measured bytes; order, block size and
+/// cluster size evaluate the closed forms; `nb` fixes the recursion
+/// depth, which decides whether the transfer bands are in their
+/// calibrated domain), and `planned_jobs` the precomputed pipeline length
 /// ([`crate::schedule::total_jobs`], or one less for an LU-only run).
-///
-/// The write-volume stage adds the restored prefix's recorded writes to
-/// the run's DFS delta, so a resumed run reads what the whole pipeline
-/// wrote.
-pub(crate) fn cost_audit(reports: &[JobReport], run: &RunReport, planned_jobs: u64) -> CostAudit {
+pub(crate) fn cost_audit(run: &RunReport, planned_jobs: u64) -> CostAudit {
+    let reports = &run.job_reports;
     let family_bytes = |prefix: &str, bytes: fn(&TaskStats) -> u64| -> Option<f64> {
         let mut family = reports
             .iter()
@@ -130,12 +126,10 @@ pub(crate) fn cost_audit(reports: &[JobReport], run: &RunReport, planned_jobs: u
     if lu_transfer.is_some() {
         // The whole pipeline's write volume against the closed forms of
         // the stages it executed (Table 1 alone for LU-only runs).
-        let restored = reports[..run.restored_jobs as usize].iter();
-        let written = run.dfs_bytes_written + restored.map(|r| r.stats.write_bytes).sum::<u64>();
         let predicted = lu_row.write_bytes() + final_reads.map_or(0.0, |_| inv_row.write_bytes());
         stages.push(stage(
             "total-writes",
-            written as f64,
+            run.dfs_bytes_written as f64,
             predicted,
             WRITES_BAND,
         ));
@@ -156,7 +150,6 @@ mod tests {
     use super::*;
     use crate::config::InversionConfig;
     use crate::request::Request;
-    use crate::RunId;
     use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, Phase};
     use mrinv_matrix::random::random_well_conditioned;
 
@@ -298,35 +291,6 @@ mod tests {
             find(&audit, "final-inverse-reads").measured,
             traced("final-inverse:", |read, _| read)
         );
-    }
-
-    #[test]
-    fn a_resumed_run_audits_as_the_whole_pipeline() {
-        // n=64/nb=4 is 17 jobs. Killed after k of them and resumed, the
-        // run's DFS delta holds only the jobs that re-ran; the audit adds
-        // the restored prefix's recorded writes back.
-        let cfg = InversionConfig::with_nb(4);
-        let a = random_well_conditioned(64, 17);
-        let whole = audit_of(&traced_cluster(4), 64, 4, 17);
-        for k in [1, 8, 16, 17] {
-            let cluster = traced_cluster(4);
-            cluster.faults.kill_driver_after(k);
-            let run = RunId::new("audit/resume");
-            Request::invert(&a)
-                .config(&cfg)
-                .checkpoint(&run)
-                .submit(&cluster)
-                .unwrap_err();
-            let out = Request::invert(&a)
-                .config(&cfg)
-                .resume(&run)
-                .submit(&cluster)
-                .unwrap();
-            assert_eq!(out.report.restored_jobs, k);
-            let audit = out.report.audit.expect("traced run attaches the audit");
-            assert_eq!(audit.stages, whole.stages, "killed after {k}");
-            assert!(audit.within_bands, "killed after {k}");
-        }
     }
 
     #[test]

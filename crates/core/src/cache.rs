@@ -18,9 +18,9 @@
 //! pipeline to `inmem::invert_block`'s and `block_lu`'s bits across all
 //! of them. So a hit serves any geometry or toggles, and the map compares
 //! the whole key. The run directory is left out too: an entry holds
-//! answers, not a run's files. (The checkpoint manifest's
-//! `run_fingerprint` does cover the directory, the geometry and the
-//! toggles, because a resume restores that run's files.)
+//! answers, not a run's files. (`run_fingerprint`, which every job's
+//! fingerprint mixes in, does cover the directory, the geometry and the
+//! toggles, because they name the files a run writes.)
 //!
 //! The digest hashes the matrix's `f64` words as their bits, in one pass
 //! and with no intermediate buffer, so `+0.0` / `-0.0` and distinct NaN
@@ -67,7 +67,7 @@
 //! run that primes an entry packs the factors through its own counted
 //! master handle, outside its report's window, and then releases its
 //! factor forest as every plain run does, so a finished request leaves
-//! nothing in the DFS (a checkpointed run keeps every file for a resume).
+//! nothing in the DFS.
 //! Nothing an entry answers from can vanish under it: a lookup checks the
 //! key and nothing else, and an entry is never invalidated, only replaced
 //! when a run adds the inverse to an entry an `lu` or `solve` primed. The
@@ -411,21 +411,19 @@ mod tests {
     }
 
     /// A lookup finds an entry by its whole key and what the request
-    /// needs, and reads nothing else: the entry owns its factors, so
-    /// emptying the DFS under a checkpointed priming run, which keeps
-    /// every file it wrote, leaves it serving the cold run's bits.
+    /// needs, and reads nothing else: the entry owns its factors, so a
+    /// hit still serves the cold run's bits after the priming run
+    /// released its files and the DFS is emptied again.
     #[test]
     fn lookup_hits_validates_and_invalidates() {
         use crate::request::{CacheStatus, Request};
-        use crate::RunId;
 
         let cluster = Cluster::medium(2);
         let cache = FactorCache::new();
         let a = mrinv_matrix::random::random_well_conditioned(12, 1);
         let cfg = InversionConfig::with_nb(4);
         let lu = || Request::lu(&a).config(&cfg).cache(&cache);
-        let cold = lu().checkpoint(&RunId::new("kept")).submit(&cluster);
-        let cold = cold.unwrap().into_factors();
+        let cold = lu().submit(&cluster).unwrap().into_factors();
         let key = cache_key(&a, &cfg, &cluster);
 
         let other_nb = CacheKey { nb: 5, ..key };
@@ -436,9 +434,10 @@ mod tests {
         // Factors but no inverse: an invert request misses.
         assert!(cache.lookup(key, true, true).is_none());
 
-        assert!(
-            cluster.dfs.delete_dir("") > 0,
-            "the checkpointed run kept its files"
+        assert_eq!(
+            cluster.dfs.delete_dir(""),
+            0,
+            "the plain run released its files"
         );
         let after = cache.lookup(key, false, true).expect("still a hit");
         assert!(Arc::ptr_eq(&view, &after));

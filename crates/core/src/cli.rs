@@ -57,10 +57,8 @@
 //! kernel engine's per-backend perf counters. `--progress` prints a live
 //! one-line jobs/ETA meter to stderr while the pipeline runs.
 //!
-//! The DFS is in-memory and dies with the process, so the CLI has no
-//! checkpoint or resume flags: nothing a run could record would outlive
-//! it. [`Request::checkpoint`] and [`Request::resume`] are the library's,
-//! and `repro resume` demonstrates them.
+//! The DFS is in-memory and dies with the process, so a failed run is
+//! rerun whole.
 //!
 //! `serve` starts the multi-tenant inversion service
 //! ([`crate::service`]) on `--listen` and blocks. The TCP backend's worker

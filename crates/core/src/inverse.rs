@@ -1,42 +1,24 @@
-//! Run plumbing shared by every [`crate::Request`]: checkpoint modes,
-//! the manifest configuration fingerprint, and driver construction.
+//! Run plumbing shared by every [`crate::Request`]: the run's
+//! configuration fingerprint and its run directory.
 //!
 //! The public entry point for inversion, LU decomposition, and solves is
 //! the [`crate::Request`] builder in [`crate::request`] (the historical
 //! `invert`/`invert_run`/`lu`/`lu_run`/`solve` free functions collapsed
-//! into it). Every run still executes through a [`PipelineDriver`]
-//! addressed by a deterministic [`RunId`] — the DFS directory all of the
-//! run's files live under — and the [`Checkpoint`] mode decides how the
-//! run interacts with the manifest at that directory.
+//! into it). Every run executes through a
+//! [`mrinv_mapreduce::PipelineDriver`] addressed by a deterministic
+//! [`RunId`] — the DFS directory all of the run's files live under.
 
-use mrinv_mapreduce::{Cluster, Fingerprint, PipelineDriver, RunId};
+use mrinv_mapreduce::{Cluster, Fingerprint, RunId};
 
 use crate::config::Optimizations;
-use crate::error::Result;
 use crate::partition::PartitionPlan;
-
-/// How a run interacts with the checkpoint manifest at its [`RunId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Checkpoint {
-    /// No manifest: run every job (the paper's baseline behaviour).
-    Disabled,
-    /// Record a manifest entry after each completed job; any stale
-    /// manifest at the run directory is discarded first.
-    Enabled,
-    /// Replay the existing manifest: restore every recorded job whose
-    /// configuration still matches and whose outputs survive, re-run the
-    /// rest (checkpointing stays on for them). Errors if no manifest
-    /// exists.
-    Resume,
-}
 
 /// Fingerprint of everything that determines the pipeline's job sequence
 /// and where its files live: the partition geometry, the run directory and
-/// the optimization toggles. Mixed into every manifest record so a resume
-/// against a changed configuration re-runs instead of restoring stale
-/// outputs. (The answer's bits depend on `nb` alone, which is why the
-/// factor cache keys by less; a resume restores files, whose names and
-/// layout do depend on the rest.)
+/// the optimization toggles. Mixed into every job's fingerprint
+/// ([`mrinv_mapreduce::JobReport::fingerprint`]), which therefore names
+/// the files a job wrote as well as its definition. (The answer's bits
+/// depend on `nb` alone, which is why the factor cache keys by less.)
 pub(crate) fn run_fingerprint(plan: &PartitionPlan, opts: &Optimizations) -> u64 {
     Fingerprint::new()
         .push_u64(plan.n as u64)
@@ -64,18 +46,6 @@ pub(crate) fn fresh_run_id(cluster: &Cluster) -> RunId {
         .map(|k| RunId::new(format!("mrinv/run-{k}")))
         .find(|run| cluster.dfs.list(run.dir()).is_empty())
         .expect("an unbounded range has a free directory")
-}
-
-pub(crate) fn make_driver<'c>(
-    cluster: &'c Cluster,
-    run: &RunId,
-    mode: Checkpoint,
-) -> Result<PipelineDriver<'c>> {
-    Ok(match mode {
-        Checkpoint::Disabled => PipelineDriver::new(cluster, run.clone()),
-        Checkpoint::Enabled => PipelineDriver::checkpointed(cluster, run.clone()),
-        Checkpoint::Resume => PipelineDriver::resume(cluster, run.clone())?,
-    })
 }
 
 #[cfg(test)]

@@ -39,8 +39,8 @@
 //! API), which is the one place that sequence of jobs is written down;
 //! the stage modules above and their supports (`source`, the one
 //! descriptor of a matrix stored in the DFS; `factors`, the
-//! separate-files factor forest of Section 6.1; `inverse`, checkpoint
-//! modes and the run fingerprint; `audit`, the job-count and stage-byte
+//! separate-files factor forest of Section 6.1; `inverse`, the run
+//! fingerprint and the run directory; `audit`, the job-count and stage-byte
 //! checks a traced run attaches to its [`RunReport`]) are private, so the compiler's
 //! `dead_code` lint is their census. A request is optionally backed by
 //! the keyed [`cache::FactorCache`] so a repeated request for the same

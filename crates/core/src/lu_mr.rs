@@ -73,11 +73,8 @@ fn charge_master_io(cluster: &Cluster, io: &TaskIo) {
 
 /// Distributed block LU decomposition of the square block `source`
 /// describes, writing this block's outputs under `dir`. Sequences one
-/// MapReduce job per recursion node through the driver (each restorable
-/// from a checkpoint manifest on resume) and returns the factor
-/// descriptor. Leaf decompositions run on the master node and re-run
-/// deterministically on resume; only their (small) master time is
-/// re-charged.
+/// MapReduce job per recursion node through the driver and returns the
+/// factor descriptor. Leaf decompositions run on the master node.
 ///
 /// The input side and `B` go through the same code: `source` is the
 /// partition job's whole-matrix descriptor (`dir` = the plan's root) or a

@@ -274,9 +274,8 @@ pub(crate) fn ingest_input(cluster: &Cluster, a: &Matrix, plan: &PartitionPlan) 
 /// Runs the partitioning job through the driver and returns the
 /// descriptor of the whole `n × n` input: every planned piece, in global
 /// coordinates. The job is the last reader of the `input/` stripes, so
-/// they are released once it commits. On a resumed run the job is restored
-/// from the checkpoint manifest when its outputs survive; the descriptor
-/// is rebuilt either way (it is a pure function of the plan).
+/// they are released once it commits. The descriptor is a pure function
+/// of the plan.
 pub(crate) fn run_partition_job(
     driver: &mut PipelineDriver<'_>,
     plan: &PartitionPlan,

@@ -18,9 +18,8 @@
 //!
 //! Every consumer — the CLI, the `mrinv serve` network service, the repro
 //! experiments, and the tests — goes through this one type; the server is
-//! just the network projection of it. A request can pin its run directory
-//! and checkpoint mode (the crash/resume contract of the historical
-//! `invert_run`), attach right-hand sides to any operation, and attach a
+//! just the network projection of it. A request can pin its run directory,
+//! attach right-hand sides to any operation, and attach a
 //! [`FactorCache`] so repeated requests for the same (matrix, nb) skip
 //! the pipeline entirely.
 //!
@@ -37,14 +36,14 @@
 
 use std::sync::{Arc, Weak};
 
-use mrinv_mapreduce::{Cluster, RunId, RunReport, TaskIo};
+use mrinv_mapreduce::{Cluster, PipelineDriver, RunId, RunReport, TaskIo};
 use mrinv_matrix::triangular::{back_substitution, forward_substitution};
 use mrinv_matrix::{lu, Matrix, Permutation};
 
 use crate::cache::{cache_key, CacheKey, FactorCache, Factorization};
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
-use crate::inverse::{fresh_run_id, make_driver, run_fingerprint, Checkpoint};
+use crate::inverse::{fresh_run_id, run_fingerprint};
 use crate::lu_mr::lu_decompose_mr;
 use crate::partition::{ingest_input, run_partition_job, PartitionPlan};
 use crate::tri_inv_mr::invert_factors_mr;
@@ -119,7 +118,6 @@ pub struct Request<'a> {
     rhs: Vec<Vec<f64>>,
     cfg: InversionConfig,
     run: Option<RunId>,
-    mode: Checkpoint,
     cache: Option<&'a FactorCache>,
     key: Option<CacheKey>,
 }
@@ -132,7 +130,6 @@ impl<'a> Request<'a> {
             rhs: Vec::new(),
             cfg: InversionConfig::default(),
             run: None,
-            mode: Checkpoint::Disabled,
             cache: None,
             key: None,
         }
@@ -195,36 +192,17 @@ impl<'a> Request<'a> {
         self
     }
 
-    /// Pins the run directory without checkpointing (the historical
-    /// `*_run(..., Checkpoint::Disabled)` behaviour).
+    /// Pins the run directory: the run's files live under `run`, and a
+    /// failed run leaves them there for the caller.
     pub fn workdir(mut self, run: &RunId) -> Self {
         self.run = Some(run.clone());
-        self.mode = Checkpoint::Disabled;
-        self
-    }
-
-    /// Pins the run directory and records a checkpoint manifest after
-    /// each completed job, discarding any stale manifest first.
-    pub fn checkpoint(mut self, run: &RunId) -> Self {
-        self.run = Some(run.clone());
-        self.mode = Checkpoint::Enabled;
-        self
-    }
-
-    /// Pins the run directory and replays its existing manifest: jobs
-    /// whose configuration still matches and whose outputs survive are
-    /// restored, the rest re-run (checkpointing stays on for them).
-    /// Errors at submit time if no manifest exists.
-    pub fn resume(mut self, run: &RunId) -> Self {
-        self.run = Some(run.clone());
-        self.mode = Checkpoint::Resume;
         self
     }
 
     /// Attaches a factor cache. A usable entry (same matrix bytes, same
     /// `nb`; the toggles and the cluster's shape move no bit of the
     /// answer) short-circuits the pipeline — the cache takes precedence
-    /// over any pinned run directory or checkpoint mode. A miss runs the
+    /// over any pinned run directory. A miss runs the
     /// pipeline and primes the cache with the packed factors (and the
     /// inverse, for an invert), which the entry owns: it reads no DFS
     /// file again.
@@ -244,19 +222,12 @@ impl<'a> Request<'a> {
     /// Executes the request on `cluster`.
     ///
     /// Cold runs are bit-identical to the historical free functions: the
-    /// same driver, job sequence, manifest fingerprints, and master-side
-    /// assembly. With `Checkpoint::Enabled`, a driver crash mid-pipeline
-    /// (e.g. `mrinv_mapreduce::FaultPlan::kill_driver_after`, surfacing
-    /// as [`mrinv_mapreduce::MrError::DriverKilled`]) leaves a manifest
-    /// behind; resubmitting with [`Request::resume`] restores the
-    /// completed prefix and re-runs only the remainder.
-    ///
-    /// A plain cold run that succeeds leaves nothing in the DFS; a
-    /// checkpointed one keeps every file it wrote, for a resume.
+    /// same driver, job sequence, job fingerprints, and master-side
+    /// assembly. A cold run that succeeds leaves nothing in the DFS.
     ///
     /// A cold run that fails in a directory the caller did not pin is
-    /// deleted whole: nothing can resume it or read what it wrote. A pinned
-    /// or checkpointed run directory is left for the caller.
+    /// deleted whole: nothing can read what it wrote. A pinned run
+    /// directory is left for the caller.
     pub fn submit(self, cluster: &Cluster) -> Result<Outcome> {
         let n = self.validate()?;
         let keyed = self.keyed_cache(cluster);
@@ -385,7 +356,7 @@ impl<'a> Request<'a> {
             Op::Invert => crate::schedule::total_jobs(n, self.cfg.nb),
             Op::Lu | Op::Solve => crate::schedule::total_jobs(n, self.cfg.nb) - 1,
         };
-        let mut driver = make_driver(cluster, run, self.mode)?;
+        let mut driver = PipelineDriver::new(cluster, run.clone());
         driver.set_config_fingerprint(run_fingerprint(&plan, &self.cfg.opts));
         if cluster.config.progress {
             driver.enable_progress(planned_jobs);
@@ -408,11 +379,7 @@ impl<'a> Request<'a> {
 
         let mut report = driver.finish(n, self.cfg.nb);
         if cluster.trace.is_enabled() {
-            report.audit = Some(crate::audit::cost_audit(
-                driver.reports(),
-                &report,
-                planned_jobs,
-            ));
+            report.audit = Some(crate::audit::cost_audit(&report, planned_jobs));
         }
 
         // Outside the measured window, the master packs the factors the
@@ -639,9 +606,8 @@ mod tests {
         assert!(r.dfs_bytes_read > 0);
         assert_eq!(r.task_failures, 0);
         assert!((r.hours - r.sim_secs / 3600.0).abs() < 1e-12);
-        // A plain run restores nothing and names its workdir.
-        assert_eq!(r.restored_jobs, 0);
-        assert_eq!(r.restored_sim_secs, 0.0);
+        // A run reports each of its jobs and names its workdir.
+        assert_eq!(r.job_reports.len() as u64, r.jobs);
         assert!(r.workdir.starts_with("mrinv/run-"), "workdir {}", r.workdir);
     }
 
@@ -803,14 +769,18 @@ mod tests {
     /// Resetting the DFS counters brings the count of files written back
     /// to a value a live directory was named after. The next unpinned run
     /// must not land in (and overwrite, or on failure delete) that
-    /// directory, here a checkpointed run's, which keeps every file.
+    /// directory, here a failed pinned run's, which keeps its files.
     #[test]
     fn a_fresh_run_never_lands_in_a_live_directory() {
         let c = test_cluster(2);
-        let (a, b) = (random_invertible(16, 1), random_invertible(16, 2));
+        let a = random_invertible(16, 1);
+        let mut singular = random_well_conditioned(16, 15);
+        let row = singular.row(2).to_vec();
+        singular.row_mut(9).copy_from_slice(&row);
         let first = Request::lu(&a).nb(4).submit(&c).unwrap();
         let live = RunId::new(first.report.workdir.clone());
-        Request::lu(&b).nb(4).checkpoint(&live).submit(&c).unwrap();
+        let failed = Request::lu(&singular).nb(4).workdir(&live).submit(&c);
+        assert!(failed.is_err());
         let files = |dir: &str| -> Vec<_> {
             let paths = c.dfs.list(dir);
             paths.into_iter().map(|p| c.dfs.read(&p).unwrap()).collect()
@@ -867,28 +837,6 @@ mod tests {
                     assert_eq!(cache.stats().entries, usize::from(cached), "{what}");
                 }
             }
-        }
-    }
-
-    /// A checkpointed run releases nothing: every file it wrote is still
-    /// there, next to the manifest, as before files were ever released.
-    #[test]
-    fn checkpointed_runs_keep_every_file() {
-        for opts in [Optimizations::all(), Optimizations::none()] {
-            let c = test_cluster(4);
-            let a = random_invertible(37, 3);
-            let run = RunId::new("kept");
-            let cfg = InversionConfig { nb: 9, opts };
-            Request::invert(&a)
-                .config(&cfg)
-                .checkpoint(&run)
-                .submit(&c)
-                .unwrap();
-            let io = c.dfs.counters();
-            let manifest = c.dfs.len(&run.manifest_path()).unwrap();
-            assert_eq!(c.dfs.file_count() as u64, io.files_written + 1);
-            assert_eq!(c.dfs.live_bytes(), io.bytes_written + manifest);
-            assert!(!c.dfs.list(&format!("{}/input", run.dir())).is_empty());
         }
     }
 

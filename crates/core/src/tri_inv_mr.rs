@@ -547,9 +547,8 @@ impl Reducer for TriInvReducer {
 ///
 /// The `INV/` vectors are released once the job commits, and the
 /// `<dir>/RESULT/` cells once the master has assembled them: the returned
-/// matrix is the one copy of the inverse a plain run keeps. A checkpointed
-/// run keeps both, for a resume. The assembly is not charged to the
-/// simulated clock.
+/// matrix is the one copy of the inverse a run keeps. The assembly is not
+/// charged to the simulated clock.
 pub(crate) fn invert_factors_mr(
     driver: &mut PipelineDriver<'_>,
     factors: &FactorRef,

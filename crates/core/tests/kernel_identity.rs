@@ -12,14 +12,14 @@
 //!   sums; for this n=64 / nb=4 problem the observed deviation is ~1e-13,
 //!   bounded here at 1e-10). Its bits are pinned as well, at two orders
 //!   large enough for the final product to start past a K panel.
-//! * The checkpoint manifest's job fingerprints must not move: a PR 2
-//!   `Checkpoint::Resume` of a pre-refactor run has to keep restoring
-//!   every job. Fingerprints cover job name, reducer count, a constant
-//!   slot, config fingerprint, and sequence number.
+//! * Every job's fingerprint (`JobReport::fingerprint`) must not move: the
+//!   17 values pin the pipeline's job structure — which jobs run, in what
+//!   order, with how many reducers, under which run configuration.
+//!   Fingerprints cover job name, reducer count, a constant slot, config
+//!   fingerprint, and sequence number.
 
 use mrinv::config::{InversionConfig, Optimizations};
 use mrinv::Request;
-use mrinv_mapreduce::driver::ManifestRecord;
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, RunId};
 use mrinv_matrix::kernel::{set_global_backend, BackendKind};
 use mrinv_matrix::random::{random_invertible, random_well_conditioned};
@@ -122,9 +122,9 @@ fn e2e_inverse_is_pinned_per_backend() {
 const PACKED_HASHES: &[(usize, usize, u64)] =
     &[(520, 65, 0xd2594b6c51ace638), (600, 75, 0x6552474b4498bf1d)];
 
-/// `(job name, manifest fingerprint)` for every job of the pinned run, in
+/// `(job name, job fingerprint)` for every job of the pinned run, in
 /// pipeline order. Captured before the kernel refactor; a change here
-/// means pre-refactor checkpoints stop resuming.
+/// means the pipeline's job structure moved.
 const SEED_MANIFEST: &[(&str, u64)] = &[
     ("partition:pinned-run", 0x9bc452f09fe22368),
     ("lu-level:pinned-run/A1/A1/A1", 0xb591558bbaea81dd),
@@ -151,29 +151,20 @@ fn job_spec_fingerprints_are_unchanged() {
     let a = random_invertible(64, 42);
     let cfg = InversionConfig::with_nb(4);
     let run = RunId::new("pinned-run");
-    Request::invert(&a)
+    let out = Request::invert(&a)
         .config(&cfg)
-        .checkpoint(&run)
+        .workdir(&run)
         .submit(&cluster)
         .unwrap();
 
-    let data = cluster.dfs.read(&run.manifest_path()).unwrap();
-    let text = std::str::from_utf8(&data).unwrap();
-    let got: Vec<(String, u64)> = text
-        .lines()
-        .map(|l| {
-            let r: ManifestRecord = serde_json::from_str(l).unwrap();
-            (r.name, r.fingerprint)
-        })
+    let got: Vec<(&str, u64)> = (out.report.job_reports.iter())
+        .map(|r| (r.name.as_str(), r.fingerprint))
         .collect();
     for (name, fp) in &got {
         println!("(\"{name}\", {fp:#018x}),");
     }
     assert_eq!(
-        got.iter()
-            .map(|(n, f)| (n.as_str(), *f))
-            .collect::<Vec<_>>(),
-        SEED_MANIFEST,
-        "job spec fingerprints moved; pre-refactor checkpoints would not resume"
+        got, SEED_MANIFEST,
+        "job fingerprints moved: the pipeline's job structure changed"
     );
 }

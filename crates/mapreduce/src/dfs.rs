@@ -19,8 +19,7 @@
 //! memory until then. The pipeline deletes a file once the last job that
 //! reads it has committed: the partition tree, each level's `B` cells and
 //! the final job's triangular inverses are released by the module that
-//! named them (`PipelineDriver::release`, a no-op in checkpointed runs,
-//! whose manifest promises every output to a resume), and the final job's
+//! named them (`PipelineDriver::release`), and the final job's
 //! `RESULT/` once the master has assembled the inverse from it, and last
 //! the factor forest, once the master has packed what the request needs
 //! from it: a plain request leaves nothing behind. The live-bytes gauge
@@ -171,8 +170,7 @@ impl Dfs {
     /// set when every node is dead.
     fn place(&self, path: &str) -> Vec<usize> {
         let dead = self.dead.read();
-        // The manifest's stable FNV-1a: reruns place blocks on the same
-        // home nodes.
+        // A stable FNV-1a: reruns place blocks on the same home nodes.
         let hash = Fingerprint::new().push_bytes(path.as_bytes()).finish();
         let start = (hash % self.nodes as u64) as usize;
         let mut homes = Vec::with_capacity(self.replication as usize);
@@ -217,15 +215,6 @@ impl Dfs {
             .bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.counters.files_written.fetch_add(1, Ordering::Relaxed);
-        self.write_uncounted(path, data);
-    }
-
-    /// Writes (or overwrites) a file *without* touching the I/O counters.
-    ///
-    /// Reserved for framework metadata (the checkpoint manifest): driver
-    /// bookkeeping must stay invisible to byte accounting so a
-    /// checkpoint-enabled run reports the same I/O as a plain one.
-    pub(crate) fn write_uncounted(&self, path: &str, data: Bytes) {
         let path = normalized(path).into_owned();
         let homes = self.place(&path);
         let added = data.len() as u64;
@@ -243,10 +232,11 @@ impl Dfs {
         self.live_bytes_peak.fetch_max(live, Ordering::Relaxed);
     }
 
-    /// Reads a file *without* touching the I/O counters: the read-side
-    /// twin of [`Dfs::write_uncounted`], and the body of [`Dfs::read`],
-    /// with the same availability semantics.
-    fn read_uncounted(&self, path: &str) -> Result<Bytes> {
+    /// Reads a file; cheap (`Bytes` is reference-counted).
+    ///
+    /// Fails with [`MrError::AllReplicasLost`] when every home node of the
+    /// block is dead — the data existed but no replica survives.
+    pub fn read(&self, path: &str) -> Result<Bytes> {
         let path = normalized(path);
         let files = self.files.read();
         let block = match files.get(&*path) {
@@ -260,15 +250,7 @@ impl Dfs {
                 homes: block.homes.clone(),
             });
         }
-        Ok(block.data.clone())
-    }
-
-    /// Reads a file; cheap (`Bytes` is reference-counted).
-    ///
-    /// Fails with [`MrError::AllReplicasLost`] when every home node of the
-    /// block is dead — the data existed but no replica survives.
-    pub fn read(&self, path: &str) -> Result<Bytes> {
-        let data = self.read_uncounted(path)?;
+        let data = block.data.clone();
         self.counters
             .bytes_read
             .fetch_add(data.len() as u64, Ordering::Relaxed);
@@ -358,7 +340,7 @@ impl Dfs {
         doomed.len()
     }
 
-    /// Bytes held by the files stored now (the manifest included).
+    /// Bytes held by the files stored now.
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes.load(Ordering::Relaxed)
     }
@@ -553,39 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn uncounted_writes_skip_accounting() {
-        let dfs = Dfs::default();
-        dfs.write_uncounted("run/_manifest", Bytes::from_static(b"{}"));
-        assert!(dfs.exists("run/_manifest"));
-        assert_eq!(dfs.counters(), DfsCountersSnapshot::default());
-        assert_eq!(dfs.file_count(), 1);
-    }
-
-    #[test]
-    fn uncounted_reads_skip_accounting() {
-        let dfs = Dfs::default();
-        dfs.write("run/l.bin", Bytes::from_static(b"factor"));
-        let before = dfs.counters();
-        assert_eq!(
-            dfs.read_uncounted("run/l.bin").unwrap(),
-            Bytes::from_static(b"factor")
-        );
-        assert_eq!(dfs.counters(), before, "no read accounting");
-        assert!(matches!(
-            dfs.read_uncounted("run/missing"),
-            Err(MrError::FileNotFound { .. })
-        ));
-        // Same availability semantics as a counted read.
-        let lossy = Dfs::with_nodes(1, 1);
-        lossy.write("f", Bytes::from_static(b"x"));
-        lossy.kill_node(0);
-        assert!(matches!(
-            lossy.read_uncounted("f"),
-            Err(MrError::AllReplicasLost { .. })
-        ));
-    }
-
-    #[test]
     fn list_is_recursive_and_scoped() {
         let dfs = Dfs::default();
         dfs.write("Root/A1/x", Bytes::new());
@@ -725,10 +674,9 @@ mod tests {
         assert_eq!(live(&dfs), (80, 150));
         dfs.write("d/a", Bytes::from(vec![0u8; 160]));
         assert_eq!(live(&dfs), (210, 210));
-        // Uncounted writes hold bytes like any other file.
-        dfs.write_uncounted("d/_manifest", Bytes::from(vec![0u8; 7]));
+        dfs.write("d/c", Bytes::from(vec![0u8; 7]));
         assert_eq!(live(&dfs), (217, 217));
-        dfs.write_uncounted("d/_manifest", Bytes::from(vec![0u8; 5]));
+        dfs.write("d/c", Bytes::from(vec![0u8; 5]));
         assert_eq!(live(&dfs), (215, 217));
         assert!(dfs.delete("d/b"));
         assert!(!dfs.delete("d/b"), "a second delete frees nothing");

@@ -13,11 +13,10 @@ pub type Result<T> = std::result::Result<T, MrError>;
 #[derive(Debug, Clone, PartialEq)]
 pub enum MrError {
     /// A DFS path was not found. Carries the normalized path plus the
-    /// deepest ancestor directory that *does* exist, so a resume
-    /// verification failure (or any stale-path bug) is diagnosable from
-    /// the message alone: a wrong run directory shows `nearest_parent`
-    /// close to the root, while a missing single output shows its intact
-    /// parent.
+    /// deepest ancestor directory that *does* exist, so a stale-path bug
+    /// is diagnosable from the message alone: a wrong run directory shows
+    /// `nearest_parent` close to the root, while a missing single output
+    /// shows its intact parent.
     FileNotFound {
         /// The normalized path that was requested.
         path: String,
@@ -34,15 +33,6 @@ pub enum MrError {
         path: String,
         /// The (now all dead) home nodes the block was placed on.
         homes: Vec<usize>,
-    },
-    /// The pipeline driver was killed by the fault plan
-    /// (`crate::fault::FaultPlan::kill_driver_after`) after completing
-    /// the given number of jobs — the simulated analogue of the driver
-    /// process dying between jobs.
-    DriverKilled {
-        /// Jobs the driver completed (and, if checkpointing, recorded in
-        /// the manifest) before dying.
-        after_jobs: u64,
     },
     /// A task exhausted its retry budget.
     TaskFailed {
@@ -97,12 +87,6 @@ impl fmt::Display for MrError {
                 write!(
                     f,
                     "all replicas of {path} lost: home node(s) {homes:?} are dead"
-                )
-            }
-            MrError::DriverKilled { after_jobs } => {
-                write!(
-                    f,
-                    "pipeline driver killed by fault plan after {after_jobs} completed job(s)"
                 )
             }
             MrError::TaskFailed {
@@ -163,10 +147,6 @@ impl Serialize for MrError {
                     ("homes".into(), homes.to_value()),
                 ],
             ),
-            MrError::DriverKilled { after_jobs } => tagged(
-                "DriverKilled",
-                vec![("after_jobs".into(), after_jobs.to_value())],
-            ),
             MrError::TaskFailed {
                 job,
                 phase,
@@ -222,9 +202,6 @@ impl Deserialize for MrError {
                 path: de_field(v, "path")?,
                 homes: de_field(v, "homes")?,
             }),
-            "DriverKilled" => Ok(MrError::DriverKilled {
-                after_jobs: de_field(v, "after_jobs")?,
-            }),
             "TaskFailed" => Ok(MrError::TaskFailed {
                 job: de_field(v, "job")?,
                 phase: de_field(v, "phase")?,
@@ -266,8 +243,6 @@ mod tests {
         };
         assert!(lost.to_string().contains("run/L2/L.0"));
         assert!(lost.to_string().contains("[1, 4]"));
-        let killed = MrError::DriverKilled { after_jobs: 3 };
-        assert!(killed.to_string().contains("after 3 completed job(s)"));
         let e = MrError::TaskFailed {
             job: "j".into(),
             phase: Phase::Map,
@@ -306,7 +281,6 @@ mod tests {
                 path: "run/x".into(),
                 homes: vec![0, 3],
             },
-            MrError::DriverKilled { after_jobs: 5 },
             MrError::TaskFailed {
                 job: "j".into(),
                 phase: Phase::Map,

@@ -109,11 +109,6 @@ struct FaultRule {
 pub struct FaultPlan {
     rules: Mutex<Vec<FaultRule>>,
     injected: AtomicU32,
-    /// One-shot driver-crash countdown: `Some(k)` kills the pipeline
-    /// driver after its k-th completed job (then disarms, so a resumed
-    /// pipeline is not re-killed). `Some(0)` kills *before* any job
-    /// completes.
-    kill_driver_after: Mutex<Option<u64>>,
     /// Scheduled whole-node deaths ([`FaultPlan::kill_node`]).
     node_deaths: Mutex<Vec<NodeDeath>>,
 }
@@ -171,46 +166,6 @@ impl FaultPlan {
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// Arms the driver-crash knob: the pipeline driver dies (with
-    /// [`crate::error::MrError::DriverKilled`]) right after completing its
-    /// `jobs`-th job — the between-jobs driver failure the paper's
-    /// task-level fault tolerance (§7.4) cannot recover from. `jobs = 0`
-    /// kills the driver *before any job completes* (its next `step` dies
-    /// on entry, running nothing). The knob is one-shot: it disarms when
-    /// it fires, so the resumed run proceeds.
-    pub fn kill_driver_after(&self, jobs: u64) {
-        *self.kill_driver_after.lock() = Some(jobs);
-    }
-
-    /// Consulted by the driver *before* running a job; returns true exactly
-    /// once, when the knob was armed with `kill_driver_after(0)`.
-    ///
-    /// This is what makes 0 distinguishable from 1: a zero countdown fires
-    /// here, on step entry, instead of waiting for a completed job.
-    pub(crate) fn driver_kill_now(&self) -> bool {
-        let mut armed = self.kill_driver_after.lock();
-        if *armed == Some(0) {
-            *armed = None;
-            return true;
-        }
-        false
-    }
-
-    /// Consulted by the driver after each completed job; returns true
-    /// exactly once, when the armed countdown reaches zero.
-    pub(crate) fn driver_job_completed(&self) -> bool {
-        let mut armed = self.kill_driver_after.lock();
-        if let Some(remaining) = *armed {
-            let remaining = remaining.saturating_sub(1);
-            if remaining == 0 {
-                *armed = None;
-                return true;
-            }
-            *armed = Some(remaining);
-        }
-        false
-    }
-
     /// Schedules the death of virtual node `node` at `after_secs` on the
     /// simulated clock. When the runner's clock passes that instant the
     /// node is removed from service: its in-flight attempts fail
@@ -259,11 +214,10 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Removes all rules, unfired node deaths, and the driver-crash knob.
+    /// Removes all rules and unfired node deaths.
     /// Fired deaths are history — the node stays dead.
     pub fn clear(&self) {
         self.rules.lock().clear();
-        *self.kill_driver_after.lock() = None;
         self.node_deaths.lock().retain(|d| d.fired);
     }
 }
@@ -313,46 +267,8 @@ mod tests {
     fn clear_removes_rules() {
         let p = FaultPlan::none();
         p.fail_task("", Phase::Map, 0, 5);
-        p.kill_driver_after(1);
         p.clear();
         assert!(!p.should_fail("x", Phase::Map, 0));
-        assert!(!p.driver_job_completed(), "clear disarms the kill knob");
-    }
-
-    #[test]
-    fn driver_kill_fires_once_at_the_countdown() {
-        let p = FaultPlan::none();
-        assert!(!p.driver_job_completed(), "unarmed plan never kills");
-        p.kill_driver_after(3);
-        assert!(!p.driver_job_completed());
-        assert!(!p.driver_job_completed());
-        assert!(p.driver_job_completed(), "fires after the third job");
-        assert!(!p.driver_job_completed(), "one-shot: disarmed after firing");
-        assert!(!p.driver_job_completed());
-    }
-
-    #[test]
-    fn driver_kill_zero_fires_before_any_job() {
-        // kill_driver_after(0) used to be indistinguishable from (1): the
-        // saturating countdown fired after the first completed job either
-        // way. 0 now means "die before any job completes".
-        let p = FaultPlan::none();
-        p.kill_driver_after(0);
-        assert!(p.driver_kill_now(), "0 fires on step entry");
-        assert!(!p.driver_kill_now(), "one-shot");
-        assert!(!p.driver_job_completed(), "disarmed: never fires again");
-
-        let p = FaultPlan::none();
-        p.kill_driver_after(1);
-        assert!(!p.driver_kill_now(), "1 does not fire before the job");
-        assert!(p.driver_job_completed(), "1 fires after the first job");
-
-        let p = FaultPlan::none();
-        p.kill_driver_after(2);
-        assert!(!p.driver_kill_now());
-        assert!(!p.driver_job_completed());
-        assert!(!p.driver_kill_now());
-        assert!(p.driver_job_completed(), "2 fires after the second job");
     }
 
     #[test]

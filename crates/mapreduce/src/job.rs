@@ -308,8 +308,8 @@ impl<K> JobSpec<K> {
     /// family is absent from the registry) always run in-process.
     ///
     /// The family is execution plumbing, not job identity: it does not
-    /// enter [`JobSpec::fingerprint`], so manifests stay bit-identical
-    /// across backends.
+    /// enter [`JobSpec::fingerprint`], so job fingerprints stay
+    /// bit-identical across backends.
     pub fn remote(mut self, family: impl Into<String>) -> Self {
         self.remote = Some(family.into());
         self
@@ -321,17 +321,17 @@ impl<K> JobSpec<K> {
     }
 
     /// Stable fingerprint of this spec, identical across processes and
-    /// runs (unlike `DefaultHasher`). The checkpoint manifest records it
-    /// so [`crate::driver::PipelineDriver::resume`] can tell whether a
-    /// manifest entry was produced by the same job definition. The
-    /// partitioner is a function pointer and cannot be hashed portably;
-    /// the fingerprint covers the name and the reducer count.
+    /// runs (unlike `DefaultHasher`).
+    /// [`crate::driver::PipelineDriver::step`] mixes it into the job's
+    /// [`crate::runner::JobReport::fingerprint`]. The partitioner is a
+    /// function pointer and cannot be hashed portably; the fingerprint
+    /// covers the name and the reducer count.
     pub fn fingerprint(&self) -> u64 {
         crate::driver::Fingerprint::new()
             .push_bytes(self.name.as_bytes())
             .push_u64(self.num_reducers as u64)
             // The slot a since-deleted combiner flag held: a constant 0
-            // keeps every pinned manifest fingerprint unchanged.
+            // keeps every pinned job fingerprint unchanged.
             .push_u64(0)
             .finish()
     }

@@ -34,8 +34,8 @@
 //!   Hadoop retry policy, reproducing the Section 7.4 failure-recovery
 //!   experiment;
 //! * [`driver::PipelineDriver`] — owns job sequencing and accounting for a
-//!   chain of jobs (the paper's Figure 2 pipeline), with optional
-//!   checkpoint manifests and crash/resume recovery;
+//!   chain of jobs (the paper's Figure 2 pipeline), stamping each job's
+//!   report with its fingerprint;
 //! * [`master`] — priced computation on the master node (the paper runs
 //!   `nb`-sized LU decompositions there);
 //! * [`tracelog`] — one typed event per task attempt, with
@@ -78,7 +78,7 @@ pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use dfs::Dfs;
-pub use driver::{Fingerprint, ManifestRecord, PipelineDriver, RunId, RunReport};
+pub use driver::{Fingerprint, PipelineDriver, RunId, RunReport};
 pub use error::{MrError, Result};
 pub use exec::tcp::{worker_serve, TcpWorkers, TcpWorkersConfig};
 pub use exec::{TaskDescriptor, TaskRegistry};

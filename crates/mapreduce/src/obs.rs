@@ -780,7 +780,7 @@ pub struct StageAudit {
 pub struct CostAudit {
     /// Jobs the `schedule.rs` plan predicted.
     pub planned_jobs: usize,
-    /// Jobs the run executed (restored ones included).
+    /// Jobs the run executed.
     pub executed_jobs: usize,
     /// `planned_jobs == executed_jobs`.
     pub structure_ok: bool,

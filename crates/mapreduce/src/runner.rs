@@ -77,6 +77,11 @@ pub struct JobReport {
     pub reduce_wave_secs: f64,
     /// Aggregate measured work across all successful attempts.
     pub stats: TaskStats,
+    /// The job's identity within its pipeline: the run configuration, the
+    /// job spec ([`crate::job::JobSpec::fingerprint`]) and the job's
+    /// position, mixed. Stamped by [`crate::driver::PipelineDriver::step`];
+    /// 0 for a job run outside a pipeline.
+    pub fingerprint: u64,
 }
 
 /// One executed body attempt of a task: its measured work, why it failed

@@ -26,8 +26,7 @@
 //!   keep their cross-task arrival order exactly as the old
 //!   push-then-stable-sort loop produced it.
 //!
-//! Checkpoint fingerprints and the bit-identical resume suite rely on
-//! this equivalence. Every job shuffles through [`parallel_shuffle`]; the
+//! The pinned inverse bits rely on this equivalence. Every job shuffles through [`parallel_shuffle`]; the
 //! transfer's *time* is priced separately, after the map wave's barrier
 //! (`CostModel::shuffle_secs`), and never sees the data.
 

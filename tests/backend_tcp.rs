@@ -1,6 +1,6 @@
 //! Differential acceptance for the `tcp-workers` execution backend: the
 //! full 17-job acceptance pipeline (n = 64, nb = 4) run through real
-//! worker processes must be bit-identical — inverse bytes, manifest job
+//! worker processes must be bit-identical — inverse bytes, job
 //! fingerprints, and every job's DFS and shuffle byte accounting — to the
 //! in-process backend, and a worker process
 //! killed mid-wave must be replaced with the attempt retried to the same
@@ -11,9 +11,7 @@ use std::sync::Arc;
 use mrinv::{InversionConfig, Request, RunId};
 use mrinv_mapreduce::job::JobSpec;
 use mrinv_mapreduce::runner::run_map_only;
-use mrinv_mapreduce::{
-    Cluster, ClusterConfig, CostModel, ManifestRecord, TcpWorkers, TcpWorkersConfig,
-};
+use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, JobReport, TcpWorkers, TcpWorkersConfig};
 use mrinv_matrix::io::encode_binary;
 use mrinv_matrix::random::random_well_conditioned;
 
@@ -37,15 +35,6 @@ fn tcp_cluster(cfg: ClusterConfig, workers: usize) -> Cluster {
     cluster
 }
 
-fn manifest(cluster: &Cluster, run: &RunId) -> Vec<ManifestRecord> {
-    let manifest = cluster.dfs.read(&run.manifest_path()).unwrap();
-    std::str::from_utf8(&manifest)
-        .unwrap()
-        .lines()
-        .map(|l| serde_json::from_str(l).unwrap())
-        .collect()
-}
-
 #[test]
 fn tcp_backend_matches_in_process_bit_for_bit() {
     let (n, nb) = (64, 4);
@@ -59,7 +48,7 @@ fn tcp_backend_matches_in_process_bit_for_bit() {
     let local = Cluster::new(unit_config(4));
     let baseline = Request::invert(&a)
         .config(&cfg)
-        .checkpoint(&run)
+        .workdir(&run)
         .submit(&local)
         .unwrap();
     assert_eq!(baseline.report.jobs, 17);
@@ -68,7 +57,7 @@ fn tcp_backend_matches_in_process_bit_for_bit() {
     let remote = tcp_cluster(unit_config(4), 2);
     let out = Request::invert(&a)
         .config(&cfg)
-        .checkpoint(&run)
+        .workdir(&run)
         .submit(&remote)
         .unwrap();
     assert_eq!(out.report.jobs, 17);
@@ -81,38 +70,38 @@ fn tcp_backend_matches_in_process_bit_for_bit() {
         "tcp-workers inverse bytes differ from in-process"
     );
 
-    // Same jobs, same specs, same order: every manifest fingerprint
-    // (which mixes run config, job spec, and sequence) must agree.
-    let (local_jobs, remote_jobs) = (manifest(&local, &run), manifest(&remote, &run));
-    let fingerprints = |jobs: &[ManifestRecord]| -> Vec<(String, u64)> {
+    // Same jobs, same specs, same order: every job fingerprint (which
+    // mixes run config, job spec, and sequence) must agree.
+    let (local_jobs, remote_jobs) = (&baseline.report.job_reports, &out.report.job_reports);
+    let fingerprints = |jobs: &[JobReport]| -> Vec<(String, u64)> {
         jobs.iter()
             .map(|r| (r.name.clone(), r.fingerprint))
             .collect()
     };
     assert_eq!(local_jobs.len(), 17);
-    assert_eq!(fingerprints(&local_jobs), fingerprints(&remote_jobs));
+    assert_eq!(fingerprints(local_jobs), fingerprints(remote_jobs));
 
     // A worker charges reads, writes and shuffled pairs exactly as the
     // driver does, job by job and in total.
-    let bytes = |jobs: &[ManifestRecord]| -> Vec<(String, [u64; 3])> {
-        let io = |r: &ManifestRecord| {
-            let s = &r.report.stats;
+    let bytes = |jobs: &[JobReport]| -> Vec<(String, [u64; 3])> {
+        let io = |r: &JobReport| {
+            let s = &r.stats;
             [s.read_bytes, s.write_bytes, s.shuffle_bytes]
         };
         jobs.iter().map(|r| (r.name.clone(), io(r))).collect()
     };
-    assert_eq!(bytes(&local_jobs), bytes(&remote_jobs));
+    assert_eq!(bytes(local_jobs), bytes(remote_jobs));
     let totals = |r: &mrinv::RunReport| [r.dfs_bytes_read, r.dfs_bytes_written, r.shuffle_bytes];
     assert_eq!(totals(&out.report), totals(&baseline.report));
 
     // A worker charges the driver's flops, and the clock prices only
     // counted work: both backends land on the same simulated seconds, job
     // by job and in total.
-    let priced = |jobs: &[ManifestRecord]| -> Vec<(String, u64, f64)> {
-        let job = |r: &ManifestRecord| (r.name.clone(), r.report.stats.flops, r.report.sim_secs);
+    let priced = |jobs: &[JobReport]| -> Vec<(String, u64, f64)> {
+        let job = |r: &JobReport| (r.name.clone(), r.stats.flops, r.sim_secs);
         jobs.iter().map(job).collect()
     };
-    assert_eq!(priced(&local_jobs), priced(&remote_jobs));
+    assert_eq!(priced(local_jobs), priced(remote_jobs));
     assert_eq!(out.report.sim_secs, baseline.report.sim_secs);
 }
 

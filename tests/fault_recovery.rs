@@ -2,7 +2,7 @@
 //! tolerance claim — failed tasks are re-executed and the job still
 //! produces the correct result, at the cost of schedule time.
 
-use mrinv::{InversionConfig, Request, RunId};
+use mrinv::{InversionConfig, Request};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, MrError, Phase};
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::random_well_conditioned;
@@ -141,10 +141,10 @@ fn exhausted_retry_budget_fails_the_whole_inversion() {
 
 /// A job whose task always fails burns its whole retry budget, fails the
 /// pipeline cleanly with [`MrError::TaskFailed`], leaves every doomed
-/// attempt in the trace log — and once the fault clears, the checkpoint
-/// manifest resumes past the completed prefix to the correct inverse.
+/// attempt in the trace log — and once the fault clears, a plain
+/// resubmission reruns the pipeline to the correct inverse.
 #[test]
-fn permanent_fault_fails_cleanly_and_resumes_once_cleared() {
+fn permanent_fault_fails_cleanly_and_reruns_once_cleared() {
     let mut cfg_cluster = ClusterConfig::medium(4);
     cfg_cluster.cost = CostModel::unit_for_tests();
     cfg_cluster.tracing = true;
@@ -153,10 +153,8 @@ fn permanent_fault_fails_cleanly_and_resumes_once_cleared() {
 
     let a = random_well_conditioned(64, 42);
     let cfg = InversionConfig::with_nb(16);
-    let run = RunId::new("perm-fault");
     let err = Request::invert(&a)
         .config(&cfg)
-        .checkpoint(&run)
         .submit(&cluster)
         .unwrap_err();
     match err {
@@ -181,18 +179,10 @@ fn permanent_fault_fails_cleanly_and_resumes_once_cleared() {
         .count();
     assert_eq!(injected, 4, "all four burned attempts are traced");
 
-    // Clear the fault: the manifest restores the completed prefix and the
-    // re-run converges to the same bits as an undisturbed inversion.
+    // Clear the fault: the rerun converges to the same bits as an
+    // undisturbed inversion.
     cluster.faults.clear();
-    let out = Request::invert(&a)
-        .config(&cfg)
-        .resume(&run)
-        .submit(&cluster)
-        .unwrap();
-    assert!(
-        out.report.restored_jobs >= 1,
-        "the jobs before the faulty one restore from the manifest"
-    );
+    let out = Request::invert(&a).config(&cfg).submit(&cluster).unwrap();
     let baseline = Request::invert(&a)
         .config(&cfg)
         .submit(&unit_cluster())

@@ -1,12 +1,10 @@
 //! Hostile bytes never panic a decoder. Every decoder that reads bytes a
 //! peer or a file supplied — the frame reader, bincode into the four wire
-//! types, the checkpoint manifest's JSON line, the binary matrix codec, and
-//! the service's frame views (the server's of a request, the client's of a
+//! types, the binary matrix codec, and the service's frame views (the server's of a request, the client's of a
 //! response, each also with the optional name keys) — returns `Ok` or
 //! `Err` on arbitrary input and on each mutation of a
 //! valid encoding: a cut at every offset, one flipped byte, a length or
-//! count field set to `u64::MAX` or to the bytes remaining + 1, and (for
-//! JSON) every number set to `u64::MAX` or one past it. A panic fails the
+//! count field set to `u64::MAX` or to the bytes remaining + 1. A panic fails the
 //! test by itself; the named cases at the end are the ones that used to.
 //! `decode_text` has its own hostile-header suite in `mrinv-matrix`, and
 //! the final job's `decode_indexed` and `decode_tails` unit proptests
@@ -17,17 +15,11 @@ use std::time::Duration;
 use mrinv::service::{RequestView, ResponseView, WireOp, WireRequest, WireResponse};
 use mrinv_mapreduce::exec::WireTaskResult;
 use mrinv_mapreduce::wire::{read_frame, write_frame};
-use mrinv_mapreduce::{JobReport, ManifestRecord, Phase, TaskDescriptor, TaskStats};
+use mrinv_mapreduce::{Phase, TaskDescriptor, TaskStats};
 use mrinv_matrix::io::{decode_binary, encode_binary_vec};
 use mrinv_matrix::Matrix;
 use proptest::prelude::*;
 use serde::{Number, Serialize, Value};
-
-/// Decodes `bytes` as the JSON text of a manifest line (lossily, so every
-/// byte sequence reaches the parser).
-fn manifest(bytes: &[u8]) -> bool {
-    serde_json::from_str::<ManifestRecord>(&String::from_utf8_lossy(bytes)).is_ok()
-}
 
 fn frame(bytes: &[u8]) -> bool {
     read_frame(&mut &bytes[..], &mut Vec::new()).is_ok()
@@ -53,13 +45,12 @@ fn response_view(bytes: &[u8]) -> bool {
 type Decoder = fn(&[u8]) -> bool;
 
 /// Every decoder under test, by name.
-const DECODERS: [(&str, Decoder); 11] = [
+const DECODERS: [(&str, Decoder); 10] = [
     ("read_frame", frame),
     ("WireRequest", wire::<WireRequest>),
     ("WireResponse", wire::<WireResponse>),
     ("TaskDescriptor", wire::<TaskDescriptor>),
     ("WireTaskResult", wire::<WireTaskResult>),
-    ("ManifestRecord", manifest),
     ("decode_binary", matrix),
     ("RequestView", request_view),
     ("ResponseView", response_view),
@@ -159,20 +150,6 @@ fn valid_encodings() -> Vec<Vec<u8>> {
         stats: stats(),
         payload: payload(),
     };
-    let record = ManifestRecord {
-        name: "lu-level".into(),
-        seq: 2,
-        fingerprint: u64::MAX,
-        outputs: vec!["run/OUT/A.0".into(), "run/\"quoted\"\n".into()],
-        report: JobReport {
-            name: "lu-level".into(),
-            map_tasks: 4,
-            reduce_tasks: 4,
-            sim_secs: 1.5,
-            stats: stats(),
-            ..JobReport::default()
-        },
-    };
     let mut framed = Vec::new();
     write_frame(&mut framed, 1, &bincode::serialize(&request)).unwrap();
     let named = WireRequest {
@@ -187,7 +164,6 @@ fn valid_encodings() -> Vec<Vec<u8>> {
         bincode::serialize(&response),
         bincode::serialize(&descriptor),
         bincode::serialize(&result),
-        serde_json::to_string(&record).unwrap().into_bytes(),
         encode_binary_vec(&a),
         bincode::serialize(&request),
         bincode::serialize(&response),
@@ -202,18 +178,6 @@ fn with_field(valid: &[u8], at: usize, width: usize, value: u64) -> Vec<u8> {
     let mut lying = valid.to_vec();
     lying[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
     lying
-}
-
-/// `json` with its `nth` run of ASCII digits replaced by `digits`.
-fn with_number(json: &str, nth: usize, digits: &str) -> Option<String> {
-    let bytes = json.as_bytes();
-    let mut runs = (0..bytes.len())
-        .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()));
-    let start = runs.nth(nth)?;
-    let end = (start..bytes.len())
-        .find(|&i| !bytes[i].is_ascii_digit())
-        .unwrap_or(bytes.len());
-    Some(format!("{}{digits}{}", &json[..start], &json[end..]))
 }
 
 #[test]
@@ -244,22 +208,6 @@ fn lying_lengths_and_counts_never_panic_a_decoder() {
     }
 }
 
-#[test]
-fn out_of_range_json_numbers_never_panic_the_manifest_reader() {
-    let json = String::from_utf8(valid_encodings()[5].clone()).unwrap();
-    let mut nth = 0;
-    while let Some(max) = with_number(&json, nth, "18446744073709551615") {
-        manifest(max.as_bytes());
-        manifest(
-            with_number(&json, nth, "18446744073709551616")
-                .unwrap()
-                .as_bytes(),
-        );
-        nth += 1;
-    }
-    assert!(nth > 10, "only {nth} numbers in the manifest line");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -282,8 +230,7 @@ proptest! {
 // ---- Regression cases ----------------------------------------------------
 
 /// `Duration::new` panics when the nanoseconds carry the seconds past
-/// `u64::MAX`; a worker's reply or a manifest line could say exactly that
-/// in a `TaskStats`.
+/// `u64::MAX`; a worker's reply could say exactly that in a `TaskStats`.
 #[test]
 fn a_duration_past_u64_max_seconds_is_an_error() {
     let overflow = r#""cpu":{"secs":18446744073709551615,"nanos":1000000000}"#;
@@ -297,11 +244,6 @@ fn a_duration_past_u64_max_seconds_is_an_error() {
     let value: Value = serde_json::from_str(&json).unwrap();
     let frame = bincode::value_to_bytes(&value);
     assert!(bincode::deserialize::<WireTaskResult>(&frame).is_err());
-
-    let line = String::from_utf8(valid_encodings()[5].clone()).unwrap();
-    let line = line.replace(r#""cpu":{"secs":3,"nanos":250}"#, overflow);
-    assert!(line.contains(overflow));
-    assert!(!manifest(line.as_bytes()));
 }
 
 /// Nested containers used to recurse once per level, so a frame of a few
@@ -320,7 +262,6 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
 
     let json = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
     assert!(serde_json::from_str::<Value>(&json).is_err());
-    assert!(!manifest(json.as_bytes()));
 }
 
 /// A reply can carry figures that decode fine and are still absurd:
