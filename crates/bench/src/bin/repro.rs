@@ -23,10 +23,6 @@
 //!   section2   the Section 2 method comparison, executable
 //!   stragglers heterogeneous nodes vs speculative execution (7.4's EC2
 //!              variance observation)
-//!   obs-check  quick observability gate: a traced n=64/nb=4 inversion
-//!              must export valid Prometheus text and a cost-model audit
-//!              that runs every planned job with every stage in its band,
-//!              and leave nothing live in the DFS
 //!   gemm-par-check ordering gate: on >= 2 cores with >= 2 effective pool
 //!              threads, packed-parallel GEMM must not be slower than
 //!              packed-serial at n >= 256 (skips on single-core boxes)
@@ -125,7 +121,6 @@ const EXPERIMENTS: &[(&str, Runner, bool)] = &[
     ("nb-sweep", run_nb_sweep, true),
     ("spark", run_spark, true),
     ("stragglers", run_stragglers, true),
-    ("obs-check", run_obs_check, false),
     ("gemm-par-check", run_gemm_par_check, false),
 ];
 
@@ -572,102 +567,6 @@ fn run_spark(args: &Args) {
     }
     let path = write_csv("spark", "matrix,nodes,hadoop_minutes,spark_minutes", &csv).unwrap();
     println!("(the paper expects Spark to win by keeping intermediates in memory)\n-> {path}");
-}
-
-/// Quick observability gate (the CI fixture): a traced n=64/nb=4
-/// inversion on 4 medium nodes must produce parseable Prometheus text
-/// containing the task-latency histograms and kernel series, a
-/// cost-model audit that runs every planned job with every stage in its
-/// band (printed whole on every run), and a DFS live-bytes gauge that
-/// holds only the run's products.
-fn run_obs_check(_args: &Args) {
-    use mrinv_mapreduce::{Cluster, ClusterConfig};
-
-    println!("\n== Observability gate: n=64 nb=4 inversion, Prometheus + cost-model audit ==");
-    let mut cfg = ClusterConfig::medium(4);
-    cfg.tracing = true;
-    cfg.observability = true;
-    let cluster = Cluster::new(cfg);
-    mrinv_matrix::kernel::perf::reset();
-    mrinv_matrix::kernel::perf::set_enabled(true);
-    let a = mrinv_matrix::random::random_well_conditioned(64, 42);
-    let out = mrinv::Request::invert(&a)
-        .config(&mrinv::InversionConfig::with_nb(4))
-        .submit(&cluster)
-        .unwrap_or_else(|e| die(&format!("obs-check inversion failed: {e}")));
-    mrinv_matrix::kernel::perf::set_enabled(false);
-
-    let mut failed = false;
-    let snap = mrinv::obs::full_snapshot(&cluster);
-    let text = snap.prometheus_text();
-    match mrinv_mapreduce::obs::validate_prometheus_text(&text) {
-        Ok(()) => println!("prometheus text: {} lines, valid", text.lines().count()),
-        Err(e) => {
-            println!("prometheus text INVALID: {e}");
-            failed = true;
-        }
-    }
-    for needle in [
-        "mrinv_task_run_seconds_bucket{",
-        "mrinv_kernel_gflops{backend=",
-        "mrinv_job_seconds_count{",
-        // Present (at 0) even when no backup won: the runner resolves the
-        // steal counter unconditionally so dashboards never miss it.
-        "mrinv_sched_steals_total{",
-    ] {
-        if !text.contains(needle) {
-            println!("prometheus text MISSING expected series {needle:?}");
-            failed = true;
-        }
-    }
-    let path = write_results_file("obs_check.prom", &text).unwrap();
-    println!("-> {path}");
-
-    // What a finished invert holds in the DFS: nothing. Every file it
-    // wrote, `RESULT/` and the factor forest included, was released; the
-    // peak was not every byte ever written. Both are counts: they repeat
-    // exactly.
-    let gauge = |name: &str| snap.gauges.iter().find(|g| g.name == name).map(|g| g.value);
-    let written = (snap.counters.iter())
-        .find(|c| c.name == "mrinv_dfs_write_bytes_total")
-        .map(|c| c.value as f64);
-    match (
-        gauge("mrinv_dfs_live_bytes"),
-        gauge("mrinv_dfs_live_bytes_peak"),
-        written,
-    ) {
-        (Some(live), Some(peak), Some(written)) => {
-            println!("dfs live bytes: {live}, peak {peak} of {written} written");
-            if live != 0.0 || peak >= written {
-                println!("dfs live bytes WRONG: a file outlived its last reader");
-                failed = true;
-            }
-        }
-        _ => {
-            println!("prometheus text MISSING the dfs live-bytes series");
-            failed = true;
-        }
-    }
-
-    match &out.report.audit {
-        Some(audit) => {
-            println!("cost audit: {audit}");
-            // `within_bands` includes `structure_ok`.
-            if !audit.within_bands {
-                println!("cost audit OFF: a job count or a stage is off its plan");
-                failed = true;
-            }
-        }
-        None => {
-            println!("cost audit MISSING (tracing was on, audit should attach)");
-            failed = true;
-        }
-    }
-    if failed {
-        eprintln!("repro: obs-check FAILED");
-        std::process::exit(1);
-    }
-    println!("obs-check passed");
 }
 
 /// Serial / parallel wall-clock ratio of the packed engine for one

@@ -6,8 +6,8 @@
 use std::fmt::Write as _;
 
 use mrinv_bench::experiments::{
-    fig6, fig7, fig8, nb_sweep, node_death_experiment, sec74, sec8_spark, stragglers, table1,
-    table2,
+    accuracy, fig6, fig7, fig8, nb_sweep, node_death_experiment, sec74, sec8_spark, stragglers,
+    table1, table2,
 };
 use mrinv_bench::suite::SuiteMatrix;
 use mrinv_mapreduce::PipelineAnalytics;
@@ -63,6 +63,7 @@ fn figures() -> String {
         "stragglers",
         format!("{:?}", stragglers(SCALE, &[1.0, 0.25])),
     );
+    line("accuracy", format!("{:?}", accuracy(SCALE, 4)));
     out
 }
 

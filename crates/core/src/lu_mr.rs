@@ -24,10 +24,9 @@
 use mrinv_mapreduce::job::{
     identity_partitioner, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
 };
-use mrinv_mapreduce::master::run_on_master;
 use mrinv_mapreduce::runner::run_job;
 use mrinv_mapreduce::simtime::STRIDED_SLOWDOWN;
-use mrinv_mapreduce::{Cluster, MrError, PipelineDriver, TaskIo, TaskRegistry, TaskStats};
+use mrinv_mapreduce::{MrError, PipelineDriver, TaskIo, TaskRegistry, TaskStats};
 use mrinv_matrix::block::even_ranges;
 use mrinv_matrix::kernel::{gemm, gemm_flops, notrans, Diag, Op, Side, Uplo};
 use mrinv_matrix::lu::{lu_decompose, lu_flops};
@@ -63,14 +62,6 @@ pub(crate) fn emit_cells(ctx: &mut MapContext<usize, usize>, num_cells: usize) {
     }
 }
 
-/// Charges a master I/O session to the simulated clock.
-fn charge_master_io(cluster: &Cluster, io: &TaskIo) {
-    let cost = &cluster.config.cost;
-    let secs = io.stats().read_bytes as f64 / cost.disk_read_bw
-        + io.stats().write_bytes as f64 * f64::from(cost.replication) / cost.disk_write_bw;
-    cluster.metrics.add_master_time(secs);
-}
-
 /// Distributed block LU decomposition of the square block `source`
 /// describes, writing this block's outputs under `dir`. Sequences one
 /// MapReduce job per recursion node through the driver and returns the
@@ -86,7 +77,6 @@ pub(crate) fn lu_decompose_mr(
     plan: &PartitionPlan,
     opts: &Optimizations,
 ) -> Result<FactorRef> {
-    let cluster = driver.cluster();
     let n = source.rows();
     if source.cols() != n {
         return Err(CoreError::Invariant(format!(
@@ -96,21 +86,23 @@ pub(crate) fn lu_decompose_mr(
     }
 
     if n <= plan.nb {
-        // Leaf: decompose on the master node (Algorithm 2 lines 2-3).
-        let mut io = TaskIo::new(cluster.dfs.clone());
-        let block = source.read_all(&mut io)?;
+        // Leaf: decompose on the master node (Algorithm 2 lines 2-3). The
+        // work charged is the LU's flops; the block read and the factor
+        // writes are the handle's disk traffic.
         let leaf_lu = TaskStats {
             flops: lu_flops(n),
             ..TaskStats::default()
         };
-        let factors = run_on_master(cluster, || (lu_decompose(&block), leaf_lu))?;
-        let u = factors.upper();
-        let stored_u = if opts.transpose_u { u.transpose() } else { u };
-        let l = factors.unit_lower();
-        let leaf =
-            FactorRef::write_leaf(&mut io, dir, &l, &stored_u, factors.perm, opts.transpose_u);
-        charge_master_io(cluster, &io);
-        return Ok(leaf);
+        return driver.run_on_master(|io| {
+            let leaf = |io: &mut TaskIo| -> Result<FactorRef> {
+                let factors = lu_decompose(&source.read_all(io)?)?;
+                let u = factors.upper();
+                let u = if opts.transpose_u { u.transpose() } else { u };
+                let (l, perm, t) = (factors.unit_lower(), factors.perm, opts.transpose_u);
+                Ok(FactorRef::write_leaf(io, dir, &l, &u, perm, t))
+            };
+            (leaf(io), leaf_lu)
+        });
     }
 
     // Internal node: the quadrants are windows (Section 5.2: metadata only).
@@ -219,13 +211,10 @@ pub(crate) fn lu_decompose_mr(
         // Section 6.1 ablation: serially combine this level's factors on
         // the master while the cluster waits. The combined leaf supersedes
         // the files it was read from.
-        let mut io = TaskIo::new(cluster.dfs.clone());
-        let combined = run_on_master(cluster, || {
-            let combined = node.combine(&mut io, &format!("{dir}/COMBINED"), opts.transpose_u);
+        let combined = driver.run_on_master(|io| {
+            let combined = node.combine(io, &format!("{dir}/COMBINED"), opts.transpose_u);
             (combined, *io.stats())
-        });
-        charge_master_io(cluster, &io);
-        let combined = combined?;
+        })?;
         let kept = combined.paths();
         driver.release(node.paths().into_iter().filter(|p| !kept.contains(p)));
         Ok(combined)
@@ -377,7 +366,7 @@ mod tests {
     use crate::config::InversionConfig;
     use crate::partition::{ingest_input, run_partition_job};
     use mrinv_mapreduce::runner::JobReport;
-    use mrinv_mapreduce::{ClusterConfig, CostModel, RunId};
+    use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, RunId, RunReport};
     use mrinv_matrix::random::random_invertible;
     use mrinv_matrix::Matrix;
 
@@ -387,7 +376,7 @@ mod tests {
         m0: usize,
         opts: Optimizations,
         seed: u64,
-    ) -> (Cluster, FactorRef, Vec<JobReport>, Matrix) {
+    ) -> (Cluster, FactorRef, RunReport, Matrix) {
         let mut ccfg = ClusterConfig::medium(m0);
         ccfg.cost = CostModel::unit_for_tests();
         let cluster = Cluster::new(ccfg);
@@ -399,9 +388,14 @@ mod tests {
         let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
         let (source, _) = run_partition_job(&mut driver, &plan).unwrap();
         let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &icfg.opts).unwrap();
-        // Reports minus the partition job: the LU pipeline proper.
-        let reports = driver.reports()[1..].to_vec();
-        (cluster, factors, reports, a)
+        let report = driver.finish(n, nb);
+        (cluster, factors, report, a)
+    }
+
+    /// The LU pipeline proper: the run's job reports minus the partition
+    /// job's.
+    fn lu_jobs(report: &RunReport) -> &[JobReport] {
+        &report.job_reports[1..]
     }
 
     fn assert_pa_eq_lu(cluster: &Cluster, factors: &FactorRef, a: &Matrix, tol: f64) {
@@ -419,22 +413,26 @@ mod tests {
 
     #[test]
     fn one_level_decomposition_matches() {
-        let (cluster, factors, reports, a) = run_lu(16, 8, 4, Optimizations::all(), 1);
-        assert_eq!(reports.len(), 1, "one recursion node -> one MR job");
+        let (cluster, factors, report, a) = run_lu(16, 8, 4, Optimizations::all(), 1);
+        assert_eq!(
+            lu_jobs(&report).len(),
+            1,
+            "one recursion node -> one MR job"
+        );
         assert_pa_eq_lu(&cluster, &factors, &a, 1e-8);
     }
 
     #[test]
     fn two_level_decomposition_matches() {
-        let (cluster, factors, reports, a) = run_lu(32, 8, 4, Optimizations::all(), 2);
-        assert_eq!(reports.len(), 3, "depth 2 -> 3 MR jobs");
+        let (cluster, factors, report, a) = run_lu(32, 8, 4, Optimizations::all(), 2);
+        assert_eq!(lu_jobs(&report).len(), 3, "depth 2 -> 3 MR jobs");
         assert_pa_eq_lu(&cluster, &factors, &a, 1e-8);
     }
 
     #[test]
     fn three_level_decomposition_matches() {
-        let (cluster, factors, reports, a) = run_lu(64, 8, 4, Optimizations::all(), 3);
-        assert_eq!(reports.len(), 7);
+        let (cluster, factors, report, a) = run_lu(64, 8, 4, Optimizations::all(), 3);
+        assert_eq!(lu_jobs(&report).len(), 7);
         assert_pa_eq_lu(&cluster, &factors, &a, 1e-7);
     }
 
@@ -517,10 +515,10 @@ mod tests {
 
     #[test]
     fn leaf_only_decomposition_runs_no_jobs() {
-        let (cluster, factors, reports, a) = run_lu(8, 16, 2, Optimizations::all(), 13);
-        assert_eq!(reports.len(), 0);
+        let (cluster, factors, report, a) = run_lu(8, 16, 2, Optimizations::all(), 13);
+        assert_eq!(lu_jobs(&report).len(), 0);
         assert_pa_eq_lu(&cluster, &factors, &a, 1e-9);
-        assert!(cluster.metrics.snapshot().master_secs > 0.0);
+        assert!(report.master_secs > 0.0);
     }
 
     /// The master's charge is its counted work: with unit bandwidths and a
@@ -543,14 +541,19 @@ mod tests {
         let before = cluster.dfs.counters();
         lu_decompose_mr(&mut driver, &plan.root, source, &plan, &icfg.opts).unwrap();
         let after = cluster.dfs.counters();
-        let read = (after.bytes_read - before.bytes_read) as f64;
-        let written = (after.bytes_written - before.bytes_written) as f64;
-        assert!(read > 0.0 && written > 0.0);
+        let read = after.bytes_read - before.bytes_read;
+        let written = after.bytes_written - before.bytes_written;
+        assert!(read > 0 && written > 0);
         let lu = lu_flops(8) as f64 / mrinv_mapreduce::simtime::MASTER_SPEEDUP;
+        let report = driver.finish(8, 16);
         assert_eq!(
-            cluster.metrics.snapshot().master_secs,
-            lu + (read + 3.0 * written)
+            report.master_secs,
+            lu + (read as f64 + 3.0 * written as f64)
         );
+        // The run counts the handle's bytes beside its one job's.
+        let partition = &report.job_reports[0].stats;
+        assert_eq!(report.dfs_bytes_read, partition.read_bytes + read);
+        assert_eq!(report.dfs_bytes_written, partition.write_bytes + written);
     }
 
     #[test]
@@ -571,7 +574,7 @@ mod tests {
         let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
         let (source, _) = run_partition_job(&mut driver, &plan).unwrap();
         let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &icfg.opts).unwrap();
-        assert!(driver.total_failures() >= 2);
+        assert!(driver.finish(32, 8).task_failures >= 2);
         assert_pa_eq_lu(&cluster, &factors, &a, 1e-8);
     }
 }

@@ -464,7 +464,8 @@ pub struct Outcome {
     solutions: Vec<Vec<f64>>,
     /// Whether the factor cache served this request.
     pub cache: CacheStatus,
-    /// Run accounting: the pipeline's delta report on a cold run, all
+    /// Run accounting: on a cold run, the pipeline's report of its own
+    /// jobs and master calls ([`mrinv_mapreduce::PipelineDriver::finish`]); all
     /// zero pipeline numbers (jobs, simulated seconds, I/O) on a cache
     /// hit.
     pub report: RunReport,
@@ -526,6 +527,7 @@ impl Outcome {
 mod tests {
     use super::*;
     use crate::config::Optimizations;
+    use mrinv_mapreduce::dfs::DfsCountersSnapshot;
     use mrinv_mapreduce::{ClusterConfig, CostModel};
     use mrinv_matrix::norms::{inversion_residual, vec_norm};
     use mrinv_matrix::random::{random_invertible, random_well_conditioned};
@@ -609,6 +611,35 @@ mod tests {
         // A run reports each of its jobs and names its workdir.
         assert_eq!(r.job_reports.len() as u64, r.jobs);
         assert!(r.workdir.starts_with("mrinv/run-"), "workdir {}", r.workdir);
+    }
+
+    /// A run's report is its own ledger, not the difference of a growing
+    /// clock: three identical inverts in one pinned directory on one
+    /// cluster report the same simulated and master seconds, bit for bit,
+    /// and the same counts.
+    #[test]
+    fn repeated_runs_report_identical_bits() {
+        let cluster = Cluster::new(ClusterConfig::medium(4));
+        let a = random_well_conditioned(64, 42);
+        let run = RunId::new("pinned");
+        let reports: Vec<RunReport> = (0..3)
+            .map(|_| {
+                let req = Request::invert(&a).nb(4).workdir(&run);
+                req.submit(&cluster).unwrap().report
+            })
+            .collect();
+        let ledger = |r: &RunReport| {
+            let secs = [r.sim_secs, r.master_secs, r.hours].map(f64::to_bits);
+            let bytes = [r.dfs_bytes_read, r.dfs_bytes_written, r.shuffle_bytes];
+            (secs, [r.jobs, r.task_failures], bytes, r.remote_read_bytes)
+        };
+        assert_eq!(reports[0].jobs, 17);
+        assert_eq!(
+            reports[0].sim_secs, 110.50694901583329,
+            "a fresh cluster's bits"
+        );
+        assert_eq!(ledger(&reports[0]), ledger(&reports[1]));
+        assert_eq!(ledger(&reports[0]), ledger(&reports[2]));
     }
 
     #[test]
@@ -882,7 +913,8 @@ mod tests {
             let err = req.submit(&cluster).unwrap_err().to_string();
             assert!(err.contains("nb must be at least 1"), "{err}");
         }
-        assert_eq!(cluster.metrics.snapshot().jobs, 0, "validation is free");
+        let untouched = DfsCountersSnapshot::default();
+        assert_eq!(cluster.dfs.counters(), untouched, "validation is free");
     }
 
     #[test]
@@ -928,7 +960,8 @@ mod tests {
         assert!(err.is_err());
         // A solve with no rhs at all is rejected too.
         assert!(Request::solve(&a).nb(4).submit(&c).is_err());
-        assert_eq!(c.metrics.snapshot().jobs, 0, "validation is free");
+        let untouched = DfsCountersSnapshot::default();
+        assert_eq!(c.dfs.counters(), untouched, "validation is free");
     }
 
     #[test]
@@ -957,7 +990,6 @@ mod tests {
         // Warm: a cold lu primes the cache.
         let warm = Request::lu(&a).nb(8).cache(&cache).submit(&c).unwrap();
         assert_eq!(warm.cache, CacheStatus::Miss);
-        let jobs_after_warm = c.metrics.snapshot().jobs;
         let files_after_warm = c.dfs.file_count();
         let io_after_warm = c.dfs.counters();
 
@@ -974,7 +1006,6 @@ mod tests {
         assert_eq!(hit.report.sim_secs, 0.0);
         assert_eq!(hit.report.backend, "factor-cache");
         assert_eq!(hit.report.workdir, "", "a hit runs in no directory");
-        assert_eq!(c.metrics.snapshot().jobs, jobs_after_warm);
         assert_eq!(c.dfs.file_count(), files_after_warm);
         assert_eq!(c.dfs.counters(), io_after_warm, "hits read nothing");
 

@@ -109,12 +109,11 @@
 //! themselves (hits touch no driver state and read nothing from the DFS,
 //! so any number can run concurrently); everything cold is queued for
 //! the executor, which runs pipelines strictly one at a time. That
-//! serialization is what keeps [`crate::RunReport`]s correct — the
-//! cluster's metrics are delta-based, so two interleaved pipeline runs
-//! would corrupt each other's accounting — and it is also the
-//! determinism argument: each cold run sees the DFS exactly as a
-//! sequential run would, so concurrent clients get bit-identical bytes
-//! to back-to-back requests.
+//! serialization is the determinism argument: each cold run sees the DFS
+//! exactly as a sequential run would, so concurrent clients get
+//! bit-identical bytes to back-to-back requests. (A run's
+//! [`crate::RunReport`] is its own driver's ledger, so it would stay
+//! correct either way.)
 //!
 //! # Admission control and fairness
 //!
@@ -778,7 +777,7 @@ impl Shared {
     /// Bumps a service counter, labelled by tenant and operation.
     fn count(&self, name: &str, tenant: &str, op: &str) {
         let labels = Labels::new().tenant(tenant).task_kind(op);
-        self.cluster.metrics.obs().counter(name, &labels).add(1);
+        self.cluster.obs().counter(name, &labels).add(1);
     }
 
     /// Counts one served request and its cache verdict.

@@ -548,14 +548,13 @@ impl Reducer for TriInvReducer {
 /// The `INV/` vectors are released once the job commits, and the
 /// `<dir>/RESULT/` cells once the master has assembled them: the returned
 /// matrix is the one copy of the inverse a run keeps. The assembly is not
-/// charged to the simulated clock.
+/// charged to the simulated clock; its reads count in the run's DFS bytes.
 pub(crate) fn invert_factors_mr(
     driver: &mut PipelineDriver<'_>,
     factors: &FactorRef,
     plan: &PartitionPlan,
     opts: &Optimizations,
 ) -> Result<Matrix> {
-    let cluster = driver.cluster();
     let n = factors.n();
     let layout = Layout {
         dir: plan.root.clone(),
@@ -594,9 +593,9 @@ pub(crate) fn invert_factors_mr(
     });
     driver.release(inv_files.map(|(path, _)| path));
 
-    // Assemble the final matrix from the RESULT files (uncharged); the
+    // Assemble the final matrix from the RESULT files (unpriced); the
     // master is their last reader.
-    let inverse = layout.read_result(&mut TaskIo::new(cluster.dfs.clone()))?;
+    let inverse = driver.assemble(|io| layout.read_result(io))?;
     driver.release((0..layout.num_cells()).map(|cell| layout.result_path(cell)));
     Ok(inverse)
 }

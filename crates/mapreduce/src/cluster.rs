@@ -1,11 +1,13 @@
-//! The simulated cluster: DFS + configuration + metrics + fault plan.
+//! The simulated cluster: DFS + configuration + fault plan, plus the two
+//! values every job reads back (the simulated clock and the job sequence)
+//! and the labeled observability registry.
 
 use std::sync::Arc;
 
 use crate::dfs::Dfs;
 use crate::exec::{ExecBackend, InProcess, TaskRegistry};
 use crate::fault::FaultPlan;
-use crate::metrics::ClusterMetrics;
+use crate::obs::{Counter, Gauge, Labels, Registry};
 use crate::simtime::CostModel;
 use crate::tracelog::TraceLog;
 
@@ -120,8 +122,15 @@ pub struct Cluster {
     pub dfs: Arc<Dfs>,
     /// Static configuration.
     pub config: ClusterConfig,
-    /// Accumulated execution metrics.
-    pub metrics: ClusterMetrics,
+    /// The labeled observability registry.
+    obs: Registry,
+    /// The simulated clock, seconds: the registry's always-on
+    /// `mrinv_sim_seconds` series. Jobs and master calls advance it; a run
+    /// keeps its own sum ([`crate::driver::PipelineDriver`]).
+    clock: Arc<Gauge>,
+    /// The cluster-wide job sequence: the registry's always-on
+    /// `mrinv_jobs_total` series.
+    jobs: Arc<Counter>,
     /// Failure-injection plan.
     pub faults: FaultPlan,
     /// Per-task-attempt event log (recording only when enabled — via
@@ -140,16 +149,16 @@ impl Cluster {
         if config.tracing {
             trace.enable();
         }
-        let metrics = ClusterMetrics::default();
-        if config.observability {
-            metrics.obs().set_enabled(true);
-        }
+        let obs = Registry::default();
+        obs.set_enabled(config.observability);
         Cluster {
             // Blocks are placed across the cluster's own nodes, so a node
             // death can take DFS replicas down with it.
             dfs: Arc::new(Dfs::with_nodes(config.cost.replication, config.nodes)),
             config,
-            metrics,
+            clock: obs.gauge("mrinv_sim_seconds", &Labels::new()),
+            jobs: obs.counter("mrinv_jobs_total", &Labels::new()),
+            obs,
             faults: FaultPlan::none(),
             trace,
             backend: Arc::new(InProcess),
@@ -188,29 +197,50 @@ impl Cluster {
         self.config.nodes
     }
 
-    /// Total simulated seconds so far.
+    /// The labeled observability registry. Recording sites check
+    /// `Registry::is_enabled` first; only the clock and the job sequence
+    /// are recorded whether or not it is on.
+    pub fn obs(&self) -> &Registry {
+        &self.obs
+    }
+
+    /// The simulated clock, seconds.
     pub(crate) fn sim_secs(&self) -> f64 {
-        self.metrics.sim_secs()
+        self.clock.get()
+    }
+
+    /// Advances the simulated clock (lock-free: a CAS loop over the f64
+    /// bit pattern).
+    pub(crate) fn advance_clock(&self, secs: f64) {
+        self.clock.add(secs);
+    }
+
+    /// The next job's cluster-wide 0-based sequence number (its trace
+    /// identity).
+    pub(crate) fn next_job_seq(&self) -> u64 {
+        self.jobs.fetch_add(1)
     }
 
     /// Full observability snapshot: every registry series plus the DFS
     /// byte counters and the replica-hit (data-local read) ratio bridged
-    /// in as series, ready for Prometheus/JSON export.
+    /// in as series, ready for Prometheus/JSON export. The ratio reads the
+    /// registry's map-locality totals (1.0 when none were recorded).
     pub fn obs_snapshot(&self) -> crate::obs::ObsSnapshot {
-        let mut snap = self.metrics.obs().snapshot();
+        let mut snap = self.obs.snapshot();
         self.dfs.obs_series(&mut snap);
-        let m = self.metrics.snapshot();
-        let total = m.data_local_map_tasks + m.remote_map_tasks;
-        let ratio = if total == 0 {
+        let total = |name: &str| {
+            let mut series = snap.counters.iter();
+            let total = series.find(|c| c.name == name && c.labels == Labels::new());
+            total.map_or(0, |c| c.value)
+        };
+        let local = total("mrinv_data_local_map_tasks_total");
+        let tasks = local + total("mrinv_remote_map_tasks_total");
+        let ratio = if tasks == 0 {
             1.0
         } else {
-            m.data_local_map_tasks as f64 / total as f64
+            local as f64 / tasks as f64
         };
-        snap.push_gauge(
-            "mrinv_dfs_replica_hit_ratio",
-            crate::obs::Labels::new(),
-            ratio,
-        );
+        snap.push_gauge("mrinv_dfs_replica_hit_ratio", Labels::new(), ratio);
         snap
     }
 }

@@ -5,6 +5,15 @@
 //! fingerprint (the run configuration, the job spec and its position
 //! mixed together), and collects the reports that
 //! [`PipelineDriver::finish`] hands back in [`RunReport::job_reports`].
+//! Master-side work enters the run through
+//! [`PipelineDriver::run_on_master`] (priced) or
+//! [`PipelineDriver::assemble`] (counted, unpriced), each over a DFS
+//! handle the driver opens.
+//!
+//! The driver is the run's only ledger: [`PipelineDriver::finish`] folds
+//! the run's own job reports and master calls into its [`RunReport`], so
+//! whatever else the cluster does meanwhile never reaches it, and the
+//! same work reports the same bits on a fresh cluster or a busy one.
 //!
 //! Fault tolerance is the paper's (Sections 6.6, 7.4): task-level
 //! re-execution inside a job. The DFS lives in the driver's process, so
@@ -18,9 +27,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::Cluster;
-use crate::dfs::{normalize_path, DfsCountersSnapshot};
+use crate::dfs::normalize_path;
 use crate::error::Result;
-use crate::metrics::MetricsSnapshot;
+use crate::job::{TaskIo, TaskStats};
+use crate::master;
 use crate::runner::JobReport;
 use crate::tracelog::{self, PipelineAnalytics, TraceLog};
 
@@ -88,8 +98,8 @@ impl RunId {
     }
 }
 
-/// Everything one pipeline run measured, as deltas over the cluster's
-/// state when the driver was created.
+/// Everything one pipeline run measured: a fold of its own job reports and
+/// master calls ([`PipelineDriver::finish`]).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunReport {
     /// Matrix order (or problem size).
@@ -107,9 +117,10 @@ pub struct RunReport {
     pub master_secs: f64,
     /// Failed task attempts (all injected or transient).
     pub task_failures: u64,
-    /// Logical DFS bytes written during the run.
+    /// Logical DFS bytes the run wrote: its jobs' attempts, failed ones
+    /// included, and its master calls.
     pub dfs_bytes_written: u64,
-    /// Logical DFS bytes read during the run.
+    /// Logical DFS bytes the run read, counted like the writes.
     pub dfs_bytes_read: u64,
     /// Bytes moved through shuffles.
     pub shuffle_bytes: u64,
@@ -141,47 +152,6 @@ pub struct RunReport {
     pub audit: Option<crate::obs::CostAudit>,
 }
 
-impl RunReport {
-    /// Builds a report from before/after snapshots.
-    fn from_deltas(
-        n: usize,
-        nodes: usize,
-        nb: usize,
-        metrics_before: &MetricsSnapshot,
-        metrics_after: &MetricsSnapshot,
-        dfs_before: &DfsCountersSnapshot,
-        dfs_after: &DfsCountersSnapshot,
-    ) -> Self {
-        let sim_secs = metrics_after.sim_secs - metrics_before.sim_secs;
-        let local = metrics_after.data_local_map_tasks - metrics_before.data_local_map_tasks;
-        let remote = metrics_after.remote_map_tasks - metrics_before.remote_map_tasks;
-        RunReport {
-            n,
-            nodes,
-            nb,
-            jobs: metrics_after.jobs - metrics_before.jobs,
-            sim_secs,
-            master_secs: metrics_after.master_secs - metrics_before.master_secs,
-            task_failures: metrics_after.task_failures - metrics_before.task_failures,
-            dfs_bytes_written: dfs_after.bytes_written - dfs_before.bytes_written,
-            dfs_bytes_read: dfs_after.bytes_read - dfs_before.bytes_read,
-            shuffle_bytes: metrics_after.shuffle_bytes - metrics_before.shuffle_bytes,
-            hours: sim_secs / 3600.0,
-            workdir: String::new(),
-            backend: String::new(),
-            job_reports: Vec::new(),
-            data_local_fraction: if local + remote == 0 {
-                1.0
-            } else {
-                local as f64 / (local + remote) as f64
-            },
-            remote_read_bytes: metrics_after.remote_read_bytes - metrics_before.remote_read_bytes,
-            analytics: None,
-            audit: None,
-        }
-    }
-}
-
 /// Owns the sequencing and accounting of one pipeline run.
 ///
 /// Create one with [`PipelineDriver::new`], funnel every job through
@@ -194,23 +164,29 @@ pub struct PipelineDriver<'c> {
     /// Configuration fingerprint mixed into every job's fingerprint.
     config_fingerprint: u64,
     reports: Vec<JobReport>,
-    metrics_start: MetricsSnapshot,
-    dfs_start: DfsCountersSnapshot,
+    /// Simulated seconds of the run: each job's and each master charge,
+    /// summed from 0.0 in the order they reached the cluster clock.
+    sim_secs: f64,
+    /// The master charges alone, summed the same way.
+    master_secs: f64,
+    /// DFS bytes the run's master-side handles moved.
+    master_io: TaskStats,
     /// Expected total jobs when the live stderr progress line is on
     /// (see [`PipelineDriver::enable_progress`]).
     progress_total: Option<u64>,
 }
 
 impl<'c> PipelineDriver<'c> {
-    /// A driver for the run rooted at `run`; its accounting starts now.
+    /// A driver for the run rooted at `run`, with an empty ledger.
     pub fn new(cluster: &'c Cluster, run: RunId) -> Self {
         PipelineDriver {
-            metrics_start: cluster.metrics.snapshot(),
-            dfs_start: cluster.dfs.counters(),
             cluster,
             run,
             config_fingerprint: 0,
             reports: Vec::new(),
+            sim_secs: 0.0,
+            master_secs: 0.0,
+            master_io: TaskStats::default(),
             progress_total: None,
         }
     }
@@ -231,7 +207,7 @@ impl<'c> PipelineDriver<'c> {
             return;
         };
         let done = self.reports.len() as u64;
-        let sim = self.total_sim_secs() + self.cluster.metrics.snapshot().master_secs;
+        let sim = self.sim_secs;
         let name = self.reports.last().map(|r| r.name.as_str()).unwrap_or("");
         let eta = if done == 0 {
             f64::NAN
@@ -250,13 +226,6 @@ impl<'c> PipelineDriver<'c> {
     /// optimization toggles, ...) into every job's fingerprint.
     pub fn set_config_fingerprint(&mut self, fingerprint: u64) {
         self.config_fingerprint = fingerprint;
-    }
-
-    /// The cluster this driver runs on. The returned reference carries
-    /// the cluster's own lifetime, not the driver borrow, so callers can
-    /// hold it across further `&mut self` calls.
-    pub fn cluster(&self) -> &'c Cluster {
-        self.cluster
     }
 
     /// Runs the pipeline's next job.
@@ -278,9 +247,36 @@ impl<'c> PipelineDriver<'c> {
             .push_u64(spec_fingerprint)
             .push_u64(seq)
             .finish();
+        self.sim_secs += report.sim_secs;
         self.reports.push(report.clone());
         self.print_progress();
         Ok(report)
+    }
+
+    /// Runs `f` on the master node — the one way priced master-side work
+    /// enters a run — over a DFS handle the driver opens. `f` returns its
+    /// result and its counted work: the cluster clock and the run are
+    /// charged that work at the master's rates, then the handle's bytes at
+    /// disk rates, and the run counts the handle's bytes.
+    pub fn run_on_master<T>(&mut self, f: impl FnOnce(&mut TaskIo) -> (T, TaskStats)) -> T {
+        let cluster = self.cluster;
+        let (out, charges) = self.assemble(|io| master::run_on_master(cluster, io, f));
+        for secs in charges {
+            self.sim_secs += secs;
+            self.master_secs += secs;
+        }
+        out
+    }
+
+    /// Runs `f` on the master over a DFS handle the driver opens, unpriced:
+    /// the handle's bytes count in the run's DFS totals and nothing reaches
+    /// the clock. The final job's products are read back this way, after
+    /// the last job the cost model prices.
+    pub fn assemble<T>(&mut self, f: impl FnOnce(&mut TaskIo) -> T) -> T {
+        let mut io = TaskIo::new(self.cluster.dfs.clone());
+        let out = f(&mut io);
+        self.master_io = self.master_io.merge(io.stats());
+        out
     }
 
     /// Deletes `paths`, files whose last reader has just committed: the
@@ -293,42 +289,44 @@ impl<'c> PipelineDriver<'c> {
         }
     }
 
-    /// Closes the run: a [`RunReport`] of the deltas since the driver was
-    /// created, stamped with the run directory and carrying every job's
-    /// report, with per-wave analytics attached when the cluster traces.
+    /// Closes the run: a [`RunReport`] folded from the run's own job
+    /// reports and master calls, stamped with the run directory and
+    /// carrying every job's report, with per-wave analytics attached when
+    /// the cluster traces.
     pub fn finish(&self, n: usize, nb: usize) -> RunReport {
-        let mut report = RunReport::from_deltas(
+        let jobs = &self.reports;
+        let sum = |f: fn(&JobReport) -> u64| jobs.iter().map(f).sum::<u64>();
+        let map_tasks = sum(|r| r.map_tasks as u64);
+        let local = sum(|r| r.data_local_tasks as u64);
+        // A map-only job drops its mappers' pairs: nothing is shuffled.
+        let shuffled = jobs.iter().filter(|r| r.reduce_tasks > 0);
+        RunReport {
             n,
-            self.cluster.nodes(),
+            nodes: self.cluster.nodes(),
             nb,
-            &self.metrics_start,
-            &self.cluster.metrics.snapshot(),
-            &self.dfs_start,
-            &self.cluster.dfs.counters(),
-        );
-        report.workdir = self.run.dir().to_string();
-        report.backend = self.cluster.backend().name().to_string();
-        report.job_reports = self.reports.clone();
-        if self.cluster.trace.is_enabled() {
-            report.analytics = Some(self.analytics(&self.cluster.trace));
+            jobs: jobs.len() as u64,
+            sim_secs: self.sim_secs,
+            master_secs: self.master_secs,
+            task_failures: sum(|r| u64::from(r.failures)),
+            dfs_bytes_written: self.master_io.write_bytes
+                + sum(|r| r.stats.write_bytes + r.failed_stats.write_bytes),
+            dfs_bytes_read: self.master_io.read_bytes
+                + sum(|r| r.stats.read_bytes + r.failed_stats.read_bytes),
+            shuffle_bytes: shuffled.map(|r| r.stats.shuffle_bytes).sum(),
+            hours: self.sim_secs / 3600.0,
+            workdir: self.run.dir().to_string(),
+            backend: self.cluster.backend().name().to_string(),
+            job_reports: jobs.clone(),
+            data_local_fraction: if map_tasks == 0 {
+                1.0
+            } else {
+                local as f64 / map_tasks as f64
+            },
+            remote_read_bytes: sum(|r| r.remote_read_bytes),
+            analytics: (self.cluster.trace.is_enabled())
+                .then(|| self.analytics(&self.cluster.trace)),
+            audit: None,
         }
-        report
-    }
-
-    /// All job reports, in pipeline order.
-    pub fn reports(&self) -> &[JobReport] {
-        &self.reports
-    }
-
-    /// Total simulated seconds across jobs (excludes master-node work,
-    /// which the cluster clock tracks separately).
-    fn total_sim_secs(&self) -> f64 {
-        self.reports.iter().map(|r| r.sim_secs).sum()
-    }
-
-    /// Total failed task attempts.
-    pub fn total_failures(&self) -> u32 {
-        self.reports.iter().map(|r| r.failures).sum()
     }
 
     /// Straggler/lost-work analytics for *this run's* jobs, computed from
@@ -362,14 +360,16 @@ mod tests {
     fn totals_accumulate() {
         let cluster = Cluster::medium(1);
         let mut d = PipelineDriver::new(&cluster, RunId::new("t"));
-        assert!(d.reports().is_empty());
-        assert_eq!(d.total_sim_secs(), 0.0);
+        assert!(d.finish(0, 0).job_reports.is_empty());
+        assert_eq!(d.finish(0, 0).sim_secs, 0.0);
         d.step(0, |_| Ok(report("a", 1.5, 0))).unwrap();
         d.step(0, |_| Ok(report("b", 2.5, 2))).unwrap();
-        assert_eq!(d.reports().len(), 2);
-        assert!((d.total_sim_secs() - 4.0).abs() < 1e-12);
-        assert_eq!(d.total_failures(), 2);
-        assert_eq!(d.reports()[0].name, "a");
+        let r = d.finish(0, 0);
+        assert_eq!(r.job_reports.len(), 2);
+        assert_eq!(r.jobs, 2);
+        assert_eq!(r.sim_secs, 4.0);
+        assert_eq!(r.task_failures, 2);
+        assert_eq!(r.job_reports[0].name, "a");
     }
 
     #[test]
@@ -395,7 +395,7 @@ mod tests {
             .collect();
         assert_eq!(stamped, [("a", expected(11, 0)), ("b", expected(12, 1))]);
         let json = |reports: &[JobReport]| serde_json::to_string(reports).unwrap();
-        assert_eq!(json(&r.job_reports), json(d.reports()));
+        assert_eq!(json(&r.job_reports[..1]), json(&[first]));
         assert_eq!(r.workdir, "stamped");
     }
 
@@ -441,50 +441,77 @@ mod tests {
         assert!(cluster.dfs.list("").is_empty());
     }
 
+    /// Mapper `j` writes `w/j` and emits `(j, j)`; reducer `j` reads it.
+    struct Writer;
+    impl crate::job::Mapper for Writer {
+        type Input = usize;
+        type Key = usize;
+        type Value = usize;
+        fn map(&self, j: &usize, ctx: &mut crate::job::MapContext<usize, usize>) -> Result<()> {
+            ctx.write(&format!("w/{j}"), Bytes::from(vec![1u8; 100 + j]));
+            ctx.emit(*j, *j);
+            Ok(())
+        }
+    }
+    struct Reader;
+    impl crate::job::Reducer for Reader {
+        type Key = usize;
+        type Value = usize;
+        type Output = usize;
+        fn reduce(
+            &self,
+            j: &usize,
+            _: &[usize],
+            ctx: &mut crate::job::ReduceContext,
+        ) -> Result<usize> {
+            Ok(ctx.read(&format!("w/{j}"))?.len())
+        }
+    }
+
+    /// Steps two jobs (the second map-only) through a driver for `run`.
+    fn two_jobs(cluster: &Cluster) -> RunReport {
+        let mut d = PipelineDriver::new(cluster, RunId::new("run"));
+        let spec = crate::job::JobSpec::new("rw").reducers(3);
+        let inputs = [0, 1, 2];
+        d.step(1, |c| {
+            crate::runner::run_job(c, &spec, &Writer, &Reader, &inputs).map(|o| o.1)
+        })
+        .unwrap();
+        d.step(2, |c| {
+            crate::runner::run_map_only(c, &spec, &Writer, &inputs)
+        })
+        .unwrap();
+        d.finish(16, 4)
+    }
+
+    /// A report is its own run's ledger: a driver that steps nothing while
+    /// another run completes on its cluster reports nothing, and the other
+    /// run reports exactly what it reports alone on a fresh cluster — bits
+    /// of the simulated seconds included, after the cluster clock has moved.
     #[test]
-    fn deltas_subtract() {
-        let before = MetricsSnapshot {
-            jobs: 2,
-            sim_secs: 10.0,
-            ..Default::default()
+    fn a_report_counts_only_its_own_run() {
+        let cluster = Cluster::medium(2);
+        let spec = crate::job::JobSpec::new("before");
+        crate::runner::run_map_only(&cluster, &spec, &Writer, &[7]).unwrap();
+        let idle = PipelineDriver::new(&cluster, RunId::new("idle"));
+        let busy = two_jobs(&cluster);
+        let idle = idle.finish(16, 4);
+        assert_eq!(idle.jobs, 0);
+        assert_eq!((idle.dfs_bytes_read, idle.dfs_bytes_written), (0, 0));
+        assert_eq!(idle.sim_secs, 0.0);
+        assert_eq!(idle.master_secs, 0.0);
+
+        let alone = two_jobs(&Cluster::medium(2));
+        assert!(busy.sim_secs > 0.0 && busy.dfs_bytes_read > 0 && busy.shuffle_bytes > 0);
+        // Only the cluster-wide job sequence and the measured CPU time tell
+        // the two apart.
+        let counted = |mut r: RunReport| {
+            for j in &mut r.job_reports {
+                (j.job_seq, j.stats.cpu) = (0, std::time::Duration::ZERO);
+            }
+            serde_json::to_string(&r).unwrap()
         };
-        let after = MetricsSnapshot {
-            jobs: 5,
-            sim_secs: 7210.0,
-            master_secs: 100.0,
-            task_failures: 1,
-            shuffle_bytes: 64,
-            ..Default::default()
-        };
-        let db = DfsCountersSnapshot {
-            bytes_written: 100,
-            bytes_read: 50,
-            ..Default::default()
-        };
-        let da = DfsCountersSnapshot {
-            bytes_written: 1100,
-            bytes_read: 2050,
-            ..Default::default()
-        };
-        let r = RunReport::from_deltas(64, 4, 8, &before, &after, &db, &da);
-        assert_eq!(r.jobs, 3);
-        assert!((r.sim_secs - 7200.0).abs() < 1e-9);
-        assert!((r.hours - 2.0).abs() < 1e-9);
-        assert_eq!(r.dfs_bytes_written, 1000);
-        assert_eq!(r.dfs_bytes_read, 2000);
-        assert_eq!(r.task_failures, 1);
-        assert_eq!(r.shuffle_bytes, 64);
-        assert!(r.analytics.is_none(), "no analytics without tracing");
-        assert_eq!(
-            r.data_local_fraction, 1.0,
-            "no map tasks means vacuously local"
-        );
-        assert_eq!(r.remote_read_bytes, 0);
-        assert!(
-            r.job_reports.is_empty(),
-            "reports are stamped by the driver"
-        );
-        assert_eq!(r.workdir, "", "workdir is stamped by the driver");
+        assert_eq!(counted(busy), counted(alone));
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //!   experiment;
 //! * [`driver::PipelineDriver`] — owns job sequencing and accounting for a
 //!   chain of jobs (the paper's Figure 2 pipeline), stamping each job's
-//!   report with its fingerprint;
-//! * [`master`] — priced computation on the master node (the paper runs
+//!   report with its fingerprint; it is the run's only ledger, and the one
+//!   door to priced computation on the master node (the paper runs
 //!   `nb`-sized LU decompositions there);
 //! * [`tracelog`] — one typed event per task attempt, with
 //!   Chrome/Perfetto trace export and per-wave straggler analytics
@@ -66,8 +66,7 @@ mod error;
 pub mod exec;
 mod fault;
 pub mod job;
-pub mod master;
-mod metrics;
+mod master;
 pub mod obs;
 pub mod runner;
 pub mod scheduler;

@@ -1,9 +1,9 @@
 //! Labeled observability registry: counters, gauges, and log-bucketed
 //! histograms keyed by `{job, wave, node, task-kind, gemm-backend}`.
 //!
-//! The flat `crate::metrics::ClusterMetrics` counters answer "how much
-//! in total"; this registry answers "which job / wave / node / backend".
-//! Design constraints, in order:
+//! A run's own report ([`crate::RunReport`]) answers "how much in
+//! total"; this registry answers "which job / wave / node / backend", and
+//! how much the whole cluster has done. Design constraints, in order:
 //!
 //! * **Lock-free hot path.** Recording on a series handle is a relaxed
 //!   atomic op ([`Counter::add`], [`Gauge::add`], [`Histogram::observe`]).

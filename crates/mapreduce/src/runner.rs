@@ -77,6 +77,15 @@ pub struct JobReport {
     pub reduce_wave_secs: f64,
     /// Aggregate measured work across all successful attempts.
     pub stats: TaskStats,
+    /// Aggregate measured work of the failed body attempts (zero in a
+    /// clean run). Their DFS bytes were really moved, so a run's totals
+    /// count them beside `stats`.
+    pub failed_stats: TaskStats,
+    /// Map tasks whose successful attempt read all its input from replicas
+    /// on its own node (tasks that read nothing count as local).
+    pub data_local_tasks: usize,
+    /// Input bytes the map wave pulled from replicas on other nodes.
+    pub remote_read_bytes: u64,
     /// The job's identity within its pipeline: the run configuration, the
     /// job spec ([`crate::job::JobSpec::fingerprint`]) and the job's
     /// position, mixed. Stamped by [`crate::driver::PipelineDriver::step`];
@@ -165,7 +174,6 @@ fn run_with_retries<R, T>(
         if payload.is_some() {
             return Ok(TaskRun { chain, payload });
         }
-        cluster.metrics.record_failures(1);
     }
     let payload = None;
     Ok(TaskRun { chain, payload })
@@ -293,11 +301,11 @@ fn first_failed_task(plan: &WavePlan) -> Option<usize> {
 
 /// The one walk over a settled wave — its body chains (what executed) and
 /// its plan (where and when the scheduler put it) — that settles all its
-/// accounts. Always: the plan's simulation-level failures into the run
-/// ledger. Behind the gates [`finish_job`] read — `events` and `obs` are
+/// accounts. Behind the gates [`finish_job`] read — `events` and `obs` are
 /// `Some` exactly when theirs was on — one [`TaskEvent`] per planned attempt,
 /// offset to `base_secs` on the cluster clock, and every labeled series of
-/// the wave, its handles resolved once, here, on the driver thread.
+/// the wave, its handles resolved once, here, on the driver thread. Returns
+/// the wave's failed attempts.
 ///
 /// Failure classes come from two disjoint sets, so no failure is counted
 /// twice: body-level causes (injected faults, user errors, lost workers)
@@ -311,7 +319,7 @@ fn observe_wave<T>(
     base_secs: f64,
     obs: Option<&Registry>,
     mut events: Option<&mut Vec<TaskEvent>>,
-) {
+) -> u64 {
     let (wave, trace_phase) = match phase {
         Phase::Map => ("map", TracePhase::Map),
         Phase::Reduce => ("reduce", TracePhase::Reduce),
@@ -336,20 +344,23 @@ fn observe_wave<T>(
         }
     };
     let mut node_attempts = vec![0u64; nodes];
-    let mut sim_failures = 0;
+    let mut failures = 0;
     for (task, (run, attempts)) in runs.iter().zip(&plan.attempts).enumerate() {
         for body in &run.chain {
             if let Some((wall_h, tasks_c, ..)) = &series {
                 wall_h.observe(body.wall_secs);
                 tasks_c.add(1);
             }
-            body.failure.iter().for_each(count_failure);
+            if let Some(cause) = &body.failure {
+                failures += 1;
+                count_failure(cause);
+            }
         }
         for (attempt_no, a) in attempts.iter().enumerate() {
             let body = run.chain.get(a.chain);
             let sim_cause = sim_failure(&a.outcome);
             if let Some(cause) = &sim_cause {
-                sim_failures += 1;
+                failures += 1;
                 count_failure(cause);
             }
             if let Some((.., run_h, wait_h, attempts_c)) = &series {
@@ -394,9 +405,8 @@ fn observe_wave<T>(
             });
         }
     }
-    cluster.metrics.record_failures(sim_failures);
     let Some((obs, job_wave)) = &labeled else {
-        return;
+        return failures;
     };
     let retries = plan.extra_attempts();
     if retries > 0 {
@@ -404,7 +414,8 @@ fn observe_wave<T>(
             .add(retries as u64);
     }
     // Resolved unconditionally so the series exists (at 0) even when no
-    // backup won — `repro obs-check` greps for it.
+    // backup won — `traced_run_exports_prometheus_and_clean_audit`
+    // (`tests/observability.rs`) requires it in the export.
     obs.counter("mrinv_sched_steals_total", job_wave)
         .add(plan.steals);
     if plan.remote_read_bytes > 0 {
@@ -422,6 +433,7 @@ fn observe_wave<T>(
         obs.counter("mrinv_node_attempts_total", &node_labels)
             .add(attempts);
     }
+    failures
 }
 
 /// Remote-execution hooks for one wave, present only when the cluster's
@@ -504,10 +516,11 @@ where
 /// The single exit of every job that got past its map wave's execution,
 /// failed or not, and the only place a job is observed: charges the clock
 /// for the phases that ran, walks each wave once ([`observe_wave`]), adds
-/// the job-level spans and series, and fires the deaths the advanced clock
-/// has passed. `reduce` carries `(shuffle_secs, shuffle_bytes, runs,
-/// plan)` when the job has reducers and its map wave completed. Returns
-/// the job's simulated seconds.
+/// the job-level spans and series — with the registry on, the
+/// cluster-wide task, failure, shuffle and locality totals too — and fires
+/// the deaths the advanced clock has passed. `reduce` carries
+/// `(shuffle_secs, shuffle_bytes, runs, plan)` when the job has reducers
+/// and its map wave completed. Returns the job's simulated seconds.
 fn finish_job<A, B>(
     cluster: &Cluster,
     job: &str,
@@ -521,8 +534,8 @@ fn finish_job<A, B>(
     if let Some((shuffle_secs, _, _, plan)) = reduce {
         sim_secs = sim_secs + shuffle_secs + plan.makespan_secs;
     }
-    cluster.metrics.add_sim_secs(sim_secs);
-    let obs = Some(cluster.metrics.obs()).filter(|obs| obs.is_enabled());
+    cluster.advance_clock(sim_secs);
+    let obs = Some(cluster.obs()).filter(|obs| obs.is_enabled());
     let mut events = cluster.trace.is_enabled().then(Vec::new);
     // Jobs run one after another: `job_t0`, the cluster clock at entry, is
     // the offset of every event of this job.
@@ -533,7 +546,7 @@ fn finish_job<A, B>(
         events.push(span(TracePhase::Launch, job_t0, launch_end));
     }
     let traced = events.as_mut();
-    observe_wave(cluster, id, Phase::Map, map, launch_end, obs, traced);
+    let mut failures = observe_wave(cluster, id, Phase::Map, map, launch_end, obs, traced);
     if let Some((shuffle_secs, shuffle_bytes, runs, plan)) = reduce {
         let map_end = launch_end + map.1.makespan_secs;
         let shuffle_end = map_end + shuffle_secs;
@@ -544,7 +557,7 @@ fn finish_job<A, B>(
             });
         }
         let (wave, traced) = ((runs, plan), events.as_mut());
-        observe_wave(cluster, id, Phase::Reduce, wave, shuffle_end, obs, traced);
+        failures += observe_wave(cluster, id, Phase::Reduce, wave, shuffle_end, obs, traced);
     }
     if let Some(obs) = obs {
         let labels = Labels::new().job(job);
@@ -555,10 +568,40 @@ fn finish_job<A, B>(
             obs.counter("mrinv_job_shuffle_bytes_total", &labels)
                 .add(shuffle_bytes);
         }
+        // The cluster-wide totals, each created at its first job even at
+        // 0; a wave's tasks count once it completed.
+        let total = |name: &str, n: u64| obs.counter(name, &Labels::new()).add(n);
+        let (map_runs, map_plan) = map;
+        let (maps, local, remote_bytes) = match first_failed_task(map_plan) {
+            None => (
+                map_runs.len() as u64,
+                map_plan.data_local_tasks as u64,
+                map_plan.remote_read_bytes,
+            ),
+            Some(_) => (0, 0, 0),
+        };
+        let reduced = reduce.filter(|r| first_failed_task(r.3).is_none());
+        total("mrinv_task_failures_total", failures);
+        total("mrinv_map_tasks_total", maps);
+        total("mrinv_data_local_map_tasks_total", local);
+        total("mrinv_remote_map_tasks_total", maps - local);
+        total("mrinv_remote_read_bytes_total", remote_bytes);
+        total("mrinv_shuffle_bytes_total", shuffle_bytes);
+        total(
+            "mrinv_reduce_tasks_total",
+            reduced.map_or(0, |r| r.2.len() as u64),
+        );
     }
     cluster.trace.record_batch(events.unwrap_or_default());
     fire_due_deaths(cluster);
     sim_secs
+}
+
+/// Merged work of a wave's failed body attempts.
+fn failed_work<T>(runs: &[TaskRun<T>]) -> TaskStats {
+    let bodies = runs.iter().flat_map(|run| &run.chain);
+    let failed = bodies.filter(|body| body.failure.is_some());
+    failed.fold(TaskStats::default(), |all, body| all.merge(&body.stats))
 }
 
 /// The one job engine. Runs the map wave; with `reducers > 0` also
@@ -585,7 +628,7 @@ where
     // Deaths scheduled before this job's start take effect now, so the map
     // wave sees the dead node's replicas as lost.
     fire_due_deaths(cluster);
-    let job_seq = cluster.metrics.record_job();
+    let job_seq = cluster.next_job_seq();
     let job_t0 = cluster.sim_secs();
     let num_tasks = inputs.len();
     let cfg = &cluster.config;
@@ -664,12 +707,9 @@ where
     if let Some(task) = map_failed {
         return Err(task_failed(Phase::Map, task));
     }
-    cluster.metrics.record_map_tasks(num_tasks as u64);
-    cluster.metrics.record_map_locality(
-        map_plan.data_local_tasks as u64,
-        (num_tasks - map_plan.data_local_tasks) as u64,
-        map_plan.remote_read_bytes,
-    );
+    report.data_local_tasks = map_plan.data_local_tasks;
+    report.remote_read_bytes = map_plan.remote_read_bytes;
+    report.failed_stats = failed_work(&map_runs);
     let mut stats = TaskStats::default();
     let mut task_buckets = Vec::with_capacity(num_tasks);
     for run in &mut map_runs {
@@ -687,7 +727,6 @@ where
     if reducers > 0 {
         // ---- Shuffle + reduce wave --------------------------------------
         let shuffle_bytes = stats.shuffle_bytes;
-        cluster.metrics.record_shuffle_bytes(shuffle_bytes);
         // Merge + sort each partition's buckets, one rayon work item per
         // reducer (see crate::shuffle).
         let reducer_inputs = parallel_shuffle(task_buckets, reducers);
@@ -702,8 +741,8 @@ where
         if let Some(task) = first_failed_task(&reduce_plan) {
             return Err(task_failed(Phase::Reduce, task));
         }
-        cluster.metrics.record_reduce_tasks(reducers as u64);
         report.failures += reduce_plan.extra_attempts();
+        report.failed_stats = report.failed_stats.merge(&failed_work(&reduce_runs));
         report.shuffle_secs = shuffle_secs;
         report.reduce_wave_secs = reduce_plan.makespan_secs;
         let mut reduce_stats = TaskStats::default();
@@ -856,15 +895,12 @@ mod tests {
         assert_eq!(report.reduce_tasks, 3);
         assert_eq!(report.failures, 0);
         assert!(report.sim_secs > 0.0);
-        let snap = cluster.metrics.snapshot();
-        assert_eq!(snap.jobs, 1);
-        assert_eq!(snap.map_tasks, 2);
-        assert_eq!(snap.reduce_tasks, 3);
-        assert_eq!(
-            snap.data_local_map_tasks + snap.remote_map_tasks,
-            2,
+        assert_eq!(report.job_seq, 0, "the cluster's first job");
+        assert!(
+            report.data_local_tasks <= report.map_tasks,
             "every map task is classified for locality"
         );
+        assert_eq!(report.failed_stats, TaskStats::default());
     }
 
     /// Control-file style job (the paper's pattern): mapper j writes file
@@ -945,11 +981,13 @@ mod tests {
         assert_eq!(out.len(), 2, "job still completes correctly");
         assert_eq!(report.failures, 1);
         assert_eq!(cluster.faults.injected_count(), 1);
-        assert_eq!(cluster.metrics.snapshot().task_failures, 1);
         // Lost work is charged: the failed attempt's 100 written bytes
         // price 100 s, so the retry lengthens the map wave — 2 tasks fit
         // 2 nodes in 100 s, the retry adds another 100 s on one node.
         assert!((report.map_wave_secs - 200.0).abs() < 1.0);
+        // ... and reported beside the committed attempts' work.
+        assert_eq!(report.failed_stats.write_bytes, 100);
+        assert_eq!(report.stats.write_bytes, 200);
     }
 
     #[test]
@@ -1122,7 +1160,7 @@ mod tests {
                 .filter(|e| matches!(e.phase, TracePhase::Launch | TracePhase::Map))
                 .map(|e| (e.phase, e.task, e.attempt, e.node, e.failure, e.write_bytes))
                 .collect();
-            let snap = cluster.metrics.obs().snapshot();
+            let snap = cluster.obs().snapshot();
             let is_map = |l: &Labels| l.wave.as_deref() == Some("map");
             let counters = snap.counters.into_iter().filter(|c| is_map(&c.labels));
             let hists = snap.histograms.into_iter().filter(|h| is_map(&h.labels));
@@ -1170,13 +1208,17 @@ mod fault_domain_tests {
         }
     }
     /// Reads one input file per task (drives locality + replica-loss
-    /// paths).
-    struct ReadMapper;
+    /// paths), counting its attempts.
+    #[derive(Default)]
+    struct ReadMapper {
+        attempts: std::sync::atomic::AtomicUsize,
+    }
     impl Mapper for ReadMapper {
         type Input = String;
         type Key = usize;
         type Value = usize;
         fn map(&self, input: &String, ctx: &mut MapContext<usize, usize>) -> Result<()> {
+            (self.attempts).fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let data = ctx.read(input)?;
             ctx.emit(ctx.task_index(), data.len());
             Ok(())
@@ -1206,7 +1248,11 @@ mod fault_domain_tests {
             "lost work stretches the wave: {}",
             report.map_wave_secs
         );
-        assert_eq!(cluster.metrics.snapshot().task_failures, 1);
+        assert_eq!(
+            report.failed_stats,
+            TaskStats::default(),
+            "a simulation-level retry executes no body"
+        );
         let events = cluster.trace.events();
         let lost: Vec<_> = events
             .iter()
@@ -1372,7 +1418,9 @@ mod fault_domain_tests {
             matches!(err, MrError::TaskFailed { attempts: 4, .. }),
             "max_task_attempts bounds the crash loop: {err:?}"
         );
-        assert_eq!(cluster.metrics.snapshot().task_failures, 4);
+        let traced = cluster.trace.events();
+        let failed = traced.iter().filter(|e| e.failure.is_some()).count();
+        assert_eq!(failed, 4, "every burned attempt is traced as failed");
         assert!(
             started.elapsed() < std::time::Duration::from_secs(5),
             "retries go out at once, took {:?}",
@@ -1391,14 +1439,15 @@ mod fault_domain_tests {
         }
         // Force the deaths to fire on job entry (clock is already at 0).
         let spec: JobSpec<usize> = JobSpec::new("reader");
-        let err = run_map_only(&cluster, &spec, &ReadMapper, &["in/solo".to_string()]).unwrap_err();
+        let mapper = ReadMapper::default();
+        let err = run_map_only(&cluster, &spec, &mapper, &["in/solo".to_string()]).unwrap_err();
         assert!(
             matches!(err, MrError::AllReplicasLost { .. }),
             "replica loss is fatal, not retried: {err:?}"
         );
         assert_eq!(
-            cluster.metrics.snapshot().task_failures,
-            0,
+            mapper.attempts.load(std::sync::atomic::Ordering::Relaxed),
+            1,
             "no retry budget burned on a deterministic loss"
         );
     }
@@ -1417,9 +1466,9 @@ mod fault_domain_tests {
         }
     }
 
-    /// A wave that dies before it is planned is counted in the always-on
-    /// ledger at attempt time, but observed nowhere: no labeled series, no
-    /// attempt events.
+    /// A wave that dies before it is planned is counted in the cluster's
+    /// job sequence, but observed nowhere: no labeled series, no totals,
+    /// no attempt events.
     #[test]
     fn a_wave_lost_to_dead_replicas_is_counted_but_not_observed() {
         let mut cfg = ClusterConfig::medium(2);
@@ -1435,11 +1484,18 @@ mod fault_domain_tests {
         let mapper = FlakyReadMapper(Default::default());
         let err = run_map_only(&cluster, &spec, &mapper, &["in/solo".to_string()]).unwrap_err();
         assert!(matches!(err, MrError::AllReplicasLost { .. }), "{err:?}");
-        assert_eq!(cluster.metrics.snapshot().task_failures, 1, "the retry");
         let events = cluster.trace.events();
         assert!(!events.is_empty(), "the deaths themselves are markers");
         assert!(events.iter().all(|e| e.phase == TracePhase::NodeDeath));
-        let snap = cluster.metrics.obs().snapshot();
+        let snap = cluster.obs().snapshot();
+        let counters: Vec<(&str, u64)> = (snap.counters.iter())
+            .map(|c| (c.name.as_str(), c.value))
+            .collect();
+        assert_eq!(
+            counters,
+            [("mrinv_jobs_total", 1)],
+            "the job's sequence number"
+        );
         assert!(snap.histograms.is_empty());
         assert!(snap.counters.iter().all(|c| c.labels == Labels::new()));
         assert!(snap.gauges.iter().all(|g| g.labels == Labels::new()));
@@ -1447,7 +1503,10 @@ mod fault_domain_tests {
 
     #[test]
     fn map_locality_is_recorded_in_metrics() {
-        let cluster = test_cluster(4);
+        let mut cfg = ClusterConfig::medium(4);
+        cfg.cost = CostModel::unit_for_tests();
+        cfg.observability = true;
+        let cluster = Cluster::new(cfg);
         let inputs: Vec<String> = (0..4)
             .map(|i| {
                 let path = format!("in/{i}");
@@ -1456,19 +1515,36 @@ mod fault_domain_tests {
             })
             .collect();
         let spec: JobSpec<usize> = JobSpec::new("reader");
-        run_map_only(&cluster, &spec, &ReadMapper, &inputs).unwrap();
-        let snap = cluster.metrics.snapshot();
-        assert_eq!(
-            snap.data_local_map_tasks + snap.remote_map_tasks,
-            4,
-            "every task classified"
-        );
+        let report = run_map_only(&cluster, &spec, &ReadMapper::default(), &inputs).unwrap();
+        assert_eq!(report.map_tasks, 4);
+        let local = report.data_local_tasks;
+        assert!(local <= 4, "every task classified");
         assert!(
-            snap.data_local_map_tasks >= 1,
+            local >= 1,
             "free slots everywhere: at least the first task runs on its replica"
         );
         // Remote bytes are consistent with the classification: each remote
         // task pulled its 50-byte input across the network.
-        assert_eq!(snap.remote_read_bytes, snap.remote_map_tasks * 50);
+        assert_eq!(report.remote_read_bytes, (4 - local as u64) * 50);
+        // The registry's cluster-wide totals say the same.
+        let snap = cluster.obs_snapshot();
+        let total = |name: &str| {
+            let series = snap.counters.iter().find(|c| c.name == name);
+            series
+                .map(|c| c.value)
+                .unwrap_or_else(|| panic!("{name} recorded"))
+        };
+        assert_eq!(total("mrinv_map_tasks_total"), 4);
+        assert_eq!(total("mrinv_data_local_map_tasks_total"), local as u64);
+        assert_eq!(total("mrinv_remote_map_tasks_total"), 4 - local as u64);
+        assert_eq!(
+            total("mrinv_remote_read_bytes_total"),
+            report.remote_read_bytes
+        );
+        let ratio = snap
+            .gauges
+            .iter()
+            .find(|g| g.name == "mrinv_dfs_replica_hit_ratio");
+        assert_eq!(ratio.map(|g| g.value), Some(local as f64 / 4.0));
     }
 }

@@ -130,9 +130,15 @@ impl CostModel {
     /// the trace log's CPU-vs-I/O skew analytics are built on.
     pub(crate) fn task_secs_split(&self, stats: &TaskStats) -> (f64, f64) {
         let cpu = self.work_secs(stats) / f64::from(self.cores_per_node);
+        (cpu, self.disk_secs(stats))
+    }
+
+    /// Simulated seconds of `stats`' DFS traffic at disk rates: its reads,
+    /// and its writes once per replica.
+    pub(crate) fn disk_secs(&self, stats: &TaskStats) -> f64 {
         let read = stats.read_bytes as f64 / self.disk_read_bw;
         let write = stats.write_bytes as f64 * f64::from(self.replication) / self.disk_write_bw;
-        (cpu, read + write)
+        read + write
     }
 
     /// Simulated seconds of counted work on the master node, which runs it

@@ -4,7 +4,6 @@
 
 use bytes::Bytes;
 use mrinv_mapreduce::job::{JobSpec, MapContext, Mapper, ReduceContext, Reducer};
-use mrinv_mapreduce::master::run_on_master;
 use mrinv_mapreduce::runner::{run_job, run_map_only};
 use mrinv_mapreduce::tracelog::{analyze, chrome_trace_json, TracePhase};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, MrError, Phase, PipelineDriver, RunId};
@@ -192,7 +191,8 @@ fn chrome_export_of_a_real_run_parses_and_spans_match() {
     let cluster = traced_cluster(3);
     let spec = JobSpec::new("export-job").reducers(2);
     run_job(&cluster, &spec, &WriteMapper, &CountReducer, &[0, 1, 2, 3]).unwrap();
-    run_on_master(&cluster, || (1 + 1, Default::default()));
+    let mut driver = PipelineDriver::new(&cluster, RunId::new("export"));
+    driver.run_on_master(|_| (1 + 1, Default::default()));
 
     let events = cluster.trace.events();
     let master: Vec<&str> = events

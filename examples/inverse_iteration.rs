@@ -40,17 +40,19 @@ fn main() {
 
     println!("inverse iteration on a {n}x{n} SPD matrix, initial shift mu = {mu:.4}");
     let mut converged = false;
+    let mut jobs = 0;
     for step in 0..12 {
         // Invert (A - mu*I) through the MapReduce pipeline.
         let mut shifted = a.clone();
         for i in 0..n {
             shifted[(i, i)] -= mu;
         }
-        let inv = Request::invert(&shifted)
+        let out = Request::invert(&shifted)
             .config(&InversionConfig::with_nb(32))
             .submit(&cluster)
-            .expect("shifted matrix inversion")
-            .into_inverse();
+            .expect("shifted matrix inversion");
+        jobs += out.report.jobs;
+        let inv = out.into_inverse();
 
         // One iteration step: v <- normalize(inv * v).
         let w = inv.mul_vec(&v).expect("dimensions");
@@ -77,8 +79,5 @@ fn main() {
         "inverse iteration failed to converge within 12 steps"
     );
     println!("ok: converged to eigenvalue {mu:.8}");
-    println!(
-        "({} MapReduce jobs total on the cluster)",
-        cluster.metrics.snapshot().jobs
-    );
+    println!("({jobs} MapReduce jobs total on the cluster)");
 }

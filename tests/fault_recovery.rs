@@ -3,6 +3,7 @@
 //! produces the correct result, at the cost of schedule time.
 
 use mrinv::{InversionConfig, Request};
+use mrinv_mapreduce::obs::Labels;
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, MrError, Phase};
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::random_well_conditioned;
@@ -199,9 +200,20 @@ fn permanent_fault_fails_cleanly_and_reruns_once_cleared() {
 #[test]
 fn failure_accounting_reaches_cluster_metrics() {
     let cluster = unit_cluster();
+    cluster.obs().set_enabled(true);
     cluster.faults.fail_task("lu-level", Phase::Map, 0, 1);
-    let _ = run(&cluster);
-    let snap = cluster.metrics.snapshot();
-    assert_eq!(snap.task_failures, 1);
-    assert!(snap.jobs >= 5);
+    let (out, _) = run(&cluster);
+    assert_eq!(out.report.task_failures, 1);
+    assert!(out.report.jobs >= 5);
+    // The run's failure is the one its job reports carry, and the one the
+    // cluster's registry totals.
+    let failures: u32 = out.report.job_reports.iter().map(|j| j.failures).sum();
+    assert_eq!(failures, 1);
+    let snap = cluster.obs().snapshot();
+    let total = snap
+        .counters
+        .iter()
+        .find(|c| c.name == "mrinv_task_failures_total" && c.labels == Labels::new())
+        .map(|c| c.value);
+    assert_eq!(total, Some(1));
 }

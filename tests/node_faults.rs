@@ -38,12 +38,17 @@ fn locality_is_accounted_for_every_map_task() {
         "fraction {} out of range",
         out.report.data_local_fraction
     );
-    let snap = cluster.metrics.snapshot();
+    let jobs = &out.report.job_reports;
+    let map_tasks: usize = jobs.iter().map(|j| j.map_tasks).sum();
+    let local: usize = jobs.iter().map(|j| j.data_local_tasks).sum();
+    assert!(local <= map_tasks);
     assert_eq!(
-        snap.data_local_map_tasks + snap.remote_map_tasks,
-        snap.map_tasks,
+        out.report.data_local_fraction,
+        local as f64 / map_tasks as f64,
         "every successful map task is classified local or remote"
     );
+    let remote_bytes: u64 = jobs.iter().map(|j| j.remote_read_bytes).sum();
+    assert_eq!(out.report.remote_read_bytes, remote_bytes);
     if out.report.data_local_fraction == 1.0 {
         assert_eq!(out.report.remote_read_bytes, 0);
     }

@@ -18,9 +18,10 @@ fn cluster(observed: bool) -> Cluster {
 }
 
 /// The acceptance run: a full traced inversion must export a Prometheus
-/// snapshot with per-job task-latency histograms and per-backend kernel
-/// GFLOP/s, plus a cost-model audit with every planned job run and every
-/// stage within its band.
+/// snapshot with per-job task-latency histograms, job-latency and steal
+/// series and per-backend kernel GFLOP/s, plus a cost-model audit with
+/// every planned job run and every stage within its band, and leave
+/// nothing live in the DFS.
 #[test]
 fn traced_run_exports_prometheus_and_clean_audit() {
     kernel::perf::reset();
@@ -47,6 +48,10 @@ fn traced_run_exports_prometheus_and_clean_audit() {
         "missing final-inverse task latency histogram"
     );
     assert!(text.contains("mrinv_task_wait_seconds_bucket{"));
+    assert!(text.contains("mrinv_job_seconds_count{"));
+    // Present (at 0) even when no backup won: the runner resolves the
+    // steal counter unconditionally so dashboards never miss it.
+    assert!(text.contains("mrinv_sched_steals_total{"));
     // Per-backend kernel perf: the pipeline's GEMM work runs on the
     // packed engine.
     assert!(
@@ -61,6 +66,22 @@ fn traced_run_exports_prometheus_and_clean_audit() {
     // Node utilization and DFS bridges.
     assert!(text.contains("mrinv_node_busy_seconds{node="));
     assert!(text.contains("mrinv_dfs_replica_hit_ratio"));
+
+    // What a finished invert holds in the DFS: nothing. Every file it
+    // wrote, `RESULT/` and the factor forest included, was released; the
+    // peak was not every byte ever written.
+    let gauge = |name: &str| snap.gauges.iter().find(|g| g.name == name).map(|g| g.value);
+    let written = (snap.counters.iter())
+        .find(|c| c.name == "mrinv_dfs_write_bytes_total")
+        .map(|c| c.value as f64)
+        .expect("the DFS exports its write bytes");
+    assert_eq!(
+        gauge("mrinv_dfs_live_bytes"),
+        Some(0.0),
+        "a file outlived its last reader"
+    );
+    let peak = gauge("mrinv_dfs_live_bytes_peak").expect("the DFS exports its peak");
+    assert!(peak < written, "peak {peak} of {written} written");
 
     // The cost-model audit: attached, structurally sound, and every
     // stage within its band on a homogeneous cluster.
@@ -109,9 +130,15 @@ fn disabled_observability_leaves_the_run_bit_identical() {
         out_on.inverse().unwrap().as_slice(),
         "observability must not perturb the arithmetic"
     );
-    // Deterministic report fields must match exactly. (Simulated time is
-    // priced from *measured* CPU seconds, so sim_secs legitimately
-    // differs between any two runs, observed or not.)
+    // Every report field is counted or priced from counts, never timed,
+    // so each must match exactly — the simulated seconds to the bit.
+    let bits =
+        |r: &mrinv::RunReport| [r.sim_secs, r.master_secs, r.data_local_fraction].map(f64::to_bits);
+    assert_eq!(bits(&out_off.report), bits(&out_on.report));
+    assert_eq!(
+        out_off.report.remote_read_bytes,
+        out_on.report.remote_read_bytes
+    );
     assert_eq!(out_off.report.jobs, out_on.report.jobs);
     assert_eq!(out_off.report.n, out_on.report.n);
     assert_eq!(
@@ -125,10 +152,10 @@ fn disabled_observability_leaves_the_run_bit_identical() {
     assert!(out_off.report.audit.is_none(), "no audit without tracing");
     assert!(out_on.report.audit.is_some());
 
-    // The ten classic cluster counters are always-on unlabeled series by
-    // construction; with observability off nothing *labeled* may appear,
-    // and no histograms at all.
-    let snap_off = off.metrics.obs().snapshot();
+    // The clock and the job sequence are always-on unlabeled series; with
+    // observability off nothing *labeled* may appear, and no histograms
+    // at all.
+    let snap_off = off.obs().snapshot();
     assert!(snap_off.histograms.is_empty());
     assert!(snap_off
         .counters
@@ -138,15 +165,15 @@ fn disabled_observability_leaves_the_run_bit_identical() {
         .gauges
         .iter()
         .all(|g| g.labels == mrinv_mapreduce::obs::Labels::new()));
-    let snap_on = on.metrics.obs().snapshot();
+    let snap_on = on.obs().snapshot();
     assert!(!snap_on.histograms.is_empty());
 }
 
 /// Two identical observed runs produce the same metric *structure*:
 /// identical task-latency series (name + labels, in snapshot order)
 /// with identical observation counts, and identical per-job attempt
-/// counters. Only the priced durations inside the buckets vary, because
-/// the simulated clock derives from measured CPU time.
+/// counters. (The priced durations inside the buckets repeat as well: the
+/// simulated clock prices counted work.)
 #[test]
 fn identical_runs_snapshot_identical_structure() {
     let a = random_well_conditioned(64, 44);
@@ -156,7 +183,7 @@ fn identical_runs_snapshot_identical_structure() {
             .config(&InversionConfig::with_nb(4))
             .submit(&cl)
             .unwrap();
-        let snap = cl.metrics.obs().snapshot();
+        let snap = cl.obs().snapshot();
         let attempts: Vec<_> = snap
             .counters
             .iter()
@@ -213,7 +240,7 @@ fn series_census() -> String {
         .config(&InversionConfig::with_nb(4))
         .submit(&cl)
         .unwrap();
-    let snap = cl.metrics.obs().snapshot();
+    let snap = cl.obs().snapshot();
     let placed = |name: &str| name == "mrinv_wave_remote_read_bytes_total";
     let mut set = std::collections::BTreeSet::new();
     let mut values = Vec::new();

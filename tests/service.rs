@@ -255,7 +255,7 @@ fn warm_requests_add_no_metric_series() {
     client.invert(&a, &cfg).unwrap();
     assert!(client.invert(&a, &cfg).unwrap().cache_hit);
     assert!(client.solve(&a, &b, &cfg).unwrap().cache_hit);
-    let series = cluster.metrics.obs().series_count();
+    let series = cluster.obs().series_count();
 
     for i in 0..200 {
         let reply = if i % 2 == 0 {
@@ -265,7 +265,7 @@ fn warm_requests_add_no_metric_series() {
         };
         assert!(reply.cache_hit, "request {i} should be warm");
     }
-    assert_eq!(cluster.metrics.obs().series_count(), series);
+    assert_eq!(cluster.obs().series_count(), series);
 }
 
 /// A tenant over its admission limit is rejected immediately with a
@@ -537,7 +537,7 @@ fn same_key_cold_solves_share_one_factorization() {
         let labels = Labels::new()
             .tenant(format!("member-{i}"))
             .task_kind("solve");
-        cluster.metrics.obs().counter(name, &labels).get()
+        cluster.obs().counter(name, &labels).get()
     };
     for (i, reply) in replies.iter().enumerate() {
         assert_eq!(reply.jobs > 0, !reply.cache_hit, "member {i}");
