@@ -27,6 +27,8 @@
 //!   factors live on disk transposed; [`FactorRef::assemble_u_t`] returns
 //!   `Uᵀ` without ever materializing a row-major `U`.
 
+use std::sync::Arc;
+
 use mrinv_mapreduce::TaskIo;
 use mrinv_matrix::{lu, Matrix, Permutation};
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
@@ -54,14 +56,17 @@ pub(crate) enum FactorRef {
     },
     /// An internal recursion node (Figure 1): factors of `A1`, the level's
     /// `L2'`/`U2` stripe files, and factors of `B`. The two sources are the
-    /// ones the level's reducers read, unwindowed.
+    /// ones the level's reducers read, unwindowed. The children are shared,
+    /// so a copy of a node (a later level's mapper holds its `A1`) copies
+    /// no subtree; build one with [`FactorRef::node`], which derives the
+    /// node's permutations once.
     Node {
         /// Block order at this level.
         n: usize,
         /// Split point: `A1` has order `half`.
         half: usize,
         /// Factors of the top-left block.
-        a1: Box<FactorRef>,
+        a1: Arc<FactorRef>,
         /// `L2'` (pre-permutation), `(n-half) × half`, one piece per row
         /// stripe.
         l2: MatrixSource,
@@ -69,9 +74,13 @@ pub(crate) enum FactorRef {
         /// `U2ᵀ` in row-stripe pieces when `transposed_u`.
         u2: MatrixSource,
         /// Factors of the updated bottom-right block `B`.
-        b: Box<FactorRef>,
+        b: Arc<FactorRef>,
         /// Whether upper-factor files are stored transposed.
         transposed_u: bool,
+        /// The full `P`: `P1` and `P2` augmented (Algorithm 2 line 11).
+        perm: Permutation,
+        /// `P2⁻¹`: stored row `r` of `L2'` is row `l2_dest[r]` of `L2`.
+        l2_dest: Permutation,
     },
 }
 
@@ -83,24 +92,48 @@ impl FactorRef {
         }
     }
 
+    /// An internal node over its children, with its permutations derived
+    /// here, once: `P` (the augmentation of `P1` and `P2`) and `P2⁻¹`, the
+    /// row map its `L2'` stripes are placed by.
+    pub(crate) fn node(
+        n: usize,
+        half: usize,
+        a1: Arc<FactorRef>,
+        l2: MatrixSource,
+        u2: MatrixSource,
+        b: Arc<FactorRef>,
+        transposed_u: bool,
+    ) -> FactorRef {
+        FactorRef::Node {
+            n,
+            half,
+            perm: Permutation::augment(a1.perm(), b.perm()),
+            l2_dest: b.perm().inverse(),
+            a1,
+            l2,
+            u2,
+            b,
+            transposed_u,
+        }
+    }
+
     /// The full pivot permutation `P` (Algorithm 2 line 11: the
     /// augmentation of `P1` and `P2`, recursively).
-    pub(crate) fn perm(&self) -> Permutation {
+    pub(crate) fn perm(&self) -> &Permutation {
         match self {
-            FactorRef::Leaf { perm, .. } => perm.clone(),
-            FactorRef::Node { a1, b, .. } => Permutation::augment(&a1.perm(), &b.perm()),
+            FactorRef::Leaf { perm, .. } | FactorRef::Node { perm, .. } => perm,
         }
     }
 
     /// Every DFS path this forest references, in a deterministic order:
     /// what a finished run releases once it has packed the factors, or
     /// at once when nothing needs them.
-    pub(crate) fn paths(&self) -> Vec<String> {
-        fn walk(f: &FactorRef, out: &mut Vec<String>) {
+    pub(crate) fn paths(&self) -> Vec<&str> {
+        fn walk<'f>(f: &'f FactorRef, out: &mut Vec<&'f str>) {
             match f {
                 FactorRef::Leaf { l_path, u_path, .. } => {
-                    out.push(l_path.clone());
-                    out.push(u_path.clone());
+                    out.push(l_path);
+                    out.push(u_path);
                 }
                 FactorRef::Node { a1, l2, u2, b, .. } => {
                     walk(a1, out);
@@ -144,7 +177,7 @@ impl FactorRef {
     pub(crate) fn assemble_packed(&self, io: &mut TaskIo) -> Result<lu::LuFactors> {
         Ok(lu::LuFactors {
             lu: self.assemble(io, Factor::Lu)?,
-            perm: self.perm(),
+            perm: self.perm().clone(),
         })
     }
 
@@ -192,6 +225,8 @@ impl FactorRef {
                 u2,
                 b,
                 transposed_u,
+                l2_dest,
+                ..
             } => {
                 // The children's orders index `out` and `P2` below.
                 let rest = b.n();
@@ -207,7 +242,6 @@ impl FactorRef {
                     // L2 = P2·L2': stored row `r` of L2' is row `P2⁻¹[r]`
                     // of L2, so the stripes keep their own row map; like
                     // every read, they must cover their block exactly once.
-                    let dest = b.perm().inverse();
                     let mut placed = 0;
                     for p in l2.pieces() {
                         if !inside(p.rows, p.cols, (rest, *half)) {
@@ -219,7 +253,7 @@ impl FactorRef {
                         let bytes = io.read(&p.path)?;
                         let m = stored_block(&bytes, &p.path, (p.nrows(), p.ncols()))?;
                         for (k, r) in (p.rows.0..p.rows.1).enumerate() {
-                            let row = out.row_mut(mid + dest.source_of(r));
+                            let row = out.row_mut(mid + l2_dest.source_of(r));
                             m.read_row(k, 0, &mut row[at + p.cols.0..at + p.cols.1]);
                         }
                         placed += p.nrows() * p.ncols();
@@ -268,7 +302,7 @@ impl FactorRef {
         } else {
             self.assemble_u(io)?
         };
-        let leaf = FactorRef::write_leaf(io, dir, &l, &u, self.perm(), transpose_u);
+        let leaf = FactorRef::write_leaf(io, dir, &l, &u, self.perm().clone(), transpose_u);
         Ok(leaf)
     }
 
@@ -325,6 +359,7 @@ impl Serialize for FactorRef {
                 u2,
                 b,
                 transposed_u,
+                ..
             } => Value::Object(vec![
                 ("kind".to_string(), Value::String("node".to_string())),
                 ("n".to_string(), n.to_value()),
@@ -361,15 +396,15 @@ impl Deserialize for FactorRef {
                     transposed_u: de_field(v, "transposed_u")?,
                 })
             }
-            "node" => Ok(FactorRef::Node {
-                n: de_field(v, "n")?,
-                half: de_field(v, "half")?,
-                a1: Box::new(de_field(v, "a1")?),
-                l2: de_field(v, "l2")?,
-                u2: de_field(v, "u2")?,
-                b: Box::new(de_field(v, "b")?),
-                transposed_u: de_field(v, "transposed_u")?,
-            }),
+            "node" => Ok(FactorRef::node(
+                de_field(v, "n")?,
+                de_field(v, "half")?,
+                de_field(v, "a1")?,
+                de_field(v, "l2")?,
+                de_field(v, "u2")?,
+                de_field(v, "b")?,
+                de_field(v, "transposed_u")?,
+            )),
             other => Err(DeError(format!("unknown FactorRef kind {other:?}"))),
         }
     }
@@ -528,27 +563,23 @@ mod tests {
         } else {
             (half, n - half)
         };
-        FactorRef::Node {
-            n,
-            half,
-            a1: Box::new(FactorRef::Leaf {
-                n: half,
-                l_path: "f/a1/l".into(),
-                u_path: "f/a1/u".into(),
-                perm: p_top.clone(),
-                transposed_u,
-            }),
-            l2: MatrixSource::new((n - half, half), l2_pieces),
-            u2: MatrixSource::new(u2_shape, u2_pieces),
-            b: Box::new(FactorRef::Leaf {
-                n: n - half,
-                l_path: "f/b/l".into(),
-                u_path: "f/b/u".into(),
-                perm: p_bot.clone(),
-                transposed_u,
-            }),
+        let a1 = FactorRef::Leaf {
+            n: half,
+            l_path: "f/a1/l".into(),
+            u_path: "f/a1/u".into(),
+            perm: p_top.clone(),
             transposed_u,
-        }
+        };
+        let b = FactorRef::Leaf {
+            n: n - half,
+            l_path: "f/b/l".into(),
+            u_path: "f/b/u".into(),
+            perm: p_bot.clone(),
+            transposed_u,
+        };
+        let l2 = MatrixSource::new((n - half, half), l2_pieces);
+        let u2 = MatrixSource::new(u2_shape, u2_pieces);
+        FactorRef::node(n, half, Arc::new(a1), l2, u2, Arc::new(b), transposed_u)
     }
 
     fn shuffled_perm(n: usize, seed: u64) -> Permutation {
@@ -579,12 +610,12 @@ mod tests {
                 .assemble_u_t(&mut io)
                 .unwrap()
                 .approx_eq(&u.transpose(), 1e-12));
-            assert_eq!(f.perm(), Permutation::augment(&p1, &p2));
+            assert_eq!(f.perm(), &Permutation::augment(&p1, &p2));
             // The packed form unpacks to the dense assemblies' exact bits.
             let packed = f.assemble_packed(&mut io).unwrap();
             assert_eq!(packed.unit_lower(), f.assemble_l(&mut io).unwrap());
             assert_eq!(packed.upper(), f.assemble_u(&mut io).unwrap());
-            assert_eq!(packed.perm, f.perm());
+            assert_eq!(&packed.perm, f.perm());
             assert_eq!(
                 f.paths().len(),
                 2 * (1 + 3 + 1),
@@ -783,15 +814,7 @@ mod tests {
             let down = |p: &Piece| Piece::new(p.path.clone(), (p.rows.0 + 1, p.rows.1 + 1), p.cols);
             MatrixSource::new(src.shape(), src.pieces().iter().map(down).collect())
         };
-        let node = |n, l2, u2| FactorRef::Node {
-            n,
-            half,
-            a1: a1.clone(),
-            l2,
-            u2,
-            b: b.clone(),
-            transposed_u: true,
-        };
+        let node = |n, l2, u2| FactorRef::node(n, half, a1.clone(), l2, u2, b.clone(), true);
         let mut io = TaskIo::new(dfs.clone());
         let stray = node(n, shifted(&l2), shifted(&u2));
         // A node whose children do not add up to its order.

@@ -21,6 +21,8 @@
 //! recursion: the level named them, so it releases them once that
 //! recursion returns.
 
+use std::sync::Arc;
+
 use mrinv_mapreduce::job::{
     identity_partitioner, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
 };
@@ -73,7 +75,7 @@ pub(crate) fn emit_cells(ctx: &mut MapContext<usize, usize>, num_cells: usize) {
 pub(crate) fn lu_decompose_mr(
     driver: &mut PipelineDriver<'_>,
     dir: &str,
-    source: MatrixSource,
+    source: &MatrixSource,
     plan: &PartitionPlan,
     opts: &Optimizations,
 ) -> Result<FactorRef> {
@@ -110,8 +112,15 @@ pub(crate) fn lu_decompose_mr(
     let rest = n - half;
     let [a1, a2, a3, a4] = source.quadrants(half, half)?;
 
-    // Decompose A1 first (Algorithm 2 line 6).
-    let a1_factors = lu_decompose_mr(driver, &format!("{dir}/A1"), a1, plan, opts)?;
+    // Decompose A1 first (Algorithm 2 line 6). Its factors are shared by
+    // this level's mappers and the node it returns.
+    let a1_factors = Arc::new(lu_decompose_mr(
+        driver,
+        &format!("{dir}/A1"),
+        &a1,
+        plan,
+        opts,
+    )?);
 
     // Where this level's files land, named here once: the mappers and
     // reducers are handed these pieces, and every later reader of the
@@ -165,7 +174,7 @@ pub(crate) fn lu_decompose_mr(
         .chain(u2.pieces().iter().map(input(Stripe::U2)))
         .collect();
     let mapper = LuLevelMapper {
-        a1: a1_factors.clone(),
+        a1: Arc::clone(&a1_factors),
         a2,
         a3,
         opts: *opts,
@@ -191,19 +200,11 @@ pub(crate) fn lu_decompose_mr(
     // Decompose B (Algorithm 2 line 10). Its recursion is the last reader
     // of the cells, which this level named and so releases whole; a
     // window of them may share a cell with its siblings.
-    let b_cells: Vec<String> = b_source.paths().collect();
-    let b_factors = lu_decompose_mr(driver, &format!("{dir}/OUT"), b_source, plan, opts)?;
-    driver.release(b_cells);
+    let b_factors = lu_decompose_mr(driver, &format!("{dir}/OUT"), &b_source, plan, opts)?;
+    driver.release(b_source.paths());
 
-    let node = FactorRef::Node {
-        n,
-        half,
-        a1: Box::new(a1_factors),
-        l2,
-        u2,
-        b: Box::new(b_factors),
-        transposed_u: opts.transpose_u,
-    };
+    let b_factors = Arc::new(b_factors);
+    let node = FactorRef::node(n, half, a1_factors, l2, u2, b_factors, opts.transpose_u);
 
     if opts.separate_intermediate_files {
         Ok(node)
@@ -252,7 +253,7 @@ enum Stripe {
 
 #[derive(Serialize, Deserialize)]
 struct LuLevelMapper {
-    a1: FactorRef,
+    a1: Arc<FactorRef>,
     a2: MatrixSource,
     a3: MatrixSource,
     opts: Optimizations,
@@ -387,7 +388,7 @@ mod tests {
         ingest_input(&cluster, &a, &plan).unwrap();
         let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
         let (source, _) = run_partition_job(&mut driver, &plan).unwrap();
-        let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &icfg.opts).unwrap();
+        let factors = lu_decompose_mr(&mut driver, &plan.root, &source, &plan, &icfg.opts).unwrap();
         let report = driver.finish(n, nb);
         (cluster, factors, report, a)
     }
@@ -539,7 +540,7 @@ mod tests {
         let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
         let (source, _) = run_partition_job(&mut driver, &plan).unwrap();
         let before = cluster.dfs.counters();
-        lu_decompose_mr(&mut driver, &plan.root, source, &plan, &icfg.opts).unwrap();
+        lu_decompose_mr(&mut driver, &plan.root, &source, &plan, &icfg.opts).unwrap();
         let after = cluster.dfs.counters();
         let read = after.bytes_read - before.bytes_read;
         let written = after.bytes_written - before.bytes_written;
@@ -573,7 +574,7 @@ mod tests {
         ingest_input(&cluster, &a, &plan).unwrap();
         let mut driver = PipelineDriver::new(&cluster, RunId::new("Root"));
         let (source, _) = run_partition_job(&mut driver, &plan).unwrap();
-        let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &icfg.opts).unwrap();
+        let factors = lu_decompose_mr(&mut driver, &plan.root, &source, &plan, &icfg.opts).unwrap();
         assert!(driver.finish(32, 8).task_failures >= 2);
         assert_pa_eq_lu(&cluster, &factors, &a, 1e-8);
     }

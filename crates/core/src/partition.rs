@@ -79,9 +79,13 @@ impl PartitionPlan {
         }
     }
 
-    /// The consecutive global row range partition mapper `j` owns.
+    /// The consecutive global row range partition mapper `j` owns:
+    /// `even_ranges(n, m0)[j]`, without building the list (the first
+    /// `n % m0` ranges are one row longer).
     fn mapper_rows(&self, j: usize) -> (usize, usize) {
-        even_ranges(self.n, self.m0)[j]
+        let (base, extra) = (self.n / self.m0, self.n % self.m0);
+        let start = j * base + j.min(extra);
+        (start, start + base + usize::from(j < extra))
     }
 
     /// DFS path of the input row-stripe file mapper `j` reads.
@@ -510,6 +514,12 @@ mod tests {
             next = b;
         }
         assert_eq!(next, 33);
+        // The closed form is `even_ranges`' split, range by range.
+        for (n, m0) in [(33, 5), (7, 8), (64, 4), (10, 3)] {
+            let (_c, p) = plan(n, 2, m0, true);
+            let rows: Vec<_> = (0..p.m0).map(|j| p.mapper_rows(j)).collect();
+            assert_eq!(rows, even_ranges(n, p.m0), "n {n} m0 {m0}");
+        }
     }
 
     proptest! {

@@ -364,9 +364,8 @@ impl<'a> Request<'a> {
         let (source, _) = run_partition_job(&mut driver, &plan)?;
         // The recursion reads the partition tree through windows of one
         // descriptor; only once its root returns is the whole tree dead.
-        let tree: Vec<String> = source.paths().collect();
-        let factors = lu_decompose_mr(&mut driver, &plan.root, source, &plan, &self.cfg.opts)?;
-        driver.release(tree);
+        let factors = lu_decompose_mr(&mut driver, &plan.root, &source, &plan, &self.cfg.opts)?;
+        driver.release(source.paths());
         let inverse = match self.op {
             Op::Invert => Some(Arc::new(invert_factors_mr(
                 &mut driver,
@@ -814,7 +813,10 @@ mod tests {
         assert!(failed.is_err());
         let files = |dir: &str| -> Vec<_> {
             let paths = c.dfs.list(dir);
-            paths.into_iter().map(|p| c.dfs.read(&p).unwrap()).collect()
+            paths
+                .into_iter()
+                .map(|p| c.dfs.read(&p).unwrap().0)
+                .collect()
         };
         let kept = files(live.dir());
         assert!(!kept.is_empty());

@@ -178,8 +178,8 @@ impl MatrixSource {
     }
 
     /// The DFS files the pieces live in, in piece order.
-    pub(crate) fn paths(&self) -> impl Iterator<Item = String> + '_ {
-        self.pieces.iter().map(|p| p.path.clone())
+    pub(crate) fn paths(&self) -> impl Iterator<Item = &str> + '_ {
+        self.pieces.iter().map(|p| p.path.as_str())
     }
 
     /// The logical rectangle `rows` x `cols` in piece space; an error unless

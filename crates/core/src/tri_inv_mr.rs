@@ -722,7 +722,7 @@ mod tests {
             (Operand::U, 1, "Root/INV/U.2.1", 0.5),
             (Operand::L, 2, "Root/INV/L.1.2", 0.25),
         ] {
-            let good = dfs.read(path).unwrap();
+            let (good, _) = dfs.read(path).unwrap();
             let held = decode_tails(path, &good).unwrap().indices;
             let refile = |indices: &[u64]| {
                 let vectors = vector_rows(indices, 10, frac);
@@ -802,7 +802,7 @@ mod tests {
 
         let path = "Root/RESULT/A.3.3";
         assert_eq!(layout.result_path(3), path);
-        let good = dfs.read(path).unwrap();
+        let (good, _) = dfs.read(path).unwrap();
         let mut wrong = decode_indexed(&good).unwrap();
         wrong.indices.swap(0, 1);
         dfs.write(path, encode_indexed(&wrong));

@@ -284,11 +284,10 @@ mod tests {
         for name in &names {
             c.dfs.write(name, bytes::Bytes::new());
         }
-        assert_eq!(c.dfs.locations("f0").len(), 3, "3 replicas per file");
-        let homes: std::collections::BTreeSet<usize> = names
-            .iter()
-            .flat_map(|name| c.dfs.locations(name))
-            .collect();
+        let homes = |name: &str| c.dfs.read(name).unwrap().1.to_vec();
+        assert_eq!(homes("f0").len(), 3, "3 replicas per file");
+        let homes: std::collections::BTreeSet<usize> =
+            names.iter().flat_map(|name| homes(name)).collect();
         assert_eq!(homes.len(), 16, "DFS places blocks across m0 nodes");
         assert_eq!(c.config.task_timeout_secs, None, "timeouts off by default");
         assert_eq!(c.sim_secs(), 0.0);

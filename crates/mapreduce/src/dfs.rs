@@ -2,10 +2,11 @@
 //!
 //! The paper's pipeline communicates between MapReduce jobs exclusively
 //! through HDFS files laid out in the Figure 4 directory tree. This module
-//! provides that store: a flat map from normalized `/`-separated paths to
-//! immutable byte blobs, plus the counters the evaluation needs — logical
-//! bytes written and read, which Tables 1 and 2 compare against closed
-//! forms.
+//! provides that store: a flat hash index from normalized `/`-separated
+//! paths to immutable byte blobs, plus the counters the evaluation needs —
+//! logical bytes written and read, which Tables 1 and 2 compare against
+//! closed forms. A read or an `exists` is one index lookup; `list` and
+//! `delete_dir`, which no task calls, scan the index.
 //!
 //! Files are immutable once written (HDFS 1.x semantics: write-once,
 //! read-many); overwriting is permitted and counts as a fresh write.
@@ -33,15 +34,19 @@
 //! Each file is assigned `replication` *home nodes* at write time, chosen
 //! deterministically from a stable hash of its normalized path (so reruns
 //! place blocks identically). `Dfs::kill_node` marks a virtual node dead:
-//! its replicas stop counting, `Dfs::locations` reports only survivors,
-//! and a read whose replicas are all on dead nodes fails with
-//! [`MrError::AllReplicasLost`] — the HDFS behavior behind the paper's
-//! Section 7.4 node-failure experiment. Namenode metadata (`exists`,
-//! `len`, `list`) survives node deaths; only block *data* is lost.
+//! its replicas stop counting, and a read whose replicas are all on dead
+//! nodes fails with [`MrError::AllReplicasLost`] — the HDFS behavior
+//! behind the paper's Section 7.4 node-failure experiment. Every
+//! successful read returns the block's surviving [`Homes`] beside its
+//! bytes, so a map task's placement is resolved by the reads it makes
+//! ([`crate::job::TaskIo`] tallies them per node), not by a second lookup
+//! after its wave. Namenode metadata (`exists`, `len`, `list`) survives
+//! node deaths; only block *data* is lost.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -52,6 +57,10 @@ use crate::error::{MrError, Result};
 /// Default HDFS replication factor (the paper uses the Hadoop default of 3,
 /// Section 7.1).
 const DEFAULT_REPLICATION: u32 = 3;
+
+/// The nodes holding a surviving replica of one file, as a read found them
+/// (a block's homes are distinct nodes).
+pub type Homes = Arc<[usize]>;
 
 /// Aggregate I/O counters, all in logical (unreplicated) bytes.
 #[derive(Debug, Default)]
@@ -79,7 +88,15 @@ pub struct DfsCountersSnapshot {
 #[derive(Debug, Clone)]
 struct Block {
     data: Bytes,
-    homes: Vec<usize>,
+    homes: Homes,
+}
+
+/// What the store's one lock guards: the file index and the dead nodes,
+/// so a read resolves its block and its surviving replicas together.
+#[derive(Debug, Default)]
+struct Store {
+    files: HashMap<String, Block>,
+    dead: BTreeSet<usize>,
 }
 
 /// The in-memory distributed file system.
@@ -90,21 +107,22 @@ struct Block {
 ///
 /// let dfs = Dfs::default();
 /// dfs.write("Root/A1/block.bin", Bytes::from_static(b"data"));
-/// assert_eq!(dfs.read("Root/A1/block.bin").unwrap().as_ref(), b"data");
+/// let (data, homes) = dfs.read("Root/A1/block.bin").unwrap();
+/// assert_eq!(data.as_ref(), b"data");
+/// assert_eq!(homes.len(), 3, "one home per replica");
 /// assert_eq!(dfs.list("Root"), vec!["Root/A1/block.bin".to_string()]);
 /// assert_eq!(dfs.counters().bytes_written, 4);
 /// ```
 #[derive(Debug)]
 pub struct Dfs {
-    files: RwLock<BTreeMap<String, Block>>,
+    store: RwLock<Store>,
     counters: DfsCounters,
     /// Bytes held by the stored files, and their high-water mark. Moved
-    /// only with `files`' write lock held.
+    /// only with the store's write lock held.
     live_bytes: AtomicU64,
     live_bytes_peak: AtomicU64,
     replication: u32,
     nodes: usize,
-    dead: RwLock<BTreeSet<usize>>,
 }
 
 impl Default for Dfs {
@@ -154,13 +172,12 @@ impl Dfs {
     pub fn with_nodes(replication: u32, nodes: usize) -> Self {
         assert!(replication >= 1, "replication factor must be at least 1");
         Dfs {
-            files: RwLock::new(BTreeMap::new()),
+            store: RwLock::new(Store::default()),
             counters: DfsCounters::default(),
             live_bytes: AtomicU64::new(0),
             live_bytes_peak: AtomicU64::new(0),
             replication,
             nodes: nodes.max(1),
-            dead: RwLock::new(BTreeSet::new()),
         }
     }
 
@@ -168,45 +185,25 @@ impl Dfs {
     /// hash of the path, taking the first `replication` live nodes (like
     /// HDFS, new writes avoid nodes already known dead). Returns an empty
     /// set when every node is dead.
-    fn place(&self, path: &str) -> Vec<usize> {
-        let dead = self.dead.read();
+    fn place(&self, path: &str, dead: &BTreeSet<usize>) -> Homes {
         // A stable FNV-1a: reruns place blocks on the same home nodes.
         let hash = Fingerprint::new().push_bytes(path.as_bytes()).finish();
         let start = (hash % self.nodes as u64) as usize;
-        let mut homes = Vec::with_capacity(self.replication as usize);
-        for i in 0..self.nodes {
-            let node = (start + i) % self.nodes;
-            if !dead.contains(&node) {
-                homes.push(node);
-                if homes.len() == self.replication as usize {
-                    break;
-                }
-            }
-        }
-        homes
+        let mut ring = (0..self.nodes)
+            .map(|i| (start + i) % self.nodes)
+            .filter(|node| !dead.contains(node));
+        let live = self.nodes - dead.range(..self.nodes).count();
+        // Counted up front, so the collect allocates the shared slice once.
+        let homes = live.min(self.replication as usize);
+        (0..homes)
+            .map(|_| ring.next().expect("a live node"))
+            .collect()
     }
 
     /// Marks a virtual node dead: its replicas stop counting toward
     /// availability and future writes avoid it.
     pub(crate) fn kill_node(&self, node: usize) {
-        self.dead.write().insert(node);
-    }
-
-    /// Nodes currently holding a surviving replica of `path` (empty for
-    /// unknown paths or when every home node is dead).
-    pub(crate) fn locations(&self, path: &str) -> Vec<usize> {
-        let path = normalized(path);
-        let files = self.files.read();
-        let Some(block) = files.get(&*path) else {
-            return Vec::new();
-        };
-        let dead = self.dead.read();
-        block
-            .homes
-            .iter()
-            .copied()
-            .filter(|n| !dead.contains(n))
-            .collect()
+        self.store.write().dead.insert(node);
     }
 
     /// Writes (or overwrites) a file.
@@ -216,15 +213,15 @@ impl Dfs {
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.counters.files_written.fetch_add(1, Ordering::Relaxed);
         let path = normalized(path).into_owned();
-        let homes = self.place(&path);
         let added = data.len() as u64;
-        let mut files = self.files.write();
-        let old = files.insert(path, Block { data, homes });
+        let mut store = self.store.write();
+        let homes = self.place(&path, &store.dead);
+        let old = store.files.insert(path, Block { data, homes });
         self.move_live_bytes(added, old.map_or(0, |b| b.data.len() as u64));
     }
 
     /// Applies one mutation to the live-bytes gauge and its peak. Callers
-    /// hold `files`' write lock, so the load and the store cannot
+    /// hold the store's write lock, so the load and the store cannot
     /// interleave with another mutation.
     fn move_live_bytes(&self, added: u64, removed: u64) {
         let live = self.live_bytes.load(Ordering::Relaxed) + added - removed;
@@ -232,22 +229,27 @@ impl Dfs {
         self.live_bytes_peak.fetch_max(live, Ordering::Relaxed);
     }
 
-    /// Reads a file; cheap (`Bytes` is reference-counted).
+    /// Reads a file: its bytes (cheap, `Bytes` is reference-counted) and
+    /// the nodes holding a surviving replica of it — one index lookup.
     ///
     /// Fails with [`MrError::AllReplicasLost`] when every home node of the
     /// block is dead — the data existed but no replica survives.
-    pub fn read(&self, path: &str) -> Result<Bytes> {
+    pub fn read(&self, path: &str) -> Result<(Bytes, Homes)> {
         let path = normalized(path);
-        let files = self.files.read();
-        let block = match files.get(&*path) {
-            Some(b) => b,
-            None => return Err(self.not_found(&files, path.into_owned())),
+        let store = self.store.read();
+        let Some(block) = store.files.get(&*path) else {
+            return Err(not_found(&store.files, path.into_owned()));
         };
-        let dead = self.dead.read();
-        if block.homes.iter().all(|n| dead.contains(n)) {
+        let alive = |n: &usize| !store.dead.contains(n);
+        let homes = if block.homes.iter().all(alive) {
+            block.homes.clone()
+        } else {
+            block.homes.iter().copied().filter(alive).collect()
+        };
+        if homes.is_empty() {
             return Err(MrError::AllReplicasLost {
                 path: path.into_owned(),
-                homes: block.homes.clone(),
+                homes: block.homes.to_vec(),
             });
         }
         let data = block.data.clone();
@@ -255,12 +257,12 @@ impl Dfs {
             .bytes_read
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
-        Ok(data)
+        Ok((data, homes))
     }
 
     /// True when `path` exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.files.read().contains_key(&*normalized(path))
+        self.store.read().files.contains_key(&*normalized(path))
     }
 
     /// Size in bytes of `path`.
@@ -269,46 +271,22 @@ impl Dfs {
     /// when every replica of the block is lost.
     pub fn len(&self, path: &str) -> Result<u64> {
         let path = normalized(path);
-        let files = self.files.read();
-        match files.get(&*path) {
+        let store = self.store.read();
+        match store.files.get(&*path) {
             Some(b) => Ok(b.data.len() as u64),
-            None => Err(self.not_found(&files, path.into_owned())),
-        }
-    }
-
-    /// Builds the diagnosable not-found error: walks the path's ancestors
-    /// (deepest first) and reports the first one that exists as a
-    /// directory, or `/` when no component of the path exists.
-    fn not_found(&self, files: &BTreeMap<String, Block>, path: String) -> MrError {
-        let mut nearest_parent = "/".to_string();
-        let mut ancestor = path.as_str();
-        while let Some(idx) = ancestor.rfind('/') {
-            ancestor = &ancestor[..idx];
-            let prefix = format!("{ancestor}/");
-            let dir_exists = files
-                .range(prefix.clone()..)
-                .next()
-                .is_some_and(|(k, _)| k.starts_with(&prefix));
-            if dir_exists {
-                nearest_parent = ancestor.to_string();
-                break;
-            }
-        }
-        MrError::FileNotFound {
-            path,
-            nearest_parent,
+            None => Err(not_found(&store.files, path.into_owned())),
         }
     }
 
     /// Number of files stored.
     pub fn file_count(&self) -> usize {
-        self.files.read().len()
+        self.store.read().files.len()
     }
 
     /// Deletes a file; returns whether it existed.
     pub fn delete(&self, path: &str) -> bool {
-        let mut files = self.files.write();
-        let Some(block) = files.remove(&*normalized(path)) else {
+        let mut store = self.store.write();
+        let Some(block) = store.files.remove(&*normalized(path)) else {
             return false;
         };
         self.move_live_bytes(0, block.data.len() as u64);
@@ -319,25 +297,19 @@ impl Dfs {
     /// removed. Like `list`, `""` addresses the root: it
     /// clears the whole store.
     pub fn delete_dir(&self, dir: &str) -> usize {
-        let norm = normalized(dir);
-        let mut files = self.files.write();
-        let doomed: Vec<String> = if norm.is_empty() {
-            files.keys().cloned().collect()
-        } else {
-            let prefix = format!("{norm}/");
-            files
-                .range(prefix.clone()..)
-                .take_while(|(k, _)| k.starts_with(&prefix))
-                .map(|(k, _)| k.clone())
-                .collect()
-        };
-        let removed: u64 = doomed
-            .iter()
-            .filter_map(|k| files.remove(k))
-            .map(|b| b.data.len() as u64)
-            .sum();
-        self.move_live_bytes(0, removed);
-        doomed.len()
+        let under = under(dir);
+        let mut store = self.store.write();
+        let (mut removed, mut bytes) = (0, 0);
+        store.files.retain(|path, block| {
+            let doomed = under(path);
+            if doomed {
+                removed += 1;
+                bytes += block.data.len() as u64;
+            }
+            !doomed
+        });
+        self.move_live_bytes(0, bytes);
+        removed
     }
 
     /// Bytes held by the files stored now.
@@ -352,17 +324,13 @@ impl Dfs {
 
     /// Lists all files under directory `dir` (recursively), sorted.
     pub fn list(&self, dir: &str) -> Vec<String> {
-        let norm = normalized(dir);
-        let files = self.files.read();
-        if norm.is_empty() {
-            return files.keys().cloned().collect();
-        }
-        let prefix = format!("{norm}/");
-        files
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
+        let under = under(dir);
+        let mut paths: Vec<String> = (self.store.read().files.keys())
+            .filter(|path| under(path))
+            .cloned()
+            .collect();
+        paths.sort_unstable();
+        paths
     }
 
     /// Snapshot of the I/O counters.
@@ -411,6 +379,38 @@ impl Dfs {
     }
 }
 
+/// A test for "`path` lies under the directory `dir`" (normalized; `""` is
+/// the root, under which every path lies). Respects path boundaries:
+/// `Root/A10/x` is not under `Root/A1`.
+fn under(dir: &str) -> impl Fn(&str) -> bool {
+    let prefix = match normalized(dir) {
+        norm if norm.is_empty() => String::new(),
+        norm => format!("{norm}/"),
+    };
+    move |path| path.starts_with(&prefix)
+}
+
+/// Builds the diagnosable not-found error: walks the path's ancestors
+/// (deepest first) and reports the first one that exists as a directory,
+/// or `/` when no component of the path exists. A scan of the index per
+/// ancestor, paid only on the error path.
+fn not_found(files: &HashMap<String, Block>, path: String) -> MrError {
+    let mut nearest_parent = "/".to_string();
+    let mut ancestor = path.as_str();
+    while let Some(idx) = ancestor.rfind('/') {
+        ancestor = &ancestor[..idx];
+        let in_dir = under(ancestor);
+        if files.keys().any(|k| in_dir(k)) {
+            nearest_parent = ancestor.to_string();
+            break;
+        }
+    }
+    MrError::FileNotFound {
+        path,
+        nearest_parent,
+    }
+}
+
 /// The DFS operations a *task body* may perform — read, write, exists; no
 /// task lists a directory — abstracted so a task can run either in the
 /// driver process (directly against [`Dfs`]) or inside a remote worker
@@ -418,8 +418,9 @@ impl Dfs {
 /// Tasks never see which one they got: the contexts in [`crate::job`]
 /// hold an `Arc<dyn DfsAccess>`.
 pub trait DfsAccess: Send + Sync {
-    /// Reads a file (see [`Dfs::read`]).
-    fn read(&self, path: &str) -> Result<Bytes>;
+    /// Reads a file and the homes of its surviving replicas (see
+    /// [`Dfs::read`]).
+    fn read(&self, path: &str) -> Result<(Bytes, Homes)>;
     /// Writes a file (see [`Dfs::write`]).
     fn write(&self, path: &str, data: Bytes);
     /// True when `path` exists (see [`Dfs::exists`]).
@@ -427,7 +428,7 @@ pub trait DfsAccess: Send + Sync {
 }
 
 impl DfsAccess for Dfs {
-    fn read(&self, path: &str) -> Result<Bytes> {
+    fn read(&self, path: &str) -> Result<(Bytes, Homes)> {
         Dfs::read(self, path)
     }
     fn write(&self, path: &str, data: Bytes) {
@@ -447,7 +448,7 @@ mod tests {
         let dfs = Dfs::default();
         dfs.write("Root/a.txt", Bytes::from_static(b"hello"));
         assert_eq!(
-            dfs.read("Root/a.txt").unwrap(),
+            dfs.read("Root/a.txt").unwrap().0,
             Bytes::from_static(b"hello")
         );
         assert_eq!(dfs.len("Root/a.txt").unwrap(), 5);
@@ -460,7 +461,7 @@ mod tests {
         let dfs = Dfs::default();
         dfs.write("/Root//A1/x", Bytes::from_static(b"1"));
         assert!(dfs.exists("Root/A1/x"));
-        assert_eq!(dfs.read("Root/A1//x/").unwrap(), Bytes::from_static(b"1"));
+        assert_eq!(dfs.read("Root/A1//x/").unwrap().0, Bytes::from_static(b"1"));
         assert_eq!(normalize_path("//a///b/"), "a/b");
         assert_eq!(normalize_path(""), "");
         // `.` segments resolve: "run/./x" and "run/x" are the same file.
@@ -579,39 +580,42 @@ mod tests {
         assert_eq!(dfs.delete_dir("/"), 0, "idempotent on the empty store");
     }
 
+    /// The homes a read returns: placement metadata, read with the bytes.
+    fn homes(dfs: &Dfs, path: &str) -> Vec<usize> {
+        dfs.read(path).unwrap().1.to_vec()
+    }
+
     #[test]
     fn placement_is_deterministic_and_spreads_replicas() {
         let dfs = Dfs::with_nodes(3, 8);
         dfs.write("Root/A1/x", Bytes::from_static(b"1"));
-        let homes = dfs.locations("Root/A1/x");
-        assert_eq!(homes.len(), 3, "replication-many distinct homes");
-        assert!(homes.iter().all(|&n| n < 8));
-        let mut dedup = homes.clone();
+        let placed = homes(&dfs, "Root/A1/x");
+        assert_eq!(placed.len(), 3, "replication-many distinct homes");
+        assert!(placed.iter().all(|&n| n < 8));
+        let mut dedup = placed.clone();
         dedup.dedup();
         assert_eq!(dedup.len(), 3, "homes are distinct nodes");
         // Same path in a fresh store: identical placement.
         let other = Dfs::with_nodes(3, 8);
         other.write("/Root/A1//x", Bytes::from_static(b"2"));
-        assert_eq!(other.locations("Root/A1/x"), homes);
-        // Unknown paths have no locations.
-        assert!(dfs.locations("nope").is_empty());
+        assert_eq!(homes(&other, "Root/A1/x"), placed);
     }
 
     #[test]
     fn node_death_invalidates_replicas() {
         let dfs = Dfs::with_nodes(2, 4);
         dfs.write("f", Bytes::from_static(b"data"));
-        let homes = dfs.locations("f");
-        assert_eq!(homes.len(), 2);
-        dfs.kill_node(homes[0]);
-        assert_eq!(dfs.locations("f"), vec![homes[1]]);
-        assert_eq!(dfs.read("f").unwrap(), Bytes::from_static(b"data"));
-        dfs.kill_node(homes[1]);
-        assert!(dfs.locations("f").is_empty());
+        let first = homes(&dfs, "f");
+        assert_eq!(first.len(), 2);
+        dfs.kill_node(first[0]);
+        let (data, survivors) = dfs.read("f").unwrap();
+        assert_eq!(data, Bytes::from_static(b"data"));
+        assert_eq!(survivors.to_vec(), vec![first[1]]);
+        dfs.kill_node(first[1]);
         match dfs.read("f") {
             Err(MrError::AllReplicasLost { path, homes: h }) => {
                 assert_eq!(path, "f");
-                assert_eq!(h, homes);
+                assert_eq!(h, first);
             }
             other => panic!("expected AllReplicasLost, got {other:?}"),
         }
@@ -620,8 +624,9 @@ mod tests {
         assert_eq!(dfs.len("f").unwrap(), 4);
         // New writes avoid dead nodes and are readable again.
         dfs.write("f", Bytes::from_static(b"fresh"));
-        assert!(dfs.locations("f").iter().all(|n| !homes.contains(n)));
-        assert_eq!(dfs.read("f").unwrap(), Bytes::from_static(b"fresh"));
+        let (data, fresh) = dfs.read("f").unwrap();
+        assert!(fresh.iter().all(|n| !first.contains(n)));
+        assert_eq!(data, Bytes::from_static(b"fresh"));
     }
 
     #[test]
@@ -629,11 +634,36 @@ mod tests {
         let dfs = Dfs::with_nodes(1, 1);
         dfs.kill_node(0);
         dfs.write("f", Bytes::from_static(b"x"));
-        assert!(dfs.locations("f").is_empty());
         assert!(matches!(
             dfs.read("f"),
             Err(MrError::AllReplicasLost { .. })
         ));
+    }
+
+    /// The index is a hash table: `list` sorts what it scans, and a lookup
+    /// finds every one of many similar paths.
+    #[test]
+    fn hashed_index_finds_every_path_and_lists_sorted() {
+        let dfs = Dfs::with_nodes(3, 4);
+        let paths: Vec<String> = (0..300)
+            .rev()
+            .map(|i| format!("run/L2/L.{}.{}", i % 7, i))
+            .collect();
+        for (i, p) in paths.iter().enumerate() {
+            dfs.write(p, Bytes::from(vec![i as u8; i % 5]));
+        }
+        for (i, p) in paths.iter().enumerate() {
+            assert_eq!(dfs.read(p).unwrap().0.len(), i % 5, "{p}");
+        }
+        let mut sorted = paths.clone();
+        sorted.sort();
+        assert_eq!(dfs.list("run"), sorted);
+        assert_eq!(dfs.list("run/L2"), sorted);
+        assert!(
+            dfs.list("run/L").is_empty(),
+            "path boundaries, not prefixes"
+        );
+        assert!(!dfs.exists("run/L2/L.0.1000"));
     }
 
     #[test]
@@ -657,7 +687,7 @@ mod tests {
         let dfs = Dfs::default();
         dfs.write("a", Bytes::from_static(b"xx"));
         dfs.write("a", Bytes::from_static(b"yyy"));
-        assert_eq!(dfs.read("a").unwrap(), Bytes::from_static(b"yyy"));
+        assert_eq!(dfs.read("a").unwrap().0, Bytes::from_static(b"yyy"));
         assert_eq!(dfs.counters().bytes_written, 5);
         assert_eq!(dfs.file_count(), 1);
     }

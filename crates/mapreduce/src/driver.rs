@@ -298,8 +298,6 @@ impl<'c> PipelineDriver<'c> {
         let sum = |f: fn(&JobReport) -> u64| jobs.iter().map(f).sum::<u64>();
         let map_tasks = sum(|r| r.map_tasks as u64);
         let local = sum(|r| r.data_local_tasks as u64);
-        // A map-only job drops its mappers' pairs: nothing is shuffled.
-        let shuffled = jobs.iter().filter(|r| r.reduce_tasks > 0);
         RunReport {
             n,
             nodes: self.cluster.nodes(),
@@ -312,7 +310,7 @@ impl<'c> PipelineDriver<'c> {
                 + sum(|r| r.stats.write_bytes + r.failed_stats.write_bytes),
             dfs_bytes_read: self.master_io.read_bytes
                 + sum(|r| r.stats.read_bytes + r.failed_stats.read_bytes),
-            shuffle_bytes: shuffled.map(|r| r.stats.shuffle_bytes).sum(),
+            shuffle_bytes: sum(|r| r.stats.shuffle_bytes),
             hours: self.sim_secs / 3600.0,
             workdir: self.run.dir().to_string(),
             backend: self.cluster.backend().name().to_string(),
@@ -503,6 +501,13 @@ mod tests {
 
         let alone = two_jobs(&Cluster::medium(2));
         assert!(busy.sim_secs > 0.0 && busy.dfs_bytes_read > 0 && busy.shuffle_bytes > 0);
+        // The map-only job's mappers emitted pairs, but it shuffles none.
+        let map_only = &busy.job_reports[1];
+        assert_eq!(
+            (map_only.reduce_tasks, map_only.stats.shuffle_bytes),
+            (0, 0)
+        );
+        assert_eq!(busy.shuffle_bytes, busy.job_reports[0].stats.shuffle_bytes);
         // Only the cluster-wide job sequence and the measured CPU time tell
         // the two apart.
         let counted = |mut r: RunReport| {

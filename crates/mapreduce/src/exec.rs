@@ -137,7 +137,7 @@ impl ExecBackend for InProcess {
 pub(crate) struct JobCodec {
     /// Driver: `(&M, &M::Input) -> payload` (arguments type-erased).
     pub(crate) encode_map: EncodeTaskFn,
-    /// Driver: map result payload -> erased `(pairs, reads)`.
+    /// Driver: map result payload -> erased `(pairs, local)`.
     pub(crate) decode_map: fn(&Value) -> Result<ErasedPayload>,
     /// Worker: run the family's mapper for a descriptor.
     pub(crate) run_map: RunTaskFn,
@@ -252,10 +252,11 @@ impl TaskRegistry {
     }
 }
 
-/// The raw (pre-partition) result of a map body: emitted pairs and
-/// recorded DFS reads. The runner partitions them driver-side, whichever
-/// process ran the body.
-pub(crate) type RawMapPayload<K, V> = (Vec<(K, V)>, Vec<(String, u64)>);
+/// The raw (pre-partition) result of a map body: emitted pairs and the
+/// per-node tally of its reads' replica homes ([`crate::job::TaskIo`]).
+/// The runner partitions the pairs driver-side, whichever process ran the
+/// body.
+pub(crate) type RawMapPayload<K, V> = (Vec<(K, V)>, Vec<u64>);
 
 /// The result of a reduce body: per-key outputs.
 pub(crate) type RawReducePayload<K, O> = Vec<(K, O)>;
@@ -273,8 +274,8 @@ pub(crate) fn map_body<M: Mapper>(
     let mut ctx = MapContext::new(dfs, task_index, num_tasks);
     let start = Instant::now();
     mapper.map(input, &mut ctx)?;
-    let (stats, reads) = ctx.io.finish(start.elapsed());
-    Ok(((ctx.emitted, reads), stats))
+    let (stats, local) = ctx.io.finish(start.elapsed());
+    Ok(((ctx.emitted, local), stats))
 }
 
 /// One reduce attempt over a sorted partition: the only caller of
@@ -344,9 +345,8 @@ where
 {
     let pairs: Vec<(M::Key, M::Value)> =
         de_field(v, "pairs").map_err(|e| de_err("map result pairs", e))?;
-    let reads: Vec<(String, u64)> =
-        de_field(v, "reads").map_err(|e| de_err("map result reads", e))?;
-    let payload: RawMapPayload<M::Key, M::Value> = (pairs, reads);
+    let local: Vec<u64> = de_field(v, "local").map_err(|e| de_err("map result tally", e))?;
+    let payload: RawMapPayload<M::Key, M::Value> = (pairs, local);
     Ok(Box::new(payload))
 }
 
@@ -361,12 +361,12 @@ where
         M::from_value(de_ref(&desc.payload, "mapper")?).map_err(|e| de_err("mapper", e))?;
     let input = M::Input::from_value(de_ref(&desc.payload, "input")?)
         .map_err(|e| de_err("map input", e))?;
-    let ((pairs, reads), stats) = map_body(&mapper, &input, dfs, desc.task_index, desc.num_tasks)?;
+    let ((pairs, local), stats) = map_body(&mapper, &input, dfs, desc.task_index, desc.num_tasks)?;
     Ok(WireTaskResult {
         stats,
         payload: Value::Object(vec![
             ("pairs".to_string(), pairs.to_value()),
-            ("reads".to_string(), reads.to_value()),
+            ("local".to_string(), local.to_value()),
         ]),
     })
 }
@@ -518,11 +518,11 @@ mod tests {
         assert_eq!(result.stats.shuffle_bytes, 16, "one (usize, u64) pair");
         assert!(dfs.exists("out/2"), "side write landed on the driver DFS");
 
-        let (pairs, reads) =
+        let (pairs, local) =
             decode_as::<RawMapPayload<usize, u64>>(codec.decode_map, &result.payload)
                 .expect("decoder produces the registered payload type");
         assert_eq!(pairs, vec![(2, 30)]);
-        assert_eq!(reads, vec![("in/2".to_string(), 10)]);
+        assert_eq!(local, vec![10; 3], "the input's three homes");
     }
 
     #[test]

@@ -24,11 +24,17 @@
 //! | dir | tag | frame      | body                                        |
 //! |-----|-----|------------|---------------------------------------------|
 //! | →   | 0   | `Run`      | bincode `TaskDescriptor`                    |
-//! | →   | 1   | `DfsResp`  | status byte + raw bytes / bincode `MrError` |
+//! | →   | 1   | `DfsResp`  | status byte + reply / bincode `MrError`     |
 //! | →   | 2   | `Shutdown` | —                                           |
 //! | ←   | 16  | `Hello`    | `u64` worker id                             |
 //! | ←   | 17  | `DfsReq`   | op byte + `u32` path len + path + raw data  |
 //! | ←   | 18  | `Done`     | status byte + bincode result / error        |
+//!
+//! A successful read's reply is the file's surviving replica homes — a
+//! `u32` count, then each node as a `u32` — followed by the file's raw
+//! bytes ([`decode_read_reply`]), so a worker's map task tallies its
+//! locality in its own [`crate::job::TaskIo`] exactly as an in-process one
+//! does, and its result carries the tally, not a list of paths.
 //!
 //! # Fault mapping
 //!
@@ -49,7 +55,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use super::{ExecBackend, TaskDescriptor, TaskRegistry, WireTaskResult};
-use crate::dfs::{Dfs, DfsAccess};
+use crate::dfs::{Dfs, DfsAccess, Homes};
 use crate::error::{MrError, Result};
 use crate::wire::{read_frame, write_frame, write_spliced_frame, Splice};
 use std::sync::Arc;
@@ -378,8 +384,12 @@ fn serve_dfs_request(frame: &mut Vec<u8>, dfs: &Dfs) -> std::result::Result<Opti
             let read = dfs.read(path);
             frame.clear();
             match read {
-                Ok(bytes) => {
+                Ok((bytes, homes)) => {
                     frame.push(STATUS_OK);
+                    frame.extend_from_slice(&(homes.len() as u32).to_le_bytes());
+                    for &node in homes.iter() {
+                        frame.extend_from_slice(&(node as u32).to_le_bytes());
+                    }
                     return Ok(Some(bytes));
                 }
                 Err(e) => {
@@ -527,7 +537,15 @@ struct RemoteDfs {
 }
 
 impl RemoteDfs {
-    fn request(&self, op: u8, path: &str, data: &[u8]) -> Result<Vec<u8>> {
+    /// Sends one request and decodes its `DfsResp` body in place, in the
+    /// connection's buffer.
+    fn request<T>(
+        &self,
+        op: u8,
+        path: &str,
+        data: &[u8],
+        decode: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<T> {
         let lost =
             |e: std::io::Error| MrError::Other(format!("worker lost driver connection: {e}"));
         let mut conn = self.conn.lock().expect("connection lock");
@@ -537,33 +555,58 @@ impl RemoteDfs {
         if tag != TAG_DFS_RESP {
             return Err(MrError::Other(format!("expected DfsResp, got tag {tag}")));
         }
-        let Some((&status, payload)) = frame.split_first() else {
-            return Err(MrError::Other("empty DfsResp".into()));
-        };
-        match status {
-            STATUS_OK => Ok(payload.to_vec()),
-            _ => Err(bincode::deserialize::<MrError>(payload)
-                .unwrap_or_else(|e| MrError::Other(format!("undecodable DFS error: {e}")))),
-        }
+        decode(frame)
     }
 }
 
+/// The payload of a `DfsResp` body whose status byte says success, or the
+/// error the driver sent.
+fn reply_payload(body: &[u8]) -> Result<&[u8]> {
+    match body.split_first() {
+        None => Err(MrError::Other("empty DfsResp".into())),
+        Some((&STATUS_OK, payload)) => Ok(payload),
+        Some((_, error)) => Err(bincode::deserialize::<MrError>(error)
+            .unwrap_or_else(|e| MrError::Other(format!("undecodable DFS error: {e}")))),
+    }
+}
+
+/// Decodes the `DfsResp` body of a read, as a worker receives it: the
+/// status byte, then the file's surviving replica homes (a `u32` count,
+/// each node a `u32`) and its bytes — or the driver's error. A count the
+/// body cannot hold is an error, never an allocation.
+pub fn decode_read_reply(body: &[u8]) -> Result<(Bytes, Homes)> {
+    let payload = reply_payload(body)?;
+    let malformed = || MrError::Other("malformed DFS read reply".into());
+    let (count, rest) = payload.split_first_chunk::<4>().ok_or_else(malformed)?;
+    let homes_len = (u32::from_le_bytes(*count) as usize)
+        .checked_mul(4)
+        .filter(|&len| len <= rest.len())
+        .ok_or_else(malformed)?;
+    let (homes, file) = rest.split_at(homes_len);
+    let homes = homes
+        .chunks_exact(4)
+        .map(|node| u32::from_le_bytes(node.try_into().expect("4 bytes")) as usize)
+        .collect();
+    Ok((Bytes::from(file.to_vec()), homes))
+}
+
 impl DfsAccess for RemoteDfs {
-    fn read(&self, path: &str) -> Result<Bytes> {
-        self.request(OP_READ, path, &[]).map(Bytes::from)
+    fn read(&self, path: &str) -> Result<(Bytes, Homes)> {
+        self.request(OP_READ, path, &[], decode_read_reply)
     }
 
     fn write(&self, path: &str, data: Bytes) {
         // DfsAccess::write is infallible by contract (the in-memory store
         // cannot fail); a broken socket here surfaces on the next read or
         // at Done time, and the driver reaps the worker either way.
-        let _ = self.request(OP_WRITE, path, &data);
+        let _ = self.request(OP_WRITE, path, &data, |body| reply_payload(body).map(drop));
     }
 
     fn exists(&self, path: &str) -> bool {
-        self.request(OP_EXISTS, path, &[])
-            .map(|resp| resp.first() == Some(&1))
-            .unwrap_or(false)
+        self.request(OP_EXISTS, path, &[], |body| {
+            reply_payload(body).map(|resp| resp.first() == Some(&1))
+        })
+        .unwrap_or(false)
     }
 }
 
@@ -678,11 +721,16 @@ mod tests {
             let mut wire = Vec::new();
             send_dfs_response(&mut wire, &request, found.as_ref()).unwrap();
             let body = match op {
-                OP_READ => [&[STATUS_OK][..], &file].concat(),
+                // One home (a one-node store): count 1, node 0.
+                OP_READ => [&[STATUS_OK, 1, 0, 0, 0, 0, 0, 0, 0][..], &file].concat(),
                 OP_EXISTS => vec![STATUS_OK, 1],
                 _ => vec![STATUS_OK],
             };
             assert_eq!(wire, contiguous(TAG_DFS_RESP, &body), "op {op}");
+            if op == OP_READ {
+                let (bytes, homes) = decode_read_reply(&body).unwrap();
+                assert_eq!((&bytes[..], &homes[..]), (&file[..], &[0][..]));
+            }
         }
 
         // A read of a missing file: the error, with nothing spliced in.
@@ -695,5 +743,41 @@ mod tests {
         let mut wire = Vec::new();
         send_dfs_response(&mut wire, &frame, None).unwrap();
         assert_eq!(wire, contiguous(TAG_DFS_RESP, &frame));
+    }
+
+    /// A read reply carries the block's surviving homes ahead of its
+    /// bytes; a count the body cannot hold is an error, and so is the
+    /// driver's error status.
+    #[test]
+    fn read_replies_carry_homes_and_refuse_lying_counts() {
+        let dfs = Dfs::with_nodes(2, 4);
+        dfs.write("in/1", Bytes::from_static(b"seven"));
+        dfs.kill_node(2);
+        let mut frame = Vec::new();
+        let mut request = Vec::new();
+        send_dfs_request(&mut request, &mut frame, OP_READ, "in/1", &[]).unwrap();
+        read_frame(&mut request.as_slice(), &mut frame).unwrap();
+        let file = serve_dfs_request(&mut frame, &dfs).unwrap().unwrap();
+        frame.extend_from_slice(&file);
+        assert_eq!(frame[..9], [STATUS_OK, 1, 0, 0, 0, 3, 0, 0, 0]);
+        let (bytes, homes) = decode_read_reply(&frame).unwrap();
+        assert_eq!((&bytes[..], &homes[..]), (&b"seven"[..], &[3][..]));
+
+        for lying in [2u32, u32::MAX] {
+            frame[1..5].copy_from_slice(&lying.to_le_bytes());
+            let short = &frame[..9];
+            assert!(
+                matches!(decode_read_reply(short), Err(MrError::Other(_))),
+                "{lying}"
+            );
+        }
+        assert!(
+            decode_read_reply(&[STATUS_OK, 0, 0]).is_err(),
+            "a cut count"
+        );
+        assert!(decode_read_reply(&[]).is_err());
+        let mut error = vec![STATUS_ERR];
+        bincode::serialize_into(&mut error, &MrError::Other("gone".into()));
+        assert!(matches!(decode_read_reply(&error), Err(MrError::Other(m)) if m == "gone"));
     }
 }

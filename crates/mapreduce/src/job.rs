@@ -15,7 +15,10 @@
 //! access in the tree goes through (the master and the factor cache open
 //! their own): every byte it moves is accounted into [`TaskStats`], beside
 //! the flops the task charges for its arithmetic, and the scheduler prices
-//! those counts into simulated time.
+//! those counts into simulated time. A map task's handle also tallies, per
+//! node, the bytes whose replicas its reads found there (each read returns
+//! its block's surviving homes): that tally is the task's placement input,
+//! resolved when the task reads.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -73,10 +76,11 @@ impl TaskStats {
 pub struct TaskIo {
     dfs: Arc<dyn DfsAccess>,
     stats: TaskStats,
-    /// `Some` on the map side only: the normalized `(path, bytes)` of each
-    /// read, from which the scheduler places the task near its blocks'
-    /// replicas and prices non-local reads.
-    reads: Option<Vec<(String, u64)>>,
+    /// `Some` on the map side only: `local[node]` is how many of the bytes
+    /// read have a surviving replica on `node` (the read returned its
+    /// homes), from which the scheduler places the task and prices its
+    /// non-local reads. Nodes past the end hold none of them.
+    local: Option<Vec<u64>>,
 }
 
 impl TaskIo {
@@ -86,16 +90,22 @@ impl TaskIo {
         TaskIo {
             dfs,
             stats: TaskStats::default(),
-            reads: None,
+            local: None,
         }
     }
 
     /// Reads a DFS file, charging the bytes to this handle.
     pub fn read(&mut self, path: &str) -> Result<Bytes> {
-        let data = self.dfs.read(path)?;
-        self.stats.read_bytes += data.len() as u64;
-        if let Some(reads) = &mut self.reads {
-            reads.push((crate::dfs::normalize_path(path), data.len() as u64));
+        let (data, homes) = self.dfs.read(path)?;
+        let bytes = data.len() as u64;
+        self.stats.read_bytes += bytes;
+        if let Some(local) = &mut self.local {
+            for &node in homes.iter() {
+                if node >= local.len() {
+                    local.resize(node + 1, 0);
+                }
+                local[node] += bytes;
+            }
         }
         Ok(data)
     }
@@ -124,16 +134,16 @@ impl TaskIo {
     }
 
     /// Closes the handle: the stats with the body's `measured` CPU added,
-    /// and the recorded reads (empty unless map-side).
-    pub(crate) fn finish(self, measured: Duration) -> (TaskStats, Vec<(String, u64)>) {
+    /// and the per-node tally of local bytes (empty unless map-side).
+    pub(crate) fn finish(self, measured: Duration) -> (TaskStats, Vec<u64>) {
         let mut stats = self.stats;
         stats.cpu += measured;
-        (stats, self.reads.unwrap_or_default())
+        (stats, self.local.unwrap_or_default())
     }
 }
 
-/// Context handed to each map task: a recording [`TaskIo`], the task's
-/// identity, and the emit channel.
+/// Context handed to each map task: a [`TaskIo`] that tallies where its
+/// reads' replicas live, the task's identity, and the emit channel.
 pub struct MapContext<K, V> {
     pub(crate) io: TaskIo,
     task_index: usize,
@@ -145,7 +155,7 @@ impl<K: ShuffleSize, V: ShuffleSize> MapContext<K, V> {
     pub(crate) fn new(dfs: Arc<dyn DfsAccess>, task_index: usize, num_tasks: usize) -> Self {
         MapContext {
             io: TaskIo {
-                reads: Some(Vec::new()),
+                local: Some(Vec::new()),
                 ..TaskIo::new(dfs)
             },
             task_index,
@@ -437,9 +447,10 @@ mod tests {
         ctx.emit(1, 7);
         ctx.emit(2, 8);
         assert!(ctx.exists("out"));
-        let (stats, reads) = ctx.io.finish(Duration::from_millis(5));
+        let (stats, local) = ctx.io.finish(Duration::from_millis(5));
         assert_eq!(ctx.emitted, vec![(1, 7), (2, 8)]);
-        assert_eq!(reads, vec![("in".to_string(), 64)]);
+        // The default store places every file on all three of its nodes.
+        assert_eq!(local, vec![64; 3]);
         assert_eq!(stats.read_bytes, 64);
         assert_eq!(stats.write_bytes, 32);
         assert_eq!(stats.shuffle_bytes, 32); // 2 pairs * 16 bytes
@@ -453,14 +464,15 @@ mod tests {
         let mut ctx = ReduceContext::new(dfs.clone());
         let _ = ctx.read("x").unwrap();
         ctx.write("y", Bytes::from(vec![0u8; 20]));
-        let (stats, reads) = ctx.io.finish(Duration::ZERO);
+        let (stats, local) = ctx.io.finish(Duration::ZERO);
         assert_eq!(stats.read_bytes, 10);
         assert_eq!(stats.write_bytes, 20);
-        assert!(reads.is_empty(), "only the map side records reads");
+        assert!(local.is_empty(), "only the map side tallies its reads");
     }
 
     /// The three flavours of the one handle: identical traffic charges
-    /// identical stats; only the map side records (normalized) reads.
+    /// identical stats; only the map side tallies where its reads' replicas
+    /// live.
     #[test]
     fn task_io_flavours_account_alike() {
         let dfs = Arc::new(Dfs::default());
@@ -480,13 +492,13 @@ mod tests {
         traffic(&mut master);
         assert_eq!(master.stats().read_bytes, 30);
         assert_eq!(master.stats().write_bytes, 12);
-        let (map_stats, map_reads) = map.io.finish(Duration::ZERO);
-        let (reduce_stats, reduce_reads) = reduce.io.finish(Duration::ZERO);
-        let (master_stats, master_reads) = master.finish(Duration::ZERO);
+        let (map_stats, map_local) = map.io.finish(Duration::ZERO);
+        let (reduce_stats, reduce_local) = reduce.io.finish(Duration::ZERO);
+        let (master_stats, master_local) = master.finish(Duration::ZERO);
         assert_eq!(map_stats, reduce_stats);
         assert_eq!(map_stats, master_stats);
-        assert_eq!(map_reads, vec![("d/in".to_string(), 30)], "normalized");
-        assert!(reduce_reads.is_empty() && master_reads.is_empty());
+        assert_eq!(map_local, vec![30; 3], "the failed read tallies nothing");
+        assert!(reduce_local.is_empty() && master_local.is_empty());
         let counted = dfs.counters();
         assert_eq!((counted.reads, counted.files_written), (3, 4));
     }

@@ -79,7 +79,7 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use dfs::Dfs;
 pub use driver::{Fingerprint, PipelineDriver, RunId, RunReport};
 pub use error::{MrError, Result};
-pub use exec::tcp::{worker_serve, TcpWorkers, TcpWorkersConfig};
+pub use exec::tcp::{decode_read_reply, worker_serve, TcpWorkers, TcpWorkersConfig};
 pub use exec::{TaskDescriptor, TaskRegistry};
 pub use fault::Phase;
 pub use job::{TaskIo, TaskStats};

@@ -11,7 +11,9 @@
 //! through the fault- and locality-aware wave planner (see
 //! [`crate::scheduler::plan_wave`]). The planner places each map task
 //! preferentially on a node holding a DFS replica of its input (charging
-//! one network crossing otherwise), re-executes attempts lost to injected
+//! one network crossing otherwise) — from the per-node tally of local bytes
+//! the task's reads left in its `TaskIo`, so settling a wave makes no DFS
+//! call — re-executes attempts lost to injected
 //! faults, node deaths, and task timeouts, and charges every lost attempt
 //! to the schedule — so failures lengthen the simulated run exactly as the
 //! paper's Section 7.4 failed-mapper experiment describes.
@@ -202,9 +204,12 @@ fn fire_due_deaths(cluster: &Cluster) {
 }
 
 /// Settles one executed wave into its plan: each executed attempt priced
-/// at nominal speed, the successful attempt's recorded DFS reads (`reads`
-/// extracts them from the payload) resolved to surviving replica locations
-/// (locality input), planned against the fault state.
+/// at nominal speed and, on a wave that keeps locality (`local` extracts
+/// the per-node tally from a map payload), the successful attempt's reads
+/// placed by the replica homes they found — no DFS call — planned against
+/// the fault state. Nodes die only between jobs (`fire_due_deaths`), and
+/// no task rewrites a file another task of its wave reads, so the homes a
+/// read found are the homes at settle time.
 /// `lose_completed_outputs` is true only for a map wave feeding a shuffle
 /// — its outputs are node-local (Hadoop), so a node dying before the
 /// shuffle takes its completed tasks' outputs with it; reduce outputs and
@@ -212,26 +217,28 @@ fn fire_due_deaths(cluster: &Cluster) {
 fn settle_wave<T>(
     cluster: &Cluster,
     runs: &[TaskRun<T>],
-    reads: impl Fn(&T) -> &[(String, u64)],
+    local: Option<fn(&T) -> &[u64]>,
     wave_start_secs: f64,
     lose_completed_outputs: bool,
 ) -> WavePlan {
     let cost = &cluster.config.cost;
-    let planned = |run: &TaskRun<T>| {
-        let secs = |body: &BodyAttempt| cost.task_secs(&body.stats);
-        let split = run.chain.len() - usize::from(run.payload.is_some());
-        let locate = |(path, bytes): &(String, u64)| (*bytes, cluster.dfs.locations(path));
-        PlannedTask {
-            failed_secs: run.chain[..split].iter().map(secs).collect(),
-            success_secs: run.chain.get(split).map_or(0.0, secs),
-            reads: run
-                .payload
-                .as_ref()
-                .map(|payload| reads(payload).iter().map(locate).collect())
-                .unwrap_or_default(),
-        }
-    };
-    let tasks: Vec<PlannedTask> = runs.iter().map(planned).collect();
+    let tasks: Vec<PlannedTask> = runs
+        .iter()
+        .map(|run| {
+            let secs = |body: &BodyAttempt| cost.task_secs(&body.stats);
+            let split = run.chain.len() - usize::from(run.payload.is_some());
+            let mut task = PlannedTask {
+                failed_secs: run.chain[..split].iter().map(secs).collect(),
+                success_secs: run.chain.get(split).map_or(0.0, secs),
+                ..PlannedTask::default()
+            };
+            if let (Some(local), Some(payload)) = (local, &run.payload) {
+                task.read_bytes = run.chain[split].stats.read_bytes;
+                task.local = local(payload);
+            }
+            task
+        })
+        .collect();
     plan_with_faults(cluster, &tasks, wave_start_secs, lose_completed_outputs)
 }
 
@@ -658,16 +665,16 @@ where
         map_body(mapper, &inputs[idx], dfs, idx, num_tasks)
     };
     // A successful map attempt's payload: one bucket of pairs per reduce
-    // partition and its recorded DFS reads (locality input for the
+    // partition and its per-node read tally (locality input for the
     // planner). Without reducers the mappers did all the work through DFS
     // side files, and their pairs are dropped.
-    let map_post = |(pairs, reads): RawMapPayload<M::Key, M::Value>| {
+    let map_post = |(pairs, local): RawMapPayload<M::Key, M::Value>| {
         let buckets = if reducers == 0 {
             Vec::new()
         } else {
             partition_pairs(pairs, spec.partitioner, reducers)
         };
-        (buckets, reads)
+        (buckets, local)
     };
     let mut map_runs = run_wave(
         cluster,
@@ -682,7 +689,7 @@ where
     let map_plan = settle_wave(
         cluster,
         &map_runs,
-        |payload| payload.1.as_slice(),
+        Some(|payload| payload.1.as_slice()),
         launch_end,
         reducers > 0,
     );
@@ -722,6 +729,10 @@ where
         let (buckets, _) = run.payload.take().expect("map wave succeeded");
         task_buckets.push(buckets);
     }
+    if reducers == 0 {
+        // A map-only job drops its mappers' pairs: nothing is shuffled.
+        stats.shuffle_bytes = 0;
+    }
 
     let mut outputs = Vec::new();
     if reducers > 0 {
@@ -734,7 +745,7 @@ where
         let shuffle_secs = cfg.cost.shuffle_secs(shuffle_bytes, cfg.nodes);
         let shuffle_end = launch_end + map_plan.makespan_secs + shuffle_secs;
         // The shuffle already moved the map outputs off their nodes.
-        let reduce_plan = settle_wave(cluster, &reduce_runs, |_| &[], shuffle_end, false);
+        let reduce_plan = settle_wave(cluster, &reduce_runs, None, shuffle_end, false);
         let map = (&map_runs[..], &map_plan);
         let reduce = Some((shuffle_secs, shuffle_bytes, &reduce_runs[..], &reduce_plan));
         report.sim_secs = finish_job(cluster, &spec.name, job_seq, job_t0, map, reduce);
@@ -1093,7 +1104,7 @@ mod tests {
         Cluster::new(cfg)
     }
 
-    fn planned(secs: &[f64]) -> Vec<PlannedTask> {
+    fn planned(secs: &[f64]) -> Vec<PlannedTask<'static>> {
         let task = |&success_secs| PlannedTask {
             success_secs,
             ..Default::default()
@@ -1271,22 +1282,16 @@ mod fault_domain_tests {
             "the death itself is a trace marker"
         );
         // The death fired when the clock passed it: node 1's replicas are
-        // gone, and files homed exclusively there are unreadable.
+        // gone, and files homed exclusively there are unreadable (one
+        // replica each here); the rest read from node 0.
         assert!(cluster.faults.dead_nodes().contains(&1));
-        let lost_files = (0..4)
-            .filter(|j| {
-                matches!(
-                    cluster.dfs.read(&format!("OUT/{j}")),
-                    Err(MrError::AllReplicasLost { .. })
-                )
-            })
-            .count();
-        assert_eq!(
-            lost_files,
-            (0..4)
-                .filter(|j| cluster.dfs.locations(&format!("OUT/{j}")).is_empty())
-                .count()
-        );
+        for j in 0..4 {
+            match cluster.dfs.read(&format!("OUT/{j}")) {
+                Ok((_, homes)) => assert_eq!(homes.to_vec(), vec![0], "OUT/{j}"),
+                Err(MrError::AllReplicasLost { homes, .. }) => assert_eq!(homes, vec![1]),
+                Err(other) => panic!("OUT/{j}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1432,9 +1437,9 @@ mod fault_domain_tests {
     fn reads_from_a_dead_nodes_replicas_fail_the_job_fatally() {
         let cluster = test_cluster(2);
         cluster.dfs.write("in/solo", Bytes::from_static(b"payload"));
-        let homes = cluster.dfs.locations("in/solo");
+        let (_, homes) = cluster.dfs.read("in/solo").unwrap();
         // Kill every node holding a replica *before* the job runs.
-        for n in homes {
+        for &n in homes.iter() {
             cluster.faults.kill_node(n, 0.0);
         }
         // Force the deaths to fire on job entry (clock is already at 0).
@@ -1477,7 +1482,8 @@ mod fault_domain_tests {
         cfg.observability = true;
         let cluster = Cluster::new(cfg);
         cluster.dfs.write("in/solo", Bytes::from_static(b"payload"));
-        for n in cluster.dfs.locations("in/solo") {
+        let (_, homes) = cluster.dfs.read("in/solo").unwrap();
+        for &n in homes.iter() {
             cluster.faults.kill_node(n, 0.0);
         }
         let spec: JobSpec<usize> = JobSpec::new("reader");
@@ -1546,5 +1552,34 @@ mod fault_domain_tests {
             .iter()
             .find(|g| g.name == "mrinv_dfs_replica_hit_ratio");
         assert_eq!(ratio.map(|g| g.value), Some(local as f64 / 4.0));
+    }
+
+    /// Placement rides the reads, by hand: 4 one-slot nodes, 2 replicas,
+    /// and `in/1` homed on nodes 2 and 3. Two tasks read it. With every
+    /// node alive each runs on a home (2, then 3). Once node 2 died before
+    /// the job, its replica is no home: the first task takes node 3, and
+    /// the second, rather than wait for it, starts at once on node 0 and
+    /// pulls its 50 bytes across the network.
+    #[test]
+    fn a_map_wave_is_placed_by_the_homes_its_reads_found() {
+        let wave = |dead: Option<usize>| {
+            let mut cfg = ClusterConfig::medium(4);
+            cfg.cost = CostModel {
+                replication: 2,
+                ..CostModel::unit_for_tests()
+            };
+            let cluster = Cluster::new(cfg);
+            cluster.dfs.write("in/1", Bytes::from(vec![7u8; 50]));
+            assert_eq!(cluster.dfs.read("in/1").unwrap().1.to_vec(), vec![2, 3]);
+            if let Some(node) = dead {
+                cluster.faults.kill_node(node, 0.0);
+            }
+            let spec: JobSpec<usize> = JobSpec::new("reader");
+            let inputs = ["in/1".to_string(), "in/1".to_string()];
+            let report = run_map_only(&cluster, &spec, &ReadMapper::default(), &inputs).unwrap();
+            (report.data_local_tasks, report.remote_read_bytes)
+        };
+        assert_eq!(wave(None), (2, 0));
+        assert_eq!(wave(Some(2)), (1, 50));
     }
 }

@@ -13,7 +13,9 @@
 //!
 //! [`plan_wave`] is the full model: on top of the same greedy list
 //! scheduling it adds data locality (tasks prefer slots on nodes holding a
-//! replica of their input; remote reads pay a network crossing),
+//! replica of their input; remote reads pay a network crossing — a task's
+//! input is its bytes read and, per node, how many of them had a replica
+//! there when it read them: [`PlannedTask::local`]),
 //! mid-wave node death (in-flight attempts are lost; completed map
 //! outputs hosted on the dead node are lost too and re-executed), and
 //! task timeouts with capped exponential backoff. It is the only planner:
@@ -37,18 +39,25 @@ use std::collections::BTreeSet;
 /// errors) in order, and `success_secs` the successful body. The planner
 /// replays this chain, possibly inserting extra simulation-level attempts
 /// (node losses, timeouts) that re-run the current chain entry.
+///
+/// Locality is the successful body's read tally, resolved when it read:
+/// on `node` the task pulls `read_bytes − local[node]` bytes over the
+/// network.
 #[derive(Debug, Clone, Default)]
-pub struct PlannedTask {
+pub struct PlannedTask<'a> {
     /// Nominal-speed durations of body-failed attempts, in order.
     pub failed_secs: Vec<f64>,
     /// Nominal-speed duration of the successful body. For a task whose
     /// body exhausted every attempt this is unused (the chain never
     /// reaches success).
     pub success_secs: f64,
-    /// Input blocks read by the successful body: `(bytes, nodes holding a
-    /// surviving replica)`. An empty replica list means every copy is
-    /// remote (or lost — the body-level read error handles that case).
-    pub reads: Vec<(u64, Vec<usize>)>,
+    /// Bytes the successful body read (0 for a wave that keeps no
+    /// locality: the reduce side reads shuffled data).
+    pub read_bytes: u64,
+    /// `local[node]`: how many of `read_bytes` had a surviving replica on
+    /// `node` when they were read. Nodes past the end hold none, so an
+    /// empty tally makes every byte remote.
+    pub local: &'a [u64],
 }
 
 /// Fault environment and retry policy for one wave of [`plan_wave`].
@@ -173,13 +182,11 @@ fn node_speed(node_speeds: &[f64], node: usize) -> f64 {
     }
 }
 
-/// Bytes `task` would pull over the network when run on `node`.
+/// Bytes `task` would pull over the network when run on `node`. A tally
+/// is input from a worker, so a node claiming more than was read clamps.
 fn remote_bytes_on(task: &PlannedTask, node: usize) -> u64 {
-    task.reads
-        .iter()
-        .filter(|(_, homes)| !homes.contains(&node))
-        .map(|(b, _)| *b)
-        .sum()
+    let local = task.local.get(node).copied().unwrap_or(0);
+    task.read_bytes.saturating_sub(local)
 }
 
 /// Seconds entry `chain` of `task` takes on `node`, and the remote bytes
@@ -554,7 +561,7 @@ pub(crate) fn speculate(
 mod tests {
     use super::*;
 
-    fn simple_tasks(secs: &[f64]) -> Vec<PlannedTask> {
+    fn simple_tasks(secs: &[f64]) -> Vec<PlannedTask<'static>> {
         secs.iter()
             .map(|&s| PlannedTask {
                 success_secs: s,
@@ -849,8 +856,8 @@ mod tests {
         // Two equal tasks, two nodes. Task 0's input lives on node 1 only:
         // with free slots everywhere it must pick node 1, not node 0.
         let mut tasks = simple_tasks(&[10.0, 10.0]);
-        tasks[0].reads = vec![(100, vec![1])];
-        tasks[1].reads = vec![(100, vec![0])];
+        (tasks[0].read_bytes, tasks[0].local) = (100, &[0, 100]);
+        (tasks[1].read_bytes, tasks[1].local) = (100, &[100]);
         let p = plan_wave(&tasks, &[1.0; 2], 1, &no_faults(4));
         assert_eq!(p.attempts[0][0].node, 1);
         assert_eq!(p.attempts[1][0].node, 0);
@@ -864,7 +871,7 @@ mod tests {
         // One task whose 50-byte input lives on node 1, but node 1 is dead
         // from the start: it runs remote on node 0 and pays 50/net_bw.
         let mut tasks = simple_tasks(&[10.0]);
-        tasks[0].reads = vec![(50, vec![1])];
+        (tasks[0].read_bytes, tasks[0].local) = (50, &[0, 50]);
         let mut faults = no_faults(4);
         faults.net_bw = 10.0;
         faults.dead_nodes.insert(1);
@@ -1003,6 +1010,84 @@ mod tests {
         assert!((spec.makespan_secs - 16.0).abs() < 1e-12);
     }
 
+    /// The tally a map task's reads leave, through a real store: 4 nodes,
+    /// 2 replicas, so `a` lives on nodes 0 and 1 and `c` on 2 and 3 (the
+    /// ring walks on from the path's hash).
+    fn tally_of(dfs: &std::sync::Arc<crate::dfs::Dfs>, reads: &[&str]) -> (u64, Vec<u64>) {
+        let mut ctx: crate::job::MapContext<usize, usize> =
+            crate::job::MapContext::new(dfs.clone(), 0, 1);
+        for path in reads {
+            ctx.read(path).unwrap();
+        }
+        let (stats, local) = ctx.io.finish(std::time::Duration::ZERO);
+        (stats.read_bytes, local)
+    }
+
+    fn two_files() -> std::sync::Arc<crate::dfs::Dfs> {
+        let dfs = std::sync::Arc::new(crate::dfs::Dfs::with_nodes(2, 4));
+        dfs.write("a", bytes::Bytes::from(vec![0u8; 100]));
+        dfs.write("c", bytes::Bytes::from(vec![0u8; 30]));
+        dfs
+    }
+
+    #[test]
+    fn a_file_read_twice_counts_twice() {
+        let (read_bytes, local) = tally_of(&two_files(), &["a", "a", "c"]);
+        assert_eq!((read_bytes, &local[..]), (230, &[200, 200, 30, 30][..]));
+        let task = PlannedTask {
+            success_secs: 10.0,
+            read_bytes,
+            local: &local,
+            ..Default::default()
+        };
+        let remote: Vec<u64> = (0..4).map(|node| remote_bytes_on(&task, node)).collect();
+        assert_eq!(remote, [30, 30, 200, 200]);
+        // No node holds all of it: the lowest of the cheapest slots, 30
+        // bytes over a 10 B/s wire.
+        let mut faults = no_faults(4);
+        faults.net_bw = 10.0;
+        let p = plan_wave(&[task], &[1.0; 4], 1, &faults);
+        assert_eq!(p.attempts[0][0].node, 0);
+        assert_eq!((p.data_local_tasks, p.remote_read_bytes), (0, 30));
+        assert!((p.makespan_secs - 13.0).abs() < 1e-12, "10 + 30/10");
+    }
+
+    #[test]
+    fn a_home_that_died_before_the_job_is_not_local() {
+        let dfs = two_files();
+        dfs.kill_node(0);
+        let (read_bytes, local) = tally_of(&dfs, &["a"]);
+        assert_eq!((read_bytes, &local[..]), (100, &[0, 100][..]));
+        let task = PlannedTask {
+            success_secs: 10.0,
+            read_bytes,
+            local: &local,
+            ..Default::default()
+        };
+        let remote: Vec<u64> = (0..4).map(|node| remote_bytes_on(&task, node)).collect();
+        assert_eq!(remote, [100, 0, 100, 100]);
+        let mut faults = no_faults(4);
+        faults.dead_nodes.insert(0);
+        let p = plan_wave(&[task], &[1.0; 4], 1, &faults);
+        assert_eq!(p.attempts[0][0].node, 1, "the surviving home");
+        assert_eq!((p.data_local_tasks, p.remote_read_bytes), (1, 0));
+    }
+
+    #[test]
+    fn an_empty_tally_makes_every_byte_remote() {
+        let task = PlannedTask {
+            success_secs: 10.0,
+            read_bytes: 64,
+            ..Default::default()
+        };
+        assert!((0..4).all(|node| remote_bytes_on(&task, node) == 64));
+        let p = plan_wave(&[task], &[1.0; 4], 1, &no_faults(4));
+        assert_eq!((p.data_local_tasks, p.remote_read_bytes), (0, 64));
+        // A task that read nothing is local anywhere.
+        let p = plan_wave(&simple_tasks(&[10.0]), &[1.0; 4], 1, &no_faults(4));
+        assert_eq!((p.data_local_tasks, p.remote_read_bytes), (1, 0));
+    }
+
     #[test]
     fn backup_without_the_replica_pays_its_remote_read() {
         // One 8 s task whose 40-byte input lives on node 0 only, and node 0
@@ -1010,7 +1095,7 @@ mod tests {
         // backup runs on node 1 — no replica there, so it pulls the 40
         // bytes over the wire (4 s at bw 10) and commits at 8 + 4 = 12.
         let mut tasks = simple_tasks(&[8.0]);
-        tasks[0].reads = vec![(40, vec![0])];
+        (tasks[0].read_bytes, tasks[0].local) = (40, &[40]);
         let mut faults = no_faults(4);
         faults.net_bw = 10.0;
         let p = backed_up(&tasks, &[0.25, 1.0], 1, &faults);

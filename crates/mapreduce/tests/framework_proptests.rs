@@ -160,7 +160,7 @@ proptest! {
             expect.insert(mrinv_mapreduce::dfs::normalize_path(path), data.clone());
         }
         for (path, data) in &expect {
-            let got = cluster.dfs.read(path).unwrap();
+            let (got, _) = cluster.dfs.read(path).unwrap();
             prop_assert_eq!(got.as_ref(), &data[..]);
         }
         prop_assert_eq!(cluster.dfs.file_count(), expect.len());

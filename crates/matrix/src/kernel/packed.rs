@@ -269,7 +269,17 @@ pub(super) fn run_packed(
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return;
     }
+    // One buffer per operand for the whole call (the parallel nest packs A
+    // into its per-thread `ABUF`): packing writes every slot it later
+    // reads, padding included, so no panel needs a fresh, zeroed one.
+    // Buffers kept across calls would add their size to the process's
+    // resident high-water mark.
     let mut bbuf = vec![0.0; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
+    let mut abuf = if parallel {
+        Vec::new()
+    } else {
+        vec![0.0; MC.min(m).div_ceil(MR) * MR * k.min(KC)]
+    };
     // Kernel perf counters want the packing/microkernel time split;
     // resolve the gate once so disabled runs never read a clock.
     let perf_on = super::perf::is_enabled();
@@ -342,7 +352,6 @@ pub(super) fn run_packed(
                     });
                 });
             } else {
-                let mut abuf = vec![0.0; MC.min(m).div_ceil(MR) * MR * kc];
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
                     let alen = mc.div_ceil(MR) * MR * kc;

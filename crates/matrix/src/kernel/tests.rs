@@ -398,61 +398,63 @@ fn strided_row_kernel_matches_transposed_storage_oracle() {
 
 #[test]
 fn trsm_left_lower_matches_legacy_per_column_kernels() {
-    // Wide enough for a full 16-column leaf tile plus scalar remainder
-    // columns: both must reproduce the per-vector oracles bit for bit.
-    let (n, w) = (40, 21);
-    let l = random_unit_lower(n, 13);
-    // Unit solve against a general RHS: the old column-at-a-time
-    // solve_unit_lower_column loop (the U2 mappers').
-    let rhs = random_matrix(n, w, 14);
-    let mut x = rhs.clone();
-    trsm_with(&Naive, Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l, &mut x).unwrap();
-    for j in 0..w {
-        let col = solve_unit_lower_column(&l, &rhs.col(j));
-        assert_eq!(bits_of(&x.col(j)), bits_of(&col), "U2 column {j}");
-    }
+    // Widths that take full 16-column leaf tiles and every remainder tile
+    // (8, 4 and 1 wide; masked too, under the identity's staggered
+    // columns): each must reproduce the per-vector oracles bit for bit.
+    for (n, w) in [(40, 21), (44, 15), (44, 31)] {
+        let l = random_unit_lower(n, 13);
+        // Unit solve against a general RHS: the old column-at-a-time
+        // solve_unit_lower_column loop (the U2 mappers').
+        let rhs = random_matrix(n, w, 14);
+        let mut x = rhs.clone();
+        trsm_with(&Naive, Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l, &mut x).unwrap();
+        for j in 0..w {
+            let col = solve_unit_lower_column(&l, &rhs.col(j));
+            assert_eq!(bits_of(&x.col(j)), bits_of(&col), "U2 column {j}");
+        }
 
-    // Non-unit solve of the identity: column-wise invert_lower_column
-    // (including exact +0.0 above each diagonal, under negative diagonals).
-    let mut lnu = l.clone();
-    for i in 0..n {
-        lnu[(i, i)] = (1.5 + i as f64 * 0.25) * if i % 2 == 0 { 1.0 } else { -1.0 };
-    }
-    let mut x = Matrix::identity(n);
-    trsm_with(
-        &Naive,
-        Side::Left,
-        Uplo::Lower,
-        Diag::NonUnit,
-        1.0,
-        &lnu,
-        &mut x,
-    )
-    .unwrap();
-    for j in 0..n {
-        let col = invert_lower_column(&lnu, j);
-        assert_eq!(bits_of(&x.col(j)), bits_of(&col), "inverse column {j}");
-    }
-    assert_eq!(bits(&x), bits(&triangular::invert_lower(&lnu).unwrap()));
+        // Non-unit solve of the identity: column-wise invert_lower_column
+        // (including exact +0.0 above each diagonal, under negative diagonals).
+        let mut lnu = l.clone();
+        for i in 0..n {
+            lnu[(i, i)] = (1.5 + i as f64 * 0.25) * if i % 2 == 0 { 1.0 } else { -1.0 };
+        }
+        let mut x = Matrix::identity(n);
+        trsm_with(
+            &Naive,
+            Side::Left,
+            Uplo::Lower,
+            Diag::NonUnit,
+            1.0,
+            &lnu,
+            &mut x,
+        )
+        .unwrap();
+        for j in 0..n {
+            let col = invert_lower_column(&lnu, j);
+            assert_eq!(bits_of(&x.col(j)), bits_of(&col), "inverse column {j}");
+        }
+        assert_eq!(bits(&x), bits(&triangular::invert_lower(&lnu).unwrap()));
 
-    // The L2' mappers' form: X·U1 = A3 solved as U1ᵀ·Xᵀ = A3ᵀ, against the
-    // old row-at-a-time solve_row_times_upper_transposed loop.
-    let u1_t = lnu;
-    let a3 = random_matrix(w, n, 24);
-    let mut x_t = a3.transpose();
-    trsm_with(
-        &Naive,
-        Side::Left,
-        Uplo::Lower,
-        Diag::NonUnit,
-        1.0,
-        &u1_t,
-        &mut x_t,
-    )
-    .unwrap();
-    for i in 0..w {
-        let row = solve_row_times_upper_transposed(&u1_t, a3.row(i));
-        assert_eq!(bits_of(&x_t.col(i)), bits_of(&row), "L2' row {i}");
+        // The L2' mappers' form: X·U1 = A3 solved as U1ᵀ·Xᵀ = A3ᵀ, against the
+        // old row-at-a-time solve_row_times_upper_transposed loop.
+        let u1_t = lnu;
+        let a3 = random_matrix(w, n, 24);
+        let mut x_t = a3.transpose();
+        trsm_with(
+            &Naive,
+            Side::Left,
+            Uplo::Lower,
+            Diag::NonUnit,
+            1.0,
+            &u1_t,
+            &mut x_t,
+        )
+        .unwrap();
+        for i in 0..w {
+            let row = solve_row_times_upper_transposed(&u1_t, a3.row(i));
+            assert_eq!(bits_of(&x_t.col(i)), bits_of(&row), "L2' row {i}");
+        }
     }
 }
 

@@ -10,8 +10,9 @@
 //! substitution, in place. Per vector the arithmetic is the per-vector
 //! kernels' of [`crate::triangular`], operation for operation (the
 //! [`Naive`](super::Naive) pipeline pins depend on it); the left-side leaf
-//! merely runs sixteen vectors abreast so the dependent chain of one
-//! vector hides behind its neighbours'.
+//! merely runs sixteen vectors abreast (a remainder eight, then four, then
+//! one at a time) so the dependent chain of one vector hides behind its
+//! neighbours'.
 //!
 //! **Recursion.** Larger systems split the triangle in two, solve the
 //! first diagonal block, clear its coupling to the second with one GEMM on
@@ -306,8 +307,9 @@ impl Solve<'_> {
 const TILE: usize = 16;
 
 /// Left-side leaf: `T · X = B` by substitution, in place, column tiles of
-/// [`TILE`] abreast. Returns, per column, the position in solve order of
-/// its first entry that is not `+0.0` (the leaf's order if there is none).
+/// [`TILE`] abreast, the remainder in tiles of 8, 4 and 1. Returns, per
+/// column, the position in solve order of its first entry that is not
+/// `+0.0` (the leaf's order if there is none).
 ///
 /// Per column this is the per-vector kernel, operation for operation: an
 /// exact-`+0.0` prefix (suffix when solving backward) is left untouched
@@ -342,7 +344,10 @@ fn leaf_left(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Ve
     let use_avx2 = avx2_fma_available();
     let mut c0 = 0;
     while c0 < w {
-        let width = if c0 + TILE <= w { TILE } else { 1 };
+        let width = [TILE, 8, 4, 1]
+            .into_iter()
+            .find(|&tw| c0 + tw <= w)
+            .expect("a 1-wide tile fits");
         let bounds = &bound[c0..c0 + width];
         if bounds.iter().any(|&s| s != dead) {
             // The rows any column of the tile is live on.
@@ -351,16 +356,17 @@ fn leaf_left(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Ve
             } else {
                 0..*bounds.iter().max().expect("tile is not empty")
             };
-            let uniform = bounds.iter().all(|&s| s == bounds[0]);
-            match (width == TILE, uniform) {
-                (true, true) => {
-                    tile::<TILE, false>(use_avx2, t, b, c0, rows, bounds, forward, unit)
-                }
-                (true, false) => {
-                    tile::<TILE, true>(use_avx2, t, b, c0, rows, bounds, forward, unit)
-                }
-                (false, _) => tile::<1, false>(use_avx2, t, b, c0, rows, bounds, forward, unit),
-            }
+            let masked = bounds.iter().any(|&s| s != bounds[0]);
+            let solve: TileFn = match (width, masked) {
+                (TILE, false) => tile::<TILE, false>,
+                (TILE, true) => tile::<TILE, true>,
+                (8, false) => tile::<8, false>,
+                (8, true) => tile::<8, true>,
+                (4, false) => tile::<4, false>,
+                (4, true) => tile::<4, true>,
+                _ => tile::<1, false>,
+            };
+            solve(use_avx2, t, b, c0, rows, bounds, forward, unit);
         }
         c0 += width;
     }
@@ -371,6 +377,9 @@ fn leaf_left(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Ve
     }
     bound
 }
+
+/// [`tile`] at one width and masking.
+type TileFn = fn(bool, MatRef<'_>, &mut MatMut<'_>, usize, Range<usize>, &[usize], bool, bool);
 
 /// Dispatches one tile to the AVX2 or the portable instantiation of
 /// [`tile_body`] (same arithmetic, wider registers).

@@ -27,6 +27,15 @@
 //! least the one payload of the packed matrix and fail the bound.
 //! What those transient buffers cost in page faults is `warm_faults.rs`'s
 //! count: it needs a client on the main thread.
+//!
+//! One cold row counts allocator *calls* (`alloc`, `alloc_zeroed`,
+//! `realloc`) instead: one cold n = 64, nb = 4 solve in process, the third
+//! of three identical runs (so nothing initialized on first use lands in
+//! it), on a rayon pool capped at one thread (so the count does not depend
+//! on the pool's width: the parallel GEMM nest keeps per-thread buffers).
+//! A cold run is the pipeline's per-job and per-task bookkeeping — DFS
+//! reads, their placement, descriptors, kernel buffers — so a per-touch
+//! allocation that comes back shows here by count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::TcpStream;
@@ -36,7 +45,7 @@ use std::sync::Arc;
 use bincode::ValueRef;
 use mrinv::client::ServiceClient;
 use mrinv::service::{ServerHandle, ServiceConfig, WireOp, WireRequest};
-use mrinv::InversionConfig;
+use mrinv::{InversionConfig, Request};
 use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_mapreduce::{Cluster, ClusterConfig};
 use mrinv_matrix::io::{decode_binary, encode_binary_vec};
@@ -48,6 +57,10 @@ use mrinv_matrix::Matrix;
 /// may be).
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 
+/// Calls that asked the allocator for memory: `alloc`, `alloc_zeroed` and
+/// `realloc`.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -55,12 +68,14 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller's `layout` is passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller's `layout` is passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -72,6 +87,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` under this `layout`, and the
         // caller guarantees `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -87,6 +103,8 @@ const NB: usize = 32;
 /// Warm requests sent before counting, so every buffer has its size.
 const WARM_UP: usize = 20;
 const COUNTED: u64 = 10;
+/// The cold row's bound: its count (4,744), plus a little room.
+const COLD_SOLVE_CALLS: u64 = 4800;
 
 /// Bytes allocated per call of `request` over `calls` calls, in matrix
 /// payloads.
@@ -149,10 +167,41 @@ impl FullRequests {
     }
 }
 
-/// The only test in this binary: the counter is process-wide, so nothing
-/// may run beside it.
+/// Allocator calls of one cold n = 64, nb = 4 solve, each on a fresh
+/// cluster: the third of three identical runs, the pool capped at one
+/// thread.
+fn cold_solve_calls() -> u64 {
+    let previous = rayon::set_thread_cap(1);
+    let a = random_well_conditioned(64, 3);
+    let b = random_matrix(64, 1, 4).into_vec();
+    let mut calls = 0;
+    for _ in 0..3 {
+        let cluster = Cluster::new(ClusterConfig::medium(4));
+        let rhs = b.clone();
+        let before = CALLS.load(Ordering::SeqCst);
+        let out = Request::solve(&a).rhs(rhs).nb(4).submit(&cluster).unwrap();
+        calls = CALLS.load(Ordering::SeqCst) - before;
+        assert_eq!(out.solutions().len(), 1);
+    }
+    rayon::set_thread_cap(previous);
+    calls
+}
+
+/// The only test in this binary: the counters are process-wide, so
+/// nothing may run beside it (the cold row runs before the server starts).
 #[test]
 fn warm_requests_stay_within_their_allocation_budget() {
+    // 4,744 calls; 6,903 while each map-side read copied its path into a
+    // log the planner looked up again, factor nodes rebuilt their
+    // permutations on every assembly, and the partition plan rebuilt its
+    // row split for every piece.
+    let cold = cold_solve_calls();
+    println!("allocator calls of one cold n=64/nb=4 solve: {cold}");
+    assert!(
+        cold <= COLD_SOLVE_CALLS,
+        "a cold solve made {cold} allocator calls"
+    );
+
     let mut config = ClusterConfig::medium(4);
     config.observability = true;
     let server = ServerHandle::start(Arc::new(Cluster::new(config)), ServiceConfig::default())

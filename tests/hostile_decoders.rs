@@ -1,7 +1,9 @@
 //! Hostile bytes never panic a decoder. Every decoder that reads bytes a
 //! peer or a file supplied — the frame reader, bincode into the four wire
-//! types, the binary matrix codec, and the service's frame views (the server's of a request, the client's of a
-//! response, each also with the optional name keys) — returns `Ok` or
+//! types, the binary matrix codec, the service's frame views (the server's of a request, the client's of a
+//! response, each also with the optional name keys), and a worker's
+//! reading of the driver's DFS read reply (its replica homes, then the
+//! file) — returns `Ok` or
 //! `Err` on arbitrary input and on each mutation of a
 //! valid encoding: a cut at every offset, one flipped byte, a length or
 //! count field set to `u64::MAX` or to the bytes remaining + 1. A panic fails the
@@ -13,6 +15,7 @@
 use std::time::Duration;
 
 use mrinv::service::{RequestView, ResponseView, WireOp, WireRequest, WireResponse};
+use mrinv_mapreduce::decode_read_reply;
 use mrinv_mapreduce::exec::WireTaskResult;
 use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_mapreduce::{Phase, TaskDescriptor, TaskStats};
@@ -41,11 +44,18 @@ fn response_view(bytes: &[u8]) -> bool {
     ResponseView::read(bytes).is_ok()
 }
 
+/// A worker's DFS read reply as it arrives: one frame, whose body the
+/// worker decodes (the frame's length is the file's).
+fn dfs_read_reply(bytes: &[u8]) -> bool {
+    let mut body = Vec::new();
+    read_frame(&mut &bytes[..], &mut body).is_ok() && decode_read_reply(&body).is_ok()
+}
+
 /// A decoder under test: `true` is `Ok`.
 type Decoder = fn(&[u8]) -> bool;
 
 /// Every decoder under test, by name.
-const DECODERS: [(&str, Decoder); 10] = [
+const DECODERS: [(&str, Decoder); 11] = [
     ("read_frame", frame),
     ("WireRequest", wire::<WireRequest>),
     ("WireResponse", wire::<WireResponse>),
@@ -56,6 +66,7 @@ const DECODERS: [(&str, Decoder); 10] = [
     ("ResponseView", response_view),
     ("RequestView (named)", request_view),
     ("ResponseView (admitted)", response_view),
+    ("DFS read reply", dfs_read_reply),
 ];
 
 /// Feeds `bytes` to every decoder. Returning at all is the property.
@@ -158,6 +169,10 @@ fn valid_encodings() -> Vec<Vec<u8>> {
     };
     let named = with_key(named.to_value(), "name", words(&[2, u64::MAX, 9]));
     let admitted = with_key(response.to_value(), "admitted", words(&[2, 1, 0]));
+    // Status OK, two homes (nodes 1 and 3), then a five-byte file.
+    let mut read_reply = Vec::new();
+    let body = [0, 2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3, 4, 5];
+    write_frame(&mut read_reply, 1, &body).unwrap();
     vec![
         framed,
         bincode::serialize(&request),
@@ -169,6 +184,7 @@ fn valid_encodings() -> Vec<Vec<u8>> {
         bincode::serialize(&response),
         bincode::value_to_bytes(&named),
         bincode::value_to_bytes(&admitted),
+        read_reply,
     ]
 }
 
