@@ -77,7 +77,7 @@ use crate::client::{ServiceClient, ServiceReply};
 use crate::error::CoreError;
 use crate::request::{LuFactors, Outcome, Request};
 use crate::service::{ServerHandle, ServiceConfig};
-use crate::{InversionConfig, RunId, RunReport};
+use crate::{InversionConfig, RunReport};
 
 struct Opts {
     command: String,
@@ -494,10 +494,7 @@ fn run_compute(opts: &Opts) {
                 ComputeOp::Lu { .. } => Request::lu(&a),
                 ComputeOp::Solve { .. } => Request::solve(&a).rhs_all(rhs.iter().cloned()),
             };
-            // One fixed directory: job names (`final-inverse:mrinv/cli`) in
-            // traces and metrics read the same from run to run.
-            let run = RunId::new("mrinv/cli");
-            let out = request.config(&cfg).workdir(&run).submit(&cluster);
+            let out = request.config(&cfg).submit(&cluster);
             let out = out.unwrap_or_else(|e| fail(e));
             let origin = format!("on {} simulated nodes", opts.nodes);
             (Answer::Local(Box::new((cluster, out))), origin)

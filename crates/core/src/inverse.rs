@@ -5,8 +5,8 @@
 //! the [`crate::Request`] builder in [`crate::request`] (the historical
 //! `invert`/`invert_run`/`lu`/`lu_run`/`solve` free functions collapsed
 //! into it). Every run executes through a
-//! [`mrinv_mapreduce::PipelineDriver`] addressed by a deterministic
-//! [`RunId`] — the DFS directory all of the run's files live under.
+//! [`mrinv_mapreduce::PipelineDriver`] addressed by a [`RunId`] — the DFS
+//! directory all of the run's files live under.
 
 use mrinv_mapreduce::{Cluster, Fingerprint, RunId};
 
@@ -35,14 +35,12 @@ pub(crate) fn run_fingerprint(plan: &PartitionPlan, opts: &Optimizations) -> u64
         .finish()
 }
 
-/// A per-cluster run directory for unpinned requests, deterministic given
-/// the cluster state: `mrinv/run-<k>` for the first `k` from the count of
-/// DFS files written (which grows with every run) up whose directory holds
-/// no file. A counter reset can bring the count back to a live directory's
-/// name, so a name is only taken once it is known to be empty; a failed
-/// run's cleanup then deletes nothing but its own files.
+/// An unpinned request's run directory: `mrinv/run-<k>` for the lowest `k`
+/// whose directory holds no file. Every cold run leaves its directory
+/// empty, so this is `mrinv/run-0` unless a caller wrote files there, and
+/// a run's job names, fingerprints and placement follow from its request.
 pub(crate) fn fresh_run_id(cluster: &Cluster) -> RunId {
-    (cluster.dfs.counters().files_written..)
+    (0..)
         .map(|k| RunId::new(format!("mrinv/run-{k}")))
         .find(|run| cluster.dfs.list(run.dir()).is_empty())
         .expect("an unbounded range has a free directory")

@@ -257,8 +257,8 @@ impl Mapper for PartitionMapper {
 
 /// Writes the input matrix into the DFS as `m0` row-stripe files (the
 /// upstream job's output in the paper's workflow; its cost is not part of
-/// the inversion's Tables 1–2 accounting, so callers typically reset the
-/// DFS counters afterwards).
+/// the inversion's Tables 1–2 accounting, and no run report counts it:
+/// it writes outside the driver).
 pub(crate) fn ingest_input(cluster: &Cluster, a: &Matrix, plan: &PartitionPlan) -> Result<()> {
     if a.rows() != plan.n || a.cols() != plan.n {
         return Err(CoreError::Invariant(format!(

@@ -192,8 +192,8 @@ impl<'a> Request<'a> {
         self
     }
 
-    /// Pins the run directory: the run's files live under `run`, and a
-    /// failed run leaves them there for the caller.
+    /// Pins the run directory: the run's files, job names and fingerprints
+    /// name `run`, which, like an unpinned run's, is empty once it ends.
     pub fn workdir(mut self, run: &RunId) -> Self {
         self.run = Some(run.clone());
         self
@@ -223,11 +223,9 @@ impl<'a> Request<'a> {
     ///
     /// Cold runs are bit-identical to the historical free functions: the
     /// same driver, job sequence, job fingerprints, and master-side
-    /// assembly. A cold run that succeeds leaves nothing in the DFS.
-    ///
-    /// A cold run that fails in a directory the caller did not pin is
-    /// deleted whole: nothing can read what it wrote. A pinned run
-    /// directory is left for the caller.
+    /// assembly, in the pinned directory or the lowest free
+    /// `mrinv/run-<k>`. A cold run leaves nothing in the DFS: a failed one
+    /// is deleted whole, since nothing can read what it wrote.
     pub fn submit(self, cluster: &Cluster) -> Result<Outcome> {
         let n = self.validate()?;
         let keyed = self.keyed_cache(cluster);
@@ -239,12 +237,9 @@ impl<'a> Request<'a> {
                 "a key-only request is served from its cache entry or not at all".to_string(),
             ));
         };
-        let run = match &self.run {
-            Some(run) => run.clone(),
-            None => fresh_run_id(cluster),
-        };
+        let run = self.run.clone().unwrap_or_else(|| fresh_run_id(cluster));
         let cold = self.run_pipeline(cluster, a, &run, keyed);
-        if cold.is_err() && self.run.is_none() {
+        if cold.is_err() {
             cluster.dfs.delete_dir(run.dir());
         }
         cold
@@ -612,33 +607,31 @@ mod tests {
         assert!(r.workdir.starts_with("mrinv/run-"), "workdir {}", r.workdir);
     }
 
-    /// A run's report is its own ledger, not the difference of a growing
-    /// clock: three identical inverts in one pinned directory on one
-    /// cluster report the same simulated and master seconds, bit for bit,
-    /// and the same counts.
+    /// A run's report depends on its request alone: five identical
+    /// unpinned inverts on one cluster, the fifth after an unrelated
+    /// (32, 8) invert, all run in `mrinv/run-0` and report the same
+    /// simulated and master seconds, locality and remote bytes, bit for
+    /// bit, and the same job fingerprints.
     #[test]
     fn repeated_runs_report_identical_bits() {
         let cluster = Cluster::new(ClusterConfig::medium(4));
         let a = random_well_conditioned(64, 42);
-        let run = RunId::new("pinned");
-        let reports: Vec<RunReport> = (0..3)
-            .map(|_| {
-                let req = Request::invert(&a).nb(4).workdir(&run);
-                req.submit(&cluster).unwrap().report
-            })
-            .collect();
+        let other = random_well_conditioned(32, 43);
+        let invert = |a: &Matrix| Request::invert(a).nb(4).submit(&cluster).unwrap().report;
+        let mut reports: Vec<RunReport> = (0..4).map(|_| invert(&a)).collect();
+        Request::invert(&other).nb(8).submit(&cluster).unwrap();
+        reports.push(invert(&a));
         let ledger = |r: &RunReport| {
-            let secs = [r.sim_secs, r.master_secs, r.hours].map(f64::to_bits);
-            let bytes = [r.dfs_bytes_read, r.dfs_bytes_written, r.shuffle_bytes];
-            (secs, [r.jobs, r.task_failures], bytes, r.remote_read_bytes)
+            let secs = [r.sim_secs, r.master_secs, r.data_local_fraction].map(f64::to_bits);
+            let fingerprints: Vec<u64> = r.job_reports.iter().map(|j| j.fingerprint).collect();
+            (r.workdir.clone(), secs, r.remote_read_bytes, fingerprints)
         };
         assert_eq!(reports[0].jobs, 17);
-        assert_eq!(
-            reports[0].sim_secs, 110.50694901583329,
-            "a fresh cluster's bits"
-        );
-        assert_eq!(ledger(&reports[0]), ledger(&reports[1]));
-        assert_eq!(ledger(&reports[0]), ledger(&reports[2]));
+        assert_eq!(reports[0].workdir, "mrinv/run-0");
+        assert_eq!(reports[0].sim_secs, 110.5069998158333, "run-0's bits");
+        for (k, r) in reports.iter().enumerate().skip(1) {
+            assert_eq!(ledger(r), ledger(&reports[0]), "run {k}");
+        }
     }
 
     #[test]
@@ -683,22 +676,39 @@ mod tests {
             .approx_eq(out.inverse().unwrap(), 0.0));
     }
 
+    /// A run's files live under its own directory and nowhere else: two
+    /// unpinned runs and a pinned one give the same bits, the second
+    /// unpinned run reuses the `mrinv/run-0` the first gave back, and a
+    /// file outside every run directory is left as it was.
     #[test]
     fn runs_are_isolated_by_workdir() {
         let cluster = test_cluster(2);
         let a = random_well_conditioned(16, 9);
-        let out1 = Request::invert(&a).nb(4).submit(&cluster).unwrap();
-        let out2 = Request::invert(&a).nb(4).submit(&cluster).unwrap();
-        assert!(
-            out1.inverse()
-                .unwrap()
-                .approx_eq(out2.inverse().unwrap(), 0.0),
-            "same input, same output"
-        );
-        assert_ne!(
-            out1.report.workdir, out2.report.workdir,
-            "consecutive runs get distinct directories"
-        );
+        let mut io = TaskIo::new(cluster.dfs.clone());
+        let foreign = Matrix::identity(3);
+        crate::source::write_block(&mut io, "user/mine", &foreign);
+        let run = RunId::new("pinned");
+        let outs = [
+            Request::invert(&a).nb(4).submit(&cluster).unwrap(),
+            Request::invert(&a).nb(4).submit(&cluster).unwrap(),
+            Request::invert(&a)
+                .nb(4)
+                .workdir(&run)
+                .submit(&cluster)
+                .unwrap(),
+        ];
+        let dirs: Vec<&str> = outs.iter().map(|o| o.report.workdir.as_str()).collect();
+        assert_eq!(dirs, ["mrinv/run-0", "mrinv/run-0", run.dir()]);
+        for out in &outs[1..] {
+            assert_eq!(
+                bits(out.inverse().unwrap()),
+                bits(outs[0].inverse().unwrap()),
+                "same input, same output"
+            );
+        }
+        assert_eq!(cluster.dfs.list(""), ["user/mine"]);
+        let kept = crate::source::read_block(&mut io, "user/mine", (3, 3));
+        assert_eq!(bits(&kept.unwrap()), bits(&foreign));
     }
 
     #[test]
@@ -761,10 +771,10 @@ mod tests {
         assert!(Request::invert(&a).nb(4).submit(&cluster).is_err());
     }
 
-    /// A cold run that fails in a directory nobody named is deleted whole:
-    /// the cluster's DFS is left as the request found it. At the parent
+    /// A cold run that fails is deleted whole, pinned or not: the
+    /// cluster's DFS is left as the request found it. Without the cleanup
     /// the partition tree, `B` cells and factors written before the
-    /// failing leaf stayed for good.
+    /// failing leaf would stay for good.
     #[test]
     fn a_failed_cold_run_leaves_the_dfs_as_it_found_it() {
         let c = test_cluster(2);
@@ -788,43 +798,37 @@ mod tests {
         assert_eq!(held(&c), before);
         assert_eq!(cache.stats().entries, 1);
 
-        // A pinned directory belongs to the caller and keeps what the
-        // failed run wrote.
+        // So does one in a directory the caller pinned.
         let run = RunId::new("pinned");
+        let written = c.dfs.counters().files_written;
         let failed = Request::invert(&singular).nb(4).workdir(&run).submit(&c);
         assert!(failed.is_err());
-        assert!(!c.dfs.list(run.dir()).is_empty());
+        assert!(c.dfs.counters().files_written > written, "it wrote files");
+        assert_eq!(held(&c), before);
     }
 
-    /// Resetting the DFS counters brings the count of files written back
-    /// to a value a live directory was named after. The next unpinned run
-    /// must not land in (and overwrite, or on failure delete) that
-    /// directory, here a failed pinned run's, which keeps its files.
+    /// A fresh run takes the lowest directory that holds no file, and
+    /// never one that does: a file written straight to `mrinv/run-0` sends
+    /// the next run to `run-1`, which leaves the file as it was and is
+    /// empty again once the run ends.
     #[test]
     fn a_fresh_run_never_lands_in_a_live_directory() {
         let c = test_cluster(2);
         let a = random_invertible(16, 1);
-        let mut singular = random_well_conditioned(16, 15);
-        let row = singular.row(2).to_vec();
-        singular.row_mut(9).copy_from_slice(&row);
         let first = Request::lu(&a).nb(4).submit(&c).unwrap();
-        let live = RunId::new(first.report.workdir.clone());
-        let failed = Request::lu(&singular).nb(4).workdir(&live).submit(&c);
-        assert!(failed.is_err());
-        let files = |dir: &str| -> Vec<_> {
-            let paths = c.dfs.list(dir);
-            paths
-                .into_iter()
-                .map(|p| c.dfs.read(&p).unwrap().0)
-                .collect()
-        };
-        let kept = files(live.dir());
-        assert!(!kept.is_empty());
-        c.dfs.reset_counters();
-        let next = Request::lu(&a).nb(4).submit(&c).unwrap();
         assert_eq!(first.report.workdir, "mrinv/run-0");
-        assert_ne!(next.report.workdir, first.report.workdir);
-        assert_eq!(files(live.dir()), kept);
+        let mut io = TaskIo::new(c.dfs.clone());
+        let foreign = Matrix::identity(3);
+        crate::source::write_block(&mut io, "mrinv/run-0/mine", &foreign);
+        let next = Request::lu(&a).nb(4).submit(&c).unwrap();
+        assert_eq!(next.report.workdir, "mrinv/run-1");
+        assert_eq!(c.dfs.list("mrinv"), ["mrinv/run-0/mine"]);
+        let kept = crate::source::read_block(&mut io, "mrinv/run-0/mine", (3, 3));
+        assert_eq!(bits(&kept.unwrap()), bits(&foreign));
+        assert_eq!(
+            bits(&next.factors().unwrap().u),
+            bits(&first.factors().unwrap().u)
+        );
     }
 
     /// After a plain run the DFS holds nothing, with a cache or without,

@@ -77,8 +77,8 @@ impl Default for Fingerprint {
 
 /// A deterministic, caller-visible run directory in the DFS.
 ///
-/// Every file a pipeline produces lives under this directory, so a caller
-/// that pins a `RunId` knows where a failed run's files are.
+/// Every file a pipeline produces lives under this directory, and every
+/// job name and fingerprint of the run names it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunId {
     dir: String,

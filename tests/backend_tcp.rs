@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use mrinv::{InversionConfig, Request, RunId};
+use mrinv::{InversionConfig, Request};
 use mrinv_mapreduce::job::JobSpec;
 use mrinv_mapreduce::runner::run_map_only;
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, JobReport, TcpWorkers, TcpWorkersConfig};
@@ -41,25 +41,16 @@ fn tcp_backend_matches_in_process_bit_for_bit() {
     let a = random_well_conditioned(n, 17);
     let cfg = InversionConfig::with_nb(nb);
 
-    // Same workdir on both sides (each cluster has its own in-memory
-    // DFS) so the job specs — and hence the fingerprints — can agree.
-    let run = RunId::new("accept/backend-diff");
-
+    // Each cluster has its own in-memory DFS, so both unpinned runs land
+    // in `mrinv/run-0` and their job specs — and hence the fingerprints —
+    // can agree.
     let local = Cluster::new(unit_config(4));
-    let baseline = Request::invert(&a)
-        .config(&cfg)
-        .workdir(&run)
-        .submit(&local)
-        .unwrap();
+    let baseline = Request::invert(&a).config(&cfg).submit(&local).unwrap();
     assert_eq!(baseline.report.jobs, 17);
     assert_eq!(baseline.report.backend, "in-process");
 
     let remote = tcp_cluster(unit_config(4), 2);
-    let out = Request::invert(&a)
-        .config(&cfg)
-        .workdir(&run)
-        .submit(&remote)
-        .unwrap();
+    let out = Request::invert(&a).config(&cfg).submit(&remote).unwrap();
     assert_eq!(out.report.jobs, 17);
     assert_eq!(out.report.backend, "tcp-workers");
 

@@ -268,6 +268,30 @@ fn warm_requests_add_no_metric_series() {
     assert_eq!(cluster.obs().series_count(), series);
 }
 
+/// `mrinv serve`'s registry, which is always on, labels job series by job
+/// name, and a job name carries its run directory. Every cold run leaves
+/// the DFS empty, so each one runs in `mrinv/run-0`, and cold requests for
+/// distinct matrices of one shape add no series after the first.
+#[test]
+fn cold_requests_of_one_shape_add_no_metric_series() {
+    let mut cfg = ClusterConfig::medium(4);
+    cfg.cost = CostModel::unit_for_tests();
+    cfg.observability = true;
+    let cluster = Arc::new(Cluster::new(cfg));
+    let handle = ServerHandle::start(cluster.clone(), ServiceConfig::default()).unwrap();
+    let mut client = ServiceClient::connect(&handle.addr().to_string(), "cold").unwrap();
+    let cfg = InversionConfig::with_nb(8);
+    let mut cold = |seed: u64| {
+        let reply = client.invert(&random_well_conditioned(32, 70 + seed), &cfg);
+        assert!(!reply.unwrap().cache_hit, "cold invert {seed}");
+        cluster.obs().series_count()
+    };
+    let series = cold(0);
+    for seed in 1..6 {
+        assert_eq!(cold(seed), series, "cold invert {seed}");
+    }
+}
+
 /// A tenant over its admission limit is rejected immediately with a
 /// diagnostic, not admitted and starved.
 #[test]
