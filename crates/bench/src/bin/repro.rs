@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro <experiment> [--scale S] [--nodes a,b,c] [--no-scalapack]
+//! repro <experiment> [--scale S]
 //!
 //! experiments:
 //!   table1     LU-stage I/O: theory vs measured vs ScaLAPACK model
@@ -23,78 +23,56 @@
 //!   section2   the Section 2 method comparison, executable
 //!   stragglers heterogeneous nodes vs speculative execution (7.4's EC2
 //!              variance observation)
-//!   gemm-par-check ordering gate: on >= 2 cores with >= 2 effective pool
-//!              threads, packed-parallel GEMM must not be slower than
-//!              packed-serial at n >= 256 (skips on single-core boxes)
-//!   all        everything above except the check gates
+//!   all        everything above
 //! ```
 //!
-//! Results print as aligned tables and also land in `results/<exp>.csv`.
-//! `--scale` divides every matrix order and `nb` by a power of two
-//! (default 32); the pipeline structure and job counts are identical at
-//! every scale, and times are extrapolated back to paper scale (see
+//! Results print as aligned tables and also land in `results/<exp>.csv`;
+//! `sec74` and `sec74-node` also write a Chrome trace of their fault run
+//! to `results/<exp>_trace.json`. `--scale` divides every matrix order
+//! and `nb` by a power of two (default 32; a scale that does not divide
+//! every suite order and the paper's `nb` is a usage error); the pipeline
+//! structure and job counts are identical at every scale, and times are
+//! extrapolated back to paper scale (see
 //! `crates/bench/src/experiments.rs`). Simulated time prices each task's
 //! counted flops and bytes, never the host's clock, so every experiment
-//! but `section2` (wall time by definition) prints the same bytes and
-//! writes the same CSV on every run, on any machine; each figure is one
-//! run.
+//! prints the same bytes and writes the same CSV on every run, on any
+//! machine; each figure is one run, and its node counts are written once,
+//! here. `crates/bench/tests/results.rs` holds `repro all` to the
+//! committed `results/`.
 
 use mrinv_bench::experiments::{
     accuracy, fig6, fig7, fig8, nb_sweep, sec74, sec74_node, sec8_spark, section2_methods,
     stragglers, table1, table2, table3,
 };
-use mrinv_bench::suite::SuiteMatrix;
+use mrinv_bench::suite::{valid_scales, SuiteMatrix};
 use mrinv_bench::{write_csv, write_results_file};
-use mrinv_matrix::kernel::{gemm_with, notrans, Packed};
-use mrinv_matrix::random::random_matrix;
-use mrinv_matrix::Matrix;
-use std::hint::black_box;
-use std::time::Instant;
 
-#[derive(Debug)]
-struct Args {
-    experiment: String,
-    scale: usize,
-    nodes: Vec<usize>,
-    with_scalapack: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        experiment: String::new(),
-        scale: 32,
-        nodes: vec![],
-        with_scalapack: true,
-    };
+/// The experiment to run and the scale divisor.
+fn parse_args() -> (String, usize) {
+    let mut experiment = None;
+    let mut scale = 32;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
-                args.scale = it
+                let valid = valid_scales();
+                scale = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a power-of-two integer"));
+                    .filter(|s| valid.contains(s))
+                    .unwrap_or_else(|| {
+                        die(&format!(
+                            "--scale must divide every suite order and the paper's nb: one of {valid:?}"
+                        ))
+                    });
             }
-            "--nodes" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--nodes needs a list like 4,16,64"));
-                args.nodes = list
-                    .split(',')
-                    .map(|v| v.parse().unwrap_or_else(|_| die("bad --nodes entry")))
-                    .collect();
-            }
-            "--no-scalapack" => args.with_scalapack = false,
-            other if args.experiment.is_empty() && !other.starts_with('-') => {
-                args.experiment = other.to_string();
+            other if experiment.is_none() && !other.starts_with('-') => {
+                experiment = Some(other.to_string());
             }
             other => die(&format!("unknown argument {other:?}")),
         }
     }
-    if args.experiment.is_empty() {
-        die(&usage());
-    }
-    args
+    (experiment.unwrap_or_else(|| die(&usage())), scale)
 }
 
 fn die(msg: &str) -> ! {
@@ -102,80 +80,57 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-type Runner = fn(&Args);
+type Runner = fn(usize);
 
-/// Every experiment: its name, its runner and whether `all` includes it.
-/// The usage line, the dispatch and `all` (in this order) all read this
-/// one table.
-const EXPERIMENTS: &[(&str, Runner, bool)] = &[
-    ("table3", run_table3, true),
-    ("accuracy", run_accuracy, true),
-    ("section2", run_section2, true),
-    ("table1", run_table1, true),
-    ("table2", run_table2, true),
-    ("fig6", run_fig6, true),
-    ("fig7", run_fig7, true),
-    ("fig8", run_fig8, true),
-    ("sec74", run_sec74, true),
-    ("sec74-node", run_sec74_node, true),
-    ("nb-sweep", run_nb_sweep, true),
-    ("spark", run_spark, true),
-    ("stragglers", run_stragglers, true),
-    ("gemm-par-check", run_gemm_par_check, false),
+/// Every experiment and its runner. The usage line, the dispatch and `all`
+/// (in this order) all read this one table.
+const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("table3", run_table3),
+    ("accuracy", run_accuracy),
+    ("section2", run_section2),
+    ("table1", run_table1),
+    ("table2", run_table2),
+    ("fig6", run_fig6),
+    ("fig7", run_fig7),
+    ("fig8", run_fig8),
+    ("sec74", run_sec74),
+    ("sec74-node", run_sec74_node),
+    ("nb-sweep", run_nb_sweep),
+    ("spark", run_spark),
+    ("stragglers", run_stragglers),
 ];
 
 fn usage() -> String {
-    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _, _)| name).collect();
-    format!(
-        "usage: repro <{}|all> [--scale S] [--nodes a,b,c] [--no-scalapack]",
-        names.join("|")
-    )
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    format!("usage: repro <{}|all> [--scale S]", names.join("|"))
 }
 
 fn main() {
-    let args = parse_args();
-    if args.experiment == "all" {
-        for &(_, run, in_all) in EXPERIMENTS {
-            if in_all {
-                run(&args);
-            }
+    let (experiment, scale) = parse_args();
+    if experiment == "all" {
+        for &(_, run) in EXPERIMENTS {
+            run(scale);
         }
         return;
     }
-    match EXPERIMENTS
-        .iter()
-        .find(|&&(name, _, _)| name == args.experiment)
-    {
-        Some(&(_, run, _)) => run(&args),
-        None => die(&format!(
-            "unknown experiment {:?}\n{}",
-            args.experiment,
-            usage()
-        )),
+    match EXPERIMENTS.iter().find(|&&(name, _)| name == experiment) {
+        Some(&(_, run)) => run(scale),
+        None => die(&format!("unknown experiment {experiment:?}\n{}", usage())),
     }
 }
 
-fn nodes_or(args: &Args, default: &[usize]) -> Vec<usize> {
-    if args.nodes.is_empty() {
-        default.to_vec()
-    } else {
-        args.nodes.clone()
-    }
-}
-
-fn run_table1(args: &Args) {
+fn run_table1(scale: usize) {
     let m = SuiteMatrix::by_name("M5").unwrap();
-    let m0s = nodes_or(args, &[4, 16, 64]);
     println!(
         "\n== Table 1: LU decomposition cost in elements (n = {}, scale 1/{}) ==",
-        m.order(args.scale),
-        args.scale
+        m.order(scale),
+        scale
     );
     println!(
         "{:>5} {:>14} {:>14} {:>14} {:>14} {:>16}",
         "m0", "write(theory)", "write(meas)", "read(theory)", "read(meas)", "scal transfer"
     );
-    let rows = table1(&m, args.scale, &m0s);
+    let rows = table1(&m, scale, &[4, 16, 64]);
     let mut csv = Vec::new();
     for r in &rows {
         println!(
@@ -206,19 +161,18 @@ fn run_table1(args: &Args) {
     println!("-> {path}");
 }
 
-fn run_table2(args: &Args) {
+fn run_table2(scale: usize) {
     let m = SuiteMatrix::by_name("M5").unwrap();
-    let m0s = nodes_or(args, &[4, 16, 64]);
     println!(
         "\n== Table 2: triangular inversion + product cost in elements (n = {}, scale 1/{}) ==",
-        m.order(args.scale),
-        args.scale
+        m.order(scale),
+        scale
     );
     println!(
         "{:>5} {:>14} {:>14} {:>14} {:>14} {:>16}",
         "m0", "write(theory)", "write(meas)", "read(theory)", "read(meas)", "scal transfer"
     );
-    let rows = table2(&m, args.scale, &m0s);
+    let rows = table2(&m, scale, &[4, 16, 64]);
     let mut csv = Vec::new();
     for r in &rows {
         println!(
@@ -249,17 +203,17 @@ fn run_table2(args: &Args) {
     println!("-> {path}");
 }
 
-fn run_table3(args: &Args) {
+fn run_table3(scale: usize) {
     println!(
         "\n== Table 3: evaluation suite (sizes at paper scale; runs at 1/{}) ==",
-        args.scale
+        scale
     );
     println!(
         "{:>4} {:>8} {:>10} {:>9} {:>11} {:>6} {:>10}",
         "name", "order", "elems(B)", "text(GB)", "binary(GB)", "jobs", "run order"
     );
     let mut csv = Vec::new();
-    for r in table3(args.scale) {
+    for r in table3(scale) {
         println!(
             "{:>4} {:>8} {:>10.2} {:>9.0} {:>11.0} {:>6} {:>10}",
             r.name,
@@ -290,13 +244,12 @@ fn run_table3(args: &Args) {
     println!("(paper: jobs = 9 / 17 / 17 / 33 / 9)\n-> {path}");
 }
 
-fn run_fig6(args: &Args) {
-    let nodes = nodes_or(args, &[1, 2, 4, 8, 16, 32, 64]);
+fn run_fig6(scale: usize) {
     println!(
         "\n== Figure 6: strong scalability (extrapolated minutes, scale 1/{}) ==",
-        args.scale
+        scale
     );
-    let points = fig6(args.scale, &nodes);
+    let points = fig6(scale, &[1, 2, 4, 8, 16, 32, 64]);
     let mut csv = Vec::new();
     for name in ["M1", "M2", "M3"] {
         let series: Vec<_> = points.iter().filter(|p| p.name == name).collect();
@@ -325,18 +278,17 @@ fn run_fig6(args: &Args) {
     println!("-> {path}");
 }
 
-fn run_fig7(args: &Args) {
-    let nodes = nodes_or(args, &[4, 8, 16, 32, 64]);
+fn run_fig7(scale: usize) {
     println!(
         "\n== Figure 7: optimization ablations on M5 (T_unopt / T_opt, scale 1/{}) ==",
-        args.scale
+        scale
     );
     println!(
         "{:>6} {:>17} {:>12} {:>13}",
         "nodes", "separate-files", "block-wrap", "transposed-U"
     );
     let mut csv = Vec::new();
-    for r in fig7(args.scale, &nodes) {
+    for r in fig7(scale, &[4, 8, 16, 32, 64]) {
         println!(
             "{:>6} {:>17.2} {:>12.2} {:>13.2}",
             r.m0, r.separate_files_ratio, r.block_wrap_ratio, r.transpose_ratio
@@ -355,18 +307,14 @@ fn run_fig7(args: &Args) {
     println!("(paper: separate-files and block-wrap up to ~1.3x; transposed U 2-3x)\n-> {path}");
 }
 
-fn run_fig8(args: &Args) {
-    let nodes = nodes_or(args, &[4, 8, 16, 32, 64]);
-    println!(
-        "\n== Figure 8: T_ScaLAPACK / T_ours (scale 1/{}) ==",
-        args.scale
-    );
+fn run_fig8(scale: usize) {
+    println!("\n== Figure 8: T_ScaLAPACK / T_ours (scale 1/{}) ==", scale);
     println!(
         "{:>4} {:>6} {:>9} {:>14} {:>16}",
         "mat", "nodes", "ratio", "ours (min)", "scalapack (min)"
     );
     let mut csv = Vec::new();
-    for p in fig8(args.scale, &nodes) {
+    for p in fig8(scale, &[4, 8, 16, 32, 64]) {
         println!(
             "{:>4} {:>6} {:>9.2} {:>14.1} {:>16.1}",
             p.name, p.m0, p.ratio, p.ours_minutes, p.scalapack_minutes
@@ -385,16 +333,16 @@ fn run_fig8(args: &Args) {
     println!("(paper: <1 at small scale, approaches/exceeds 1 at larger n and m0)\n-> {path}");
 }
 
-fn run_sec74(args: &Args) {
+fn run_sec74(scale: usize) {
     println!(
         "\n== Section 7.4/7.5: very large matrix M4 (scale 1/{}) ==",
-        args.scale
+        scale
     );
     println!(
         "{:>32} {:>9} {:>6} {:>9}",
         "run", "hours", "jobs", "failures"
     );
-    let result = sec74(args.scale, args.with_scalapack);
+    let result = sec74(scale);
     let mut csv = Vec::new();
     for o in &result.outcomes {
         println!(
@@ -417,16 +365,16 @@ fn run_sec74(args: &Args) {
     println!("        ScaLAPACK 8 h on 128-large, >48 h on 64-medium)\n-> {path}");
 }
 
-fn run_sec74_node(args: &Args) {
+fn run_sec74_node(scale: usize) {
     println!(
         "\n== Section 7.4, node granularity: M4 on 64 medium (scale 1/{}) ==",
-        args.scale
+        scale
     );
     println!(
         "{:>36} {:>9} {:>6} {:>9}",
         "run", "hours", "jobs", "failures"
     );
-    let result = sec74_node(args.scale);
+    let result = sec74_node(scale);
     let mut csv = Vec::new();
     for o in &result.outcomes {
         println!(
@@ -461,40 +409,40 @@ fn run_sec74_node(args: &Args) {
     println!("        finishes correctly, stretching 5 h to 8 h)\n-> {path}");
 }
 
-fn run_section2(args: &Args) {
-    let n = (512 / (args.scale / 32).max(1)).max(64);
+fn run_section2(scale: usize) {
+    let n = (512 / (scale / 32).max(1)).max(64);
     let nb = (n / 8).max(4);
     println!("\n== Section 2: inversion method comparison (single node, n = {n}) ==");
     println!(
-        "{:>18} {:>10} {:>12} {:>14} {:>10}",
-        "method", "wall (ms)", "residual", "MR jobs @n", "scope"
+        "{:>18} {:>12} {:>14} {:>10}",
+        "method", "residual", "MR jobs @n", "scope"
     );
     let mut csv = Vec::new();
     for r in section2_methods(n, nb) {
         println!(
-            "{:>18} {:>10.1} {:>12.2e} {:>14} {:>10}",
-            r.method, r.wall_ms, r.residual, r.mr_jobs, r.scope
+            "{:>18} {:>12.2e} {:>14} {:>10}",
+            r.method, r.residual, r.mr_jobs, r.scope
         );
         csv.push(format!(
-            "{},{},{},{},{}",
-            r.method, r.wall_ms, r.residual, r.mr_jobs, r.scope
+            "{},{},{},{}",
+            r.method, r.residual, r.mr_jobs, r.scope
         ));
     }
-    let path = write_csv("section2", "method,wall_ms,residual,mr_jobs,scope", &csv).unwrap();
+    let path = write_csv("section2", "method,residual,mr_jobs,scope", &csv).unwrap();
     println!("(the paper's argument: GJ/QR need ~n sequential jobs; block LU needs 2^ceil(log2(n/nb)))\n-> {path}");
 }
 
-fn run_stragglers(args: &Args) {
+fn run_stragglers(scale: usize) {
     println!(
         "\n== Stragglers: one slow node in 16, speculation off/on (M5, scale 1/{}) ==",
-        args.scale
+        scale
     );
     println!(
         "{:>12} {:>18} {:>18} {:>9}",
         "slow factor", "no-spec (min)", "speculation (min)", "saved"
     );
     let mut csv = Vec::new();
-    for r in stragglers(args.scale, &[1.0, 0.5, 0.25, 0.1]) {
+    for r in stragglers(scale, &[1.0, 0.5, 0.25, 0.1]) {
         let saved = 1.0 - r.speculation_minutes / r.no_speculation_minutes;
         println!(
             "{:>12.2} {:>18.1} {:>18.1} {:>8.0}%",
@@ -519,20 +467,20 @@ fn run_stragglers(args: &Args) {
     );
 }
 
-fn run_nb_sweep(args: &Args) {
+fn run_nb_sweep(scale: usize) {
     println!(
         "\n== Ablation: bound value nb sweep on M5, 64 nodes (Section 5 tuning, scale 1/{}) ==",
-        args.scale
+        scale
     );
     println!("{:>6} {:>6} {:>12}", "nb", "jobs", "minutes");
-    let m5_order = 16384 / args.scale;
+    let m5_order = 16384 / scale;
     let nbs: Vec<usize> = [16usize, 32, 64, 100, 128, 256, 512, 1024]
         .iter()
         .copied()
         .filter(|&nb| nb <= m5_order)
         .collect();
     let mut csv = Vec::new();
-    for p in nb_sweep(args.scale, 64, &nbs) {
+    for p in nb_sweep(scale, 64, &nbs) {
         println!("{:>6} {:>6} {:>12.1}", p.nb, p.jobs, p.minutes);
         csv.push(format!("{},{},{}", p.nb, p.jobs, p.minutes));
     }
@@ -540,18 +488,17 @@ fn run_nb_sweep(args: &Args) {
     println!("(expected: U-shape — small nb pays job launches, large nb serializes on the master)\n-> {path}");
 }
 
-fn run_spark(args: &Args) {
-    let nodes = nodes_or(args, &[4, 16, 64]);
+fn run_spark(scale: usize) {
     println!(
         "\n== Section 8 projection: Hadoop vs Spark-style in-memory pricing (scale 1/{}) ==",
-        args.scale
+        scale
     );
     println!(
         "{:>4} {:>6} {:>14} {:>14} {:>9}",
         "mat", "nodes", "hadoop (min)", "spark (min)", "speedup"
     );
     let mut csv = Vec::new();
-    for p in sec8_spark(args.scale, &nodes) {
+    for p in sec8_spark(scale, &[4, 16, 64]) {
         println!(
             "{:>4} {:>6} {:>14.1} {:>14.1} {:>9.2}",
             p.name,
@@ -569,80 +516,13 @@ fn run_spark(args: &Args) {
     println!("(the paper expects Spark to win by keeping intermediates in memory)\n-> {path}");
 }
 
-/// Serial / parallel wall-clock ratio of the packed engine for one
-/// `n x n x n` product (best of 9 each, same buffers): > 1 means the
-/// parallel nest wins. Best-of-9 rides out the lost scheduling quanta a
-/// shared runner sees; one 512³ product is ~10 ms.
-fn gemm_parallel_vs_serial(n: usize) -> f64 {
-    let a = random_matrix(n, n, 1);
-    let b = random_matrix(n, n, 2);
-    let mut out = Matrix::zeros(n, n);
-    let mut best_secs = |parallel: bool| {
-        (0..9)
-            .map(|_| {
-                let t0 = Instant::now();
-                gemm_with(
-                    &Packed { parallel },
-                    1.0,
-                    notrans(black_box(&a)),
-                    notrans(black_box(&b)),
-                    0.0,
-                    &mut out,
-                )
-                .expect("square operands");
-                t0.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let serial = best_secs(false);
-    serial / best_secs(true)
-}
-
-/// Multi-threaded ordering gate: with at least two cores and two
-/// effective pool threads, the packed engine's parallel nest must not be
-/// slower than its serial nest at n >= 256 (5% noise allowance). On a
-/// single-core machine or a capped pool the ordering is undefined
-/// (oversubscription prices the same work on one core), so the gate
-/// skips with exit 0 — CI runs it on multi-core runners.
-fn run_gemm_par_check(_args: &Args) {
-    println!("\n== GEMM parallel-vs-serial ordering gate (n = 256, 512) ==");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = rayon::current_num_threads();
-    println!("detected cores: {cores}, effective pool threads: {threads}");
-    if cores < 2 || threads < 2 {
-        println!(
-            "gemm-par-check SKIPPED: needs >= 2 cores and >= 2 effective threads \
-             (set RAYON_NUM_THREADS >= 2 on a multi-core machine)"
-        );
-        return;
-    }
-    let mut failed = false;
-    for n in [256usize, 512] {
-        let ratio = gemm_parallel_vs_serial(n);
-        let ok = ratio >= 0.95;
-        println!(
-            "  n={n}: parallel/serial {ratio:.3}x  [{}]",
-            if ok { "ok" } else { "SLOWER" }
-        );
-        failed |= !ok;
-    }
-    if failed {
-        eprintln!(
-            "repro: gemm-par-check FAILED (parallel packed nest slower than serial \
-             on a multi-threaded pool; see DESIGN.md section 4b)"
-        );
-        std::process::exit(1);
-    }
-    println!("gemm-par-check passed");
-}
-
-fn run_accuracy(args: &Args) {
+fn run_accuracy(scale: usize) {
     println!(
         "\n== Section 7.2: accuracy, max |I - M*M^-1| (threshold 1e-5, scale 1/{}) ==",
-        args.scale
+        scale
     );
     let mut csv = Vec::new();
-    for (name, res) in accuracy(args.scale, 4) {
+    for (name, res) in accuracy(scale, 4) {
         let verdict = if res < 1e-5 { "ok" } else { "FAIL" };
         println!("  {name}: {res:.2e}  [{verdict}]");
         csv.push(format!("{name},{res}"));

@@ -309,7 +309,7 @@ pub struct Sec74Output {
 /// without an injected mapper failure, plus the Section 7.5 ScaLAPACK
 /// comparison. The 64-medium failure run executes with per-task tracing
 /// on and its timeline is returned alongside the outcome table.
-pub fn sec74(scale: usize, with_scalapack: bool) -> Sec74Output {
+pub fn sec74(scale: usize) -> Sec74Output {
     let m4 = SuiteMatrix::by_name("M4").unwrap();
     let cfg = InversionConfig::with_nb(m4.nb(scale));
     let a = m4.generate(scale);
@@ -357,24 +357,22 @@ pub fn sec74(scale: usize, with_scalapack: bool) -> Sec74Output {
     let failure_trace_json = chrome_trace_json(&events);
     let failure_analytics = tracelog::analyze(&events, None);
 
-    if with_scalapack {
-        // Section 7.5: ScaLAPACK on the same two shapes (paper: 8 h on
-        // large, >48 h on medium).
-        let large = run_scalapack(&m4, scale, 128, true);
-        out.push(LargeMatrixOutcome {
-            label: "scalapack/128-large".into(),
-            hours: large.report.hours,
-            jobs: 0,
-            failures: 0,
-        });
-        let medium = run_scalapack(&m4, scale, 64, false);
-        out.push(LargeMatrixOutcome {
-            label: "scalapack/64-medium".into(),
-            hours: medium.report.hours,
-            jobs: 0,
-            failures: 0,
-        });
-    }
+    // Section 7.5: ScaLAPACK on the same two shapes (paper: 8 h on large,
+    // >48 h on medium).
+    let large = run_scalapack(&m4, scale, 128, true);
+    out.push(LargeMatrixOutcome {
+        label: "scalapack/128-large".into(),
+        hours: large.report.hours,
+        jobs: 0,
+        failures: 0,
+    });
+    let medium = run_scalapack(&m4, scale, 64, false);
+    out.push(LargeMatrixOutcome {
+        label: "scalapack/64-medium".into(),
+        hours: medium.report.hours,
+        jobs: 0,
+        failures: 0,
+    });
     Sec74Output {
         outcomes: out,
         failure_trace_json,
@@ -807,8 +805,6 @@ pub fn sec8_spark(scale: usize, node_counts: &[usize]) -> Vec<SparkPoint> {
 pub struct MethodRow {
     /// Method name.
     pub method: &'static str,
-    /// Single-node wall time, milliseconds.
-    pub wall_ms: f64,
     /// Accuracy: max |I − A·X|.
     pub residual: f64,
     /// MapReduce jobs a pipeline port would need (the paper's Section 2
@@ -822,44 +818,44 @@ pub struct MethodRow {
 /// Gauss-Jordan, (block) LU, QR via Gram-Schmidt — plus the related-work
 /// Cholesky fast path on an SPD input.
 pub fn section2_methods(n: usize, nb: usize) -> Vec<MethodRow> {
-    use mrinv_matrix::norms::inversion_residual;
     let a = mrinv_matrix::random::random_well_conditioned(n, 2014);
     let spd = mrinv_matrix::random::random_spd(n, 2014);
-    let mut out = Vec::new();
-    let mut push = |method: &'static str,
-                    target: &Matrix,
-                    mr_jobs: u64,
-                    scope: &'static str,
-                    f: &dyn Fn() -> Matrix| {
-        let start = std::time::Instant::now();
-        let inv = f();
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let residual = inversion_residual(target, &inv).unwrap();
-        out.push(MethodRow {
-            method,
-            wall_ms,
-            residual,
-            mr_jobs,
-            scope,
-        });
+    let row = |method, target: &Matrix, inv: Matrix, mr_jobs, scope| MethodRow {
+        method,
+        residual: inversion_residual(target, &inv).unwrap(),
+        mr_jobs,
+        scope,
     };
-    push("gauss-jordan", &a, 2 * n as u64, "general", &|| {
-        crate::gauss_jordan::invert_gauss_jordan(&a).unwrap()
-    });
-    push(
-        "block-lu (paper)",
-        &a,
-        schedule::total_jobs(n, nb),
-        "general",
-        &|| mrinv::inmem::invert_block(&a, nb).unwrap(),
-    );
-    push("qr (gram-schmidt)", &a, n as u64, "general", &|| {
-        crate::qr::invert_qr(&a).unwrap()
-    });
-    push("cholesky", &spd, n as u64, "SPD only", &|| {
-        crate::cholesky::invert_spd(&spd).unwrap()
-    });
-    out
+    vec![
+        row(
+            "gauss-jordan",
+            &a,
+            crate::gauss_jordan::invert_gauss_jordan(&a).unwrap(),
+            2 * n as u64,
+            "general",
+        ),
+        row(
+            "block-lu (paper)",
+            &a,
+            mrinv::inmem::invert_block(&a, nb).unwrap(),
+            schedule::total_jobs(n, nb),
+            "general",
+        ),
+        row(
+            "qr (gram-schmidt)",
+            &a,
+            crate::qr::invert_qr(&a).unwrap(),
+            n as u64,
+            "general",
+        ),
+        row(
+            "cholesky",
+            &spd,
+            crate::cholesky::invert_spd(&spd).unwrap(),
+            n as u64,
+            "SPD only",
+        ),
+    ]
 }
 
 /// One straggler-mitigation row.

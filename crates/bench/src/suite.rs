@@ -52,6 +52,14 @@ pub(crate) const SUITE: [SuiteMatrix; 5] = [
     },
 ];
 
+/// Every scale divisor that divides each suite order and the paper's `nb`,
+/// ascending: the scales `repro --scale` accepts.
+pub fn valid_scales() -> Vec<usize> {
+    (1..=PAPER_NB)
+        .filter(|&s| PAPER_NB % s == 0 && SUITE.iter().all(|m| m.full_order % s == 0))
+        .collect()
+}
+
 impl SuiteMatrix {
     /// Looks a suite matrix up by name.
     pub fn by_name(name: &str) -> Option<SuiteMatrix> {

@@ -6,8 +6,8 @@
 use std::fmt::Write as _;
 
 use mrinv_bench::experiments::{
-    accuracy, fig6, fig7, fig8, nb_sweep, node_death_experiment, sec74, sec8_spark, stragglers,
-    table1, table2,
+    accuracy, fig6, fig7, fig8, nb_sweep, node_death_experiment, sec74, sec8_spark,
+    section2_methods, stragglers, table1, table2,
 };
 use mrinv_bench::suite::SuiteMatrix;
 use mrinv_mapreduce::PipelineAnalytics;
@@ -33,7 +33,7 @@ fn figures() -> String {
     line("fig6", format!("{:?}", fig6(SCALE, &[1, 4])));
     line("fig7", format!("{:?}", fig7(SCALE, &[4, 8])));
     line("fig8", format!("{:?}", fig8(SCALE, &[4, 16])));
-    let big = sec74(SCALE, true);
+    let big = sec74(SCALE);
     let analytics = simulated(&big.failure_analytics);
     line("sec74", format!("{:?} {analytics}", big.outcomes));
     let node = node_death_experiment(&m5, 64, 4);
@@ -64,6 +64,8 @@ fn figures() -> String {
         format!("{:?}", stragglers(SCALE, &[1.0, 0.25])),
     );
     line("accuracy", format!("{:?}", accuracy(SCALE, 4)));
+    // The order and nb `repro section2` runs at scale 128.
+    line("section2", format!("{:?}", section2_methods(128, 16)));
     out
 }
 
