@@ -56,7 +56,7 @@ pub(crate) const SUITE: [SuiteMatrix; 5] = [
 /// ascending: the scales `repro --scale` accepts.
 pub fn valid_scales() -> Vec<usize> {
     (1..=PAPER_NB)
-        .filter(|&s| PAPER_NB % s == 0 && SUITE.iter().all(|m| m.full_order % s == 0))
+        .filter(|&s| PAPER_NB.is_multiple_of(s) && SUITE.iter().all(|m| m.full_order % s == 0))
         .collect()
 }
 
@@ -72,7 +72,7 @@ impl SuiteMatrix {
     /// Order at the given scale divisor.
     pub fn order(&self, scale: usize) -> usize {
         assert!(
-            scale >= 1 && self.full_order % scale == 0,
+            scale >= 1 && self.full_order.is_multiple_of(scale),
             "scale must divide the order"
         );
         self.full_order / scale
@@ -80,7 +80,10 @@ impl SuiteMatrix {
 
     /// Bound value at the given scale divisor.
     pub(crate) fn nb(&self, scale: usize) -> usize {
-        assert!(PAPER_NB % scale == 0, "scale must divide nb = {PAPER_NB}");
+        assert!(
+            PAPER_NB.is_multiple_of(scale),
+            "scale must divide nb = {PAPER_NB}"
+        );
         PAPER_NB / scale
     }
 

@@ -8,10 +8,13 @@
 //!   `Optimizations::none()` run agrees with it within the engine
 //!   tolerance below.
 //! * Under the default `Packed` engine the same inverse must agree within a
-//!   documented forward-error tolerance (the engine only reassociates
-//!   sums; for this n=64 / nb=4 problem the observed deviation is ~1e-13,
-//!   bounded here at 1e-10). Its bits are pinned as well, at two orders
-//!   large enough for the final product to start past a K panel.
+//!   documented forward-error tolerance (the engine reassociates sums and
+//!   fuses each microkernel step into one multiply-add; for this n=64 /
+//!   nb=4 problem the observed deviation is ~1e-13, bounded here at
+//!   1e-10). Its bits are pinned as well, at two orders large enough for
+//!   the final product to start past a K panel. They are the same on
+//!   every host: each microkernel arm rounds each step once, as IEEE 754's
+//!   `fusedMultiplyAdd` does, so no arm's choice moves a bit.
 //! * Every job's fingerprint (`JobReport::fingerprint`) must not move: the
 //!   17 values pin the pipeline's job structure — which jobs run, in what
 //!   order, with how many reducers, under which run configuration.
@@ -116,11 +119,12 @@ fn e2e_inverse_is_pinned_per_backend() {
 /// `(n, nb, hash)` of the `Packed`-backend inverse of
 /// `random_well_conditioned(n, n)` on 4 nodes: orders past two K panels,
 /// where the final product's cells start beyond the first panel and its
-/// 128-wide tiles straddle a panel boundary. Captured while every cell
-/// still multiplied whole K panels, so skipping zero terms tile by tile
-/// must reproduce them.
+/// 128-wide tiles straddle a panel boundary. Skipping zero terms tile by
+/// tile must reproduce them. Taken with the fused 4×16 microkernel; every
+/// arm of it (AVX-512F, AVX2 + FMA, portable `f64::mul_add`) gives these
+/// bits, so they hold on every host.
 const PACKED_HASHES: &[(usize, usize, u64)] =
-    &[(520, 65, 0xd2594b6c51ace638), (600, 75, 0x6552474b4498bf1d)];
+    &[(520, 65, 0x907aa1a87f72d8d4), (600, 75, 0x8a835c8e5631cac7)];
 
 /// `(job name, job fingerprint)` for every job of the pinned run, in
 /// pipeline order. Captured before the kernel refactor; a change here

@@ -108,7 +108,7 @@ impl ClusterConfig {
 pub fn factor_pair(m0: usize) -> (usize, usize) {
     let m0 = m0.max(1);
     let mut f2 = (m0 as f64).sqrt() as usize;
-    while f2 > 1 && m0 % f2 != 0 {
+    while f2 > 1 && !m0.is_multiple_of(f2) {
         f2 -= 1;
     }
     let f2 = f2.max(1);

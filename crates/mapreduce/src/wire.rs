@@ -255,7 +255,7 @@ mod tests {
     impl Write for Trickle {
         fn write(&mut self, buf: &[u8]) -> Result<usize> {
             self.calls += 1;
-            if self.calls % 3 == 0 {
+            if self.calls.is_multiple_of(3) {
                 return Err(Error::new(ErrorKind::Interrupted, "signal"));
             }
             let n = buf.len().min(1 + self.calls * 5 % 7);

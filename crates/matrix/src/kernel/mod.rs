@@ -23,7 +23,8 @@
 //! * [`Packed`] — the real engine: panels of `A` and `B` are packed into
 //!   contiguous, register-block-sized buffers, the MC/KC/NC loop nest
 //!   keeps them L1/L2-resident, an MR×NR register-tiled microkernel does
-//!   the flops (with an AVX2 path selected at runtime on x86-64), and
+//!   the flops one fused multiply-add per step (AVX-512F, AVX2 + FMA or
+//!   portable `f64::mul_add`, chosen at runtime, all bit-equal), and
 //!   rayon parallelizes over macro-tile rows;
 //! * [`Naive`] — the reference loop orders the seed pipeline used
 //!   (i-k-j row-streaming, and the Section 6.3 unrolled-dot form when the

@@ -18,17 +18,22 @@
 //! the `O(m·k·n)` inner loop. Edge tiles are zero-padded in the packed
 //! buffers, so the microkernel never branches on ragged shapes.
 //!
-//! The microkernel keeps an `MR x NR = 4 x 8` f64 accumulator block in
-//! registers (8 YMM registers under AVX2) and is compiled twice: once
-//! portably and once with `#[target_feature(enable = "avx2", "fma")]`;
-//! the AVX2 variant is selected per-call by cached CPUID detection. Both
-//! round each step as a multiply, then an add: Rust never contracts
-//! `a * b + c` into a fused multiply-add, so the AVX2 build issues
-//! `vmulpd` + `vaddpd`, not `vfmadd`. That is what keeps the two
-//! instantiations — and every host, with AVX2 or without — bit-equal.
+//! The microkernel keeps an `MR x NR = 4 x 16` f64 accumulator block and
+//! updates every element by one fused multiply-add per k-step,
+//! `acc = fma(a, b, acc)`, starting from `+0.0`. It has three arms, one
+//! picked per call by `std`'s cached CPUID probe ([`Arm::detect`]):
+//! AVX-512F (8 ZMM accumulators), AVX2 + FMA (the 16-wide panel as two
+//! 8-wide halves of 8 YMM accumulators each) and portable
+//! [`f64::mul_add`]. IEEE 754's `fusedMultiplyAdd` is correctly rounded,
+//! and libm's `fma` gives the hardware instruction's bits, so the three
+//! arms — hence every host, with FMA hardware or without — return the
+//! same bits. The portable arm is only slow: one libm call per step, under
+//! 1 GFLOP/s. The tests run every arm the host has against the portable
+//! one, word for word.
 //!
 //! `beta` is applied to `C` once up front; the k-blocks then accumulate
-//! with `+=`, and `alpha` is folded into the accumulator write-out.
+//! with `+=`, and `alpha` is folded into the accumulator write-out, as a
+//! separately rounded multiply and add (Rust never contracts `a * b + c`).
 //!
 //! [`MC`], [`KC`], [`NC`] and the serial/parallel crossover
 //! [`PAR_MIN_MADDS`] are compile-time constants. `KC` fixes how each
@@ -56,7 +61,7 @@ use super::{scale_by_beta, GemmBackend, MatMut, Op, OpRef, Result};
 /// Microkernel tile height (rows of C per register block).
 pub(super) const MR: usize = 4;
 /// Microkernel tile width (columns of C per register block).
-pub(super) const NR: usize = 8;
+pub(super) const NR: usize = 16;
 /// Macro-block rows: rows of packed A per L2-resident slab.
 const MC: usize = 64;
 /// Macro-block depth: k-extent of the packed panels (L1 reuse).
@@ -73,76 +78,157 @@ const NC: usize = 4096;
 /// below this stay serial (fan-out overhead beats the win).
 const PAR_MIN_MADDS: usize = 1 << 21;
 
-/// Whether the AVX2+FMA instantiations may run (cached CPUID probe;
-/// `false` off x86-64).
-pub(super) fn avx2_fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::atomic::{AtomicU8, Ordering};
-
-        /// 0 = unknown, 1 = no, 2 = yes.
-        static AVX2_FMA: AtomicU8 = AtomicU8::new(0);
-
-        match AVX2_FMA.load(Ordering::Relaxed) {
-            2 => true,
-            1 => false,
-            _ => {
-                let yes = std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma");
-                AVX2_FMA.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-                yes
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    false
+/// One instantiation of the microkernel. Every arm computes each step as
+/// one correctly rounded `fma(a, b, acc)` on an accumulator that starts
+/// at `+0.0`, in ascending `k`, so all three return the same bits; they
+/// differ only in how many lanes one instruction covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Arm {
+    /// `f64::mul_add` on the baseline target features: a call to libm's
+    /// `fma` on x86-64, correctly rounded with or without an FMA unit.
+    Portable,
+    /// AVX2 + FMA: the 16-wide panel as two 8-wide halves, each held in
+    /// 8 YMM accumulators over the whole `kc` loop.
+    Avx2Fma,
+    /// AVX-512F: the whole tile in 8 ZMM accumulators.
+    Avx512,
 }
 
-/// The microkernel body: accumulates an MR x NR block over `kc` steps.
-///
-/// `ap` is `kc` groups of MR contiguous A values; `bp` is `kc` groups of
-/// NR contiguous B values. `chunks_exact` gives LLVM compile-time-known
-/// slice lengths, so the 32 accumulators stay in registers with no
-/// bounds checks in the loop.
-#[inline(always)]
-fn micro_body(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
+impl Arm {
+    /// Whether this host can run the arm (CPUID, cached by `std`).
+    pub(super) fn available(self) -> bool {
+        match self {
+            Arm::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2Fma => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The widest arm this host has.
+    pub(super) fn detect() -> Arm {
+        [Arm::Avx512, Arm::Avx2Fma]
+            .into_iter()
+            .find(|arm| arm.available())
+            .unwrap_or(Arm::Portable)
+    }
+
+    /// The `MR x NR` product of one packed A panel (`kc` groups of MR
+    /// values) and one packed B panel (`kc` groups of NR values).
+    ///
+    /// The arm must be [`available`](Self::available) on this host.
+    #[inline]
+    fn micro(self, ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
+        debug_assert_eq!(ap.len() / MR, bp.len() / NR);
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: every caller passes an arm that `available()`
+            // confirmed (`run_packed` asserts it), i.e. the CPU has AVX2
+            // and FMA, the features `micro_avx2` is compiled for.
+            Arm::Avx2Fma => unsafe { micro_avx2(ap, bp) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above, for AVX-512F and `micro_avx512`.
+            Arm::Avx512 => unsafe { micro_avx512(ap, bp) },
+            _ => micro_portable(ap, bp),
+        }
+    }
+}
+
+/// Portable arm: `acc = a.mul_add(b, acc)` per element and step.
+fn micro_portable(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
+    let mut acc = [[0.0; NR]; MR];
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        for r in 0..MR {
-            let ar = a[r];
-            for (j, accj) in acc[r].iter_mut().enumerate() {
-                *accj += ar * b[j];
+        for (accr, &ar) in acc.iter_mut().zip(a) {
+            for (accj, &bj) in accr.iter_mut().zip(b) {
+                *accj = ar.mul_add(bj, *accj);
             }
         }
     }
+    acc
 }
 
-/// Portable instantiation (baseline target features, SSE2 on x86-64).
-fn micro_generic(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    micro_body(ap, bp, acc);
-}
-
-/// AVX2 instantiation: same body, compiled with 256-bit registers, which
-/// is what lets the 4x8 accumulator block live entirely in YMM registers.
-/// The `fma` feature is enabled but unused: `acc += a * b` stays a
-/// separately rounded multiply and add (`vmulpd` + `vaddpd`), so the
-/// result is the portable instantiation's, bit for bit.
+/// AVX2 + FMA arm: `vfmadd231pd` on YMM registers. A 4 x 16 tile would
+/// need all 16 YMM registers for accumulators alone, so the arm runs the
+/// `kc` loop once per 8-column half (8 accumulators, two B loads and an A
+/// broadcast per step). Each element still sees its `kc` steps in order.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-fn micro_avx2(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    micro_body(ap, bp, acc);
+fn micro_avx2(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
+    use std::arch::x86_64::{_mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd};
+    use std::arch::x86_64::{_mm256_setzero_pd, _mm256_storeu_pd};
+
+    let mut out = [[0.0; NR]; MR];
+    for half in 0..NR / 8 {
+        let mut acc = [[_mm256_setzero_pd(); 2]; MR];
+        for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+            let b = &b[half * 8..half * 8 + 8];
+            // SAFETY: `b` holds 8 f64s; the loads read `b[0..4]` and
+            // `b[4..8]` (unaligned loads need no alignment).
+            let (b0, b1) = unsafe {
+                (
+                    _mm256_loadu_pd(b.as_ptr()),
+                    _mm256_loadu_pd(b[4..].as_ptr()),
+                )
+            };
+            for (accr, &ar) in acc.iter_mut().zip(a) {
+                let ar = _mm256_set1_pd(ar);
+                accr[0] = _mm256_fmadd_pd(ar, b0, accr[0]);
+                accr[1] = _mm256_fmadd_pd(ar, b1, accr[1]);
+            }
+        }
+        for (outr, accr) in out.iter_mut().zip(&acc) {
+            let dst = &mut outr[half * 8..half * 8 + 8];
+            // SAFETY: `dst` holds 8 f64s; the stores write `dst[0..4]`
+            // and `dst[4..8]`.
+            unsafe {
+                _mm256_storeu_pd(dst.as_mut_ptr(), accr[0]);
+                _mm256_storeu_pd(dst[4..].as_mut_ptr(), accr[1]);
+            }
+        }
+    }
+    out
 }
 
-#[inline]
-fn micro_dispatch(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: calling a #[target_feature(avx2,fma)] function is sound
-        // because the cached is_x86_feature_detected! probe above confirmed
-        // the CPU supports both features at runtime.
-        unsafe { micro_avx2(ap, bp, acc) };
-        return;
+/// AVX-512F arm: `vfmadd231pd` on ZMM registers, the 4 x 16 tile in 8
+/// accumulators (two per row), one pass over `kc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn micro_avx512(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
+    use std::arch::x86_64::{_mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd};
+    use std::arch::x86_64::{_mm512_setzero_pd, _mm512_storeu_pd};
+
+    let mut acc = [[_mm512_setzero_pd(); 2]; MR];
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+        // SAFETY: `b` holds NR = 16 f64s; the loads read `b[0..8]` and
+        // `b[8..16]` (unaligned loads need no alignment).
+        let (b0, b1) = unsafe {
+            (
+                _mm512_loadu_pd(b.as_ptr()),
+                _mm512_loadu_pd(b[8..].as_ptr()),
+            )
+        };
+        for (accr, &ar) in acc.iter_mut().zip(a) {
+            let ar = _mm512_set1_pd(ar);
+            accr[0] = _mm512_fmadd_pd(ar, b0, accr[0]);
+            accr[1] = _mm512_fmadd_pd(ar, b1, accr[1]);
+        }
     }
-    micro_generic(ap, bp, acc);
+    let mut out = [[0.0; NR]; MR];
+    for (outr, accr) in out.iter_mut().zip(&acc) {
+        // SAFETY: `outr` holds NR = 16 f64s; the stores write `outr[0..8]`
+        // and `outr[8..16]`.
+        unsafe {
+            _mm512_storeu_pd(outr.as_mut_ptr(), accr[0]);
+            _mm512_storeu_pd(outr[8..].as_mut_ptr(), accr[1]);
+        }
+    }
+    out
 }
 
 /// Packs the `mc x kc` block of `op(A)` with top-left logical corner
@@ -224,7 +310,7 @@ fn pack_b(b: OpRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut [f
 /// pair, adding `alpha * acc` into `c`, the `mc x nc` window of C the pair
 /// covers. The serial nest and every work item of the parallel nest run
 /// this same function on their own window.
-fn macro_kernel(abuf: &[f64], bbuf: &[f64], kc: usize, alpha: f64, c: &mut MatMut<'_>) {
+fn macro_kernel(arm: Arm, abuf: &[f64], bbuf: &[f64], kc: usize, alpha: f64, c: &mut MatMut<'_>) {
     let (mc, nc) = (c.rows(), c.cols());
     for (bpanel, bchunk) in bbuf.chunks_exact(NR * kc).enumerate() {
         let j0 = bpanel * NR;
@@ -232,8 +318,7 @@ fn macro_kernel(abuf: &[f64], bbuf: &[f64], kc: usize, alpha: f64, c: &mut MatMu
         for (apanel, achunk) in abuf.chunks_exact(MR * kc).enumerate() {
             let i0 = apanel * MR;
             let iw = MR.min(mc - i0);
-            let mut acc = [[0.0; NR]; MR];
-            micro_dispatch(achunk, bchunk, &mut acc);
+            let acc = arm.micro(achunk, bchunk);
             for r in 0..iw {
                 let crow = &mut c.row_mut(i0 + r)[j0..j0 + jw];
                 for (cv, av) in crow.iter_mut().zip(acc[r].iter()) {
@@ -250,14 +335,18 @@ thread_local! {
     static ABUF: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The packed engine proper, with an explicit serial/parallel choice.
-/// `beta` must already have been applied to `C` by the caller
-/// ([`GemmBackend::gemm_checked`] does).
+/// The packed engine proper, with an explicit microkernel arm and
+/// serial/parallel choice. `beta` must already have been applied to `C`
+/// by the caller ([`GemmBackend::gemm_checked`] does).
 ///
 /// The parallel and serial paths produce **bitwise identical** results:
 /// both accumulate each C element's `pc`-partial sums in the same
-/// outer-loop order, computed by the same microkernel.
+/// outer-loop order, computed by the same microkernel. So do all arms.
+///
+/// # Panics
+/// If `arm` is not [`available`](Arm::available) on this host.
 pub(super) fn run_packed(
+    arm: Arm,
     parallel: bool,
     name: &'static str,
     alpha: f64,
@@ -265,6 +354,7 @@ pub(super) fn run_packed(
     b: OpRef<'_>,
     mut c: MatMut<'_>,
 ) {
+    assert!(arm.available(), "{arm:?} microkernel on a host without it");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return;
@@ -348,7 +438,7 @@ pub(super) fn run_packed(
                             super::perf::record_pack(name, ta.elapsed());
                         }
                         let b_sub = &bpanel[p0 * NR * kc..p1 * NR * kc];
-                        macro_kernel(&abuf[..alen], b_sub, kc, alpha, &mut tile);
+                        macro_kernel(arm, &abuf[..alen], b_sub, kc, alpha, &mut tile);
                     });
                 });
             } else {
@@ -361,7 +451,7 @@ pub(super) fn run_packed(
                         super::perf::record_pack(name, ta.elapsed());
                     }
                     let mut tile = c.reborrow().window(ic..ic + mc, jc..jc + nc);
-                    macro_kernel(&abuf[..alen], bpanel, kc, alpha, &mut tile);
+                    macro_kernel(arm, &abuf[..alen], bpanel, kc, alpha, &mut tile);
                 }
             }
         }
@@ -391,7 +481,7 @@ impl GemmBackend for super::Packed {
         if self.parallel {
             super::perf::record_packed_path(self.name(), use_par);
         }
-        run_packed(use_par, self.name(), alpha, a, b, c);
+        run_packed(Arm::detect(), use_par, self.name(), alpha, a, b, c);
         Ok(())
     }
 

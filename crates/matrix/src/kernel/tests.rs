@@ -88,6 +88,7 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         let mut serial = c0.clone();
         scale_by_beta(&mut (&mut serial).into(), 0.5);
         packed::run_packed(
+            packed::Arm::detect(),
             false,
             "packed-serial",
             1.5,
@@ -101,6 +102,7 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
             scale_by_beta(&mut (&mut par).into(), 0.5);
             with_thread_cap(cap, || {
                 packed::run_packed(
+                    packed::Arm::detect(),
                     true,
                     "packed",
                     1.5,
@@ -120,6 +122,7 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         let b_t = b.transpose();
         let mut serial_tt = c0.clone();
         packed::run_packed(
+            packed::Arm::detect(),
             false,
             "packed-serial",
             -1.0,
@@ -129,6 +132,7 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         );
         let mut par_tt = c0.clone();
         packed::run_packed(
+            packed::Arm::detect(),
             true,
             "packed",
             -1.0,
@@ -138,6 +142,133 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         );
         assert_eq!(par_tt, serial_tt, "tt parallel nest must be bitwise serial");
     }
+}
+
+/// The serial packed engine on one microkernel arm, as a backend, so that
+/// [`gemm_with`] and [`staircase_with`] can drive each arm directly.
+struct PackedArm(packed::Arm);
+
+impl GemmBackend for PackedArm {
+    fn gemm_checked(
+        &self,
+        alpha: f64,
+        a: OpRef<'_>,
+        b: OpRef<'_>,
+        beta: f64,
+        mut c: MatMut<'_>,
+    ) -> Result<()> {
+        scale_by_beta(&mut c, beta);
+        packed::run_packed(self.0, false, "packed-serial", alpha, a, b, c);
+        Ok(())
+    }
+
+    fn name(&self) -> &'static str {
+        "packed-serial"
+    }
+
+    fn sums_in_k_panels(&self) -> bool {
+        true
+    }
+}
+
+/// The arms besides the portable one that this host has. Prints each arm
+/// by name: compared, or skipped because the host lacks it.
+fn wide_arms() -> Vec<packed::Arm> {
+    let (have, lack): (Vec<_>, Vec<_>) = [packed::Arm::Avx2Fma, packed::Arm::Avx512]
+        .into_iter()
+        .partition(|arm| arm.available());
+    for arm in &have {
+        println!("{arm:?}: compared with Portable");
+    }
+    for arm in &lack {
+        println!("{arm:?}: skipped, this host lacks it");
+    }
+    have
+}
+
+#[test]
+fn every_microkernel_arm_matches_the_portable_arm_bitwise() {
+    let portable = PackedArm(packed::Arm::Portable);
+    let arms = wide_arms();
+    // Ragged m and n pad both the MR-tall A panels and the NR-wide B
+    // panels; k = 300 spans two K panels.
+    for (m, k, n, seed) in [(67usize, 35usize, 41usize, 40u64), (70, 300, 37, 41)] {
+        let a = random_matrix(m, k, seed);
+        let a_t = a.transpose();
+        let b = random_matrix(k, n, seed + 100);
+        let b_t = b.transpose();
+        let c0 = random_matrix(m, n, seed + 200);
+        for (label, aref, bref) in [
+            ("nn", notrans(&a), notrans(&b)),
+            ("nt", notrans(&a), trans(&b_t)),
+            ("tn", trans(&a_t), notrans(&b)),
+            ("tt", trans(&a_t), trans(&b_t)),
+        ] {
+            let mut want = c0.clone();
+            gemm_with(&portable, -1.5, aref, bref, 0.75, &mut want).unwrap();
+            for &arm in &arms {
+                let mut got = c0.clone();
+                gemm_with(&PackedArm(arm), -1.5, aref, bref, 0.75, &mut got).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{arm:?} {label} {m}x{k}x{n}");
+            }
+        }
+    }
+
+    // A staircase product windowed from a K-panel origin whose later tiles
+    // start a whole panel in: their leading panels are exact zeros, skipped.
+    let (m, n, k, origin) = (300, 290, 2 * K_PANEL + 40, K_PANEL);
+    // Row i of `upper` and of `lower_t` is zero before k = K_PANEL + i.
+    let step = |i: usize| K_PANEL + i;
+    let upper = staircase(m, origin + k, step, 42);
+    let lower_t = staircase(n, origin + k, step, 43);
+    let a_op = notrans(&upper).window(0..m, origin..origin + k);
+    let b_op = trans(&lower_t).window(origin..origin + k, 0..n);
+    let stairs = |backend: &dyn GemmBackend| {
+        let mut c = Matrix::from_fn(m, n, |_, _| f64::NAN);
+        staircase_with(
+            backend,
+            a_op,
+            K_PANEL,
+            b_op,
+            K_PANEL,
+            origin,
+            (&mut c).into(),
+        )
+        .unwrap();
+        bits(&c)
+    };
+    let want = stairs(&portable);
+    for &arm in &arms {
+        assert_eq!(stairs(&PackedArm(arm)), want, "{arm:?} staircase");
+    }
+}
+
+/// `[-1, 1 + 2⁻³⁰] · [1, 1 - 2⁻³⁰]ᵀ` is `-1 + (1 - 2⁻⁶⁰)`: `-2⁻⁶⁰` when the
+/// second step is one fused multiply-add, `0` when its product is rounded
+/// to `1` first. Every arm must fuse, in every lane of its tile (each row
+/// of `A` and column of `B` is the witness pair); the Naive oracle must
+/// not.
+#[test]
+fn microkernel_steps_are_fused() {
+    let e = 2f64.powi(-30);
+    let a = Matrix::from_fn(packed::MR, 2, |_, p| [-1.0, 1.0 + e][p]);
+    let b = Matrix::from_fn(2, packed::NR, |p, _| [1.0, 1.0 - e][p]);
+    let product = |backend: &dyn GemmBackend| {
+        let mut c = Matrix::zeros(packed::MR, packed::NR);
+        gemm_with(backend, 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
+        bits(&c)
+    };
+    let fused = vec![(-(2f64.powi(-60))).to_bits(); packed::MR * packed::NR];
+    assert_eq!(
+        product(&PackedArm(packed::Arm::Portable)),
+        fused,
+        "Portable"
+    );
+    for arm in wide_arms() {
+        assert_eq!(product(&PackedArm(arm)), fused, "{arm:?}");
+    }
+    assert_eq!(product(&Packed { parallel: false }), fused, "detected arm");
+    assert_eq!(product(&Naive), vec![0; packed::MR * packed::NR], "Naive");
 }
 
 /// Shape families: m ≤ MR slivers, wide-but-short, tall-and-skinny, and
@@ -178,7 +309,7 @@ proptest! {
         gemm_with(&Naive, alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut naive).unwrap();
         let mut serial = c0.clone();
         scale_by_beta(&mut (&mut serial).into(), beta);
-        packed::run_packed(false, "packed-serial", alpha, op(ta).of(&a), op(tb).of(&b), (&mut serial).into());
+        packed::run_packed(packed::Arm::detect(), false, "packed-serial", alpha, op(ta).of(&a), op(tb).of(&b), (&mut serial).into());
 
         // The same k-linear forward-error bound the backend-agreement
         // proptest uses against the naive reference.
@@ -189,7 +320,7 @@ proptest! {
             let mut par = c0.clone();
             scale_by_beta(&mut (&mut par).into(), beta);
             with_thread_cap(cap, || {
-                packed::run_packed(true, "packed", alpha, op(ta).of(&a), op(tb).of(&b), (&mut par).into())
+                packed::run_packed(packed::Arm::detect(), true, "packed", alpha, op(ta).of(&a), op(tb).of(&b), (&mut par).into())
             });
 
             // Design contract: the parallel nest is bitwise serial.
@@ -649,6 +780,7 @@ fn gemm_on_windows_matches_copied_out_blocks_bitwise() {
     let mut par = big_c.clone();
     for (parallel, c) in [(false, &mut serial), (true, &mut par)] {
         packed::run_packed(
+            packed::Arm::detect(),
             parallel,
             "packed",
             1.5,

@@ -35,7 +35,6 @@
 
 use std::ops::Range;
 
-use super::packed::avx2_fma_available;
 use super::{
     gemm_window, notrans, Diag, GemmBackend, MatMut, MatRef, MatrixError, Result, Side, Uplo,
     K_PANEL,
@@ -341,7 +340,10 @@ fn leaf_left(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Ve
         });
     }
 
-    let use_avx2 = avx2_fma_available();
+    // The leaf's own probe, not the packed engine's arm: the leaf stays a
+    // separately rounded multiply and subtract, because `Naive` solves
+    // every system here and its pinned seed bits are mul-then-sub.
+    let use_avx2 = avx2_available();
     let mut c0 = 0;
     while c0 < w {
         let width = [TILE, 8, 4, 1]
@@ -378,6 +380,15 @@ fn leaf_left(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Ve
     bound
 }
 
+/// Whether the AVX2 instantiation of the leaf may run (`std`'s cached
+/// CPUID probe; `false` off x86-64).
+fn avx2_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 /// [`tile`] at one width and masking.
 type TileFn = fn(bool, MatRef<'_>, &mut MatMut<'_>, usize, Range<usize>, &[usize], bool, bool);
 
@@ -397,9 +408,9 @@ fn tile<const W: usize, const MASKED: bool>(
 ) {
     #[cfg(target_arch = "x86_64")]
     if use_avx2 {
-        // SAFETY: `use_avx2` is the cached is_x86_feature_detected! probe
-        // for avx2 and fma, so the CPU supports the features this
-        // #[target_feature] instantiation was compiled for.
+        // SAFETY: `use_avx2` is the is_x86_feature_detected! probe for
+        // avx2, so the CPU supports the feature this #[target_feature]
+        // instantiation was compiled for.
         unsafe { tile_avx2::<W, MASKED>(t, b, c0, rows, bounds, forward, unit) };
         return;
     }
@@ -407,8 +418,11 @@ fn tile<const W: usize, const MASKED: bool>(
     tile_body::<W, MASKED>(t, b, c0, rows, bounds, forward, unit);
 }
 
+/// [`tile_body`] compiled for 256-bit registers. It enables AVX2 only, not
+/// FMA: each step stays a `vmulpd` then a `vsubpd`, rounded as the
+/// portable instantiation and the per-vector kernels round it.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2")]
 fn tile_avx2<const W: usize, const MASKED: bool>(
     t: MatRef<'_>,
     b: &mut MatMut<'_>,
