@@ -20,8 +20,7 @@ use mrinv_matrix::{Matrix, Permutation, Result};
 use crate::request::LuFactors;
 
 /// `U^-1 · L^-1` with `L^-1` packed transposed (both operands then stream
-/// row-major — the Section 6.3 layout, preserved bit-for-bit from the old
-/// `mul_parallel` under the Naive backend). Row `i` of `U^-1` and column
+/// row-major — the Section 6.3 layout). Row `i` of `U^-1` and column
 /// `i` of `L^-1` are exactly zero before index `i`, so the product skips
 /// those terms tile by tile ([`gemm_staircase`]) with the dense bits.
 fn mul_inverse_factors(u_inv: &Matrix, l_inv: &Matrix) -> Result<Matrix> {

@@ -1,20 +1,17 @@
-//! Pins the end-to-end pipeline's numerics and job identities across the
-//! kernel-engine refactor.
+//! Pins the end-to-end pipeline's numerics and job identities.
 //!
-//! * Under the `Naive` reference backend the full distributed inverse must
-//!   be **bit-identical** to the pre-engine implementation — pinned here as
-//!   an FNV-1a hash of the result's f64 bit patterns, captured from the
-//!   seed code before any call site moved onto `kernel::gemm`/`trsm`. The
-//!   `Optimizations::none()` run agrees with it within the engine
-//!   tolerance below.
-//! * Under the default `Packed` engine the same inverse must agree within a
-//!   documented forward-error tolerance (the engine reassociates sums and
-//!   fuses each microkernel step into one multiply-add; for this n=64 /
-//!   nb=4 problem the observed deviation is ~1e-13, bounded here at
-//!   1e-10). Its bits are pinned as well, at two orders large enough for
-//!   the final product to start past a K panel. They are the same on
-//!   every host: each microkernel arm rounds each step once, as IEEE 754's
-//!   `fusedMultiplyAdd` does, so no arm's choice moves a bit.
+//! * The distributed inverse agrees with the single-node inverse
+//!   (`inmem::invert_single_node`) within a documented forward-error
+//!   tolerance: for the n=64 / nb=4 seed problem the two differ by ~1e-13,
+//!   bounded here at 1e-10. The `Optimizations::none()` ablation, which
+//!   computes with the same kernels, agrees with the default within the
+//!   same bound.
+//! * Its bits are pinned (`PACKED_HASHES`): at the seed run's own input
+//!   and shape (recursion depth 4), and at two orders large enough for the
+//!   final product to start past a K panel. They are the same on every
+//!   host: the GEMM microkernel, the trsm leaves and the LU leaf round each
+//!   step once, as IEEE 754's `fusedMultiplyAdd` does, so no arm's choice
+//!   moves a bit.
 //! * Every job's fingerprint (`JobReport::fingerprint`) must not move: the
 //!   17 values pin the pipeline's job structure — which jobs run, in what
 //!   order, with how many reducers, under which run configuration.
@@ -22,9 +19,9 @@
 //!   fingerprint, and sequence number.
 
 use mrinv::config::{InversionConfig, Optimizations};
+use mrinv::inmem::invert_single_node;
 use mrinv::Request;
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, RunId};
-use mrinv_matrix::kernel::{set_global_backend, BackendKind};
 use mrinv_matrix::random::{random_invertible, random_well_conditioned};
 use mrinv_matrix::Matrix;
 
@@ -46,85 +43,60 @@ fn hash_matrix(m: &Matrix) -> u64 {
     h
 }
 
-/// Seed hash of the n=64 / nb=4 inverse with default optimizations.
-const SEED_HASH_DEFAULT: u64 = 0x083f29d7de9d9bc8;
-
-/// Both backend-sensitive checks live in one test because the backend is
-/// process-global; parallel test threads must not flip it mid-run.
-#[test]
-fn e2e_inverse_is_pinned_per_backend() {
-    let a = random_invertible(64, 42);
-    let cfg = InversionConfig::with_nb(4);
-    let mut cfg_ablation = InversionConfig::with_nb(4);
-    cfg_ablation.opts = Optimizations::none();
-
-    // Reference backend: bit-identical to the seed implementation.
-    let prev = set_global_backend(BackendKind::Naive);
-    let cluster = test_cluster();
-    let naive = Request::invert(&a)
+fn invert(a: &Matrix, nb: usize, opts: Optimizations) -> Matrix {
+    let mut cfg = InversionConfig::with_nb(nb);
+    cfg.opts = opts;
+    Request::invert(a)
         .config(&cfg)
-        .submit(&cluster)
+        .submit(&test_cluster())
         .unwrap()
-        .into_inverse();
-    assert_eq!(
-        hash_matrix(&naive),
-        SEED_HASH_DEFAULT,
-        "Naive-backend pipeline no longer reproduces the seed bits"
+        .into_inverse()
+}
+
+#[test]
+fn e2e_inverse_is_pinned() {
+    let a = random_invertible(64, 42);
+    let inverse = invert(&a, 4, Optimizations::default());
+    let diff = inverse
+        .max_abs_diff(&invert_single_node(&a).unwrap())
+        .unwrap();
+    assert!(
+        diff <= 1e-10,
+        "pipeline deviates from the single-node inverse by {diff:e}"
     );
-    let ablation = Request::invert(&a)
-        .config(&cfg_ablation)
-        .submit(&cluster)
-        .unwrap()
-        .into_inverse();
-    // The ablation computes with the same kernels (only `U`'s storage
-    // and the price change), so under `Naive` it differs from the default
-    // only where an operand's orientation picks another loop order.
-    let diff = ablation.max_abs_diff(&naive).unwrap();
+    // The ablation computes with the same kernels (only `U`'s storage and
+    // the price change); it differs from the default only where an
+    // operand's orientation picks another summation order.
+    let diff = invert(&a, 4, Optimizations::none())
+        .max_abs_diff(&inverse)
+        .unwrap();
     assert!(
         diff <= 1e-10,
         "Optimizations::none() deviates from the default by {diff:e}"
     );
 
-    // Engine backend: same result within the documented tolerance.
-    set_global_backend(BackendKind::Packed);
-    let cluster = test_cluster();
-    let packed = Request::invert(&a)
-        .config(&cfg)
-        .submit(&cluster)
-        .unwrap()
-        .into_inverse();
-    let diff = packed.max_abs_diff(&naive).unwrap();
-    assert!(
-        diff <= 1e-10,
-        "packed engine deviates from reference by {diff:e}"
-    );
-
-    for &(n, nb, pinned) in PACKED_HASHES {
-        let a = random_well_conditioned(n, n as u64);
-        let inverse = Request::invert(&a)
-            .config(&InversionConfig::with_nb(nb))
-            .submit(&test_cluster())
-            .unwrap()
-            .into_inverse();
-        assert_eq!(
-            hash_matrix(&inverse),
-            pinned,
-            "packed inverse at n={n} nb={nb} moved"
-        );
+    for &(input, nb, pinned) in PACKED_HASHES {
+        let got = hash_matrix(&invert(&input(), nb, Optimizations::default()));
+        assert!(got == pinned, "inverse at nb={nb} moved: {got:#018x}");
     }
-
-    set_global_backend(prev);
 }
 
-/// `(n, nb, hash)` of the `Packed`-backend inverse of
-/// `random_well_conditioned(n, n)` on 4 nodes: orders past two K panels,
-/// where the final product's cells start beyond the first panel and its
-/// 128-wide tiles straddle a panel boundary. Skipping zero terms tile by
-/// tile must reproduce them. Taken with the fused 4×16 microkernel; every
-/// arm of it (AVX-512F, AVX2 + FMA, portable `f64::mul_add`) gives these
-/// bits, so they hold on every host.
-const PACKED_HASHES: &[(usize, usize, u64)] =
-    &[(520, 65, 0x907aa1a87f72d8d4), (600, 75, 0x8a835c8e5631cac7)];
+/// Builds an input matrix of [`PACKED_HASHES`].
+type Input = fn() -> Matrix;
+
+/// `(input, nb, hash)` of the inverse on 4 nodes. The seed run's own input
+/// and shape (`random_invertible(64, 42)`, nb = 4, recursion depth 4: the
+/// deepest pin), then `random_well_conditioned(n, n)` at orders past two K
+/// panels, where the final product's cells start beyond the first panel
+/// and its 128-wide tiles straddle a panel boundary (depth 3); skipping
+/// zero terms tile by tile must reproduce them. Taken with every kernel
+/// step one fused multiply-add; every arm (AVX-512F, AVX2 + FMA, portable
+/// `f64::mul_add`) gives these bits, so they hold on every host.
+const PACKED_HASHES: &[(Input, usize, u64)] = &[
+    (|| random_invertible(64, 42), 4, 0xcedd8c320c32b421),
+    (|| random_well_conditioned(520, 520), 65, 0xf038888ba3cbeb89),
+    (|| random_well_conditioned(600, 600), 75, 0x90445a8b217dbe16),
+];
 
 /// `(job name, job fingerprint)` for every job of the pinned run, in
 /// pipeline order. Captured before the kernel refactor; a change here

@@ -15,36 +15,26 @@
 //!   tile by tile with [`gemm`]'s bits;
 //! * [`trsm`] — `B := alpha * T^-1 * B` (left) or `alpha * B * T^-1`
 //!   (right) for triangular `T`, all [`Side`]/[`Uplo`]/[`Diag`] cases;
-//! * `lu_blocked_in_place` — right-looking blocked LU whose trailing
+//! * `lu_decompose_in_place` — right-looking blocked LU whose trailing
 //!   updates are [`gemm`] and [`trsm`].
 //!
-//! Execution strategy is pluggable through [`GemmBackend`]:
+//! All four run on [`Packed`]: panels of `A` and `B` are packed into
+//! contiguous, register-block-sized buffers, the MC/KC/NC loop nest keeps
+//! them L1/L2-resident, an MR×NR register-tiled microkernel does the flops,
+//! and rayon parallelizes over macro-tile rows. The microkernel, the trsm
+//! leaves and the LU leaf share one arithmetic: every step is one fused
+//! multiply-add, on the widest arm the host has (AVX-512F, AVX2 + FMA or
+//! portable `f64::mul_add`, chosen by one CPUID probe, all bit-equal).
 //!
-//! * [`Packed`] — the real engine: panels of `A` and `B` are packed into
-//!   contiguous, register-block-sized buffers, the MC/KC/NC loop nest
-//!   keeps them L1/L2-resident, an MR×NR register-tiled microkernel does
-//!   the flops one fused multiply-add per step (AVX-512F, AVX2 + FMA or
-//!   portable `f64::mul_add`, chosen at runtime, all bit-equal), and
-//!   rayon parallelizes over macro-tile rows;
-//! * [`Naive`] — the reference loop orders the seed pipeline used
-//!   (i-k-j row-streaming, and the Section 6.3 unrolled-dot form when the
-//!   right operand is supplied transposed). Differential tests pin the
-//!   Packed backend against this one, and the end-to-end Naive pipeline
-//!   is bit-identical to the pre-engine implementation.
+//! [`GemmBackend`] stays a trait so that a test can substitute another
+//! GEMM per call ([`gemm_with`], [`trsm_with`]): a reference loop as an
+//! oracle, or the engine on a single microkernel arm.
 //!
-//! Equation 7's column-strided loop, the paper's *unoptimized* kernel, has
+//! Equation 7's column-striding loop, the paper's *unoptimized* kernel, has
 //! no backend: the Section 6.3 transpose-off ablation computes with these
 //! kernels and is priced at `simtime::STRIDED_SLOWDOWN` instead.
-//!
-//! The process-wide default backend is [`Packed`]; differential tests flip
-//! it to the [`Naive`] oracle with [`set_global_backend`].
-
-// The reference backend indexes rows explicitly so its loop order stays
-// visible in the code.
-#![allow(clippy::needless_range_loop)]
 
 mod lu;
-mod naive;
 mod packed;
 pub mod perf;
 mod staircase;
@@ -52,12 +42,11 @@ mod trsm;
 mod window;
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::dense::Matrix;
 use crate::error::{MatrixError, Result};
 
-pub(crate) use lu::lu_blocked_in_place;
+pub(crate) use lu::lu_decompose_in_place;
 pub use packed::K_PANEL;
 pub use staircase::gemm_staircase;
 pub use trsm::{trsm, trsm_with};
@@ -103,7 +92,7 @@ impl<'a> OpRef<'a> {
 
     /// Logical row count (after applying `op`).
     #[inline]
-    pub(crate) fn rows(&self) -> usize {
+    pub fn rows(&self) -> usize {
         match self.op {
             Op::NoTrans => self.win.rows(),
             Op::Trans => self.win.cols(),
@@ -112,7 +101,7 @@ impl<'a> OpRef<'a> {
 
     /// Logical column count (after applying `op`).
     #[inline]
-    pub(crate) fn cols(&self) -> usize {
+    pub fn cols(&self) -> usize {
         match self.op {
             Op::NoTrans => self.win.cols(),
             Op::Trans => self.win.rows(),
@@ -142,7 +131,7 @@ impl<'a> OpRef<'a> {
 
     /// Logical element `(i, j)` (after applying `op`).
     #[inline]
-    pub(crate) fn at(&self, i: usize, j: usize) -> f64 {
+    pub fn at(&self, i: usize, j: usize) -> f64 {
         match self.op {
             Op::NoTrans => self.win.row(i)[j],
             Op::Trans => self.win.row(j)[i],
@@ -207,37 +196,7 @@ pub trait GemmBackend: Sync {
 
     /// Backend name (for diagnostics and bench labels).
     fn name(&self) -> &'static str;
-
-    /// Largest order [`trsm`] solves with its unblocked leaf when driven by
-    /// this backend (larger systems recurse, handing the coupling blocks to
-    /// this backend's GEMM), or `None` to solve every system with the
-    /// unblocked reference leaf.
-    fn trsm_block(&self) -> Option<usize> {
-        None
-    }
-
-    /// Whether this backend sums every element of `C` in [`K_PANEL`]-deep
-    /// panels of `k`, aligned to the operands' first column, each panel's
-    /// sum started from `+0.0` and added to `C` in order — what lets
-    /// [`gemm_staircase`] skip exact-zero head terms without changing a
-    /// bit. Without it (the default), [`gemm_staircase`] is one dense
-    /// product.
-    fn sums_in_k_panels(&self) -> bool {
-        false
-    }
 }
-
-/// Reference backend: the seed pipeline's loop orders.
-///
-/// * `(NoTrans, NoTrans)` — i-k-j with the inner loop streaming one row
-///   of `B` (the old `mul_naive`/`sub_mul` order);
-/// * `(NoTrans, Trans)` — four-way unrolled dot products over rows of `A`
-///   and rows of the stored (transposed) `B` — the Section 6.3 layout
-///   (the old `mul_transposed`/`sub_mul_transposed` order).
-///
-/// The end-to-end pipeline under this backend is bit-identical to the
-/// pre-engine implementation.
-pub struct Naive;
 
 /// The packed, register-blocked engine (see module docs).
 pub struct Packed {
@@ -246,47 +205,8 @@ pub struct Packed {
     pub parallel: bool,
 }
 
-/// Selector for the process-wide default backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// [`Packed`] with rayon enabled: the production engine.
-    Packed,
-    /// [`Naive`]: the bit-identity oracle.
-    Naive,
-}
-
-impl BackendKind {
-    pub(crate) fn as_backend(self) -> &'static dyn GemmBackend {
-        match self {
-            BackendKind::Packed => &Packed { parallel: true },
-            BackendKind::Naive => &Naive,
-        }
-    }
-}
-
-/// Set while the [`Naive`] oracle replaces the [`Packed`] default.
-static NAIVE_SELECTED: AtomicBool = AtomicBool::new(false);
-
-fn kind_of(naive: bool) -> BackendKind {
-    if naive {
-        BackendKind::Naive
-    } else {
-        BackendKind::Packed
-    }
-}
-
-/// The process-wide default backend used by [`gemm`] and [`trsm`]
-/// ([`Packed`] unless a test selected the oracle).
-pub(crate) fn global_backend() -> BackendKind {
-    kind_of(NAIVE_SELECTED.load(Ordering::Relaxed))
-}
-
-/// Overrides the process-wide default backend, returning the previous
-/// selection. Intended for differential tests; racing concurrent `gemm`
-/// calls see either backend.
-pub fn set_global_backend(kind: BackendKind) -> BackendKind {
-    kind_of(NAIVE_SELECTED.swap(kind == BackendKind::Naive, Ordering::Relaxed))
-}
+/// The engine every kernel entry point runs on.
+const PACKED: &Packed = &Packed { parallel: true };
 
 fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &MatMut<'_>) -> Result<()> {
     if a.cols() != b.rows() {
@@ -306,8 +226,7 @@ fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &MatMut<'_>) -> Result<()> {
     Ok(())
 }
 
-/// `C := alpha * op(A) * op(B) + beta * C` through the process-wide
-/// default backend (see `global_backend`).
+/// `C := alpha * op(A) * op(B) + beta * C` through the packed engine.
 ///
 /// `beta == 0.0` overwrites `C` without reading it (NaNs in `C` do not
 /// propagate), matching BLAS convention.
@@ -325,7 +244,7 @@ fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &MatMut<'_>) -> Result<()> {
 /// gemm(1.0, notrans(&a), trans(&b), 1.0, &mut c).unwrap();
 /// ```
 pub fn gemm(alpha: f64, a: OpRef<'_>, b: OpRef<'_>, beta: f64, c: &mut Matrix) -> Result<()> {
-    gemm_with(global_backend().as_backend(), alpha, a, b, beta, c)
+    gemm_with(PACKED, alpha, a, b, beta, c)
 }
 
 /// [`gemm`] through an explicit backend.
@@ -341,7 +260,7 @@ pub fn gemm_with(
 }
 
 /// [`gemm_with`] writing a window of `C` in place — the form [`trsm`] and
-/// [`lu_blocked_in_place`] update their trailing blocks through.
+/// the blocked LU update their trailing blocks through.
 pub(crate) fn gemm_window(
     backend: &dyn GemmBackend,
     alpha: f64,
@@ -361,7 +280,7 @@ pub(crate) fn gemm_window(
     out
 }
 
-/// Allocating convenience: `op(A) * op(B)` through the default backend.
+/// Allocating convenience: `op(A) * op(B)` through the packed engine.
 pub fn mul(a: OpRef<'_>, b: OpRef<'_>) -> Result<Matrix> {
     let mut c = Matrix::zeros(a.rows(), b.cols());
     gemm(1.0, a, b, 0.0, &mut c)?;

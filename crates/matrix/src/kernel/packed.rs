@@ -29,7 +29,8 @@
 //! arms — hence every host, with FMA hardware or without — return the
 //! same bits. The portable arm is only slow: one libm call per step, under
 //! 1 GFLOP/s. The tests run every arm the host has against the portable
-//! one, word for word.
+//! one, word for word. The trsm and LU leaves run their loops on the same
+//! arms, through [`Arm::run`].
 //!
 //! `beta` is applied to `C` once up front; the k-blocks then accumulate
 //! with `+=`, and `alpha` is folded into the accumulator write-out, as a
@@ -62,8 +63,9 @@ use super::{scale_by_beta, GemmBackend, MatMut, Op, OpRef, Result};
 pub(super) const MR: usize = 4;
 /// Microkernel tile width (columns of C per register block).
 pub(super) const NR: usize = 16;
-/// Macro-block rows: rows of packed A per L2-resident slab.
-const MC: usize = 64;
+/// Macro-block rows: rows of packed A per L2-resident slab, and the
+/// largest order `trsm` solves in its unblocked leaf.
+pub(super) const MC: usize = 64;
 /// Macro-block depth: k-extent of the packed panels (L1 reuse).
 const KC: usize = 256;
 /// `KC` for callers: the k-extent over which the packed engine sums one
@@ -119,6 +121,28 @@ impl Arm {
             .unwrap_or(Arm::Portable)
     }
 
+    /// Runs `body` compiled for this arm's target features: under the wide
+    /// arms every [`f64::mul_add`] it inlines is one FMA instruction, under
+    /// the portable arm a call to libm's `fma`. The trsm and LU leaves run
+    /// through this; the microkernel has intrinsics of its own.
+    ///
+    /// # Panics
+    /// If the arm is not [`available`](Self::available) on this host.
+    #[inline]
+    pub(super) fn run<F: Fused>(self, body: F) -> F::Out {
+        assert!(self.available(), "{self:?} leaf on a host without it");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the assert above confirmed the CPU has AVX2 and FMA,
+            // the features `run_avx2` is compiled for.
+            Arm::Avx2Fma => unsafe { run_avx2(body) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above, for AVX-512F.
+            Arm::Avx512 => unsafe { run_avx512(body) },
+            _ => body.run(),
+        }
+    }
+
     /// The `MR x NR` product of one packed A panel (`kc` groups of MR
     /// values) and one packed B panel (`kc` groups of NR values).
     ///
@@ -138,6 +162,29 @@ impl Arm {
             _ => micro_portable(ap, bp),
         }
     }
+}
+
+/// A loop to compile once per [`Arm`]. `run` must be `#[inline(always)]`,
+/// so that its body lands inside each arm's `#[target_feature]` frame.
+pub(super) trait Fused {
+    /// What the loop returns.
+    type Out;
+    /// The loop itself.
+    fn run(self) -> Self::Out;
+}
+
+/// [`Fused::run`] compiled for AVX2 + FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn run_avx2<F: Fused>(body: F) -> F::Out {
+    body.run()
+}
+
+/// [`Fused::run`] compiled for AVX-512F (which implies FMA).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512<F: Fused>(body: F) -> F::Out {
+    body.run()
 }
 
 /// Portable arm: `acc = a.mul_add(b, acc)` per element and step.
@@ -319,9 +366,9 @@ fn macro_kernel(arm: Arm, abuf: &[f64], bbuf: &[f64], kc: usize, alpha: f64, c: 
             let i0 = apanel * MR;
             let iw = MR.min(mc - i0);
             let acc = arm.micro(achunk, bchunk);
-            for r in 0..iw {
+            for (r, accr) in acc.iter().enumerate().take(iw) {
                 let crow = &mut c.row_mut(i0 + r)[j0..j0 + jw];
-                for (cv, av) in crow.iter_mut().zip(acc[r].iter()) {
+                for (cv, av) in crow.iter_mut().zip(accr) {
                     *cv += alpha * av;
                 }
             }
@@ -491,14 +538,6 @@ impl GemmBackend for super::Packed {
         } else {
             "packed-serial"
         }
-    }
-
-    fn trsm_block(&self) -> Option<usize> {
-        Some(MC)
-    }
-
-    fn sums_in_k_panels(&self) -> bool {
-        true
     }
 }
 

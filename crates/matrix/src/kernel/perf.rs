@@ -16,9 +16,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Slot order for [`slot_index`]: the three [`super::GemmBackend::name`]
-/// values plus a catch-all for out-of-tree backends.
-const BACKEND_NAMES: [&str; 4] = ["naive", "packed", "packed-serial", "other"];
+/// Slot order for [`slot_index`]: the packed engine's two
+/// [`super::GemmBackend::name`] values plus a catch-all for every other
+/// backend (a test's oracle, say).
+const BACKEND_NAMES: [&str; 3] = ["packed", "packed-serial", "other"];
 
 struct Slot {
     calls: AtomicU64,
@@ -43,7 +44,7 @@ impl Slot {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SLOTS: [Slot; 4] = [const { Slot::new() }; 4];
+static SLOTS: [Slot; BACKEND_NAMES.len()] = [const { Slot::new() }; BACKEND_NAMES.len()];
 
 fn slot_index(backend: &str) -> usize {
     BACKEND_NAMES
@@ -140,7 +141,7 @@ impl BackendPerf {
 }
 
 /// Counters of every backend that recorded at least one call, in the
-/// fixed backend-name order (naive, packed, packed-serial, other).
+/// fixed backend-name order (packed, packed-serial, other).
 pub fn snapshot() -> Vec<BackendPerf> {
     BACKEND_NAMES
         .iter()
@@ -244,12 +245,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "count-probe"
         }
-        fn trsm_block(&self) -> Option<usize> {
-            ENGINE.trsm_block()
-        }
-        fn sums_in_k_panels(&self) -> bool {
-            ENGINE.sums_in_k_panels()
-        }
     }
 
     /// GEMM flops [`CountProbe`] records while `run` runs.
@@ -268,6 +263,7 @@ mod tests {
     /// flops of the same solve run dense. Part of the one test above
     /// because it, too, flips the process-wide flag.
     fn trsm_zero_observation_cuts_the_gemm_count() {
+        use crate::kernel::packed::Arm;
         use crate::kernel::trsm::trsm_window;
         use crate::kernel::{Diag, Side, Uplo};
 
@@ -281,6 +277,7 @@ mod tests {
             probe_flops(|| {
                 trsm_window(
                     &CountProbe,
+                    Arm::detect(),
                     Side::Left,
                     Uplo::Lower,
                     Diag::NonUnit,

@@ -16,8 +16,7 @@
 //! triangles.
 
 use super::{
-    check_gemm, gemm_window, global_backend, scale_by_beta, GemmBackend, MatMut, OpRef, Result,
-    K_PANEL,
+    check_gemm, gemm_window, scale_by_beta, GemmBackend, MatMut, OpRef, Result, K_PANEL, PACKED,
 };
 use crate::dense::Matrix;
 
@@ -26,9 +25,9 @@ use crate::dense::Matrix;
 /// product at n = 384 and n = 768.
 const TILE: usize = 128;
 
-/// `C := op(A)·op(B)` for staircase operands, through the process-wide
-/// default backend: bit-identical to [`gemm`](super::gemm) with
-/// `alpha = 1`, `beta = 0`, for finite operands.
+/// `C := op(A)·op(B)` for staircase operands, through the packed engine:
+/// bit-identical to [`gemm`](super::gemm) with `alpha = 1`, `beta = 0`,
+/// for finite operands.
 ///
 /// Column `p` of `op(A)` and row `p` of `op(B)` stand for index
 /// `k = origin + p` of the whole product. Row `i` of `op(A)` must be zero
@@ -37,10 +36,6 @@ const TILE: usize = 128;
 /// are trusted, not checked. With `origin` a multiple of [`K_PANEL`] the
 /// result is also bit-identical to the product over the whole, unwindowed
 /// operands.
-///
-/// Under a backend that does not sum in K panels
-/// ([`GemmBackend::sums_in_k_panels`]) — the [`Naive`](super::Naive)
-/// oracle — this is one dense product.
 ///
 /// ```
 /// use mrinv_matrix::kernel::{gemm, gemm_staircase, notrans};
@@ -63,11 +58,12 @@ pub fn gemm_staircase(
     origin: usize,
     c: &mut Matrix,
 ) -> Result<()> {
-    let backend = global_backend().as_backend();
-    staircase_with(backend, a, a_row0, b, b_col0, origin, c.into())
+    staircase_with(PACKED, a, a_row0, b, b_col0, origin, c.into())
 }
 
-/// [`gemm_staircase`] through an explicit backend, on a window of `C`.
+/// [`gemm_staircase`] through an explicit backend, on a window of `C`. The
+/// bit identity holds for a backend that sums in [`K_PANEL`]-deep panels
+/// of `k`, each started from `+0.0`, as the packed engine does.
 pub(crate) fn staircase_with(
     backend: &dyn GemmBackend,
     a: OpRef<'_>,
@@ -77,9 +73,6 @@ pub(crate) fn staircase_with(
     origin: usize,
     mut c: MatMut<'_>,
 ) -> Result<()> {
-    if !backend.sums_in_k_panels() {
-        return gemm_window(backend, 1.0, a, b, 0.0, c);
-    }
     check_gemm(&a, &b, &c)?;
     scale_by_beta(&mut c, 0.0);
     let (m, k, n) = (a.rows(), a.cols(), b.cols());

@@ -1,4 +1,5 @@
-use super::naive::dot;
+use super::lu::lu_blocked_in_place;
+use super::packed::Arm;
 use super::staircase::staircase_with;
 use super::trsm::trsm_window;
 use super::*;
@@ -9,10 +10,14 @@ use crate::triangular;
 use proptest::prelude::*;
 use std::ops::Range;
 
+#[path = "../../tests/support/naive.rs"]
+mod naive;
+use naive::Naive;
+
 /// [`lu_blocked_in_place`] on a copy of `a`, packed as [`LuFactors`].
-fn lu_blocked(a: &Matrix, nb: usize, backend: &dyn GemmBackend) -> Result<LuFactors> {
+fn lu_blocked(a: &Matrix, nb: usize, backend: &dyn GemmBackend, arm: Arm) -> Result<LuFactors> {
     let mut lu = a.clone();
-    let perm = lu_blocked_in_place(&mut lu, nb, backend)?;
+    let perm = lu_blocked_in_place(&mut lu, nb, backend, arm)?;
     Ok(LuFactors { lu, perm })
 }
 
@@ -165,10 +170,6 @@ impl GemmBackend for PackedArm {
     fn name(&self) -> &'static str {
         "packed-serial"
     }
-
-    fn sums_in_k_panels(&self) -> bool {
-        true
-    }
 }
 
 /// The arms besides the portable one that this host has. Prints each arm
@@ -271,6 +272,166 @@ fn microkernel_steps_are_fused() {
     assert_eq!(product(&Naive), vec![0; packed::MR * packed::NR], "Naive");
 }
 
+/// `b` with vector `v` (a column on the left, a row on the right) held at
+/// exact `+0.0` on its first `v * 7 % n` entries in solve order, so the
+/// leaf's tiles mix columns that come alive at different rows (masked).
+fn staggered_rhs(side: Side, forward: bool, n: usize, w: usize, seed: u64) -> Matrix {
+    let noise = match side {
+        Side::Left => random_matrix(n, w, seed),
+        Side::Right => random_matrix(w, n, seed),
+    };
+    let (rows, cols) = noise.shape();
+    Matrix::from_fn(rows, cols, |r, c| {
+        let (v, i) = match side {
+            Side::Left => (c, r),
+            Side::Right => (r, c),
+        };
+        let step = if forward { i } else { n - 1 - i };
+        if step < v * 7 % n {
+            0.0
+        } else {
+            noise[(r, c)]
+        }
+    })
+}
+
+/// Both sides, both directions, unit and non-unit: each arm's leaves (and
+/// its GEMM, for the coupling updates past one leaf) against the portable
+/// arm's, word for word. 29 vectors take tiles 16, 8, 4 and 1 wide.
+#[test]
+fn every_trsm_leaf_arm_matches_the_portable_arm_bitwise() {
+    let arms = wide_arms();
+    let solve = |arm: Arm, side, uplo, diag, t: &Matrix, b: &Matrix| {
+        let mut x = b.clone();
+        trsm_window(
+            &PackedArm(arm),
+            arm,
+            side,
+            uplo,
+            diag,
+            true,
+            t.into(),
+            (&mut x).into(),
+        )
+        .unwrap();
+        bits(&x)
+    };
+    for n in [40, 150] {
+        let t = tame_triangle(n, 60 + n as u64);
+        for side in [Side::Left, Side::Right] {
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                let forward = matches!(
+                    (side, uplo),
+                    (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper)
+                );
+                let b = staggered_rhs(side, forward, n, 29, 61);
+                for diag in [Diag::Unit, Diag::NonUnit] {
+                    let want = solve(Arm::Portable, side, uplo, diag, &t, &b);
+                    for &arm in &arms {
+                        let got = solve(arm, side, uplo, diag, &t, &b);
+                        assert!(got == want, "{arm:?} n={n} {side:?}/{uplo:?}/{diag:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The LU leaf below 128 (one panel) and the blocked LU above it, on each
+/// arm against the portable arm: the same pivots and the same bits.
+#[test]
+fn every_lu_leaf_arm_matches_the_portable_arm_bitwise() {
+    let arms = wide_arms();
+    for (n, panel) in [(100, 100), (150, 64)] {
+        let a = random_matrix(n, n, 70 + n as u64);
+        let lu = |arm: Arm| lu_blocked(&a, panel, &PackedArm(arm), arm).unwrap();
+        let want = lu(Arm::Portable);
+        for &arm in &arms {
+            let got = lu(arm);
+            assert_eq!(got.perm, want.perm, "{arm:?} n={n}");
+            assert!(bits(&got.lu) == bits(&want.lu), "{arm:?} n={n}");
+        }
+    }
+}
+
+/// The witness of [`microkernel_steps_are_fused`] through each leaf, on
+/// every arm: the solved entry is `0 − 1·1 + (1 + 2⁻³⁰)·(1 − 2⁻³⁰)`, in
+/// the order the leaf takes its products — `−2⁻⁶⁰` fused, `0` unfused — in
+/// every lane of every tile width, on both sides in both directions; and
+/// in the LU leaf, `a₁₂ = −1 − (−(1 − 2⁻³⁰))·(1 + 2⁻³⁰)`.
+#[test]
+fn leaf_steps_are_fused() {
+    let e = 2f64.powi(-30);
+    let (p, q) = (1.0 + e, 1.0 - e);
+    let fused = (-(2f64.powi(-60))).to_bits();
+    let tri = |rows: [[f64; 3]; 3]| Matrix::from_fn(3, 3, |i, j| rows[i][j]);
+    // (side, uplo, T, each vector, the entry solved last). The left leaf
+    // takes products in ascending k; the right leaf in solve order.
+    let cases = [
+        (
+            Side::Left,
+            Uplo::Lower,
+            tri([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -p, 1.0]]),
+            [1.0, q, 0.0],
+            2,
+        ),
+        (
+            Side::Left,
+            Uplo::Upper,
+            tri([[1.0, 1.0, -p], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            [0.0, 1.0, q],
+            0,
+        ),
+        (
+            Side::Right,
+            Uplo::Upper,
+            tri([[1.0, 0.0, 1.0], [0.0, 1.0, -p], [0.0, 0.0, 1.0]]),
+            [1.0, q, 0.0],
+            2,
+        ),
+        (
+            Side::Right,
+            Uplo::Lower,
+            tri([[1.0, 0.0, 0.0], [-p, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+            [0.0, q, 1.0],
+            0,
+        ),
+    ];
+    let mut arms = wide_arms();
+    arms.push(Arm::Portable);
+    for &arm in &arms {
+        for (side, uplo, t, vector, last) in &cases {
+            for w in [16, 8, 4, 1] {
+                let mut x = match side {
+                    Side::Left => Matrix::from_fn(3, w, |i, _| vector[i]),
+                    Side::Right => Matrix::from_fn(w, 3, |_, j| vector[j]),
+                };
+                trsm_window(
+                    &PackedArm(arm),
+                    arm,
+                    *side,
+                    *uplo,
+                    Diag::Unit,
+                    true,
+                    t.into(),
+                    (&mut x).into(),
+                )
+                .unwrap();
+                for v in 0..w {
+                    let got = match side {
+                        Side::Left => x[(*last, v)],
+                        Side::Right => x[(v, *last)],
+                    };
+                    assert_eq!(got.to_bits(), fused, "{arm:?} {side:?}/{uplo:?} w={w}");
+                }
+            }
+        }
+        let a = tri([[1.0, 0.0, p], [-q, 1.0, -1.0], [0.0, 0.0, 1.0]]);
+        let f = lu_blocked(&a, 3, &PackedArm(arm), arm).unwrap();
+        assert_eq!(f.lu[(1, 2)].to_bits(), fused, "{arm:?} LU leaf");
+    }
+}
+
 /// Shape families: m ≤ MR slivers, wide-but-short, tall-and-skinny, and
 /// generally ragged — all straddling the MR/NR/MC/KC tile edges.
 fn arb_shape() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -343,72 +504,6 @@ proptest! {
 }
 
 #[test]
-fn naive_backend_is_bit_identical_to_legacy_kernels() {
-    let a = random_matrix(23, 17, 4);
-    let b = random_matrix(17, 29, 5);
-    let c0 = random_matrix(23, 29, 6);
-
-    // Reference: the pre-engine mul_naive i-k-j accumulation order.
-    let mut legacy = Matrix::zeros(23, 29);
-    for i in 0..23 {
-        for p in 0..17 {
-            let apv = a[(i, p)];
-            for j in 0..29 {
-                legacy[(i, j)] += apv * b[(p, j)];
-            }
-        }
-    }
-    let mut c = Matrix::zeros(23, 29);
-    gemm_with(&Naive, 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
-    assert_eq!(c, legacy, "fresh product must match mul_naive bitwise");
-
-    let mut c = c0.clone();
-    gemm_with(&Naive, -1.0, notrans(&a), notrans(&b), 1.0, &mut c).unwrap();
-    let mut expect = c0.clone();
-    for i in 0..23 {
-        for j in 0..29 {
-            // Reference: the old sub_mul accumulation order.
-            for p in 0..17 {
-                expect[(i, j)] -= a[(i, p)] * b[(p, j)];
-            }
-        }
-    }
-    // Same i-k-j order as sub_mul; compare against a literal re-execution.
-    let mut c2 = c0.clone();
-    for i in 0..23 {
-        for p in 0..17 {
-            let apv = a[(i, p)];
-            for j in 0..29 {
-                c2[(i, j)] -= apv * b[(p, j)];
-            }
-        }
-    }
-    assert_eq!(c, c2, "fused subtract must match sub_mul bitwise");
-
-    // Dot path: mul_transposed / sub_mul_transposed.
-    let b_t = b.transpose();
-    let mut c = Matrix::zeros(23, 29);
-    gemm_with(&Naive, 1.0, notrans(&a), trans(&b_t), 0.0, &mut c).unwrap();
-    let mut expect = Matrix::zeros(23, 29);
-    for i in 0..23 {
-        for j in 0..29 {
-            expect[(i, j)] = dot(a.row(i), b_t.row(j));
-        }
-    }
-    assert_eq!(c, expect, "dot path must match mul_transposed bitwise");
-
-    let mut c = c0.clone();
-    gemm_with(&Naive, -1.0, notrans(&a), trans(&b_t), 1.0, &mut c).unwrap();
-    let mut expect = c0.clone();
-    for i in 0..23 {
-        for j in 0..29 {
-            expect[(i, j)] -= dot(a.row(i), b_t.row(j));
-        }
-    }
-    assert_eq!(c, expect, "fused dot subtract must match bitwise");
-}
-
-#[test]
 fn beta_zero_overwrites_nan() {
     let a = random_matrix(9, 9, 10);
     let b = random_matrix(9, 9, 11);
@@ -448,9 +543,9 @@ fn empty_and_degenerate_products() {
     }
 }
 
-// The per-vector triangular kernels the pipeline's mappers ran before
-// `trsm`: its leaf reproduces their arithmetic operation for operation, so
-// they stay here as the bit-identity oracles.
+// Per-vector triangular kernels, one fused multiply-add per step: `trsm`'s
+// leaves do their arithmetic operation for operation, many vectors abreast,
+// so they are the leaves' bit-identity oracles.
 
 /// Column `j` of `L^-1` by Equation 4 (any nonzero diagonal; entries above
 /// the diagonal are zero).
@@ -463,7 +558,7 @@ fn invert_lower_column(l: &Matrix, j: usize) -> Vec<f64> {
         let row = l.row(i);
         let mut acc = 0.0;
         for (k, &ck) in col.iter().enumerate().take(i).skip(j) {
-            acc += row[k] * ck;
+            acc = row[k].mul_add(ck, acc);
         }
         col[i] = -acc / row[i];
     }
@@ -477,7 +572,7 @@ fn solve_unit_lower_column(l1: &Matrix, a2_col: &[f64]) -> Vec<f64> {
         let row = l1.row(i);
         let mut acc = x[i];
         for (k, &xk) in x.iter().enumerate().take(i) {
-            acc -= row[k] * xk;
+            acc = (-row[k]).mul_add(xk, acc);
         }
         x[i] = acc; // unit diagonal: no division
     }
@@ -489,14 +584,29 @@ fn solve_unit_lower_column(l1: &Matrix, a2_col: &[f64]) -> Vec<f64> {
 /// row-major, unlike [`triangular::solve_row_times_upper`].
 fn solve_row_times_upper_transposed(u1_t: &Matrix, a3_row: &[f64]) -> Vec<f64> {
     let n = u1_t.rows();
-    let mut x = vec![0.0; n];
+    let mut x = vec![0.0_f64; n];
     for j in 0..n {
         let row = u1_t.row(j);
         let mut acc = a3_row[j];
         for (k, &xk) in x.iter().enumerate().take(j) {
-            acc -= xk * row[k];
+            acc = (-xk).mul_add(row[k], acc);
         }
         x[j] = acc / row[j];
+    }
+    x
+}
+
+/// One row of `x·U = b` for upper `U` in row-major storage: each entry
+/// takes its products in ascending order, as the right-side leaf's update
+/// form delivers them.
+fn solve_row_times_upper(u: &Matrix, b: &[f64]) -> Vec<f64> {
+    let mut x = b.to_vec();
+    for j in 0..u.rows() {
+        let mut acc = x[j];
+        for (k, &xk) in x.iter().enumerate().take(j) {
+            acc = (-xk).mul_add(u[(k, j)], acc);
+        }
+        x[j] = acc / u[(j, j)];
     }
     x
 }
@@ -532,13 +642,14 @@ fn trsm_left_lower_matches_legacy_per_column_kernels() {
     // Widths that take full 16-column leaf tiles and every remainder tile
     // (8, 4 and 1 wide; masked too, under the identity's staggered
     // columns): each must reproduce the per-vector oracles bit for bit.
+    // Every order is at most the leaf's, so one leaf solves each system.
     for (n, w) in [(40, 21), (44, 15), (44, 31)] {
         let l = random_unit_lower(n, 13);
         // Unit solve against a general RHS: the old column-at-a-time
         // solve_unit_lower_column loop (the U2 mappers').
         let rhs = random_matrix(n, w, 14);
         let mut x = rhs.clone();
-        trsm_with(&Naive, Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l, &mut x).unwrap();
+        trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l, &mut x).unwrap();
         for j in 0..w {
             let col = solve_unit_lower_column(&l, &rhs.col(j));
             assert_eq!(bits_of(&x.col(j)), bits_of(&col), "U2 column {j}");
@@ -551,16 +662,7 @@ fn trsm_left_lower_matches_legacy_per_column_kernels() {
             lnu[(i, i)] = (1.5 + i as f64 * 0.25) * if i % 2 == 0 { 1.0 } else { -1.0 };
         }
         let mut x = Matrix::identity(n);
-        trsm_with(
-            &Naive,
-            Side::Left,
-            Uplo::Lower,
-            Diag::NonUnit,
-            1.0,
-            &lnu,
-            &mut x,
-        )
-        .unwrap();
+        trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, &lnu, &mut x).unwrap();
         for j in 0..n {
             let col = invert_lower_column(&lnu, j);
             assert_eq!(bits_of(&x.col(j)), bits_of(&col), "inverse column {j}");
@@ -572,16 +674,7 @@ fn trsm_left_lower_matches_legacy_per_column_kernels() {
         let u1_t = lnu;
         let a3 = random_matrix(w, n, 24);
         let mut x_t = a3.transpose();
-        trsm_with(
-            &Naive,
-            Side::Left,
-            Uplo::Lower,
-            Diag::NonUnit,
-            1.0,
-            &u1_t,
-            &mut x_t,
-        )
-        .unwrap();
+        trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, &u1_t, &mut x_t).unwrap();
         for i in 0..w {
             let row = solve_row_times_upper_transposed(&u1_t, a3.row(i));
             assert_eq!(bits_of(&x_t.col(i)), bits_of(&row), "L2' row {i}");
@@ -595,18 +688,9 @@ fn trsm_right_upper_matches_legacy_row_kernel() {
     let u = random_upper(n, 15);
     let rhs = random_matrix(5, n, 16);
     let mut x = rhs.clone();
-    trsm_with(
-        &Naive,
-        Side::Right,
-        Uplo::Upper,
-        Diag::NonUnit,
-        1.0,
-        &u,
-        &mut x,
-    )
-    .unwrap();
+    trsm(Side::Right, Uplo::Upper, Diag::NonUnit, 1.0, &u, &mut x).unwrap();
     for i in 0..5 {
-        let row = triangular::solve_row_times_upper(&u, rhs.row(i)).unwrap();
+        let row = solve_row_times_upper(&u, rhs.row(i));
         assert_eq!(bits_of(x.row(i)), bits_of(&row), "row {i}");
     }
 }
@@ -813,6 +897,7 @@ fn trsm_on_windows_matches_copied_out_blocks_bitwise() {
                     let mut in_place = big_b.clone();
                     trsm_window(
                         backend,
+                        Arm::detect(),
                         side,
                         uplo,
                         diag,
@@ -867,6 +952,7 @@ fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
         let mut x = b.clone();
         trsm_window(
             &backend,
+            Arm::detect(),
             side,
             uplo,
             Diag::NonUnit,
@@ -948,8 +1034,7 @@ proptest! {
     /// The staircase product is the dense product, bit for bit: under the
     /// packed engine (tiles cut at both edges of `C`, `K` of one to three
     /// panels, tiles whose first term falls inside a panel and splits it,
-    /// steps that start before the window's origin), and under the Naive
-    /// oracle, where it is the one dense call.
+    /// steps that start before the window's origin).
     #[test]
     fn staircase_product_is_the_dense_product_bitwise(
         ((m, n, k), origin, (a_row0, b_col0), (ta, tb), seed) in (
@@ -972,18 +1057,17 @@ proptest! {
         let op = |t: bool| if t { Op::Trans } else { Op::NoTrans };
         let (a_op, b_op) = (op(ta).of(&a_stored), op(tb).of(&b_stored));
 
-        for backend in [&Packed { parallel: false } as &dyn GemmBackend, &Naive] {
-            let mut dense = Matrix::from_fn(m, n, |_, _| f64::NAN);
-            gemm_with(backend, 1.0, a_op, b_op, 0.0, &mut dense).unwrap();
-            let mut stairs = Matrix::from_fn(m, n, |_, _| f64::NAN);
-            staircase_with(backend, a_op, a_row0, b_op, b_col0, origin, (&mut stairs).into())
-                .unwrap();
-            prop_assert!(
-                bits(&stairs) == bits(&dense),
-                "{}: m={} n={} k={} origin={} a_row0={} b_col0={}",
-                backend.name(), m, n, k, origin, a_row0, b_col0
-            );
-        }
+        let backend = Packed { parallel: false };
+        let mut dense = Matrix::from_fn(m, n, |_, _| f64::NAN);
+        gemm_with(&backend, 1.0, a_op, b_op, 0.0, &mut dense).unwrap();
+        let mut stairs = Matrix::from_fn(m, n, |_, _| f64::NAN);
+        staircase_with(&backend, a_op, a_row0, b_op, b_col0, origin, (&mut stairs).into())
+            .unwrap();
+        prop_assert!(
+            bits(&stairs) == bits(&dense),
+            "m={} n={} k={} origin={} a_row0={} b_col0={}",
+            m, n, k, origin, a_row0, b_col0
+        );
     }
 }
 
@@ -1010,7 +1094,7 @@ fn blocked_lu_matches_unblocked_permutation_and_reconstructs() {
         let a = random_matrix(n, n, 21 + n as u64);
         let unblocked = lu_decompose(&a).unwrap();
         for backend in [&Naive as &dyn GemmBackend, &Packed { parallel: false }] {
-            let f = lu_blocked(&a, 16, backend).unwrap();
+            let f = lu_blocked(&a, 16, backend, Arm::detect()).unwrap();
             assert_eq!(f.perm, unblocked.perm, "pivot choices must agree at n={n}");
             let pa = f.perm.apply_rows(&a);
             assert!(f.reconstruct().approx_eq(&pa, 1e-8), "PA != LU at n={n}");
@@ -1026,7 +1110,7 @@ fn one_full_width_panel_is_the_unblocked_decomposition_bitwise() {
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for n in [1, 2, 7, 33, 64, 127] {
         let a = random_matrix(n, n, 40 + n as u64);
-        let one_panel = lu_blocked(&a, n, &Naive).unwrap();
+        let one_panel = lu_blocked(&a, n, &Packed { parallel: false }, Arm::detect()).unwrap();
         let unblocked = lu_decompose(&a).unwrap();
         assert_eq!(one_panel.perm, unblocked.perm, "n={n}");
         assert_eq!(bits(&one_panel.lu), bits(&unblocked.lu), "n={n}");
@@ -1037,24 +1121,14 @@ fn one_full_width_panel_is_the_unblocked_decomposition_bitwise() {
 fn blocked_lu_detects_singularity_and_bad_nb() {
     let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
     assert!(matches!(
-        lu_blocked(&a, 2, &Naive),
+        lu_blocked(&a, 2, &Naive, Arm::detect()),
         Err(MatrixError::Singular { .. })
     ));
     let b = random_matrix(4, 4, 22);
     assert!(matches!(
-        lu_blocked(&b, 0, &Naive),
+        lu_blocked(&b, 0, &Naive, Arm::detect()),
         Err(MatrixError::InvalidParameter { .. })
     ));
-}
-
-#[test]
-fn global_backend_roundtrip() {
-    let prev = set_global_backend(BackendKind::Naive);
-    assert_eq!(global_backend(), BackendKind::Naive);
-    let a = random_matrix(6, 6, 23);
-    let mut c = Matrix::zeros(6, 6);
-    gemm(1.0, notrans(&a), notrans(&a), 0.0, &mut c).unwrap();
-    set_global_backend(prev);
 }
 
 #[test]

@@ -5,19 +5,20 @@
 //! ([`Side::Right`]). Each column (left) or row (right) of `B` is one
 //! right-hand-side *vector*.
 //!
-//! **Leaf.** Systems of order at most [`GemmBackend::trsm_block`] — every
-//! system under a backend that advertises none — are solved by unblocked
-//! substitution, in place. Per vector the arithmetic is the per-vector
-//! kernels' of [`crate::triangular`], operation for operation (the
-//! [`Naive`](super::Naive) pipeline pins depend on it); the left-side leaf
-//! merely runs sixteen vectors abreast (a remainder eight, then four, then
-//! one at a time) so the dependent chain of one vector hides behind its
-//! neighbours'.
+//! **Leaf.** Systems of order at most [`LEAF`] (the packed engine's `MC`)
+//! are solved by unblocked substitution, in place. Each vector subtracts
+//! its products in ascending solve order, each step one fused multiply-add
+//! `acc = (-t).mul_add(x, acc)`, as the GEMM microkernel rounds; the
+//! leaves run on the microkernel's arm (`packed::Arm`), so a host with FMA
+//! hardware never calls libm and every arm returns the same bits. The
+//! left-side leaf runs sixteen vectors abreast (a remainder eight, then
+//! four, then one at a time) so the dependent chain of one vector hides
+//! behind its neighbours'.
 //!
 //! **Recursion.** Larger systems split the triangle in two, solve the
 //! first diagonal block, clear its coupling to the second with one GEMM on
 //! in-place windows of `T` and `B`, and solve the second — recursively, so
-//! the leaf share of the flops is `leaf / n` and everything else runs in
+//! the leaf share of the flops is `LEAF / n` and everything else runs in
 //! the backend's GEMM. No block of `T` or `B` is ever copied.
 //!
 //! **Observed zeros.** A vector whose leading entries (trailing, for the
@@ -35,11 +36,15 @@
 
 use std::ops::Range;
 
+use super::packed::{Arm, Fused, MC};
 use super::{
     gemm_window, notrans, Diag, GemmBackend, MatMut, MatRef, MatrixError, Result, Side, Uplo,
-    K_PANEL,
+    K_PANEL, PACKED,
 };
 use crate::dense::Matrix;
+
+/// Largest order the unblocked leaf takes.
+const LEAF: usize = MC;
 
 fn check_trsm(side: Side, t: &Matrix, b: &Matrix) -> Result<()> {
     let n = t.order()?;
@@ -69,8 +74,8 @@ fn check_diag(t: &Matrix, diag: Diag) -> Result<()> {
     Ok(())
 }
 
-/// Solves `T · X = B` / `X · T = B` in place through the process-wide
-/// default backend (`alpha` is applied to `B` first).
+/// Solves `T · X = B` / `X · T = B` in place through the packed engine
+/// (`alpha` is applied to `B` first).
 ///
 /// `T` is read only on the triangle selected by `uplo` (plus the diagonal
 /// when `diag` is [`Diag::NonUnit`]); the opposite triangle may hold
@@ -83,18 +88,10 @@ pub fn trsm(
     t: &Matrix,
     b: &mut Matrix,
 ) -> Result<()> {
-    trsm_with(
-        super::global_backend().as_backend(),
-        side,
-        uplo,
-        diag,
-        alpha,
-        t,
-        b,
-    )
+    trsm_with(PACKED, side, uplo, diag, alpha, t, b)
 }
 
-/// [`trsm`] through an explicit backend.
+/// [`trsm`] with the coupling updates through an explicit backend.
 pub fn trsm_with(
     backend: &dyn GemmBackend,
     side: Side,
@@ -111,15 +108,18 @@ pub fn trsm_with(
             *v *= alpha;
         }
     }
-    trsm_window(backend, side, uplo, diag, true, t.into(), b.into())
+    let arm = Arm::detect();
+    trsm_window(backend, arm, side, uplo, diag, true, t.into(), b.into())
 }
 
 /// [`trsm_with`] on in-place windows, `alpha = 1`, shapes and diagonal
-/// already validated by the caller. `observe_zeros = false` runs every
-/// coupling GEMM over all vectors — the reference the bit-neutrality test
-/// compares the restriction against.
+/// already validated by the caller, the leaves on microkernel arm `arm`.
+/// `observe_zeros = false` runs every coupling GEMM over all vectors — the
+/// reference the bit-neutrality test compares the restriction against.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn trsm_window(
     backend: &dyn GemmBackend,
+    arm: Arm,
     side: Side,
     uplo: Uplo,
     diag: Diag,
@@ -129,13 +129,13 @@ pub(crate) fn trsm_window(
 ) -> Result<()> {
     let solve = Solve {
         backend,
+        arm,
         side,
         forward: matches!(
             (side, uplo),
             (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper)
         ),
         unit: diag == Diag::Unit,
-        leaf: backend.trsm_block().unwrap_or(usize::MAX),
         observe_zeros,
     };
     let vectors = match side {
@@ -151,13 +151,12 @@ const NEVER: usize = usize::MAX;
 /// One triangular solve: the fixed parameters of the recursion.
 struct Solve<'s> {
     backend: &'s dyn GemmBackend,
+    arm: Arm,
     side: Side,
     /// The solve starts at index 0 (lower-left, upper-right) rather than
     /// at the last index.
     forward: bool,
     unit: bool,
-    /// Largest order the unblocked leaf takes.
-    leaf: usize,
     observe_zeros: bool,
 }
 
@@ -176,10 +175,16 @@ impl Solve<'_> {
         first_live: &mut [usize],
     ) -> Result<()> {
         let n = t.rows();
-        if n <= self.leaf {
+        if n <= LEAF {
+            let (forward, unit) = (self.forward, self.unit);
             let local = match self.side {
-                Side::Left => leaf_left(t, &mut b, self.forward, self.unit),
-                Side::Right => leaf_right(t, &mut b, self.forward, self.unit),
+                Side::Left => leaf_left(self.arm, t, &mut b, forward, unit),
+                Side::Right => self.arm.run(RightLeaf {
+                    t,
+                    b: &mut b,
+                    forward,
+                    unit,
+                }),
             };
             for (seen, local) in first_live.iter_mut().zip(local) {
                 if *seen == NEVER && local < n {
@@ -191,7 +196,7 @@ impl Solve<'_> {
         // The first block: a leaf multiple near the middle, so leaves stay
         // full and the coupling GEMMs deep, but never more than one packed
         // K panel (see the module docs).
-        let len = n.div_ceil(2).next_multiple_of(self.leaf).min(K_PANEL);
+        let len = n.div_ceil(2).next_multiple_of(LEAF).min(K_PANEL);
         let (first, second) = if self.forward {
             (0..len, len..n)
         } else {
@@ -288,7 +293,7 @@ impl Solve<'_> {
             if earliest >= done {
                 continue; // trailing vectors that are still all zero
             }
-            let skip = earliest.saturating_sub(solved) / self.leaf * self.leaf;
+            let skip = earliest.saturating_sub(solved) / LEAF * LEAF;
             match groups.last_mut() {
                 Some((vectors, s)) if *s == skip => vectors.start = v,
                 _ => groups.push((v..v + 1, skip)),
@@ -302,23 +307,22 @@ impl Solve<'_> {
 }
 
 /// Vectors the left-side leaf advances together: four AVX2 registers' worth
-/// of independent subtract chains per row, enough to cover the add latency.
+/// of independent fused chains per row, enough to cover the FMA latency.
 const TILE: usize = 16;
 
 /// Left-side leaf: `T · X = B` by substitution, in place, column tiles of
-/// [`TILE`] abreast, the remainder in tiles of 8, 4 and 1. Returns, per
-/// column, the position in solve order of its first entry that is not
-/// `+0.0` (the leaf's order if there is none).
+/// [`TILE`] abreast, the remainder in tiles of 8, 4 and 1, on arm `arm`.
+/// Returns, per column, the position in solve order of its first entry
+/// that is not `+0.0` (the leaf's order if there is none).
 ///
-/// Per column this is the per-vector kernel, operation for operation: an
-/// exact-`+0.0` prefix (suffix when solving backward) is left untouched
-/// rather than divided — the solution there is exactly `+0.0`, and a
-/// negative diagonal would turn it into `-0.0` — and the remaining entries
-/// subtract their products in ascending `k`. The pipeline solves
-/// unit-basis columns constantly (triangular inversion); the skip both
-/// preserves the seed kernels' bit pattern above the diagonal and keeps
-/// their `O((n-j)^2)` cost per inverse column.
-fn leaf_left(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Vec<usize> {
+/// An exact-`+0.0` prefix (suffix when solving backward) of a column is
+/// left untouched rather than divided — the solution there is exactly
+/// `+0.0`, and a negative diagonal would turn it into `-0.0` — and the
+/// remaining entries subtract their products in ascending `k`. The
+/// pipeline solves unit-basis columns constantly (triangular inversion);
+/// the skip both keeps the exact zeros above the diagonal and keeps the
+/// cost at `O((n-j)^2)` per inverse column.
+fn leaf_left(arm: Arm, t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Vec<usize> {
     let (n, w) = (b.rows(), b.cols());
     // bound[j]: first live row of column j (forward) or one past its last
     // live row (backward); a column with no live row gets n / 0.
@@ -340,38 +344,13 @@ fn leaf_left(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Ve
         });
     }
 
-    // The leaf's own probe, not the packed engine's arm: the leaf stays a
-    // separately rounded multiply and subtract, because `Naive` solves
-    // every system here and its pinned seed bits are mul-then-sub.
-    let use_avx2 = avx2_available();
-    let mut c0 = 0;
-    while c0 < w {
-        let width = [TILE, 8, 4, 1]
-            .into_iter()
-            .find(|&tw| c0 + tw <= w)
-            .expect("a 1-wide tile fits");
-        let bounds = &bound[c0..c0 + width];
-        if bounds.iter().any(|&s| s != dead) {
-            // The rows any column of the tile is live on.
-            let rows = if forward {
-                *bounds.iter().min().expect("tile is not empty")..n
-            } else {
-                0..*bounds.iter().max().expect("tile is not empty")
-            };
-            let masked = bounds.iter().any(|&s| s != bounds[0]);
-            let solve: TileFn = match (width, masked) {
-                (TILE, false) => tile::<TILE, false>,
-                (TILE, true) => tile::<TILE, true>,
-                (8, false) => tile::<8, false>,
-                (8, true) => tile::<8, true>,
-                (4, false) => tile::<4, false>,
-                (4, true) => tile::<4, true>,
-                _ => tile::<1, false>,
-            };
-            solve(use_avx2, t, b, c0, rows, bounds, forward, unit);
-        }
-        c0 += width;
-    }
+    arm.run(LeftTiles {
+        t,
+        b: b.reborrow(),
+        bound: &bound,
+        forward,
+        unit,
+    });
     if !forward {
         for s in &mut bound {
             *s = n - *s;
@@ -380,72 +359,65 @@ fn leaf_left(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Ve
     bound
 }
 
-/// Whether the AVX2 instantiation of the leaf may run (`std`'s cached
-/// CPUID probe; `false` off x86-64).
-fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
-/// [`tile`] at one width and masking.
-type TileFn = fn(bool, MatRef<'_>, &mut MatMut<'_>, usize, Range<usize>, &[usize], bool, bool);
-
-/// Dispatches one tile to the AVX2 or the portable instantiation of
-/// [`tile_body`] (same arithmetic, wider registers).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn tile<const W: usize, const MASKED: bool>(
-    use_avx2: bool,
-    t: MatRef<'_>,
-    b: &mut MatMut<'_>,
-    c0: usize,
-    rows: Range<usize>,
-    bounds: &[usize],
+/// [`leaf_left`]'s tiles, as one loop for [`Arm::run`].
+struct LeftTiles<'a, 'b> {
+    t: MatRef<'a>,
+    b: MatMut<'b>,
+    bound: &'a [usize],
     forward: bool,
     unit: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: `use_avx2` is the is_x86_feature_detected! probe for
-        // avx2, so the CPU supports the feature this #[target_feature]
-        // instantiation was compiled for.
-        unsafe { tile_avx2::<W, MASKED>(t, b, c0, rows, bounds, forward, unit) };
-        return;
+}
+
+impl Fused for LeftTiles<'_, '_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(mut self) {
+        let (n, w) = (self.b.rows(), self.b.cols());
+        let (t, forward, unit) = (self.t, self.forward, self.unit);
+        let dead = if forward { n } else { 0 };
+        let mut c0 = 0;
+        while c0 < w {
+            let width = [TILE, 8, 4, 1]
+                .into_iter()
+                .find(|&tw| c0 + tw <= w)
+                .expect("a 1-wide tile fits");
+            let bounds = &self.bound[c0..c0 + width];
+            if bounds.iter().any(|&s| s != dead) {
+                // The rows any column of the tile is live on.
+                let rows = if forward {
+                    *bounds.iter().min().expect("tile is not empty")..n
+                } else {
+                    0..*bounds.iter().max().expect("tile is not empty")
+                };
+                let masked = bounds.iter().any(|&s| s != bounds[0]);
+                let b = &mut self.b;
+                match (width, masked) {
+                    (TILE, false) => tile::<TILE, false>(t, b, c0, rows, bounds, forward, unit),
+                    (TILE, true) => tile::<TILE, true>(t, b, c0, rows, bounds, forward, unit),
+                    (8, false) => tile::<8, false>(t, b, c0, rows, bounds, forward, unit),
+                    (8, true) => tile::<8, true>(t, b, c0, rows, bounds, forward, unit),
+                    (4, false) => tile::<4, false>(t, b, c0, rows, bounds, forward, unit),
+                    (4, true) => tile::<4, true>(t, b, c0, rows, bounds, forward, unit),
+                    _ => tile::<1, false>(t, b, c0, rows, bounds, forward, unit),
+                }
+            }
+            c0 += width;
+        }
     }
-    let _ = use_avx2;
-    tile_body::<W, MASKED>(t, b, c0, rows, bounds, forward, unit);
-}
-
-/// [`tile_body`] compiled for 256-bit registers. It enables AVX2 only, not
-/// FMA: each step stays a `vmulpd` then a `vsubpd`, rounded as the
-/// portable instantiation and the per-vector kernels round it.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn tile_avx2<const W: usize, const MASKED: bool>(
-    t: MatRef<'_>,
-    b: &mut MatMut<'_>,
-    c0: usize,
-    rows: Range<usize>,
-    bounds: &[usize],
-    forward: bool,
-    unit: bool,
-) {
-    tile_body::<W, MASKED>(t, b, c0, rows, bounds, forward, unit);
 }
 
 /// Substitution over live rows `rows` of columns `c0..c0 + W` of `b`.
 ///
-/// Row `i`'s `W` accumulators start from `b[i]`, subtract
-/// `t[i][k] * b[k]` for the already-solved live rows `k` in ascending
-/// order, and are divided by the diagonal unless it is implicit. With
-/// `MASKED`, column `l` takes part in a step only where its own bound
-/// (`bounds[l]`) says the row is live for it, so a tile whose columns
-/// start at different rows still gets each column's exact per-vector
+/// Row `i`'s `W` accumulators start from `b[i]`, take
+/// `acc = (-t[i][k]).mul_add(b[k], acc)` for the already-solved live rows
+/// `k` in ascending order, and are divided by the diagonal unless it is
+/// implicit. With `MASKED`, column `l` takes part in a step only where its
+/// own bound (`bounds[l]`) says the row is live for it, so a tile whose
+/// columns start at different rows still gets each column's own
 /// arithmetic; without it every column shares `rows`.
 #[inline(always)]
-fn tile_body<const W: usize, const MASKED: bool>(
+fn tile<const W: usize, const MASKED: bool>(
     t: MatRef<'_>,
     b: &mut MatMut<'_>,
     c0: usize,
@@ -479,20 +451,19 @@ fn tile_body<const W: usize, const MASKED: bool>(
             .try_into()
             .expect("slice has tile width");
         for k in solved {
-            let tik = trow[k];
+            let tik = -trow[k];
             let xk: &[f64; W] = b.row(k)[c0..c0 + W]
                 .try_into()
                 .expect("slice has tile width");
             for l in 0..W {
-                let d = acc[l] - tik * xk[l];
+                let d = tik.mul_add(xk[l], acc[l]);
                 acc[l] = if !MASKED || on(k, l) { d } else { acc[l] };
             }
         }
         if !unit {
             let diag = trow[i];
-            for l in 0..W {
-                let q = acc[l] / diag;
-                acc[l] = if !MASKED || on(i, l) { q } else { acc[l] };
+            for (l, a) in acc.iter_mut().enumerate() {
+                *a = if !MASKED || on(i, l) { *a / diag } else { *a };
             }
         }
         b.row_mut(i)[c0..c0 + W].copy_from_slice(&acc);
@@ -500,25 +471,44 @@ fn tile_body<const W: usize, const MASKED: bool>(
 }
 
 /// Right-side leaf: `X · T = B` by substitution, in place, one row of `B`
-/// at a time. Returns, per row, the position in solve order of its first
-/// entry that is not `+0.0` (the leaf's order if there is none).
+/// at a time, as one loop for [`Arm::run`]. Returns, per row, the
+/// position in solve order of its first entry that is not `+0.0` (the
+/// leaf's order if there is none).
 ///
 /// Written in update form — once `x[j]` is final, `x[j] · T[j, ·]` is
-/// subtracted from the entries still to be solved — so `T` is read along
-/// its rows and no transpose is needed. Each entry receives its products
-/// in solve order, which for the forward (upper) case is the per-vector
-/// kernels' ascending order; the exact-`+0.0` prefix (suffix, backward)
-/// skip is the left-side leaf's.
-fn leaf_right(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> Vec<usize> {
-    let n = b.cols();
-    let is_zero = |v: &&f64| v.to_bits() == 0;
-    (0..b.rows())
-        .map(|r| {
+/// subtracted from the entries still to be solved, one fused step each —
+/// so `T` is read along its rows and no transpose is needed. Each entry
+/// receives its products in solve order; the exact-`+0.0` prefix (suffix,
+/// backward) skip is the left-side leaf's.
+struct RightLeaf<'a, 'b> {
+    t: MatRef<'a>,
+    b: &'a mut MatMut<'b>,
+    forward: bool,
+    unit: bool,
+}
+
+impl Fused for RightLeaf<'_, '_> {
+    type Out = Vec<usize>;
+
+    #[inline(always)]
+    fn run(self) -> Vec<usize> {
+        let RightLeaf {
+            t,
+            b,
+            forward,
+            unit,
+        } = self;
+        let n = b.cols();
+        // Plain loops, no iterator adaptor taking a closure: a closure
+        // compiled outside this frame would lose the arm's features.
+        let mut skips = Vec::with_capacity(b.rows());
+        for r in 0..b.rows() {
             let x = b.row_mut(r);
+            let live = |v: &f64| v.to_bits() != 0;
             let skip = if forward {
-                x.iter().take_while(is_zero).count()
+                x.iter().position(live).unwrap_or(n)
             } else {
-                x.iter().rev().take_while(is_zero).count()
+                n - x.iter().rposition(live).map_or(0, |p| p + 1)
             };
             let span = if forward { skip..n } else { 0..n - skip };
             for step in 0..span.len() {
@@ -531,17 +521,18 @@ fn leaf_right(t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: bool) -> V
                 if !unit {
                     x[j] /= trow[j];
                 }
-                let xj = x[j];
+                let xj = -x[j];
                 let rest = if forward {
                     j + 1..span.end
                 } else {
                     span.start..j
                 };
                 for (xc, &tc) in x[rest.clone()].iter_mut().zip(&trow[rest]) {
-                    *xc -= xj * tc;
+                    *xc = xj.mul_add(tc, *xc);
                 }
             }
-            skip
-        })
-        .collect()
+            skips.push(skip);
+        }
+        skips
+    }
 }

@@ -137,13 +137,13 @@ impl<'a> From<&'a mut Matrix> for MatMut<'a> {
 impl<'a> MatMut<'a> {
     /// Row count.
     #[inline]
-    pub(crate) fn rows(&self) -> usize {
+    pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Column count.
     #[inline]
-    pub(crate) fn cols(&self) -> usize {
+    pub fn cols(&self) -> usize {
         self.cols
     }
 
@@ -237,7 +237,7 @@ impl<'a> MatMut<'a> {
 
     /// Row `i` of the window, writable.
     #[inline]
-    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row {i} out of {} window rows", self.rows);
         // SAFETY: i < rows, so by the type invariant the `cols` elements at
         // ptr + i*stride are inside a live allocation that only this window

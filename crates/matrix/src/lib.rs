@@ -9,11 +9,10 @@
 //!   at most `nb`;
 //! * [`triangular`] — inverses of unit-lower and upper triangular matrices
 //!   (Equation 4) and forward/back substitution;
-//! * [`kernel`] — the BLAS-3 engine: one `gemm` entry point over pluggable
-//!   backends (packed cache-blocked default, bit-exact naive reference),
-//!   blocked TRSM, and blocked LU — `gemm`
-//!   and `trsm` are re-exported at the crate root as the blessed entry
-//!   points;
+//! * [`kernel`] — the BLAS-3 engine: one `gemm` entry point on the packed,
+//!   cache-blocked engine, blocked TRSM, and blocked LU, all rounding each
+//!   step as one fused multiply-add — `gemm` and `trsm` are re-exported at
+//!   the crate root as the blessed entry points;
 //! * `permutation` — the compact `S`-array representation of the pivot
 //!   permutation matrix `P`;
 //! * [`random`] — seeded random test-matrix generation (Section 7.1);
@@ -24,6 +23,11 @@
 //! MapReduce framework and the pipeline live in sibling crates.
 
 #![warn(missing_docs)]
+
+// Lets the test-tree files the unit tests share with the integration tests
+// name this crate as `mrinv_matrix`.
+#[cfg(test)]
+extern crate self as mrinv_matrix;
 
 pub mod block;
 pub mod dense;

@@ -69,42 +69,15 @@ pub fn lu_flops(n: usize) -> u64 {
 /// above the numerical threshold (the matrix has no inverse).
 pub fn lu_decompose(a: &Matrix) -> Result<LuFactors> {
     let mut lu = a.clone();
-    let perm = lu_decompose_in_place(&mut lu)?;
+    let perm = crate::kernel::lu_decompose_in_place(&mut lu)?;
     Ok(LuFactors { lu, perm })
-}
-
-/// Matrix order at or above which [`lu_decompose_in_place`] factors in
-/// 64-wide panels (when the packed backend is active). Below it one panel
-/// spans the matrix, which is the classic rank-1 loop and stays
-/// bit-identical to the seed implementation — the distributed pipeline's
-/// `nb`-sized leaf decompositions rely on that.
-const BLOCKED_LU_MIN_ORDER: usize = 128;
-
-/// In-place variant of [`lu_decompose`]; `a` is overwritten with the packed
-/// factors.
-///
-/// The elimination loop is [`crate::kernel::lu_blocked_in_place`]'s panel;
-/// this only picks the panel width. Orders ≥ 128 use 64 when the
-/// process-wide GEMM backend is the packed engine; everything else is one
-/// panel as wide as the matrix (Algorithm 1 as written, no trailing GEMM).
-/// Pivot choices are identical either way, factor values differ only in
-/// the trailing updates' summation order.
-fn lu_decompose_in_place(a: &mut Matrix) -> Result<Permutation> {
-    use crate::kernel::{self, BackendKind};
-    let n = a.order()?;
-    let kind = kernel::global_backend();
-    let panel = if n >= BLOCKED_LU_MIN_ORDER && kind == BackendKind::Packed {
-        64
-    } else {
-        n.max(1)
-    };
-    kernel::lu_blocked_in_place(a, panel, kind.as_backend())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::MatrixError;
+    use crate::kernel::lu_decompose_in_place;
     use crate::random::random_matrix;
 
     #[test]

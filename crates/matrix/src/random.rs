@@ -83,29 +83,54 @@ pub fn random_upper(n: usize, seed: u64) -> Matrix {
 
 /// Random symmetric positive-definite matrix (`B·Bᵀ + n·I`), used by
 /// application examples (e.g. covariance-style systems).
+///
+/// `B·Bᵀ` is summed by a private four-way dot product, not the kernel
+/// engine: seeded generators feed committed results and pinned hashes, so
+/// their bits must not move with a kernel change.
 pub fn random_spd(n: usize, seed: u64) -> Matrix {
     let b = random_matrix(n, n, seed);
-    // Naive backend: generated matrices must stay bit-identical across
-    // kernel changes (seeded generators feed pinned end-to-end hashes).
-    let mut m = Matrix::zeros(n, n);
-    crate::kernel::gemm_with(
-        &crate::kernel::Naive,
-        1.0,
-        crate::kernel::notrans(&b),
-        crate::kernel::trans(&b),
-        0.0,
-        &mut m,
-    )
-    .expect("square product");
+    let mut m = Matrix::from_fn(n, n, |i, j| dot(b.row(i), b.row(j)));
     for i in 0..n {
         m[(i, i)] += n as f64;
     }
     m
 }
 
+/// Four-way unrolled dot product, summed `(s0 + s1) + (s2 + s3) + tail`:
+/// the split [`random_spd`]'s bits are pinned to.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let chunks = a.len() / 4 * 4;
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+    for (x, y) in a[..chunks].chunks_exact(4).zip(b[..chunks].chunks_exact(4)) {
+        s0 += x[0] * y[0];
+        s1 += x[1] * y[1];
+        s2 += x[2] * y[2];
+        s3 += x[3] * y[3];
+    }
+    let tail: f64 = a[chunks..]
+        .iter()
+        .zip(&b[chunks..])
+        .fold(0.0, |t, (x, y)| t + x * y);
+    (s0 + s1) + (s2 + s3) + tail
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over the f64 bit patterns of `random_spd(24, 6)`, taken
+    /// while the kernel engine's reference backend still computed `B·Bᵀ`.
+    #[test]
+    fn random_spd_bits_are_pinned() {
+        let mut h: u64 = 0xcbf29ce484222325;
+        for v in random_spd(24, 6).as_slice() {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        }
+        assert_eq!(h, 0xdebd305ba0894995);
+    }
 
     #[test]
     fn seeded_generation_is_deterministic() {
