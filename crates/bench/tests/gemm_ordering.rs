@@ -1,32 +1,33 @@
 //! Multi-threaded ordering gate: with at least two cores and two
-//! effective pool threads, the packed engine's parallel nest must not be
-//! slower than its serial nest at n >= 256 (5% noise allowance). On a
-//! single-core machine or a capped pool the ordering is undefined
-//! (oversubscription prices the same work on one core), so the test
-//! passes without measuring there. A timing, hence ignored by default; run
-//! it on a multi-core machine with
+//! effective pool threads, the packed engine on a pool of 2 (its parallel
+//! nest) must not be slower than on a pool capped at 1 (its serial nest)
+//! at n >= 256 (5% noise allowance). On a single-core machine or a capped
+//! pool the ordering is undefined (oversubscription prices the same work
+//! on one core), so the test passes without measuring there. A timing,
+//! hence ignored by default; run it on a multi-core machine with
 //! `RAYON_NUM_THREADS=2 cargo test --release -p mrinv-bench --test gemm_ordering -- --ignored`.
 
-use mrinv_matrix::kernel::{gemm_with, notrans, Packed};
+use mrinv_matrix::kernel::{gemm, notrans};
 use mrinv_matrix::random::random_matrix;
 use mrinv_matrix::Matrix;
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Serial / parallel wall-clock ratio of the packed engine for one
-/// `n x n x n` product (best of 9 each, same buffers): > 1 means the
-/// parallel nest wins. Best-of-9 rides out the lost scheduling quanta a
-/// shared runner sees; one 512³ product is ~10 ms.
+/// `n x n x n` product (best of 9 each, same buffers), pool capped at 1
+/// against a pool of 2: > 1 means the parallel nest wins. Best-of-9 rides
+/// out the lost scheduling quanta a shared runner sees; one 512³ product
+/// is ~10 ms.
 fn gemm_parallel_vs_serial(n: usize) -> f64 {
     let a = random_matrix(n, n, 1);
     let b = random_matrix(n, n, 2);
     let mut out = Matrix::zeros(n, n);
-    let mut best_secs = |parallel: bool| {
-        (0..9)
+    let mut best_secs = |threads: usize| {
+        let previous = rayon::set_thread_cap(threads);
+        let best = (0..9)
             .map(|_| {
                 let t0 = Instant::now();
-                gemm_with(
-                    &Packed { parallel },
+                gemm(
                     1.0,
                     notrans(black_box(&a)),
                     notrans(black_box(&b)),
@@ -36,10 +37,12 @@ fn gemm_parallel_vs_serial(n: usize) -> f64 {
                 .expect("square operands");
                 t0.elapsed().as_secs_f64()
             })
-            .fold(f64::INFINITY, f64::min)
+            .fold(f64::INFINITY, f64::min);
+        rayon::set_thread_cap(previous);
+        best
     };
-    let serial = best_secs(false);
-    serial / best_secs(true)
+    let serial = best_secs(1);
+    serial / best_secs(2)
 }
 
 #[test]

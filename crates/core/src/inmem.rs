@@ -22,7 +22,8 @@ use crate::request::LuFactors;
 /// `U^-1 · L^-1` with `L^-1` packed transposed (both operands then stream
 /// row-major — the Section 6.3 layout). Row `i` of `U^-1` and column
 /// `i` of `L^-1` are exactly zero before index `i`, so the product skips
-/// those terms tile by tile ([`gemm_staircase`]) with the dense bits.
+/// those terms microtile by microtile ([`gemm_staircase`]) with the dense
+/// bits.
 fn mul_inverse_factors(u_inv: &Matrix, l_inv: &Matrix) -> Result<Matrix> {
     let l_inv_t = l_inv.transpose();
     let mut c = Matrix::zeros(u_inv.rows(), l_inv.cols());

@@ -11,7 +11,7 @@
 //! * **reducers** — each computes one block of `U^-1·L^-1` and writes it
 //!   with its *permuted* target column indices: column `j` of the product
 //!   is column `S[j]` of `A^-1` (Section 4.3). The block multiplies only
-//!   the terms the two triangles can make nonzero, tile by tile
+//!   the terms the two triangles can make nonzero, microtile by microtile
 //!   (`kernel::gemm_staircase`), with the dense product's bits. With `U`
 //!   stored row-major (the Section 6.3 ablation) the same code runs and
 //!   is priced as Equation 7's dense, strided product.
@@ -518,9 +518,9 @@ impl Reducer for TriInvReducer {
         // row j — exact zeros, which the INV/ files drop and `read_operand`
         // puts back. So no term with k < max(r0, c0) reaches this cell:
         // read only from the K panel `k0` that holds that index, and let
-        // `gemm_staircase` start each tile of the product at its own first
-        // nonzero term. Both keep each element's partial sums grouped as in
-        // the dense product, bit for bit.
+        // `gemm_staircase` start each microtile of the product at its own
+        // first nonzero term. Both keep each element's partial sums grouped
+        // as in the dense product, bit for bit.
         let k0 = r0.max(c0) / K_PANEL * K_PANEL;
         let u_rows = layout.read_operand(ctx, Operand::U, bi, k0)?;
         let l_cols_t = layout.read_operand(ctx, Operand::L, bj, k0)?;

@@ -88,8 +88,8 @@ type Input = fn() -> Matrix;
 /// and shape (`random_invertible(64, 42)`, nb = 4, recursion depth 4: the
 /// deepest pin), then `random_well_conditioned(n, n)` at orders past two K
 /// panels, where the final product's cells start beyond the first panel
-/// and its 128-wide tiles straddle a panel boundary (depth 3); skipping
-/// zero terms tile by tile must reproduce them. Taken with every kernel
+/// and its microtiles start inside a panel (depth 3); skipping zero terms
+/// microtile by microtile must reproduce them. Taken with every kernel
 /// step one fused multiply-add; every arm (AVX-512F, AVX2 + FMA, portable
 /// `f64::mul_add`) gives these bits, so they hold on every host.
 const PACKED_HASHES: &[(Input, usize, u64)] = &[

@@ -4,15 +4,16 @@
 //! The paper's single-node baseline (ScaLAPACK on tuned BLAS) spends its
 //! time in exactly three level-3 kernels — GEMM, TRSM, and the LU panel
 //! update — and the distributed pipeline's map/reduce tasks bottom out in
-//! the same operations. This module replaces the nine overlapping naive
-//! triple-loop entry points that used to live in the removed `multiply`
-//! module with a single surface (re-exported at the crate root):
+//! the same operations. This module is their one surface (re-exported at
+//! the crate root):
 //!
 //! * [`gemm`] — `C := alpha * op(A) * op(B) + beta * C` with
 //!   [`Op::NoTrans`]/[`Op::Trans`] per operand;
 //! * [`gemm_staircase`] — `C := op(A) * op(B)` for an upper-triangle-like
-//!   `op(A)` and a lower-triangle-like `op(B)`, skipping their zero terms
-//!   tile by tile with [`gemm`]'s bits;
+//!   `op(A)` and a lower-triangle-like `op(B)`: the same loop nest, which
+//!   packs only the operands' possibly nonzero rows and columns and starts
+//!   each microtile at its first possibly nonzero term, with [`gemm`]'s
+//!   bits;
 //! * [`trsm`] — `B := alpha * T^-1 * B` (left) or `alpha * B * T^-1`
 //!   (right) for triangular `T`, all [`Side`]/[`Uplo`]/[`Diag`] cases;
 //! * `lu_decompose_in_place` — right-looking blocked LU whose trailing
@@ -37,7 +38,6 @@
 mod lu;
 mod packed;
 pub mod perf;
-mod staircase;
 mod trsm;
 mod window;
 
@@ -48,7 +48,7 @@ use crate::error::{MatrixError, Result};
 
 pub(crate) use lu::lu_decompose_in_place;
 pub use packed::K_PANEL;
-pub use staircase::gemm_staircase;
+use packed::{Arm, Stairs};
 pub use trsm::{trsm, trsm_with};
 pub use window::{MatMut, MatRef};
 
@@ -198,15 +198,13 @@ pub trait GemmBackend: Sync {
     fn name(&self) -> &'static str;
 }
 
-/// The packed, register-blocked engine (see module docs).
-pub struct Packed {
-    /// Parallelize over macro-tile rows with rayon. Small products stay
-    /// serial regardless (thread spawn would dominate).
-    pub parallel: bool,
-}
+/// The packed, register-blocked engine (see module docs). A product runs
+/// on the parallel loop nest once it is large enough and the pool has
+/// more than one thread, and on the serial nest otherwise.
+pub struct Packed;
 
 /// The engine every kernel entry point runs on.
-const PACKED: &Packed = &Packed { parallel: true };
+const PACKED: &Packed = &Packed;
 
 fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &MatMut<'_>) -> Result<()> {
     if a.cols() != b.rows() {
@@ -280,6 +278,68 @@ pub(crate) fn gemm_window(
     out
 }
 
+/// `C := op(A)·op(B)` for *staircase* operands, through the packed
+/// engine: bit-identical to [`gemm`] with `alpha = 1`, `beta = 0`, for
+/// finite operands, at about a third of its flops for two whole triangles
+/// (`A⁻¹ = U⁻¹·L⁻¹`, Section 4.3).
+///
+/// Column `p` of `op(A)` and row `p` of `op(B)` stand for index
+/// `k = origin + p` of the whole product. Row `i` of `op(A)` must be zero
+/// before `k = a_row0 + i`, and column `j` of `op(B)` before
+/// `k = b_col0 + j`; either step may start before `origin`. Those zeros
+/// are trusted, not checked. With `origin` a multiple of [`K_PANEL`] the
+/// result is also bit-identical to the product over the whole, unwindowed
+/// operands.
+///
+/// ```
+/// use mrinv_matrix::kernel::{gemm, gemm_staircase, notrans};
+/// use mrinv_matrix::Matrix;
+///
+/// // Upper triangle times lower triangle.
+/// let u = Matrix::from_fn(5, 5, |i, j| if j >= i { (i + 2 * j + 1) as f64 } else { 0.0 });
+/// let l = u.transpose();
+/// let mut dense = Matrix::zeros(5, 5);
+/// gemm(1.0, notrans(&u), notrans(&l), 0.0, &mut dense).unwrap();
+/// let mut c = Matrix::zeros(5, 5);
+/// gemm_staircase(notrans(&u), 0, notrans(&l), 0, 0, &mut c).unwrap();
+/// assert_eq!(c, dense);
+/// ```
+pub fn gemm_staircase(
+    a: OpRef<'_>,
+    a_row0: usize,
+    b: OpRef<'_>,
+    b_col0: usize,
+    origin: usize,
+    c: &mut Matrix,
+) -> Result<()> {
+    let stairs = Stairs {
+        a_row0,
+        b_col0,
+        origin,
+    };
+    let t0 = perf::is_enabled().then(std::time::Instant::now);
+    let madds = staircase_with(Arm::detect(), a, b, stairs, c.into())?;
+    if let Some(t0) = t0 {
+        perf::record_gemm(PACKED.name(), 2 * madds, t0.elapsed());
+    }
+    Ok(())
+}
+
+/// [`gemm_staircase`] on microkernel arm `arm`, on a window of `C`.
+/// Returns the multiply-adds the engine ran.
+fn staircase_with(
+    arm: Arm,
+    a: OpRef<'_>,
+    b: OpRef<'_>,
+    stairs: Stairs,
+    mut c: MatMut<'_>,
+) -> Result<u64> {
+    check_gemm(&a, &b, &c)?;
+    scale_by_beta(&mut c, 0.0);
+    let parallel = packed::parallel_pays(&a, &b);
+    Ok(packed::run_packed(arm, parallel, 1.0, a, b, stairs, c))
+}
+
 /// Allocating convenience: `op(A) * op(B)` through the packed engine.
 pub fn mul(a: OpRef<'_>, b: OpRef<'_>) -> Result<Matrix> {
     let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -314,8 +374,9 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
 /// order-`n` upper-triangular `U` and lower-triangular `L`, counting only
 /// the terms the triangles can make nonzero: element `(i, j)` sums
 /// `n − max(i, j)` of them. Over the whole product that is about `2n³/3`.
-/// It counts the algorithm's arithmetic, not [`gemm_staircase`]'s tiles,
-/// which multiply a few zero terms more.
+/// It counts the algorithm's arithmetic, not what [`gemm_staircase`]
+/// runs: each of its microtiles starts at the first term of its first row
+/// and column, so it multiplies a few zero terms more.
 pub fn tri_product_flops(n: usize, rows: Range<usize>, cols: Range<usize>) -> u64 {
     let terms: u64 = rows
         .map(|i| {

@@ -41,19 +41,25 @@
 //! element's partial sums over `k` are grouped, hence its floating-point
 //! rounding, so every bit-identity pin in the repository depends on it.
 //!
-//! With `parallel = true` and a multi-thread pool, the `ic` loop (and for
-//! wide-but-short operands the `jr` loop too) fans out across the
-//! persistent rayon pool: for each `(jc, pc)` iteration, B is packed once
-//! and shared read-only, then work items covering disjoint
-//! `(row-tile × column-range)` tiles of `C` run in parallel, each packing
-//! its A tile into a thread-local buffer. Every `C` element still receives
-//! its `pc`-partial sums in the same order as the serial nest, and each
-//! partial sum is computed by the identical microkernel loop — so the
-//! parallel path is **bitwise identical** to the serial path, regardless
-//! of thread count or tile distribution. Products below the crossover
-//! stay serial.
+//! Both loop nests carve each `(jc, pc)` panel of `C` into the same work
+//! items, disjoint `(row-tile × column-range)` windows, each packing its A
+//! tile. The serial nest runs each item as it is carved. The parallel
+//! nest, taken on a multi-thread pool from [`PAR_MIN_MADDS`] on, fans the
+//! items out across the persistent rayon pool, with B packed once and
+//! shared read-only. Every `C` element receives its `pc`-partial sums in
+//! the same order from the same microkernel loop, so the two nests are
+//! **bitwise identical**, at any thread count or item distribution.
+//!
+//! A staircase product ([`Stairs`]) packs, per K panel, only the rows of
+//! `op(A)` and columns of `op(B)` that can be nonzero there, from the
+//! first term one can, and starts each microtile at its own. Each term so
+//! skipped is an exact `±0.0` product (for finite operands) at the head
+//! of a panel sum that starts at `+0.0`, where it would have left the sum
+//! at `+0.0`, and no panel boundary moves: the result is the dense
+//! product's, bit for bit.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use rayon::prelude::*;
 
@@ -307,12 +313,8 @@ fn pack_a(a: OpRef<'_>, ic: usize, mc: usize, pc: usize, kc: usize, buf: &mut [f
                 }
             }
         }
-        if live < MR {
-            for p in 0..kc {
-                for r in live..MR {
-                    chunk[p * MR + r] = 0.0;
-                }
-            }
+        for group in chunk.chunks_exact_mut(MR) {
+            group[live..].fill(0.0);
         }
     }
 }
@@ -343,35 +345,99 @@ fn pack_b(b: OpRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut [f
                 }
             }
         }
-        if live < NR {
-            for p in 0..kc {
-                for j in live..NR {
-                    chunk[p * NR + j] = 0.0;
-                }
-            }
+        for group in chunk.chunks_exact_mut(NR) {
+            group[live..].fill(0.0);
         }
+    }
+}
+
+/// The perf slot the engine records into.
+const NAME: &str = "packed";
+
+/// The steps of a staircase product's operands, as
+/// [`super::gemm_staircase`] takes them: row `i` of `op(A)` is zero before
+/// term `a_row0 + i`, column `j` of `op(B)` before term `b_col0 + j`, and
+/// the window starts at term `origin`.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Stairs {
+    pub(super) a_row0: usize,
+    pub(super) b_col0: usize,
+    pub(super) origin: usize,
+}
+
+impl Stairs {
+    /// A dense product: every step lies before the origin.
+    pub(super) const DENSE: Stairs = Stairs {
+        a_row0: 0,
+        b_col0: 0,
+        origin: usize::MAX,
+    };
+
+    /// The first term of K panel `pc` that element `(i, j)` and every
+    /// element below or right of it can have nonzero.
+    fn first(self, i: usize, j: usize, pc: usize) -> usize {
+        (self.a_row0 + i)
+            .max(self.b_col0 + j)
+            .saturating_sub(self.origin.saturating_add(pc))
+    }
+
+    /// How many leading rows (or columns) stepping from `step0` can be live before `end`.
+    fn live(self, step0: usize, end: usize) -> usize {
+        self.origin.saturating_add(end).saturating_sub(step0)
     }
 }
 
 /// Runs the two inner register-tile loops for one packed (A block, B panel)
 /// pair, adding `alpha * acc` into `c`, the `mc x nc` window of C the pair
-/// covers. The serial nest and every work item of the parallel nest run
-/// this same function on their own window.
-fn macro_kernel(arm: Arm, abuf: &[f64], bbuf: &[f64], kc: usize, alpha: f64, c: &mut MatMut<'_>) {
+/// covers, each microtile from term `first(i0, j0)` of its first row and
+/// column in `c`. Returns the multiply-adds run on elements of `c`.
+fn macro_kernel(
+    arm: Arm,
+    abuf: &[f64],
+    bbuf: &[f64],
+    kc: usize,
+    alpha: f64,
+    first: impl Fn(usize, usize) -> usize,
+    c: &mut MatMut<'_>,
+) -> u64 {
     let (mc, nc) = (c.rows(), c.cols());
+    let mut madds = 0;
     for (bpanel, bchunk) in bbuf.chunks_exact(NR * kc).enumerate() {
         let j0 = bpanel * NR;
         let jw = NR.min(nc - j0);
         for (apanel, achunk) in abuf.chunks_exact(MR * kc).enumerate() {
             let i0 = apanel * MR;
             let iw = MR.min(mc - i0);
-            let acc = arm.micro(achunk, bchunk);
+            let p0 = first(i0, j0);
+            let acc = arm.micro(&achunk[p0 * MR..], &bchunk[p0 * NR..]);
+            madds += (iw * jw * (kc - p0)) as u64;
             for (r, accr) in acc.iter().enumerate().take(iw) {
                 let crow = &mut c.row_mut(i0 + r)[j0..j0 + jw];
                 for (cv, av) in crow.iter_mut().zip(accr) {
                     *cv += alpha * av;
                 }
             }
+        }
+    }
+    madds
+}
+
+/// Carves `c`, one `(jc, pc)` panel's live block of C, into work items of
+/// one `MC`-row tile by `per` NR-wide B panels: disjoint windows, so items
+/// can run concurrently. Calls `each(ic, panels, tile)` for each in turn.
+fn carve<'c>(c: MatMut<'c>, per: usize, mut each: impl FnMut(usize, Range<usize>, MatMut<'c>)) {
+    let (m, nc) = (c.rows(), c.cols());
+    let panels = nc.div_ceil(NR);
+    let mut below = c;
+    for ic in (0..m).step_by(MC) {
+        let (tile_rows, rest) = below.split_rows(MC.min(m - ic));
+        below = rest;
+        let mut right = tile_rows;
+        for p0 in (0..panels).step_by(per) {
+            let p1 = (p0 + per).min(panels);
+            let (tile, rest) = right.split_cols((p1 * NR).min(nc) - p0 * NR);
+            right = rest;
+            each(ic, p0..p1, tile);
         }
     }
 }
@@ -382,127 +448,110 @@ thread_local! {
     static ABUF: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The packed engine proper, with an explicit microkernel arm and
-/// serial/parallel choice. `beta` must already have been applied to `C`
-/// by the caller ([`GemmBackend::gemm_checked`] does).
-///
-/// The parallel and serial paths produce **bitwise identical** results:
-/// both accumulate each C element's `pc`-partial sums in the same
-/// outer-loop order, computed by the same microkernel. So do all arms.
+/// Whether `op(A)·op(B)` runs on the parallel loop nest: on a pool wider
+/// than one thread, from [`PAR_MIN_MADDS`] multiply-adds on.
+pub(super) fn parallel_pays(a: &OpRef<'_>, b: &OpRef<'_>) -> bool {
+    rayon::current_num_threads() > 1 && a.rows() * a.cols() * b.cols() >= PAR_MIN_MADDS
+}
+
+/// The packed engine proper, with an explicit microkernel arm and loop
+/// nest (see the module docs). `beta` must already have been applied to
+/// `C`. Returns the multiply-adds run on elements of `C`.
 ///
 /// # Panics
 /// If `arm` is not [`available`](Arm::available) on this host.
 pub(super) fn run_packed(
     arm: Arm,
     parallel: bool,
-    name: &'static str,
     alpha: f64,
     a: OpRef<'_>,
     b: OpRef<'_>,
+    stairs: Stairs,
     mut c: MatMut<'_>,
-) {
+) -> u64 {
     assert!(arm.available(), "{arm:?} microkernel on a host without it");
+    super::perf::record_packed_path(NAME, parallel);
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
-        return;
+        return 0;
     }
-    // One buffer per operand for the whole call (the parallel nest packs A
-    // into its per-thread `ABUF`): packing writes every slot it later
-    // reads, padding included, so no panel needs a fresh, zeroed one.
-    // Buffers kept across calls would add their size to the process's
-    // resident high-water mark.
-    let mut bbuf = vec![0.0; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
-    let mut abuf = if parallel {
-        Vec::new()
-    } else {
-        vec![0.0; MC.min(m).div_ceil(MR) * MR * k.min(KC)]
-    };
+    // One buffer per operand per call, not kept (that would raise resident
+    // memory); the parallel nest packs A into its per-thread `ABUF`. A short
+    // buffer is swapped for a zeroed one: packing writes every slot it reads.
+    let (mut bbuf, mut abuf) = (Vec::new(), Vec::new());
     // Kernel perf counters want the packing/microkernel time split;
     // resolve the gate once so disabled runs never read a clock.
     let perf_on = super::perf::is_enabled();
+    let mut madds = 0;
 
     for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
+            let mr = m.min(stairs.live(stairs.a_row0, pc + kc));
+            let nc = NC.min(n - jc).min(stairs.live(stairs.b_col0 + jc, pc + kc));
+            if mr == 0 || nc == 0 {
+                continue;
+            }
+            // No live element has a nonzero term before `pc + skip`.
+            let skip = stairs.first(0, jc, pc);
+            let (pc, kc) = (pc + skip, kc - skip);
             let blen = nc.div_ceil(NR) * NR * kc;
+            if bbuf.len() < blen {
+                bbuf = vec![0.0; blen];
+            }
             let tb = perf_on.then(std::time::Instant::now);
             pack_b(b, pc, kc, jc, nc, &mut bbuf[..blen]);
             if let Some(tb) = tb {
-                super::perf::record_pack(name, tb.elapsed());
+                super::perf::record_pack(NAME, tb.elapsed(), blen);
             }
             let bpanel = &bbuf[..blen];
 
+            // One work item: pack its A tile, multiply it by its B panels.
+            let item = |ic, panels: Range<usize>, mut tile: MatMut<'_>, abuf: &mut Vec<f64>| {
+                let mc = tile.rows();
+                let alen = mc.div_ceil(MR) * MR * kc;
+                if abuf.len() < alen {
+                    *abuf = vec![0.0; alen];
+                }
+                let ta = perf_on.then(std::time::Instant::now);
+                pack_a(a, ic, mc, pc, kc, &mut abuf[..alen]);
+                if let Some(ta) = ta {
+                    super::perf::record_pack(NAME, ta.elapsed(), alen);
+                }
+                let j0 = jc + panels.start * NR;
+                let b_sub = &bpanel[panels.start * NR * kc..panels.end * NR * kc];
+                let first = |i, j| stairs.first(ic + i, j0 + j, pc);
+                macro_kernel(arm, &abuf[..alen], b_sub, kc, alpha, first, &mut tile)
+            };
+            let window = c.reborrow().window(0..mr, jc..jc + nc);
+            let jr_panels = nc.div_ceil(NR);
             if parallel {
-                // Fan the macro-tile grid out across the persistent pool:
-                // one work item per (A row-tile × B column-range), each
-                // packing its own A tile into a thread-local buffer. Wide-
-                // but-short operands (few row tiles) split the jr loop so
-                // every thread still gets work; an item covering a split
-                // repacks its A tile, which is O(mc·kc) against the item's
-                // O(mc·kc·nc/splits) compute.
-                let ic_tiles = m.div_ceil(MC);
-                let jr_panels = nc.div_ceil(NR);
+                // Few row tiles split the jr loop too; each split repacks
+                // its A tile, O(mc·kc) against O(mc·kc·nc/splits) compute.
+                let ic_tiles = mr.div_ceil(MC);
                 let want_items = rayon::current_num_threads() * 2;
-                let jr_splits = if ic_tiles >= want_items {
-                    1
-                } else {
-                    want_items
-                        .div_ceil(ic_tiles)
-                        .min(jr_panels.div_ceil(4))
-                        .max(1)
-                };
-                let panels_per = jr_panels.div_ceil(jr_splits);
-                // Carve this panel's columns of C into one exclusive
-                // window per item: disjoint by construction, so the items
-                // can write concurrently.
+                let jr_splits = want_items
+                    .div_ceil(ic_tiles)
+                    .min(jr_panels.div_ceil(4))
+                    .max(1);
                 let mut items = Vec::with_capacity(ic_tiles * jr_splits);
-                let mut below = c.reborrow().window(0..m, jc..jc + nc);
-                for t in 0..ic_tiles {
-                    let (tile_rows, rest) = below.split_rows(MC.min(m - t * MC));
-                    below = rest;
-                    let mut right = tile_rows;
-                    let mut p0 = 0;
-                    while p0 < jr_panels {
-                        let p1 = (p0 + panels_per).min(jr_panels);
-                        let (tile, rest) = right.split_cols((p1 * NR).min(nc) - p0 * NR);
-                        right = rest;
-                        items.push((t * MC, p0, p1, tile));
-                        p0 = p1;
-                    }
-                }
-                items.into_par_iter().for_each(|(ic, p0, p1, mut tile)| {
-                    let mc = tile.rows();
-                    ABUF.with(|cell| {
-                        let mut abuf = cell.borrow_mut();
-                        let alen = mc.div_ceil(MR) * MR * kc;
-                        if abuf.len() < alen {
-                            abuf.resize(alen, 0.0);
-                        }
-                        let ta = perf_on.then(std::time::Instant::now);
-                        pack_a(a, ic, mc, pc, kc, &mut abuf[..alen]);
-                        if let Some(ta) = ta {
-                            super::perf::record_pack(name, ta.elapsed());
-                        }
-                        let b_sub = &bpanel[p0 * NR * kc..p1 * NR * kc];
-                        macro_kernel(arm, &abuf[..alen], b_sub, kc, alpha, &mut tile);
-                    });
+                carve(window, jr_panels.div_ceil(jr_splits), |ic, panels, tile| {
+                    items.push((ic, panels, tile))
                 });
+                madds += items
+                    .into_par_iter()
+                    .map(|(ic, panels, tile)| {
+                        ABUF.with(|cell| item(ic, panels, tile, &mut cell.borrow_mut()))
+                    })
+                    .sum::<u64>();
             } else {
-                for ic in (0..m).step_by(MC) {
-                    let mc = MC.min(m - ic);
-                    let alen = mc.div_ceil(MR) * MR * kc;
-                    let ta = perf_on.then(std::time::Instant::now);
-                    pack_a(a, ic, mc, pc, kc, &mut abuf[..alen]);
-                    if let Some(ta) = ta {
-                        super::perf::record_pack(name, ta.elapsed());
-                    }
-                    let mut tile = c.reborrow().window(ic..ic + mc, jc..jc + nc);
-                    macro_kernel(arm, &abuf[..alen], bpanel, kc, alpha, &mut tile);
-                }
+                carve(window, jr_panels, |ic, panels, tile| {
+                    madds += item(ic, panels, tile, &mut abuf)
+                });
             }
         }
     }
+    madds
 }
 
 impl GemmBackend for super::Packed {
@@ -514,30 +563,14 @@ impl GemmBackend for super::Packed {
         beta: f64,
         mut c: MatMut<'_>,
     ) -> Result<()> {
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
         scale_by_beta(&mut c, beta);
-        if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
-            return Ok(());
-        }
-        // Wide-but-short operands parallelize via jr-splitting, so `m`
-        // alone never gates the nest: only the crossover and the
-        // degenerate single-thread pool (where the serial nest is
-        // strictly better) do.
-        let use_par =
-            self.parallel && rayon::current_num_threads() > 1 && m * k * n >= PAR_MIN_MADDS;
-        if self.parallel {
-            super::perf::record_packed_path(self.name(), use_par);
-        }
-        run_packed(Arm::detect(), use_par, self.name(), alpha, a, b, c);
+        let parallel = parallel_pays(&a, &b);
+        run_packed(Arm::detect(), parallel, alpha, a, b, Stairs::DENSE, c);
         Ok(())
     }
 
     fn name(&self) -> &'static str {
-        if self.parallel {
-            "packed"
-        } else {
-            "packed-serial"
-        }
+        NAME
     }
 }
 

@@ -1,6 +1,5 @@
 use super::lu::lu_blocked_in_place;
-use super::packed::Arm;
-use super::staircase::staircase_with;
+use super::packed::{Arm, Stairs};
 use super::trsm::trsm_window;
 use super::*;
 use crate::block::BlockRange;
@@ -24,16 +23,12 @@ fn lu_blocked(a: &Matrix, nb: usize, backend: &dyn GemmBackend, arm: Arm) -> Res
 const TOL: f64 = 1e-9;
 
 fn backends() -> Vec<(&'static str, Box<dyn GemmBackend>)> {
-    vec![
-        ("naive", Box::new(Naive)),
-        ("packed-serial", Box::new(Packed { parallel: false })),
-        ("packed", Box::new(Packed { parallel: true })),
-    ]
+    vec![("naive", Box::new(Naive)), ("packed", Box::new(Packed))]
 }
 
 /// Runs `f` with the pool's effective width capped at `cap`. The cap is
-/// process-global and tests run on parallel threads, so the two tests
-/// that set it take turns: otherwise one could run under the other's cap
+/// process-global and tests run on parallel threads, so the tests that
+/// set it take turns: otherwise one could run under the other's cap
 /// and restore a stale value.
 fn with_thread_cap(cap: usize, f: impl FnOnce()) {
     static CAP: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -95,10 +90,10 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         packed::run_packed(
             packed::Arm::detect(),
             false,
-            "packed-serial",
             1.5,
             notrans(&a),
             notrans(&b),
+            Stairs::DENSE,
             (&mut serial).into(),
         );
 
@@ -109,12 +104,12 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
                 packed::run_packed(
                     packed::Arm::detect(),
                     true,
-                    "packed",
                     1.5,
                     notrans(&a),
                     notrans(&b),
+                    Stairs::DENSE,
                     (&mut par).into(),
-                )
+                );
             });
             assert_eq!(
                 par, serial,
@@ -129,20 +124,20 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
         packed::run_packed(
             packed::Arm::detect(),
             false,
-            "packed-serial",
             -1.0,
             trans(&a_t),
             trans(&b_t),
+            Stairs::DENSE,
             (&mut serial_tt).into(),
         );
         let mut par_tt = c0.clone();
         packed::run_packed(
             packed::Arm::detect(),
             true,
-            "packed",
             -1.0,
             trans(&a_t),
             trans(&b_t),
+            Stairs::DENSE,
             (&mut par_tt).into(),
         );
         assert_eq!(par_tt, serial_tt, "tt parallel nest must be bitwise serial");
@@ -163,12 +158,12 @@ impl GemmBackend for PackedArm {
         mut c: MatMut<'_>,
     ) -> Result<()> {
         scale_by_beta(&mut c, beta);
-        packed::run_packed(self.0, false, "packed-serial", alpha, a, b, c);
+        packed::run_packed(self.0, false, alpha, a, b, Stairs::DENSE, c);
         Ok(())
     }
 
     fn name(&self) -> &'static str {
-        "packed-serial"
+        "packed-arm"
     }
 }
 
@@ -215,8 +210,9 @@ fn every_microkernel_arm_matches_the_portable_arm_bitwise() {
         }
     }
 
-    // A staircase product windowed from a K-panel origin whose later tiles
-    // start a whole panel in: their leading panels are exact zeros, skipped.
+    // A staircase product windowed from a K-panel origin whose later rows
+    // and columns start a whole panel in: their leading panels are exact
+    // zeros, neither packed nor multiplied.
     let (m, n, k, origin) = (300, 290, 2 * K_PANEL + 40, K_PANEL);
     // Row i of `upper` and of `lower_t` is zero before k = K_PANEL + i.
     let step = |i: usize| K_PANEL + i;
@@ -224,23 +220,19 @@ fn every_microkernel_arm_matches_the_portable_arm_bitwise() {
     let lower_t = staircase(n, origin + k, step, 43);
     let a_op = notrans(&upper).window(0..m, origin..origin + k);
     let b_op = trans(&lower_t).window(origin..origin + k, 0..n);
-    let stairs = |backend: &dyn GemmBackend| {
+    let stairs = |arm: packed::Arm| {
         let mut c = Matrix::from_fn(m, n, |_, _| f64::NAN);
-        staircase_with(
-            backend,
-            a_op,
-            K_PANEL,
-            b_op,
-            K_PANEL,
+        let steps = Stairs {
+            a_row0: K_PANEL,
+            b_col0: K_PANEL,
             origin,
-            (&mut c).into(),
-        )
-        .unwrap();
+        };
+        staircase_with(arm, a_op, b_op, steps, (&mut c).into()).unwrap();
         bits(&c)
     };
-    let want = stairs(&portable);
+    let want = stairs(packed::Arm::Portable);
     for &arm in &arms {
-        assert_eq!(stairs(&PackedArm(arm)), want, "{arm:?} staircase");
+        assert_eq!(stairs(arm), want, "{arm:?} staircase");
     }
 }
 
@@ -268,7 +260,7 @@ fn microkernel_steps_are_fused() {
     for arm in wide_arms() {
         assert_eq!(product(&PackedArm(arm)), fused, "{arm:?}");
     }
-    assert_eq!(product(&Packed { parallel: false }), fused, "detected arm");
+    assert_eq!(product(&Packed), fused, "detected arm");
     assert_eq!(product(&Naive), vec![0; packed::MR * packed::NR], "Naive");
 }
 
@@ -470,7 +462,7 @@ proptest! {
         gemm_with(&Naive, alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut naive).unwrap();
         let mut serial = c0.clone();
         scale_by_beta(&mut (&mut serial).into(), beta);
-        packed::run_packed(packed::Arm::detect(), false, "packed-serial", alpha, op(ta).of(&a), op(tb).of(&b), (&mut serial).into());
+        packed::run_packed(packed::Arm::detect(), false, alpha, op(ta).of(&a), op(tb).of(&b), Stairs::DENSE, (&mut serial).into());
 
         // The same k-linear forward-error bound the backend-agreement
         // proptest uses against the naive reference.
@@ -481,7 +473,7 @@ proptest! {
             let mut par = c0.clone();
             scale_by_beta(&mut (&mut par).into(), beta);
             with_thread_cap(cap, || {
-                packed::run_packed(packed::Arm::detect(), true, "packed", alpha, op(ta).of(&a), op(tb).of(&b), (&mut par).into())
+                packed::run_packed(packed::Arm::detect(), true, alpha, op(ta).of(&a), op(tb).of(&b), Stairs::DENSE, (&mut par).into());
             });
 
             // Design contract: the parallel nest is bitwise serial.
@@ -706,7 +698,7 @@ fn trsm_all_combinations_solve_their_equation() {
         l
     };
     let upper = lower.transpose();
-    let packed = Packed { parallel: false };
+    let packed = Packed;
     for diag in [Diag::Unit, Diag::NonUnit] {
         for (side, uplo, t) in [
             (Side::Left, Uplo::Lower, &lower),
@@ -866,10 +858,10 @@ fn gemm_on_windows_matches_copied_out_blocks_bitwise() {
         packed::run_packed(
             packed::Arm::detect(),
             parallel,
-            "packed",
             1.5,
             notrans(&big_a).window(7..7 + m, 3..3 + k),
             notrans(&big_b).window(2..2 + k, 11..11 + n),
+            Stairs::DENSE,
             MatMut::from(c).window(c_rows.clone(), c_cols.clone()),
         );
     }
@@ -883,7 +875,7 @@ fn trsm_on_windows_matches_copied_out_blocks_bitwise() {
     let (n, w) = (150, 37);
     let big_t = tame_triangle(n + 20, 50);
     let t_span = 5..5 + n;
-    let packed = Packed { parallel: false };
+    let packed = Packed;
     for backend in [&Naive as &dyn GemmBackend, &packed] {
         for side in [Side::Left, Side::Right] {
             for uplo in [Uplo::Lower, Uplo::Upper] {
@@ -947,7 +939,7 @@ fn unit_basis_batch(side: Side, n: usize, first: usize, step: usize) -> (Vec<usi
 
 #[test]
 fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
-    let backend = Packed { parallel: false };
+    let backend = Packed;
     let solve = |side, uplo, t: &Matrix, b: &Matrix, observe_zeros| {
         let mut x = b.clone();
         trsm_window(
@@ -1031,10 +1023,12 @@ fn staircase(rows: usize, cols: usize, first: impl Fn(usize) -> usize, seed: u64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The staircase product is the dense product, bit for bit: under the
-    /// packed engine (tiles cut at both edges of `C`, `K` of one to three
-    /// panels, tiles whose first term falls inside a panel and splits it,
-    /// steps that start before the window's origin).
+    /// The staircase product is the dense product, bit for bit: on both
+    /// loop nests (the parallel one forced on, at two pool widths), into
+    /// a window of a larger `C` (rows and columns cut at both edges of the
+    /// engine's tiles, `K` of one to three panels, microtiles whose first
+    /// term falls inside a panel, steps that start before the window's
+    /// origin).
     #[test]
     fn staircase_product_is_the_dense_product_bitwise(
         ((m, n, k), origin, (a_row0, b_col0), (ta, tb), seed) in (
@@ -1057,17 +1051,38 @@ proptest! {
         let op = |t: bool| if t { Op::Trans } else { Op::NoTrans };
         let (a_op, b_op) = (op(ta).of(&a_stored), op(tb).of(&b_stored));
 
-        let backend = Packed { parallel: false };
-        let mut dense = Matrix::from_fn(m, n, |_, _| f64::NAN);
-        gemm_with(&backend, 1.0, a_op, b_op, 0.0, &mut dense).unwrap();
-        let mut stairs = Matrix::from_fn(m, n, |_, _| f64::NAN);
-        staircase_with(&backend, a_op, a_row0, b_op, b_col0, origin, (&mut stairs).into())
-            .unwrap();
+        // The expected parent: NaN around the dense product.
+        let (rows, cols) = (3..3 + m, 5..5 + n);
+        let nan_parent = || Matrix::from_fn(m + 7, n + 6, |_, _| f64::NAN);
+        let mut dense = Matrix::zeros(m, n);
+        gemm_with(&Packed, 1.0, a_op, b_op, 0.0, &mut dense).unwrap();
+        let mut want = nan_parent();
+        want.set_block(rows.start, cols.start, &dense).unwrap();
+
+        let stairs = Stairs { a_row0, b_col0, origin };
+        let mut serial = nan_parent();
+        let window = MatMut::from(&mut serial).window(rows.clone(), cols.clone());
+        with_thread_cap(1, || {
+            staircase_with(Arm::detect(), a_op, b_op, stairs, window).unwrap();
+        });
         prop_assert!(
-            bits(&stairs) == bits(&dense),
-            "m={} n={} k={} origin={} a_row0={} b_col0={}",
+            bits(&serial) == bits(&want),
+            "serial: m={} n={} k={} origin={} a_row0={} b_col0={}",
             m, n, k, origin, a_row0, b_col0
         );
+        for cap in [2, usize::MAX] {
+            let mut par = nan_parent();
+            let mut window = MatMut::from(&mut par).window(rows.clone(), cols.clone());
+            scale_by_beta(&mut window, 0.0);
+            with_thread_cap(cap, || {
+                packed::run_packed(Arm::detect(), true, 1.0, a_op, b_op, stairs, window);
+            });
+            prop_assert!(
+                bits(&par) == bits(&want),
+                "parallel at cap {}: m={} n={} k={} origin={} a_row0={} b_col0={}",
+                cap, m, n, k, origin, a_row0, b_col0
+            );
+        }
     }
 }
 
@@ -1093,7 +1108,7 @@ fn blocked_lu_matches_unblocked_permutation_and_reconstructs() {
     for n in [10, 64, 97] {
         let a = random_matrix(n, n, 21 + n as u64);
         let unblocked = lu_decompose(&a).unwrap();
-        for backend in [&Naive as &dyn GemmBackend, &Packed { parallel: false }] {
+        for backend in [&Naive as &dyn GemmBackend, &Packed] {
             let f = lu_blocked(&a, 16, backend, Arm::detect()).unwrap();
             assert_eq!(f.perm, unblocked.perm, "pivot choices must agree at n={n}");
             let pa = f.perm.apply_rows(&a);
@@ -1110,7 +1125,7 @@ fn one_full_width_panel_is_the_unblocked_decomposition_bitwise() {
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for n in [1, 2, 7, 33, 64, 127] {
         let a = random_matrix(n, n, 40 + n as u64);
-        let one_panel = lu_blocked(&a, n, &Packed { parallel: false }, Arm::detect()).unwrap();
+        let one_panel = lu_blocked(&a, n, &Packed, Arm::detect()).unwrap();
         let unblocked = lu_decompose(&a).unwrap();
         assert_eq!(one_panel.perm, unblocked.perm, "n={n}");
         assert_eq!(bits(&one_panel.lu), bits(&unblocked.lu), "n={n}");

@@ -22,26 +22,16 @@ fn packed_path_counters_label_fallback_vs_parallel() {
 
     perf::reset();
     perf::set_enabled(true);
-    let run = |n: usize, parallel: bool| {
+    let run = |n: usize| {
         let a = random_matrix(n, n, 40);
         let b = random_matrix(n, n, 41);
         let mut c = Matrix::zeros(n, n);
-        gemm_with(
-            &Packed { parallel },
-            1.0,
-            notrans(&a),
-            notrans(&b),
-            0.0,
-            &mut c,
-        )
-        .unwrap();
+        gemm_with(&Packed, 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
     };
     // 64³ = 262144 multiply-adds: below the default crossover → fallback.
-    run(64, true);
+    run(64);
     // 160³ ≈ 4.1M: above the crossover → parallel iff the pool has >1 thread.
-    run(160, true);
-    // The serial engine is not parallel-capable and records no path.
-    run(160, false);
+    run(160);
     perf::set_enabled(false);
 
     let snap = perf::snapshot();
@@ -60,8 +50,5 @@ fn packed_path_counters_label_fallback_vs_parallel() {
             "a single-thread pool must label every call fallback"
         );
     }
-    let serial = snap.iter().find(|p| p.backend == "packed-serial").unwrap();
-    assert_eq!(serial.par_calls, 0);
-    assert_eq!(serial.fallback_calls, 0);
     perf::reset();
 }

@@ -4,7 +4,7 @@ use mrinv_matrix::block::{even_ranges, BlockRange};
 use mrinv_matrix::io::{
     decode_binary, decode_text, encode_binary, encode_binary_vec, encode_text, write_text,
 };
-use mrinv_matrix::kernel::{gemm_with, trsm_with, Diag, GemmBackend, Op, Packed, Side, Uplo};
+use mrinv_matrix::kernel::{gemm_with, trsm_with, Diag, Op, Packed, Side, Uplo};
 use mrinv_matrix::lu::lu_decompose;
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::{random_matrix, random_well_conditioned};
@@ -225,18 +225,14 @@ proptest! {
         let tol = 32.0 * f64::EPSILON * (k as f64 + 2.0)
             * (alpha.abs() * k as f64 + beta.abs() + 1.0);
 
-        let backends: [&dyn GemmBackend; 2] = [&Packed { parallel: false }, &Packed { parallel: true }];
-        for backend in backends {
-            let mut c = c0.clone();
-            gemm_with(backend, alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut c).unwrap();
-            for (got, want) in c.as_slice().iter().zip(reference.as_slice()) {
-                prop_assert!(
-                    (got - want).abs() <= tol,
-                    "{} deviates from naive: {got} vs {want} (tol {tol}, m={m} k={k} n={n} \
-                     ta={ta} tb={tb} alpha={alpha} beta={beta})",
-                    backend.name()
-                );
-            }
+        let mut c = c0.clone();
+        gemm_with(&Packed, alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut c).unwrap();
+        for (got, want) in c.as_slice().iter().zip(reference.as_slice()) {
+            prop_assert!(
+                (got - want).abs() <= tol,
+                "packed deviates from naive: {got} vs {want} (tol {tol}, m={m} k={k} n={n} \
+                 ta={ta} tb={tb} alpha={alpha} beta={beta})"
+            );
         }
     }
 
@@ -271,7 +267,7 @@ proptest! {
         let diag = if unit { Diag::Unit } else { Diag::NonUnit };
 
         let mut x = b.clone();
-        trsm_with(&Packed { parallel: false }, side, uplo, diag, alpha, &t, &mut x).unwrap();
+        trsm_with(&Packed, side, uplo, diag, alpha, &t, &mut x).unwrap();
 
         // The residual `alpha·B − T·X`, formed by the reference GEMM:
         // independent of the leaf and the recursion it checks.
