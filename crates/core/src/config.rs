@@ -1,6 +1,7 @@
 //! Inversion configuration: the bound value `nb` and the Section 6
 //! optimization toggles.
 
+use mrinv_mapreduce::simtime::STRIDED_SLOWDOWN;
 use serde::{Deserialize, Serialize};
 
 /// The three implementation optimizations of Section 6, individually
@@ -18,10 +19,11 @@ pub struct Optimizations {
     /// `(1/f1 + 1/f2)n²`).
     pub block_wrap: bool,
     /// Section 6.3: store upper-triangular matrices transposed so multiply
-    /// and solve kernels walk both operands row-major. When disabled, `U`
-    /// is stored row-major and the four Equation 6/7 sites are priced at
-    /// `simtime::STRIDED_SLOWDOWN`; the kernels are the same, and under
-    /// the default `Packed` backend so are the inverse's bits.
+    /// and solve kernels walk both operands row-major. `U` is always
+    /// stored transposed; disabling this only prices the four Equation 6/7
+    /// sites as the paper's strided loops (`simtime::STRIDED_SLOWDOWN`
+    /// times their dense flops). The files, the kernels and the inverse's
+    /// bits are the same either way.
     pub transpose_u: bool,
 }
 
@@ -47,6 +49,17 @@ impl Optimizations {
             separate_intermediate_files: false,
             block_wrap: false,
             transpose_u: false,
+        }
+    }
+
+    /// What an Equation 6/7 site charges: its `ordered` flops with the
+    /// Section 6.3 layout on, else `STRIDED_SLOWDOWN` times the `dense`
+    /// flops of the paper's loops striding through a row-major `U`.
+    pub(crate) fn eq7_flops(&self, ordered: u64, dense: u64) -> u64 {
+        if self.transpose_u {
+            ordered
+        } else {
+            STRIDED_SLOWDOWN * dense
         }
     }
 }

@@ -23,9 +23,10 @@
 //!   (pre-permutation); the true factor block is `L2 = P2·L2'`, so readers
 //!   apply `P2` while assembling ("L2 is constructed only as it is read
 //!   from HDFS", Section 5.3);
-//! * **transposed storage** — with the Section 6.3 optimization, upper
-//!   factors live on disk transposed; [`FactorRef::assemble_u_t`] returns
-//!   `Uᵀ` without ever materializing a row-major `U`.
+//! * **transposed storage** — upper factors live on disk transposed, as
+//!   Section 6.3 stores them, whether or not that optimization is priced;
+//!   [`FactorRef::assemble_u_t`] returns `Uᵀ` without ever materializing a
+//!   row-major `U`, and only the packed assembly flips it.
 
 use std::sync::Arc;
 
@@ -47,12 +48,10 @@ pub(crate) enum FactorRef {
         n: usize,
         /// Path of the unit-lower factor (full dense block).
         l_path: String,
-        /// Path of the upper factor; holds `Uᵀ` when `transposed_u`.
+        /// Path of the upper factor, stored as `Uᵀ` (Section 6.3).
         u_path: String,
         /// Pivot permutation of this block.
         perm: Permutation,
-        /// Whether `u_path` stores the transpose (Section 6.3).
-        transposed_u: bool,
     },
     /// An internal recursion node (Figure 1): factors of `A1`, the level's
     /// `L2'`/`U2` stripe files, and factors of `B`. The two sources are the
@@ -70,13 +69,11 @@ pub(crate) enum FactorRef {
         /// `L2'` (pre-permutation), `(n-half) × half`, one piece per row
         /// stripe.
         l2: MatrixSource,
-        /// `U2` as stored: `half × (n-half)` in column-stripe pieces, or
-        /// `U2ᵀ` in row-stripe pieces when `transposed_u`.
+        /// `U2` as stored: `U2ᵀ`, `(n-half) × half`, one piece per row
+        /// stripe (Section 6.3).
         u2: MatrixSource,
         /// Factors of the updated bottom-right block `B`.
         b: Arc<FactorRef>,
-        /// Whether upper-factor files are stored transposed.
-        transposed_u: bool,
         /// The full `P`: `P1` and `P2` augmented (Algorithm 2 line 11).
         perm: Permutation,
         /// `P2⁻¹`: stored row `r` of `L2'` is row `l2_dest[r]` of `L2`.
@@ -102,7 +99,6 @@ impl FactorRef {
         l2: MatrixSource,
         u2: MatrixSource,
         b: Arc<FactorRef>,
-        transposed_u: bool,
     ) -> FactorRef {
         FactorRef::Node {
             n,
@@ -113,7 +109,6 @@ impl FactorRef {
             l2,
             u2,
             b,
-            transposed_u,
         }
     }
 
@@ -154,13 +149,8 @@ impl FactorRef {
         self.assemble(io, Factor::L)
     }
 
-    /// Assembles the full upper factor `U` in row-major form.
-    pub(crate) fn assemble_u(&self, io: &mut TaskIo) -> Result<Matrix> {
-        self.assemble(io, Factor::U)
-    }
-
-    /// Assembles `Uᵀ` (lower-triangular) directly — the Section 6.3 fast
-    /// path that never materializes a row-major `U`.
+    /// Assembles `Uᵀ` (lower-triangular), the form every upper factor is
+    /// stored in: no file is flipped on the way in.
     pub(crate) fn assemble_u_t(&self, io: &mut TaskIo) -> Result<Matrix> {
         self.assemble(io, Factor::Ut)
     }
@@ -202,19 +192,15 @@ impl FactorRef {
         }
         match self {
             FactorRef::Leaf {
-                n,
-                l_path,
-                u_path,
-                transposed_u,
-                ..
+                n, l_path, u_path, ..
             } => {
                 if factor == Factor::Lu {
-                    place_packed_leaf(io, *n, l_path, u_path, *transposed_u, out, at)?;
+                    place_packed_leaf(io, *n, l_path, u_path, out, at)?;
                 } else {
                     let path = if factor == Factor::L { l_path } else { u_path };
                     let whole = (0, *n);
                     MatrixSource::new((*n, *n), vec![Piece::new(path.clone(), whole, whole)])
-                        .read_into(io, whole, whole, out, (at, at), factor.flips(*transposed_u))?;
+                        .read_into(io, whole, whole, out, (at, at), factor.flips())?;
                 }
             }
             FactorRef::Node {
@@ -224,7 +210,6 @@ impl FactorRef {
                 l2,
                 u2,
                 b,
-                transposed_u,
                 l2_dest,
                 ..
             } => {
@@ -262,19 +247,9 @@ impl FactorRef {
                     expect_covered(placed, rest * *half, what)?;
                 }
                 if factor != Factor::L {
-                    // U2 sits right of U1; U2ᵀ sits below U1ᵀ.
-                    let corner = if factor == Factor::Ut {
-                        (mid, at)
-                    } else {
-                        (at, mid)
-                    };
-                    let stored = if *transposed_u {
-                        (rest, *half)
-                    } else {
-                        (*half, rest)
-                    };
-                    let flip = factor.flips(*transposed_u);
-                    u2.read_into(io, (0, stored.0), (0, stored.1), out, corner, flip)?;
+                    // U2ᵀ sits below U1ᵀ; flipped, U2 sits right of U1.
+                    let corner = if factor.flips() { (at, mid) } else { (mid, at) };
+                    u2.read_into(io, (0, rest), (0, *half), out, corner, factor.flips())?;
                 }
                 b.place(io, factor, out, mid)?;
             }
@@ -287,46 +262,34 @@ impl FactorRef {
     /// `dir`, returning the equivalent [`FactorRef::Leaf`].
     ///
     /// The returned leaf's permutation is the full assembled `P`, and its
-    /// `l.bin`/`u.bin` hold the permuted, combined factors — so downstream
-    /// consumers behave identically; only the serial combine cost and the
-    /// extra write I/O differ.
-    pub(crate) fn combine(
-        &self,
-        io: &mut TaskIo,
-        dir: &str,
-        transpose_u: bool,
-    ) -> Result<FactorRef> {
+    /// `l.bin`/`u.bin` hold the permuted, combined `L` and `Uᵀ` — so
+    /// downstream consumers behave identically; only the serial combine
+    /// cost and the extra write I/O differ.
+    pub(crate) fn combine(&self, io: &mut TaskIo, dir: &str) -> Result<FactorRef> {
         let l = self.assemble_l(io)?;
-        let u = if transpose_u {
-            self.assemble_u_t(io)?
-        } else {
-            self.assemble_u(io)?
-        };
-        let leaf = FactorRef::write_leaf(io, dir, &l, &u, self.perm().clone(), transpose_u);
+        let u_t = self.assemble_u_t(io)?;
+        let leaf = FactorRef::write_leaf(io, dir, &l, &u_t, self.perm().clone());
         Ok(leaf)
     }
 
-    /// Writes one block's factors as the two files of a leaf under `dir`
-    /// and returns the leaf naming them. `u` is as stored: `Uᵀ` when
-    /// `transposed_u`.
+    /// Writes one block's factors, `L` and `Uᵀ`, as the two files of a
+    /// leaf under `dir` and returns the leaf naming them.
     pub(crate) fn write_leaf(
         io: &mut TaskIo,
         dir: &str,
         l: &Matrix,
-        u: &Matrix,
+        u_t: &Matrix,
         perm: Permutation,
-        transposed_u: bool,
     ) -> FactorRef {
         let l_path = format!("{dir}/l.bin");
         let u_path = format!("{dir}/u.bin");
         write_block(io, &l_path, l);
-        write_block(io, &u_path, u);
+        write_block(io, &u_path, u_t);
         FactorRef::Leaf {
             n: l.rows(),
             l_path,
             u_path,
             perm,
-            transposed_u,
         }
     }
 }
@@ -342,14 +305,12 @@ impl Serialize for FactorRef {
                 l_path,
                 u_path,
                 perm,
-                transposed_u,
             } => Value::Object(vec![
                 ("kind".to_string(), Value::String("leaf".to_string())),
                 ("n".to_string(), n.to_value()),
                 ("l_path".to_string(), l_path.to_value()),
                 ("u_path".to_string(), u_path.to_value()),
                 ("perm".to_string(), perm.as_slice().to_value()),
-                ("transposed_u".to_string(), transposed_u.to_value()),
             ]),
             FactorRef::Node {
                 n,
@@ -358,7 +319,6 @@ impl Serialize for FactorRef {
                 l2,
                 u2,
                 b,
-                transposed_u,
                 ..
             } => Value::Object(vec![
                 ("kind".to_string(), Value::String("node".to_string())),
@@ -368,7 +328,6 @@ impl Serialize for FactorRef {
                 ("l2".to_string(), l2.to_value()),
                 ("u2".to_string(), u2.to_value()),
                 ("b".to_string(), b.to_value()),
-                ("transposed_u".to_string(), transposed_u.to_value()),
             ]),
         }
     }
@@ -393,7 +352,6 @@ impl Deserialize for FactorRef {
                     l_path: de_field(v, "l_path")?,
                     u_path: de_field(v, "u_path")?,
                     perm,
-                    transposed_u: de_field(v, "transposed_u")?,
                 })
             }
             "node" => Ok(FactorRef::node(
@@ -403,7 +361,6 @@ impl Deserialize for FactorRef {
                 de_field(v, "l2")?,
                 de_field(v, "u2")?,
                 de_field(v, "b")?,
-                de_field(v, "transposed_u")?,
             )),
             other => Err(DeError(format!("unknown FactorRef kind {other:?}"))),
         }
@@ -412,15 +369,14 @@ impl Deserialize for FactorRef {
 
 /// Places a leaf's two files into the packed matrix `out` at `(at, at)`:
 /// `L`'s strict lower triangle, then `U`'s upper one (row `r` of `U` is
-/// stored row `r`, or stored column `r` when the file holds `Uᵀ`). Every
-/// word the packed form drops is checked to be the one it implies: `L`'s
-/// diagonal `1.0`, each file's other triangle `+0.0`.
+/// stored column `r` of `Uᵀ`). Every word the packed form drops is checked
+/// to be the one it implies: `L`'s diagonal `1.0`, each file's other
+/// triangle `+0.0`.
 fn place_packed_leaf(
     io: &mut TaskIo,
     n: usize,
     l_path: &str,
     u_path: &str,
-    transposed_u: bool,
     out: &mut Matrix,
     at: usize,
 ) -> Result<()> {
@@ -450,24 +406,15 @@ fn place_packed_leaf(
     let bytes = io.read(u_path)?;
     let u = stored_block(&bytes, u_path, (n, n))?;
     for r in 0..n {
-        let (dropped, kept) = if transposed_u {
-            (r + 1..n, 0..r + 1)
-        } else {
-            (0..r, r..n)
-        };
-        if !zero(u.row(r, dropped)) {
+        if !zero(u.row(r, r + 1..n)) {
             return Err(misread(
                 u_path,
                 r,
                 "a word other than +0 outside U's triangle",
             ));
         }
-        if transposed_u {
-            for (i, v) in u.row(r, kept).enumerate() {
-                out[(at + i, at + r)] = v;
-            }
-        } else {
-            u.read_row(r, r, &mut out.row_mut(at + r)[at + r..at + n]);
+        for (i, v) in u.row(r, 0..r + 1).enumerate() {
+            out[(at + i, at + r)] = v;
         }
     }
     Ok(())
@@ -478,8 +425,6 @@ fn place_packed_leaf(
 enum Factor {
     /// Unit-lower `L`.
     L,
-    /// Upper `U`, row-major.
-    U,
     /// `Uᵀ` (lower-triangular).
     Ut,
     /// `L` and `U` packed in one matrix (Algorithm 1's layout).
@@ -487,14 +432,10 @@ enum Factor {
 }
 
 impl Factor {
-    /// Whether a file is transposed on the way in: a stored `U` flips to
-    /// give `Uᵀ`, a stored `Uᵀ` (Section 6.3) flips to give `U`.
-    fn flips(self, stored_transposed: bool) -> bool {
-        match self {
-            Factor::L => false,
-            Factor::U | Factor::Lu => stored_transposed,
-            Factor::Ut => !stored_transposed,
-        }
+    /// Whether a `U` file is transposed on the way in: only the packed
+    /// assembly, which places `U` itself, flips the stored `Uᵀ`.
+    fn flips(self) -> bool {
+        self == Factor::Lu
     }
 }
 
@@ -507,9 +448,8 @@ mod tests {
     use mrinv_matrix::random::{random_invertible, random_unit_lower, random_upper};
     use std::sync::Arc;
 
-    /// Stores a known (L, U, P) pair as a two-level FactorRef forest and
-    /// checks assembly reproduces it.
-    #[allow(clippy::too_many_arguments)]
+    /// Stores a known (L, U, P) pair as a two-level FactorRef forest, each
+    /// upper factor as `Uᵀ`.
     fn build_node(
         dfs: &Arc<Dfs>,
         l: &Matrix,
@@ -518,7 +458,6 @@ mod tests {
         p_bot: &Permutation,
         half: usize,
         stripes: usize,
-        transposed_u: bool,
     ) -> FactorRef {
         let n = l.rows();
         let mut io = TaskIo::new(dfs.clone());
@@ -528,16 +467,9 @@ mod tests {
         let l3 = l.block(BlockRange::new((half, n), (half, n))).unwrap();
         let u3 = u.block(BlockRange::new((half, n), (half, n))).unwrap();
         write_block(&mut io, "f/a1/l", &l1);
-        let stored = |u: &Matrix| {
-            if transposed_u {
-                u.transpose()
-            } else {
-                u.clone()
-            }
-        };
-        write_block(&mut io, "f/a1/u", &stored(&u1));
+        write_block(&mut io, "f/a1/u", &u1.transpose());
         write_block(&mut io, "f/b/l", &l3);
-        write_block(&mut io, "f/b/u", &stored(&u3));
+        write_block(&mut io, "f/b/u", &u3.transpose());
         // L2 stripes are stored pre-permutation: L2' = P2^-1 L2.
         let l2 = l.block(BlockRange::new((half, n), (0, half))).unwrap();
         let l2p = p_bot.inverse().apply_rows(&l2);
@@ -552,34 +484,23 @@ mod tests {
         for (k, (c0, c1)) in even_ranges(n - half, stripes).into_iter().enumerate() {
             let path = format!("f/u2/{k}");
             let stripe = u2.col_stripe(c0, c1).unwrap();
-            u2_pieces.push(if transposed_u {
-                write_piece(&mut io, &path, c0, 0, &stripe.transpose())
-            } else {
-                write_piece(&mut io, &path, 0, c0, &stripe)
-            });
+            u2_pieces.push(write_piece(&mut io, &path, c0, 0, &stripe.transpose()));
         }
-        let u2_shape = if transposed_u {
-            (n - half, half)
-        } else {
-            (half, n - half)
-        };
         let a1 = FactorRef::Leaf {
             n: half,
             l_path: "f/a1/l".into(),
             u_path: "f/a1/u".into(),
             perm: p_top.clone(),
-            transposed_u,
         };
         let b = FactorRef::Leaf {
             n: n - half,
             l_path: "f/b/l".into(),
             u_path: "f/b/u".into(),
             perm: p_bot.clone(),
-            transposed_u,
         };
         let l2 = MatrixSource::new((n - half, half), l2_pieces);
-        let u2 = MatrixSource::new(u2_shape, u2_pieces);
-        FactorRef::node(n, half, Arc::new(a1), l2, u2, Arc::new(b), transposed_u)
+        let u2 = MatrixSource::new((n - half, half), u2_pieces);
+        FactorRef::node(n, half, Arc::new(a1), l2, u2, Arc::new(b))
     }
 
     fn shuffled_perm(n: usize, seed: u64) -> Permutation {
@@ -593,35 +514,29 @@ mod tests {
 
     #[test]
     fn node_assembly_round_trips() {
-        for &transposed in &[false, true] {
-            let dfs = Arc::new(Dfs::default());
-            let n = 12;
-            let half = 5;
-            let l = random_unit_lower(n, 1);
-            let u = random_upper(n, 2);
-            let p1 = shuffled_perm(half, 3);
-            let p2 = shuffled_perm(n - half, 4);
-            let f = build_node(&dfs, &l, &u, &p1, &p2, half, 3, transposed);
-            let mut io = TaskIo::new(dfs.clone());
-            assert_eq!(f.n(), n);
-            assert!(f.assemble_l(&mut io).unwrap().approx_eq(&l, 1e-12));
-            assert!(f.assemble_u(&mut io).unwrap().approx_eq(&u, 1e-12));
-            assert!(f
-                .assemble_u_t(&mut io)
-                .unwrap()
-                .approx_eq(&u.transpose(), 1e-12));
-            assert_eq!(f.perm(), &Permutation::augment(&p1, &p2));
-            // The packed form unpacks to the dense assemblies' exact bits.
-            let packed = f.assemble_packed(&mut io).unwrap();
-            assert_eq!(packed.unit_lower(), f.assemble_l(&mut io).unwrap());
-            assert_eq!(packed.upper(), f.assemble_u(&mut io).unwrap());
-            assert_eq!(&packed.perm, f.perm());
-            assert_eq!(
-                f.paths().len(),
-                2 * (1 + 3 + 1),
-                "L and U: leaf, 3 stripes, leaf"
-            );
-        }
+        let dfs = Arc::new(Dfs::default());
+        let n = 12;
+        let half = 5;
+        let l = random_unit_lower(n, 1);
+        let u = random_upper(n, 2);
+        let p1 = shuffled_perm(half, 3);
+        let p2 = shuffled_perm(n - half, 4);
+        let f = build_node(&dfs, &l, &u, &p1, &p2, half, 3);
+        let mut io = TaskIo::new(dfs.clone());
+        assert_eq!(f.n(), n);
+        assert_eq!(f.assemble_l(&mut io).unwrap(), l);
+        assert_eq!(f.assemble_u_t(&mut io).unwrap(), u.transpose());
+        assert_eq!(f.perm(), &Permutation::augment(&p1, &p2));
+        // The packed form unpacks to the dense assemblies' exact bits.
+        let packed = f.assemble_packed(&mut io).unwrap();
+        assert_eq!(packed.unit_lower(), l);
+        assert_eq!(packed.upper(), u);
+        assert_eq!(&packed.perm, f.perm());
+        assert_eq!(
+            f.paths().len(),
+            2 * (1 + 3 + 1),
+            "L and U: leaf, 3 stripes, leaf"
+        );
     }
 
     #[test]
@@ -638,22 +553,16 @@ mod tests {
             l_path: "leaf/l".into(),
             u_path: "leaf/u".into(),
             perm: shuffled_perm(n, 7),
-            transposed_u: true,
         };
         assert_eq!(f.assemble_l(&mut io).unwrap(), l);
-        assert!(f.assemble_u(&mut io).unwrap().approx_eq(&u, 0.0));
-        assert!(f
-            .assemble_u_t(&mut io)
-            .unwrap()
-            .approx_eq(&u.transpose(), 0.0));
+        assert_eq!(f.assemble_u_t(&mut io).unwrap(), u.transpose());
         assert_eq!(f.paths().len(), 2, "one L file, one U file");
     }
 
     /// A leaf whose files hold a word the packed form would drop — an `L`
     /// diagonal other than 1, anything but `+0` in either file's zero
-    /// triangle — is refused naming the file, under either `U` storage,
-    /// and the clean leaf packs to `L`'s strict lower and `U`'s upper
-    /// triangle.
+    /// triangle — is refused naming the file, and the clean leaf packs to
+    /// `L`'s strict lower and `U`'s upper triangle.
     #[test]
     fn packed_assembly_refuses_a_leaf_it_would_misread() {
         let n = 5;
@@ -663,44 +572,31 @@ mod tests {
         for i in 0..n {
             clean.row_mut(i)[..i].copy_from_slice(&l.row(i)[..i]);
         }
-        for transposed_u in [false, true] {
-            let assemble = |l: &Matrix, u: &Matrix| {
-                let dfs = Arc::new(Dfs::default());
-                let mut io = TaskIo::new(dfs);
-                let stored = if transposed_u {
-                    u.transpose()
-                } else {
-                    u.clone()
-                };
-                let leaf = FactorRef::write_leaf(
-                    &mut io,
-                    "leaf",
-                    l,
-                    &stored,
-                    Permutation::identity(n),
-                    transposed_u,
-                );
-                leaf.assemble_packed(&mut io)
-            };
-            assert_eq!(assemble(&l, &u).unwrap().lu, clean);
-            let edit = |m: &Matrix, at: (usize, usize), v: f64| {
-                let mut m = m.clone();
-                m[at] = v;
-                m
-            };
-            for (bad_l, bad_u, file) in [
-                (edit(&l, (2, 2), 0.5), u.clone(), "leaf/l.bin"),
-                (edit(&l, (1, 3), 1e-300), u.clone(), "leaf/l.bin"),
-                (edit(&l, (0, 4), -0.0), u.clone(), "leaf/l.bin"),
-                (l.clone(), edit(&u, (4, 1), 2.0), "leaf/u.bin"),
-                (l.clone(), edit(&u, (3, 0), f64::NAN), "leaf/u.bin"),
-            ] {
-                match assemble(&bad_l, &bad_u) {
-                    Err(CoreError::Invariant(msg)) => {
-                        assert!(msg.contains(file), "{msg} names {file}")
-                    }
-                    other => panic!("transposed_u {transposed_u}: {other:?}"),
+        let assemble = |l: &Matrix, u: &Matrix| {
+            let dfs = Arc::new(Dfs::default());
+            let mut io = TaskIo::new(dfs);
+            let perm = Permutation::identity(n);
+            let leaf = FactorRef::write_leaf(&mut io, "leaf", l, &u.transpose(), perm);
+            leaf.assemble_packed(&mut io)
+        };
+        assert_eq!(assemble(&l, &u).unwrap().lu, clean);
+        let edit = |m: &Matrix, at: (usize, usize), v: f64| {
+            let mut m = m.clone();
+            m[at] = v;
+            m
+        };
+        for (bad_l, bad_u, file) in [
+            (edit(&l, (2, 2), 0.5), u.clone(), "leaf/l.bin"),
+            (edit(&l, (1, 3), 1e-300), u.clone(), "leaf/l.bin"),
+            (edit(&l, (0, 4), -0.0), u.clone(), "leaf/l.bin"),
+            (l.clone(), edit(&u, (4, 1), 2.0), "leaf/u.bin"),
+            (l.clone(), edit(&u, (3, 0), f64::NAN), "leaf/u.bin"),
+        ] {
+            match assemble(&bad_l, &bad_u) {
+                Err(CoreError::Invariant(msg)) => {
+                    assert!(msg.contains(file), "{msg} names {file}")
                 }
+                other => panic!("{file}: {other:?}"),
             }
         }
     }
@@ -716,7 +612,6 @@ mod tests {
                 l_path: "l".into(),
                 u_path: "u".into(),
                 perm: Permutation::identity(perm.len()),
-                transposed_u: false,
             }
             .to_value();
             if let Value::Object(fields) = &mut v {
@@ -748,7 +643,7 @@ mod tests {
         let u = random_upper(n, 31);
         let p1 = shuffled_perm(half, 32);
         let p2 = shuffled_perm(n - half, 33);
-        let f = build_node(&dfs, &l, &u, &p1, &p2, half, 3, false);
+        let f = build_node(&dfs, &l, &u, &p1, &p2, half, 3);
         let paths = f.paths();
         // Two leaves (l + u each) plus 3 L2' stripes plus 3 U2 stripes.
         assert_eq!(paths.len(), 2 + 2 + 3 + 3);
@@ -766,12 +661,12 @@ mod tests {
         let u = random_upper(n, 9);
         let p1 = shuffled_perm(half, 10);
         let p2 = shuffled_perm(n - half, 11);
-        let f = build_node(&dfs, &l, &u, &p1, &p2, half, 2, true);
+        let f = build_node(&dfs, &l, &u, &p1, &p2, half, 2);
         let mut io = TaskIo::new(dfs.clone());
-        let combined = f.combine(&mut io, "f/combined", true).unwrap();
+        let combined = f.combine(&mut io, "f/combined").unwrap();
         assert!(matches!(combined, FactorRef::Leaf { .. }));
-        assert!(combined.assemble_l(&mut io).unwrap().approx_eq(&l, 1e-12));
-        assert!(combined.assemble_u(&mut io).unwrap().approx_eq(&u, 1e-12));
+        assert_eq!(combined.assemble_l(&mut io).unwrap(), l);
+        assert_eq!(combined.assemble_u_t(&mut io).unwrap(), u.transpose());
         assert_eq!(combined.perm(), f.perm());
         assert_eq!(combined.paths().len(), 2, "one L file, one U file");
         assert!(io.stats().write_bytes > 0, "combining costs write I/O");
@@ -788,13 +683,12 @@ mod tests {
             l_path: "bad/l".into(),
             u_path: "bad/u".into(),
             perm: Permutation::identity(4),
-            transposed_u: false,
         };
         assert!(matches!(
             f.assemble_l(&mut io),
             Err(CoreError::Invariant(_))
         ));
-        assert!(f.assemble_u(&mut io).is_ok());
+        assert!(f.assemble_u_t(&mut io).is_ok());
     }
 
     #[test]
@@ -805,7 +699,7 @@ mod tests {
         let u = random_upper(n, 41);
         let p1 = shuffled_perm(half, 42);
         let p2 = shuffled_perm(n - half, 43);
-        let good = build_node(&dfs, &l, &u, &p1, &p2, half, 2, true);
+        let good = build_node(&dfs, &l, &u, &p1, &p2, half, 2);
         let FactorRef::Node { a1, l2, u2, b, .. } = good else {
             panic!("expected node")
         };
@@ -814,16 +708,41 @@ mod tests {
             let down = |p: &Piece| Piece::new(p.path.clone(), (p.rows.0 + 1, p.rows.1 + 1), p.cols);
             MatrixSource::new(src.shape(), src.pieces().iter().map(down).collect())
         };
-        let node = |n, l2, u2| FactorRef::node(n, half, a1.clone(), l2, u2, b.clone(), true);
+        // U2 untransposed, `half x (n - half)` in column stripes: only
+        // `U2ᵀ` is a valid `u2`, and half != n - half tells the two apart.
         let mut io = TaskIo::new(dfs.clone());
+        let mut u2_pieces = Vec::new();
+        for (k, (c0, c1)) in even_ranges(n - half, 2).into_iter().enumerate() {
+            let block = u
+                .block(BlockRange::new((0, half), (half + c0, half + c1)))
+                .unwrap();
+            u2_pieces.push(write_piece(
+                &mut io,
+                &format!("f/u2-row-major/{k}"),
+                0,
+                c0,
+                &block,
+            ));
+        }
+        let row_major = MatrixSource::new((half, n - half), u2_pieces);
+        let node = |n, l2, u2| FactorRef::node(n, half, a1.clone(), l2, u2, b.clone());
         let stray = node(n, shifted(&l2), shifted(&u2));
         // A node whose children do not add up to its order.
-        let shrunk = node(n - 1, l2, u2);
+        let shrunk = node(n - 1, l2.clone(), u2);
         for f in [stray, shrunk] {
-            for got in [f.assemble_l(&mut io), f.assemble_u(&mut io)] {
+            for got in [f.assemble_l(&mut io), f.assemble_u_t(&mut io)] {
                 assert!(matches!(got, Err(CoreError::Invariant(_))));
             }
         }
+        let untransposed = node(n, l2, row_major);
+        assert!(matches!(
+            untransposed.assemble_u_t(&mut io),
+            Err(CoreError::Invariant(_))
+        ));
+        assert!(matches!(
+            untransposed.assemble_packed(&mut io),
+            Err(CoreError::Invariant(_))
+        ));
     }
 
     #[test]
@@ -846,10 +765,10 @@ mod tests {
             let s = f.perm.as_slice();
             Permutation::from_vec(s[half..].iter().map(|&v| v - half).collect()).unwrap()
         };
-        let fr = build_node(&dfs, &f.l, &f.u, &p1, &p2, half, 2, true);
+        let fr = build_node(&dfs, &f.l, &f.u, &p1, &p2, half, 2);
         let mut io = TaskIo::new(dfs.clone());
         let l = fr.assemble_l(&mut io).unwrap();
-        let u = fr.assemble_u(&mut io).unwrap();
+        let u = fr.assemble_u_t(&mut io).unwrap().transpose();
         let pa = fr.perm().apply_rows(&a);
         assert!((&l * &u).approx_eq(&pa, 1e-8));
     }

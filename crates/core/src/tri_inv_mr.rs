@@ -12,9 +12,9 @@
 //!   with its *permuted* target column indices: column `j` of the product
 //!   is column `S[j]` of `A^-1` (Section 4.3). The block multiplies only
 //!   the terms the two triangles can make nonzero, microtile by microtile
-//!   (`kernel::gemm_staircase`), with the dense product's bits. With `U`
-//!   stored row-major (the Section 6.3 ablation) the same code runs and
-//!   is priced as Equation 7's dense, strided product.
+//!   (`kernel::gemm_staircase`), with the dense product's bits. With the
+//!   Section 6.3 ablation the same code runs on the same files and is
+//!   priced as Equation 7's dense, strided product.
 //!
 //! Because the interleaved vectors are non-contiguous, files carry explicit
 //! index headers.
@@ -53,7 +53,6 @@ use mrinv_mapreduce::job::{
     identity_partitioner, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
 };
 use mrinv_mapreduce::runner::run_job;
-use mrinv_mapreduce::simtime::STRIDED_SLOWDOWN;
 use mrinv_mapreduce::{MrError, PipelineDriver, TaskIo, TaskRegistry};
 use mrinv_matrix::block::even_ranges;
 use mrinv_matrix::io::{binary_size, decode_binary, encode_binary_onto};
@@ -458,9 +457,8 @@ impl Mapper for TriInvMapper {
         let (_, m, _) = self.layout.operand(op);
         let mine: Vec<usize> = (k..n).step_by(m).collect();
         // Both inverses come from one lower-triangular solve: row i of
-        // U^-1 is column i of (Uᵀ)^-1, and Uᵀ is what Section 6.3 stores
-        // (assembled from either storage). The factor is released before
-        // anything else is allocated.
+        // U^-1 is column i of (Uᵀ)^-1, and Uᵀ is what Section 6.3 stores.
+        // The factor is released before anything else is allocated.
         let lower = match op {
             Operand::L => self.factors.assemble_l(ctx)?,
             Operand::U => self.factors.assemble_u_t(ctx)?,
@@ -468,12 +466,12 @@ impl Mapper for TriInvMapper {
         let computed = invert_lower_columns(&lower, &mine).map_err(CoreError::from)?;
         drop(lower);
         // Column `j` of the inverse is zero above row `j`: a solve of order
-        // `n - j`. With `U` stored row-major (Section 6.3 off), priced as
-        // the paper's row solves, each over all of `U`, at the strided rate.
-        ctx.charge_flops(if op == Operand::L || self.opts.transpose_u {
-            mine.iter().map(|&j| trsm_flops(n - j, 1)).sum()
-        } else {
-            STRIDED_SLOWDOWN * trsm_flops(n, mine.len())
+        // `n - j`. With Section 6.3 off, a `U` task is priced as the paper's
+        // row solves, each over all of a row-major `U`, at the strided rate.
+        let ordered = mine.iter().map(|&j| trsm_flops(n - j, 1)).sum();
+        ctx.charge_flops(match op {
+            Operand::L => ordered,
+            Operand::U => self.opts.eq7_flops(ordered, trsm_flops(n, mine.len())),
         });
         // Columns become rows (one blocked transpose), so each vector is a
         // contiguous run. `computed` stays allocated until the files are
@@ -527,13 +525,12 @@ impl Reducer for TriInvReducer {
         let mut product = Matrix::zeros(u_rows.rows(), l_cols_t.rows());
         gemm_staircase(notrans(&u_rows), r0, trans(&l_cols_t), c0, k0, &mut product)
             .map_err(CoreError::from)?;
-        // With `U` stored row-major (Section 6.3 off), priced as Equation
-        // 7's dense product at the strided rate.
-        ctx.charge_flops(if self.opts.transpose_u {
-            tri_product_flops(layout.n, r0..r1, c0..c1)
-        } else {
-            STRIDED_SLOWDOWN * gemm_flops(r1 - r0, layout.n, c1 - c0)
-        });
+        // With Section 6.3 off, priced as Equation 7's dense product at the
+        // strided rate.
+        ctx.charge_flops(self.opts.eq7_flops(
+            tri_product_flops(layout.n, r0..r1, c0..c1),
+            gemm_flops(r1 - r0, layout.n, c1 - c0),
+        ));
 
         let (rows, cols) = product.shape();
         let bytes = encode_indexed_parts(&layout.perm[c0..c1], rows, cols, product.as_slice());

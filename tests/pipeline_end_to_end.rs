@@ -3,7 +3,7 @@
 
 use mrinv::{FactorCache, InversionConfig, Optimizations, Request};
 use mrinv_mapreduce::scheduler::{plan_wave, PlannedTask, WaveFaults};
-use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel};
+use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel, RunReport, TaskStats};
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::{random_invertible, random_well_conditioned};
 use mrinv_matrix::PAPER_ACCURACY;
@@ -92,9 +92,11 @@ fn lu_stage_factors_reconstruct_pa() {
     }
 }
 
-/// Every toggle keeps the computation and changes only the storage and
-/// the price, so all eight combinations give the same bits. (520, 65) puts
-/// product cells past one K panel.
+/// Every toggle keeps the computation, so all eight combinations give the
+/// same bits. The Section 6.1 and 6.2 toggles change the files and the
+/// price; the Section 6.3 toggle changes the price only: two runs that
+/// differ in `transpose_u` alone move the same bytes in the same jobs and
+/// charge different flops. (520, 65) puts product cells past one K panel.
 #[test]
 fn optimization_toggles_preserve_numerics_exactly() {
     for &(n, nb, m0) in &[(48usize, 12usize, 4usize), (520, 65, 4)] {
@@ -102,6 +104,7 @@ fn optimization_toggles_preserve_numerics_exactly() {
         let mut results: Vec<Vec<u64>> = Vec::new();
         for sep in [true, false] {
             for wrap in [true, false] {
+                let mut reports = Vec::new();
                 for tr in [true, false] {
                     let cluster = unit_cluster(m0);
                     let mut cfg = InversionConfig::with_nb(nb);
@@ -110,13 +113,31 @@ fn optimization_toggles_preserve_numerics_exactly() {
                         block_wrap: wrap,
                         transpose_u: tr,
                     };
-                    let inverse = Request::invert(&a)
-                        .config(&cfg)
-                        .submit(&cluster)
-                        .unwrap()
-                        .into_inverse();
+                    let out = Request::invert(&a).config(&cfg).submit(&cluster).unwrap();
+                    reports.push(out.report.clone());
+                    let inverse = out.into_inverse();
                     results.push(inverse.as_slice().iter().map(|x| x.to_bits()).collect());
                 }
+                let [on, off] = &reports[..] else {
+                    unreachable!("two runs per pair")
+                };
+                let what = format!("n={n} nb={nb} sep={sep} wrap={wrap}");
+                assert_eq!(on.jobs, off.jobs, "{what}: job count");
+                assert_eq!(on.job_reports.len(), off.job_reports.len(), "{what}");
+                for (x, y) in on.job_reports.iter().zip(&off.job_reports) {
+                    let bytes = |s: &TaskStats| (s.read_bytes, s.write_bytes, s.shuffle_bytes);
+                    assert_eq!(bytes(&x.stats), bytes(&y.stats), "{what}: job {}", x.name);
+                }
+                let totals = |r: &RunReport| (r.dfs_bytes_read, r.dfs_bytes_written);
+                assert_eq!(totals(on), totals(off), "{what}: run bytes");
+                let flops =
+                    |r: &RunReport| r.job_reports.iter().map(|j| j.stats.flops).sum::<u64>();
+                assert!(
+                    flops(off) > flops(on),
+                    "{what}: the strided price charges {} flops, the ordered one {}",
+                    flops(off),
+                    flops(on)
+                );
             }
         }
         for (i, r) in results.iter().enumerate().skip(1) {
