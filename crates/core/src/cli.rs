@@ -54,7 +54,7 @@
 //! Any of these flags may be `-` for stdout. Passing any of them enables
 //! per-task tracing and the labeled registry for the run (off otherwise,
 //! at zero cost); `--metrics-prom` and `--metrics-json` also turn on the
-//! kernel engine's per-backend perf counters. `--progress` prints a live
+//! kernel engine's perf counters. `--progress` prints a live
 //! one-line jobs/ETA meter to stderr while the pipeline runs.
 //!
 //! The DFS is in-memory and dies with the process, so a failed run is
@@ -304,7 +304,7 @@ fn write_output(path: &str, content: &str, what: &str) {
 
 /// Builds the cluster, with per-task tracing and the labeled metric
 /// registry on when any observability output was requested. Metrics
-/// output also enables the kernel engine's per-backend perf counters
+/// output also enables the kernel engine's perf counters
 /// (process-wide, so the exported GFLOP/s covers the real GEMM work).
 fn build_cluster(opts: &Opts) -> Cluster {
     let wants_metrics = opts.metrics_json.is_some() || opts.metrics_prom.is_some();

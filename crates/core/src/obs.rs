@@ -13,12 +13,12 @@ pub(crate) use mrinv_mapreduce::obs::ObsSnapshot;
 use mrinv_mapreduce::obs::Labels;
 use mrinv_mapreduce::Cluster;
 
-/// Appends one series group per GEMM backend that recorded at least one
-/// call: cumulative calls/FLOPs counters plus wall-time, packing-time,
-/// and effective-GFLOP/s gauges, all labeled `{backend=...}`.
+/// Appends the packed engine's series group once it has recorded a call:
+/// cumulative calls/FLOPs counters plus wall-time, packing-time, and
+/// effective-GFLOP/s gauges, all labeled `{backend="packed"}`.
 fn kernel_perf_series(snap: &mut ObsSnapshot) {
-    for p in mrinv_matrix::kernel::perf::snapshot() {
-        let labels = Labels::new().backend(p.backend);
+    if let Some(p) = mrinv_matrix::kernel::perf::snapshot() {
+        let labels = Labels::new().backend("packed");
         snap.push_counter("mrinv_kernel_calls_total", labels.clone(), p.calls);
         snap.push_counter("mrinv_kernel_flops_total", labels.clone(), p.flops);
         snap.push_gauge("mrinv_kernel_seconds", labels.clone(), p.secs);

@@ -338,9 +338,9 @@ impl Neg for &Matrix {
 impl Mul<&Matrix> for &Matrix {
     type Output = Matrix;
 
-    /// Convenience operator; delegates to [`crate::kernel::gemm`] through
-    /// the process-wide backend. Hot paths with transposed operands or
-    /// accumulation should call `gemm` directly.
+    /// Convenience operator; delegates to [`crate::kernel::gemm`]. Hot
+    /// paths with transposed operands or accumulation should call `gemm`
+    /// directly.
     fn mul(self, rhs: &Matrix) -> Matrix {
         use crate::kernel::{gemm, notrans};
         let mut c = Matrix::zeros(self.rows(), rhs.cols());

@@ -17,11 +17,9 @@
 
 use std::ops::Range;
 
-use super::packed::{Arm, Fused};
+use super::packed::{Arm, Fused, Stairs};
 use super::trsm::trsm_window;
-use super::{
-    gemm_window, notrans, Diag, GemmBackend, MatMut, MatrixError, Result, Side, Uplo, PACKED,
-};
+use super::{engine, notrans, Diag, MatMut, MatrixError, Result, Side, Uplo};
 use crate::dense::Matrix;
 use crate::permutation::Permutation;
 
@@ -45,19 +43,14 @@ pub(crate) fn lu_decompose_in_place(a: &mut Matrix) -> Result<Permutation> {
     } else {
         n.max(1)
     };
-    lu_blocked_in_place(a, panel, PACKED, Arm::detect())
+    lu_blocked_in_place(a, panel, Arm::detect())
 }
 
-/// Blocked LU in place with panel width `nb`: trailing updates through
-/// `backend`, the panels and the trsm leaves on microkernel arm `arm`.
+/// Blocked LU in place with panel width `nb`, every step on microkernel
+/// arm `arm`: the panels, the row-panel trsm and the trailing updates.
 /// Same packed-factor layout, singularity threshold and pivots as the
 /// unblocked routine.
-pub(super) fn lu_blocked_in_place(
-    a: &mut Matrix,
-    nb: usize,
-    backend: &dyn GemmBackend,
-    arm: Arm,
-) -> Result<Permutation> {
+pub(super) fn lu_blocked_in_place(a: &mut Matrix, nb: usize, arm: Arm) -> Result<Permutation> {
     if nb == 0 {
         return Err(MatrixError::InvalidParameter {
             op: "lu_blocked",
@@ -96,7 +89,6 @@ pub(super) fn lu_blocked_in_place(
         // U12 := L11^-1 · A12 (unit lower solve against the panel's
         // in-place factor; trsm only reads the lower triangle).
         trsm_window(
-            backend,
             arm,
             Side::Left,
             Uplo::Lower,
@@ -107,12 +99,13 @@ pub(super) fn lu_blocked_in_place(
         )?;
 
         // A22 -= L21 · U12: the rank-nb trailing update, all level-3.
-        gemm_window(
-            backend,
+        engine(
+            arm,
             -1.0,
             notrans(l21.as_ref()),
             notrans(u12.as_ref()),
             1.0,
+            Stairs::DENSE,
             a22,
         )?;
     }

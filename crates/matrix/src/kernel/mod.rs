@@ -16,23 +16,23 @@
 //!   bits;
 //! * [`trsm`] — `B := alpha * T^-1 * B` (left) or `alpha * B * T^-1`
 //!   (right) for triangular `T`, all [`Side`]/[`Uplo`]/[`Diag`] cases;
-//! * `lu_decompose_in_place` — right-looking blocked LU whose trailing
-//!   updates are [`gemm`] and [`trsm`].
+//! * `lu_decompose_in_place` — right-looking blocked LU whose row panels
+//!   and trailing updates are [`trsm`] and GEMM on the same engine.
 //!
-//! All four run on [`Packed`]: panels of `A` and `B` are packed into
-//! contiguous, register-block-sized buffers, the MC/KC/NC loop nest keeps
-//! them L1/L2-resident, an MR×NR register-tiled microkernel does the flops,
-//! and rayon parallelizes over macro-tile rows. The microkernel, the trsm
-//! leaves and the LU leaf share one arithmetic: every step is one fused
-//! multiply-add, on the widest arm the host has (AVX-512F, AVX2 + FMA or
-//! portable `f64::mul_add`, chosen by one CPUID probe, all bit-equal).
-//!
-//! [`GemmBackend`] stays a trait so that a test can substitute another
-//! GEMM per call ([`gemm_with`], [`trsm_with`]): a reference loop as an
-//! oracle, or the engine on a single microkernel arm.
+//! All four run on one engine, through one private entry point: panels of
+//! `A` and `B` are packed into contiguous, register-block-sized buffers,
+//! the MC/KC/NC loop nest keeps them L1/L2-resident, an MR×NR
+//! register-tiled microkernel does the flops, and rayon parallelizes over
+//! macro-tile rows. The microkernel, the trsm leaves and the LU leaf share
+//! one arithmetic: every step is one fused multiply-add, on the widest arm
+//! the host has (AVX-512F, AVX2 + FMA or portable `f64::mul_add`, chosen
+//! by one CPUID probe, all bit-equal). That arm is the kernel's only
+//! per-call choice: the entry points take the host's, and a test names
+//! another. The tests' reference GEMM (`naive_gemm`) lives in the test
+//! tree.
 //!
 //! Equation 7's column-striding loop, the paper's *unoptimized* kernel, has
-//! no backend: the Section 6.3 transpose-off ablation computes with these
+//! no code path: the Section 6.3 transpose-off ablation computes with these
 //! kernels and is priced at `simtime::STRIDED_SLOWDOWN` instead.
 
 mod lu;
@@ -49,8 +49,9 @@ use crate::error::{MatrixError, Result};
 pub(crate) use lu::lu_decompose_in_place;
 pub use packed::K_PANEL;
 use packed::{Arm, Stairs};
-pub use trsm::{trsm, trsm_with};
-pub use window::{MatMut, MatRef};
+pub use trsm::trsm;
+pub(crate) use window::MatMut;
+pub use window::MatRef;
 
 /// Transposition state of a GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,36 +177,6 @@ pub enum Diag {
     NonUnit,
 }
 
-/// A GEMM execution strategy.
-///
-/// Implementations must compute `C := alpha * op(A) * op(B) + beta * C`
-/// exactly per their documented summation order; shape validation is done
-/// by the caller ([`gemm_with`]) before dispatch.
-pub trait GemmBackend: Sync {
-    /// Computes `C := alpha * op(A) * op(B) + beta * C`. Shapes are
-    /// already validated: `a.rows() == c.rows()`, `b.cols() == c.cols()`,
-    /// `a.cols() == b.rows()`.
-    fn gemm_checked(
-        &self,
-        alpha: f64,
-        a: OpRef<'_>,
-        b: OpRef<'_>,
-        beta: f64,
-        c: MatMut<'_>,
-    ) -> Result<()>;
-
-    /// Backend name (for diagnostics and bench labels).
-    fn name(&self) -> &'static str;
-}
-
-/// The packed, register-blocked engine (see module docs). A product runs
-/// on the parallel loop nest once it is large enough and the pool has
-/// more than one thread, and on the serial nest otherwise.
-pub struct Packed;
-
-/// The engine every kernel entry point runs on.
-const PACKED: &Packed = &Packed;
-
 fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &MatMut<'_>) -> Result<()> {
     if a.cols() != b.rows() {
         return Err(MatrixError::DimensionMismatch {
@@ -242,40 +213,8 @@ fn check_gemm(a: &OpRef<'_>, b: &OpRef<'_>, c: &MatMut<'_>) -> Result<()> {
 /// gemm(1.0, notrans(&a), trans(&b), 1.0, &mut c).unwrap();
 /// ```
 pub fn gemm(alpha: f64, a: OpRef<'_>, b: OpRef<'_>, beta: f64, c: &mut Matrix) -> Result<()> {
-    gemm_with(PACKED, alpha, a, b, beta, c)
-}
-
-/// [`gemm`] through an explicit backend.
-pub fn gemm_with(
-    backend: &dyn GemmBackend,
-    alpha: f64,
-    a: OpRef<'_>,
-    b: OpRef<'_>,
-    beta: f64,
-    c: &mut Matrix,
-) -> Result<()> {
-    gemm_window(backend, alpha, a, b, beta, c.into())
-}
-
-/// [`gemm_with`] writing a window of `C` in place — the form [`trsm`] and
-/// the blocked LU update their trailing blocks through.
-pub(crate) fn gemm_window(
-    backend: &dyn GemmBackend,
-    alpha: f64,
-    a: OpRef<'_>,
-    b: OpRef<'_>,
-    beta: f64,
-    c: MatMut<'_>,
-) -> Result<()> {
-    check_gemm(&a, &b, &c)?;
-    if !perf::is_enabled() {
-        return backend.gemm_checked(alpha, a, b, beta, c);
-    }
-    let flops = gemm_flops(a.rows(), a.cols(), b.cols());
-    let t0 = std::time::Instant::now();
-    let out = backend.gemm_checked(alpha, a, b, beta, c);
-    perf::record_gemm(backend.name(), flops, t0.elapsed());
-    out
+    engine(Arm::detect(), alpha, a, b, beta, Stairs::DENSE, c.into())?;
+    Ok(())
 }
 
 /// `C := op(A)·op(B)` for *staircase* operands, through the packed
@@ -317,27 +256,33 @@ pub fn gemm_staircase(
         b_col0,
         origin,
     };
-    let t0 = perf::is_enabled().then(std::time::Instant::now);
-    let madds = staircase_with(Arm::detect(), a, b, stairs, c.into())?;
-    if let Some(t0) = t0 {
-        perf::record_gemm(PACKED.name(), 2 * madds, t0.elapsed());
-    }
+    engine(Arm::detect(), 1.0, a, b, 0.0, stairs, c.into())?;
     Ok(())
 }
 
-/// [`gemm_staircase`] on microkernel arm `arm`, on a window of `C`.
-/// Returns the multiply-adds the engine ran.
-fn staircase_with(
+/// The one way into the packed engine: `C := alpha * op(A) * op(B) +
+/// beta * C` on microkernel arm `arm`, over the nonzero terms of `stairs`
+/// ([`Stairs::DENSE`] for every term), into a window of `C`. Checks the
+/// shapes, applies `beta`, picks the loop nest, and credits
+/// [`perf`] with the flops it ran. Returns the multiply-adds it ran.
+fn engine(
     arm: Arm,
+    alpha: f64,
     a: OpRef<'_>,
     b: OpRef<'_>,
+    beta: f64,
     stairs: Stairs,
     mut c: MatMut<'_>,
 ) -> Result<u64> {
     check_gemm(&a, &b, &c)?;
-    scale_by_beta(&mut c, 0.0);
+    let t0 = perf::is_enabled().then(std::time::Instant::now);
+    scale_by_beta(&mut c, beta);
     let parallel = packed::parallel_pays(&a, &b);
-    Ok(packed::run_packed(arm, parallel, 1.0, a, b, stairs, c))
+    let madds = packed::run_packed(arm, parallel, alpha, a, b, stairs, c);
+    if let Some(t0) = t0 {
+        perf::record_gemm(2 * madds, t0.elapsed());
+    }
+    Ok(madds)
 }
 
 /// Allocating convenience: `op(A) * op(B)` through the packed engine.

@@ -63,7 +63,7 @@ use std::ops::Range;
 
 use rayon::prelude::*;
 
-use super::{scale_by_beta, GemmBackend, MatMut, Op, OpRef, Result};
+use super::{MatMut, Op, OpRef};
 
 /// Microkernel tile height (rows of C per register block).
 pub(super) const MR: usize = 4;
@@ -351,9 +351,6 @@ fn pack_b(b: OpRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut [f
     }
 }
 
-/// The perf slot the engine records into.
-const NAME: &str = "packed";
-
 /// The steps of a staircase product's operands, as
 /// [`super::gemm_staircase`] takes them: row `i` of `op(A)` is zero before
 /// term `a_row0 + i`, column `j` of `op(B)` before term `b_col0 + j`, and
@@ -470,7 +467,7 @@ pub(super) fn run_packed(
     mut c: MatMut<'_>,
 ) -> u64 {
     assert!(arm.available(), "{arm:?} microkernel on a host without it");
-    super::perf::record_packed_path(NAME, parallel);
+    super::perf::record_packed_path(parallel);
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return 0;
@@ -502,7 +499,7 @@ pub(super) fn run_packed(
             let tb = perf_on.then(std::time::Instant::now);
             pack_b(b, pc, kc, jc, nc, &mut bbuf[..blen]);
             if let Some(tb) = tb {
-                super::perf::record_pack(NAME, tb.elapsed(), blen);
+                super::perf::record_pack(tb.elapsed(), blen);
             }
             let bpanel = &bbuf[..blen];
 
@@ -516,7 +513,7 @@ pub(super) fn run_packed(
                 let ta = perf_on.then(std::time::Instant::now);
                 pack_a(a, ic, mc, pc, kc, &mut abuf[..alen]);
                 if let Some(ta) = ta {
-                    super::perf::record_pack(NAME, ta.elapsed(), alen);
+                    super::perf::record_pack(ta.elapsed(), alen);
                 }
                 let j0 = jc + panels.start * NR;
                 let b_sub = &bpanel[panels.start * NR * kc..panels.end * NR * kc];
@@ -552,26 +549,6 @@ pub(super) fn run_packed(
         }
     }
     madds
-}
-
-impl GemmBackend for super::Packed {
-    fn gemm_checked(
-        &self,
-        alpha: f64,
-        a: OpRef<'_>,
-        b: OpRef<'_>,
-        beta: f64,
-        mut c: MatMut<'_>,
-    ) -> Result<()> {
-        scale_by_beta(&mut c, beta);
-        let parallel = parallel_pays(&a, &b);
-        run_packed(Arm::detect(), parallel, alpha, a, b, Stairs::DENSE, c);
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        NAME
-    }
 }
 
 #[cfg(test)]

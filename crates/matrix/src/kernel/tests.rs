@@ -11,20 +11,16 @@ use std::ops::Range;
 
 #[path = "../../tests/support/naive.rs"]
 mod naive;
-use naive::Naive;
+use naive::naive_gemm;
 
 /// [`lu_blocked_in_place`] on a copy of `a`, packed as [`LuFactors`].
-fn lu_blocked(a: &Matrix, nb: usize, backend: &dyn GemmBackend, arm: Arm) -> Result<LuFactors> {
+fn lu_blocked(a: &Matrix, nb: usize, arm: Arm) -> Result<LuFactors> {
     let mut lu = a.clone();
-    let perm = lu_blocked_in_place(&mut lu, nb, backend, arm)?;
+    let perm = lu_blocked_in_place(&mut lu, nb, arm)?;
     Ok(LuFactors { lu, perm })
 }
 
 const TOL: f64 = 1e-9;
-
-fn backends() -> Vec<(&'static str, Box<dyn GemmBackend>)> {
-    vec![("naive", Box::new(Naive)), ("packed", Box::new(Packed))]
-}
 
 /// Runs `f` with the pool's effective width capped at `cap`. The cap is
 /// process-global and tests run on parallel threads, so the tests that
@@ -49,17 +45,19 @@ fn all_backends_agree_all_ops() {
     let c0 = random_matrix(m, n, 3);
 
     let mut reference = c0.clone();
-    gemm_with(&Naive, 0.5, notrans(&a), notrans(&b), -2.0, &mut reference).unwrap();
+    naive_gemm(0.5, notrans(&a), notrans(&b), -2.0, &mut reference);
 
-    for (name, backend) in backends() {
-        for (label, aref, bref) in [
-            ("nn", notrans(&a), notrans(&b)),
-            ("nt", notrans(&a), trans(&b_t)),
-            ("tn", trans(&a_t), notrans(&b)),
-            ("tt", trans(&a_t), trans(&b_t)),
-        ] {
-            let mut c = c0.clone();
-            gemm_with(backend.as_ref(), 0.5, aref, bref, -2.0, &mut c).unwrap();
+    for (label, aref, bref) in [
+        ("nn", notrans(&a), notrans(&b)),
+        ("nt", notrans(&a), trans(&b_t)),
+        ("tn", trans(&a_t), notrans(&b)),
+        ("tt", trans(&a_t), trans(&b_t)),
+    ] {
+        let mut naive = c0.clone();
+        naive_gemm(0.5, aref, bref, -2.0, &mut naive);
+        let mut packed = c0.clone();
+        gemm(0.5, aref, bref, -2.0, &mut packed).unwrap();
+        for (name, c) in [("naive", &naive), ("packed", &packed)] {
             assert!(
                 c.approx_eq(&reference, TOL),
                 "{name}/{label} disagrees with reference"
@@ -144,29 +142,6 @@ fn packed_parallel_nest_is_bitwise_identical_to_serial() {
     }
 }
 
-/// The serial packed engine on one microkernel arm, as a backend, so that
-/// [`gemm_with`] and [`staircase_with`] can drive each arm directly.
-struct PackedArm(packed::Arm);
-
-impl GemmBackend for PackedArm {
-    fn gemm_checked(
-        &self,
-        alpha: f64,
-        a: OpRef<'_>,
-        b: OpRef<'_>,
-        beta: f64,
-        mut c: MatMut<'_>,
-    ) -> Result<()> {
-        scale_by_beta(&mut c, beta);
-        packed::run_packed(self.0, false, alpha, a, b, Stairs::DENSE, c);
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "packed-arm"
-    }
-}
-
 /// The arms besides the portable one that this host has. Prints each arm
 /// by name: compared, or skipped because the host lacks it.
 fn wide_arms() -> Vec<packed::Arm> {
@@ -184,7 +159,6 @@ fn wide_arms() -> Vec<packed::Arm> {
 
 #[test]
 fn every_microkernel_arm_matches_the_portable_arm_bitwise() {
-    let portable = PackedArm(packed::Arm::Portable);
     let arms = wide_arms();
     // Ragged m and n pad both the MR-tall A panels and the NR-wide B
     // panels; k = 300 spans two K panels.
@@ -201,10 +175,28 @@ fn every_microkernel_arm_matches_the_portable_arm_bitwise() {
             ("tt", trans(&a_t), trans(&b_t)),
         ] {
             let mut want = c0.clone();
-            gemm_with(&portable, -1.5, aref, bref, 0.75, &mut want).unwrap();
+            engine(
+                Arm::Portable,
+                -1.5,
+                aref,
+                bref,
+                0.75,
+                Stairs::DENSE,
+                (&mut want).into(),
+            )
+            .unwrap();
             for &arm in &arms {
                 let mut got = c0.clone();
-                gemm_with(&PackedArm(arm), -1.5, aref, bref, 0.75, &mut got).unwrap();
+                engine(
+                    arm,
+                    -1.5,
+                    aref,
+                    bref,
+                    0.75,
+                    Stairs::DENSE,
+                    (&mut got).into(),
+                )
+                .unwrap();
                 assert_eq!(bits(&got), bits(&want), "{arm:?} {label} {m}x{k}x{n}");
             }
         }
@@ -227,7 +219,7 @@ fn every_microkernel_arm_matches_the_portable_arm_bitwise() {
             b_col0: K_PANEL,
             origin,
         };
-        staircase_with(arm, a_op, b_op, steps, (&mut c).into()).unwrap();
+        engine(arm, 1.0, a_op, b_op, 0.0, steps, (&mut c).into()).unwrap();
         bits(&c)
     };
     let want = stairs(packed::Arm::Portable);
@@ -239,29 +231,26 @@ fn every_microkernel_arm_matches_the_portable_arm_bitwise() {
 /// `[-1, 1 + 2⁻³⁰] · [1, 1 - 2⁻³⁰]ᵀ` is `-1 + (1 - 2⁻⁶⁰)`: `-2⁻⁶⁰` when the
 /// second step is one fused multiply-add, `0` when its product is rounded
 /// to `1` first. Every arm must fuse, in every lane of its tile (each row
-/// of `A` and column of `B` is the witness pair); the Naive oracle must
+/// of `A` and column of `B` is the witness pair); the naive oracle must
 /// not.
 #[test]
 fn microkernel_steps_are_fused() {
     let e = 2f64.powi(-30);
     let a = Matrix::from_fn(packed::MR, 2, |_, p| [-1.0, 1.0 + e][p]);
     let b = Matrix::from_fn(2, packed::NR, |p, _| [1.0, 1.0 - e][p]);
-    let product = |backend: &dyn GemmBackend| {
-        let mut c = Matrix::zeros(packed::MR, packed::NR);
-        gemm_with(backend, 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
-        bits(&c)
-    };
+    let (a, b) = (notrans(&a), notrans(&b));
+    let mut c = Matrix::zeros(packed::MR, packed::NR);
     let fused = vec![(-(2f64.powi(-60))).to_bits(); packed::MR * packed::NR];
-    assert_eq!(
-        product(&PackedArm(packed::Arm::Portable)),
-        fused,
-        "Portable"
-    );
-    for arm in wide_arms() {
-        assert_eq!(product(&PackedArm(arm)), fused, "{arm:?}");
+    let mut arms = wide_arms();
+    arms.push(Arm::Portable);
+    for arm in arms {
+        engine(arm, 1.0, a, b, 0.0, Stairs::DENSE, (&mut c).into()).unwrap();
+        assert_eq!(bits(&c), fused, "{arm:?}");
     }
-    assert_eq!(product(&Packed), fused, "detected arm");
-    assert_eq!(product(&Naive), vec![0; packed::MR * packed::NR], "Naive");
+    gemm(1.0, a, b, 0.0, &mut c).unwrap();
+    assert_eq!(bits(&c), fused, "detected arm");
+    naive_gemm(1.0, a, b, 0.0, &mut c);
+    assert_eq!(bits(&c), vec![0; packed::MR * packed::NR], "naive");
 }
 
 /// `b` with vector `v` (a column on the left, a row on the right) held at
@@ -288,24 +277,14 @@ fn staggered_rhs(side: Side, forward: bool, n: usize, w: usize, seed: u64) -> Ma
 }
 
 /// Both sides, both directions, unit and non-unit: each arm's leaves (and
-/// its GEMM, for the coupling updates past one leaf) against the portable
+/// its coupling updates past one leaf) against the portable
 /// arm's, word for word. 29 vectors take tiles 16, 8, 4 and 1 wide.
 #[test]
 fn every_trsm_leaf_arm_matches_the_portable_arm_bitwise() {
     let arms = wide_arms();
     let solve = |arm: Arm, side, uplo, diag, t: &Matrix, b: &Matrix| {
         let mut x = b.clone();
-        trsm_window(
-            &PackedArm(arm),
-            arm,
-            side,
-            uplo,
-            diag,
-            true,
-            t.into(),
-            (&mut x).into(),
-        )
-        .unwrap();
+        trsm_window(arm, side, uplo, diag, true, t.into(), (&mut x).into()).unwrap();
         bits(&x)
     };
     for n in [40, 150] {
@@ -336,7 +315,7 @@ fn every_lu_leaf_arm_matches_the_portable_arm_bitwise() {
     let arms = wide_arms();
     for (n, panel) in [(100, 100), (150, 64)] {
         let a = random_matrix(n, n, 70 + n as u64);
-        let lu = |arm: Arm| lu_blocked(&a, panel, &PackedArm(arm), arm).unwrap();
+        let lu = |arm: Arm| lu_blocked(&a, panel, arm).unwrap();
         let want = lu(Arm::Portable);
         for &arm in &arms {
             let got = lu(arm);
@@ -399,7 +378,6 @@ fn leaf_steps_are_fused() {
                     Side::Right => Matrix::from_fn(w, 3, |_, j| vector[j]),
                 };
                 trsm_window(
-                    &PackedArm(arm),
                     arm,
                     *side,
                     *uplo,
@@ -419,7 +397,7 @@ fn leaf_steps_are_fused() {
             }
         }
         let a = tri([[1.0, 0.0, p], [-q, 1.0, -1.0], [0.0, 0.0, 1.0]]);
-        let f = lu_blocked(&a, 3, &PackedArm(arm), arm).unwrap();
+        let f = lu_blocked(&a, 3, arm).unwrap();
         assert_eq!(f.lu[(1, 2)].to_bits(), fused, "{arm:?} LU leaf");
     }
 }
@@ -459,7 +437,7 @@ proptest! {
         let op = |t: bool| if t { Op::Trans } else { Op::NoTrans };
 
         let mut naive = c0.clone();
-        gemm_with(&Naive, alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut naive).unwrap();
+        naive_gemm(alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut naive);
         let mut serial = c0.clone();
         scale_by_beta(&mut (&mut serial).into(), beta);
         packed::run_packed(packed::Arm::detect(), false, alpha, op(ta).of(&a), op(tb).of(&b), Stairs::DENSE, (&mut serial).into());
@@ -499,10 +477,13 @@ proptest! {
 fn beta_zero_overwrites_nan() {
     let a = random_matrix(9, 9, 10);
     let b = random_matrix(9, 9, 11);
-    for (_, backend) in backends() {
-        let mut c = Matrix::from_fn(9, 9, |_, _| f64::NAN);
-        gemm_with(backend.as_ref(), 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
-        assert!(c.as_slice().iter().all(|v| v.is_finite()));
+    let nan = || Matrix::from_fn(9, 9, |_, _| f64::NAN);
+    let mut naive = nan();
+    naive_gemm(1.0, notrans(&a), notrans(&b), 0.0, &mut naive);
+    let mut packed = nan();
+    gemm(1.0, notrans(&a), notrans(&b), 0.0, &mut packed).unwrap();
+    for (name, c) in [("naive", naive), ("packed", packed)] {
+        assert!(c.as_slice().iter().all(|v| v.is_finite()), "{name}");
     }
 }
 
@@ -523,15 +504,19 @@ fn shape_mismatches_rejected() {
 
 #[test]
 fn empty_and_degenerate_products() {
-    for (_, backend) in backends() {
-        let a = Matrix::zeros(0, 0);
-        let mut c = Matrix::zeros(0, 0);
-        gemm_with(backend.as_ref(), 1.0, notrans(&a), notrans(&a), 0.0, &mut c).unwrap();
-        let a = Matrix::zeros(3, 0);
-        let b = Matrix::zeros(0, 2);
-        let mut c = Matrix::from_fn(3, 2, |_, _| 7.0);
-        gemm_with(backend.as_ref(), 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
-        assert!(c.as_slice().iter().all(|&v| v == 0.0));
+    let a = Matrix::zeros(0, 0);
+    let mut c = Matrix::zeros(0, 0);
+    naive_gemm(1.0, notrans(&a), notrans(&a), 0.0, &mut c);
+    gemm(1.0, notrans(&a), notrans(&a), 0.0, &mut c).unwrap();
+    let a = Matrix::zeros(3, 0);
+    let b = Matrix::zeros(0, 2);
+    let sevens = || Matrix::from_fn(3, 2, |_, _| 7.0);
+    let mut naive = sevens();
+    naive_gemm(1.0, notrans(&a), notrans(&b), 0.0, &mut naive);
+    let mut packed = sevens();
+    gemm(1.0, notrans(&a), notrans(&b), 0.0, &mut packed).unwrap();
+    for (name, c) in [("naive", naive), ("packed", packed)] {
+        assert!(c.as_slice().iter().all(|&v| v == 0.0), "{name}");
     }
 }
 
@@ -698,7 +683,6 @@ fn trsm_all_combinations_solve_their_equation() {
         l
     };
     let upper = lower.transpose();
-    let packed = Packed;
     for diag in [Diag::Unit, Diag::NonUnit] {
         for (side, uplo, t) in [
             (Side::Left, Uplo::Lower, &lower),
@@ -710,39 +694,36 @@ fn trsm_all_combinations_solve_their_equation() {
                 Side::Left => random_matrix(n, 9, 18),
                 Side::Right => random_matrix(9, n, 19),
             };
-            for backend in [&Naive as &dyn GemmBackend, &packed] {
-                let mut x = b.clone();
-                trsm_with(backend, side, uplo, diag, 2.0, t, &mut x).unwrap();
-                // Rebuild alpha*B from X and the triangle trsm actually read.
-                let mut teff = t.clone();
-                for i in 0..n {
-                    for j in 0..n {
-                        let keep = match uplo {
-                            Uplo::Lower => j <= i,
-                            Uplo::Upper => j >= i,
-                        };
-                        if !keep {
-                            teff[(i, j)] = 0.0;
-                        }
-                        if diag == Diag::Unit && i == j {
-                            teff[(i, j)] = 1.0;
-                        }
+            let mut x = b.clone();
+            trsm(side, uplo, diag, 2.0, t, &mut x).unwrap();
+            // Rebuild alpha*B from X and the triangle trsm actually read.
+            let mut teff = t.clone();
+            for i in 0..n {
+                for j in 0..n {
+                    let keep = match uplo {
+                        Uplo::Lower => j <= i,
+                        Uplo::Upper => j >= i,
+                    };
+                    if !keep {
+                        teff[(i, j)] = 0.0;
+                    }
+                    if diag == Diag::Unit && i == j {
+                        teff[(i, j)] = 1.0;
                     }
                 }
-                let recovered = match side {
-                    Side::Left => mul(notrans(&teff), notrans(&x)).unwrap(),
-                    Side::Right => mul(notrans(&x), notrans(&teff)).unwrap(),
-                };
-                let mut scaled = b.clone();
-                for v in scaled.as_mut_slice() {
-                    *v *= 2.0;
-                }
-                assert!(
-                    recovered.approx_eq(&scaled, 1e-7),
-                    "{side:?}/{uplo:?}/{diag:?}/{} failed",
-                    backend.name()
-                );
             }
+            let recovered = match side {
+                Side::Left => mul(notrans(&teff), notrans(&x)).unwrap(),
+                Side::Right => mul(notrans(&x), notrans(&teff)).unwrap(),
+            };
+            let mut scaled = b.clone();
+            for v in scaled.as_mut_slice() {
+                *v *= 2.0;
+            }
+            assert!(
+                recovered.approx_eq(&scaled, 1e-7),
+                "{side:?}/{uplo:?}/{diag:?} failed"
+            );
         }
     }
 }
@@ -792,63 +773,54 @@ fn gemm_on_windows_matches_copied_out_blocks_bitwise() {
     let op = |t: bool| if t { Op::Trans } else { Op::NoTrans };
     let (c_rows, c_cols) = (9..9 + m, 13..13 + n);
 
-    for (name, backend) in backends() {
-        for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
-            // Stored extents of the operand windows, then their logical
-            // (post-op) coordinates, which is what `OpRef::window` takes.
-            let (a_rows, a_cols) = if ta {
-                (7..7 + k, 3..3 + m)
+    for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+        // Stored extents of the operand windows, then their logical
+        // (post-op) coordinates, which is what `OpRef::window` takes.
+        let (a_rows, a_cols) = if ta {
+            (7..7 + k, 3..3 + m)
+        } else {
+            (7..7 + m, 3..3 + k)
+        };
+        let (b_rows, b_cols) = if tb {
+            (2..2 + n, 11..11 + k)
+        } else {
+            (2..2 + k, 11..11 + n)
+        };
+        let logical = |t: bool, rows: &Range<usize>, cols: &Range<usize>| {
+            if t {
+                (cols.clone(), rows.clone())
             } else {
-                (7..7 + m, 3..3 + k)
-            };
-            let (b_rows, b_cols) = if tb {
-                (2..2 + n, 11..11 + k)
-            } else {
-                (2..2 + k, 11..11 + n)
-            };
-            let logical = |t: bool, rows: &Range<usize>, cols: &Range<usize>| {
-                if t {
-                    (cols.clone(), rows.clone())
-                } else {
-                    (rows.clone(), cols.clone())
-                }
-            };
-            let (alr, alc) = logical(ta, &a_rows, &a_cols);
-            let (blr, blc) = logical(tb, &b_rows, &b_cols);
+                (rows.clone(), cols.clone())
+            }
+        };
+        let (alr, alc) = logical(ta, &a_rows, &a_cols);
+        let (blr, blc) = logical(tb, &b_rows, &b_cols);
 
-            let mut in_place = big_c.clone();
-            gemm_window(
-                backend.as_ref(),
-                0.5,
-                op(ta).of(&big_a).window(alr, alc),
-                op(tb).of(&big_b).window(blr, blc),
-                -2.0,
-                MatMut::from(&mut in_place).window(c_rows.clone(), c_cols.clone()),
-            )
-            .unwrap();
+        let mut in_place = big_c.clone();
+        engine(
+            Arm::detect(),
+            0.5,
+            op(ta).of(&big_a).window(alr, alc),
+            op(tb).of(&big_b).window(blr, blc),
+            -2.0,
+            Stairs::DENSE,
+            MatMut::from(&mut in_place).window(c_rows.clone(), c_cols.clone()),
+        )
+        .unwrap();
 
-            let a_blk = block_of(&big_a, &a_rows, &a_cols);
-            let b_blk = block_of(&big_b, &b_rows, &b_cols);
-            let mut c_blk = block_of(&big_c, &c_rows, &c_cols);
-            gemm_with(
-                backend.as_ref(),
-                0.5,
-                op(ta).of(&a_blk),
-                op(tb).of(&b_blk),
-                -2.0,
-                &mut c_blk,
-            )
+        let a_blk = block_of(&big_a, &a_rows, &a_cols);
+        let b_blk = block_of(&big_b, &b_rows, &b_cols);
+        let mut c_blk = block_of(&big_c, &c_rows, &c_cols);
+        gemm(0.5, op(ta).of(&a_blk), op(tb).of(&b_blk), -2.0, &mut c_blk).unwrap();
+        let mut expect = big_c.clone();
+        expect
+            .set_block(c_rows.start, c_cols.start, &c_blk)
             .unwrap();
-            let mut expect = big_c.clone();
-            expect
-                .set_block(c_rows.start, c_cols.start, &c_blk)
-                .unwrap();
-            assert_eq!(
-                bits(&in_place),
-                bits(&expect),
-                "{name} ta={ta} tb={tb}: window gemm differs from block gemm, or wrote outside its window"
-            );
-        }
+        assert_eq!(
+            bits(&in_place),
+            bits(&expect),
+            "ta={ta} tb={tb}: window gemm differs from block gemm, or wrote outside its window"
+        );
     }
 
     // The tile-parallel nest carves its work items out of the C window.
@@ -870,51 +842,46 @@ fn gemm_on_windows_matches_copied_out_blocks_bitwise() {
 
 #[test]
 fn trsm_on_windows_matches_copied_out_blocks_bitwise() {
-    // n > 2 leaves under Packed (recursion, ragged last leaf); w covers two
-    // full left-leaf tiles plus scalar remainder columns.
+    // n > 2 leaves (recursion, ragged last leaf); w covers two full
+    // left-leaf tiles plus scalar remainder columns.
     let (n, w) = (150, 37);
     let big_t = tame_triangle(n + 20, 50);
     let t_span = 5..5 + n;
-    let packed = Packed;
-    for backend in [&Naive as &dyn GemmBackend, &packed] {
-        for side in [Side::Left, Side::Right] {
-            for uplo in [Uplo::Lower, Uplo::Upper] {
-                for diag in [Diag::Unit, Diag::NonUnit] {
-                    let (b_rows, b_cols) = match side {
-                        Side::Left => (3..3 + n, 6..6 + w),
-                        Side::Right => (3..3 + w, 6..6 + n),
-                    };
-                    let big_b = random_matrix(b_rows.end + 4, b_cols.end + 9, 51);
+    for side in [Side::Left, Side::Right] {
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            for diag in [Diag::Unit, Diag::NonUnit] {
+                let (b_rows, b_cols) = match side {
+                    Side::Left => (3..3 + n, 6..6 + w),
+                    Side::Right => (3..3 + w, 6..6 + n),
+                };
+                let big_b = random_matrix(b_rows.end + 4, b_cols.end + 9, 51);
 
-                    let mut in_place = big_b.clone();
-                    trsm_window(
-                        backend,
-                        Arm::detect(),
-                        side,
-                        uplo,
-                        diag,
-                        true,
-                        MatRef::from(&big_t).window(t_span.clone(), t_span.clone()),
-                        MatMut::from(&mut in_place).window(b_rows.clone(), b_cols.clone()),
-                    )
+                let mut in_place = big_b.clone();
+                trsm_window(
+                    Arm::detect(),
+                    side,
+                    uplo,
+                    diag,
+                    true,
+                    MatRef::from(&big_t).window(t_span.clone(), t_span.clone()),
+                    MatMut::from(&mut in_place).window(b_rows.clone(), b_cols.clone()),
+                )
+                .unwrap();
+
+                let t_blk = block_of(&big_t, &t_span, &t_span);
+                let mut b_blk = block_of(&big_b, &b_rows, &b_cols);
+                trsm(side, uplo, diag, 1.0, &t_blk, &mut b_blk).unwrap();
+                let mut expect = big_b.clone();
+                expect
+                    .set_block(b_rows.start, b_cols.start, &b_blk)
                     .unwrap();
-
-                    let t_blk = block_of(&big_t, &t_span, &t_span);
-                    let mut b_blk = block_of(&big_b, &b_rows, &b_cols);
-                    trsm_with(backend, side, uplo, diag, 1.0, &t_blk, &mut b_blk).unwrap();
-                    let mut expect = big_b.clone();
-                    expect
-                        .set_block(b_rows.start, b_cols.start, &b_blk)
-                        .unwrap();
-                    assert_eq!(
-                        bits(&in_place),
-                        bits(&expect),
-                        "{}/{side:?}/{uplo:?}/{diag:?}: window trsm differs from block trsm, \
-                         or wrote outside its window",
-                        backend.name()
-                    );
-                    assert!(b_blk.as_slice().iter().all(|v| v.is_finite()));
-                }
+                assert_eq!(
+                    bits(&in_place),
+                    bits(&expect),
+                    "{side:?}/{uplo:?}/{diag:?}: window trsm differs from block trsm, \
+                     or wrote outside its window"
+                );
+                assert!(b_blk.as_slice().iter().all(|v| v.is_finite()));
             }
         }
     }
@@ -939,11 +906,9 @@ fn unit_basis_batch(side: Side, n: usize, first: usize, step: usize) -> (Vec<usi
 
 #[test]
 fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
-    let backend = Packed;
     let solve = |side, uplo, t: &Matrix, b: &Matrix, observe_zeros| {
         let mut x = b.clone();
         trsm_window(
-            &backend,
             Arm::detect(),
             side,
             uplo,
@@ -1055,7 +1020,7 @@ proptest! {
         let (rows, cols) = (3..3 + m, 5..5 + n);
         let nan_parent = || Matrix::from_fn(m + 7, n + 6, |_, _| f64::NAN);
         let mut dense = Matrix::zeros(m, n);
-        gemm_with(&Packed, 1.0, a_op, b_op, 0.0, &mut dense).unwrap();
+        gemm(1.0, a_op, b_op, 0.0, &mut dense).unwrap();
         let mut want = nan_parent();
         want.set_block(rows.start, cols.start, &dense).unwrap();
 
@@ -1063,7 +1028,7 @@ proptest! {
         let mut serial = nan_parent();
         let window = MatMut::from(&mut serial).window(rows.clone(), cols.clone());
         with_thread_cap(1, || {
-            staircase_with(Arm::detect(), a_op, b_op, stairs, window).unwrap();
+            engine(Arm::detect(), 1.0, a_op, b_op, 0.0, stairs, window).unwrap();
         });
         prop_assert!(
             bits(&serial) == bits(&want),
@@ -1108,24 +1073,22 @@ fn blocked_lu_matches_unblocked_permutation_and_reconstructs() {
     for n in [10, 64, 97] {
         let a = random_matrix(n, n, 21 + n as u64);
         let unblocked = lu_decompose(&a).unwrap();
-        for backend in [&Naive as &dyn GemmBackend, &Packed] {
-            let f = lu_blocked(&a, 16, backend, Arm::detect()).unwrap();
-            assert_eq!(f.perm, unblocked.perm, "pivot choices must agree at n={n}");
-            let pa = f.perm.apply_rows(&a);
-            assert!(f.reconstruct().approx_eq(&pa, 1e-8), "PA != LU at n={n}");
-            assert!(f.lu.approx_eq(&unblocked.lu, 1e-8));
-        }
+        let f = lu_blocked(&a, 16, Arm::detect()).unwrap();
+        assert_eq!(f.perm, unblocked.perm, "pivot choices must agree at n={n}");
+        let pa = f.perm.apply_rows(&a);
+        assert!(f.reconstruct().approx_eq(&pa, 1e-8), "PA != LU at n={n}");
+        assert!(f.lu.approx_eq(&unblocked.lu, 1e-8));
     }
 }
 
 #[test]
 fn one_full_width_panel_is_the_unblocked_decomposition_bitwise() {
     use crate::lu::lu_decompose;
-    // Below 128 `lu_decompose` is a single panel; the backend never runs.
+    // Below 128 `lu_decompose` is a single panel; no trailing GEMM runs.
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for n in [1, 2, 7, 33, 64, 127] {
         let a = random_matrix(n, n, 40 + n as u64);
-        let one_panel = lu_blocked(&a, n, &Packed, Arm::detect()).unwrap();
+        let one_panel = lu_blocked(&a, n, Arm::detect()).unwrap();
         let unblocked = lu_decompose(&a).unwrap();
         assert_eq!(one_panel.perm, unblocked.perm, "n={n}");
         assert_eq!(bits(&one_panel.lu), bits(&unblocked.lu), "n={n}");
@@ -1136,12 +1099,12 @@ fn one_full_width_panel_is_the_unblocked_decomposition_bitwise() {
 fn blocked_lu_detects_singularity_and_bad_nb() {
     let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
     assert!(matches!(
-        lu_blocked(&a, 2, &Naive, Arm::detect()),
+        lu_blocked(&a, 2, Arm::detect()),
         Err(MatrixError::Singular { .. })
     ));
     let b = random_matrix(4, 4, 22);
     assert!(matches!(
-        lu_blocked(&b, 0, &Naive, Arm::detect()),
+        lu_blocked(&b, 0, Arm::detect()),
         Err(MatrixError::InvalidParameter { .. })
     ));
 }

@@ -19,7 +19,8 @@
 //! first diagonal block, clear its coupling to the second with one GEMM on
 //! in-place windows of `T` and `B`, and solve the second — recursively, so
 //! the leaf share of the flops is `LEAF / n` and everything else runs in
-//! the backend's GEMM. No block of `T` or `B` is ever copied.
+//! the packed engine, on the leaves' arm. No block of `T` or `B` is ever
+//! copied.
 //!
 //! **Observed zeros.** A vector whose leading entries (trailing, for the
 //! backward solves) are exactly `+0.0` has exactly-`+0.0` solution entries
@@ -36,11 +37,8 @@
 
 use std::ops::Range;
 
-use super::packed::{Arm, Fused, MC};
-use super::{
-    gemm_window, notrans, Diag, GemmBackend, MatMut, MatRef, MatrixError, Result, Side, Uplo,
-    K_PANEL, PACKED,
-};
+use super::packed::{Arm, Fused, Stairs, MC};
+use super::{engine, notrans, Diag, MatMut, MatRef, MatrixError, Result, Side, Uplo, K_PANEL};
 use crate::dense::Matrix;
 
 /// Largest order the unblocked leaf takes.
@@ -88,19 +86,6 @@ pub fn trsm(
     t: &Matrix,
     b: &mut Matrix,
 ) -> Result<()> {
-    trsm_with(PACKED, side, uplo, diag, alpha, t, b)
-}
-
-/// [`trsm`] with the coupling updates through an explicit backend.
-pub fn trsm_with(
-    backend: &dyn GemmBackend,
-    side: Side,
-    uplo: Uplo,
-    diag: Diag,
-    alpha: f64,
-    t: &Matrix,
-    b: &mut Matrix,
-) -> Result<()> {
     check_trsm(side, t, b)?;
     check_diag(t, diag)?;
     if alpha != 1.0 {
@@ -108,17 +93,17 @@ pub fn trsm_with(
             *v *= alpha;
         }
     }
-    let arm = Arm::detect();
-    trsm_window(backend, arm, side, uplo, diag, true, t.into(), b.into())
+    trsm_window(Arm::detect(), side, uplo, diag, true, t.into(), b.into())?;
+    Ok(())
 }
 
-/// [`trsm_with`] on in-place windows, `alpha = 1`, shapes and diagonal
-/// already validated by the caller, the leaves on microkernel arm `arm`.
-/// `observe_zeros = false` runs every coupling GEMM over all vectors — the
-/// reference the bit-neutrality test compares the restriction against.
-#[allow(clippy::too_many_arguments)]
+/// [`trsm`] on in-place windows, `alpha = 1`, shapes and diagonal
+/// already validated by the caller, the leaves and the coupling GEMMs on
+/// microkernel arm `arm`. Returns the multiply-adds the coupling GEMMs
+/// ran. `observe_zeros = false` runs every coupling GEMM over all vectors
+/// — the reference the bit-neutrality test compares the restriction
+/// against.
 pub(crate) fn trsm_window(
-    backend: &dyn GemmBackend,
     arm: Arm,
     side: Side,
     uplo: Uplo,
@@ -126,9 +111,8 @@ pub(crate) fn trsm_window(
     observe_zeros: bool,
     t: MatRef<'_>,
     b: MatMut<'_>,
-) -> Result<()> {
+) -> Result<u64> {
     let solve = Solve {
-        backend,
         arm,
         side,
         forward: matches!(
@@ -149,8 +133,7 @@ pub(crate) fn trsm_window(
 const NEVER: usize = usize::MAX;
 
 /// One triangular solve: the fixed parameters of the recursion.
-struct Solve<'s> {
-    backend: &'s dyn GemmBackend,
+struct Solve {
     arm: Arm,
     side: Side,
     /// The solve starts at index 0 (lower-left, upper-right) rather than
@@ -160,20 +143,20 @@ struct Solve<'s> {
     observe_zeros: bool,
 }
 
-impl Solve<'_> {
+impl Solve {
     /// Solves `t`'s system against `b` in place. `t` is a diagonal block of
     /// the whole triangle, `solved` indices of which were solved before it;
     /// `first_live[v]` is the position in solve order (0 = solved first) of
     /// vector `v`'s first entry that was not `+0.0` when its leaf reached
     /// it, or [`NEVER`] — written by the leaves, read to narrow the
-    /// coupling GEMMs.
+    /// coupling GEMMs. Returns the multiply-adds those GEMMs ran.
     fn run(
         &self,
         t: MatRef<'_>,
         mut b: MatMut<'_>,
         solved: usize,
         first_live: &mut [usize],
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let n = t.rows();
         if n <= LEAF {
             let (forward, unit) = (self.forward, self.unit);
@@ -191,7 +174,7 @@ impl Solve<'_> {
                     *seen = solved + local;
                 }
             }
-            return Ok(());
+            return Ok(0);
         }
         // The first block: a leaf multiple near the middle, so leaves stay
         // full and the coupling GEMMs deep, but never more than one packed
@@ -213,7 +196,7 @@ impl Solve<'_> {
             (high, low)
         };
 
-        self.run(
+        let mut madds = self.run(
             t.window(first.clone(), first.clone()),
             b_first.reborrow(),
             solved,
@@ -229,31 +212,34 @@ impl Solve<'_> {
             // only, and over the part `k` of the first block's extent
             // where they can be nonzero.
             let m = second.len();
-            match self.side {
-                Side::Left => gemm_window(
-                    self.backend,
+            madds += match self.side {
+                Side::Left => engine(
+                    self.arm,
                     -1.0,
                     notrans(coupling).window(0..m, k.clone()),
                     notrans(b_first.as_ref()).window(k, vectors.clone()),
                     1.0,
+                    Stairs::DENSE,
                     b_second.reborrow().window(0..m, vectors),
                 )?,
-                Side::Right => gemm_window(
-                    self.backend,
+                Side::Right => engine(
+                    self.arm,
                     -1.0,
                     notrans(b_first.as_ref()).window(vectors.clone(), k.clone()),
                     notrans(coupling).window(k, 0..m),
                     1.0,
+                    Stairs::DENSE,
                     b_second.reborrow().window(vectors, 0..m),
                 )?,
-            }
+            };
         }
-        self.run(
+        madds += self.run(
             t.window(second.clone(), second),
             b_second,
             solved + len,
             first_live,
-        )
+        )?;
+        Ok(madds)
     }
 
     /// The coupling updates a first block of extent `len` owes the rest of

@@ -47,7 +47,7 @@ unsafe impl Sync for MatRef<'_> {}
 ///
 /// Invariant: as for [`MatRef`], and additionally no other live window or
 /// reference reaches any of this window's elements for the lifetime `'a`.
-pub struct MatMut<'a> {
+pub(crate) struct MatMut<'a> {
     ptr: *mut f64,
     rows: usize,
     cols: usize,
@@ -137,13 +137,13 @@ impl<'a> From<&'a mut Matrix> for MatMut<'a> {
 impl<'a> MatMut<'a> {
     /// Row count.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Column count.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -237,7 +237,7 @@ impl<'a> MatMut<'a> {
 
     /// Row `i` of the window, writable.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row {i} out of {} window rows", self.rows);
         // SAFETY: i < rows, so by the type invariant the `cols` elements at
         // ptr + i*stride are inside a live allocation that only this window

@@ -6,9 +6,9 @@
 //! rayon pool are process-global, and this is the only way to control
 //! the environment they are initialized from.
 
-use mrinv_matrix::kernel::{gemm_with, notrans, perf, Packed};
+use mrinv_matrix::kernel::{gemm, notrans, perf};
 use mrinv_matrix::random::random_matrix;
-use mrinv_matrix::Matrix;
+use mrinv_matrix::{gemm_flops, Matrix};
 
 #[test]
 fn packed_path_counters_label_fallback_vs_parallel() {
@@ -26,7 +26,7 @@ fn packed_path_counters_label_fallback_vs_parallel() {
         let a = random_matrix(n, n, 40);
         let b = random_matrix(n, n, 41);
         let mut c = Matrix::zeros(n, n);
-        gemm_with(&Packed, 1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
+        gemm(1.0, notrans(&a), notrans(&b), 0.0, &mut c).unwrap();
     };
     // 64³ = 262144 multiply-adds: below the default crossover → fallback.
     run(64);
@@ -34,8 +34,13 @@ fn packed_path_counters_label_fallback_vs_parallel() {
     run(160);
     perf::set_enabled(false);
 
-    let snap = perf::snapshot();
-    let packed = snap.iter().find(|p| p.backend == "packed").unwrap();
+    let packed = perf::snapshot().unwrap();
+    assert_eq!(packed.calls, 2, "one recorded call per product");
+    assert_eq!(
+        packed.flops,
+        gemm_flops(64, 64, 64) + gemm_flops(160, 160, 160),
+        "the engine credits two flops per multiply-add it runs"
+    );
     assert_eq!(
         packed.par_calls + packed.fallback_calls,
         2,

@@ -4,7 +4,7 @@ use mrinv_matrix::block::{even_ranges, BlockRange};
 use mrinv_matrix::io::{
     decode_binary, decode_text, encode_binary, encode_binary_vec, encode_text, write_text,
 };
-use mrinv_matrix::kernel::{gemm_with, trsm_with, Diag, Op, Packed, Side, Uplo};
+use mrinv_matrix::kernel::{gemm, trsm, Diag, Op, Side, Uplo};
 use mrinv_matrix::lu::lu_decompose;
 use mrinv_matrix::norms::inversion_residual;
 use mrinv_matrix::random::{random_matrix, random_well_conditioned};
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 #[path = "support/naive.rs"]
 mod naive;
-use naive::Naive;
+use naive::naive_gemm;
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim, any::<u64>()).prop_map(|(r, c, seed)| random_matrix(r, c, seed))
@@ -217,7 +217,7 @@ proptest! {
         let op = |t: bool| if t { Op::Trans } else { Op::NoTrans };
 
         let mut reference = c0.clone();
-        gemm_with(&Naive, alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut reference).unwrap();
+        naive_gemm(alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut reference);
 
         // Forward-error bound: each element is a length-k dot (error
         // ~ k·eps per unit of summed magnitude) plus the scaled original.
@@ -226,7 +226,7 @@ proptest! {
             * (alpha.abs() * k as f64 + beta.abs() + 1.0);
 
         let mut c = c0.clone();
-        gemm_with(&Packed, alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut c).unwrap();
+        gemm(alpha, op(ta).of(&a), op(tb).of(&b), beta, &mut c).unwrap();
         for (got, want) in c.as_slice().iter().zip(reference.as_slice()) {
             prop_assert!(
                 (got - want).abs() <= tol,
@@ -267,7 +267,7 @@ proptest! {
         let diag = if unit { Diag::Unit } else { Diag::NonUnit };
 
         let mut x = b.clone();
-        trsm_with(&Packed, side, uplo, diag, alpha, &t, &mut x).unwrap();
+        trsm(side, uplo, diag, alpha, &t, &mut x).unwrap();
 
         // The residual `alpha·B − T·X`, formed by the reference GEMM:
         // independent of the leaf and the recursion it checks.
@@ -282,8 +282,7 @@ proptest! {
             *v *= alpha;
         }
         let (lhs, rhs) = if left { (&t_eff, &x) } else { (&x, &t_eff) };
-        gemm_with(&Naive, -1.0, Op::NoTrans.of(lhs), Op::NoTrans.of(rhs), 1.0, &mut residual)
-            .unwrap();
+        naive_gemm(-1.0, Op::NoTrans.of(lhs), Op::NoTrans.of(rhs), 1.0, &mut residual);
         let tol = 1e-11 * (n as f64) * (alpha.abs() + 1.0);
         let worst = residual.as_slice().iter().fold(0.0_f64, |m, v| m.max(v.abs()));
         prop_assert!(

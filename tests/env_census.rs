@@ -146,7 +146,7 @@ const NO_OUTSIDE_CALLER: [&str; 9] = [
     "mapreduce::scheduler::PlannedAttempt: element type of the public field WavePlan::attempts",
     "mapreduce::tracelog::WaveAnalytics: element type of the public field PipelineAnalytics::waves",
     "matrix::block::Quadrants: return type of Matrix::split_quadrants",
-    "matrix::kernel::perf::BackendPerf: element type perf::snapshot returns",
+    "matrix::kernel::perf::KernelPerf: the type perf::snapshot returns, in an Option",
 ];
 
 /// `crates/core/src/lu_mr.rs` -> `core::lu_mr`, `.../kernel/mod.rs` ->
