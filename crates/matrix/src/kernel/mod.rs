@@ -15,12 +15,15 @@
 //!   each microtile at its first possibly nonzero term, with [`gemm`]'s
 //!   bits;
 //! * [`trsm`] — `B := alpha * T^-1 * B` (left) or `alpha * B * T^-1`
-//!   (right) for triangular `T`, all [`Side`]/[`Uplo`]/[`Diag`] cases;
+//!   (right) for triangular `T`, all [`Side`]/[`Uplo`]/[`Diag`] cases,
+//!   with one coupling GEMM per recursion level that runs each
+//!   right-hand-side vector only over the terms where it can be nonzero;
 //! * `lu_decompose_in_place` — right-looking blocked LU whose row panels
 //!   and trailing updates are [`trsm`] and GEMM on the same engine.
 //!
 //! All four run on one engine, through one private entry point: panels of
-//! `A` and `B` are packed into contiguous, register-block-sized buffers,
+//! `A` and `B` are packed into contiguous, register-block-sized buffers
+//! (by 4 x 4 transposes in registers where the stored rows run along `k`),
 //! the MC/KC/NC loop nest keeps them L1/L2-resident, an MR×NR
 //! register-tiled microkernel does the flops, and rayon parallelizes over
 //! macro-tile rows. The microkernel, the trsm leaves and the LU leaf share
@@ -48,7 +51,7 @@ use crate::error::{MatrixError, Result};
 
 pub(crate) use lu::lu_decompose_in_place;
 pub use packed::K_PANEL;
-use packed::{Arm, Stairs};
+use packed::{Arm, Stairs, Steps};
 pub use trsm::trsm;
 pub(crate) use window::MatMut;
 pub use window::MatRef;
@@ -115,6 +118,7 @@ impl<'a> OpRef<'a> {
     ///
     /// # Panics
     /// If either range is reversed or exceeds the operand.
+    #[cfg(test)]
     pub(crate) fn window(self, rows: Range<usize>, cols: Range<usize>) -> OpRef<'a> {
         let win = match self.op {
             Op::NoTrans => self.win.window(rows, cols),
@@ -252,8 +256,8 @@ pub fn gemm_staircase(
     c: &mut Matrix,
 ) -> Result<()> {
     let stairs = Stairs {
-        a_row0,
-        b_col0,
+        a: Steps::From(a_row0),
+        b: Steps::From(b_col0),
         origin,
     };
     engine(Arm::detect(), 1.0, a, b, 0.0, stairs, c.into())?;

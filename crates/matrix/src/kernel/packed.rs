@@ -13,10 +13,12 @@
 //!
 //! Packing rewrites both operands so the microkernel reads two contiguous
 //! streams (`MR` A-values and `NR` B-values per k-step) regardless of the
-//! original layout or transposition — the transposed operand costs one
-//! strided pass during packing, `O(m·k)`, instead of a strided access in
-//! the `O(m·k·n)` inner loop. Edge tiles are zero-padded in the packed
-//! buffers, so the microkernel never branches on ragged shapes.
+//! original layout or transposition. An operand whose stored rows run
+//! along `k` (`A` as stored, `B` transposed) is turned k-major by 4 x 4
+//! transposes in registers on the wide arms, `O(m·k)` during packing
+//! instead of a strided access in the `O(m·k·n)` inner loop; the packers
+//! run through [`Arm::run`] like the leaves. Edge tiles are zero-padded in
+//! the packed buffers, so the microkernel never branches on ragged shapes.
 //!
 //! The microkernel keeps an `MR x NR = 4 x 16` f64 accumulator block and
 //! updates every element by one fused multiply-add per k-step,
@@ -50,13 +52,17 @@
 //! the same order from the same microkernel loop, so the two nests are
 //! **bitwise identical**, at any thread count or item distribution.
 //!
-//! A staircase product ([`Stairs`]) packs, per K panel, only the rows of
-//! `op(A)` and columns of `op(B)` that can be nonzero there, from the
-//! first term one can, and starts each microtile at its own. Each term so
-//! skipped is an exact `±0.0` product (for finite operands) at the head
-//! of a panel sum that starts at `+0.0`, where it would have left the sum
-//! at `+0.0`, and no panel boundary moves: the result is the dense
-//! product's, bit for bit.
+//! A product with [`Stairs`] — a staircase, or `trsm`'s right-hand-side
+//! vectors with the terms where each can be nonzero — packs each panel of
+//! `op(A)` rows and `op(B)` columns only over the terms of its K panel
+//! where one of its rows (columns) can be nonzero, and runs each
+//! microtile only over the terms where both its rows and its columns can.
+//! Each term so skipped is an exact `±0.0` product (for finite operands)
+//! at the head or tail of a panel sum that starts at `+0.0`: the sum never
+//! reaches `-0.0`, so such a term leaves it as it is. No panel boundary
+//! moves, so the result is the dense product's, bit for bit. A microtile
+//! left with no term (only trsm's vectors, whose updates have `alpha =
+//! -1`) is skipped: adding its `-0.0` would leave `C` as it is.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -76,8 +82,8 @@ pub(super) const MC: usize = 64;
 const KC: usize = 256;
 /// `KC` for callers: the k-extent over which the packed engine sums one
 /// partial product before adding it to `C`. A caller that knows its
-/// operands are structurally zero over leading whole panels can window
-/// them away (`super::OpRef::window`) from a multiple of this without
+/// operands are structurally zero over leading whole panels can drop them
+/// from a multiple of this ([`super::gemm_staircase`]'s `origin`) without
 /// changing a bit of the result: the remaining terms keep their grouping.
 pub const K_PANEL: usize = KC;
 /// Macro-block columns: outermost B panel width.
@@ -167,6 +173,59 @@ impl Arm {
             Arm::Avx512 => unsafe { micro_avx512(ap, bp) },
             _ => micro_portable(ap, bp),
         }
+    }
+}
+
+impl Arm {
+    /// Writes the 4 x 4 block `src` transposed, its column `q` to
+    /// `dst[q * stride..][..4]`: four loads, four stores and the shuffles
+    /// between them, in registers on the wide arms.
+    ///
+    /// The arm must be [`available`](Self::available) on this host.
+    #[inline(always)]
+    fn transpose4(self, src: [&[f64; 4]; 4], dst: &mut [f64], stride: usize) {
+        let dst = &mut dst[..3 * stride + 4];
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as for `micro`, the arm is one `available()`
+            // confirmed (`run_packed` asserts it), so the CPU has AVX, the
+            // feature `transpose4_avx` is compiled for.
+            Arm::Avx2Fma | Arm::Avx512 => unsafe { transpose4_avx(src, dst, stride) },
+            _ => {
+                for q in 0..4 {
+                    for (r, row) in src.iter().enumerate() {
+                        dst[q * stride + r] = row[q];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`Arm::transpose4`] on YMM registers: two rounds of shuffles, within
+/// 128-bit lanes and then across them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn transpose4_avx(src: [&[f64; 4]; 4], dst: &mut [f64], stride: usize) {
+    use std::arch::x86_64::{_mm256_loadu_pd, _mm256_permute2f128_pd, _mm256_storeu_pd};
+    use std::arch::x86_64::{_mm256_unpackhi_pd, _mm256_unpacklo_pd};
+
+    // SAFETY: each row of `src` holds 4 f64s (unaligned loads need no
+    // alignment).
+    let [r0, r1, r2, r3] = src.map(|row| unsafe { _mm256_loadu_pd(row.as_ptr()) });
+    // [a0 b0 a2 b2], [a1 b1 a3 b3], and the same of rows 2 and 3.
+    let (t0, t1) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+    let (t2, t3) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+    let columns = [
+        _mm256_permute2f128_pd::<0x20>(t0, t2),
+        _mm256_permute2f128_pd::<0x20>(t1, t3),
+        _mm256_permute2f128_pd::<0x31>(t0, t2),
+        _mm256_permute2f128_pd::<0x31>(t1, t3),
+    ];
+    for (q, column) in columns.into_iter().enumerate() {
+        let out = &mut dst[q * stride..q * stride + 4];
+        // SAFETY: `out` holds 4 f64s.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), column) };
     }
 }
 
@@ -284,130 +343,180 @@ fn micro_avx512(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
     out
 }
 
-/// Packs the `mc x kc` block of `op(A)` with top-left logical corner
-/// `(ic, pc)` into MR-row panels: panel `r` holds logical rows
-/// `ic + r*MR ..`, laid out k-major (`kc` groups of MR values). Rows past
-/// `mc` are zero-padded.
-fn pack_a(a: OpRef<'_>, ic: usize, mc: usize, pc: usize, kc: usize, buf: &mut [f64]) {
-    debug_assert_eq!(buf.len(), mc.div_ceil(MR) * MR * kc);
-    for (panel, chunk) in buf.chunks_exact_mut(MR * kc).enumerate() {
-        let r0 = ic + panel * MR;
-        let live = MR.min(ic + mc - r0);
-        match a.op() {
-            Op::NoTrans => {
-                // Rows of the stored window stream; writes stride by MR.
+/// One operand's panels, packed k-major for the microkernel: the
+/// `W`-wide panels (`MR` rows of `op(A)`, or `NR` columns of `op(B)`) of
+/// the logical `len x kc` or `kc x len` block at `(at, pc)`, each over the
+/// terms its `span` gives (of `0..kc`), zero-padded past `len`. Panel `r`
+/// holds indices `at + r*W ..` in `buf[r*W*kc..]`, term `p` at `p*W`. As
+/// one loop for [`Arm::run`], which returns the elements written.
+struct Pack<'a, S, const W: usize> {
+    arm: Arm,
+    op: OpRef<'a>,
+    at: usize,
+    len: usize,
+    pc: usize,
+    kc: usize,
+    span: S,
+    buf: &'a mut [f64],
+}
+
+impl<S: Fn(Range<usize>) -> Range<usize>, const W: usize> Fused for Pack<'_, S, W> {
+    type Out = usize;
+
+    #[inline(always)]
+    fn run(self) -> usize {
+        let Pack {
+            arm,
+            op,
+            at,
+            len,
+            pc,
+            kc,
+            span,
+            buf,
+        } = self;
+        // Stored rows hold the panel's indices (NoTrans A, Trans B) or its
+        // terms (Trans A, NoTrans B).
+        let across = (W == MR) == (op.op() == Op::NoTrans);
+        let mut written = 0;
+        for (panel, chunk) in buf.chunks_exact_mut(W * kc).enumerate() {
+            let i0 = at + panel * W;
+            let live = W.min(at + len - i0);
+            let s = span(i0..i0 + live);
+            if across {
+                // Index r's terms are stored row r: whole quartets of rows
+                // and terms by in-register transposes, the rest one by one.
+                let src = |r: usize| &op.stored_row(i0 + r)[pc..pc + kc];
+                let (rows, terms) = (live / 4 * 4, s.start + s.len() / 4 * 4);
+                for r0 in (0..rows).step_by(4) {
+                    let four = [src(r0), src(r0 + 1), src(r0 + 2), src(r0 + 3)];
+                    for p in (s.start..terms).step_by(4) {
+                        let at = |r: usize| four[r][p..p + 4].try_into().expect("four terms");
+                        arm.transpose4([at(0), at(1), at(2), at(3)], &mut chunk[p * W + r0..], W);
+                    }
+                }
                 for r in 0..live {
-                    let row = &a.stored_row(r0 + r)[pc..pc + kc];
-                    for (p, &v) in row.iter().enumerate() {
-                        chunk[p * MR + r] = v;
+                    let rest = if r < rows { terms..s.end } else { s.clone() };
+                    for p in rest {
+                        chunk[p * W + r] = src(r)[p];
+                    }
+                }
+            } else {
+                // Term p's indices are stored row p: copy it.
+                for p in s.clone() {
+                    let row = &op.stored_row(pc + p)[i0..i0 + live];
+                    match <&[f64; W]>::try_from(row) {
+                        Ok(whole) => chunk[p * W..(p + 1) * W].copy_from_slice(whole),
+                        Err(_) => chunk[p * W..p * W + live].copy_from_slice(row),
                     }
                 }
             }
-            Op::Trans => {
-                // Logical row r is stored column r: for each stored row p,
-                // both the read (row[r0..]) and the write (p*MR..) are
-                // contiguous.
-                for p in 0..kc {
-                    let row = &a.stored_row(pc + p)[r0..r0 + live];
-                    chunk[p * MR..p * MR + live].copy_from_slice(row);
+            if live < W {
+                for p in s.clone() {
+                    chunk[p * W + live..(p + 1) * W].fill(0.0);
                 }
             }
+            written += W * s.len();
         }
-        for group in chunk.chunks_exact_mut(MR) {
-            group[live..].fill(0.0);
-        }
+        written
     }
 }
 
-/// Packs the `kc x nc` block of `op(B)` with top-left logical corner
-/// `(pc, jc)` into NR-column panels, k-major (`kc` groups of NR values).
-/// Columns past `nc` are zero-padded.
-fn pack_b(b: OpRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut [f64]) {
-    debug_assert_eq!(buf.len(), nc.div_ceil(NR) * NR * kc);
-    for (panel, chunk) in buf.chunks_exact_mut(NR * kc).enumerate() {
-        let j0 = jc + panel * NR;
-        let live = NR.min(jc + nc - j0);
-        match b.op() {
-            Op::NoTrans => {
-                for p in 0..kc {
-                    let row = &b.stored_row(pc + p)[j0..j0 + live];
-                    chunk[p * NR..p * NR + live].copy_from_slice(row);
-                }
-            }
-            Op::Trans => {
-                // Logical column j is stored row j: stream it, scattering
-                // with stride NR.
-                for j in 0..live {
-                    let row = &b.stored_row(j0 + j)[pc..pc + kc];
-                    for (p, &v) in row.iter().enumerate() {
-                        chunk[p * NR + j] = v;
-                    }
-                }
-            }
-        }
-        for group in chunk.chunks_exact_mut(NR) {
-            group[live..].fill(0.0);
-        }
-    }
-}
-
-/// The steps of a staircase product's operands, as
-/// [`super::gemm_staircase`] takes them: row `i` of `op(A)` is zero before
-/// term `a_row0 + i`, column `j` of `op(B)` before term `b_col0 + j`, and
-/// the window starts at term `origin`.
+/// Where the rows of `op(A)`, or the columns of `op(B)`, can be nonzero
+/// along the product's terms. Term `p` of a `k`-term window stands for
+/// index `origin + p` of the whole product ([`Stairs::origin`]).
 #[derive(Debug, Clone, Copy)]
-pub(super) struct Stairs {
-    pub(super) a_row0: usize,
-    pub(super) b_col0: usize,
+pub(super) enum Steps<'a> {
+    /// Every index can be nonzero on every term.
+    All,
+    /// Index `i` is zero before index `row0 + i`: a staircase.
+    From(usize),
+    /// Index `i` is zero before index `first[i]` (throughout at
+    /// `usize::MAX`): a forward solve's right-hand-side vectors.
+    Head(&'a [usize]),
+    /// Index `i` is zero from window term `origin + k - first[i]` on: a
+    /// backward solve's vectors, whose window runs against solve order
+    /// (term `p` is solve step `origin + k - 1 - p`).
+    Tail(&'a [usize]),
+}
+
+impl Steps<'_> {
+    /// The terms of a `k`-term window on which some index of `idx` (not
+    /// empty) can be nonzero.
+    #[inline]
+    fn span(self, idx: Range<usize>, origin: usize, k: usize) -> Range<usize> {
+        let head = |first: usize| first.saturating_sub(origin).min(k);
+        match self {
+            Steps::All => 0..k,
+            Steps::From(row0) => head(row0 + idx.start)..k,
+            Steps::Head(first) => first[idx].iter().map(|&f| head(f)).min().unwrap_or(k)..k,
+            Steps::Tail(first) => 0..first[idx].iter().map(|&f| k - head(f)).max().unwrap_or(0),
+        }
+    }
+
+    /// How many leading indices can be nonzero before window term `end`.
+    fn live(self, origin: usize, end: usize) -> usize {
+        match self {
+            Steps::From(row0) => origin.saturating_add(end).saturating_sub(row0),
+            Steps::All | Steps::Head(_) | Steps::Tail(_) => usize::MAX,
+        }
+    }
+}
+
+/// The terms on which each row of `op(A)` and each column of `op(B)` can
+/// be nonzero, as [`super::gemm_staircase`] and `trsm`'s coupling updates
+/// know them: the window's term `p` is index `origin + p`.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Stairs<'a> {
+    pub(super) a: Steps<'a>,
+    pub(super) b: Steps<'a>,
     pub(super) origin: usize,
 }
 
-impl Stairs {
-    /// A dense product: every step lies before the origin.
-    pub(super) const DENSE: Stairs = Stairs {
-        a_row0: 0,
-        b_col0: 0,
-        origin: usize::MAX,
+impl Stairs<'static> {
+    /// A dense product.
+    pub(super) const DENSE: Stairs<'static> = Stairs {
+        a: Steps::All,
+        b: Steps::All,
+        origin: 0,
     };
-
-    /// The first term of K panel `pc` that element `(i, j)` and every
-    /// element below or right of it can have nonzero.
-    fn first(self, i: usize, j: usize, pc: usize) -> usize {
-        (self.a_row0 + i)
-            .max(self.b_col0 + j)
-            .saturating_sub(self.origin.saturating_add(pc))
-    }
-
-    /// How many leading rows (or columns) stepping from `step0` can be live before `end`.
-    fn live(self, step0: usize, end: usize) -> usize {
-        self.origin.saturating_add(end).saturating_sub(step0)
-    }
 }
 
 /// Runs the two inner register-tile loops for one packed (A block, B panel)
 /// pair, adding `alpha * acc` into `c`, the `mc x nc` window of C the pair
-/// covers, each microtile from term `first(i0, j0)` of its first row and
-/// column in `c`. Returns the multiply-adds run on elements of `c`.
+/// covers, each microtile over the terms where both its rows (`a_span`)
+/// and its columns (`b_span`, indices local to `c`) can be nonzero.
+/// Returns the multiply-adds run on elements of `c`.
 fn macro_kernel(
     arm: Arm,
     abuf: &[f64],
     bbuf: &[f64],
-    kc: usize,
     alpha: f64,
-    first: impl Fn(usize, usize) -> usize,
+    a_span: impl Fn(Range<usize>) -> Range<usize>,
+    b_span: impl Fn(Range<usize>) -> Range<usize>,
     c: &mut MatMut<'_>,
 ) -> u64 {
     let (mc, nc) = (c.rows(), c.cols());
+    let kc = abuf.len() / (mc.div_ceil(MR) * MR);
+    let mut a_spans = [const { 0..0 }; MC / MR];
+    for (apanel, s) in a_spans.iter_mut().take(mc.div_ceil(MR)).enumerate() {
+        let i0 = apanel * MR;
+        *s = a_span(i0..i0 + MR.min(mc - i0));
+    }
     let mut madds = 0;
     for (bpanel, bchunk) in bbuf.chunks_exact(NR * kc).enumerate() {
         let j0 = bpanel * NR;
         let jw = NR.min(nc - j0);
-        for (apanel, achunk) in abuf.chunks_exact(MR * kc).enumerate() {
+        let bs = b_span(j0..j0 + jw);
+        for ((apanel, achunk), s) in abuf.chunks_exact(MR * kc).enumerate().zip(&a_spans) {
             let i0 = apanel * MR;
             let iw = MR.min(mc - i0);
-            let p0 = first(i0, j0);
-            let acc = arm.micro(&achunk[p0 * MR..], &bchunk[p0 * NR..]);
-            madds += (iw * jw * (kc - p0)) as u64;
+            let (p0, p1) = (s.start.max(bs.start), s.end.min(bs.end));
+            if p0 >= p1 {
+                continue;
+            }
+            let acc = arm.micro(&achunk[p0 * MR..p1 * MR], &bchunk[p0 * NR..p1 * NR]);
+            madds += (iw * jw * (p1 - p0)) as u64;
             for (r, accr) in acc.iter().enumerate().take(iw) {
                 let crow = &mut c.row_mut(i0 + r)[j0..j0 + jw];
                 for (cv, av) in crow.iter_mut().zip(accr) {
@@ -474,32 +583,64 @@ pub(super) fn run_packed(
     }
     // One buffer per operand per call, not kept (that would raise resident
     // memory); the parallel nest packs A into its per-thread `ABUF`. A short
-    // buffer is swapped for a zeroed one: packing writes every slot it reads.
+    // buffer is swapped for a zeroed one; the microkernel reads only the
+    // slots packing wrote.
     let (mut bbuf, mut abuf) = (Vec::new(), Vec::new());
     // Kernel perf counters want the packing/microkernel time split;
     // resolve the gate once so disabled runs never read a clock.
     let perf_on = super::perf::is_enabled();
     let mut madds = 0;
 
+    let origin = stairs.origin;
     for jc in (0..n).step_by(NC) {
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            let mr = m.min(stairs.live(stairs.a_row0, pc + kc));
-            let nc = NC.min(n - jc).min(stairs.live(stairs.b_col0 + jc, pc + kc));
+            let mr = m.min(stairs.a.live(origin, pc + kc));
+            let nc = NC
+                .min(n - jc)
+                .min(stairs.b.live(origin, pc + kc).saturating_sub(jc));
             if mr == 0 || nc == 0 {
                 continue;
             }
-            // No live element has a nonzero term before `pc + skip`.
-            let skip = stairs.first(0, jc, pc);
-            let (pc, kc) = (pc + skip, kc - skip);
+            // No live element has a nonzero term outside `pc..end`.
+            let (sa, sb) = (
+                stairs.a.span(0..mr, origin, k),
+                stairs.b.span(jc..jc + nc, origin, k),
+            );
+            let (pc, end) = (
+                sa.start.max(sb.start).max(pc),
+                sa.end.min(sb.end).min(pc + kc),
+            );
+            if pc >= end {
+                continue;
+            }
+            let kc = end - pc;
+            // The terms of this panel on which rows (columns) `idx` can be
+            // nonzero.
+            let clip = |s: Range<usize>| {
+                let lo = s.start.clamp(pc, end);
+                lo - pc..s.end.clamp(lo, end) - pc
+            };
+            let a_span = |idx| clip(stairs.a.span(idx, origin, k));
+            let b_span = |idx| clip(stairs.b.span(idx, origin, k));
+
             let blen = nc.div_ceil(NR) * NR * kc;
             if bbuf.len() < blen {
                 bbuf = vec![0.0; blen];
             }
             let tb = perf_on.then(std::time::Instant::now);
-            pack_b(b, pc, kc, jc, nc, &mut bbuf[..blen]);
+            let packed = arm.run(Pack::<_, NR> {
+                arm,
+                op: b,
+                at: jc,
+                len: nc,
+                pc,
+                kc,
+                span: b_span,
+                buf: &mut bbuf[..blen],
+            });
             if let Some(tb) = tb {
-                super::perf::record_pack(tb.elapsed(), blen);
+                super::perf::record_pack(tb.elapsed(), packed);
             }
             let bpanel = &bbuf[..blen];
 
@@ -511,14 +652,24 @@ pub(super) fn run_packed(
                     *abuf = vec![0.0; alen];
                 }
                 let ta = perf_on.then(std::time::Instant::now);
-                pack_a(a, ic, mc, pc, kc, &mut abuf[..alen]);
+                let packed = arm.run(Pack::<_, MR> {
+                    arm,
+                    op: a,
+                    at: ic,
+                    len: mc,
+                    pc,
+                    kc,
+                    span: a_span,
+                    buf: &mut abuf[..alen],
+                });
                 if let Some(ta) = ta {
-                    super::perf::record_pack(ta.elapsed(), alen);
+                    super::perf::record_pack(ta.elapsed(), packed);
                 }
                 let j0 = jc + panels.start * NR;
                 let b_sub = &bpanel[panels.start * NR * kc..panels.end * NR * kc];
-                let first = |i, j| stairs.first(ic + i, j0 + j, pc);
-                macro_kernel(arm, &abuf[..alen], b_sub, kc, alpha, first, &mut tile)
+                let tile_a = |r: Range<usize>| a_span(ic + r.start..ic + r.end);
+                let tile_b = |c: Range<usize>| b_span(j0 + c.start..j0 + c.end);
+                macro_kernel(arm, &abuf[..alen], b_sub, alpha, tile_a, tile_b, &mut tile)
             };
             let window = c.reborrow().window(0..mr, jc..jc + nc);
             let jr_panels = nc.div_ceil(NR);

@@ -6,7 +6,7 @@
 //! else runs when disabled — no `Instant::now`, no atomics. When enabled,
 //! the packed engine's one entry point times each call and credits the
 //! FLOPs it ran (`2·m·k·n` for a dense product), and the engine separately
-//! accumulates the nanoseconds its workers spend in `pack_a`/`pack_b` — so
+//! accumulates the nanoseconds its workers spend packing operands — so
 //! a [`snapshot`] exposes effective GFLOP/s and how much of the kernel's
 //! time went to data movement rather than the microkernel.
 //!
@@ -142,7 +142,7 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::packed::{Arm, Stairs};
+    use crate::kernel::packed::{Arm, Stairs, Steps};
     use crate::kernel::{engine, gemm_flops, notrans, trans};
     use crate::Matrix;
 
@@ -183,8 +183,10 @@ mod tests {
 
     /// The count behind the pipeline's triangular-inversion saving: on the
     /// n = 768 batch of 384 interleaved unit-basis columns, the coupling
-    /// GEMMs restricted to observed-live vectors do at most 0.4 of the
-    /// multiply-adds of the same solve run dense.
+    /// GEMMs over the terms where each vector can be nonzero do at most
+    /// 0.345 of the multiply-adds of the same solve run dense (0.339: each
+    /// vector tile starts at its first live term; 0.361 while runs of
+    /// vectors started at a leaf boundary).
     #[test]
     fn trsm_zero_observation_cuts_the_gemm_count() {
         use crate::kernel::trsm::trsm_window;
@@ -209,8 +211,12 @@ mod tests {
             .unwrap()
         };
         let (dense, observed) = (madds(false), madds(true));
+        println!(
+            "observed / dense multiply-adds: {}",
+            observed as f64 / dense as f64
+        );
         assert!(
-            observed as f64 <= 0.4 * dense as f64,
+            observed as f64 <= 0.345 * dense as f64,
             "observed-zero batch does {observed} GEMM multiply-adds, dense {dense}"
         );
     }
@@ -227,8 +233,8 @@ mod tests {
         let mut c = Matrix::zeros(n, n);
         let (a, b) = (notrans(&u), trans(&u));
         let stairs = Stairs {
-            a_row0: 0,
-            b_col0: 0,
+            a: Steps::From(0),
+            b: Steps::From(0),
             origin: 0,
         };
         let madds = engine(Arm::detect(), 1.0, a, b, 0.0, stairs, (&mut c).into()).unwrap();

@@ -1,5 +1,5 @@
 use super::lu::lu_blocked_in_place;
-use super::packed::{Arm, Stairs};
+use super::packed::{Arm, Stairs, Steps};
 use super::trsm::trsm_window;
 use super::*;
 use crate::block::BlockRange;
@@ -161,8 +161,16 @@ fn wide_arms() -> Vec<packed::Arm> {
 fn every_microkernel_arm_matches_the_portable_arm_bitwise() {
     let arms = wide_arms();
     // Ragged m and n pad both the MR-tall A panels and the NR-wide B
-    // panels; k = 300 spans two K panels.
-    for (m, k, n, seed) in [(67usize, 35usize, 41usize, 40u64), (70, 300, 37, 41)] {
+    // panels (last panels of 3 and 9, 2 and 5, 2 and 2, 1 and 7 live
+    // rows / columns); k = 300 and 258 span two K panels, and every kc
+    // but 256 and 300's 44 leaves terms past the packer's 4 x 4
+    // transposes (k = 3: none at all).
+    for (m, k, n, seed) in [
+        (67usize, 35usize, 41usize, 40u64),
+        (70, 300, 37, 41),
+        (66, 258, 18, 42),
+        (5, 3, 7, 43),
+    ] {
         let a = random_matrix(m, k, seed);
         let a_t = a.transpose();
         let b = random_matrix(k, n, seed + 100);
@@ -215,8 +223,8 @@ fn every_microkernel_arm_matches_the_portable_arm_bitwise() {
     let stairs = |arm: packed::Arm| {
         let mut c = Matrix::from_fn(m, n, |_, _| f64::NAN);
         let steps = Stairs {
-            a_row0: K_PANEL,
-            b_col0: K_PANEL,
+            a: Steps::From(K_PANEL),
+            b: Steps::From(K_PANEL),
             origin,
         };
         engine(arm, 1.0, a_op, b_op, 0.0, steps, (&mut c).into()).unwrap();
@@ -278,7 +286,8 @@ fn staggered_rhs(side: Side, forward: bool, n: usize, w: usize, seed: u64) -> Ma
 
 /// Both sides, both directions, unit and non-unit: each arm's leaves (and
 /// its coupling updates past one leaf) against the portable
-/// arm's, word for word. 29 vectors take tiles 16, 8, 4 and 1 wide.
+/// arm's, word for word. 29 vectors take tiles 16, 8, 4 and 1 wide; leaf
+/// orders 39, 63 and 150's last 22 end in a part-block of rows.
 #[test]
 fn every_trsm_leaf_arm_matches_the_portable_arm_bitwise() {
     let arms = wide_arms();
@@ -287,7 +296,7 @@ fn every_trsm_leaf_arm_matches_the_portable_arm_bitwise() {
         trsm_window(arm, side, uplo, diag, true, t.into(), (&mut x).into()).unwrap();
         bits(&x)
     };
-    for n in [40, 150] {
+    for n in [39, 40, 63, 150] {
         let t = tame_triangle(n, 60 + n as u64);
         for side in [Side::Left, Side::Right] {
             for uplo in [Uplo::Lower, Uplo::Upper] {
@@ -887,10 +896,9 @@ fn trsm_on_windows_matches_copied_out_blocks_bitwise() {
     }
 }
 
-/// A batch of unit-basis vectors `e_j`, `j = first, first + step, ...`, as
-/// the columns (left) or rows (right) of the right-hand side.
-fn unit_basis_batch(side: Side, n: usize, first: usize, step: usize) -> (Vec<usize>, Matrix) {
-    let picks: Vec<usize> = (first..n).step_by(step).collect();
+/// The unit-basis vectors `e_j`, `j` in `picks`, as the columns (left)
+/// or rows (right) of a right-hand side.
+fn unit_basis_batch(side: Side, n: usize, picks: &[usize]) -> Matrix {
     let mut b = match side {
         Side::Left => Matrix::zeros(n, picks.len()),
         Side::Right => Matrix::zeros(picks.len(), n),
@@ -901,7 +909,7 @@ fn unit_basis_batch(side: Side, n: usize, first: usize, step: usize) -> (Vec<usi
             Side::Right => b[(slot, j)] = 1.0,
         }
     }
-    (picks, b)
+    b
 }
 
 #[test]
@@ -925,7 +933,8 @@ fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
     for n in [65usize, 96, 384, 770] {
         let t = tame_triangle(n, n as u64);
         for m in [1usize, 2, 3, 5] {
-            let (picks, b) = unit_basis_batch(Side::Left, n, m - 1, m);
+            let picks: Vec<usize> = (m - 1..n).step_by(m).collect();
+            let b = unit_basis_batch(Side::Left, n, &picks);
             let on = solve(Side::Left, Uplo::Lower, &t, &b, true);
             let off = solve(Side::Left, Uplo::Lower, &t, &b, false);
             assert_eq!(bits(&on), bits(&off), "n={n} m={m}");
@@ -941,27 +950,56 @@ fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
         }
     }
 
-    // The mirrored cases: trailing zeros (backward), vectors as rows (right).
-    let n = 150;
+    // Every side and direction, on vectors that come alive in index order
+    // and out of it: unit-basis batches sorted and shuffled (slot `s`
+    // takes the `7s mod 173`-th pick), whose entries before each vector's
+    // one stay +0.0, and staggered vectors. Both loop nests: a pool capped
+    // at one thread, and one of two, where the top coupling updates cross
+    // the parallel nest's threshold.
+    let n = 520;
     let t = tame_triangle(n, 7);
+    let sorted: Vec<usize> = (1..n).step_by(3).collect();
+    let shuffled: Vec<usize> = (0..sorted.len())
+        .map(|s| sorted[s * 7 % sorted.len()])
+        .collect();
     for side in [Side::Left, Side::Right] {
         for uplo in [Uplo::Lower, Uplo::Upper] {
-            let (picks, b) = unit_basis_batch(side, n, 1, 3);
-            let on = solve(side, uplo, &t, &b, true);
-            let off = solve(side, uplo, &t, &b, false);
-            assert_eq!(bits(&on), bits(&off), "{side:?}/{uplo:?}");
             let forward = matches!(
                 (side, uplo),
                 (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper)
             );
-            for (slot, &j) in picks.iter().enumerate() {
-                let untouched = if forward { 0..j } else { j + 1..n };
-                for i in untouched {
-                    let v = match side {
-                        Side::Left => on[(i, slot)],
-                        Side::Right => on[(slot, i)],
-                    };
-                    assert_eq!(v.to_bits(), 0, "{side:?}/{uplo:?} vector {j} entry {i}");
+            let cases = [
+                ("sorted", &sorted[..], unit_basis_batch(side, n, &sorted)),
+                (
+                    "shuffled",
+                    &shuffled[..],
+                    unit_basis_batch(side, n, &shuffled),
+                ),
+                (
+                    "staggered",
+                    &[][..],
+                    staggered_rhs(side, forward, n, 133, 8),
+                ),
+            ];
+            for (label, picks, b) in &cases {
+                let off = solve(side, uplo, &t, b, false);
+                for cap in [1, 2] {
+                    let mut on = Matrix::zeros(0, 0);
+                    with_thread_cap(cap, || on = solve(side, uplo, &t, b, true));
+                    assert!(
+                        bits(&on) == bits(&off),
+                        "{label} {side:?}/{uplo:?} at cap {cap}"
+                    );
+                    for (slot, &j) in picks.iter().enumerate() {
+                        let untouched = if forward { 0..j } else { j + 1..n };
+                        for i in untouched {
+                            let v = match side {
+                                Side::Left => on[(i, slot)],
+                                Side::Right => on[(slot, i)],
+                            };
+                            assert_eq!(v.to_bits(), 0, "{label} {side:?}/{uplo:?} e_{j} entry {i}");
+                        }
+                    }
                 }
             }
         }
@@ -1024,7 +1062,7 @@ proptest! {
         let mut want = nan_parent();
         want.set_block(rows.start, cols.start, &dense).unwrap();
 
-        let stairs = Stairs { a_row0, b_col0, origin };
+        let stairs = Stairs { a: Steps::From(a_row0), b: Steps::From(b_col0), origin };
         let mut serial = nan_parent();
         let window = MatMut::from(&mut serial).window(rows.clone(), cols.clone());
         with_thread_cap(1, || {

@@ -12,8 +12,10 @@
 //! leaves run on the microkernel's arm (`packed::Arm`), so a host with FMA
 //! hardware never calls libm and every arm returns the same bits. The
 //! left-side leaf runs sixteen vectors abreast (a remainder eight, then
-//! four, then one at a time) so the dependent chain of one vector hides
-//! behind its neighbours'.
+//! four, then one at a time) and, solving forward, four rows at a time:
+//! each row takes the rows solved before its block, then the block's own
+//! triangle, still in ascending `k`, so the dependent chains of four rows
+//! and sixteen vectors overlap.
 //!
 //! **Recursion.** Larger systems split the triangle in two, solve the
 //! first diagonal block, clear its coupling to the second with one GEMM on
@@ -26,18 +28,21 @@
 //! backward solves) are exactly `+0.0` has exactly-`+0.0` solution entries
 //! there. The leaf skips them (as the per-vector kernels' unit-basis
 //! callers always relied on) and notes, per vector, the first entry in
-//! solve order that it found live; the recursion then restricts each
-//! coupling GEMM to the vectors that are live at all, and for runs of
-//! vectors that all came alive late, to the part of `K` from there on.
-//! Every term so dropped is an exact `±0.0` product (for a finite `T`)
-//! from the head or tail of one packed K panel — the first block never
-//! exceeds [`K_PANEL`] — so no bit of the result changes, while a batch of
-//! unit-basis vectors sorted by index (triangular inversion) costs
-//! `(n - j)²` per vector instead of `n²`.
+//! solve order that it found live. Each level's one coupling GEMM takes
+//! those notes as its vectors' steps (`packed::Steps::Head` forward,
+//! `Steps::Tail` backward): the engine packs each vector panel only where
+//! one of its vectors can be nonzero, and starts (forward) or ends
+//! (backward) each microtile at its vectors' first or last such term; a
+//! vector still all zero costs nothing. Every term so dropped is an exact
+//! `±0.0` product (for a finite `T`) at the head or tail of one packed K
+//! panel's sum — the first block never exceeds [`K_PANEL`] — so no bit of
+//! the result changes, while a batch of unit-basis vectors sorted by index
+//! (triangular inversion) costs about `(n - j)²` per vector instead of
+//! `n²`.
 
 use std::ops::Range;
 
-use super::packed::{Arm, Fused, Stairs, MC};
+use super::packed::{Arm, Fused, Stairs, Steps, MC};
 use super::{engine, notrans, Diag, MatMut, MatRef, MatrixError, Result, Side, Uplo, K_PANEL};
 use crate::dense::Matrix;
 
@@ -148,8 +153,9 @@ impl Solve {
     /// the whole triangle, `solved` indices of which were solved before it;
     /// `first_live[v]` is the position in solve order (0 = solved first) of
     /// vector `v`'s first entry that was not `+0.0` when its leaf reached
-    /// it, or [`NEVER`] — written by the leaves, read to narrow the
-    /// coupling GEMMs. Returns the multiply-adds those GEMMs ran.
+    /// it, or [`NEVER`] — written by the leaves, read by the coupling
+    /// GEMMs as their vectors' steps. Returns the multiply-adds those GEMMs
+    /// ran.
     fn run(
         &self,
         t: MatRef<'_>,
@@ -206,33 +212,25 @@ impl Solve {
             Side::Left => t.window(second.clone(), first),
             Side::Right => t.window(first, second.clone()),
         };
-        for (vectors, k) in self.live_groups(len, solved, first_live) {
-            // B_second -= T[second, first] · X_first on the left,
-            // X_first · T[first, second] on the right — over `vectors`
-            // only, and over the part `k` of the first block's extent
-            // where they can be nonzero.
-            let m = second.len();
-            madds += match self.side {
-                Side::Left => engine(
-                    self.arm,
-                    -1.0,
-                    notrans(coupling).window(0..m, k.clone()),
-                    notrans(b_first.as_ref()).window(k, vectors.clone()),
-                    1.0,
-                    Stairs::DENSE,
-                    b_second.reborrow().window(0..m, vectors),
-                )?,
-                Side::Right => engine(
-                    self.arm,
-                    -1.0,
-                    notrans(b_first.as_ref()).window(vectors.clone(), k.clone()),
-                    notrans(coupling).window(k, 0..m),
-                    1.0,
-                    Stairs::DENSE,
-                    b_second.reborrow().window(vectors, 0..m),
-                )?,
-            };
-        }
+        // B_second -= T[second, first] · X_first on the left, X_first ·
+        // T[first, second] on the right, each vector over the part of the
+        // first block where it can be nonzero.
+        let vectors = match (self.observe_zeros, self.forward) {
+            (false, _) => Steps::All,
+            (true, true) => Steps::Head(first_live),
+            (true, false) => Steps::Tail(first_live),
+        };
+        let (x, coupled) = (notrans(b_first.as_ref()), notrans(coupling));
+        let (lhs, rhs, lhs_steps, rhs_steps) = match self.side {
+            Side::Left => (coupled, x, Steps::All, vectors),
+            Side::Right => (x, coupled, vectors, Steps::All),
+        };
+        let stairs = Stairs {
+            a: lhs_steps,
+            b: rhs_steps,
+            origin: solved,
+        };
+        madds += engine(self.arm, -1.0, lhs, rhs, 1.0, stairs, b_second.reborrow())?;
         madds += self.run(
             t.window(second.clone(), second),
             b_second,
@@ -240,55 +238,6 @@ impl Solve {
             first_live,
         )?;
         Ok(madds)
-    }
-
-    /// The coupling updates a first block of extent `len` owes the rest of
-    /// the triangle, as `(vectors, k)` pairs: a contiguous range of vectors
-    /// and the range of the block's own indices (in storage order) outside
-    /// of which all of them are still `+0.0`. Disjoint in `vectors`; one
-    /// pair covering everything when zeros are not observed.
-    ///
-    /// A vector joins the run of its right-hand neighbours, whose `k`
-    /// starts at the earliest first-live position among them rounded down
-    /// to a leaf: exact for vectors sorted by where they come alive (a
-    /// unit-basis batch in index order), conservative otherwise.
-    fn live_groups(
-        &self,
-        len: usize,
-        solved: usize,
-        first_live: &[usize],
-    ) -> Vec<(Range<usize>, Range<usize>)> {
-        let k_from = |skip: usize| {
-            if self.forward {
-                skip..len
-            } else {
-                0..len - skip
-            }
-        };
-        if !self.observe_zeros {
-            return vec![(0..first_live.len(), k_from(0))];
-        }
-        let done = solved + len;
-        let Some(lo) = first_live.iter().position(|&p| p < done) else {
-            return Vec::new();
-        };
-        let mut groups: Vec<(Range<usize>, usize)> = Vec::new();
-        let mut earliest = done;
-        for v in (lo..first_live.len()).rev() {
-            earliest = earliest.min(first_live[v]);
-            if earliest >= done {
-                continue; // trailing vectors that are still all zero
-            }
-            let skip = earliest.saturating_sub(solved) / LEAF * LEAF;
-            match groups.last_mut() {
-                Some((vectors, s)) if *s == skip => vectors.start = v,
-                _ => groups.push((v..v + 1, skip)),
-            }
-        }
-        groups
-            .into_iter()
-            .map(|(vectors, skip)| (vectors, k_from(skip)))
-            .collect()
     }
 }
 
@@ -330,13 +279,43 @@ fn leaf_left(arm: Arm, t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: b
         });
     }
 
-    arm.run(LeftTiles {
-        t,
-        b: b.reborrow(),
-        bound: &bound,
-        forward,
-        unit,
-    });
+    let dead = if forward { n } else { 0 };
+    let mut c0 = 0;
+    while c0 < w {
+        let width = [TILE, 8, 4, 1]
+            .into_iter()
+            .find(|&tw| c0 + tw <= w)
+            .expect("a 1-wide tile fits");
+        let bounds = &bound[c0..c0 + width];
+        if bounds.iter().any(|&s| s != dead) {
+            // The rows any column of the tile is live on.
+            let rows = if forward {
+                *bounds.iter().min().expect("tile is not empty")..n
+            } else {
+                0..*bounds.iter().max().expect("tile is not empty")
+            };
+            let masked = bounds.iter().any(|&s| s != bounds[0]);
+            let tile = Columns {
+                t,
+                b: b.reborrow(),
+                c0,
+                rows,
+                bounds,
+                forward,
+                unit,
+            };
+            match (width, masked) {
+                (TILE, false) => arm.run(Tile::<TILE, false>(tile)),
+                (TILE, true) => arm.run(Tile::<TILE, true>(tile)),
+                (8, false) => arm.run(Tile::<8, false>(tile)),
+                (8, true) => arm.run(Tile::<8, true>(tile)),
+                (4, false) => arm.run(Tile::<4, false>(tile)),
+                (4, true) => arm.run(Tile::<4, true>(tile)),
+                _ => arm.run(Tile::<1, false>(tile)),
+            }
+        }
+        c0 += width;
+    }
     if !forward {
         for s in &mut bound {
             *s = n - *s;
@@ -345,114 +324,135 @@ fn leaf_left(arm: Arm, t: MatRef<'_>, b: &mut MatMut<'_>, forward: bool, unit: b
     bound
 }
 
-/// [`leaf_left`]'s tiles, as one loop for [`Arm::run`].
-struct LeftTiles<'a, 'b> {
+/// Rows a forward tile solves together, so that their dependent chains
+/// of fused steps overlap.
+const ROWS: usize = 4;
+
+/// Substitution over live rows `rows` of columns `c0..c0 + W` of `b`, as
+/// one loop for [`Arm::run`]: in blocks of [`ROWS`] rows when solving
+/// forward, of one row backward (there each row's first product needs the
+/// row solved just before it).
+///
+/// Row `i`'s `W` accumulators start from `b[i]`, take
+/// `acc = (-t[i][k]).mul_add(b[k], acc)` for the already-solved live rows
+/// `k` in ascending order — those before its block, then those of its
+/// block above it — and are divided by the diagonal unless it is implicit.
+/// With `MASKED`, column `l` takes part in a step only where its own bound
+/// (`bounds[l]`) says the row is live for it, so a tile whose columns
+/// start at different rows still gets each column's own arithmetic;
+/// without it every column shares `rows`.
+struct Tile<'a, 'b, const W: usize, const MASKED: bool>(Columns<'a, 'b>);
+
+/// One tile's columns of a left-side leaf, and how to solve them.
+struct Columns<'a, 'b> {
     t: MatRef<'a>,
     b: MatMut<'b>,
-    bound: &'a [usize],
+    c0: usize,
+    rows: Range<usize>,
+    bounds: &'a [usize],
     forward: bool,
     unit: bool,
 }
 
-impl Fused for LeftTiles<'_, '_> {
+impl<const W: usize, const MASKED: bool> Fused for Tile<'_, '_, W, MASKED> {
     type Out = ();
 
     #[inline(always)]
     fn run(mut self) {
-        let (n, w) = (self.b.rows(), self.b.cols());
-        let (t, forward, unit) = (self.t, self.forward, self.unit);
-        let dead = if forward { n } else { 0 };
-        let mut c0 = 0;
-        while c0 < w {
-            let width = [TILE, 8, 4, 1]
-                .into_iter()
-                .find(|&tw| c0 + tw <= w)
-                .expect("a 1-wide tile fits");
-            let bounds = &self.bound[c0..c0 + width];
-            if bounds.iter().any(|&s| s != dead) {
-                // The rows any column of the tile is live on.
-                let rows = if forward {
-                    *bounds.iter().min().expect("tile is not empty")..n
+        let (rows, forward) = (self.0.rows.clone(), self.0.forward);
+        let mut step = 0;
+        while step < rows.len() {
+            if forward && step + ROWS <= rows.len() {
+                let i0 = rows.start + step;
+                self.solve::<ROWS>(rows.start..i0, i0);
+                step += ROWS;
+            } else {
+                let i = if forward {
+                    rows.start + step
                 } else {
-                    0..*bounds.iter().max().expect("tile is not empty")
+                    rows.end - 1 - step
                 };
-                let masked = bounds.iter().any(|&s| s != bounds[0]);
-                let b = &mut self.b;
-                match (width, masked) {
-                    (TILE, false) => tile::<TILE, false>(t, b, c0, rows, bounds, forward, unit),
-                    (TILE, true) => tile::<TILE, true>(t, b, c0, rows, bounds, forward, unit),
-                    (8, false) => tile::<8, false>(t, b, c0, rows, bounds, forward, unit),
-                    (8, true) => tile::<8, true>(t, b, c0, rows, bounds, forward, unit),
-                    (4, false) => tile::<4, false>(t, b, c0, rows, bounds, forward, unit),
-                    (4, true) => tile::<4, true>(t, b, c0, rows, bounds, forward, unit),
-                    _ => tile::<1, false>(t, b, c0, rows, bounds, forward, unit),
-                }
+                let solved = if forward {
+                    rows.start..i
+                } else {
+                    i + 1..rows.end
+                };
+                self.solve::<1>(solved, i);
+                step += 1;
             }
-            c0 += width;
         }
     }
 }
 
-/// Substitution over live rows `rows` of columns `c0..c0 + W` of `b`.
-///
-/// Row `i`'s `W` accumulators start from `b[i]`, take
-/// `acc = (-t[i][k]).mul_add(b[k], acc)` for the already-solved live rows
-/// `k` in ascending order, and are divided by the diagonal unless it is
-/// implicit. With `MASKED`, column `l` takes part in a step only where its
-/// own bound (`bounds[l]`) says the row is live for it, so a tile whose
-/// columns start at different rows still gets each column's own
-/// arithmetic; without it every column shares `rows`.
-#[inline(always)]
-fn tile<const W: usize, const MASKED: bool>(
-    t: MatRef<'_>,
-    b: &mut MatMut<'_>,
-    c0: usize,
-    rows: Range<usize>,
-    bounds: &[usize],
-    forward: bool,
-    unit: bool,
-) {
-    let bounds: &[usize; W] = bounds.try_into().expect("one bound per tile column");
-    // Row r is live for column l?
-    let on = |r: usize, l: usize| {
-        if forward {
-            r >= bounds[l]
-        } else {
-            r < bounds[l]
-        }
-    };
-    for step in 0..rows.len() {
-        let i = if forward {
-            rows.start + step
-        } else {
-            rows.end - 1 - step
+impl<const W: usize, const MASKED: bool> Tile<'_, '_, W, MASKED> {
+    /// Solves rows `i0..i0 + R` against the rows `solved` before them,
+    /// then among themselves, in place (see [`Tile`]).
+    #[inline(always)]
+    fn solve<const R: usize>(&mut self, solved: Range<usize>, i0: usize) {
+        let Columns {
+            t,
+            ref mut b,
+            c0,
+            bounds,
+            forward,
+            unit,
+            ..
+        } = self.0;
+        let bounds: &[usize; W] = bounds.try_into().expect("one bound per tile column");
+        // Row r is live for column l?
+        let on = |r: usize, l: usize| {
+            if forward {
+                r >= bounds[l]
+            } else {
+                r < bounds[l]
+            }
         };
-        let solved = if forward {
-            rows.start..i
-        } else {
-            i + 1..rows.end
-        };
-        let trow = t.row(i);
-        let mut acc: [f64; W] = b.row(i)[c0..c0 + W]
-            .try_into()
-            .expect("slice has tile width");
-        for k in solved {
-            let tik = -trow[k];
-            let xk: &[f64; W] = b.row(k)[c0..c0 + W]
+        let mut trows: [&[f64]; R] = [&[]; R];
+        let mut acc = [[0.0; W]; R];
+        for q in 0..R {
+            trows[q] = t.row(i0 + q);
+            acc[q] = b.row(i0 + q)[c0..c0 + W]
                 .try_into()
                 .expect("slice has tile width");
-            for l in 0..W {
-                let d = tik.mul_add(xk[l], acc[l]);
-                acc[l] = if !MASKED || on(k, l) { d } else { acc[l] };
+        }
+        for k in solved {
+            let xk: [f64; W] = b.row(k)[c0..c0 + W]
+                .try_into()
+                .expect("slice has tile width");
+            for q in 0..R {
+                let tik = -trows[q][k];
+                for l in 0..W {
+                    let d = tik.mul_add(xk[l], acc[q][l]);
+                    acc[q][l] = if !MASKED || on(k, l) { d } else { acc[q][l] };
+                }
             }
         }
-        if !unit {
-            let diag = trow[i];
-            for (l, a) in acc.iter_mut().enumerate() {
-                *a = if !MASKED || on(i, l) { *a / diag } else { *a };
+        for q in 0..R {
+            let i = i0 + q;
+            let mut x = acc[q];
+            for (k, &tik) in (i0..i).zip(&trows[q][i0..i]) {
+                let tik = -tik;
+                let xk: [f64; W] = b.row(k)[c0..c0 + W]
+                    .try_into()
+                    .expect("slice has tile width");
+                for l in 0..W {
+                    let d = tik.mul_add(xk[l], x[l]);
+                    x[l] = if !MASKED || on(k, l) { d } else { x[l] };
+                }
             }
+            if !unit {
+                let diag = trows[q][i];
+                let divided = x.map(|v| v / diag);
+                for l in 0..W {
+                    x[l] = if !MASKED || on(i, l) {
+                        divided[l]
+                    } else {
+                        x[l]
+                    };
+                }
+            }
+            b.row_mut(i)[c0..c0 + W].copy_from_slice(&x);
         }
-        b.row_mut(i)[c0..c0 + W].copy_from_slice(&acc);
     }
 }
 

@@ -17,12 +17,25 @@ use mrinv_matrix::random::random_well_conditioned;
 /// Held for the whole of each test: one cold invert counts at a time.
 static PERF: Mutex<()> = Mutex::new(());
 
-/// What one traced cold invert of order `n`, block bound `nb` did: its
-/// report, the task attempts the registry counted, the DFS files written,
-/// the GEMM flops in GFLOP and the operand elements the GEMM engine
-/// packed. It runs at pool width 1: the parallel nest's column splits
+/// What one traced cold invert of order `n`, block bound `nb` did.
+struct Counts {
+    report: RunReport,
+    /// Task attempts, as the registry counted them.
+    tasks: u64,
+    /// DFS files written.
+    files: u64,
+    /// Calls into the GEMM engine.
+    calls: u64,
+    /// Floating-point operations the GEMM engine ran.
+    flops: u64,
+    /// Operand elements the GEMM engine packed.
+    packed: u64,
+}
+
+/// The [`Counts`] of one traced cold invert of order `n`, block bound
+/// `nb`. It runs at pool width 1: the parallel nest's column splits
 /// repack `A` once per split, so the packed count would follow the host.
-fn cold_invert_counts(n: usize, nb: usize) -> (RunReport, u64, u64, f64, u64) {
+fn cold_invert_counts(n: usize, nb: usize) -> Counts {
     let _turn = PERF.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let previous = rayon::set_thread_cap(1);
     let mut config = ClusterConfig::medium(4);
@@ -36,7 +49,8 @@ fn cold_invert_counts(n: usize, nb: usize) -> (RunReport, u64, u64, f64, u64) {
     let kernel = perf::snapshot();
     perf::set_enabled(false);
     rayon::set_thread_cap(previous);
-    let gflop = kernel.iter().map(|p| p.flops).sum::<u64>() as f64 / 1e9;
+    let calls = kernel.iter().map(|p| p.calls).sum::<u64>();
+    let flops = kernel.iter().map(|p| p.flops).sum::<u64>();
     let packed = kernel.iter().map(|p| p.packed).sum::<u64>();
 
     // Task attempts as the registry counts them: one per executed body,
@@ -50,10 +64,17 @@ fn cold_invert_counts(n: usize, nb: usize) -> (RunReport, u64, u64, f64, u64) {
     let r = out.report;
     println!(
         "n {n} nb {nb}: jobs {}, tasks {tasks}, files {files}, read {} B, written {} B, \
-         {gflop} GFLOP, {packed} elements packed",
+         {calls} GEMM calls, {flops} flops, {packed} elements packed",
         r.jobs, r.dfs_bytes_read, r.dfs_bytes_written
     );
-    (r, tasks, files, gflop, packed)
+    Counts {
+        report: r,
+        tasks,
+        files,
+        calls,
+        flops,
+        packed,
+    }
 }
 
 /// `lib-deep`'s shape (n = 384, nb = 8) is where the framework does most
@@ -63,40 +84,55 @@ fn cold_invert_counts(n: usize, nb: usize) -> (RunReport, u64, u64, f64, u64) {
 /// stage moves the flops.
 #[test]
 fn lib_deep_cold_invert_counts() {
-    let (r, tasks, files, gflop, packed) = cold_invert_counts(384, 8);
-    assert_eq!(r.jobs, 65);
-    assert_eq!(tasks, 516);
-    assert_eq!(files, 699);
-    assert_eq!(r.dfs_bytes_read, 16_895_784);
-    assert_eq!(r.dfs_bytes_written, 5_346_892);
-    // 0.105799168 GFLOP as the engine runs the final product, each
-    // microtile from its first possibly nonzero term (0.1206 with 128-wide
-    // tiles, 0.1798 with whole K panels), + 2 %.
-    assert!(gflop <= 0.1079, "{gflop} GFLOP");
-    // 1,622,016 while the final product repacked its operands per tile.
-    assert_eq!(packed, 1_433_600);
+    let c = cold_invert_counts(384, 8);
+    assert_eq!(c.report.jobs, 65);
+    assert_eq!(c.tasks, 516);
+    assert_eq!(c.files, 699);
+    assert_eq!(c.report.dfs_bytes_read, 16_895_784);
+    assert_eq!(c.report.dfs_bytes_written, 5_346_892);
+    // One call per trsm recursion level: 308 while each level called the
+    // engine once per run of vectors that came alive in one leaf.
+    assert_eq!(c.calls, 292);
+    // 0.101744128 GFLOP as the engine runs the final product, each
+    // microtile from its first possibly nonzero term, and each trsm vector
+    // tile from its first live one (0.105799168 while runs of vectors
+    // started at a leaf boundary, 0.1206 with 128-wide tiles of the final
+    // product, 0.1798 with whole K panels).
+    assert_eq!(c.flops, 101_744_128);
+    // Each operand panel packed only over its own possibly nonzero terms:
+    // 1,433,600 while every panel of a K panel was packed from the first
+    // term any of them could be nonzero, 1,622,016 while the final product
+    // repacked its operands per tile.
+    assert_eq!(c.packed, 1_161_664);
 }
 
 /// `lib-wide`'s shape (n = 768, nb = 96) is the triangular stage's: its
-/// GEMM flops are 0.872800256 GFLOP while the triangular solves observe
-/// their right-hand sides' zeros and the engine runs the final product's
-/// microtiles from their first possibly nonzero terms only (0.9466 with
-/// 128-wide tiles, 1.2444 while it skipped whole K panels only, 1.8851
-/// with both dense). Its DFS counts check the final job's file shape:
-/// `INV/` holds `L⁻¹` and `U⁻¹` as triangles (64,481,976 / 26,274,060
-/// bytes read / written while every vector was filed at full length).
+/// GEMM flops are 0.85495808 GFLOP while the triangular solves observe
+/// their right-hand sides' zeros, vector tile by vector tile, and the
+/// engine runs the final product's microtiles from their first possibly
+/// nonzero terms only (0.872800256 while runs of vectors started at a
+/// leaf boundary, 0.9466 with 128-wide tiles, 1.2444 while it skipped
+/// whole K panels only, 1.8851 with both dense). Its DFS counts check the
+/// final job's file shape: `INV/` holds `L⁻¹` and `U⁻¹` as triangles
+/// (64,481,976 / 26,274,060 bytes read / written while every vector was
+/// filed at full length).
 #[test]
 fn lib_wide_cold_invert_counts() {
-    let (r, tasks, files, gflop, packed) = cold_invert_counts(768, 96);
-    assert_eq!(r.jobs, 9);
-    assert_eq!(tasks, 68);
-    assert_eq!(files, 115);
-    assert_eq!(r.dfs_bytes_read, 55_056_888);
-    assert_eq!(r.dfs_bytes_written, 21_561_516);
-    // + 2 %, for deliberate small reshuffles.
-    assert!(gflop <= 0.8903, "{gflop} GFLOP");
-    // The engine packs only the final product's possibly nonzero rows,
-    // columns and terms per K panel: 8,249,344 while each 128-wide tile
-    // of it repacked its own panels.
-    assert_eq!(packed, 6_545_408);
+    let c = cold_invert_counts(768, 96);
+    assert_eq!(c.report.jobs, 9);
+    assert_eq!(c.tasks, 68);
+    assert_eq!(c.files, 115);
+    assert_eq!(c.report.dfs_bytes_read, 55_056_888);
+    assert_eq!(c.report.dfs_bytes_written, 21_561_516);
+    // One call per trsm recursion level (164 with one per run of vectors
+    // that came alive in one leaf).
+    assert_eq!(c.calls, 128);
+    assert_eq!(c.flops, 854_958_080);
+    // The engine packs each panel of the final product's and the trsm
+    // coupling updates' operands only over its possibly nonzero terms:
+    // 6,545,408 while every panel of a K panel was packed from the first
+    // term any of them could be nonzero and trsm packed its coupling
+    // block once per run of vectors, 8,249,344 while each 128-wide tile of
+    // the final product repacked its own panels.
+    assert_eq!(c.packed, 4_989_568);
 }
