@@ -50,9 +50,13 @@
 //! no product, and any 64-bit sum is reachable as `(2³² − 1)·q + r`).
 //! It is **not a MAC**, and in a cache shared across tenants, a tenant
 //! who knows another tenant's matrix can plant a different factorization
-//! under its key. The only defence is a residual certificate on every
-//! answer (ROADMAP item 14), which makes a wrong entry visible; until it
-//! exists, a shared service trusts its tenants.
+//! under its key. Every inverse an entry holds carries its certificate
+//! ([`crate::Outcome::certificate`]), but that certificate was computed
+//! once, against the matrix whose run filed the entry, and a hit hands it
+//! back unchanged: a planted entry carries its planter's clean value. A
+//! check of a hit against the requester's own matrix (ROADMAP item 14)
+//! would make a wrong entry visible; until one exists, a shared service
+//! trusts its tenants.
 //!
 //! The service names a matrix by the matrix half of its key — order and
 //! digest, a `Name` — once a connection has sent it in full. A name binds
@@ -63,11 +67,11 @@
 //!
 //! An entry owns its answers: the factors packed into one matrix — `L`
 //! strictly below the diagonal, `U` on and above it, n² words with `P`
-//! beside them — and the inverse, if an invert run produced one. The cold
-//! run that primes an entry packs the factors through its own counted
-//! master handle, outside its report's window, and then releases its
-//! factor forest as every plain run does, so a finished request leaves
-//! nothing in the DFS.
+//! beside them — and the inverse with its certificate, if an invert run
+//! produced one. The cold run that primes an entry packs the factors
+//! through its own counted master handle, outside its report's window,
+//! and then releases its factor forest as every plain run does, so a
+//! finished request leaves nothing in the DFS.
 //! Nothing an entry answers from can vanish under it: a lookup checks the
 //! key and nothing else, and an entry is never invalidated, only replaced
 //! when a run adds the inverse to an entry an `lu` or `solve` primed. The
@@ -277,6 +281,16 @@ fn digest(words: &[f64]) -> [u64; 2] {
     digest_portable(words)
 }
 
+/// An inverse and its certificate
+/// ([`mrinv_matrix::norms::inverse_certificate`] against the matrix it
+/// inverts), computed once, where the inverse was made, and handed out
+/// together from then on.
+#[derive(Debug, Clone)]
+pub(crate) struct CertifiedInverse {
+    pub(crate) matrix: Arc<Matrix>,
+    pub(crate) certificate: f64,
+}
+
 /// One finished factorization: what a cold pipeline run files and what a
 /// cache hit answers from (see "Ownership" in the module docs).
 #[derive(Debug)]
@@ -284,7 +298,7 @@ pub(crate) struct Factorization {
     pub(crate) nb: usize,
     /// `L` strictly below the diagonal, `U` on and above it, and `P`.
     pub(crate) lu: Arc<lu::LuFactors>,
-    pub(crate) inverse: Option<Arc<Matrix>>,
+    pub(crate) inverse: Option<CertifiedInverse>,
 }
 
 /// Point-in-time cache counters.
@@ -406,7 +420,10 @@ mod tests {
                 lu: random_matrix(n, n, nb as u64),
                 perm: Permutation::identity(n),
             }),
-            inverse: inverse.then(|| Arc::new(Matrix::identity(n))),
+            inverse: inverse.then(|| CertifiedInverse {
+                matrix: Arc::new(Matrix::identity(n)),
+                certificate: 0.0,
+            }),
         }
     }
 
@@ -465,8 +482,8 @@ mod tests {
         cache.insert(key(3), entry(4, 4, false));
         let kept = cache.lookup(key(3), true, true).expect("inverse kept");
         assert!(Arc::ptr_eq(
-            view.inverse.as_ref().unwrap(),
-            kept.inverse.as_ref().unwrap()
+            &view.inverse.as_ref().unwrap().matrix,
+            &kept.inverse.as_ref().unwrap().matrix
         ));
         assert_eq!(cache.stats().entries, 1);
     }

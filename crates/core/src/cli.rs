@@ -19,17 +19,21 @@
 //! (default `cli`), sharing its factor cache with every other client.
 //! The two runs differ only in where the answer comes from: their flags
 //! are checked together before any file is read or any socket opened,
-//! one writer writes the files, and every inverse written — computed here
-//! or served — is checked against `A` on this machine (O(n³)). A flag
-//! only a local run reads (`--trace-out`, `--metrics-json`,
-//! `--metrics-prom`, `--progress`, `--backend tcp:<n>`) is a usage error
-//! beside `--connect`, and `--tenant` is one without it.
+//! one writer writes the files, and every inverse written is checked by
+//! its certificate ([`Outcome::certificate`], 16 random ±1 probes of
+//! `A·X − I`, O(n²)): a local run reads the one the library took where
+//! it made the inverse, and a `--connect` run takes its own against `A`,
+//! since a reply is outside input. A flag only a local run reads
+//! (`--trace-out`, `--metrics-json`, `--metrics-prom`, `--progress`,
+//! `--backend tcp:<n>`) is a usage error beside `--connect`, and
+//! `--tenant` is one without it.
 //!
 //! Exit codes: 2 for a usage error (a missing path, a count flag such as
 //! `--nodes` or `--nb` given 0, an unknown flag, a flag the subcommand does
 //! not read, such as `serve --backend tcp:<n>`), 1 for an I/O or
-//! computation error, 3 when an inverse's residual `max |I - A·A⁻¹|`
-//! exceeds 1e-5 (its file is still written).
+//! computation error, 3 when an inverse's certificate `max |(A·X − I)·V|`
+//! is not below the paper's threshold, [`mrinv_matrix::PAPER_ACCURACY`]
+//! (its file is still written).
 //!
 //! `--backend tcp:<n>` runs every task attempt in one of `n` real
 //! `mrinv-worker` processes (spawned next to this binary) instead of
@@ -69,9 +73,9 @@ use std::sync::Arc;
 
 use mrinv_mapreduce::{chrome_trace_json, Cluster, ClusterConfig, TcpWorkers, TcpWorkersConfig};
 use mrinv_matrix::io::{decode_text, write_text};
-use mrinv_matrix::norms::inversion_residual;
+use mrinv_matrix::norms::{inverse_certificate, CERTIFICATE_PROBES};
 use mrinv_matrix::random::random_well_conditioned;
-use mrinv_matrix::Matrix;
+use mrinv_matrix::{Matrix, PAPER_ACCURACY};
 
 use crate::client::{ServiceClient, ServiceReply};
 use crate::error::CoreError;
@@ -443,6 +447,20 @@ impl Answer {
             ),
         }
     }
+
+    /// The inverse's certificate: on a local run the library's, taken
+    /// where the inverse was made; on a served one, taken here against
+    /// `a`, since a reply is outside input (an inverse of the wrong shape
+    /// reads `+∞`).
+    fn certificate(&self, a: &Matrix) -> Option<f64> {
+        match self {
+            Answer::Local(local) => local.1.certificate(),
+            Answer::Remote(r) => {
+                let served = r.inverse.as_ref()?;
+                Some(inverse_certificate(a, served).unwrap_or(f64::INFINITY))
+            }
+        }
+    }
 }
 
 /// The compute subcommand the flags ask for, and its input: every path it
@@ -468,7 +486,7 @@ fn compute_op(opts: &Opts) -> (ComputeOp<'_>, &str) {
 
 /// Runs a compute subcommand on a local simulated cluster, or on the
 /// `mrinv serve` instance at `--connect`, then writes its answer and, for
-/// an inverse, checks the residual.
+/// an inverse, checks its certificate.
 fn run_compute(opts: &Opts) {
     let (op, input) = compute_op(opts);
     let failed = match op {
@@ -522,12 +540,11 @@ fn run_compute(opts: &Opts) {
     };
     let (rows, cols) = (a.rows(), a.cols());
     let (inverse, factors, solutions, jobs, sim_secs) = answer.parts();
-    let mut residual = None;
+    let mut certificate = None;
     match op {
         ComputeOp::Invert { output } => {
             let inverse = inverse.unwrap_or_else(|| missing("inverse"));
-            // Checked here for every inverse written, wherever it came from.
-            residual = Some(inversion_residual(&a, inverse).unwrap_or(f64::NAN));
+            certificate = answer.certificate(&a);
             write_matrix(output, inverse);
             eprintln!("inverted {rows}x{cols} {origin}: {jobs} jobs, {sim_secs:.1} simulated s");
         }
@@ -548,13 +565,16 @@ fn run_compute(opts: &Opts) {
             );
         }
     }
-    if let Some(res) = residual {
-        eprintln!("max |I - A*A^-1| = {res:.3e} (paper threshold 1e-5)");
+    if let Some(cert) = certificate {
+        eprintln!(
+            "certificate max |(A*X - I)*V| = {cert:.3e} over {CERTIFICATE_PROBES} random +-1 probes \
+             (paper threshold {PAPER_ACCURACY:e})"
+        );
     }
     if let Answer::Local(local) = &answer {
         emit_observability(opts, &local.0, &local.1.report);
     }
-    if residual.is_some_and(|res| res.is_nan() || res >= 1e-5) {
+    if certificate.is_some_and(|cert| cert >= PAPER_ACCURACY) {
         eprintln!("mrinv: WARNING: residual exceeds the accuracy threshold");
         exit(3);
     }

@@ -24,6 +24,8 @@
 //! // The pipeline ran partition + 3 LU jobs + final inversion.
 //! assert_eq!(out.report.jobs, mrinv::schedule::total_jobs(64, 16));
 //! assert!(inversion_residual(&a, out.inverse().unwrap()).unwrap() < 1e-5);
+//! // The O(n²) certificate the inverse carries, taken where it was made.
+//! assert!(out.certificate().unwrap() < 1e-5);
 //! ```
 //!
 //! # Architecture

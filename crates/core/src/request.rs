@@ -29,7 +29,11 @@
 //! private tail (`Request::answer`) turns them into the [`Outcome`]:
 //! substitute, pick the operation's products. A hit and a cold run differ
 //! only in what they hand that tail, so whatever an answer must carry is
-//! built in one place. The service's *named*
+//! built in one place. An inverse travels with its certificate
+//! ([`Outcome::certificate`], O(n²)): a cold run takes it once, after its
+//! factor forest is released and outside its report's window, and the
+//! cache entry keeps it beside the inverse, so a hit computes nothing.
+//! The service's *named*
 //! requests — a matrix its connection already sent, named by key — are
 //! crate-private key-only requests: they carry no matrix, can only be
 //! hits, and go through the same lookup and the same tail.
@@ -37,10 +41,11 @@
 use std::sync::{Arc, Weak};
 
 use mrinv_mapreduce::{Cluster, PipelineDriver, RunId, RunReport, TaskIo};
+use mrinv_matrix::norms::inverse_certificate;
 use mrinv_matrix::triangular::{back_substitution, forward_substitution};
 use mrinv_matrix::{lu, Matrix, Permutation};
 
-use crate::cache::{cache_key, CacheKey, FactorCache, Factorization};
+use crate::cache::{cache_key, CacheKey, CertifiedInverse, FactorCache, Factorization};
 use crate::config::InversionConfig;
 use crate::error::{CoreError, Result};
 use crate::inverse::{fresh_run_id, run_fingerprint};
@@ -362,12 +367,12 @@ impl<'a> Request<'a> {
         let factors = lu_decompose_mr(&mut driver, &plan.root, &source, &plan, &self.cfg.opts)?;
         driver.release(source.paths());
         let inverse = match self.op {
-            Op::Invert => Some(Arc::new(invert_factors_mr(
+            Op::Invert => Some(invert_factors_mr(
                 &mut driver,
                 &factors,
                 &plan,
                 &self.cfg.opts,
-            )?)),
+            )?),
             Op::Lu | Op::Solve => None,
         };
 
@@ -385,6 +390,14 @@ impl<'a> Request<'a> {
             .then(|| factors.assemble_packed(&mut io).map(Arc::new))
             .transpose()?;
         driver.release(factors.paths());
+        // The inverse's certificate, once: a hit hands this value back.
+        let inverse = match inverse {
+            Some(matrix) => Some(CertifiedInverse {
+                certificate: inverse_certificate(a, &matrix)?,
+                matrix: Arc::new(matrix),
+            }),
+            None => None,
+        };
 
         let status = match keyed {
             Some(_) => CacheStatus::Miss,
@@ -410,7 +423,7 @@ impl<'a> Request<'a> {
     fn answer(
         &self,
         lu: Option<Arc<lu::LuFactors>>,
-        inverse: Option<Arc<Matrix>>,
+        inverse: Option<CertifiedInverse>,
         cache: CacheStatus,
         report: RunReport,
     ) -> Result<Outcome> {
@@ -453,7 +466,7 @@ fn substitute(f: &lu::LuFactors, b: &[f64]) -> Result<Vec<f64>> {
 #[derive(Debug, Clone)]
 pub struct Outcome {
     op: Op,
-    inverse: Option<Arc<Matrix>>,
+    inverse: Option<CertifiedInverse>,
     factors: Option<Arc<LuFactors>>,
     solutions: Vec<Vec<f64>>,
     /// Whether the factor cache served this request.
@@ -471,7 +484,19 @@ pub struct Outcome {
 impl Outcome {
     /// The computed inverse (`Op::Invert` outcomes only).
     pub fn inverse(&self) -> Option<&Matrix> {
-        self.inverse.as_deref()
+        self.inverse.as_ref().map(|c| &*c.matrix)
+    }
+
+    /// The inverse's certificate (`Op::Invert` outcomes only, cold or
+    /// hit): [`mrinv_matrix::norms::inverse_certificate`] of the inverse
+    /// against the matrix whose run computed it, taken once, when the
+    /// inverse was made. A hit hands back its entry's value and computes
+    /// nothing. It is at most `n` times the paper's metric `max |I − A·X|`,
+    /// so an inverse that meets [`mrinv_matrix::PAPER_ACCURACY`] by that
+    /// factor reads below it; a worse one reads below the paper's metric
+    /// with probability at most 2⁻¹⁶.
+    pub fn certificate(&self) -> Option<f64> {
+        self.inverse.as_ref().map(|c| c.certificate)
     }
 
     /// Consumes the outcome, returning the inverse.
@@ -482,7 +507,7 @@ impl Outcome {
         let shared = self
             .inverse
             .unwrap_or_else(|| panic!("outcome of {:?} has no inverse", self.op));
-        Arc::unwrap_or_clone(shared)
+        Arc::unwrap_or_clone(shared.matrix)
     }
 
     /// The assembled factors (`Op::Lu` outcomes only).
@@ -1029,6 +1054,51 @@ mod tests {
             .inverse()
             .unwrap()
             .approx_eq(miss.inverse().unwrap(), 0.0));
+    }
+
+    /// Every invert outcome carries its inverse's certificate, taken once
+    /// by the cold run: a hit, full or named, hands back the same bits.
+    /// An `lu` or `solve` outcome carries none, cold or hit. (That a hit
+    /// runs no engine call is checked in `tests/count_gates.rs`, whose
+    /// tests alone may read the process-wide kernel counters.)
+    #[test]
+    fn every_invert_outcome_carries_the_cold_runs_certificate() {
+        let c = test_cluster(4);
+        let cache = FactorCache::new();
+        let a = random_invertible(32, 71);
+        let cfg = InversionConfig::with_nb(8);
+        let cold = Request::invert(&a).config(&cfg).cache(&cache).submit(&c);
+        let cold = cold.unwrap();
+        let certificate = cold.certificate().expect("a cold invert is certified");
+        assert!(certificate < PAPER_ACCURACY, "{certificate}");
+        assert!(certificate > 0.0, "the rounding residue of n = 32 shows");
+
+        let hit = Request::invert(&a).config(&cfg).cache(&cache).submit(&c);
+        let hit = hit.unwrap();
+        assert_eq!(hit.cache, CacheStatus::Hit);
+        let key = cache_key(&a, &cfg, &c);
+        let entry = cold.entry().unwrap().clone();
+        let named = Request::named(Op::Invert, key, entry).cache(&cache);
+        let named = named.submit_cached_only(&c).unwrap().expect("a named hit");
+        for out in [&hit, &named] {
+            assert_eq!(
+                out.certificate().map(f64::to_bits),
+                Some(certificate.to_bits())
+            );
+            assert_eq!(bits(out.inverse().unwrap()), bits(cold.inverse().unwrap()));
+        }
+
+        let b = vec![1.0; 32];
+        for cached in [false, true] {
+            let run = |req: Request<'_>| {
+                let req = if cached { req.cache(&cache) } else { req };
+                req.config(&cfg).submit(&c).unwrap()
+            };
+            let lu = run(Request::lu(&a));
+            let solve = run(Request::solve(&a).rhs(b.clone()));
+            assert_eq!(lu.cache == CacheStatus::Hit, cached);
+            assert_eq!((lu.certificate(), solve.certificate()), (None, None));
+        }
     }
 
     #[test]

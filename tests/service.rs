@@ -21,7 +21,7 @@ use mrinv_mapreduce::obs::Labels;
 use mrinv_mapreduce::wire::{read_frame, write_frame};
 use mrinv_mapreduce::{Cluster, ClusterConfig, CostModel};
 use mrinv_matrix::io::{encode_binary, encode_binary_vec, encode_text};
-use mrinv_matrix::random::random_well_conditioned;
+use mrinv_matrix::random::{random_matrix, random_well_conditioned};
 use mrinv_matrix::Matrix;
 use proptest::prelude::*;
 use serde::{Number, Serialize, Value};
@@ -1150,7 +1150,10 @@ fn remote_runs_write_the_bytes_local_runs_write() {
             let (code, stderr) = mrinv(&side_dir, &args);
             assert_eq!(code, 0, "{run:?} ({side}): {stderr}");
             if run[0] == "invert" {
-                assert!(stderr.contains("max |I - A*A^-1| = "), "{stderr}");
+                assert!(
+                    stderr.contains("certificate max |(A*X - I)*V| = "),
+                    "{stderr}"
+                );
             }
             let claims_nodes = stderr.contains("simulated nodes");
             assert_eq!(claims_nodes, side == "local", "{run:?} ({side}): {stderr}");
@@ -1206,6 +1209,30 @@ fn a_wrong_served_inverse_exits_3() {
     ];
     let (code, stderr) = mrinv(&dir, &args);
     liar.join().unwrap();
+    assert_eq!(code, 3, "{stderr}");
+    assert!(stderr.contains("residual exceeds"), "{stderr}");
+    assert!(dir.join("x.txt").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A local inverse that fails its certificate exits 3 too, its file
+/// written: `[[ε·R, B], [C, D]]` at ε = 1e-14, with uniform(−1, 1)
+/// blocks, is well conditioned, but the recursion pivots only inside the
+/// leading block, and its Schur complement carries the 1/ε growth.
+#[test]
+fn an_inaccurate_local_inverse_exits_3() {
+    let (n, half) = (16, 8);
+    let r = random_matrix(n, n, 5);
+    let a = Matrix::from_fn(n, n, |i, j| {
+        let scale = if i < half && j < half { 1e-14 } else { 1.0 };
+        scale * r[(i, j)]
+    });
+    let dir = cli_dir("inaccurate-local");
+    std::fs::write(dir.join("near.txt"), encode_text(&a)).unwrap();
+    let args = [
+        "invert", "--input", "near.txt", "--output", "x.txt", "--nb", "4",
+    ];
+    let (code, stderr) = mrinv(&dir, &args);
     assert_eq!(code, 3, "{stderr}");
     assert!(stderr.contains("residual exceeds"), "{stderr}");
     assert!(dir.join("x.txt").exists());
