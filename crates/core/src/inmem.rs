@@ -10,11 +10,9 @@
 //! * the shape of a Spark-style port (Section 8's future work keeps
 //!   intermediates in memory; this module is exactly that dataflow).
 
-use mrinv_matrix::kernel::{gemm, gemm_staircase, notrans, trans};
+use mrinv_matrix::kernel::{gemm, gemm_staircase, notrans, trans, Diag, Side, Uplo};
 use mrinv_matrix::lu::lu_decompose;
-use mrinv_matrix::triangular::{
-    invert_lower, invert_upper, solve_unit_lower_system, solve_upper_system_right,
-};
+use mrinv_matrix::triangular::{invert_lower, invert_upper, solve_unit_lower_system, trsm};
 use mrinv_matrix::{Matrix, Permutation, Result};
 
 use crate::request::LuFactors;
@@ -50,9 +48,12 @@ pub fn block_lu(a: &Matrix, nb: usize) -> Result<LuFactors> {
     // (L1, U1, P1) = BlockLUDecom(A1)
     let top = block_lu(&q.a1, nb)?;
 
-    // U2 = L1^-1 (P1 A2); L2' U1 = A3  (Equation 6, with pivoting on A2).
+    // U2 = L1^-1 (P1 A2); L2' U1 = A3  (Equation 6, with pivoting on A2),
+    // the second solved as U1ᵀ L2'ᵀ = A3ᵀ, as the pipeline's L2' mappers do.
     let u2 = solve_unit_lower_system(&top.l, &top.perm.apply_rows(&q.a2))?;
-    let l2p = solve_upper_system_right(&top.u, &q.a3)?;
+    let (u1_t, mut x) = (top.u.transpose(), q.a3.transpose());
+    trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, &u1_t, &mut x)?;
+    let l2p = x.transpose();
 
     // B = A4 - L2' U2
     let mut b = q.a4;

@@ -19,7 +19,7 @@ use std::ops::Range;
 
 use super::packed::{Arm, Fused, Stairs};
 use super::trsm::trsm_window;
-use super::{engine, notrans, Diag, MatMut, MatrixError, Result, Side, Uplo};
+use super::{engine, notrans, Diag, MatMut, MatrixError, Result};
 use crate::dense::Matrix;
 use crate::permutation::Permutation;
 
@@ -88,15 +88,7 @@ pub(super) fn lu_blocked_in_place(a: &mut Matrix, nb: usize, arm: Arm) -> Result
 
         // U12 := L11^-1 · A12 (unit lower solve against the panel's
         // in-place factor; trsm only reads the lower triangle).
-        trsm_window(
-            arm,
-            Side::Left,
-            Uplo::Lower,
-            Diag::Unit,
-            true,
-            l11.as_ref(),
-            u12.reborrow(),
-        )?;
+        trsm_window(arm, Diag::Unit, true, l11.as_ref(), u12.reborrow())?;
 
         // A22 -= L21 · U12: the rank-nb trailing update, all level-3.
         engine(

@@ -14,8 +14,8 @@
 //!   packs only the operands' possibly nonzero rows and columns and starts
 //!   each microtile at its first possibly nonzero term, with [`gemm`]'s
 //!   bits;
-//! * [`trsm`] — `B := alpha * T^-1 * B` (left) or `alpha * B * T^-1`
-//!   (right) for triangular `T`, all [`Side`]/[`Uplo`]/[`Diag`] cases,
+//! * [`trsm`] — `B := T^-1 * B` for lower-triangular `T`, solved forward,
+//!   unit or not ([`Diag`]): the one triangular solve the pipeline runs,
 //!   with one coupling GEMM per recursion level that runs each
 //!   right-hand-side vector only over the terms where it can be nonzero;
 //! * `lu_decompose_in_place` — right-looking blocked LU whose row panels
@@ -26,7 +26,7 @@
 //! (by 4 x 4 transposes in registers where the stored rows run along `k`),
 //! the MC/KC/NC loop nest keeps them L1/L2-resident, an MR×NR
 //! register-tiled microkernel does the flops, and rayon parallelizes over
-//! macro-tile rows. The microkernel, the trsm leaves and the LU leaf share
+//! macro-tile rows. The microkernel, the trsm leaf and the LU leaf share
 //! one arithmetic: every step is one fused multiply-add, on the widest arm
 //! the host has (AVX-512F, AVX2 + FMA or portable `f64::mul_add`, chosen
 //! by one CPUID probe, all bit-equal). That arm is the kernel's only
@@ -157,9 +157,9 @@ pub fn trans<'a>(mat: impl Into<MatRef<'a>>) -> OpRef<'a> {
 /// Which side of `B` the triangular operand of [`trsm`] sits on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
-    /// Solve `T · X = alpha · B` (overwrites `B` with `X`).
+    /// Solve `T · X = B` (overwrites `B` with `X`).
     Left,
-    /// Solve `X · T = alpha · B` (overwrites `B` with `X`).
+    /// `X · T = B`, which [`trsm`] refuses.
     Right,
 }
 
@@ -168,7 +168,7 @@ pub enum Side {
 pub enum Uplo {
     /// Lower triangular.
     Lower,
-    /// Upper triangular.
+    /// Upper triangular, which [`trsm`] refuses.
     Upper,
 }
 

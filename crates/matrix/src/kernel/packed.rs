@@ -58,7 +58,7 @@
 //! where one of its rows (columns) can be nonzero, and runs each
 //! microtile only over the terms where both its rows and its columns can.
 //! Each term so skipped is an exact `±0.0` product (for finite operands)
-//! at the head or tail of a panel sum that starts at `+0.0`: the sum never
+//! at the head of a panel sum that starts at `+0.0`: the sum never
 //! reaches `-0.0`, so such a term leaves it as it is. No panel boundary
 //! moves, so the result is the dense product's, bit for bit. A microtile
 //! left with no term (only trsm's vectors, whose updates have `alpha =
@@ -432,12 +432,8 @@ pub(super) enum Steps<'a> {
     /// Index `i` is zero before index `row0 + i`: a staircase.
     From(usize),
     /// Index `i` is zero before index `first[i]` (throughout at
-    /// `usize::MAX`): a forward solve's right-hand-side vectors.
+    /// `usize::MAX`): `trsm`'s right-hand-side vectors.
     Head(&'a [usize]),
-    /// Index `i` is zero from window term `origin + k - first[i]` on: a
-    /// backward solve's vectors, whose window runs against solve order
-    /// (term `p` is solve step `origin + k - 1 - p`).
-    Tail(&'a [usize]),
 }
 
 impl Steps<'_> {
@@ -450,7 +446,6 @@ impl Steps<'_> {
             Steps::All => 0..k,
             Steps::From(row0) => head(row0 + idx.start)..k,
             Steps::Head(first) => first[idx].iter().map(|&f| head(f)).min().unwrap_or(k)..k,
-            Steps::Tail(first) => 0..first[idx].iter().map(|&f| k - head(f)).max().unwrap_or(0),
         }
     }
 
@@ -458,7 +453,7 @@ impl Steps<'_> {
     fn live(self, origin: usize, end: usize) -> usize {
         match self {
             Steps::From(row0) => origin.saturating_add(end).saturating_sub(row0),
-            Steps::All | Steps::Head(_) | Steps::Tail(_) => usize::MAX,
+            Steps::All | Steps::Head(_) => usize::MAX,
         }
     }
 }

@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn trsm_zero_observation_cuts_the_gemm_count() {
         use crate::kernel::trsm::trsm_window;
-        use crate::kernel::{Diag, Side, Uplo};
+        use crate::kernel::Diag;
 
         let n = 768;
         let t = Matrix::from_fn(n, n, |i, j| if i == j { 2.0 } else { 1.0 / n as f64 });
@@ -201,8 +201,6 @@ mod tests {
             }
             trsm_window(
                 Arm::detect(),
-                Side::Left,
-                Uplo::Lower,
                 Diag::NonUnit,
                 observe_zeros,
                 (&t).into(),

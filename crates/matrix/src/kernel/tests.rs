@@ -261,57 +261,34 @@ fn microkernel_steps_are_fused() {
     assert_eq!(bits(&c), vec![0; packed::MR * packed::NR], "naive");
 }
 
-/// `b` with vector `v` (a column on the left, a row on the right) held at
-/// exact `+0.0` on its first `v * 7 % n` entries in solve order, so the
-/// leaf's tiles mix columns that come alive at different rows (masked).
-fn staggered_rhs(side: Side, forward: bool, n: usize, w: usize, seed: u64) -> Matrix {
-    let noise = match side {
-        Side::Left => random_matrix(n, w, seed),
-        Side::Right => random_matrix(w, n, seed),
-    };
-    let (rows, cols) = noise.shape();
-    Matrix::from_fn(rows, cols, |r, c| {
-        let (v, i) = match side {
-            Side::Left => (c, r),
-            Side::Right => (r, c),
-        };
-        let step = if forward { i } else { n - 1 - i };
-        if step < v * 7 % n {
-            0.0
-        } else {
-            noise[(r, c)]
-        }
-    })
+/// An `n × w` right-hand side whose column `v` is held at exact `+0.0` on
+/// its first `v * 7 % n` entries, so the leaf's tiles mix columns that
+/// come alive at different rows (masked).
+fn staggered_rhs(n: usize, w: usize, seed: u64) -> Matrix {
+    let noise = random_matrix(n, w, seed);
+    Matrix::from_fn(n, w, |i, v| if i < v * 7 % n { 0.0 } else { noise[(i, v)] })
 }
 
-/// Both sides, both directions, unit and non-unit: each arm's leaves (and
-/// its coupling updates past one leaf) against the portable
-/// arm's, word for word. 29 vectors take tiles 16, 8, 4 and 1 wide; leaf
-/// orders 39, 63 and 150's last 22 end in a part-block of rows.
+/// Unit and non-unit: each arm's leaf (and its coupling updates past one
+/// leaf) against the portable arm's, word for word. 29 vectors take tiles
+/// 16, 8, 4 and 1 wide; leaf orders 39, 63 and 150's last 22 end in a
+/// part-block of rows.
 #[test]
 fn every_trsm_leaf_arm_matches_the_portable_arm_bitwise() {
     let arms = wide_arms();
-    let solve = |arm: Arm, side, uplo, diag, t: &Matrix, b: &Matrix| {
+    let solve = |arm: Arm, diag, t: &Matrix, b: &Matrix| {
         let mut x = b.clone();
-        trsm_window(arm, side, uplo, diag, true, t.into(), (&mut x).into()).unwrap();
+        trsm_window(arm, diag, true, t.into(), (&mut x).into()).unwrap();
         bits(&x)
     };
     for n in [39, 40, 63, 150] {
         let t = tame_triangle(n, 60 + n as u64);
-        for side in [Side::Left, Side::Right] {
-            for uplo in [Uplo::Lower, Uplo::Upper] {
-                let forward = matches!(
-                    (side, uplo),
-                    (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper)
-                );
-                let b = staggered_rhs(side, forward, n, 29, 61);
-                for diag in [Diag::Unit, Diag::NonUnit] {
-                    let want = solve(Arm::Portable, side, uplo, diag, &t, &b);
-                    for &arm in &arms {
-                        let got = solve(arm, side, uplo, diag, &t, &b);
-                        assert!(got == want, "{arm:?} n={n} {side:?}/{uplo:?}/{diag:?}");
-                    }
-                }
+        let b = staggered_rhs(n, 29, 61);
+        for diag in [Diag::Unit, Diag::NonUnit] {
+            let want = solve(Arm::Portable, diag, &t, &b);
+            for &arm in &arms {
+                let got = solve(arm, diag, &t, &b);
+                assert!(got == want, "{arm:?} n={n} {diag:?}");
             }
         }
     }
@@ -336,73 +313,25 @@ fn every_lu_leaf_arm_matches_the_portable_arm_bitwise() {
 
 /// The witness of [`microkernel_steps_are_fused`] through each leaf, on
 /// every arm: the solved entry is `0 − 1·1 + (1 + 2⁻³⁰)·(1 − 2⁻³⁰)`, in
-/// the order the leaf takes its products — `−2⁻⁶⁰` fused, `0` unfused — in
-/// every lane of every tile width, on both sides in both directions; and
-/// in the LU leaf, `a₁₂ = −1 − (−(1 − 2⁻³⁰))·(1 + 2⁻³⁰)`.
+/// the order the leaf takes its products (ascending `k`) — `−2⁻⁶⁰` fused,
+/// `0` unfused — in every lane of every tile width; and in the LU leaf,
+/// `a₁₂ = −1 − (−(1 − 2⁻³⁰))·(1 + 2⁻³⁰)`.
 #[test]
 fn leaf_steps_are_fused() {
     let e = 2f64.powi(-30);
     let (p, q) = (1.0 + e, 1.0 - e);
     let fused = (-(2f64.powi(-60))).to_bits();
     let tri = |rows: [[f64; 3]; 3]| Matrix::from_fn(3, 3, |i, j| rows[i][j]);
-    // (side, uplo, T, each vector, the entry solved last). The left leaf
-    // takes products in ascending k; the right leaf in solve order.
-    let cases = [
-        (
-            Side::Left,
-            Uplo::Lower,
-            tri([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -p, 1.0]]),
-            [1.0, q, 0.0],
-            2,
-        ),
-        (
-            Side::Left,
-            Uplo::Upper,
-            tri([[1.0, 1.0, -p], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-            [0.0, 1.0, q],
-            0,
-        ),
-        (
-            Side::Right,
-            Uplo::Upper,
-            tri([[1.0, 0.0, 1.0], [0.0, 1.0, -p], [0.0, 0.0, 1.0]]),
-            [1.0, q, 0.0],
-            2,
-        ),
-        (
-            Side::Right,
-            Uplo::Lower,
-            tri([[1.0, 0.0, 0.0], [-p, 1.0, 0.0], [1.0, 0.0, 1.0]]),
-            [0.0, q, 1.0],
-            0,
-        ),
-    ];
+    let t = tri([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -p, 1.0]]);
+    let vector = [1.0, q, 0.0];
     let mut arms = wide_arms();
     arms.push(Arm::Portable);
     for &arm in &arms {
-        for (side, uplo, t, vector, last) in &cases {
-            for w in [16, 8, 4, 1] {
-                let mut x = match side {
-                    Side::Left => Matrix::from_fn(3, w, |i, _| vector[i]),
-                    Side::Right => Matrix::from_fn(w, 3, |_, j| vector[j]),
-                };
-                trsm_window(
-                    arm,
-                    *side,
-                    *uplo,
-                    Diag::Unit,
-                    true,
-                    t.into(),
-                    (&mut x).into(),
-                )
-                .unwrap();
-                for v in 0..w {
-                    let got = match side {
-                        Side::Left => x[(*last, v)],
-                        Side::Right => x[(v, *last)],
-                    };
-                    assert_eq!(got.to_bits(), fused, "{arm:?} {side:?}/{uplo:?} w={w}");
-                }
+        for w in [16, 8, 4, 1] {
+            let mut x = Matrix::from_fn(3, w, |i, _| vector[i]);
+            trsm_window(arm, Diag::Unit, true, (&t).into(), (&mut x).into()).unwrap();
+            for v in 0..w {
+                assert_eq!(x[(2, v)].to_bits(), fused, "{arm:?} w={w}");
             }
         }
         let a = tri([[1.0, 0.0, p], [-q, 1.0, -1.0], [0.0, 0.0, 1.0]]);
@@ -582,21 +511,6 @@ fn solve_row_times_upper_transposed(u1_t: &Matrix, a3_row: &[f64]) -> Vec<f64> {
     x
 }
 
-/// One row of `x·U = b` for upper `U` in row-major storage: each entry
-/// takes its products in ascending order, as the right-side leaf's update
-/// form delivers them.
-fn solve_row_times_upper(u: &Matrix, b: &[f64]) -> Vec<f64> {
-    let mut x = b.to_vec();
-    for j in 0..u.rows() {
-        let mut acc = x[j];
-        for (k, &xk) in x.iter().enumerate().take(j) {
-            acc = (-xk).mul_add(u[(k, j)], acc);
-        }
-        x[j] = acc / u[(j, j)];
-    }
-    x
-}
-
 #[test]
 fn column_kernel_matches_full_inverse() {
     let l = random_unit_lower(9, 3);
@@ -668,72 +582,28 @@ fn trsm_left_lower_matches_legacy_per_column_kernels() {
     }
 }
 
-#[test]
-fn trsm_right_upper_matches_legacy_row_kernel() {
-    let n = 12;
-    let u = random_upper(n, 15);
-    let rhs = random_matrix(5, n, 16);
-    let mut x = rhs.clone();
-    trsm(Side::Right, Uplo::Upper, Diag::NonUnit, 1.0, &u, &mut x).unwrap();
-    for i in 0..5 {
-        let row = solve_row_times_upper(&u, rhs.row(i));
-        assert_eq!(bits_of(x.row(i)), bits_of(&row), "row {i}");
-    }
-}
-
+/// Every combination `trsm` accepts, unit and non-unit diagonal, against
+/// a full square: `T·X` over the triangle it read gives `B` back.
 #[test]
 fn trsm_all_combinations_solve_their_equation() {
     let n = 37;
-    let lower = {
-        let mut l = random_unit_lower(n, 17);
-        for i in 0..n {
-            l[(i, i)] = 2.0 + (i % 5) as f64;
-        }
-        l
-    };
-    let upper = lower.transpose();
+    let t = tame_triangle(n, 17);
+    let b = random_matrix(n, 9, 18);
     for diag in [Diag::Unit, Diag::NonUnit] {
-        for (side, uplo, t) in [
-            (Side::Left, Uplo::Lower, &lower),
-            (Side::Left, Uplo::Upper, &upper),
-            (Side::Right, Uplo::Lower, &lower),
-            (Side::Right, Uplo::Upper, &upper),
-        ] {
-            let b = match side {
-                Side::Left => random_matrix(n, 9, 18),
-                Side::Right => random_matrix(9, n, 19),
-            };
-            let mut x = b.clone();
-            trsm(side, uplo, diag, 2.0, t, &mut x).unwrap();
-            // Rebuild alpha*B from X and the triangle trsm actually read.
-            let mut teff = t.clone();
-            for i in 0..n {
-                for j in 0..n {
-                    let keep = match uplo {
-                        Uplo::Lower => j <= i,
-                        Uplo::Upper => j >= i,
-                    };
-                    if !keep {
-                        teff[(i, j)] = 0.0;
-                    }
-                    if diag == Diag::Unit && i == j {
-                        teff[(i, j)] = 1.0;
-                    }
-                }
+        let mut x = b.clone();
+        trsm(Side::Left, Uplo::Lower, diag, 1.0, &t, &mut x).unwrap();
+        // Rebuild B from X and the triangle trsm actually read.
+        let teff = Matrix::from_fn(n, n, |i, j| {
+            if i == j && diag == Diag::Unit {
+                1.0
+            } else if j <= i {
+                t[(i, j)]
+            } else {
+                0.0
             }
-            let recovered = match side {
-                Side::Left => mul(notrans(&teff), notrans(&x)).unwrap(),
-                Side::Right => mul(notrans(&x), notrans(&teff)).unwrap(),
-            };
-            let mut scaled = b.clone();
-            for v in scaled.as_mut_slice() {
-                *v *= 2.0;
-            }
-            assert!(
-                recovered.approx_eq(&scaled, 1e-7),
-                "{side:?}/{uplo:?}/{diag:?} failed"
-            );
-        }
+        });
+        let recovered = mul(notrans(&teff), notrans(&x)).unwrap();
+        assert!(recovered.approx_eq(&b, 1e-7), "{diag:?} failed");
     }
 }
 
@@ -856,70 +726,51 @@ fn trsm_on_windows_matches_copied_out_blocks_bitwise() {
     let (n, w) = (150, 37);
     let big_t = tame_triangle(n + 20, 50);
     let t_span = 5..5 + n;
-    for side in [Side::Left, Side::Right] {
-        for uplo in [Uplo::Lower, Uplo::Upper] {
-            for diag in [Diag::Unit, Diag::NonUnit] {
-                let (b_rows, b_cols) = match side {
-                    Side::Left => (3..3 + n, 6..6 + w),
-                    Side::Right => (3..3 + w, 6..6 + n),
-                };
-                let big_b = random_matrix(b_rows.end + 4, b_cols.end + 9, 51);
+    let (b_rows, b_cols) = (3..3 + n, 6..6 + w);
+    let big_b = random_matrix(b_rows.end + 4, b_cols.end + 9, 51);
+    for diag in [Diag::Unit, Diag::NonUnit] {
+        let mut in_place = big_b.clone();
+        trsm_window(
+            Arm::detect(),
+            diag,
+            true,
+            MatRef::from(&big_t).window(t_span.clone(), t_span.clone()),
+            MatMut::from(&mut in_place).window(b_rows.clone(), b_cols.clone()),
+        )
+        .unwrap();
 
-                let mut in_place = big_b.clone();
-                trsm_window(
-                    Arm::detect(),
-                    side,
-                    uplo,
-                    diag,
-                    true,
-                    MatRef::from(&big_t).window(t_span.clone(), t_span.clone()),
-                    MatMut::from(&mut in_place).window(b_rows.clone(), b_cols.clone()),
-                )
-                .unwrap();
-
-                let t_blk = block_of(&big_t, &t_span, &t_span);
-                let mut b_blk = block_of(&big_b, &b_rows, &b_cols);
-                trsm(side, uplo, diag, 1.0, &t_blk, &mut b_blk).unwrap();
-                let mut expect = big_b.clone();
-                expect
-                    .set_block(b_rows.start, b_cols.start, &b_blk)
-                    .unwrap();
-                assert_eq!(
-                    bits(&in_place),
-                    bits(&expect),
-                    "{side:?}/{uplo:?}/{diag:?}: window trsm differs from block trsm, \
-                     or wrote outside its window"
-                );
-                assert!(b_blk.as_slice().iter().all(|v| v.is_finite()));
-            }
-        }
+        let t_blk = block_of(&big_t, &t_span, &t_span);
+        let mut b_blk = block_of(&big_b, &b_rows, &b_cols);
+        trsm(Side::Left, Uplo::Lower, diag, 1.0, &t_blk, &mut b_blk).unwrap();
+        let mut expect = big_b.clone();
+        expect
+            .set_block(b_rows.start, b_cols.start, &b_blk)
+            .unwrap();
+        assert_eq!(
+            bits(&in_place),
+            bits(&expect),
+            "{diag:?}: window trsm differs from block trsm, or wrote outside its window"
+        );
+        assert!(b_blk.as_slice().iter().all(|v| v.is_finite()));
     }
 }
 
-/// The unit-basis vectors `e_j`, `j` in `picks`, as the columns (left)
-/// or rows (right) of a right-hand side.
-fn unit_basis_batch(side: Side, n: usize, picks: &[usize]) -> Matrix {
-    let mut b = match side {
-        Side::Left => Matrix::zeros(n, picks.len()),
-        Side::Right => Matrix::zeros(picks.len(), n),
-    };
+/// The unit-basis vectors `e_j`, `j` in `picks`, as the columns of a
+/// right-hand side.
+fn unit_basis_batch(n: usize, picks: &[usize]) -> Matrix {
+    let mut b = Matrix::zeros(n, picks.len());
     for (slot, &j) in picks.iter().enumerate() {
-        match side {
-            Side::Left => b[(j, slot)] = 1.0,
-            Side::Right => b[(slot, j)] = 1.0,
-        }
+        b[(j, slot)] = 1.0;
     }
     b
 }
 
 #[test]
 fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
-    let solve = |side, uplo, t: &Matrix, b: &Matrix, observe_zeros| {
+    let solve = |t: &Matrix, b: &Matrix, observe_zeros| {
         let mut x = b.clone();
         trsm_window(
             Arm::detect(),
-            side,
-            uplo,
             Diag::NonUnit,
             observe_zeros,
             t.into(),
@@ -934,9 +785,9 @@ fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
         let t = tame_triangle(n, n as u64);
         for m in [1usize, 2, 3, 5] {
             let picks: Vec<usize> = (m - 1..n).step_by(m).collect();
-            let b = unit_basis_batch(Side::Left, n, &picks);
-            let on = solve(Side::Left, Uplo::Lower, &t, &b, true);
-            let off = solve(Side::Left, Uplo::Lower, &t, &b, false);
+            let b = unit_basis_batch(n, &picks);
+            let on = solve(&t, &b, true);
+            let off = solve(&t, &b, false);
             assert_eq!(bits(&on), bits(&off), "n={n} m={m}");
             // Nothing above a column's diagonal entry was touched: exact
             // +0.0 even where the diagonal is negative.
@@ -950,56 +801,32 @@ fn observed_zero_restriction_is_bit_neutral_on_unit_basis_batches() {
         }
     }
 
-    // Every side and direction, on vectors that come alive in index order
-    // and out of it: unit-basis batches sorted and shuffled (slot `s`
-    // takes the `7s mod 173`-th pick), whose entries before each vector's
-    // one stay +0.0, and staggered vectors. Both loop nests: a pool capped
-    // at one thread, and one of two, where the top coupling updates cross
-    // the parallel nest's threshold.
+    // Vectors that come alive in index order and out of it: unit-basis
+    // batches sorted and shuffled (slot `s` takes the `7s mod 173`-th
+    // pick), whose entries before each vector's one stay +0.0, and
+    // staggered vectors. Both loop nests: a pool capped at one thread, and
+    // one of two, where the top coupling updates cross the parallel nest's
+    // threshold.
     let n = 520;
     let t = tame_triangle(n, 7);
     let sorted: Vec<usize> = (1..n).step_by(3).collect();
     let shuffled: Vec<usize> = (0..sorted.len())
         .map(|s| sorted[s * 7 % sorted.len()])
         .collect();
-    for side in [Side::Left, Side::Right] {
-        for uplo in [Uplo::Lower, Uplo::Upper] {
-            let forward = matches!(
-                (side, uplo),
-                (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper)
-            );
-            let cases = [
-                ("sorted", &sorted[..], unit_basis_batch(side, n, &sorted)),
-                (
-                    "shuffled",
-                    &shuffled[..],
-                    unit_basis_batch(side, n, &shuffled),
-                ),
-                (
-                    "staggered",
-                    &[][..],
-                    staggered_rhs(side, forward, n, 133, 8),
-                ),
-            ];
-            for (label, picks, b) in &cases {
-                let off = solve(side, uplo, &t, b, false);
-                for cap in [1, 2] {
-                    let mut on = Matrix::zeros(0, 0);
-                    with_thread_cap(cap, || on = solve(side, uplo, &t, b, true));
-                    assert!(
-                        bits(&on) == bits(&off),
-                        "{label} {side:?}/{uplo:?} at cap {cap}"
-                    );
-                    for (slot, &j) in picks.iter().enumerate() {
-                        let untouched = if forward { 0..j } else { j + 1..n };
-                        for i in untouched {
-                            let v = match side {
-                                Side::Left => on[(i, slot)],
-                                Side::Right => on[(slot, i)],
-                            };
-                            assert_eq!(v.to_bits(), 0, "{label} {side:?}/{uplo:?} e_{j} entry {i}");
-                        }
-                    }
+    let cases = [
+        ("sorted", &sorted[..], unit_basis_batch(n, &sorted)),
+        ("shuffled", &shuffled[..], unit_basis_batch(n, &shuffled)),
+        ("staggered", &[][..], staggered_rhs(n, 133, 8)),
+    ];
+    for (label, picks, b) in &cases {
+        let off = solve(&t, b, false);
+        for cap in [1, 2] {
+            let mut on = Matrix::zeros(0, 0);
+            with_thread_cap(cap, || on = solve(&t, b, true));
+            assert!(bits(&on) == bits(&off), "{label} at cap {cap}");
+            for (slot, &j) in picks.iter().enumerate() {
+                for i in 0..j {
+                    assert_eq!(on[(i, slot)].to_bits(), 0, "{label} e_{j} entry {i}");
                 }
             }
         }
@@ -1103,6 +930,27 @@ fn trsm_rejects_singular_and_misshapen() {
     let mut b = Matrix::zeros(4, 2);
     assert!(trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, &l, &mut b).is_err());
     assert!(trsm(Side::Right, Uplo::Lower, Diag::Unit, 1.0, &l, &mut b).is_err());
+
+    // Only the forward solve is run: any other side, triangle or scale is
+    // refused on operands every case would accept, `B` untouched.
+    let t = tame_triangle(5, 21);
+    let b = random_matrix(5, 5, 22);
+    for (side, uplo, alpha) in [
+        (Side::Right, Uplo::Upper, 1.0),
+        (Side::Right, Uplo::Lower, 1.0),
+        (Side::Left, Uplo::Upper, 1.0),
+        (Side::Left, Uplo::Lower, 2.0),
+    ] {
+        let mut x = b.clone();
+        assert!(
+            matches!(
+                trsm(side, uplo, Diag::NonUnit, alpha, &t, &mut x),
+                Err(MatrixError::InvalidParameter { op: "trsm", .. })
+            ),
+            "{side:?}/{uplo:?} alpha={alpha}"
+        );
+        assert_eq!(bits(&x), bits(&b), "{side:?}/{uplo:?} alpha={alpha}");
+    }
 }
 
 #[test]

@@ -28,10 +28,6 @@ use crate::kernel::{Diag, Side, Uplo};
 
 pub use crate::kernel::trsm;
 
-fn check_square(a: &Matrix, _op: &'static str) -> Result<usize> {
-    a.order()
-}
-
 fn check_nonzero_diag(a: &Matrix) -> Result<()> {
     let n = a.rows();
     for i in 0..n {
@@ -61,7 +57,7 @@ pub fn trsm_flops(m: usize, nrhs: usize) -> u64 {
 /// inverse solves `L·x = e_j`, all of them in one [`trsm`] on the identity
 /// (whose exact zeros above each `e_j`'s one are never multiplied).
 pub fn invert_lower(l: &Matrix) -> Result<Matrix> {
-    let mut inv = Matrix::identity(check_square(l, "invert_lower")?);
+    let mut inv = Matrix::identity(l.order()?);
     trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, l, &mut inv)?;
     Ok(inv)
 }
@@ -90,7 +86,7 @@ const ABREAST: usize = 8;
 /// row-by-row loop; the eight independent chains keep a core busy where
 /// one chain waits on each subtraction.
 pub fn forward_substitution(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let n = check_square(l, "forward_substitution")?;
+    let n = l.order()?;
     if b.len() != n {
         return Err(MatrixError::DimensionMismatch {
             op: "forward_substitution",
@@ -133,7 +129,7 @@ pub fn forward_substitution(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 /// one below it before it can start, and running rows abreast would change
 /// that order and the bits.
 pub fn back_substitution(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let n = check_square(u, "back_substitution")?;
+    let n = u.order()?;
     if b.len() != n {
         return Err(MatrixError::DimensionMismatch {
             op: "back_substitution",
@@ -164,7 +160,7 @@ pub fn back_substitution(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 /// has no library caller: the pipeline's `L2'` mappers solve a whole stripe
 /// in one [`trsm`] against `U1ᵀ` under either storage.
 pub fn solve_row_times_upper(u1: &Matrix, a3_row: &[f64]) -> Result<Vec<f64>> {
-    let n = check_square(u1, "solve_row_times_upper")?;
+    let n = u1.order()?;
     if a3_row.len() != n {
         return Err(MatrixError::DimensionMismatch {
             op: "solve_row_times_upper",
@@ -190,14 +186,6 @@ pub fn solve_row_times_upper(u1: &Matrix, a3_row: &[f64]) -> Result<Vec<f64>> {
 pub fn solve_unit_lower_system(l1: &Matrix, b: &Matrix) -> Result<Matrix> {
     let mut x = b.clone();
     trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, l1, &mut x)?;
-    Ok(x)
-}
-
-/// Solves `X·U1 = B` (`X = B·U1^-1`): the matrix-level form of the `L2'`
-/// computation. Thin wrapper over [`trsm`].
-pub fn solve_upper_system_right(u1: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let mut x = b.clone();
-    trsm(Side::Right, Uplo::Upper, Diag::NonUnit, 1.0, u1, &mut x)?;
     Ok(x)
 }
 
@@ -331,12 +319,20 @@ mod tests {
         assert!((&l1 * &u2).approx_eq(&a2, TOL));
     }
 
+    /// `X·U1 = B` as the pipeline's `L2'` mappers solve it: `U1ᵀ·Xᵀ = Bᵀ`,
+    /// one lower solve against the transposed upper factor.
+    fn solve_times_upper(u1: &Matrix, b: &Matrix) -> Matrix {
+        let (u1_t, mut x) = (u1.transpose(), b.transpose());
+        trsm(Side::Left, Uplo::Lower, Diag::NonUnit, 1.0, &u1_t, &mut x).unwrap();
+        x.transpose()
+    }
+
     #[test]
     fn eq6_l2_kernel_solves_x_u1_eq_a3() {
         // L2' U1 = A3, per row.
         let u1 = random_upper(10, 8);
         let a3 = random_matrix(6, 10, 9);
-        let l2 = solve_upper_system_right(&u1, &a3).unwrap();
+        let l2 = solve_times_upper(&u1, &a3);
         assert!((&l2 * &u1).approx_eq(&a3, TOL));
     }
 
@@ -370,7 +366,7 @@ mod tests {
             .unwrap();
         assert!(u2.approx_eq(&expect_u2, TOL));
 
-        let l2 = solve_upper_system_right(&u1, &pa3).unwrap();
+        let l2 = solve_times_upper(&u1, &pa3);
         let expect_l2 = l
             .block(crate::block::BlockRange::new((k, 12), (0, k)))
             .unwrap();
