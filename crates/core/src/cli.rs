@@ -602,10 +602,6 @@ pub fn worker_main(args: Vec<String>) -> i32 {
         return usage();
     };
 
-    // Lets in-crate task code (the die-once fault probe) detect that it
-    // is running inside a disposable worker process.
-    std::env::set_var(crate::remote::WORKER_ENV, "1");
-
     let registry = crate::remote::exec_registry();
     if let Err(e) = mrinv_mapreduce::worker_serve(&addr, worker_id, &registry) {
         eprintln!("mrinv-worker {worker_id}: {e}");

@@ -411,8 +411,8 @@ fn not_found(files: &HashMap<String, Block>, path: String) -> MrError {
     }
 }
 
-/// The DFS operations a *task body* may perform — read, write, exists; no
-/// task lists a directory — abstracted so a task can run either in the
+/// The DFS operations a *task body* may perform — read and write; no task
+/// probes a path or lists a directory — abstracted so a task can run in the
 /// driver process (directly against [`Dfs`]) or inside a remote worker
 /// process, where each call becomes an RPC back to the driver's namenode.
 /// Tasks never see which one they got: the contexts in [`crate::job`]
@@ -423,8 +423,6 @@ pub trait DfsAccess: Send + Sync {
     fn read(&self, path: &str) -> Result<(Bytes, Homes)>;
     /// Writes a file (see [`Dfs::write`]).
     fn write(&self, path: &str, data: Bytes);
-    /// True when `path` exists (see [`Dfs::exists`]).
-    fn exists(&self, path: &str) -> bool;
 }
 
 impl DfsAccess for Dfs {
@@ -433,9 +431,6 @@ impl DfsAccess for Dfs {
     }
     fn write(&self, path: &str, data: Bytes) {
         Dfs::write(self, path, data)
-    }
-    fn exists(&self, path: &str) -> bool {
-        Dfs::exists(self, path)
     }
 }
 

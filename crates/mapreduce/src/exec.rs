@@ -84,7 +84,8 @@ pub(crate) type EncodeTaskFn = fn(&dyn Any, &dyn Any) -> Result<Value>;
 /// [`crate::cluster::Cluster`]. A backend decides one thing: whether it
 /// has workers to ship a [`TaskDescriptor`] to. Attempts it does not ship
 /// (every attempt under `InProcess`; jobs without a registered family
-/// under any backend) run in the driver through the same body.
+/// under any backend) run in the driver through the same body. Simulated
+/// node deaths never reach a backend: the scheduler models them alone.
 pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     /// Stable backend label (the `backend` dimension of
     /// [`crate::obs::Labels`]).
@@ -110,10 +111,6 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
             desc.job
         )))
     }
-
-    /// A simulated node died (`crate::fault::FaultPlan::kill_node`);
-    /// backends with real workers map this onto killing one of them.
-    fn on_node_death(&self, _node: usize) {}
 
     /// Gracefully stops any worker processes. Idempotent.
     fn shutdown(&self) {}

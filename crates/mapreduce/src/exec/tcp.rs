@@ -38,13 +38,13 @@
 //!
 //! # Fault mapping
 //!
-//! A broken socket, EOF, or read timeout while a worker owns a task kills
+//! A broken socket, EOF, read timeout or malformed frame (a `DfsReq` op
+//! other than read 0 or write 1 included) while a worker owns a task kills
 //! the worker process and surfaces [`MrError::WorkerLost`] — the runner
 //! retries at once, and since the dead worker left the pool, the retry
-//! lands on a surviving worker (steering). A
-//! simulated node death ([`ExecBackend::on_node_death`]) kills a real
-//! worker chosen by `node % workers`. The pool respawns one worker when
-//! the last one dies, so a run can always make progress.
+//! lands on a surviving worker (steering). The pool respawns one worker
+//! when the last one dies, so a run can always make progress. Simulated
+//! node deaths stay in the scheduler and touch no worker process.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -69,7 +69,6 @@ const TAG_DONE: u8 = 18;
 
 const OP_READ: u8 = 0;
 const OP_WRITE: u8 = 1;
-const OP_EXISTS: u8 = 2;
 
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
@@ -403,11 +402,6 @@ fn serve_dfs_request(frame: &mut Vec<u8>, dfs: &Dfs) -> std::result::Result<Opti
             frame.clear();
             frame.push(STATUS_OK);
         }
-        OP_EXISTS => {
-            let exists = dfs.exists(path);
-            frame.clear();
-            frame.extend([STATUS_OK, u8::from(exists)]);
-        }
         other => return Err(format!("unknown DFS op {other}")),
     }
     Ok(None)
@@ -471,22 +465,6 @@ impl ExecBackend for TcpWorkers {
                 })
             }
         }
-    }
-
-    fn on_node_death(&self, node: usize) {
-        // Map the simulated node onto a real worker and kill it. Idle
-        // workers die immediately; a checked-out worker's owning thread
-        // sees the broken socket and reaps it as WorkerLost.
-        let mut pool = self.pool.lock().expect("pool lock");
-        if pool.idle.is_empty() {
-            return;
-        }
-        let victim = node % pool.idle.len();
-        let w = pool.idle.swap_remove(victim);
-        kill_slot(&w.child);
-        pool.alive -= 1;
-        drop(pool);
-        self.available.notify_all();
     }
 
     fn shutdown(&self) {
@@ -601,13 +579,6 @@ impl DfsAccess for RemoteDfs {
         // at Done time, and the driver reaps the worker either way.
         let _ = self.request(OP_WRITE, path, &data, |body| reply_payload(body).map(drop));
     }
-
-    fn exists(&self, path: &str) -> bool {
-        self.request(OP_EXISTS, path, &[], |body| {
-            reply_payload(body).map(|resp| resp.first() == Some(&1))
-        })
-        .unwrap_or(false)
-    }
 }
 
 /// Worker process main loop: connect back to the driver, say hello, then
@@ -700,13 +671,9 @@ mod tests {
         let dfs = Dfs::new(1);
         dfs.write("dir/file", Bytes::from(file.clone()));
 
-        // A worker's write request, and its read and exists requests.
+        // A worker's write request, and its read request.
         let mut frame = Vec::new();
-        for (op, data) in [
-            (OP_WRITE, &file[..]),
-            (OP_READ, &[][..]),
-            (OP_EXISTS, &[][..]),
-        ] {
+        for (op, data) in [(OP_WRITE, &file[..]), (OP_READ, &[][..])] {
             let mut wire = Vec::new();
             send_dfs_request(&mut wire, &mut frame, op, "dir/file", data).unwrap();
             let mut body = vec![op, 8, 0, 0, 0];
@@ -723,7 +690,6 @@ mod tests {
             let body = match op {
                 // One home (a one-node store): count 1, node 0.
                 OP_READ => [&[STATUS_OK, 1, 0, 0, 0, 0, 0, 0, 0][..], &file].concat(),
-                OP_EXISTS => vec![STATUS_OK, 1],
                 _ => vec![STATUS_OK],
             };
             assert_eq!(wire, contiguous(TAG_DFS_RESP, &body), "op {op}");
@@ -743,6 +709,37 @@ mod tests {
         let mut wire = Vec::new();
         send_dfs_response(&mut wire, &frame, None).unwrap();
         assert_eq!(wire, contiguous(TAG_DFS_RESP, &frame));
+    }
+
+    /// A request the driver cannot serve is refused before it touches the
+    /// store: an op byte that is neither read nor write (2 was the retired
+    /// `exists`), an empty body, a cut length and a cut path. The attempt
+    /// then ends as a lost worker.
+    #[test]
+    fn malformed_dfs_requests_are_refused_and_change_nothing() {
+        let dfs = Dfs::new(1);
+        dfs.write("dir/file", Bytes::from_static(b"kept"));
+        let store = |dfs: &Dfs| (dfs.list(""), dfs.counters(), dfs.live_bytes());
+        let before = store(&dfs);
+        let request = |op: u8, path: &[u8], data: &[u8]| {
+            let mut body = vec![op];
+            body.extend_from_slice(&8u32.to_le_bytes());
+            body.extend_from_slice(path);
+            body.extend_from_slice(data);
+            body
+        };
+        for (mut frame, refusal) in [
+            (request(2, b"dir/file", b""), "unknown DFS op 2"),
+            (request(2, b"dir/made", b"data"), "unknown DFS op 2"),
+            (Vec::new(), "empty DfsReq"),
+            (vec![OP_WRITE, 8, 0], "truncated DfsReq"),
+            (request(OP_WRITE, b"dir/f", b""), "truncated DfsReq path"),
+        ] {
+            let err = serve_dfs_request(&mut frame, &dfs).unwrap_err();
+            assert_eq!(err, refusal);
+            assert_eq!(store(&dfs), before, "{refusal}");
+        }
+        assert_eq!(&dfs.read("dir/file").unwrap().0[..], b"kept");
     }
 
     /// A read reply carries the block's surviving homes ahead of its

@@ -116,11 +116,6 @@ impl TaskIo {
         self.dfs.write(path, data);
     }
 
-    /// True when a DFS path exists (metadata operation, not charged).
-    pub fn exists(&self, path: &str) -> bool {
-        self.dfs.exists(path)
-    }
-
     /// Charges `flops` of arithmetic, a closed form of the kernel's shapes.
     /// The cost model prices them at its flop rate; everything else a task
     /// does is priced by the bytes it reads and writes.
@@ -446,7 +441,7 @@ mod tests {
         ctx.write("out", Bytes::from(vec![0u8; 32]));
         ctx.emit(1, 7);
         ctx.emit(2, 8);
-        assert!(ctx.exists("out"));
+        assert!(dfs.exists("out"));
         let (stats, local) = ctx.io.finish(Duration::from_millis(5));
         assert_eq!(ctx.emitted, vec![(1, 7), (2, 8)]);
         // The default store places every file on all three of its nodes.
@@ -481,7 +476,6 @@ mod tests {
             assert_eq!(io.read("/d//in").unwrap().len(), 30);
             io.write("d/out", Bytes::from(vec![0u8; 12]));
             io.charge_flops(3);
-            assert!(io.exists("d/out"));
             assert!(io.read("d/missing").is_err());
         };
         let mut map: MapContext<usize, usize> = MapContext::new(dfs.clone(), 0, 1);

@@ -190,9 +190,6 @@ fn fire_due_deaths(cluster: &Cluster) {
     let now = cluster.sim_secs();
     for (node, at) in cluster.faults.deaths_due(now) {
         cluster.dfs.kill_node(node);
-        // Backends with real worker processes map the simulated node death
-        // onto killing one of them (no-op for in-process execution).
-        cluster.backend().on_node_death(node);
         if cluster.trace.is_enabled() {
             cluster.trace.record(TaskEvent {
                 task: node,
@@ -855,6 +852,7 @@ mod tests {
     use crate::job::{identity_partitioner, MapContext, ReduceContext};
     use crate::simtime::CostModel;
     use bytes::Bytes;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Classic word count over in-DFS text files: exercises the whole
     /// map/shuffle/reduce path with a non-trivial key space.
@@ -1022,17 +1020,17 @@ mod tests {
         }
     }
 
-    /// A mapper that errors until the DFS contains a marker (simulating a
-    /// transient user error that a retry fixes).
-    struct FlakyMapper;
+    /// A mapper whose first attempt errors (a transient user error that a
+    /// retry fixes).
+    struct FlakyMapper {
+        failed: AtomicBool,
+    }
     impl Mapper for FlakyMapper {
         type Input = usize;
         type Key = usize;
         type Value = usize;
         fn map(&self, input: &usize, ctx: &mut MapContext<usize, usize>) -> Result<()> {
-            let marker = format!("marker/{input}");
-            if !ctx.exists(&marker) {
-                ctx.write(&marker, Bytes::from_static(b"1"));
+            if !self.failed.swap(true, Ordering::Relaxed) {
                 return Err(MrError::Other("transient".into()));
             }
             ctx.emit(*input, 1);
@@ -1044,10 +1042,12 @@ mod tests {
     fn user_error_is_retried() {
         let cluster = test_cluster(1);
         let spec: JobSpec<usize> = JobSpec::new("flaky");
-        // First attempt writes the marker and errors; the runner wraps the
-        // task body's error into UserTask and retries, and the retry
-        // succeeds because the marker now exists.
-        let report = run_map_only(&cluster, &spec, &FlakyMapper, &[7]).unwrap();
+        // The first attempt errors; the runner wraps the task body's error
+        // into UserTask and retries, and the retry succeeds.
+        let flaky = FlakyMapper {
+            failed: AtomicBool::new(false),
+        };
+        let report = run_map_only(&cluster, &spec, &flaky, &[7]).unwrap();
         assert_eq!(report.failures, 1);
     }
 

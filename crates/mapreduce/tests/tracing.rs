@@ -2,6 +2,8 @@
 //! Chrome export structure, fault-injection visibility, and the
 //! zero-cost-when-disabled guarantee.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use bytes::Bytes;
 use mrinv_mapreduce::job::{JobSpec, MapContext, Mapper, ReduceContext, Reducer};
 use mrinv_mapreduce::runner::{run_job, run_map_only};
@@ -254,15 +256,15 @@ fn tracing_disabled_records_nothing_and_reports_are_identical() {
 
 #[test]
 fn user_errors_are_traced_with_their_message() {
-    struct FailOnce;
+    struct FailOnce {
+        failed: AtomicBool,
+    }
     impl Mapper for FailOnce {
         type Input = usize;
         type Key = usize;
         type Value = usize;
-        fn map(&self, input: &usize, ctx: &mut MapContext<usize, usize>) -> Result<(), MrError> {
-            let marker = format!("marker/{input}");
-            if !ctx.exists(&marker) {
-                ctx.write(&marker, Bytes::from_static(b"x"));
+        fn map(&self, _input: &usize, _ctx: &mut MapContext<usize, usize>) -> Result<(), MrError> {
+            if !self.failed.swap(true, Ordering::Relaxed) {
                 return Err(MrError::Other("disk hiccup".into()));
             }
             Ok(())
@@ -270,7 +272,10 @@ fn user_errors_are_traced_with_their_message() {
     }
     let cluster = traced_cluster(1);
     let spec: JobSpec<usize> = JobSpec::new("flaky");
-    run_map_only(&cluster, &spec, &FailOnce, &[5]).unwrap();
+    let fail_once = FailOnce {
+        failed: AtomicBool::new(false),
+    };
+    run_map_only(&cluster, &spec, &fail_once, &[5]).unwrap();
     let events = cluster.trace.events();
     let failed: Vec<_> = events.iter().filter(|e| e.failure.is_some()).collect();
     assert_eq!(failed.len(), 1);
